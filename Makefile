@@ -1,7 +1,7 @@
 # Convenience targets; CI (.github/workflows/ci.yml) runs `test`, `lint`,
 # `smoke-serving`, `smoke-fused`, `smoke-racecheck`, `smoke-analysis`,
 # `smoke-obs`, `smoke-compile`, `smoke-fusion`, `smoke-mp`,
-# `smoke-verify` and `smoke-fleet` on every push.
+# `smoke-verify`, `smoke-fleet` and `smoke-bench` on every push.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -19,7 +19,7 @@ SMOKE_FLEET_REPORT ?= /tmp/repro_fleet_smoke.json
 # ≤2 % claim; the freshly-measured smoke run gets slack against tenancy.
 SMOKE_OBS_BUDGET ?= 1.10
 
-.PHONY: test lint smoke-serving smoke-fused smoke-racecheck smoke-analysis smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet bench fused-bench fusion-bench multiproc-bench serve-bench fleet-bench clean
+.PHONY: test lint smoke-serving smoke-fused smoke-racecheck smoke-analysis smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench fused-bench fusion-bench multiproc-bench serve-bench fleet-bench clean
 
 # tier-1: the full unit/integration/property suite (serving tests included)
 test:
@@ -158,6 +158,11 @@ smoke-fleet:
 	$(PYTHON) -m repro fleet-bench --output $(SMOKE_FLEET_REPORT) > /dev/null
 	$(PYTHON) tools/check_fleet_report.py $(SMOKE_FLEET_REPORT)
 	$(PYTHON) tools/check_fleet_report.py benchmarks/baselines/BENCH_fleet.json
+
+# the wall-clock benchmark at --quick: every workload runs and prints
+# every metric BENCHMARK.json declares (bench/README.md)
+smoke-bench:
+	$(PYTHON) -m pytest bench/test_smoke.py -q
 
 # regenerate every paper table/figure + the serving sweep (minutes)
 bench:

@@ -12,6 +12,7 @@ import numpy as np
 
 from benchmarks.common import run_once
 from repro.analysis.report import format_table
+from repro.config import ExecutionConfig
 from repro.core import BParEngine
 from repro.harness.simtime import simulated_batch_time
 from repro.models.params import BRNNParams
@@ -55,7 +56,10 @@ def test_queue_policy_ablation(benchmark):
     outputs = []
     for policy in POLICIES:
         sim = SimulatedExecutor(laptop_sim(4), scheduler=policy, execute_payloads=True)
-        eng = BParEngine(small, params=BRNNParams.initialize(small, seed=1), executor=sim)
+        eng = BParEngine(
+            small, params=BRNNParams.initialize(small, seed=1),
+            config=ExecutionConfig(executor=sim),
+        )
         _, logits, _ = eng.loss_and_grads(x, labels)
         outputs.append(logits)
     assert all(np.array_equal(outputs[0], o) for o in outputs[1:])

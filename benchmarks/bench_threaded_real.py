@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from benchmarks.common import emit_bench_json, summarize_times
+from repro.config import ExecutionConfig
 from repro.core import BParEngine
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
@@ -74,8 +75,10 @@ def _batch():
 def test_threaded_train_batch(benchmark):
     x, labels = _batch()
     workers = min(8, os.cpu_count() or 1)
-    engine = BParEngine(SPEC, params=BRNNParams.initialize(SPEC, seed=0),
-                        executor=ThreadedExecutor(workers))
+    engine = BParEngine(
+        SPEC, params=BRNNParams.initialize(SPEC, seed=0),
+        config=ExecutionConfig(executor=ThreadedExecutor(workers)),
+    )
     loss = benchmark(lambda: engine.train_batch(x, labels, lr=0.01))
     assert np.isfinite(loss)
     benchmark.extra_info["workers"] = workers
@@ -84,8 +87,10 @@ def test_threaded_train_batch(benchmark):
 
 def test_serial_train_batch(benchmark):
     x, labels = _batch()
-    engine = BParEngine(SPEC, params=BRNNParams.initialize(SPEC, seed=0),
-                        executor=SerialExecutor())
+    engine = BParEngine(
+        SPEC, params=BRNNParams.initialize(SPEC, seed=0),
+        config=ExecutionConfig(executor=SerialExecutor()),
+    )
     loss = benchmark(lambda: engine.train_batch(x, labels, lr=0.01))
     assert np.isfinite(loss)
     _record("serial_train_batch", benchmark)
@@ -94,8 +99,10 @@ def test_serial_train_batch(benchmark):
 def test_threaded_inference(benchmark):
     x, _ = _batch()
     workers = min(8, os.cpu_count() or 1)
-    engine = BParEngine(SPEC, params=BRNNParams.initialize(SPEC, seed=0),
-                        executor=ThreadedExecutor(workers))
+    engine = BParEngine(
+        SPEC, params=BRNNParams.initialize(SPEC, seed=0),
+        config=ExecutionConfig(executor=ThreadedExecutor(workers)),
+    )
     logits = benchmark(lambda: engine.forward(x))
     assert logits.shape == (BATCH, SPEC.num_classes)
     _record("threaded_inference", benchmark)

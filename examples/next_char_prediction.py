@@ -10,7 +10,7 @@ statistics.
 
 import numpy as np
 
-from repro import BParEngine, BRNNSpec, ThreadedExecutor
+from repro import BParEngine, BRNNSpec, ExecutionConfig
 from repro.data import SyntheticWikipedia
 
 
@@ -29,7 +29,9 @@ def main():
     print(f"sample : {corpus.decode(corpus.sample_text(60, seed=7))!r}")
     print(f"model  : {spec.describe()}")
 
-    engine = BParEngine(spec, executor=ThreadedExecutor(4), mbs=2, seed=0)
+    engine = BParEngine(
+        spec, config=ExecutionConfig(executor="threaded", n_workers=4, mbs=2, seed=0)
+    )
     seq_len, batch = 32, 32
     uniform_ppl = float(corpus.vocab_size)
 

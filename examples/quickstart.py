@@ -10,7 +10,7 @@ moved.  Runs in a few seconds on any machine.
 
 import numpy as np
 
-from repro import BParEngine, BRNNSpec, ThreadedExecutor
+from repro import BParEngine, BRNNSpec, ExecutionConfig
 
 def main():
     spec = BRNNSpec(
@@ -24,7 +24,9 @@ def main():
     )
     print(f"model: {spec.describe()}")
 
-    engine = BParEngine(spec, executor=ThreadedExecutor(4), mbs=2, seed=0)
+    engine = BParEngine(
+        spec, config=ExecutionConfig(executor="threaded", n_workers=4, mbs=2, seed=0)
+    )
 
     rng = np.random.default_rng(0)
     seq_len, batch = 20, 32

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from repro import BParEngine, BRNNSpec, BSeqEngine, Trainer, ThreadedExecutor
+from repro import BParEngine, BRNNSpec, BSeqEngine, ExecutionConfig, Trainer
 from repro.data import SyntheticTidigits, iterate_batches
 
 
@@ -36,7 +36,9 @@ def main():
     lengths = [x.shape[0] for x in train_x]
     print(f"utterance lengths: {min(lengths)}-{max(lengths)} frames (variable)")
 
-    engine = BParEngine(spec, executor=ThreadedExecutor(4), mbs=2, seed=0)
+    engine = BParEngine(
+        spec, config=ExecutionConfig(executor="threaded", n_workers=4, mbs=2, seed=0)
+    )
     trainer = Trainer(engine, lr=0.2)
 
     def batches(xs, ys, seed):
@@ -61,7 +63,10 @@ def main():
     print(f"\nB-Par vs B-Seq wall time on this host ({os.cpu_count()} CPU(s)):")
     bench_batches = batches(train_x[:200], train_y[:200], seed=9)
     for cls in (BParEngine, BSeqEngine):
-        eng = cls(spec, executor=ThreadedExecutor(4), mbs=4, seed=0)
+        eng = cls(
+            spec,
+            config=ExecutionConfig(executor="threaded", n_workers=4, mbs=4, seed=0),
+        )
         t0 = time.perf_counter()
         for x, y in bench_batches:
             eng.train_batch(x, y, lr=0.05)

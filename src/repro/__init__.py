@@ -53,7 +53,6 @@ from repro.serve import (
     ReplicaPool,
     ServeConfig,
     Server,
-    ServerConfig,
     serve_fleet,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "InferenceEngine",
     "Server",
     "ServeConfig",
-    "ServerConfig",
     "ReplicaPool",
     "FleetServer",
     "serve_fleet",

@@ -8,13 +8,9 @@ fusion knobs, and the observability attachments (``metrics``/``hooks``)
 :class:`~repro.serve.engine.InferenceEngine` and the CLI through one
 ``config=`` parameter.
 
-The pre-existing per-engine keyword arguments (``executor=``, ``mbs=``,
-``fused_input_projection=``, …) keep working through
-:meth:`ExecutionConfig.from_kwargs`, which maps them onto a config and
-emits a single :class:`DeprecationWarning`; new code should construct the
-config directly.  :func:`add_execution_args` / :func:`config_from_args`
-are the argparse half: every ``python -m repro`` subcommand shares one
-execution flag group instead of re-declaring it.
+:func:`add_execution_args` / :func:`config_from_args` are the argparse
+half: every ``python -m repro`` subcommand shares one execution flag
+group instead of re-declaring it.
 """
 
 from __future__ import annotations
@@ -23,29 +19,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.registry import MetricsRegistry
-
-#: engine keyword arguments that ``from_kwargs`` maps onto config fields —
-#: the deprecated spelling of the execution API
-LEGACY_EXECUTION_KWARGS = (
-    "executor",
-    "n_workers",
-    "n_cores",
-    "scheduler",
-    "mbs",
-    "barrier_free",
-    "fused_input_projection",
-    "proj_block",
-    "seed",
-)
-
-#: config fields that were never kwargs and therefore do not warn
-_NEW_FIELDS = ("metrics", "hooks", "compile", "fusion", "wavefront_tile")
 
 #: the fusion-policy vocabulary (docs/PERF.md)
 FUSION_MODES = ("off", "gates", "gates+act", "wavefront")
@@ -171,69 +149,6 @@ class ExecutionConfig:
             payload[f.name] = value
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-    @classmethod
-    def from_kwargs(
-        cls,
-        _defaults: Optional["ExecutionConfig"] = None,
-        _stacklevel: int = 3,
-        **kwargs,
-    ) -> "ExecutionConfig":
-        """Build a config from legacy engine keyword arguments.
-
-        ``n_cores`` (the simulated-machine spelling) aliases onto
-        ``n_workers``.  Emits one :class:`DeprecationWarning` naming the
-        legacy keys; unknown keys raise :class:`TypeError` exactly as the
-        old engine signatures did.
-        """
-        base = _defaults if _defaults is not None else cls()
-        # Warn with the spelling the caller actually used, before aliasing.
-        legacy = sorted(k for k in kwargs if k in LEGACY_EXECUTION_KWARGS)
-        if "n_cores" in kwargs:
-            if "n_workers" in kwargs:
-                raise TypeError("pass n_workers or n_cores, not both")
-            kwargs["n_workers"] = kwargs.pop("n_cores")
-        unknown = [
-            k for k in kwargs
-            if k not in LEGACY_EXECUTION_KWARGS and k not in _NEW_FIELDS
-        ]
-        if unknown:
-            raise TypeError(
-                f"unexpected execution keyword argument(s): {', '.join(sorted(unknown))}"
-            )
-        if legacy:
-            warnings.warn(
-                f"passing {', '.join(legacy)} as engine keyword arguments is "
-                "deprecated; pass config=ExecutionConfig(...) instead "
-                "(see docs/API.md for the migration table)",
-                DeprecationWarning,
-                stacklevel=_stacklevel,
-            )
-        return dataclasses.replace(base, **kwargs)
-
-
-def resolve_engine_config(
-    config: Optional[ExecutionConfig],
-    legacy: Dict[str, Any],
-    defaults: Optional[ExecutionConfig] = None,
-) -> ExecutionConfig:
-    """The engines' shared front door: ``config=`` XOR legacy kwargs.
-
-    ``defaults`` supplies per-engine defaults (e.g. the serving engine's
-    ``executor="sim"``, ``fused_input_projection="auto"``) applied under
-    both paths when the caller leaves fields unset.
-    """
-    if config is not None:
-        if legacy:
-            raise TypeError(
-                "pass either config=ExecutionConfig(...) or legacy keyword "
-                f"arguments, not both (got both config= and "
-                f"{', '.join(sorted(legacy))})"
-            )
-        return config
-    if legacy:
-        return ExecutionConfig.from_kwargs(_defaults=defaults, _stacklevel=4, **legacy)
-    return defaults if defaults is not None else ExecutionConfig()
 
 
 # -- CLI integration -----------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config import ExecutionConfig, resolve_engine_config
+from repro.config import ExecutionConfig
 from repro.core.graph_builder import GraphBuildResult, build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
@@ -76,9 +76,7 @@ def resolve_executor(config: ExecutionConfig):
 class BParEngine:
     """Barrier-free task-parallel BRNN training and inference.
 
-    Construct with ``config=ExecutionConfig(...)``; the pre-existing
-    keyword arguments (``executor=``, ``mbs=``, …) still work but emit a
-    :class:`DeprecationWarning` (docs/API.md has the migration table).
+    Construct with ``config=ExecutionConfig(...)`` (docs/API.md).
     """
 
     #: builder flag distinguishing B-Par from B-Seq (overridden by BSeqEngine)
@@ -92,9 +90,8 @@ class BParEngine:
         *,
         config: Optional[ExecutionConfig] = None,
         momentum: float = 0.0,
-        **legacy,
     ) -> None:
-        cfg = resolve_engine_config(config, legacy)
+        cfg = config if config is not None else ExecutionConfig()
         self.spec = spec
         self.config = cfg
         self.params = (
@@ -116,32 +113,6 @@ class BParEngine:
         self.velocity = BRNNParams.zeros_like(spec) if momentum > 0.0 else None
         self.last_trace: Optional[ExecutionTrace] = None
         self.last_result: Optional[GraphBuildResult] = None
-
-    def __eq__(self, other) -> bool:
-        """Engines are equal when they would execute identically.
-
-        Lets migration tests assert that the legacy-kwargs path and the
-        ``config=`` path construct the same engine.  Executor *instances*
-        compare by type and worker count (two fresh pools of the same
-        shape are interchangeable).
-        """
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.mbs == other.mbs
-            and self.barrier_free == other.barrier_free
-            and self.momentum == other.momentum
-            and self.fused_input_projection == other.fused_input_projection
-            and self.proj_block == other.proj_block
-            and self.fusion == other.fusion
-            and self.wavefront_tile == other.wavefront_tile
-            and type(self.executor) is type(other.executor)
-            and self.executor.n_workers == other.executor.n_workers
-            and self.params.allclose(other.params)
-        )
-
-    __hash__ = object.__hash__
 
     def _effective_mbs(self, batch: int) -> int:
         """Chunk count for this batch: ``mbs`` clamped to the batch size.

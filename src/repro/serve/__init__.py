@@ -9,18 +9,20 @@ an :class:`InferenceEngine` as one barrier-free task graph per batch, on
 real threads or, deterministically, on the simulated 48-core machine.
 
 Every serving knob lives on one frozen :class:`ServeConfig` (mirroring
-:class:`~repro.config.ExecutionConfig` for execution).  A single engine
-is served by :class:`Server`; a fleet of replicas by
-:class:`~repro.serve.fleet.FleetServer`, which adds a pluggable router
-(least-loaded or consistent-hash-by-shape), per-tenant
+:class:`~repro.config.ExecutionConfig` for execution).  One loop serves
+everything: :class:`~repro.serve.fleet.FleetServer` runs a fleet of
+replicas behind a pluggable router (least-loaded or
+consistent-hash-by-shape), per-tenant
 :class:`~repro.serve.admission.AdmissionController` token buckets, SLO
 deadline budgets that shed before queueing, and per-shape compiled-plan
-warmup at fleet start.  :class:`ServerStats`/:class:`FleetStats` report
-the SLO picture: p50/p95/p99 latency, throughput, shed taxonomy, queue
-depth, batch-size histogram, padding overhead and warm plan hit rate.
+warmup at fleet start; :class:`Server` is its one-replica case around an
+engine the caller built.  :class:`ServerStats` (alias
+:class:`FleetStats`) reports the SLO picture: p50/p95/p99 latency,
+throughput, shed taxonomy, queue depth, batch-size histogram, padding
+overhead and warm plan hit rate.
 
-See ``docs/SERVING.md`` for the architecture and the ServeConfig
-migration table, and ``python -m repro serve-bench`` /
+See ``docs/SERVING.md`` for the architecture, and
+``python -m repro serve-bench`` /
 ``python -m repro fleet-bench`` for the arrival-rate sweeps and the
 fleet soak benchmark.
 """
@@ -35,7 +37,7 @@ from repro.serve.request import (
     CompletedRequest,
     InferenceRequest,
 )
-from repro.serve.config import ServeConfig, ServerConfig, resolve_serve_config
+from repro.serve.config import ServeConfig
 from repro.serve.queue import RequestQueue
 from repro.serve.batcher import Batch, DynamicBatcher
 from repro.serve.engine import BatchExecution, InferenceEngine
@@ -61,8 +63,6 @@ __all__ = [
     "SHED_DEADLINE",
     "SHED_REASONS",
     "ServeConfig",
-    "ServerConfig",
-    "resolve_serve_config",
     "RequestQueue",
     "DynamicBatcher",
     "Batch",

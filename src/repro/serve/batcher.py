@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.data.batching import pad_sequences
-from repro.serve.config import ServeConfig, resolve_serve_config
+from repro.serve.config import ServeConfig
 from repro.serve.queue import RequestQueue
 from repro.serve.request import InferenceRequest
 
@@ -81,29 +81,10 @@ class Batch:
 
 
 class DynamicBatcher:
-    """Cuts :class:`Batch` es from a :class:`RequestQueue`.
+    """Cuts :class:`Batch` es from a :class:`RequestQueue`."""
 
-    Accepts ``config=ServeConfig(...)``; the historical ``max_batch_size=``/
-    ``max_wait=``/``bucket_width=`` arguments keep working through the
-    deprecation shim.
-    """
-
-    def __init__(
-        self,
-        max_batch_size: Optional[int] = None,
-        max_wait: Optional[float] = None,
-        bucket_width: Optional[int] = None,
-        *,
-        config: Optional[ServeConfig] = None,
-    ) -> None:
-        legacy = {}
-        if max_batch_size is not None:
-            legacy["max_batch_size"] = max_batch_size
-        if max_wait is not None:
-            legacy["max_wait"] = max_wait
-        if bucket_width is not None:
-            legacy["bucket_width"] = bucket_width
-        cfg = resolve_serve_config(config, legacy)
+    def __init__(self, *, config: Optional[ServeConfig] = None) -> None:
+        cfg = config if config is not None else ServeConfig()
         self.config = cfg
         self.max_batch_size = cfg.max_batch_size
         self.max_wait = cfg.max_wait

@@ -10,11 +10,6 @@ queue bounds — accepted by :class:`~repro.serve.server.Server`,
 :class:`~repro.serve.queue.RequestQueue` through one ``config=``
 parameter.
 
-The pre-existing per-class keyword arguments (``queue_capacity=``,
-``max_batch_size=``, the queue's ``capacity=``/``policy=``, …) keep
-working through :meth:`ServeConfig.from_kwargs`, which maps them onto a
-config and emits a single :class:`DeprecationWarning` — the same shim
-pattern :class:`~repro.config.ExecutionConfig` used for the engines.
 :func:`add_serve_args` / :func:`serve_config_from_args` are the argparse
 half: ``serve-bench`` and ``fleet-bench`` share one serving flag group
 instead of re-declaring flags.
@@ -30,9 +25,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 #: queue overflow policies (see :class:`~repro.serve.queue.RequestQueue`)
 QUEUE_POLICIES = ("reject", "drop_oldest")
@@ -43,34 +37,6 @@ ROUTER_POLICIES = ("least_loaded", "hash")
 #: batcher dispatch modes (see :class:`~repro.serve.batcher.DynamicBatcher`)
 BATCHER_MODES = ("flush", "continuous")
 
-#: serving keyword arguments that ``from_kwargs`` maps onto config fields —
-#: the deprecated spelling of the serving API
-LEGACY_SERVE_KWARGS = (
-    "queue_capacity",
-    "queue_policy",
-    "capacity",       # RequestQueue's historical spelling of queue_capacity
-    "policy",         # RequestQueue's historical spelling of queue_policy
-    "max_batch_size",
-    "max_wait",
-    "bucket_width",
-)
-
-#: aliases: historical per-class spellings -> config field names
-_LEGACY_ALIASES = {"capacity": "queue_capacity", "policy": "queue_policy"}
-
-#: config fields that were never per-class kwargs and therefore do not warn
-_NEW_FIELDS = (
-    "replicas",
-    "router",
-    "hash_vnodes",
-    "batcher",
-    "tenant_rate_hz",
-    "tenant_burst",
-    "deadline_slo_s",
-    "admission_slack",
-    "warmup",
-)
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -80,7 +46,8 @@ class ServeConfig:
     ----------
     replicas:
         Engine replicas in the fleet (:class:`~repro.serve.fleet.ReplicaPool`).
-        The single-engine :class:`~repro.serve.server.Server` ignores it.
+        The single-engine :class:`~repro.serve.server.Server` is the
+        one-replica fleet and requires 1.
     router:
         ``"least_loaded"`` — route each request to the replica with the
         smallest backlog; ``"hash"`` — consistent-hash on the request's
@@ -156,10 +123,10 @@ class ServeConfig:
         if self.admission_slack < 0:
             raise ValueError("admission_slack must be >= 0")
         if self.queue_capacity < 1:
-            raise ValueError("capacity must be >= 1")
+            raise ValueError("queue_capacity must be >= 1")
         if self.queue_policy not in QUEUE_POLICIES:
             raise ValueError(
-                f"policy must be one of {QUEUE_POLICIES}, got {self.queue_policy!r}"
+                f"queue_policy must be one of {QUEUE_POLICIES}, got {self.queue_policy!r}"
             )
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -186,48 +153,8 @@ class ServeConfig:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
-    @classmethod
-    def from_kwargs(
-        cls,
-        _defaults: Optional["ServeConfig"] = None,
-        _stacklevel: int = 3,
-        **kwargs,
-    ) -> "ServeConfig":
-        """Build a config from legacy serving keyword arguments.
-
-        The queue's historical ``capacity``/``policy`` spellings alias
-        onto ``queue_capacity``/``queue_policy``.  Emits one
-        :class:`DeprecationWarning` naming the legacy keys; unknown keys
-        raise :class:`TypeError` exactly as the old signatures did.
-        """
-        base = _defaults if _defaults is not None else cls()
-        # Warn with the spelling the caller actually used, before aliasing.
-        legacy = sorted(k for k in kwargs if k in LEGACY_SERVE_KWARGS)
-        for old, new in _LEGACY_ALIASES.items():
-            if old in kwargs:
-                if new in kwargs:
-                    raise TypeError(f"pass {new} or {old}, not both")
-                kwargs[new] = kwargs.pop(old)
-        unknown = [
-            k for k in kwargs
-            if k not in LEGACY_SERVE_KWARGS and k not in _NEW_FIELDS
-        ]
-        if unknown:
-            raise TypeError(
-                f"unexpected serving keyword argument(s): {', '.join(sorted(unknown))}"
-            )
-        if legacy:
-            warnings.warn(
-                f"passing {', '.join(legacy)} as serving keyword arguments is "
-                "deprecated; pass config=ServeConfig(...) instead "
-                "(see docs/SERVING.md for the migration table)",
-                DeprecationWarning,
-                stacklevel=_stacklevel,
-            )
-        return dataclasses.replace(base, **kwargs)
-
     # -- factories -------------------------------------------------------------
-    # (local imports: the concrete classes import this module for the shim)
+    # (local imports: the concrete classes import this module)
 
     def make_queue(self) -> "RequestQueue":
         from repro.serve.queue import RequestQueue
@@ -248,45 +175,6 @@ class ServeConfig:
         from repro.serve.admission import AdmissionController
 
         return AdmissionController(self)
-
-
-def resolve_serve_config(
-    config: Optional[ServeConfig],
-    legacy: Dict[str, Any],
-    defaults: Optional[ServeConfig] = None,
-) -> ServeConfig:
-    """The serving classes' shared front door: ``config=`` XOR legacy kwargs."""
-    if config is not None:
-        if legacy:
-            raise TypeError(
-                "pass either config=ServeConfig(...) or legacy keyword "
-                f"arguments, not both (got both config= and "
-                f"{', '.join(sorted(legacy))})"
-            )
-        return config
-    if legacy:
-        return ServeConfig.from_kwargs(_defaults=defaults, _stacklevel=4, **legacy)
-    return defaults if defaults is not None else ServeConfig()
-
-
-def ServerConfig(**kwargs) -> ServeConfig:
-    """Deprecated name for :class:`ServeConfig` (one warning per call).
-
-    PR 1's ``ServerConfig`` carried only the queue/batcher knobs; the
-    redesigned :class:`ServeConfig` is a superset, so the old spelling is
-    a thin factory.  New code should construct :class:`ServeConfig`.
-    """
-    legacy = [k for k in kwargs if k in LEGACY_SERVE_KWARGS]
-    if legacy:
-        # from_kwargs already emits exactly one DeprecationWarning
-        return ServeConfig.from_kwargs(_stacklevel=4, **kwargs)
-    warnings.warn(
-        "ServerConfig is deprecated; construct ServeConfig(...) instead "
-        "(see docs/SERVING.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ServeConfig(**kwargs)
 
 
 # -- CLI integration -----------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.compile import PlanCache, compile_graph
-from repro.config import ExecutionConfig, resolve_engine_config
+from repro.config import ExecutionConfig
 from repro.core.bpar import resolve_executor
 from repro.core.graph_builder import build_brnn_graph, split_batch
 from repro.models.params import BRNNParams
@@ -45,8 +45,8 @@ from repro.simarch.presets import xeon_8160_2s
 
 EXECUTORS = ("sim", "threaded", "process")
 
-#: serving defaults under both the ``config=`` and legacy-kwargs paths:
-#: deterministic simulated substrate, fused projection resolved per mode
+#: the config an engine built without ``config=`` runs under: deterministic
+#: simulated substrate, fused projection resolved per mode
 SERVE_DEFAULTS = ExecutionConfig(executor="sim", fused_input_projection="auto")
 
 
@@ -71,32 +71,23 @@ class InferenceEngine:
     config:
         An :class:`~repro.config.ExecutionConfig` naming the substrate,
         worker count, scheduler, ``mbs``, fusion policy, seed, and the
-        observability attachments (``metrics``/``hooks``).  The legacy
-        keyword arguments below keep working through the same shim as the
-        training engines, emitting a :class:`DeprecationWarning`.
-    executor:
-        ``"sim"`` (deterministic simulated machine), ``"threaded"`` (real
-        worker threads, real numerics) or ``"process"`` (pinned worker
-        processes over shared memory, real numerics past the GIL).
-    mbs:
-        Data-parallel chunk count per batch (clamped to the batch size),
-        the paper's hybrid-parallelism knob — larger batches need ``mbs>1``
-        to spread across the simulated 48 cores.
-    n_cores:
-        Simulated core count (``sim`` only); defaults to the whole machine.
+        observability attachments (``metrics``/``hooks``).  ``executor``
+        is ``"sim"`` (deterministic simulated machine, the default),
+        ``"threaded"`` (real worker threads, real numerics) or
+        ``"process"`` (pinned worker processes over shared memory, real
+        numerics past the GIL); ``n_workers`` is the simulated core count
+        under ``sim`` (default: the whole machine).  Larger batches need
+        ``mbs>1`` to spread across the simulated 48 cores.
+        ``fused_input_projection="auto"`` resolves to ``"on"`` under
+        ``sim`` (the modelled critical path shrinks for every layer
+        shape); on a real substrate it fuses only the layers where the
+        hoisted GEMM pays on the host (see
+        :func:`~repro.core.graph_builder.resolve_fused_layers`).
     batch_fixed_s:
         Per-batch cost outside the task graph (input staging, graph
         creation bring-up) charged in ``sim`` mode — the quantity dynamic
         batching amortises; same convention as
         :func:`~repro.harness.simtime.simulated_batch_time`.
-    fused_input_projection:
-        ``"on"``/``"off"``/``"auto"``: hoist each layer's ``X_t @ W_x``
-        GEMMs off the recurrent chain (inference never needs the per-step
-        cache, so the fused path is pure win on the critical path).  In
-        ``sim`` mode ``"auto"`` resolves to ``"on"`` — the modelled
-        critical path shrinks for every layer shape; in ``threaded`` mode
-        it fuses only the layers where the hoisted GEMM pays on a real
-        host (see :func:`~repro.core.graph_builder.resolve_fused_layers`).
     validate_dependencies:
         Audit every *new* batch shape's graph with the race checker's
         ordering pass (:func:`repro.runtime.racecheck.ordering_findings`)
@@ -123,7 +114,6 @@ class InferenceEngine:
     def __init__(
         self,
         spec: BRNNSpec,
-        executor: Optional[str] = None,
         *,
         config: Optional[ExecutionConfig] = None,
         params: Optional[BRNNParams] = None,
@@ -131,13 +121,8 @@ class InferenceEngine:
         batch_fixed_s: float = 8e-3,
         validate_dependencies: bool = False,
         serve_config=None,
-        **legacy,
     ) -> None:
-        # ``executor`` as a (positional) argument is part of the legacy
-        # spelling; under config= the field names the substrate.
-        if executor is not None:
-            legacy["executor"] = executor
-        cfg = resolve_engine_config(config, legacy, defaults=SERVE_DEFAULTS)
+        cfg = config if config is not None else SERVE_DEFAULTS
         name = cfg.executor if cfg.executor is not None else "sim"
         if name not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, got {name!r}")

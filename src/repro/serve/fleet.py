@@ -16,24 +16,23 @@ bounded queue and dynamic batcher.  Everything is configured by one
   token buckets and SLO deadline budgets — excess and doomed load is shed
   at arrival (cheap) instead of queued and served late (expensive and
   useless).
-* :class:`FleetServer` — the event-driven serving loop across all
-  replicas, deterministic on the simulated substrate exactly like the
-  single-engine :class:`~repro.serve.server.Server`.
+* :class:`FleetServer` — the one event-driven serving loop, across all
+  replicas, deterministic on the simulated substrate.  The single-engine
+  :class:`~repro.serve.server.Server` is its one-replica case.
 
-:class:`FleetStats` extends :class:`~repro.serve.stats.ServerStats` with
-the ``repro_fleet_*`` metric families: per-replica queue depth and busy
-time, routing decisions, shed counts by reason, and the warm plan hit
-rate (docs/SERVING.md).
+:class:`FleetStats` is :class:`~repro.serve.stats.ServerStats` under the
+name the fleet modules use (docs/SERVING.md).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.compile.warmup import plan_warmup_shapes
 from repro.config import ExecutionConfig
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
+from repro.obs.snapshot import SnapshotLog
 from repro.serve.config import ServeConfig
 from repro.serve.engine import InferenceEngine
 from repro.serve.request import (
@@ -43,118 +42,12 @@ from repro.serve.request import (
     InferenceRequest,
 )
 from repro.serve.router import ConsistentHashRouter
-from repro.serve.stats import ServerStats
+from repro.serve.stats import FleetStats
 from repro.simarch.machine import MachineSpec
 
 #: EWMA weight for the per-replica service-time estimate the admission
 #: deadline budget consumes (newest observation's share)
 SERVICE_EWMA_ALPHA = 0.3
-
-
-class FleetStats(ServerStats):
-    """Fleet-wide serving stats with per-replica and routing dimensions.
-
-    Everything :class:`~repro.serve.stats.ServerStats` reports (latency
-    percentiles, shed taxonomy, batching efficacy) is computed over the
-    whole fleet; batches and completions carry their replica id, and the
-    ``repro_fleet_*`` metric families add the per-replica view.
-    """
-
-    def __init__(
-        self,
-        n_replicas: int,
-        keep_traces: bool = False,
-        registry=None,
-    ) -> None:
-        super().__init__(keep_traces=keep_traces, registry=registry)
-        self.n_replicas = n_replicas
-        self.router_policy: Optional[str] = None
-        self.routing_counts: Dict[int, int] = {}
-        #: (time, replica, depth) samples
-        self.replica_depth_samples: List[Tuple[float, int, int]] = []
-        #: shapes compiled by fleet-start warmup
-        self.warmup_compiled = 0
-
-    # -- recording -------------------------------------------------------------
-
-    def record_routing(self, replica: int, policy: str) -> None:
-        self.router_policy = policy
-        self.routing_counts[replica] = self.routing_counts.get(replica, 0) + 1
-        if self.registry is not None:
-            self.registry.counter(
-                "repro_fleet_routing_total", help="routing decisions",
-                replica=str(replica), policy=policy,
-            ).inc()
-
-    def record_shed(self, req: InferenceRequest, reason: str = SHED_QUEUE_FULL) -> None:
-        super().record_shed(req, reason)
-        if self.registry is not None:
-            self.registry.counter(
-                "repro_fleet_shed_total", help="fleet sheds by reason",
-                reason=reason,
-            ).inc()
-
-    def record_batch(
-        self, batch, service_start, service_time, trace=None,
-        warm=None, replica: int = 0,
-    ) -> None:
-        super().record_batch(
-            batch, service_start, service_time, trace, warm=warm, replica=replica
-        )
-        if self.registry is not None:
-            self.registry.counter(
-                "repro_fleet_replica_busy_seconds_total",
-                help="per-replica engine busy time",
-                replica=str(replica),
-            ).inc(service_time)
-            rate = self.warm_hit_rate()
-            if rate is not None:
-                self.registry.gauge(
-                    "repro_fleet_warm_hit_rate",
-                    help="fraction of batches served from warm compiled plans",
-                ).set(rate)
-
-    def record_replica_depth(self, replica: int, now: float, depth: int) -> None:
-        self.replica_depth_samples.append((now, replica, depth))
-        super().record_queue_depth(now, depth)
-        if self.registry is not None:
-            self.registry.gauge(
-                "repro_fleet_replica_queue_depth",
-                help="pending requests on one replica",
-                replica=str(replica),
-            ).set(depth)
-
-    # -- derived ---------------------------------------------------------------
-
-    def per_replica_summary(self) -> List[Dict[str, float]]:
-        rows = []
-        for r in range(self.n_replicas):
-            batches = [b for b in self.batches if b.replica == r]
-            completed = sum(1 for c in self.completed if c.replica == r)
-            rows.append(
-                {
-                    "routed": self.routing_counts.get(r, 0),
-                    "completed": completed,
-                    "batches": len(batches),
-                    "busy_s": sum(b.service_time for b in batches),
-                    "mean_batch_size": (
-                        sum(b.size for b in batches) / len(batches)
-                        if batches else 0.0
-                    ),
-                }
-            )
-        return rows
-
-    def summary(self) -> Dict:
-        base = super().summary()
-        base["fleet"] = {
-            "replicas": self.n_replicas,
-            "router": self.router_policy,
-            "routing": {str(k): v for k, v in sorted(self.routing_counts.items())},
-            "warmup_compiled": self.warmup_compiled,
-            "per_replica": self.per_replica_summary(),
-        }
-        return base
 
 
 class ReplicaPool:
@@ -198,6 +91,19 @@ class ReplicaPool:
             for _ in range(self.config.replicas)
         ]
 
+    @classmethod
+    def from_engines(
+        cls, engines: Sequence[InferenceEngine], config: Optional[ServeConfig] = None
+    ) -> "ReplicaPool":
+        """A pool around engines the caller already built."""
+        pool = cls.__new__(cls)
+        pool.spec = engines[0].spec
+        pool.config = config if config is not None else ServeConfig()
+        pool.execution = engines[0].config
+        pool.params = engines[0].params
+        pool.engines = list(engines)
+        return pool
+
     def __len__(self) -> int:
         return len(self.engines)
 
@@ -229,11 +135,23 @@ class ReplicaPool:
 class FleetServer:
     """Admission → routing → per-replica batching/execution for one fleet.
 
-    The loop is the multi-replica generalisation of
-    :class:`~repro.serve.server.Server`: one deterministic event-driven
-    clock over per-replica queues, batchers and engine-busy horizons.
-    ``FleetServer(pool, config)`` serves an open-loop workload via
-    :meth:`run`; :meth:`build` constructs the pool too.
+    One deterministic event-driven clock over per-replica queues,
+    batchers and engine-busy horizons: events are request arrivals,
+    engine completions, batcher timeouts and deadline expiries, processed
+    in time order.  On the simulated executor the whole run is
+    bit-reproducible; on a real executor service times are measured wall
+    time, replayed onto the same clock.  ``FleetServer(pool, config)``
+    serves an open-loop workload via :meth:`run`; :meth:`build`
+    constructs the pool too.
+
+    When the engines carry a metrics registry
+    (:class:`~repro.config.ExecutionConfig` ``metrics=``) the loop shares
+    it: the stats publish ``repro_serve_*``/``repro_fleet_*`` alongside
+    the executor's families, and :attr:`snapshots` (a
+    :class:`~repro.obs.snapshot.SnapshotLog`) samples the registry after
+    every executed batch, stamped with the batch's finish time (a batch
+    that finishes before the latest sample is skipped, so the series
+    never runs backwards across replicas).
     """
 
     def __init__(
@@ -249,6 +167,10 @@ class FleetServer:
                 f"pool has {len(pool)} replicas, config says {self.config.replicas}"
             )
         self.keep_traces = keep_traces
+        registry = pool.registry
+        self.snapshots: Optional[SnapshotLog] = (
+            SnapshotLog(registry) if registry is not None else None
+        )
 
     @classmethod
     def build(
@@ -397,6 +319,8 @@ class FleetServer:
                         )
                     )
                 stats.record_replica_depth(r, now, len(queues[r]))
+                if self.snapshots is not None:
+                    self.snapshots.maybe_sample(engine_free[r])
                 progressed = True
             if progressed:
                 continue
@@ -419,6 +343,14 @@ class FleetServer:
                 break
             now = min(candidates)
 
+        # What the fused input projection bought, per batch shape served
+        # (the engines' memoised cost-only graphs; replicas of one model
+        # agree on a shape they both saw, so the union is a plain merge).
+        critical_path = {}
+        for engine in engines:
+            critical_path.update(engine.critical_path_report())
+        if critical_path:
+            stats.critical_path = critical_path
         return stats
 
 

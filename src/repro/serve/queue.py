@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Iterable, List, Optional
 
-from repro.serve.config import ServeConfig, resolve_serve_config
+from repro.serve.config import ServeConfig
 from repro.serve.request import InferenceRequest
 
 #: legacy re-export; the vocabulary now lives on :class:`ServeConfig`
@@ -25,25 +25,10 @@ from repro.serve.config import QUEUE_POLICIES as POLICIES  # noqa: F401
 
 
 class RequestQueue:
-    """FIFO of pending requests, bounded by ``config.queue_capacity``.
+    """FIFO of pending requests, bounded by ``config.queue_capacity``."""
 
-    Accepts ``config=ServeConfig(...)``; the historical ``capacity=``/
-    ``policy=`` arguments keep working through the deprecation shim.
-    """
-
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        policy: Optional[str] = None,
-        *,
-        config: Optional[ServeConfig] = None,
-    ) -> None:
-        legacy = {}
-        if capacity is not None:
-            legacy["capacity"] = capacity
-        if policy is not None:
-            legacy["policy"] = policy
-        cfg = resolve_serve_config(config, legacy)
+    def __init__(self, *, config: Optional[ServeConfig] = None) -> None:
+        cfg = config if config is not None else ServeConfig()
         self.config = cfg
         self.capacity = cfg.queue_capacity
         self.policy = cfg.queue_policy

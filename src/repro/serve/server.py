@@ -1,47 +1,31 @@
-"""The serving loop: admission → dynamic batching → engine → metrics.
+"""Single-engine serving: the one-replica :class:`~repro.serve.fleet.FleetServer`.
 
-:class:`Server` replays an open-loop workload (a list of
-:class:`~repro.serve.request.InferenceRequest` with arrival times) against
-one :class:`~repro.serve.engine.InferenceEngine` under a
-:class:`~repro.serve.queue.RequestQueue` and
-:class:`~repro.serve.batcher.DynamicBatcher`, all configured by one
-:class:`~repro.serve.config.ServeConfig`.  The multi-replica sibling is
-:class:`~repro.serve.fleet.FleetServer`.
-
-The loop is an event-driven simulation on the server clock: events are
-request arrivals, engine completions, batcher timeouts and deadline
-expiries, processed in deterministic time order.  With the simulated
-executor the whole run — arrivals, batching decisions, service times,
-latency percentiles — is bit-reproducible; with the threaded executor
-service times are real measured wall time, replayed onto the same clock.
+:class:`Server` serves an open-loop workload (a list of
+:class:`~repro.serve.request.InferenceRequest` with arrival times) on one
+:class:`~repro.serve.engine.InferenceEngine` the caller built, by putting
+that engine in a pool of one and running the fleet loop over it — so a
+single engine gets the same admission budget, doomed-request expiry,
+plan warmup and stats as a fleet (docs/SERVING.md).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.obs.snapshot import SnapshotLog
-from repro.serve.config import ServeConfig, ServerConfig  # noqa: F401  (re-export)
+from repro.serve.config import ServeConfig
 from repro.serve.engine import InferenceEngine
-from repro.serve.request import (
-    SHED_DEADLINE,
-    SHED_QUEUE_FULL,
-    CompletedRequest,
-    InferenceRequest,
-)
+from repro.serve.fleet import FleetServer, ReplicaPool
+from repro.serve.request import InferenceRequest
 from repro.serve.stats import ServerStats
 
 
 class Server:
-    """Single-engine inference server over a bounded queue.
+    """Single-engine inference server: ``engine`` behind a one-replica fleet.
 
-    When the engine carries a metrics registry
-    (:class:`~repro.config.ExecutionConfig` ``metrics=``), the serving
-    loop shares it: :class:`ServerStats` publishes ``repro_serve_*``
-    alongside the executor's ``repro_exec_*``/``repro_sched_*`` families,
-    a :class:`~repro.obs.snapshot.SnapshotLog` samples the registry after
-    every executed batch (``snapshot_interval_s`` throttles it), and the
-    engine's profiling hooks get ``on_batch_flush`` on every cut batch.
+    ``config.replicas`` must be 1.  ``snapshot_interval_s`` throttles the
+    per-batch registry sampling of :attr:`snapshots` (``None`` when the
+    engine carries no metrics registry).
     """
 
     def __init__(
@@ -53,113 +37,20 @@ class Server:
     ) -> None:
         self.engine = engine
         self.config = config if config is not None else ServeConfig()
-        self.keep_traces = keep_traces
-        self.snapshot_interval_s = snapshot_interval_s
-        registry = getattr(engine, "metrics", None)
-        self.snapshots: Optional[SnapshotLog] = (
-            SnapshotLog(registry, interval_s=snapshot_interval_s)
-            if registry is not None
-            else None
+        self.fleet = FleetServer(
+            ReplicaPool.from_engines([engine], self.config),
+            keep_traces=keep_traces,
         )
+        if self.fleet.snapshots is not None:
+            self.fleet.snapshots.interval_s = snapshot_interval_s
 
-    def _slice_result(self, logits, idx: int):
-        """This request's rows of the batch logits (None for cost-only runs)."""
-        if logits is None:
-            return None
-        if self.engine.spec.head == "many_to_one":
-            return logits[idx]
-        return logits[:, idx]  # many-to-many: (T_padded, C) per request
+    @property
+    def snapshots(self) -> Optional[SnapshotLog]:
+        return self.fleet.snapshots
 
     def run(self, requests: Sequence[InferenceRequest]) -> ServerStats:
         """Serve ``requests`` to completion and return the collected stats."""
-        pending: List[InferenceRequest] = sorted(
-            requests, key=lambda r: (r.arrival_time, r.rid)
-        )
-        queue = self.config.make_queue()
-        batcher = self.config.make_batcher()
-        stats = ServerStats(
-            keep_traces=self.keep_traces,
-            registry=getattr(self.engine, "metrics", None),
-        )
-        hooks = getattr(self.engine, "hooks", None)
-
-        i, n = 0, len(pending)
-        now = 0.0
-        engine_free = 0.0
-
-        while True:
-            # 1. shed queued requests whose deadline has passed
-            for victim in queue.expire(now):
-                stats.record_shed(victim, SHED_DEADLINE)
-
-            # 2. admit every arrival up to the current clock
-            while i < n and pending[i].arrival_time <= now:
-                req = pending[i]
-                i += 1
-                if req.expired(now):
-                    stats.record_shed(req, SHED_DEADLINE)
-                    continue
-                for victim in queue.push(req):
-                    stats.record_shed(victim, SHED_QUEUE_FULL)
-                stats.record_queue_depth(req.arrival_time, len(queue))
-
-            # 3. engine idle → try to cut a batch at this instant
-            if engine_free <= now:
-                batch = batcher.next_batch(queue, now, drain=i >= n)
-                if batch is not None:
-                    if hooks is not None:
-                        hooks.on_batch_flush(batch, now)
-                    execution = self.engine.execute(batch)
-                    engine_free = now + execution.service_time_s
-                    stats.record_batch(
-                        batch, now, execution.service_time_s, execution.trace,
-                        warm=execution.warm if self.engine.plan_cache else None,
-                    )
-                    for idx, r in enumerate(batch.requests):
-                        stats.record_completion(
-                            CompletedRequest(
-                                rid=r.rid,
-                                seq_len=r.seq_len,
-                                arrival_time=r.arrival_time,
-                                batch_id=batch.batch_id,
-                                batch_size=batch.size,
-                                padded_len=batch.padded_len,
-                                service_start=now,
-                                finish_time=engine_free,
-                                result=self._slice_result(execution.logits, idx),
-                                deadline=r.deadline,
-                            )
-                        )
-                    stats.record_queue_depth(now, len(queue))
-                    if self.snapshots is not None:
-                        self.snapshots.maybe_sample(engine_free)
-                    continue
-
-            # 4. advance the clock to the next strictly-future event
-            candidates = []
-            if i < n:
-                candidates.append(pending[i].arrival_time)
-            if engine_free > now:
-                candidates.append(engine_free)
-            if len(queue):
-                flush_at = batcher.next_flush_time(queue)
-                if flush_at is not None and flush_at > now:
-                    candidates.append(flush_at)
-                deadline = queue.next_deadline()
-                if deadline is not None and deadline > now:
-                    candidates.append(deadline)
-            if not candidates:
-                break
-            now = min(candidates)
-
-        # What the fused input projection bought, per batch shape served
-        # (memoised cost-only graphs; works for both executors).
-        report = getattr(self.engine, "critical_path_report", None)
-        if report is not None:
-            cp = report()
-            if cp:
-                stats.critical_path = cp
-        return stats
+        return self.fleet.run(requests)
 
 
 def serve_workload(

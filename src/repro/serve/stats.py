@@ -2,8 +2,8 @@
 
 :class:`ServerStats` is the single sink for everything the serving loop
 observes — completions, sheds (with their reason taxonomy, see
-:data:`repro.serve.request.SHED_REASONS`), cut batches, queue-depth
-samples.  Latency percentiles reuse :func:`repro.runtime.trace.percentile`
+:data:`repro.serve.request.SHED_REASONS`), cut batches, routing
+decisions, per-replica queue-depth samples.  Latency percentiles reuse :func:`repro.runtime.trace.percentile`
 (the same definition the runtime's task-duration summaries use), and
 per-batch execution traces can be merged into one serving-wide
 :class:`~repro.runtime.trace.ExecutionTrace` laid out on the server clock
@@ -46,7 +46,7 @@ class BatchRecord:
     service_time: float
     #: served from a warm compiled plan (None when the engine has no cache)
     warm: Optional[bool] = None
-    #: which replica executed it (0 on the single-engine server)
+    #: which replica executed it
     replica: int = 0
 
     @property
@@ -62,28 +62,40 @@ class ServerStats:
     full serving timeline.
 
     ``registry`` unifies serving stats with the runtime's observability
-    layer: every recording call also updates ``repro_serve_*`` metrics on
-    the given :class:`~repro.obs.registry.MetricsRegistry` (normally the
-    engine's, so scheduler/executor and serving counters share one
-    /metrics surface), and :meth:`summary` embeds the registry dump.
+    layer: every recording call also updates the ``repro_serve_*`` and
+    per-replica ``repro_fleet_*`` metrics on the given
+    :class:`~repro.obs.registry.MetricsRegistry` (normally the engines',
+    so scheduler/executor and serving counters share one /metrics
+    surface), and :meth:`summary` embeds the registry dump.
+
+    Everything is computed over the whole fleet (``n_replicas`` engines;
+    one for the single-engine :class:`~repro.serve.server.Server`);
+    batches and completions carry their replica id for the per-replica
+    view.
     """
 
     def __init__(
         self,
+        n_replicas: int = 1,
         keep_traces: bool = False,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
+        self.n_replicas = n_replicas
         self.keep_traces = keep_traces
         self.registry = registry
+        self.router_policy: Optional[str] = None
+        self.routing_counts: Dict[int, int] = {}
+        #: (time, replica, depth) samples taken by the serving loop
+        self.replica_depth_samples: List[Tuple[float, int, int]] = []
+        #: shapes compiled by fleet-start warmup
+        self.warmup_compiled = 0
         self.completed: List[CompletedRequest] = []
         #: every shed request with its reason, in shed order
         self.shed_records: List[Tuple[InferenceRequest, str]] = []
         self.batches: List[BatchRecord] = []
         self._batch_traces: List[Tuple[float, ExecutionTrace]] = []
-        #: (time, depth) samples taken by the serving loop
-        self.queue_depth_samples: List[Tuple[float, int]] = []
         #: per-shape fused-vs-per-step critical-path comparison, attached by
-        #: the serving loop from the engine's memoised cost graphs
+        #: the serving loop from the engines' memoised cost graphs
         self.critical_path: Optional[Dict[str, Dict[str, float]]] = None
 
     # -- recording -------------------------------------------------------------
@@ -122,6 +134,26 @@ class ServerStats:
             reg.counter(
                 "repro_serve_service_seconds_total", help="engine busy time"
             ).inc(service_time)
+            reg.counter(
+                "repro_fleet_replica_busy_seconds_total",
+                help="per-replica engine busy time",
+                replica=str(replica),
+            ).inc(service_time)
+            rate = self.warm_hit_rate()
+            if rate is not None:
+                reg.gauge(
+                    "repro_fleet_warm_hit_rate",
+                    help="fraction of batches served from warm compiled plans",
+                ).set(rate)
+
+    def record_routing(self, replica: int, policy: str) -> None:
+        self.router_policy = policy
+        self.routing_counts[replica] = self.routing_counts.get(replica, 0) + 1
+        if self.registry is not None:
+            self.registry.counter(
+                "repro_fleet_routing_total", help="routing decisions",
+                replica=str(replica), policy=policy,
+            ).inc()
 
     def record_completion(self, rec: CompletedRequest) -> None:
         self.completed.append(rec)
@@ -150,12 +182,21 @@ class ServerStats:
                 "repro_serve_shed_total", help="shed requests by reason",
                 reason=reason,
             ).inc()
+            self.registry.counter(
+                "repro_fleet_shed_total", help="fleet sheds by reason",
+                reason=reason,
+            ).inc()
 
-    def record_queue_depth(self, now: float, depth: int) -> None:
-        self.queue_depth_samples.append((now, depth))
+    def record_replica_depth(self, replica: int, now: float, depth: int) -> None:
+        self.replica_depth_samples.append((now, replica, depth))
         if self.registry is not None:
             self.registry.gauge(
                 "repro_serve_queue_depth", help="pending requests"
+            ).set(depth)
+            self.registry.gauge(
+                "repro_fleet_replica_queue_depth",
+                help="pending requests on one replica",
+                replica=str(replica),
             ).set(depth)
 
     # -- derived metrics -------------------------------------------------------
@@ -278,10 +319,29 @@ class ServerStats:
         return busy / span if span > 0 else 0.0
 
     def queue_depth_stats(self) -> Dict[str, float]:
-        depths = [d for _, d in self.queue_depth_samples]
+        depths = [d for _, _, d in self.replica_depth_samples]
         if not depths:
             return {"mean": 0.0, "max": 0.0}
         return {"mean": sum(depths) / len(depths), "max": float(max(depths))}
+
+    def per_replica_summary(self) -> List[Dict[str, float]]:
+        rows = []
+        for r in range(self.n_replicas):
+            batches = [b for b in self.batches if b.replica == r]
+            completed = sum(1 for c in self.completed if c.replica == r)
+            rows.append(
+                {
+                    "routed": self.routing_counts.get(r, 0),
+                    "completed": completed,
+                    "batches": len(batches),
+                    "busy_s": sum(b.service_time for b in batches),
+                    "mean_batch_size": (
+                        sum(b.size for b in batches) / len(batches)
+                        if batches else 0.0
+                    ),
+                }
+            )
+        return rows
 
     def combined_trace(self) -> ExecutionTrace:
         """All batch traces merged onto the server clock (needs keep_traces).
@@ -343,4 +403,15 @@ class ServerStats:
                 if self.registry is not None
                 else {}
             ),
+            "fleet": {
+                "replicas": self.n_replicas,
+                "router": self.router_policy,
+                "routing": {str(k): v for k, v in sorted(self.routing_counts.items())},
+                "warmup_compiled": self.warmup_compiled,
+                "per_replica": self.per_replica_summary(),
+            },
         }
+
+
+#: the name the fleet modules use; one class
+FleetStats = ServerStats

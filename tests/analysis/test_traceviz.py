@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.traceviz import ascii_timeline, save_chrome_trace, to_chrome_trace
+from repro.config import ExecutionConfig
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 
 
@@ -56,7 +57,9 @@ def test_chrome_trace_of_real_execution(tmp_path):
 
     spec = small_spec()
     x, labels = make_batch(spec)
-    engine = BParEngine(spec, executor=ThreadedExecutor(2), seed=0)
+    engine = BParEngine(
+        spec, config=ExecutionConfig(executor=ThreadedExecutor(2), seed=0)
+    )
     engine.train_batch(x, labels)
     doc = to_chrome_trace(engine.last_trace)
     slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]

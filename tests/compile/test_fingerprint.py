@@ -103,22 +103,3 @@ def test_fusion_field_validation():
         ExecutionConfig(wavefront_tile=0)
     for mode in ("off", "gates", "gates+act", "wavefront"):
         assert ExecutionConfig(fusion=mode).fusion == mode
-
-
-def test_legacy_kwargs_shim_with_fusion_defaults():
-    """Legacy engine kwargs still shim onto a config — and land on the
-    fusion defaults, so pre-fusion callers keep their exact graphs."""
-    with pytest.warns(DeprecationWarning, match="fused_input_projection"):
-        cfg = ExecutionConfig.from_kwargs(
-            executor="threaded", mbs=2, fused_input_projection="on", proj_block=2
-        )
-    assert cfg.fusion == "gates"
-    assert cfg.wavefront_tile is None
-    assert cfg.fused_input_projection == "on"
-    # the new fields pass through from_kwargs without a deprecation nag
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cfg = ExecutionConfig.from_kwargs(fusion="wavefront", wavefront_tile=4)
-    assert (cfg.fusion, cfg.wavefront_tile) == ("wavefront", 4)

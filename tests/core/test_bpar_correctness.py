@@ -10,6 +10,7 @@ deterministic (bitwise identical across schedules).
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.core import BParEngine, BSeqEngine
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_loss_and_grads, reference_train_step
@@ -34,7 +35,10 @@ def test_bitwise_equal_threaded(cell, head):
     spec = small_spec(cell=cell, head=head)
     x, labels = make_batch(spec)
     ref_loss, ref_logits, ref_grads = oracle(spec, x, labels)
-    engine = BParEngine(spec, params=BRNNParams.initialize(spec, seed=3), executor=ThreadedExecutor(4))
+    engine = BParEngine(
+        spec, params=BRNNParams.initialize(spec, seed=3),
+        config=ExecutionConfig(executor=ThreadedExecutor(4)),
+    )
     loss, logits, grads = engine.loss_and_grads(x, labels)
     assert loss == ref_loss
     assert np.array_equal(logits, ref_logits)
@@ -46,7 +50,10 @@ def test_bitwise_equal_all_merge_modes(merge):
     spec = small_spec(merge_mode=merge, num_layers=2)
     x, labels = make_batch(spec)
     ref_loss, ref_logits, ref_grads = oracle(spec, x, labels)
-    engine = BParEngine(spec, params=BRNNParams.initialize(spec, seed=3), executor=ThreadedExecutor(3))
+    engine = BParEngine(
+        spec, params=BRNNParams.initialize(spec, seed=3),
+        config=ExecutionConfig(executor=ThreadedExecutor(3)),
+    )
     loss, logits, grads = engine.loss_and_grads(x, labels)
     assert loss == ref_loss and np.array_equal(logits, ref_logits)
     assert grads_equal(grads, ref_grads)
@@ -58,7 +65,8 @@ def test_bitwise_equal_any_worker_count(n_workers):
     x, labels = make_batch(spec)
     _, ref_logits, ref_grads = oracle(spec, x, labels)
     engine = BParEngine(
-        spec, params=BRNNParams.initialize(spec, seed=3), executor=ThreadedExecutor(n_workers)
+        spec, params=BRNNParams.initialize(spec, seed=3),
+        config=ExecutionConfig(executor=ThreadedExecutor(n_workers)),
     )
     _, logits, grads = engine.loss_and_grads(x, labels)
     assert np.array_equal(logits, ref_logits)
@@ -71,7 +79,10 @@ def test_bitwise_equal_simulated_any_scheduler(scheduler):
     x, labels = make_batch(spec)
     _, ref_logits, ref_grads = oracle(spec, x, labels)
     sim = SimulatedExecutor(laptop_sim(4), scheduler=scheduler, execute_payloads=True)
-    engine = BParEngine(spec, params=BRNNParams.initialize(spec, seed=3), executor=sim)
+    engine = BParEngine(
+        spec, params=BRNNParams.initialize(spec, seed=3),
+        config=ExecutionConfig(executor=sim),
+    )
     _, logits, grads = engine.loss_and_grads(x, labels)
     assert np.array_equal(logits, ref_logits)
     assert grads_equal(grads, ref_grads)
@@ -81,7 +92,10 @@ def test_bitwise_equal_serial_executor():
     spec = small_spec()
     x, labels = make_batch(spec)
     _, ref_logits, ref_grads = oracle(spec, x, labels)
-    engine = BParEngine(spec, params=BRNNParams.initialize(spec, seed=3), executor=SerialExecutor())
+    engine = BParEngine(
+        spec, params=BRNNParams.initialize(spec, seed=3),
+        config=ExecutionConfig(executor=SerialExecutor()),
+    )
     _, logits, grads = engine.loss_and_grads(x, labels)
     assert np.array_equal(logits, ref_logits)
     assert grads_equal(grads, ref_grads)
@@ -93,7 +107,10 @@ def test_train_step_updates_weights_identically():
     p_ref = BRNNParams.initialize(spec, seed=3)
     p_bpar = p_ref.copy()
     ref_loss = reference_train_step(spec, p_ref, x, labels, lr=0.1)
-    engine = BParEngine(spec, params=p_bpar, executor=ThreadedExecutor(4))
+    engine = BParEngine(
+        spec, params=p_bpar,
+        config=ExecutionConfig(executor=ThreadedExecutor(4)),
+    )
     loss = engine.train_batch(x, labels, lr=0.1)
     assert loss == ref_loss
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(p_ref.arrays(), p_bpar.arrays()))
@@ -103,7 +120,10 @@ def test_multi_step_training_stays_bitwise_identical():
     spec = small_spec()
     p_ref = BRNNParams.initialize(spec, seed=3)
     p_bpar = p_ref.copy()
-    engine = BParEngine(spec, params=p_bpar, executor=ThreadedExecutor(4))
+    engine = BParEngine(
+        spec, params=p_bpar,
+        config=ExecutionConfig(executor=ThreadedExecutor(4)),
+    )
     for step in range(5):
         x, labels = make_batch(spec, seed=step)
         l_ref = reference_train_step(spec, p_ref, x, labels, lr=0.05)
@@ -119,7 +139,10 @@ def test_forward_only_bitwise():
     from repro.models.reference import reference_forward
 
     ref_logits, _ = reference_forward(spec, params.copy(), x)
-    engine = BParEngine(spec, params=params.copy(), executor=ThreadedExecutor(4))
+    engine = BParEngine(
+        spec, params=params.copy(),
+        config=ExecutionConfig(executor=ThreadedExecutor(4)),
+    )
     assert np.array_equal(engine.forward(x), ref_logits)
 
 
@@ -131,7 +154,8 @@ def test_mbs_allclose_and_deterministic(mbs):
     runs = []
     for executor in (ThreadedExecutor(4), ThreadedExecutor(2), SerialExecutor()):
         engine = BParEngine(
-            spec, params=BRNNParams.initialize(spec, seed=3), executor=executor, mbs=mbs
+            spec, params=BRNNParams.initialize(spec, seed=3),
+            config=ExecutionConfig(executor=executor, mbs=mbs),
         )
         runs.append(engine.loss_and_grads(x, labels))
     loss0, logits0, grads0 = runs[0]
@@ -149,8 +173,14 @@ def test_bseq_matches_bpar_chunking():
     spec = small_spec()
     x, labels = make_batch(spec, batch=8)
     p = BRNNParams.initialize(spec, seed=3)
-    bpar = BParEngine(spec, params=p.copy(), executor=ThreadedExecutor(4), mbs=4)
-    bseq = BSeqEngine(spec, params=p.copy(), executor=ThreadedExecutor(4), mbs=4)
+    bpar = BParEngine(
+        spec, params=p.copy(),
+        config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=4),
+    )
+    bseq = BSeqEngine(
+        spec, params=p.copy(),
+        config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=4),
+    )
     l1, lg1, g1 = bpar.loss_and_grads(x, labels)
     l2, lg2, g2 = bseq.loss_and_grads(x, labels)
     # identical chunking => identical numbers, B-Seq just schedules serially
@@ -166,7 +196,7 @@ def test_barriered_bpar_still_bitwise_equal():
     _, ref_logits, ref_grads = oracle(spec, x, labels)
     engine = BParEngine(
         spec, params=BRNNParams.initialize(spec, seed=3),
-        executor=ThreadedExecutor(4), barrier_free=False,
+        config=ExecutionConfig(executor=ThreadedExecutor(4), barrier_free=False),
     )
     _, logits, grads = engine.loss_and_grads(x, labels)
     assert np.array_equal(logits, ref_logits)
@@ -180,7 +210,9 @@ def test_custom_scheduler_factory_threaded():
     for factory in (FIFOScheduler, LIFOScheduler):
         engine = BParEngine(
             spec, params=BRNNParams.initialize(spec, seed=3),
-            executor=ThreadedExecutor(4, scheduler_factory=factory),
+            config=ExecutionConfig(
+                executor=ThreadedExecutor(4, scheduler_factory=factory)
+            ),
         )
         _, logits, _ = engine.loss_and_grads(x, labels)
         assert np.array_equal(logits, ref_logits)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.core import BParEngine, BSeqEngine, Trainer, accuracy
 from repro.models.params import BRNNParams
 from repro.runtime import ThreadedExecutor
@@ -11,7 +12,7 @@ from tests.conftest import make_batch, small_spec
 
 def engine(spec, **kw):
     kw.setdefault("executor", ThreadedExecutor(4))
-    return BParEngine(spec, **kw)
+    return BParEngine(spec, config=ExecutionConfig(**kw))
 
 
 def test_default_engine_construction(spec):
@@ -49,7 +50,7 @@ def test_training_reduces_loss(spec):
 
 
 def test_bseq_engine_name_and_serialization(spec):
-    e = BSeqEngine(spec, executor=ThreadedExecutor(2), mbs=2)
+    e = BSeqEngine(spec, config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=2))
     assert e.name == "B-Seq"
     x, labels = make_batch(spec)
     e.train_batch(x, labels)
@@ -58,7 +59,7 @@ def test_bseq_engine_name_and_serialization(spec):
 
 
 def test_build_cost_graph(spec):
-    e = BParEngine(spec, mbs=2)
+    e = BParEngine(spec, config=ExecutionConfig(mbs=2))
     res = e.build_cost_graph(seq_len=6, batch=8, training=True)
     assert not res.functional
     assert len(res.graph) > 0

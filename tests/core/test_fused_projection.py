@@ -20,6 +20,7 @@ contract, verified here against the sequential oracle:
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.core import BParEngine
 from repro.core.graph_builder import build_brnn_graph, resolve_fused_layers
 from repro.models.params import BRNNParams
@@ -38,12 +39,13 @@ def oracle(spec, x, labels, seed=3):
 
 def fused_engine(spec, mbs=1, proj_block=None, mode="on", seed=3):
     return BParEngine(
-        spec,
-        params=BRNNParams.initialize(spec, seed=seed),
-        executor=ThreadedExecutor(4),
-        mbs=mbs,
-        fused_input_projection=mode,
-        proj_block=proj_block,
+        spec, params=BRNNParams.initialize(spec, seed=seed),
+        config=ExecutionConfig(
+            executor=ThreadedExecutor(4),
+            mbs=mbs,
+            fused_input_projection=mode,
+            proj_block=proj_block,
+        ),
     )
 
 
@@ -84,7 +86,7 @@ def test_forward_chunked_matches_per_step(mbs):
     x, labels = make_batch(spec)
     per_step = BParEngine(
         spec, params=BRNNParams.initialize(spec, seed=3),
-        executor=ThreadedExecutor(4), mbs=mbs,
+        config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=mbs),
     ).forward(x)
     fused = fused_engine(spec, mbs=mbs, proj_block=2).forward(x)
     assert np.array_equal(fused, per_step)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.core import BParEngine, BSeqEngine, Trainer
 from repro.data import SyntheticTidigits, SyntheticWikipedia, iterate_batches
 from repro.models.spec import BRNNSpec
@@ -15,7 +16,9 @@ def test_tidigits_training_improves():
                     num_layers=2, merge_mode="sum", head="many_to_one",
                     num_classes=corpus.num_classes)
     xs, ys = corpus.generate(120, seed=1)
-    engine = BParEngine(spec, executor=ThreadedExecutor(4), mbs=2, seed=0)
+    engine = BParEngine(
+        spec, config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=2, seed=0)
+    )
     trainer = Trainer(engine, lr=0.15)
     batches = list(iterate_batches(xs, ys, batch_size=24, bucket_width=20, seed=0))
     trainer.fit(batches, epochs=3)
@@ -26,7 +29,9 @@ def test_variable_sequence_lengths_across_batches():
     """§III-B: the task graph is rebuilt per batch for new sequence lengths."""
     spec = BRNNSpec(cell="gru", input_size=8, hidden_size=10, num_layers=2,
                     merge_mode="sum", head="many_to_one", num_classes=3)
-    engine = BParEngine(spec, executor=ThreadedExecutor(2), mbs=2, seed=0)
+    engine = BParEngine(
+        spec, config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=2, seed=0)
+    )
     rng = np.random.default_rng(0)
     task_counts = []
     for seq_len in (3, 11, 6, 25):
@@ -45,7 +50,9 @@ def test_wikipedia_m2m_training_improves():
     spec = BRNNSpec(cell="gru", input_size=corpus.vocab_size, hidden_size=24,
                     num_layers=2, merge_mode="sum", head="many_to_many",
                     num_classes=corpus.vocab_size)
-    engine = BParEngine(spec, executor=ThreadedExecutor(4), mbs=2, seed=0)
+    engine = BParEngine(
+        spec, config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=2, seed=0)
+    )
     losses = []
     for step in range(10):
         x, y = corpus.batch(batch=16, seq_len=12, seed=step)
@@ -61,7 +68,7 @@ def test_bpar_and_bseq_train_to_identical_weights():
                     num_classes=corpus.num_classes)
     x, y = corpus.fixed_length_batch(batch=16, seq_len=20, seed=5)
     engines = [
-        cls(spec, executor=ThreadedExecutor(3), mbs=4, seed=7)
+        cls(spec, config=ExecutionConfig(executor=ThreadedExecutor(3), mbs=4, seed=7))
         for cls in (BParEngine, BSeqEngine)
     ]
     for _ in range(3):
@@ -77,8 +84,8 @@ def test_inference_after_training_consistent_across_executors():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((7, 8, 8)).astype(np.float32)
     labels = rng.integers(0, 4, size=8)
-    e1 = BParEngine(spec, executor=ThreadedExecutor(1), seed=5)
-    e2 = BParEngine(spec, executor=ThreadedExecutor(6), seed=5)
+    e1 = BParEngine(spec, config=ExecutionConfig(executor=ThreadedExecutor(1), seed=5))
+    e2 = BParEngine(spec, config=ExecutionConfig(executor=ThreadedExecutor(6), seed=5))
     for e in (e1, e2):
         e.train_batch(x, labels, lr=0.1)
     assert np.array_equal(e1.forward(x), e2.forward(x))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.kernels.initializers import glorot_uniform
 from repro.kernels.rnn import (
     rnn_backward_step,
@@ -94,7 +95,10 @@ def test_full_pipeline_bitwise_vs_oracle(rng):
     labels = np.random.default_rng(1).integers(0, 4, size=8)
     params = BRNNParams.initialize(spec, seed=3)
     ref_loss, ref_logits, ref_grads = reference_loss_and_grads(spec, params.copy(), x, labels)
-    engine = BParEngine(spec, params=params.copy(), executor=ThreadedExecutor(4))
+    engine = BParEngine(
+        spec, params=params.copy(),
+        config=ExecutionConfig(executor=ThreadedExecutor(4)),
+    )
     loss, logits, grads = engine.loss_and_grads(x, labels)
     assert loss == ref_loss
     assert np.array_equal(logits, ref_logits)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from tests.conftest import small_spec
@@ -40,13 +41,17 @@ def test_checkpoint_resume_training_identical(tmp_path):
 
     spec = small_spec()
     x, labels = make_batch(spec)
-    a = BParEngine(spec, params=BRNNParams.initialize(spec, seed=1),
-                   executor=ThreadedExecutor(2))
+    a = BParEngine(
+        spec, params=BRNNParams.initialize(spec, seed=1),
+        config=ExecutionConfig(executor=ThreadedExecutor(2)),
+    )
     a.train_batch(x, labels, lr=0.1)
     a.params.save(tmp_path / "mid.npz")
 
-    b = BParEngine(spec, params=BRNNParams.load(tmp_path / "mid.npz", spec),
-                   executor=ThreadedExecutor(2))
+    b = BParEngine(
+        spec, params=BRNNParams.load(tmp_path / "mid.npz", spec),
+        config=ExecutionConfig(executor=ThreadedExecutor(2)),
+    )
     la = a.train_batch(x, labels, lr=0.1)
     lb = b.train_batch(x, labels, lr=0.1)
     assert la == lb

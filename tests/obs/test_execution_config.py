@@ -1,4 +1,4 @@
-"""The unified ExecutionConfig API and its legacy-kwargs compatibility shim."""
+"""The unified ExecutionConfig API."""
 
 import argparse
 import dataclasses
@@ -6,12 +6,7 @@ import warnings
 
 import pytest
 
-from repro.config import (
-    ExecutionConfig,
-    add_execution_args,
-    config_from_args,
-    resolve_engine_config,
-)
+from repro.config import ExecutionConfig, add_execution_args, config_from_args
 from repro.core.bpar import BParEngine
 from repro.core.bseq import BSeqEngine
 from repro.models.spec import BRNNSpec
@@ -52,61 +47,8 @@ class TestExecutionConfig:
             ExecutionConfig(fused_input_projection="maybe")
 
 
-class TestFromKwargs:
-    def test_maps_legacy_keys_with_one_warning(self):
-        with pytest.warns(DeprecationWarning, match="executor, mbs"):
-            cfg = ExecutionConfig.from_kwargs(executor="threaded", mbs=4)
-        assert (cfg.executor, cfg.mbs) == ("threaded", 4)
-
-    def test_n_cores_aliases_n_workers(self):
-        with pytest.warns(DeprecationWarning, match="n_cores"):
-            cfg = ExecutionConfig.from_kwargs(n_cores=16)
-        assert cfg.n_workers == 16
-
-    def test_n_cores_and_n_workers_conflict(self):
-        with pytest.raises(TypeError, match="not both"):
-            ExecutionConfig.from_kwargs(n_cores=4, n_workers=4)
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(TypeError, match="unexpected execution keyword"):
-            ExecutionConfig.from_kwargs(turbo=True)
-
-    def test_new_fields_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cfg = ExecutionConfig.from_kwargs(metrics=MetricsRegistry())
-        assert cfg.metrics is not None
-
-    def test_defaults_base(self):
-        base = ExecutionConfig(executor="sim", fused_input_projection="auto")
-        with pytest.warns(DeprecationWarning):
-            cfg = ExecutionConfig.from_kwargs(_defaults=base, mbs=2)
-        assert cfg.executor == "sim"
-        assert cfg.fused_input_projection == "auto"
-        assert cfg.mbs == 2
-
-
-class TestResolveEngineConfig:
-    def test_config_and_legacy_conflict(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_engine_config(ExecutionConfig(), {"mbs": 2})
-
-    def test_defaults_without_either(self):
-        base = ExecutionConfig(executor="sim")
-        assert resolve_engine_config(None, {}, defaults=base) is base
-        assert resolve_engine_config(None, {}) == ExecutionConfig()
-
-
 class TestEngineEquivalence:
-    """Acceptance criterion: config= and legacy kwargs build identical engines."""
-
-    def test_bpar_legacy_equals_config(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = BParEngine(SPEC, executor="threaded", n_workers=2, mbs=2)
-        via_config = BParEngine(
-            SPEC, config=ExecutionConfig(executor="threaded", n_workers=2, mbs=2)
-        )
-        assert legacy == via_config
+    """Engines take ``config=``; nothing else names the execution setup."""
 
     def test_config_path_emits_no_deprecation_warning(self):
         with warnings.catch_warnings():
@@ -114,7 +56,7 @@ class TestEngineEquivalence:
             BParEngine(SPEC, config=ExecutionConfig(mbs=2))
 
     def test_bpar_config_and_legacy_conflict(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="mbs"):
             BParEngine(SPEC, config=ExecutionConfig(), mbs=2)
 
     def test_bseq_inherits_config_path(self):
@@ -141,18 +83,13 @@ class TestEngineEquivalence:
         assert engine.executor.metrics is registry
 
     def test_serve_engine_defaults_and_config(self):
-        engine = InferenceEngine(SPEC)  # no warning: pure defaults
+        engine = InferenceEngine(SPEC)
         assert engine.executor == "sim"
         assert engine.fused_input_projection == "on"  # auto resolves in sim mode
         cfg = ExecutionConfig(executor="sim", n_workers=8, mbs=2)
         assert InferenceEngine(SPEC, config=cfg).config.n_workers == 8
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="mbs"):
             InferenceEngine(SPEC, config=cfg, mbs=2)
-
-    def test_serve_engine_legacy_positional_executor_warns(self):
-        with pytest.warns(DeprecationWarning, match="executor"):
-            engine = InferenceEngine(SPEC, "sim")
-        assert engine.executor == "sim"
 
 
 class TestCliIntegration:

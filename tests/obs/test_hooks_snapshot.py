@@ -15,9 +15,10 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.snapshot import SnapshotLog
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.trace import ExecutionTrace, TaskRecord
+from repro.serve.config import ServeConfig
 from repro.serve.engine import InferenceEngine
 from repro.serve.request import InferenceRequest
-from repro.serve.server import Server, ServerConfig
+from repro.serve.server import Server
 from repro.simarch.presets import xeon_8160_2s
 
 
@@ -95,7 +96,7 @@ def test_server_flush_hook_snapshots_and_unified_registry():
     requests = [
         InferenceRequest(rid=i, seq_len=8, arrival_time=0.0) for i in range(4)
     ]
-    server = Server(engine, ServerConfig(max_batch_size=4), keep_traces=True)
+    server = Server(engine, ServeConfig(max_batch_size=4), keep_traces=True)
     stats = server.run(requests)
     # The batcher cut at least one batch and told the hooks about it.
     assert hooks.flushes and hooks.flushes[0][0] == 4

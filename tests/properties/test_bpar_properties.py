@@ -9,6 +9,7 @@ analytically expected size.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.config import ExecutionConfig
 from repro.core import BParEngine
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
@@ -51,7 +52,10 @@ def test_bpar_bitwise_equals_oracle(case, workers):
     ref_loss, ref_logits, ref_grads = reference_loss_and_grads(
         spec, params.copy(), x, labels
     )
-    engine = BParEngine(spec, params=params.copy(), executor=ThreadedExecutor(workers))
+    engine = BParEngine(
+        spec, params=params.copy(),
+        config=ExecutionConfig(executor=ThreadedExecutor(workers)),
+    )
     loss, logits, grads = engine.loss_and_grads(x, labels)
     assert loss == ref_loss
     assert np.array_equal(logits, ref_logits)
@@ -66,7 +70,10 @@ def test_bpar_bitwise_under_simulated_schedules(case, policy):
     params = BRNNParams.initialize(spec, seed=seed)
     _, ref_logits, ref_grads = reference_loss_and_grads(spec, params.copy(), x, labels)
     sim = SimulatedExecutor(laptop_sim(4), scheduler=policy, execute_payloads=True)
-    engine = BParEngine(spec, params=params.copy(), executor=sim)
+    engine = BParEngine(
+        spec, params=params.copy(),
+        config=ExecutionConfig(executor=sim),
+    )
     _, logits, grads = engine.loss_and_grads(x, labels)
     assert np.array_equal(logits, ref_logits)
     for (_, a), (_, b) in zip(grads.arrays(), ref_grads.arrays()):
@@ -109,7 +116,8 @@ def test_mbs_chunks_deterministic_and_close(case, mbs):
     runs = []
     for workers in (1, 3):
         engine = BParEngine(
-            spec, params=params.copy(), executor=ThreadedExecutor(workers), mbs=mbs
+            spec, params=params.copy(),
+            config=ExecutionConfig(executor=ThreadedExecutor(workers), mbs=mbs),
         )
         runs.append(engine.loss_and_grads(x, labels))
     assert np.allclose(runs[0][1], ref_logits, atol=1e-4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.serve.batcher import DynamicBatcher, SIZE_TRIGGER, TIMEOUT_TRIGGER, DRAIN_TRIGGER
+from repro.serve.config import ServeConfig
 from repro.serve.queue import RequestQueue
 from repro.serve.request import InferenceRequest
 
@@ -15,9 +16,9 @@ def fill(queue, specs):
 
 
 def test_size_triggered_flush_fires_immediately():
-    q = RequestQueue(capacity=16)
+    q = RequestQueue(config=ServeConfig(queue_capacity=16))
     fill(q, [(i, 10, 0.0) for i in range(4)])
-    b = DynamicBatcher(max_batch_size=4, max_wait=1.0, bucket_width=16)
+    b = DynamicBatcher(config=ServeConfig(max_batch_size=4, max_wait=1.0, bucket_width=16))
     batch = b.next_batch(q, now=0.0)
     assert batch is not None and batch.trigger == SIZE_TRIGGER
     assert batch.size == 4 and len(q) == 0
@@ -25,28 +26,28 @@ def test_size_triggered_flush_fires_immediately():
 
 
 def test_no_flush_before_timeout_or_size():
-    q = RequestQueue(capacity=16)
+    q = RequestQueue(config=ServeConfig(queue_capacity=16))
     fill(q, [(0, 10, 0.0), (1, 12, 0.001)])
-    b = DynamicBatcher(max_batch_size=4, max_wait=0.010, bucket_width=16)
+    b = DynamicBatcher(config=ServeConfig(max_batch_size=4, max_wait=0.010, bucket_width=16))
     assert b.next_batch(q, now=0.005) is None  # 5 ms < max_wait, 2 < 4
     assert len(q) == 2
     assert b.next_flush_time(q) == pytest.approx(0.010)
 
 
 def test_timeout_triggered_partial_flush():
-    q = RequestQueue(capacity=16)
+    q = RequestQueue(config=ServeConfig(queue_capacity=16))
     fill(q, [(0, 10, 0.0), (1, 12, 0.001)])
-    b = DynamicBatcher(max_batch_size=4, max_wait=0.010, bucket_width=16)
+    b = DynamicBatcher(config=ServeConfig(max_batch_size=4, max_wait=0.010, bucket_width=16))
     batch = b.next_batch(q, now=0.010)  # oldest has waited exactly max_wait
     assert batch is not None and batch.trigger == TIMEOUT_TRIGGER
     assert batch.size == 2 and len(q) == 0
 
 
 def test_batches_never_mix_length_buckets():
-    q = RequestQueue(capacity=16)
+    q = RequestQueue(config=ServeConfig(queue_capacity=16))
     # two buckets: lengths <=16 and 17..32
     fill(q, [(0, 5, 0.0), (1, 30, 0.0), (2, 8, 0.0), (3, 25, 0.0)])
-    b = DynamicBatcher(max_batch_size=4, max_wait=0.0, bucket_width=16)
+    b = DynamicBatcher(config=ServeConfig(max_batch_size=4, max_wait=0.0, bucket_width=16))
     first = b.next_batch(q, now=0.0)
     second = b.next_batch(q, now=0.0)
     assert {r.rid for r in first.requests} == {0, 2}
@@ -57,9 +58,9 @@ def test_batches_never_mix_length_buckets():
 
 
 def test_fullest_bucket_flushes_first():
-    q = RequestQueue(capacity=16)
+    q = RequestQueue(config=ServeConfig(queue_capacity=16))
     fill(q, [(0, 30, 0.0)] + [(i, 10, 0.001) for i in (1, 2)])
-    b = DynamicBatcher(max_batch_size=2, max_wait=1.0, bucket_width=16)
+    b = DynamicBatcher(config=ServeConfig(max_batch_size=2, max_wait=1.0, bucket_width=16))
     batch = b.next_batch(q, now=0.002)
     assert batch.trigger == SIZE_TRIGGER
     assert {r.rid for r in batch.requests} == {1, 2}  # only full bucket cut
@@ -67,18 +68,18 @@ def test_fullest_bucket_flushes_first():
 
 
 def test_size_trigger_takes_oldest_first_and_leaves_rest():
-    q = RequestQueue(capacity=16)
+    q = RequestQueue(config=ServeConfig(queue_capacity=16))
     fill(q, [(i, 10, i * 0.001) for i in range(6)])
-    b = DynamicBatcher(max_batch_size=4, max_wait=1.0, bucket_width=16)
+    b = DynamicBatcher(config=ServeConfig(max_batch_size=4, max_wait=1.0, bucket_width=16))
     batch = b.next_batch(q, now=0.01)
     assert [r.rid for r in batch.requests] == [0, 1, 2, 3]
     assert [r.rid for r in q] == [4, 5]
 
 
 def test_drain_flushes_without_waiting():
-    q = RequestQueue(capacity=16)
+    q = RequestQueue(config=ServeConfig(queue_capacity=16))
     fill(q, [(0, 10, 0.0)])
-    b = DynamicBatcher(max_batch_size=8, max_wait=10.0, bucket_width=16)
+    b = DynamicBatcher(config=ServeConfig(max_batch_size=8, max_wait=10.0, bucket_width=16))
     assert b.next_batch(q, now=0.0) is None
     batch = b.next_batch(q, now=0.0, drain=True)
     assert batch is not None and batch.trigger == DRAIN_TRIGGER
@@ -92,10 +93,10 @@ def test_padding_accounting_and_padded_input():
         InferenceRequest(rid=1, seq_len=7, arrival_time=0.0,
                          x=np.ones((7, 3), dtype=np.float32)),
     ]
-    q = RequestQueue(capacity=4)
+    q = RequestQueue(config=ServeConfig(queue_capacity=4))
     for r in reqs:
         q.push(r)
-    b = DynamicBatcher(max_batch_size=2, max_wait=0.0, bucket_width=8)
+    b = DynamicBatcher(config=ServeConfig(max_batch_size=2, max_wait=0.0, bucket_width=8))
     batch = b.next_batch(q, now=0.0)
     assert batch.padded_len == 8
     assert batch.useful_frames == 12 and batch.padded_frames == 16
@@ -107,17 +108,17 @@ def test_padding_accounting_and_padded_input():
 
 
 def test_batch_ids_are_sequential():
-    q = RequestQueue(capacity=8)
+    q = RequestQueue(config=ServeConfig(queue_capacity=8))
     fill(q, [(0, 5, 0.0), (1, 40, 0.0)])
-    b = DynamicBatcher(max_batch_size=1, max_wait=1.0, bucket_width=16)
+    b = DynamicBatcher(config=ServeConfig(max_batch_size=1, max_wait=1.0, bucket_width=16))
     assert b.next_batch(q, now=0.0).batch_id == 0
     assert b.next_batch(q, now=0.0).batch_id == 1
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        DynamicBatcher(max_batch_size=0)
+        DynamicBatcher(config=ServeConfig(max_batch_size=0))
     with pytest.raises(ValueError):
-        DynamicBatcher(max_wait=-1.0)
+        DynamicBatcher(config=ServeConfig(max_wait=-1.0))
     with pytest.raises(ValueError):
-        DynamicBatcher(bucket_width=0)
+        DynamicBatcher(config=ServeConfig(bucket_width=0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ExecutionConfig
+from repro.core.bpar import BParEngine
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward
 from repro.models.spec import BRNNSpec
@@ -11,10 +12,14 @@ from repro.obs import MetricsRegistry
 from repro.serve import (
     SHED_DEADLINE,
     SHED_TENANT,
+    DynamicBatcher,
     FleetServer,
+    InferenceEngine,
     InferenceRequest,
     ReplicaPool,
+    RequestQueue,
     ServeConfig,
+    Server,
     WorkloadConfig,
     poisson_workload,
     serve_fleet,
@@ -185,3 +190,68 @@ def test_replicas_share_parameters_and_match_the_oracle():
         x = next(r.x for r in requests if r.rid == c.rid)
         oracle, _ = reference_forward(spec, params, x[:, None, :])
         np.testing.assert_allclose(c.result, oracle[0], rtol=1e-5, atol=1e-6)
+
+
+def test_one_replica_fleet_samples_a_snapshot_per_batch():
+    """What ``Server.snapshots`` exposed lives on the fleet loop."""
+    cfg = ServeConfig(max_batch_size=4, bucket_width=4)
+    server = FleetServer.build(
+        tiny_spec(), cfg,
+        execution=sim_execution(metrics=MetricsRegistry()), machine=laptop_sim(4),
+    )
+    stats = server.run(workload(duration=0.2))
+    assert stats.batches and len(server.snapshots) == len(stats.batches)
+    assert any(
+        k.startswith("repro_serve_batches_total")
+        for k in server.snapshots.snapshots[-1].values
+    )
+    # no registry, nothing to sample
+    bare = FleetServer.build(
+        tiny_spec(), cfg, execution=sim_execution(), machine=laptop_sim(4),
+    )
+    assert bare.snapshots is None
+
+
+def test_critical_path_report_is_the_union_over_replicas():
+    one = FleetServer.build(
+        tiny_spec(), ServeConfig(max_batch_size=4, bucket_width=4),
+        execution=sim_execution(), machine=laptop_sim(4),
+    )
+    stats = one.run(workload(duration=0.2))
+    assert set(stats.summary()["critical_path"]) == {b.shape for b in stats.batches}
+
+    two = FleetServer.build(
+        tiny_spec(),
+        ServeConfig(replicas=2, router="hash", max_batch_size=4, bucket_width=4),
+        execution=sim_execution(), machine=laptop_sim(4),
+    )
+    stats = two.run(workload())
+    per_replica = [e.critical_path_report() for e in two.pool.engines]
+    # hash routing homes each length bucket on one replica, so neither
+    # replica's own report covers the run
+    assert all(set(r) < set(stats.critical_path) for r in per_replica)
+    assert stats.summary()["critical_path"] == {**per_replica[0], **per_replica[1]}
+    assert set(stats.critical_path) == {b.shape for b in stats.batches}
+
+
+def test_server_is_the_one_replica_fleet():
+    engine = InferenceEngine(tiny_spec(), machine=laptop_sim(4))
+    with pytest.raises(ValueError, match="replicas"):
+        Server(engine, ServeConfig(replicas=2))
+    stats = Server(engine, ServeConfig(max_batch_size=4, bucket_width=4)).run(
+        workload(duration=0.2)
+    )
+    assert stats.summary()["fleet"]["replicas"] == 1
+    assert {c.replica for c in stats.completed} == {0}
+
+
+def test_removed_keyword_spellings_raise_type_error():
+    spec = tiny_spec()
+    with pytest.raises(TypeError):
+        BParEngine(spec, mbs=2)
+    with pytest.raises(TypeError):
+        InferenceEngine(spec, "sim")
+    with pytest.raises(TypeError):
+        RequestQueue(capacity=4)
+    with pytest.raises(TypeError):
+        DynamicBatcher(max_batch_size=2)

@@ -6,11 +6,12 @@ import pytest
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward
 from repro.models.spec import BRNNSpec
+from repro.serve.engine import SERVE_DEFAULTS
 from repro.serve import (
     InferenceEngine,
     InferenceRequest,
     Server,
-    ServerConfig,
+    ServeConfig,
     WorkloadConfig,
     poisson_workload,
 )
@@ -22,6 +23,11 @@ def tiny_spec():
                     merge_mode="sum", head="many_to_one", num_classes=4)
 
 
+def sim_engine(**kw):
+    return InferenceEngine(tiny_spec(), config=SERVE_DEFAULTS.replace(**kw),
+                           machine=laptop_sim(4))
+
+
 def small_workload(seed=0, rate=400.0, duration=0.2, features=None):
     return poisson_workload(
         WorkloadConfig(rate_hz=rate, duration_s=duration, seq_len_range=(4, 12),
@@ -31,18 +37,16 @@ def small_workload(seed=0, rate=400.0, duration=0.2, features=None):
 
 
 def test_sim_auto_resolves_to_on():
-    engine = InferenceEngine(tiny_spec(), executor="sim", machine=laptop_sim(4))
+    engine = sim_engine()
     assert engine.fused_input_projection == "on"
-    off = InferenceEngine(tiny_spec(), executor="sim", machine=laptop_sim(4),
-                          fused_input_projection="off")
+    off = sim_engine(fused_input_projection="off")
     assert off.fused_input_projection == "off"
 
 
 def test_stats_carry_critical_path_report():
-    engine = InferenceEngine(tiny_spec(), executor="sim", machine=laptop_sim(4),
-                             proj_block=2)
-    config = ServerConfig(queue_capacity=32, max_batch_size=4, max_wait=2e-3,
-                          bucket_width=4)
+    engine = sim_engine(proj_block=2)
+    config = ServeConfig(queue_capacity=32, max_batch_size=4, max_wait=2e-3,
+                         bucket_width=4)
     stats = Server(engine, config).run(small_workload())
     assert stats.critical_path, "serving run should attach the fused report"
     summary = stats.summary()
@@ -54,10 +58,9 @@ def test_stats_carry_critical_path_report():
 
 
 def test_per_step_engine_reports_zero_reduction():
-    engine = InferenceEngine(tiny_spec(), executor="sim", machine=laptop_sim(4),
-                             fused_input_projection="off")
-    config = ServerConfig(queue_capacity=32, max_batch_size=4, max_wait=2e-3,
-                          bucket_width=4)
+    engine = sim_engine(fused_input_projection="off")
+    config = ServeConfig(queue_capacity=32, max_batch_size=4, max_wait=2e-3,
+                         bucket_width=4)
     stats = Server(engine, config).run(small_workload())
     for entry in stats.critical_path.values():
         assert entry["reduction"] == 0.0
@@ -67,12 +70,16 @@ def test_threaded_fused_serving_matches_reference():
     """Fused threaded serving still returns bitwise-correct logits."""
     spec = tiny_spec()
     params = BRNNParams.initialize(spec, seed=0)
-    engine = InferenceEngine(spec, executor="threaded", params=params,
-                             fused_input_projection="on", proj_block=2)
+    engine = InferenceEngine(
+        spec, params=params,
+        config=SERVE_DEFAULTS.replace(
+            executor="threaded", fused_input_projection="on", proj_block=2
+        ),
+    )
     requests = small_workload(seed=1, rate=150.0, duration=0.1,
                               features=spec.input_size)[:6]
-    stats = Server(engine, ServerConfig(max_batch_size=4, max_wait=1e-3,
-                                        bucket_width=4)).run(requests)
+    stats = Server(engine, ServeConfig(max_batch_size=4, max_wait=1e-3,
+                                       bucket_width=4)).run(requests)
     by_rid = {r.rid: r for r in requests}
     assert stats.completed
     for done in stats.completed:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.serve.config import ServeConfig
 from repro.serve.queue import RequestQueue
 from repro.serve.request import InferenceRequest
 
@@ -12,7 +13,7 @@ def req(rid, arrival=0.0, deadline=None, seq_len=10):
 
 
 def test_admits_until_capacity():
-    q = RequestQueue(capacity=3)
+    q = RequestQueue(config=ServeConfig(queue_capacity=3))
     assert q.push(req(0)) == []
     assert q.push(req(1)) == []
     assert q.push(req(2)) == []
@@ -20,7 +21,7 @@ def test_admits_until_capacity():
 
 
 def test_reject_policy_sheds_arriving_request():
-    q = RequestQueue(capacity=2, policy="reject")
+    q = RequestQueue(config=ServeConfig(queue_capacity=2, queue_policy="reject"))
     q.push(req(0))
     q.push(req(1))
     shed = q.push(req(2))
@@ -29,7 +30,7 @@ def test_reject_policy_sheds_arriving_request():
 
 
 def test_drop_oldest_policy_sheds_head():
-    q = RequestQueue(capacity=2, policy="drop_oldest")
+    q = RequestQueue(config=ServeConfig(queue_capacity=2, queue_policy="drop_oldest"))
     q.push(req(0))
     q.push(req(1))
     shed = q.push(req(2))
@@ -38,7 +39,7 @@ def test_drop_oldest_policy_sheds_head():
 
 
 def test_expire_removes_only_overdue_requests():
-    q = RequestQueue(capacity=8)
+    q = RequestQueue(config=ServeConfig(queue_capacity=8))
     q.push(req(0, arrival=0.0, deadline=1.0))
     q.push(req(1, arrival=0.0, deadline=5.0))
     q.push(req(2, arrival=0.0))  # no deadline: never expires
@@ -51,13 +52,13 @@ def test_expire_removes_only_overdue_requests():
 
 
 def test_deadline_is_exclusive_at_the_boundary():
-    q = RequestQueue(capacity=2)
+    q = RequestQueue(config=ServeConfig(queue_capacity=2))
     q.push(req(0, deadline=1.0))
     assert q.expire(1.0) == []  # still servable exactly at the deadline
 
 
 def test_next_deadline_and_oldest_arrival():
-    q = RequestQueue(capacity=8)
+    q = RequestQueue(config=ServeConfig(queue_capacity=8))
     assert q.oldest_arrival() is None and q.next_deadline() is None
     q.push(req(0, arrival=0.3))
     q.push(req(1, arrival=0.7, deadline=2.0))
@@ -67,7 +68,7 @@ def test_next_deadline_and_oldest_arrival():
 
 
 def test_take_removes_claimed_requests():
-    q = RequestQueue(capacity=8)
+    q = RequestQueue(config=ServeConfig(queue_capacity=8))
     rs = [req(i) for i in range(4)]
     for r in rs:
         q.push(r)
@@ -77,8 +78,8 @@ def test_take_removes_claimed_requests():
 
 def test_validation():
     with pytest.raises(ValueError):
-        RequestQueue(capacity=0)
+        RequestQueue(config=ServeConfig(queue_capacity=0))
     with pytest.raises(ValueError):
-        RequestQueue(policy="panic")
+        RequestQueue(config=ServeConfig(queue_policy="panic"))
     with pytest.raises(ValueError):
         InferenceRequest(rid=0, seq_len=0, arrival_time=0.0)

@@ -1,16 +1,10 @@
-"""ServeConfig: validation, fingerprint, and the legacy-kwargs shim."""
+"""ServeConfig: validation and fingerprint."""
 
 import dataclasses
 
 import pytest
 
-from repro.serve import (
-    DynamicBatcher,
-    RequestQueue,
-    ServeConfig,
-    ServerConfig,
-    resolve_serve_config,
-)
+from repro.serve import DynamicBatcher, RequestQueue, ServeConfig
 
 
 def test_frozen_and_validated():
@@ -23,9 +17,9 @@ def test_frozen_and_validated():
         ServeConfig(router="random")
     with pytest.raises(ValueError):
         ServeConfig(batcher="eager")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="queue_capacity must be >= 1"):
         ServeConfig(queue_capacity=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="queue_policy must be one of"):
         ServeConfig(queue_policy="panic")
     with pytest.raises(ValueError):
         ServeConfig(tenant_rate_hz=0.0)
@@ -58,27 +52,6 @@ def test_fingerprint_depends_on_every_field():
             base.fingerprint(), field.name
 
 
-def test_from_kwargs_warns_once_with_callers_spelling():
-    with pytest.warns(DeprecationWarning, match="capacity, policy") as record:
-        cfg = ServeConfig.from_kwargs(capacity=4, policy="drop_oldest")
-    assert len(record) == 1
-    assert cfg.queue_capacity == 4 and cfg.queue_policy == "drop_oldest"
-
-
-def test_from_kwargs_rejects_alias_conflicts_and_unknowns():
-    with pytest.raises(TypeError, match="not both"):
-        ServeConfig.from_kwargs(capacity=4, queue_capacity=8)
-    with pytest.raises(TypeError, match="unexpected"):
-        ServeConfig.from_kwargs(batch_size=4)
-
-
-def test_resolve_rejects_config_plus_legacy():
-    with pytest.raises(TypeError, match="not both"):
-        resolve_serve_config(ServeConfig(), {"max_batch_size": 4})
-    with pytest.raises(TypeError):
-        RequestQueue(capacity=4, config=ServeConfig())
-
-
 def test_every_entry_point_accepts_config():
     cfg = ServeConfig(queue_capacity=4, queue_policy="drop_oldest",
                       max_batch_size=2, max_wait=1e-3, bucket_width=8)
@@ -86,35 +59,6 @@ def test_every_entry_point_accepts_config():
     assert q.capacity == 4 and q.policy == "drop_oldest"
     b = DynamicBatcher(config=cfg)
     assert b.max_batch_size == 2 and b.bucket_width == 8
-
-
-def test_legacy_kwargs_produce_identical_config():
-    """The shimmed spelling and the config spelling build equal objects."""
-    with pytest.warns(DeprecationWarning) as record:
-        shimmed = RequestQueue(capacity=5, policy="drop_oldest")
-    assert len(record) == 1  # exactly one warning for the whole call
-    direct = RequestQueue(
-        config=ServeConfig(queue_capacity=5, queue_policy="drop_oldest")
-    )
-    assert shimmed.config == direct.config
-    with pytest.warns(DeprecationWarning) as record:
-        shimmed_b = DynamicBatcher(max_batch_size=3, max_wait=2e-3)
-    assert len(record) == 1
-    assert shimmed_b.config == ServeConfig(max_batch_size=3, max_wait=2e-3)
-
-
-def test_server_config_is_a_deprecated_factory():
-    # legacy knobs: one warning, identical config
-    with pytest.warns(DeprecationWarning) as record:
-        cfg = ServerConfig(queue_capacity=32, max_batch_size=4)
-    assert len(record) == 1
-    assert cfg == ServeConfig(queue_capacity=32, max_batch_size=4)
-    # no legacy knobs: still exactly one warning (for the old name itself)
-    with pytest.warns(DeprecationWarning, match="ServerConfig is deprecated") \
-            as record:
-        cfg = ServerConfig(replicas=2)
-    assert len(record) == 1
-    assert cfg == ServeConfig(replicas=2)
 
 
 def test_fingerprint_distinguishes_deployments_for_plan_keys():

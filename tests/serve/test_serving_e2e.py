@@ -6,12 +6,13 @@ import pytest
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward
 from repro.models.spec import BRNNSpec
+from repro.serve.engine import SERVE_DEFAULTS
 from repro.serve import (
     SHED_DEADLINE,
     InferenceEngine,
     InferenceRequest,
     Server,
-    ServerConfig,
+    ServeConfig,
     WorkloadConfig,
     bursty_workload,
     poisson_workload,
@@ -26,7 +27,8 @@ def tiny_spec():
 
 
 def sim_engine(**kw):
-    return InferenceEngine(tiny_spec(), executor="sim", machine=laptop_sim(4), **kw)
+    return InferenceEngine(tiny_spec(), config=SERVE_DEFAULTS.replace(**kw),
+                           machine=laptop_sim(4))
 
 
 def small_workload(seed=0, rate=400.0, duration=0.2):
@@ -37,8 +39,8 @@ def small_workload(seed=0, rate=400.0, duration=0.2):
 
 
 def test_simulated_serving_is_deterministic():
-    config = ServerConfig(queue_capacity=32, max_batch_size=4, max_wait=2e-3,
-                          bucket_width=4)
+    config = ServeConfig(queue_capacity=32, max_batch_size=4, max_wait=2e-3,
+                         bucket_width=4)
     summaries = []
     for _ in range(2):
         stats = Server(sim_engine(), config).run(small_workload())
@@ -51,8 +53,8 @@ def test_every_request_reaches_exactly_one_terminal_state():
     stats = serve_workload(
         sim_engine(),
         requests,
-        ServerConfig(queue_capacity=8, max_batch_size=4, max_wait=1e-3,
-                     bucket_width=4),
+        ServeConfig(queue_capacity=8, max_batch_size=4, max_wait=1e-3,
+                    bucket_width=4),
     )
     r = stats.summary()["requests"]
     assert r["total"] == len(requests)
@@ -66,8 +68,8 @@ def test_every_request_reaches_exactly_one_terminal_state():
 def test_latency_percentiles_are_ordered_and_causal():
     stats = serve_workload(
         sim_engine(), small_workload(),
-        ServerConfig(queue_capacity=64, max_batch_size=4, max_wait=2e-3,
-                     bucket_width=4),
+        ServeConfig(queue_capacity=64, max_batch_size=4, max_wait=2e-3,
+                    bucket_width=4),
     )
     lat = stats.summary()["latency_s"]
     assert 0 < lat["p50"] <= lat["p95"] <= lat["p99"] <= lat["max"]
@@ -85,8 +87,8 @@ def test_deadline_expiry_drops_overdue_requests():
     stats = serve_workload(
         sim_engine(),
         requests,
-        ServerConfig(queue_capacity=4, max_batch_size=1, max_wait=0.0,
-                     bucket_width=4),
+        ServeConfig(queue_capacity=4, max_batch_size=1, max_wait=0.0,
+                    bucket_width=4),
     )
     # rid 0 is served first (batch of 1); rid 1's deadline passes while it
     # runs — a deadline shed, not a batcher timeout (docs/SERVING.md)
@@ -102,7 +104,7 @@ def test_backpressure_sheds_when_queue_full():
     stats = serve_workload(
         sim_engine(),
         requests,
-        ServerConfig(queue_capacity=4, max_batch_size=1, max_wait=10.0),
+        ServeConfig(queue_capacity=4, max_batch_size=1, max_wait=10.0),
     )
     s = stats.summary()
     assert s["requests"]["shed"] == 16
@@ -117,8 +119,8 @@ def test_dynamic_batching_beats_unbatched_on_simulated_machine():
         stats = serve_workload(
             sim_engine(mbs=2),
             requests,
-            ServerConfig(queue_capacity=32, max_batch_size=bs, max_wait=2e-3,
-                         bucket_width=4),
+            ServeConfig(queue_capacity=32, max_batch_size=bs, max_wait=2e-3,
+                        bucket_width=4),
         )
         thr[bs] = stats.summary()["throughput_rps"]
     assert thr[8] > 1.5 * thr[1]
@@ -138,8 +140,8 @@ def test_bursty_workload_is_deterministic_and_in_window():
 def test_combined_trace_spans_the_serving_run():
     stats = serve_workload(
         sim_engine(), small_workload(),
-        ServerConfig(queue_capacity=64, max_batch_size=4, max_wait=2e-3,
-                     bucket_width=4),
+        ServeConfig(queue_capacity=64, max_batch_size=4, max_wait=2e-3,
+                    bucket_width=4),
         keep_traces=True,
     )
     trace = stats.combined_trace()
@@ -161,11 +163,14 @@ def test_threaded_serving_matches_reference_oracle():
         x = rng.standard_normal((seq_len, spec.input_size)).astype(np.float32)
         requests.append(InferenceRequest(rid=rid, seq_len=seq_len,
                                          arrival_time=0.0, x=x))
-    engine = InferenceEngine(spec, executor="threaded", params=params, n_workers=2)
+    engine = InferenceEngine(
+        spec, params=params,
+        config=SERVE_DEFAULTS.replace(executor="threaded", n_workers=2),
+    )
     stats = serve_workload(
         engine, requests,
-        ServerConfig(queue_capacity=8, max_batch_size=4, max_wait=0.0,
-                     bucket_width=6),
+        ServeConfig(queue_capacity=8, max_batch_size=4, max_wait=0.0,
+                    bucket_width=6),
     )
     assert len(stats.completed) == 4
     by_rid = {c.rid: c for c in stats.completed}
@@ -178,6 +183,6 @@ def test_threaded_serving_matches_reference_oracle():
 
 def test_engine_validation():
     with pytest.raises(ValueError):
-        InferenceEngine(tiny_spec(), executor="gpu")
+        InferenceEngine(tiny_spec(), config=SERVE_DEFAULTS.replace(executor="gpu"))
     with pytest.raises(ValueError):
-        InferenceEngine(tiny_spec(), mbs=0)
+        InferenceEngine(tiny_spec(), config=SERVE_DEFAULTS.replace(mbs=0))
