@@ -8,53 +8,31 @@ executors replay without re-resolving dependences per batch, cached per
 * **overhead** — cost-only graphs on the threaded executor (no payloads,
   so wall time is the runtime's own bookkeeping): replaying a compiled
   plan must beat dynamic dependence resolution under *every* measured
-  policy (``reduction_ratio > 1``); the record lands in
-  ``benchmarks/baselines/BENCH_compile.json``.
+  policy (``reduction_ratio > 1``; the bars and the recorded size are
+  suite ``compile`` of ``repro.harness.ledger``, and
+  ``python -m repro bench compile --record`` rewrites
+  ``benchmarks/baselines/BENCH_compile.json``).
 * **serving** — a simulated ``compile="on"`` engine must hit the plan
   cache on every warm shape (``warm_hit_rate == 1.0``) and compile each
   shape exactly once.
 * **equivalence** — compiled-plan replay is bitwise identical to the
   dynamic FIFO schedule on a functional training build.
 
-Set ``REPRO_BENCH_FULL=1`` for more timing iterations.
+Set ``REPRO_BENCH_FULL=1`` for the wider grids.
 """
 
 import pytest
 
-from benchmarks.common import emit_bench_json, full_grids, run_once
-from repro.harness.compilebench import (
-    RECORD_CONFIG,
-    equivalence_section,
-    run_compile_bench,
-    serving_cache_stats,
-)
-from repro.harness.fusedbench import make_spec
+from benchmarks.common import full_grids, run_once
+from repro.harness.compilebench import equivalence_section, serving_cache_stats
+from repro.harness.ledger import check_report, run_suite
+from repro.harness.measure import make_spec
 
 
 def test_record_config(benchmark):
-    """Recorded point: measure, assert the gates, and write the record."""
-    point = run_once(
-        benchmark,
-        lambda: run_compile_bench(
-            **RECORD_CONFIG, iters=30 if full_grids() else 15, warmup=2
-        ),
-    )
-    overhead = point["results"]["overhead"]
-    plan = point["results"]["plan"]
-    serving = point["results"]["serving"]
-    path = emit_bench_json("compile", point["config"], point["results"])
-    print(f"\ncompile record -> {path}")
-    print(f"  overhead reduction = x{overhead['reduction_ratio']:.3f} "
-          f"(fifo x{overhead['reduction_ratio_fifo']:.3f}, "
-          f"locality x{overhead['reduction_ratio_locality']:.3f})")
-    print(f"  redundant edges removed = {plan['n_edges_redundant']:.0f}/"
-          f"{plan['n_edges_declared']:.0f} "
-          f"({100 * plan['redundant_edge_fraction']:.1f}%)")
-    print(f"  serving warm hit rate = {serving['warm_hit_rate']:.2f}")
-    assert overhead["reduction_ratio"] > 1.0
-    assert 0.0 < plan["redundant_edge_fraction"] < 1.0
-    assert serving["warm_hit_rate"] == 1.0
-    assert point["results"]["equivalence"]["bitwise_identical"]
+    """Recorded point: measure it and hold it to the ledger's bars."""
+    report = run_once(benchmark, lambda: run_suite("compile", scope="record"))
+    assert check_report(report) == []
 
 
 @pytest.mark.parametrize("mbs", [1, 4] if full_grids() else [4])

@@ -3,7 +3,7 @@
 The fleet benchmark (``repro.harness.fleetbench``, docs/SERVING.md) runs
 entirely on the deterministic simulated machine with ``compile="on"``,
 so its record — ``benchmarks/baselines/BENCH_fleet.json`` — is
-bit-stable.  Bars enforced here and by ``tools/check_fleet_report.py``:
+bit-stable.  Its bars (suite ``fleet`` of ``repro.harness.ledger``):
 
 * a 4-replica fleet sustains ≥ 3× the single-replica request rate at
   p99 SLO attainment ≥ 0.99 under a Poisson soak, while the same rate
@@ -19,53 +19,15 @@ bit-stable.  Bars enforced here and by ``tools/check_fleet_report.py``:
 
 import pytest
 
-from benchmarks.common import emit_bench_json, full_grids, run_once
+from benchmarks.common import run_once
 from repro.harness.fleetbench import run_fleet_bench
-
-MIN_RATE_RATIO = 3.0
-MIN_ATTAINMENT = 0.99
-MIN_WARM_RATE = 0.9
+from repro.harness.ledger import check_report, run_suite
 
 
 def test_record_config(benchmark):
-    """Calibrated soak: measure, assert the bars, and write the record."""
-    point = run_once(
-        benchmark,
-        lambda: run_fleet_bench(duration_s=4.0 if full_grids() else 3.0),
-    )
-    results = point["results"]
-    cal = results["calibration"]
-    fleet = results["fleet_at_fleet_rate"]
-    single_ok = results["single_at_single_rate"]
-    single_hot = results["single_at_fleet_rate"]
-    bursty = results["bursty_overload"]
-    routers = results["routers"]
-    path = emit_bench_json("fleet", point["config"], results)
-    print(f"\nfleet record -> {path}")
-    print(f"  fleet rate {cal['fleet_rate_hz']:.0f} req/s "
-          f"({cal['rate_ratio']:.1f}x single)")
-    print(f"  attainment single={single_ok['attainment']:.4f} "
-          f"overloaded={single_hot['attainment']:.4f} "
-          f"fleet={fleet['attainment']:.4f}")
-    print(f"  warm hit rate {fleet['warm_hit_rate']:.3f}; "
-          f"bursty sheds {bursty['shed']} ({bursty['shed_reasons']})")
-    print(f"  compiles hash={routers['hash']['compiles']} "
-          f"least_loaded={routers['least_loaded']['compiles']}")
-    assert cal["rate_ratio"] >= MIN_RATE_RATIO
-    assert single_ok["attainment"] >= MIN_ATTAINMENT
-    assert single_hot["attainment"] < 0.9  # the fleet rate is a real overload
-    assert fleet["attainment"] >= MIN_ATTAINMENT
-    assert fleet["warm_hit_rate"] >= MIN_WARM_RATE
-    # overload is refused at admission, not queued and served late
-    assert bursty["shed"] > 0
-    assert bursty["completed_attainment"] >= MIN_ATTAINMENT
-    assert bursty["late_completions"] == 0
-    # every shed carries a taxonomy reason and accounting closes
-    for section in (single_ok, single_hot, fleet, bursty):
-        assert section["completed"] + section["shed"] == section["requests"]
-        assert sum(section["shed_reasons"].values()) == section["shed"]
-    # shape affinity: the hash router compiles each shape once per fleet
-    assert routers["hash"]["compiles"] < routers["least_loaded"]["compiles"]
+    """Calibrated soak: measure it and hold it to the ledger's bars."""
+    report = run_once(benchmark, lambda: run_suite("fleet", scope="record"))
+    assert check_report(report) == []
 
 
 @pytest.mark.parametrize("replicas", [2, 4])
@@ -80,6 +42,6 @@ def test_fleet_scales_with_replicas(benchmark, replicas):
         ),
     )
     fleet = point["results"]["fleet_at_fleet_rate"]
-    assert fleet["attainment"] >= MIN_ATTAINMENT
+    assert fleet["attainment"] >= 0.99
     # the load actually spread: every replica served something
     assert len(fleet["routing"]) == replicas

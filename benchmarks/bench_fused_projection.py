@@ -7,8 +7,10 @@ both substrates:
 
 * **threaded** — real wall time on the host, at the paper-scale recorded
   configuration (spectrogram-like 1024-feature input).  The fused path
-  must clear 1.2× median inference throughput over per-step; the record
-  lands in ``benchmarks/baselines/BENCH_fused_projection.json``.
+  must clear 1.2× median inference throughput over per-step (a bar of
+  suite ``fused_projection`` in ``repro.harness.ledger``, as is the
+  recorded size; ``python -m repro bench fused_projection --record``
+  rewrites ``benchmarks/baselines/BENCH_fused_projection.json``).
 * **sim** — cost-only graphs on the modelled 48-core Xeon, swept over
   ``seq_len``/``hidden``/``cores``.  The flop-weighted critical path must
   *strictly* shrink everywhere: the hoisted GEMMs leave only the
@@ -19,41 +21,21 @@ Set ``REPRO_BENCH_FULL=1`` for the wider grids.
 
 import pytest
 
-from benchmarks.common import emit_bench_json, full_grids, run_once
-from repro.harness.fusedbench import (
-    RECORD_CONFIG,
+from benchmarks.common import full_grids, run_once
+from repro.harness.fusionbench import (
     run_fused_bench,
-    simulated_comparison,
-    make_spec,
+    simulated_projection_comparison,
 )
-
-#: acceptance bar for the recorded paper-scale configuration
-MIN_THREADED_SPEEDUP = 1.2
+from repro.harness.ledger import check_report, run_suite
+from repro.harness.measure import make_spec
 
 
 def test_record_config(benchmark):
-    """Paper-scale point: measure, assert the bar, and write the record."""
-    point = run_once(
-        benchmark,
-        lambda: run_fused_bench(
-            **RECORD_CONFIG, iters=11 if full_grids() else 9, warmup=2
-        ),
+    """Paper-scale point: measure it and hold it to the ledger's bars."""
+    report = run_once(
+        benchmark, lambda: run_suite("fused_projection", scope="record")
     )
-    threaded = point["results"]["threaded"]
-    sim = point["results"]["sim"]
-    path = emit_bench_json("fused_projection", point["config"], point["results"])
-    print(f"\nfused-projection record -> {path}")
-    for mode, s in threaded["speedup_median"].items():
-        print(f"  threaded speedup[{mode}] = {s:.3f}x")
-    print(f"  sim critical-path reduction = {100 * sim['critical_path_reduction']:.1f}%")
-    assert threaded["speedup_median"]["on"] >= MIN_THREADED_SPEEDUP
-    # auto fuses a subset of layers, so it lands between off and on; hold
-    # it to no-regression rather than the full bar (wall-clock noise on
-    # shared hosts makes the midpoint jittery)
-    assert threaded["speedup_median"]["auto"] >= 1.0
-    # simulated critical path strictly decreases
-    assert 0.0 < sim["critical_path_reduction"] < 1.0
-    assert sim["sim_speedup"] > 1.0
+    assert check_report(report) == []
 
 
 @pytest.mark.parametrize("seq_len", [16, 100, 200] if full_grids() else [16, 100])
@@ -63,7 +45,7 @@ def test_sim_seq_len_sweep(benchmark, seq_len):
     flops and the flop-weighted path is exactly per-step's)."""
     spec = make_spec("lstm", 1024, 128, 2, "many_to_one")
     out = run_once(
-        benchmark, lambda: simulated_comparison(spec, seq_len, 32, proj_block=4)
+        benchmark, lambda: simulated_projection_comparison(spec, seq_len, 32, proj_block=4)
     )
     assert 0.0 < out["critical_path_reduction"] < 1.0
 
@@ -72,7 +54,7 @@ def test_sim_seq_len_sweep(benchmark, seq_len):
 def test_sim_hidden_sweep(benchmark, hidden):
     """The reduction holds across hidden sizes (input share varies)."""
     spec = make_spec("lstm", 1024, hidden, 2, "many_to_one")
-    out = run_once(benchmark, lambda: simulated_comparison(spec, 50, 32))
+    out = run_once(benchmark, lambda: simulated_projection_comparison(spec, 50, 32))
     assert 0.0 < out["critical_path_reduction"] < 1.0
 
 
@@ -81,7 +63,7 @@ def test_sim_cores_sweep(benchmark, cores):
     """Makespan benefit across core counts on the modelled machine."""
     spec = make_spec("lstm", 1024, 128, 2, "many_to_one")
     out = run_once(
-        benchmark, lambda: simulated_comparison(spec, 50, 32, n_cores=cores)
+        benchmark, lambda: simulated_projection_comparison(spec, 50, 32, n_cores=cores)
     )
     assert 0.0 < out["critical_path_reduction"] < 1.0
     # fewer serial GEMM flops → the simulated batch should not get slower

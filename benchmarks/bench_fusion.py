@@ -10,8 +10,10 @@ substrates:
 * **threaded** — real wall time on the host at the paper-scale recorded
   configuration.  The full ladder (``wavefront``) must clear 1.5× median
   inference throughput over the fully unfused baseline — above the 1.35×
-  the fused-projection bench records for hoisting alone; the record lands
-  in ``benchmarks/baselines/BENCH_fusion.json``.
+  the fused-projection bench records for hoisting alone (the bars and the
+  recorded size are suite ``fusion`` of ``repro.harness.ledger``;
+  ``python -m repro bench fusion --record`` rewrites
+  ``benchmarks/baselines/BENCH_fusion.json``).
 * **sim** — cost-only graphs on the modelled 48-core Xeon.  The
   duration-weighted critical path (standalone task costs) must fall below
   0.686× the unfused baseline for ``wavefront`` — i.e. beat the fused
@@ -25,55 +27,20 @@ Set ``REPRO_BENCH_FULL=1`` for the wider grids.
 
 import pytest
 
-from benchmarks.common import emit_bench_json, full_grids, run_once
+from benchmarks.common import full_grids, run_once
 from repro.harness.fusionbench import (
-    RECORD_CONFIG,
-    make_spec,
     run_fusion_bench,
-    simulated_fusion_comparison,
+    simulated_comparison,
     wavefront_analysis_contrast,
 )
-
-#: acceptance bars for the recorded paper-scale configuration
-MIN_THREADED_SPEEDUP = 1.5
-MAX_WAVEFRONT_CP_RATIO = 0.686
+from repro.harness.ledger import check_report, run_suite
+from repro.harness.measure import make_spec
 
 
 def test_record_config(benchmark):
-    """Paper-scale point: measure, assert the bars, and write the record."""
-    point = run_once(
-        benchmark,
-        lambda: run_fusion_bench(
-            **RECORD_CONFIG, iters=11 if full_grids() else 9, warmup=2
-        ),
-    )
-    threaded = point["results"]["threaded"]
-    sim = point["results"]["sim"]
-    analysis = point["results"]["analysis"]
-    path = emit_bench_json("fusion", point["config"], point["results"])
-    print(f"\nfusion record -> {path}")
-    for mode, s in threaded["speedup_median"].items():
-        print(f"  threaded speedup[{mode}] = {s:.3f}x")
-    for mode, row in sim.items():
-        print(f"  sim cp_ratio[{mode}] = {row['cp_ratio']:.3f} "
-              f"({int(row['n_tasks'])} tasks)")
-    print(f"  width wavefront={analysis['wavefront_width']:.1f} "
-          f"layered={analysis['layered_width']:.1f}")
-    assert point["results"]["flops_conserved"]
-    assert threaded["speedup_median"]["wavefront"] >= MIN_THREADED_SPEEDUP
-    # each rung of the ladder must at least not regress the previous one
-    assert threaded["speedup_median"]["gates"] >= 1.0
-    assert threaded["speedup_median"]["gates+act"] >= 1.0
-    # duration-weighted critical path: wavefront beats the projection bar
-    assert sim["wavefront"]["cp_ratio"] < MAX_WAVEFRONT_CP_RATIO
-    # ... and the ladder's cp is monotone non-increasing
-    assert sim["gates"]["cp_ratio"] <= 1.0
-    assert sim["gates+act"]["cp_ratio"] <= sim["gates"]["cp_ratio"]
-    assert sim["wavefront"]["cp_ratio"] <= sim["gates+act"]["cp_ratio"]
-    # static contrast: real diagonal concurrency, exact declarations
-    assert analysis["wavefront_width"] > analysis["layered_width"]
-    assert analysis["lint_findings"] == 0
-    assert analysis["analyzer_findings"] == 0
+    """Paper-scale point: measure it and hold it to the ledger's bars."""
+    report = run_once(benchmark, lambda: run_suite("fusion", scope="record"))
+    assert check_report(report) == []
 
 
 @pytest.mark.parametrize("tile", [1, 4, 8, 25] if full_grids() else [1, 8, 25])
@@ -83,7 +50,7 @@ def test_sim_tile_sweep(benchmark, tile):
     spec = make_spec("lstm", 1024, 128, 2, "many_to_one")
     out = run_once(
         benchmark,
-        lambda: simulated_fusion_comparison(spec, 100, 32, wavefront_tile=tile),
+        lambda: simulated_comparison(spec, 100, 32, wavefront_tile=tile),
     )
     assert out["wavefront"]["cp_ratio"] < 1.0
     if tile > 1:
@@ -97,7 +64,7 @@ def test_sim_tile_sweep(benchmark, tile):
 def test_sim_cell_sweep(benchmark, cell):
     """The ladder's critical path is monotone for both gated cells."""
     spec = make_spec(cell, 1024, 128, 2, "many_to_one")
-    out = run_once(benchmark, lambda: simulated_fusion_comparison(spec, 50, 32))
+    out = run_once(benchmark, lambda: simulated_comparison(spec, 50, 32))
     assert out["gates"]["cp_ratio"] <= 1.0
     assert out["wavefront"]["cp_ratio"] <= out["gates+act"]["cp_ratio"]
 

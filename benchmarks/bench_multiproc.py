@@ -11,51 +11,24 @@ shared memory.  This bench records the two regimes that bound its value:
 * ``default`` (``fusion="gates"``): large stacked GEMMs that release the
   GIL.  Transport overhead must cost ≤10 % (**≥0.9×** threaded).
 
-The speed-up bars are asserted here and by
-``tools/check_multiproc_report.py`` only when the host has ≥2 cores —
-parallel speed-up is unmeasurable on one core — but bitwise equivalence
-of the two substrates' logits and the zero-leaked-segments invariant are
-asserted unconditionally, at paper scale.
-
-Set ``REPRO_BENCH_FULL=1`` for more timing iterations.
+The speed-up bars (suite ``multiproc`` of ``repro.harness.ledger``) are
+enforced only when the host has ≥2 cores — parallel speed-up is
+unmeasurable on one core — but bitwise equivalence of the two
+substrates' logits and the zero-leaked-segments invariant are enforced
+unconditionally, at paper scale.
 """
-
-import os
 
 import pytest
 
-from benchmarks.common import emit_bench_json, full_grids, run_once
-from repro.harness.mpbench import (
-    MIN_DEFAULT_SPEEDUP,
-    MIN_GIL_BOUND_SPEEDUP,
-    RECORD_CONFIG,
-    run_multiproc_bench,
-)
+from benchmarks.common import run_once
+from repro.harness.ledger import check_report, run_suite
+from repro.harness.mpbench import run_multiproc_bench
 
 
 def test_record_config(benchmark):
-    """Paper-scale point: measure, assert the bars, write the record."""
-    point = run_once(
-        benchmark,
-        lambda: run_multiproc_bench(
-            **RECORD_CONFIG, iters=7 if full_grids() else 3, warmup=1
-        ),
-    )
-    results = point["results"]
-    path = emit_bench_json("multiproc", point["config"], results)
-    print(f"\nmultiproc record -> {path}")
-    for name, row in results["regimes"].items():
-        print(f"  {name}: process {row['process']['median_s']*1e3:.1f} ms vs "
-              f"threaded {row['threaded']['median_s']*1e3:.1f} ms "
-              f"(x{row['speedup_median']:.2f})")
-    print(f"  host_cores={results['host_cores']} "
-          f"leaked_segments={results['leaked_segments']}")
-    assert results["bitwise_identical"], "substrates diverged bitwise"
-    assert results["leaked_segments"] == 0, "run leaked /dev/shm segments"
-    if results["host_cores"] >= 2:
-        regimes = results["regimes"]
-        assert regimes["gil_bound"]["speedup_median"] >= MIN_GIL_BOUND_SPEEDUP
-        assert regimes["default"]["speedup_median"] >= MIN_DEFAULT_SPEEDUP
+    """Paper-scale point: measure it and hold it to the ledger's bars."""
+    report = run_once(benchmark, lambda: run_suite("multiproc", scope="record"))
+    assert check_report(report) == []
 
 
 @pytest.mark.parametrize("mbs", [1, 4])

@@ -11,14 +11,7 @@ criteria: at an arrival rate that saturates an unbatched server,
 * the unbatched server saturates and sheds load (backpressure works);
 * the batched server's p99 latency stays below the unbatched p50 —
   batching here is a latency *win* because it drains the queue faster.
-
-The JSON report (schema checked by ``tools/check_serving_report.py``) is
-written next to pytest's rootdir as ``serving_report.json`` or to
-``$REPRO_SERVING_REPORT``.
 """
-
-import json
-import os
 
 from benchmarks.common import full_grids, run_once
 from repro.analysis.report import format_table
@@ -77,16 +70,6 @@ def test_dynamic_batching_throughput(benchmark):
         title=f"Serving @ {ARRIVAL_RATE:.0f} req/s Poisson, sim 48-core Xeon",
     ))
 
-    report = {
-        "arrival_rate_hz": ARRIVAL_RATE,
-        "duration_s": duration,
-        "sweep": {str(bs): s for bs, s in results.items()},
-        "speedup": batched["throughput_rps"] / unbatched["throughput_rps"],
-    }
-    out_path = os.environ.get("REPRO_SERVING_REPORT", "serving_report.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-
     # dynamic batching >= 3x unbatched throughput (acceptance criterion)
     assert batched["throughput_rps"] >= 3.0 * unbatched["throughput_rps"]
     # the unbatched server saturates: backpressure sheds a sizeable fraction
@@ -97,7 +80,9 @@ def test_dynamic_batching_throughput(benchmark):
     assert batched["latency_s"]["p99"] < unbatched["latency_s"]["p50"]
     # length bucketing keeps padding waste bounded
     assert batched["batches"]["padding_overhead"] < 0.25
-    benchmark.extra_info["throughput_speedup"] = report["speedup"]
+    benchmark.extra_info["throughput_speedup"] = (
+        batched["throughput_rps"] / unbatched["throughput_rps"]
+    )
 
 
 def test_bursty_traffic_backpressure(benchmark):

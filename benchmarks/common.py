@@ -11,25 +11,6 @@ Set ``REPRO_BENCH_FULL=1`` to run the paper's complete configuration grids
 
 import os
 
-from repro.harness.bench_json import (  # noqa: F401  (shared bench-JSON helpers)
-    bench_json_path,
-    summarize_times,
-    write_bench_json,
-)
-
-
-def emit_bench_json(bench: str, config: dict, results: dict) -> str:
-    """Write a ``BENCH_<name>.json`` record to the baselines directory.
-
-    Wall-clock benches call this after measuring so every run leaves a
-    machine-readable record (config + median/p95 + speed-ups) that
-    ``tools/check_bench_report.py`` can validate; ``REPRO_BENCH_DIR``
-    redirects the output (CI smoke runs point it at a temp dir).
-    """
-    path = bench_json_path(bench)
-    write_bench_json(path, bench, config, results)
-    return path
-
 
 def full_grids() -> bool:
     """True when the complete paper grids were requested."""

@@ -6,13 +6,10 @@
     python -m repro fig3|fig4|fig5|fig6|fig7|fig8
     python -m repro granularity|memory
     python -m repro serve-bench [...]       # online-serving benchmark (JSON)
-    python -m repro fused-bench [...]       # fused input projection ablation (JSON)
     python -m repro racecheck [...]         # dependency-declaration race check
     python -m repro analyze [...]           # static graph lint + AST lint
-    python -m repro obs-report [...]        # scheduler counters + metrics overhead
-    python -m repro compile-bench [...]     # compiled-plan replay benchmark (JSON)
-    python -m repro fusion-bench [...]      # fusion-policy ablation ladder (JSON)
-    python -m repro multiproc-bench [...]   # process-vs-threaded executor (JSON)
+    python -m repro bench SUITE [--record]  # run one gated suite (JSON + bars)
+    python -m repro bench --check REPORT... # gate written reports
 
 ``--full`` runs the paper's complete configuration grids (minutes); the
 default grids cover every regime in seconds.  The same drivers back the
@@ -142,6 +139,7 @@ def _cmd_serve_bench(args) -> None:
     import json
     from dataclasses import asdict
 
+    from repro.harness.ledger import make_report, write_report
     from repro.obs import MetricsRegistry
     from repro.serve import InferenceEngine, Server, make_workload
     from repro.serve.config import serve_config_from_args, workload_config_from_args
@@ -154,7 +152,7 @@ def _cmd_serve_bench(args) -> None:
         merge_mode="sum",
         num_classes=11,
     )
-    serve_cfg = serve_config_from_args(args, replicas=1)
+    serve_cfg = serve_config_from_args(args)
     workload_cfg = workload_config_from_args(
         args,
         seq_len_range=(args.seq_min, args.seq_max),
@@ -167,8 +165,9 @@ def _cmd_serve_bench(args) -> None:
         serve_config=serve_cfg,
     )
     stats = Server(engine, serve_cfg).run(requests)
-    report = {
-        "config": {
+    report = make_report(
+        "serving",
+        {
             "model": spec.describe(),
             "executor": args.executor,
             "scheduler": args.scheduler,
@@ -184,274 +183,51 @@ def _cmd_serve_bench(args) -> None:
             "serve": asdict(serve_cfg),
             "serve_fingerprint": serve_cfg.fingerprint(),
         },
-        "results": stats.summary(),
-    }
-    text = json.dumps(report, indent=2)
-    print(text)
+        stats.summary(),
+    )
+    print(json.dumps(report, indent=2))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        write_report(args.output, report)
         print(f"# report written to {args.output}", file=sys.stderr)
 
 
-def _cmd_fleet_bench(args) -> int:
-    """Fleet soak benchmark; emits the ``fleet`` BENCH JSON.
+def _cmd_bench(args) -> int:
+    """Run one gated suite, or gate written reports (``--check``).
 
-    Calibrated on the simulated machine: a 4-replica fleet must sustain
-    ≥3× the single-replica request rate at p99 SLO attainment ≥ 0.99,
-    shed (not serve late) excess bursty load, and keep the per-shape warm
-    plan hit rate ≥ 0.9 after warmup (docs/SERVING.md).  Exits 1 when a
-    bar fails.
+    ``bench SUITE`` measures the suite at its smoke size (``--record``:
+    the paper-scale size, written to its baseline file — when every bar
+    holds — unless ``--output`` says otherwise), prints the JSON report,
+    and exits 1 when any bar of :mod:`repro.harness.ledger` fails.  ``bench --check REPORT...`` gates
+    files instead; the suite and the scope are read from each report.
     """
     import json
 
-    from repro.harness.bench_json import write_bench_json
-    from repro.harness.fleetbench import run_fleet_bench
+    from repro.harness import ledger
 
-    point = run_fleet_bench(
-        replicas=args.replicas,
-        duration_s=args.duration,
-        tenants=max(args.tenants, 2),
-        seed=args.seed,
-    )
-    results = point["results"]
-    cal = results["calibration"]
-    fleet = results["fleet_at_fleet_rate"]
-    bursty = results["bursty_overload"]
-    routers = results["routers"]
-    print(
-        f"fleet x{args.replicas} at {cal['fleet_rate_hz']:.0f} req/s "
-        f"({cal['rate_ratio']:.1f}x single): attainment "
-        f"{fleet['attainment']:.4f}, warm hit rate {fleet['warm_hit_rate']:.3f}"
-    )
-    print(
-        f"bursty overload: shed {bursty['shed']} "
-        f"({bursty['shed_reasons']}), completed attainment "
-        f"{bursty['completed_attainment']:.4f}, "
-        f"{bursty['late_completions']} late"
-    )
-    print(
-        f"routers: hash {routers['hash']['compiles']} compiles vs "
-        f"least_loaded {routers['least_loaded']['compiles']}"
-    )
-    if args.output:
-        write_bench_json(args.output, "fleet", point["config"], results)
-        print(f"# report written to {args.output}", file=sys.stderr)
-    else:
-        print(json.dumps({"bench": "fleet", **point}, indent=2))
-    failed = (
-        fleet["attainment"] < 0.99
-        or cal["rate_ratio"] < 3.0
-        or results["single_at_fleet_rate"]["attainment"] >= 0.9
-        or bursty["shed"] == 0
-        or bursty["completed_attainment"] < 0.99
-        or fleet["warm_hit_rate"] < 0.9
-        or routers["hash"]["compiles"] >= routers["least_loaded"]["compiles"]
-    )
-    return 1 if failed else 0
-
-
-def _cmd_fused_bench(args) -> None:
-    """Fused-vs-per-step input-projection ablation; emits a BENCH JSON."""
-    import json
-
-    from repro.harness.bench_json import write_bench_json
-    from repro.harness.fusedbench import run_fused_bench
-
-    point = run_fused_bench(
-        cell=args.cell,
-        input_size=args.input_size,
-        hidden=args.hidden,
-        layers=args.layers,
-        seq_len=args.seq_len,
-        batch=args.batch,
-        mbs=args.mbs,
-        iters=args.iters,
-        proj_block=args.proj_block,
-        sim_cores=args.cores,
-        seed=args.seed,
-    )
-    if args.output:
-        report = write_bench_json(
-            args.output, "fused_projection", point["config"], point["results"]
-        )
-        print(json.dumps(report, indent=2))
-        print(f"# report written to {args.output}", file=sys.stderr)
-    else:
-        print(json.dumps(
-            {"bench": "fused_projection", **point}, indent=2
-        ))
-
-
-def _cmd_compile_bench(args) -> int:
-    """Compiled-plan replay benchmark; emits the ``compile`` BENCH JSON.
-
-    Sections: per-batch runtime-overhead A/B (dynamic vs replay on
-    cost-only graphs), plan-cache behaviour of a simulated serving engine
-    with ``compile="on"``, and the bitwise replay-equivalence check.
-    Exits 1 when replay fails to beat dynamic resolution, a warm shape
-    misses the cache, or the replayed bits diverge.
-    """
-    import json
-
-    from repro.harness.bench_json import write_bench_json
-    from repro.harness.compilebench import run_compile_bench
-
-    point = run_compile_bench(
-        cell=args.cell,
-        input_size=args.input_size,
-        hidden=args.hidden,
-        layers=args.layers,
-        seq_len=args.seq_len,
-        batch=args.batch,
-        head=args.head,
-        mbs=args.mbs,
-        iters=args.iters,
-        n_workers=args.replay_workers,
-        sim_cores=args.cores,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    results = point["results"]
-    overhead = results["overhead"]
-    print(
-        f"replay overhead reduction: x{overhead['reduction_ratio']:.2f} vs "
-        "cheapest dynamic policy "
-        f"(fifo x{overhead['reduction_ratio_fifo']:.2f}, "
-        f"locality x{overhead['reduction_ratio_locality']:.2f}); "
-        f"reduced edges: {results['plan']['n_edges_reduced']:.0f} of "
-        f"{results['plan']['n_edges_declared']:.0f} declared"
-    )
-    serving = results["serving"]
-    print(
-        f"serving: {serving['n_batches']} batches over {serving['n_shapes']} "
-        f"shapes -> warm hit rate {serving['warm_hit_rate']:.2f}, "
-        f"{serving['cache']['compiles']:.0f} compiles"
-    )
-    equiv = results["equivalence"]
-    print(
-        "equivalence: "
-        + ("bitwise identical to dynamic FIFO" if equiv["bitwise_identical"]
-           else f"DIVERGED on {equiv['mismatched_arrays']}")
-    )
-    if args.output:
-        write_bench_json(args.output, "compile", point["config"], results)
-        print(f"# report written to {args.output}", file=sys.stderr)
-    else:
-        print(json.dumps({"bench": "compile", **point}, indent=2))
-    failed = (
-        overhead["reduction_ratio"] <= 1.0
-        or serving["warm_hit_rate"] < 1.0
-        or not equiv["bitwise_identical"]
-    )
-    return 1 if failed else 0
-
-
-def _cmd_fusion_bench(args) -> int:
-    """Fusion-policy ablation ladder; emits the ``fusion`` BENCH JSON.
-
-    Walks ``off`` → ``gates`` → ``gates+act`` → ``wavefront``
-    (docs/PERF.md) and records threaded wall time, the simulated
-    duration-weighted critical path, and the static wavefront-vs-layered
-    parallelism contrast.  Exits 1 when the flop split fails to conserve,
-    the wavefront graph has lint/analyzer findings, or it is no wider
-    than the layer-ordered build.
-    """
-    import json
-
-    from repro.harness.bench_json import write_bench_json
-    from repro.harness.fusionbench import run_fusion_bench
-
-    point = run_fusion_bench(
-        cell=args.cell,
-        input_size=args.input_size,
-        hidden=args.hidden,
-        layers=args.layers,
-        seq_len=args.seq_len,
-        batch=args.batch,
-        head=args.head,
-        mbs=args.mbs,
-        iters=args.iters,
-        sim_cores=args.cores,
-        wavefront_tile=args.wavefront_tile,
-        seed=args.seed,
-    )
-    results = point["results"]
-    for mode, s in results["threaded"]["speedup_median"].items():
-        print(f"threaded speedup[{mode}]: x{s:.2f} vs off")
-    for mode, row in results["sim"].items():
-        print(f"sim cp_ratio[{mode}]: {row['cp_ratio']:.3f} "
-              f"({row['n_tasks']:.0f} tasks)")
-    analysis = results["analysis"]
-    print(
-        f"wavefront width {analysis['wavefront_width']:.1f} vs layered "
-        f"{analysis['layered_width']:.1f}; lint findings "
-        f"{analysis['lint_findings']:.0f}, analyzer findings "
-        f"{analysis['analyzer_findings']:.0f}"
-    )
-    print("gate-GEMM flop split: "
-          + ("conserved" if results["flops_conserved"] else "NOT CONSERVED"))
-    if args.output:
-        write_bench_json(args.output, "fusion", point["config"], results)
-        print(f"# report written to {args.output}", file=sys.stderr)
-    else:
-        print(json.dumps({"bench": "fusion", **point}, indent=2))
-    failed = (
-        not results["flops_conserved"]
-        or analysis["lint_findings"] > 0
-        or analysis["analyzer_findings"] > 0
-        or analysis["wavefront_width"] <= analysis["layered_width"]
-    )
-    return 1 if failed else 0
-
-
-def _cmd_multiproc_bench(args) -> int:
-    """Executor substrate comparison; emits the ``multiproc`` BENCH JSON.
-
-    Times identical inference batches on the threaded and multiprocess
-    executors in the GIL-bound (``fusion="off"``) and default
-    (``fusion="gates"``) regimes (docs/EXECUTORS.md).  Exits 1 when the
-    substrates diverge bitwise or a ``/dev/shm`` segment leaks; the
-    speed-up bars are the report gate's job
-    (``tools/check_multiproc_report.py``), which waives them on
-    single-core hosts.
-    """
-    import json
-
-    from repro.harness.bench_json import write_bench_json
-    from repro.harness.mpbench import run_multiproc_bench
-
-    point = run_multiproc_bench(
-        cell=args.cell,
-        input_size=args.input_size,
-        hidden=args.hidden,
-        layers=args.layers,
-        seq_len=args.seq_len,
-        batch=args.batch,
-        head=args.head,
-        mbs=args.mbs,
-        iters=args.iters,
-        n_workers=args.cores,
-        seed=args.seed,
-    )
-    results = point["results"]
-    for name, row in results["regimes"].items():
-        print(f"{name}: process {row['process']['median_s'] * 1e3:.1f} ms vs "
-              f"threaded {row['threaded']['median_s'] * 1e3:.1f} ms "
-              f"(x{row['speedup_median']:.2f})")
-    print(f"bitwise identical: {results['bitwise_identical']}; "
-          f"leaked segments: {results['leaked_segments']}; "
-          f"host cores: {results['host_cores']}")
-    if args.output:
-        write_bench_json(args.output, "multiproc", point["config"], results)
-        print(f"# report written to {args.output}", file=sys.stderr)
-    else:
-        print(json.dumps({"bench": "multiproc", **point}, indent=2))
-    failed = (
-        not results["bitwise_identical"]
-        or results["leaked_segments"] != 0
-    )
-    return 1 if failed else 0
+    if args.check:
+        if args.suite or args.record or args.output:
+            print("usage: bench --check REPORT...", file=sys.stderr)
+            return 2
+        return ledger.check_files(args.check)
+    runnable = sorted(n for n, s in ledger.SUITES.items() if s.measure is not None)
+    suite = args.suite
+    if suite not in runnable:
+        print(f"usage: bench {{{','.join(runnable)}}} [--record] [--output PATH]",
+              file=sys.stderr)
+        return 2
+    report = ledger.run_suite(suite, "record" if args.record else "smoke")
+    print(json.dumps(report, indent=2))
+    notices: list = []
+    errors = ledger.check_report(report, suite, notices)
+    for notice in notices:
+        print(notice, file=sys.stderr)
+    # a failing record never replaces the committed baseline
+    record_path = ledger.baseline_path(suite) if args.record and not errors else None
+    path = args.output or record_path
+    if path:
+        ledger.write_report(path, report)
+        print(f"# report written to {path}", file=sys.stderr)
+    return ledger.finish(errors, [])
 
 
 def _cmd_racecheck(args) -> int:
@@ -562,7 +338,6 @@ def _cmd_analyze(args) -> int:
     from repro.analysis.graphlint import lint_graph
     from repro.analysis.parallelism import analyze_graph
     from repro.analysis.pylint import lint_paths
-    from repro.harness.bench_json import write_bench_json
 
     failed = False
     results = {}
@@ -673,58 +448,11 @@ def _cmd_analyze(args) -> int:
             failed |= not cert["ok"]
 
     if args.output:
-        write_bench_json(args.output, "graph_analysis", config, results)
+        from repro.harness.ledger import make_report, write_report
+
+        write_report(args.output, make_report("graph_analysis", config, results))
         print(f"# report written to {args.output}", file=sys.stderr)
     return 1 if failed else 0
-
-
-def _cmd_obs_report(args) -> int:
-    """Scheduler-counter comparison + metrics-overhead A/B (BENCH JSON).
-
-    Runs the same cost graph under ``--policy`` and ``--compare`` on the
-    simulated machine and prints their scheduler counters side by side
-    (locality hit rate, steals, queue depth, per-core busy fraction);
-    unless ``--no-overhead``, also measures the threaded engine with
-    metrics on vs off.  ``--output`` writes the ``obs_overhead`` BENCH
-    JSON that ``tools/check_obs_report.py`` gates in CI.
-    """
-    import json
-
-    from repro.harness.bench_json import write_bench_json
-    from repro.obs.report import OVERHEAD_BUDGET, format_comparison, run_obs_report
-
-    point = run_obs_report(
-        policy=args.policy,
-        compare=args.compare,
-        n_cores=args.cores,
-        mbs=args.mbs,
-        seq_len=args.seq_len,
-        batch=args.batch,
-        iters=args.iters,
-        seed=args.seed,
-        overhead=not args.no_overhead,
-        overhead_budget=(
-            args.overhead_budget if args.overhead_budget is not None
-            else OVERHEAD_BUDGET
-        ),
-    )
-    print(format_comparison(point["results"]["comparison"], args.policy, args.compare))
-    overhead = point["results"].get("overhead")
-    if overhead is not None:
-        verdict = "within" if overhead["within_budget"] else "EXCEEDS"
-        print(
-            f"metrics overhead: x{overhead['overhead_ratio']:.4f} "
-            f"({verdict} x{overhead['budget']:.2f} budget; "
-            f"disabled {overhead['disabled']['median_s'] * 1e3:.2f} ms vs "
-            f"enabled {overhead['enabled']['median_s'] * 1e3:.2f} ms median)"
-        )
-    if args.output:
-        report = write_bench_json(
-            args.output, "obs_overhead", point["config"], point["results"]
-        )
-        print(f"# report written to {args.output}", file=sys.stderr)
-        del report
-    return 0 if overhead is None or overhead["within_budget"] else 1
 
 
 def _cmd_memory(args) -> None:
@@ -748,22 +476,17 @@ COMMANDS = {
     "granularity": _cmd_granularity,
     "memory": _cmd_memory,
     "serve-bench": _cmd_serve_bench,
-    "fleet-bench": _cmd_fleet_bench,
-    "fused-bench": _cmd_fused_bench,
+    "bench": _cmd_bench,
     "racecheck": _cmd_racecheck,
     "analyze": _cmd_analyze,
-    "obs-report": _cmd_obs_report,
-    "compile-bench": _cmd_compile_bench,
-    "fusion-bench": _cmd_fusion_bench,
-    "multiproc-bench": _cmd_multiproc_bench,
 }
 
 
 def _add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
-    # serving knobs (queue/batcher/router/admission) live in the shared
-    # "serving options" group (repro.serve.config.add_serve_args); this
-    # group carries the model and bench-output flags.
-    g = parser.add_argument_group("model and bench options")
+    # serving knobs (queue/batcher/admission) live in the shared "serving
+    # options" group (repro.serve.config.add_serve_args); this group
+    # carries the model shape and the report path.
+    g = parser.add_argument_group("model and report options")
     g.add_argument("--cell", choices=("lstm", "gru"), default="lstm")
     g.add_argument("--hidden", type=int, default=256)
     g.add_argument("--layers", type=int, default=6)
@@ -773,11 +496,21 @@ def _add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--output", type=str, default=None,
                    help="also write the JSON report to this path")
     g.add_argument("--seq-len", type=int, default=100,
-                   help="(fused-bench/obs-report) sequence length of the timed batch")
+                   help="sequence length of the analysed/checked batch")
     g.add_argument("--batch", type=int, default=32,
-                   help="(fused-bench/obs-report) batch size of the timed batch")
-    g.add_argument("--iters", type=int, default=5,
-                   help="(fused-bench/obs-report) timed iterations per mode")
+                   help="batch size of the analysed/checked batch")
+
+
+def _add_bench_args(parser: argparse.ArgumentParser) -> None:
+    g = parser.add_argument_group("bench options")
+    g.add_argument("suite", nargs="?", default=None,
+                   help="bench: the suite to run (directly after 'bench')")
+    g.add_argument("--record", action="store_true",
+                   help="run the suite's paper-scale size and write its "
+                        "benchmarks/baselines/BENCH_<suite>.json")
+    g.add_argument("--check", nargs="+", default=None, metavar="REPORT",
+                   help="gate written reports against the ledger's bars "
+                        "instead of running a suite")
 
 
 def _add_racecheck_args(parser: argparse.ArgumentParser) -> None:
@@ -794,19 +527,6 @@ def _add_racecheck_args(parser: argparse.ArgumentParser) -> None:
                    help="record one fuzzed schedule to this JSON path")
     g.add_argument("--replay-schedule", type=str, default=None,
                    help="replay a recorded schedule JSON against a fresh build")
-
-
-def _add_obs_report_args(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("obs-report options")
-    g.add_argument("--policy", type=str, default="locality",
-                   help="scheduler policy under study (default: locality)")
-    g.add_argument("--compare", type=str, default="fifo",
-                   help="baseline policy run on the same graph (default: fifo)")
-    g.add_argument("--no-overhead", action="store_true",
-                   help="skip the threaded metrics-overhead A/B measurement")
-    g.add_argument("--overhead-budget", type=float, default=None,
-                   help="overhead gate as a ratio (default 1.02; CI smoke "
-                        "runs pass slack for noisy shared runners)")
 
 
 def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
@@ -837,16 +557,6 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
                         "cross-validation is clean")
 
 
-def _add_compile_bench_args(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("compile-bench options")
-    g.add_argument("--repeats", type=int, default=4,
-                   help="serving rounds per batch shape (round one compiles, "
-                        "the rest must hit the plan cache)")
-    g.add_argument("--replay-workers", type=int, default=1,
-                   help="worker threads for the overhead A/B (1 = pure "
-                        "runtime overhead, no wake-up waits)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -860,13 +570,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serve_bench_args(parser)
     _add_racecheck_args(parser)
     _add_analyze_args(parser)
-    _add_obs_report_args(parser)
-    _add_compile_bench_args(parser)
+    _add_bench_args(parser)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command != "bench" and (args.suite or args.check or args.record):
+        parser.error("a suite, --check and --record belong to 'bench'")
     return int(COMMANDS[args.command](args) or 0)
 
 

@@ -1,4 +1,4 @@
-"""Compiled-plan replay benchmark driver (``compile-bench``).
+"""Compiled-plan replay benchmark driver (suite ``compile``).
 
 Measures what :mod:`repro.compile` buys on the serving hot path, in three
 sections:
@@ -17,10 +17,8 @@ sections:
   functional training build, compared bitwise
   (:func:`repro.runtime.racecheck.plan_equivalence_check`).
 
-``benchmarks/bench_compile.py`` and the ``compile-bench`` CLI command both
-drive :func:`run_compile_bench`; the recorded baseline lives in
-``benchmarks/baselines/BENCH_compile.json`` and is gated by
-``tools/check_compile_report.py``.
+``python -m repro bench compile`` drives :func:`run_compile_bench`; the
+sizes, bars and baseline are rows of :mod:`repro.harness.ledger`.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ import numpy as np
 from repro.compile import compile_graph
 from repro.config import ExecutionConfig
 from repro.core.graph_builder import build_brnn_graph
-from repro.harness.bench_json import summarize_times
-from repro.harness.fusedbench import make_spec
+from repro.harness.measure import make_spec, summarize_times
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.runtime.executor import ThreadedExecutor
@@ -42,13 +39,6 @@ from repro.runtime.racecheck import plan_equivalence_check
 from repro.serve.batcher import Batch
 from repro.serve.engine import InferenceEngine
 from repro.serve.request import InferenceRequest
-
-#: The recorded-baseline configuration: a serving-sized inference graph
-#: whose dependence bookkeeping is large enough to time reliably.
-RECORD_CONFIG = dict(
-    cell="lstm", input_size=64, hidden=128, layers=2,
-    seq_len=50, batch=16, head="many_to_one",
-)
 
 #: Dynamic baselines the replay path is compared against.
 DYNAMIC_POLICIES = ("fifo", "locality")
@@ -128,7 +118,7 @@ def serving_cache_stats(
 
     Round one compiles (one miss per shape); every later round must hit
     the plan cache — ``warm_hit_rate`` is hits over warm requests and the
-    CI gate pins it at 1.0.
+    ledger pins it at 1.0.
     """
     engine = InferenceEngine(
         spec,
@@ -190,11 +180,8 @@ def run_compile_bench(
     repeats: int = 4,
     seed: int = 0,
 ) -> Dict:
-    """One full compile-bench point: overhead + serving + equivalence.
-
-    Returns ``{"config", "results"}`` ready for
-    :func:`repro.harness.bench_json.write_bench_json`.
-    """
+    """One full compile point — overhead + serving + equivalence —
+    as ``{"config", "results"}``."""
     spec = make_spec(cell, input_size, hidden, layers, head)
     raw, plan = replay_overhead_times(
         spec, seq_len, batch, mbs=mbs, n_workers=n_workers,

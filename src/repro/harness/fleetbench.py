@@ -58,7 +58,7 @@ def _calibrate_service_s(
 
 
 def _section(stats: FleetStats) -> Dict:
-    """The per-run slice of ``summary()`` the gate checks."""
+    """The per-run slice of ``summary()`` the ledger checks."""
     s = stats.summary()
     slo = s.get("slo") or {}
     out = {

@@ -1,171 +1,177 @@
-"""Fusion-policy ablation driver (docs/PERF.md §fusion).
+"""Fusion ablation drivers (docs/PERF.md §fusion).
 
-Walks the cumulative fusion ladder — per-gate GEMMs (``off``), the stacked
-gate GEMM (``gates``), in-payload activations (``gates+act``), wavefront
-chain tiling (``wavefront``) — on both substrates:
+Two ablations over one piece of ladder code, each a ``{label: (fusion,
+fused_input_projection)}`` mode table with the baseline labelled ``off``:
+
+* :data:`LADDER` (suite ``fusion``) — the cumulative fusion ladder:
+  per-gate GEMMs (``off``), the stacked gate GEMM (``gates``), in-payload
+  activations (``gates+act``), wavefront chain tiling (``wavefront``).
+* :data:`PROJECTION` (suite ``fused_projection``) — per-step vs hoisted
+  ``X @ W_x`` under the default fusion: ``off``/``on``/``auto``.
+
+Both run on both substrates:
 
 * **threaded** — real wall time of inference batches on the host's worker
-  threads, interleaved round-robin across the modes so host noise hits
-  every sample set equally; summarised as median/p95 with
-  ``speedup_median`` relative to the fully unfused baseline.
+  threads (:func:`repro.harness.measure.interleaved_forward_times`),
+  summarised as median/p95 with ``speedup_median`` relative to ``off``.
 * **sim** — cost-only graphs on the modelled 48-core machine: simulated
-  batch time, task count, and the *duration-weighted* critical path
-  (:meth:`~repro.simarch.costmodel.CostModel.standalone` per task), whose
-  ``cp_ratio`` vs ``off`` captures what each rung removes from the chain.
-  Flop-weighted span alone cannot see the wavefront win — tiling removes
-  per-task overhead and pointwise passes, not GEMM flops.
+  batch time, task count, and the critical path under two weights.  The
+  *flop-weighted* path is what hoisting shrinks, schedule-independently
+  (only the ``(B,H)×(H,GH)`` recurrent half stays on the chain); the
+  *duration-weighted* path
+  (:meth:`~repro.simarch.costmodel.CostModel.standalone` per task) is what
+  the ladder shrinks — tiling removes per-task overhead and pointwise
+  passes, not GEMM flops.
 
-Also records the static-analysis contrast behind the tiling claim: graph
-width and average parallelism of the wavefront graph against the
-layer-ordered (barriered) build, with the linter/analyzer finding counts —
-both must be zero — and a flop-conservation check tying the fused gate
-GEMM to the sum of its per-gate parts.
+The ladder also records the static-analysis contrast behind the tiling
+claim: graph width and average parallelism of the wavefront graph against
+the layer-ordered (barriered) build, with the linter/analyzer finding
+counts, and a flop-conservation check tying the fused gate GEMM to the
+sum of its per-gate parts.
 
-``benchmarks/bench_fusion.py`` and the ``fusion-bench`` CLI command both
-drive :func:`run_fusion_bench`; the recorded baseline lives in
-``benchmarks/baselines/BENCH_fusion.json``.
+``python -m repro bench fusion|fused_projection`` drives
+:func:`run_fusion_bench` / :func:`run_fused_bench`; the sizes, bars and
+baselines are rows of :mod:`repro.harness.ledger`.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.analysis.graphlint import lint_graph
 from repro.analysis.parallelism import analyze_graph
 from repro.config import ExecutionConfig
-from repro.core.bpar import BParEngine
 from repro.core.graph_builder import build_brnn_graph
-from repro.harness.bench_json import summarize_times
+from repro.harness.measure import (
+    interleaved_forward_times,
+    make_spec,
+    summarize_times,
+)
 from repro.models.cells import (
     cell_bwd_pointwise_flops,
     cell_fwd_flops,
     cell_fwd_pointwise_flops,
     cell_gate_gemm_flops,
 )
-from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.runtime.simexec import SimulatedExecutor
 from repro.simarch.costmodel import CostModel
 from repro.simarch.presets import xeon_8160_2s
 
-#: The cumulative ablation ladder, baseline first (speed-ups are relative
-#: to ``off``).  Each rung is (fusion, fused_input_projection): the
-#: ``gates+act``/``wavefront`` rungs compose with projection hoisting —
-#: the policy they generalise — while the two baselines run without it
-#: (``fusion="off"`` forces hoisting off in the builder regardless).
-MODES = (
-    ("off", "off"),
-    ("gates", "off"),
-    ("gates+act", "on"),
-    ("wavefront", "on"),
-)
+Modes = Mapping[str, Tuple[str, str]]
 
-#: The recorded-baseline configuration: the paper-scale BLSTM shape
-#: (spectrogram-like input ≫ hidden) as in the fused-projection bench,
-#: under the paper's hybrid-parallelism default (``mbs=4``, the CLI
-#: default) — the discipline whose task counts the wavefront rung
-#: collapses.
-RECORD_CONFIG = dict(
-    cell="lstm", input_size=1024, hidden=128, layers=2,
-    seq_len=100, batch=32, head="many_to_one", mbs=4,
-)
+#: The cumulative ladder.  The ``gates+act``/``wavefront`` rungs compose
+#: with projection hoisting — the policy they generalise — while the two
+#: baselines run without it (``fusion="off"`` forces hoisting off in the
+#: builder regardless).
+LADDER: Modes = {
+    "off": ("off", "off"),
+    "gates": ("gates", "off"),
+    "gates+act": ("gates+act", "on"),
+    "wavefront": ("wavefront", "on"),
+}
+
+#: The input-projection ablation, under the default ``fusion="gates"``.
+PROJECTION: Modes = {
+    "off": ("gates", "off"),
+    "on": ("gates", "on"),
+    "auto": ("gates", "auto"),
+}
 
 
-def make_spec(cell: str, input_size: int, hidden: int, layers: int, head: str) -> BRNNSpec:
-    return BRNNSpec(
-        cell=cell, input_size=input_size, hidden_size=hidden,
-        num_layers=layers, merge_mode="sum", head=head, num_classes=11,
-    )
-
-
-def _mode_config(fusion: str, proj: str, **common) -> ExecutionConfig:
-    return ExecutionConfig(fusion=fusion, fused_input_projection=proj, **common)
-
-
-def threaded_fusion_times(
+def threaded_mode_times(
     spec: BRNNSpec,
     seq_len: int,
     batch: int,
-    modes: Sequence[tuple] = MODES,
+    modes: Modes,
     *,
     mbs: int = 1,
     n_workers: Optional[int] = None,
-    wavefront_tile: Optional[int] = None,
     iters: int = 5,
     warmup: int = 1,
     seed: int = 0,
-) -> Dict[str, List[float]]:
-    """Wall-clock samples of one inference batch per fusion mode,
-    interleaved round-robin so drift hits every mode equally."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((seq_len, batch, spec.input_size)).astype(np.float32)
-    params = BRNNParams.initialize(spec, seed=seed)
-    engines = {
-        fusion: BParEngine(
-            spec,
-            params=params,
-            config=_mode_config(
-                fusion, proj,
-                executor="threaded", n_workers=n_workers, mbs=mbs,
-                wavefront_tile=wavefront_tile,
-            ),
+    **knobs,
+) -> Dict[str, Dict[str, float]]:
+    """Per-mode timing summaries plus ``speedup_median`` vs ``off``.
+
+    ``knobs`` (``proj_block``/``wavefront_tile``) reach every mode's
+    :class:`~repro.config.ExecutionConfig`.
+    """
+    configs = {
+        label: ExecutionConfig(
+            executor="threaded", n_workers=n_workers, mbs=mbs,
+            fusion=fusion, fused_input_projection=proj, **knobs,
         )
-        for fusion, proj in modes
+        for label, (fusion, proj) in modes.items()
     }
-    for _ in range(warmup):
-        for engine in engines.values():
-            engine.forward(x)
-    samples: Dict[str, List[float]] = {mode: [] for mode in engines}
-    for _ in range(iters):
-        for mode, engine in engines.items():
-            t0 = time.perf_counter()
-            engine.forward(x)
-            samples[mode].append(time.perf_counter() - t0)
-    return samples
+    samples, _ = interleaved_forward_times(
+        spec, seq_len, batch, configs, iters=iters, warmup=warmup, seed=seed
+    )
+    threaded: Dict[str, Dict[str, float]] = {
+        label: summarize_times(xs) for label, xs in samples.items()
+    }
+    base = threaded["off"]["median_s"]
+    threaded["speedup_median"] = {
+        label: base / threaded[label]["median_s"]
+        for label in modes if label != "off"
+    }
+    return threaded
 
 
-def simulated_fusion_comparison(
+def simulated_comparison(
     spec: BRNNSpec,
     seq_len: int,
     batch: int,
-    modes: Sequence[tuple] = MODES,
+    modes: Modes = LADDER,
     *,
     mbs: int = 1,
     n_cores: Optional[int] = None,
-    wavefront_tile: Optional[int] = None,
+    **knobs,
 ) -> Dict[str, Dict[str, float]]:
-    """Cost-only ladder on the modelled machine.
+    """Cost-only modes on the modelled machine.
 
-    Per mode: ``batch_s`` (makespan + creation), ``n_tasks``,
-    ``critical_path_s`` (duration-weighted via
-    :meth:`~repro.simarch.costmodel.CostModel.standalone`), and
-    ``cp_ratio`` relative to the ``off`` rung.
+    Per mode: ``batch_s`` (makespan + creation), ``n_tasks``, the
+    flop-weighted ``critical_path_flops``, the duration-weighted
+    ``critical_path_s`` and its ``cp_ratio`` relative to ``off``.
     """
     machine = xeon_8160_2s()
     cost = CostModel(machine)
     out: Dict[str, Dict[str, float]] = {}
-    for fusion, proj in modes:
+    for label, (fusion, proj) in modes.items():
         graph = build_brnn_graph(
             spec, seq_len=seq_len, batch=batch, mbs=mbs, training=False,
-            fused_input_projection=proj, fusion=fusion,
-            wavefront_tile=wavefront_tile,
+            fused_input_projection=proj, fusion=fusion, **knobs,
         ).graph
         sim = SimulatedExecutor(machine, n_cores=n_cores, scheduler="locality")
         sim.run(graph)          # warm: weights NUMA-homed, as in simtime
         trace = sim.run(graph)
-        out[fusion] = {
+        out[label] = {
             "batch_s": trace.makespan + len(graph) * machine.task_create_s,
+            "critical_path_flops": graph.critical_path_length(lambda t: t.flops),
             "critical_path_s": graph.critical_path_length(cost.standalone),
             "n_tasks": float(len(graph)),
         }
     base = out["off"]["critical_path_s"]
-    for fusion, _ in modes:
-        out[fusion]["cp_ratio"] = (
-            out[fusion]["critical_path_s"] / base if base > 0 else 0.0
-        )
+    for row in out.values():
+        row["cp_ratio"] = row["critical_path_s"] / base if base > 0 else 0.0
+    return out
+
+
+def simulated_projection_comparison(
+    spec: BRNNSpec, seq_len: int, batch: int, **kwargs
+) -> Dict:
+    """``off`` vs ``on`` of :data:`PROJECTION` plus the derived
+    flop-weighted ``critical_path_reduction`` and ``sim_speedup``."""
+    modes = {label: PROJECTION[label] for label in ("off", "on")}
+    out: Dict = simulated_comparison(spec, seq_len, batch, modes, **kwargs)
+    off, fused = out["off"], out["on"]
+    out["critical_path_reduction"] = (
+        1.0 - fused["critical_path_flops"] / off["critical_path_flops"]
+        if off["critical_path_flops"] > 0 else 0.0
+    )
+    out["sim_speedup"] = (
+        off["batch_s"] / fused["batch_s"] if fused["batch_s"] > 0 else 0.0
+    )
     return out
 
 
@@ -242,43 +248,74 @@ def run_fusion_bench(
     wavefront_tile: Optional[int] = None,
     seed: int = 0,
 ) -> Dict:
-    """One full ablation point: threaded wall time + simulated cost model
-    + static wavefront contrast, ready for
-    :func:`repro.harness.bench_json.write_bench_json`."""
+    """One ladder point — threaded wall time, simulated cost model, static
+    wavefront contrast — as ``{"config", "results"}``."""
     spec = make_spec(cell, input_size, hidden, layers, head)
-    raw = threaded_fusion_times(
-        spec, seq_len, batch,
-        mbs=mbs, n_workers=n_workers, wavefront_tile=wavefront_tile,
-        iters=iters, warmup=warmup, seed=seed,
-    )
-    threaded: Dict[str, Dict[str, float]] = {
-        mode: summarize_times(xs) for mode, xs in raw.items()
-    }
-    base = threaded["off"]["median_s"]
-    threaded["speedup_median"] = {
-        mode: base / threaded[mode]["median_s"]
-        for mode, _ in MODES if mode != "off"
-    }
-    sim = simulated_fusion_comparison(
-        spec, seq_len, batch,
-        mbs=mbs, n_cores=sim_cores, wavefront_tile=wavefront_tile,
-    )
-    analysis = wavefront_analysis_contrast(
-        spec, seq_len, batch, mbs=mbs, wavefront_tile=wavefront_tile,
-    )
     return {
         "config": {
             "cell": cell, "input_size": input_size, "hidden": hidden,
             "layers": layers, "seq_len": seq_len, "batch": batch,
             "head": head, "mbs": mbs, "wavefront_tile": wavefront_tile,
             "iters": iters, "warmup": warmup, "seed": seed,
-            "modes": [list(m) for m in MODES],
+            "modes": [list(m) for m in LADDER.values()],
             "threaded_workers": n_workers, "sim_cores": sim_cores,
         },
         "results": {
-            "threaded": threaded,
-            "sim": sim,
-            "analysis": analysis,
+            "threaded": threaded_mode_times(
+                spec, seq_len, batch, LADDER,
+                mbs=mbs, n_workers=n_workers, wavefront_tile=wavefront_tile,
+                iters=iters, warmup=warmup, seed=seed,
+            ),
+            "sim": simulated_comparison(
+                spec, seq_len, batch,
+                mbs=mbs, n_cores=sim_cores, wavefront_tile=wavefront_tile,
+            ),
+            "analysis": wavefront_analysis_contrast(
+                spec, seq_len, batch, mbs=mbs, wavefront_tile=wavefront_tile,
+            ),
             "flops_conserved": gate_flops_conservation(spec, batch),
+        },
+    }
+
+
+def run_fused_bench(
+    cell: str = "lstm",
+    input_size: int = 1024,
+    hidden: int = 128,
+    layers: int = 2,
+    seq_len: int = 100,
+    batch: int = 32,
+    head: str = "many_to_one",
+    *,
+    mbs: int = 1,
+    iters: int = 5,
+    warmup: int = 1,
+    n_workers: Optional[int] = None,
+    sim_cores: Optional[int] = None,
+    proj_block: Optional[int] = None,
+    seed: int = 0,
+) -> Dict:
+    """One input-projection ablation point — threaded wall time plus the
+    simulated cost model — as ``{"config", "results"}``."""
+    spec = make_spec(cell, input_size, hidden, layers, head)
+    return {
+        "config": {
+            "cell": cell, "input_size": input_size, "hidden": hidden,
+            "layers": layers, "seq_len": seq_len, "batch": batch,
+            "head": head, "mbs": mbs, "proj_block": proj_block,
+            "iters": iters, "warmup": warmup, "seed": seed,
+            "modes": list(PROJECTION),
+            "threaded_workers": n_workers, "sim_cores": sim_cores,
+        },
+        "results": {
+            "threaded": threaded_mode_times(
+                spec, seq_len, batch, PROJECTION,
+                mbs=mbs, n_workers=n_workers, proj_block=proj_block,
+                iters=iters, warmup=warmup, seed=seed,
+            ),
+            "sim": simulated_projection_comparison(
+                spec, seq_len, batch,
+                mbs=mbs, n_cores=sim_cores, proj_block=proj_block,
+            ),
         },
     }

@@ -14,7 +14,7 @@ substrates equally, over two regimes:
   executor's transport overhead must cost at most 10 % (**≥0.9×**
   threaded).
 
-Both bars are asserted by ``tools/check_multiproc_report.py`` **only when
+Both bars are rows of :mod:`repro.harness.ledger`, enforced **only when
 the recording host had ≥2 cores** (``results.host_cores``); a speed-up
 from true parallelism is physically unmeasurable on one core, so
 single-core recordings are gated on schema, bitwise equivalence and the
@@ -28,25 +28,20 @@ Every run also records:
   survived the run (must be 0: the crash-safe cleanup epilogue is part of
   the perf contract, not just the fault tests).
 
-``benchmarks/bench_multiproc.py`` and the ``multiproc-bench`` CLI command
-both drive :func:`run_multiproc_bench`; the recorded baseline lives in
-``benchmarks/baselines/BENCH_multiproc.json``.
+``python -m repro bench multiproc`` drives :func:`run_multiproc_bench`.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.config import ExecutionConfig
-from repro.core.bpar import BParEngine
-from repro.harness.bench_json import summarize_times
-from repro.harness.fusionbench import make_spec
-from repro.models.params import BRNNParams
-from repro.models.spec import BRNNSpec
+from repro.harness.measure import (
+    interleaved_forward_times,
+    make_spec,
+    summarize_times,
+)
 from repro.runtime.shm import list_segments
 
 #: the two contrasted regimes: (name, fusion, fused_input_projection)
@@ -54,70 +49,6 @@ REGIMES = (
     ("gil_bound", "off", "off"),
     ("default", "gates", "off"),
 )
-
-#: the recorded-baseline configuration — the ISSUE's GIL-bound gate shape:
-#: spectrogram-scale BLSTM, T=100, under the paper's hybrid default mbs=4
-RECORD_CONFIG = dict(
-    cell="lstm", input_size=1024, hidden=128, layers=2,
-    seq_len=100, batch=32, head="many_to_one", mbs=4,
-)
-
-#: acceptance bars (enforced by tools/check_multiproc_report.py on
-#: multi-core recordings)
-MIN_GIL_BOUND_SPEEDUP = 1.3
-MIN_DEFAULT_SPEEDUP = 0.9
-
-
-def multiproc_times(
-    spec: BRNNSpec,
-    seq_len: int,
-    batch: int,
-    *,
-    mbs: int = 1,
-    n_workers: Optional[int] = None,
-    fusion: str = "off",
-    fused_input_projection: str = "off",
-    iters: int = 5,
-    warmup: int = 1,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Interleaved wall-clock samples of one inference batch per substrate.
-
-    Returns ``{"threaded": [...], "process": [...], "bitwise_identical":
-    bool}`` — the same batch, the same parameters, alternating substrates
-    each iteration so drift is shared.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((seq_len, batch, spec.input_size)).astype(np.float32)
-    params = BRNNParams.initialize(spec, seed=seed)
-    engines = {
-        name: BParEngine(
-            spec,
-            params=params,
-            config=ExecutionConfig(
-                executor=name, n_workers=n_workers, mbs=mbs,
-                fusion=fusion, fused_input_projection=fused_input_projection,
-            ),
-        )
-        for name in ("threaded", "process")
-    }
-    logits: Dict[str, np.ndarray] = {}
-    for _ in range(warmup):
-        for name, engine in engines.items():
-            logits[name] = engine.forward(x)
-    samples: Dict[str, List[float]] = {name: [] for name in engines}
-    for _ in range(iters):
-        for name, engine in engines.items():
-            t0 = time.perf_counter()
-            logits[name] = engine.forward(x)
-            samples[name].append(time.perf_counter() - t0)
-    return {
-        "threaded": samples["threaded"],
-        "process": samples["process"],
-        "bitwise_identical": (
-            logits["threaded"].tobytes() == logits["process"].tobytes()
-        ),
-    }
 
 
 def run_multiproc_bench(
@@ -135,27 +66,33 @@ def run_multiproc_bench(
     n_workers: Optional[int] = None,
     seed: int = 0,
 ) -> Dict:
-    """One full comparison point over both regimes, ready for
-    :func:`repro.harness.bench_json.write_bench_json`."""
+    """One full comparison point over both regimes, as
+    ``{"config", "results"}``."""
     spec = make_spec(cell, input_size, hidden, layers, head)
     segments_before = list_segments()
     regimes: Dict[str, Dict] = {}
     bitwise = True
     for name, fusion, proj in REGIMES:
-        raw = multiproc_times(
+        samples, logits = interleaved_forward_times(
             spec, seq_len, batch,
-            mbs=mbs, n_workers=n_workers,
-            fusion=fusion, fused_input_projection=proj,
+            {
+                substrate: ExecutionConfig(
+                    executor=substrate, n_workers=n_workers, mbs=mbs,
+                    fusion=fusion, fused_input_projection=proj,
+                )
+                for substrate in ("threaded", "process")
+            },
             iters=iters, warmup=warmup, seed=seed,
         )
-        bitwise = bitwise and raw["bitwise_identical"]
-        threaded = summarize_times(raw["threaded"])
-        process = summarize_times(raw["process"])
+        same_bits = logits["threaded"].tobytes() == logits["process"].tobytes()
+        bitwise = bitwise and same_bits
+        threaded = summarize_times(samples["threaded"])
+        process = summarize_times(samples["process"])
         regimes[name] = {
             "threaded": threaded,
             "process": process,
             "speedup_median": threaded["median_s"] / process["median_s"],
-            "bitwise_identical": raw["bitwise_identical"],
+            "bitwise_identical": same_bits,
         }
     leaked = [s for s in list_segments() if s not in segments_before]
     return {

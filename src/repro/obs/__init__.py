@@ -15,7 +15,7 @@ measured with:
 * :class:`Snapshot` / :class:`SnapshotLog` — periodic registry sampling,
   embeddable as Chrome-trace counter events
   (:mod:`repro.obs.snapshot`);
-* :mod:`repro.obs.report` — the ``python -m repro obs-report`` driver:
+* :mod:`repro.obs.report` — the ``python -m repro bench obs_overhead`` driver:
   locality-aware vs oblivious counter comparison on one graph, and the
   metrics-overhead bench behind ``BENCH_obs_overhead.json``.  (Imported
   on demand, not here: it pulls in the engines.)

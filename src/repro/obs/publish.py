@@ -166,7 +166,7 @@ def publish_plan_cache(registry: MetricsRegistry, stats: dict) -> None:
     ``stats()["last_compile_s"]`` is deliberately NOT published: it is
     wall-clock, and folding it into the registry would make otherwise
     bit-reproducible simulated serving reports differ between identical
-    runs.  Read it from ``PlanCache.stats()`` or the compile-bench JSON,
+    runs.  Read it from ``PlanCache.stats()`` or the ``compile`` bench JSON,
     where measurement jitter is expected.
     """
     for name, key, help_ in (

@@ -1,8 +1,6 @@
-"""The ``python -m repro obs-report`` driver.
+"""The ``obs_overhead`` suite's driver (``python -m repro bench obs_overhead``).
 
-Two halves, one JSON report (bench name ``obs_overhead``, envelope via
-:func:`repro.harness.bench_json.write_bench_json`, gated by
-``tools/check_obs_report.py``):
+Two halves, one report:
 
 * :func:`compare_policies` — run the *same* cost graph on the simulated
   machine under two scheduler policies (default locality-aware vs FIFO)
@@ -15,7 +13,8 @@ Two halves, one JSON report (bench name ``obs_overhead``, envelope via
   threaded engine with metrics disabled vs enabled, demonstrating that
   attaching a :class:`~repro.obs.registry.MetricsRegistry` stays within
   the ≤2 % budget (publication is one post-run pass over the trace, so
-  the hot path is untouched).
+  the hot path is untouched).  The budget itself is a row of
+  :mod:`repro.harness.ledger`, not of this module.
 
 Kept out of ``repro.obs.__init__`` on purpose: this module imports the
 engines, while the rest of ``repro.obs`` stays runtime-free.
@@ -23,33 +22,19 @@ engines, while the rest of ``repro.obs`` stays runtime-free.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional
-
-import numpy as np
+import statistics
+from typing import Dict, Optional
 
 from repro.config import ExecutionConfig
-from repro.core.bpar import BParEngine
 from repro.core.graph_builder import build_brnn_graph
-from repro.harness.bench_json import summarize_times
-from repro.models.params import BRNNParams
-from repro.models.spec import BRNNSpec
+from repro.harness.measure import (
+    interleaved_forward_times,
+    make_spec,
+    summarize_times,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.simexec import SimulatedExecutor
 from repro.simarch.presets import xeon_8160_2s
-
-#: the recorded-baseline overhead budget: metrics-on must cost at most
-#: this factor of the metrics-off median
-OVERHEAD_BUDGET = 1.02
-
-
-def _make_spec(
-    cell: str, input_size: int, hidden: int, layers: int, head: str = "many_to_one"
-) -> BRNNSpec:
-    return BRNNSpec(
-        cell=cell, input_size=input_size, hidden_size=hidden,
-        num_layers=layers, merge_mode="sum", head=head, num_classes=11,
-    )
 
 
 def compare_policies(
@@ -73,7 +58,7 @@ def compare_policies(
     the same batch; both see the identical task graph.
     """
     graph = build_brnn_graph(
-        _make_spec(cell, input_size, hidden, layers),
+        make_spec(cell, input_size, hidden, layers),
         seq_len=seq_len, batch=batch, mbs=mbs, training=training,
     ).graph
     machine = xeon_8160_2s()
@@ -129,7 +114,7 @@ def format_comparison(report: Dict, policy: str, compare: str) -> str:
     g = report["graph"]
     width = max(len(name) for name, _ in rows)
     lines = [
-        f"obs-report: {g['n_tasks']} tasks "
+        f"policy comparison: {g['n_tasks']} tasks "
         f"({g['cell']} {g['layers']}x{g['hidden']}h, T={g['seq_len']}, "
         f"B={g['batch']}, mbs={g['mbs']}) on {g['n_cores']} simulated cores",
         f"{'':{width}}  {policy:>14}  {compare:>14}",
@@ -158,62 +143,35 @@ def measure_overhead(
     iters: int = 9,
     warmup: int = 2,
     seed: int = 0,
-    budget: float = OVERHEAD_BUDGET,
 ) -> Dict:
     """Threaded-inference wall time, metrics disabled vs enabled.
 
-    Samples are interleaved round-robin (as in
-    :func:`repro.harness.fusedbench.threaded_inference_times`) so host
-    noise hits both variants equally, and the reported ``overhead_ratio``
-    is the *median of per-round paired ratios* — each round's
-    enabled/disabled pair ran back to back, so thermal and tenancy drift
-    cancel within the pair instead of inflating the ratio of two
-    pooled medians.
+    The reported ``overhead_ratio`` is the *median of per-round paired
+    ratios* — each round's enabled/disabled pair ran back to back
+    (:func:`repro.harness.measure.interleaved_forward_times`), so thermal
+    and tenancy drift cancel within the pair instead of inflating the
+    ratio of two pooled medians.
     """
-    spec = _make_spec(cell, input_size, hidden, layers)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((seq_len, batch, spec.input_size)).astype(np.float32)
-    params = BRNNParams.initialize(spec, seed=seed)
     registry = MetricsRegistry()
     base = dict(executor="threaded", n_workers=n_workers, mbs=mbs)
-    engines = {
-        "disabled": BParEngine(
-            spec, params=params, config=ExecutionConfig(**base)
-        ),
-        "enabled": BParEngine(
-            spec, params=params, config=ExecutionConfig(**base, metrics=registry)
-        ),
-    }
-    for _ in range(warmup):
-        for engine in engines.values():
-            engine.forward(x)
-    samples: Dict[str, List[float]] = {name: [] for name in engines}
-    order = list(engines)
-    for i in range(iters):
-        # Alternate within-round order so neither variant systematically
-        # runs first (the first run of a round sees colder caches).
-        for name in order if i % 2 == 0 else reversed(order):
-            t0 = time.perf_counter()
-            engines[name].forward(x)
-            samples[name].append(time.perf_counter() - t0)
+    samples, _ = interleaved_forward_times(
+        make_spec(cell, input_size, hidden, layers), seq_len, batch,
+        {
+            "disabled": ExecutionConfig(**base),
+            "enabled": ExecutionConfig(**base, metrics=registry),
+        },
+        iters=iters, warmup=warmup, seed=seed,
+    )
     disabled = summarize_times(samples["disabled"])
     enabled = summarize_times(samples["enabled"])
-    paired = sorted(
+    ratio = statistics.median(
         e / d for d, e in zip(samples["disabled"], samples["enabled"])
-    )
-    mid = len(paired) // 2
-    ratio = (
-        paired[mid]
-        if len(paired) % 2
-        else 0.5 * (paired[mid - 1] + paired[mid])
     )
     return {
         "disabled": disabled,
         "enabled": enabled,
         "overhead_ratio": ratio,
         "median_ratio": enabled["median_s"] / disabled["median_s"],
-        "budget": budget,
-        "within_budget": ratio <= budget,
         "metric_names": len(registry.names()),
         "config": {
             "cell": cell, "input_size": input_size, "hidden": hidden,
@@ -236,14 +194,9 @@ def run_obs_report(
     warmup: int = 2,
     seed: int = 0,
     overhead: bool = True,
-    overhead_budget: float = OVERHEAD_BUDGET,
 ) -> Dict:
-    """The full obs report: policy comparison + (optionally) overhead A/B.
-
-    Returns ``{"config", "results"}`` ready for
-    :func:`repro.harness.bench_json.write_bench_json` under bench name
-    ``"obs_overhead"``.
-    """
+    """The full obs report — policy comparison + (optionally) overhead
+    A/B — as ``{"config", "results"}``."""
     comparison = compare_policies(
         policy, compare, n_cores=n_cores, mbs=mbs, seq_len=seq_len, batch=batch
     )
@@ -252,7 +205,6 @@ def run_obs_report(
         results["overhead"] = measure_overhead(
             seq_len=seq_len, mbs=max(1, mbs // 2),
             iters=iters, warmup=warmup, seed=seed,
-            budget=overhead_budget,
         )
     return {
         "config": {

@@ -23,7 +23,7 @@ overhead and warm plan hit rate.
 
 See ``docs/SERVING.md`` for the architecture, and
 ``python -m repro serve-bench`` /
-``python -m repro fleet-bench`` for the arrival-rate sweeps and the
+``python -m repro bench fleet`` for the arrival-rate sweeps and the
 fleet soak benchmark.
 """
 

@@ -11,8 +11,7 @@ queue bounds — accepted by :class:`~repro.serve.server.Server`,
 parameter.
 
 :func:`add_serve_args` / :func:`serve_config_from_args` are the argparse
-half: ``serve-bench`` and ``fleet-bench`` share one serving flag group
-instead of re-declaring flags.
+half: the serving flag group of ``serve-bench``.
 
 :meth:`ServeConfig.fingerprint` feeds the engine plan-cache key (via
 ``InferenceEngine(serve_config=...)``), so compiled plans warmed for one
@@ -182,8 +181,8 @@ class ServeConfig:
 def add_serve_args(parser: argparse.ArgumentParser) -> None:
     """The one shared "serving options" argparse group.
 
-    ``serve-bench`` and ``fleet-bench`` both read these flags;
-    :func:`serve_config_from_args` turns the parsed namespace back into a
+    ``serve-bench`` reads these flags; :func:`serve_config_from_args`
+    turns the parsed namespace back into a one-replica
     :class:`ServeConfig` (and :func:`workload_config_from_args` into the
     matching :class:`~repro.serve.loadgen.WorkloadConfig`).
     """
@@ -206,10 +205,6 @@ def add_serve_args(parser: argparse.ArgumentParser) -> None:
                    help="flush-and-wait or continuous (work-conserving) batching")
     g.add_argument("--queue-capacity", type=int, default=128)
     g.add_argument("--queue-policy", choices=QUEUE_POLICIES, default="reject")
-    g.add_argument("--replicas", type=int, default=4,
-                   help="(fleet-bench) engine replicas in the pool")
-    g.add_argument("--router", choices=ROUTER_POLICIES, default="least_loaded",
-                   help="(fleet-bench) replica routing policy")
     g.add_argument("--tenants", type=int, default=1,
                    help="tenants the workload round-robins requests over")
     g.add_argument("--tenant-rate", type=float, default=None,
@@ -221,13 +216,9 @@ def add_serve_args(parser: argparse.ArgumentParser) -> None:
                    help="skip per-shape compiled-plan warmup at fleet start")
 
 
-def serve_config_from_args(
-    args: argparse.Namespace, **overrides
-) -> ServeConfig:
+def serve_config_from_args(args: argparse.Namespace) -> ServeConfig:
     """:class:`ServeConfig` from an :func:`add_serve_args` namespace."""
-    cfg = ServeConfig(
-        replicas=args.replicas,
-        router=args.router,
+    return ServeConfig(
         batcher=args.batcher,
         tenant_rate_hz=args.tenant_rate,
         tenant_burst=args.tenant_burst,
@@ -239,7 +230,6 @@ def serve_config_from_args(
         bucket_width=args.bucket_width,
         warmup=not args.no_warmup,
     )
-    return cfg.replace(**overrides) if overrides else cfg
 
 
 def workload_config_from_args(

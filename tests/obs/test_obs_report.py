@@ -1,9 +1,8 @@
-"""The obs-report driver: policy counter comparison and the overhead A/B."""
+"""The obs_overhead driver: policy counter comparison and the overhead A/B."""
 
 import pytest
 
 from repro.obs.report import (
-    OVERHEAD_BUDGET,
     compare_policies,
     format_comparison,
     measure_overhead,
@@ -52,44 +51,32 @@ def test_format_comparison_prints_counter_rows():
     assert "locality" in text and "fifo" in text
 
 
-#: live-measurement slack for shared/noisy hosts — same split as the
-#: Makefile's SMOKE_OBS_BUDGET: the committed baseline is the strict ≤2 %
-#: record, freshly-measured runs get tenancy slack
-LIVE_BUDGET = 1.10
-
-
 def test_measure_overhead_shape_and_budget():
-    # Shape only: the measured ratio is wall-clock, so the budget itself is
-    # enforced by `make smoke-obs` (tools/check_obs_report.py), not here.
+    # Shape only: the measured ratio is wall-clock, so the budget is a bar
+    # of suite obs_overhead (repro.harness.ledger) gated by `make
+    # smoke-obs`, not here.
     result = measure_overhead(
         input_size=64, hidden=64, seq_len=30, batch=16,
-        mbs=1, n_workers=2, iters=5, warmup=1, budget=LIVE_BUDGET,
+        mbs=1, n_workers=2, iters=5, warmup=1,
     )
     assert result["overhead_ratio"] > 0
-    assert result["budget"] == LIVE_BUDGET
     assert result["metric_names"] > 0
     for half in ("disabled", "enabled"):
         assert result[half]["median_s"] > 0
-    assert result["within_budget"] == (
-        result["overhead_ratio"] <= result["budget"]
-    )
+        assert result[half]["n"] == 5
 
 
 def test_committed_baseline_holds_the_two_percent_claim():
     """The acceptance-criteria record: metrics within 2 % on the threaded
-    bench, as regenerated by ``python -m repro obs-report --output``."""
-    import json
+    bench, as recorded by ``python -m repro bench obs_overhead --record``."""
     from pathlib import Path
 
-    baseline = (
-        Path(__file__).resolve().parents[2]
-        / "benchmarks" / "baselines" / "BENCH_obs_overhead.json"
-    )
-    report = json.loads(baseline.read_text())
-    overhead = report["results"]["overhead"]
-    assert overhead["budget"] == OVERHEAD_BUDGET == 1.02
-    assert overhead["overhead_ratio"] <= OVERHEAD_BUDGET
-    assert overhead["within_budget"] is True
+    from repro.harness.ledger import baseline_path, check_report, load_report
+
+    root = Path(__file__).resolve().parents[2]
+    report = load_report(str(root / baseline_path("obs_overhead")))
+    assert check_report(report) == []
+    assert report["results"]["overhead"]["overhead_ratio"] <= 1.02
 
 
 def test_run_obs_report_envelope_without_overhead():
@@ -101,13 +88,3 @@ def test_run_obs_report_envelope_without_overhead():
     assert point["config"]["overhead"] is False
     assert "comparison" in point["results"]
     assert "overhead" not in point["results"]
-
-
-def test_run_obs_report_custom_budget_is_recorded():
-    point = run_obs_report(
-        "locality", "fifo", n_cores=8, mbs=2, seq_len=8, batch=4,
-        iters=1, warmup=0, overhead_budget=9.0,
-    )
-    overhead = point["results"]["overhead"]
-    assert overhead["budget"] == 9.0
-    assert overhead["within_budget"] == (overhead["overhead_ratio"] <= 9.0)

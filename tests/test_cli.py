@@ -57,7 +57,7 @@ def test_serve_bench_emits_json_report(capsys, tmp_path):
 def test_analyze_command_emits_valid_bench_json(capsys, tmp_path):
     import json
 
-    from repro.harness.bench_json import load_bench_json
+    from repro.harness.ledger import check_report, load_report
 
     out_file = tmp_path / "analysis.json"
     assert main([
@@ -67,7 +67,8 @@ def test_analyze_command_emits_valid_bench_json(capsys, tmp_path):
     ]) == 0
     out = capsys.readouterr().out
     assert "graphlint" in out and "serialization debt" in out
-    report = load_bench_json(str(out_file))  # validates the envelope
+    report = load_report(str(out_file))
+    assert check_report(report) == []  # envelope + schema + bars
     assert report["bench"] == "graph_analysis"
     results = report["results"]
     assert results["graphlint"]["ok"] is True
@@ -90,21 +91,25 @@ def test_analyze_command_fails_on_lint_findings(capsys, tmp_path):
 
 
 def test_obs_report_emits_valid_bench_json(capsys, tmp_path):
-    from repro.harness.bench_json import load_bench_json
+    from repro.harness.ledger import load_report, make_report, write_report
+    from repro.obs.report import format_comparison, run_obs_report
 
     out_file = tmp_path / "obs.json"
-    # --no-overhead: the comparison half is deterministic (simulated
-    # machine); the wall-time A/B half is covered by tests/obs and the
-    # committed baseline gate.
-    assert main([
-        "obs-report", "--policy", "locality", "--compare", "fifo",
-        "--cores", "8", "--seq-len", "8", "--batch", "4", "--mbs", "2",
-        "--no-overhead", "--output", str(out_file),
-    ]) == 0
-    out = capsys.readouterr().out
+    # overhead=False: the comparison half is deterministic (simulated
+    # machine); the wall-time A/B half is covered by `make smoke-obs` and
+    # the committed baseline gate.
+    point = run_obs_report(
+        "locality", "fifo", n_cores=8, seq_len=8, batch=4, mbs=2,
+        overhead=False,
+    )
+    out = format_comparison(point["results"]["comparison"], "locality", "fifo")
     assert "locality_hit_rate" in out
     assert "speedup" in out
-    report = load_bench_json(str(out_file))  # validates the envelope
+    write_report(
+        str(out_file),
+        make_report("obs_overhead", point["config"], point["results"]),
+    )
+    report = load_report(str(out_file))
     assert report["bench"] == "obs_overhead"
     policies = report["results"]["comparison"]["policies"]
     assert set(policies) == {"locality", "fifo"}
@@ -119,9 +124,9 @@ def test_serve_bench_and_obs_report_share_execution_flags():
     from repro.__main__ import build_parser
 
     parser = build_parser()
-    # One shared "execution options" group: both subcommands accept the
+    # One shared "execution options" group: every subcommand accepts the
     # same substrate flags without re-declaring them.
-    for cmd in ("serve-bench", "obs-report"):
+    for cmd in ("serve-bench", "bench"):
         args = parser.parse_args(
             [cmd, "--executor", "sim", "--cores", "4", "--mbs", "2",
              "--scheduler", "fifo", "--seed", "1"]

@@ -19,13 +19,9 @@ claim:
    configs replayed through the dynamic race checker with zero
    findings.
 
-Standalone by design: reads the certificate JSON directly, no
-``PYTHONPATH=src`` needed, so a broken repro package cannot take the
-certificate *checker* down with it.
-
 Usage::
 
-    python tools/check_verify.py VERIFY_CERT.json [--min-samples 8] [--min-families 96]
+    PYTHONPATH=src python tools/check_verify.py VERIFY_CERT.json [--min-samples 8] [--min-families 96]
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from _reportlib import check_schema, finish, load_report, lookup
+from repro.harness.ledger import check_schema, finish, load_report
 
 CERT_FORMAT = "repro.cert.v1"
 
@@ -74,9 +70,8 @@ def main(argv=None) -> int:
     errors: list = []
     try:
         cert = load_report(args.cert)
-    except (OSError, ValueError) as exc:
-        print(f"SCHEMA ERROR: {args.cert}: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        return finish([str(exc)], [])
 
     check_schema(cert, CERT_SCHEMA, "cert", errors)
     if errors:
