@@ -106,7 +106,8 @@ smoke-mp:
 # shrink / widen properties, then the full 96-family certificate
 # end-to-end through the real CLI (--strict: any uncertified family,
 # missed mutation, or dynamic cross-validation finding is nonzero),
-# then the certificate gate
+# then the certificate gate, then the conformance cells the certificate
+# lets tier-1 skip (`addopts` deselects the `certified` marker)
 smoke-verify:
 	$(PYTHON) -m pytest tests/analysis/test_symbolic.py \
 		tests/analysis/test_verify.py \
@@ -114,6 +115,7 @@ smoke-verify:
 	$(PYTHON) -m repro analyze --skip-graph --verify --strict \
 		--verify-output $(TMP)_verify_cert.json
 	$(PYTHON) tools/check_verify.py $(TMP)_verify_cert.json
+	$(PYTHON) -m pytest -m certified -x -q
 
 # fleet-serving smoke: the serve-layer unit tests (config, router,
 # admission, continuous batching, fleet loop), then the calibrated soak

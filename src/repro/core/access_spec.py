@@ -4,9 +4,12 @@ Every task the graph builder emits is stamped with a *family* id
 (``meta["family"] = "kind@build_site"``).  This module records, for each
 family, the region keys the family's **kernel** actually touches — an
 independent, hand-audited transcription of the payload factories in
-:mod:`repro.core.graph_builder` (``_fn_cell_fwd`` reads its ``zx``/input
-slot, the weight panel, and the carried state; ``_fn_proj_bwd``
-accumulates into the input rows ``dW[:I]`` only; …).
+:mod:`repro.core.graph_builder` (``_fn_cell_fwd_tile`` reads the
+``zx``/input slot of every step ``[lo, hi)`` it covers, the weight panel,
+and the state carried in from below ``lo``; ``_fn_proj_bwd`` accumulates
+into the input rows ``dW[:I]`` only; …).  A cell task is a chain tile of
+one step unless ``fusion="wavefront"``, so one forward and one backward
+cell rule cover every tile length.
 
 The symbolic verifier (:mod:`repro.analysis.verify`) replays this table
 against a built graph and proves two things task by task:
@@ -101,25 +104,6 @@ def _proj(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     )
 
 
-def _cell_fwd_step(meta: Mapping, ctx: AccessContext) -> AccessDecl:
-    mb, layer, d, step = meta["mb"], meta["layer"], meta["dir"], meta["step"]
-    T = ctx.seq_len
-    fused = ctx.fused_layers[layer]
-    pos = step if d == "fwd" else T - 1 - step
-    ins: List[Key] = [
-        ("zx", mb, layer, d, pos) if fused else _in_key(mb, layer, pos),
-        ("W", layer, d),
-    ]
-    if step > 0:
-        ins.append(("h", mb, layer, d, step - 1))
-    if ctx.serial_dirs and d == "rev" and step == 0:
-        ins.append(("h", mb, layer, "fwd", T - 1))
-    outs: List[Key] = [("h", mb, layer, d, step)]
-    if not fused or ctx.training:
-        outs.append(("cache", mb, layer, d, step))
-    return AccessDecl(ins=tuple(ins), outs=tuple(outs))
-
-
 def _cell_fwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     mb, layer, d = meta["mb"], meta["layer"], meta["dir"]
     lo, hi = meta["lo"], meta["hi"]
@@ -193,29 +177,6 @@ def _merge_last_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     )
 
 
-def _cell_bwd_step(meta: Mapping, ctx: AccessContext) -> AccessDecl:
-    mb, layer, d, step = meta["mb"], meta["layer"], meta["dir"], meta["step"]
-    T = ctx.seq_len
-    fused = ctx.fused_layers[layer]
-    ins: List[Key] = [
-        ("dh", mb, layer, d, step),
-        ("cache", mb, layer, d, step),
-        ("W", layer, d),
-    ]
-    if ctx.serial_dirs and d == "rev" and step == T - 1:
-        ins.append(("gW", mb, layer, "fwd"))
-    inouts: List[Key] = [("gW", mb, layer, d)]
-    if step > 0:
-        inouts.append(("dh", mb, layer, d, step - 1))
-    outs: List[Key] = []
-    pos = step if d == "fwd" else T - 1 - step
-    if fused:
-        outs.append(("dz", mb, layer, d, pos))
-    elif layer > 0:
-        inouts.append(("dm", mb, layer - 1, pos))
-    return AccessDecl(ins=tuple(ins), outs=tuple(outs), inouts=tuple(inouts))
-
-
 def _cell_bwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     mb, layer, d = meta["mb"], meta["layer"], meta["dir"]
     lo, hi = meta["lo"], meta["hi"]
@@ -287,16 +248,14 @@ def _weight_update(meta: Mapping, ctx: AccessContext) -> AccessDecl:
 #: :meth:`_Builder._add` stamps them.
 FAMILIES: Dict[str, Callable[[Mapping, AccessContext], AccessDecl]] = {
     "proj@_build_proj_tasks": _proj,
-    "cell@_build_forward_layer_steps": _cell_fwd_step,
-    "cell@_build_forward_chain_tiles": _cell_fwd_tile,
+    "cell@_build_forward_layer": _cell_fwd_tile,
     "merge@_build_forward_layer_outputs": _merge,
     "merge@_build_head": _merge_last,
     "head@_build_head": _head,
     "loss@_build_head": _loss,
     "head_bwd@_build_backward_head": _head_bwd,
     "merge_bwd@_build_backward_head": _merge_last_bwd,
-    "cell_bwd@_build_backward_layer_steps": _cell_bwd_step,
-    "cell_bwd@_build_backward_chain_tiles": _cell_bwd_tile,
+    "cell_bwd@_build_backward_layer": _cell_bwd_tile,
     "proj_bwd@_build_proj_bwd_tasks": _proj_bwd,
     "merge_bwd@_build_backward_layer_outputs": _merge_bwd,
     "weight_update@_build_updates": _weight_update,

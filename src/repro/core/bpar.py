@@ -23,10 +23,17 @@ from repro.runtime.executor import ThreadedExecutor
 from repro.runtime.trace import ExecutionTrace
 
 
+def _host_workers(config: ExecutionConfig) -> int:
+    """``n_workers``, or the host's core count (capped: tasks are GEMM-bound)."""
+    if config.n_workers is not None:
+        return config.n_workers
+    return min(8, os.cpu_count() or 1)
+
+
 def default_executor(config: Optional[ExecutionConfig] = None) -> ThreadedExecutor:
     """Threaded executor sized to the host (capped: tasks are GEMM-bound)."""
     cfg = config if config is not None else ExecutionConfig()
-    n = cfg.n_workers if cfg.n_workers is not None else min(8, os.cpu_count() or 1)
+    n = _host_workers(cfg)
     return ThreadedExecutor(
         n, scheduler_factory=cfg.scheduler, metrics=cfg.metrics, hooks=cfg.hooks
     )
@@ -48,9 +55,8 @@ def resolve_executor(config: ExecutionConfig):
     if ex == "process":
         from repro.runtime.mpexec import MultiprocessExecutor
 
-        n = config.n_workers if config.n_workers is not None else min(8, os.cpu_count() or 1)
         return MultiprocessExecutor(
-            n,
+            _host_workers(config),
             scheduler_factory=config.scheduler,
             metrics=config.metrics,
             hooks=config.hooks,
@@ -124,84 +130,9 @@ class BParEngine:
 
     # -- functional execution ---------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Inference on one batch ``x (T, B, input_size)``; returns logits."""
-        result = build_brnn_graph(
-            self.spec,
-            x=x,
-            params=self.params,
-            training=False,
-            mbs=self._effective_mbs(x.shape[1]),
-            barrier_free=self.barrier_free,
-            serialize_chunks=self.serialize_chunks,
-            fused_input_projection=self.fused_input_projection,
-            proj_block=self.proj_block,
-            fusion=self.fusion,
-            wavefront_tile=self.wavefront_tile,
-        )
-        self.last_trace = self.executor.run(result.graph)
-        self.last_result = result
-        return result.logits()
-
-    def train_batch(self, x: np.ndarray, labels: np.ndarray, lr: float = 0.05) -> float:
-        """One SGD step on one batch; returns the batch mean loss.
-
-        Forward, backward, gradient reduction across mini-batch chunks, and
-        the weight update all run inside a single barrier-free task graph.
-        """
-        result = build_brnn_graph(
-            self.spec,
-            x=x,
-            labels=labels,
-            params=self.params,
-            training=True,
-            lr=lr,
-            mbs=self._effective_mbs(x.shape[1]),
-            barrier_free=self.barrier_free,
-            serialize_chunks=self.serialize_chunks,
-            momentum=self.momentum,
-            velocity=self.velocity,
-            fused_input_projection=self.fused_input_projection,
-            proj_block=self.proj_block,
-            fusion=self.fusion,
-            wavefront_tile=self.wavefront_tile,
-        )
-        self.last_trace = self.executor.run(result.graph)
-        self.last_result = result
-        return result.mean_loss()
-
-    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
-        """Loss + combined gradients without updating weights (for tests)."""
-        result = build_brnn_graph(
-            self.spec,
-            x=x,
-            labels=labels,
-            params=self.params,
-            training=True,
-            mbs=self._effective_mbs(x.shape[1]),
-            barrier_free=self.barrier_free,
-            update_weights=False,
-            serialize_chunks=self.serialize_chunks,
-            fused_input_projection=self.fused_input_projection,
-            proj_block=self.proj_block,
-            fusion=self.fusion,
-            wavefront_tile=self.wavefront_tile,
-        )
-        self.last_trace = self.executor.run(result.graph)
-        self.last_result = result
-        return result.mean_loss(), result.logits(), result.combined_grads()
-
-    # -- cost-only graphs (simulated timing studies) ------------------------------
-
-    def build_cost_graph(
-        self, seq_len: int, batch: int, training: bool = True
-    ) -> GraphBuildResult:
-        """Annotation-only graph of one batch for the simulated executor."""
-        return build_brnn_graph(
-            self.spec,
-            seq_len=seq_len,
-            batch=batch,
-            training=training,
+    def _build(self, **overrides) -> GraphBuildResult:
+        """:func:`build_brnn_graph` with this engine's builder settings."""
+        kwargs = dict(
             mbs=self.mbs,
             barrier_free=self.barrier_free,
             serialize_chunks=self.serialize_chunks,
@@ -210,3 +141,42 @@ class BParEngine:
             fusion=self.fusion,
             wavefront_tile=self.wavefront_tile,
         )
+        kwargs.update(overrides)
+        return build_brnn_graph(self.spec, **kwargs)
+
+    def _run(self, x: np.ndarray, **overrides) -> GraphBuildResult:
+        """Build the functional graph of batch ``x`` and execute it."""
+        result = self._build(
+            x=x, params=self.params, mbs=self._effective_mbs(x.shape[1]), **overrides
+        )
+        self.last_trace = self.executor.run(result.graph)
+        self.last_result = result
+        return result
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference on one batch ``x (T, B, input_size)``; returns logits."""
+        return self._run(x, training=False).logits()
+
+    def train_batch(self, x: np.ndarray, labels: np.ndarray, lr: float = 0.05) -> float:
+        """One SGD step on one batch; returns the batch mean loss.
+
+        Forward, backward, gradient reduction across mini-batch chunks, and
+        the weight update all run inside a single barrier-free task graph.
+        """
+        result = self._run(
+            x, labels=labels, lr=lr, momentum=self.momentum, velocity=self.velocity
+        )
+        return result.mean_loss()
+
+    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
+        """Loss + combined gradients without updating weights (for tests)."""
+        result = self._run(x, labels=labels, update_weights=False)
+        return result.mean_loss(), result.logits(), result.combined_grads()
+
+    # -- cost-only graphs (simulated timing studies) ------------------------------
+
+    def build_cost_graph(
+        self, seq_len: int, batch: int, training: bool = True
+    ) -> GraphBuildResult:
+        """Annotation-only graph of one batch for the simulated executor."""
+        return self._build(seq_len=seq_len, batch=batch, training=training)

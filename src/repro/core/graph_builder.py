@@ -9,6 +9,12 @@ through :class:`~repro.runtime.task.Region` annotations exactly as the
 paper's ``#pragma omp task in(...) out(...)`` lines do; the runtime derives
 the DAG of Fig. 2 from them.
 
+Each (layer, direction) cell chain is cut into tiles of consecutive steps,
+one task per tile, by one emitter per pass (``_build_forward_layer`` /
+``_build_backward_layer``).  The tile is a single step — the paper's task
+per cell update — unless ``fusion="wavefront"`` lengthens it to
+``wavefront_tile`` steps.
+
 Two modes:
 
 * **functional** (``x`` given) — payload closures execute the real NumPy
@@ -86,6 +92,16 @@ SHIPPED_REGION_KINDS = frozenset(
 #: readback (:meth:`GraphBuildResult.logits`) works; losses travel through
 #: the side-state channel (:meth:`GraphBuildResult.export_side_state`).
 PARENT_REGION_KINDS = frozenset({"logits"})
+
+#: ChunkState grids behind each per-(layer, direction, index) slot kind;
+#: the attribute is the stem plus ``_f``/``_r`` for the direction
+_GRID_ATTRS = {
+    "h": ("h", "c"),
+    "dh": ("dh", "dc"),
+    "cache": ("cache",),
+    "zx": ("zx",),
+    "dz": ("dz",),
+}
 
 #: lazily-assigned per-slot row attributes, by region kind
 _ROW_ATTRS = {
@@ -214,54 +230,6 @@ class GraphBuildResult:
             _, mb = key
             gh = self.chunks[mb].grads.head
             return (gh.W, gh.b)
-        if kind in ("h", "dh"):
-            _, mb, layer, d, step = key
-            state = self.chunks[mb]
-            if kind == "h":
-                h = (state.h_f if d == "fwd" else state.h_r)[layer][step]
-                c = (state.c_f if d == "fwd" else state.c_r)[layer][step]
-            else:
-                h = (state.dh_f if d == "fwd" else state.dh_r)[layer][step]
-                c = (state.dc_f if d == "fwd" else state.dc_r)[layer][step]
-            if spec.cell != "lstm":
-                c = None
-            return tuple(a for a in (h, c) if a is not None)
-        if kind == "cache":
-            _, mb, layer, d, step = key
-            state = self.chunks[mb]
-            slot = (state.cache_f if d == "fwd" else state.cache_r)[layer][step]
-            if slot is None:
-                return ()
-            return tuple(
-                a for a in vars(slot).values() if isinstance(a, np.ndarray)
-            )
-        if kind in ("zx", "dz"):
-            _, mb, layer, d, pos = key
-            state = self.chunks[mb]
-            grids = {
-                "zx": (state.zx_f, state.zx_r),
-                "dz": (state.dz_f, state.dz_r),
-            }[kind]
-            slot = (grids[0] if d == "fwd" else grids[1])[layer][pos]
-            return (slot,) if slot is not None else ()
-        if kind in ("m", "dm"):
-            _, mb, layer, t = key
-            state = self.chunks[mb]
-            grid = state.merged if kind == "m" else state.dmerged
-            slot = grid[layer][t]
-            return (slot,) if slot is not None else ()
-        if kind in ("mlast", "logits", "dlogits", "dmlast"):
-            _, mb, slot_idx = key
-            state = self.chunks[mb]
-            attr = {
-                "mlast": "last_merged",
-                "logits": "logits",
-                "dlogits": "dlogits",
-                "dmlast": "dlast_merged",
-            }[kind]
-            rows = getattr(state, attr, None)  # dlast_merged: training only
-            row = rows[slot_idx] if rows is not None else None
-            return (row,) if row is not None else ()
         if kind == "vel":
             if self.velocity is None:
                 return ()
@@ -272,6 +240,36 @@ class GraphBuildResult:
             return (vp.W, vp.b)
         if kind == "serial":
             return ()
+        arrays = []
+        for row, i in self._slots(key):
+            value = row[i]
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif value is not None:  # a cell cache: its array fields
+                arrays += [a for a in vars(value).values() if isinstance(a, np.ndarray)]
+        return tuple(arrays)
+
+    def _slots(self, key) -> list:
+        """``(row, index)`` list cells of the ChunkState slots behind ``key``.
+
+        The one region-key → ChunkState-slot decision: :meth:`region_storage`
+        reads through these cells, :meth:`export_region` copies them out and
+        :meth:`import_region` assigns into them.  A slot not yet materialised
+        holds ``None``.
+        """
+        kind = key[0]
+        if kind in _GRID_ATTRS:
+            _, mb, layer, d, index = key
+            state, suffix = self.chunks[mb], "_f" if d == "fwd" else "_r"
+            return [(getattr(state, stem + suffix)[layer], index) for stem in _GRID_ATTRS[kind]]
+        if kind in ("m", "dm"):
+            _, mb, layer, t = key
+            state = self.chunks[mb]
+            return [((state.merged if kind == "m" else state.dmerged)[layer], t)]
+        if kind in _ROW_ATTRS:
+            _, mb, slot = key
+            rows = getattr(self.chunks[mb], _ROW_ATTRS[kind], None)  # dlast_merged: training only
+            return [(rows, slot)] if rows is not None else []
         raise KeyError(f"unknown region key vocabulary: {key!r}")
 
     # -- symbolic region metadata (static verifier) -----------------------------
@@ -457,6 +455,14 @@ class GraphBuildResult:
         """Shipped kinds the manager imports for result readback."""
         return PARENT_REGION_KINDS
 
+    def _shipped_slots(self, key) -> list:
+        """:meth:`_slots` of a key whose kind travels between processes."""
+        if not self.functional:
+            raise RuntimeError("cost-only graphs carry no data to ship")
+        if key[0] not in SHIPPED_REGION_KINDS:
+            raise KeyError(f"region kind {key[0]!r} is not shipped between processes")
+        return self._slots(key)
+
     def export_region(self, key):
         """Picklable payload of one lazily-materialised region slot.
 
@@ -464,72 +470,17 @@ class GraphBuildResult:
         the slot's writer; :meth:`import_region` installs the payload in
         any process that reads it.  Only keys whose kind is in
         :data:`SHIPPED_REGION_KINDS` are meaningful here — preallocated
-        storage is shared in place and never exported.
+        storage is shared in place and never exported.  The payload is the
+        slot's value, or the ``(h, c)`` pair for the two-slot ``h`` kind.
         """
-        if not self.functional:
-            raise RuntimeError("cost-only graphs carry no data to export")
-        kind = key[0]
-        if kind == "h":
-            _, mb, layer, d, step = key
-            state = self.chunks[mb]
-            h = (state.h_f if d == "fwd" else state.h_r)[layer][step]
-            c = (state.c_f if d == "fwd" else state.c_r)[layer][step]
-            return (h, c)
-        if kind == "cache":
-            _, mb, layer, d, step = key
-            state = self.chunks[mb]
-            return (state.cache_f if d == "fwd" else state.cache_r)[layer][step]
-        if kind in ("zx", "dz"):
-            _, mb, layer, d, pos = key
-            state = self.chunks[mb]
-            grids = {
-                "zx": (state.zx_f, state.zx_r),
-                "dz": (state.dz_f, state.dz_r),
-            }[kind]
-            return (grids[0] if d == "fwd" else grids[1])[layer][pos]
-        if kind == "m":
-            _, mb, layer, t = key
-            return self.chunks[mb].merged[layer][t]
-        if kind in _ROW_ATTRS:
-            _, mb, slot = key
-            return getattr(self.chunks[mb], _ROW_ATTRS[kind])[slot]
-        raise KeyError(f"region kind {kind!r} is not shipped between processes")
+        values = tuple(row[i] for row, i in self._shipped_slots(key))
+        return values if key[0] == "h" else values[0]
 
     def import_region(self, key, payload) -> None:
         """Install a payload produced by :meth:`export_region` elsewhere."""
-        if not self.functional:
-            raise RuntimeError("cost-only graphs carry no data to import")
-        kind = key[0]
-        if kind == "h":
-            _, mb, layer, d, step = key
-            state = self.chunks[mb]
-            h, c = payload
-            (state.h_f if d == "fwd" else state.h_r)[layer][step] = h
-            (state.c_f if d == "fwd" else state.c_r)[layer][step] = c
-            return
-        if kind == "cache":
-            _, mb, layer, d, step = key
-            state = self.chunks[mb]
-            (state.cache_f if d == "fwd" else state.cache_r)[layer][step] = payload
-            return
-        if kind in ("zx", "dz"):
-            _, mb, layer, d, pos = key
-            state = self.chunks[mb]
-            grids = {
-                "zx": (state.zx_f, state.zx_r),
-                "dz": (state.dz_f, state.dz_r),
-            }[kind]
-            (grids[0] if d == "fwd" else grids[1])[layer][pos] = payload
-            return
-        if kind == "m":
-            _, mb, layer, t = key
-            self.chunks[mb].merged[layer][t] = payload
-            return
-        if kind in _ROW_ATTRS:
-            _, mb, slot = key
-            getattr(self.chunks[mb], _ROW_ATTRS[kind])[slot] = payload
-            return
-        raise KeyError(f"region kind {kind!r} is not shipped between processes")
+        values = payload if key[0] == "h" else (payload,)
+        for (row, i), value in zip(self._shipped_slots(key), values):
+            row[i] = value
 
     def export_region_nbytes(self, key, region_nbytes: int) -> int:
         """Upper bound on the raw payload bytes :meth:`export_region` yields.
@@ -612,8 +563,22 @@ class _Builder:
         if wavefront_tile is not None and wavefront_tile < 1:
             raise ValueError("wavefront_tile must be >= 1")
         self.fusion = fusion
-        self.wave_tile = min(seq_len, wavefront_tile or DEFAULT_WAVEFRONT_TILE)
         self.gate_mult = _GATE_MULT[spec.cell]
+        # Every cell chain is cut into tiles of consecutive steps, one task
+        # per tile: a single step (the paper's task per cell update) unless
+        # the wavefront rung asks for longer tiles.
+        tiled = fusion == "wavefront"
+        tile = min(seq_len, wavefront_tile or DEFAULT_WAVEFRONT_TILE) if tiled else 1
+        self.wave_tile = tile if tiled else None
+        #: ascending ``(lo, hi, name suffix)`` step ranges of the chain tiles
+        self.tiles = []
+        for lo in range(0, seq_len, tile):
+            hi = min(lo + tile, seq_len)
+            self.tiles.append((lo, hi, f"w{lo}-{hi}" if tiled else f"s{lo}"))
+        #: GEMM calls one chain step issues, where the cost model must know
+        #: (per-gate calls under "off", one per tiled step under "wavefront");
+        #: unannotated tasks are one call
+        self.step_gemm_calls = {"off": self.gate_mult, "wavefront": 1}.get(fusion)
         self.spec = spec
         self.seq_len = seq_len
         self.chunk_batches = list(chunk_batches)
@@ -632,6 +597,7 @@ class _Builder:
         self.cache_mult = {"lstm": 7, "gru": 5, "rnn": 2}[spec.cell]
         units = self.total_batch * (seq_len if spec.head == "many_to_many" else 1)
         self.grad_scale = 1.0 / units
+        self.fusion_meta = [self._fusion_meta(mb) for mb in range(len(self.chunk_batches))]
 
     @property
     def total_batch(self) -> int:
@@ -661,7 +627,7 @@ class _Builder:
         return base
 
     def _fusion_meta(self, mb: int) -> dict:
-        """Cost-model meta of a cell task under the active fusion policy.
+        """Cost-model meta every cell task of chunk ``mb`` carries.
 
         Fusion annotations appear only when the policy deviates from the
         default, so default-mode graphs stay byte-identical to what they
@@ -670,10 +636,33 @@ class _Builder:
         meta = {"reuse": self._cell_reuse(mb)}
         if self.fusion != "gates":
             meta["fusion"] = self.fusion
-            if self.fusion == "off":
-                # G separate per-gate GEMMs instead of one stacked call
-                meta["gemm_calls"] = self.gate_mult
         return meta
+
+    def _cell_meta(self, mb: int, layer: int, direction: str, lo: int, hi: int) -> dict:
+        """Meta of the cell task covering chain steps ``[lo, hi)``."""
+        meta = {"mb": mb, "layer": layer, "dir": direction, "lo": lo, "hi": hi}
+        meta.update(self.fusion_meta[mb])
+        if self.step_gemm_calls:
+            meta["gemm_calls"] = self.step_gemm_calls * (hi - lo)
+        return meta
+
+    def _chain_schedule(self, serial_dirs: bool, descending: bool = False) -> List[tuple]:
+        """``(direction, lo, hi, name suffix)`` of one layer's cell tasks,
+        in creation order (``descending``: the backward pass).
+
+        Barrier-free mode interleaves the two direction chains by chain
+        position — forward, a ready-queue fairness matter; backward, what
+        keeps them concurrent: creation order fixes the WAW order on the
+        shared ``dm`` accumulators, and chain-major creation would
+        serialise the chains (the rev chain's first task writes the dm
+        slot the fwd chain writes last; the two contributions commute
+        bitwise).  ``serial_dirs`` (barriered mode) creates chain-major so
+        the rev chain's first task can depend on the fwd chain's last.
+        """
+        tiles = self.tiles[::-1] if descending else self.tiles
+        if serial_dirs:
+            return [(d, *tile) for d in ("fwd", "rev") for tile in tiles]
+        return [(d, *tile) for tile in tiles for d in ("fwd", "rev")]
 
     def _proj_reuse(self, mb: int, block_len: int) -> float:
         """Sweep count of a block projection GEMM (``block_len·B`` rows)."""
@@ -820,38 +809,6 @@ class _Builder:
 
     # -- payload factories (functional mode) ------------------------------------
 
-    def _fn_cell_fwd(self, mb, layer, direction, step):
-        if not self.functional:
-            return None
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
-        fusion = self.fusion
-
-        def fn():
-            dp = params.layers[layer].direction(direction)
-            if direction == "fwd":
-                pos = step
-                h_prev = state.h_f[layer][step - 1] if step > 0 else state.h0
-                c_prev = state.c_f[layer][step - 1] if step > 0 else state.c0
-            else:
-                pos = T - 1 - step
-                h_prev = state.h_r[layer][step - 1] if step > 0 else state.h0
-                c_prev = state.c_r[layer][step - 1] if step > 0 else state.c0
-            if spec.cell != "lstm":
-                c_prev = None
-            h, c, cache = cell_forward(
-                spec, state.layer_input(layer, pos), h_prev, c_prev, dp.W, dp.b, fusion
-            )
-            if direction == "fwd":
-                state.h_f[layer][step] = h
-                state.c_f[layer][step] = c
-                state.cache_f[layer][step] = cache
-            else:
-                state.h_r[layer][step] = h
-                state.c_r[layer][step] = c
-                state.cache_r[layer][step] = cache
-
-        return fn
-
     def _fn_proj(self, mb, layer, direction, lo, hi):
         if not self.functional:
             return None
@@ -867,47 +824,12 @@ class _Builder:
 
         return fn
 
-    def _fn_cell_fwd_proj(self, mb, layer, direction, step):
-        if not self.functional:
-            return None
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
-        need_cache = self.training
-        fusion = self.fusion
-
-        def fn():
-            dp = params.layers[layer].direction(direction)
-            if direction == "fwd":
-                pos = step
-                zx = state.zx_f[layer][pos]
-                h_prev = state.h_f[layer][step - 1] if step > 0 else state.h0
-                c_prev = state.c_f[layer][step - 1] if step > 0 else state.c0
-            else:
-                pos = T - 1 - step
-                zx = state.zx_r[layer][pos]
-                h_prev = state.h_r[layer][step - 1] if step > 0 else state.h0
-                c_prev = state.c_r[layer][step - 1] if step > 0 else state.c0
-            if spec.cell != "lstm":
-                c_prev = None
-            h, c, cache = cell_forward_proj(
-                spec, zx, h_prev, c_prev, dp.W, dp.b, need_cache, fusion
-            )
-            if direction == "fwd":
-                state.h_f[layer][step] = h
-                state.c_f[layer][step] = c
-                state.cache_f[layer][step] = cache
-            else:
-                state.h_r[layer][step] = h
-                state.c_r[layer][step] = c
-                state.cache_r[layer][step] = cache
-
-        return fn
-
     def _fn_cell_fwd_tile(self, mb, layer, direction, lo, hi):
-        """Wavefront forward tile: steps ``[lo, hi)`` of one chain in one
+        """Forward chain tile: steps ``[lo, hi)`` of one chain in one
         payload, carrying ``h``/``c`` locally between steps and publishing
-        every per-step slot (merges and the next tile read them).  Step
-        arithmetic is byte-for-byte the per-step payloads': the local
-        carry *is* the array the previous iteration just stored."""
+        every per-step slot (merges and the next tile read them).  The
+        local carry *is* the array the previous iteration just stored, so
+        the arithmetic does not depend on where the chain is cut."""
         if not self.functional:
             return None
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
@@ -1026,77 +948,14 @@ class _Builder:
 
         return fn
 
-    def _fn_cell_bwd(self, mb, layer, direction, step):
-        if not self.functional:
-            return None
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
-        fusion = self.fusion
-
-        def fn():
-            dp = params.layers[layer].direction(direction)
-            gp = state.grads.layers[layer].direction(direction)
-            if direction == "fwd":
-                dh, dc = state.dh_f[layer][step], state.dc_f[layer][step]
-                cache = state.cache_f[layer][step]
-            else:
-                dh, dc = state.dh_r[layer][step], state.dc_r[layer][step]
-                cache = state.cache_r[layer][step]
-            dx, dh_prev, dc_prev = cell_backward(spec, dh, dc, cache, dp.W, gp.W, gp.b, fusion)
-            if step > 0:
-                if direction == "fwd":
-                    state.dh_f[layer][step - 1] += dh_prev
-                    if dc_prev is not None:
-                        state.dc_f[layer][step - 1] += dc_prev
-                else:
-                    state.dh_r[layer][step - 1] += dh_prev
-                    if dc_prev is not None:
-                        state.dc_r[layer][step - 1] += dc_prev
-            if layer > 0:
-                pos = step if direction == "fwd" else T - 1 - step
-                state.dmerged[layer - 1][pos] += dx
-
-        return fn
-
-    def _fn_cell_bwd_proj(self, mb, layer, direction, step):
-        if not self.functional:
-            return None
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
-
-        def fn():
-            dp = params.layers[layer].direction(direction)
-            gp = state.grads.layers[layer].direction(direction)
-            if direction == "fwd":
-                pos = step
-                dh, dc = state.dh_f[layer][step], state.dc_f[layer][step]
-                cache = state.cache_f[layer][step]
-            else:
-                pos = T - 1 - step
-                dh, dc = state.dh_r[layer][step], state.dc_r[layer][step]
-                cache = state.cache_r[layer][step]
-            dz, dh_prev, dc_prev = cell_backward_proj(spec, dh, dc, cache, dp.W, gp.W, gp.b)
-            target = state.dz_f if direction == "fwd" else state.dz_r
-            target[layer][pos] = dz
-            if step > 0:
-                if direction == "fwd":
-                    state.dh_f[layer][step - 1] += dh_prev
-                    if dc_prev is not None:
-                        state.dc_f[layer][step - 1] += dc_prev
-                else:
-                    state.dh_r[layer][step - 1] += dh_prev
-                    if dc_prev is not None:
-                        state.dc_r[layer][step - 1] += dc_prev
-
-        return fn
-
     def _fn_cell_bwd_tile(self, mb, layer, direction, lo, hi):
-        """Wavefront backward tile: steps ``hi-1 .. lo`` of one chain.
+        """Backward chain tile: steps ``hi-1 .. lo`` of one chain.
 
         Each step reads its ``dh``/``dc`` slot and *adds* the local carry
-        from the step above — exactly the per-step discipline, where the
-        carry is ``+=``-ed into the slot before the next task reads it
-        (merge contributions land first in both orders, so sums associate
-        identically and results stay bitwise).  The carry leaving the tile
-        is ``+=``-ed into slot ``lo-1`` for the next tile."""
+        from the step above; the carry leaving the tile is ``+=``-ed into
+        slot ``lo-1`` for the next tile.  Merge contributions land in the
+        slot first either way, so sums associate identically wherever the
+        chain is cut and results stay bitwise."""
         if not self.functional:
             return None
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
@@ -1278,7 +1137,7 @@ class _Builder:
             fused_layers=list(self.fused_layers),
             velocity=self.velocity,
             fusion=self.fusion,
-            wavefront_tile=self.wave_tile if self.fusion == "wavefront" else None,
+            wavefront_tile=self.wave_tile,
             serialize_chunks=self.serialize_chunks,
             barrier_free=self.barrier_free,
         )
@@ -1332,88 +1191,6 @@ class _Builder:
                     mb=mb,
                 )
 
-    def _build_forward_layer(self, mb: int, layer: int, serial_dirs: bool = False) -> None:
-        # The per-step and wavefront variants are separate methods, not a
-        # branch: the closure-capture lint audits each payload factory
-        # against the accessor calls reachable from the method that
-        # instantiates it, so the per-step build site must not reach the
-        # tile builder's declarations (and vice versa).
-        if self.fusion == "wavefront":
-            self._build_forward_layer_wave(mb, layer, serial_dirs)
-        else:
-            self._build_forward_layer_steps(mb, layer, serial_dirs)
-
-    def _build_forward_layer_wave(
-        self, mb: int, layer: int, serial_dirs: bool = False
-    ) -> None:
-        spec = self.spec
-        bc = self.chunk_batches[mb]
-        fused = self.fused_layers[layer]
-        if fused:
-            self._build_proj_tasks(mb, layer)
-            fwd_flops = cell_fwd_step_proj_flops(spec, bc)
-        else:
-            fwd_flops = cell_fwd_flops(spec, bc, layer)
-        self._build_forward_chain_tiles(mb, layer, fused, fwd_flops, serial_dirs)
-        self._build_forward_layer_outputs(mb, layer)
-
-    def _build_forward_layer_steps(
-        self, mb: int, layer: int, serial_dirs: bool = False
-    ) -> None:
-        spec, T = self.spec, self.seq_len
-        bc = self.chunk_batches[mb]
-        fused = self.fused_layers[layer]
-
-        if fused:
-            self._build_proj_tasks(mb, layer)
-            fwd_flops = cell_fwd_step_proj_flops(spec, bc)
-        else:
-            fwd_flops = cell_fwd_flops(spec, bc, layer)
-        # Barrier-free mode interleaves the two chains' creation (purely a
-        # ready-queue fairness matter); serial_dirs mode creates chain-major
-        # so the reverse chain's first task can depend on the forward
-        # chain's last write (framework discipline).
-        if serial_dirs:
-            schedule = [(d, s) for d in ("fwd", "rev") for s in range(T)]
-        else:
-            schedule = [(d, s) for s in range(T) for d in ("fwd", "rev")]
-        for direction, step in schedule:
-                pos = step if direction == "fwd" else T - 1 - step
-                if fused:
-                    x_region = self.r_zx(mb, layer, direction, pos)
-                else:
-                    x_region = self._in_region(mb, layer, pos)
-                ins = [x_region, self.r_w(layer, direction)]
-                if step > 0:
-                    ins.append(self.r_h(mb, layer, direction, step - 1))
-                if serial_dirs and direction == "rev" and step == 0:
-                    # framework discipline: reverse pass starts only after
-                    # the forward pass of this layer has finished
-                    ins.append(self.r_h(mb, layer, "fwd", T - 1))
-                outs = [self.r_h(mb, layer, direction, step)]
-                if not fused or self.training:
-                    # fused inference never materialises the per-step cache
-                    outs.append(self.r_cache(mb, layer, direction, step))
-                self._add(
-                    f"{direction}[{mb}]L{layer}s{step}",
-                    self._fn_cell_fwd_proj(mb, layer, direction, step)
-                    if fused
-                    else self._fn_cell_fwd(mb, layer, direction, step),
-                    ins=ins,
-                    outs=outs,
-                    flops=fwd_flops,
-                    kind="cell",
-                    meta={
-                        "mb": mb,
-                        "layer": layer,
-                        "dir": direction,
-                        "step": step,
-                        **self._fusion_meta(mb),
-                    },
-                    mb=mb,
-                )
-        self._build_forward_layer_outputs(mb, layer)
-
     def _build_forward_layer_outputs(self, mb: int, layer: int) -> None:
         """Per-timestep merge tasks (interior layers) or the head (last)."""
         spec, T = self.spec, self.seq_len
@@ -1437,46 +1214,36 @@ class _Builder:
         else:
             self._build_head(mb)
 
-    def _wave_tiles(self) -> List[tuple]:
-        """Ascending ``(lo, hi)`` step ranges of the wavefront chain tiles."""
-        T, K = self.seq_len, self.wave_tile
-        return [(lo, min(lo + K, T)) for lo in range(0, T, K)]
+    def _build_forward_layer(self, mb: int, layer: int, serial_dirs: bool = False) -> None:
+        """One layer's forward pass: its two cell chains, then its merges
+        (interior layers) or the head (last layer).
 
-    def _build_forward_chain_tiles(
-        self, mb: int, layer: int, fused: bool, step_flops: float, serial_dirs: bool
-    ) -> None:
-        """Wavefront tiling of a layer's two forward chains (docs/PERF.md).
-
-        One task per ``wavefront_tile`` consecutive chain steps, declaring
-        the *union* of the per-step declarations it replaces — every input
-        (or ``zx``) position, the carried ``h`` from below the tile, and
-        every ``h``/cache slot it publishes — so racecheck and the
-        over-declaration analyzer audit tiles exactly like steps.  With
-        the chains cut into tiles, layer ``l+1``'s first tile depends only
-        on layer ``l``'s merges of its own positions: the layer×time
-        diagonal of the wavefront becomes explicit while per-layer task
-        count drops from ``T`` to ``⌈T/K⌉``.
+        One task per chain tile (``self.tiles``; a single step by default,
+        ``wavefront_tile`` steps under ``fusion="wavefront"``, docs/PERF.md),
+        declaring every input (or ``zx``) position of the tile, the carried
+        ``h`` from below it, and every ``h``/cache slot it publishes, so
+        racecheck and the over-declaration analyzer audit a tile of any
+        length the same way.  Layer ``l+1``'s tile depends only on layer
+        ``l``'s merges of its own positions: the layer×time diagonal of the
+        wavefront, with ``⌈T/K⌉`` tasks per chain.
         """
-        T = self.seq_len
-        tiles = self._wave_tiles()
-        if serial_dirs:
-            schedule = [(d, i) for d in ("fwd", "rev") for i in range(len(tiles))]
+        spec, T = self.spec, self.seq_len
+        bc = self.chunk_batches[mb]
+        fused = self.fused_layers[layer]
+        if fused:
+            self._build_proj_tasks(mb, layer)
+            step_flops = cell_fwd_step_proj_flops(spec, bc)
         else:
-            schedule = [(d, i) for i in range(len(tiles)) for d in ("fwd", "rev")]
-        for direction, i in schedule:
-            lo, hi = tiles[i]
+            step_flops = cell_fwd_flops(spec, bc, layer)
+        weights = {d: self.r_w(layer, d) for d in ("fwd", "rev")}
+        for direction, lo, hi, suffix in self._chain_schedule(serial_dirs):
             steps = range(lo, hi)
+            positions = steps if direction == "fwd" else range(T - 1 - lo, T - 1 - hi, -1)
             if fused:
-                ins = [
-                    self.r_zx(mb, layer, direction, s if direction == "fwd" else T - 1 - s)
-                    for s in steps
-                ]
+                ins = [self.r_zx(mb, layer, direction, pos) for pos in positions]
             else:
-                ins = [
-                    self._in_region(mb, layer, s if direction == "fwd" else T - 1 - s)
-                    for s in steps
-                ]
-            ins.append(self.r_w(layer, direction))
+                ins = [self._in_region(mb, layer, pos) for pos in positions]
+            ins.append(weights[direction])
             if lo > 0:
                 ins.append(self.r_h(mb, layer, direction, lo - 1))
             if serial_dirs and direction == "rev" and lo == 0:
@@ -1485,53 +1252,45 @@ class _Builder:
                 ins.append(self.r_h(mb, layer, "fwd", T - 1))
             outs = [self.r_h(mb, layer, direction, s) for s in steps]
             if not fused or self.training:
+                # fused inference never materialises the per-step cache
                 outs += [self.r_cache(mb, layer, direction, s) for s in steps]
             self._add(
-                f"{direction}[{mb}]L{layer}w{lo}-{hi}",
+                f"{direction}[{mb}]L{layer}{suffix}",
                 self._fn_cell_fwd_tile(mb, layer, direction, lo, hi),
                 ins=ins,
                 outs=outs,
                 flops=step_flops * (hi - lo),
                 kind="cell",
-                meta={
-                    "mb": mb,
-                    "layer": layer,
-                    "dir": direction,
-                    "lo": lo,
-                    "hi": hi,
-                    "tile": hi - lo,
-                    **self._fusion_meta(mb),
-                    # one stacked GEMM call per tiled step
-                    "gemm_calls": hi - lo,
-                },
+                meta=self._cell_meta(mb, layer, direction, lo, hi),
                 mb=mb,
             )
+        self._build_forward_layer_outputs(mb, layer)
 
-    def _build_backward_chain_tiles(
-        self, mb: int, layer: int, fused: bool, step_flops: float, serial_dirs: bool
-    ) -> None:
-        """Wavefront tiling of a layer's two backward chains.
+    def _build_backward_layer(self, mb: int, layer: int, serial_dirs: bool = False) -> None:
+        """One layer's backward pass: its two cell chains, then the
+        per-block projection backward and the merge-backward fan-out.
 
-        Mirrors :meth:`_build_forward_chain_tiles`: tiles run in
-        descending step order, read every ``dh``/cache slot they consume
-        (merge contributions land first — the per-step summation order),
-        accumulate the carry leaving the tile into slot ``lo-1``, and emit
-        either per-position ``dz`` (fused layers) or ``dm`` contributions.
+        Mirrors :meth:`_build_forward_layer`: tiles run in descending step
+        order, read every ``dh``/cache slot they consume (merge
+        contributions land first), accumulate the carry leaving the tile
+        into slot ``lo-1``, and emit either per-position ``dz`` (fused
+        layers) or ``dm`` contributions.
         """
-        T = self.seq_len
-        tiles = self._wave_tiles()
-        order = list(range(len(tiles) - 1, -1, -1))
-        if serial_dirs:
-            schedule = [(d, i) for d in ("fwd", "rev") for i in order]
+        spec, T = self.spec, self.seq_len
+        bc = self.chunk_batches[mb]
+        fused = self.fused_layers[layer]
+        if fused:
+            step_flops = cell_bwd_step_proj_flops(spec, bc)
         else:
-            schedule = [(d, i) for i in order for d in ("fwd", "rev")]
-        for direction, i in schedule:
-            lo, hi = tiles[i]
+            step_flops = cell_bwd_flops(spec, bc, layer)
+        weights = {d: self.r_w(layer, d) for d in ("fwd", "rev")}
+        for direction, lo, hi, suffix in self._chain_schedule(serial_dirs, descending=True):
             steps = range(hi - 1, lo - 1, -1)
+            positions = steps if direction == "fwd" else range(T - hi, T - lo)
             ins = [self.r_dh(mb, layer, direction, s) for s in steps]
             ins += [self.r_cache(mb, layer, direction, s) for s in steps]
-            ins.append(self.r_w(layer, direction))
-            if serial_dirs and direction == "rev" and i == order[0]:
+            ins.append(weights[direction])
+            if serial_dirs and direction == "rev" and hi == T:
                 # framework discipline: the reverse backward pass waits for
                 # the forward-direction backward pass (its final gW write)
                 ins.append(self.r_gw(mb, layer, "fwd"))
@@ -1540,35 +1299,22 @@ class _Builder:
                 inouts.append(self.r_dh(mb, layer, direction, lo - 1))
             outs = []
             if fused:
-                outs = [
-                    self.r_dz(mb, layer, direction, s if direction == "fwd" else T - 1 - s)
-                    for s in steps
-                ]
+                # dx is deferred: publish dz for the per-block proj_bwd
+                outs = [self.r_dz(mb, layer, direction, pos) for pos in positions]
             elif layer > 0:
-                inouts += [
-                    self.r_dm(mb, layer - 1, s if direction == "fwd" else T - 1 - s)
-                    for s in steps
-                ]
+                inouts += [self.r_dm(mb, layer - 1, pos) for pos in positions]
             self._add(
-                f"{direction}Bwd[{mb}]L{layer}w{lo}-{hi}",
+                f"{direction}Bwd[{mb}]L{layer}{suffix}",
                 self._fn_cell_bwd_tile(mb, layer, direction, lo, hi),
                 ins=ins,
                 outs=outs,
                 inouts=inouts,
                 flops=step_flops * (hi - lo),
                 kind="cell_bwd",
-                meta={
-                    "mb": mb,
-                    "layer": layer,
-                    "dir": direction,
-                    "lo": lo,
-                    "hi": hi,
-                    "tile": hi - lo,
-                    **self._fusion_meta(mb),
-                    "gemm_calls": hi - lo,
-                },
+                meta=self._cell_meta(mb, layer, direction, lo, hi),
                 mb=mb,
             )
+        self._build_backward_layer_outputs(mb, layer, fused)
 
     def _head_slots(self):
         """(slot, t_fwd, u_rev, t_label) tuples for the last-layer merges."""
@@ -1711,94 +1457,6 @@ class _Builder:
                     },
                     mb=mb,
                 )
-
-    def _build_backward_layer(self, mb: int, layer: int, serial_dirs: bool = False) -> None:
-        # Split like _build_forward_layer: keep each payload factory's
-        # build site reaching only its own declarations (closure lint).
-        if self.fusion == "wavefront":
-            self._build_backward_layer_wave(mb, layer, serial_dirs)
-        else:
-            self._build_backward_layer_steps(mb, layer, serial_dirs)
-
-    def _build_backward_layer_wave(
-        self, mb: int, layer: int, serial_dirs: bool = False
-    ) -> None:
-        spec = self.spec
-        bc = self.chunk_batches[mb]
-        fused = self.fused_layers[layer]
-        if fused:
-            bwd_flops = cell_bwd_step_proj_flops(spec, bc)
-        else:
-            bwd_flops = cell_bwd_flops(spec, bc, layer)
-        self._build_backward_chain_tiles(mb, layer, fused, bwd_flops, serial_dirs)
-        self._build_backward_layer_outputs(mb, layer, fused)
-
-    def _build_backward_layer_steps(
-        self, mb: int, layer: int, serial_dirs: bool = False
-    ) -> None:
-        spec, T = self.spec, self.seq_len
-        bc = self.chunk_batches[mb]
-        fused = self.fused_layers[layer]
-        if fused:
-            bwd_flops = cell_bwd_step_proj_flops(spec, bc)
-        else:
-            bwd_flops = cell_bwd_flops(spec, bc, layer)
-        # The two direction chains are created interleaved by chain
-        # position.  Creation order fixes the WAW order on the shared
-        # ``dm`` accumulators; pairing by position keeps each chain at
-        # most one task behind the other so both run concurrently
-        # (chain-major creation would serialise them: the rev chain's
-        # first task writes the dm slot the fwd chain writes last).
-        # The two dm contributions commute bitwise, so results are
-        # unchanged.  serial_dirs (barriered mode) creates chain-major so
-        # the cross-direction dependence lands on the fwd chain's last task.
-        if serial_dirs:
-            schedule = [(d, p) for d in ("fwd", "rev") for p in range(T)]
-        else:
-            schedule = [(d, p) for p in range(T) for d in ("fwd", "rev")]
-        for direction, position in schedule:
-                step = T - 1 - position
-                ins = [
-                    self.r_dh(mb, layer, direction, step),
-                    self.r_cache(mb, layer, direction, step),
-                    self.r_w(layer, direction),
-                ]
-                if serial_dirs and direction == "rev" and position == 0:
-                    # framework discipline: the reverse backward pass waits
-                    # for the forward-direction backward pass of this layer
-                    # (its final gW write)
-                    ins.append(self.r_gw(mb, layer, "fwd"))
-                inouts = [self.r_gw(mb, layer, direction)]
-                if step > 0:
-                    inouts.append(self.r_dh(mb, layer, direction, step - 1))
-                outs = []
-                if fused:
-                    # dx is deferred: publish dz for the per-block proj_bwd
-                    pos = step if direction == "fwd" else T - 1 - step
-                    outs.append(self.r_dz(mb, layer, direction, pos))
-                elif layer > 0:
-                    pos = step if direction == "fwd" else T - 1 - step
-                    inouts.append(self.r_dm(mb, layer - 1, pos))
-                self._add(
-                    f"{direction}Bwd[{mb}]L{layer}s{step}",
-                    self._fn_cell_bwd_proj(mb, layer, direction, step)
-                    if fused
-                    else self._fn_cell_bwd(mb, layer, direction, step),
-                    ins=ins,
-                    outs=outs,
-                    inouts=inouts,
-                    flops=bwd_flops,
-                    kind="cell_bwd",
-                    meta={
-                        "mb": mb,
-                        "layer": layer,
-                        "dir": direction,
-                        "step": step,
-                        **self._fusion_meta(mb),
-                    },
-                    mb=mb,
-                )
-        self._build_backward_layer_outputs(mb, layer, fused)
 
     def _build_backward_layer_outputs(self, mb: int, layer: int, fused: bool) -> None:
         """Per-fused-block proj backward and the merge-backward fan-out."""

@@ -197,7 +197,7 @@ def test_injected_dead_out_flagged_with_exact_task_and_region():
     assert [(f.rule, f.task, f.region) for f in findings] == [
         ("dead_write", "fwd[0]L0s0", repr(("dlogits", 0, 0)))
     ]
-    assert findings[0].site == "_build_forward_layer_steps"  # declaration provenance
+    assert findings[0].site == "_build_forward_layer"  # declaration provenance
 
 
 def test_unmutated_blstm_graph_is_clean():
@@ -240,6 +240,6 @@ def test_dataflow_subgraph_drops_tokens_and_keeps_raw_edges():
 def test_provenance_site_present_on_builder_tasks():
     built = _blstm_build()
     sites = {t.meta.get("site") for t in built.graph.tasks if t.kind != "barrier"}
-    assert "_build_forward_layer_steps" in sites
+    assert "_build_forward_layer" in sites
     assert "_build_updates" in sites
     assert None not in sites

@@ -355,7 +355,7 @@ def test_closure_capture_rediscovers_cache_race_statically():
     by executing the graph and watching the undeclared access happen.
     """
     source = GRAPH_BUILDER.read_text()
-    needle = "outs.append(self.r_cache(mb, layer, direction, step))"
+    needle = "outs += [self.r_cache(mb, layer, direction, s) for s in steps]"
     assert needle in source, "graph_builder cache declaration moved; update test"
     mutated = source.replace(needle, "pass")
     findings = lint_source(mutated, path=str(GRAPH_BUILDER))

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.access_spec import FAMILIES
 from repro.core.graph_builder import build_brnn_graph, split_batch
 from repro.models.params import BRNNParams
 from tests.conftest import make_batch, small_spec
+from tests.core.test_fusion import engine, grads_bitwise
 
 
 def count_kind(result, kind):
@@ -238,3 +240,29 @@ def test_unfused_weight_gradient_serialises_backward_chain():
     steps = [byname[f"fwdBwd[0]L1s{s}"] for s in range(T)]
     for a, b in zip(steps[1:][::-1], steps[:-1][::-1]):
         assert not g.unordered(a, b, bits)
+
+
+def test_cell_step_is_a_chain_tile_of_one():
+    """One cell-chain emitter per pass direction: a default-mode cell task
+    is a tile of exactly one step, and a wavefront build cuts the same
+    chain into longer tiles, ragged last tile included, bit for bit."""
+    families = [f.split("@")[0] for f in FAMILIES]
+    assert families.count("cell") == 1 and families.count("cell_bwd") == 1
+
+    spec = small_spec()
+    x, labels = make_batch(spec, seq_len=7)
+    default = engine(spec, "gates")
+    ref = default.loss_and_grads(x, labels)
+    cells = [t for t in default.last_result.graph if t.kind in ("cell", "cell_bwd")]
+    assert cells and all(t.meta["hi"] - t.meta["lo"] == 1 for t in cells)
+
+    wave = engine(spec, "wavefront", wavefront_tile=3)
+    loss, logits, grads = wave.loss_and_grads(x, labels)
+    tiles = {
+        (t.meta["lo"], t.meta["hi"])
+        for t in wave.last_result.graph if t.kind in ("cell", "cell_bwd")
+    }
+    assert tiles == {(0, 3), (3, 6), (6, 7)}
+    assert loss == ref[0]
+    assert np.array_equal(logits, ref[1])
+    assert grads_bitwise(grads, ref[2])

@@ -4,11 +4,10 @@ The original steal scan walked *every* per-core queue on every steal —
 O(n_cores) even with one straggler queue holding work.  The schedulers now
 track the set of nonempty queues and scan only those, preserving the exact
 victim choice (most loaded, lowest core id on ties).  The guard here runs
-a drain pattern on a 4096-core scheduler; with the full scan it performs
-~n_cores× the work and blows the generous wall-time bound.
+a drain pattern on a 4096-core scheduler and counts per-core queue
+lookups: a constant number per task, where the full scan makes n_cores per
+steal.
 """
-
-import time
 
 import pytest
 
@@ -17,9 +16,24 @@ from repro.runtime.task import Task
 
 WIDE_CORES = 4096
 TASKS = 4000
-#: generous bound (~100x observed on this host) — catches only a
-#: complexity-class regression, not host jitter
-TIME_BUDGET_S = 5.0
+#: queue lookups allowed per task (observed: 1 per push, 3 per stealing
+#: pop); the full scan needs WIDE_CORES per pop
+PROBES_PER_TASK = 8
+
+
+class CountingQueues(list):
+    """A scheduler's per-core queue list that counts every queue lookup."""
+
+    probes = 0
+
+    def __getitem__(self, idx):
+        self.probes += 1
+        return super().__getitem__(idx)
+
+    def __iter__(self):
+        for queue in super().__iter__():
+            self.probes += 1
+            yield queue
 
 
 def mk(i):
@@ -66,14 +80,18 @@ def test_nonempty_tracking_survives_interleaving(cls):
 def test_wide_machine_steal_drain_is_fast(cls):
     """4096 cores, work pinned on one queue, drained by steals."""
     s = cls(WIDE_CORES)
+    attr = "_affinity" if cls is LocalityAwareScheduler else "_deques"
+    queues = CountingQueues(getattr(s, attr))
+    setattr(s, attr, queues)
     for i in range(TASKS):
         s.push(mk(i), hint=7)
-    t0 = time.perf_counter()
     drained = 0
     while s:
         # rotate the popping core so nobody hits their own queue
         assert s.pop(8 + (drained % 64)) is not None
         drained += 1
-    elapsed = time.perf_counter() - t0
     assert drained == TASKS
-    assert elapsed < TIME_BUDGET_S, f"steal drain took {elapsed:.2f}s"
+    assert s.counters.steals == TASKS
+    assert queues.probes <= PROBES_PER_TASK * TASKS, (
+        f"{queues.probes} queue lookups for {TASKS} steals on {WIDE_CORES} cores"
+    )
