@@ -46,6 +46,13 @@ float32 zone.  This pass encodes those project rules:
     the unmap can succeed underneath the view, turning the access into
     undefined behaviour (see the lifecycle note in ``runtime/shm.py``).
 
+``loop-variable-capture``
+    A closure defined in a ``for`` body and handed to ``add_task``/``Task``
+    reads a name the loop rebinds without binding it as a default.  A
+    payload runs after the build loop has finished, so every task sees
+    the last iteration's value and the result depends on the schedule
+    (the block-local attention bug the one-thread executor exposed).
+
 Waivers: append ``# lint: waive <rule>[, <rule>...]`` (or ``waive all``)
 on the finding's line or the line above.
 
@@ -74,6 +81,7 @@ RULES = (
     "inplace-mutation-in-only",
     "fork-unsafe-capture",
     "shm-use-after-close",
+    "loop-variable-capture",
 )
 
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
@@ -806,6 +814,61 @@ def _shm_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
     return findings
 
 
+# -- late-binding payload closures ------------------------------------------
+
+_TASK_CALLEES = {"add_task", "Task"}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _stored_names(nodes: Sequence[ast.AST]) -> Set[str]:
+    """Names the given nodes (re)bind, nested function bodies excluded."""
+    names: Set[str] = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _loop_capture_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
+    findings: Dict[tuple, PyLintFinding] = {}
+    for loop in ast.walk(tree):
+        if not isinstance(loop, ast.For):
+            continue
+        rebound = _stored_names([loop.target, *loop.body])
+        handed: Set[object] = set()  # names and lambda nodes in a task call's arguments
+        for call in ast.walk(loop):
+            if isinstance(call, ast.Call) and _terminal_name(call.func) in _TASK_CALLEES:
+                for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+                    for n in ast.walk(arg):
+                        if isinstance(n, (ast.Name, ast.Lambda)):
+                            handed.add(getattr(n, "id", n))
+        for fn in ast.walk(loop):
+            if not isinstance(fn, _FUNCTIONS) or getattr(fn, "name", fn) not in handed:
+                continue
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            late = rebound - {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+            late -= _stored_names(body)
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if isinstance(node, ast.Name) and node.id in late:
+                    findings.setdefault(
+                        (node.lineno, node.id),
+                        PyLintFinding(
+                            rule="loop-variable-capture",
+                            path=path,
+                            line=node.lineno,
+                            message=f"task payload `{getattr(fn, 'name', '<lambda>')}` "
+                            f"reads `{node.id}`, which the enclosing loop rebinds: "
+                            "it runs after the loop and sees the last value — bind "
+                            f"it as a default (`{node.id}={node.id}`)",
+                        ),
+                    )
+    return list(findings.values())
+
+
 # -- entry points ---------------------------------------------------------
 
 
@@ -829,6 +892,7 @@ def lint_source(source: str, path: str = "<string>") -> List[PyLintFinding]:
         + _closure_findings(tree, path)
         + _fork_unsafe_findings(tree, path)
         + _shm_findings(tree, path)
+        + _loop_capture_findings(tree, path)
     )
     waived = _waivers(source)
     kept = [f for f in findings if not _is_waived(f, waived)]

@@ -56,6 +56,9 @@ class CompiledPlan:
     #: provenance cache key ``[config_fingerprint, [padded_len, batch]]``
     key: Optional[list] = None
     format: str = PLAN_FORMAT
+    _indegree: Optional[List[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_tasks(self) -> int:
@@ -66,12 +69,15 @@ class CompiledPlan:
         return sum(len(s) for s in self.successors)
 
     def indegree(self) -> List[int]:
-        """Fresh per-run indegree counters over the reduced edge set."""
-        indeg = [0] * len(self.successors)
-        for succs in self.successors:
-            for s in succs:
-                indeg[s] += 1
-        return indeg
+        """Fresh per-run indegree counters over the reduced edge set
+        (counted on first use; a plan is not edited once it is replayed)."""
+        if self._indegree is None:
+            indeg = [0] * len(self.successors)
+            for succs in self.successors:
+                for s in succs:
+                    indeg[s] += 1
+            self._indegree = indeg
+        return list(self._indegree)
 
     def validate(self, graph: TaskGraph) -> None:
         """Refuse to replay against a graph the plan was not compiled for.
@@ -99,11 +105,13 @@ class CompiledPlan:
                     f"graph has {graph.tasks[tid].name!r} (tid {tid})"
                 )
 
-    def to_schedule_record(self) -> ScheduleRecord:
-        """The plan's release order as replayable schedule-record machinery."""
-        return ScheduleRecord(
-            order=list(self.order), names=list(self.names), scheduler="compiled"
-        )
+    def to_schedule_record(self, copy: bool = True) -> ScheduleRecord:
+        """The plan's release order as replayable schedule-record machinery
+        (``copy=False``: share the lists with a reader that only replays them)."""
+        order, names = self.order, self.names
+        if copy:
+            order, names = list(order), list(names)
+        return ScheduleRecord(order=order, names=names, scheduler="compiled")
 
     def without_edge(self, a: int, b: int) -> "CompiledPlan":
         """A copy of this plan with reduced edge ``a → b`` deleted.

@@ -122,9 +122,9 @@ def build_attention_graph(
                 r_out = rs.get(("proj", mb, h, name), seq * d * isz, streaming=True)
                 proj_regions[name] = r_out
 
-                def fn(name=name, W=W, h=h, cols=cols, x=x, mb=mb):
+                def fn(name=name, W=W, cols=cols, x=x, qkv=qkv_store[h]):
                     if W is not None:
-                        qkv_store[h][name] = x @ W[:, cols]
+                        qkv[name] = x @ W[:, cols]
 
                 g.add_task(
                     f"attn.proj[{mb}]h{h}.{name}",
@@ -138,8 +138,8 @@ def build_attention_graph(
             r_ctx = rs.get(("ctx", mb, h), seq * d * isz, streaming=True)
             ctx_regions.append(r_ctx)
 
-            def ctx_fn(h=h, seq=seq):
-                q, k, v = qkv_store[h]["q"], qkv_store[h]["k"], qkv_store[h]["v"]
+            def ctx_fn(h=h, qkv=qkv_store[h], ctx_store=ctx_store):
+                q, k, v = qkv["q"], qkv["k"], qkv["v"]
                 scores = (q @ k.T) / np.asarray(np.sqrt(d), dtype=q.dtype)
                 ctx_store[h] = _softmax_rows(scores) @ v
 
@@ -155,7 +155,7 @@ def build_attention_graph(
 
         r_y = rs.get(("y", mb), seq * spec.model_dim * isz, streaming=True)
 
-        def out_fn(mb=mb):
+        def out_fn(mb=mb, ctx_store=ctx_store):
             out[mb] = np.concatenate(ctx_store, axis=1) @ params.Wo
 
         g.add_task(

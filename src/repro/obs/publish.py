@@ -10,6 +10,7 @@ Metric families (all prefixed ``repro_``):
 
 ====================================  =========  =================================
 ``repro_exec_runs_total``             counter    graph executions
+``repro_exec_cores``                  gauge      cores (threads) the last run ran on
 ``repro_exec_tasks_total``            counter    per task ``kind``
 ``repro_exec_task_seconds``           histogram  task durations, per ``kind``
 ``repro_exec_core_busy_seconds``      counter    per ``core``
@@ -71,6 +72,9 @@ if TYPE_CHECKING:  # typing only — keeps repro.obs import-free of the runtime
 def publish_trace(registry: MetricsRegistry, trace: "ExecutionTrace") -> None:
     """Fold one execution trace into the registry's ``repro_exec_*`` family."""
     registry.counter("repro_exec_runs_total", help="graph executions").inc()
+    registry.gauge(
+        "repro_exec_cores", help="cores (threads) the last run ran on"
+    ).set(trace.n_cores)
     by_kind: dict = {}
     for r in trace.records:
         durs = by_kind.get(r.kind)

@@ -6,15 +6,19 @@ the reference schedule used in correctness tests.
 :class:`ThreadedExecutor` is the real-concurrency engine: ``n_workers``
 threads pull from a shared scheduler under a lock.  RNN-cell payloads are
 GEMM-dominated NumPy calls that release the GIL, so tasks overlap for real
-on a multi-core host.  Dataflow determinism holds regardless of
-interleaving: a task only ever reads regions whose writers completed, so
-results are bitwise identical to the serial schedule.
+on a multi-core host — when the GEMMs are large enough to matter:
+:func:`useful_workers` starts the threads only for graphs whose GEMM work
+can feed them and runs every other graph on the calling thread.  Dataflow
+determinism holds regardless of interleaving: a task only ever reads
+regions whose writers completed, so results are bitwise identical to the
+serial schedule.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import Callable, Optional
 
 from repro.obs.hooks import ProfilingHooks
@@ -29,6 +33,7 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.task import Task
 from repro.runtime.trace import ExecutionTrace, TaskRecord
+from repro.simarch.costmodel import GEMM_KINDS
 
 SchedulerFactory = Callable[[int], Scheduler]
 
@@ -38,6 +43,26 @@ SchedulerFactory = Callable[[int], Scheduler]
 #: a multi-megabyte cell task to a core because it consumes one small
 #: activation would collapse independent chains onto one core.
 HINT_MIN_SHARED_FRACTION = 0.25
+
+#: mean GEMM flops per task under which a second thread costs more than it
+#: overlaps.  A GEMM is the only stretch of a payload that runs without the
+#: GIL; below the floor the workers spend the run handing the GIL to each
+#: other at every NumPy call.  Set from the sweep in docs/PERF.md.
+MIN_GEMM_FLOPS_PER_TASK = 1e7
+
+
+def gemm_flops_per_task(graph: TaskGraph) -> float:
+    """Mean annotated GEMM flops per task: the work a second thread could overlap."""
+    gemm = sum(t.flops for t in graph.tasks if t.kind in GEMM_KINDS)
+    return gemm / max(1, len(graph.tasks))
+
+
+def useful_workers(graph: TaskGraph, n_workers: int) -> int:
+    """Threads worth starting for ``graph``: ``n_workers``, or 1 when its
+    tasks' GEMM flops average under :data:`MIN_GEMM_FLOPS_PER_TASK`."""
+    if n_workers > 1 and gemm_flops_per_task(graph) >= MIN_GEMM_FLOPS_PER_TASK:
+        return n_workers
+    return 1
 
 
 def locality_hint(completed: Task, successor: Task, core: int) -> Optional[int]:
@@ -56,6 +81,18 @@ def locality_hint(completed: Task, successor: Task, core: int) -> Optional[int]:
     completed_ids = completed.region_ids()
     shared = sum(r.nbytes for r in successor.regions() if id(r) in completed_ids)
     return core if shared >= HINT_MIN_SHARED_FRACTION * ws else None
+
+
+def _record(task: Task, core: int, start: float, end: float) -> TaskRecord:
+    return TaskRecord(task.tid, task.name, task.kind, core, start, end, task.flops)
+
+
+def _fill_working_sets(trace: ExecutionTrace, graph: TaskGraph) -> None:
+    """Every record's ``wss_bytes``, in one pass after the run: not a sum
+    between two payloads, and not inside the workers' critical section."""
+    tasks = graph.tasks
+    for r in trace.records:
+        r.wss_bytes = tasks[r.tid].working_set_bytes()
 
 
 class SerialExecutor:
@@ -80,21 +117,11 @@ class SerialExecutor:
             t0 = time.perf_counter()
             task.run()
             dur = time.perf_counter() - t0
-            trace.records.append(
-                TaskRecord(
-                    tid=task.tid,
-                    name=task.name,
-                    kind=task.kind,
-                    core=0,
-                    start=now,
-                    end=now + dur,
-                    flops=task.flops,
-                    wss_bytes=task.working_set_bytes(),
-                )
-            )
+            trace.records.append(_record(task, 0, now, now + dur))
             now += dur
             if hooks is not None:
                 hooks.on_task_end(task, 0, now)
+        _fill_working_sets(trace, graph)
         publish_run(self.metrics, trace)
         return trace
 
@@ -124,41 +151,83 @@ class ThreadedExecutor:
         self.hooks = hooks
 
     def run(self, graph: TaskGraph, plan=None) -> ExecutionTrace:
-        """Execute ``graph``; with ``plan`` (a compiled
-        :class:`~repro.compile.plan.CompiledPlan`) replay its static
-        release order over the transitive-reduced edge set instead of
-        resolving dependences dynamically — fewer indegree decrements per
-        completion and no locality-hint computation per wake-up."""
+        """Execute ``graph`` on :func:`useful_workers` threads; with ``plan``
+        (a compiled :class:`~repro.compile.plan.CompiledPlan`) replay its
+        static release order over the transitive-reduced edge set instead
+        of resolving dependences dynamically — fewer indegree decrements
+        per completion and no locality-hint computation per wake-up."""
+        n_threads = useful_workers(graph, self.n_workers)
         if plan is not None:
             plan.validate(graph)
-            scheduler = ReplayScheduler(plan.to_schedule_record(), self.n_workers)
-            successors = plan.successors
-            indegree = plan.indegree()
+            record = plan.to_schedule_record(copy=False)
+            scheduler = ReplayScheduler(record, self.n_workers)
+            successors, indegree = plan.successors, plan.indegree()
         else:
             scheduler = resolve_scheduler(self._scheduler_factory, self.n_workers)
-            successors = graph.successors
-            indegree = list(graph.indegree)
+            successors, indegree = graph.successors, list(graph.indegree)
         scheduler.hooks = self.hooks
-        hooks = self.hooks
         trace = ExecutionTrace(
-            n_cores=self.n_workers, scheduler=getattr(scheduler, "name", "?")
+            n_cores=n_threads, scheduler=getattr(scheduler, "name", "?")
         )
-        lock = threading.Lock()
-        work_available = threading.Condition(lock)
-        remaining = len(graph.tasks)
-        errors: list = []
-        replay = plan is not None
-        epoch = time.perf_counter()
-
-        if replay:
+        if n_threads > 1 or plan is None:
             # Roots are identical under transitive reduction (a redundant
             # edge into t implies another retained path into t).
             for tid, deg in enumerate(indegree):
                 if deg == 0:
                     scheduler.push(graph.tasks[tid])
-        else:
-            for task in graph.roots():
-                scheduler.push(task)
+        if n_threads > 1:
+            hinted = plan is None
+            self._run_threaded(graph, scheduler, successors, indegree, hinted, trace)
+        elif plan is None:
+            ready = iter(partial(scheduler.pop, 0), None)
+            self._run_inline(graph, ready, scheduler.push, successors, indegree, trace)
+        else:  # plan.order is what ReplayScheduler yields on one worker
+            ready = map(graph.tasks.__getitem__, plan.order)
+            self._run_inline(graph, ready, None, successors, indegree, trace)
+        unexecuted = len(graph.tasks) - len(trace.records)
+        if unexecuted:  # a scheduler that stopped yielding ready tasks
+            raise RuntimeError(f"executor finished with {unexecuted} unexecuted tasks")
+        _fill_working_sets(trace, graph)
+        trace.scheduler_counters = scheduler.counters
+        publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
+        return trace
+
+    def _run_inline(self, graph, ready, push, successors, indegree, trace):
+        """The one-thread case: no thread, lock, condition or hint.  ``ready``
+        yields the release order (the scheduler's pops, or a plan's static
+        order) and ``push`` takes each task whose last predecessor finished;
+        a payload or scheduler exception propagates as it is."""
+        hooks = self.hooks
+        tasks = graph.tasks
+        records = trace.records
+        epoch = time.perf_counter()
+        for task in ready:
+            if indegree[task.tid] != 0:
+                raise ValueError(
+                    f"task {task.name!r} released twice or before its predecessors"
+                )
+            indegree[task.tid] = -1
+            start = time.perf_counter() - epoch
+            if hooks is not None:
+                hooks.on_task_start(task, 0, start)
+            task.run()
+            end = time.perf_counter() - epoch
+            if hooks is not None:
+                hooks.on_task_end(task, 0, end)
+            records.append(_record(task, 0, start, end))
+            for succ_tid in successors[task.tid]:
+                indegree[succ_tid] -= 1
+                if indegree[succ_tid] == 0 and push is not None:
+                    push(tasks[succ_tid])
+
+    def _run_threaded(self, graph, scheduler, successors, indegree, hinted, trace):
+        hooks = self.hooks
+        tasks = graph.tasks
+        lock = threading.Lock()
+        work_available = threading.Condition(lock)
+        remaining = len(tasks)
+        errors: list = []
+        epoch = time.perf_counter()
 
         def worker(core: int) -> None:
             nonlocal remaining
@@ -190,34 +259,35 @@ class ThreadedExecutor:
                 end = time.perf_counter() - epoch
                 if hooks is not None:
                     hooks.on_task_end(task, core, end)
+                record = _record(task, core, start, end)
+                # A successor waiting for this task alone is freed by it whatever
+                # the other workers do: place it before taking the lock.  (One
+                # whose other predecessor ends meanwhile is placed under it.)
+                hints = {
+                    succ_tid: locality_hint(task, tasks[succ_tid], core)
+                    for succ_tid in (successors[task.tid] if hinted else ())
+                    if indegree[succ_tid] == 1
+                }
                 with lock:
-                    trace.records.append(
-                        TaskRecord(
-                            tid=task.tid,
-                            name=task.name,
-                            kind=task.kind,
-                            core=core,
-                            start=start,
-                            end=end,
-                            flops=task.flops,
-                            wss_bytes=task.working_set_bytes(),
-                        )
-                    )
+                    trace.records.append(record)
                     remaining -= 1
-                    woke = 0
+                    woke = False
                     for succ_tid in successors[task.tid]:
                         indegree[succ_tid] -= 1
                         if indegree[succ_tid] == 0:
-                            succ = graph.tasks[succ_tid]
-                            hint = None if replay else locality_hint(task, succ, core)
-                            scheduler.push(succ, hint=hint)
-                            woke += 1
-                    if woke or remaining == 0:
+                            succ = tasks[succ_tid]
+                            if hinted and succ_tid not in hints:
+                                hints[succ_tid] = locality_hint(task, succ, core)
+                            scheduler.push(succ, hint=hints.get(succ_tid))
+                            woke = True
+                    if remaining == 0:
                         work_available.notify_all()
+                    elif woke:
+                        work_available.notify(len(scheduler))
 
         threads = [
             threading.Thread(target=worker, args=(c,), daemon=True)
-            for c in range(self.n_workers)
+            for c in range(trace.n_cores)
         ]
         for t in threads:
             t.start()
@@ -225,8 +295,3 @@ class ThreadedExecutor:
             t.join()
         if errors:
             raise errors[0]
-        if remaining != 0:  # pragma: no cover - defensive deadlock check
-            raise RuntimeError(f"executor finished with {remaining} unexecuted tasks")
-        trace.scheduler_counters = scheduler.counters
-        publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
-        return trace

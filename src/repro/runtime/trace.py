@@ -179,6 +179,7 @@ class ExecutionTrace:
         """
         out: Dict[str, float] = {
             "num_tasks": float(len(self.records)),
+            "n_cores": float(self.n_cores),
             "makespan_s": self.makespan,
             "total_task_time_s": self.total_task_time,
             "total_overhead_s": self.total_overhead,

@@ -303,6 +303,60 @@ def test_close_of_unrelated_object_clean():
     assert lint_source(src) == []
 
 
+# -- loop-variable-capture ----------------------------------------------------
+
+_LOOP_PAYLOAD = (
+    "def build(g, xs, out):\n"
+    "    for i, x in enumerate(xs):\n"
+    "        store = {{}}\n"
+    "        def fn({params}):\n"
+    "            store['y'] = x * 2\n"
+    "            out[i] = store['y']\n"
+    "        g.add_task(f't{{i}}', {handed})\n"
+)
+
+
+def test_loop_rebound_names_read_by_a_task_payload_flagged():
+    findings = lint_source(_LOOP_PAYLOAD.format(params="", handed="fn"))
+    assert _rules(findings) == ["loop-variable-capture"] * 4
+    assert [f.line for f in findings] == [5, 5, 6, 6]  # store, x / i, store
+    assert "`store=store`" in findings[0].message + findings[1].message
+
+
+def test_loop_names_bound_as_defaults_clean():
+    bound = "i=i, x=x, store=store"
+    assert lint_source(_LOOP_PAYLOAD.format(params=bound, handed="fn")) == []
+    # handed over inside a conditional expression, one default missing
+    partly = _LOOP_PAYLOAD.format(params="i=i, x=x", handed="fn if xs else None")
+    assert {f.line for f in lint_source(partly)} == {5, 6}
+
+
+def test_loop_closure_not_handed_to_a_task_clean():
+    src = _LOOP_PAYLOAD.format(params="", handed="None").replace(
+        "g.add_task", "fn(); g.add_task"
+    )
+    assert lint_source(src) == []
+
+
+def test_loop_lambda_payload_flagged():
+    src = "for i in range(3):\n    g.add_task('t', lambda: out.append(i))\n"
+    assert _rules(lint_source(src)) == ["loop-variable-capture"]
+    assert lint_source(src.replace("lambda:", "lambda i=i:")) == []
+
+
+def test_loop_capture_rediscovers_the_attention_chunk_bug():
+    """PR 16's ``build_attention_graph`` read the per-chunk stores through
+    the ``for mb`` loop's names; ``chunks > 1`` then depended on the schedule."""
+    fixture = Path(__file__).resolve().parents[1] / "fixtures" / "attention_build_pr16.py.txt"
+    findings = lint_source(fixture.read_text(), path=str(fixture))
+    assert set(_rules(findings)) == {"loop-variable-capture"}
+    flagged = {(f.message.split("`")[1], f.message.split("`")[3]) for f in findings}
+    assert flagged == {
+        ("fn", "qkv_store"), ("ctx_fn", "qkv_store"),
+        ("ctx_fn", "ctx_store"), ("out_fn", "ctx_store"),
+    }
+
+
 # -- waivers ----------------------------------------------------------------
 
 
@@ -342,7 +396,7 @@ def test_rule_registry_matches_emitted_rules():
     assert set(RULES) == {
         "mutable-default", "swallowed-exception", "float64-creep",
         "undeclared-closure-capture", "inplace-mutation-in-only",
-        "fork-unsafe-capture", "shm-use-after-close",
+        "fork-unsafe-capture", "shm-use-after-close", "loop-variable-capture",
     }
 
 

@@ -18,6 +18,7 @@ def test_threaded_replay_single_worker_follows_plan_order():
     assert trace.scheduler == "replay"
 
 
+@pytest.mark.usefixtures("real_threads")
 def test_threaded_replay_multiworker_runs_everything():
     build = build_functional(mbs=4)
     plan = compile_graph(build.graph, n_workers=4)
@@ -26,6 +27,7 @@ def test_threaded_replay_multiworker_runs_everything():
     assert {r.tid for r in trace.records} == set(range(len(build.graph)))
 
 
+@pytest.mark.usefixtures("real_threads")
 def test_threaded_replay_matches_dynamic_bits():
     dynamic = build_functional()
     ThreadedExecutor(2, "fifo").run(dynamic.graph)

@@ -20,6 +20,9 @@ import pytest
 from repro.runtime.racecheck import plan_equivalence_check
 from tests.conftest import FUSION_SWEEP, PROJECTION_SWEEP, build_functional
 
+#: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("real_threads")
+
 
 @pytest.mark.parametrize("case", PROJECTION_SWEEP)
 def test_replay_bitwise_equivalent(case):

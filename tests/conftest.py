@@ -6,8 +6,14 @@ cross-executor conformance machinery: the builder configuration matrices
 (``PROJECTION_SWEEP``/``FUSION_SWEEP``) that the racecheck, compiled-
 replay and executor conformance suites all parametrize over, and the
 executor matrix (``executor_matrix``/``make_executor``) that
-parametrizes conformance tests over every substrate — threaded,
-simulated (functional payload mode), and multiprocess.
+parametrizes conformance tests over every substrate — threaded, the
+threaded executor's one-thread path on the caller, simulated (functional
+payload mode), and multiprocess.
+
+The graphs these suites build are far below the threaded executor's
+granularity floor, so ``ThreadedExecutor(n)`` would run them on the
+calling thread; suites whose purpose is concurrency apply the
+``real_threads`` fixture, which takes the floor away.
 
 Two markers thin the sweeps out of tier-1:
 
@@ -32,6 +38,14 @@ from repro.models.spec import BRNNSpec
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def real_threads(monkeypatch):
+    """``ThreadedExecutor(n)`` starts ``n`` threads whatever the graph: the
+    granularity floor (``MIN_GEMM_FLOPS_PER_TASK``) is patched to 0.  Apply
+    with ``pytestmark = pytest.mark.usefixtures("real_threads")``."""
+    monkeypatch.setattr("repro.runtime.executor.MIN_GEMM_FLOPS_PER_TASK", 0.0)
 
 
 def small_spec(**overrides) -> BRNNSpec:
@@ -235,6 +249,7 @@ FUSION_SWEEP = _sweep(_FUSION_CASES, _FUSION_TIER1)
 #: case makes the full matrix expensive — ``make smoke-mp`` runs it)
 EXECUTOR_MATRIX = [
     pytest.param("threaded", id="threaded"),
+    pytest.param("caller", id="caller"),
     pytest.param("sim", id="sim"),
     pytest.param("process", id="process", marks=pytest.mark.slow_mp),
 ]
@@ -248,13 +263,17 @@ def make_executor(name, n_workers=2, scheduler="fifo"):
     """A fresh functional executor of substrate ``name``.
 
     ``sim`` returns the modelled machine with ``execute_payloads=True``,
-    so all three substrates run the real numerics and can be compared
-    bitwise.
+    so every substrate runs the real numerics and can be compared
+    bitwise.  ``caller`` is the threaded executor's one-thread path.
     """
     if name == "threaded":
         from repro.runtime.executor import ThreadedExecutor
 
         return ThreadedExecutor(n_workers, scheduler)
+    if name == "caller":  # one worker never starts a thread (docs/EXECUTORS.md)
+        from repro.runtime.executor import ThreadedExecutor
+
+        return ThreadedExecutor(1, scheduler)
     if name == "process":
         from repro.runtime.mpexec import MultiprocessExecutor
 

@@ -19,6 +19,9 @@ from repro.runtime.scheduler import FIFOScheduler, LIFOScheduler
 from repro.simarch.presets import laptop_sim
 from tests.conftest import make_batch, small_spec
 
+#: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("real_threads")
+
 
 def oracle(spec, x, labels, seed=3):
     params = BRNNParams.initialize(spec, seed=seed)

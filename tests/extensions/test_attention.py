@@ -54,10 +54,15 @@ def test_serial_and_simulated_executors_agree(setup):
     assert np.array_equal(y_sim, ref)
 
 
-def test_block_local_chunks_partition_sequence(setup):
-    """chunks>1 computes block-local attention: per-block oracle match."""
+@pytest.mark.usefixtures("real_threads")
+@pytest.mark.parametrize("n_workers", [1, 3])
+@pytest.mark.parametrize("policy", ["fifo", "lifo", "locality", "steal", "fuzz:1", "fuzz:2"])
+def test_block_local_chunks_partition_sequence(setup, policy, n_workers):
+    """chunks>1 computes block-local attention: per-block oracle match,
+    whichever order the chunks' tasks interleave in (each payload is bound
+    to its own chunk's stores, not to the build loop's last ones)."""
     spec, params, x = setup
-    y = run_attention(spec, params, x, ThreadedExecutor(3), chunks=3)
+    y = run_attention(spec, params, x, ThreadedExecutor(n_workers, policy), chunks=3)
     blocks = np.array_split(x, 3, axis=0)
     expected = np.concatenate(
         [attention_reference(spec, params, b) for b in blocks], axis=0

@@ -8,6 +8,7 @@ order; schedulers never lose or duplicate tasks.
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime.depgraph import TaskGraph
@@ -16,6 +17,9 @@ from repro.runtime.scheduler import make_scheduler
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.task import RegionSpace, Task
 from repro.simarch.presets import laptop_sim
+
+#: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("real_threads")
 
 
 @st.composite

@@ -14,6 +14,9 @@ from repro.runtime.executor import (
 from repro.runtime.scheduler import FIFOScheduler
 from repro.runtime.task import Region, RegionSpace, Task
 
+#: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("real_threads")
+
 
 def chain_graph(n, out):
     """n tasks appending their index, serialised by one inout region."""
@@ -137,3 +140,39 @@ def test_locality_hint_small_connector_keeps_chain():
     succ = Task("head_bwd", None, ins=[conn, Region("W", 1000)])
     # shared = 8 bytes = 100% of the *predecessor's* working set
     assert locality_hint(pred, succ, 1) == 1
+
+
+def test_more_workers_than_cores_short_switch_interval_loses_no_update():
+    """Eight workers trading the GIL every 10 us over a 240-task lattice: the
+    completion section (indegree count-down, pushes, wake-ups) and the hint
+    placed before it must run every task exactly once, after its predecessors."""
+    import sys
+
+    g = TaskGraph()
+    rs = RegionSpace()
+    order = []
+    width, depth = 6, 40
+    for layer in range(depth):
+        for col in range(width):
+            ins = [] if layer == 0 else [
+                rs.get((layer - 1, c % width), 64) for c in (col, col + 1)
+            ]
+            g.add_task(f"n{layer}.{col}", (lambda t=len(g): order.append(t)),
+                       ins=ins, outs=[rs.get((layer, col), 64)])
+    outcome = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(
+            target=lambda: outcome.append(ThreadedExecutor(8).run(g)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive() and outcome, "executor did not finish"
+    assert outcome[0].n_cores == 8
+    assert sorted(order) == list(range(width * depth))
+    position = {tid: i for i, tid in enumerate(order)}
+    for a, succs in enumerate(g.successors):
+        assert all(position[a] < position[b] for b in succs)

@@ -2,7 +2,8 @@
 
 The conformance matrix the racecheck and replay sweeps audit structurally
 is executed here *functionally* on every substrate — threaded workers,
-the simulated machine in payload mode, and the multiprocess executor over
+the threaded executor's one-thread path on the calling thread, the
+simulated machine in payload mode, and the multiprocess executor over
 shared memory — and each substrate's results (parameters, per-chunk
 gradients, logits) must be bitwise identical to the threaded FIFO
 reference built from the same deterministic state.  For the process
@@ -24,6 +25,9 @@ from tests.conftest import (
     build_functional,
     make_executor,
 )
+
+#: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("real_threads")
 
 
 def _fingerprint_on(executor_name, **build_kwargs):
@@ -58,7 +62,7 @@ TIER1_CASES = [
 ]
 
 
-@pytest.mark.parametrize("executor_name", ["sim", "process"])
+@pytest.mark.parametrize("executor_name", ["caller", "sim", "process"])
 @pytest.mark.parametrize(
     "case", TIER1_CASES,
     ids=[f"{c['cell']}-{c['fusion']}-{'train' if c['training'] else 'fwd'}"

@@ -44,6 +44,9 @@ from repro.runtime.scheduler import FuzzScheduler, RecordingScheduler, ScheduleR
 from repro.runtime.executor import ThreadedExecutor
 from tests.conftest import build_functional, make_batch, small_spec
 
+#: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("real_threads")
+
 _FIXTURE_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures"
 )
