@@ -66,11 +66,17 @@ smoke-obs:
 	$(PYTHON) -m repro bench --check $(TMP)_obs.json $(BASELINES)/BENCH_obs_overhead.json
 
 # race-detector smoke: the checker's own unit tests, then the mutation
-# self-test gate (clean graph -> zero findings; each seeded dependence
-# deletion -> detected; fuzzed schedules -> bitwise identical to FIFO)
+# self-test gate through the real CLI on a per-step, a hoisted-projection
+# and a wavefront-tiled train graph (clean graph -> zero findings; each
+# seeded dependence deletion -> detected; fuzzed schedules -> bitwise
+# identical to FIFO; any miss exits 1)
+RACECHECK := $(PYTHON) -m repro racecheck --hidden 8 --layers 2 --input-size 6 \
+	--seq-len 5 --batch 8 --mbs 2 --mutations 5 --fuzz-seeds 5
 smoke-racecheck:
 	$(PYTHON) -m pytest tests/runtime/test_racecheck.py tests/runtime/test_schedule_fuzz.py -x -q
-	$(PYTHON) tools/check_racecheck.py
+	$(RACECHECK) --fused-input-projection off
+	$(RACECHECK) --fused-input-projection on --proj-block 2
+	$(RACECHECK) --fused-input-projection off --fusion wavefront --wavefront-tile 2
 
 # compiled-replay smoke: the compile-package unit tests + mutated-plan
 # regression, then the reduced-size overhead A/B vs both dynamic policies,

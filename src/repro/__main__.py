@@ -230,27 +230,15 @@ def _cmd_bench(args) -> int:
     return ledger.finish(errors, [])
 
 
-def _cmd_racecheck(args) -> int:
-    """Race-check a built graph: observation + ordering + fuzz + mutation.
-
-    Model size comes from the shared flags (--hidden/--layers/--seq-len/
-    --batch); the dynamic observation pass executes one full batch
-    serially, so prefer small models (the smoke configuration is
-    ``--hidden 16 --layers 2 --seq-len 6 --batch 8``).
-    """
-    import json
+def _checked_graph(args, functional: bool):
+    """The graph ``analyze`` and ``racecheck`` check, built from every
+    structural flag: cost-only for ``analyze``; for ``racecheck`` functional,
+    on seeded inputs and freshly initialised parameters, so every call
+    starts from bit-identical state."""
+    import numpy as np
 
     from repro.core.graph_builder import build_brnn_graph
     from repro.models.params import BRNNParams
-    from repro.runtime.racecheck import (
-        check_build,
-        fuzz_equivalence_sweep,
-        mutation_probe,
-        record_schedule,
-        replay_schedule,
-    )
-    from repro.runtime.scheduler import ScheduleRecord
-    import numpy as np
 
     spec = BRNNSpec(
         cell=args.cell,
@@ -261,27 +249,54 @@ def _cmd_racecheck(args) -> int:
         head=args.head,
         num_classes=11,
     )
+    training = not args.infer
+    structure = dict(
+        mbs=args.mbs,
+        training=training,
+        barrier_free=not args.barriers,
+        serialize_chunks=args.serialize_chunks,
+        fused_input_projection=args.fused_input_projection,
+        proj_block=args.proj_block,
+        fusion=args.fusion,
+        wavefront_tile=args.wavefront_tile,
+    )
+    if not functional:
+        return build_brnn_graph(spec, seq_len=args.seq_len, batch=args.batch, **structure)
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.seq_len, args.batch, spec.input_size)).astype(spec.dtype)
-    if spec.head == "many_to_one":
-        labels = rng.integers(0, spec.num_classes, size=args.batch)
-    else:
-        labels = rng.integers(0, spec.num_classes, size=(args.seq_len, args.batch))
-    training = not args.infer
+    shape = args.batch if spec.head == "many_to_one" else (args.seq_len, args.batch)
+    labels = rng.integers(0, spec.num_classes, size=shape)
+    return build_brnn_graph(
+        spec,
+        x=x,
+        labels=labels if training else None,
+        params=BRNNParams.initialize(spec, seed=args.seed + 1),
+        lr=0.05,
+        **structure,
+    )
+
+
+def _cmd_racecheck(args) -> int:
+    """Race-check a built graph: observation + ordering + fuzz + mutation.
+
+    Model size comes from the shared flags (--hidden/--layers/--seq-len/
+    --batch); the dynamic observation pass executes one full batch
+    serially, so prefer small models (the smoke configuration is
+    ``--hidden 16 --layers 2 --seq-len 6 --batch 8``).
+    """
+    import json
+
+    from repro.runtime.racecheck import (
+        check_build,
+        fuzz_equivalence_sweep,
+        mutation_probe,
+        record_schedule,
+        replay_schedule,
+    )
+    from repro.runtime.scheduler import ScheduleRecord
 
     def build():
-        params = BRNNParams.initialize(spec, seed=args.seed + 1)
-        return build_brnn_graph(
-            spec,
-            x=x,
-            labels=labels if training else None,
-            params=params,
-            training=training,
-            mbs=args.mbs,
-            lr=0.05,
-            fused_input_projection=args.fused_input_projection,
-            proj_block=args.proj_block,
-        )
+        return _checked_graph(args, functional=True)
 
     failed = False
     report = check_build(build())
@@ -355,32 +370,13 @@ def _cmd_analyze(args) -> int:
         "serialize_chunks": args.serialize_chunks,
         "fused_input_projection": args.fused_input_projection,
         "proj_block": args.proj_block,
+        "fusion": args.fusion,
+        "wavefront_tile": args.wavefront_tile,
         "lint_paths": [args.lint] if args.lint else [],
     }
 
     if not args.skip_graph:
-        from repro.core.graph_builder import build_brnn_graph
-
-        spec = BRNNSpec(
-            cell=args.cell,
-            input_size=args.input_size,
-            hidden_size=args.hidden,
-            num_layers=args.layers,
-            merge_mode="sum",
-            head=args.head,
-            num_classes=11,
-        )
-        built = build_brnn_graph(
-            spec,
-            seq_len=args.seq_len,
-            batch=args.batch,
-            mbs=args.mbs,
-            training=not args.infer,
-            barrier_free=not args.barriers,
-            serialize_chunks=args.serialize_chunks,
-            fused_input_projection=args.fused_input_projection,
-            proj_block=args.proj_block,
-        )
+        built = _checked_graph(args, functional=False)
         glint = lint_graph(built.graph)
         print(glint.summary())
         for f in glint.findings:
@@ -537,9 +533,9 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--skip-graph", action="store_true",
                    help="skip the graph build/lint half (AST lint only)")
     g.add_argument("--barriers", action="store_true",
-                   help="analyze the per-layer-barrier (framework) graph variant")
+                   help="analyze/racecheck the per-layer-barrier (framework) graph variant")
     g.add_argument("--serialize-chunks", action="store_true",
-                   help="analyze the B-Seq (chunk-serialised) graph variant")
+                   help="analyze/racecheck the B-Seq (chunk-serialised) graph variant")
     g.add_argument("--verify", nargs="?", const="full", default=None,
                    metavar="SCOPE",
                    help="run the symbolic dependence verifier: SCOPE 'full' "

@@ -21,14 +21,14 @@ float32 zone.  This pass encodes those project rules:
 
 ``undeclared-closure-capture``
     A ``_fn_*`` payload factory's closure touches a region family (via
-    the state/params attribute vocabulary below) that no declaration at
-    its build site covers — the *static* mirror of the dynamic race
-    checker's observed-vs-declared diff, and it runs on every config at
-    once instead of only the ones we execute.
+    the state/params attribute vocabulary below) that its task family's
+    access rule does not declare — the *static* mirror of the dynamic
+    race checker's observed-vs-declared diff, and it runs on every config
+    at once instead of only the ones we execute.
 
 ``inplace-mutation-in-only``
     A payload closure mutates (``+=``, slice/index assignment) storage
-    whose region family the build site declares only as ``in``.
+    whose region family the access rule declares only as ``in``.
 
 ``fork-unsafe-capture``
     A ``_fn_*`` payload closure captures state that does not survive the
@@ -56,10 +56,16 @@ float32 zone.  This pass encodes those project rules:
 Waivers: append ``# lint: waive <rule>[, <rule>...]`` (or ``waive all``)
 on the finding's line or the line above.
 
-The closure rules are driven by two project vocabularies: region
-*accessor* methods (``r_x`` … — their family is read out of the
-``self.regions.get(("<kind>", …))`` call inside each accessor, so new
-accessors are picked up automatically) and :data:`FAMILY_IDENTS`, which
+The closure rules compare two readings of the source.  *Declared*: a
+factory is paired with its task family — the ``kind="…"`` literal of the
+``self._add(…)`` call it is handed to, plus the enclosing build method —
+and the family's rule function is looked up in the ``FAMILIES`` literal
+of :mod:`repro.core.access_spec`, the table the builder emits
+declarations from (a module without its own ``FAMILIES`` literal reads
+the ``access_spec.py`` beside it).  Inside a rule, a tuple literal starting with a string
+is a region key (``_in_key(…)`` is ``x`` or ``m``); it is an ``in`` or a
+write according to the ``ins``/``outs``/``inouts`` variable or
+``AccessDecl`` keyword it sits under.  *Touched*: :data:`FAMILY_IDENTS`
 maps state/params attribute names to the region families their storage
 backs (the static analogue of ``GraphBuildResult.region_storage``).
 """
@@ -263,106 +269,84 @@ def _float64_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
 # -- closure/declaration rules -------------------------------------------
 
 
-def _accessor_families(cls: ast.ClassDef) -> Dict[str, FrozenSet[str]]:
-    """Region family of each accessor method, read from its key literal.
-
-    A second pass resolves one level of indirection (``_in_region``
-    returns ``r_x`` or ``r_m``), so indirect accessors map to the union
-    of the families they can return.
-    """
-    methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
-    families: Dict[str, FrozenSet[str]] = {}
-    for name, method in methods.items():
-        fams: Set[str] = set()
-        for node in ast.walk(method):
-            fam = _regions_get_family(node)
-            if fam:
-                fams |= fam
-        if fams:
-            families[name] = frozenset(fams)
-    for name, method in methods.items():
-        if name in families:
-            continue
-        fams = set()
-        for node in ast.walk(method):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-                and node.func.attr in families
-            ):
-                fams |= families[node.func.attr]
-        if fams:
-            families[name] = frozenset(fams)
-    return families
-
-
-def _regions_get_family(node: ast.AST) -> Optional[Set[str]]:
-    """Family of an inline ``self.regions.get(("<kind>", …), …)`` call."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "get"
-        and isinstance(node.func.value, ast.Attribute)
-        and node.func.value.attr == "regions"
-        and node.args
-        and isinstance(node.args[0], ast.Tuple)
-        and node.args[0].elts
-        and isinstance(node.args[0].elts[0], ast.Constant)
-        and isinstance(node.args[0].elts[0].value, str)
-    ):
-        return {node.args[0].elts[0].value}
+def _terminal_name(node: ast.AST) -> Optional[str]:
+    """The rightmost identifier of a ``Name``/``Attribute`` chain."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
     return None
 
 
-def _accessor_call_families(
-    node: ast.AST, accessors: Dict[str, FrozenSet[str]]
-) -> Set[str]:
-    """Families named by every accessor call inside ``node``'s subtree."""
+def _access_rules(tree: ast.Module, path: str) -> Dict[str, ast.FunctionDef]:
+    """Family id → rule function, read from the table module's
+    ``FAMILIES = {"kind@site": rule, …}`` literal.
+
+    The table module is the linted module itself when it holds such a
+    literal, else the ``access_spec.py`` beside ``path``
+    (``core/graph_builder.py``'s case).
+    """
+
+    def families_literal(module: ast.Module) -> Optional[ast.Dict]:
+        for node in module.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(_terminal_name(t) == "FAMILIES" for t in targets):
+                    return node.value
+        return None
+
+    sibling = os.path.join(os.path.dirname(path), "access_spec.py")
+    if families_literal(tree) is None and os.path.isfile(sibling):
+        with open(sibling, "r", encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+    literal = families_literal(tree)
+    if literal is None:
+        return {}
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    return {
+        key.value: functions[_terminal_name(value)]
+        for key, value in zip(literal.keys, literal.values)
+        if isinstance(key, ast.Constant) and _terminal_name(value) in functions
+    }
+
+
+def _key_families(node: ast.AST) -> Set[str]:
+    """Region families of the keys written inside ``node``: a tuple literal
+    whose first element is a string is a region key, and ``_in_key(…)`` is
+    the layer input (``x`` below the first layer, ``m`` above)."""
     fams: Set[str] = set()
     for n in ast.walk(node):
-        inline = _regions_get_family(n)
-        if inline:
-            fams |= inline
-        elif (
-            isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and isinstance(n.func.value, ast.Name)
-            and n.func.value.id == "self"
-            and n.func.attr in accessors
+        if (
+            isinstance(n, ast.Tuple)
+            and n.elts
+            and isinstance(n.elts[0], ast.Constant)
+            and isinstance(n.elts[0].value, str)
         ):
-            fams |= accessors[n.func.attr]
+            fams.add(n.elts[0].value)
+        elif isinstance(n, ast.Call) and _terminal_name(n.func) == "_in_key":
+            fams |= {"x", "m"}
     return fams
 
 
 _BUCKET_OF = {"ins": "ins", "outs": "writes", "inouts": "writes"}
 
 
-def _declaration_buckets(
-    method: ast.FunctionDef, accessors: Dict[str, FrozenSet[str]]
-) -> Dict[str, Set[str]]:
-    """Region families a build method declares, split by access mode.
+def _declaration_buckets(rule: Optional[ast.FunctionDef]) -> Dict[str, Set[str]]:
+    """Region families an access rule declares, split by access mode.
 
-    ``ins``/``writes`` hold the families whose accessor calls appear in
-    recognisably ``in``- / ``out``+``inout``-flavoured positions (the
-    keyword arguments of task-creation calls, or assignments/appends to
-    variables literally named ``ins``/``outs``/``inouts``); every other
-    accessor call lands in ``other`` — mode unknown, but still declared.
+    ``ins``/``writes`` hold the families of the keys in ``in``- /
+    ``out``+``inout``-flavoured positions: the ``ins=``/``outs=``/
+    ``inouts=`` keywords of the ``AccessDecl(…)`` calls, and assignments,
+    ``+=`` and ``append``/``extend`` on variables literally named
+    ``ins``/``outs``/``inouts``.  A key anywhere else declares nothing; a
+    family with no rule (``rule is None``) declares nothing at all.
     """
-    buckets: Dict[str, Set[str]] = {"ins": set(), "writes": set(), "other": set()}
-    claimed: Set[int] = set()
-
-    def claim(subtree: ast.AST, bucket: str) -> None:
-        buckets[bucket] |= _accessor_call_families(subtree, accessors)
-        for n in ast.walk(subtree):
-            claimed.add(id(n))
-
-    for node in ast.walk(method):
+    buckets: Dict[str, Set[str]] = {"ins": set(), "writes": set()}
+    for node in ast.walk(rule) if rule is not None else ():
         if isinstance(node, ast.Call):
             for kw in node.keywords:
                 if kw.arg in _BUCKET_OF:
-                    claim(kw.value, _BUCKET_OF[kw.arg])
+                    buckets[_BUCKET_OF[kw.arg]] |= _key_families(kw.value)
             # ins.append(...) / inouts.extend(...)
             if (
                 isinstance(node.func, ast.Attribute)
@@ -371,32 +355,12 @@ def _declaration_buckets(
                 and node.func.value.id in _BUCKET_OF
             ):
                 for arg in node.args:
-                    claim(arg, _BUCKET_OF[node.func.value.id])
-        elif isinstance(node, ast.Assign):
-            if (
-                len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id in _BUCKET_OF
-            ):
-                claim(node.value, _BUCKET_OF[node.targets[0].id])
-        elif isinstance(node, ast.AugAssign):
-            if isinstance(node.target, ast.Name) and node.target.id in _BUCKET_OF:
-                claim(node.value, _BUCKET_OF[node.target.id])
-
-    for node in ast.walk(method):
-        if id(node) in claimed:
-            continue
-        inline = _regions_get_family(node)
-        if inline:
-            buckets["other"] |= inline
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "self"
-            and node.func.attr in accessors
-        ):
-            buckets["other"] |= accessors[node.func.attr]
+                    buckets[_BUCKET_OF[node.func.value.id]] |= _key_families(arg)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id in _BUCKET_OF:
+                    buckets[_BUCKET_OF[target.id]] |= _key_families(node.value)
     return buckets
 
 
@@ -438,59 +402,59 @@ def _collect_aliases(
             _collect_aliases(getattr(stmt, "orelse", []), aliases)
 
 
-def _closure_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
+def _closure_findings(tree: ast.Module, path: str) -> List[PyLintFinding]:
     findings: List[PyLintFinding] = []
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
-        methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
-        factories = [m for m in methods.values() if m.name.startswith("_fn_")]
+        methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+        factories = [m for m in methods if m.name.startswith("_fn_")]
         if not factories:
             continue
-        accessors = _accessor_families(cls)
+        rules = _access_rules(tree, path)
 
-        # Which build methods reference which payload factory.
-        refs: Dict[str, List[str]] = {}
-        for method in methods.values():
-            if method.name.startswith("_fn_"):
-                continue
-            for node in ast.walk(method):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                    and node.func.attr.startswith("_fn_")
-                ):
-                    refs.setdefault(node.func.attr, []).append(method.name)
+        # Families each payload factory serves: the ``kind`` literal of the
+        # ``_add`` call it is handed to, at the enclosing build method.
+        served: Dict[str, Set[str]] = {}
+        for method in methods:
+            for call in ast.walk(method):
+                if not (isinstance(call, ast.Call) and _terminal_name(call.func) == "_add"):
+                    continue
+                kinds = [kw.value.value for kw in call.keywords
+                         if kw.arg == "kind" and isinstance(kw.value, ast.Constant)]
+                if not kinds:
+                    continue
+                for node in (n for arg in call.args for n in ast.walk(arg)):
+                    name = _terminal_name(node.func) if isinstance(node, ast.Call) else None
+                    if name and name.startswith("_fn_"):
+                        served.setdefault(name, set()).add(f"{kinds[0]}@{method.name}")
 
-        bucket_cache: Dict[str, Dict[str, Set[str]]] = {}
         for factory in factories:
-            sites = refs.get(factory.name, [])
-            if not sites:
+            families = sorted(served.get(factory.name, ()))
+            if not families:
                 continue  # unused factory: no declaration context to check
             ins: Set[str] = set()
             writes: Set[str] = set()
-            other: Set[str] = set()
-            for site in sites:
-                if site not in bucket_cache:
-                    bucket_cache[site] = _declaration_buckets(methods[site], accessors)
-                b = bucket_cache[site]
-                ins |= b["ins"]
-                writes |= b["writes"]
-                other |= b["other"]
-            declared = ins | writes | other
-            site_label = "/".join(sorted(set(sites)))
+            for family in families:
+                buckets = _declaration_buckets(rules.get(family))
+                ins |= buckets["ins"]
+                writes |= buckets["writes"]
+            declared = ins | writes
+            family_label = "/".join(families)
 
             aliases: Dict[str, FrozenSet[str]] = {}
             _collect_aliases(factory.body, aliases)
-            inner_fns = [n for n in factory.body if isinstance(n, ast.FunctionDef)]
+            # every payload variant, including ones defined under an ``if``
+            inner_fns = [
+                n for n in ast.walk(factory)
+                if isinstance(n, ast.FunctionDef) and n is not factory
+            ]
             for fn in inner_fns:
                 fn_aliases = dict(aliases)
                 _collect_aliases(fn.body, fn_aliases)
 
                 # undeclared-closure-capture: any storage identifier whose
-                # families miss the build site's declarations entirely.
+                # families miss the rule's declarations entirely.
                 reported: Set[str] = set()
                 for node in ast.walk(fn):
                     ident = None
@@ -513,9 +477,9 @@ def _closure_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
                                 path=path,
                                 line=node.lineno,
                                 message=f"payload closure in `{factory.name}` touches "
-                                f"`{ident}` (region family {sorted(fams)}) but its "
-                                f"build site `{site_label}` declares no region of "
-                                "that family",
+                                f"`{ident}` (region family {sorted(fams)}) but the "
+                                f"access rule of `{family_label}` declares no region "
+                                "of that family",
                             )
                         )
 
@@ -532,7 +496,7 @@ def _closure_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
                         )
                 for target in mutations:
                     fams = _ident_families(target, fn_aliases)
-                    if fams and fams & ins and not (fams & (writes | other)):
+                    if fams and fams & ins and not (fams & writes):
                         findings.append(
                             PyLintFinding(
                                 rule="inplace-mutation-in-only",
@@ -540,7 +504,8 @@ def _closure_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
                                 line=target.lineno,
                                 message=f"payload closure in `{factory.name}` mutates "
                                 f"storage of region family {sorted(fams)} that "
-                                f"`{site_label}` declares only as `in`",
+                                f"the access rule of `{family_label}` declares only "
+                                "as `in`",
                             )
                         )
     return findings
@@ -555,15 +520,6 @@ _LOCK_CONSTRUCTORS = {
 #: ``np.random`` attributes that are *not* the shared global generator
 _SAFE_NP_RANDOM = {"default_rng", "Generator", "SeedSequence", "BitGenerator",
                    "PCG64", "Philox", "SFC64"}
-
-
-def _terminal_name(node: ast.AST) -> Optional[str]:
-    """The rightmost identifier of a ``Name``/``Attribute`` chain."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
 
 
 def _fork_unsafe_bindings(factory: ast.FunctionDef) -> Dict[str, str]:

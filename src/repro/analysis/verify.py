@@ -8,10 +8,16 @@ structural instantiations the certificate lists.  Four obligations per
 built graph:
 
 1. **Access-spec fidelity** — every task's declared ``in``/``out``/
-   ``inout`` key sets equal the hand-audited kernel access spec of its
-   family (:mod:`repro.core.access_spec`).  The spec is written from the
-   kernel side, so a dropped declaration cannot hide behind a
-   self-consistent graph.
+   ``inout`` key sets equal the access rule of its family
+   (:mod:`repro.core.access_spec`).  The builder emits declarations from
+   that table, so this holds by construction for a graph straight out of
+   ``build_brnn_graph``; it is checked for any graph handed in, which is
+   what catches a declaration dropped or a family re-stamped after the
+   build, or a task added around ``_Builder._add``.  The table itself is
+   held to the kernels by the two checks that compare payloads with it:
+   the closure lint (:mod:`repro.analysis.pylint`) and the dynamic
+   observed-versus-declared audit (:func:`cross_validate` here,
+   :func:`repro.runtime.racecheck.check_build`).
 2. **Storage soundness** — the symbolic byte extents of all region keys
    (:meth:`GraphBuildResult.symbolic_storage`) evaluate back to the
    declared concrete sizes, and every pair of distinct keys sharing an

@@ -1,35 +1,44 @@
-"""Kernel access specifications, per task family.
+"""The access relation: per task family, the region keys a task touches.
 
 Every task the graph builder emits is stamped with a *family* id
-(``meta["family"] = "kind@build_site"``).  This module records, for each
-family, the region keys the family's **kernel** actually touches — an
-independent, hand-audited transcription of the payload factories in
-:mod:`repro.core.graph_builder` (``_fn_cell_fwd_tile`` reads the
-``zx``/input slot of every step ``[lo, hi)`` it covers, the weight panel,
-and the state carried in from below ``lo``; ``_fn_proj_bwd`` accumulates
-into the input rows ``dW[:I]`` only; …).  A cell task is a chain tile of
-one step unless ``fusion="wavefront"``, so one forward and one backward
-cell rule cover every tile length.
+(``meta["family"] = "kind@build_site"``).  This module is the one place
+that says which region keys a task of each family reads (``ins``), writes
+(``outs``) or updates in place (``inouts``), as a function of the task's
+``meta`` and the build's :class:`AccessContext`: ``_cell_fwd_tile`` reads
+the ``zx``/input slot of every step ``[lo, hi)`` it covers, the weight
+panel, and the state carried in from below ``lo``; ``_proj_bwd``
+accumulates into the input rows ``dW[:I]`` only; …  A cell task is a chain
+tile of one step unless ``fusion="wavefront"``, so one forward and one
+backward cell rule cover every tile length.
 
-The symbolic verifier (:mod:`repro.analysis.verify`) replays this table
-against a built graph and proves two things task by task:
+Three readers, no second copy:
 
-* **fidelity** — the builder's declared ``in``/``out``/``inout`` sets
-  name exactly the keys the kernel touches, and
-* **coverage** — the declared byte extents
-  (:meth:`~repro.core.graph_builder.GraphBuildResult.symbolic_storage`)
-  cover the kernel's footprint for every valuation of the symbolic size
-  parameters.
+* the builder (:meth:`repro.core.graph_builder._Builder._add`) *emits*
+  each task's ``in``/``out``/``inout`` regions from its family's rule, so
+  a built graph agrees with the table by construction;
+* the symbolic verifier (:mod:`repro.analysis.verify`) replays the table
+  against any graph it is handed (**fidelity**: declared key sets equal
+  the rule's, which catches a graph changed after the build or a task
+  added around ``_add``) and proves **coverage**: the declared byte
+  extents (:meth:`~repro.core.graph_builder.GraphBuildResult.
+  symbolic_storage`) cover the kernel's footprint for every valuation of
+  the symbolic size parameters;
+* the closure lint (:mod:`repro.analysis.pylint`) reads the rule
+  functions' source (the ``ins``/``outs``/``inouts`` names and
+  ``AccessDecl`` keywords below are its vocabulary) and compares it with
+  what each family's payload closure touches.
 
-Because the table is written from the kernel side, a builder regression
-(a dropped ``in``, a region shrunk below what the kernel writes) shows
-up as a mismatch here even when the graph is self-consistent.
+What ties the table to the *kernels* is therefore not a second
+transcription but two checks of payload against rule: that lint,
+statically, and the race checker's observed-versus-declared audit
+(:func:`repro.runtime.racecheck.check_build`), by running every payload
+on tracked arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple
 
 from repro.models.spec import BRNNSpec
 
@@ -67,9 +76,8 @@ class AccessContext:
         )
 
 
-@dataclass(frozen=True)
-class AccessDecl:
-    """The key sets one task's kernel touches (order-insensitive)."""
+class AccessDecl(NamedTuple):
+    """The key lists one task declares, in declaration order."""
 
     ins: Tuple[Key, ...] = ()
     outs: Tuple[Key, ...] = ()
@@ -117,9 +125,12 @@ def _cell_fwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     if lo > 0:
         ins.append(("h", mb, layer, d, lo - 1))
     if ctx.serial_dirs and d == "rev" and lo == 0:
+        # framework discipline: the reverse pass starts only after the
+        # forward pass of this layer has finished
         ins.append(("h", mb, layer, "fwd", T - 1))
     outs: List[Key] = [("h", mb, layer, d, s) for s in range(lo, hi)]
     if not fused or ctx.training:
+        # fused inference never materialises the per-step cache
         outs += [("cache", mb, layer, d, s) for s in range(lo, hi)]
     return AccessDecl(ins=tuple(ins), outs=tuple(outs))
 
@@ -187,12 +198,15 @@ def _cell_bwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     ins += [("cache", mb, layer, d, s) for s in steps]
     ins.append(("W", layer, d))
     if ctx.serial_dirs and d == "rev" and hi == T:
+        # framework discipline: the reverse backward pass waits for the
+        # forward-direction backward pass (its final gW write)
         ins.append(("gW", mb, layer, "fwd"))
     inouts: List[Key] = [("gW", mb, layer, d)]
     if lo > 0:
         inouts.append(("dh", mb, layer, d, lo - 1))
     outs: List[Key] = []
     if fused:
+        # dx is deferred: publish dz for the per-block proj_bwd
         outs = [
             ("dz", mb, layer, d, s if d == "fwd" else T - 1 - s) for s in steps
         ]
@@ -245,7 +259,8 @@ def _weight_update(meta: Mapping, ctx: AccessContext) -> AccessDecl:
 
 
 #: family id → access rule.  Keys are ``kind@build_site`` exactly as
-#: :meth:`_Builder._add` stamps them.
+#: :meth:`_Builder._add` stamps them; a task of a family missing here
+#: cannot be emitted.
 FAMILIES: Dict[str, Callable[[Mapping, AccessContext], AccessDecl]] = {
     "proj@_build_proj_tasks": _proj,
     "cell@_build_forward_layer": _cell_fwd_tile,
@@ -263,20 +278,17 @@ FAMILIES: Dict[str, Callable[[Mapping, AccessContext], AccessDecl]] = {
 
 
 def expected_access(family: str, meta: Mapping, ctx: AccessContext) -> AccessDecl:
-    """Key sets family ``family``'s kernel touches for task ``meta``.
+    """Key sets a task of ``family`` with this ``meta`` declares, in order.
 
-    Applies the chunk-serialisation token the builder appends: under
-    ``serialize_chunks`` every task carrying an ``mb`` threads its
-    chunk's zero-byte ``serial`` region as ``inout``.
+    Appends the chunk-serialisation token: under ``serialize_chunks``
+    every task carrying an ``mb`` threads its chunk's zero-byte ``serial``
+    region as ``inout``.
 
-    Raises ``KeyError`` for a family this table does not know — the
-    verifier reports that as a finding rather than guessing.
+    Raises ``KeyError(family)`` for a family this table does not know:
+    the builder cannot emit such a task, and the verifier reports one it
+    finds in a graph as ``unknown_family`` rather than guessing.
     """
     decl = FAMILIES[family](meta, ctx)
     if ctx.serialize_chunks and "mb" in meta:
-        decl = AccessDecl(
-            ins=decl.ins,
-            outs=decl.outs,
-            inouts=decl.inouts + (("serial", meta["mb"]),),
-        )
+        decl = decl._replace(inouts=decl.inouts + (("serial", meta["mb"]),))
     return decl

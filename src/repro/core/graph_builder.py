@@ -7,7 +7,10 @@ per-(layer, direction) gradient-update tasks whose dependences implement the
 data-parallel gradient synchronisation of §III-B.  Dependences are declared
 through :class:`~repro.runtime.task.Region` annotations exactly as the
 paper's ``#pragma omp task in(...) out(...)`` lines do; the runtime derives
-the DAG of Fig. 2 from them.
+the DAG of Fig. 2 from them.  Which regions a task of each family names is
+stated once, in :mod:`repro.core.access_spec`: a build site gives a task's
+name, payload, flops, kind, ``meta`` and place in the creation order, and
+``_Builder._add`` emits its ``in``/``out``/``inout`` lists from the table.
 
 Each (layer, direction) cell chain is cut into tiles of consecutive steps,
 one task per tile, by one emitter per pass (``_build_forward_layer`` /
@@ -57,6 +60,7 @@ from repro.models.cells import (
 )
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
+from repro.core.access_spec import AccessContext, expected_access
 from repro.core.state import ChunkState
 from repro.core.symbolic import Affine, Extent, Interval
 from repro.runtime.depgraph import TaskGraph
@@ -549,7 +553,6 @@ class _Builder:
         fusion: str = "gates",
         wavefront_tile: Optional[int] = None,
     ) -> None:
-        self.serialize_chunks = serialize_chunks
         self.momentum = momentum
         self.velocity = velocity
         self.fused_layers = fused_layers or [False] * spec.num_layers
@@ -569,7 +572,6 @@ class _Builder:
         # the wavefront rung asks for longer tiles.
         tiled = fusion == "wavefront"
         tile = min(seq_len, wavefront_tile or DEFAULT_WAVEFRONT_TILE) if tiled else 1
-        self.wave_tile = tile if tiled else None
         #: ascending ``(lo, hi, name suffix)`` step ranges of the chain tiles
         self.tiles = []
         for lo in range(0, seq_len, tile):
@@ -591,19 +593,51 @@ class _Builder:
         self.chunks = chunks
         self.graph = TaskGraph()
         self.regions = RegionSpace()
+        #: key -> Region of everything in ``regions``, for :meth:`region`:
+        #: ``RegionSpace`` has no lookup that does not create, and a task
+        #: names ~4 regions, most of them seen before
+        self.interned = {}
         self.isz = np.dtype(spec.dtype).itemsize
-        # state bytes per sample: h (+ c for LSTM)
-        self.state_mult = 2 if spec.cell == "lstm" else 1
-        self.cache_mult = {"lstm": 7, "gru": 5, "rnn": 2}[spec.cell]
+        H, M, C = spec.hidden_size, spec.merged_size, spec.num_classes
+        state = (2 if spec.cell == "lstm" else 1) * H  # h (+ c for LSTM)
+        #: elements per sample of each per-chunk activation kind: the
+        #: use-once (streaming) regions, sized by their chunk's batch
+        self.row_width = {
+            "x": spec.input_size,
+            "zx": self.gate_mult * H, "dz": self.gate_mult * H,
+            "h": state, "dh": state,
+            "cache": {"lstm": 7, "gru": 5, "rnn": 2}[spec.cell] * H,
+            "m": M, "dm": M, "mlast": M, "dmlast": M,
+            "logits": C, "dlogits": C,
+        }
         units = self.total_batch * (seq_len if spec.head == "many_to_many" else 1)
         self.grad_scale = 1.0 / units
         self.fusion_meta = [self._fusion_meta(mb) for mb in range(len(self.chunk_batches))]
+        self.result = GraphBuildResult(
+            graph=self.graph,
+            regions=self.regions,
+            spec=spec,
+            seq_len=seq_len,
+            chunk_batches=self.chunk_batches,
+            training=training,
+            functional=functional,
+            chunks=chunks,
+            params=params,
+            fused_layers=list(self.fused_layers),
+            velocity=velocity,
+            fusion=fusion,
+            wavefront_tile=tile if tiled else None,
+            serialize_chunks=serialize_chunks,
+            barrier_free=barrier_free,
+        )
+        #: what the access rules need to know about this build
+        self.access = AccessContext.from_result(self.result)
 
     @property
     def total_batch(self) -> int:
         return sum(self.chunk_batches)
 
-    # -- region accessors -------------------------------------------------------
+    # -- cost-model annotations and creation order ------------------------------
 
     def _gemm_reuse(self, mb: int) -> float:
         """Operand sweep count of one cell GEMM: grows with the row count
@@ -688,124 +722,73 @@ class _Builder:
             hi = lo
         return blocks
 
-    def r_serial(self, mb: int) -> Region:
-        """Zero-byte token region serialising all tasks of chunk ``mb``.
+    # -- declarations -------------------------------------------------------------
 
-        B-Seq (data parallelism only) threads this region through every
-        task of a chunk as ``inout``, which forces the chunk's tasks to run
-        in registration order while distinct chunks stay independent.
+    def region(self, key) -> Region:
+        """The one :class:`Region` behind ``key``.
+
+        First sight interns it and fixes what its kind decides: the size,
+        use-once (``streaming``) for the per-chunk activation kinds, and
+        page-interleaved placement for the shared weights.
         """
-        return self.regions.get(("serial", mb), 0)
+        region = self.interned.get(key)
+        if region is not None:
+            return region
+        kind, spec = key[0], self.spec
+        width = self.row_width.get(kind)
+        if width is not None:  # ("kind", mb, ...): rows of chunk mb
+            nbytes = self.chunk_batches[key[1]] * width * self.isz
+        elif kind == "serial":
+            # Zero-byte token: B-Seq threads it through every task of a
+            # chunk as ``inout``, so the chunk runs in registration order
+            # while distinct chunks stay independent.
+            nbytes = 0
+        elif kind in ("Wout", "gWout") or key == ("vel", "head"):
+            nbytes = (spec.head_input_size * spec.num_classes + spec.num_classes) * self.isz
+        else:  # ("W" | "vel", layer, dir), ("gW" | "gWx", mb, layer, dir)
+            layer = key[-2]
+            (wr, wc), (bn,) = spec.cell_param_shapes(layer)
+            if kind == "gWx":
+                # input rows ``dW[:I]``, accumulated once per projection
+                # block by proj_bwd, off the recurrent backward chain
+                nbytes = (wr - spec.hidden_size) * wc * self.isz
+            else:
+                if kind == "gW" and self.fused_layers[layer]:
+                    # fused layer: cell tasks touch only the recurrent
+                    # rows ``dW[I:]`` and the bias
+                    wr = spec.hidden_size
+                nbytes = (wr * wc + bn) * self.isz
+        region = self.regions.get(key, nbytes, streaming=width is not None)
+        if kind in ("W", "Wout"):
+            region.home = INTERLEAVED_HOME  # shared weights: page-interleaved
+        self.interned[key] = region
+        return region
 
-    def _add(self, name, fn, *, ins=(), outs=(), inouts=(), flops=0.0, kind="task", meta=None, mb=None):
-        """add_task wrapper applying the chunk-serialisation token.
+    def _add(self, name, fn, *, flops=0.0, kind="task", meta=None):
+        """Emit one task, declared by its family's access rule.
 
-        Also stamps ``meta["site"]`` with the name of the builder method
-        that emitted the task — declaration *provenance*, so static-
-        analysis findings (:mod:`repro.analysis.graphlint`) can point at
-        the build site that declared a region, not just the task name —
-        and ``meta["family"]`` (``kind@site``), the key under which
-        :mod:`repro.core.access_spec` records what the task family's
-        kernel is allowed to touch.
+        Stamps ``meta["site"]`` with the name of the builder method that
+        emitted the task — declaration *provenance*, so static-analysis
+        findings (:mod:`repro.analysis.graphlint`) can point at the build
+        site, not just the task name — and ``meta["family"]``
+        (``kind@site``).  The ``in``/``out``/``inout`` regions are what
+        :func:`repro.core.access_spec.expected_access` lists for that
+        family and ``meta``; a family without a rule is a ``KeyError``.
         """
-        inouts = list(inouts)
-        if self.serialize_chunks and mb is not None:
-            inouts.append(self.r_serial(mb))
         meta = dict(meta or {})
         meta.setdefault("site", sys._getframe(1).f_code.co_name)
         meta.setdefault("family", f"{kind}@{meta['site']}")
+        decl = expected_access(meta["family"], meta, self.access)
         return self.graph.add_task(
-            name, fn, ins=ins, outs=outs, inouts=inouts, flops=flops, kind=kind, meta=meta
+            name,
+            fn,
+            ins=map(self.region, decl.ins),
+            outs=map(self.region, decl.outs),
+            inouts=map(self.region, decl.inouts),
+            flops=flops,
+            kind=kind,
+            meta=meta,
         )
-
-    def r_x(self, mb: int, t: int) -> Region:
-        bc = self.chunk_batches[mb]
-        return self.regions.get(("x", mb, t), bc * self.spec.input_size * self.isz, streaming=True)
-
-    def r_w(self, layer: int, direction: str) -> Region:
-        (wr, wc), (bn,) = self.spec.cell_param_shapes(layer)
-        region = self.regions.get(("W", layer, direction), (wr * wc + bn) * self.isz)
-        region.home = INTERLEAVED_HOME  # shared weights: page-interleaved
-        return region
-
-    def r_gw(self, mb: int, layer: int, direction: str) -> Region:
-        (wr, wc), (bn,) = self.spec.cell_param_shapes(layer)
-        if self.fused_layers[layer]:
-            # Fused layer: the cell tasks only touch the recurrent rows
-            # ``dW[I:]`` and the bias; the input rows live in r_gwx.
-            wr = self.spec.hidden_size
-        return self.regions.get(("gW", mb, layer, direction), (wr * wc + bn) * self.isz)
-
-    def r_gwx(self, mb: int, layer: int, direction: str) -> Region:
-        """Input-half weight-gradient rows ``dW[:I]``, written once per
-        projection block by ``proj_bwd`` — a region distinct from r_gw so
-        the hoisted accumulation stays off the recurrent backward chain."""
-        (wr, wc), (bn,) = self.spec.cell_param_shapes(layer)
-        input_rows = wr - self.spec.hidden_size
-        return self.regions.get(("gWx", mb, layer, direction), input_rows * wc * self.isz)
-
-    def r_zx(self, mb: int, layer: int, direction: str, pos: int) -> Region:
-        bc = self.chunk_batches[mb]
-        nbytes = bc * self.gate_mult * self.spec.hidden_size * self.isz
-        return self.regions.get(("zx", mb, layer, direction, pos), nbytes, streaming=True)
-
-    def r_dz(self, mb: int, layer: int, direction: str, pos: int) -> Region:
-        bc = self.chunk_batches[mb]
-        nbytes = bc * self.gate_mult * self.spec.hidden_size * self.isz
-        return self.regions.get(("dz", mb, layer, direction, pos), nbytes, streaming=True)
-
-    def r_h(self, mb: int, layer: int, direction: str, step: int) -> Region:
-        bc = self.chunk_batches[mb]
-        nbytes = self.state_mult * bc * self.spec.hidden_size * self.isz
-        return self.regions.get(("h", mb, layer, direction, step), nbytes, streaming=True)
-
-    def r_cache(self, mb: int, layer: int, direction: str, step: int) -> Region:
-        bc = self.chunk_batches[mb]
-        nbytes = self.cache_mult * bc * self.spec.hidden_size * self.isz
-        return self.regions.get(("cache", mb, layer, direction, step), nbytes, streaming=True)
-
-    def r_m(self, mb: int, layer: int, t: int) -> Region:
-        bc = self.chunk_batches[mb]
-        return self.regions.get(("m", mb, layer, t), bc * self.spec.merged_size * self.isz, streaming=True)
-
-    def r_mlast(self, mb: int, slot: int) -> Region:
-        bc = self.chunk_batches[mb]
-        return self.regions.get(("mlast", mb, slot), bc * self.spec.merged_size * self.isz, streaming=True)
-
-    def r_wout(self) -> Region:
-        s = self.spec
-        region = self.regions.get(
-            ("Wout",), (s.head_input_size * s.num_classes + s.num_classes) * self.isz
-        )
-        region.home = INTERLEAVED_HOME
-        return region
-
-    def r_gwout(self, mb: int) -> Region:
-        s = self.spec
-        return self.regions.get(
-            ("gWout", mb), (s.head_input_size * s.num_classes + s.num_classes) * self.isz
-        )
-
-    def r_logits(self, mb: int, slot: int) -> Region:
-        bc = self.chunk_batches[mb]
-        return self.regions.get(("logits", mb, slot), bc * self.spec.num_classes * self.isz, streaming=True)
-
-    def r_dlogits(self, mb: int, slot: int) -> Region:
-        bc = self.chunk_batches[mb]
-        return self.regions.get(("dlogits", mb, slot), bc * self.spec.num_classes * self.isz, streaming=True)
-
-    def r_dh(self, mb: int, layer: int, direction: str, step: int) -> Region:
-        bc = self.chunk_batches[mb]
-        nbytes = self.state_mult * bc * self.spec.hidden_size * self.isz
-        return self.regions.get(("dh", mb, layer, direction, step), nbytes, streaming=True)
-
-    def r_dm(self, mb: int, layer: int, t: int) -> Region:
-        bc = self.chunk_batches[mb]
-        return self.regions.get(("dm", mb, layer, t), bc * self.spec.merged_size * self.isz, streaming=True)
-
-    def r_dmlast(self, mb: int, slot: int) -> Region:
-        bc = self.chunk_batches[mb]
-        return self.regions.get(("dmlast", mb, slot), bc * self.spec.merged_size * self.isz, streaming=True)
 
     # -- payload factories (functional mode) ------------------------------------
 
@@ -1124,36 +1107,15 @@ class _Builder:
                     self.graph.barrier(f"bwd_layer_barrier.L{layer}")
                 if self.update_weights:
                     self._build_updates()
-        result = GraphBuildResult(
-            graph=self.graph,
-            regions=self.regions,
-            spec=self.spec,
-            seq_len=self.seq_len,
-            chunk_batches=self.chunk_batches,
-            training=self.training,
-            functional=self.functional,
-            chunks=self.chunks,
-            params=self.params,
-            fused_layers=list(self.fused_layers),
-            velocity=self.velocity,
-            fusion=self.fusion,
-            wavefront_tile=self.wave_tile,
-            serialize_chunks=self.serialize_chunks,
-            barrier_free=self.barrier_free,
-        )
         # Executors that need storage resolution (the multiprocess
         # substrate's shared-memory rebinding and region shipping) reach it
         # through the graph they are handed — engines stay storage-blind.
-        self.graph.storage = result
-        return result
+        self.graph.storage = self.result
+        return self.result
 
     def _build_forward(self, mb: int) -> None:
         for layer in range(self.spec.num_layers):
             self._build_forward_layer(mb, layer)
-
-    def _in_region(self, mb: int, layer: int, pos: int) -> Region:
-        """The region holding ``layer``'s input at sequence position ``pos``."""
-        return self.r_x(mb, pos) if layer == 0 else self.r_m(mb, layer - 1, pos)
 
     def _build_proj_tasks(self, mb: int, layer: int) -> None:
         """Hoisted input-projection tasks of a fused layer, both directions.
@@ -1164,9 +1126,7 @@ class _Builder:
         lands — no barrier, just Region dataflow.  Blocks of the two
         directions are registered interleaved for ready-queue fairness.
         """
-        spec = self.spec
-        bc = self.chunk_batches[mb]
-        pflops = cell_proj_flops(spec, bc, layer)
+        pflops = cell_proj_flops(self.spec, self.chunk_batches[mb], layer)
         # interleave: fwd block 0, rev block 0, fwd block 1, ...
         n_blocks = len(self._proj_blocks("fwd"))
         for i in range(n_blocks):
@@ -1175,9 +1135,6 @@ class _Builder:
                 self._add(
                     f"proj[{mb}]L{layer}{direction}b{lo}-{hi}",
                     self._fn_proj(mb, layer, direction, lo, hi),
-                    ins=[self._in_region(mb, layer, pos) for pos in range(lo, hi)]
-                    + [self.r_w(layer, direction)],
-                    outs=[self.r_zx(mb, layer, direction, pos) for pos in range(lo, hi)],
                     flops=pflops * (hi - lo),
                     kind="proj",
                     meta={
@@ -1188,28 +1145,20 @@ class _Builder:
                         "hi": hi,
                         "reuse": self._proj_reuse(mb, hi - lo),
                     },
-                    mb=mb,
                 )
 
     def _build_forward_layer_outputs(self, mb: int, layer: int) -> None:
         """Per-timestep merge tasks (interior layers) or the head (last)."""
-        spec, T = self.spec, self.seq_len
-        bc = self.chunk_batches[mb]
+        spec = self.spec
         if layer < spec.num_layers - 1:
-            mflops = merge_flops(spec.merge_mode, bc, spec.hidden_size)
-            for t in range(T):
+            mflops = merge_flops(spec.merge_mode, self.chunk_batches[mb], spec.hidden_size)
+            for t in range(self.seq_len):
                 self._add(
                     f"merge[{mb}]L{layer}t{t}",
                     self._fn_merge(mb, layer, t),
-                    ins=[
-                        self.r_h(mb, layer, "fwd", t),
-                        self.r_h(mb, layer, "rev", T - 1 - t),
-                    ],
-                    outs=[self.r_m(mb, layer, t)],
                     flops=mflops,
                     kind="merge",
                     meta={"mb": mb, "layer": layer, "t": t},
-                    mb=mb,
                 )
         else:
             self._build_head(mb)
@@ -1219,50 +1168,27 @@ class _Builder:
         (interior layers) or the head (last layer).
 
         One task per chain tile (``self.tiles``; a single step by default,
-        ``wavefront_tile`` steps under ``fusion="wavefront"``, docs/PERF.md),
-        declaring every input (or ``zx``) position of the tile, the carried
-        ``h`` from below it, and every ``h``/cache slot it publishes, so
-        racecheck and the over-declaration analyzer audit a tile of any
-        length the same way.  Layer ``l+1``'s tile depends only on layer
-        ``l``'s merges of its own positions: the layer×time diagonal of the
-        wavefront, with ``⌈T/K⌉`` tasks per chain.
+        ``wavefront_tile`` steps under ``fusion="wavefront"``, docs/PERF.md).
+        Its rule declares every input (or ``zx``) position of the tile, the
+        carried ``h`` from below it, and every ``h``/cache slot it
+        publishes, so racecheck and the over-declaration analyzer audit a
+        tile of any length the same way.  Layer ``l+1``'s tile depends only
+        on layer ``l``'s merges of its own positions: the layer×time
+        diagonal of the wavefront, with ``⌈T/K⌉`` tasks per chain.
         """
-        spec, T = self.spec, self.seq_len
-        bc = self.chunk_batches[mb]
-        fused = self.fused_layers[layer]
-        if fused:
+        spec, bc = self.spec, self.chunk_batches[mb]
+        if self.fused_layers[layer]:
             self._build_proj_tasks(mb, layer)
             step_flops = cell_fwd_step_proj_flops(spec, bc)
         else:
             step_flops = cell_fwd_flops(spec, bc, layer)
-        weights = {d: self.r_w(layer, d) for d in ("fwd", "rev")}
         for direction, lo, hi, suffix in self._chain_schedule(serial_dirs):
-            steps = range(lo, hi)
-            positions = steps if direction == "fwd" else range(T - 1 - lo, T - 1 - hi, -1)
-            if fused:
-                ins = [self.r_zx(mb, layer, direction, pos) for pos in positions]
-            else:
-                ins = [self._in_region(mb, layer, pos) for pos in positions]
-            ins.append(weights[direction])
-            if lo > 0:
-                ins.append(self.r_h(mb, layer, direction, lo - 1))
-            if serial_dirs and direction == "rev" and lo == 0:
-                # framework discipline: reverse pass starts only after the
-                # forward pass of this layer has finished
-                ins.append(self.r_h(mb, layer, "fwd", T - 1))
-            outs = [self.r_h(mb, layer, direction, s) for s in steps]
-            if not fused or self.training:
-                # fused inference never materialises the per-step cache
-                outs += [self.r_cache(mb, layer, direction, s) for s in steps]
             self._add(
                 f"{direction}[{mb}]L{layer}{suffix}",
                 self._fn_cell_fwd_tile(mb, layer, direction, lo, hi),
-                ins=ins,
-                outs=outs,
                 flops=step_flops * (hi - lo),
                 kind="cell",
                 meta=self._cell_meta(mb, layer, direction, lo, hi),
-                mb=mb,
             )
         self._build_forward_layer_outputs(mb, layer)
 
@@ -1276,43 +1202,19 @@ class _Builder:
         into slot ``lo-1``, and emit either per-position ``dz`` (fused
         layers) or ``dm`` contributions.
         """
-        spec, T = self.spec, self.seq_len
-        bc = self.chunk_batches[mb]
+        spec, bc = self.spec, self.chunk_batches[mb]
         fused = self.fused_layers[layer]
         if fused:
             step_flops = cell_bwd_step_proj_flops(spec, bc)
         else:
             step_flops = cell_bwd_flops(spec, bc, layer)
-        weights = {d: self.r_w(layer, d) for d in ("fwd", "rev")}
         for direction, lo, hi, suffix in self._chain_schedule(serial_dirs, descending=True):
-            steps = range(hi - 1, lo - 1, -1)
-            positions = steps if direction == "fwd" else range(T - hi, T - lo)
-            ins = [self.r_dh(mb, layer, direction, s) for s in steps]
-            ins += [self.r_cache(mb, layer, direction, s) for s in steps]
-            ins.append(weights[direction])
-            if serial_dirs and direction == "rev" and hi == T:
-                # framework discipline: the reverse backward pass waits for
-                # the forward-direction backward pass (its final gW write)
-                ins.append(self.r_gw(mb, layer, "fwd"))
-            inouts = [self.r_gw(mb, layer, direction)]
-            if lo > 0:
-                inouts.append(self.r_dh(mb, layer, direction, lo - 1))
-            outs = []
-            if fused:
-                # dx is deferred: publish dz for the per-block proj_bwd
-                outs = [self.r_dz(mb, layer, direction, pos) for pos in positions]
-            elif layer > 0:
-                inouts += [self.r_dm(mb, layer - 1, pos) for pos in positions]
             self._add(
                 f"{direction}Bwd[{mb}]L{layer}{suffix}",
                 self._fn_cell_bwd_tile(mb, layer, direction, lo, hi),
-                ins=ins,
-                outs=outs,
-                inouts=inouts,
                 flops=step_flops * (hi - lo),
                 kind="cell_bwd",
                 meta=self._cell_meta(mb, layer, direction, lo, hi),
-                mb=mb,
             )
         self._build_backward_layer_outputs(mb, layer, fused)
 
@@ -1324,8 +1226,7 @@ class _Builder:
         return [(t, t, T - 1 - t, t) for t in range(T)]
 
     def _build_head(self, mb: int) -> None:
-        spec, T, g = self.spec, self.seq_len, self.graph
-        bc = self.chunk_batches[mb]
+        spec, bc = self.spec, self.chunk_batches[mb]
         last = spec.num_layers - 1
         mflops = merge_flops(spec.merge_mode, bc, spec.hidden_size)
         hflops = dense_fwd_flops(bc, spec.head_input_size, spec.num_classes)
@@ -1334,52 +1235,33 @@ class _Builder:
             self._add(
                 f"mergeLast[{mb}]s{slot}",
                 self._fn_last_merge(mb, slot, t_fwd, u_rev),
-                ins=[self.r_h(mb, last, "fwd", t_fwd), self.r_h(mb, last, "rev", u_rev)],
-                outs=[self.r_mlast(mb, slot)],
                 flops=mflops,
                 kind="merge",
                 meta={"mb": mb, "layer": last, "slot": slot},
-                mb=mb,
             )
             self._add(
                 f"head[{mb}]s{slot}",
                 self._fn_head_fwd(mb, slot),
-                ins=[self.r_mlast(mb, slot), self.r_wout()],
-                outs=[self.r_logits(mb, slot)],
                 flops=hflops,
                 kind="head",
                 meta={"mb": mb, "slot": slot},
-                mb=mb,
             )
             if self.training:
                 self._add(
                     f"loss[{mb}]s{slot}",
                     self._fn_loss(mb, slot, t_label),
-                    ins=[self.r_logits(mb, slot)],
-                    outs=[self.r_dlogits(mb, slot)],
                     flops=6.0 * bc * spec.num_classes,
                     kind="loss",
                     meta={"mb": mb, "slot": slot},
-                    mb=mb,
                 )
 
     def _build_backward(self, mb: int) -> None:
-        spec, T, g = self.spec, self.seq_len, self.graph
-        bc = self.chunk_batches[mb]
-        last = spec.num_layers - 1
-        mul = spec.merge_mode == "mul"
-        hbflops = dense_bwd_flops(bc, spec.head_input_size, spec.num_classes)
-        mbflops = 2.0 * merge_flops(spec.merge_mode, bc, spec.hidden_size)
-
         self._build_backward_head(mb)
-        for layer in range(last, -1, -1):
+        for layer in range(self.spec.num_layers - 1, -1, -1):
             self._build_backward_layer(mb, layer)
 
     def _build_backward_head(self, mb: int) -> None:
-        spec, T = self.spec, self.seq_len
-        bc = self.chunk_batches[mb]
-        last = spec.num_layers - 1
-        mul = spec.merge_mode == "mul"
+        spec, bc = self.spec, self.chunk_batches[mb]
         hbflops = dense_bwd_flops(bc, spec.head_input_size, spec.num_classes)
         mbflops = 2.0 * merge_flops(spec.merge_mode, bc, spec.hidden_size)
 
@@ -1388,29 +1270,16 @@ class _Builder:
             self._add(
                 f"headBwd[{mb}]s{slot}",
                 self._fn_head_bwd(mb, slot),
-                ins=[self.r_dlogits(mb, slot), self.r_mlast(mb, slot), self.r_wout()],
-                outs=[self.r_dmlast(mb, slot)],
-                inouts=[self.r_gwout(mb)],
                 flops=hbflops,
                 kind="head_bwd",
                 meta={"mb": mb, "slot": slot},
-                mb=mb,
             )
-            ins = [self.r_dmlast(mb, slot)]
-            if mul:
-                ins += [self.r_h(mb, last, "fwd", t_fwd), self.r_h(mb, last, "rev", u_rev)]
             self._add(
                 f"mergeLastBwd[{mb}]s{slot}",
                 self._fn_last_merge_bwd(mb, slot, t_fwd, u_rev),
-                ins=ins,
-                inouts=[
-                    self.r_dh(mb, last, "fwd", t_fwd),
-                    self.r_dh(mb, last, "rev", u_rev),
-                ],
                 flops=mbflops,
                 kind="merge_bwd",
                 meta={"mb": mb, "slot": slot},
-                mb=mb,
             )
 
     def _build_proj_bwd_tasks(self, mb: int, layer: int) -> None:
@@ -1418,33 +1287,22 @@ class _Builder:
         ``dW_x += X^T·dZ`` once per block (and, above layer 0, ``dX`` back
         into the merged-gradient accumulators).
 
-        ``dW_x`` lands in its own region (r_gwx), disjoint rows from the
-        cell tasks' r_gw, so these GEMMs run concurrently with — not on —
+        ``dW_x`` lands in its own region (``gWx``), disjoint rows from the
+        cell tasks' ``gW``, so these GEMMs run concurrently with — not on —
         the recurrent backward chain; only the weight-update task joins the
         two.  Blocks are cut the way the backward chain *produces* ``dz``:
         descending positions for the fwd direction, ascending for rev —
         i.e. the forward blocking of the opposite direction.
         """
-        spec = self.spec
-        bc = self.chunk_batches[mb]
-        need_dx = layer > 0
-        pbflops = cell_proj_bwd_flops(spec, bc, layer, need_dx)
+        pbflops = cell_proj_bwd_flops(self.spec, self.chunk_batches[mb], layer, layer > 0)
         blocks = {"fwd": self._proj_blocks("rev"), "rev": self._proj_blocks("fwd")}
         n_blocks = len(blocks["fwd"])
         for i in range(n_blocks):
             for direction in ("fwd", "rev"):
                 lo, hi = blocks[direction][i]
-                ins = [self.r_dz(mb, layer, direction, pos) for pos in range(lo, hi)]
-                ins += [self._in_region(mb, layer, pos) for pos in range(lo, hi)]
-                ins.append(self.r_w(layer, direction))
-                inouts = [self.r_gwx(mb, layer, direction)]
-                if need_dx:
-                    inouts += [self.r_dm(mb, layer - 1, pos) for pos in range(lo, hi)]
                 self._add(
                     f"projBwd[{mb}]L{layer}{direction}b{lo}-{hi}",
                     self._fn_proj_bwd(mb, layer, direction, lo, hi),
-                    ins=ins,
-                    inouts=inouts,
                     flops=pbflops * (hi - lo),
                     kind="proj_bwd",
                     meta={
@@ -1455,38 +1313,23 @@ class _Builder:
                         "hi": hi,
                         "reuse": self._proj_reuse(mb, hi - lo),
                     },
-                    mb=mb,
                 )
 
     def _build_backward_layer_outputs(self, mb: int, layer: int, fused: bool) -> None:
         """Per-fused-block proj backward and the merge-backward fan-out."""
-        spec, T = self.spec, self.seq_len
-        bc = self.chunk_batches[mb]
-        mul = spec.merge_mode == "mul"
-        mbflops = 2.0 * merge_flops(spec.merge_mode, bc, spec.hidden_size)
+        spec = self.spec
+        mbflops = 2.0 * merge_flops(spec.merge_mode, self.chunk_batches[mb], spec.hidden_size)
         if fused:
             self._build_proj_bwd_tasks(mb, layer)
         if layer > 0:
             below = layer - 1
-            for t in range(T - 1, -1, -1):
-                ins = [self.r_dm(mb, below, t)]
-                if mul:
-                    ins += [
-                        self.r_h(mb, below, "fwd", t),
-                        self.r_h(mb, below, "rev", T - 1 - t),
-                    ]
+            for t in range(self.seq_len - 1, -1, -1):
                 self._add(
                     f"mergeBwd[{mb}]L{below}t{t}",
                     self._fn_merge_bwd(mb, below, t),
-                    ins=ins,
-                    inouts=[
-                        self.r_dh(mb, below, "fwd", t),
-                        self.r_dh(mb, below, "rev", T - 1 - t),
-                    ],
                     flops=mbflops,
                     kind="merge_bwd",
                     meta={"mb": mb, "layer": below, "t": t},
-                    mb=mb,
                 )
 
     def _build_updates(self) -> None:
@@ -1496,34 +1339,17 @@ class _Builder:
             (wr, wc), (bn,) = spec.cell_param_shapes(layer)
             uflops = 2.0 * n_chunks * (wr * wc + bn)
             for direction in ("fwd", "rev"):
-                inouts = [self.r_w(layer, direction)]
-                if self.velocity is not None:
-                    inouts.append(
-                        self.regions.get(("vel", layer, direction),
-                                         self.r_w(layer, direction).nbytes)
-                    )
-                grad_ins = [self.r_gw(mb, layer, direction) for mb in range(n_chunks)]
-                if self.fused_layers[layer]:
-                    grad_ins += [self.r_gwx(mb, layer, direction) for mb in range(n_chunks)]
                 self._add(
                     f"update.L{layer}.{direction}",
                     self._fn_weight_update(layer, direction),
-                    ins=grad_ins,
-                    inouts=inouts,
                     flops=uflops,
                     kind="weight_update",
                     meta={"layer": layer, "dir": direction},
                 )
-        s = spec
-        head_inouts = [self.r_wout()]
-        if self.velocity is not None:
-            head_inouts.append(self.regions.get(("vel", "head"), self.r_wout().nbytes))
         self._add(
             "update.head",
             self._fn_head_update(),
-            ins=[self.r_gwout(mb) for mb in range(n_chunks)],
-            inouts=head_inouts,
-            flops=2.0 * n_chunks * (s.head_input_size * s.num_classes + s.num_classes),
+            flops=2.0 * n_chunks * (spec.head_input_size * spec.num_classes + spec.num_classes),
             kind="weight_update",
             meta={},
         )

@@ -8,6 +8,7 @@ from repro.analysis.pylint import RULES, lint_paths, lint_source
 
 SRC = Path(repro.__file__).resolve().parent
 GRAPH_BUILDER = SRC / "core" / "graph_builder.py"
+ACCESS_SPEC = SRC / "core" / "access_spec.py"
 
 
 def _rules(findings):
@@ -85,25 +86,25 @@ def test_float64_string_dtype_in_kernels_flagged():
 # -- closure rules on a synthetic builder -----------------------------------
 
 _BUILDER_TEMPLATE = """
+def _probe(meta, ctx):
+    i = meta["i"]
+    return AccessDecl(ins=(("m", i), ("W", i)), {decl})
+
+FAMILIES = {{"probe@_build_probe": _probe}}
+
 class Builder:
-    def r_m(self, i):
-        return self.regions.get(("m", i), 64)
-
-    def r_logits(self, i):
-        return self.regions.get(("logits", i), 64)
-
     def _fn_probe(self, i):
-        state = self.state
+        state, params = self.state, self.params
         def fn():
             {body}
         return fn
 
     def _build_probe(self, i):
-        self._add("probe", self._fn_probe(i), ins=[self.r_m(i)], {decl})
+        self._add("probe", self._fn_probe(i), kind="probe", meta={{"i": i}})
 """
 
 
-def _builder_src(body, decl="outs=[self.r_logits(i)]"):
+def _builder_src(body, decl='outs=(("logits", i),)'):
     return _BUILDER_TEMPLATE.format(body=body, decl=decl)
 
 
@@ -131,12 +132,23 @@ def test_inplace_mutation_on_in_only_flagged():
 def test_inout_declaration_permits_mutation():
     src = _builder_src(
         "state.merged[i] += 1.0",
-        decl="inouts=[self.r_m(i)], outs=[self.r_logits(i)]",
+        decl='inouts=(("m", i),), outs=(("logits", i),)',
     )
     # 'm' lands in writes via inouts=, so the mutation is declared
     findings = [f for f in lint_source(src)
                 if f.rule == "inplace-mutation-in-only"]
     assert findings == []
+
+
+def test_mutating_a_weight_the_rule_only_reads_flagged():
+    # the rule lists W under ins= only, so its mode is known: in-only
+    src = _builder_src(
+        "state.logits[i] = state.merged[i].sum()\n"
+        "            params.layers[i].fwd.W += 1.0"
+    )
+    findings = lint_source(src)
+    assert _rules(findings) == ["inplace-mutation-in-only"]
+    assert "'W'" in findings[0].message and "probe@_build_probe" in findings[0].message
 
 
 def test_local_alias_resolves_to_family():
@@ -403,16 +415,18 @@ def test_rule_registry_matches_emitted_rules():
 # -- static rediscovery of the racecheck finding ----------------------------
 
 
-def test_closure_capture_rediscovers_cache_race_statically():
+def test_closure_capture_rediscovers_cache_race_statically(tmp_path):
     """Deleting the cache *declaration* (but not the closure's use of it)
     must be caught statically — the same bug class racecheck can only see
     by executing the graph and watching the undeclared access happen.
     """
     source = GRAPH_BUILDER.read_text()
-    needle = "outs += [self.r_cache(mb, layer, direction, s) for s in steps]"
-    assert needle in source, "graph_builder cache declaration moved; update test"
-    mutated = source.replace(needle, "pass")
-    findings = lint_source(mutated, path=str(GRAPH_BUILDER))
+    table = ACCESS_SPEC.read_text()
+    needle = 'outs += [("cache", mb, layer, d, s) for s in range(lo, hi)]'
+    assert needle in table, "access_spec cache declaration moved; update test"
+    # the lint reads the table from the access_spec.py beside the linted file
+    (tmp_path / "access_spec.py").write_text(table.replace(needle, "pass"))
+    findings = lint_source(source, path=str(tmp_path / "graph_builder.py"))
     captures = [f for f in findings if f.rule == "undeclared-closure-capture"]
     assert captures, "static lint failed to rediscover the cache race"
     assert all("'cache'" in f.message for f in captures)

@@ -23,6 +23,7 @@ from repro.analysis.verify import (
     verify_family,
     verify_mutations,
 )
+from tests.conftest import RULE_BRANCH_SWEEP, build_functional
 
 #: one family per cell type, crossing head/mode/fusion/projection —
 #: the smoke subset; the full 96 runs under ``make smoke-verify``
@@ -63,6 +64,18 @@ def test_representative_families_verify_clean(fam):
     assert report.checked_tasks > 0
     assert report.pairs_proved > 0
     assert report.plan_edges_checked > 0
+
+
+@pytest.mark.parametrize("case", RULE_BRANCH_SWEEP)
+def test_rule_branch_builds_verify_clean(case):
+    """``mul`` merges, momentum, per-layer barriers and B-Seq: the rule
+    branches outside the certificate's family matrix."""
+    report = verify_build(build_functional(**case))
+    assert report.ok, "\n".join(
+        f"{f.kind}: {f.task} / {f.other} {f.region} {f.detail}"
+        for f in report.findings
+    )
+    assert report.checked_tasks > 0
 
 
 def test_verify_family_certifies_instances_and_size_isomorphism():

@@ -113,10 +113,11 @@ FUSION_CONFIGS = [
 ]
 
 
-def conformance_spec(cell="lstm", head="many_to_one"):
+def conformance_spec(cell="lstm", head="many_to_one", merge_mode="sum"):
     """The 2-layer tiny spec every conformance sweep builds from."""
     return small_spec(
-        cell=cell, head=head, num_layers=2, hidden_size=4, input_size=5, num_classes=3
+        cell=cell, head=head, merge_mode=merge_mode,
+        num_layers=2, hidden_size=4, input_size=5, num_classes=3,
     )
 
 
@@ -129,6 +130,10 @@ def build_functional(
     proj_block=None,
     fusion="gates",
     wavefront_tile=None,
+    merge_mode="sum",
+    momentum=0.0,
+    barrier_free=True,
+    serialize_chunks=False,
     seed=5,
 ):
     """A freshly built functional graph from deterministic state.
@@ -137,7 +142,7 @@ def build_functional(
     and parameters, so two builds executed on different substrates must
     finish with bit-identical results.
     """
-    spec = conformance_spec(cell, head)
+    spec = conformance_spec(cell, head, merge_mode)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((CONF_SEQ_LEN, CONF_BATCH, spec.input_size)).astype(
         spec.dtype
@@ -158,6 +163,10 @@ def build_functional(
         proj_block=proj_block,
         fusion=fusion,
         wavefront_tile=wavefront_tile,
+        momentum=momentum,
+        velocity=BRNNParams.zeros_like(spec) if momentum else None,
+        barrier_free=barrier_free,
+        serialize_chunks=serialize_chunks,
     )
 
 
@@ -176,6 +185,14 @@ def _conf_case_id(case):
         bits.append(f"wt{case['wavefront_tile']}")
     elif fusion != "gates":
         bits.append(fusion)
+    if case.get("merge_mode", "sum") != "sum":
+        bits.append(case["merge_mode"])
+    if case.get("momentum"):
+        bits.append("momentum")
+    if not case.get("barrier_free", True):
+        bits.append("barriered")
+    if case.get("serialize_chunks"):
+        bits.append("bseq")
     return "-".join(bits)
 
 
@@ -243,6 +260,24 @@ _FUSION_TIER1 = [
 ]
 
 FUSION_SWEEP = _sweep(_FUSION_CASES, _FUSION_TIER1)
+
+#: the access-rule branches neither sweep reaches, a handful of builds for
+#: the declaration audits: ``mul`` merges (their backward reads ``h``), the
+#: momentum ``vel`` regions, per-layer barriers with the direction chains
+#: serialised, and B-Seq's per-chunk ``serial`` token
+_RULE_BRANCH_CASES = [
+    dict(cell="lstm", head="many_to_many", training=True, mbs=2, merge_mode="mul"),
+    dict(cell="gru", head="many_to_one", training=True, mbs=2,
+         fused="on", proj_block=2, merge_mode="mul", momentum=0.9),
+    dict(cell="lstm", head="many_to_one", training=True, mbs=2,
+         momentum=0.9, serialize_chunks=True),
+    dict(cell="gru", head="many_to_many", training=True, mbs=2,
+         fused="on", proj_block=2, barrier_free=False),
+    dict(cell="lstm", head="many_to_one", training=True, mbs=2,
+         fusion="wavefront", wavefront_tile=2, barrier_free=False, serialize_chunks=True),
+]
+
+RULE_BRANCH_SWEEP = _sweep(_RULE_BRANCH_CASES, _RULE_BRANCH_CASES)
 
 
 #: every functional substrate; ``process`` marked slow_mp (one fork set per

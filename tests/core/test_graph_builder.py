@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.access_spec import FAMILIES
-from repro.core.graph_builder import build_brnn_graph, split_batch
+from repro.core.graph_builder import _Builder, build_brnn_graph, split_batch
 from repro.models.params import BRNNParams
 from tests.conftest import make_batch, small_spec
 from tests.core.test_fusion import engine, grads_bitwise
@@ -266,3 +266,15 @@ def test_cell_step_is_a_chain_tile_of_one():
     assert loss == ref[0]
     assert np.array_equal(logits, ref[1])
     assert grads_bitwise(grads, ref[2])
+
+
+def test_emitting_a_family_without_a_rule_raises():
+    """Declarations come from the access table, so a task whose family has
+    no rule cannot be emitted at all."""
+    builder = _Builder(
+        small_spec(), seq_len=3, chunk_batches=[2], training=False, functional=False,
+        barrier_free=True, update_weights=False, lr=0.0, params=None, chunks=None,
+    )
+    with pytest.raises(KeyError, match="probe@test_emitting_a_family_without_a_rule_raises"):
+        builder._add("probe[0]", None, kind="probe", meta={"mb": 0})
+    assert len(builder.graph) == 0

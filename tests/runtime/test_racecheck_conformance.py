@@ -8,7 +8,9 @@ This is the dynamic proof that the ``in``/``out``/``inout`` annotations —
 the entire correctness basis of the barrier-free runtime — are complete
 for LSTM/GRU × many-to-one/many-to-many × inference/training ×
 data-parallel chunking × the fused input-projection path at every block
-size, and × the fusion-policy ladder.
+size, and × the fusion-policy ladder, plus the handful of builds that
+reach the remaining access-rule branches (``RULE_BRANCH_SWEEP``: ``mul``
+merges, momentum, per-layer barriers, B-Seq).
 
 The case lists live in ``tests/conftest.py`` (``PROJECTION_SWEEP`` /
 ``FUSION_SWEEP``), shared with the compiled-replay and executor
@@ -20,7 +22,12 @@ tier-1; run them with ``pytest -m certified``.
 import pytest
 
 from repro.runtime.racecheck import check_build
-from tests.conftest import FUSION_SWEEP, PROJECTION_SWEEP, build_functional
+from tests.conftest import (
+    FUSION_SWEEP,
+    PROJECTION_SWEEP,
+    RULE_BRANCH_SWEEP,
+    build_functional,
+)
 
 
 def _assert_conformant(result):
@@ -32,7 +39,7 @@ def _assert_conformant(result):
     assert not unordered, "\n".join(f.describe() for f in unordered)
 
 
-@pytest.mark.parametrize("case", PROJECTION_SWEEP)
+@pytest.mark.parametrize("case", PROJECTION_SWEEP + RULE_BRANCH_SWEEP)
 def test_declarations_cover_observed_accesses(case):
     _assert_conformant(build_functional(**case))
 

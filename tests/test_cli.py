@@ -78,6 +78,37 @@ def test_analyze_command_emits_valid_bench_json(capsys, tmp_path):
     assert json.loads(out_file.read_text()) == report
 
 
+_TINY = ["--hidden", "5", "--layers", "2", "--input-size", "6",
+         "--seq-len", "8", "--batch", "4", "--mbs", "2"]
+_WAVEFRONT = ["--fusion", "wavefront", "--wavefront-tile", "4"]
+
+
+def _task_count(capsys, argv):
+    """Tasks in the graph the command checked, from its summary line."""
+    import re
+
+    assert main(argv) == 0
+    return int(re.search(r"OK: (\d+) tasks", capsys.readouterr().out).group(1))
+
+
+def test_analyze_command_builds_the_graph_the_fusion_flags_name(capsys, tmp_path):
+    from repro.harness.ledger import load_report
+
+    out_file = tmp_path / "analysis.json"
+    tiled = _task_count(capsys, ["analyze", *_TINY, *_WAVEFRONT, "--output", str(out_file)])
+    assert tiled < _task_count(capsys, ["analyze", *_TINY])  # 2 tiles per chain, not 8 steps
+    config = load_report(str(out_file))["config"]
+    assert (config["fusion"], config["wavefront_tile"]) == ("wavefront", 4)
+
+
+def test_racecheck_command_builds_the_graph_the_structural_flags_name(capsys):
+    steps = _task_count(capsys, ["racecheck", *_TINY])
+    assert _task_count(capsys, ["racecheck", *_TINY, *_WAVEFRONT]) < steps
+    # per-layer barriers add barrier tasks; B-Seq adds the per-chunk serial regions
+    barriered = ["racecheck", *_TINY, "--barriers", "--serialize-chunks"]
+    assert _task_count(capsys, barriered) > steps
+
+
 def test_analyze_command_lint_only(capsys):
     assert main(["analyze", "--skip-graph", "--lint", "src/repro"]) == 0
     assert "clean" in capsys.readouterr().out
