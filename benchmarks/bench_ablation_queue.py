@@ -58,7 +58,8 @@ def test_queue_policy_ablation(benchmark):
         sim = SimulatedExecutor(laptop_sim(4), scheduler=policy, execute_payloads=True)
         eng = BParEngine(
             small, params=BRNNParams.initialize(small, seed=1),
-            config=ExecutionConfig(executor=sim),
+            # the paper's task-per-cell graph, whatever the engines' default
+            config=ExecutionConfig(executor=sim, fused_input_projection="off"),
         )
         _, logits, _ = eng.loss_and_grads(x, labels)
         outputs.append(logits)

@@ -116,7 +116,7 @@ FAMILY_IDENTS: Dict[str, FrozenSet[str]] = {
     "dlogits": frozenset({"dlogits"}),
     "layer_input": frozenset({"x", "m"}),
     "x": frozenset({"x"}),
-    "grads": frozenset({"gW", "gWx", "gWout"}),
+    "grads": frozenset({"gW", "gWout"}),
     "params": frozenset({"W", "Wout"}),
     "velocity": frozenset({"vel"}),
 }

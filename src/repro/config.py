@@ -59,9 +59,17 @@ class ExecutionConfig:
         Build the barrier-free graph (B-Par) rather than per-layer
         barriers.
     fused_input_projection / proj_block:
-        Hoist ``X @ W_x`` GEMMs off the recurrent chain
-        (``"off"``/``"on"``/``"auto"``) and the timesteps per hoisted
-        block.
+        Leave only the recurrent GEMM (``H·W_h`` forward, ``dH_prev``
+        backward) on the cell chain: a hoisted layer's ``X·W_x`` and, in
+        training, its whole weight-gradient panel, ``db`` and ``dX`` run
+        as per-block tasks of ``proj_block`` timesteps (default 16).
+        ``"auto"`` (the default) hoists the layers whose per-step weight
+        panel outgrows the cache, by a floor from a recorded sweep
+        (:func:`~repro.core.graph_builder.resolve_fused_layers`,
+        docs/PERF.md) — nothing on small models; ``"on"`` hoists every
+        layer; ``"off"`` restores the paper's task-per-cell graph, whose
+        gradients are bitwise the sequential oracle's (hoisted gradients
+        agree to rounding; forward results are bitwise either way).
     fusion / wavefront_tile:
         The gate-GEMM/activation fusion policy (docs/PERF.md): ``"off"``
         — per-gate GEMMs with separate activation passes (the unfused
@@ -96,7 +104,7 @@ class ExecutionConfig:
     scheduler: str = "locality"
     mbs: int = 1
     barrier_free: bool = True
-    fused_input_projection: str = "off"
+    fused_input_projection: str = "auto"
     proj_block: Optional[int] = None
     fusion: str = "gates"
     wavefront_tile: Optional[int] = None
@@ -175,7 +183,9 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--fused-input-projection", choices=("on", "off", "auto"),
                    default="auto",
-                   help="hoist X@W_x GEMMs off the recurrent critical path")
+                   help="leave only the recurrent GEMM on the cell chain: "
+                        "every layer | none | where the weight panel "
+                        "outgrows the cache (docs/PERF.md)")
     g.add_argument("--proj-block", type=int, default=None,
                    help="timesteps per hoisted projection task (default 16)")
     g.add_argument("--fusion", choices=("off", "gates", "gates+act", "wavefront"),

@@ -6,10 +6,11 @@ that says which region keys a task of each family reads (``ins``), writes
 (``outs``) or updates in place (``inouts``), as a function of the task's
 ``meta`` and the build's :class:`AccessContext`: ``_cell_fwd_tile`` reads
 the ``zx``/input slot of every step ``[lo, hi)`` it covers, the weight
-panel, and the state carried in from below ``lo``; ``_proj_bwd``
-accumulates into the input rows ``dW[:I]`` only; …  A cell task is a chain
-tile of one step unless ``fusion="wavefront"``, so one forward and one
-backward cell rule cover every tile length.
+panel, and the state carried in from below ``lo``; in a hoisted layer
+``_proj_bwd`` is the only writer of the weight-gradient panel ``gW`` (a
+hoisted ``cell_bwd`` publishes ``dz`` and touches no gradient); …  A cell
+task is a chain tile of one step unless ``fusion="wavefront"``, so one
+forward and one backward cell rule cover every tile length.
 
 Three readers, no second copy:
 
@@ -199,14 +200,16 @@ def _cell_bwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     ins.append(("W", layer, d))
     if ctx.serial_dirs and d == "rev" and hi == T:
         # framework discipline: the reverse backward pass waits for the
-        # forward-direction backward pass (its final gW write)
-        ins.append(("gW", mb, layer, "fwd"))
-    inouts: List[Key] = [("gW", mb, layer, d)]
+        # forward-direction backward pass, i.e. its last task's write
+        # (chain step 0: its dz when hoisted, else the final gW update)
+        ins.append(("dz", mb, layer, "fwd", 0) if fused else ("gW", mb, layer, "fwd"))
+    # only dh_prev stays on a hoisted layer's chain: its cell_bwd publishes
+    # dz, from which the per-block proj_bwd computes dW, db and dx
+    inouts: List[Key] = [] if fused else [("gW", mb, layer, d)]
     if lo > 0:
         inouts.append(("dh", mb, layer, d, lo - 1))
     outs: List[Key] = []
     if fused:
-        # dx is deferred: publish dz for the per-block proj_bwd
         outs = [
             ("dz", mb, layer, d, s if d == "fwd" else T - 1 - s) for s in steps
         ]
@@ -219,11 +222,21 @@ def _cell_bwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
 
 def _proj_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     mb, layer, d = meta["mb"], meta["layer"], meta["dir"]
+    T = ctx.seq_len
     span = range(meta["lo"], meta["hi"])
+    steps = [pos if d == "fwd" else T - 1 - pos for pos in span]
     ins: List[Key] = [("dz", mb, layer, d, pos) for pos in span]
     ins += [_in_key(mb, layer, pos) for pos in span]
+    # h_prev of every step: the h slot below it; the initial state is no
+    # region of its own, the cache of chain step 0 is what holds it.  A GRU's
+    # candidate gate needs r⊙h_prev as well, which only the cache holds.
+    gru = ctx.spec.cell == "gru"
+    ins += [
+        ("cache", mb, layer, d, s) if gru or s == 0 else ("h", mb, layer, d, s - 1)
+        for s in steps
+    ]
     ins.append(("W", layer, d))
-    inouts: List[Key] = [("gWx", mb, layer, d)]
+    inouts: List[Key] = [("gW", mb, layer, d)]
     if layer > 0:
         inouts += [("dm", mb, layer - 1, pos) for pos in span]
     return AccessDecl(ins=tuple(ins), inouts=tuple(inouts))
@@ -250,8 +263,6 @@ def _weight_update(meta: Mapping, ctx: AccessContext) -> AccessDecl:
         return AccessDecl(ins=ins, inouts=inouts)
     layer, d = meta["layer"], meta["dir"]
     ins = tuple(("gW", mb, layer, d) for mb in range(ctx.mbs))
-    if ctx.fused_layers[layer]:
-        ins += tuple(("gWx", mb, layer, d) for mb in range(ctx.mbs))
     inouts = (("W", layer, d),)
     if ctx.has_velocity:
         inouts += (("vel", layer, d),)

@@ -107,7 +107,8 @@ class BParEngine:
         self.mbs = cfg.mbs
         self.barrier_free = cfg.barrier_free
         self.momentum = momentum
-        #: "on"/"off"/"auto": hoist X@W_x off the recurrent critical path
+        #: "on"/"off"/"auto": take every GEMM but the recurrent one off the
+        #: cell chain (:func:`~repro.core.graph_builder.resolve_fused_layers`)
         self.fused_input_projection = cfg.fused_input_projection
         self.proj_block = cfg.proj_block
         #: gate-GEMM/activation fusion policy (docs/PERF.md)

@@ -36,7 +36,7 @@ our barrier ablation.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -55,6 +55,7 @@ from repro.models.cells import (
     cell_fwd_flops,
     cell_fwd_step_proj_flops,
     cell_input_projection,
+    cell_proj_backward,
     cell_proj_bwd_flops,
     cell_proj_flops,
 )
@@ -116,17 +117,32 @@ _ROW_ATTRS = {
 }
 
 
-def resolve_fused_layers(spec: BRNNSpec, mode) -> List[bool]:
-    """Per-layer fuse decision for ``fused_input_projection``.
+#: ``fused_input_projection="auto"`` hoists a layer whose per-direction
+#: weight panel ``(I_l + H)·G·H·itemsize`` is at least this large, in a chunk
+#: of at most :data:`HOIST_MAX_ROWS` rows.  Both from the recorded sweep
+#: (``tools/sweep_hoist_floor.py``, docs/PERF.md): a per-step GEMM on a few
+#: rows streams its whole panel for little arithmetic, and at 2 MiB hoisting
+#: wins 17-77 % of a training step on 32 rows or fewer (forward 6-31 %).  At
+#: 512 KiB the per-step panel stays in the L2; hoisting still wins on 32
+#: rows or fewer but reads 0.92-1.13 beyond.
+HOIST_MIN_PANEL_BYTES = 1 << 20
 
-    ``"on"``/``True`` fuses every layer, ``"off"``/``False``/``None`` none.
-    ``"auto"`` fuses the layers where the hoisted GEMM demonstrably pays on
-    a real host: those whose input is at least twice the hidden size, where
-    the input half of the pre-activation dominates the cell GEMM.  (Square
-    inner layers keep the per-step path — there the per-step weight panel
-    stays cache-resident, which the sequence-length streaming GEMM forfeits.
-    Simulated-machine callers map ``auto`` to ``on`` instead: in the cost
-    model the critical path shrinks regardless of layer shape.)
+#: Above this many rows per chunk the per-step GEMMs are compute-bound
+#: already, and the block tasks' stacked operands only add traffic: at
+#: 64-128 rows the sweep still reads 0.88-0.98 in training above the floor,
+#: at 256 and 512 rows 0.98-1.11.
+HOIST_MAX_ROWS = 128
+
+
+def resolve_fused_layers(spec: BRNNSpec, mode, rows: int) -> List[bool]:
+    """Per-layer hoist decision for ``fused_input_projection``.
+
+    ``"on"``/``True`` hoists every layer, ``"off"``/``False``/``None`` none.
+    ``"auto"`` hoists the layers where it pays on a real host, judged from
+    the model and the chunk alone: those whose weight panel reaches
+    :data:`HOIST_MIN_PANEL_BYTES`, when the chunk has at most
+    :data:`HOIST_MAX_ROWS` ``rows``.  It means the same on every executor
+    and in training and inference.
     """
     n = spec.num_layers
     if mode in (False, None) or mode == "off":
@@ -134,9 +150,11 @@ def resolve_fused_layers(spec: BRNNSpec, mode) -> List[bool]:
     if mode is True or mode == "on":
         return [True] * n
     if mode == "auto":
-        return [
-            spec.layer_input_size(layer) >= 2 * spec.hidden_size for layer in range(n)
-        ]
+        if rows > HOIST_MAX_ROWS:
+            return [False] * n
+        itemsize = np.dtype(spec.dtype).itemsize
+        panels = (spec.cell_param_shapes(layer)[0] for layer in range(n))
+        return [wr * wc * itemsize >= HOIST_MIN_PANEL_BYTES for wr, wc in panels]
     raise ValueError(
         f"fused_input_projection must be 'on', 'off', 'auto' or bool, got {mode!r}"
     )
@@ -144,7 +162,12 @@ def resolve_fused_layers(spec: BRNNSpec, mode) -> List[bool]:
 
 @dataclass
 class GraphBuildResult:
-    """A built graph plus the handles needed to read results back."""
+    """A built graph plus the handles needed to read results back.
+
+    ``graph.storage`` is a copy of this object with ``graph=None`` (same
+    chunks, parameters and regions), so nothing a graph refers to refers
+    back to it.
+    """
 
     graph: TaskGraph
     regions: RegionSpace
@@ -209,7 +232,6 @@ class GraphBuildResult:
         if not self.functional:
             raise RuntimeError("cost-only graphs carry no data to resolve")
         kind = key[0]
-        spec = self.spec
         if kind == "x":
             _, mb, t = key
             return (self.chunks[mb].x[t],)
@@ -222,14 +244,7 @@ class GraphBuildResult:
         if kind == "gW":
             _, mb, layer, d = key
             gp = self.chunks[mb].grads.layers[layer].direction(d)
-            if self.fused_layers and self.fused_layers[layer]:
-                # fused layer: cell tasks own only the recurrent rows + bias
-                return (gp.W[spec.layer_input_size(layer):], gp.b)
             return (gp.W, gp.b)
-        if kind == "gWx":
-            _, mb, layer, d = key
-            gp = self.chunks[mb].grads.layers[layer].direction(d)
-            return (gp.W[: spec.layer_input_size(layer)],)
         if kind == "gWout":
             _, mb = key
             gh = self.chunks[mb].grads.head
@@ -309,8 +324,6 @@ class GraphBuildResult:
         are
 
         * ``x(mb, t)`` — batch/time slices of the one parent input array,
-        * ``gW``/``gWx`` — the recurrent-rows / input-rows split of one
-          per-chunk weight-gradient panel,
         * slot grids (``h``/``dh``/``cache``/``zx``/``dz``/``m``/``dm``
           and the per-slot head rows) — packed per ``(kind, mb, layer)``
           with the forward chain's slots before the reverse chain's.
@@ -351,24 +364,10 @@ class GraphBuildResult:
                 off = off + b(j)
             lo = (Affine.const(t) * total + off) * row
             return (Extent(("x",), Interval(lo, lo + b(mb) * row)),)
-        if kind == "W":
-            _, layer, d = key
-            return own(key, ((lin(layer) + H) * (G * H) + G * H) * isz)
+        if kind in ("W", "gW"):  # (..., layer, dir): one whole panel plus its bias
+            return own(key, ((lin(key[-2]) + H) * (G * H) + G * H) * isz)
         if kind == "Wout":
             return own(key, (M * C + C) * isz)
-        if kind in ("gW", "gWx"):
-            _, mb, layer, d = key
-            panel = ("Wgrad", mb, layer, d)
-            rowb = G * H * isz  # bytes per weight row
-            split = lin(layer) * rowb  # input-rows / recurrent-rows boundary
-            if kind == "gWx":
-                return (Extent(panel, Interval(Affine.const(0), split)),)
-            bias = own(("Wgrad.b", mb, layer, d), G * H * isz)
-            if self.fused_layers and self.fused_layers[layer]:
-                wext = Extent(panel, Interval(split, split + H * rowb))
-            else:
-                wext = Extent(panel, Interval(Affine.const(0), split + H * rowb))
-            return (wext,) + bias
         if kind == "gWout":
             _, mb = key
             return own(key, (M * C + C) * isz)
@@ -745,19 +744,9 @@ class _Builder:
             nbytes = 0
         elif kind in ("Wout", "gWout") or key == ("vel", "head"):
             nbytes = (spec.head_input_size * spec.num_classes + spec.num_classes) * self.isz
-        else:  # ("W" | "vel", layer, dir), ("gW" | "gWx", mb, layer, dir)
-            layer = key[-2]
-            (wr, wc), (bn,) = spec.cell_param_shapes(layer)
-            if kind == "gWx":
-                # input rows ``dW[:I]``, accumulated once per projection
-                # block by proj_bwd, off the recurrent backward chain
-                nbytes = (wr - spec.hidden_size) * wc * self.isz
-            else:
-                if kind == "gW" and self.fused_layers[layer]:
-                    # fused layer: cell tasks touch only the recurrent
-                    # rows ``dW[I:]`` and the bias
-                    wr = spec.hidden_size
-                nbytes = (wr * wc + bn) * self.isz
+        else:  # ("W" | "vel", layer, dir), ("gW", mb, layer, dir)
+            (wr, wc), (bn,) = spec.cell_param_shapes(key[-2])
+            nbytes = (wr * wc + bn) * self.isz
         region = self.regions.get(key, nbytes, streaming=width is not None)
         if kind in ("W", "Wout"):
             region.home = INTERLEAVED_HOME  # shared weights: page-interleaved
@@ -965,9 +954,7 @@ class _Builder:
                 cache = cache_g[layer][step]
                 pos = step if direction == "fwd" else T - 1 - step
                 if fused:
-                    dz, dh_c, dc_c = cell_backward_proj(
-                        spec, dh, dc, cache, dp.W, gp.W, gp.b
-                    )
+                    dz, dh_c, dc_c = cell_backward_proj(spec, dh, dc, cache, dp.W)
                     dz_g[layer][pos] = dz
                 else:
                     dx, dh_c, dc_c = cell_backward(
@@ -983,26 +970,42 @@ class _Builder:
         return fn
 
     def _fn_proj_bwd(self, mb, layer, direction, lo, hi):
+        """Hoisted backward of positions ``[lo, hi)`` of one chain: the whole
+        weight-gradient panel, the bias gradient and (above layer 0) ``dx``,
+        from the block's stacked ``dz``, inputs and previous states."""
         if not self.functional:
             return None
-        state, spec, params = self.chunks[mb], self.spec, self.params
-        bc = self.chunk_batches[mb]
+        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
 
         def fn():
             dp = params.layers[layer].direction(direction)
             gp = state.grads.layers[layer].direction(direction)
-            dz_grid = state.dz_f if direction == "fwd" else state.dz_r
+            if direction == "fwd":
+                h_g, cache_g, dz_g = state.h_f, state.cache_f, state.dz_f
+            else:
+                h_g, cache_g, dz_g = state.h_r, state.cache_r, state.dz_r
             positions = range(lo, hi)
+            steps = [pos if direction == "fwd" else T - 1 - pos for pos in positions]
             xs = [state.layer_input(layer, pos) for pos in positions]
-            dzs = [dz_grid[layer][pos] for pos in positions]
-            X = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=0)
-            dZ = dzs[0] if len(dzs) == 1 else np.concatenate(dzs, axis=0)
-            input_size = X.shape[1]
-            gp.W[:input_size] += X.T @ dZ
+            dzs = [dz_g[layer][pos] for pos in positions]
+            if spec.cell == "gru":
+                caches = [cache_g[layer][step] for step in steps]
+                h_prevs = [cache.h_prev for cache in caches]
+                rhs = [cache.rh for cache in caches]
+            else:
+                # the initial state is no region of its own: the cache of
+                # chain step 0 is the declared slot that holds it
+                h_prevs = [
+                    h_g[layer][step - 1] if step > 0 else cache_g[layer][0].h_prev
+                    for step in steps
+                ]
+                rhs = None
+            dxs = cell_proj_backward(
+                spec, xs, h_prevs, dzs, dp.W, gp.W, gp.b, layer > 0, rhs
+            )
             if layer > 0:
-                dX = dZ @ dp.W[:input_size].T
-                for k, pos in enumerate(positions):
-                    state.dmerged[layer - 1][pos] += dX[k * bc : (k + 1) * bc]
+                for pos, dx in zip(positions, dxs):
+                    state.dmerged[layer - 1][pos] += dx
 
         return fn
 
@@ -1110,7 +1113,11 @@ class _Builder:
         # Executors that need storage resolution (the multiprocess
         # substrate's shared-memory rebinding and region shipping) reach it
         # through the graph they are handed — engines stay storage-blind.
-        self.graph.storage = self.result
+        # The graph gets the result's handles without the graph itself: a
+        # reference back would make the two a cycle, and a finished step's
+        # buffers would then wait for the cyclic collector instead of being
+        # freed when the engine drops its result.
+        self.graph.storage = replace(self.result, graph=None)
         return self.result
 
     def _build_forward(self, mb: int) -> None:
@@ -1200,7 +1207,8 @@ class _Builder:
         order, read every ``dh``/cache slot they consume (merge
         contributions land first), accumulate the carry leaving the tile
         into slot ``lo-1``, and emit either per-position ``dz`` (fused
-        layers) or ``dm`` contributions.
+        layers: the gradients are the block tasks') or the weight gradient
+        and ``dm`` contributions.
         """
         spec, bc = self.spec, self.chunk_batches[mb]
         fused = self.fused_layers[layer]
@@ -1284,13 +1292,14 @@ class _Builder:
 
     def _build_proj_bwd_tasks(self, mb: int, layer: int) -> None:
         """Hoisted backward tasks of a fused layer: per (direction, block),
-        ``dW_x += X^T·dZ`` once per block (and, above layer 0, ``dX`` back
-        into the merged-gradient accumulators).
+        the whole weight-gradient panel ``dW += [X | H_prev]^T·dZ`` and ``db``
+        once per block (and, above layer 0, ``dX`` back into the
+        merged-gradient accumulators).
 
-        ``dW_x`` lands in its own region (``gWx``), disjoint rows from the
-        cell tasks' ``gW``, so these GEMMs run concurrently with — not on —
-        the recurrent backward chain; only the weight-update task joins the
-        two.  Blocks are cut the way the backward chain *produces* ``dz``:
+        A hoisted layer's cell tasks publish ``dz`` and touch no gradient, so
+        these GEMMs run beside the recurrent backward chain, not on it; the
+        blocks of one chain take turns on its ``gW`` panel in creation order.
+        Blocks are cut the way the backward chain *produces* ``dz``:
         descending positions for the fwd direction, ascending for rev —
         i.e. the forward blocking of the opposite direction.
         """
@@ -1397,11 +1406,15 @@ def build_brnn_graph(
     sequentially, so only data parallelism remains.
 
     ``fused_input_projection`` (``"on"``/``"off"``/``"auto"``, see
-    :func:`resolve_fused_layers`) hoists each fused layer's ``X_t @ W_x``
-    GEMMs off the recurrent chain into per-block ``proj`` tasks of
-    ``proj_block`` timesteps each (default :data:`DEFAULT_PROJ_BLOCK`,
-    clamped to the sequence length); forward results stay bit-identical to
-    the sequential oracle.
+    :func:`resolve_fused_layers`) leaves only the recurrent GEMM on a hoisted
+    layer's cell chain: its ``X_t @ W_x`` GEMMs move into per-block ``proj``
+    tasks of ``proj_block`` timesteps each (default
+    :data:`DEFAULT_PROJ_BLOCK`, clamped to the sequence length) and, in
+    training, the weight-gradient panel, ``db`` and ``dX`` into per-block
+    ``proj_bwd`` tasks.  Forward results stay bit-identical to the
+    sequential oracle; hoisted gradients agree with it to rounding.  The
+    default here is ``"off"``, the paper's task-per-cell graph (every
+    simulated table and figure builds it); the engines default to ``"auto"``.
 
     ``fusion`` selects the gate-GEMM/activation fusion policy
     (docs/PERF.md): ``"off"`` runs per-gate GEMMs with separate
@@ -1460,7 +1473,7 @@ def build_brnn_graph(
             # the fully unfused baseline also forgoes projection hoisting
             [False] * spec.num_layers
             if fusion == "off"
-            else resolve_fused_layers(spec, fused_input_projection)
+            else resolve_fused_layers(spec, fused_input_projection, max(chunk_batches))
         ),
         proj_block=proj_block,
         fusion=fusion,

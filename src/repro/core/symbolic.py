@@ -190,9 +190,9 @@ class Interval:
 class Extent:
     """One byte extent: an interval inside a named address space.
 
-    ``space`` identifies one allocation family (e.g. ``("Wgrad", mb,
-    layer, dir)`` — a chunk's weight-gradient panel, whose rows the
-    ``gW``/``gWx`` regions split).  Extents of different spaces never
+    ``space`` identifies one allocation family (e.g. ``("slots", "h", mb,
+    layer)`` — a chunk's packed hidden-state slots of one layer, which the
+    per-step ``h`` regions split).  Extents of different spaces never
     alias; extents of one space alias unless proven disjoint.
     """
 

@@ -6,13 +6,15 @@ fused_input_projection)}`` mode table with the baseline labelled ``off``:
 * :data:`LADDER` (suite ``fusion``) — the cumulative fusion ladder:
   per-gate GEMMs (``off``), the stacked gate GEMM (``gates``), in-payload
   activations (``gates+act``), wavefront chain tiling (``wavefront``).
-* :data:`PROJECTION` (suite ``fused_projection``) — per-step vs hoisted
-  ``X @ W_x`` under the default fusion: ``off``/``on``/``auto``.
+* :data:`PROJECTION` (suite ``fused_projection``) — the per-step graph vs
+  the hoisted one (only the recurrent GEMM on the cell chain) under the
+  default fusion: ``off``/``on``/``auto``, timed as an inference batch and,
+  ``off`` against ``on``, as a training step.
 
 Both run on both substrates:
 
-* **threaded** — real wall time of inference batches on the host's worker
-  threads (:func:`repro.harness.measure.interleaved_forward_times`),
+* **threaded** — real wall time of batches on the host's worker
+  threads (:func:`repro.harness.measure.interleaved_step_times`),
   summarised as median/p95 with ``speedup_median`` relative to ``off``.
 * **sim** — cost-only graphs on the modelled 48-core machine: simulated
   batch time, task count, and the critical path under two weights.  The
@@ -36,6 +38,7 @@ baselines are rows of :mod:`repro.harness.ledger`.
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.analysis.graphlint import lint_graph
@@ -43,7 +46,7 @@ from repro.analysis.parallelism import analyze_graph
 from repro.config import ExecutionConfig
 from repro.core.graph_builder import build_brnn_graph
 from repro.harness.measure import (
-    interleaved_forward_times,
+    interleaved_step_times,
     make_spec,
     summarize_times,
 )
@@ -87,12 +90,14 @@ def threaded_mode_times(
     *,
     mbs: int = 1,
     n_workers: Optional[int] = None,
+    training: bool = False,
     iters: int = 5,
     warmup: int = 1,
     seed: int = 0,
     **knobs,
 ) -> Dict[str, Dict[str, float]]:
-    """Per-mode timing summaries plus ``speedup_median`` vs ``off``.
+    """Per-mode timing summaries plus ``speedup_median`` vs ``off``, of an
+    inference batch or (``training``) an SGD step.
 
     ``knobs`` (``proj_block``/``wavefront_tile``) reach every mode's
     :class:`~repro.config.ExecutionConfig`.
@@ -104,8 +109,9 @@ def threaded_mode_times(
         )
         for label, (fusion, proj) in modes.items()
     }
-    samples, _ = interleaved_forward_times(
-        spec, seq_len, batch, configs, iters=iters, warmup=warmup, seed=seed
+    samples, _ = interleaved_step_times(
+        spec, seq_len, batch, configs,
+        training=training, iters=iters, warmup=warmup, seed=seed,
     )
     threaded: Dict[str, Dict[str, float]] = {
         label: summarize_times(xs) for label, xs in samples.items()
@@ -295,9 +301,19 @@ def run_fused_bench(
     proj_block: Optional[int] = None,
     seed: int = 0,
 ) -> Dict:
-    """One input-projection ablation point — threaded wall time plus the
-    simulated cost model — as ``{"config", "results"}``."""
+    """One input-projection ablation point — threaded wall time of an
+    inference batch and of a training step, plus the simulated cost model —
+    as ``{"config", "results"}``."""
     spec = make_spec(cell, input_size, hidden, layers, head)
+    timing = dict(mbs=mbs, n_workers=n_workers, proj_block=proj_block,
+                  iters=iters, warmup=warmup, seed=seed)
+    threaded = threaded_mode_times(spec, seq_len, batch, PROJECTION, **timing)
+    train = threaded_mode_times(
+        spec, seq_len, batch, {m: PROJECTION[m] for m in ("off", "on")},
+        training=True, **timing,
+    )
+    threaded["train_speedup_median"] = train.pop("speedup_median")
+    threaded["train"] = train
     return {
         "config": {
             "cell": cell, "input_size": input_size, "hidden": hidden,
@@ -308,14 +324,11 @@ def run_fused_bench(
             "threaded_workers": n_workers, "sim_cores": sim_cores,
         },
         "results": {
-            "threaded": threaded_mode_times(
-                spec, seq_len, batch, PROJECTION,
-                mbs=mbs, n_workers=n_workers, proj_block=proj_block,
-                iters=iters, warmup=warmup, seed=seed,
-            ),
+            "threaded": threaded,
             "sim": simulated_projection_comparison(
                 spec, seq_len, batch,
                 mbs=mbs, n_cores=sim_cores, proj_block=proj_block,
             ),
+            "host_cores": os.cpu_count() or 1,
         },
     }

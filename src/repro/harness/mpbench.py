@@ -38,7 +38,7 @@ from typing import Dict, Optional
 
 from repro.config import ExecutionConfig
 from repro.harness.measure import (
-    interleaved_forward_times,
+    interleaved_step_times,
     make_spec,
     summarize_times,
 )
@@ -73,7 +73,7 @@ def run_multiproc_bench(
     regimes: Dict[str, Dict] = {}
     bitwise = True
     for name, fusion, proj in REGIMES:
-        samples, logits = interleaved_forward_times(
+        samples, logits = interleaved_step_times(
             spec, seq_len, batch,
             {
                 substrate: ExecutionConfig(

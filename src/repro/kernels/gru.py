@@ -81,16 +81,17 @@ def gru_fwd_step_proj_flops(batch: int, hidden_size: int) -> float:
 
 
 def gru_bwd_step_proj_flops(batch: int, hidden_size: int) -> float:
-    """Backward flops of the shrunken cell step (recurrent data + weight GEMMs)."""
-    return 4.0 * batch * hidden_size * 3 * hidden_size + 28.0 * batch * hidden_size
+    """Backward flops of the shrunken cell step (recurrent data GEMMs + elementwise)."""
+    return 2.0 * batch * hidden_size * 3 * hidden_size + 28.0 * batch * hidden_size
 
 
 def gru_proj_bwd_flops(
     batch: int, input_size: int, hidden_size: int, need_dx: bool = True
 ) -> float:
-    """One timestep's share of the hoisted backward: ``dW_x = X^T·dZ`` (+ ``dX``)."""
-    gemm = 2.0 * batch * input_size * 3 * hidden_size
-    return gemm * (2.0 if need_dx else 1.0)
+    """One timestep's share of the hoisted backward: the whole weight-gradient
+    panel (``X^T·dZ``, ``H_prev^T·dZ_zr``, ``RH^T·da``) (+ ``dX = dZ·W_x^T``)."""
+    panel = 2.0 * batch * (input_size + hidden_size) * 3 * hidden_size
+    return panel + (2.0 * batch * input_size * 3 * hidden_size if need_dx else 0.0)
 
 
 @dataclass
@@ -220,15 +221,13 @@ def gru_backward_step_proj(
     dh: np.ndarray,
     cache: GRUCache,
     W: np.ndarray,
-    dW: np.ndarray,
-    db: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backward of the shrunken cell step: emits ``dz (B, 3H)`` instead of ``dx``.
 
-    ``dz`` columns are ``[dz_zr | da]``, matching the fused weight layout, so
-    the per-block ``proj_bwd`` task can compute ``dW[:I] += X^T·dZ`` and
-    ``dX = dZ·W_x^T`` in one GEMM each.  Accumulates only the recurrent
-    halves ``dW[I:]``/``db``.  Returns ``(dz, dh_prev)``.
+    ``dz`` columns are ``[dz_zr | da]``, matching the fused weight layout.
+    Keeps the pointwise work and the recurrent data GEMMs behind
+    ``dh_prev``; ``dW``, ``db`` and ``dX`` are the per-block
+    :func:`gru_proj_backward`'s.  Returns ``(dz, dh_prev)``.
     """
     hidden = cache.h_prev.shape[1]
     input_size = W.shape[0] - hidden
@@ -248,14 +247,35 @@ def gru_backward_step_proj(
     dz[:, :hidden] = dz_gate * dsigmoid(cache.z)
     dz[:, hidden:two_h] = dr * dsigmoid(cache.r)
     dz[:, two_h:] = da
-    dzr = dz[:, :two_h]
-    dh_prev += dzr @ W[input_size:, :two_h].T
-
-    dW[input_size:, :two_h] += cache.h_prev.T @ dzr
-    dW[input_size:, two_h:] += cache.rh.T @ da
-    db[:two_h] += dzr.sum(axis=0)
-    db[two_h:] += da.sum(axis=0)
+    dh_prev += dz[:, :two_h] @ W[input_size:, :two_h].T
     return dz, dh_prev
+
+
+def gru_proj_backward(
+    X: np.ndarray,
+    H_prev: np.ndarray,
+    RH: np.ndarray,
+    dZ: np.ndarray,
+    W: np.ndarray,
+    dW: np.ndarray,
+    db: np.ndarray,
+    need_dx: bool = True,
+) -> Optional[np.ndarray]:
+    """Hoisted backward of a block of timesteps, their rows stacked.
+
+    The candidate gate multiplies ``R_t ⊙ H_{t-1}`` (``RH``) where the other
+    two multiply ``H_{t-1}``, so the recurrent rows take one GEMM per column
+    block: ``dW[:I] += X^T·dZ``, ``dW[I:, :2H] += H_prev^T·dZ_zr``, ``dW[I:,
+    2H:] += RH^T·da``; ``db += ΣdZ``.  Returns ``dX = dZ·W_x^T`` (``None``
+    unless ``need_dx``).  Equal to the per-step sums to rounding, not bitwise.
+    """
+    input_size = X.shape[1]
+    two_h = 2 * H_prev.shape[1]
+    dW[:input_size] += X.T @ dZ
+    dW[input_size:, :two_h] += H_prev.T @ dZ[:, :two_h]
+    dW[input_size:, two_h:] += RH.T @ dZ[:, two_h:]
+    db += dZ.sum(axis=0)
+    return dZ @ W[:input_size].T if need_dx else None
 
 
 # -- fusion-policy kernel variants (docs/PERF.md §fusion) -----------------------

@@ -85,16 +85,17 @@ def lstm_fwd_step_proj_flops(batch: int, hidden_size: int) -> float:
 
 
 def lstm_bwd_step_proj_flops(batch: int, hidden_size: int) -> float:
-    """Backward flops of the shrunken cell step (``dh_prev`` + ``dW_h`` GEMMs)."""
-    return 4.0 * batch * hidden_size * 4 * hidden_size + 30.0 * batch * hidden_size
+    """Backward flops of the shrunken cell step (the ``dh_prev`` GEMM + elementwise)."""
+    return 2.0 * batch * hidden_size * 4 * hidden_size + 30.0 * batch * hidden_size
 
 
 def lstm_proj_bwd_flops(
     batch: int, input_size: int, hidden_size: int, need_dx: bool = True
 ) -> float:
-    """One timestep's share of the hoisted backward: ``dW_x = X^T·dZ`` (+ ``dX``)."""
-    gemm = 2.0 * batch * input_size * 4 * hidden_size
-    return gemm * (2.0 if need_dx else 1.0)
+    """One timestep's share of the hoisted backward: the whole weight-gradient
+    panel ``[X | H_prev]^T·dZ`` (+ ``dX = dZ·W_x^T``)."""
+    panel = 2.0 * batch * (input_size + hidden_size) * 4 * hidden_size
+    return panel + (2.0 * batch * input_size * 4 * hidden_size if need_dx else 0.0)
 
 
 @dataclass
@@ -221,14 +222,13 @@ def lstm_backward_step_proj(
     dc_in: np.ndarray,
     cache: LSTMCache,
     W: np.ndarray,
-    dW: np.ndarray,
-    db: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward of the shrunken cell step: emits ``dz`` instead of ``dx``.
 
-    Accumulates only the *recurrent* halves ``dW[I:]``/``db``; the input
-    halves (``dW[:I] = X^T·dZ`` and ``dX = dZ·W_x^T``) are hoisted into the
-    per-block ``proj_bwd`` task.  Returns ``(dz, dh_prev, dc_prev)``.
+    Keeps what the recurrence waits for: the pointwise work and ``dh_prev =
+    dZ·W_h^T``.  Every other product of ``dz`` (``dW``, ``db``, ``dX``) is
+    hoisted into the per-block :func:`lstm_proj_backward`.  Returns ``(dz,
+    dh_prev, dc_prev)``.
     """
     hidden = cache.h_prev.shape[1]
     input_size = W.shape[0] - hidden
@@ -243,10 +243,31 @@ def lstm_backward_step_proj(
     dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
 
     dh_prev = dz @ W[input_size:].T
-    dW[input_size:] += cache.h_prev.T @ dz
-    db += dz.sum(axis=0)
     dc_prev = dc * cache.f
     return dz, dh_prev, dc_prev
+
+
+def lstm_proj_backward(
+    X: np.ndarray,
+    H_prev: np.ndarray,
+    dZ: np.ndarray,
+    W: np.ndarray,
+    dW: np.ndarray,
+    db: np.ndarray,
+    need_dx: bool = True,
+) -> Optional[np.ndarray]:
+    """Hoisted backward of a block of timesteps, their rows stacked.
+
+    ``X (K·B, I)``, ``H_prev (K·B, H)`` and ``dZ (K·B, 4H)`` hold the block's
+    ``K`` steps one below the other.  Accumulates the whole weight-gradient
+    panel in one GEMM, ``dW += [X | H_prev]^T·dZ``, and ``db += ΣdZ``;
+    returns ``dX = dZ·W_x^T`` (``None`` unless ``need_dx``).  Sums over the
+    block's rows in one reduction where the per-step kernel adds ``K``
+    partial products: equal to rounding, not bitwise.
+    """
+    dW += np.concatenate((X, H_prev), axis=1).T @ dZ
+    db += dZ.sum(axis=0)
+    return dZ @ W[: X.shape[1]].T if need_dx else None
 
 
 # -- fusion-policy kernel variants (docs/PERF.md §fusion) -----------------------

@@ -79,16 +79,17 @@ def rnn_fwd_step_proj_flops(batch: int, hidden_size: int) -> float:
 
 
 def rnn_bwd_step_proj_flops(batch: int, hidden_size: int) -> float:
-    """Backward flops of the shrunken cell step (``dh_prev`` + ``dW_h`` GEMMs)."""
-    return 4.0 * batch * hidden_size * hidden_size + 6.0 * batch * hidden_size
+    """Backward flops of the shrunken cell step (the ``dh_prev`` GEMM + elementwise)."""
+    return 2.0 * batch * hidden_size * hidden_size + 6.0 * batch * hidden_size
 
 
 def rnn_proj_bwd_flops(
     batch: int, input_size: int, hidden_size: int, need_dx: bool = True
 ) -> float:
-    """One timestep's share of the hoisted backward: ``dW_x = X^T·dZ`` (+ ``dX``)."""
-    gemm = 2.0 * batch * input_size * hidden_size
-    return gemm * (2.0 if need_dx else 1.0)
+    """One timestep's share of the hoisted backward: the whole weight-gradient
+    panel ``[X | H_prev]^T·dZ`` (+ ``dX = dZ·W_x^T``)."""
+    panel = 2.0 * batch * (input_size + hidden_size) * hidden_size
+    return panel + (2.0 * batch * input_size * hidden_size if need_dx else 0.0)
 
 
 @dataclass
@@ -162,21 +163,36 @@ def rnn_backward_step_proj(
     dh: np.ndarray,
     cache: RNNCache,
     W: np.ndarray,
-    dW: np.ndarray,
-    db: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backward of the shrunken cell step: emits ``da`` instead of ``dx``.
 
-    Accumulates only the recurrent halves ``dW[I:]``/``db``; returns
-    ``(da, dh_prev)``.
+    Keeps the pointwise work and ``dh_prev = da·W_h^T``; ``dW``, ``db`` and
+    ``dX`` are the per-block :func:`rnn_proj_backward`'s.  Returns ``(da,
+    dh_prev)``.
     """
     hidden = cache.h_prev.shape[1]
     input_size = W.shape[0] - hidden
     da = dh * dtanh(cache.h)
     dh_prev = da @ W[input_size:].T
-    dW[input_size:] += cache.h_prev.T @ da
-    db += da.sum(axis=0)
     return da, dh_prev
+
+
+def rnn_proj_backward(
+    X: np.ndarray,
+    H_prev: np.ndarray,
+    dZ: np.ndarray,
+    W: np.ndarray,
+    dW: np.ndarray,
+    db: np.ndarray,
+    need_dx: bool = True,
+) -> Optional[np.ndarray]:
+    """Hoisted backward of a block of timesteps, their rows stacked:
+    ``dW += [X | H_prev]^T·dZ`` in one GEMM, ``db += ΣdZ``; returns ``dX =
+    dZ·W_x^T`` (``None`` unless ``need_dx``).  See
+    :func:`repro.kernels.lstm.lstm_proj_backward`."""
+    dW += np.concatenate((X, H_prev), axis=1).T @ dZ
+    db += dZ.sum(axis=0)
+    return dZ @ W[: X.shape[1]].T if need_dx else None
 
 
 # -- fusion-policy kernel variants (docs/PERF.md §fusion) -----------------------

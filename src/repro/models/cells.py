@@ -29,6 +29,7 @@ from repro.kernels.gru import (
     gru_fwd_pointwise_flops,
     gru_fwd_step_proj_flops,
     gru_gate_gemm_flops,
+    gru_proj_backward,
     gru_proj_bwd_flops,
     gru_proj_flops,
 )
@@ -49,6 +50,7 @@ from repro.kernels.lstm import (
     lstm_fwd_pointwise_flops,
     lstm_fwd_step_proj_flops,
     lstm_gate_gemm_flops,
+    lstm_proj_backward,
     lstm_proj_bwd_flops,
     lstm_proj_flops,
 )
@@ -69,6 +71,7 @@ from repro.kernels.rnn import (
     rnn_fwd_pointwise_flops,
     rnn_fwd_step_proj_flops,
     rnn_gate_gemm_flops,
+    rnn_proj_backward,
     rnn_proj_bwd_flops,
     rnn_proj_flops,
 )
@@ -169,6 +172,11 @@ def cell_backward(
     return dx, dh_prev, None
 
 
+def _stack(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows of a block of timesteps, one below the other."""
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
+
+
 def cell_input_projection(
     spec: BRNNSpec, xs: Sequence[np.ndarray], W: np.ndarray
 ) -> List[np.ndarray]:
@@ -186,9 +194,7 @@ def cell_input_projection(
     batch = xs[0].shape[0]
     if batch == 1:
         return [x @ Wx for x in xs]
-    if len(xs) == 1:
-        return [xs[0] @ Wx]
-    zx = np.concatenate(xs, axis=0) @ Wx
+    zx = _stack(xs) @ Wx
     return [zx[k * batch : (k + 1) * batch] for k in range(len(xs))]
 
 
@@ -222,23 +228,54 @@ def cell_backward_proj(
     dc: Optional[np.ndarray],
     cache,
     W: np.ndarray,
-    dW: np.ndarray,
-    db: np.ndarray,
-    fusion: str = "gates",
 ):
     """Backward of the shrunken cell update; returns ``(dz, dh_prev, dc_prev)``.
 
-    All proj-composable fusion modes share the stacked backward — ``dz``
-    must stay a single ``(B, G·H)`` block for the per-block ``proj_bwd``
-    GEMMs downstream.
+    Only what the recurrence waits for: the pointwise work and ``dh_prev =
+    dZ·W_h^T``.  All proj-composable fusion modes share the stacked
+    backward — ``dz`` must stay a single ``(B, G·H)`` block for the
+    per-block :func:`cell_proj_backward` GEMMs downstream.
     """
     if spec.cell == "lstm":
-        return lstm_backward_step_proj(dh, dc, cache, W, dW, db)
+        return lstm_backward_step_proj(dh, dc, cache, W)
     if spec.cell == "gru":
-        dz, dh_prev = gru_backward_step_proj(dh, cache, W, dW, db)
+        dz, dh_prev = gru_backward_step_proj(dh, cache, W)
         return dz, dh_prev, None
-    dz, dh_prev = rnn_backward_step_proj(dh, cache, W, dW, db)
+    dz, dh_prev = rnn_backward_step_proj(dh, cache, W)
     return dz, dh_prev, None
+
+
+def cell_proj_backward(
+    spec: BRNNSpec,
+    xs: Sequence[np.ndarray],
+    h_prevs: Sequence[np.ndarray],
+    dzs: Sequence[np.ndarray],
+    W: np.ndarray,
+    dW: np.ndarray,
+    db: np.ndarray,
+    need_dx: bool = True,
+    rhs: Optional[Sequence[np.ndarray]] = None,
+) -> Optional[List[np.ndarray]]:
+    """Hoisted backward of a block of timesteps: everything ``dz`` feeds
+    except ``dh_prev``.
+
+    Stacks the block's per-timestep inputs ``xs``, previous states
+    ``h_prevs`` and pre-activation gradients ``dzs`` (GRU: also ``rhs``, the
+    cached ``R_t ⊙ H_{t-1}``) and accumulates the whole weight-gradient
+    panel and the bias gradient in place, once per block.  Returns the
+    per-timestep ``dX`` slices (``None`` unless ``need_dx``).
+    """
+    X, H_prev, dZ = _stack(xs), _stack(h_prevs), _stack(dzs)
+    if spec.cell == "gru":
+        dX = gru_proj_backward(X, H_prev, _stack(rhs), dZ, W, dW, db, need_dx)
+    elif spec.cell == "lstm":
+        dX = lstm_proj_backward(X, H_prev, dZ, W, dW, db, need_dx)
+    else:
+        dX = rnn_proj_backward(X, H_prev, dZ, W, dW, db, need_dx)
+    if dX is None:
+        return None
+    batch = xs[0].shape[0]
+    return [dX[k * batch : (k + 1) * batch] for k in range(len(xs))]
 
 
 _FWD_FLOPS = {"lstm": lstm_fwd_flops, "gru": gru_fwd_flops, "rnn": rnn_fwd_flops}
@@ -298,15 +335,16 @@ def cell_fwd_step_proj_flops(spec: BRNNSpec, batch: int) -> float:
 
 
 def cell_bwd_step_proj_flops(spec: BRNNSpec, batch: int) -> float:
-    """Backward flops of the shrunken (fused-projection) cell step."""
+    """Backward flops of the shrunken (fused-projection) cell step: the
+    ``dh_prev`` GEMM and the pointwise work."""
     return _BWD_STEP_PROJ_FLOPS[spec.cell](batch, spec.hidden_size)
 
 
 def cell_proj_bwd_flops(
     spec: BRNNSpec, batch: int, layer: int, need_dx: bool = True
 ) -> float:
-    """Per-timestep flops of the hoisted backward (``dW_x`` and, above
-    layer 0, ``dX``)."""
+    """Per-timestep flops of the hoisted backward (the whole ``dW`` panel
+    and, above layer 0, ``dX``)."""
     fn = _PROJ_BWD_FLOPS[spec.cell]
     return fn(batch, spec.layer_input_size(layer), spec.hidden_size, need_dx)
 

@@ -28,7 +28,7 @@ from typing import Dict, Optional
 from repro.config import ExecutionConfig
 from repro.core.graph_builder import build_brnn_graph
 from repro.harness.measure import (
-    interleaved_forward_times,
+    interleaved_step_times,
     make_spec,
     summarize_times,
 )
@@ -148,13 +148,13 @@ def measure_overhead(
 
     The reported ``overhead_ratio`` is the *median of per-round paired
     ratios* — each round's enabled/disabled pair ran back to back
-    (:func:`repro.harness.measure.interleaved_forward_times`), so thermal
+    (:func:`repro.harness.measure.interleaved_step_times`), so thermal
     and tenancy drift cancel within the pair instead of inflating the
     ratio of two pooled medians.
     """
     registry = MetricsRegistry()
     base = dict(executor="threaded", n_workers=n_workers, mbs=mbs)
-    samples, _ = interleaved_forward_times(
+    samples, _ = interleaved_step_times(
         make_spec(cell, input_size, hidden, layers), seq_len, batch,
         {
             "disabled": ExecutionConfig(**base),

@@ -46,8 +46,9 @@ from repro.simarch.presets import xeon_8160_2s
 EXECUTORS = ("sim", "threaded", "process")
 
 #: the config an engine built without ``config=`` runs under: deterministic
-#: simulated substrate, fused projection resolved per mode
-SERVE_DEFAULTS = ExecutionConfig(executor="sim", fused_input_projection="auto")
+#: simulated substrate, every layer hoisted (in the cost model the critical
+#: path shrinks for every layer shape)
+SERVE_DEFAULTS = ExecutionConfig(executor="sim", fused_input_projection="on")
 
 
 @dataclass
@@ -78,10 +79,8 @@ class InferenceEngine:
         numerics past the GIL); ``n_workers`` is the simulated core count
         under ``sim`` (default: the whole machine).  Larger batches need
         ``mbs>1`` to spread across the simulated 48 cores.
-        ``fused_input_projection="auto"`` resolves to ``"on"`` under
-        ``sim`` (the modelled critical path shrinks for every layer
-        shape); on a real substrate it fuses only the layers where the
-        hoisted GEMM pays on the host (see
+        ``fused_input_projection="auto"`` means the same on every
+        substrate: the layers where hoisting pays on a real host (see
         :func:`~repro.core.graph_builder.resolve_fused_layers`).
     batch_fixed_s:
         Per-batch cost outside the task graph (input staging, graph
@@ -131,10 +130,7 @@ class InferenceEngine:
         self.executor = name
         self.mbs = cfg.mbs
         self.batch_fixed_s = batch_fixed_s
-        fused = cfg.fused_input_projection
-        if name == "sim" and fused == "auto":
-            fused = "on"
-        self.fused_input_projection = fused
+        self.fused_input_projection = cfg.fused_input_projection
         self.proj_block = cfg.proj_block
         self.fusion = cfg.fusion
         self.wavefront_tile = cfg.wavefront_tile

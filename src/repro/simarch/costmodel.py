@@ -31,7 +31,7 @@ DEFAULT_REUSE: Dict[str, float] = {
     "cell": 2.0,       # 4-gate GEMM pair, operands swept per N-panel
     "cell_bwd": 2.0,
     "proj": 2.0,       # hoisted X@W_x block GEMM (builders annotate by rows)
-    "proj_bwd": 2.0,   # hoisted X^T·dZ / dZ·W_x^T block GEMMs
+    "proj_bwd": 2.0,   # hoisted [X|H_prev]^T·dZ / dZ·W_x^T block GEMMs
     "merge": 1.0,
     "merge_bwd": 1.0,
     "head": 2.0,

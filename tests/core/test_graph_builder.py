@@ -193,13 +193,12 @@ def test_functional_and_cost_only_have_same_structure():
 def test_fused_proj_bwd_runs_concurrently_with_cell_backward():
     """The fused backward's concurrency claim, stated as graph reachability.
 
-    A fused layer splits its weight-gradient array by rows: cell-backward
-    tasks accumulate the recurrent rows (``dW[I:]``, region ``gW``) while
-    per-block ``proj_bwd`` tasks accumulate the input rows (``dW[:I]``,
-    region ``gWx``) — disjoint rows of the same buffer.  A ``proj_bwd``
-    block is ordered after the cell-backward tasks *whose dz it consumes*,
-    but must be genuinely unordered w.r.t. cell-backward tasks at other
-    positions: that unordered pair is exactly the overlap the fusion buys.
+    A hoisted layer's cell-backward tasks keep the pointwise work and
+    ``dh_prev`` and touch no gradient; the per-block ``proj_bwd`` tasks own
+    the whole weight-gradient panel (region ``gW``).  A ``proj_bwd`` block
+    is ordered after the cell-backward tasks *whose dz it consumes*, but
+    must be genuinely unordered w.r.t. cell-backward tasks at other
+    positions: that unordered pair is exactly the overlap the hoist buys.
     """
     spec = small_spec(num_layers=2)
     T = 5
@@ -219,12 +218,54 @@ def test_fused_proj_bwd_runs_concurrently_with_cell_backward():
         producer = byname[f"{direction}Bwd[0]L1s{T - 1}"]
         assert g.has_path(producer, proj, bits)
         # ...but unordered w.r.t. every later cell-backward step of the
-        # same (layer, direction), despite both writing rows of dW:
+        # same (layer, direction):
         for step in range(T - 2, -1, -1):
             cell_bwd = byname[f"{direction}Bwd[0]L1s{step}"]
             assert g.unordered(proj, cell_bwd, bits), (
                 f"projBwd@{first_pos} should overlap {direction}Bwd s{step}"
             )
+
+
+def test_hoisted_cell_backward_leaves_the_gradient_to_the_block_tasks():
+    """Per (chunk, layer, direction) the ``gW`` panel is written by the
+    ``proj_bwd`` blocks only, one after the other, and read by the update."""
+    spec = small_spec(num_layers=2)
+    res = build_brnn_graph(
+        spec, seq_len=5, batch=6, mbs=2, training=True,
+        fused_input_projection="on", proj_block=2,
+    )
+    g = res.graph
+    bits = g.descendants_bitsets()
+    assert not any(r.key[0] == "gWx" for r in res.regions.regions())
+    for key in [r.key for r in res.regions.regions() if r.key[0] == "gW"]:
+        writers = [t for t in g if any(r.key == key for r in t.writes())]
+        assert writers and {t.kind for t in writers} == {"proj_bwd"}
+        assert len(writers) == 3  # blocks of 2, 2 and 1 positions
+        for a, b in zip(writers, writers[1:]):
+            assert g.has_path(a.tid, b.tid, bits)
+    cell_bwd = [t for t in g if t.kind == "cell_bwd"]
+    assert cell_bwd and not any(r.key[0] == "gW" for t in cell_bwd for r in t.regions())
+
+
+@pytest.mark.parametrize("fused", ["off", "on"])
+def test_barriered_backward_runs_the_direction_chains_in_turn(fused):
+    """``barrier_free=False`` serialises a layer's two backward chains: the
+    reverse chain's first task waits for the forward chain's last, which a
+    hoisted chain (no ``gW`` writes of its own) orders through its last dz."""
+    spec = small_spec(num_layers=2)
+    T = 5
+    res = build_brnn_graph(
+        spec, seq_len=T, batch=6, mbs=2, training=True, barrier_free=False,
+        fused_input_projection=fused, proj_block=2,
+    )
+    g = res.graph
+    bits = g.descendants_bitsets()
+    byname = {t.name: t.tid for t in g}
+    for mb in range(2):
+        for layer in range(2):
+            last_fwd = byname[f"fwdBwd[{mb}]L{layer}s0"]
+            first_rev = byname[f"revBwd[{mb}]L{layer}s{T - 1}"]
+            assert g.has_path(last_fwd, first_rev, bits)
 
 
 def test_unfused_weight_gradient_serialises_backward_chain():

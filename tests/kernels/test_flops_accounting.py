@@ -7,8 +7,10 @@ pinned against a hand-derived expression, plus two structural invariants:
 * ``bwd = bwd_data + bwd_weight + elementwise`` — the backward split
   introduced so weight-gradient GEMMs (off the recurrent chain when
   fused) are accounted separately from data-gradient GEMMs.
-* ``proj + fwd_step_proj = fwd`` — hoisting the input projection moves
-  flops, it does not create or destroy them.
+* ``proj + fwd_step_proj = fwd`` and ``proj_bwd + bwd_step_proj = bwd`` —
+  hoisting moves flops off the chain, it does not create or destroy them:
+  forward the input half of the gate GEMM, backward everything but the
+  ``dh_prev`` GEMM (the whole weight-gradient panel and ``dX``).
 """
 
 import pytest
@@ -98,9 +100,9 @@ def test_formulas_pinned(cell):
 
     assert proj(B, I, H) == gemm_inp
     assert fwd_sp(B, H) == gemm_rec + ew_f * B * H
-    assert bwd_sp(B, H) == 2 * gemm_rec + ew_b * B * H
-    assert proj_bwd(B, I, H, need_dx=False) == gemm_inp      # dW_x only
-    assert proj_bwd(B, I, H, need_dx=True) == 2 * gemm_inp   # + dX
+    assert bwd_sp(B, H) == gemm_rec + ew_b * B * H           # dh_prev only
+    assert proj_bwd(B, I, H, need_dx=False) == gemm_full     # [X|H]^T x dZ
+    assert proj_bwd(B, I, H, need_dx=True) == gemm_full + gemm_inp   # + dX
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -113,11 +115,13 @@ def test_backward_split_invariant(cell):
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_hoisting_conserves_flops(cell):
-    """Fusing relocates the input GEMM; totals are conserved per step."""
-    fwd, bwd, _, _, proj, fwd_sp, bwd_sp, proj_bwd = FNS[cell]
+    """Hoisting relocates GEMMs; totals are conserved per step."""
+    fwd, bwd, _, bwd_weight, proj, fwd_sp, bwd_sp, proj_bwd = FNS[cell]
     assert proj(B, I, H) + fwd_sp(B, H) == fwd(B, I, H)
-    # backward: hoisted dW_x + dX blocks + shrunken step == full step
+    # backward: hoisted dW panel + dX blocks + shrunken step == full step;
+    # the recurrent rows' 2·B·H·G·H left the step for the block task
     assert proj_bwd(B, I, H, need_dx=True) + bwd_sp(B, H) == bwd(B, I, H)
+    assert proj_bwd(B, I, H, need_dx=True) == bwd_weight(B, I, H) + proj(B, I, H)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))

@@ -29,7 +29,7 @@ class TestExecutionConfig:
         assert cfg.scheduler == "locality"
         assert cfg.mbs == 1
         assert cfg.barrier_free is True
-        assert cfg.fused_input_projection == "off"
+        assert cfg.fused_input_projection == "auto"
         assert cfg.metrics is None and cfg.hooks is None
 
     def test_frozen(self):

@@ -50,11 +50,15 @@ def _assert_bitwise_equal(executor_name, **build_kwargs):
 # Tier-1: reduced subset, every substrate (including process)
 # ---------------------------------------------------------------------------
 
-#: one GIL-bound fine-grained config, one fused+chunked config, one
-#: inference config — the smallest set that exercises every transport
-#: path (caches, gate grids, merge rows, logits readback, side-state)
+#: one GIL-bound fine-grained config, one hoisted config (its block tasks
+#: read ``h`` slots and the step-0 cache shipped from other workers), one
+#: fused+chunked config, one inference config — the smallest set that
+#: exercises every transport path (caches, gate grids, merge rows, logits
+#: readback, side-state)
 TIER1_CASES = [
     dict(cell="lstm", head="many_to_one", training=True, mbs=2, fusion="off"),
+    dict(cell="lstm", head="many_to_one", training=True, mbs=2,
+         fused="on", proj_block=2, fusion="gates"),
     dict(cell="gru", head="many_to_many", training=True, mbs=2,
          fused="on", proj_block=2, fusion="wavefront", wavefront_tile=2),
     dict(cell="lstm", head="many_to_many", training=False, mbs=2,
@@ -94,6 +98,16 @@ def test_executor_matrix_fixture_runs_one_train_step(executor_matrix):
     against threaded (the process leg is slow_mp via the fixture mark)."""
     _assert_bitwise_equal(
         executor_matrix, cell="lstm", head="many_to_one", training=True, mbs=2
+    )
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+def test_executor_matrix_hoisted_train_step(executor_matrix, cell):
+    """A hoisted train step (only ``dh_prev`` on the chain, the gradient
+    panel in per-block tasks) computes the same bits on every substrate."""
+    _assert_bitwise_equal(
+        executor_matrix, cell=cell, head="many_to_many", training=True, mbs=2,
+        fused="on", proj_block=3,
     )
 
 

@@ -1,14 +1,16 @@
 """Graph-identity digests of ``build_brnn_graph`` over a fixed config matrix.
 
 The equivalence instrument for refactors of ``core/graph_builder.py``: run it
-on the parent commit and on the change; equal lines mean the builder emits
-the same graphs and the same numbers.  Per config one record goes into the
-digest: every task's name, kind, family id, ordered ``in``/``out``/``inout``
-keys, flops and ``meta``; every region's ``nbytes``/``streaming``/``home``;
-the successor lists; the simulated makespan of the cost-only graph (8 cores
-of the paper machine, locality scheduler); and, from a functional build run
-serially, logits, loss, every per-chunk gradient and the updated weights and
-velocity.
+against the parent commit's ``src`` and the change's; equal lines mean the
+builder emits the same graphs and the same numbers.  Every matrix prints one
+line per ``fused_input_projection`` half, so a change to the hoisted graphs
+(``on``) can show that it left the per-step graphs (``off``) alone.  Per
+config one record goes into the digest: every task's name, kind, family id,
+ordered ``in``/``out``/``inout`` keys, flops and ``meta``; every region's
+``nbytes``/``streaming``/``home``; the successor lists; the simulated
+makespan of the cost-only graph (8 cores of the paper machine, locality
+scheduler); and, from a functional build run serially, logits, loss, every
+per-chunk gradient and the updated weights and velocity.
 
 Three matrices (T=7, batch=6, mbs=2; ``mbs=3`` on the variants' B-Seq rows):
 
@@ -133,7 +135,9 @@ def digest(configs) -> str:
 def main() -> None:
     for name, matrix in MATRICES.items():
         configs = list(matrix())
-        print(f"{name} {len(configs)} configs digest {digest(configs)}")
+        for fused in ("off", "on"):
+            half = [cfg for cfg in configs if cfg["fused"] == fused]
+            print(f"{name} proj={fused} {len(half)} configs digest {digest(half)}")
 
 
 if __name__ == "__main__":
