@@ -53,6 +53,14 @@ float32 zone.  This pass encodes those project rules:
     the last iteration's value and the result depends on the schedule
     (the block-local attention bug the one-thread executor exposed).
 
+``gemm-under-turn``
+    A ``@``, ``np.matmul`` or ``np.dot`` inside the body of ``with
+    activations.pointwise_turn:``.  The turn serialises the cell kernels'
+    pointwise stretches so that two workers stop trading the GIL at every
+    small NumPy call (docs/EXECUTORS.md); a GEMM is the one part of a cell
+    that runs without the GIL and scales with the workers, and under the
+    turn it would be serialised with everything else.
+
 Waivers: append ``# lint: waive <rule>[, <rule>...]`` (or ``waive all``)
 on the finding's line or the line above.
 
@@ -88,6 +96,7 @@ RULES = (
     "fork-unsafe-capture",
     "shm-use-after-close",
     "loop-variable-capture",
+    "gemm-under-turn",
 )
 
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
@@ -825,6 +834,41 @@ def _loop_capture_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
     return list(findings.values())
 
 
+# -- GEMMs under the pointwise turn -------------------------------------------
+
+#: the lock of :mod:`repro.kernels.activations`, by the name kernels take it
+_TURN = "pointwise_turn"
+_GEMM_CALLEES = {"matmul", "dot"}
+
+
+def _is_gemm(node: ast.AST) -> bool:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    return isinstance(node, ast.Call) and _terminal_name(node.func) in _GEMM_CALLEES
+
+
+def _gemm_under_turn_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
+    findings = []
+    for block in ast.walk(tree):
+        if not isinstance(block, ast.With) or not any(
+            _terminal_name(item.context_expr) == _TURN for item in block.items
+        ):
+            continue
+        for node in (n for stmt in block.body for n in ast.walk(stmt)):
+            if _is_gemm(node):
+                findings.append(
+                    PyLintFinding(
+                        rule="gemm-under-turn",
+                        path=path,
+                        line=node.lineno,
+                        message=f"matrix product inside `with {_TURN}:` — a GEMM runs "
+                        "without the GIL and scales with the workers; under the turn "
+                        "it is serialised.  Compute it before the block",
+                    )
+                )
+    return findings
+
+
 # -- entry points ---------------------------------------------------------
 
 
@@ -849,6 +893,7 @@ def lint_source(source: str, path: str = "<string>") -> List[PyLintFinding]:
         + _fork_unsafe_findings(tree, path)
         + _shm_findings(tree, path)
         + _loop_capture_findings(tree, path)
+        + _gemm_under_turn_findings(tree, path)
     )
     waived = _waivers(source)
     kept = [f for f in findings if not _is_waived(f, waived)]

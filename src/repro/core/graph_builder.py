@@ -829,7 +829,7 @@ class _Builder:
                 else:
                     h, c, cache = cell_forward(
                         spec, state.layer_input(layer, pos), h_prev, c_prev,
-                        dp.W, dp.b, fusion,
+                        dp.W, dp.b, fusion, need_cache,
                     )
                 h_g[layer][step] = h
                 c_g[layer][step] = c

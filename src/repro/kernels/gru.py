@@ -14,7 +14,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.activations import dsigmoid, dtanh, sigmoid, sigmoid_, tanh, tanh_
+from repro.kernels import activations
+from repro.kernels.activations import activate_gates_, dsigmoid, dtanh, sigmoid, tanh
 
 
 def gru_param_shapes(input_size: int, hidden_size: int) -> Tuple[Tuple[int, int], Tuple[int]]:
@@ -118,25 +119,36 @@ def gru_forward_step(
     h_prev: np.ndarray,
     W: np.ndarray,
     b: np.ndarray,
-) -> Tuple[np.ndarray, GRUCache]:
-    """One GRU cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``."""
+    need_cache: bool = True,
+) -> Tuple[np.ndarray, Optional[GRUCache]]:
+    """One GRU cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``
+    (the cache is ``None`` unless ``need_cache``).
+
+    Two pointwise stretches, one on each side of the candidate's recurrent
+    GEMM, which has to wait for the reset gate.
+    """
     input_size = x.shape[1]
     hidden = h_prev.shape[1]
     two_h = 2 * hidden
 
     zr = x @ W[:input_size, :two_h]
-    zr += h_prev @ W[input_size:, :two_h]
-    zr += b[:two_h]
-    z = sigmoid(zr[:, :hidden])
-    r = sigmoid(zr[:, hidden:])
-
-    rh = r * h_prev
+    zr_h = h_prev @ W[input_size:, :two_h]
     a = x @ W[:input_size, two_h:]
-    a += rh @ W[input_size:, two_h:]
-    a += b[two_h:]
-    hbar = tanh(a)
+    with activations.pointwise_turn:
+        zr += zr_h
+        zr += b[:two_h]
+        z = sigmoid(zr[:, :hidden])
+        r = sigmoid(zr[:, hidden:])
+        rh = r * h_prev
 
-    h = z * hbar + (1.0 - z) * h_prev
+    a_h = rh @ W[input_size:, two_h:]
+    with activations.pointwise_turn:
+        a += a_h
+        a += b[two_h:]
+        hbar = tanh(a)
+        h = z * hbar + (1.0 - z) * h_prev
+    if not need_cache:
+        return h, None
     return h, GRUCache(x=x, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)
 
 
@@ -149,35 +161,39 @@ def gru_backward_step(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backward of one GRU cell update.
 
-    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``.
+    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``.  The two
+    recurrent data GEMMs run weights-left (``(W_h·dZ^T)^T``), the operand
+    order BLAS is fast at on a few rows.
     """
     input_size = cache.x.shape[1]
     hidden = cache.h_prev.shape[1]
     two_h = 2 * hidden
     batch = dh.shape[0]
 
-    dz_gate = dh * (cache.hbar - cache.h_prev)
-    dhbar = dh * cache.z
-    dh_prev = dh * (1.0 - cache.z)
+    with activations.pointwise_turn:
+        dz_gate = dh * (cache.hbar - cache.h_prev)
+        dhbar = dh * cache.z
+        dh_prev = dh * (1.0 - cache.z)
+        da = dhbar * dtanh(cache.hbar)
+        db[two_h:] += da.sum(axis=0)
 
-    da = dhbar * dtanh(cache.hbar)
     dx = da @ W[:input_size, two_h:].T
-    drh = da @ W[input_size:, two_h:].T
-    dr = drh * cache.h_prev
-    dh_prev += drh * cache.r
+    drh = (W[input_size:, two_h:] @ da.T).T
+    with activations.pointwise_turn:
+        dr = drh * cache.h_prev
+        dh_prev += drh * cache.r
+        dzr = np.empty((batch, two_h), dtype=dh.dtype)
+        dzr[:, :hidden] = dz_gate * dsigmoid(cache.z)
+        dzr[:, hidden:] = dr * dsigmoid(cache.r)
+        db[:two_h] += dzr.sum(axis=0)
 
-    dzr = np.empty((batch, two_h), dtype=dh.dtype)
-    dzr[:, :hidden] = dz_gate * dsigmoid(cache.z)
-    dzr[:, hidden:] = dr * dsigmoid(cache.r)
+    # a GEMM's own accumulation stays with it, outside the turn
     dx += dzr @ W[:input_size, :two_h].T
-    dh_prev += dzr @ W[input_size:, :two_h].T
-
+    dh_prev += (W[input_size:, :two_h] @ dzr.T).T
     dW[:input_size, :two_h] += cache.x.T @ dzr
     dW[input_size:, :two_h] += cache.h_prev.T @ dzr
     dW[:input_size, two_h:] += cache.x.T @ da
     dW[input_size:, two_h:] += cache.rh.T @ da
-    db[:two_h] += dzr.sum(axis=0)
-    db[two_h:] += da.sum(axis=0)
     return dx, dh_prev
 
 
@@ -193,25 +209,26 @@ def gru_forward_step_proj(
     ``zx (B, 3H)`` is this timestep's slice of the hoisted ``X @ W[:I]``
     GEMM.  Bit-identical to :func:`gru_forward_step`: a column slice of the
     stacked projection equals the per-gate GEMM exactly, and the remaining
-    additions commute.  ``need_cache=False`` (inference) skips the cache.
+    additions commute.  ``need_cache=False`` skips the cache.
     """
     hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
     two_h = 2 * hidden
 
     zr = h_prev @ W[input_size:, :two_h]
-    zr += zx[:, :two_h]
-    zr += b[:two_h]
-    z = sigmoid(zr[:, :hidden])
-    r = sigmoid(zr[:, hidden:])
+    with activations.pointwise_turn:
+        zr += zx[:, :two_h]
+        zr += b[:two_h]
+        z = sigmoid(zr[:, :hidden])
+        r = sigmoid(zr[:, hidden:])
+        rh = r * h_prev
 
-    rh = r * h_prev
     a = rh @ W[input_size:, two_h:]
-    a += zx[:, two_h:]
-    a += b[two_h:]
-    hbar = tanh(a)
-
-    h = z * hbar + (1.0 - z) * h_prev
+    with activations.pointwise_turn:
+        a += zx[:, two_h:]
+        a += b[two_h:]
+        hbar = tanh(a)
+        h = z * hbar + (1.0 - z) * h_prev
     if not need_cache:
         return h, None
     return h, GRUCache(x=None, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)
@@ -226,28 +243,31 @@ def gru_backward_step_proj(
 
     ``dz`` columns are ``[dz_zr | da]``, matching the fused weight layout.
     Keeps the pointwise work and the recurrent data GEMMs behind
-    ``dh_prev``; ``dW``, ``db`` and ``dX`` are the per-block
-    :func:`gru_proj_backward`'s.  Returns ``(dz, dh_prev)``.
+    ``dh_prev`` (weights-left, as in :func:`gru_backward_step`); ``dW``,
+    ``db`` and ``dX`` are the per-block :func:`gru_proj_backward`'s.
+    Returns ``(dz, dh_prev)``.
     """
     hidden = cache.h_prev.shape[1]
     input_size = W.shape[0] - hidden
     two_h = 2 * hidden
     batch = dh.shape[0]
 
-    dz_gate = dh * (cache.hbar - cache.h_prev)
-    dhbar = dh * cache.z
-    dh_prev = dh * (1.0 - cache.z)
+    with activations.pointwise_turn:
+        dz_gate = dh * (cache.hbar - cache.h_prev)
+        dhbar = dh * cache.z
+        dh_prev = dh * (1.0 - cache.z)
+        da = dhbar * dtanh(cache.hbar)
 
-    da = dhbar * dtanh(cache.hbar)
-    drh = da @ W[input_size:, two_h:].T
-    dr = drh * cache.h_prev
-    dh_prev += drh * cache.r
+    drh = (W[input_size:, two_h:] @ da.T).T
+    with activations.pointwise_turn:
+        dr = drh * cache.h_prev
+        dh_prev += drh * cache.r
+        dz = np.empty((batch, 3 * hidden), dtype=dh.dtype)
+        dz[:, :hidden] = dz_gate * dsigmoid(cache.z)
+        dz[:, hidden:two_h] = dr * dsigmoid(cache.r)
+        dz[:, two_h:] = da
 
-    dz = np.empty((batch, 3 * hidden), dtype=dh.dtype)
-    dz[:, :hidden] = dz_gate * dsigmoid(cache.z)
-    dz[:, hidden:two_h] = dr * dsigmoid(cache.r)
-    dz[:, two_h:] = da
-    dh_prev += dz[:, :two_h] @ W[input_size:, :two_h].T
+    dh_prev += (W[input_size:, :two_h] @ dz[:, :two_h].T).T
     return dz, dh_prev
 
 
@@ -279,6 +299,9 @@ def gru_proj_backward(
 
 
 # -- fusion-policy kernel variants (docs/PERF.md §fusion) -----------------------
+#
+# As in kernels/lstm.py: ``*_unfused`` is the per-gate fusion="off" baseline,
+# ``*_act`` activates in place and is also what inference runs.
 
 
 def gru_forward_step_unfused(
@@ -286,7 +309,8 @@ def gru_forward_step_unfused(
     h_prev: np.ndarray,
     W: np.ndarray,
     b: np.ndarray,
-) -> Tuple[np.ndarray, GRUCache]:
+    need_cache: bool = True,
+) -> Tuple[np.ndarray, Optional[GRUCache]]:
     """One GRU cell update via per-gate GEMM pairs (fusion="off").
 
     The update and reset gates each get their own GEMM pair against their
@@ -298,22 +322,27 @@ def gru_forward_step_unfused(
     two_h = 2 * hidden
 
     zc = x @ W[:input_size, :hidden]
-    zc += h_prev @ W[input_size:, :hidden]
-    zc += b[:hidden]
-    z = sigmoid(zc)
-
+    zc_h = h_prev @ W[input_size:, :hidden]
     rc = x @ W[:input_size, hidden:two_h]
-    rc += h_prev @ W[input_size:, hidden:two_h]
-    rc += b[hidden:two_h]
-    r = sigmoid(rc)
-
-    rh = r * h_prev
+    rc_h = h_prev @ W[input_size:, hidden:two_h]
     a = x @ W[:input_size, two_h:]
-    a += rh @ W[input_size:, two_h:]
-    a += b[two_h:]
-    hbar = tanh(a)
+    with activations.pointwise_turn:
+        zc += zc_h
+        zc += b[:hidden]
+        z = sigmoid(zc)
+        rc += rc_h
+        rc += b[hidden:two_h]
+        r = sigmoid(rc)
+        rh = r * h_prev
 
-    h = z * hbar + (1.0 - z) * h_prev
+    a_h = rh @ W[input_size:, two_h:]
+    with activations.pointwise_turn:
+        a += a_h
+        a += b[two_h:]
+        hbar = tanh(a)
+        h = z * hbar + (1.0 - z) * h_prev
+    if not need_cache:
+        return h, None
     return h, GRUCache(x=x, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)
 
 
@@ -334,32 +363,33 @@ def gru_backward_step_unfused(
     hidden = cache.h_prev.shape[1]
     two_h = 2 * hidden
 
-    dz_gate = dh * (cache.hbar - cache.h_prev)
-    dhbar = dh * cache.z
-    dh_prev = dh * (1.0 - cache.z)
+    with activations.pointwise_turn:
+        dz_gate = dh * (cache.hbar - cache.h_prev)
+        dhbar = dh * cache.z
+        dh_prev = dh * (1.0 - cache.z)
+        da = dhbar * dtanh(cache.hbar)
+        db[two_h:] += da.sum(axis=0)
 
-    da = dhbar * dtanh(cache.hbar)
     dx = da @ W[:input_size, two_h:].T
     drh = da @ W[input_size:, two_h:].T
-    dr = drh * cache.h_prev
-    dh_prev += drh * cache.r
+    with activations.pointwise_turn:
+        dr = drh * cache.h_prev
+        dh_prev += drh * cache.r
+        dz_z = dz_gate * dsigmoid(cache.z)
+        dz_r = dr * dsigmoid(cache.r)
+        db[:hidden] += dz_z.sum(axis=0)
+        db[hidden:two_h] += dz_r.sum(axis=0)
 
-    dz_z = dz_gate * dsigmoid(cache.z)
-    dz_r = dr * dsigmoid(cache.r)
     dx += dz_z @ W[:input_size, :hidden].T
     dx += dz_r @ W[:input_size, hidden:two_h].T
     dh_prev += dz_z @ W[input_size:, :hidden].T
     dh_prev += dz_r @ W[input_size:, hidden:two_h].T
-
     dW[:input_size, :hidden] += cache.x.T @ dz_z
     dW[:input_size, hidden:two_h] += cache.x.T @ dz_r
     dW[input_size:, :hidden] += cache.h_prev.T @ dz_z
     dW[input_size:, hidden:two_h] += cache.h_prev.T @ dz_r
     dW[:input_size, two_h:] += cache.x.T @ da
     dW[input_size:, two_h:] += cache.rh.T @ da
-    db[:hidden] += dz_z.sum(axis=0)
-    db[hidden:two_h] += dz_r.sum(axis=0)
-    db[two_h:] += da.sum(axis=0)
     return dx, dh_prev
 
 
@@ -368,25 +398,32 @@ def gru_forward_step_act(
     h_prev: np.ndarray,
     W: np.ndarray,
     b: np.ndarray,
-) -> Tuple[np.ndarray, GRUCache]:
-    """One GRU cell update with in-payload activations (fusion="gates+act")."""
+    need_cache: bool = True,
+) -> Tuple[np.ndarray, Optional[GRUCache]]:
+    """One GRU cell update with in-payload activations (fusion="gates+act",
+    and inference under ``"gates"``); cached gates are views of one buffer."""
     input_size = x.shape[1]
     hidden = h_prev.shape[1]
     two_h = 2 * hidden
 
     zr = x @ W[:input_size, :two_h]
-    zr += h_prev @ W[input_size:, :two_h]
-    zr += b[:two_h]
-    z = sigmoid_(zr[:, :hidden])
-    r = sigmoid_(zr[:, hidden:])
-
-    rh = r * h_prev
+    zr_h = h_prev @ W[input_size:, :two_h]
     a = x @ W[:input_size, two_h:]
-    a += rh @ W[input_size:, two_h:]
-    a += b[two_h:]
-    hbar = tanh_(a)
+    with activations.pointwise_turn:
+        zr += zr_h
+        zr += b[:two_h]
+        activate_gates_(zr, "ss")
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        rh = r * h_prev
 
-    h = z * hbar + (1.0 - z) * h_prev
+    a_h = rh @ W[input_size:, two_h:]
+    with activations.pointwise_turn:
+        a += a_h
+        a += b[two_h:]
+        hbar = np.tanh(a, out=a)
+        h = z * hbar + (1.0 - z) * h_prev
+    if not need_cache:
+        return h, None
     return h, GRUCache(x=x, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)
 
 
@@ -403,18 +440,19 @@ def gru_forward_step_proj_act(
     two_h = 2 * hidden
 
     zr = h_prev @ W[input_size:, :two_h]
-    zr += zx[:, :two_h]
-    zr += b[:two_h]
-    z = sigmoid_(zr[:, :hidden])
-    r = sigmoid_(zr[:, hidden:])
+    with activations.pointwise_turn:
+        zr += zx[:, :two_h]
+        zr += b[:two_h]
+        activate_gates_(zr, "ss")
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        rh = r * h_prev
 
-    rh = r * h_prev
     a = rh @ W[input_size:, two_h:]
-    a += zx[:, two_h:]
-    a += b[two_h:]
-    hbar = tanh_(a)
-
-    h = z * hbar + (1.0 - z) * h_prev
+    with activations.pointwise_turn:
+        a += zx[:, two_h:]
+        a += b[two_h:]
+        hbar = np.tanh(a, out=a)
+        h = z * hbar + (1.0 - z) * h_prev
     if not need_cache:
         return h, None
     return h, GRUCache(x=None, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)

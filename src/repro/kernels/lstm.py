@@ -16,7 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.activations import dsigmoid, dtanh, sigmoid, sigmoid_, tanh, tanh_
+from repro.kernels import activations
+from repro.kernels.activations import activate_gates_, dsigmoid, dtanh, sigmoid, tanh
 
 
 def lstm_param_shapes(input_size: int, hidden_size: int) -> Tuple[Tuple[int, int], Tuple[int]]:
@@ -125,25 +126,31 @@ def lstm_forward_step(
     c_prev: np.ndarray,
     W: np.ndarray,
     b: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, LSTMCache]:
+    need_cache: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
     """One LSTM cell update.
 
     Parameters: ``x (B, I)``, ``h_prev (B, H)``, ``c_prev (B, H)``,
-    ``W (I+H, 4H)``, ``b (4H,)``.  Returns ``(h, c, cache)``.
+    ``W (I+H, 4H)``, ``b (4H,)``.  Returns ``(h, c, cache)``; the cache is
+    ``None`` unless ``need_cache``.
     """
     input_size = x.shape[1]
     hidden = h_prev.shape[1]
     z = x @ W[:input_size]
-    z += h_prev @ W[input_size:]
-    z += b
-    i = sigmoid(z[:, :hidden])
-    f = sigmoid(z[:, hidden : 2 * hidden])
-    g = tanh(z[:, 2 * hidden : 3 * hidden])
-    o = sigmoid(z[:, 3 * hidden :])
-    c = f * c_prev
-    c += i * g
-    tc = tanh(c)
-    h = o * tc
+    zh = h_prev @ W[input_size:]
+    with activations.pointwise_turn:
+        z += zh
+        z += b
+        i = sigmoid(z[:, :hidden])
+        f = sigmoid(z[:, hidden : 2 * hidden])
+        g = tanh(z[:, 2 * hidden : 3 * hidden])
+        o = sigmoid(z[:, 3 * hidden :])
+        c = f * c_prev
+        c += i * g
+        tc = tanh(c)
+        h = o * tc
+    if not need_cache:
+        return h, c, None
     return h, c, LSTMCache(x=x, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)
 
 
@@ -159,26 +166,31 @@ def lstm_backward_step(
 
     ``dh``/``dc_in`` are gradients w.r.t. this cell's outputs ``H_t``/``C_t``.
     Accumulates ``dW``/``db`` *in place* (the inout weight-gradient region of
-    the B-Par task) and returns ``(dx, dh_prev, dc_prev)``.
+    the B-Par task) and returns ``(dx, dh_prev, dc_prev)``.  ``dh_prev`` is
+    computed weights-left, ``(W_h·dZ^T)^T``: the operand order BLAS is fast
+    at on a few rows, and a transposed view of the product.
     """
     input_size = cache.x.shape[1]
     hidden = cache.h_prev.shape[1]
     batch = dh.shape[0]
 
-    do = dh * cache.tc
-    dc = dc_in + dh * cache.o * dtanh(cache.tc)
-    dz = np.empty((batch, 4 * hidden), dtype=dh.dtype)
-    dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
-    dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
-    dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
-    dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
+    with activations.pointwise_turn:
+        do = dh * cache.tc
+        dc = dc_in + dh * cache.o * dtanh(cache.tc)
+        dz = np.empty((batch, 4 * hidden), dtype=dh.dtype)
+        dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
+        dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
+        dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
+        dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
+        dc_prev = dc * cache.f
+        db += dz.sum(axis=0)
 
+    # the panel-sized accumulations stay outside the turn with their GEMMs:
+    # one long ufunc each, which scales with the workers as a GEMM does
     dx = dz @ W[:input_size].T
-    dh_prev = dz @ W[input_size:].T
+    dh_prev = (W[input_size:] @ dz.T).T
     dW[:input_size] += cache.x.T @ dz
     dW[input_size:] += cache.h_prev.T @ dz
-    db += dz.sum(axis=0)
-    dc_prev = dc * cache.f
     return dx, dh_prev, dc_prev
 
 
@@ -197,21 +209,22 @@ def lstm_forward_step_proj(
     is bit-identical to :func:`lstm_forward_step`: the pre-activation is
     assembled as ``(H_{t-1}·W_h) + zx + b``, and IEEE addition commutes, so
     it matches the oracle's ``(X_t·W_x) + H_{t-1}·W_h + b`` exactly.
-    ``need_cache=False`` (inference) skips retaining activations.
+    ``need_cache=False`` skips retaining activations.
     """
     hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
     z = h_prev @ W[input_size:]
-    z += zx
-    z += b
-    i = sigmoid(z[:, :hidden])
-    f = sigmoid(z[:, hidden : 2 * hidden])
-    g = tanh(z[:, 2 * hidden : 3 * hidden])
-    o = sigmoid(z[:, 3 * hidden :])
-    c = f * c_prev
-    c += i * g
-    tc = tanh(c)
-    h = o * tc
+    with activations.pointwise_turn:
+        z += zx
+        z += b
+        i = sigmoid(z[:, :hidden])
+        f = sigmoid(z[:, hidden : 2 * hidden])
+        g = tanh(z[:, 2 * hidden : 3 * hidden])
+        o = sigmoid(z[:, 3 * hidden :])
+        c = f * c_prev
+        c += i * g
+        tc = tanh(c)
+        h = o * tc
     if not need_cache:
         return h, c, None
     return h, c, LSTMCache(x=None, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)
@@ -226,24 +239,26 @@ def lstm_backward_step_proj(
     """Backward of the shrunken cell step: emits ``dz`` instead of ``dx``.
 
     Keeps what the recurrence waits for: the pointwise work and ``dh_prev =
-    dZ·W_h^T``.  Every other product of ``dz`` (``dW``, ``db``, ``dX``) is
-    hoisted into the per-block :func:`lstm_proj_backward`.  Returns ``(dz,
-    dh_prev, dc_prev)``.
+    dZ·W_h^T``, computed weights-left as in :func:`lstm_backward_step`.
+    Every other product of ``dz`` (``dW``, ``db``, ``dX``) is hoisted into
+    the per-block :func:`lstm_proj_backward`.  Returns ``(dz, dh_prev,
+    dc_prev)``.
     """
     hidden = cache.h_prev.shape[1]
     input_size = W.shape[0] - hidden
     batch = dh.shape[0]
 
-    do = dh * cache.tc
-    dc = dc_in + dh * cache.o * dtanh(cache.tc)
-    dz = np.empty((batch, 4 * hidden), dtype=dh.dtype)
-    dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
-    dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
-    dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
-    dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
+    with activations.pointwise_turn:
+        do = dh * cache.tc
+        dc = dc_in + dh * cache.o * dtanh(cache.tc)
+        dz = np.empty((batch, 4 * hidden), dtype=dh.dtype)
+        dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
+        dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
+        dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
+        dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
+        dc_prev = dc * cache.f
 
-    dh_prev = dz @ W[input_size:].T
-    dc_prev = dc * cache.f
+    dh_prev = (W[input_size:] @ dz.T).T
     return dz, dh_prev, dc_prev
 
 
@@ -280,11 +295,14 @@ def lstm_proj_backward(
 # exactly); backward splits the ``dx``/``dh_prev`` reductions across gates,
 # which reassociates the K-dimension sum — gradcheck-exact, not bitwise.
 #
-# ``*_act``: the fusion="gates+act" kernels — the stacked GEMM with the
-# activations applied *in place* on the pre-activation buffer inside the
-# payload (gate tensors become views of ``z``, no per-gate temporaries).
-# Bitwise identical to the stacked kernel: the in-place ufunc passes run
-# the same operation sequence on the same values.
+# ``*_act``: the fusion="gates+act" kernels, and what inference runs under
+# the default rung as well — the stacked GEMM with the activations applied
+# *in place* on the whole pre-activation buffer
+# (:func:`~repro.kernels.activations.activate_gates_`: gate tensors become
+# views of ``z``, no per-gate temporaries).  Bitwise identical to the
+# stacked kernel, element by element.  Training under ``"gates"`` keeps the
+# stacked kernels: the backward reads contiguous per-gate arrays faster than
+# views with a ``4H`` row stride.
 
 
 def lstm_forward_step_unfused(
@@ -293,25 +311,28 @@ def lstm_forward_step_unfused(
     c_prev: np.ndarray,
     W: np.ndarray,
     b: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, LSTMCache]:
+    need_cache: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
     """One LSTM cell update via four per-gate GEMM pairs (fusion="off")."""
     input_size = x.shape[1]
     hidden = h_prev.shape[1]
-    gates = []
-    for g4 in range(4):
-        cols = slice(g4 * hidden, (g4 + 1) * hidden)
-        zg = x @ W[:input_size, cols]
-        zg += h_prev @ W[input_size:, cols]
-        zg += b[cols]
-        gates.append(zg)
-    i = sigmoid(gates[0])
-    f = sigmoid(gates[1])
-    g = tanh(gates[2])
-    o = sigmoid(gates[3])
-    c = f * c_prev
-    c += i * g
-    tc = tanh(c)
-    h = o * tc
+    blocks = [slice(g4 * hidden, (g4 + 1) * hidden) for g4 in range(4)]
+    gates = [x @ W[:input_size, cols] for cols in blocks]
+    recurrent = [h_prev @ W[input_size:, cols] for cols in blocks]
+    with activations.pointwise_turn:
+        for zg, zh, cols in zip(gates, recurrent, blocks):
+            zg += zh
+            zg += b[cols]
+        i = sigmoid(gates[0])
+        f = sigmoid(gates[1])
+        g = tanh(gates[2])
+        o = sigmoid(gates[3])
+        c = f * c_prev
+        c += i * g
+        tc = tanh(c)
+        h = o * tc
+    if not need_cache:
+        return h, c, None
     return h, c, LSTMCache(x=x, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)
 
 
@@ -333,14 +354,19 @@ def lstm_backward_step_unfused(
     input_size = cache.x.shape[1]
     hidden = cache.h_prev.shape[1]
 
-    do = dh * cache.tc
-    dc = dc_in + dh * cache.o * dtanh(cache.tc)
-    dzs = (
-        dc * cache.g * dsigmoid(cache.i),
-        dc * cache.c_prev * dsigmoid(cache.f),
-        dc * cache.i * dtanh(cache.g),
-        do * dsigmoid(cache.o),
-    )
+    with activations.pointwise_turn:
+        do = dh * cache.tc
+        dc = dc_in + dh * cache.o * dtanh(cache.tc)
+        dzs = (
+            dc * cache.g * dsigmoid(cache.i),
+            dc * cache.c_prev * dsigmoid(cache.f),
+            dc * cache.i * dtanh(cache.g),
+            do * dsigmoid(cache.o),
+        )
+        dc_prev = dc * cache.f
+        for g4, dzg in enumerate(dzs):
+            db[g4 * hidden : (g4 + 1) * hidden] += dzg.sum(axis=0)
+
     dx = dh_prev = None
     for g4, dzg in enumerate(dzs):
         cols = slice(g4 * hidden, (g4 + 1) * hidden)
@@ -352,8 +378,6 @@ def lstm_backward_step_unfused(
             dh_prev += dzg @ W[input_size:, cols].T
         dW[:input_size, cols] += cache.x.T @ dzg
         dW[input_size:, cols] += cache.h_prev.T @ dzg
-        db[cols] += dzg.sum(axis=0)
-    dc_prev = dc * cache.f
     return dx, dh_prev, dc_prev
 
 
@@ -363,21 +387,26 @@ def lstm_forward_step_act(
     c_prev: np.ndarray,
     W: np.ndarray,
     b: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, LSTMCache]:
-    """One LSTM cell update with in-payload activations (fusion="gates+act")."""
+    need_cache: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
+    """One LSTM cell update with in-payload activations (fusion="gates+act",
+    and inference under ``"gates"``); cached gates are views of one buffer."""
     input_size = x.shape[1]
     hidden = h_prev.shape[1]
     z = x @ W[:input_size]
-    z += h_prev @ W[input_size:]
-    z += b
-    i = sigmoid_(z[:, :hidden])
-    f = sigmoid_(z[:, hidden : 2 * hidden])
-    g = tanh_(z[:, 2 * hidden : 3 * hidden])
-    o = sigmoid_(z[:, 3 * hidden :])
-    c = f * c_prev
-    c += i * g
-    tc = tanh(c)
-    h = o * tc
+    zh = h_prev @ W[input_size:]
+    with activations.pointwise_turn:
+        z += zh
+        z += b
+        activate_gates_(z, "ssts")
+        i, f = z[:, :hidden], z[:, hidden : 2 * hidden]
+        g, o = z[:, 2 * hidden : 3 * hidden], z[:, 3 * hidden :]
+        c = f * c_prev
+        c += i * g
+        tc = tanh(c)
+        h = o * tc
+    if not need_cache:
+        return h, c, None
     return h, c, LSTMCache(x=x, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)
 
 
@@ -393,16 +422,16 @@ def lstm_forward_step_proj_act(
     hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
     z = h_prev @ W[input_size:]
-    z += zx
-    z += b
-    i = sigmoid_(z[:, :hidden])
-    f = sigmoid_(z[:, hidden : 2 * hidden])
-    g = tanh_(z[:, 2 * hidden : 3 * hidden])
-    o = sigmoid_(z[:, 3 * hidden :])
-    c = f * c_prev
-    c += i * g
-    tc = tanh(c)
-    h = o * tc
+    with activations.pointwise_turn:
+        z += zx
+        z += b
+        activate_gates_(z, "ssts")
+        i, f = z[:, :hidden], z[:, hidden : 2 * hidden]
+        g, o = z[:, 2 * hidden : 3 * hidden], z[:, 3 * hidden :]
+        c = f * c_prev
+        c += i * g
+        tc = tanh(c)
+        h = o * tc
     if not need_cache:
         return h, c, None
     return h, c, LSTMCache(x=None, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)

@@ -16,7 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.activations import dtanh, tanh, tanh_
+from repro.kernels import activations
+from repro.kernels.activations import dtanh, tanh
 
 
 def rnn_param_shapes(input_size: int, hidden_size: int) -> Tuple[Tuple[int, int], Tuple[int]]:
@@ -109,13 +110,19 @@ def rnn_forward_step(
     h_prev: np.ndarray,
     W: np.ndarray,
     b: np.ndarray,
-) -> Tuple[np.ndarray, RNNCache]:
-    """One basic-RNN cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``."""
+    need_cache: bool = True,
+) -> Tuple[np.ndarray, Optional[RNNCache]]:
+    """One basic-RNN cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``
+    (the cache is ``None`` unless ``need_cache``)."""
     input_size = x.shape[1]
     a = x @ W[:input_size]
-    a += h_prev @ W[input_size:]
-    a += b
-    h = tanh(a)
+    a_h = h_prev @ W[input_size:]
+    with activations.pointwise_turn:
+        a += a_h
+        a += b
+        h = tanh(a)
+    if not need_cache:
+        return h, None
     return h, RNNCache(x=x, h_prev=h_prev, h=h)
 
 
@@ -128,15 +135,17 @@ def rnn_backward_step(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backward of one basic-RNN cell update.
 
-    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``.
+    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``, ``dh_prev``
+    computed weights-left (see :func:`repro.kernels.lstm.lstm_backward_step`).
     """
     input_size = cache.x.shape[1]
-    da = dh * dtanh(cache.h)
+    with activations.pointwise_turn:
+        da = dh * dtanh(cache.h)
+        db += da.sum(axis=0)
     dx = da @ W[:input_size].T
-    dh_prev = da @ W[input_size:].T
+    dh_prev = (W[input_size:] @ da.T).T
     dW[:input_size] += cache.x.T @ da
     dW[input_size:] += cache.h_prev.T @ da
-    db += da.sum(axis=0)
     return dx, dh_prev
 
 
@@ -151,9 +160,10 @@ def rnn_forward_step_proj(
     hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
     a = h_prev @ W[input_size:]
-    a += zx
-    a += b
-    h = tanh(a)
+    with activations.pointwise_turn:
+        a += zx
+        a += b
+        h = tanh(a)
     if not need_cache:
         return h, None
     return h, RNNCache(x=None, h_prev=h_prev, h=h)
@@ -166,14 +176,15 @@ def rnn_backward_step_proj(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backward of the shrunken cell step: emits ``da`` instead of ``dx``.
 
-    Keeps the pointwise work and ``dh_prev = da·W_h^T``; ``dW``, ``db`` and
-    ``dX`` are the per-block :func:`rnn_proj_backward`'s.  Returns ``(da,
-    dh_prev)``.
+    Keeps the pointwise work and ``dh_prev = da·W_h^T`` (weights-left);
+    ``dW``, ``db`` and ``dX`` are the per-block :func:`rnn_proj_backward`'s.
+    Returns ``(da, dh_prev)``.
     """
     hidden = cache.h_prev.shape[1]
     input_size = W.shape[0] - hidden
-    da = dh * dtanh(cache.h)
-    dh_prev = da @ W[input_size:].T
+    with activations.pointwise_turn:
+        da = dh * dtanh(cache.h)
+    dh_prev = (W[input_size:] @ da.T).T
     return da, dh_prev
 
 
@@ -210,13 +221,18 @@ def rnn_forward_step_act(
     h_prev: np.ndarray,
     W: np.ndarray,
     b: np.ndarray,
-) -> Tuple[np.ndarray, RNNCache]:
+    need_cache: bool = True,
+) -> Tuple[np.ndarray, Optional[RNNCache]]:
     """One basic-RNN cell update with the tanh applied in place."""
     input_size = x.shape[1]
     a = x @ W[:input_size]
-    a += h_prev @ W[input_size:]
-    a += b
-    h = tanh_(a)
+    a_h = h_prev @ W[input_size:]
+    with activations.pointwise_turn:
+        a += a_h
+        a += b
+        h = np.tanh(a, out=a)
+    if not need_cache:
+        return h, None
     return h, RNNCache(x=x, h_prev=h_prev, h=h)
 
 
@@ -231,9 +247,10 @@ def rnn_forward_step_proj_act(
     hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
     a = h_prev @ W[input_size:]
-    a += zx
-    a += b
-    h = tanh_(a)
+    with activations.pointwise_turn:
+        a += zx
+        a += b
+        h = np.tanh(a, out=a)
     if not need_cache:
         return h, None
     return h, RNNCache(x=None, h_prev=h_prev, h=h)

@@ -83,15 +83,21 @@ from repro.models.spec import BRNNSpec
 #: "gates+act" — stacked GEMM with activations applied in-payload;
 #: "wavefront" — gates+act kernels inside multi-step wavefront tiles (the
 #: tiling itself is a graph-builder concern, so the kernel dispatch treats
-#: it as gates+act).
+#: it as gates+act).  The rungs from "gates" up differ in training only:
+#: inference (``need_cache=False``) runs the gates+act kernels on all three.
 FUSION_MODES = ("off", "gates", "gates+act", "wavefront")
 
 
-def _kernel_mode(fusion: str) -> str:
-    """Kernel-variant selector: 'unfused' | 'stacked' | 'act'."""
+def _kernel_mode(fusion: str, need_cache: bool = True) -> str:
+    """Kernel-variant selector: 'unfused' | 'stacked' | 'act'.
+
+    Where nothing is retained (``need_cache=False``: inference) nothing has
+    to stay contiguous for a backward pass, so the stacked rung runs the
+    in-place ``act`` kernels too.
+    """
     if fusion == "off":
         return "unfused"
-    if fusion in ("gates+act", "wavefront"):
+    if fusion in ("gates+act", "wavefront") or not need_cache:
         return "act"
     return "stacked"
 
@@ -126,6 +132,12 @@ _FWD_STEP_PROJ = {
     "rnn": {"stacked": rnn_forward_step_proj, "act": rnn_forward_step_proj_act},
 }
 
+_BWD_STEP_PROJ = {
+    "lstm": lstm_backward_step_proj,
+    "gru": gru_backward_step_proj,
+    "rnn": rnn_backward_step_proj,
+}
+
 
 def cell_forward(
     spec: BRNNSpec,
@@ -135,16 +147,20 @@ def cell_forward(
     W: np.ndarray,
     b: np.ndarray,
     fusion: str = "gates",
+    need_cache: bool = True,
 ):
     """One cell update; returns ``(h, c_or_None, cache)``.
 
     ``fusion`` selects the kernel variant (:data:`FUSION_MODES`); every
     variant's forward is bitwise identical to the default stacked kernel.
+    ``need_cache=False`` (inference) returns ``cache=None`` and, under the
+    default ``"gates"``, runs the ``*_forward_step_act`` kernels, which
+    activate the gates in place.
     """
-    fn = _FWD_STEP[spec.cell][_kernel_mode(fusion)]
+    fn = _FWD_STEP[spec.cell][_kernel_mode(fusion, need_cache)]
     if spec.cell == "lstm":
-        return fn(x, h_prev, c_prev, W, b)
-    h, cache = fn(x, h_prev, W, b)
+        return fn(x, h_prev, c_prev, W, b, need_cache)
+    h, cache = fn(x, h_prev, W, b, need_cache)
     return h, None, cache
 
 
@@ -212,9 +228,10 @@ def cell_forward_proj(
 
     ``fusion="off"`` never composes with the hoisted projection (the
     builder disables hoisting for the unfused baseline), so the proj
-    dispatch only distinguishes stacked vs in-payload activations.
+    dispatch only distinguishes stacked vs in-payload activations; as in
+    :func:`cell_forward`, ``need_cache=False`` runs the in-place kernels.
     """
-    mode = "act" if _kernel_mode(fusion) == "act" else "stacked"
+    mode = "act" if _kernel_mode(fusion, need_cache) == "act" else "stacked"
     fn = _FWD_STEP_PROJ[spec.cell][mode]
     if spec.cell == "lstm":
         return fn(zx, h_prev, c_prev, W, b, need_cache)
@@ -236,12 +253,10 @@ def cell_backward_proj(
     backward — ``dz`` must stay a single ``(B, G·H)`` block for the
     per-block :func:`cell_proj_backward` GEMMs downstream.
     """
+    fn = _BWD_STEP_PROJ[spec.cell]
     if spec.cell == "lstm":
-        return lstm_backward_step_proj(dh, dc, cache, W)
-    if spec.cell == "gru":
-        dz, dh_prev = gru_backward_step_proj(dh, cache, W)
-        return dz, dh_prev, None
-    dz, dh_prev = rnn_backward_step_proj(dh, cache, W)
+        return fn(dh, dc, cache, W)
+    dz, dh_prev = fn(dh, cache, W)
     return dz, dh_prev, None
 
 

@@ -369,6 +369,42 @@ def test_loop_capture_rediscovers_the_attention_chunk_bug():
     }
 
 
+# -- gemm-under-turn ----------------------------------------------------------
+
+_TURN_KERNEL = (
+    "def step(x, h, W, b):\n"
+    "    z = {outside}\n"
+    "    with activations.pointwise_turn:\n"
+    "        z += b\n"
+    "        {inside}\n"
+    "    return z\n"
+)
+
+
+def test_matrix_products_under_the_turn_flagged():
+    for gemm in ("z += h @ W", "z @= W", "z += np.matmul(h, W)", "z += np.dot(h, W)",
+                 "z += h.dot(W)"):
+        findings = lint_source(_TURN_KERNEL.format(outside="x @ W", inside=gemm))
+        assert _rules(findings) == ["gemm-under-turn"], gemm
+        assert findings[0].line == 5
+
+
+def test_products_outside_the_turn_and_under_other_locks_clean():
+    assert lint_source(_TURN_KERNEL.format(outside="x @ W + h @ W", inside="np.tanh(z, out=z)")) == []
+    other_lock = _TURN_KERNEL.format(outside="x @ W", inside="z += h @ W").replace(
+        "activations.pointwise_turn", "self._lock"
+    )
+    assert lint_source(other_lock) == []
+
+
+def test_gemm_under_turn_fixture_has_its_one_finding():
+    """The kernel body a first attempt put under the lock whole."""
+    fixture = Path(__file__).resolve().parents[1] / "fixtures" / "gemm_under_turn.py.txt"
+    findings = lint_source(fixture.read_text(), path=str(fixture))
+    assert _rules(findings) == ["gemm-under-turn"]
+    assert "h_prev @ W[input_size:]" in fixture.read_text().splitlines()[findings[0].line - 1]
+
+
 # -- waivers ----------------------------------------------------------------
 
 
@@ -409,6 +445,7 @@ def test_rule_registry_matches_emitted_rules():
         "mutable-default", "swallowed-exception", "float64-creep",
         "undeclared-closure-capture", "inplace-mutation-in-only",
         "fork-unsafe-capture", "shm-use-after-close", "loop-variable-capture",
+        "gemm-under-turn",
     }
 
 
