@@ -12,7 +12,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TMP ?= /tmp/repro_smoke
 BASELINES := benchmarks/baselines
 
-.PHONY: test check-baselines lint smoke-serving smoke-fused smoke-racecheck smoke-analysis smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench serve-bench clean
+.PHONY: test check-baselines lint smoke-serving smoke-racecheck smoke-analysis smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench serve-bench clean
 
 # tier-1: the full unit/integration/property suite (serving tests included)
 test:
@@ -32,13 +32,6 @@ smoke-serving:
 		--seq-min 8 --seq-max 24 --bucket-width 8 --mbs 1 \
 		--output $(TMP)_serving.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_serving.json
-
-# fused-projection smoke: numerical-equivalence tests, then the tiny
-# ablation (no speed-up claim at that size) and the paper-scale record
-smoke-fused:
-	$(PYTHON) -m pytest tests/core/test_fused_projection.py tests/kernels/test_flops_accounting.py -x -q
-	$(PYTHON) -m repro bench fused_projection --output $(TMP)_fused.json > /dev/null
-	$(PYTHON) -m repro bench --check $(TMP)_fused.json $(BASELINES)/BENCH_fused_projection.json
 
 # AST lint over the whole package: payload-closure capture audit,
 # mutable defaults, swallowed exceptions, float64 creep in the kernels.
@@ -67,7 +60,7 @@ smoke-obs:
 
 # race-detector smoke: the checker's own unit tests, then the mutation
 # self-test gate through the real CLI on a per-step, a hoisted-projection
-# and a wavefront-tiled train graph (clean graph -> zero findings; each
+# and a tiled train graph (clean graph -> zero findings; each
 # seeded dependence deletion -> detected; fuzzed schedules -> bitwise
 # identical to FIFO; any miss exits 1)
 RACECHECK := $(PYTHON) -m repro racecheck --hidden 8 --layers 2 --input-size 6 \
@@ -76,7 +69,7 @@ smoke-racecheck:
 	$(PYTHON) -m pytest tests/runtime/test_racecheck.py tests/runtime/test_schedule_fuzz.py -x -q
 	$(RACECHECK) --fused-input-projection off
 	$(RACECHECK) --fused-input-projection on --proj-block 2
-	$(RACECHECK) --fused-input-projection off --fusion wavefront --wavefront-tile 2
+	$(RACECHECK) --fused-input-projection off --wavefront-tile 2
 
 # compiled-replay smoke: the compile-package unit tests + mutated-plan
 # regression, then the reduced-size overhead A/B vs both dynamic policies,
@@ -88,11 +81,12 @@ smoke-compile:
 	$(PYTHON) -m repro bench compile --output $(TMP)_compile.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_compile.json $(BASELINES)/BENCH_compile.json
 
-# fusion-ladder smoke: the numerical-equivalence + flop-conservation
-# tests, then the reduced-size ablation (laptop-scale shapes carry no
-# speed-up claim; the 1.5× bar applies to the paper-scale record)
+# fusion smoke (kernel, hoisting, tile): the numerical-equivalence +
+# flop-conservation tests, then the reduced-size ablation (laptop-scale
+# shapes carry no speed-up claim; those bars apply to the paper-scale record)
 smoke-fusion:
-	$(PYTHON) -m pytest tests/core/test_fusion.py tests/kernels/test_flops_accounting.py -x -q
+	$(PYTHON) -m pytest tests/core/test_fusion.py tests/core/test_fused_projection.py \
+		tests/kernels/test_flops_accounting.py -x -q
 	$(PYTHON) -m repro bench fusion --output $(TMP)_fusion.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_fusion.json $(BASELINES)/BENCH_fusion.json
 
@@ -109,7 +103,7 @@ smoke-mp:
 
 # symbolic-verifier smoke: the affine-algebra units, the verifier's own
 # positive/negative/mutation tests and the adversarial edge-drop /
-# shrink / widen properties, then the full 96-family certificate
+# shrink / widen properties, then the full family-matrix certificate
 # end-to-end through the real CLI (--strict: any uncertified family,
 # missed mutation, or dynamic cross-validation finding is nonzero),
 # then the certificate gate, then the conformance cells the certificate

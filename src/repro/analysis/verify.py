@@ -66,6 +66,7 @@ from repro.compile import compile_graph
 from repro.core.access_spec import FAMILIES, AccessContext, expected_access
 from repro.core.graph_builder import GraphBuildResult, build_brnn_graph
 from repro.core.symbolic import Extent, Interval, union_covers
+from repro.models.cells import FUSION_MODES
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.runtime import racecheck
@@ -74,15 +75,15 @@ from repro.runtime.depgraph import descendants_bitsets
 #: certificate serialization format tag
 CERT_FORMAT = "repro.cert.v1"
 
-#: the four config axes the certificate quantifies over
+#: the config axes the certificate quantifies over: cell × head × mode ×
+#: kernel (``FUSION_MODES``) × tile × projection
 CELLS = ("lstm", "gru", "rnn")
 HEADS = ("many_to_one", "many_to_many")
-FUSIONS = ("off", "gates", "gates+act", "wavefront")
 PROJECTIONS = ("off", "on")
 
 #: structural cutoff instantiations per family: (seq_len, mbs, block) —
 #: per-mid-size blocks with a remainder tile, and per-step blocks, so
-#: both block-boundary shapes of the proj/wavefront tilings are proven
+#: both block-boundary shapes of the proj blocks and chain tiles are proven
 _CUTOFF_SHAPES = ((4, 2, 2), (5, 1, 3))
 
 #: batch of the cost-only instantiations (split across ``mbs`` chunks)
@@ -436,20 +437,22 @@ def _conflicting_other(graph, task, orphan: Extent, region_extents, ordered):
 
 @dataclass(frozen=True)
 class Family:
-    """One point of the ``cell × head × mode × fusion × projection`` grid."""
+    """One point of the ``cell × head × mode × fusion × tile × projection``
+    grid; a ``tiled`` family's chain tasks cover ``block`` steps each."""
 
     cell: str
     head: str
     training: bool
     fusion: str
     fused_input_projection: str
+    tiled: bool = False
 
     def label(self) -> str:
         head = "m2o" if self.head == "many_to_one" else "m2m"
         mode = "train" if self.training else "fwd"
         return (
             f"{self.cell}/{head}/{mode}/fusion={self.fusion}"
-            f"/proj={self.fused_input_projection}"
+            f"/proj={self.fused_input_projection}{'/tiled' if self.tiled else ''}"
         )
 
     def to_dict(self) -> dict:
@@ -458,20 +461,25 @@ class Family:
             "head": self.head,
             "training": self.training,
             "fusion": self.fusion,
+            "tiled": self.tiled,
             "fused_input_projection": self.fused_input_projection,
             "label": self.label(),
         }
 
 
 def full_family_matrix() -> List[Family]:
-    """All 96 families of the certificate's quantified config space."""
+    """Every family of the certificate's quantified config space, each a
+    distinct graph: ``fusion="off"`` never hoists, so it has no ``proj=on``
+    family of its own."""
     return [
-        Family(cell, head, training, fusion, proj)
+        Family(cell, head, training, fusion, proj, tiled)
         for cell in CELLS
         for head in HEADS
         for training in (False, True)
-        for fusion in FUSIONS
+        for fusion in FUSION_MODES
+        for tiled in (False, True)
         for proj in PROJECTIONS
+        if (fusion, proj) != ("off", "on")
     ]
 
 
@@ -499,7 +507,7 @@ def _instance_kwargs(fam: Family, seq_len: int, mbs: int, block: int) -> dict:
     )
     if fam.fused_input_projection == "on":
         kwargs["proj_block"] = block
-    if fam.fusion == "wavefront":
+    if fam.tiled:
         kwargs["wavefront_tile"] = block
     return kwargs
 
@@ -707,7 +715,7 @@ def build_family_functional(fam: Family, *, seq_len: int = 4, batch: int = 4,
         fused_input_projection=fam.fused_input_projection,
         proj_block=block,
         fusion=fam.fusion,
-        wavefront_tile=block,
+        wavefront_tile=block if fam.tiled else None,
     )
 
 

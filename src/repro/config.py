@@ -22,11 +22,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.models.cells import FUSION_MODES
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.registry import MetricsRegistry
-
-#: the fusion-policy vocabulary (docs/PERF.md)
-FUSION_MODES = ("off", "gates", "gates+act", "wavefront")
 
 #: fields excluded from :meth:`ExecutionConfig.fingerprint` — observability
 #: attachments never change what a graph computes or how it is scheduled
@@ -70,16 +68,17 @@ class ExecutionConfig:
         layer; ``"off"`` restores the paper's task-per-cell graph, whose
         gradients are bitwise the sequential oracle's (hoisted gradients
         agree to rounding; forward results are bitwise either way).
-    fusion / wavefront_tile:
-        The gate-GEMM/activation fusion policy (docs/PERF.md): ``"off"``
-        — per-gate GEMMs with separate activation passes (the unfused
-        baseline; also disables projection hoisting); ``"gates"`` — the
-        stacked gate GEMM (default); ``"gates+act"`` — stacked GEMM with
-        activations applied in-payload; ``"wavefront"`` — gates+act
-        kernels inside multi-step wavefront tiles of ``wavefront_tile``
-        timesteps each (default 8, clamped to the sequence length), which
-        makes the layer×time diagonal concurrency explicit with far fewer
-        tasks.  Every mode's forward is bitwise identical to the default.
+    fusion:
+        The cell kernels (docs/PERF.md): ``"gates"`` — the stacked gate
+        GEMM (default); ``"off"`` — the per-gate reference kernels, one
+        GEMM pair and one activation pass per gate (also disables
+        projection hoisting).  Bitwise the same forward.
+    wavefront_tile:
+        Timesteps per cell-chain task: ``None`` (stored for ``1`` too) is
+        the paper's task per cell update; ``K > 1`` cuts every direction
+        chain into ``⌈T/K⌉`` tasks of ``K`` steps (clamped to the sequence
+        length), under either kernel and with or without hoisting.  Same
+        bits, forward and backward, at every tile.
     seed:
         Parameter-initialisation seed used when an engine creates its own
         weights.
@@ -131,6 +130,10 @@ class ExecutionConfig:
             )
         if self.wavefront_tile is not None and self.wavefront_tile < 1:
             raise ValueError("wavefront_tile must be >= 1")
+        if self.wavefront_tile == 1:  # the same graph as None: one fingerprint
+            object.__setattr__(self, "wavefront_tile", None)
+        if self.proj_block is not None and self.proj_block < 1:
+            raise ValueError("proj_block must be >= 1")
 
     def replace(self, **changes) -> "ExecutionConfig":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
@@ -188,13 +191,12 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
                         "outgrows the cache (docs/PERF.md)")
     g.add_argument("--proj-block", type=int, default=None,
                    help="timesteps per hoisted projection task (default 16)")
-    g.add_argument("--fusion", choices=("off", "gates", "gates+act", "wavefront"),
-                   default="gates",
-                   help="gate-GEMM/activation fusion policy (docs/PERF.md): "
-                        "per-gate GEMMs | stacked gate GEMM | +in-payload "
-                        "activations | +wavefront tiling")
+    g.add_argument("--fusion", choices=FUSION_MODES, default="gates",
+                   help="cell kernels (docs/PERF.md): per-gate reference "
+                        "GEMMs | stacked gate GEMM")
     g.add_argument("--wavefront-tile", type=int, default=None,
-                   help="timesteps per wavefront tile (default 8, clamped to T)")
+                   help="timesteps per cell-chain task (default 1, the "
+                        "paper's task per cell update; clamped to T)")
     g.add_argument("--compile", choices=("off", "on", "auto"), default="off",
                    help="compile graphs into cached replay plans "
                         "(docs/COMPILE.md); auto compiles recurring shapes only")

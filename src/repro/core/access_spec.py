@@ -9,8 +9,8 @@ the ``zx``/input slot of every step ``[lo, hi)`` it covers, the weight
 panel, and the state carried in from below ``lo``; in a hoisted layer
 ``_proj_bwd`` is the only writer of the weight-gradient panel ``gW`` (a
 hoisted ``cell_bwd`` publishes ``dz`` and touches no gradient); …  A cell
-task is a chain tile of one step unless ``fusion="wavefront"``, so one
-forward and one backward cell rule cover every tile length.
+task is a chain tile of one step unless ``wavefront_tile`` lengthens it, so
+one forward and one backward cell rule cover every tile length.
 
 Three readers, no second copy:
 
@@ -56,7 +56,6 @@ class AccessContext:
     mbs: int
     training: bool
     fused_layers: Tuple[bool, ...]
-    fusion: str
     serialize_chunks: bool
     serial_dirs: bool  # barriered mode: direction chains serialised
     has_velocity: bool
@@ -70,7 +69,6 @@ class AccessContext:
             mbs=result.mbs,
             training=result.training,
             fused_layers=tuple(result.fused_layers or ()),
-            fusion=result.fusion,
             serialize_chunks=result.serialize_chunks,
             serial_dirs=not result.barrier_free,
             has_velocity=result.velocity is not None,

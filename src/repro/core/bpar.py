@@ -110,10 +110,6 @@ class BParEngine:
         #: "on"/"off"/"auto": take every GEMM but the recurrent one off the
         #: cell chain (:func:`~repro.core.graph_builder.resolve_fused_layers`)
         self.fused_input_projection = cfg.fused_input_projection
-        self.proj_block = cfg.proj_block
-        #: gate-GEMM/activation fusion policy (docs/PERF.md)
-        self.fusion = cfg.fusion
-        self.wavefront_tile = cfg.wavefront_tile
         self.metrics = cfg.metrics
         self.hooks = cfg.hooks
         #: classical-momentum velocity buffers, allocated on first use
@@ -138,9 +134,9 @@ class BParEngine:
             barrier_free=self.barrier_free,
             serialize_chunks=self.serialize_chunks,
             fused_input_projection=self.fused_input_projection,
-            proj_block=self.proj_block,
-            fusion=self.fusion,
-            wavefront_tile=self.wavefront_tile,
+            proj_block=self.config.proj_block,
+            fusion=self.config.fusion,
+            wavefront_tile=self.config.wavefront_tile,
         )
         kwargs.update(overrides)
         return build_brnn_graph(self.spec, **kwargs)

@@ -15,8 +15,8 @@ name, payload, flops, kind, ``meta`` and place in the creation order, and
 Each (layer, direction) cell chain is cut into tiles of consecutive steps,
 one task per tile, by one emitter per pass (``_build_forward_layer`` /
 ``_build_backward_layer``).  The tile is a single step — the paper's task
-per cell update — unless ``fusion="wavefront"`` lengthens it to
-``wavefront_tile`` steps.
+per cell update — unless ``wavefront_tile`` lengthens it, under either
+kernel (``fusion``) and with or without hoisting.
 
 Two modes:
 
@@ -74,11 +74,6 @@ DEFAULT_PROJ_BLOCK = 16
 
 #: Gate-preactivation width multiplier per cell type (``zx`` is ``(B, G·H)``).
 _GATE_MULT = {"lstm": 4, "gru": 3, "rnn": 1}
-
-#: Default ``wavefront_tile`` (timesteps per wavefront chain tile).  Small
-#: enough that cross-layer diagonal overlap starts after a few steps, large
-#: enough to amortise per-task dispatch over several cell updates.
-DEFAULT_WAVEFRONT_TILE = 8
 
 #: Region kinds whose storage is *lazily materialised* by payloads
 #: (``state.h_f[l][s] = h`` and friends) rather than preallocated.  Under a
@@ -568,18 +563,13 @@ class _Builder:
         self.gate_mult = _GATE_MULT[spec.cell]
         # Every cell chain is cut into tiles of consecutive steps, one task
         # per tile: a single step (the paper's task per cell update) unless
-        # the wavefront rung asks for longer tiles.
-        tiled = fusion == "wavefront"
-        tile = min(seq_len, wavefront_tile or DEFAULT_WAVEFRONT_TILE) if tiled else 1
+        # ``wavefront_tile`` asks for longer tiles.
+        tile = min(seq_len, wavefront_tile or 1)
         #: ascending ``(lo, hi, name suffix)`` step ranges of the chain tiles
         self.tiles = []
         for lo in range(0, seq_len, tile):
             hi = min(lo + tile, seq_len)
-            self.tiles.append((lo, hi, f"w{lo}-{hi}" if tiled else f"s{lo}"))
-        #: GEMM calls one chain step issues, where the cost model must know
-        #: (per-gate calls under "off", one per tiled step under "wavefront");
-        #: unannotated tasks are one call
-        self.step_gemm_calls = {"off": self.gate_mult, "wavefront": 1}.get(fusion)
+            self.tiles.append((lo, hi, f"w{lo}-{hi}" if tile > 1 else f"s{lo}"))
         self.spec = spec
         self.seq_len = seq_len
         self.chunk_batches = list(chunk_batches)
@@ -625,7 +615,7 @@ class _Builder:
             fused_layers=list(self.fused_layers),
             velocity=velocity,
             fusion=fusion,
-            wavefront_tile=tile if tiled else None,
+            wavefront_tile=tile if tile > 1 else None,
             serialize_chunks=serialize_chunks,
             barrier_free=barrier_free,
         )
@@ -643,40 +633,24 @@ class _Builder:
         (a blocked GEMM re-reads its weight panels once per row block)."""
         return min(6.0, 1.0 + self.chunk_batches[mb] / 32.0)
 
-    def _cell_reuse(self, mb: int) -> float:
-        """Cell-task sweep count under the active fusion policy.
-
-        ``"off"`` re-sweeps the gate buffers once more for the separate
-        activation passes; ``"gates+act"``/``"wavefront"`` skip the
-        gate-copy sweep by activating in place.  ``"gates"`` is the
-        baseline :meth:`_gemm_reuse` (numbers unchanged from before the
-        fusion policy existed).
-        """
-        base = self._gemm_reuse(mb)
-        if self.fusion == "off":
-            return base + 1.0
-        if self.fusion in ("gates+act", "wavefront"):
-            return max(1.0, base - 0.5)
-        return base
-
     def _fusion_meta(self, mb: int) -> dict:
-        """Cost-model meta every cell task of chunk ``mb`` carries.
-
-        Fusion annotations appear only when the policy deviates from the
-        default, so default-mode graphs stay byte-identical to what they
-        were before the fusion policy existed.
-        """
-        meta = {"reuse": self._cell_reuse(mb)}
-        if self.fusion != "gates":
-            meta["fusion"] = self.fusion
-        return meta
+        """Cost-model meta every cell task of chunk ``mb`` carries: the
+        sweep count, and under ``"off"`` one more sweep of the gate buffers
+        for the separate activation passes, plus the kernel's name."""
+        if self.fusion == "off":
+            return {"reuse": self._gemm_reuse(mb) + 1.0, "fusion": "off"}
+        return {"reuse": self._gemm_reuse(mb)}
 
     def _cell_meta(self, mb: int, layer: int, direction: str, lo: int, hi: int) -> dict:
-        """Meta of the cell task covering chain steps ``[lo, hi)``."""
+        """Meta of the cell task covering chain steps ``[lo, hi)``.  The
+        cost model charges the small-GEMM penalty per call: per-gate kernels
+        and multi-step tiles say how many, everything else is one call."""
         meta = {"mb": mb, "layer": layer, "dir": direction, "lo": lo, "hi": hi}
         meta.update(self.fusion_meta[mb])
-        if self.step_gemm_calls:
-            meta["gemm_calls"] = self.step_gemm_calls * (hi - lo)
+        if self.fusion == "off":
+            meta["gemm_calls"] = self.gate_mult * (hi - lo)
+        elif hi - lo > 1:
+            meta["gemm_calls"] = hi - lo
         return meta
 
     def _chain_schedule(self, serial_dirs: bool, descending: bool = False) -> List[tuple]:
@@ -823,8 +797,7 @@ class _Builder:
                 pos = step if direction == "fwd" else T - 1 - step
                 if fused:
                     h, c, cache = cell_forward_proj(
-                        spec, zx_g[layer][pos], h_prev, c_prev, dp.W, dp.b,
-                        need_cache, fusion,
+                        spec, zx_g[layer][pos], h_prev, c_prev, dp.W, dp.b, need_cache
                     )
                 else:
                     h, c, cache = cell_forward(
@@ -1175,7 +1148,7 @@ class _Builder:
         (interior layers) or the head (last layer).
 
         One task per chain tile (``self.tiles``; a single step by default,
-        ``wavefront_tile`` steps under ``fusion="wavefront"``, docs/PERF.md).
+        ``wavefront_tile`` steps when set, docs/PERF.md).
         Its rule declares every input (or ``zx``) position of the tile, the
         carried ``h`` from below it, and every ``h``/cache slot it
         publishes, so racecheck and the over-declaration analyzer audit a
@@ -1416,18 +1389,17 @@ def build_brnn_graph(
     default here is ``"off"``, the paper's task-per-cell graph (every
     simulated table and figure builds it); the engines default to ``"auto"``.
 
-    ``fusion`` selects the gate-GEMM/activation fusion policy
-    (docs/PERF.md): ``"off"`` runs per-gate GEMMs with separate
-    activation passes (and disables projection hoisting — the fully
-    unfused baseline), ``"gates"`` is the stacked gate GEMM (default),
-    ``"gates+act"`` applies activations in place inside the cell payload,
-    and ``"wavefront"`` additionally tiles each direction chain into
-    tasks of ``wavefront_tile`` steps (default
-    :data:`DEFAULT_WAVEFRONT_TILE`, clamped to the sequence length),
-    making the layer×time diagonal concurrency explicit.  Every mode's
-    forward is bitwise identical to the default; backward matches
-    gradcheck-exactly (bitwise for all modes but ``"off"``, whose
-    per-gate data-gradient GEMMs reassociate the K-dimension reduction).
+    ``fusion`` selects the cell kernels (docs/PERF.md): ``"off"`` runs
+    per-gate GEMMs with separate activation passes (and disables projection
+    hoisting — the fully unfused reference), ``"gates"`` the stacked gate
+    GEMM (default).  ``wavefront_tile`` is the one thing that lengthens a
+    chain task: ``None``/``1`` is the paper's task per cell update, ``K > 1``
+    cuts every direction chain into ``⌈T/K⌉`` tasks of ``K`` steps (clamped
+    to the sequence length), under either kernel and with or without
+    hoisting.  Every combination's forward is bitwise identical to the
+    default; the backward is bitwise for every tile and gradcheck-exact
+    under ``"off"``, whose per-gate data-gradient GEMMs reassociate the
+    K-dimension reduction.
     """
     functional = x is not None
     if functional:

@@ -8,12 +8,11 @@ are the table in :mod:`repro.harness.ledger` — imported on demand, not
 here, because it pulls in every driver.
 """
 
-from repro.harness.fusionbench import run_fused_bench, run_fusion_bench
+from repro.harness.fusionbench import run_fusion_bench
 from repro.harness.measure import summarize_times
 from repro.harness.simtime import simulated_batch_time, SimTiming
 
 __all__ = [
-    "run_fused_bench",
     "run_fusion_bench",
     "simulated_batch_time",
     "SimTiming",

@@ -4,7 +4,7 @@ Times identical inference batches on the threaded executor and the
 multiprocess executor, interleaved round-robin so host noise hits both
 substrates equally, over two regimes:
 
-* ``gil_bound`` — the fully unfused ladder rung (``fusion="off"``): per-
+* ``gil_bound`` — the per-gate reference kernels (``fusion="off"``): per-
   gate GEMMs with separate pointwise activation passes.  The small
   pointwise tasks hold the GIL, so threaded workers serialise — the
   regime the process executor exists for.  On a multi-core host the

@@ -114,6 +114,18 @@ class GRUCache:
         )
 
 
+def _activate(zr: np.ndarray, hidden: int, need_cache: bool):
+    """Update and reset gates ``(z, r)`` of the biased pre-activation ``zr (B,
+    2H)``; the caller holds the turn.  As in :mod:`repro.kernels.lstm`: a
+    cache for the backward gets contiguous per-gate arrays, and with nothing
+    retained ``zr`` is activated in place and the gates are views of it.
+    Bitwise the same values either way."""
+    if need_cache:
+        return sigmoid(zr[:, :hidden]), sigmoid(zr[:, hidden:])
+    activate_gates_(zr, "ss")
+    return zr[:, :hidden], zr[:, hidden:]
+
+
 def gru_forward_step(
     x: np.ndarray,
     h_prev: np.ndarray,
@@ -121,8 +133,9 @@ def gru_forward_step(
     b: np.ndarray,
     need_cache: bool = True,
 ) -> Tuple[np.ndarray, Optional[GRUCache]]:
-    """One GRU cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``
-    (the cache is ``None`` unless ``need_cache``).
+    """One GRU cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``;
+    with ``need_cache=False`` (inference) the gates are activated in place
+    and the cache is ``None``.
 
     Two pointwise stretches, one on each side of the candidate's recurrent
     GEMM, which has to wait for the reset gate.
@@ -137,15 +150,14 @@ def gru_forward_step(
     with activations.pointwise_turn:
         zr += zr_h
         zr += b[:two_h]
-        z = sigmoid(zr[:, :hidden])
-        r = sigmoid(zr[:, hidden:])
+        z, r = _activate(zr, hidden, need_cache)
         rh = r * h_prev
 
     a_h = rh @ W[input_size:, two_h:]
     with activations.pointwise_turn:
         a += a_h
         a += b[two_h:]
-        hbar = tanh(a)
+        hbar = np.tanh(a, out=a)
         h = z * hbar + (1.0 - z) * h_prev
     if not need_cache:
         return h, None
@@ -209,7 +221,7 @@ def gru_forward_step_proj(
     ``zx (B, 3H)`` is this timestep's slice of the hoisted ``X @ W[:I]``
     GEMM.  Bit-identical to :func:`gru_forward_step`: a column slice of the
     stacked projection equals the per-gate GEMM exactly, and the remaining
-    additions commute.  ``need_cache=False`` skips the cache.
+    additions commute.  ``need_cache`` as in :func:`gru_forward_step`.
     """
     hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
@@ -219,15 +231,14 @@ def gru_forward_step_proj(
     with activations.pointwise_turn:
         zr += zx[:, :two_h]
         zr += b[:two_h]
-        z = sigmoid(zr[:, :hidden])
-        r = sigmoid(zr[:, hidden:])
+        z, r = _activate(zr, hidden, need_cache)
         rh = r * h_prev
 
     a = rh @ W[input_size:, two_h:]
     with activations.pointwise_turn:
         a += zx[:, two_h:]
         a += b[two_h:]
-        hbar = tanh(a)
+        hbar = np.tanh(a, out=a)
         h = z * hbar + (1.0 - z) * h_prev
     if not need_cache:
         return h, None
@@ -298,10 +309,9 @@ def gru_proj_backward(
     return dZ @ W[:input_size].T if need_dx else None
 
 
-# -- fusion-policy kernel variants (docs/PERF.md §fusion) -----------------------
+# -- the fusion="off" reference kernels (docs/PERF.md §fusion) --------------------
 #
-# As in kernels/lstm.py: ``*_unfused`` is the per-gate fusion="off" baseline,
-# ``*_act`` activates in place and is also what inference runs.
+# As in kernels/lstm.py: one GEMM pair per gate, a separate activation pass each.
 
 
 def gru_forward_step_unfused(
@@ -391,68 +401,3 @@ def gru_backward_step_unfused(
     dW[:input_size, two_h:] += cache.x.T @ da
     dW[input_size:, two_h:] += cache.rh.T @ da
     return dx, dh_prev
-
-
-def gru_forward_step_act(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-) -> Tuple[np.ndarray, Optional[GRUCache]]:
-    """One GRU cell update with in-payload activations (fusion="gates+act",
-    and inference under ``"gates"``); cached gates are views of one buffer."""
-    input_size = x.shape[1]
-    hidden = h_prev.shape[1]
-    two_h = 2 * hidden
-
-    zr = x @ W[:input_size, :two_h]
-    zr_h = h_prev @ W[input_size:, :two_h]
-    a = x @ W[:input_size, two_h:]
-    with activations.pointwise_turn:
-        zr += zr_h
-        zr += b[:two_h]
-        activate_gates_(zr, "ss")
-        z, r = zr[:, :hidden], zr[:, hidden:]
-        rh = r * h_prev
-
-    a_h = rh @ W[input_size:, two_h:]
-    with activations.pointwise_turn:
-        a += a_h
-        a += b[two_h:]
-        hbar = np.tanh(a, out=a)
-        h = z * hbar + (1.0 - z) * h_prev
-    if not need_cache:
-        return h, None
-    return h, GRUCache(x=x, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)
-
-
-def gru_forward_step_proj_act(
-    zx: np.ndarray,
-    h_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-) -> Tuple[np.ndarray, Optional[GRUCache]]:
-    """Shrunken cell update with in-payload activations (gates+act ∘ proj)."""
-    hidden = h_prev.shape[1]
-    input_size = W.shape[0] - hidden
-    two_h = 2 * hidden
-
-    zr = h_prev @ W[input_size:, :two_h]
-    with activations.pointwise_turn:
-        zr += zx[:, :two_h]
-        zr += b[:two_h]
-        activate_gates_(zr, "ss")
-        z, r = zr[:, :hidden], zr[:, hidden:]
-        rh = r * h_prev
-
-    a = rh @ W[input_size:, two_h:]
-    with activations.pointwise_turn:
-        a += zx[:, two_h:]
-        a += b[two_h:]
-        hbar = np.tanh(a, out=a)
-        h = z * hbar + (1.0 - z) * h_prev
-    if not need_cache:
-        return h, None
-    return h, GRUCache(x=None, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)

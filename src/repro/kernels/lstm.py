@@ -120,6 +120,33 @@ class LSTMCache:
         )
 
 
+def _activate(z: np.ndarray, hidden: int, need_cache: bool):
+    """Gates ``(i, f, g, o)`` of the biased pre-activation ``z (B, 4H)``; the
+    caller holds the turn.
+
+    What the caller retains picks the layout.  A cache for the backward gets
+    contiguous per-gate arrays, which it reads faster than views with a
+    ``4H`` row stride (docs/PERF.md).  With nothing retained ``z`` is
+    activated in place (:func:`~repro.kernels.activations.activate_gates_`)
+    and the gates are views of it, no per-gate temporaries.  Bitwise the
+    same values either way, element by element.
+    """
+    if need_cache:
+        return (
+            sigmoid(z[:, :hidden]),
+            sigmoid(z[:, hidden : 2 * hidden]),
+            tanh(z[:, 2 * hidden : 3 * hidden]),
+            sigmoid(z[:, 3 * hidden :]),
+        )
+    activate_gates_(z, "ssts")
+    return (
+        z[:, :hidden],
+        z[:, hidden : 2 * hidden],
+        z[:, 2 * hidden : 3 * hidden],
+        z[:, 3 * hidden :],
+    )
+
+
 def lstm_forward_step(
     x: np.ndarray,
     h_prev: np.ndarray,
@@ -131,8 +158,9 @@ def lstm_forward_step(
     """One LSTM cell update.
 
     Parameters: ``x (B, I)``, ``h_prev (B, H)``, ``c_prev (B, H)``,
-    ``W (I+H, 4H)``, ``b (4H,)``.  Returns ``(h, c, cache)``; the cache is
-    ``None`` unless ``need_cache``.
+    ``W (I+H, 4H)``, ``b (4H,)``.  Returns ``(h, c, cache)``; with
+    ``need_cache=False`` (inference) the gates are activated in place and the
+    cache is ``None``.
     """
     input_size = x.shape[1]
     hidden = h_prev.shape[1]
@@ -141,10 +169,7 @@ def lstm_forward_step(
     with activations.pointwise_turn:
         z += zh
         z += b
-        i = sigmoid(z[:, :hidden])
-        f = sigmoid(z[:, hidden : 2 * hidden])
-        g = tanh(z[:, 2 * hidden : 3 * hidden])
-        o = sigmoid(z[:, 3 * hidden :])
+        i, f, g, o = _activate(z, hidden, need_cache)
         c = f * c_prev
         c += i * g
         tc = tanh(c)
@@ -209,7 +234,7 @@ def lstm_forward_step_proj(
     is bit-identical to :func:`lstm_forward_step`: the pre-activation is
     assembled as ``(H_{t-1}·W_h) + zx + b``, and IEEE addition commutes, so
     it matches the oracle's ``(X_t·W_x) + H_{t-1}·W_h + b`` exactly.
-    ``need_cache=False`` skips retaining activations.
+    ``need_cache`` as in :func:`lstm_forward_step`.
     """
     hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
@@ -217,10 +242,7 @@ def lstm_forward_step_proj(
     with activations.pointwise_turn:
         z += zx
         z += b
-        i = sigmoid(z[:, :hidden])
-        f = sigmoid(z[:, hidden : 2 * hidden])
-        g = tanh(z[:, 2 * hidden : 3 * hidden])
-        o = sigmoid(z[:, 3 * hidden :])
+        i, f, g, o = _activate(z, hidden, need_cache)
         c = f * c_prev
         c += i * g
         tc = tanh(c)
@@ -285,24 +307,15 @@ def lstm_proj_backward(
     return dZ @ W[: X.shape[1]].T if need_dx else None
 
 
-# -- fusion-policy kernel variants (docs/PERF.md §fusion) -----------------------
+# -- the fusion="off" reference kernels (docs/PERF.md §fusion) --------------------
 #
-# ``*_unfused``: the fusion="off" baseline — one GEMM pair *per gate*
-# against the gate's column block of the stacked weight matrix, activations
-# applied in a separate pass per gate.  Forward is bitwise identical to the
-# stacked kernel (BLAS computes each output-column block of a GEMM
-# independently, so a column slice of ``X·W`` equals ``X·W[:, cols]``
-# exactly); backward splits the ``dx``/``dh_prev`` reductions across gates,
-# which reassociates the K-dimension sum — gradcheck-exact, not bitwise.
-#
-# ``*_act``: the fusion="gates+act" kernels, and what inference runs under
-# the default rung as well — the stacked GEMM with the activations applied
-# *in place* on the whole pre-activation buffer
-# (:func:`~repro.kernels.activations.activate_gates_`: gate tensors become
-# views of ``z``, no per-gate temporaries).  Bitwise identical to the
-# stacked kernel, element by element.  Training under ``"gates"`` keeps the
-# stacked kernels: the backward reads contiguous per-gate arrays faster than
-# views with a ``4H`` row stride.
+# One GEMM pair *per gate* against the gate's column block of the stacked
+# weight matrix, activations applied in a separate pass per gate.  Forward is
+# bitwise identical to the stacked kernel (BLAS computes each output-column
+# block of a GEMM independently, so a column slice of ``X·W`` equals
+# ``X·W[:, cols]`` exactly); backward splits the ``dx``/``dh_prev`` reductions
+# across gates, which reassociates the K-dimension sum — gradcheck-exact, not
+# bitwise.
 
 
 def lstm_forward_step_unfused(
@@ -379,59 +392,3 @@ def lstm_backward_step_unfused(
         dW[:input_size, cols] += cache.x.T @ dzg
         dW[input_size:, cols] += cache.h_prev.T @ dzg
     return dx, dh_prev, dc_prev
-
-
-def lstm_forward_step_act(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
-    """One LSTM cell update with in-payload activations (fusion="gates+act",
-    and inference under ``"gates"``); cached gates are views of one buffer."""
-    input_size = x.shape[1]
-    hidden = h_prev.shape[1]
-    z = x @ W[:input_size]
-    zh = h_prev @ W[input_size:]
-    with activations.pointwise_turn:
-        z += zh
-        z += b
-        activate_gates_(z, "ssts")
-        i, f = z[:, :hidden], z[:, hidden : 2 * hidden]
-        g, o = z[:, 2 * hidden : 3 * hidden], z[:, 3 * hidden :]
-        c = f * c_prev
-        c += i * g
-        tc = tanh(c)
-        h = o * tc
-    if not need_cache:
-        return h, c, None
-    return h, c, LSTMCache(x=x, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)
-
-
-def lstm_forward_step_proj_act(
-    zx: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
-    """Shrunken cell update with in-payload activations (gates+act ∘ proj)."""
-    hidden = h_prev.shape[1]
-    input_size = W.shape[0] - hidden
-    z = h_prev @ W[input_size:]
-    with activations.pointwise_turn:
-        z += zx
-        z += b
-        activate_gates_(z, "ssts")
-        i, f = z[:, :hidden], z[:, hidden : 2 * hidden]
-        g, o = z[:, 2 * hidden : 3 * hidden], z[:, 3 * hidden :]
-        c = f * c_prev
-        c += i * g
-        tc = tanh(c)
-        h = o * tc
-    if not need_cache:
-        return h, c, None
-    return h, c, LSTMCache(x=None, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)

@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels import activations
-from repro.kernels.activations import dtanh, tanh
+from repro.kernels.activations import dtanh
 
 
 def rnn_param_shapes(input_size: int, hidden_size: int) -> Tuple[Tuple[int, int], Tuple[int]]:
@@ -113,14 +113,15 @@ def rnn_forward_step(
     need_cache: bool = True,
 ) -> Tuple[np.ndarray, Optional[RNNCache]]:
     """One basic-RNN cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``
-    (the cache is ``None`` unless ``need_cache``)."""
+    (the cache is ``None`` unless ``need_cache``).  The tanh runs in place on
+    the fresh pre-activation either way: one gate, nothing to lay out."""
     input_size = x.shape[1]
     a = x @ W[:input_size]
     a_h = h_prev @ W[input_size:]
     with activations.pointwise_turn:
         a += a_h
         a += b
-        h = tanh(a)
+        h = np.tanh(a, out=a)
     if not need_cache:
         return h, None
     return h, RNNCache(x=x, h_prev=h_prev, h=h)
@@ -163,7 +164,7 @@ def rnn_forward_step_proj(
     with activations.pointwise_turn:
         a += zx
         a += b
-        h = tanh(a)
+        h = np.tanh(a, out=a)
     if not need_cache:
         return h, None
     return h, RNNCache(x=None, h_prev=h_prev, h=h)
@@ -206,51 +207,10 @@ def rnn_proj_backward(
     return dZ @ W[: X.shape[1]].T if need_dx else None
 
 
-# -- fusion-policy kernel variants (docs/PERF.md §fusion) -----------------------
+# -- the fusion="off" reference kernels (docs/PERF.md §fusion) --------------------
 #
-# The basic RNN has a single gate, so there is nothing to unfuse: the
-# "off" variants alias the stacked kernels (bitwise trivially).  The
-# "gates+act" variants apply the tanh in place on the pre-activation.
+# The basic RNN has a single gate, so there is nothing to unfuse: the "off"
+# kernels are the stacked ones.
 
 rnn_forward_step_unfused = rnn_forward_step
 rnn_backward_step_unfused = rnn_backward_step
-
-
-def rnn_forward_step_act(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-) -> Tuple[np.ndarray, Optional[RNNCache]]:
-    """One basic-RNN cell update with the tanh applied in place."""
-    input_size = x.shape[1]
-    a = x @ W[:input_size]
-    a_h = h_prev @ W[input_size:]
-    with activations.pointwise_turn:
-        a += a_h
-        a += b
-        h = np.tanh(a, out=a)
-    if not need_cache:
-        return h, None
-    return h, RNNCache(x=x, h_prev=h_prev, h=h)
-
-
-def rnn_forward_step_proj_act(
-    zx: np.ndarray,
-    h_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-) -> Tuple[np.ndarray, Optional[RNNCache]]:
-    """Shrunken cell update with the tanh applied in place."""
-    hidden = h_prev.shape[1]
-    input_size = W.shape[0] - hidden
-    a = h_prev @ W[input_size:]
-    with activations.pointwise_turn:
-        a += zx
-        a += b
-        h = np.tanh(a, out=a)
-    if not need_cache:
-        return h, None
-    return h, RNNCache(x=None, h_prev=h_prev, h=h)

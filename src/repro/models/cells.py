@@ -21,9 +21,7 @@ from repro.kernels.gru import (
     gru_bwd_pointwise_flops,
     gru_bwd_step_proj_flops,
     gru_forward_step,
-    gru_forward_step_act,
     gru_forward_step_proj,
-    gru_forward_step_proj_act,
     gru_forward_step_unfused,
     gru_fwd_flops,
     gru_fwd_pointwise_flops,
@@ -42,9 +40,7 @@ from repro.kernels.lstm import (
     lstm_bwd_pointwise_flops,
     lstm_bwd_step_proj_flops,
     lstm_forward_step,
-    lstm_forward_step_act,
     lstm_forward_step_proj,
-    lstm_forward_step_proj_act,
     lstm_forward_step_unfused,
     lstm_fwd_flops,
     lstm_fwd_pointwise_flops,
@@ -63,9 +59,7 @@ from repro.kernels.rnn import (
     rnn_bwd_pointwise_flops,
     rnn_bwd_step_proj_flops,
     rnn_forward_step,
-    rnn_forward_step_act,
     rnn_forward_step_proj,
-    rnn_forward_step_proj_act,
     rnn_forward_step_unfused,
     rnn_fwd_flops,
     rnn_fwd_pointwise_flops,
@@ -77,59 +71,28 @@ from repro.kernels.rnn import (
 )
 from repro.models.spec import BRNNSpec
 
-#: The fusion-policy vocabulary (``ExecutionConfig.fusion``, docs/PERF.md):
-#: "off" — per-gate GEMMs, separate activation passes; "gates" — the
-#: stacked gate GEMM (the default, and the kernels' historical behaviour);
-#: "gates+act" — stacked GEMM with activations applied in-payload;
-#: "wavefront" — gates+act kernels inside multi-step wavefront tiles (the
-#: tiling itself is a graph-builder concern, so the kernel dispatch treats
-#: it as gates+act).  The rungs from "gates" up differ in training only:
-#: inference (``need_cache=False``) runs the gates+act kernels on all three.
-FUSION_MODES = ("off", "gates", "gates+act", "wavefront")
-
-
-def _kernel_mode(fusion: str, need_cache: bool = True) -> str:
-    """Kernel-variant selector: 'unfused' | 'stacked' | 'act'.
-
-    Where nothing is retained (``need_cache=False``: inference) nothing has
-    to stay contiguous for a backward pass, so the stacked rung runs the
-    in-place ``act`` kernels too.
-    """
-    if fusion == "off":
-        return "unfused"
-    if fusion in ("gates+act", "wavefront") or not need_cache:
-        return "act"
-    return "stacked"
-
+#: The kernel vocabulary (``ExecutionConfig.fusion``, docs/PERF.md): "off",
+#: the per-gate reference kernels, one GEMM pair and one activation pass per
+#: gate; "gates", one stacked gate GEMM (the default).  Defined here only;
+#: ``config.py``, the CLI, the builder and the certificate import it.
+FUSION_MODES = ("off", "gates")
 
 _FWD_STEP = {
-    "lstm": {
-        "unfused": lstm_forward_step_unfused,
-        "stacked": lstm_forward_step,
-        "act": lstm_forward_step_act,
-    },
-    "gru": {
-        "unfused": gru_forward_step_unfused,
-        "stacked": gru_forward_step,
-        "act": gru_forward_step_act,
-    },
-    "rnn": {
-        "unfused": rnn_forward_step_unfused,
-        "stacked": rnn_forward_step,
-        "act": rnn_forward_step_act,
-    },
+    "lstm": {"off": lstm_forward_step_unfused, "gates": lstm_forward_step},
+    "gru": {"off": gru_forward_step_unfused, "gates": gru_forward_step},
+    "rnn": {"off": rnn_forward_step_unfused, "gates": rnn_forward_step},
 }
 
 _BWD_STEP = {
-    "lstm": {"unfused": lstm_backward_step_unfused, "stacked": lstm_backward_step},
-    "gru": {"unfused": gru_backward_step_unfused, "stacked": gru_backward_step},
-    "rnn": {"unfused": rnn_backward_step_unfused, "stacked": rnn_backward_step},
+    "lstm": {"off": lstm_backward_step_unfused, "gates": lstm_backward_step},
+    "gru": {"off": gru_backward_step_unfused, "gates": gru_backward_step},
+    "rnn": {"off": rnn_backward_step_unfused, "gates": rnn_backward_step},
 }
 
 _FWD_STEP_PROJ = {
-    "lstm": {"stacked": lstm_forward_step_proj, "act": lstm_forward_step_proj_act},
-    "gru": {"stacked": gru_forward_step_proj, "act": gru_forward_step_proj_act},
-    "rnn": {"stacked": rnn_forward_step_proj, "act": rnn_forward_step_proj_act},
+    "lstm": lstm_forward_step_proj,
+    "gru": gru_forward_step_proj,
+    "rnn": rnn_forward_step_proj,
 }
 
 _BWD_STEP_PROJ = {
@@ -151,13 +114,11 @@ def cell_forward(
 ):
     """One cell update; returns ``(h, c_or_None, cache)``.
 
-    ``fusion`` selects the kernel variant (:data:`FUSION_MODES`); every
-    variant's forward is bitwise identical to the default stacked kernel.
-    ``need_cache=False`` (inference) returns ``cache=None`` and, under the
-    default ``"gates"``, runs the ``*_forward_step_act`` kernels, which
-    activate the gates in place.
+    ``fusion`` selects the kernels (:data:`FUSION_MODES`); the two forwards
+    are bitwise identical.  ``need_cache=False`` (inference) returns
+    ``cache=None``, and the stacked kernels then activate the gates in place.
     """
-    fn = _FWD_STEP[spec.cell][_kernel_mode(fusion, need_cache)]
+    fn = _FWD_STEP[spec.cell][fusion]
     if spec.cell == "lstm":
         return fn(x, h_prev, c_prev, W, b, need_cache)
     h, cache = fn(x, h_prev, W, b, need_cache)
@@ -176,12 +137,10 @@ def cell_backward(
 ):
     """Backward of one cell update; returns ``(dx, dh_prev, dc_prev_or_None)``.
 
-    ``fusion="off"`` uses the split per-gate backward (gradcheck-exact);
-    the other modes share the stacked backward (the in-payload activation
-    fusion changes only where the forward writes its gate tensors).
+    ``fusion="off"`` uses the split per-gate backward, gradcheck-exact
+    against the stacked one, not bitwise.
     """
-    mode = "unfused" if _kernel_mode(fusion) == "unfused" else "stacked"
-    fn = _BWD_STEP[spec.cell][mode]
+    fn = _BWD_STEP[spec.cell][fusion]
     if spec.cell == "lstm":
         return fn(dh, dc, cache, W, dW, db)
     dx, dh_prev = fn(dh, cache, W, dW, db)
@@ -222,17 +181,13 @@ def cell_forward_proj(
     W: np.ndarray,
     b: np.ndarray,
     need_cache: bool = True,
-    fusion: str = "gates",
 ):
     """Shrunken cell update from a precomputed ``Zx_t``; returns ``(h, c, cache)``.
 
-    ``fusion="off"`` never composes with the hoisted projection (the
-    builder disables hoisting for the unfused baseline), so the proj
-    dispatch only distinguishes stacked vs in-payload activations; as in
-    :func:`cell_forward`, ``need_cache=False`` runs the in-place kernels.
+    Stacked kernels only: the builder never hoists under ``fusion="off"``.
+    ``need_cache`` as in :func:`cell_forward`.
     """
-    mode = "act" if _kernel_mode(fusion, need_cache) == "act" else "stacked"
-    fn = _FWD_STEP_PROJ[spec.cell][mode]
+    fn = _FWD_STEP_PROJ[spec.cell]
     if spec.cell == "lstm":
         return fn(zx, h_prev, c_prev, W, b, need_cache)
     h, cache = fn(zx, h_prev, W, b, need_cache)
@@ -249,9 +204,8 @@ def cell_backward_proj(
     """Backward of the shrunken cell update; returns ``(dz, dh_prev, dc_prev)``.
 
     Only what the recurrence waits for: the pointwise work and ``dh_prev =
-    dZ·W_h^T``.  All proj-composable fusion modes share the stacked
-    backward — ``dz`` must stay a single ``(B, G·H)`` block for the
-    per-block :func:`cell_proj_backward` GEMMs downstream.
+    dZ·W_h^T``.  ``dz`` is a single ``(B, G·H)`` block for the per-block
+    :func:`cell_proj_backward` GEMMs downstream.
     """
     fn = _BWD_STEP_PROJ[spec.cell]
     if spec.cell == "lstm":

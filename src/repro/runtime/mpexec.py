@@ -2,7 +2,7 @@
 
 :class:`MultiprocessExecutor` runs task payloads in **worker processes**
 (one per core, pinned socket-compactly), so fine-grained task modes that
-hold the GIL — ``fusion="off"`` per-gate kernels, small wavefront tiles,
+hold the GIL — ``fusion="off"`` per-gate kernels, short chain tiles,
 pointwise-heavy GRU graphs — overlap for real instead of serialising on
 one interpreter lock.  The design follows the distributed-manager runtime
 of Bosch et al. (arXiv:2009.03066): a single *manager* (this process)

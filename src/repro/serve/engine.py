@@ -131,9 +131,6 @@ class InferenceEngine:
         self.mbs = cfg.mbs
         self.batch_fixed_s = batch_fixed_s
         self.fused_input_projection = cfg.fused_input_projection
-        self.proj_block = cfg.proj_block
-        self.fusion = cfg.fusion
-        self.wavefront_tile = cfg.wavefront_tile
         self.metrics = cfg.metrics
         self.hooks = cfg.hooks
         if name == "sim":
@@ -186,9 +183,9 @@ class InferenceEngine:
             self.spec,
             training=False,
             fused_input_projection=self.fused_input_projection if fused is None else fused,
-            proj_block=self.proj_block,
-            fusion=self.fusion,
-            wavefront_tile=self.wavefront_tile,
+            proj_block=self.config.proj_block,
+            fusion=self.config.fusion,
+            wavefront_tile=self.config.wavefront_tile,
             **kwargs,
         )
 

@@ -38,7 +38,7 @@ def test_ignores_observability_attachments():
     ("proj_block", 4),
     ("seed", 99),
     ("compile", "auto"),
-    ("fusion", "wavefront"),
+    ("fusion", "off"),
     ("wavefront_tile", 4),
 ])
 def test_every_execution_field_matters(field, value):
@@ -47,16 +47,18 @@ def test_every_execution_field_matters(field, value):
 
 
 def test_fusion_modes_fingerprint_distinctly():
-    """Every fusion rung (and every wavefront tile size) is a distinct
-    plan-cache key: a cached plan can never leak across fusion modes."""
+    """Every kernel and every tile size is a distinct plan-cache key: a
+    cached plan can never leak across graphs that differ.  Tile 1 is the
+    per-step graph, so it shares ``None``'s key and misses no cached plan."""
     fps = [
         ExecutionConfig(fusion=f, wavefront_tile=t).fingerprint()
         for f, t in [
-            ("off", None), ("gates", None), ("gates+act", None),
-            ("wavefront", None), ("wavefront", 4), ("wavefront", 8),
+            ("off", None), ("off", 4), ("gates", None), ("gates", 4), ("gates", 8),
         ]
     ]
     assert len(set(fps)) == len(fps)
+    assert ExecutionConfig(wavefront_tile=1) == ExecutionConfig()
+    assert ExecutionConfig(wavefront_tile=1).fingerprint() == ExecutionConfig().fingerprint()
 
 
 def test_no_stale_plan_cache_hit_across_fusion_modes():
@@ -67,12 +69,12 @@ def test_no_stale_plan_cache_hit_across_fusion_modes():
 
     cache = PlanCache()
     shape = (6, 4)
-    wavefront = ExecutionConfig(fusion="wavefront")
-    cache.put((wavefront.fingerprint(), shape), compile_graph(build_cost_only().graph))
-    for fusion in ("off", "gates", "gates+act"):
-        other = ExecutionConfig(fusion=fusion)
+    tiled = ExecutionConfig(wavefront_tile=4)
+    cache.put((tiled.fingerprint(), shape), compile_graph(build_cost_only().graph))
+    for other in (ExecutionConfig(), ExecutionConfig(fusion="off"),
+                  ExecutionConfig(fusion="off", wavefront_tile=4)):
         assert cache.get((other.fingerprint(), shape)) is None
-    assert cache.get((wavefront.fingerprint(), shape)) is not None
+    assert cache.get((tiled.fingerprint(), shape)) is not None
 
 
 def test_executor_instances_hash_by_type():
@@ -101,5 +103,8 @@ def test_fusion_field_validation():
         ExecutionConfig(fusion="sometimes")
     with pytest.raises(ValueError, match="wavefront_tile"):
         ExecutionConfig(wavefront_tile=0)
-    for mode in ("off", "gates", "gates+act", "wavefront"):
+    # not first inside a serving loop's first build
+    with pytest.raises(ValueError, match="proj_block"):
+        ExecutionConfig(proj_block=0)
+    for mode in ("off", "gates"):
         assert ExecutionConfig(fusion=mode).fusion == mode

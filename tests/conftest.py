@@ -102,15 +102,9 @@ CONF_BATCH = 4
 #: block, and a block larger than the sequence (clamps to proj_block=T)
 PROJ_CONFIGS = [("off", None), ("on", 1), ("on", 2), ("on", 16)]
 
-#: (fusion, wavefront_tile): the non-default rungs of the fusion ladder,
-#: wavefront at per-step tiles, a mid-size tile, and ≥T (one tile per chain)
-FUSION_CONFIGS = [
-    ("off", None),
-    ("gates+act", None),
-    ("wavefront", 1),
-    ("wavefront", 2),
-    ("wavefront", 16),
-]
+#: (fusion, wavefront_tile): the per-gate kernels per step and in a tile,
+#: the stacked ones in a mid-size tile and in one ≥T (one tile per chain)
+FUSION_CONFIGS = [("off", None), ("off", 2), ("gates", 2), ("gates", 16)]
 
 
 def conformance_spec(cell="lstm", head="many_to_one", merge_mode="sum"):
@@ -180,11 +174,10 @@ def _conf_case_id(case):
     ]
     if case.get("fused", "off") == "on":
         bits.append(f"pb{case['proj_block']}")
-    fusion = case.get("fusion", "gates")
-    if fusion == "wavefront":
+    if case.get("fusion", "gates") != "gates":
+        bits.append(case["fusion"])
+    if case.get("wavefront_tile"):
         bits.append(f"wt{case['wavefront_tile']}")
-    elif fusion != "gates":
-        bits.append(fusion)
     if case.get("merge_mode", "sum") != "sum":
         bits.append(case["merge_mode"])
     if case.get("momentum"):
@@ -236,7 +229,7 @@ _PROJECTION_TIER1 = [
 
 PROJECTION_SWEEP = _sweep(_PROJECTION_CASES, _PROJECTION_TIER1)
 
-#: every fusion-ladder configuration, composed with chunking (mbs=2) and
+#: every kernel/tile configuration, composed with chunking (mbs=2) and
 #: projection hoisting (pb=2; ``fusion="off"`` forces hoisting off in the
 #: builder, exercising that interaction too)
 _FUSION_CASES = [
@@ -254,9 +247,9 @@ _FUSION_TIER1 = [
     for fusion, wt in FUSION_CONFIGS
 ] + [
     dict(cell="gru", head="many_to_many", training=False, mbs=2,
-         fused="on", proj_block=2, fusion="wavefront", wavefront_tile=2),
+         fused="on", proj_block=2, fusion="gates", wavefront_tile=2),
     dict(cell="gru", head="many_to_many", training=True, mbs=2,
-         fused="on", proj_block=2, fusion="gates+act", wavefront_tile=None),
+         fused="on", proj_block=2, fusion="off", wavefront_tile=2),
 ]
 
 FUSION_SWEEP = _sweep(_FUSION_CASES, _FUSION_TIER1)
@@ -274,7 +267,7 @@ _RULE_BRANCH_CASES = [
     dict(cell="gru", head="many_to_many", training=True, mbs=2,
          fused="on", proj_block=2, barrier_free=False),
     dict(cell="lstm", head="many_to_one", training=True, mbs=2,
-         fusion="wavefront", wavefront_tile=2, barrier_free=False, serialize_chunks=True),
+         wavefront_tile=2, barrier_free=False, serialize_chunks=True),
 ]
 
 RULE_BRANCH_SWEEP = _sweep(_RULE_BRANCH_CASES, _RULE_BRANCH_CASES)

@@ -285,7 +285,7 @@ def test_unfused_weight_gradient_serialises_backward_chain():
 
 def test_cell_step_is_a_chain_tile_of_one():
     """One cell-chain emitter per pass direction: a default-mode cell task
-    is a tile of exactly one step, and a wavefront build cuts the same
+    is a tile of exactly one step, and ``wavefront_tile`` cuts the same
     chain into longer tiles, ragged last tile included, bit for bit."""
     families = [f.split("@")[0] for f in FAMILIES]
     assert families.count("cell") == 1 and families.count("cell_bwd") == 1
@@ -297,7 +297,7 @@ def test_cell_step_is_a_chain_tile_of_one():
     cells = [t for t in default.last_result.graph if t.kind in ("cell", "cell_bwd")]
     assert cells and all(t.meta["hi"] - t.meta["lo"] == 1 for t in cells)
 
-    wave = engine(spec, "wavefront", wavefront_tile=3)
+    wave = engine(spec, "gates", wavefront_tile=3)
     loss, logits, grads = wave.loss_and_grads(x, labels)
     tiles = {
         (t.meta["lo"], t.meta["hi"])

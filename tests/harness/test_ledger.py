@@ -80,8 +80,8 @@ def _failed(errors, bar: Bar) -> bool:
 
 # -- the committed records ---------------------------------------------------------
 
-def test_there_are_seven_baselines():
-    assert len(BASELINES) == 7
+def test_there_are_six_baselines():
+    assert len(BASELINES) == 6
 
 
 @pytest.mark.parametrize("path", BASELINES, ids=lambda p: Path(p).stem)
@@ -207,7 +207,7 @@ def test_unknown_bench_name_is_one_schema_error(capsys, tmp_path):
 
 
 def test_envelope_is_validated_once_for_every_suite(capsys, tmp_path):
-    report = _baseline("fused_projection")
+    report = _baseline("fusion")
     report["schema_version"] = 2
     (line,) = _schema_errors(capsys, _write(tmp_path, report))
     assert "schema_version 2" in line
@@ -218,9 +218,9 @@ def test_envelope_is_validated_once_for_every_suite(capsys, tmp_path):
 
 def test_missing_key_names_the_dotted_path(capsys, tmp_path):
     report = _baseline("fusion")
-    del report["results"]["sim"]["gates+act"]["cp_ratio"]
+    del report["results"]["sim"]["tiled"]["cp_ratio"]
     (line,) = _schema_errors(capsys, _write(tmp_path, report))
-    assert "missing key 'sim.gates+act.cp_ratio'" in line
+    assert "missing key 'sim.tiled.cp_ratio'" in line
 
 
 def test_bool_is_not_a_number(capsys, tmp_path):

@@ -142,8 +142,8 @@ def test_gate_gemm_conservation(cell):
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_fwd_splits_into_gemm_plus_pointwise(cell):
-    """``fusion="gates+act"`` moves activations in-payload; the GEMM +
-    pointwise split must reconstitute the forward total exactly."""
+    """The GEMM + pointwise split must reconstitute the forward total
+    exactly."""
     fwd, *_ = FNS[cell]
     gate_gemm, fwd_pw, _ = FUSION_FNS[cell]
     assert gate_gemm(B, I, H) + fwd_pw(B, H) == fwd(B, I, H)

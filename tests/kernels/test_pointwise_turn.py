@@ -9,6 +9,7 @@ threaded through, with their new operand order and in-place activations,
 still compute the same bits.
 """
 
+import functools
 import os
 import sys
 import threading
@@ -29,14 +30,28 @@ from tests.serve.test_engine_compile import make_batch as make_serve_batch
 
 CELLS = ("lstm", "gru", "rnn")
 GATES = {"lstm": 4, "gru": 3, "rnn": 1}
+
+
+def _forward_paths(stacked):
+    """Both paths of a stacked forward kernel: ``stacked`` keeps a cache of
+    contiguous gates, ``act`` (``need_cache=False``) activates in place."""
+    return {"stacked": stacked, "act": functools.partial(stacked, need_cache=False)}
+
+
 TABLES = {
-    "fwd": cells._FWD_STEP,
-    "bwd": cells._BWD_STEP,
-    "fwd_proj": cells._FWD_STEP_PROJ,
+    "fwd": {
+        cell: {"unfused": by_fusion["off"], **_forward_paths(by_fusion["gates"])}
+        for cell, by_fusion in cells._FWD_STEP.items()
+    },
+    "bwd": {
+        cell: {"unfused": by_fusion["off"], "stacked": by_fusion["gates"]}
+        for cell, by_fusion in cells._BWD_STEP.items()
+    },
+    "fwd_proj": {cell: _forward_paths(fn) for cell, fn in cells._FWD_STEP_PROJ.items()},
     "bwd_proj": {cell: {"stacked": fn} for cell, fn in cells._BWD_STEP_PROJ.items()},
 }
 
-#: every kernel behind ``models/cells.py``'s dispatch tables
+#: every kernel behind ``models/cells.py``'s dispatch tables, on every path
 KERNELS = [
     pytest.param(cell, table, fn, id=f"{cell}-{table}-{mode}")
     for cell in CELLS
@@ -58,8 +73,8 @@ class Operands:
         self.x, self.h, self.c = draw(rows, input_size), draw(rows, hidden), draw(rows, hidden)
         self.dh, self.dc = draw(rows, hidden), draw(rows, hidden)
         self.cache = {
-            "bwd": self.call("fwd", cells._FWD_STEP[cell]["stacked"])[-1],
-            "bwd_proj": self.call("fwd_proj", cells._FWD_STEP_PROJ[cell]["stacked"])[-1],
+            "bwd": self.call("fwd", cells._FWD_STEP[cell]["gates"])[-1],
+            "bwd_proj": self.call("fwd_proj", cells._FWD_STEP_PROJ[cell])[-1],
         }
 
     def call(self, table, fn, W=None, **swap):
@@ -203,27 +218,28 @@ def test_need_cache_false_returns_no_cache_and_the_same_bits(cell, fusion):
     assert _bits(dropped[:2]) == _bits(kept[:2])
     if fusion != "off":  # the unfused baseline never composes with hoisting
         zx = ops.x @ ops.W[: spec.input_size]
-        proj = cells.cell_forward_proj(spec, zx, *operands[1:], False, fusion)
+        proj = cells.cell_forward_proj(spec, zx, *operands[1:], False)
         assert proj[2] is None and _bits(proj[:2]) == _bits(kept[:2])
 
 
+@pytest.mark.parametrize("table", ["fwd", "fwd_proj"])
 @pytest.mark.parametrize("cell", CELLS)
-def test_inference_under_the_default_rung_runs_the_in_place_kernels(monkeypatch, cell):
-    spec = small_spec(cell=cell)
-    ops = Operands(cell, hidden=spec.hidden_size, input_size=spec.input_size)
-    ran = []
-    for table in (cells._FWD_STEP, cells._FWD_STEP_PROJ):
-        for mode, fn in table[cell].items():
-            spy = lambda *a, _fn=fn, _mode=mode: (ran.append(_mode), _fn(*a))[1]
-            monkeypatch.setitem(table[cell], mode, spy)
-    state = (ops.h, ops.c if cell == "lstm" else None, ops.W, ops.b)
-    zx = ops.x @ ops.W[: spec.input_size]
-    cells.cell_forward(spec, ops.x, *state, need_cache=False)
-    cells.cell_forward_proj(spec, zx, *state, need_cache=False)
-    cells.cell_forward(spec, ops.x, *state)
-    cells.cell_forward_proj(spec, zx, *state)
-    cells.cell_forward(spec, ops.x, *state, "off", need_cache=False)
-    assert ran == ["act", "act", "stacked", "stacked", "unfused"]
+def test_what_the_caller_retains_picks_the_activation_path(monkeypatch, cell, table):
+    """``need_cache=False`` activates the pre-activation buffer in place and
+    returns no cache; ``need_cache=True`` keeps per-gate arrays for the
+    backward.  The same ``h`` (and ``c``), bit for bit."""
+    ops = Operands(cell)
+    whole_buffer = []
+    monkeypatch.setattr(
+        sys.modules[f"repro.kernels.{cell}"], "activate_gates_",
+        lambda z, gates: (whole_buffer.append(gates), activate_gates_(z, gates))[1],
+        raising=False,
+    )
+    *kept, cache = ops.call(table, TABLES[table][cell]["stacked"])
+    assert cache is not None and not whole_buffer
+    *dropped, none = ops.call(table, TABLES[table][cell]["act"])
+    assert none is None and _bits(dropped) == _bits(kept)
+    assert whole_buffer == {"lstm": ["ssts"], "gru": ["ss"], "rnn": []}[cell]
 
 
 # -- (4) the recurrent backward GEMM, weights-left -----------------------------
@@ -246,7 +262,7 @@ def test_dh_prev_weights_left_equals_the_old_operand_order(cell, rows):
         old = dz @ W_h.T
     np.testing.assert_allclose(dh_prev, old, rtol=1e-6, atol=1e-6)
     # the per-step kernel takes the same operand order, so the same bits
-    per_step = ops.call("bwd", cells._BWD_STEP[cell]["stacked"])
+    per_step = ops.call("bwd", cells._BWD_STEP[cell]["gates"])
     assert _bits(per_step[1:2]) == _bits([dh_prev])
 
 

@@ -52,7 +52,7 @@ def _assert_bitwise_equal(executor_name, **build_kwargs):
 
 #: one GIL-bound fine-grained config, one hoisted config (its block tasks
 #: read ``h`` slots and the step-0 cache shipped from other workers), one
-#: fused+chunked config, one inference config — the smallest set that
+#: hoisted+tiled config, one inference config — the smallest set that
 #: exercises every transport path (caches, gate grids, merge rows, logits
 #: readback, side-state)
 TIER1_CASES = [
@@ -60,9 +60,9 @@ TIER1_CASES = [
     dict(cell="lstm", head="many_to_one", training=True, mbs=2,
          fused="on", proj_block=2, fusion="gates"),
     dict(cell="gru", head="many_to_many", training=True, mbs=2,
-         fused="on", proj_block=2, fusion="wavefront", wavefront_tile=2),
+         fused="on", proj_block=2, fusion="gates", wavefront_tile=2),
     dict(cell="lstm", head="many_to_many", training=False, mbs=2,
-         fusion="gates+act"),
+         fusion="gates"),
 ]
 
 
@@ -70,6 +70,7 @@ TIER1_CASES = [
 @pytest.mark.parametrize(
     "case", TIER1_CASES,
     ids=[f"{c['cell']}-{c['fusion']}-{'train' if c['training'] else 'fwd'}"
+         + (f"-wt{c['wavefront_tile']}" if "wavefront_tile" in c else "")
          for c in TIER1_CASES],
 )
 def test_tier1_substrates_match_threaded(executor_name, case):
@@ -116,7 +117,7 @@ def test_executor_matrix_hoisted_train_step(executor_matrix, cell):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fusion,wavefront_tile", [("gates", None), ("wavefront", 2)])
+@pytest.mark.parametrize("fusion,wavefront_tile", [("gates", None), ("off", 2)])
 def test_process_compiled_replay_bitwise(fusion, wavefront_tile):
     """Static replay of a compiled plan on worker processes is bitwise
     identical to a dynamic threaded schedule (the serving warm path)."""

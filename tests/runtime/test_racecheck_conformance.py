@@ -8,7 +8,7 @@ This is the dynamic proof that the ``in``/``out``/``inout`` annotations —
 the entire correctness basis of the barrier-free runtime — are complete
 for LSTM/GRU × many-to-one/many-to-many × inference/training ×
 data-parallel chunking × the fused input-projection path at every block
-size, and × the fusion-policy ladder, plus the handful of builds that
+size, and × chain tiles under both kernels, plus the handful of builds that
 reach the remaining access-rule branches (``RULE_BRANCH_SWEEP``: ``mul``
 merges, momentum, per-layer barriers, B-Seq).
 

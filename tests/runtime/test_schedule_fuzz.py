@@ -13,7 +13,7 @@ The same sweep runs against the multiprocess backend: schedule fuzzing
 over worker *processes* additionally proves the shared-memory transport
 is schedule-independent (no import/export ordering assumption survives
 20 permuted schedules).  A second golden fixture
-(``mp_blstm_train_schedule.json``, a wavefront-fusion build — the
+(``mp_blstm_train_schedule.json``, a build with two-step chain tiles — the
 GIL-bound shape the process executor exists for) is replayed on the
 process backend.  Note the scheduler machinery itself needed no changes
 for this: schedulers key locality and steal accounting on caller-passed
@@ -52,8 +52,8 @@ _FIXTURE_DIR = os.path.join(
 )
 FIXTURE = os.path.join(_FIXTURE_DIR, "blstm_train_schedule.json")
 
-#: the multiprocess golden: a fuzzed schedule of the GIL-bound
-#: wavefront-fusion train step, replayed on worker processes
+#: the multiprocess golden: a fuzzed schedule of the GIL-bound tiled
+#: train step, replayed on worker processes
 MP_FIXTURE = os.path.join(_FIXTURE_DIR, "mp_blstm_train_schedule.json")
 
 #: seed of the fuzzed schedule frozen in the fixtures
@@ -84,10 +84,9 @@ def _grad_bytes(result):
 
 
 def _mp_fixture_build():
-    """The GIL-bound wavefront-fusion train step the mp fixture records."""
+    """The GIL-bound tiled train step the mp fixture records."""
     return build_functional(
-        cell="lstm", head="many_to_one", training=True, mbs=2,
-        fusion="wavefront", wavefront_tile=2,
+        cell="lstm", head="many_to_one", training=True, mbs=2, wavefront_tile=2,
     )
 
 

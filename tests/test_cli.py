@@ -80,7 +80,7 @@ def test_analyze_command_emits_valid_bench_json(capsys, tmp_path):
 
 _TINY = ["--hidden", "5", "--layers", "2", "--input-size", "6",
          "--seq-len", "8", "--batch", "4", "--mbs", "2"]
-_WAVEFRONT = ["--fusion", "wavefront", "--wavefront-tile", "4"]
+_WAVEFRONT = ["--wavefront-tile", "4"]  # on its own: no --fusion value switches tiling on
 
 
 def _task_count(capsys, argv):
@@ -98,12 +98,14 @@ def test_analyze_command_builds_the_graph_the_fusion_flags_name(capsys, tmp_path
     tiled = _task_count(capsys, ["analyze", *_TINY, *_WAVEFRONT, "--output", str(out_file)])
     assert tiled < _task_count(capsys, ["analyze", *_TINY])  # 2 tiles per chain, not 8 steps
     config = load_report(str(out_file))["config"]
-    assert (config["fusion"], config["wavefront_tile"]) == ("wavefront", 4)
+    assert (config["fusion"], config["wavefront_tile"]) == ("gates", 4)
 
 
 def test_racecheck_command_builds_the_graph_the_structural_flags_name(capsys):
     steps = _task_count(capsys, ["racecheck", *_TINY])
-    assert _task_count(capsys, ["racecheck", *_TINY, *_WAVEFRONT]) < steps
+    # 8 steps in tiles of 4: each of the 2 layers x 2 directions x 2 chunks x
+    # (forward, backward) chains shrinks from 8 cell tasks to 2
+    assert steps - _task_count(capsys, ["racecheck", *_TINY, *_WAVEFRONT]) == 16 * (8 - 2)
     # per-layer barriers add barrier tasks; B-Seq adds the per-chunk serial regions
     barriered = ["racecheck", *_TINY, "--barriers", "--serialize-chunks"]
     assert _task_count(capsys, barriered) > steps

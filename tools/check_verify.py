@@ -21,7 +21,7 @@ claim:
 
 Usage::
 
-    PYTHONPATH=src python tools/check_verify.py VERIFY_CERT.json [--min-samples 8] [--min-families 96]
+    PYTHONPATH=src python tools/check_verify.py VERIFY_CERT.json [--min-samples 8] [--min-families N]
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.analysis.verify import full_family_matrix
 from repro.harness.ledger import check_schema, finish, load_report
 
 CERT_FORMAT = "repro.cert.v1"
@@ -63,8 +64,9 @@ def main(argv=None) -> int:
     parser.add_argument("cert", help="repro.cert.v1 certificate JSON")
     parser.add_argument("--min-samples", type=int, default=8,
                         help="least acceptable cross-validation sample count")
-    parser.add_argument("--min-families", type=int, default=96,
-                        help="least acceptable certified-family count")
+    parser.add_argument("--min-families", type=int, default=len(full_family_matrix()),
+                        help="least acceptable certified-family count "
+                             "(default: the whole matrix)")
     args = parser.parse_args(argv)
 
     errors: list = []

@@ -4,20 +4,23 @@ The equivalence instrument for refactors of ``core/graph_builder.py``: run it
 against the parent commit's ``src`` and the change's; equal lines mean the
 builder emits the same graphs and the same numbers.  Every matrix prints one
 line per ``fused_input_projection`` half, so a change to the hoisted graphs
-(``on``) can show that it left the per-step graphs (``off``) alone.  Per
-config one record goes into the digest: every task's name, kind, family id,
-ordered ``in``/``out``/``inout`` keys, flops and ``meta``; every region's
-``nbytes``/``streaming``/``home``; the successor lists; the simulated
-makespan of the cost-only graph (8 cores of the paper machine, locality
-scheduler); and, from a functional build run serially, logits, loss, every
+(``on``) can show that it left the per-step graphs (``off``) alone, and every
+line carries two digests, so a change to what a graph is called or annotated
+with can show that it left the numbers alone.  Per config the *structure*
+digest takes every task's name, kind, family id, ordered ``in``/``out``/
+``inout`` keys, flops and ``meta``; every region's ``nbytes``/``streaming``/
+``home``; the successor lists; and the simulated makespan of the cost-only
+graph (8 cores of the paper machine, locality scheduler).  The *numerics*
+digest takes, from a functional build run serially, logits, loss, every
 per-chunk gradient and the updated weights and velocity.
 
 Three matrices (T=7, batch=6, mbs=2; ``mbs=3`` on the variants' B-Seq rows):
 
-* ``matrix144``: 3 cells x 2 heads x {off, gates, gates+act} x projection
-  on/off x barrier-free/barriered x fwd/train;
-* ``wavefront``: 2 cells x 2 heads x tile {default, 1, 3} x projection on/off
-  x barrier-free/barriered x fwd/train (96);
+* ``matrix96``: 3 cells x 2 heads x {off, gates} x projection on/off x
+  barrier-free/barriered x fwd/train, per-step;
+* ``tiled``: 2 cells x 2 heads x {gates at tile 1, 3 and 8 (one tile per
+  chain), off at tile 3} x projection on/off (``off`` never hoists: off only)
+  x barrier-free/barriered x fwd/train (112);
 * ``variants``: 3 cells x merge {mul, concat} x 2 heads x projection on/off x
   {plain, momentum, B-Seq, momentum + B-Seq}, training (96).
 
@@ -40,20 +43,22 @@ SEQ_LEN, BATCH = 7, 6
 CELLS, HEADS = ("lstm", "gru", "rnn"), ("many_to_one", "many_to_many")
 
 
-def _matrix144():
+def _matrix96():
     for cell, head, fusion, fused, free, training in product(
-        CELLS, HEADS, ("off", "gates", "gates+act"), ("on", "off"), (True, False), (False, True)
+        CELLS, HEADS, ("off", "gates"), ("on", "off"), (True, False), (False, True)
     ):
         yield dict(cell=cell, head=head, fusion=fusion, fused=fused,
                    barrier_free=free, training=training)
 
 
-def _wavefront():
-    for cell, head, tile, fused, free, training in product(
-        CELLS[:2], HEADS, (None, 1, 3), ("on", "off"), (True, False), (False, True)
+def _tiled():
+    for cell, head, (fusion, tile), fused, free, training in product(
+        CELLS[:2], HEADS, (("gates", 1), ("gates", 3), ("gates", 8), ("off", 3)),
+        ("on", "off"), (True, False), (False, True)
     ):
-        yield dict(cell=cell, head=head, fusion="wavefront", wavefront_tile=tile,
-                   fused=fused, barrier_free=free, training=training)
+        if (fusion, fused) != ("off", "on"):
+            yield dict(cell=cell, head=head, fusion=fusion, wavefront_tile=tile,
+                       fused=fused, barrier_free=free, training=training)
 
 
 def _variants():
@@ -65,7 +70,7 @@ def _variants():
                    serialize_chunks=bseq, mbs=3 if bseq else 2)
 
 
-MATRICES = {"matrix144": _matrix144, "wavefront": _wavefront, "variants": _variants}
+MATRICES = {"matrix96": _matrix96, "tiled": _tiled, "variants": _variants}
 
 
 def _build(cfg, functional):
@@ -119,17 +124,18 @@ def _numerics(built, h) -> None:
                 h.update(array.tobytes())
 
 
-def digest(configs) -> str:
-    h = hashlib.sha256()
+def digest(configs) -> tuple:
+    """``(structure digest, numerics digest)`` of ``configs``."""
+    structure, numerics = hashlib.sha256(), hashlib.sha256()
     sim = SimulatedExecutor(xeon_8160_2s(), n_cores=8, persistent_cache=False)
     for cfg in configs:
         cost_only = _build(cfg, functional=False)
-        h.update(_structure(cost_only).encode())
-        h.update(repr(sim.run(cost_only.graph).makespan).encode())
+        structure.update(_structure(cost_only).encode())
+        structure.update(repr(sim.run(cost_only.graph).makespan).encode())
         functional = _build(cfg, functional=True)
-        h.update(_structure(functional).encode())
-        _numerics(functional, h)
-    return h.hexdigest()[:16]
+        structure.update(_structure(functional).encode())
+        _numerics(functional, numerics)
+    return structure.hexdigest()[:16], numerics.hexdigest()[:16]
 
 
 def main() -> None:
@@ -137,7 +143,9 @@ def main() -> None:
         configs = list(matrix())
         for fused in ("off", "on"):
             half = [cfg for cfg in configs if cfg["fused"] == fused]
-            print(f"{name} proj={fused} {len(half)} configs digest {digest(half)}")
+            structure, numerics = digest(half)
+            print(f"{name} proj={fused} {len(half)} configs "
+                  f"structure {structure} numerics {numerics}")
 
 
 if __name__ == "__main__":
