@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.models.cells import cell_bwd_flops, cell_fwd_flops
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELLS, BRNNSpec
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.task import INTERLEAVED_HOME, RegionSpace
@@ -99,7 +99,7 @@ class FrameworkCPUEngine:
         g = TaskGraph()
         rs = RegionSpace()
         isz = np.dtype(spec.dtype).itemsize
-        act_bytes = batch * spec.hidden_size * isz * (2 if spec.cell == "lstm" else 1)
+        act_bytes = batch * spec.hidden_size * isz * CELLS[spec.cell].state_arrays
 
         def w_region(layer: int, direction: str):
             (wr, wc), (bn,) = spec.cell_param_shapes(layer)

@@ -169,11 +169,3 @@ class BParEngine:
         """Loss + combined gradients without updating weights (for tests)."""
         result = self._run(x, labels=labels, update_weights=False)
         return result.mean_loss(), result.logits(), result.combined_grads()
-
-    # -- cost-only graphs (simulated timing studies) ------------------------------
-
-    def build_cost_graph(
-        self, seq_len: int, batch: int, training: bool = True
-    ) -> GraphBuildResult:
-        """Annotation-only graph of one batch for the simulated executor."""
-        return self._build(seq_len=seq_len, batch=batch, training=training)

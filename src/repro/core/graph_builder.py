@@ -60,7 +60,7 @@ from repro.models.cells import (
     cell_proj_flops,
 )
 from repro.models.params import BRNNParams
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELLS, BRNNSpec
 from repro.core.access_spec import AccessContext, expected_access
 from repro.core.state import ChunkState
 from repro.core.symbolic import Affine, Extent, Interval
@@ -71,9 +71,6 @@ from repro.runtime.task import INTERLEAVED_HOME, Region, RegionSpace
 #: enough that downstream cells start long before the whole sequence is
 #: projected, large enough that each block is still one efficient GEMM.
 DEFAULT_PROJ_BLOCK = 16
-
-#: Gate-preactivation width multiplier per cell type (``zx`` is ``(B, G·H)``).
-_GATE_MULT = {"lstm": 4, "gru": 3, "rnn": 1}
 
 #: Region kinds whose storage is *lazily materialised* by payloads
 #: (``state.h_f[l][s] = h`` and friends) rather than preallocated.  Under a
@@ -331,9 +328,8 @@ class GraphBuildResult:
         spec = self.spec
         H, I0, M = Affine.sym("H"), Affine.sym("I0"), Affine.sym("M")
         C, isz = Affine.sym("C"), Affine.sym("isz")
-        G = _GATE_MULT[spec.cell]
-        state_mult = 2 if spec.cell == "lstm" else 1
-        cache_mult = {"lstm": 7, "gru": 5, "rnn": 2}[spec.cell]
+        cell = CELLS[spec.cell]
+        G = cell.gates
         T = self.seq_len
 
         def b(mb: int) -> Affine:
@@ -368,7 +364,9 @@ class GraphBuildResult:
             return own(key, (M * C + C) * isz)
         if kind in ("h", "dh", "cache", "zx", "dz"):
             _, mb, layer, d, idx = key
-            mult = {"h": state_mult, "dh": state_mult, "cache": cache_mult}.get(kind, G)
+            mult = {
+                "h": cell.state_arrays, "dh": cell.state_arrays, "cache": cell.cache_arrays
+            }.get(kind, G)
             size = Affine.const(mult) * b(mb) * H * isz
             return slot(("slots", kind, mb, layer), idx if d == "fwd" else T + idx, size)
         if kind in ("m", "dm"):
@@ -560,7 +558,9 @@ class _Builder:
         if wavefront_tile is not None and wavefront_tile < 1:
             raise ValueError("wavefront_tile must be >= 1")
         self.fusion = fusion
-        self.gate_mult = _GATE_MULT[spec.cell]
+        cell = CELLS[spec.cell]
+        #: gate-preactivation width multiplier (``zx`` is ``(B, G·H)``)
+        self.gate_mult = cell.gates
         # Every cell chain is cut into tiles of consecutive steps, one task
         # per tile: a single step (the paper's task per cell update) unless
         # ``wavefront_tile`` asks for longer tiles.
@@ -588,14 +588,14 @@ class _Builder:
         self.interned = {}
         self.isz = np.dtype(spec.dtype).itemsize
         H, M, C = spec.hidden_size, spec.merged_size, spec.num_classes
-        state = (2 if spec.cell == "lstm" else 1) * H  # h (+ c for LSTM)
+        state = cell.state_arrays * H  # h (+ c for LSTM)
         #: elements per sample of each per-chunk activation kind: the
         #: use-once (streaming) regions, sized by their chunk's batch
         self.row_width = {
             "x": spec.input_size,
             "zx": self.gate_mult * H, "dz": self.gate_mult * H,
             "h": state, "dh": state,
-            "cache": {"lstm": 7, "gru": 5, "rnn": 2}[spec.cell] * H,
+            "cache": cell.cache_arrays * H,
             "m": M, "dm": M, "mlast": M, "dmlast": M,
             "logits": C, "dlogits": C,
         }

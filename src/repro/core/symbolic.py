@@ -2,7 +2,7 @@
 
 The graph builder names every region with a structured key (``("h", mb,
 layer, dir, step)`` …) and sizes it with an *affine* expression in the
-model dimensions: a chunk's hidden state is ``state_mult · b_mb · H ·
+model dimensions: a chunk's hidden state is ``state_arrays · b_mb · H ·
 itemsize`` bytes, a weight panel ``(I_l + H) · G·H · itemsize``, and so
 on.  This module gives those expressions a first-class form so the
 symbolic verifier (:mod:`repro.analysis.verify`) can prove storage facts

@@ -51,7 +51,7 @@ from repro.models.cells import (
     cell_fwd_pointwise_flops,
     cell_gate_gemm_flops,
 )
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELLS, BRNNSpec
 from repro.runtime.simexec import SimulatedExecutor
 from repro.simarch.costmodel import CostModel
 from repro.simarch.presets import xeon_8160_2s
@@ -196,8 +196,7 @@ def gate_flops_conservation(spec: BRNNSpec, batch: int) -> bool:
     for layer in range(spec.num_layers):
         stacked = cell_gate_gemm_flops(spec, batch, layer)
         per_gate = cell_gate_gemm_flops(spec, batch, layer, n_gates=1)
-        gates = {"lstm": 4, "gru": 3, "rnn": 1}[spec.cell]
-        if per_gate * gates != stacked:
+        if per_gate * CELLS[spec.cell].gates != stacked:
             return False
         total = stacked + cell_fwd_pointwise_flops(spec, batch)
         if total != cell_fwd_flops(spec, batch, layer):

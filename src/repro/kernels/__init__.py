@@ -7,8 +7,8 @@ which is what makes bitwise output equality between the two achievable.
 """
 
 from repro.kernels.activations import dsigmoid, dtanh, sigmoid, tanh
-from repro.kernels.lstm import LSTMCache, lstm_backward_step, lstm_forward_step, lstm_param_shapes
-from repro.kernels.gru import GRUCache, gru_backward_step, gru_forward_step, gru_param_shapes
+from repro.kernels.lstm import LSTMCache, lstm_backward_step, lstm_forward_step
+from repro.kernels.gru import GRUCache, gru_backward_step, gru_forward_step
 from repro.kernels.merge import MERGE_MODES, merge_backward, merge_forward, merge_output_dim
 from repro.kernels.dense import dense_backward, dense_forward
 from repro.kernels.losses import mse_loss, softmax_cross_entropy
@@ -22,11 +22,9 @@ __all__ = [
     "LSTMCache",
     "lstm_forward_step",
     "lstm_backward_step",
-    "lstm_param_shapes",
     "GRUCache",
     "gru_forward_step",
     "gru_backward_step",
-    "gru_param_shapes",
     "MERGE_MODES",
     "merge_forward",
     "merge_backward",

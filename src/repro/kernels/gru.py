@@ -18,83 +18,6 @@ from repro.kernels import activations
 from repro.kernels.activations import activate_gates_, dsigmoid, dtanh, sigmoid, tanh
 
 
-def gru_param_shapes(input_size: int, hidden_size: int) -> Tuple[Tuple[int, int], Tuple[int]]:
-    """Shapes of the fused weight matrix and bias: ((I+H, 3H), (3H,))."""
-    return (input_size + hidden_size, 3 * hidden_size), (3 * hidden_size,)
-
-
-def gru_gate_gemm_flops(
-    batch: int, input_size: int, hidden_size: int, n_gates: Optional[int] = None
-) -> float:
-    """GEMM flops of ``n_gates`` gate pre-activations (default: all three).
-
-    ``3 × gru_gate_gemm_flops(..., n_gates=1) == gru_gate_gemm_flops(...)``
-    holds exactly — the fusion pass's conservation contract.
-    """
-    g = 3 if n_gates is None else n_gates
-    return 2.0 * batch * (input_size + hidden_size) * g * hidden_size
-
-
-def gru_fwd_pointwise_flops(batch: int, hidden_size: int) -> float:
-    """Elementwise flops of one forward cell update."""
-    return 13.0 * batch * hidden_size
-
-
-def gru_bwd_pointwise_flops(batch: int, hidden_size: int) -> float:
-    """Elementwise flops of one backward cell update."""
-    return 28.0 * batch * hidden_size
-
-
-def gru_fwd_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """Floating-point operations of one forward cell update."""
-    return gru_gate_gemm_flops(batch, input_size, hidden_size) + gru_fwd_pointwise_flops(
-        batch, hidden_size
-    )
-
-
-def gru_bwd_data_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """Data-gradient GEMMs of one backward cell update (``dx``, ``drh``, ``dh_prev``)."""
-    return 2.0 * batch * (input_size + hidden_size) * 3 * hidden_size
-
-
-def gru_bwd_weight_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """Weight-gradient GEMMs of one backward cell update (the four ``dW`` blocks)."""
-    return 2.0 * batch * (input_size + hidden_size) * 3 * hidden_size
-
-
-def gru_bwd_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """Floating-point operations of one backward cell update (≈2× forward)."""
-    return (
-        gru_bwd_data_flops(batch, input_size, hidden_size)
-        + gru_bwd_weight_flops(batch, input_size, hidden_size)
-        + gru_bwd_pointwise_flops(batch, hidden_size)
-    )
-
-
-def gru_proj_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """One timestep's share of the hoisted input projection ``X_t @ W_x``."""
-    return 2.0 * batch * input_size * 3 * hidden_size
-
-
-def gru_fwd_step_proj_flops(batch: int, hidden_size: int) -> float:
-    """Forward flops of the shrunken cell step (recurrent GEMMs + elementwise)."""
-    return 2.0 * batch * hidden_size * 3 * hidden_size + 13.0 * batch * hidden_size
-
-
-def gru_bwd_step_proj_flops(batch: int, hidden_size: int) -> float:
-    """Backward flops of the shrunken cell step (recurrent data GEMMs + elementwise)."""
-    return 2.0 * batch * hidden_size * 3 * hidden_size + 28.0 * batch * hidden_size
-
-
-def gru_proj_bwd_flops(
-    batch: int, input_size: int, hidden_size: int, need_dx: bool = True
-) -> float:
-    """One timestep's share of the hoisted backward: the whole weight-gradient
-    panel (``X^T·dZ``, ``H_prev^T·dZ_zr``, ``RH^T·da``) (+ ``dX = dZ·W_x^T``)."""
-    panel = 2.0 * batch * (input_size + hidden_size) * 3 * hidden_size
-    return panel + (2.0 * batch * input_size * 3 * hidden_size if need_dx else 0.0)
-
-
 @dataclass
 class GRUCache:
     """Forward activations retained for the backward pass."""
@@ -135,33 +58,52 @@ def gru_forward_step(
 ) -> Tuple[np.ndarray, Optional[GRUCache]]:
     """One GRU cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``;
     with ``need_cache=False`` (inference) the gates are activated in place
-    and the cache is ``None``.
-
-    Two pointwise stretches, one on each side of the candidate's recurrent
-    GEMM, which has to wait for the reset gate.
+    and the cache is ``None``.  This is :func:`gru_forward_step_proj` fed the
+    input projection of a block of one timestep, so the two agree bitwise
+    whatever BLAS does.
     """
-    input_size = x.shape[1]
-    hidden = h_prev.shape[1]
+    h, cache = gru_forward_step_proj(x @ W[: x.shape[1]], h_prev, W, b, need_cache)
+    if cache is not None:
+        cache.x = x
+    return h, cache
+
+
+def _backward_chain(
+    dh: np.ndarray, cache: GRUCache, W: np.ndarray, db: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What the recurrence waits for: ``(dz (B, 3H), dh_prev)``, ``dz``
+    columns ``[dz_zr | da]`` matching the fused weight layout.
+
+    Two pointwise stretches around the candidate's recurrent data GEMM, then
+    the update/reset one; both run weights-left (``(W_h·dZ^T)^T``), the
+    operand order BLAS is fast at on a few rows.  Adds ``Σdz`` to ``db`` when
+    the caller accumulates the bias gradient per step (a few-row reduction,
+    so it rides in the turn).
+    """
+    hidden = cache.h_prev.shape[1]
+    input_size = W.shape[0] - hidden
     two_h = 2 * hidden
 
-    zr = x @ W[:input_size, :two_h]
-    zr_h = h_prev @ W[input_size:, :two_h]
-    a = x @ W[:input_size, two_h:]
     with activations.pointwise_turn:
-        zr += zr_h
-        zr += b[:two_h]
-        z, r = _activate(zr, hidden, need_cache)
-        rh = r * h_prev
+        dz_gate = dh * (cache.hbar - cache.h_prev)
+        dhbar = dh * cache.z
+        dh_prev = dh * (1.0 - cache.z)
+        da = dhbar * dtanh(cache.hbar)
 
-    a_h = rh @ W[input_size:, two_h:]
+    drh = (W[input_size:, two_h:] @ da.T).T
     with activations.pointwise_turn:
-        a += a_h
-        a += b[two_h:]
-        hbar = np.tanh(a, out=a)
-        h = z * hbar + (1.0 - z) * h_prev
-    if not need_cache:
-        return h, None
-    return h, GRUCache(x=x, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)
+        dr = drh * cache.h_prev
+        dh_prev += drh * cache.r
+        dz = np.empty((dh.shape[0], 3 * hidden), dtype=dh.dtype)
+        dz[:, :hidden] = dz_gate * dsigmoid(cache.z)
+        dz[:, hidden:two_h] = dr * dsigmoid(cache.r)
+        dz[:, two_h:] = da
+        if db is not None:
+            db += dz.sum(axis=0)
+
+    # a GEMM's own accumulation stays with it, outside the turn
+    dh_prev += (W[input_size:, :two_h] @ dz[:, :two_h].T).T
+    return dz, dh_prev
 
 
 def gru_backward_step(
@@ -173,35 +115,17 @@ def gru_backward_step(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backward of one GRU cell update.
 
-    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``.  The two
-    recurrent data GEMMs run weights-left (``(W_h·dZ^T)^T``), the operand
-    order BLAS is fast at on a few rows.
+    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``.  The
+    input-side products read the candidate and update/reset column blocks of
+    the stacked ``dz`` as views.
     """
     input_size = cache.x.shape[1]
-    hidden = cache.h_prev.shape[1]
-    two_h = 2 * hidden
-    batch = dh.shape[0]
-
-    with activations.pointwise_turn:
-        dz_gate = dh * (cache.hbar - cache.h_prev)
-        dhbar = dh * cache.z
-        dh_prev = dh * (1.0 - cache.z)
-        da = dhbar * dtanh(cache.hbar)
-        db[two_h:] += da.sum(axis=0)
+    two_h = 2 * cache.h_prev.shape[1]
+    dz, dh_prev = _backward_chain(dh, cache, W, db)
+    dzr, da = dz[:, :two_h], dz[:, two_h:]
 
     dx = da @ W[:input_size, two_h:].T
-    drh = (W[input_size:, two_h:] @ da.T).T
-    with activations.pointwise_turn:
-        dr = drh * cache.h_prev
-        dh_prev += drh * cache.r
-        dzr = np.empty((batch, two_h), dtype=dh.dtype)
-        dzr[:, :hidden] = dz_gate * dsigmoid(cache.z)
-        dzr[:, hidden:] = dr * dsigmoid(cache.r)
-        db[:two_h] += dzr.sum(axis=0)
-
-    # a GEMM's own accumulation stays with it, outside the turn
     dx += dzr @ W[:input_size, :two_h].T
-    dh_prev += (W[input_size:, :two_h] @ dzr.T).T
     dW[:input_size, :two_h] += cache.x.T @ dzr
     dW[input_size:, :two_h] += cache.h_prev.T @ dzr
     dW[:input_size, two_h:] += cache.x.T @ da
@@ -219,9 +143,12 @@ def gru_forward_step_proj(
     """One GRU cell update from a precomputed input projection.
 
     ``zx (B, 3H)`` is this timestep's slice of the hoisted ``X @ W[:I]``
-    GEMM.  Bit-identical to :func:`gru_forward_step`: a column slice of the
-    stacked projection equals the per-gate GEMM exactly, and the remaining
-    additions commute.  ``need_cache`` as in :func:`gru_forward_step`.
+    GEMM.  The one forward body of the cell: :func:`gru_forward_step` calls
+    it with its own ``x @ W[:I]``.  ``need_cache`` as there; the cache's
+    ``x`` is ``None`` (the hoisted backward reads the inputs by block).
+
+    Two pointwise stretches, one on each side of the candidate's recurrent
+    GEMM, which has to wait for the reset gate.
     """
     hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
@@ -250,36 +177,10 @@ def gru_backward_step_proj(
     cache: GRUCache,
     W: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Backward of the shrunken cell step: emits ``dz (B, 3H)`` instead of ``dx``.
-
-    ``dz`` columns are ``[dz_zr | da]``, matching the fused weight layout.
-    Keeps the pointwise work and the recurrent data GEMMs behind
-    ``dh_prev`` (weights-left, as in :func:`gru_backward_step`); ``dW``,
-    ``db`` and ``dX`` are the per-block :func:`gru_proj_backward`'s.
-    Returns ``(dz, dh_prev)``.
-    """
-    hidden = cache.h_prev.shape[1]
-    input_size = W.shape[0] - hidden
-    two_h = 2 * hidden
-    batch = dh.shape[0]
-
-    with activations.pointwise_turn:
-        dz_gate = dh * (cache.hbar - cache.h_prev)
-        dhbar = dh * cache.z
-        dh_prev = dh * (1.0 - cache.z)
-        da = dhbar * dtanh(cache.hbar)
-
-    drh = (W[input_size:, two_h:] @ da.T).T
-    with activations.pointwise_turn:
-        dr = drh * cache.h_prev
-        dh_prev += drh * cache.r
-        dz = np.empty((batch, 3 * hidden), dtype=dh.dtype)
-        dz[:, :hidden] = dz_gate * dsigmoid(cache.z)
-        dz[:, hidden:two_h] = dr * dsigmoid(cache.r)
-        dz[:, two_h:] = da
-
-    dh_prev += (W[input_size:, :two_h] @ dz[:, :two_h].T).T
-    return dz, dh_prev
+    """Backward of the shrunken cell step: emits ``dz (B, 3H)`` instead of
+    ``dx``.  ``dW``, ``db`` and ``dX`` are the per-block
+    :func:`gru_proj_backward`'s.  Returns ``(dz, dh_prev)``."""
+    return _backward_chain(dh, cache, W, None)
 
 
 def gru_proj_backward(
@@ -325,7 +226,8 @@ def gru_forward_step_unfused(
 
     The update and reset gates each get their own GEMM pair against their
     column block; the candidate keeps its inherently separate product.
-    Bitwise identical to the stacked kernel (independent GEMM columns).
+    Bitwise the stacked kernel's on the shapes ``tests/core/test_fusion.py``
+    pins; not a BLAS guarantee (docs/TESTING.md).
     """
     input_size = x.shape[1]
     hidden = h_prev.shape[1]

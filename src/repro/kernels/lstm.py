@@ -20,85 +20,6 @@ from repro.kernels import activations
 from repro.kernels.activations import activate_gates_, dsigmoid, dtanh, sigmoid, tanh
 
 
-def lstm_param_shapes(input_size: int, hidden_size: int) -> Tuple[Tuple[int, int], Tuple[int]]:
-    """Shapes of the fused weight matrix and bias: ((I+H, 4H), (4H,))."""
-    return (input_size + hidden_size, 4 * hidden_size), (4 * hidden_size,)
-
-
-def lstm_gate_gemm_flops(
-    batch: int, input_size: int, hidden_size: int, n_gates: Optional[int] = None
-) -> float:
-    """GEMM flops of ``n_gates`` gate pre-activations (default: all four).
-
-    Conservation contract of the fusion pass: the stacked 4-gate GEMM does
-    exactly the arithmetic of the four per-gate GEMMs, so
-    ``4 × lstm_gate_gemm_flops(..., n_gates=1) == lstm_gate_gemm_flops(...)``
-    holds *exactly* (each factor is a small integer product — no rounding).
-    """
-    g = 4 if n_gates is None else n_gates
-    return 2.0 * batch * (input_size + hidden_size) * g * hidden_size
-
-
-def lstm_fwd_pointwise_flops(batch: int, hidden_size: int) -> float:
-    """Elementwise flops of one forward cell update (activations + Eq. 5/6)."""
-    return 14.0 * batch * hidden_size
-
-
-def lstm_bwd_pointwise_flops(batch: int, hidden_size: int) -> float:
-    """Elementwise flops of one backward cell update."""
-    return 30.0 * batch * hidden_size
-
-
-def lstm_fwd_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """Floating-point operations of one forward cell update."""
-    return lstm_gate_gemm_flops(batch, input_size, hidden_size) + lstm_fwd_pointwise_flops(
-        batch, hidden_size
-    )
-
-
-def lstm_bwd_data_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """Data-gradient GEMMs of one backward cell update: ``dx`` and ``dh_prev``."""
-    return 2.0 * batch * (input_size + hidden_size) * 4 * hidden_size
-
-
-def lstm_bwd_weight_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """Weight-gradient GEMMs of one backward cell update: ``X^T·dZ`` and ``H^T·dZ``."""
-    return 2.0 * batch * (input_size + hidden_size) * 4 * hidden_size
-
-
-def lstm_bwd_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """Floating-point operations of one backward cell update (≈2× forward)."""
-    return (
-        lstm_bwd_data_flops(batch, input_size, hidden_size)
-        + lstm_bwd_weight_flops(batch, input_size, hidden_size)
-        + lstm_bwd_pointwise_flops(batch, hidden_size)
-    )
-
-
-def lstm_proj_flops(batch: int, input_size: int, hidden_size: int) -> float:
-    """One timestep's share of the hoisted input projection ``X_t @ W_x``."""
-    return 2.0 * batch * input_size * 4 * hidden_size
-
-
-def lstm_fwd_step_proj_flops(batch: int, hidden_size: int) -> float:
-    """Forward flops of the shrunken cell step (recurrent GEMM + elementwise)."""
-    return 2.0 * batch * hidden_size * 4 * hidden_size + 14.0 * batch * hidden_size
-
-
-def lstm_bwd_step_proj_flops(batch: int, hidden_size: int) -> float:
-    """Backward flops of the shrunken cell step (the ``dh_prev`` GEMM + elementwise)."""
-    return 2.0 * batch * hidden_size * 4 * hidden_size + 30.0 * batch * hidden_size
-
-
-def lstm_proj_bwd_flops(
-    batch: int, input_size: int, hidden_size: int, need_dx: bool = True
-) -> float:
-    """One timestep's share of the hoisted backward: the whole weight-gradient
-    panel ``[X | H_prev]^T·dZ`` (+ ``dX = dZ·W_x^T``)."""
-    panel = 2.0 * batch * (input_size + hidden_size) * 4 * hidden_size
-    return panel + (2.0 * batch * input_size * 4 * hidden_size if need_dx else 0.0)
-
-
 @dataclass
 class LSTMCache:
     """Forward activations retained for the backward pass."""
@@ -160,23 +81,37 @@ def lstm_forward_step(
     Parameters: ``x (B, I)``, ``h_prev (B, H)``, ``c_prev (B, H)``,
     ``W (I+H, 4H)``, ``b (4H,)``.  Returns ``(h, c, cache)``; with
     ``need_cache=False`` (inference) the gates are activated in place and the
-    cache is ``None``.
+    cache is ``None``.  This is :func:`lstm_forward_step_proj` fed the input
+    projection of a block of one timestep, so the two agree bitwise whatever
+    BLAS does.
     """
-    input_size = x.shape[1]
-    hidden = h_prev.shape[1]
-    z = x @ W[:input_size]
-    zh = h_prev @ W[input_size:]
+    h, c, cache = lstm_forward_step_proj(
+        x @ W[: x.shape[1]], h_prev, c_prev, W, b, need_cache
+    )
+    if cache is not None:
+        cache.x = x
+    return h, c, cache
+
+
+def _backward_pointwise(
+    dh: np.ndarray, dc_in: np.ndarray, cache: LSTMCache, db: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The backward's pointwise stretch: ``(dz (B, 4H), dc_prev)``.  Adds
+    ``Σdz`` to ``db`` when the caller accumulates the bias gradient per step
+    (a few-row reduction, so it rides in the same turn)."""
+    hidden = cache.h_prev.shape[1]
     with activations.pointwise_turn:
-        z += zh
-        z += b
-        i, f, g, o = _activate(z, hidden, need_cache)
-        c = f * c_prev
-        c += i * g
-        tc = tanh(c)
-        h = o * tc
-    if not need_cache:
-        return h, c, None
-    return h, c, LSTMCache(x=x, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)
+        do = dh * cache.tc
+        dc = dc_in + dh * cache.o * dtanh(cache.tc)
+        dz = np.empty((dh.shape[0], 4 * hidden), dtype=dh.dtype)
+        dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
+        dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
+        dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
+        dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
+        dc_prev = dc * cache.f
+        if db is not None:
+            db += dz.sum(axis=0)
+    return dz, dc_prev
 
 
 def lstm_backward_step(
@@ -196,19 +131,7 @@ def lstm_backward_step(
     at on a few rows, and a transposed view of the product.
     """
     input_size = cache.x.shape[1]
-    hidden = cache.h_prev.shape[1]
-    batch = dh.shape[0]
-
-    with activations.pointwise_turn:
-        do = dh * cache.tc
-        dc = dc_in + dh * cache.o * dtanh(cache.tc)
-        dz = np.empty((batch, 4 * hidden), dtype=dh.dtype)
-        dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
-        dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
-        dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
-        dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
-        dc_prev = dc * cache.f
-        db += dz.sum(axis=0)
+    dz, dc_prev = _backward_pointwise(dh, dc_in, cache, db)
 
     # the panel-sized accumulations stay outside the turn with their GEMMs:
     # one long ufunc each, which scales with the workers as a GEMM does
@@ -230,11 +153,10 @@ def lstm_forward_step_proj(
     """One LSTM cell update from a precomputed input projection.
 
     ``zx (B, 4H)`` is this timestep's slice of the hoisted ``X @ W[:I]``
-    GEMM; only the recurrent product remains on the critical path.  Result
-    is bit-identical to :func:`lstm_forward_step`: the pre-activation is
-    assembled as ``(H_{t-1}·W_h) + zx + b``, and IEEE addition commutes, so
-    it matches the oracle's ``(X_t·W_x) + H_{t-1}·W_h + b`` exactly.
-    ``need_cache`` as in :func:`lstm_forward_step`.
+    GEMM; only the recurrent product remains on the critical path.  The one
+    forward body of the cell: :func:`lstm_forward_step` calls it with its own
+    ``x @ W[:I]``.  ``need_cache`` as there; the cache's ``x`` is ``None``
+    (the hoisted backward reads the inputs by block).
     """
     hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
@@ -266,20 +188,8 @@ def lstm_backward_step_proj(
     the per-block :func:`lstm_proj_backward`.  Returns ``(dz, dh_prev,
     dc_prev)``.
     """
-    hidden = cache.h_prev.shape[1]
-    input_size = W.shape[0] - hidden
-    batch = dh.shape[0]
-
-    with activations.pointwise_turn:
-        do = dh * cache.tc
-        dc = dc_in + dh * cache.o * dtanh(cache.tc)
-        dz = np.empty((batch, 4 * hidden), dtype=dh.dtype)
-        dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
-        dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
-        dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
-        dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
-        dc_prev = dc * cache.f
-
+    input_size = W.shape[0] - cache.h_prev.shape[1]
+    dz, dc_prev = _backward_pointwise(dh, dc_in, cache, None)
     dh_prev = (W[input_size:] @ dz.T).T
     return dz, dh_prev, dc_prev
 
@@ -300,7 +210,8 @@ def lstm_proj_backward(
     panel in one GEMM, ``dW += [X | H_prev]^T·dZ``, and ``db += ΣdZ``;
     returns ``dX = dZ·W_x^T`` (``None`` unless ``need_dx``).  Sums over the
     block's rows in one reduction where the per-step kernel adds ``K``
-    partial products: equal to rounding, not bitwise.
+    partial products: equal to rounding, not bitwise.  Nothing here knows
+    the gate count, so the basic RNN's blocks call it too.
     """
     dW += np.concatenate((X, H_prev), axis=1).T @ dZ
     db += dZ.sum(axis=0)
@@ -311,11 +222,11 @@ def lstm_proj_backward(
 #
 # One GEMM pair *per gate* against the gate's column block of the stacked
 # weight matrix, activations applied in a separate pass per gate.  Forward is
-# bitwise identical to the stacked kernel (BLAS computes each output-column
-# block of a GEMM independently, so a column slice of ``X·W`` equals
-# ``X·W[:, cols]`` exactly); backward splits the ``dx``/``dh_prev`` reductions
-# across gates, which reassociates the K-dimension sum — gradcheck-exact, not
-# bitwise.
+# bitwise the stacked kernel's on the shapes tests/core/test_fusion.py and
+# test_fused_projection.py pin; not a BLAS guarantee (a column slice of
+# ``X·W`` need not equal ``X·W[:, cols]``: docs/TESTING.md has the shapes where
+# it does not).  Backward splits the ``dx``/``dh_prev`` reductions across
+# gates, which reassociates the K-dimension sum — gradcheck-exact, not bitwise.
 
 
 def lstm_forward_step_unfused(

@@ -13,63 +13,32 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.kernels.gru import (
-    GRUCache,
     gru_backward_step,
     gru_backward_step_proj,
     gru_backward_step_unfused,
-    gru_bwd_flops,
-    gru_bwd_pointwise_flops,
-    gru_bwd_step_proj_flops,
     gru_forward_step,
     gru_forward_step_proj,
     gru_forward_step_unfused,
-    gru_fwd_flops,
-    gru_fwd_pointwise_flops,
-    gru_fwd_step_proj_flops,
-    gru_gate_gemm_flops,
     gru_proj_backward,
-    gru_proj_bwd_flops,
-    gru_proj_flops,
 )
 from repro.kernels.lstm import (
-    LSTMCache,
     lstm_backward_step,
     lstm_backward_step_proj,
     lstm_backward_step_unfused,
-    lstm_bwd_flops,
-    lstm_bwd_pointwise_flops,
-    lstm_bwd_step_proj_flops,
     lstm_forward_step,
     lstm_forward_step_proj,
     lstm_forward_step_unfused,
-    lstm_fwd_flops,
-    lstm_fwd_pointwise_flops,
-    lstm_fwd_step_proj_flops,
-    lstm_gate_gemm_flops,
     lstm_proj_backward,
-    lstm_proj_bwd_flops,
-    lstm_proj_flops,
 )
 from repro.kernels.rnn import (
-    RNNCache,
     rnn_backward_step,
     rnn_backward_step_proj,
     rnn_backward_step_unfused,
-    rnn_bwd_flops,
-    rnn_bwd_pointwise_flops,
-    rnn_bwd_step_proj_flops,
     rnn_forward_step,
     rnn_forward_step_proj,
     rnn_forward_step_unfused,
-    rnn_fwd_flops,
-    rnn_fwd_pointwise_flops,
-    rnn_fwd_step_proj_flops,
-    rnn_gate_gemm_flops,
-    rnn_proj_backward,
-    rnn_proj_bwd_flops,
-    rnn_proj_flops,
 )
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELLS, BRNNSpec
 
 #: The kernel vocabulary (``ExecutionConfig.fusion``, docs/PERF.md): "off",
 #: the per-gate reference kernels, one GEMM pair and one activation pass per
@@ -115,7 +84,8 @@ def cell_forward(
     """One cell update; returns ``(h, c_or_None, cache)``.
 
     ``fusion`` selects the kernels (:data:`FUSION_MODES`); the two forwards
-    are bitwise identical.  ``need_cache=False`` (inference) returns
+    are bitwise on the shapes ``tests/core/test_fusion.py`` pins; not a BLAS
+    guarantee (docs/TESTING.md).  ``need_cache=False`` (inference) returns
     ``cache=None``, and the stacked kernels then activate the gates in place.
     """
     fn = _FWD_STEP[spec.cell][fusion]
@@ -159,10 +129,12 @@ def cell_input_projection(
 
     Stacks the block's inputs into one ``(K·B, I)`` GEMM — the fused-
     projection optimisation — and returns per-timestep ``(B, G·H)`` slices.
-    Bit-identity contract: BLAS computes each row block of a multi-row GEMM
-    exactly as the per-timestep ``(B, I) @ (I, G·H)`` product, *except* for
-    single-row operands, which NumPy dispatches to a different (matvec)
-    kernel — so a batch of 1 falls back to per-timestep products.
+    Each row block equals the per-timestep ``(B, I) @ (I, G·H)`` product
+    bitwise on the shapes ``tests/core/test_fused_projection.py`` pins; not a
+    BLAS guarantee (docs/TESTING.md has shapes where it does not; the
+    per-step graph, ``fused_input_projection="off"``, is the one that is
+    bitwise the oracle everywhere).  Single-row operands go to a different
+    (matvec) kernel, so a batch of 1 falls back to per-timestep products.
     """
     input_size = xs[0].shape[1]
     Wx = W[:input_size]
@@ -237,85 +209,26 @@ def cell_proj_backward(
     X, H_prev, dZ = _stack(xs), _stack(h_prevs), _stack(dzs)
     if spec.cell == "gru":
         dX = gru_proj_backward(X, H_prev, _stack(rhs), dZ, W, dW, db, need_dx)
-    elif spec.cell == "lstm":
+    else:  # one panel GEMM whatever the gate count: the basic RNN's too
         dX = lstm_proj_backward(X, H_prev, dZ, W, dW, db, need_dx)
-    else:
-        dX = rnn_proj_backward(X, H_prev, dZ, W, dW, db, need_dx)
     if dX is None:
         return None
     batch = xs[0].shape[0]
     return [dX[k * batch : (k + 1) * batch] for k in range(len(xs))]
 
 
-_FWD_FLOPS = {"lstm": lstm_fwd_flops, "gru": gru_fwd_flops, "rnn": rnn_fwd_flops}
-_BWD_FLOPS = {"lstm": lstm_bwd_flops, "gru": gru_bwd_flops, "rnn": rnn_bwd_flops}
-_PROJ_FLOPS = {"lstm": lstm_proj_flops, "gru": gru_proj_flops, "rnn": rnn_proj_flops}
-_FWD_STEP_PROJ_FLOPS = {
-    "lstm": lstm_fwd_step_proj_flops,
-    "gru": gru_fwd_step_proj_flops,
-    "rnn": rnn_fwd_step_proj_flops,
-}
-_BWD_STEP_PROJ_FLOPS = {
-    "lstm": lstm_bwd_step_proj_flops,
-    "gru": gru_bwd_step_proj_flops,
-    "rnn": rnn_bwd_step_proj_flops,
-}
-_PROJ_BWD_FLOPS = {
-    "lstm": lstm_proj_bwd_flops,
-    "gru": gru_proj_bwd_flops,
-    "rnn": rnn_proj_bwd_flops,
-}
-_GATE_GEMM_FLOPS = {
-    "lstm": lstm_gate_gemm_flops,
-    "gru": gru_gate_gemm_flops,
-    "rnn": rnn_gate_gemm_flops,
-}
-_FWD_POINTWISE_FLOPS = {
-    "lstm": lstm_fwd_pointwise_flops,
-    "gru": gru_fwd_pointwise_flops,
-    "rnn": rnn_fwd_pointwise_flops,
-}
-_BWD_POINTWISE_FLOPS = {
-    "lstm": lstm_bwd_pointwise_flops,
-    "gru": gru_bwd_pointwise_flops,
-    "rnn": rnn_bwd_pointwise_flops,
-}
+# -- flop counts (the cost model's inputs) -----------------------------------------
+#
+# Every count is a product of small integers, so sums of them are exact and
+# the conservation identities hold with ``==``: hoisting moves the input half
+# of the gate GEMM (forward) and everything but the ``dh_prev`` GEMM
+# (backward) off the chain, it creates and destroys nothing.
 
 
-def cell_fwd_flops(spec: BRNNSpec, batch: int, layer: int) -> float:
-    fn = _FWD_FLOPS[spec.cell]
-    return fn(batch, spec.layer_input_size(layer), spec.hidden_size)
-
-
-def cell_bwd_flops(spec: BRNNSpec, batch: int, layer: int) -> float:
-    fn = _BWD_FLOPS[spec.cell]
-    return fn(batch, spec.layer_input_size(layer), spec.hidden_size)
-
-
-def cell_proj_flops(spec: BRNNSpec, batch: int, layer: int) -> float:
-    """Per-timestep flops of the hoisted forward input projection."""
-    fn = _PROJ_FLOPS[spec.cell]
-    return fn(batch, spec.layer_input_size(layer), spec.hidden_size)
-
-
-def cell_fwd_step_proj_flops(spec: BRNNSpec, batch: int) -> float:
-    """Forward flops of the shrunken (fused-projection) cell step."""
-    return _FWD_STEP_PROJ_FLOPS[spec.cell](batch, spec.hidden_size)
-
-
-def cell_bwd_step_proj_flops(spec: BRNNSpec, batch: int) -> float:
-    """Backward flops of the shrunken (fused-projection) cell step: the
-    ``dh_prev`` GEMM and the pointwise work."""
-    return _BWD_STEP_PROJ_FLOPS[spec.cell](batch, spec.hidden_size)
-
-
-def cell_proj_bwd_flops(
-    spec: BRNNSpec, batch: int, layer: int, need_dx: bool = True
-) -> float:
-    """Per-timestep flops of the hoisted backward (the whole ``dW`` panel
-    and, above layer 0, ``dX``)."""
-    fn = _PROJ_BWD_FLOPS[spec.cell]
-    return fn(batch, spec.layer_input_size(layer), spec.hidden_size, need_dx)
+def _gemm_flops(spec: BRNNSpec, batch: int, rows: int, n_gates: Optional[int] = None) -> float:
+    """``(batch, rows) @ (rows, n_gates·H)``, multiply and add (``None`` = all gates)."""
+    g = CELLS[spec.cell].gates if n_gates is None else n_gates
+    return 2.0 * batch * rows * g * spec.hidden_size
 
 
 def cell_gate_gemm_flops(
@@ -327,18 +240,55 @@ def cell_gate_gemm_flops(
     the stacked total *exactly* — the conservation invariant the fusion
     pass's flops accounting is audited against.
     """
-    fn = _GATE_GEMM_FLOPS[spec.cell]
-    return fn(batch, spec.layer_input_size(layer), spec.hidden_size, n_gates)
+    return _gemm_flops(spec, batch, spec.layer_input_size(layer) + spec.hidden_size, n_gates)
 
 
 def cell_fwd_pointwise_flops(spec: BRNNSpec, batch: int) -> float:
     """Elementwise flops of one forward cell update (activation + state math)."""
-    return _FWD_POINTWISE_FLOPS[spec.cell](batch, spec.hidden_size)
+    return float(CELLS[spec.cell].fwd_pointwise * batch * spec.hidden_size)
 
 
 def cell_bwd_pointwise_flops(spec: BRNNSpec, batch: int) -> float:
     """Elementwise flops of one backward cell update."""
-    return _BWD_POINTWISE_FLOPS[spec.cell](batch, spec.hidden_size)
+    return float(CELLS[spec.cell].bwd_pointwise * batch * spec.hidden_size)
+
+
+def cell_fwd_flops(spec: BRNNSpec, batch: int, layer: int) -> float:
+    """One forward cell update: the stacked gate GEMM and the pointwise work."""
+    return cell_gate_gemm_flops(spec, batch, layer) + cell_fwd_pointwise_flops(spec, batch)
+
+
+def cell_bwd_flops(spec: BRNNSpec, batch: int, layer: int) -> float:
+    """One backward cell update (≈2× forward): the data-gradient GEMMs
+    (``dx``, ``dh_prev``), the weight-gradient GEMMs, each the size of the
+    gate GEMM, and the pointwise work."""
+    return 2 * cell_gate_gemm_flops(spec, batch, layer) + cell_bwd_pointwise_flops(spec, batch)
+
+
+def cell_proj_flops(spec: BRNNSpec, batch: int, layer: int) -> float:
+    """Per-timestep flops of the hoisted forward input projection ``X_t @ W_x``."""
+    return _gemm_flops(spec, batch, spec.layer_input_size(layer))
+
+
+def cell_fwd_step_proj_flops(spec: BRNNSpec, batch: int) -> float:
+    """Forward flops of the shrunken (fused-projection) cell step: the
+    recurrent GEMM and the pointwise work."""
+    return _gemm_flops(spec, batch, spec.hidden_size) + cell_fwd_pointwise_flops(spec, batch)
+
+
+def cell_bwd_step_proj_flops(spec: BRNNSpec, batch: int) -> float:
+    """Backward flops of the shrunken (fused-projection) cell step: the
+    ``dh_prev`` GEMM and the pointwise work."""
+    return _gemm_flops(spec, batch, spec.hidden_size) + cell_bwd_pointwise_flops(spec, batch)
+
+
+def cell_proj_bwd_flops(
+    spec: BRNNSpec, batch: int, layer: int, need_dx: bool = True
+) -> float:
+    """Per-timestep flops of the hoisted backward (the whole ``dW`` panel
+    and, above layer 0, ``dX``)."""
+    panel = cell_gate_gemm_flops(spec, batch, layer)
+    return panel + (cell_proj_flops(spec, batch, layer) if need_dx else 0.0)
 
 
 def zeros_state(spec: BRNNSpec, batch: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:

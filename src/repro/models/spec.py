@@ -2,17 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from repro.kernels.gru import gru_param_shapes
-from repro.kernels.lstm import lstm_param_shapes
-from repro.kernels.rnn import rnn_param_shapes
 from repro.kernels.merge import MERGE_MODES, merge_output_dim
 
-CELL_TYPES = ("lstm", "gru", "rnn")
+
+class CellRow(NamedTuple):
+    """What the cost model, the builder and the parameter store need to know
+    about a cell type beyond its kernels."""
+
+    gates: int  # column blocks of the fused weight matrix: ``W`` is ``(I+H, gates·H)``
+    fwd_pointwise: int  # elementwise flops per hidden unit, forward cell update
+    bwd_pointwise: int  # the same, backward
+    state_arrays: int  # ``(B, H)`` arrays a cell hands to the next step (LSTM: h and c)
+    cache_arrays: int  # ``(B, H)`` arrays the forward retains for the backward
+
+
+#: The only statement of these numbers: parameter shapes, every
+#: ``cells.cell_*_flops`` count and the builder's region widths read it.
+CELLS = {
+    "lstm": CellRow(gates=4, fwd_pointwise=14, bwd_pointwise=30, state_arrays=2, cache_arrays=7),
+    "gru": CellRow(gates=3, fwd_pointwise=13, bwd_pointwise=28, state_arrays=1, cache_arrays=5),
+    "rnn": CellRow(gates=1, fwd_pointwise=3, bwd_pointwise=6, state_arrays=1, cache_arrays=2),
+}
+CELL_TYPES = tuple(CELLS)
 HEAD_TYPES = ("many_to_one", "many_to_many")
 
 
@@ -60,13 +76,10 @@ class BRNNSpec:
         return self.input_size if layer == 0 else self.merged_size
 
     def cell_param_shapes(self, layer: int) -> Tuple[Tuple[int, int], Tuple[int]]:
-        """(W, b) shapes of one direction of ``layer``."""
-        shape_fn = {
-            "lstm": lstm_param_shapes,
-            "gru": gru_param_shapes,
-            "rnn": rnn_param_shapes,
-        }[self.cell]
-        return shape_fn(self.layer_input_size(layer), self.hidden_size)
+        """(W, b) shapes of one direction of ``layer``: the fused weight
+        matrix ``(I+H, G·H)`` and its bias ``(G·H,)``."""
+        cols = CELLS[self.cell].gates * self.hidden_size
+        return (self.layer_input_size(layer) + self.hidden_size, cols), (cols,)
 
     @property
     def head_input_size(self) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import ExecutionConfig
 from repro.core import BParEngine, BSeqEngine, Trainer, accuracy
+from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.runtime import ThreadedExecutor
 from tests.conftest import make_batch, small_spec
@@ -59,8 +60,7 @@ def test_bseq_engine_name_and_serialization(spec):
 
 
 def test_build_cost_graph(spec):
-    e = BParEngine(spec, config=ExecutionConfig(mbs=2))
-    res = e.build_cost_graph(seq_len=6, batch=8, training=True)
+    res = build_brnn_graph(spec, seq_len=6, batch=8, mbs=2, training=True)
     assert not res.functional
     assert len(res.graph) > 0
 

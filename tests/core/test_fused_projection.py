@@ -360,7 +360,10 @@ def test_engines_hoist_by_default_and_the_builder_does_not():
     enough GEMM work per task left for both workers; ``build_brnn_graph``'s
     own default stays the paper's task-per-cell graph."""
     engine = BParEngine(_GEMM, config=ExecutionConfig(executor="threaded", mbs=2))
-    hoisted = engine.build_cost_graph(seq_len=32, batch=64)
+    hoisted = build_brnn_graph(
+        _GEMM, seq_len=32, batch=64, mbs=2,
+        fused_input_projection=engine.fused_input_projection,
+    )
     assert hoisted.fused_layers == [True, True, True]
     assert useful_workers(hoisted.graph, 2) == 2
     per_step = build_brnn_graph(_GEMM, seq_len=32, batch=64, mbs=2)

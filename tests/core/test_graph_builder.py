@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.access_spec import FAMILIES
 from repro.core.graph_builder import _Builder, build_brnn_graph, split_batch
+from repro.models.cells import cell_forward, zeros_state
 from repro.models.params import BRNNParams
+from repro.models.spec import CELLS
 from tests.conftest import make_batch, small_spec
 from tests.core.test_fusion import engine, grads_bitwise
 
@@ -224,6 +226,31 @@ def test_fused_proj_bwd_runs_concurrently_with_cell_backward():
             assert g.unordered(proj, cell_bwd, bits), (
                 f"projBwd@{first_pos} should overlap {direction}Bwd s{step}"
             )
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_state_and_cache_region_widths_are_the_cell_table_rows(cell):
+    """``h``/``dh`` regions are ``state_arrays`` and ``cache`` regions
+    ``cache_arrays`` arrays of ``(B, H)``, and that is what the kernel hands
+    on and retains (the cache's ``x`` is the ``x``/``m`` region's, not its)."""
+    spec = small_spec(cell=cell)
+    B, row = 4, CELLS[cell]
+    res = build_brnn_graph(spec, seq_len=3, batch=B, training=True)
+    array_bytes = B * spec.hidden_size * np.dtype(spec.dtype).itemsize
+    widths = {
+        kind: {r.nbytes for r in res.regions.regions() if r.key[0] == kind}
+        for kind in ("h", "dh", "cache")
+    }
+    assert widths["h"] == widths["dh"] == {row.state_arrays * array_bytes}
+    assert widths["cache"] == {row.cache_arrays * array_bytes}
+
+    params = BRNNParams.initialize(spec, 0)
+    W, b = params.layers[0].fwd.W, params.layers[0].fwd.b
+    x = np.zeros((B, spec.input_size), dtype=spec.dtype)
+    h, c, cache = cell_forward(spec, x, *zeros_state(spec, B), W, b)
+    assert sum(a is not None for a in (h, c)) == row.state_arrays
+    assert cache.nbytes() - x.nbytes == row.cache_arrays * array_bytes
+    assert W.shape[1] == row.gates * spec.hidden_size
 
 
 def test_hoisted_cell_backward_leaves_the_gradient_to_the_block_tasks():

@@ -1,22 +1,21 @@
 """Unit tests for the GRU cell kernels (Eqs. 7-10)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.kernels.initializers import glorot_uniform
-from repro.kernels.gru import (
-    gru_backward_step,
-    gru_bwd_flops,
-    gru_forward_step,
-    gru_fwd_flops,
-    gru_param_shapes,
-)
+from repro.kernels.gru import gru_backward_step, gru_forward_step
+from repro.models.cells import cell_bwd_flops, cell_fwd_flops
+from repro.models.spec import BRNNSpec
 
 B, I, H = 4, 3, 5
+SPEC = BRNNSpec(cell="gru", input_size=I, hidden_size=H, num_layers=1)
 
 
 def setup_cell(rng, dtype=np.float64):
-    (w_shape, b_shape) = gru_param_shapes(I, H)
+    (w_shape, b_shape) = SPEC.cell_param_shapes(0)
     W = glorot_uniform(rng, w_shape, dtype)
     b = rng.standard_normal(b_shape).astype(dtype) * 0.1
     x = rng.standard_normal((B, I)).astype(dtype)
@@ -25,7 +24,7 @@ def setup_cell(rng, dtype=np.float64):
 
 
 def test_param_shapes():
-    assert gru_param_shapes(I, H) == ((I + H, 3 * H), (3 * H,))
+    assert SPEC.cell_param_shapes(0) == ((I + H, 3 * H), (3 * H,))
 
 
 def test_forward_shapes_and_gate_ranges(rng):
@@ -96,11 +95,10 @@ def test_backward_accumulates(rng):
 
 
 def test_flop_counts():
-    assert gru_bwd_flops(B, I, H) > gru_fwd_flops(B, I, H) > 0
+    assert cell_bwd_flops(SPEC, B, 0) > cell_fwd_flops(SPEC, B, 0) > 0
     # GRU has 3 gates vs LSTM's 4: cheaper at same dims
-    from repro.kernels.lstm import lstm_fwd_flops
-
-    assert gru_fwd_flops(B, I, H) < lstm_fwd_flops(B, I, H)
+    lstm = dataclasses.replace(SPEC, cell="lstm")
+    assert cell_fwd_flops(SPEC, B, 0) < cell_fwd_flops(lstm, B, 0)
 
 
 def test_float32(rng):

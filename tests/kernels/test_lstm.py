@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from repro.kernels.initializers import glorot_uniform
-from repro.kernels.lstm import (
-    lstm_backward_step,
-    lstm_bwd_flops,
-    lstm_forward_step,
-    lstm_fwd_flops,
-    lstm_param_shapes,
-)
+from repro.kernels.lstm import lstm_backward_step, lstm_forward_step
+from repro.models.cells import cell_bwd_flops, cell_fwd_flops
+from repro.models.spec import BRNNSpec
 
 B, I, H = 4, 3, 5
+SPEC = BRNNSpec(cell="lstm", input_size=I, hidden_size=H, num_layers=1)
 
 
 def setup_cell(rng, dtype=np.float64):
-    (w_shape, b_shape) = lstm_param_shapes(I, H)
+    (w_shape, b_shape) = SPEC.cell_param_shapes(0)
     W = glorot_uniform(rng, w_shape, dtype)
     b = rng.standard_normal(b_shape).astype(dtype) * 0.1
     x = rng.standard_normal((B, I)).astype(dtype)
@@ -26,7 +23,7 @@ def setup_cell(rng, dtype=np.float64):
 
 
 def test_param_shapes():
-    assert lstm_param_shapes(I, H) == ((I + H, 4 * H), (4 * H,))
+    assert SPEC.cell_param_shapes(0) == ((I + H, 4 * H), (4 * H,))
 
 
 def test_forward_shapes_and_gate_ranges(rng):
@@ -114,8 +111,8 @@ def test_float32_pipeline(rng):
 
 
 def test_flop_counts_positive_and_ordered():
-    assert lstm_bwd_flops(B, I, H) > lstm_fwd_flops(B, I, H) > 0
-    assert lstm_fwd_flops(2 * B, I, H) == pytest.approx(2 * lstm_fwd_flops(B, I, H), rel=0.01)
+    assert cell_bwd_flops(SPEC, B, 0) > cell_fwd_flops(SPEC, B, 0) > 0
+    assert cell_fwd_flops(SPEC, 2 * B, 0) == pytest.approx(2 * cell_fwd_flops(SPEC, B, 0), rel=0.01)
 
 
 def test_cache_nbytes(rng):

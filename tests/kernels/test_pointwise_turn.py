@@ -24,12 +24,11 @@ from repro.kernels import activations
 from repro.kernels.activations import activate_gates_, sigmoid, tanh
 from repro.kernels.lstm import lstm_forward_step
 from repro.models import cells
+from repro.models.spec import CELLS
 from repro.serve.engine import InferenceEngine
 from tests.conftest import make_batch, small_spec
 from tests.serve.test_engine_compile import make_batch as make_serve_batch
 
-CELLS = ("lstm", "gru", "rnn")
-GATES = {"lstm": 4, "gru": 3, "rnn": 1}
 
 
 def _forward_paths(stacked):
@@ -68,8 +67,8 @@ class Operands:
         rng = np.random.default_rng(seed)
         draw = lambda *shape: rng.standard_normal(shape).astype(dtype)
         self.cell, self.input_size = cell, input_size
-        self.W = draw(input_size + hidden, GATES[cell] * hidden) * dtype(0.3)
-        self.b = draw(GATES[cell] * hidden) * dtype(0.1)
+        self.W = draw(input_size + hidden, CELLS[cell].gates * hidden) * dtype(0.3)
+        self.b = draw(CELLS[cell].gates * hidden) * dtype(0.1)
         self.x, self.h, self.c = draw(rows, input_size), draw(rows, hidden), draw(rows, hidden)
         self.dh, self.dc = draw(rows, hidden), draw(rows, hidden)
         self.cache = {
@@ -220,6 +219,27 @@ def test_need_cache_false_returns_no_cache_and_the_same_bits(cell, fusion):
         zx = ops.x @ ops.W[: spec.input_size]
         proj = cells.cell_forward_proj(spec, zx, *operands[1:], False)
         assert proj[2] is None and _bits(proj[:2]) == _bits(kept[:2])
+
+
+#: ``(rows, input_size, hidden)``: the benchmark's fine shape, three where this
+#: host's BLAS computes a column block of ``x @ W_x`` and the product on the
+#: block to different bits (docs/TESTING.md), and a single row
+PROJECTION_SHAPES = [(4, 39, 32), (4, 512, 256), (7, 512, 128), (32, 512, 32), (1, 39, 128)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("need_cache", [True, False], ids=["cache", "nocache"])
+@pytest.mark.parametrize("cell", CELLS)
+def test_the_per_step_forward_is_the_proj_forward_on_its_own_projection(cell, need_cache, dtype):
+    """Hoisted equals per-step by construction, not by what BLAS does with a
+    column slice: one body, so ``h`` (and ``c``) agree bitwise at every shape."""
+    per_step = functools.partial(cells._FWD_STEP[cell]["gates"], need_cache=need_cache)
+    proj = functools.partial(cells._FWD_STEP_PROJ[cell], need_cache=need_cache)
+    for rows, input_size, hidden in PROJECTION_SHAPES:
+        ops = Operands(cell, rows, hidden, input_size, dtype)
+        *state, _ = ops.call("fwd", per_step)
+        *state_proj, _ = ops.call("fwd_proj", proj)
+        assert _bits(state_proj) == _bits(state), (rows, input_size, hidden)
 
 
 @pytest.mark.parametrize("table", ["fwd", "fwd_proj"])

@@ -1,23 +1,22 @@
 """Unit tests for the vanilla (Elman) RNN cell kernels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config import ExecutionConfig
 from repro.kernels.initializers import glorot_uniform
-from repro.kernels.rnn import (
-    rnn_backward_step,
-    rnn_bwd_flops,
-    rnn_forward_step,
-    rnn_fwd_flops,
-    rnn_param_shapes,
-)
+from repro.kernels.rnn import rnn_backward_step, rnn_forward_step
+from repro.models.cells import cell_bwd_flops, cell_fwd_flops
+from repro.models.spec import BRNNSpec
 
 B, I, H = 4, 3, 5
+SPEC = BRNNSpec(cell="rnn", input_size=I, hidden_size=H, num_layers=1)
 
 
 def setup_cell(rng, dtype=np.float64):
-    (w_shape, b_shape) = rnn_param_shapes(I, H)
+    (w_shape, b_shape) = SPEC.cell_param_shapes(0)
     W = glorot_uniform(rng, w_shape, dtype)
     b = rng.standard_normal(b_shape).astype(dtype) * 0.1
     x = rng.standard_normal((B, I)).astype(dtype)
@@ -26,7 +25,7 @@ def setup_cell(rng, dtype=np.float64):
 
 
 def test_param_shapes():
-    assert rnn_param_shapes(I, H) == ((I + H, H), (H,))
+    assert SPEC.cell_param_shapes(0) == ((I + H, H), (H,))
 
 
 def test_forward_matches_equation(rng):
@@ -74,11 +73,12 @@ def test_backward_accumulates(rng):
 
 
 def test_flops_cheapest_cell():
-    from repro.kernels.gru import gru_fwd_flops
-    from repro.kernels.lstm import lstm_fwd_flops
-
-    assert rnn_fwd_flops(B, I, H) < gru_fwd_flops(B, I, H) < lstm_fwd_flops(B, I, H)
-    assert rnn_bwd_flops(B, I, H) > rnn_fwd_flops(B, I, H)
+    rnn, gru, lstm = (
+        cell_fwd_flops(dataclasses.replace(SPEC, cell=cell), B, 0)
+        for cell in ("rnn", "gru", "lstm")
+    )
+    assert rnn < gru < lstm
+    assert cell_bwd_flops(SPEC, B, 0) > rnn
 
 
 def test_full_pipeline_bitwise_vs_oracle(rng):

@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.kernels.activations import dsigmoid, dtanh, sigmoid
-from repro.kernels.gru import gru_forward_step, gru_param_shapes
+from repro.kernels.gru import gru_forward_step
 from repro.kernels.initializers import glorot_uniform
-from repro.kernels.lstm import lstm_forward_step, lstm_param_shapes
+from repro.kernels.lstm import lstm_forward_step
 from repro.kernels.losses import softmax_cross_entropy
 from repro.kernels.merge import MERGE_MODES, merge_backward, merge_forward
+from repro.models.spec import BRNNSpec
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -90,12 +91,17 @@ def cell_inputs(draw):
     return x, h0, c0, rng
 
 
+def _param_shapes(cell, x, h0):
+    spec = BRNNSpec(cell=cell, input_size=x.shape[1], hidden_size=h0.shape[1], num_layers=1)
+    return spec.cell_param_shapes(0)
+
+
 @given(cell_inputs())
 @settings(max_examples=40)
 def test_lstm_state_bounded(inp):
     """|h| < 1 always (o·tanh(c)); c bounded by |c0| + steps."""
     x, h0, c0, rng = inp
-    (ws, bs) = lstm_param_shapes(x.shape[1], h0.shape[1])
+    (ws, bs) = _param_shapes("lstm", x, h0)
     W = glorot_uniform(rng, ws, np.float64)
     b = np.zeros(bs)
     h, c, _ = lstm_forward_step(x, h0, c0, W, b)
@@ -108,7 +114,7 @@ def test_lstm_state_bounded(inp):
 def test_gru_state_bounded_by_inputs(inp):
     """H_t is a convex combination of H̄_t ∈ (-1,1) and H_{t-1}."""
     x, h0, _, rng = inp
-    (ws, bs) = gru_param_shapes(x.shape[1], h0.shape[1])
+    (ws, bs) = _param_shapes("gru", x, h0)
     W = glorot_uniform(rng, ws, np.float64)
     b = np.zeros(bs)
     h, _ = gru_forward_step(x, h0, W, b)
