@@ -72,12 +72,13 @@ smoke-racecheck:
 	$(RACECHECK) --fused-input-projection off --wavefront-tile 2
 
 # compiled-replay smoke: the compile-package unit tests + mutated-plan
-# regression, then the reduced-size overhead A/B vs both dynamic policies,
+# regression + the serving engine on the plan cache, then the reduced-size overhead A/B vs both dynamic policies,
 # warm-shape cache hit rate and bitwise equivalence
 smoke-compile:
 	$(PYTHON) -m pytest tests/compile/test_plan.py tests/compile/test_compiler.py \
 		tests/compile/test_cache.py tests/compile/test_check_plan.py \
-		tests/compile/test_executor_replay.py -x -q
+		tests/compile/test_executor_replay.py \
+		tests/serve/test_engine_compile.py -x -q
 	$(PYTHON) -m repro bench compile --output $(TMP)_compile.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_compile.json $(BASELINES)/BENCH_compile.json
 

@@ -5,7 +5,7 @@ into a :class:`CompiledPlan` — transitive-reduced edge set plus a
 list-scheduled release order priced by the ``simarch`` cost model — that
 both executors replay without re-resolving dependences per batch.
 ``PlanCache`` memoises plans per ``(ExecutionConfig fingerprint, input
-shape)`` for the serving hot path (``ExecutionConfig(compile="on"|"auto")``).
+shape)`` for the serving hot path (``ExecutionConfig(compile="on")``).
 """
 
 from repro.compile.cache import CacheEntry, PlanCache

@@ -1,10 +1,9 @@
 """LRU cache of compiled plans, keyed by ``(config fingerprint, shape)``.
 
 The serving engine asks the cache before building a graph: a hit replays
-the stored plan (and, on the threaded substrate, reuses the stored graph
-build), a miss falls through to the dynamic path and — depending on the
-``compile`` mode — records a freshly compiled plan for the next batch of
-that shape.  Counters are exported through :mod:`repro.obs`
+the stored plan (and, on a functional substrate, reuses the stored graph
+build), a miss builds the graph, compiles it and records the plan for the
+next batch of that shape.  Counters are exported through :mod:`repro.obs`
 (``repro_compile_*`` family) when a registry is attached; the hot path
 pays a handful of dict operations per *batch*, never per task.
 
@@ -12,8 +11,9 @@ Entries carry an opaque ``payload`` alongside the plan (the sim engine
 stores the memoised ``(service_time, trace)``, the threaded engine the
 reusable :class:`~repro.core.graph_builder.GraphBuildResult`).  Payloads
 are runtime-only: :meth:`PlanCache.save` persists keys and plans
-(``repro.plancache.v1``), so a restarted process re-derives payloads on
-first touch but skips recompilation.
+(``repro.plancache.v1``).  A restored entry has ``payload=None``; the
+engine's first hit on it builds the graph (sim: and memoises its service
+time) around the stored plan and counts as warm, with no recompilation.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ class PlanCache:
     def load(self, path: str) -> int:
         """Merge persisted plans in (LRU order preserved); returns the count.
 
-        Restored entries carry no payload; a warm-start engine recreates
-        its substrate state on first touch but skips recompiling.
+        Restored entries carry no payload: the engine rebuilds it around
+        the stored plan on the entry's first hit, without recompiling.
         """
         with open(path) as fh:
             data = json.load(fh)

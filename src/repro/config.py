@@ -87,8 +87,7 @@ class ExecutionConfig:
         dynamic dependence resolution every batch (the default);
         ``"on"`` — every batch shape is compiled into a cached
         :class:`~repro.compile.plan.CompiledPlan` on first sight and
-        replayed on every repeat; ``"auto"`` — a shape is compiled only
-        once it recurs, so one-off shapes never pay compilation.
+        replayed on every repeat.
     metrics:
         A :class:`~repro.obs.registry.MetricsRegistry` the executors
         publish per-run counters into (``None`` disables — the default
@@ -120,10 +119,8 @@ class ExecutionConfig:
                 "fused_input_projection must be 'off', 'on' or 'auto', got "
                 f"{self.fused_input_projection!r}"
             )
-        if self.compile not in ("off", "on", "auto"):
-            raise ValueError(
-                f"compile must be 'off', 'on' or 'auto', got {self.compile!r}"
-            )
+        if self.compile not in ("off", "on"):
+            raise ValueError(f"compile must be 'off' or 'on', got {self.compile!r}")
         if self.fusion not in FUSION_MODES:
             raise ValueError(
                 f"fusion must be one of {'/'.join(FUSION_MODES)}, got {self.fusion!r}"
@@ -197,9 +194,9 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--wavefront-tile", type=int, default=None,
                    help="timesteps per cell-chain task (default 1, the "
                         "paper's task per cell update; clamped to T)")
-    g.add_argument("--compile", choices=("off", "on", "auto"), default="off",
+    g.add_argument("--compile", choices=("off", "on"), default="off",
                    help="compile graphs into cached replay plans "
-                        "(docs/COMPILE.md); auto compiles recurring shapes only")
+                        "(docs/COMPILE.md)")
 
 
 def config_from_args(

@@ -82,7 +82,7 @@ class ServeConfig:
     warmup:
         Pre-compile per-shape plans on every replica at fleet start
         (:meth:`~repro.serve.fleet.ReplicaPool.warmup`; needs
-        ``ExecutionConfig(compile="on"|"auto")``).
+        ``ExecutionConfig(compile="on")``).
     """
 
     replicas: int = 1

@@ -4,7 +4,7 @@ An :class:`InferenceEngine` owns one compiled model (a
 :class:`~repro.models.spec.BRNNSpec` plus parameters) and turns a cut
 :class:`~repro.serve.batcher.Batch` into a barrier-free task graph
 (:func:`~repro.core.graph_builder.build_brnn_graph`, inference mode) that
-runs on one of two substrates:
+runs on one of three substrates:
 
 * ``executor="sim"`` — cost-only graphs on the
   :class:`~repro.runtime.simexec.SimulatedExecutor` (default: the paper's
@@ -37,6 +37,7 @@ from repro.core.bpar import resolve_executor
 from repro.core.graph_builder import build_brnn_graph, split_batch
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
+from repro.runtime import racecheck
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.trace import ExecutionTrace
 from repro.serve.batcher import Batch
@@ -49,6 +50,12 @@ EXECUTORS = ("sim", "threaded", "process")
 #: simulated substrate, every layer hoisted (in the cost model the critical
 #: path shrinks for every layer shape)
 SERVE_DEFAULTS = ExecutionConfig(executor="sim", fused_input_projection="on")
+
+#: per-batch cost outside the task graph (input staging, graph-creation
+#: bring-up) charged in ``sim`` mode, the quantity dynamic batching
+#: amortises; same convention and value as
+#: :func:`~repro.harness.simtime.simulated_batch_time`
+BATCH_FIXED_S = 8e-3
 
 
 @dataclass
@@ -82,11 +89,6 @@ class InferenceEngine:
         ``fused_input_projection="auto"`` means the same on every
         substrate: the layers where hoisting pays on a real host (see
         :func:`~repro.core.graph_builder.resolve_fused_layers`).
-    batch_fixed_s:
-        Per-batch cost outside the task graph (input staging, graph
-        creation bring-up) charged in ``sim`` mode — the quantity dynamic
-        batching amortises; same convention as
-        :func:`~repro.harness.simtime.simulated_batch_time`.
     validate_dependencies:
         Audit every *new* batch shape's graph with the race checker's
         ordering pass (:func:`repro.runtime.racecheck.ordering_findings`)
@@ -100,14 +102,14 @@ class InferenceEngine:
         plan-cache key, so warmed plans are scoped to the deployment
         (replica pools set this; standalone engines may leave it unset).
 
-    With ``config.compile`` set to ``"on"`` or ``"auto"`` the engine keeps
-    a :class:`~repro.compile.cache.PlanCache` keyed by ``(config
-    fingerprint, batch shape)``: warm shapes skip graph construction *and*
-    dynamic dependence resolution, replaying a compiled
+    With ``config.compile="on"`` the engine keeps a
+    :class:`~repro.compile.cache.PlanCache` keyed by ``(config
+    fingerprint, batch shape)``: a shape is compiled at first sight and
+    every later batch of it skips graph construction *and* dynamic
+    dependence resolution, replaying the
     :class:`~repro.compile.plan.CompiledPlan` over the reused graph build
-    (threaded) or returning the memoised compiled-replay service time
-    (sim).  ``"auto"`` compiles a shape only once it recurs, so one-off
-    shapes never pay compilation (docs/COMPILE.md).
+    (functional) or returning the memoised compiled-replay service time
+    (sim) (docs/COMPILE.md).
     """
 
     def __init__(
@@ -117,7 +119,6 @@ class InferenceEngine:
         config: Optional[ExecutionConfig] = None,
         params: Optional[BRNNParams] = None,
         machine: Optional[MachineSpec] = None,
-        batch_fixed_s: float = 8e-3,
         validate_dependencies: bool = False,
         serve_config=None,
     ) -> None:
@@ -129,13 +130,12 @@ class InferenceEngine:
         self.config = cfg
         self.executor = name
         self.mbs = cfg.mbs
-        self.batch_fixed_s = batch_fixed_s
         self.fused_input_projection = cfg.fused_input_projection
         self.metrics = cfg.metrics
         self.hooks = cfg.hooks
         if name == "sim":
             self.machine = machine or xeon_8160_2s()
-            self._sim = SimulatedExecutor(
+            self._executor = SimulatedExecutor(
                 self.machine,
                 n_cores=cfg.n_workers,
                 scheduler=cfg.scheduler,
@@ -143,23 +143,21 @@ class InferenceEngine:
                 hooks=cfg.hooks,
             )
             self.params = params  # weights are irrelevant to cost-only graphs
-            self._threaded = None
         else:
             self.machine = None
-            self._sim = None
             self.params = (
                 params if params is not None else BRNNParams.initialize(spec, cfg.seed)
             )
             # "threaded" or "process": both run functional graphs through
             # the same Executor protocol; everything below is shared.
-            self._threaded = resolve_executor(cfg.replace(executor=name))
+            self._executor = resolve_executor(cfg.replace(executor=name))
         self.validate_dependencies = validate_dependencies
         self.compile = cfg.compile
         #: the serving deployment this engine belongs to, if any; its
         #: fingerprint joins the plan-cache key so plans warmed under one
         #: ServeConfig never collide with another deployment's
         self.serve_config = serve_config
-        if cfg.compile != "off":
+        if cfg.compile == "on":
             self.plan_cache: Optional[PlanCache] = PlanCache(metrics=cfg.metrics)
             self._config_fingerprint = cfg.fingerprint()
             if serve_config is not None:
@@ -167,143 +165,59 @@ class InferenceEngine:
         else:
             self.plan_cache = None
             self._config_fingerprint = None
-        #: sightings per batch shape — drives ``compile="auto"``'s
-        #: compile-on-recurrence policy
-        self._shape_seen: Dict[Tuple[int, int], int] = {}
-        #: memoised (service_time, trace) per batch shape, sim mode only
-        self._cost_cache: Dict[Tuple[int, int], Tuple[float, ExecutionTrace]] = {}
-        #: memoised fused-vs-per-step critical-path comparison per shape
-        self._cp_cache: Dict[Tuple[int, int], Dict[str, float]] = {}
+        #: (service_time, trace) per batch shape of a sim engine that keeps
+        #: no plan cache (one that does keeps them as cache-entry payloads)
+        self._sim_memo: Dict[Tuple[int, int], Tuple[float, ExecutionTrace]] = {}
         #: batch shapes whose graphs already passed the ordering audit
         self._validated_shapes: set = set()
 
-    def _build(self, *, fused=None, **kwargs):
-        """build_brnn_graph with this engine's fused-projection policy."""
-        return build_brnn_graph(
-            self.spec,
-            training=False,
-            fused_input_projection=self.fused_input_projection if fused is None else fused,
-            proj_block=self.config.proj_block,
-            fusion=self.config.fusion,
-            wavefront_tile=self.config.wavefront_tile,
-            **kwargs,
-        )
-
-    def critical_path_reduction(self, padded_len: int, size: int) -> Dict[str, float]:
-        """Flop-weighted critical-path comparison, fused vs per-step.
-
-        Built from cost-only graphs of the batch shape (cheap, memoised):
-        the schedule-independent statement of what the hoisted projection
-        buys — reported alongside latency SLOs in :class:`ServerStats`.
-        """
-        key = (padded_len, size)
-        cached = self._cp_cache.get(key)
-        if cached is None:
-            mbs = self._effective_mbs(size)
-            weight = lambda t: t.flops
-            per_step = self._build(
-                seq_len=padded_len, batch=size, mbs=mbs, fused="off"
-            ).graph.critical_path_length(weight)
-            fused = self._build(
-                seq_len=padded_len, batch=size, mbs=mbs
-            ).graph.critical_path_length(weight)
-            cached = {
-                "per_step_flops": per_step,
-                "fused_flops": fused,
-                "reduction": 1.0 - fused / per_step if per_step > 0 else 0.0,
-            }
-            self._cp_cache[key] = cached
-        return cached
-
-    def critical_path_report(self) -> Dict[str, Dict[str, float]]:
-        """Every batch shape executed so far, keyed ``"<padded_len>x<size>"``."""
-        return {f"{t}x{b}": dict(v) for (t, b), v in sorted(self._cp_cache.items())}
-
     @property
     def n_workers(self) -> int:
-        ex = self._sim if self.executor == "sim" else self._threaded
-        return ex.n_workers
+        return self._executor.n_workers
 
     def _effective_mbs(self, batch_size: int) -> int:
         return max(1, min(self.mbs, batch_size))
 
-    def _validate_shape(self, graph, padded_len: int, size: int) -> None:
-        """Ordering-audit ``graph`` once per batch shape; raise on races."""
-        key = (padded_len, size)
-        if key in self._validated_shapes:
-            return
-        from repro.runtime.racecheck import (
-            RaceError,
-            RaceReport,
-            ordering_findings,
-        )
+    def _plan_key(self, key: Tuple[int, int]) -> Tuple[str, Tuple[int, int]]:
+        return (self._config_fingerprint, key)
 
-        findings, pairs = ordering_findings(graph)
-        if findings:
-            raise RaceError(
-                RaceReport(
-                    findings=findings,
-                    n_tasks=len(graph),
-                    checked_pairs=pairs,
+    def _build(self, key: Tuple[int, int], x: Optional[np.ndarray]):
+        """The inference graph of one batch shape: functional over ``x``,
+        cost-only without it; audited once per shape when asked to."""
+        padded_len, size = key
+        inputs = (
+            {"seq_len": padded_len, "batch": size}
+            if x is None
+            else {"x": x, "params": self.params}
+        )
+        result = build_brnn_graph(
+            self.spec,
+            training=False,
+            mbs=self._effective_mbs(size),
+            fused_input_projection=self.fused_input_projection,
+            proj_block=self.config.proj_block,
+            fusion=self.config.fusion,
+            wavefront_tile=self.config.wavefront_tile,
+            **inputs,
+        )
+        if self.validate_dependencies and key not in self._validated_shapes:
+            findings, pairs = racecheck.ordering_findings(result.graph)
+            if findings:
+                raise racecheck.RaceError(
+                    racecheck.RaceReport(
+                        findings=findings,
+                        n_tasks=len(result.graph),
+                        checked_pairs=pairs,
+                    )
                 )
-            )
-        self._validated_shapes.add(key)
+            self._validated_shapes.add(key)
+        return result
 
     # -- execution -------------------------------------------------------------
 
     def execute(self, batch: Batch) -> BatchExecution:
         """Run one batch; returns its service time and execution trace."""
-        if self.executor == "sim":
-            return self._execute_simulated(batch)
-        return self._execute_threaded(batch)
-
-    def _plan_key(self, key: Tuple[int, int]) -> Tuple[str, Tuple[int, int]]:
-        return (self._config_fingerprint, key)
-
-    def _should_compile(self, key: Tuple[int, int]) -> bool:
-        """``"on"`` compiles at first sight; ``"auto"`` once a shape recurs."""
-        return self.compile == "on" or self._shape_seen.get(key, 0) >= 1
-
-    def _compile_sim_shape(self, key: Tuple[int, int]) -> Tuple[float, ExecutionTrace]:
-        """Compile + cache the plan for one sim batch shape; returns its payload."""
-        padded_len, size = key
-        graph = self._build(
-            seq_len=padded_len, batch=size, mbs=self._effective_mbs(size)
-        ).graph
-        if self.validate_dependencies:
-            self._validate_shape(graph, padded_len, size)
-        plan = compile_graph(
-            graph,
-            n_workers=self._sim.n_cores,
-            cost_model=self._sim.cost_model,
-            key=[self._config_fingerprint, list(key)],
-        )
-        self._sim.run(graph, plan=plan)  # warm run (see dynamic path)
-        trace = self._sim.run(graph, plan=plan)
-        # replay skips per-batch graph creation, so no creation charge
-        service = trace.makespan + self.batch_fixed_s
-        self.plan_cache.put(self._plan_key(key), plan, payload=(service, trace))
-        return service, trace
-
-    def _compile_threaded_shape(self, key: Tuple[int, int], x: np.ndarray):
-        """Compile + cache the plan for one functional batch shape.
-
-        Returns the graph build (whose chunk buffers warm hits rebind) and
-        the trace of the first plan-driven run.
-        """
-        result = self._build(
-            x=x, params=self.params, mbs=self._effective_mbs(key[1])
-        )
-        if self.validate_dependencies:
-            self._validate_shape(result.graph, key[0], key[1])
-        plan = compile_graph(
-            result.graph,
-            n_workers=self._threaded.n_workers,
-            key=[self._config_fingerprint, list(key)],
-        )
-        trace = self._threaded.run(result.graph, plan=plan)
-        self.plan_cache.put(self._plan_key(key), plan, payload=result)
-        return result, trace
+        return self._serve((batch.padded_len, batch.size), batch)
 
     def warmup(self, shapes) -> int:
         """Pre-compile plans for ``(padded_len, batch_size)`` shapes.
@@ -311,144 +225,82 @@ class InferenceEngine:
         The fleet calls this at start so steady-state traffic opens on
         warm plans (docs/SERVING.md); returns the number of shapes
         actually compiled (already-cached shapes are skipped without
-        touching the hit/miss counters).  Warmed shapes count as seen, so
-        ``compile="auto"`` replays them from the first real batch.
-        Requires ``ExecutionConfig(compile="on"|"auto")``.
+        touching the hit/miss counters).  Requires
+        ``ExecutionConfig(compile="on")``.
         """
         if self.plan_cache is None:
             raise RuntimeError(
-                'warmup requires ExecutionConfig(compile="on" or "auto") '
-                "(docs/COMPILE.md)"
+                'warmup requires ExecutionConfig(compile="on") (docs/COMPILE.md)'
             )
         compiled = 0
         for padded_len, size in shapes:
             key = (int(padded_len), int(size))
-            self._shape_seen[key] = max(self._shape_seen.get(key, 0), 1)
-            if self._plan_key(key) in self.plan_cache:
-                continue
-            if self.executor == "sim":
-                self._compile_sim_shape(key)
-            else:
-                x = np.zeros(
-                    (key[0], key[1], self.spec.input_size), dtype=self.spec.dtype
-                )
-                self._compile_threaded_shape(key, x)
-            compiled += 1
+            if self._plan_key(key) not in self.plan_cache:
+                self._serve(key)
+                compiled += 1
         return compiled
 
-    def _execute_simulated(self, batch: Batch) -> BatchExecution:
-        key = (batch.padded_len, batch.size)
-        self.critical_path_reduction(batch.padded_len, batch.size)
-        if self.plan_cache is not None:
-            return self._execute_simulated_compiled(batch, key)
-        cached = self._cost_cache.get(key)
-        if cached is None:
-            graph = self._build(
-                seq_len=batch.padded_len,
-                batch=batch.size,
-                mbs=self._effective_mbs(batch.size),
-            ).graph
-            if self.validate_dependencies:
-                self._validate_shape(graph, batch.padded_len, batch.size)
+    def _serve(self, key, batch: Optional[Batch] = None) -> BatchExecution:
+        """The one path from a batch shape to a result; without a ``batch``
+        (warm-up) the shape runs on zeros and the cache is not asked.
+
+        A warm functional shape copies the batch into its cached build's
+        chunk buffers (the task closures read through them, and inference
+        graphs rebind their h/c/logits slots every run) and replays the
+        plan; a warm simulated shape returns its memoised ``(service,
+        trace)``.  Whatever is missing is made here: the build, the plan
+        (compiled and cached when the engine keeps a cache) and, for an
+        entry restored by :meth:`PlanCache.load`, the payload around its
+        stored plan.
+        """
+        sim = self.executor == "sim"
+        if sim:
+            x = None  # cost-only graphs
+        elif batch is None:
+            x = np.zeros((*key, self.spec.input_size), dtype=self.spec.dtype)
+        else:
+            x = batch.padded_input()
+        t0 = time.perf_counter()
+        entry = None
+        if batch is not None and self.plan_cache is not None:
+            entry = self.plan_cache.get(self._plan_key(key))
+        warm = entry is not None
+        plan = entry.plan if warm else None
+        held = entry.payload if warm else self._sim_memo.get(key)
+        if sim and held is not None:
+            return BatchExecution(*held, warm=warm)
+        if held is None:
+            build = self._build(key, x)
+        else:
+            build = held
+            chunks = split_batch(x, self._effective_mbs(key[1]), axis=1)
+            for state, xc in zip(build.chunks, chunks):
+                np.copyto(state.x, xc)
+        graph = build.graph
+        if plan is None and self.plan_cache is not None:
+            plan = compile_graph(
+                graph,
+                n_workers=self.n_workers,
+                cost_model=self._executor.cost_model if sim else None,
+                key=[self._config_fingerprint, list(key)],
+            )
+        if sim:
             # warm run: weights NUMA-homed / cache-resident, as in a steady
             # serving loop that reuses the same buffers batch after batch
-            self._sim.run(graph)
-            trace = self._sim.run(graph)
-            creation = len(graph) * self.machine.task_create_s
-            service = trace.makespan + creation + self.batch_fixed_s
-            cached = (service, trace)
-            self._cost_cache[key] = cached
-        return BatchExecution(service_time_s=cached[0], trace=cached[1])
-
-    def _execute_simulated_compiled(
-        self, batch: Batch, key: Tuple[int, int]
-    ) -> BatchExecution:
-        """Sim substrate with a plan cache in place of the cost memo.
-
-        A warm shape returns its memoised compiled-replay ``(service,
-        trace)`` payload, so the cache's hit counters track exactly the
-        batches that skipped graph build + dependence resolution.
-        """
-        entry = self.plan_cache.get(self._plan_key(key))
-        if entry is not None:
-            service, trace = entry.payload
-            return BatchExecution(service_time_s=service, trace=trace, warm=True)
-        compile_now = self._should_compile(key)
-        self._shape_seen[key] = self._shape_seen.get(key, 0) + 1
-        if compile_now:
-            service, trace = self._compile_sim_shape(key)
-            return BatchExecution(service_time_s=service, trace=trace)
-        # auto-mode first sighting: dynamic, uncached (one-off shapes
-        # never pay compilation — a recurrence triggers it next time)
-        graph = self._build(
-            seq_len=batch.padded_len,
-            batch=batch.size,
-            mbs=self._effective_mbs(batch.size),
-        ).graph
-        if self.validate_dependencies:
-            self._validate_shape(graph, batch.padded_len, batch.size)
-        self._sim.run(graph)
-        trace = self._sim.run(graph)
-        creation = len(graph) * self.machine.task_create_s
-        service = trace.makespan + creation + self.batch_fixed_s
-        return BatchExecution(service_time_s=service, trace=trace)
-
-    def _execute_threaded(self, batch: Batch) -> BatchExecution:
-        x = batch.padded_input()
-        self.critical_path_reduction(batch.padded_len, batch.size)
-        if self.plan_cache is not None:
-            return self._execute_threaded_compiled(batch, x)
-        t0 = time.perf_counter()
-        result = self._build(
-            x=x,
-            params=self.params,
-            mbs=self._effective_mbs(batch.size),
-        )
-        if self.validate_dependencies:
-            self._validate_shape(result.graph, batch.padded_len, batch.size)
-        trace = self._threaded.run(result.graph)
-        service = time.perf_counter() - t0
-        return BatchExecution(
-            service_time_s=service, trace=trace, logits=result.logits()
-        )
-
-    def _execute_threaded_compiled(self, batch: Batch, x: np.ndarray) -> BatchExecution:
-        """Threaded substrate with plan replay over a reused graph build.
-
-        Warm shapes copy the new batch's data into the cached build's
-        chunk buffers (the task closures read through them) and replay the
-        compiled plan — no graph construction, no dependence re-resolution.
-        Inference graphs rebind their h/c/logits slots every run, so a
-        reused build recomputes from the fresh inputs.
-        """
-        key = (batch.padded_len, batch.size)
-        t0 = time.perf_counter()
-        entry = self.plan_cache.get(self._plan_key(key))
-        if entry is not None:
-            build = entry.payload
-            mbs_eff = self._effective_mbs(batch.size)
-            for state, xc in zip(build.chunks, split_batch(x, mbs_eff, axis=1)):
-                np.copyto(state.x, xc)
-            trace = self._threaded.run(build.graph, plan=entry.plan)
-            service = time.perf_counter() - t0
-            return BatchExecution(
-                service_time_s=service, trace=trace, logits=build.logits(),
-                warm=True,
-            )
-        compile_now = self._should_compile(key)
-        self._shape_seen[key] = self._shape_seen.get(key, 0) + 1
-        if compile_now:
-            result, trace = self._compile_threaded_shape(key, x)
+            self._executor.run(graph, plan=plan)
+            trace = self._executor.run(graph, plan=plan)
+            # a replayed plan skips per-batch graph creation
+            creation = 0.0 if plan is not None else len(graph) * self.machine.task_create_s
+            held = (trace.makespan + creation + BATCH_FIXED_S, trace)
         else:
-            result = self._build(
-                x=x,
-                params=self.params,
-                mbs=self._effective_mbs(batch.size),
-            )
-            if self.validate_dependencies:
-                self._validate_shape(result.graph, batch.padded_len, batch.size)
-            trace = self._threaded.run(result.graph)
-        service = time.perf_counter() - t0
-        return BatchExecution(
-            service_time_s=service, trace=trace, logits=result.logits()
-        )
+            trace = self._executor.run(graph, plan=plan)
+            held = build
+        if warm:
+            entry.payload = held
+        elif self.plan_cache is not None:
+            self.plan_cache.put(self._plan_key(key), plan, payload=held)
+        elif sim:
+            self._sim_memo[key] = held
+        if sim:
+            return BatchExecution(*held, warm=warm)
+        return BatchExecution(time.perf_counter() - t0, trace, build.logits(), warm)

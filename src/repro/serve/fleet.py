@@ -68,7 +68,6 @@ class ReplicaPool:
         execution: Optional[ExecutionConfig] = None,
         params: Optional[BRNNParams] = None,
         machine: Optional[MachineSpec] = None,
-        batch_fixed_s: float = 8e-3,
     ) -> None:
         self.spec = spec
         self.config = config if config is not None else ServeConfig()
@@ -85,7 +84,6 @@ class ReplicaPool:
                 config=execution,
                 params=params,
                 machine=machine,
-                batch_fixed_s=batch_fixed_s,
                 serve_config=self.config,
             )
             for _ in range(self.config.replicas)
@@ -181,7 +179,6 @@ class FleetServer:
         execution: Optional[ExecutionConfig] = None,
         params: Optional[BRNNParams] = None,
         machine: Optional[MachineSpec] = None,
-        batch_fixed_s: float = 8e-3,
         keep_traces: bool = False,
     ) -> "FleetServer":
         config = config if config is not None else ServeConfig()
@@ -191,7 +188,6 @@ class FleetServer:
             execution=execution,
             params=params,
             machine=machine,
-            batch_fixed_s=batch_fixed_s,
         )
         return cls(pool, config, keep_traces=keep_traces)
 
@@ -299,7 +295,7 @@ class FleetServer:
                 )
                 stats.record_batch(
                     batch, now, execution.service_time_s, execution.trace,
-                    warm=execution.warm if engine.plan_cache else None,
+                    warm=execution.warm if engine.plan_cache is not None else None,
                     replica=r,
                 )
                 for idx, req in enumerate(batch.requests):
@@ -342,15 +338,6 @@ class FleetServer:
             if not candidates:
                 break
             now = min(candidates)
-
-        # What the fused input projection bought, per batch shape served
-        # (the engines' memoised cost-only graphs; replicas of one model
-        # agree on a shape they both saw, so the union is a plain merge).
-        critical_path = {}
-        for engine in engines:
-            critical_path.update(engine.critical_path_report())
-        if critical_path:
-            stats.critical_path = critical_path
         return stats
 
 

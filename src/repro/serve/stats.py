@@ -94,9 +94,6 @@ class ServerStats:
         self.shed_records: List[Tuple[InferenceRequest, str]] = []
         self.batches: List[BatchRecord] = []
         self._batch_traces: List[Tuple[float, ExecutionTrace]] = []
-        #: per-shape fused-vs-per-step critical-path comparison, attached by
-        #: the serving loop from the engines' memoised cost graphs
-        self.critical_path: Optional[Dict[str, Dict[str, float]]] = None
 
     # -- recording -------------------------------------------------------------
 
@@ -393,11 +390,6 @@ class ServerStats:
             "queue_depth": self.queue_depth_stats(),
             "engine_busy_fraction": self.engine_busy_fraction(),
             **({"slo": slo} if slo is not None else {}),
-            **(
-                {"critical_path": self.critical_path}
-                if self.critical_path is not None
-                else {}
-            ),
             **(
                 {"metrics": self.registry.as_dict()}
                 if self.registry is not None

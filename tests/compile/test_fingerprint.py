@@ -37,7 +37,7 @@ def test_ignores_observability_attachments():
     ("fused_input_projection", "on"),
     ("proj_block", 4),
     ("seed", 99),
-    ("compile", "auto"),
+    ("compile", "on"),
     ("fusion", "off"),
     ("wavefront_tile", 4),
 ])
@@ -86,15 +86,16 @@ def test_executor_instances_hash_by_type():
 
 
 def test_replace_roundtrip():
-    cfg = ExecutionConfig(mbs=4, compile="auto")
+    cfg = ExecutionConfig(mbs=4, compile="on")
     assert cfg.replace().fingerprint() == cfg.fingerprint()
     assert cfg.replace(mbs=4).fingerprint() == cfg.fingerprint()
 
 
 def test_compile_field_validation():
-    with pytest.raises(ValueError, match="compile"):
-        ExecutionConfig(compile="sometimes")
-    for mode in ("off", "on", "auto"):
+    for removed in ("sometimes", "auto"):
+        with pytest.raises(ValueError, match="compile"):
+            ExecutionConfig(compile=removed)
+    for mode in ("off", "on"):
         assert ExecutionConfig(compile=mode).compile == mode
 
 

@@ -1,10 +1,14 @@
-"""InferenceEngine with ``compile="on"|"auto"``: the cached-plan hot path."""
+"""InferenceEngine with ``compile="on"``: the cached-plan hot path."""
 
 import numpy as np
 import pytest
 
 from repro.config import ExecutionConfig
+import repro.serve.engine as engine_module
 from repro.obs.registry import MetricsRegistry
+from repro.runtime import racecheck
+from repro.runtime.executor import ThreadedExecutor
+from repro.runtime.simexec import SimulatedExecutor
 from repro.serve.batcher import Batch
 from repro.serve.engine import InferenceEngine
 from repro.serve.request import InferenceRequest
@@ -37,7 +41,7 @@ def make_batch(spec, bid, seq_len=4, size=4, seed=0, with_x=True):
     )
 
 
-def threaded_engine(spec, compile_mode, params=None, metrics=None):
+def threaded_engine(spec, compile_mode, params=None, metrics=None, **engine_kw):
     return InferenceEngine(
         spec,
         params=params,
@@ -45,7 +49,19 @@ def threaded_engine(spec, compile_mode, params=None, metrics=None):
             executor="threaded", n_workers=2, mbs=2,
             compile=compile_mode, metrics=metrics, seed=3,
         ),
+        **engine_kw,
     )
+
+
+def sim_engine(spec, compile_mode, **engine_kw):
+    return InferenceEngine(
+        spec,
+        config=ExecutionConfig(executor="sim", n_workers=8, mbs=2, compile=compile_mode),
+        **engine_kw,
+    )
+
+
+ENGINES = {"sim": sim_engine, "threaded": threaded_engine}
 
 
 def test_off_mode_has_no_cache():
@@ -78,20 +94,6 @@ def test_threaded_warm_hits_keep_serving_fresh_data():
     assert engine.plan_cache.stats()["compiles"] == 1
 
 
-def test_auto_compiles_only_on_recurrence():
-    spec = tiny_spec()
-    engine = threaded_engine(spec, "auto")
-    engine.execute(make_batch(spec, 0, seq_len=4))
-    assert engine.plan_cache.stats()["compiles"] == 0  # one-off: dynamic
-    engine.execute(make_batch(spec, 1, seq_len=4))
-    assert engine.plan_cache.stats()["compiles"] == 1  # recurred: compiled
-    engine.execute(make_batch(spec, 2, seq_len=4))
-    assert engine.plan_cache.stats()["hits"] == 1  # third sighting replays
-    # a different shape starts its own sighting count
-    engine.execute(make_batch(spec, 3, seq_len=6))
-    assert engine.plan_cache.stats()["compiles"] == 1
-
-
 def test_on_compiles_at_first_sight():
     spec = tiny_spec()
     engine = threaded_engine(spec, "on")
@@ -116,7 +118,6 @@ def test_sim_mode_plan_cache_replaces_cost_memo():
     assert engine.plan_cache.stats()["misses"] == 1
     # memoised service time: identical for identical shapes
     assert second.service_time_s == first.service_time_s
-    assert not engine._cost_cache  # the plan cache owns the hot path
 
 
 def test_sim_service_time_close_to_dynamic():
@@ -179,3 +180,72 @@ def test_distinct_configs_do_not_share_plans():
         ),
     )
     assert a._config_fingerprint != b._config_fingerprint
+
+
+@pytest.mark.parametrize("executor", ["sim", "threaded"])
+def test_a_restored_plan_cache_serves_warm_without_recompiling(executor, tmp_path):
+    spec = tiny_spec()
+    first = ENGINES[executor](spec, "on")
+    batch = make_batch(spec, 0, seed=5, with_x=executor != "sim")
+    served = first.execute(batch)
+    path = str(tmp_path / "plans.json")
+    first.plan_cache.save(path)
+
+    restarted = ENGINES[executor](spec, "on", params=first.params)
+    assert restarted.plan_cache.load(path) == 1
+    again = restarted.execute(batch)  # the entry arrives without its payload
+    assert again.warm
+    assert restarted.plan_cache.stats()["compiles"] == 0
+    if executor == "sim":
+        assert again.service_time_s == served.service_time_s
+    else:
+        np.testing.assert_array_equal(again.logits, served.logits)
+    # the rebuilt payload stays with the entry: the next hit is an ordinary one
+    assert restarted.execute(batch).warm
+    assert restarted.plan_cache.stats()["compiles"] == 0
+
+
+@pytest.mark.parametrize("compile_mode", ["off", "on"])
+@pytest.mark.parametrize("executor", ["sim", "threaded"])
+def test_validate_dependencies_audits_a_clean_shape_once(executor, compile_mode, monkeypatch):
+    audits = []
+    real = racecheck.ordering_findings
+
+    def counting(graph, *args, **kwargs):
+        audits.append(len(graph))
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(racecheck, "ordering_findings", counting)
+    spec = tiny_spec()
+    engine = ENGINES[executor](spec, compile_mode, validate_dependencies=True)
+    for bid in range(3):
+        engine.execute(make_batch(spec, bid, seed=bid, with_x=executor != "sim"))
+    assert len(audits) == 1
+    engine.execute(make_batch(spec, 3, seq_len=6, with_x=executor != "sim"))
+    assert len(audits) == 2  # a new shape is a new graph
+
+
+@pytest.mark.parametrize("compile_mode", ["off", "on"])
+@pytest.mark.parametrize("executor", ["sim", "threaded"])
+def test_validate_dependencies_refuses_a_racy_graph_before_running_it(
+    executor, compile_mode, monkeypatch
+):
+    real_build = engine_module.build_brnn_graph
+
+    def build_with_a_dropped_edge(*args, **kwargs):
+        result = real_build(*args, **kwargs)
+        a, b = racecheck.order_defining_edges(result.graph)[0]
+        result.graph.successors[a].remove(b)
+        return result
+
+    runs = []
+    substrate = {"sim": SimulatedExecutor, "threaded": ThreadedExecutor}[executor]
+    monkeypatch.setattr(engine_module, "build_brnn_graph", build_with_a_dropped_edge)
+    monkeypatch.setattr(substrate, "run", lambda self, graph, plan=None: runs.append(graph))
+    spec = tiny_spec()
+    engine = ENGINES[executor](spec, compile_mode, validate_dependencies=True)
+    with pytest.raises(racecheck.RaceError):
+        engine.execute(make_batch(spec, 0, with_x=executor != "sim"))
+    assert not runs
+    if compile_mode == "on":
+        assert len(engine.plan_cache) == 0

@@ -1,4 +1,4 @@
-"""Serving-side fused input projection: engine knobs + critical-path report."""
+"""Serving-side fused input projection: engine knobs and bitwise serving."""
 
 import numpy as np
 import pytest
@@ -41,29 +41,6 @@ def test_sim_auto_resolves_to_on():
     assert engine.fused_input_projection == "on"
     off = sim_engine(fused_input_projection="off")
     assert off.fused_input_projection == "off"
-
-
-def test_stats_carry_critical_path_report():
-    engine = sim_engine(proj_block=2)
-    config = ServeConfig(queue_capacity=32, max_batch_size=4, max_wait=2e-3,
-                         bucket_width=4)
-    stats = Server(engine, config).run(small_workload())
-    assert stats.critical_path, "serving run should attach the fused report"
-    summary = stats.summary()
-    assert summary["critical_path"] == stats.critical_path
-    for shape, entry in stats.critical_path.items():
-        # acceptance: the simulated critical path strictly decreases
-        assert 0.0 < entry["reduction"] < 1.0, (shape, entry)
-        assert entry["fused_flops"] < entry["per_step_flops"]
-
-
-def test_per_step_engine_reports_zero_reduction():
-    engine = sim_engine(fused_input_projection="off")
-    config = ServeConfig(queue_capacity=32, max_batch_size=4, max_wait=2e-3,
-                         bucket_width=4)
-    stats = Server(engine, config).run(small_workload())
-    for entry in stats.critical_path.values():
-        assert entry["reduction"] == 0.0
 
 
 def test_threaded_fused_serving_matches_reference():
