@@ -19,7 +19,8 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # every committed record must hold its suite's bars, whether or not that
-# suite's smoke target ran
+# suite's smoke target ran (BENCH_paper.json: the paper's tables and figures
+# at their complete grids; CI measures their smoke grids in the same step)
 check-baselines:
 	$(PYTHON) -m repro bench --check $(BASELINES)/BENCH_*.json
 
@@ -107,15 +108,16 @@ smoke-mp:
 # shrink / widen properties, then the full family-matrix certificate
 # end-to-end through the real CLI (--strict: any uncertified family,
 # missed mutation, or dynamic cross-validation finding is nonzero),
-# then the certificate gate, then the conformance cells the certificate
-# lets tier-1 skip (`addopts` deselects the `certified` marker)
+# then the certificate gate (suite `verify` of the ledger), then the
+# conformance cells the certificate lets tier-1 skip (`addopts` deselects
+# the `certified` marker)
 smoke-verify:
 	$(PYTHON) -m pytest tests/analysis/test_symbolic.py \
 		tests/analysis/test_verify.py \
 		tests/properties/test_verify_properties.py -x -q
 	$(PYTHON) -m repro analyze --skip-graph --verify --strict \
 		--verify-output $(TMP)_verify_cert.json
-	$(PYTHON) tools/check_verify.py $(TMP)_verify_cert.json
+	$(PYTHON) -m repro bench --check $(TMP)_verify_cert.json
 	$(PYTHON) -m pytest -m certified -x -q
 
 # fleet-serving smoke: the serve-layer unit tests (config, router,
@@ -131,9 +133,10 @@ smoke-fleet:
 smoke-bench:
 	$(PYTHON) -m pytest bench/test_smoke.py -q
 
-# regenerate every paper table/figure + the serving sweep (minutes)
+# regenerate every paper table and figure at the paper's complete grids and
+# rewrite $(BASELINES)/BENCH_paper.json (18 min on the recording host)
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m repro bench paper --record > /dev/null
 
 # the acceptance-criteria serving run (paper machine, 200 req/s, 5 s)
 serve-bench:

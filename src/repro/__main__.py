@@ -1,24 +1,21 @@
 """Command-line entry point: regenerate the paper's experiments.
 
     python -m repro describe                # model/machine inventory
-    python -m repro table3 [--full]         # Table III (BLSTM)
-    python -m repro table4 [--full]         # Table IV (BGRU)
-    python -m repro fig3|fig4|fig5|fig6|fig7|fig8
-    python -m repro granularity|memory
+    python -m repro table3|table4|fig3|...|fig8|granularity|memory
+                                            # one section of suite `paper`
     python -m repro serve-bench [...]       # online-serving benchmark (JSON)
     python -m repro racecheck [...]         # dependency-declaration race check
     python -m repro analyze [...]           # static graph lint + AST lint
     python -m repro bench SUITE [--record]  # run one gated suite (JSON + bars)
     python -m repro bench --check REPORT... # gate written reports
 
-``--full`` runs the paper's complete configuration grids (minutes); the
-default grids cover every regime in seconds.  The same drivers back the
-pytest-benchmark suite in ``benchmarks/``, which additionally asserts each
-experiment's shape criteria.
-
-Execution flags (``--executor``, ``--cores``, ``--scheduler``, ``--mbs``,
-``--seed``, ``--fused-input-projection``, ``--proj-block``) are shared by
-every command through :func:`repro.config.add_execution_args`.
+The paper's tables and figures are sections of suite ``paper``
+(:mod:`repro.harness.paper`): a section command measures its section at
+the smoke grid and prints it through the suite's formatter; ``bench paper``
+measures every section and holds it to the ledger's bars (68 s on the
+recording 2-vCPU host), ``--record`` at the paper's complete grids
+(18 min there, rewriting ``benchmarks/baselines/BENCH_paper.json``).
+A flag a command does not read is a usage error.
 """
 
 from __future__ import annotations
@@ -26,10 +23,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.report import format_table
 from repro.config import add_execution_args, config_from_args
-from repro.harness import figures
-from repro.harness.tables import HEADERS, TABLE_CONFIGS, TABLE_CONFIGS_SMOKE, run_table
+from repro.harness.paper import format_results, run_paper_suite
+from repro.harness.tables import TABLE_CONFIGS
 from repro.models.spec import BRNNSpec
 from repro.serve.config import add_serve_args
 from repro.simarch.presets import tesla_v100, xeon_8160_2s
@@ -50,88 +46,10 @@ def _cmd_describe(args) -> None:
               f"-> {spec.num_parameters() / 1e6:6.1f}M parameters")
 
 
-def _cmd_table(cell: str, title: str, args) -> None:
-    configs = TABLE_CONFIGS if args.full else TABLE_CONFIGS_SMOKE
-    rows = run_table(cell, configs)
-    print(format_table(HEADERS, [r.as_list() for r in rows], title=title))
-
-
-def _cmd_fig3(args) -> None:
-    series = figures.fig3_minibatch_scaling()
-    cores = figures.CORE_COUNTS
-    print(format_table(
-        ["mbs"] + [f"{c}c" for c in cores],
-        [[f"mbs:{m}"] + [round(v, 2) for v in series[m]] for m in sorted(series)],
-        title="Fig. 3: B-Par speed-up vs mbs:1 @ 1 core",
-    ))
-
-
-def _cmd_fig4(args) -> None:
-    s = figures.fig4_core_scaling()
-    print(format_table(
-        ["engine"] + [f"{c}c" for c in s.core_counts],
-        [
-            ["Keras"] + [round(v, 3) for v in s.keras],
-            ["B-Seq"] + [round(v, 3) for v in s.bseq],
-            ["PyTorch"] + [round(v, 3) for v in s.pytorch],
-            ["B-Par"] + [round(v, 3) for v in s.bpar],
-        ],
-        title="Fig. 4: batch time (s) vs cores",
-    ))
-
-
-def _cmd_fig5(args) -> None:
-    rows = figures.fig5_hidden_batch()
-    print(format_table(
-        ["L", "hidden", "batch", "Keras", "PyTorch", "B-Seq", "B-Par", "K/BP"],
-        [[r["layers"], r["hidden"], r["batch"], round(r["keras"], 3),
-          round(r["pytorch"], 3), round(r["bseq"], 3), round(r["bpar"], 3),
-          round(r["keras"] / r["bpar"], 2)] for r in rows],
-        title="Fig. 5: batch/hidden sweep (s)",
-    ))
-
-
-def _cmd_fig6(args) -> None:
-    rows = figures.fig6_layers()
-    print(format_table(
-        ["L", "K train", "BPar train", "K infer", "BPar infer"],
-        [[r["layers"], round(r["keras_train"], 3), round(r["bpar_train"], 3),
-          round(r["keras_infer"], 3), round(r["bpar_infer"], 3)] for r in rows],
-        title="Fig. 6: layer sweep (s)",
-    ))
-
-
-def _cmd_fig7(args) -> None:
-    study = figures.fig7_locality(mbs=2)
-    print(f"locality-aware {study.time_aware_s:.3f}s vs oblivious "
-          f"{study.time_oblivious_s:.3f}s -> {100 * study.improvement:.1f}% faster")
-    print(format_table(
-        ["IPC band", "aware %", "oblivious %"],
-        [[lab, round(100 * fa, 1), round(100 * fo, 1)]
-         for (lab, fa), (_, fo) in zip(study.ipc_aware.rows(), study.ipc_oblivious.rows())],
-    ))
-    print(format_table(
-        ["MPKI band", "aware %", "oblivious %"],
-        [[lab, round(100 * fa, 1), round(100 * fo, 1)]
-         for (lab, fa), (_, fo) in zip(study.mpki_aware.rows(), study.mpki_oblivious.rows())],
-    ))
-
-
-def _cmd_fig8(args) -> None:
-    rows = figures.fig8_next_char()
-    print(format_table(
-        ["L", "hidden", "batch", "Keras s", "B-Par s", "speed-up"],
-        [[r["layers"], r["hidden"], r["batch"], round(r["keras"], 3),
-          round(r["bpar"], 3), round(r["speedup"], 2)] for r in rows],
-        title="Fig. 8: next-char m2m",
-    ))
-
-
-def _cmd_granularity(args) -> None:
-    stats, per_epoch = figures.granularity_study()
-    for label, value in stats.rows():
-        print(f"{label:24s} {value}")
-    print(f"{'tasks per epoch':24s} {per_epoch}  (paper: 368,240)")
+def _cmd_section(args) -> None:
+    """One section of suite ``paper`` at the smoke grid, as ``bench paper``
+    measures and prints it."""
+    print(format_results(run_paper_suite("smoke", [args.command])["results"]))
 
 
 def _cmd_serve_bench(args) -> None:
@@ -196,9 +114,11 @@ def _cmd_bench(args) -> int:
 
     ``bench SUITE`` measures the suite at its smoke size (``--record``:
     the paper-scale size, written to its baseline file — when every bar
-    holds — unless ``--output`` says otherwise), prints the JSON report,
-    and exits 1 when any bar of :mod:`repro.harness.ledger` fails.  ``bench --check REPORT...`` gates
-    files instead; the suite and the scope are read from each report.
+    holds — unless ``--output`` says otherwise), prints the JSON report
+    (and, for a suite with a text form, that to stderr), and exits 1 when
+    any bar of :mod:`repro.harness.ledger` fails.  ``bench --check
+    REPORT...`` gates files instead; the suite and the scope are read from
+    each report.
     """
     import json
 
@@ -217,6 +137,9 @@ def _cmd_bench(args) -> int:
         return 2
     report = ledger.run_suite(suite, "record" if args.record else "smoke")
     print(json.dumps(report, indent=2))
+    render = ledger.SUITES[suite].render
+    if render is not None:
+        print(render(report["results"]), file=sys.stderr)
     notices: list = []
     errors = ledger.check_report(report, suite, notices)
     for notice in notices:
@@ -346,32 +269,25 @@ def _cmd_analyze(args) -> int:
     seconds); ``--lint [PATH]`` adds the AST pass over the source tree;
     ``--skip-graph`` makes it lint-only.  ``--verify [SCOPE]`` runs the
     symbolic dependence verifier over the config-family matrix and
-    emits the ``repro.cert.v1`` certificate (``--verify-output``);
-    ``--strict`` makes an incomplete certificate exit nonzero.  Exit 1
-    on any graph/AST finding.
+    emits the ``repro.cert.v1`` certificate as a ``verify`` report
+    (``--verify-output``; ``bench --check`` gates it); ``--strict`` makes
+    an incomplete certificate exit nonzero.  Exit 1 on any graph/AST
+    finding.
     """
     from repro.analysis.graphlint import lint_graph
     from repro.analysis.parallelism import analyze_graph
     from repro.analysis.pylint import lint_paths
+    from repro.harness.ledger import make_report, write_report
 
     failed = False
     results = {}
     config = {
-        "cell": args.cell,
-        "input_size": args.input_size,
-        "hidden": args.hidden,
-        "layers": args.layers,
-        "seq_len": args.seq_len,
-        "batch": args.batch,
-        "mbs": args.mbs,
-        "head": args.head,
+        **{key: getattr(args, key) for key in (
+            "cell", "input_size", "hidden", "layers", "seq_len", "batch", "mbs", "head",
+            "serialize_chunks", "fused_input_projection", "proj_block", "fusion",
+            "wavefront_tile")},
         "training": not args.infer,
         "barrier_free": not args.barriers,
-        "serialize_chunks": args.serialize_chunks,
-        "fused_input_projection": args.fused_input_projection,
-        "proj_block": args.proj_block,
-        "fusion": args.fusion,
-        "wavefront_tile": args.wavefront_tile,
         "lint_paths": [args.lint] if args.lint else [],
     }
 
@@ -403,14 +319,8 @@ def _cmd_analyze(args) -> int:
         }
 
     if args.verify:
-        import json
-
         from repro.analysis.verify import build_certificate, full_family_matrix
 
-        if args.verify not in ("full", "smoke"):
-            print(f"unknown --verify scope {args.verify!r} (full|smoke)",
-                  file=sys.stderr)
-            return 2
         families = full_family_matrix()
         if args.verify == "smoke":
             # six kernel/tile/projection modes per cell/head/pass: a stride
@@ -430,49 +340,29 @@ def _cmd_analyze(args) -> int:
                 print(f"  UNCERTIFIED {entry['label']}")
                 for f in entry["findings"][:4]:
                     print(f"    {f['kind']}: {f['task']} {f['region']} {f['detail']}")
-        results["verify"] = {
-            "scope": args.verify,
-            "n_families": cert["n_families"],
-            "n_certified": cert["n_certified"],
-            "mutations_detected": cert["mutations"]["all_detected"],
-            "cross_validation_ok": cross["ok"],
-            "ok": cert["ok"],
-        }
         if args.verify_output:
-            with open(args.verify_output, "w") as fh:
-                fh.write(json.dumps(cert, indent=2) + "\n")
+            write_report(args.verify_output, make_report(
+                "verify",
+                {"families": args.verify, "samples": args.verify_samples},
+                cert,
+                "record" if args.verify == "full" else "smoke",
+            ))
             print(f"# certificate written to {args.verify_output}", file=sys.stderr)
         if args.strict:
             failed |= not cert["ok"]
 
     if args.output:
-        from repro.harness.ledger import make_report, write_report
-
         write_report(args.output, make_report("graph_analysis", config, results))
         print(f"# report written to {args.output}", file=sys.stderr)
     return 1 if failed else 0
 
 
-def _cmd_memory(args) -> None:
-    free, barred = figures.memory_study()
-    print(f"barrier-free : {free.mean_live_tasks:5.1f} live tasks, "
-          f"{free.mean_live_wss_bytes / 1e6:6.1f} MB live WSS")
-    print(f"with barriers: {barred.mean_live_tasks:5.1f} live tasks, "
-          f"{barred.mean_live_wss_bytes / 1e6:6.1f} MB live WSS")
-
+PAPER_COMMANDS = ("table3", "table4", "fig3", "fig4", "fig5", "fig6", "fig7",
+                  "fig8", "granularity", "memory")
 
 COMMANDS = {
     "describe": _cmd_describe,
-    "table3": lambda a: _cmd_table("lstm", "Table III: BLSTM (ms)", a),
-    "table4": lambda a: _cmd_table("gru", "Table IV: BGRU (ms)", a),
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "fig5": _cmd_fig5,
-    "fig6": _cmd_fig6,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "granularity": _cmd_granularity,
-    "memory": _cmd_memory,
+    **{name: _cmd_section for name in PAPER_COMMANDS},
     "serve-bench": _cmd_serve_bench,
     "bench": _cmd_bench,
     "racecheck": _cmd_racecheck,
@@ -480,43 +370,55 @@ COMMANDS = {
 }
 
 
-def _add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
-    # serving knobs (queue/batcher/admission) live in the shared "serving
-    # options" group (repro.serve.config.add_serve_args); this group
-    # carries the model shape and the report path.
+def _add_model_args(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("model and report options")
     g.add_argument("--cell", choices=("lstm", "gru"), default="lstm")
     g.add_argument("--hidden", type=int, default=256)
     g.add_argument("--layers", type=int, default=6)
     g.add_argument("--input-size", type=int, default=64)
-    g.add_argument("--seq-min", type=int, default=40)
-    g.add_argument("--seq-max", type=int, default=100)
     g.add_argument("--output", type=str, default=None,
                    help="also write the JSON report to this path")
+
+
+def _add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
+    # serving knobs (queue/batcher/admission) live in the shared "serving
+    # options" group (repro.serve.config.add_serve_args)
+    g = parser.add_argument_group("request length options")
+    g.add_argument("--seq-min", type=int, default=40)
+    g.add_argument("--seq-max", type=int, default=100)
+
+
+def _add_graph_args(parser: argparse.ArgumentParser) -> None:
+    g = parser.add_argument_group("checked-graph options (racecheck, analyze)")
     g.add_argument("--seq-len", type=int, default=100,
                    help="sequence length of the analysed/checked batch")
     g.add_argument("--batch", type=int, default=32,
                    help="batch size of the analysed/checked batch")
+    g.add_argument("--head", choices=("many_to_one", "many_to_many"),
+                   default="many_to_one")
+    g.add_argument("--infer", action="store_true",
+                   help="check a forward-only (inference) graph")
+    g.add_argument("--barriers", action="store_true",
+                   help="analyze/racecheck the per-layer-barrier (framework) graph variant")
+    g.add_argument("--serialize-chunks", action="store_true",
+                   help="analyze/racecheck the B-Seq (chunk-serialised) graph variant")
 
 
 def _add_bench_args(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("bench options")
-    g.add_argument("suite", nargs="?", default=None,
-                   help="bench: the suite to run (directly after 'bench')")
+    g.add_argument("suite", nargs="?", default=None, help="the suite to run")
     g.add_argument("--record", action="store_true",
                    help="run the suite's paper-scale size and write its "
                         "benchmarks/baselines/BENCH_<suite>.json")
     g.add_argument("--check", nargs="+", default=None, metavar="REPORT",
                    help="gate written reports against the ledger's bars "
                         "instead of running a suite")
+    g.add_argument("--output", type=str, default=None,
+                   help="write the JSON report to this path")
 
 
 def _add_racecheck_args(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("racecheck options")
-    g.add_argument("--head", choices=("many_to_one", "many_to_many"),
-                   default="many_to_one")
-    g.add_argument("--infer", action="store_true",
-                   help="check a forward-only (inference) graph")
     g.add_argument("--mutations", type=int, default=0,
                    help="run N seeded dependence-deletion probes (each must be detected)")
     g.add_argument("--fuzz-seeds", type=int, default=0,
@@ -534,12 +436,8 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
                    help="run the AST lint over PATH (default src/repro)")
     g.add_argument("--skip-graph", action="store_true",
                    help="skip the graph build/lint half (AST lint only)")
-    g.add_argument("--barriers", action="store_true",
-                   help="analyze/racecheck the per-layer-barrier (framework) graph variant")
-    g.add_argument("--serialize-chunks", action="store_true",
-                   help="analyze/racecheck the B-Seq (chunk-serialised) graph variant")
     g.add_argument("--verify", nargs="?", const="full", default=None,
-                   metavar="SCOPE",
+                   choices=("full", "smoke"), metavar="SCOPE",
                    help="run the symbolic dependence verifier: SCOPE 'full' "
                         "(default) certifies the whole family matrix, "
                         "'smoke' an 11-family diagonal")
@@ -547,12 +445,24 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
                    help="concrete configs the certificate cross-validates "
                         "against the dynamic race checker (default 8)")
     g.add_argument("--verify-output", type=str, default=None, metavar="PATH",
-                   help="write the repro.cert.v1 certificate JSON to PATH "
-                        "(the input of tools/check_verify.py)")
+                   help="write the repro.cert.v1 certificate to PATH as a "
+                        "`verify` report (gate it with `bench --check`)")
     g.add_argument("--strict", action="store_true",
                    help="with --verify: exit nonzero unless every family "
                         "certifies, every mutation is detected, and "
                         "cross-validation is clean")
+
+
+#: the flag groups each command reads; a command without a row takes none
+_GROUPS = {
+    "serve-bench": (add_execution_args, add_serve_args, _add_model_args,
+                    _add_serve_bench_args),
+    "bench": (_add_bench_args,),
+    "racecheck": (add_execution_args, _add_model_args, _add_graph_args,
+                  _add_racecheck_args),
+    "analyze": (add_execution_args, _add_model_args, _add_graph_args,
+                _add_analyze_args),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,23 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="Regenerate the paper's tables and figures on the simulated machine.",
     )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--full", action="store_true",
-                        help="use the paper's complete configuration grids")
-    add_execution_args(parser)
-    add_serve_args(parser)
-    _add_serve_bench_args(parser)
-    _add_racecheck_args(parser)
-    _add_analyze_args(parser)
-    _add_bench_args(parser)
+    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in COMMANDS:
+        sub = commands.add_parser(name)
+        for add_group in _GROUPS.get(name, ()):
+            add_group(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "bench" and (args.suite or args.check or args.record):
-        parser.error("a suite, --check and --record belong to 'bench'")
+    args = build_parser().parse_args(argv)
     return int(COMMANDS[args.command](args) or 0)
 
 

@@ -24,14 +24,6 @@ class WorkingSetStats:
     mean_live_wss_bytes: float
     peak_live_wss_bytes: int
 
-    def rows(self):
-        return [
-            ("avg live tasks", f"{self.mean_live_tasks:.1f}"),
-            ("peak live tasks", f"{self.peak_live_tasks}"),
-            ("avg live WSS", f"{self.mean_live_wss_bytes / 1e6:.2f} MB"),
-            ("peak live WSS", f"{self.peak_live_wss_bytes / 1e6:.2f} MB"),
-        ]
-
 
 def working_set_stats(trace: ExecutionTrace) -> WorkingSetStats:
     """Time-weighted live-task count and live working-set size."""

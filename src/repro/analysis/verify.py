@@ -48,8 +48,9 @@ the exact offending task pair.  :func:`cross_validate` additionally runs
 the dynamic race checker on sampled concrete configs from certified
 families and requires zero findings.
 
-The output is a machine-readable certificate (``repro.cert.v1``)
-consumed by the ``tools/check_verify.py`` CI gate.
+The output is a machine-readable certificate (``repro.cert.v1``), the
+``results`` of a ``verify`` report (:mod:`repro.harness.ledger`): ``analyze
+--verify --verify-output`` writes it, ``bench --check`` gates it.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from repro.runtime.depgraph import descendants_bitsets
 
 #: certificate serialization format tag
 CERT_FORMAT = "repro.cert.v1"
+MUTATION_KINDS = ("drop_edge", "shrink_region", "widen_write", "drop_plan_edge")
 
 #: the config axes the certificate quantifies over: cell × head × mode ×
 #: kernel (``FUSION_MODES``) × tile × projection
@@ -683,9 +685,7 @@ def verify_mutations(
         "detected": flagged,
     }
 
-    out["all_detected"] = all(
-        entry["detected"] for entry in out.values() if isinstance(entry, dict)
-    )
+    out["all_detected"] = all(out[kind]["detected"] for kind in MUTATION_KINDS)
     return out
 
 
@@ -768,10 +768,23 @@ def build_certificate(
 ) -> dict:
     """Verify every family and emit the ``repro.cert.v1`` certificate."""
     fams = list(families) if families is not None else full_family_matrix()
-    fam_entries = [verify_family(f, n_workers=n_workers) for f in fams]
-    mutations = verify_mutations(seed=seed, n_workers=n_workers)
-    cross = cross_validate(fams, samples=samples, seed=seed)
-    certified = sum(1 for e in fam_entries if e["ok"])
+    return assemble_certificate(
+        [verify_family(f, n_workers=n_workers) for f in fams],
+        verify_mutations(seed=seed, n_workers=n_workers),
+        cross_validate(fams, samples=samples, seed=seed),
+    )
+
+
+def assemble_certificate(families: List[dict], mutations: dict, cross: dict) -> dict:
+    """The certificate over its three blocks, with the aggregates the
+    ``verify`` bars read: re-assembling edited blocks re-derives them."""
+    instances = [inst for entry in families for inst in entry["instances"]]
+    certified = sum(1 for e in families if e["ok"])
+    entries = cross["entries"]
+
+    def exact_pair(pair) -> bool:
+        return len(pair) == 2 and all(pair)
+
     return {
         "format": CERT_FORMAT,
         "model": {
@@ -782,13 +795,25 @@ def build_certificate(
             "cutoff_shapes": [list(s) for s in _CUTOFF_SHAPES],
             "symbolic_parameters": ["H", "I0", "M", "C", "isz", "b0..b{mbs-1}"],
         },
-        "n_families": len(fam_entries),
+        "n_families": len(families),
         "n_certified": certified,
-        "families": fam_entries,
-        "mutations": mutations,
-        "cross_validation": cross,
+        "n_distinct_labels": len({e["label"] for e in families}),
+        "n_size_isomorphic": sum(1 for e in families if e["size_isomorphism"]),
+        "min_pairs_proved": min(i["pairs_proved"] for i in instances),
+        "min_plan_edges_checked": min(i["plan_edges_checked"] for i in instances),
+        "families": families,
+        "mutations": {
+            **mutations,
+            **{kind: {**mutations[kind], "exact_pair": exact_pair(mutations[kind]["pair"])}
+               for kind in MUTATION_KINDS},
+        },
+        "cross_validation": {
+            **cross,
+            "max_findings": max((e["findings"] for e in entries), default=0),
+            "min_observed_tasks": min((e["observed_tasks"] for e in entries), default=0),
+        },
         "ok": (
-            certified == len(fam_entries)
+            certified == len(families)
             and mutations["all_detected"]
             and cross["ok"]
         ),

@@ -98,18 +98,3 @@ class SyntheticTidigits:
             xs.append(x)
             ys.append(y)
         return xs, np.asarray(ys, dtype=np.int64)
-
-    def fixed_length_batch(
-        self, batch: int, seq_len: int, seed: int = 1
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """A padded/cropped ``(seq_len, batch, features)`` batch + labels.
-
-        Convenience for the performance experiments, which use fixed
-        sequence lengths (the paper's Seq Len column).
-        """
-        xs, ys = self.generate(batch, seed=seed)
-        out = np.zeros((seq_len, batch, self.config.num_features), dtype=np.float32)
-        for i, x in enumerate(xs):
-            t = min(seq_len, x.shape[0])
-            out[:t, i, :] = x[:t]
-        return out, ys

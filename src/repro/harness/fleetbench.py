@@ -25,6 +25,10 @@ plan cache), not host noise.  Sections:
   consistent-hash router keeps each shape's compiled plan warm on its
   home replica, so the fleet compiles each shape once, not ``replicas``
   times (fewer total compiles, higher warm hit rate).
+* **replica_sweep** — two and four replicas, each at 0.8 × its pool's
+  capacity: attainment holds and every replica serves.
+* **batching** — one engine at a rate that saturates an unbatched server
+  (:func:`batching_section`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.config import ExecutionConfig
+from repro.harness.measure import make_spec
 from repro.models.spec import BRNNSpec
 from repro.serve.batcher import Batch
 from repro.serve.config import ServeConfig
@@ -39,6 +44,7 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.fleet import FleetServer, FleetStats
 from repro.serve.loadgen import WorkloadConfig, make_workload
 from repro.serve.request import InferenceRequest
+from repro.serve.server import Server
 
 
 def _calibrate_service_s(
@@ -78,6 +84,43 @@ def _section(stats: FleetStats) -> Dict:
     return out
 
 
+def batching_section() -> Dict:
+    """The Table III BLSTM on one simulated 48-core engine at 200 req/s:
+    batching amortises per-batch fixed costs and task creation across
+    requests, so it multiplies throughput and drains the queue fast enough
+    that its tail beats the unbatched median; a bounded queue absorbs bursts."""
+    spec = make_spec("lstm", 64, 256, 6)
+    rate_hz = 200.0
+
+    def serve(workload: str, rate: float, max_batch_size: int, capacity: int, **bursts):
+        requests = make_workload(
+            workload,
+            WorkloadConfig(rate_hz=rate, duration_s=2.0, seq_len_range=(40, 100), **bursts),
+            seed=0 if workload == "poisson" else 1,
+        )
+        engine = InferenceEngine(spec, config=ExecutionConfig(executor="sim", mbs=4))
+        cfg = ServeConfig(queue_capacity=capacity, max_batch_size=max_batch_size,
+                          max_wait=5e-3, bucket_width=20)
+        s = Server(engine, cfg).run(requests).summary()
+        return {
+            "offered": len(requests),
+            "requests": s["requests"]["total"],
+            "completed": s["requests"]["completed"],
+            "shed": s["requests"]["shed"],
+            "throughput_rps": s["throughput_rps"],
+            "latency_p50_s": s["latency_s"]["p50"],
+            "latency_p99_s": s["latency_s"]["p99"],
+            "padding_overhead": s["batches"]["padding_overhead"],
+            "queue_depth_max": s["queue_depth"]["max"],
+        }
+
+    return {
+        "unbatched": serve("poisson", rate_hz, 1, 128),
+        "batched": serve("poisson", rate_hz, 32, 128),
+        "bursty": serve("bursty", 0.6 * rate_hz, 32, 64, burst_factor=4.0, burst_fraction=0.2),
+    }
+
+
 def run_fleet_bench(
     cell: str = "lstm",
     input_size: int = 32,
@@ -95,11 +138,7 @@ def run_fleet_bench(
     seed: int = 0,
 ) -> Dict:
     """Run every section and return ``{"config", "results"}``."""
-    spec = BRNNSpec(
-        cell=cell, input_size=input_size, hidden_size=hidden,
-        num_layers=layers, merge_mode="sum", head="many_to_one",
-        num_classes=11,
-    )
+    spec = make_spec(cell, input_size, hidden, layers)
     execution = ExecutionConfig(executor="sim", compile="on")
     top_bucket = -(-seq_range[1] // bucket_width) * bucket_width
     service_full_s = _calibrate_service_s(
@@ -137,6 +176,11 @@ def run_fleet_bench(
 
     def compiles(server: FleetServer) -> int:
         return sum(e.plan_cache.compiles for e in server.pool.engines)
+
+    def sweep_point(n_replicas: int) -> Dict:
+        point = _section(serve(0.8 * n_replicas * single_rate_hz, n_replicas)[1])
+        return {"attainment": point["attainment"],
+                "replicas_used": len(point["routing"])}
 
     _, single_ok = serve(single_rate_hz, 1)
     _, single_hot = serve(fleet_rate_hz, 1)
@@ -176,6 +220,8 @@ def run_fleet_bench(
         "single_at_fleet_rate": _section(single_hot),
         "fleet_at_fleet_rate": _section(fleet),
         "bursty_overload": _section(bursty),
+        "replica_sweep": {f"r{n}": sweep_point(n) for n in (2, 4)},
+        "batching": batching_section(),
         "routers": {
             "hash": {
                 "compiles": compiles(hash_server),

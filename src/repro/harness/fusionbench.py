@@ -23,9 +23,10 @@ top of that (``tiled``).  Run on both substrates:
 
 It also records the static-analysis contrast behind the tiling claim: graph
 width and average parallelism of the tiled graph against the layer-ordered
-(barriered) build, with the linter/analyzer finding counts, and a
+(barriered) build, with the linter/analyzer finding counts, a
 flop-conservation check tying the stacked gate GEMM to the sum of its
-per-gate parts.
+per-gate parts, and the same cost-only comparisons over tile sizes, cells,
+hoisting points and chunkings (:func:`simulated_sweeps`).
 
 ``python -m repro bench fusion`` drives :func:`run_fusion_bench`; the sizes,
 bars and baseline are a row of :mod:`repro.harness.ledger`.
@@ -189,6 +190,53 @@ def wavefront_analysis_contrast(
     }
 
 
+#: (seq_len, hidden, cores, proj_block): blocks kept shorter than the
+#: sequence — a single whole-sequence block gates the first cell on all the
+#: hoisted flops and the flop-weighted path is exactly per-step's
+_HOIST_POINTS = (
+    (16, 128, None, 4), (100, 128, None, 4), (50, 64, None, None),
+    (50, 256, None, None), (50, 128, 1, None), (50, 128, 48, None),
+)
+
+
+def simulated_sweeps() -> Dict:
+    """The simulated comparison around the paper-scale shape (1024-feature
+    input, two layers, batch 32), one lever at a time.  Cost-only and fixed,
+    so both sizes of the suite record the same numbers."""
+
+    def compare(cell="lstm", hidden=128, seq_len=100, **kw):
+        return simulated_comparison(make_spec(cell, 1024, hidden, 2), seq_len, 32, **kw)
+
+    tiles = {t: compare(modes={**MODES, "tiled": ("gates", "on", t)}) for t in (1, 8, 25)}
+    cells = {c: compare(cell=c, seq_len=50) for c in ("lstm", "gru")}
+    hoisted = [compare(hidden=h, seq_len=t, n_cores=c, proj_block=pb)
+               for t, h, c, pb in _HOIST_POINTS]
+    chunked = [wavefront_analysis_contrast(make_spec("lstm", 256, 64, 2), 32, 16, mbs=m)
+               for m in (1, 4)]
+    reductions = [o["critical_path_reduction"] for o in hoisted]
+    return {
+        # tile 1 is per-step cells plus hoisted projections (more tasks than
+        # unhoisted); every larger tile must amortise below the ``gates`` count
+        "tile": {
+            "max_cp_ratio": max(o["tiled"]["cp_ratio"] for o in tiles.values()),
+            "max_task_ratio": max(o["tiled"]["n_tasks"] / o["gates"]["n_tasks"]
+                                  for t, o in tiles.items() if t > 1),
+        },
+        "cell": {c: {m: o[m]["cp_ratio"] for m in ("gates", "proj", "tiled")}
+                 for c, o in cells.items()},
+        "hoisting": {
+            "min_critical_path_reduction": min(reductions),
+            "max_critical_path_reduction": max(reductions),
+            "min_sim_speedup": min(o["sim_speedup"] for o in hoisted),
+        },
+        "chunked": {
+            "max_lint_findings": max(o["lint_findings"] for o in chunked),
+            "max_analyzer_findings": max(o["analyzer_findings"] for o in chunked),
+            "min_width_gain": min(o["wavefront_width"] - o["layered_width"] for o in chunked),
+        },
+    }
+
+
 def gate_flops_conservation(spec: BRNNSpec, batch: int) -> bool:
     """Do the per-gate GEMM flops sum exactly to the stacked total, and the
     forward total to GEMM + pointwise, on every layer?  Exact float
@@ -253,6 +301,7 @@ def run_fusion_bench(
                 spec, seq_len, batch, mbs=mbs, n_cores=sim_cores,
             ),
             "analysis": wavefront_analysis_contrast(spec, seq_len, batch, mbs=mbs),
+            "sweeps": simulated_sweeps(),
             "flops_conserved": gate_flops_conservation(spec, batch),
             "host_cores": os.cpu_count() or 1,
         },

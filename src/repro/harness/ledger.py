@@ -1,13 +1,14 @@
 """The bench ledger: one table of gated suites, one evaluator, one runner.
 
-Every gated measurement of the repo is a row of :data:`SUITES`: the
-function that measures it, the keyword sets of its two sizes (``smoke``
-for CI, ``record`` for the committed ``benchmarks/baselines/BENCH_*.json``),
-the schema of its ``results`` block, and its *bars* — the who-wins claims
-the measurement must support.  :func:`check_report` is the only place a
-bar is decided; ``python -m repro bench <suite>`` (:func:`run_suite`),
-``python -m repro bench --check`` (:func:`check_files`) and the
-``benchmarks/`` recorders all call it.
+Every gated measurement of the repo is a row of :data:`SUITES` — the
+paper's tables and figures (``paper``) and the dependence certificate
+(``verify``) included: the function that measures it, the keyword sets of
+its two sizes (``smoke`` for CI, ``record`` for the committed
+``benchmarks/baselines/BENCH_*.json``), the schema of its ``results``
+block, and its *bars* — the who-wins claims the measurement must support.
+:func:`check_report` is the only place a bar is decided; ``python -m repro
+bench <suite>`` (:func:`run_suite`) and ``python -m repro bench --check``
+(:func:`check_files`) both call it.
 
 Report envelope::
 
@@ -29,10 +30,12 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.verify import MUTATION_KINDS, full_family_matrix
 from repro.harness.compilebench import run_compile_bench
 from repro.harness.fleetbench import run_fleet_bench
 from repro.harness.fusionbench import MODES, run_fusion_bench
 from repro.harness.mpbench import REGIMES, run_multiproc_bench
+from repro.harness.paper import SECTIONS, format_results, run_paper_suite
 from repro.obs.report import run_obs_report
 
 SCHEMA_VERSION = 1
@@ -88,11 +91,15 @@ class Suite:
     bars: Sequence[Bar]
     smoke: Dict
     record: Dict
+    #: ``results`` as text for a reader; ``bench SUITE`` prints it to stderr
+    render: Optional[Callable[[Dict], str]] = None
 
 
-def _suite(measure, *, schema, bars, timed=(), smoke=None, record=None) -> Suite:
+def _suite(measure, *, schema, bars, timed=(), smoke=None, record=None,
+           render=None) -> Suite:
     """A :class:`Suite` whose ``summarize_times`` blocks at the ``timed``
-    paths get their five schema entries and two sanity bars each."""
+    paths get their five schema entries and two sanity bars each, and where
+    a path a bar reads is a number unless ``schema`` says otherwise."""
     timing_schema = [
         (f"{path}.{key}", int if key == "n" else _NUM)
         for path in timed
@@ -106,8 +113,12 @@ def _suite(measure, *, schema, bars, timed=(), smoke=None, record=None) -> Suite
             Bar(f"{path}.median_s", "<=", f"{path}.p95_s"),
         )
     ]
-    return Suite(measure, [*timing_schema, *schema], [*timing_bars, *bars],
-                 smoke or {}, record or {})
+    declared = {path for path, _ in schema}
+    read = sorted({side for bar in bars for side in (bar.lhs, bar.rhs)
+                   if isinstance(side, str) and side not in declared
+                   and not side.endswith(".*")})
+    return Suite(measure, [*timing_schema, *schema, *((path, _NUM) for path in read)],
+                 [*timing_bars, *bars], smoke or {}, record or {}, render)
 
 
 def _numbers(prefix: str, *keys: str) -> Schema:
@@ -122,6 +133,146 @@ def _accounting(section: str, total: str = "requests") -> List[Bar]:
         Bar(f"{section}.shed_reasons.*", "==", f"{section}.shed",
             "shed_reasons does not sum to shed"),
     ]
+
+
+
+def _section_bars(section: str, *rows) -> List[Bar]:
+    """Bars over one section of ``paper``: ``(lhs, op, rhs, why[, slack])``,
+    string sides relative to the section."""
+    def path(term):
+        return f"{section}.{term}" if isinstance(term, str) else term
+
+    return [Bar(path(lhs), op, path(rhs), why, slack=slack[0] if slack else 1.0)
+            for lhs, op, rhs, why, *slack in rows]
+
+
+_2X_MBS = "low mbs should saturate near 2x mbs (two direction chains per chunk)"
+_ORDERED = "percentiles out of order"
+
+#: every shape criterion of the paper's evaluation (DESIGN.md §4), by section
+_PAPER_BARS: List[Bar] = [
+    *(bar for table in ("table3", "table4") for bar in _section_bars(
+        table,
+        ("min_speedup_k_cpu", ">", 1.0, "B-Par lost to Keras-CPU on a row"),
+        ("max_speedup_k_cpu", "<", 3.5, "beyond the paper's 1.17-2.34x band plus model slack"),
+        ("min_speedup_p_cpu", ">", 1.0, "B-Par lost to PyTorch-CPU on a row"),
+        ("rows_where_bseq_beats_bpar", "==", 0, "B-Seq beat B-Par"),
+        ("rows_over_90m_params_where_p_gpu_ran", "==", 0,
+         "PyTorch-GPU should hang above ~90M parameters (the paper's dashes)"),
+    )),
+    *_section_bars(
+        "table3",
+        ("max_speedup_p_cpu", "<", 12.0, "beyond the paper's 1.30-9.16x band plus model slack"),
+        ("big_rows_where_bpar_beats_k_gpu", "==", 0,
+         "Keras-GPU should win the batch >= 128, seq >= 100 rows"),
+        ("tiny_rows_where_k_gpu_beats_bpar", "==", 0,
+         "B-Par should beat Keras-GPU at batch 1, seq <= 10"),
+        ("tiny_rows_where_p_gpu_beats_bpar", "==", 0,
+         "B-Par should beat PyTorch-GPU at batch 1, seq <= 10"),
+    ),
+    Bar("table4.max_params_m", "<", "table3.max_params_m",
+        "a GRU row should be cheaper than its LSTM row (3 vs 4 gates)"),
+    *_section_bars(
+        "fig3",
+        ("mbs1_speedup_at_1_core", ">", 0.95, "mbs:1 on one core is the unit"),
+        ("mbs1_speedup_at_1_core", "<", 1.05, "mbs:1 on one core is the unit"),
+        ("mbs1_speedup_at_max_cores", "<", 3.0, _2X_MBS),
+        ("mbs2_speedup_at_max_cores", "<", 6.0, _2X_MBS),
+        ("top_mbs_best_speedup", ">", "mbs1_best_speedup",
+         "high mbs should keep scaling where mbs:1 cannot", 3.0),
+        ("mbs8_speedup_at_max_cores", ">=", "mbs8_best_speedup",
+         "more cores should not hurt the high-mbs series badly", 0.8),
+    ),
+    *_section_bars(
+        "fig4",
+        ("bpar_best_core_count", "==", 48, "B-Par's best time should be on the whole machine"),
+        ("bseq_best_s", ">", "bseq_s_at_8_cores",
+         "B-Seq should saturate: at most 10% further gain beyond 8 cores", 0.9),
+        ("bseq_over_keras_at_8_cores", ">", 0.5, "B-Seq ~ Keras at 8-16 cores"),
+        ("bseq_over_keras_at_8_cores", "<", 2.0, "B-Seq ~ Keras at 8-16 cores"),
+        ("keras_over_bpar_at_max_cores", ">", 1.5, "B-Par should clearly beat Keras at 48 cores"),
+        ("pytorch_over_bpar_at_max_cores", ">", 2.0,
+         "B-Par should clearly beat PyTorch at 48 cores"),
+        ("core_counts_where_pytorch_beats_keras", "==", 0,
+         "PyTorch should be the slowest CPU engine throughout"),
+    ),
+    *_section_bars(
+        "fig5",
+        ("min_speedup_vs_keras", ">", 1.0, "B-Par lost to Keras on a grid point"),
+        ("min_speedup_vs_pytorch", ">", 1.0, "B-Par lost to PyTorch on a grid point"),
+        ("max_speedup_vs_keras", "<", 7.0, "beyond the paper's 1.58-6.40x band"),
+        ("rows_where_pytorch_beats_keras", "==", 0, "PyTorch should be slowest"),
+    ),
+    *_section_bars(
+        "fig6",
+        ("min_train_speedup_vs_keras", ">", 1.0, "B-Par training lost to Keras"),
+        ("min_train_speedup_vs_pytorch", ">", 1.0, "B-Par training lost to PyTorch"),
+        ("min_infer_speedup_vs_keras", ">", 1.0, "B-Par inference lost to Keras"),
+        ("max_bpar_infer_over_train", "<", 1.0, "inference should be cheaper than training"),
+        ("train_speedup_deepest", ">", "train_speedup_shallowest",
+         "the B-Par advantage should grow with depth (barrier cost scales with layers)"),
+    ),
+    *_section_bars(
+        "fig7",
+        ("improvement", ">", 0, "locality-aware must not be slower"),
+        ("ipc_top.aware", ">=", "ipc_top.oblivious", "less time in the top IPC bands"),
+        ("mpki_high.aware", "<=", "mpki_high.oblivious", "more time in the high L3-MPKI bands"),
+        ("mpki_low.aware", ">=", "mpki_low.oblivious", "less time in the low L3-MPKI bands"),
+    ),
+    *(bar for cell in ("lstm", "gru") for bar in _section_bars(
+        f"fig8.{cell}",
+        ("min_speedup", ">", 1.0, "B-Par lost to Keras on a configuration"),
+        ("max_speedup", "<", 5.0, "speed-up implausibly high"),
+        ("max_speedup_deepest", ">", "max_speedup_shallowest",
+         "the maximum speed-up should grow with depth (paper: 1.54 -> 2.44)"),
+    )),
+    *_section_bars(
+        "granularity",
+        ("tasks_per_epoch", ">", 0.75 * 368_240, "not within 25% of the paper's 368,240"),
+        ("tasks_per_epoch", "<", 1.25 * 368_240, "not within 25% of the paper's 368,240"),
+        ("layer0_weight_bytes", ">=", 0.99 * 4.71e6, "the paper's 4.71 MB cell working set"),
+        ("layer0_weight_bytes", "<=", 1.01 * 4.71e6, "the paper's 4.71 MB cell working set"),
+        ("duration_min_s", "<", 1e-3, "the shortest tasks should be sub-millisecond"),
+        ("duration_max_s", ">", 5e-3, "the longest tasks should take milliseconds"),
+        ("duration_mean_s", ">", 1e-3, "paper mean 13.05 ms"),
+        ("duration_mean_s", "<", 50e-3, "paper mean 13.05 ms"),
+        ("duration_min_s", "<=", "duration_p50_s", _ORDERED),
+        ("duration_p50_s", "<=", "duration_p95_s", _ORDERED),
+        ("duration_p95_s", "<=", "duration_p99_s", _ORDERED),
+        ("duration_p99_s", "<=", "duration_max_s", _ORDERED),
+        ("cell_wss_mean_bytes", ">", "merge_wss_mean_bytes",
+         "merge tasks should have far smaller working sets than cell tasks", 10.0),
+        ("overhead_ratio", "<", 0.1, "runtime overhead should be >= 10x below in-task time"),
+    ),
+    *_section_bars(
+        "memory",
+        ("barriered_live_tasks", ">", 4.0, "~mbs tasks live under barriers (paper: 6 at mbs:6)"),
+        ("barriered_live_tasks", "<", 9.0, "~mbs tasks live under barriers (paper: 6 at mbs:6)"),
+        ("live_task_ratio", ">", 1.5, "barrier-free runs ~2-3x more tasks (paper: 16 vs 6)"),
+        ("live_task_ratio", "<", 3.5, "barrier-free runs ~2-3x more tasks (paper: 16 vs 6)"),
+        ("live_wss_ratio", ">", 1.5, "and a correspondingly larger live working set"),
+        ("live_wss_ratio", "<", 3.5, "and a correspondingly larger live working set"),
+    ),
+    *_section_bars(
+        "inference_latency",
+        ("shortest.k_gpu_over_bpar", ">", 1.0, "the CPU should beat Keras-GPU at seq 2"),
+        ("shortest.p_gpu_over_bpar", ">", 1.0, "the CPU should beat PyTorch-GPU at seq 2"),
+        ("long_rows_where_p_gpu_beats_k_gpu", "==", 0,
+         "eager per-timestep dispatch should lose to Keras-GPU from seq 50 up"),
+        ("longest.k_gpu_over_bpar", "<", "shortest.k_gpu_over_bpar",
+         "the GPU's relative position should improve with sequence length"),
+    ),
+    *_section_bars(
+        "ablation_granularity",
+        ("per_cell_tasks", ">", "fused_tasks", "per-cell tasking creates far more tasks", 20.0),
+        ("cost_factor", ">=", 1.0, "fusing chains should not cost time"),
+        ("cost_factor", "<", 2.0, "fine-grained tasking costs a modest constant factor only"),
+    ),
+    *_section_bars(
+        "ablation_queue",
+        ("max_deviation_vs_fifo", "<", 0.25, "a ready-queue policy diverges >25% from fifo"),
+    ),
+]
 
 
 #: the paper-scale BLSTM shape (spectrogram-like input ≫ hidden), where
@@ -211,6 +362,25 @@ SUITES: Dict[str, Suite] = {
                 "the diagonal is gone"),
             Bar("flops_conserved", "==", True,
                 "the per-gate GEMM flop split no longer sums to the stacked total"),
+            # the same claims off the recorded point (fusionbench.simulated_sweeps)
+            Bar("sweeps.tile.max_cp_ratio", "<", 1.0,
+                "a tile size whose duration-weighted path is not below the unfused baseline"),
+            Bar("sweeps.tile.max_task_ratio", "<", 1.0,
+                "an amortising tile did not shrink the task count"),
+            *(bar for c in ("lstm", "gru") for bar in (
+                Bar(f"sweeps.cell.{c}.gates", "<=", 1.0),
+                Bar(f"sweeps.cell.{c}.tiled", "<=", f"sweeps.cell.{c}.proj",
+                    "cp_ratio not monotone along the rungs"))),
+            Bar("sweeps.hoisting.min_critical_path_reduction", ">", 0.0,
+                "hoisting must shorten the flop-weighted chain at every T, width and core count"),
+            Bar("sweeps.hoisting.max_critical_path_reduction", "<", 1.0),
+            Bar("sweeps.hoisting.min_sim_speedup", ">", 0.95,
+                "fewer serial GEMM flops made a simulated batch slower"),
+            Bar("sweeps.chunked.max_lint_findings", "==", 0,
+                "tiled declarations are no longer exact at every chunking"),
+            Bar("sweeps.chunked.max_analyzer_findings", "==", 0),
+            Bar("sweeps.chunked.min_width_gain", ">", 0,
+                "the diagonal is gone at some chunking"),
         ],
     ),
     "compile": _suite(
@@ -327,6 +497,28 @@ SUITES: Dict[str, Suite] = {
             Bar("routers.hash.compiles", "<", "routers.least_loaded.compiles",
                 "shape affinity is not reducing compilation"),
             *(bar for section in _FLEET_SECTIONS for bar in _accounting(section)),
+            # attainment holds as the offered rate scales with the pool,
+            # and the load spreads: every replica served something
+            *(bar for n in (2, 4) for bar in (
+                Bar(f"replica_sweep.r{n}.attainment", ">=", 0.99),
+                Bar(f"replica_sweep.r{n}.replicas_used", "==", n))),
+            # one engine at a rate that saturates an unbatched server
+            Bar("batching.batched.throughput_rps", ">=",
+                "batching.unbatched.throughput_rps",
+                "dynamic batching no longer triples throughput", slack=3.0),
+            Bar("batching.unbatched.shed", ">", "batching.unbatched.requests",
+                "the unbatched server should saturate and shed", slack=0.2),
+            Bar("batching.batched.completed", ">", "batching.batched.requests",
+                "the batched server should keep up", slack=0.95),
+            Bar("batching.batched.latency_p99_s", "<", "batching.unbatched.latency_p50_s",
+                "batching should drain the queue faster than one-by-one service"),
+            Bar("batching.batched.padding_overhead", "<", 0.25,
+                "length bucketing no longer bounds the padding waste"),
+            Bar("batching.bursty.requests", "==", "batching.bursty.offered",
+                "a request left the accounting"),
+            Bar("batching.bursty.queue_depth_max", "<=", 64, "the bounded queue overflowed"),
+            Bar("batching.bursty.completed", ">", "batching.bursty.requests",
+                "the server should survive bursts", slack=0.8),
         ],
     ),
     "obs_overhead": _suite(
@@ -365,6 +557,54 @@ SUITES: Dict[str, Suite] = {
             Bar(f"comparison.policies.locality.counters.locality_hit_rate", ">=",
                 f"comparison.policies.fifo.counters.locality_hit_rate",
                 "locality accounting looks inverted"),
+        ],
+    ),
+    # the paper's tables, figures and studies on the simulated clock (harness.paper)
+    "paper": _suite(
+        run_paper_suite,
+        smoke=dict(grid="smoke"),
+        record=dict(grid="record"),
+        render=format_results,
+        schema=[(f"{name}.{key}", list) for name in SECTIONS for key in ("headers", "rows")],
+        bars=_PAPER_BARS,
+    ),
+    # written by `analyze --verify --verify-output` (smoke: the 11-family diagonal)
+    "verify": _suite(
+        None,
+        schema=[
+            ("format", str),
+            ("model.symbolic_parameters", list),
+            ("families", list),
+            ("mutations.all_detected", bool),
+            *((f"mutations.{kind}.{key}", bool)
+              for kind in MUTATION_KINDS for key in ("detected", "exact_pair")),
+            ("cross_validation.entries", list),
+            ("cross_validation.ok", bool),
+            ("ok", bool),
+        ],
+        bars=[
+            *(Bar("n_families", ">=", len(full_family_matrix()[::stride]),
+                  "the certificate covers fewer families than the matrix",
+                  scopes=(scope,))
+              for scope, stride in (("record", 1), ("smoke", 7))),
+            Bar("n_certified", "==", "n_families", "a family is not certified"),
+            Bar("n_distinct_labels", "==", "n_families", "duplicate family labels"),
+            Bar("n_size_isomorphic", "==", "n_families", "a size-isomorphism rebuild diverged"),
+            Bar("min_pairs_proved", ">", 0, "an instance proved zero disjoint pairs"),
+            Bar("min_plan_edges_checked", ">", 0, "an instance checked zero plan edges"),
+            Bar("mutations.all_detected", "==", True),
+            *(bar for kind in MUTATION_KINDS for bar in (
+                Bar(f"mutations.{kind}.detected", "==", True, "a seeded defect went undetected"),
+                Bar(f"mutations.{kind}.exact_pair", "==", True,
+                    "the finding lacks an exact two-task offending pair"))),
+            Bar("cross_validation.samples", ">=", 8,
+                "too few configs replayed through the dynamic race checker"),
+            Bar("cross_validation.ok", "==", True, "dynamic findings disagree with the proof"),
+            Bar("cross_validation.max_findings", "==", 0,
+                "a cross-validated config had dynamic findings"),
+            Bar("cross_validation.min_observed_tasks", ">", 0,
+                "a cross-validated config observed no tasks"),
+            Bar("ok", "==", True),
         ],
     ),
     # written by `analyze --output`

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
+from repro.baselines import KerasCPUEngine, PyTorchCPUEngine
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.spec import BRNNSpec
 from repro.runtime.simexec import SimulatedExecutor
@@ -73,3 +74,30 @@ def simulated_batch_time(
         trace=trace,
         n_tasks=len(graph),
     )
+
+
+def engine_times(
+    spec: BRNNSpec,
+    seq_len: int,
+    batch: int,
+    n_cores: int,
+    *,
+    mbs: Optional[int] = None,
+    training: bool = True,
+    engines: Sequence[str] = ("keras", "pytorch", "bseq", "bpar"),
+) -> Dict[str, float]:
+    """Single-batch time (s) per CPU engine of the paper's comparisons: the
+    two framework emulations, and B-Seq and B-Par at ``mbs`` chunks (default
+    the evaluation's ``min(8, batch)``)."""
+    chunks = dict(mbs=min(8, batch) if mbs is None else mbs, n_cores=n_cores,
+                  training=training)
+    measure = {
+        "keras": lambda: KerasCPUEngine(spec).batch_time(
+            seq_len, batch, n_cores, training=training)[0],
+        "pytorch": lambda: PyTorchCPUEngine(spec).batch_time(
+            seq_len, batch, n_cores, training=training)[0],
+        "bseq": lambda: simulated_batch_time(
+            spec, seq_len, batch, serialize_chunks=True, **chunks).seconds,
+        "bpar": lambda: simulated_batch_time(spec, seq_len, batch, **chunks).seconds,
+    }
+    return {engine: measure[engine]() for engine in engines}

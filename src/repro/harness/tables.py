@@ -8,17 +8,12 @@ speed-ups against each framework — the exact column structure of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.report import speedup
-from repro.baselines import (
-    KerasCPUEngine,
-    PyTorchCPUEngine,
-    keras_gpu_model,
-    pytorch_gpu_model,
-)
-from repro.harness.simtime import simulated_batch_time
+from repro.baselines import keras_gpu_model, pytorch_gpu_model
+from repro.harness import measure
+from repro.harness.simtime import engine_times
 from repro.models.spec import BRNNSpec
 
 #: (input, hidden, batch, seq_len) rows of Tables III/IV, paper order
@@ -37,124 +32,52 @@ TABLE_CONFIGS = [
     (1024, 1024, 256, 100),
 ]
 
-#: reduced row set for smoke/benchmark-default runs (one per regime:
-#: medium batch, tiny latency-bound, long-seq latency-bound, large model)
-TABLE_CONFIGS_SMOKE = [
-    (256, 256, 128, 100),
-    (256, 256, 1, 2),
-    (256, 256, 1, 100),
-    (256, 1024, 256, 100),
-]
-
 NUM_LAYERS = 6
 
 
-@dataclass
-class TableRow:
-    """One table row: configuration, per-engine ms, B-Par speed-ups."""
-
-    input_size: int
-    hidden_size: int
-    batch: int
-    seq_len: int
-    params_m: float
-    k_cpu_ms: float
-    k_gpu_ms: Optional[float]
-    p_cpu_ms: float
-    p_gpu_ms: Optional[float]
-    bseq_ms: float
-    bpar_ms: float
-
-    @property
-    def speedup_k_cpu(self) -> Optional[float]:
-        return speedup(self.k_cpu_ms, self.bpar_ms)
-
-    @property
-    def speedup_k_gpu(self) -> Optional[float]:
-        return speedup(self.k_gpu_ms, self.bpar_ms)
-
-    @property
-    def speedup_p_cpu(self) -> Optional[float]:
-        return speedup(self.p_cpu_ms, self.bpar_ms)
-
-    @property
-    def speedup_p_gpu(self) -> Optional[float]:
-        return speedup(self.p_gpu_ms, self.bpar_ms)
-
-    def as_list(self) -> List:
-        return [
-            f"{self.input_size}/{self.hidden_size}/{self.batch}/{self.seq_len}",
-            f"{self.params_m:.1f}M",
-            self.k_cpu_ms,
-            self.k_gpu_ms,
-            self.p_cpu_ms,
-            self.p_gpu_ms,
-            self.bseq_ms,
-            self.bpar_ms,
-            self.speedup_k_cpu,
-            self.speedup_k_gpu,
-            self.speedup_p_cpu,
-            self.speedup_p_gpu,
-        ]
-
-
-HEADERS = [
-    "in/hid/B/T",
-    "params",
-    "K-CPU",
-    "K-GPU",
-    "P-CPU",
-    "P-GPU",
-    "BSeq",
-    "BPar",
-    "vs K-CPU",
-    "vs K-GPU",
-    "vs P-CPU",
-    "vs P-GPU",
-]
+#: one column per engine (ms per batch), then B-Par's speed-up over the four
+#: framework columns — the exact column structure of the paper
+ENGINES = ("K-CPU", "K-GPU", "P-CPU", "P-GPU", "BSeq", "BPar")
+HEADERS = ["in/hid/B/T", "params M", *ENGINES, *(f"vs {e}" for e in ENGINES[:4])]
 
 
 def make_spec(cell: str, input_size: int, hidden_size: int) -> BRNNSpec:
-    return BRNNSpec(
-        cell=cell,
-        input_size=input_size,
-        hidden_size=hidden_size,
-        num_layers=NUM_LAYERS,
-        merge_mode="sum",
-        head="many_to_one",
-        num_classes=11,
-    )
+    return measure.make_spec(cell, input_size, hidden_size, NUM_LAYERS)
 
 
-def run_row(cell: str, input_size: int, hidden: int, batch: int, seq_len: int, n_cores: int = 48) -> TableRow:
-    """Produce one table row (all six engines) for one configuration."""
+def run_row(cell: str, input_size: int, hidden: int, batch: int, seq_len: int,
+            n_cores: int = 48) -> List:
+    """One table row in :data:`HEADERS` order; ``None`` where a run hangs."""
     spec = make_spec(cell, input_size, hidden)
-    mbs = min(8, batch)
-    bpar = simulated_batch_time(spec, seq_len, batch, mbs=mbs, n_cores=n_cores).seconds
-    bseq = simulated_batch_time(
-        spec, seq_len, batch, mbs=mbs, n_cores=n_cores, serialize_chunks=True
-    ).seconds
-    k_cpu, _ = KerasCPUEngine(spec).batch_time(seq_len, batch, n_cores)
-    p_cpu, _ = PyTorchCPUEngine(spec).batch_time(seq_len, batch, n_cores)
+    cpu = engine_times(spec, seq_len, batch, n_cores)
     k_gpu = keras_gpu_model().batch_time(spec, seq_len, batch)
     p_gpu = pytorch_gpu_model().batch_time(spec, seq_len, batch)
-    to_ms = lambda s: None if s is None else s * 1e3
-    return TableRow(
-        input_size=input_size,
-        hidden_size=hidden,
-        batch=batch,
-        seq_len=seq_len,
-        params_m=spec.num_parameters() / 1e6,
-        k_cpu_ms=to_ms(k_cpu),
-        k_gpu_ms=to_ms(k_gpu),
-        p_cpu_ms=to_ms(p_cpu),
-        p_gpu_ms=to_ms(p_gpu),
-        bseq_ms=to_ms(bseq),
-        bpar_ms=to_ms(bpar),
-    )
+    ms = [None if s is None else s * 1e3
+          for s in (cpu["keras"], k_gpu, cpu["pytorch"], p_gpu, cpu["bseq"], cpu["bpar"])]
+    return [f"{input_size}/{hidden}/{batch}/{seq_len}", spec.num_parameters() / 1e6,
+            *ms, *(speedup(t, ms[-1]) for t in ms[:4])]
 
 
-def run_table(cell: str, configs=None, n_cores: int = 48) -> List[TableRow]:
-    """All rows of Table III (``cell='lstm'``) or Table IV (``cell='gru'``)."""
-    configs = TABLE_CONFIGS if configs is None else configs
-    return [run_row(cell, *cfg, n_cores=n_cores) for cfg in configs]
+def table_section(cell: str, configs: Sequence[Tuple[int, int, int, int]]) -> Dict:
+    """Table III (``cell='lstm'``) or IV (``'gru'``) over ``configs`` as a
+    section of suite ``paper``: the rows plus the scalars its bars read."""
+    table = [run_row(cell, *cfg) for cfg in configs]
+    rows = [dict(zip(HEADERS, row), batch=batch, seq_len=seq_len)
+            for row, (_, _, batch, seq_len) in zip(table, configs)]
+    big = [r for r in rows if r["batch"] >= 128 and r["seq_len"] >= 100]
+    tiny = [r for r in rows if r["batch"] == 1 and r["seq_len"] <= 10]
+    return {
+        "headers": HEADERS,
+        "rows": table,
+        "min_speedup_k_cpu": min(r["vs K-CPU"] for r in rows),
+        "max_speedup_k_cpu": max(r["vs K-CPU"] for r in rows),
+        "min_speedup_p_cpu": min(r["vs P-CPU"] for r in rows),
+        "max_speedup_p_cpu": max(r["vs P-CPU"] for r in rows),
+        "rows_where_bseq_beats_bpar": sum(r["BSeq"] < r["BPar"] for r in rows),
+        "big_rows_where_bpar_beats_k_gpu": sum(r["K-GPU"] >= r["BPar"] for r in big),
+        "tiny_rows_where_k_gpu_beats_bpar": sum(r["vs K-GPU"] <= 1.0 for r in tiny),
+        "tiny_rows_where_p_gpu_beats_bpar": sum(r["vs P-GPU"] <= 1.0 for r in tiny),
+        "rows_over_90m_params_where_p_gpu_ran": sum(
+            r["P-GPU"] is not None for r in rows if r["params M"] > 90),
+        "max_params_m": max(r["params M"] for r in rows),
+    }

@@ -122,11 +122,6 @@ class BRNNParams:
             dst[...] = src
         return out
 
-    def zero_(self) -> None:
-        """In-place reset of every array (reuse one gradient buffer)."""
-        for _, a in self.arrays():
-            a[...] = 0
-
     def add_scaled_(self, other: "BRNNParams", alpha: float) -> None:
         """``self += alpha * other`` in place (SGD step / gradient reduce)."""
         for (_, dst), (_, src) in zip(self.arrays(), other.arrays()):

@@ -98,38 +98,6 @@ def compare_policies(
     }
 
 
-def format_comparison(report: Dict, policy: str, compare: str) -> str:
-    """Human-readable side-by-side table of :func:`compare_policies`."""
-    rows = [
-        ("makespan_s", lambda p: f"{p['makespan_s']:.6f}"),
-        ("parallel_efficiency", lambda p: f"{p['parallel_efficiency']:.3f}"),
-        ("core_busy_fraction_mean", lambda p: f"{p['core_busy_fraction_mean']:.3f}"),
-        ("locality_hit_rate", lambda p: f"{p['counters']['locality_hit_rate']:.3f}"),
-        ("hinted_pushes", lambda p: str(p["counters"]["hinted_pushes"])),
-        ("steals", lambda p: str(p["counters"]["steals"])),
-        ("queue_depth_mean", lambda p: f"{p['counters']['queue_depth_mean']:.1f}"),
-        ("queue_depth_max", lambda p: str(p["counters"]["queue_depth_max"])),
-        ("starvation_stalls", lambda p: str(p["counters"]["starvation_stalls"])),
-    ]
-    g = report["graph"]
-    width = max(len(name) for name, _ in rows)
-    lines = [
-        f"policy comparison: {g['n_tasks']} tasks "
-        f"({g['cell']} {g['layers']}x{g['hidden']}h, T={g['seq_len']}, "
-        f"B={g['batch']}, mbs={g['mbs']}) on {g['n_cores']} simulated cores",
-        f"{'':{width}}  {policy:>14}  {compare:>14}",
-    ]
-    for name, fmt in rows:
-        a = fmt(report["policies"][policy])
-        b = fmt(report["policies"][compare])
-        lines.append(f"{name:{width}}  {a:>14}  {b:>14}")
-    lines.append(
-        f"{'speedup':{width}}  {report['speedup_vs_compare']:>14.3f}  "
-        f"{'1.000':>14}"
-    )
-    return "\n".join(lines)
-
-
 def measure_overhead(
     *,
     cell: str = "lstm",

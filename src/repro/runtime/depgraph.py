@@ -313,10 +313,6 @@ class TaskGraph:
                 best = d
         return best
 
-    def serial_work(self, weight=lambda t: 1.0) -> float:
-        """Total work under ``weight`` — the serial-execution lower bound."""
-        return sum(weight(t) for t in self.tasks)
-
     def max_wavefront(self) -> int:
         """Maximum number of simultaneously-runnable tasks (ASAP levels).
 

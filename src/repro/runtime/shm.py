@@ -123,10 +123,6 @@ class ShmArena:
     def allocated_bytes(self) -> int:
         return sum(self._live.values())
 
-    def live_blocks(self) -> List[Tuple[int, int]]:
-        """``(offset, padded_size)`` of every live block (test probe)."""
-        return sorted(self._live.items())
-
     # -- block allocation ----------------------------------------------------
 
     def alloc(self, nbytes: int) -> ShmBlock:

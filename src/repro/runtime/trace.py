@@ -156,10 +156,6 @@ class ExecutionTrace:
     def durations(self, kind: Optional[str] = None) -> List[float]:
         return [r.duration for r in self.records if kind is None or r.kind == kind]
 
-    def duration_percentile(self, p: float, kind: Optional[str] = None) -> float:
-        """The ``p``-th percentile of task durations (optionally one kind)."""
-        return percentile(self.durations(kind), p)
-
     def duration_percentiles(
         self, ps: Sequence[float] = (50, 95, 99), kind: Optional[str] = None
     ) -> Dict[str, float]:

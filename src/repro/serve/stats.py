@@ -203,9 +203,6 @@ class ServerStats:
         """Every shed request, whatever the reason."""
         return [r for r, _ in self.shed_records]
 
-    def shed_by_reason(self, reason: str) -> List[InferenceRequest]:
-        return [r for r, why in self.shed_records if why == reason]
-
     def shed_reason_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for _, why in self.shed_records:

@@ -219,10 +219,3 @@ class CacheModel:
         self.stats.local_mem_bytes += acc.local_mem_bytes
         self.stats.remote_mem_bytes += acc.remote_mem_bytes
         return acc
-
-    def hit_rate_l2(self) -> float:
-        total = self.stats.total_bytes
-        return self.stats.l2_bytes / total if total else 0.0
-
-    def l3_occupancy(self, socket: int) -> int:
-        return self._l3[socket].occupancy

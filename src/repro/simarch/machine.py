@@ -60,44 +60,6 @@ class MachineSpec:
             raise ValueError(f"core {core} out of range for {self.n_cores}-core machine")
         return core // self.cores_per_socket
 
-    def cores_of(self, socket: int) -> range:
-        base = socket * self.cores_per_socket
-        return range(base, base + self.cores_per_socket)
-
-    def with_cores(self, n_cores: int) -> "MachineSpec":
-        """Restrict the machine to its first ``n_cores`` cores.
-
-        Mirrors the paper's methodology: runs on ≤ 24 cores are pinned to a
-        single socket (no NUMA); larger counts span both sockets.  Cache and
-        bandwidth per socket are unchanged — a 4-core run still owns a full
-        33 MiB L3, exactly as on the real machine.
-        """
-        if n_cores < 1 or n_cores > self.n_cores:
-            raise ValueError(f"cannot restrict {self.name} to {n_cores} cores")
-        full_sockets, rem = divmod(n_cores, self.cores_per_socket)
-        n_sockets = full_sockets + (1 if rem else 0)
-        # Keep cores_per_socket so socket_of() keeps the original topology;
-        # we express the restriction as a machine with possibly fewer sockets
-        # and a partial last socket handled by `usable_cores`.
-        return MachineSpec(
-            name=f"{self.name}[{n_cores}c]",
-            n_sockets=n_sockets,
-            cores_per_socket=self.cores_per_socket if n_cores >= self.cores_per_socket else n_cores,
-            freq_ghz=self.freq_ghz,
-            gemm_gflops=self.gemm_gflops,
-            elementwise_gflops=self.elementwise_gflops,
-            l2_bytes=self.l2_bytes,
-            l3_bytes=self.l3_bytes,
-            l3_bw_gbps=self.l3_bw_gbps,
-            mem_bw_gbps=self.mem_bw_gbps,
-            core_mem_bw_gbps=self.core_mem_bw_gbps,
-            numa_factor=self.numa_factor,
-            task_overhead_s=self.task_overhead_s,
-            instr_per_flop=self.instr_per_flop,
-            small_gemm_ref_flops=self.small_gemm_ref_flops,
-            task_create_s=self.task_create_s,
-        )
-
 
 def usable_cores(machine: MachineSpec, n_cores: int) -> range:
     """The first ``n_cores`` core ids of ``machine`` (validated)."""

@@ -97,17 +97,3 @@ def _weighted_histogram(trace, edges, value_fn) -> BandHistogram:
     if total > 0:
         fractions = [f / total for f in fractions]
     return BandHistogram(edges=edges, fractions=fractions)
-
-
-def average_ipc(trace: ExecutionTrace, machine: MachineSpec) -> float:
-    """Time-weighted mean IPC over the trace."""
-    num = sum(r.instructions for r in trace.records)
-    den = sum(r.duration for r in trace.records) * machine.freq_ghz * 1e9
-    return num / den if den > 0 else 0.0
-
-
-def average_mpki(trace: ExecutionTrace) -> float:
-    """Aggregate L3 misses per kilo-instruction over the trace."""
-    misses = sum(r.l3_miss_bytes for r in trace.records) / CACHE_LINE
-    instr = sum(r.instructions for r in trace.records)
-    return misses / (instr / 1000.0) if instr > 0 else 0.0

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.verify import (
     CERT_FORMAT,
+    MUTATION_KINDS,
     Family,
     _instance_kwargs,
     build_certificate,
@@ -158,3 +159,12 @@ def test_certificate_assembles_and_validates():
     assert cert["ok"] is True
     labels = {e["label"] for e in cert["families"]}
     assert labels == {f.label() for f in SMOKE_FAMILIES}
+    # the aggregates the ledger's `verify` bars read
+    assert cert["n_distinct_labels"] == cert["n_size_isomorphic"] == len(SMOKE_FAMILIES)
+    assert cert["min_pairs_proved"] > 0 and cert["min_plan_edges_checked"] > 0
+    assert all(cert["mutations"][kind]["exact_pair"] for kind in MUTATION_KINDS)
+    assert cert["cross_validation"]["max_findings"] == 0
+    assert cert["cross_validation"]["min_observed_tasks"] > 0
+    for entry in cert["families"]:
+        assert {"label", "cell", "fusion", "instances", "size_isomorphism",
+                "findings", "ok"} <= set(entry)

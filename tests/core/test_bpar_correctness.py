@@ -76,7 +76,7 @@ def test_bitwise_equal_any_worker_count(n_workers):
     assert grads_equal(grads, ref_grads)
 
 
-@pytest.mark.parametrize("scheduler", ["fifo", "lifo", "locality"])
+@pytest.mark.parametrize("scheduler", ["fifo", "lifo", "locality", "steal"])
 def test_bitwise_equal_simulated_any_scheduler(scheduler):
     spec = small_spec()
     x, labels = make_batch(spec)

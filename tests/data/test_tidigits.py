@@ -45,14 +45,6 @@ def test_labels_in_range():
     assert len(set(ys.tolist())) > 3  # label variety
 
 
-def test_fixed_length_batch_shape():
-    ds = SyntheticTidigits()
-    x, y = ds.fixed_length_batch(batch=16, seq_len=30)
-    assert x.shape == (30, 16, ds.num_features)
-    assert y.shape == (16,)
-    assert x.dtype == np.float32
-
-
 def test_digit_templates_distinguishable():
     """Mean frames of different digits differ (the task is learnable)."""
     ds = SyntheticTidigits(TidigitsConfig(min_digits=1, max_digits=1, noise_std=0.0), seed=1)

@@ -1,9 +1,13 @@
 """Smoke/shape tests for the experiment harness (small configurations)."""
 
+import json
+
 import pytest
 
+from repro.__main__ import main
+from repro.harness.paper import SECTIONS, GRIDS, format_results, run_paper_suite
 from repro.harness.simtime import simulated_batch_time
-from repro.harness.tables import HEADERS, TableRow, make_spec, run_row
+from repro.harness.tables import HEADERS, make_spec, run_row
 from repro.harness import figures
 from repro.models.spec import BRNNSpec
 
@@ -47,11 +51,11 @@ def test_bseq_slower_than_bpar_on_many_cores():
 
 
 def test_run_row_columns():
-    row = run_row("lstm", 32, 32, 8, 4, n_cores=8)
-    values = row.as_list()
+    values = run_row("lstm", 32, 32, 8, 4, n_cores=8)
     assert len(values) == len(HEADERS)
-    assert row.bpar_ms > 0 and row.k_cpu_ms > 0
-    assert row.speedup_k_cpu == pytest.approx(row.k_cpu_ms / row.bpar_ms)
+    row = dict(zip(HEADERS, values))
+    assert row["BPar"] > 0 and row["K-CPU"] > 0
+    assert row["vs K-CPU"] == pytest.approx(row["K-CPU"] / row["BPar"])
 
 
 def test_make_spec_six_layers():
@@ -61,43 +65,64 @@ def test_make_spec_six_layers():
 
 def test_fig3_series_shape():
     out = figures.fig3_minibatch_scaling(
-        layers=2, seq_len=8, batch=12, core_counts=(1, 4), mbs_list=(1, 2)
+        layers=2, seq_len=8, batch=16, core_counts=(1, 4), mbs_list=(1, 2, 8)
     )
-    assert set(out) == {1, 2}
-    assert all(len(v) == 2 for v in out.values())
-    assert out[1][0] == pytest.approx(1.0, rel=0.05)  # self-speedup
+    assert out["headers"] == ["mbs", "1c", "4c"]
+    assert [row[0] for row in out["rows"]] == ["mbs:1", "mbs:2", "mbs:8"]
+    assert all(len(row) == 3 for row in out["rows"])
+    assert out["mbs1_speedup_at_1_core"] == pytest.approx(1.0, rel=0.05)  # self-speedup
 
 
 def test_fig4_series():
     s = figures.fig4_core_scaling(layers=2, seq_len=6, batch=16, mbs=2, core_counts=(1, 8))
-    assert len(s.keras) == len(s.bpar) == 2
-    assert s.bpar[1] < s.bpar[0]  # more cores help B-Par
+    rows = {row[0]: row[1:] for row in s["rows"]}
+    assert len(rows["Keras"]) == len(rows["B-Par"]) == 2
+    assert rows["B-Par"][1] < rows["B-Par"][0]  # more cores help B-Par
+    assert s["bpar_best_core_count"] == 8
 
 
 def test_fig6_training_and_inference_rows():
-    rows = figures.fig6_layers(layer_counts=(2,), seq_len=6, batch=16, n_cores=8)
-    row = rows[0]
-    assert row["bpar_infer"] < row["bpar_train"]
-    assert row["keras_infer"] < row["keras_train"]
+    out = figures.fig6_layers(layer_counts=(2,), seq_len=6, batch=16, n_cores=8)
+    row = dict(zip(out["headers"], out["rows"][0]))
+    assert row["bpar infer"] < row["bpar train"]
+    assert row["keras infer"] < row["keras train"]
+    assert out["max_bpar_infer_over_train"] < 1.0
 
 
 def test_fig8_speedups_positive():
-    rows = figures.fig8_next_char(
+    out = figures.fig8_next_char(
         layer_counts=(2,), batches=(16,), hiddens=(32,), seq_len=8, n_cores=8
     )
-    assert all(r["speedup"] > 0 for r in rows)
+    assert [row[0] for row in out["rows"]] == ["lstm", "gru"]
+    assert all(row[-1] > 0 for row in out["rows"])
+    assert out["lstm"]["max_speedup_deepest"] == out["lstm"]["max_speedup_shallowest"]
 
 
 def test_granularity_study_small():
-    stats, per_epoch = figures.granularity_study(
+    out = figures.granularity_study(
         layers=2, input_size=16, hidden=128, seq_len=8, batch=32, mbs=1, n_cores=8,
         batches_per_epoch=10,
     )
-    assert per_epoch == stats.num_tasks * 10
-    assert stats.overhead_ratio < 0.5
+    assert out["tasks_per_epoch"] == out["num_tasks"] * 10
+    assert out["overhead_ratio"] < 0.5
 
 
 def test_memory_study_barrier_reduces_live_set():
-    free, barred = figures.memory_study(layers=3, seq_len=10, batch=12, mbs=2, n_cores=8)
-    assert free.mean_live_tasks > barred.mean_live_tasks
-    assert free.mean_live_wss_bytes > barred.mean_live_wss_bytes
+    out = figures.memory_study(layers=3, seq_len=10, batch=12, mbs=2, n_cores=8)
+    assert out["live_task_ratio"] > 1.0
+    assert out["live_wss_ratio"] > 1.0
+
+
+def test_both_grids_cover_every_paper_section():
+    assert list(GRIDS["smoke"]) == list(GRIDS["record"]) == list(SECTIONS)
+
+
+def test_paper_sections_are_deterministic_and_a_command_prints_its_section(capsys):
+    names = ["granularity", "inference_latency"]
+    first = run_paper_suite("smoke", names)
+    # the simulated clock: two runs write byte-identical reports
+    assert json.dumps(first) == json.dumps(run_paper_suite("smoke", names))
+    assert list(first["results"]) == list(first["config"]["sections"]) == names
+    assert main(["granularity"]) == 0
+    section = {"granularity": first["results"]["granularity"]}
+    assert capsys.readouterr().out == format_results(section) + "\n"

@@ -7,13 +7,16 @@ serving run, or a fake suite — no wall-clock number is asserted.
 import copy
 import glob
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+from repro.analysis.verify import assemble_certificate
 from repro.harness import ledger
 from repro.harness.ledger import SUITES, Bar, Suite, check_report, load_report
+from repro.harness.paper import format_results
 
 ROOT = Path(__file__).resolve().parents[2]
 BASELINES = sorted(glob.glob(str(ROOT / ledger.BASELINE_DIR / "BENCH_*.json")))
@@ -38,10 +41,21 @@ def serving_report(tmp_path_factory):
     return load_report(str(path))
 
 
-def _sample(suite: str, serving_report: dict) -> dict:
-    return copy.deepcopy(
-        serving_report if suite == "serving" else _baseline(suite)
-    )
+@pytest.fixture(scope="module")
+def verify_report(tmp_path_factory):
+    """`verify` has no committed record either: the full-matrix certificate
+    takes ~2 s, so write it with the real CLI."""
+    path = tmp_path_factory.mktemp("ledger") / "verify.json"
+    assert main(["analyze", "--skip-graph", "--verify", "--strict",
+                 "--verify-output", str(path)]) == 0
+    return load_report(str(path))
+
+
+@pytest.fixture
+def sample(serving_report, verify_report):
+    """A passing report of the named suite, free to mutate."""
+    written = {"serving": serving_report, "verify": verify_report}
+    return lambda suite: copy.deepcopy(written.get(suite) or _baseline(suite))
 
 
 def _terms(bar: Bar):
@@ -80,8 +94,9 @@ def _failed(errors, bar: Bar) -> bool:
 
 # -- the committed records ---------------------------------------------------------
 
-def test_there_are_six_baselines():
-    assert len(BASELINES) == 6
+def test_there_are_seven_baselines():
+    # every suite but the two a CLI run writes in seconds (serving, verify)
+    assert len(BASELINES) == len(SUITES) - 2 == 7
 
 
 @pytest.mark.parametrize("path", BASELINES, ids=lambda p: Path(p).stem)
@@ -92,6 +107,25 @@ def test_every_committed_baseline_passes(path):
 def test_serving_report_from_the_cli_passes(serving_report):
     assert serving_report["bench"] == "serving"
     assert check_report(serving_report) == []
+
+
+def test_verify_report_from_the_cli_passes(verify_report):
+    assert (verify_report["bench"], verify_report["scope"]) == ("verify", "record")
+    assert check_report(verify_report) == []
+
+
+def test_experiments_md_quotes_the_committed_record():
+    """Every section block of EXPERIMENTS.md is the record through the
+    suite's formatter, and every `` `path` = number `` is the record's."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    results = _baseline("paper")["results"]
+    for name, section in results.items():
+        assert format_results({name: section}) in text, name
+    quoted = re.findall(r"`([a-z0-9_.]+)` = (-?\d+(?:\.\d+)?)", text)
+    assert len(quoted) >= 60
+    for path, shown in quoted:
+        decimals = len(shown.partition(".")[2])
+        assert f"{ledger.lookup(results, path):.{decimals}f}" == shown, path
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -111,10 +145,10 @@ def test_every_bar_reads_schema_checked_paths(name):
 @pytest.mark.parametrize(
     "name,bar", ROWS, ids=[f"{name}:{bar.label}" for name, bar in ROWS]
 )
-def test_bar_mutation_kill(name, bar, serving_report):
+def test_bar_mutation_kill(name, bar, sample):
     """Violating just one row fails the report and the message names the
     row — so no bar can silently stop gating."""
-    report = _sample(name, serving_report)
+    report = sample(name)
     results = report["results"]
     if "record" not in bar.scopes:
         report["scope"] = bar.scopes[0]
@@ -133,9 +167,43 @@ def test_bar_mutation_kill(name, bar, serving_report):
 
 
 def test_mutation_kill_covers_every_row():
-    assert len(ROWS) == sum(len(s.bars) for s in SUITES.values()) >= 90
+    assert len(ROWS) == sum(len(s.bars) for s in SUITES.values()) >= 210
     labels = [(name, bar.label, bar.scopes) for name, bar in ROWS]
     assert len(set(labels)) == len(labels), "two rows share a label"
+
+
+#: one edit to a clean certificate -> the bar that must name it
+_CERT_DEFECTS = {
+    "n_certified == n_families":
+        lambda c: c["families"][3].update(ok=False),
+    "n_size_isomorphic == n_families":
+        lambda c: c["families"][4].update(size_isomorphism=False),
+    "min_pairs_proved > 0":
+        lambda c: c["families"][5]["instances"][1].update(pairs_proved=0),
+    "min_plan_edges_checked > 0":
+        lambda c: c["families"][6]["instances"][0].update(plan_edges_checked=0),
+    "mutations.widen_write.detected == True":
+        lambda c: c["mutations"]["widen_write"].update(detected=False),
+    "mutations.drop_edge.exact_pair == True":
+        lambda c: c["mutations"]["drop_edge"].update(pair=["fwd.cell[0]L0f.t0"]),
+    "cross_validation.samples >= 8":
+        lambda c: c["cross_validation"].update(samples=7),
+    "cross_validation.max_findings == 0":
+        lambda c: c["cross_validation"]["entries"][2].update(findings=1),
+    "cross_validation.min_observed_tasks > 0":
+        lambda c: c["cross_validation"]["entries"][0].update(observed_tasks=0),
+}
+
+
+@pytest.mark.parametrize("label", _CERT_DEFECTS)
+def test_a_defective_certificate_fails_the_bar_that_names_it(label, sample):
+    report = sample("verify")
+    cert = report["results"]
+    _CERT_DEFECTS[label](cert)
+    report["results"] = assemble_certificate(
+        cert["families"], cert["mutations"], cert["cross_validation"])
+    errors = check_report(report, "cert")
+    assert any(f"bar {label} failed" in err for err in errors), errors
 
 
 # -- waiver and scope --------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ExecutionConfig
 from repro.core import BParEngine, BSeqEngine, Trainer
-from repro.data import SyntheticTidigits, SyntheticWikipedia, iterate_batches
+from repro.data import SyntheticTidigits, SyntheticWikipedia, iterate_batches, pad_sequences
 from repro.models.spec import BRNNSpec
 from repro.runtime import ThreadedExecutor
 
@@ -66,7 +66,8 @@ def test_bpar_and_bseq_train_to_identical_weights():
     spec = BRNNSpec(cell="lstm", input_size=corpus.num_features, hidden_size=12,
                     num_layers=2, merge_mode="sum", head="many_to_one",
                     num_classes=corpus.num_classes)
-    x, y = corpus.fixed_length_batch(batch=16, seq_len=20, seed=5)
+    utterances, y = corpus.generate(16, seed=5)
+    x, _ = pad_sequences(utterances)
     engines = [
         cls(spec, config=ExecutionConfig(executor=ThreadedExecutor(3), mbs=4, seed=7))
         for cls in (BParEngine, BSeqEngine)

@@ -50,12 +50,6 @@ def test_copy_is_deep():
     assert p.layers[0].fwd.W[0, 0] != c.layers[0].fwd.W[0, 0]
 
 
-def test_zero_in_place():
-    p = BRNNParams.initialize(small_spec())
-    p.zero_()
-    assert all(not a.any() for _, a in p.arrays())
-
-
 def test_add_scaled():
     spec = small_spec()
     p = BRNNParams.zeros_like(spec)

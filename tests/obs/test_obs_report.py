@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs.report import (
     compare_policies,
-    format_comparison,
     measure_overhead,
     run_obs_report,
 )
@@ -40,15 +39,6 @@ def test_compare_policies_same_policy_deduplicates():
     report = compare_policies("locality", "locality", **TINY)
     assert list(report["policies"]) == ["locality"]
     assert report["speedup_vs_compare"] == pytest.approx(1.0)
-
-
-def test_format_comparison_prints_counter_rows():
-    report = compare_policies("locality", "fifo", **TINY)
-    text = format_comparison(report, "locality", "fifo")
-    for row in ("makespan_s", "locality_hit_rate", "steals",
-                "queue_depth_mean", "speedup"):
-        assert row in text
-    assert "locality" in text and "fifo" in text
 
 
 def test_measure_overhead_shape_and_budget():

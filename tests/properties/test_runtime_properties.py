@@ -101,11 +101,9 @@ def test_simulated_trace_consistent(graph_and_log):
 @given(random_graph())
 @settings(max_examples=15, deadline=None)
 def test_critical_path_bounds_makespan(graph_and_log):
-    """serial_work >= makespan-in-task-counts >= critical path (unit weights)."""
+    """task count >= makespan-in-task-counts >= critical path (unit weights)."""
     g, _ = graph_and_log
-    crit = g.critical_path_length()
-    work = g.serial_work()
-    assert 1 <= crit <= work
+    assert 1 <= g.critical_path_length() <= len(g)
 
 
 @given(

@@ -82,7 +82,6 @@ def test_diamond_graph_wavefront_and_critical_path():
     g.add_task("sink", ins=[b, c])
     assert g.max_wavefront() == 2
     assert g.critical_path_length() == 3
-    assert g.serial_work() == 4
 
 
 def test_is_topological_order():

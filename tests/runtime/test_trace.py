@@ -101,8 +101,8 @@ def test_duration_percentiles_and_filtering():
     assert set(pcts) == {"p50", "p95", "p99"}
     assert pcts["p50"] <= pcts["p95"] <= pcts["p99"]
     # kind filter excludes the 100 s merge outlier
-    assert t.duration_percentile(100, kind="cell") == pytest.approx(4.0)
-    assert t.duration_percentile(100) == pytest.approx(100.0)
+    assert t.duration_percentiles((100,), kind="cell") == {"p100": pytest.approx(4.0)}
+    assert t.duration_percentiles((100,)) == {"p100": pytest.approx(100.0)}
 
 
 def test_summary_dict():

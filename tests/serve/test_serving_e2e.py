@@ -93,7 +93,7 @@ def test_deadline_expiry_drops_overdue_requests():
     # rid 0 is served first (batch of 1); rid 1's deadline passes while it
     # runs — a deadline shed, not a batcher timeout (docs/SERVING.md)
     assert [c.rid for c in stats.completed] == [0]
-    assert [e.rid for e in stats.shed_by_reason(SHED_DEADLINE)] == [1]
+    assert [(r.rid, why) for r, why in stats.shed_records] == [(1, SHED_DEADLINE)]
     assert stats.shed_reason_counts() == {SHED_DEADLINE: 1}
 
 

@@ -28,12 +28,6 @@ def test_socket_of():
         m.socket_of(-1)
 
 
-def test_cores_of():
-    m = xeon_8160_2s()
-    assert list(m.cores_of(0)) == list(range(24))
-    assert list(m.cores_of(1)) == list(range(24, 48))
-
-
 def test_usable_cores_validation():
     m = laptop_sim(4)
     assert list(usable_cores(m, 2)) == [0, 1]
@@ -41,15 +35,6 @@ def test_usable_cores_validation():
         usable_cores(m, 5)
     with pytest.raises(ValueError):
         usable_cores(m, 0)
-
-
-def test_with_cores_restriction():
-    m = xeon_8160_2s()
-    small = m.with_cores(24)
-    assert small.n_sockets == 1
-    assert small.l3_bytes == m.l3_bytes  # full L3 still available
-    with pytest.raises(ValueError):
-        m.with_cores(100)
 
 
 def test_v100_preset_gemm_time_monotone():

@@ -5,8 +5,6 @@ import pytest
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 from repro.simarch.metrics import (
     BandHistogram,
-    average_ipc,
-    average_mpki,
     ipc_histogram,
     mpki_histogram,
     task_ipc,
@@ -75,19 +73,7 @@ def test_out_of_range_value_clamps_to_last_band():
     assert h.fractions[-1] == pytest.approx(1.0)
 
 
-def test_averages():
-    m = laptop_sim(1)
-    tr = ExecutionTrace(n_cores=1)
-    tr.records = [
-        rec(duration=1.0, instructions=3e9, miss_bytes=64 * 1_000_000),
-        rec(duration=1.0, instructions=3e9, miss_bytes=0, start=1.0),
-    ]
-    assert average_ipc(tr, m) == pytest.approx(1.0)
-    assert average_mpki(tr) == pytest.approx(1e6 / (6e9 / 1000))
-
-
 def test_empty_trace():
     m = laptop_sim(1)
     tr = ExecutionTrace(n_cores=1)
-    assert average_ipc(tr, m) == 0.0
     assert sum(ipc_histogram(tr, m).fractions) == 0.0
