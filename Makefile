@@ -12,7 +12,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TMP ?= /tmp/repro_smoke
 BASELINES := benchmarks/baselines
 
-.PHONY: test check-baselines lint smoke-serving smoke-racecheck smoke-analysis smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench serve-bench clean
+.PHONY: test check-baselines lint smoke-serving smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench serve-bench clean
 
 # tier-1: the full unit/integration/property suite (serving tests included)
 test:
@@ -40,17 +40,6 @@ smoke-serving:
 lint:
 	$(PYTHON) -m repro analyze --skip-graph --lint src/repro
 
-# static-analysis smoke: the analysis suite's own tests (graph linter,
-# over-declaration analyzer, AST lint, 64-config conformance sweep), then
-# a tiny graph end-to-end through the real CLI; zero findings and the
-# serialization-debt budget hold on it and on the paper-scale record
-smoke-analysis:
-	$(PYTHON) -m pytest tests/analysis/test_graphlint.py tests/analysis/test_pylint.py tests/analysis/test_analysis_conformance.py -x -q
-	$(PYTHON) -m repro analyze \
-		--hidden 5 --layers 2 --input-size 6 --seq-len 4 --batch 4 --mbs 2 \
-		--output $(TMP)_analysis.json > /dev/null
-	$(PYTHON) -m repro bench --check $(TMP)_analysis.json $(BASELINES)/BENCH_graph_analysis.json
-
 # observability smoke: the obs-layer unit tests, then the scheduler-counter
 # comparison + metrics-overhead A/B — strict ≤2 % budget on the committed
 # record, tenancy slack on the freshly-measured smoke run
@@ -58,19 +47,6 @@ smoke-obs:
 	$(PYTHON) -m pytest tests/obs -x -q
 	$(PYTHON) -m repro bench obs_overhead --output $(TMP)_obs.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_obs.json $(BASELINES)/BENCH_obs_overhead.json
-
-# race-detector smoke: the checker's own unit tests, then the mutation
-# self-test gate through the real CLI on a per-step, a hoisted-projection
-# and a tiled train graph (clean graph -> zero findings; each
-# seeded dependence deletion -> detected; fuzzed schedules -> bitwise
-# identical to FIFO; any miss exits 1)
-RACECHECK := $(PYTHON) -m repro racecheck --hidden 8 --layers 2 --input-size 6 \
-	--seq-len 5 --batch 8 --mbs 2 --mutations 5 --fuzz-seeds 5
-smoke-racecheck:
-	$(PYTHON) -m pytest tests/runtime/test_racecheck.py tests/runtime/test_schedule_fuzz.py -x -q
-	$(RACECHECK) --fused-input-projection off
-	$(RACECHECK) --fused-input-projection on --proj-block 2
-	$(RACECHECK) --fused-input-projection off --wavefront-tile 2
 
 # compiled-replay smoke: the compile-package unit tests + mutated-plan
 # regression + the serving engine on the plan cache, then the reduced-size overhead A/B vs both dynamic policies,
@@ -103,21 +79,32 @@ smoke-mp:
 	$(PYTHON) -m repro bench multiproc --output $(TMP)_mp.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_mp.json $(BASELINES)/BENCH_multiproc.json
 
-# symbolic-verifier smoke: the affine-algebra units, the verifier's own
-# positive/negative/mutation tests and the adversarial edge-drop /
-# shrink / widen properties, then the full family-matrix certificate
-# end-to-end through the real CLI (--strict: any uncertified family,
-# missed mutation, or dynamic cross-validation finding is nonzero),
-# then the certificate gate (suite `verify` of the ledger), then the
-# conformance cells the certificate lets tier-1 skip (`addopts` deselects
-# the `certified` marker)
+# dependence-proof smoke: the proof's, the dynamic instruments' and the
+# AST lint's own tests (the mutation table, the adversarial edge-drop /
+# shrink / widen properties, schedule fuzz and golden replay); then the
+# proof, the observed-versus-declared diff and five fuzzed schedules on a
+# per-step, a hoisted-projection and a tiled train graph (any finding or
+# divergence exits 1); then the full family-matrix certificate (exit 1
+# unless every family certifies, every mutation kind is detected with its
+# exact pair, and cross-validation is clean); then one gate over the first
+# graph's report, the paper-scale record and the certificate (suites
+# `graph_analysis` and `verify` of the ledger); then the conformance cells
+# the certificate lets tier-1 skip (`addopts` deselects the `certified`
+# marker), each proved and observed
+OBSERVE := $(PYTHON) -m repro analyze --hidden 8 --layers 2 --input-size 6 \
+	--seq-len 5 --batch 8 --mbs 2 --observe --fuzz-seeds 5
 smoke-verify:
-	$(PYTHON) -m pytest tests/analysis/test_symbolic.py \
-		tests/analysis/test_verify.py \
-		tests/properties/test_verify_properties.py -x -q
-	$(PYTHON) -m repro analyze --skip-graph --verify --strict \
+	$(PYTHON) -m pytest tests/analysis/test_symbolic.py tests/analysis/test_verify.py \
+		tests/analysis/test_graphlint.py tests/analysis/test_pylint.py \
+		tests/properties/test_verify_properties.py \
+		tests/runtime/test_racecheck.py tests/runtime/test_schedule_fuzz.py -x -q
+	$(OBSERVE) --fused-input-projection off --output $(TMP)_analysis.json
+	$(OBSERVE) --fused-input-projection on --proj-block 2
+	$(OBSERVE) --fused-input-projection off --wavefront-tile 2
+	$(PYTHON) -m repro analyze --skip-graph --verify \
 		--verify-output $(TMP)_verify_cert.json
-	$(PYTHON) -m repro bench --check $(TMP)_verify_cert.json
+	$(PYTHON) -m repro bench --check $(TMP)_analysis.json \
+		$(BASELINES)/BENCH_graph_analysis.json $(TMP)_verify_cert.json
 	$(PYTHON) -m pytest -m certified -x -q
 
 # fleet-serving smoke: the serve-layer unit tests (config, router,

@@ -4,8 +4,7 @@
     python -m repro table3|table4|fig3|...|fig8|granularity|memory
                                             # one section of suite `paper`
     python -m repro serve-bench [...]       # online-serving benchmark (JSON)
-    python -m repro racecheck [...]         # dependency-declaration race check
-    python -m repro analyze [...]           # static graph lint + AST lint
+    python -m repro analyze [...]           # dependence proof + metrics + AST lint
     python -m repro bench SUITE [--record]  # run one gated suite (JSON + bars)
     python -m repro bench --check REPORT... # gate written reports
 
@@ -154,10 +153,10 @@ def _cmd_bench(args) -> int:
 
 
 def _checked_graph(args, functional: bool):
-    """The graph ``analyze`` and ``racecheck`` check, built from every
-    structural flag: cost-only for ``analyze``; for ``racecheck`` functional,
-    on seeded inputs and freshly initialised parameters, so every call
-    starts from bit-identical state."""
+    """The graph ``analyze`` checks, built from every structural flag:
+    cost-only, or functional (for ``--observe``/``--fuzz-seeds``) on seeded
+    inputs and freshly initialised parameters, so every call starts from
+    bit-identical state."""
     import numpy as np
 
     from repro.core.graph_builder import build_brnn_graph
@@ -199,85 +198,28 @@ def _checked_graph(args, functional: bool):
     )
 
 
-def _cmd_racecheck(args) -> int:
-    """Race-check a built graph: observation + ordering + fuzz + mutation.
-
-    Model size comes from the shared flags (--hidden/--layers/--seq-len/
-    --batch); the dynamic observation pass executes one full batch
-    serially, so prefer small models (the smoke configuration is
-    ``--hidden 16 --layers 2 --seq-len 6 --batch 8``).
-    """
-    import json
-
-    from repro.runtime.racecheck import (
-        check_build,
-        fuzz_equivalence_sweep,
-        mutation_probe,
-        record_schedule,
-        replay_schedule,
-    )
-    from repro.runtime.scheduler import ScheduleRecord
-
-    def build():
-        return _checked_graph(args, functional=True)
-
-    failed = False
-    report = check_build(build())
-    print(report.summary())
-    for f in report.findings:
-        print("  " + f.describe())
-    failed |= not report.ok
-
-    if args.mutations:
-        graph = build().graph
-        for seed in range(args.mutations):
-            probe = mutation_probe(graph, seed=seed)
-            status = "detected" if probe["detected"] else "MISSED"
-            print(f"mutation seed {seed}: dropped {probe['edge_names'][0]} -> "
-                  f"{probe['edge_names'][1]} (region {probe['region']}) ... {status}")
-            failed |= not probe["detected"]
-
-    if args.fuzz_seeds:
-        sweep = fuzz_equivalence_sweep(build, range(args.fuzz_seeds), n_workers=2)
-        print(sweep.summary())
-        failed |= not sweep.ok
-
-    if args.record_schedule:
-        record, _ = record_schedule(build().graph, scheduler=f"fuzz:{args.seed}")
-        record.save(args.record_schedule)
-        print(f"# schedule ({len(record.order)} tasks) written to {args.record_schedule}")
-    if args.replay_schedule:
-        record = ScheduleRecord.load(args.replay_schedule)
-        trace = replay_schedule(build().graph, record)
-        match = trace.execution_order() == record.order
-        print(f"replaying schedule of {len(record.order)} tasks: "
-              f"{'order reproduced' if match else 'ORDER DIVERGED'}")
-        failed |= not match
-
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
-        print(f"# report written to {args.output}", file=sys.stderr)
-    return 1 if failed else 0
-
-
 def _cmd_analyze(args) -> int:
-    """Static analysis: graph lint, parallelism metrics, and AST lint.
+    """The dependence proof, parallelism metrics and AST lint.
 
-    The graph half runs on a *cost-only* build (graph structure is
-    independent of hidden size, so even paper-scale configs lint in
-    seconds); ``--lint [PATH]`` adds the AST pass over the source tree;
-    ``--skip-graph`` makes it lint-only.  ``--verify [SCOPE]`` runs the
-    symbolic dependence verifier over the config-family matrix and
-    emits the ``repro.cert.v1`` certificate as a ``verify`` report
-    (``--verify-output``; ``bench --check`` gates it); ``--strict`` makes
-    an incomplete certificate exit nonzero.  Exit 1 on any graph/AST
-    finding.
+    The graph half builds the named graph once — cost-only (graph
+    structure is independent of hidden size, so even paper-scale configs
+    check in under a minute), functional with ``--observe`` or
+    ``--fuzz-seeds`` — and writes one ``graph_analysis`` report: the
+    findings of :func:`~repro.analysis.verify.verify_build` (plus, with
+    ``--observe``, the observed-versus-declared diff of one serial run),
+    the parallelism metrics, and with ``--fuzz-seeds N`` whether N fuzzed
+    schedules reproduce the FIFO bits.  ``--lint [PATH]`` adds the AST
+    pass over the source tree; ``--skip-graph`` drops the graph half.
+    ``--verify [SCOPE]`` proves the config-family matrix and emits the
+    ``repro.cert.v1`` certificate as a ``verify`` report
+    (``--verify-output``; ``bench --check`` gates it).  Exit 1 on any
+    finding, fuzz divergence, or a certificate that is not ``ok``.
     """
-    from repro.analysis.graphlint import lint_graph
-    from repro.analysis.parallelism import analyze_graph
+    from repro.analysis.parallelism import parallelism_metrics
     from repro.analysis.pylint import lint_paths
+    from repro.analysis.verify import verify_build
     from repro.harness.ledger import make_report, write_report
+    from repro.runtime.racecheck import check_build, fuzz_equivalence_sweep
 
     failed = False
     results = {}
@@ -285,25 +227,37 @@ def _cmd_analyze(args) -> int:
         **{key: getattr(args, key) for key in (
             "cell", "input_size", "hidden", "layers", "seq_len", "batch", "mbs", "head",
             "serialize_chunks", "fused_input_projection", "proj_block", "fusion",
-            "wavefront_tile")},
+            "wavefront_tile", "observe", "fuzz_seeds")},
         "training": not args.infer,
         "barrier_free": not args.barriers,
         "lint_paths": [args.lint] if args.lint else [],
     }
 
     if not args.skip_graph:
-        built = _checked_graph(args, functional=False)
-        glint = lint_graph(built.graph)
-        print(glint.summary())
-        for f in glint.findings:
+        functional = args.observe or bool(args.fuzz_seeds)
+        built = _checked_graph(args, functional)
+        report = verify_build(built)
+        if args.observe:
+            check_build(built, report)
+        print(report.summary())
+        for f in report.findings:
             print("  " + f.describe())
-        par = analyze_graph(built.graph)
-        print(par.summary())
-        for f in par.findings:
-            print("  " + f.describe())
-        failed |= not (glint.ok and par.ok)
-        results["graphlint"] = glint.to_dict()
-        results["parallelism"] = par.to_dict()
+        metrics = parallelism_metrics(built.graph)
+        print(
+            f"parallelism: width {int(metrics['width'])}, span "
+            f"{int(metrics['span_tasks'])} tasks, avg ∥ {metrics['avg_parallelism']:.2f}, "
+            f"serialization debt {metrics['serialization_debt']:.3f}"
+        )
+        failed |= not report.ok
+        results["dependences"] = report.to_dict()
+        results["parallelism"] = {"metrics": metrics}
+        if args.fuzz_seeds:
+            sweep = fuzz_equivalence_sweep(
+                lambda: _checked_graph(args, True), range(args.fuzz_seeds), n_workers=2
+            )
+            print(sweep.summary())
+            failed |= not sweep.ok
+            results["fuzz"] = sweep.to_dict()
 
     if args.lint:
         findings = lint_paths([args.lint])
@@ -326,7 +280,7 @@ def _cmd_analyze(args) -> int:
             # six kernel/tile/projection modes per cell/head/pass: a stride
             # of seven walks across them, an 11-family diagonal
             families = families[::7]
-        cert = build_certificate(families, samples=args.verify_samples)
+        cert = build_certificate(families)
         cross = cert["cross_validation"]
         print(
             f"verify: {cert['n_certified']}/{cert['n_families']} families "
@@ -343,13 +297,12 @@ def _cmd_analyze(args) -> int:
         if args.verify_output:
             write_report(args.verify_output, make_report(
                 "verify",
-                {"families": args.verify, "samples": args.verify_samples},
+                {"families": args.verify},
                 cert,
                 "record" if args.verify == "full" else "smoke",
             ))
             print(f"# certificate written to {args.verify_output}", file=sys.stderr)
-        if args.strict:
-            failed |= not cert["ok"]
+        failed |= not cert["ok"]
 
     if args.output:
         write_report(args.output, make_report("graph_analysis", config, results))
@@ -365,7 +318,6 @@ COMMANDS = {
     **{name: _cmd_section for name in PAPER_COMMANDS},
     "serve-bench": _cmd_serve_bench,
     "bench": _cmd_bench,
-    "racecheck": _cmd_racecheck,
     "analyze": _cmd_analyze,
 }
 
@@ -389,7 +341,7 @@ def _add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_graph_args(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("checked-graph options (racecheck, analyze)")
+    g = parser.add_argument_group("checked-graph options")
     g.add_argument("--seq-len", type=int, default=100,
                    help="sequence length of the analysed/checked batch")
     g.add_argument("--batch", type=int, default=32,
@@ -399,9 +351,9 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--infer", action="store_true",
                    help="check a forward-only (inference) graph")
     g.add_argument("--barriers", action="store_true",
-                   help="analyze/racecheck the per-layer-barrier (framework) graph variant")
+                   help="check the per-layer-barrier (framework) graph variant")
     g.add_argument("--serialize-chunks", action="store_true",
-                   help="analyze/racecheck the B-Seq (chunk-serialised) graph variant")
+                   help="check the B-Seq (chunk-serialised) graph variant")
 
 
 def _add_bench_args(parser: argparse.ArgumentParser) -> None:
@@ -417,40 +369,27 @@ def _add_bench_args(parser: argparse.ArgumentParser) -> None:
                    help="write the JSON report to this path")
 
 
-def _add_racecheck_args(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("racecheck options")
-    g.add_argument("--mutations", type=int, default=0,
-                   help="run N seeded dependence-deletion probes (each must be detected)")
-    g.add_argument("--fuzz-seeds", type=int, default=0,
-                   help="fuzz N schedule seeds; results must be bitwise-identical to FIFO")
-    g.add_argument("--record-schedule", type=str, default=None,
-                   help="record one fuzzed schedule to this JSON path")
-    g.add_argument("--replay-schedule", type=str, default=None,
-                   help="replay a recorded schedule JSON against a fresh build")
-
-
 def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("analyze options")
     g.add_argument("--lint", nargs="?", const="src/repro", default=None,
                    metavar="PATH",
                    help="run the AST lint over PATH (default src/repro)")
     g.add_argument("--skip-graph", action="store_true",
-                   help="skip the graph build/lint half (AST lint only)")
+                   help="skip the graph half (AST lint / certificate only)")
+    g.add_argument("--observe", action="store_true",
+                   help="also run the graph's payloads once under access "
+                        "observation and diff them against the declarations")
+    g.add_argument("--fuzz-seeds", type=int, default=0,
+                   help="fuzz N schedule seeds; results must be bitwise-identical to FIFO")
     g.add_argument("--verify", nargs="?", const="full", default=None,
                    choices=("full", "smoke"), metavar="SCOPE",
-                   help="run the symbolic dependence verifier: SCOPE 'full' "
-                        "(default) certifies the whole family matrix, "
-                        "'smoke' an 11-family diagonal")
-    g.add_argument("--verify-samples", type=int, default=8,
-                   help="concrete configs the certificate cross-validates "
-                        "against the dynamic race checker (default 8)")
+                   help="prove the config-family matrix (SCOPE 'full', the "
+                        "default, or 'smoke', an 11-family diagonal); exit 1 "
+                        "unless every family certifies, every mutation is "
+                        "detected and cross-validation is clean")
     g.add_argument("--verify-output", type=str, default=None, metavar="PATH",
                    help="write the repro.cert.v1 certificate to PATH as a "
                         "`verify` report (gate it with `bench --check`)")
-    g.add_argument("--strict", action="store_true",
-                   help="with --verify: exit nonzero unless every family "
-                        "certifies, every mutation is detected, and "
-                        "cross-validation is clean")
 
 
 #: the flag groups each command reads; a command without a row takes none
@@ -458,8 +397,6 @@ _GROUPS = {
     "serve-bench": (add_execution_args, add_serve_args, _add_model_args,
                     _add_serve_bench_args),
     "bench": (_add_bench_args,),
-    "racecheck": (add_execution_args, _add_model_args, _add_graph_args,
-                  _add_racecheck_args),
     "analyze": (add_execution_args, _add_model_args, _add_graph_args,
                 _add_analyze_args),
 }

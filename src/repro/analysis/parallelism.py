@@ -1,26 +1,22 @@
-"""Over-declaration and parallelism-loss analysis of declared task graphs.
+"""Parallelism metrics of declared task graphs.
 
-Under-declaration corrupts results and the dynamic race checker catches
-it; **over**-declaration fails silently in the opposite direction — every
-spurious ``inout`` serialises tasks that could run concurrently, and no
-correctness test ever notices.  This module quantifies what the declared
-dependence structure costs:
+Over-declaration fails silently: every spurious ``inout`` serialises
+tasks that could run concurrently, and no correctness test ever notices.
+The dependence proof (:func:`repro.analysis.verify.verify_build`) rejects
+declarations no value needs; this module measures what the declared
+structure costs:
 
 * the **transitive reduction** splits declared edges into order-defining
   and redundant ones (redundant edges are normal — the tracker derives
   one edge per region/hazard pair — but their count is the
   dependence-management overhead Bosch et al. identify as the
   scalability limiter);
-* **parallelism metrics** — width (max wavefront), span in tasks and in
-  flops (reusing the per-task flops the kernels' cost model attaches),
-  average parallelism, and a **serialization debt** score: declared span
-  divided by the span of the pure-dataflow (RAW-only) subgraph.  Debt of
-  1.0 means the declarations impose exactly the ordering the values
-  require; barriers and spurious ``inout`` chains push it above 1;
-* **over-declaration findings** on ``inout`` declarations whose write
-  half feeds nobody (``unconsumed_inout_write``) or whose read half can
-  only observe garbage (``unproduced_inout_read``) — both provable from
-  the declarations alone.
+* width (max wavefront), span in tasks and in flops (reusing the
+  per-task flops the kernels' cost model attaches), average parallelism,
+  and a **serialization debt** score: declared span divided by the span
+  of the pure-dataflow (RAW-only) subgraph.  Debt of 1.0 means the
+  declarations impose exactly the ordering the values require; barriers
+  and token chains push it above 1.
 
 All of it runs on cost-only builds (``seq_len``/``batch`` instead of
 real tensors): graph *structure* is independent of hidden size.
@@ -28,48 +24,14 @@ real tensors): graph *structure* is independent of hidden size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
-from repro.analysis.graphlint import LintFinding, _site
 from repro.runtime.depgraph import (
     TaskGraph,
     longest_path,
     transitive_reduction,
     wavefront_width,
 )
-
-
-@dataclass
-class ParallelismReport:
-    """Metrics plus over-declaration findings for one declared graph."""
-
-    metrics: Dict[str, float] = field(default_factory=dict)
-    findings: List[LintFinding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def summary(self) -> str:
-        m = self.metrics
-        head = (
-            f"parallelism: {int(m.get('n_tasks', 0))} tasks, "
-            f"width {int(m.get('width', 0))}, "
-            f"span {int(m.get('span_tasks', 0))} tasks, "
-            f"avg ∥ {m.get('avg_parallelism', 0.0):.2f}, "
-            f"serialization debt {m.get('serialization_debt', 0.0):.3f}"
-        )
-        if self.findings:
-            head += f" — {len(self.findings)} over-declaration findings"
-        return head
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "metrics": self.metrics,
-            "findings": [f.to_dict() for f in self.findings],
-        }
 
 
 def dataflow_successors(graph: TaskGraph) -> List[List[int]]:
@@ -97,7 +59,9 @@ def dataflow_successors(graph: TaskGraph) -> List[List[int]]:
     return flow
 
 
-def _metrics(graph: TaskGraph) -> Dict[str, float]:
+def parallelism_metrics(graph: TaskGraph) -> Dict[str, float]:
+    """Width, spans, average parallelism, serialization debt and the
+    write-only region count of one declared graph."""
     succ = graph.successors
     n = len(graph.tasks)
     weights_unit = [1.0] * n
@@ -146,80 +110,3 @@ def _metrics(graph: TaskGraph) -> Dict[str, float]:
         "serialization_debt": (span_tasks / dataflow_span) if dataflow_span else 1.0,
         "write_only_regions": float(write_only),
     }
-
-
-def analyze_graph(graph: TaskGraph) -> ParallelismReport:
-    """Compute parallelism metrics and over-declaration findings."""
-    report = ParallelismReport(metrics=_metrics(graph))
-    tasks = graph.tasks
-
-    # Per region, accesses in registration order: (tid, reads, writes, is_inout).
-    history: Dict[int, List[Tuple[int, bool, bool, bool]]] = {}
-    region_of: Dict[int, object] = {}
-    has_pure_out: Set[int] = set()
-    for t in tasks:
-        in_ids = {id(r) for r in t.ins}
-        out_ids = {id(r) for r in t.outs}
-        inout_ids = {id(r) for r in t.inouts}
-        for r in t.regions():
-            region_of[id(r)] = r
-        for rid in in_ids | out_ids | inout_ids:
-            reads = rid in in_ids or rid in inout_ids
-            writes = rid in out_ids or rid in inout_ids
-            history.setdefault(rid, []).append((t.tid, reads, writes, rid in inout_ids))
-            if rid in out_ids and not reads:
-                has_pure_out.add(rid)
-
-    for rid, accesses in history.items():
-        region = region_of[rid]
-        if region.nbytes == 0:
-            continue  # serialisation tokens are *meant* to only order
-        for i, (tid, reads, writes, is_inout) in enumerate(accesses):
-            if not is_inout:
-                continue
-            task = tasks[tid]
-            # Write half never consumed: nothing after this task reads
-            # the region before the next pure overwrite.  Sink tasks
-            # (weight updates, terminal accumulators) are exempt — their
-            # writes *are* the graph's outputs.
-            if graph.successors[tid]:
-                # No terminal-output exemption here (contrast dead_write):
-                # a non-sink task whose inout write is a region's *last*
-                # access produced a value nobody can ever observe.
-                consumed = False
-                for _, later_reads, later_writes, later_inout in accesses[i + 1:]:
-                    if later_reads:
-                        consumed = True
-                        break
-                    if later_writes and not later_inout:
-                        break  # pure overwrite kills the value unread
-                if not consumed:
-                    report.findings.append(
-                        LintFinding(
-                            rule="unconsumed_inout_write",
-                            tid=tid,
-                            task=task.name,
-                            region=repr(region.key),
-                            site=_site(task),
-                            detail="the write half of this `inout` is never read; "
-                            "declaring `in` would free every later accessor "
-                            "to overlap with this task",
-                        )
-                    )
-            # Read half with nothing to read: the region is produced by a
-            # pure `out` somewhere, but no writer precedes this task.
-            writers_before = sum(1 for _, _, w, _ in accesses[:i] if w)
-            if writers_before == 0 and rid in has_pure_out:
-                report.findings.append(
-                    LintFinding(
-                        rule="unproduced_inout_read",
-                        tid=tid,
-                        task=task.name,
-                        region=repr(region.key),
-                        site=_site(task),
-                        detail="the read half of this `inout` precedes every "
-                        "writer of a graph-produced region; declaring `out` "
-                        "would drop the spurious RAW edge hunt",
-                    )
-                )
-    return report

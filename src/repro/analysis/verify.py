@@ -1,52 +1,68 @@
-"""Symbolic dependence verifier: family-level race-freedom proofs.
+"""The dependence proof: family-level race freedom and minimality.
 
-The conformance sweeps check concrete graphs one configuration at a
-time; this module proves the same properties once per *family* — for
-every valuation of the symbolic size parameters (hidden width, input
-width, merge width, class count, itemsize, per-chunk batch) at the
-structural instantiations the certificate lists.  Four obligations per
-built graph:
+B-Par is correct iff its ``in``/``out``/``inout`` declarations are the
+real dependences.  :func:`verify_build` is the one static check of them:
+it proves, for every valuation of the symbolic size parameters (hidden
+width, input width, merge width, class count, itemsize, per-chunk batch)
+of one built graph, five obligations:
 
 1. **Access-spec fidelity** — every task's declared ``in``/``out``/
    ``inout`` key sets equal the access rule of its family
-   (:mod:`repro.core.access_spec`).  The builder emits declarations from
-   that table, so this holds by construction for a graph straight out of
-   ``build_brnn_graph``; it is checked for any graph handed in, which is
-   what catches a declaration dropped or a family re-stamped after the
-   build, or a task added around ``_Builder._add``.  The table itself is
-   held to the kernels by the two checks that compare payloads with it:
-   the closure lint (:mod:`repro.analysis.pylint`) and the dynamic
-   observed-versus-declared audit (:func:`cross_validate` here,
-   :func:`repro.runtime.racecheck.check_build`).
+   (:mod:`repro.core.access_spec`), and every declared ``Region`` is the
+   object the build interned for its key.  The builder emits declarations
+   from that table, so this holds by construction for a graph straight
+   out of ``build_brnn_graph``; it is checked for any graph handed in,
+   which is what catches a declaration dropped, added or re-stamped
+   after the build, a task added around ``_Builder._add``, or a distinct
+   ``Region`` aliasing an interned key (dependences match on identity,
+   so the tracker would never order that task against the key's other
+   accessors).  The table itself is held to the kernels by the two checks
+   that compare payloads with it: the closure lint
+   (:mod:`repro.analysis.pylint`) and the dynamic observed-versus-declared
+   audit (:func:`cross_validate` here, :func:`repro.runtime.racecheck.
+   check_build`).
 2. **Storage soundness** — the symbolic byte extents of all region keys
    (:meth:`GraphBuildResult.symbolic_storage`) evaluate back to the
-   declared concrete sizes, and every pair of distinct keys sharing an
+   declared concrete sizes, every pair of distinct keys sharing an
    address space is *provably disjoint* for all nonnegative size
-   valuations.  With (1) this closes the aliasing gap: two tasks can
-   only touch common bytes through a common region key.
+   valuations, and every kernel footprint is covered by its task's
+   declared extents.  With (1) this closes the aliasing gap: two tasks
+   can only touch common bytes through a common region key.
 3. **Ordering** — every pair of tasks conflicting on a common key is
    path-ordered (:func:`repro.runtime.racecheck.ordering_findings`).
-   The dependence tracker orders same-key conflicts by construction;
-   the audit re-derives it independently.
 4. **Plan closure** — the compile pass's transitively-reduced edge set
    preserves the declared dependence closure
    (:func:`repro.runtime.racecheck.check_plan`).
+5. **Minimality** — no declaration orders what no value needs
+   (:func:`minimality_findings`): no region listed twice by one task, no
+   read of a graph-produced region before any write of it, no pure
+   ``out`` overwritten unread, no ``inout`` write half nobody reads.
+   These cannot break (1)-(4) — an over-declaration only serialises — so
+   a table that over-declares would otherwise certify.
 
 Together: same-key conflicts are ordered (3), cross-key conflicts are
-impossible (1)+(2), and the static schedule preserves the order (4) —
-race freedom for the whole family, not one sampled shape.  Family
-quantification over the *structural* parameters (seq_len, mbs, block
-sizes) is by cutoff instantiation plus a size-isomorphism check: the
-task/edge/key structure is invariant under size changes, so the
-symbolic proof at one structure covers all sizes of that structure.
+impossible (1)+(2), the static schedule preserves the order (4), and
+the order is no stronger than the dataflow (5) — for the whole family,
+not one sampled shape.  Family quantification over the *structural*
+parameters (seq_len, mbs, block sizes) is by cutoff instantiation plus a
+size-isomorphism check: the task/edge/key structure is invariant under
+size changes, so the symbolic proof at one structure covers all sizes of
+that structure.
 
-The proof is *checked*, not trusted: :func:`verify_mutations` seeds four
+The proof is *checked*, not trusted: :func:`verify_mutations` seeds six
 defect classes — a dropped order-defining edge, a declared region shrunk
 below its kernel footprint, a kernel write widened past its declaration,
-and a dropped reduced-plan edge — and requires each to be flagged with
-the exact offending task pair.  :func:`cross_validate` additionally runs
-the dynamic race checker on sampled concrete configs from certified
-families and requires zero findings.
+a dropped reduced-plan edge, a spurious ``inout`` in one access rule, and
+a ``Region`` aliasing an interned key — and requires each to be flagged
+with the exact offending task pair (for the last two: task and region).
+:func:`cross_validate` additionally runs the dynamic race checker on
+sampled concrete configs from certified families and requires zero
+findings.
+
+A cycle is not a defect class here: ``TaskGraph.add`` only adds edges
+from earlier to later tasks, so no build can make one;
+:meth:`~repro.runtime.depgraph.TaskGraph.validate_acyclic` is the oracle
+for hand-assembled edge sets.
 
 The output is a machine-readable certificate (``repro.cert.v1``), the
 ``results`` of a ``verify`` report (:mod:`repro.harness.ledger`): ``analyze
@@ -58,7 +74,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,11 +87,16 @@ from repro.models.cells import FUSION_MODES
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.runtime import racecheck
-from repro.runtime.depgraph import descendants_bitsets
+from repro.runtime.depgraph import TaskGraph, descendants_bitsets
+from repro.runtime.racecheck import DependenceFinding, DependenceReport
+from repro.runtime.task import Region, Task
 
 #: certificate serialization format tag
 CERT_FORMAT = "repro.cert.v1"
-MUTATION_KINDS = ("drop_edge", "shrink_region", "widen_write", "drop_plan_edge")
+MUTATION_KINDS = (
+    "drop_edge", "shrink_region", "widen_write", "drop_plan_edge",
+    "over_declare", "alias_region",
+)
 
 #: the config axes the certificate quantifies over: cell × head × mode ×
 #: kernel (``FUSION_MODES``) × tile × projection
@@ -93,66 +114,23 @@ _CUTOFF_BATCH = 4
 
 
 # ---------------------------------------------------------------------------
-# Findings and reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class VerifyFinding:
-    """One verification failure, attributed to a task (pair) if possible."""
-
-    kind: str
-    task: str = ""
-    other: str = ""
-    region: str = ""
-    detail: str = ""
-    tid: int = -1
-    other_tid: int = -1
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "task": self.task,
-            "other": self.other,
-            "region": self.region,
-            "detail": self.detail,
-        }
-
-
-@dataclass
-class VerifyReport:
-    """Outcome of :func:`verify_build` on one graph."""
-
-    n_tasks: int = 0
-    n_regions: int = 0
-    checked_tasks: int = 0
-    pairs_proved: int = 0
-    coverage_checked: int = 0
-    ordering_pairs: int = 0
-    plan_edges_checked: int = 0
-    findings: List[VerifyFinding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-    def to_dict(self) -> dict:
-        return {
-            "n_tasks": self.n_tasks,
-            "n_regions": self.n_regions,
-            "checked_tasks": self.checked_tasks,
-            "pairs_proved": self.pairs_proved,
-            "coverage_checked": self.coverage_checked,
-            "ordering_pairs": self.ordering_pairs,
-            "plan_edges_checked": self.plan_edges_checked,
-            "findings": [f.to_dict() for f in self.findings],
-            "ok": self.ok,
-        }
-
-
-# ---------------------------------------------------------------------------
 # Per-build verification
 # ---------------------------------------------------------------------------
+
+
+def _finding(
+    kind: str, task: Optional[Task] = None, region: str = "",
+    detail: str = "", other: Optional[Task] = None,
+) -> DependenceFinding:
+    return DependenceFinding(
+        kind=kind,
+        tid=task.tid if task is not None else -1,
+        task=task.name if task is not None else "",
+        region=region,
+        other_tid=other.tid if other is not None else -1,
+        other=other.name if other is not None else "",
+        detail=detail,
+    )
 
 
 def _key_counts(regions) -> Counter:
@@ -177,41 +155,46 @@ def verify_build(
     check_plan: bool = True,
     shrink_region=None,
     widen_write: Optional[Tuple[int, object]] = None,
-) -> VerifyReport:
-    """Run all verification obligations on one built graph.
+) -> DependenceReport:
+    """Run all five obligations on one built graph.
 
-    ``shrink_region`` / ``widen_write`` seed the self-test mutations:
-    the former shrinks the named region's *declared* extent by one byte
-    (modelling a builder that declares less than the kernel touches),
-    the latter widens one task's kernel *write* footprint on a region by
-    one byte (modelling a kernel that writes past its declaration).
-    Both must surface as findings naming the offending task pair.
+    ``shrink_region`` / ``widen_write`` seed two of the self-test
+    mutations: the former shrinks the named region's *declared* extent by
+    one byte (modelling a builder that declares less than the kernel
+    touches), the latter widens one task's kernel *write* footprint on a
+    region by one byte (modelling a kernel that writes past its
+    declaration).  Both must surface as findings naming the offending task
+    pair.
     """
     graph = result.graph
     ctx = AccessContext.from_result(result)
     env = result.symbol_env()
-    report = VerifyReport(n_tasks=len(graph), n_regions=len(result.regions))
+    report = DependenceReport(n_tasks=len(graph), n_regions=len(result.regions))
     desc = descendants_bitsets(graph.successors)
 
     def ordered(a: int, b: int) -> bool:
         return bool((desc[a] >> b) & 1 or (desc[b] >> a) & 1)
 
-    # -- obligation 1: access-spec fidelity --------------------------------
+    # -- obligation 1: access-spec fidelity and region identity ------------
     spec_decls: Dict[int, object] = {}
     fidelity_ok: Dict[int, bool] = {}
     for task in graph:
+        for r in task.regions():
+            if r.key not in result.regions or result.regions.get(r.key) is not r:
+                report.findings.append(_finding(
+                    "aliased_region_key", task, repr(r.key),
+                    "a Region object other than the one interned for this key: "
+                    "dependences match on identity, so this task is never "
+                    "ordered against the key's other accessors",
+                ))
         if task.kind == "barrier":
             continue
         family = task.meta.get("family")
         if family not in FAMILIES:
-            report.findings.append(
-                VerifyFinding(
-                    kind="unknown_family",
-                    task=task.name,
-                    tid=task.tid,
-                    detail=f"no kernel access spec for family {family!r}",
-                )
-            )
+            report.findings.append(_finding(
+                "unknown_family", task,
+                detail=f"no kernel access spec for family {family!r}",
+            ))
             continue
         decl = expected_access(family, task.meta, ctx)
         spec_decls[task.tid] = decl
@@ -225,15 +208,9 @@ def verify_build(
             dc, sc = _key_counts(declared), Counter(spec)
             if dc != sc:
                 match = False
-                report.findings.append(
-                    VerifyFinding(
-                        kind="access_spec_mismatch",
-                        task=task.name,
-                        tid=task.tid,
-                        region=label,
-                        detail=f"{label}: {_diff(dc, sc)}",
-                    )
-                )
+                report.findings.append(_finding(
+                    "access_spec_mismatch", task, label, f"{label}: {_diff(dc, sc)}"
+                ))
         fidelity_ok[task.tid] = match
 
     # -- obligation 2a: symbolic sizes match declared sizes -----------------
@@ -243,13 +220,10 @@ def verify_build(
         region_extents[region.key] = exts
         size = sum(e.interval.length().evaluate(env) for e in exts)
         if size != region.nbytes:
-            report.findings.append(
-                VerifyFinding(
-                    kind="size_model_mismatch",
-                    region=repr(region.key),
-                    detail=f"symbolic size {size} != declared {region.nbytes}",
-                )
-            )
+            report.findings.append(_finding(
+                "size_model_mismatch", region=repr(region.key),
+                detail=f"symbolic size {size} != declared {region.nbytes}",
+            ))
 
     # declared-side extents, with the shrink mutation applied
     declared_extents = dict(region_extents)
@@ -285,17 +259,13 @@ def verify_build(
                 accessors.get(k1, []) + accessors.get(k2, []),
                 ordered,
             )
-            report.findings.append(
-                VerifyFinding(
-                    kind="storage_overlap_unproven",
-                    region=f"{k1!r} / {k2!r}",
-                    task=graph.tasks[pair[0]].name if pair else "",
-                    other=graph.tasks[pair[1]].name if pair else "",
-                    tid=pair[0] if pair else -1,
-                    other_tid=pair[1] if pair else -1,
-                    detail=f"extents in space {space!r} not provably disjoint",
-                )
-            )
+            report.findings.append(_finding(
+                "storage_overlap_unproven",
+                graph.tasks[pair[0]] if pair else None,
+                f"{k1!r} / {k2!r}",
+                f"extents in space {space!r} not provably disjoint",
+                graph.tasks[pair[1]] if pair else None,
+            ))
 
     # -- obligation 2c: kernel footprints covered by declarations -----------
     mutated_keys = set()
@@ -340,60 +310,97 @@ def verify_build(
                     other, is_ordered = _conflicting_other(
                         graph, task, orphan, region_extents, ordered
                     )
-                    report.findings.append(
-                        VerifyFinding(
-                            kind=(
-                                "footprint_uncovered"
-                                if other is None or is_ordered
-                                else "symbolic_race"
-                            ),
-                            task=task.name,
-                            tid=task.tid,
-                            other=other.name if other is not None else "",
-                            other_tid=other.tid if other is not None else -1,
-                            region=repr(key),
-                            detail=(
-                                f"{side} footprint {interval!r} in space "
-                                f"{e.space!r} not covered by declarations"
-                            ),
-                        )
-                    )
+                    report.findings.append(_finding(
+                        "footprint_uncovered" if other is None or is_ordered
+                        else "symbolic_race",
+                        task, repr(key),
+                        f"{side} footprint {interval!r} in space {e.space!r} "
+                        "not covered by declarations",
+                        other,
+                    ))
         report.coverage_checked += 1
 
     # -- obligation 3: declared-conflict ordering ---------------------------
-    ord_findings, pairs = racecheck.ordering_findings(graph)
-    report.ordering_pairs = pairs
-    for f in ord_findings:
-        report.findings.append(
-            VerifyFinding(
-                kind=f.kind,
-                task=f.task,
-                other=f.other or "",
-                region=f.region,
-                detail=f.detail,
-                tid=f.tid,
-                other_tid=f.other_tid if f.other_tid is not None else -1,
-            )
-        )
+    ord_findings, report.ordering_pairs = racecheck.ordering_findings(graph)
+    report.findings.extend(ord_findings)
 
     # -- obligation 4: reduced-plan closure ---------------------------------
     if check_plan:
-        plan = compile_graph(graph, n_workers=n_workers)
-        prep = racecheck.check_plan(graph, plan)
-        report.plan_edges_checked = prep.checked_pairs
-        for f in prep.findings:
-            report.findings.append(
-                VerifyFinding(
-                    kind=f.kind,
-                    task=f.task,
-                    other=f.other or "",
-                    region=f.region,
-                    detail=f.detail,
-                    tid=f.tid,
-                    other_tid=f.other_tid if f.other_tid is not None else -1,
-                )
-            )
+        prep = racecheck.check_plan(graph, compile_graph(graph, n_workers=n_workers))
+        report.plan_edges_checked = prep.plan_edges_checked
+        report.findings.extend(prep.findings)
+
+    # -- obligation 5: minimality -------------------------------------------
+    report.findings.extend(minimality_findings(graph))
     return report
+
+
+def minimality_findings(graph: TaskGraph) -> List[DependenceFinding]:
+    """Obligation 5: every declaration orders something a value needs.
+
+    Per task, a region listed twice is a ``duplicate_declaration`` (``in``
+    plus ``out`` is an ``inout``).  Then one pass over each data-carrying
+    region's accesses in registration order — a sequentially valid order
+    for every graph the builder emits:
+
+    * ``uninitialized_read`` — an ``in``, or the read half of an
+      ``inout``, of a region the graph itself produces (some task declares
+      a pure ``out`` on it) before any write of it: the read observes
+      garbage under every legal schedule.  External inputs never trip it;
+    * ``dead_write`` — a pure ``out`` the next access overwrites unread:
+      the write buys WAR/WAW serialisation and feeds nobody.  A region's
+      last access is exempt; its value is a graph output;
+    * ``unconsumed_inout_write`` — the write half of an ``inout`` that the
+      next access overwrites, or that no access follows, on a task with
+      successors: declared ``in``, every later accessor could overlap it.
+      A sink task's write (a weight update) is the graph's output.
+
+    Zero-byte regions are ordering tokens (B-Seq's chunk chain) that carry
+    no value and are exempt from the pass.
+    """
+    findings: List[DependenceFinding] = []
+    history: Dict[object, List[Tuple[Task, str]]] = {}
+    for task in graph:
+        modes: Dict[object, set] = {}
+        carries: Dict[object, bool] = {}
+        for mode, regions in (("in", task.ins), ("out", task.outs), ("inout", task.inouts)):
+            for r in regions:
+                if r.key in modes:
+                    findings.append(_finding(
+                        "duplicate_declaration", task, repr(r.key),
+                        "listed more than once; declare it once",
+                    ))
+                modes.setdefault(r.key, set()).add(mode)
+                carries[r.key] = bool(r.nbytes)
+        for key, listed in modes.items():
+            if carries[key]:
+                # one access per task: read and written (``in`` + ``out``
+                # included) is an ``inout``
+                mode = listed.pop() if len(listed) == 1 else "inout"
+                history.setdefault(key, []).append((task, mode))
+    for key, accesses in history.items():
+        produced = any(mode == "out" for _, mode in accesses)
+        written = False
+        for i, (task, mode) in enumerate(accesses):
+            nxt = accesses[i + 1][1] if i + 1 < len(accesses) else None
+            if mode != "out" and produced and not written:
+                findings.append(_finding(
+                    "uninitialized_read", task, repr(key),
+                    "read before any write of a region the graph produces",
+                ))
+            if mode == "out" and nxt == "out":
+                findings.append(_finding(
+                    "dead_write", task, repr(key),
+                    "`out` value overwritten before any task reads it",
+                ))
+            if mode == "inout" and nxt in (None, "out") and graph.successors[task.tid]:
+                findings.append(_finding(
+                    "unconsumed_inout_write", task, repr(key),
+                    "the write half of this `inout` is never read; `in` would "
+                    "free every later accessor to overlap with this task",
+                ))
+            written = written or mode != "in"
+    return findings
 
 
 def _unordered_pair(
@@ -590,19 +597,73 @@ def verify_family(fam: Family, *, n_workers: int = 2) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _declared_conflict(a: Task, b: Task) -> bool:
+    """Do the tasks touch a common region with at least one writer?"""
+    return not (
+        a.region_ids().isdisjoint(id(r) for r in b.writes())
+        and b.region_ids().isdisjoint(id(r) for r in a.writes())
+    )
+
+
+def order_defining_edges(graph: TaskGraph) -> List[Tuple[int, int]]:
+    """Edges whose removal actually relaxes the partial order.
+
+    An edge ``a → b`` is *redundant* when another path ``a → … → b``
+    exists (dependence still enforced transitively); deleting it changes
+    nothing and genuinely introduces no race.  The edge-drop mutation
+    therefore only deletes order-defining edges — and additionally only
+    those whose endpoints conflict on a declared region, since a barrier
+    edge with no shared data is not detectable from declarations.
+    """
+    redundant = set(graph.redundant_edges())
+    return [
+        (a, b)
+        for a, b in graph.edges()
+        if (a, b) not in redundant
+        and _declared_conflict(graph.tasks[a], graph.tasks[b])
+    ]
+
+
+def probe_edge(graph: TaskGraph, edge: Tuple[int, int]) -> dict:
+    """Delete dependence ``edge`` and re-run the ordering audit:
+    ``detected`` is True iff the audit flags exactly the deleted edge's
+    endpoints as an unordered conflicting pair."""
+    a, b = edge
+    mutated = [list(s) for s in graph.successors]
+    mutated[a].remove(b)
+    findings, _ = racecheck.ordering_findings(graph, successors=mutated)
+    return {
+        "edge_names": (graph.tasks[a].name, graph.tasks[b].name),
+        "detected": any({f.tid, f.other_tid} == {a, b} for f in findings),
+    }
+
+
+_REPRESENTATIVE = Family("lstm", "many_to_one", True, "gates", "off")
+
+#: the access rule the ``over_declare`` mutation edits: its ``in`` on the
+#: logits becomes an ``inout`` nobody reads back
+_OVER_DECLARED = "loss@_build_head"
+
+
 def _representative_build() -> GraphBuildResult:
     """The BLSTM train graph the mutation self-tests operate on."""
-    fam = Family("lstm", "many_to_one", True, "gates", "off")
-    return build_family_instance(fam, _instance_kwargs(fam, 4, 2, 2))
+    return build_family_instance(
+        _REPRESENTATIVE, _instance_kwargs(_REPRESENTATIVE, 4, 2, 2)
+    )
 
 
-def verify_mutations(
-    result: Optional[GraphBuildResult] = None,
-    *,
-    seed: int = 0,
-    n_workers: int = 2,
-) -> dict:
-    """Seed the four defect classes; each must be flagged with its pair.
+def _hit(report: DependenceReport, kind: str, task: Task, key) -> list:
+    """``[task, region]`` of the finding of ``kind`` naming exactly this
+    task and key, or ``[]``."""
+    return next(
+        ([f.task, f.region] for f in report.findings
+         if f.kind == kind and f.tid == task.tid and f.region == repr(key)),
+        [],
+    )
+
+
+def verify_mutations(*, seed: int = 0, n_workers: int = 2) -> dict:
+    """Seed the six defect classes; each must be flagged with its pair.
 
     * ``drop_edge`` — delete one order-defining graph edge; the ordering
       audit must name exactly the deleted edge's endpoints.
@@ -615,19 +676,22 @@ def verify_mutations(
       pair.
     * ``drop_plan_edge`` — delete one reduced-plan edge; the closure
       audit must name the now-uncovered declared dependence.
+    * ``over_declare`` — the access table itself turns the loss rule's
+      ``in`` on the logits into an ``inout``; the build follows the table,
+      so fidelity holds and nothing races, and minimality must name the
+      loss task and the logits region.
+    * ``alias_region`` — one task declares a distinct ``Region`` object
+      under an interned key; fidelity must name the task and the key.
     """
-    if result is None:
-        result = _representative_build()
+    result = _representative_build()
     graph = result.graph
     rng = random.Random(seed)
     T = result.seq_len
     out: Dict[str, dict] = {}
 
     # 1: drop one order-defining edge
-    candidates = racecheck.order_defining_edges(graph)
-    probe = racecheck.probe_edge(
-        graph, candidates[rng.randrange(len(candidates))]
-    )
+    candidates = order_defining_edges(graph)
+    probe = probe_edge(graph, candidates[rng.randrange(len(candidates))])
     out["drop_edge"] = {
         "target": list(probe["edge_names"]),
         "pair": list(probe["edge_names"]),
@@ -685,8 +749,45 @@ def verify_mutations(
         "detected": flagged,
     }
 
+    # 5: a spurious ``inout`` in the access table (the build follows it)
+    rule = FAMILIES[_OVER_DECLARED]
+    FAMILIES[_OVER_DECLARED] = lambda meta, ctx: _spurious_inout(rule(meta, ctx))
+    try:
+        mutant = _representative_build()
+        rep = verify_build(mutant, n_workers=n_workers, check_plan=False)
+    finally:
+        FAMILIES[_OVER_DECLARED] = rule
+    victim = next(t for t in mutant.graph if t.meta["family"] == _OVER_DECLARED)
+    key = victim.inouts[-1].key
+    pair = _hit(rep, "unconsumed_inout_write", victim, key)
+    out["over_declare"] = {
+        "target": f"{_OVER_DECLARED}: in {key!r} → inout",
+        "pair": pair,
+        "detected": bool(pair),
+    }
+
+    # 6: a distinct Region object under an interned key
+    mutant = _representative_build()
+    victim = next(t for t in mutant.graph if any(r.key == target_key for r in t.ins))
+    victim.ins = tuple(
+        Region(r.key, r.nbytes) if r.key == target_key else r for r in victim.ins
+    )
+    victim._regions = victim._region_ids = None  # drop the cached views
+    rep = verify_build(mutant, n_workers=n_workers, check_plan=False)
+    pair = _hit(rep, "aliased_region_key", victim, target_key)
+    out["alias_region"] = {
+        "target": f"{victim.name} → {target_key!r}",
+        "pair": pair,
+        "detected": bool(pair),
+    }
+
     out["all_detected"] = all(out[kind]["detected"] for kind in MUTATION_KINDS)
     return out
+
+
+def _spurious_inout(decl):
+    """``decl`` with its first ``in`` declared ``inout`` instead."""
+    return decl._replace(ins=decl.ins[1:], inouts=decl.inouts + decl.ins[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +843,6 @@ def cross_validate(
             {
                 "family": fam.label(),
                 "observed_tasks": report.observed_tasks,
-                "checked_pairs": report.checked_pairs,
                 "findings": len(report.findings),
                 "ok": report.ok,
             }

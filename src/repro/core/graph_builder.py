@@ -731,9 +731,9 @@ class _Builder:
         """Emit one task, declared by its family's access rule.
 
         Stamps ``meta["site"]`` with the name of the builder method that
-        emitted the task — declaration *provenance*, so static-analysis
-        findings (:mod:`repro.analysis.graphlint`) can point at the build
-        site, not just the task name — and ``meta["family"]``
+        emitted the task — declaration *provenance*, so a dependence
+        finding's task leads back to the build site, not just the task
+        name — and ``meta["family"]``
         (``kind@site``).  The ``in``/``out``/``inout`` regions are what
         :func:`repro.core.access_spec.expected_access` lists for that
         family and ``meta``; a family without a rule is a ``KeyError``.
@@ -1151,7 +1151,7 @@ class _Builder:
         ``wavefront_tile`` steps when set, docs/PERF.md).
         Its rule declares every input (or ``zx``) position of the tile, the
         carried ``h`` from below it, and every ``h``/cache slot it
-        publishes, so racecheck and the over-declaration analyzer audit a
+        publishes, so the dependence proof and the race checker audit a
         tile of any length the same way.  Layer ``l+1``'s tile depends only
         on layer ``l``'s merges of its own positions: the layer×time
         diagonal of the wavefront, with ``⌈T/K⌉`` tasks per chain.

@@ -23,7 +23,7 @@ top of that (``tiled``).  Run on both substrates:
 
 It also records the static-analysis contrast behind the tiling claim: graph
 width and average parallelism of the tiled graph against the layer-ordered
-(barriered) build, with the linter/analyzer finding counts, a
+(barriered) build, with the dependence proof's finding count, a
 flop-conservation check tying the stacked gate GEMM to the sum of its
 per-gate parts, and the same cost-only comparisons over tile sizes, cells,
 hoisting points and chunkings (:func:`simulated_sweeps`).
@@ -37,8 +37,8 @@ from __future__ import annotations
 import os
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.analysis.graphlint import lint_graph
-from repro.analysis.parallelism import analyze_graph
+from repro.analysis.parallelism import parallelism_metrics
+from repro.analysis.verify import verify_build
 from repro.config import ExecutionConfig
 from repro.core.graph_builder import build_brnn_graph
 from repro.harness.measure import (
@@ -165,28 +165,28 @@ def wavefront_analysis_contrast(
     The contrast quantifying the diagonal: the barrier-free tiled graph's
     width/average parallelism against the same model built layer-ordered
     (``barrier_free=False``, per-step) — the execution discipline of
-    conventional frameworks.  Also records the linter + analyzer finding
-    counts on the tiled graph (the bench gate requires both zero: tiled
-    declarations are exact, not padded).
+    conventional frameworks.  Also records how many findings the
+    dependence proof (:func:`~repro.analysis.verify.verify_build`) has on
+    the tiled graph (the bench gate requires zero: tiled declarations are
+    exact, not padded).
     """
     fusion, proj, tile = MODES["tiled"]
     wave = build_brnn_graph(
         spec, seq_len=seq_len, batch=batch, mbs=mbs, training=False,
         fused_input_projection=proj, fusion=fusion, wavefront_tile=tile,
-    ).graph
+    )
     layered = build_brnn_graph(
         spec, seq_len=seq_len, batch=batch, mbs=mbs, training=False,
         barrier_free=False,
     ).graph
-    wave_metrics = analyze_graph(wave)
-    layered_metrics = analyze_graph(layered)
+    wave_metrics = parallelism_metrics(wave.graph)
+    layered_metrics = parallelism_metrics(layered)
     return {
-        "wavefront_width": wave_metrics.metrics["width"],
-        "wavefront_avg_parallelism": wave_metrics.metrics["avg_parallelism"],
-        "layered_width": layered_metrics.metrics["width"],
-        "layered_avg_parallelism": layered_metrics.metrics["avg_parallelism"],
-        "lint_findings": float(len(lint_graph(wave).findings)),
-        "analyzer_findings": float(len(wave_metrics.findings)),
+        "wavefront_width": wave_metrics["width"],
+        "wavefront_avg_parallelism": wave_metrics["avg_parallelism"],
+        "layered_width": layered_metrics["width"],
+        "layered_avg_parallelism": layered_metrics["avg_parallelism"],
+        "proof_findings": float(len(verify_build(wave).findings)),
     }
 
 
@@ -230,8 +230,7 @@ def simulated_sweeps() -> Dict:
             "min_sim_speedup": min(o["sim_speedup"] for o in hoisted),
         },
         "chunked": {
-            "max_lint_findings": max(o["lint_findings"] for o in chunked),
-            "max_analyzer_findings": max(o["analyzer_findings"] for o in chunked),
+            "max_proof_findings": max(o["proof_findings"] for o in chunked),
             "min_width_gain": min(o["wavefront_width"] - o["layered_width"] for o in chunked),
         },
     }

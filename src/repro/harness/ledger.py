@@ -315,8 +315,7 @@ SUITES: Dict[str, Suite] = {
             *_numbers("sim", "critical_path_reduction", "sim_speedup"),
             *_numbers(
                 "analysis", "wavefront_width", "wavefront_avg_parallelism",
-                "layered_width", "layered_avg_parallelism",
-                "lint_findings", "analyzer_findings"),
+                "layered_width", "layered_avg_parallelism", "proof_findings"),
             ("flops_conserved", bool),
         ],
         bars=[
@@ -354,10 +353,8 @@ SUITES: Dict[str, Suite] = {
             ),
             Bar("sim.tiled.n_tasks", "<", "sim.gates.n_tasks",
                 "tiled task count did not shrink"),
-            Bar("analysis.lint_findings", "==", 0,
-                "tiled declarations are no longer exact"),
-            Bar("analysis.analyzer_findings", "==", 0,
-                "fused tasks flagged (over-declaration?)"),
+            Bar("analysis.proof_findings", "==", 0,
+                "tiled declarations are no longer proved exact and minimal"),
             Bar("analysis.wavefront_width", ">", "analysis.layered_width",
                 "the diagonal is gone"),
             Bar("flops_conserved", "==", True,
@@ -376,9 +373,8 @@ SUITES: Dict[str, Suite] = {
             Bar("sweeps.hoisting.max_critical_path_reduction", "<", 1.0),
             Bar("sweeps.hoisting.min_sim_speedup", ">", 0.95,
                 "fewer serial GEMM flops made a simulated batch slower"),
-            Bar("sweeps.chunked.max_lint_findings", "==", 0,
-                "tiled declarations are no longer exact at every chunking"),
-            Bar("sweeps.chunked.max_analyzer_findings", "==", 0),
+            Bar("sweeps.chunked.max_proof_findings", "==", 0,
+                "tiled declarations are no longer exact and minimal at every chunking"),
             Bar("sweeps.chunked.min_width_gain", ">", 0,
                 "the diagonal is gone at some chunking"),
         ],
@@ -596,7 +592,8 @@ SUITES: Dict[str, Suite] = {
             *(bar for kind in MUTATION_KINDS for bar in (
                 Bar(f"mutations.{kind}.detected", "==", True, "a seeded defect went undetected"),
                 Bar(f"mutations.{kind}.exact_pair", "==", True,
-                    "the finding lacks an exact two-task offending pair"))),
+                    "the finding does not name its exact task pair "
+                    "(task and region for over_declare/alias_region)"))),
             Bar("cross_validation.samples", ">=", 8,
                 "too few configs replayed through the dynamic race checker"),
             Bar("cross_validation.ok", "==", True, "dynamic findings disagree with the proof"),
@@ -611,11 +608,11 @@ SUITES: Dict[str, Suite] = {
     "graph_analysis": _suite(
         None,
         schema=[
-            ("graphlint.ok", bool),
-            *((f"graphlint.{key}", int) for key in ("n_tasks", "n_edges", "n_regions")),
-            ("graphlint.findings", list),
-            ("parallelism.ok", bool),
-            ("parallelism.findings", list),
+            ("dependences.ok", bool),
+            *((f"dependences.{key}", int) for key in (
+                "n_tasks", "n_regions", "checked_tasks", "pairs_proved",
+                "ordering_pairs", "plan_edges_checked")),
+            ("dependences.findings", list),
             *_numbers(
                 "parallelism.metrics", "n_tasks", "n_edges", "n_redundant_edges",
                 "redundant_edge_fraction", "width", "span_tasks", "span_flops",
@@ -623,8 +620,8 @@ SUITES: Dict[str, Suite] = {
                 "serialization_debt"),
         ],
         bars=[
-            Bar("graphlint.findings", "==", [], "the declared graph is unsound"),
-            Bar("parallelism.findings", "==", [], "spurious inout serialisation"),
+            Bar("dependences.findings", "==", [],
+                "the declarations are not proved race-free and minimal"),
             Bar(f"parallelism.metrics.serialization_debt", "<=", 1.01,
                 "the declared graph serialises beyond its dataflow"),
             Bar(f"parallelism.metrics.width", ">=", 1),

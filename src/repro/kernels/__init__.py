@@ -11,8 +11,8 @@ from repro.kernels.lstm import LSTMCache, lstm_backward_step, lstm_forward_step
 from repro.kernels.gru import GRUCache, gru_backward_step, gru_forward_step
 from repro.kernels.merge import MERGE_MODES, merge_backward, merge_forward, merge_output_dim
 from repro.kernels.dense import dense_backward, dense_forward
-from repro.kernels.losses import mse_loss, softmax_cross_entropy
-from repro.kernels.initializers import glorot_uniform, orthogonal, zeros
+from repro.kernels.losses import softmax_cross_entropy
+from repro.kernels.initializers import glorot_uniform, zeros
 
 __all__ = [
     "sigmoid",
@@ -32,8 +32,6 @@ __all__ = [
     "dense_forward",
     "dense_backward",
     "softmax_cross_entropy",
-    "mse_loss",
     "glorot_uniform",
-    "orthogonal",
     "zeros",
 ]

@@ -12,17 +12,6 @@ def glorot_uniform(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndar
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def orthogonal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
-    """Orthogonal initialization (QR of a Gaussian), standard for RNN recurrences."""
-    rows, cols = shape
-    a = rng.standard_normal((max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))  # make the decomposition unique
-    if rows < cols:
-        q = q.T
-    return q[:rows, :cols].astype(dtype)
-
-
 def zeros(shape, dtype=np.float32) -> np.ndarray:
     """Zero initialization (biases)."""
     return np.zeros(shape, dtype=dtype)

@@ -34,13 +34,3 @@ def softmax_cross_entropy(
     dlogits[idx] -= 1.0
     dlogits *= np.asarray(scale, dtype=logits.dtype)
     return loss_sum, dlogits
-
-
-def mse_loss(
-    pred: np.ndarray, target: np.ndarray, grad_scale: Optional[float] = None
-) -> Tuple[float, np.ndarray]:
-    """Sum-of-squares loss ``Σ (pred-target)²/2`` with gradient."""
-    diff = pred - target
-    loss_sum = float(0.5 * np.sum(diff * diff))
-    scale = (1.0 / pred.shape[0]) if grad_scale is None else grad_scale
-    return loss_sum, diff * np.asarray(scale, dtype=pred.dtype)

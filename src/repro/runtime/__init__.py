@@ -19,6 +19,13 @@ semantics of OmpSs/OpenMP task dependences), ready-queue schedulers
   parallelism for the fine-grained task modes the GIL serialises.  The
   substrate contract all of these implement is named by
   :class:`~repro.runtime.protocol.Executor` (docs/EXECUTORS.md).
+
+:mod:`~repro.runtime.racecheck` holds the one dependence finding and
+report type, the ordering audit, and the instruments that *execute*
+graphs to check their declarations — access observation, schedule
+fuzz/record/replay, the compiled-plan audit.  The static proof those
+are cross-validated with is :func:`repro.analysis.verify.verify_build`
+(``analysis`` imports ``runtime``, never the reverse).
 """
 
 from repro.runtime.task import AccessMode, Region, RegionSpace, Task
@@ -43,13 +50,11 @@ from repro.runtime.protocol import Executor, ExecutorError, WorkerCrashError
 from repro.runtime.mpexec import MultiprocessExecutor, plan_placement
 from repro.runtime.shm import ArenaExhausted, ArrayDesc, ShmArena, ShmBlock
 from repro.runtime.racecheck import (
+    DependenceFinding,
+    DependenceReport,
     RaceError,
-    RaceFinding,
-    RaceReport,
     check_build,
     fuzz_equivalence_sweep,
-    mutation_probe,
-    order_defining_edges,
     ordering_findings,
     record_schedule,
     replay_schedule,
@@ -87,13 +92,11 @@ __all__ = [
     "ShmBlock",
     "ArrayDesc",
     "ArenaExhausted",
+    "DependenceFinding",
+    "DependenceReport",
     "RaceError",
-    "RaceFinding",
-    "RaceReport",
     "check_build",
     "fuzz_equivalence_sweep",
-    "mutation_probe",
-    "order_defining_edges",
     "ordering_findings",
     "record_schedule",
     "replay_schedule",

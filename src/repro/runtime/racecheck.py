@@ -1,35 +1,34 @@
-"""Dynamic dependency-declaration checking and schedule fuzzing.
+"""Dependence findings, the ordering audit, and the dynamic instruments.
 
 B-Par's correctness rests entirely on the completeness of the ``Region``
 in/out/inout declarations: one missing dependence lets a scheduler reorder
 a reader past a writer and silently corrupt results — the classic hazard
-of OmpSs-style runtimes.  This module *proves* the declarations instead of
-trusting them, with three independent instruments:
+of OmpSs-style runtimes.  The static proof of the declarations is
+:func:`repro.analysis.verify.verify_build`; this module holds what it
+shares with the runtime and the instruments that *execute* graphs:
 
-1. **Access observation** (:func:`observe_accesses`): run a functional
-   graph serially with every parameter/state buffer swapped for a
-   :class:`TrackedArray` view that records the byte ranges each NumPy
-   operation actually reads and writes.  Rebinding writes (``slot = new``)
-   are caught by re-resolving every region's storage after each task.
-2. **Declaration diff** (:func:`declaration_findings`): any observed byte
-   range that falls inside *some* region's storage but is not covered by
-   the task's own declarations is an undeclared access — the precise bug
-   class a missing ``in(...)``/``out(...)`` clause creates.
-3. **Order audit** (:func:`ordering_findings`): every pair of tasks whose
-   declared accesses conflict (shared region, at least one writer) must be
-   connected by a dependence path; an unordered conflicting pair can run
-   concurrently under some legal schedule and is reported as a race.  This
-   audit needs no payloads, so it also covers cost-only (simulated)
-   graphs.
-
-On top of the checker sits the schedule fuzzer: a
-:class:`~repro.runtime.scheduler.FuzzScheduler` permutes ready-queue pop
-order under a seed (:func:`fuzz_equivalence_sweep` asserts bitwise-equal
-results across seeds), and :func:`record_schedule` /
-:func:`replay_schedule` serialise one schedule to JSON and re-execute it
-deterministically.  Finally, :func:`mutation_probe` *deletes* one declared
-dependence and asserts the order audit notices — the self-test that keeps
-the checker itself honest.
+* the one finding type and one report (:class:`DependenceFinding`,
+  :class:`DependenceReport`) every check writes, and :class:`RaceError`,
+  which carries a report;
+* the **order audit** (:func:`ordering_findings`): every pair of tasks
+  whose declared accesses conflict (shared region, at least one writer)
+  must be connected by a dependence path; an unordered conflicting pair
+  can run concurrently under some legal schedule and is a race.  It needs
+  no payloads; the proof runs it as one obligation;
+* **access observation** plus **declaration diff** (:func:`check_build`):
+  run a functional graph serially with every parameter/state buffer
+  swapped for a :class:`TrackedArray` view that records the byte ranges
+  each NumPy operation actually reads and writes (rebinding writes,
+  ``slot = new``, are caught by re-resolving every region's storage after
+  each task); any observed byte range inside *some* region's storage but
+  outside the task's own declarations is an undeclared access — the bug
+  class a missing ``in(...)``/``out(...)`` clause creates;
+* the **schedule fuzzer**: a :class:`~repro.runtime.scheduler.FuzzScheduler`
+  permutes ready-queue pop order under a seed (:func:`fuzz_equivalence_sweep`
+  asserts bitwise-equal results across seeds), and :func:`record_schedule` /
+  :func:`replay_schedule` serialise one schedule to JSON and re-execute it;
+* the **plan audit** and audited replay (:func:`check_plan`,
+  :func:`replay_plan`, :func:`plan_equivalence_check`).
 
 Layering: this module depends only on the runtime substrate and NumPy; it
 reaches graph-builder storage exclusively through the duck-typed
@@ -38,8 +37,8 @@ reaches graph-builder storage exclusively through the duck-typed
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -53,7 +52,7 @@ from repro.runtime.scheduler import (
     ScheduleRecord,
     resolve_scheduler,
 )
-from repro.runtime.task import AccessMode, Task
+from repro.runtime.task import AccessMode
 from repro.runtime.trace import ExecutionTrace
 
 try:  # NumPy >= 2.0
@@ -68,7 +67,7 @@ Interval = Tuple[int, int]
 class RaceError(RuntimeError):
     """Raised when dependency validation finds races (see ``report``)."""
 
-    def __init__(self, report: "RaceReport") -> None:
+    def __init__(self, report: "DependenceReport") -> None:
         super().__init__(report.summary())
         self.report = report
 
@@ -207,41 +206,32 @@ def _wrap(a: np.ndarray) -> np.ndarray:
     return a if isinstance(a, TrackedArray) else a.view(TrackedArray)
 
 
-def _unwrap(a: np.ndarray) -> np.ndarray:
-    return a.view(np.ndarray) if isinstance(a, TrackedArray) else a
-
-
 # ---------------------------------------------------------------------------
 # Findings and report
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class RaceFinding:
-    """One violation: an undeclared access or an unordered conflict."""
+class DependenceFinding:
+    """One dependence finding, from any check: the proof's obligations
+    (:func:`repro.analysis.verify.verify_build`), the ordering audit, the
+    plan audit, or the observed-versus-declared diff.  ``tid``/``task``
+    name the offending task; ``other_tid``/``other`` its partner when the
+    finding is about a pair."""
 
-    kind: str  # "undeclared_read" | "undeclared_write" | "unordered_conflict"
-    tid: int
-    task: str
-    region: str
-    other_tid: Optional[int] = None
-    other: Optional[str] = None
+    kind: str
+    tid: int = -1
+    task: str = ""
+    region: str = ""
+    other_tid: int = -1
+    other: str = ""
     detail: str = ""
 
     def describe(self) -> str:
-        if self.kind == "unordered_conflict":
-            return (
-                f"[{self.kind}] {self.task} (tid {self.tid}) and {self.other} "
-                f"(tid {self.other_tid}) conflict on region {self.region} with "
-                f"no dependence path between them{': ' + self.detail if self.detail else ''}"
-            )
-        if self.kind.startswith("plan_"):
-            return f"[{self.kind}] {self.task} (tid {self.tid}): {self.detail}"
-        return (
-            f"[{self.kind}] {self.task} (tid {self.tid}) touched region "
-            f"{self.region} without declaring it"
-            f"{': ' + self.detail if self.detail else ''}"
-        )
+        pair = f" and {self.other} (tid {self.other_tid})" if self.other else ""
+        region = f" on region {self.region}" if self.region else ""
+        detail = f": {self.detail}" if self.detail else ""
+        return f"[{self.kind}] {self.task} (tid {self.tid}){pair}{region}{detail}"
 
     def to_dict(self) -> dict:
         return {
@@ -256,43 +246,49 @@ class RaceFinding:
 
 
 @dataclass
-class RaceReport:
-    """All findings of one check plus coverage statistics."""
+class DependenceReport:
+    """Every finding on one graph plus what each check covered: tasks
+    checked against the access table, disjoint key pairs proved, footprints
+    covered, conflicting pairs ordered, plan edges audited, payloads
+    observed."""
 
-    findings: List[RaceFinding] = field(default_factory=list)
     n_tasks: int = 0
     n_regions: int = 0
+    checked_tasks: int = 0
+    pairs_proved: int = 0
+    coverage_checked: int = 0
+    ordering_pairs: int = 0
+    plan_edges_checked: int = 0
     observed_tasks: int = 0
-    checked_pairs: int = 0
+    findings: List[DependenceFinding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
-    def by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for f in self.findings:
-            counts[f.kind] = counts.get(f.kind, 0) + 1
-        return counts
-
     def summary(self) -> str:
         if self.ok:
             return (
-                f"racecheck OK: {self.n_tasks} tasks, {self.n_regions} regions, "
-                f"{self.observed_tasks} payloads observed, "
-                f"{self.checked_pairs} conflicting pairs ordered"
+                f"dependences OK: {self.n_tasks} tasks, {self.n_regions} regions, "
+                f"{self.ordering_pairs} conflicting pairs ordered, "
+                f"{self.observed_tasks} payloads observed"
             )
-        kinds = ", ".join(f"{k}: {v}" for k, v in sorted(self.by_kind().items()))
-        return f"racecheck FAILED ({len(self.findings)} findings — {kinds})"
+        kinds = Counter(f.kind for f in self.findings)
+        listed = ", ".join(f"{k}: {v}" for k, v in sorted(kinds.items()))
+        return f"dependences FAILED ({len(self.findings)} findings — {listed})"
 
     def to_dict(self) -> dict:
         return {
-            "ok": self.ok,
             "n_tasks": self.n_tasks,
             "n_regions": self.n_regions,
+            "checked_tasks": self.checked_tasks,
+            "pairs_proved": self.pairs_proved,
+            "coverage_checked": self.coverage_checked,
+            "ordering_pairs": self.ordering_pairs,
+            "plan_edges_checked": self.plan_edges_checked,
             "observed_tasks": self.observed_tasks,
-            "checked_pairs": self.checked_pairs,
             "findings": [f.to_dict() for f in self.findings],
+            "ok": self.ok,
         }
 
 
@@ -371,7 +367,7 @@ def observe_accesses(result) -> Dict[int, TaskObservation]:
         observations[task.tid] = obs
         obs.pre, obs.post = pre, post  # type: ignore[attr-defined]
         pre = post
-    result.map_storage(_unwrap)
+    result.map_storage(_plain)
     return observations
 
 
@@ -425,9 +421,9 @@ class _IntervalIndex:
 
 def declaration_findings(
     result, observations: Dict[int, TaskObservation]
-) -> List[RaceFinding]:
+) -> List[DependenceFinding]:
     """Diff observed accesses against each task's declared regions."""
-    findings: List[RaceFinding] = []
+    findings: List[DependenceFinding] = []
     for task in result.graph:
         obs = observations.get(task.tid)
         if obs is None:
@@ -462,7 +458,7 @@ def declaration_findings(
                         if key not in hit:
                             hit.add(key)
                             findings.append(
-                                RaceFinding(
+                                DependenceFinding(
                                     kind=kind,
                                     tid=task.tid,
                                     task=task.name,
@@ -478,7 +474,7 @@ def declaration_findings(
         for key in obs.rebound:
             if key not in declared_write_keys:
                 findings.append(
-                    RaceFinding(
+                    DependenceFinding(
                         kind="undeclared_write",
                         tid=task.tid,
                         task=task.name,
@@ -494,30 +490,13 @@ def declaration_findings(
 # ---------------------------------------------------------------------------
 
 
-def _declared_conflict(a: Task, b: Task) -> Optional[object]:
-    """A region key both tasks touch with at least one writer, if any."""
-    b_writes = {id(r): r for r in b.writes()}
-    b_all = {id(r): r for r in b.regions()}
-    for r in a.writes():
-        hit = b_all.get(id(r))
-        if hit is not None:
-            return hit.key
-    for r in a.reads():
-        hit = b_writes.get(id(r))
-        if hit is not None:
-            return hit.key
-    return None
-
-
 def ordering_findings(
-    graph: TaskGraph,
-    successors: Optional[List[List[int]]] = None,
-    max_findings: Optional[int] = None,
-) -> Tuple[List[RaceFinding], int]:
+    graph: TaskGraph, successors: Optional[List[List[int]]] = None
+) -> Tuple[List[DependenceFinding], int]:
     """Audit that every declared-conflicting task pair is ordered.
 
-    ``successors`` overrides the graph's edge lists (used by the mutation
-    self-test to re-audit a graph with one dependence deleted).  Returns
+    ``successors`` overrides the graph's edge lists (the edge-drop
+    mutations re-audit a graph with one dependence deleted).  Returns
     ``(findings, checked_pairs)``.
     """
     succ = graph.successors if successors is None else successors
@@ -535,143 +514,51 @@ def ordering_findings(
             writers.setdefault(id(r), []).append(task.tid)
             region_of[id(r)] = r
 
-    findings: List[RaceFinding] = []
+    findings: List[DependenceFinding] = []
     seen_pairs: Set[Tuple[int, int]] = set()
-    reported: Set[Tuple[int, int]] = set()
     for rid, wlist in writers.items():
         accessors = sorted(set(wlist) | set(readers.get(rid, [])))
-        for i, w in enumerate(wlist):
+        for w in wlist:
             for other in accessors:
-                if other == w:
-                    continue
                 pair = (w, other) if w < other else (other, w)
-                if pair in seen_pairs:
+                if other == w or pair in seen_pairs:
                     continue
                 seen_pairs.add(pair)
                 a, b = pair
                 if not ((desc[a] >> b) & 1 or (desc[b] >> a) & 1):
-                    if pair not in reported:
-                        reported.add(pair)
-                        key = region_of[rid].key
-                        findings.append(
-                            RaceFinding(
-                                kind="unordered_conflict",
-                                tid=a,
-                                task=tasks[a].name,
-                                region=repr(key),
-                                other_tid=b,
-                                other=tasks[b].name,
-                                detail="both may run concurrently under a legal schedule",
-                            )
+                    findings.append(
+                        DependenceFinding(
+                            kind="unordered_conflict",
+                            tid=a,
+                            task=tasks[a].name,
+                            region=repr(region_of[rid].key),
+                            other_tid=b,
+                            other=tasks[b].name,
+                            detail="both may run concurrently under a legal schedule",
                         )
-                        if max_findings is not None and len(findings) >= max_findings:
-                            return findings, len(seen_pairs)
+                    )
     return findings, len(seen_pairs)
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# Observed versus declared
 # ---------------------------------------------------------------------------
 
 
-def check_build(
-    result,
-    *,
-    observe: Optional[bool] = None,
-    ordering: bool = True,
-) -> RaceReport:
-    """Full race check of one built graph.
+def check_build(result, report: Optional[DependenceReport] = None) -> DependenceReport:
+    """Execute a functional graph's payloads serially under instrumentation
+    and diff the observed byte ranges against the declarations.
 
-    ``observe`` (default: functional graphs only) executes the payloads
-    serially under instrumentation and diffs observed vs declared
-    accesses; ``ordering`` audits that declared-conflicting pairs are
-    ordered.  Pass a freshly built result when observing — the numerics
-    run once (weight updates included).
+    Findings land in ``report`` (a fresh one by default), so ``analyze
+    --observe`` adds them to the proof's report of the same build.  Pass a
+    freshly built result: the numerics run once (weight updates included).
     """
-    if observe is None:
-        observe = bool(getattr(result, "functional", False))
-    report = RaceReport(
-        n_tasks=len(result.graph), n_regions=len(result.regions)
-    )
-    if observe:
-        observations = observe_accesses(result)
-        report.observed_tasks = sum(
-            1 for t in result.graph if t.fn is not None
-        )
-        report.findings.extend(declaration_findings(result, observations))
-    if ordering:
-        findings, pairs = ordering_findings(result.graph)
-        report.findings.extend(findings)
-        report.checked_pairs = pairs
+    if report is None:
+        report = DependenceReport(n_tasks=len(result.graph), n_regions=len(result.regions))
+    observations = observe_accesses(result)
+    report.observed_tasks = sum(1 for t in result.graph if t.fn is not None)
+    report.findings.extend(declaration_findings(result, observations))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Mutation self-test
-# ---------------------------------------------------------------------------
-
-
-def order_defining_edges(graph: TaskGraph) -> List[Tuple[int, int]]:
-    """Edges whose removal actually relaxes the partial order.
-
-    An edge ``a → b`` is *redundant* when another path ``a → … → b``
-    exists (dependence still enforced transitively); deleting it changes
-    nothing and genuinely introduces no race.  The mutation self-test
-    therefore only deletes order-defining edges — and additionally only
-    those whose endpoints conflict on a declared region, since a barrier
-    edge with no shared data is not detectable from declarations.
-    """
-    redundant = set(graph.redundant_edges())
-    return [
-        (a, b)
-        for a, b in graph.edges()
-        if (a, b) not in redundant
-        and _declared_conflict(graph.tasks[a], graph.tasks[b]) is not None
-    ]
-
-
-def probe_edge(graph: TaskGraph, edge: Tuple[int, int]) -> dict:
-    """Delete dependence ``edge`` and re-run the ordering audit.
-
-    The mutation primitive shared by :func:`mutation_probe` (one seeded
-    edge) and the symbolic verifier's exhaustive per-edge sweep
-    (:mod:`repro.analysis.verify`): ``detected`` is True iff the audit
-    flags exactly the deleted edge's endpoints as an unordered
-    conflicting pair.
-    """
-    a, b = edge
-    mutated = [list(s) for s in graph.successors]
-    mutated[a].remove(b)
-    findings, pairs = ordering_findings(graph, successors=mutated)
-    flagged = any(
-        {f.tid, f.other_tid} == {a, b} for f in findings
-    )
-    return {
-        "edge": (a, b),
-        "edge_names": (graph.tasks[a].name, graph.tasks[b].name),
-        "region": repr(_declared_conflict(graph.tasks[a], graph.tasks[b])),
-        "findings": len(findings),
-        "checked_pairs": pairs,
-        "detected": flagged,
-    }
-
-
-def mutation_probe(graph: TaskGraph, seed: int = 0) -> dict:
-    """Delete one random declared dependence; ask the checker to notice.
-
-    Picks a seeded order-defining edge, removes it, and re-runs the
-    ordering audit.  ``detected`` must be True for a sound checker: the
-    deleted edge's endpoints conflict on a region and are no longer
-    connected.  This is the repo's guard against the checker itself
-    rotting into silence.
-    """
-    candidates = order_defining_edges(graph)
-    if not candidates:
-        raise ValueError("graph has no order-defining conflicting edges to delete")
-    rng = random.Random(seed)
-    result = probe_edge(graph, candidates[rng.randrange(len(candidates))])
-    result["candidates"] = len(candidates)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +701,7 @@ def fuzz_equivalence_sweep(
 # ---------------------------------------------------------------------------
 
 
-def check_plan(graph: TaskGraph, plan) -> RaceReport:
+def check_plan(graph: TaskGraph, plan) -> DependenceReport:
     """Audit a compiled plan against the graph's *declared* dependences.
 
     Replay safety rests on indegree gating over ``plan.successors`` — a
@@ -831,90 +718,53 @@ def check_plan(graph: TaskGraph, plan) -> RaceReport:
     * ``plan_dependence_violation`` — a declared dependence not covered by
       the closure of the plan's edges (two conflicting tasks could overlap).
 
-    ``checked_pairs`` counts the declared edges audited for closure cover.
+    ``plan_edges_checked`` counts the declared edges audited for closure
+    cover.
     """
-    report = RaceReport(n_tasks=len(graph))
+    report = DependenceReport(n_tasks=len(graph))
+    n = len(graph)
     try:
         plan.validate(graph)
+        if sorted(plan.order) != list(range(n)):
+            raise ValueError("release order is not a permutation of the graph's tids")
+        for a, succs in enumerate(plan.successors):
+            for b in succs:
+                if not 0 <= b < n:
+                    raise ValueError(f"plan edge {a} → {b} names an unknown tid")
     except ValueError as exc:
         report.findings.append(
-            RaceFinding(
-                kind="plan_structure_mismatch",
-                tid=-1,
-                task="<plan>",
-                region="",
-                detail=str(exc),
-            )
+            DependenceFinding(kind="plan_structure_mismatch", task="<plan>", detail=str(exc))
         )
         return report
-    n = len(graph)
-    if sorted(plan.order) != list(range(n)):
-        report.findings.append(
-            RaceFinding(
-                kind="plan_structure_mismatch",
-                tid=-1,
-                task="<plan>",
-                region="",
-                detail="release order is not a permutation of the graph's tids",
-            )
+
+    def pair_finding(kind: str, a: int, b: int, detail: str) -> DependenceFinding:
+        return DependenceFinding(
+            kind=kind, tid=a, task=graph.tasks[a].name,
+            other_tid=b, other=graph.tasks[b].name, detail=detail,
         )
-        return report
-    for a, succs in enumerate(plan.successors):
-        for b in succs:
-            if not 0 <= b < n:
-                report.findings.append(
-                    RaceFinding(
-                        kind="plan_structure_mismatch",
-                        tid=a,
-                        task=graph.tasks[a].name,
-                        region="",
-                        detail=f"plan edge {a} → {b} names an unknown tid",
-                    )
-                )
-                return report
 
     pos = {tid: i for i, tid in enumerate(plan.order)}
     for a, succs in enumerate(plan.successors):
         for b in succs:
             if pos[a] >= pos[b]:
-                report.findings.append(
-                    RaceFinding(
-                        kind="plan_order_violation",
-                        tid=a,
-                        task=graph.tasks[a].name,
-                        other_tid=b,
-                        other=graph.tasks[b].name,
-                        region="",
-                        detail=(
-                            f"{graph.tasks[b].name} (tid {b}) is released at "
-                            f"step {pos[b]}, before its plan-predecessor "
-                            f"{graph.tasks[a].name} (tid {a}, step {pos[a]})"
-                        ),
-                    )
-                )
+                report.findings.append(pair_finding(
+                    "plan_order_violation", a, b,
+                    f"{graph.tasks[b].name} (tid {b}) is released at step "
+                    f"{pos[b]}, before its plan-predecessor "
+                    f"{graph.tasks[a].name} (tid {a}, step {pos[a]})",
+                ))
 
     desc = descendants_bitsets(plan.successors)
-    checked = 0
     for a in range(n):
         for b in graph.successors[a]:
-            checked += 1
+            report.plan_edges_checked += 1
             if not (desc[a] >> b) & 1:
-                report.findings.append(
-                    RaceFinding(
-                        kind="plan_dependence_violation",
-                        tid=a,
-                        task=graph.tasks[a].name,
-                        other_tid=b,
-                        other=graph.tasks[b].name,
-                        region="",
-                        detail=(
-                            f"declared dependence {graph.tasks[a].name} → "
-                            f"{graph.tasks[b].name} has no covering path in "
-                            "the plan's edge set — replay may overlap them"
-                        ),
-                    )
-                )
-    report.checked_pairs = checked
+                report.findings.append(pair_finding(
+                    "plan_dependence_violation", a, b,
+                    f"declared dependence {graph.tasks[a].name} → "
+                    f"{graph.tasks[b].name} has no covering path in the "
+                    "plan's edge set — replay may overlap them",
+                ))
     return report
 
 

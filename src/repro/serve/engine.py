@@ -37,7 +37,6 @@ from repro.core.bpar import resolve_executor
 from repro.core.graph_builder import build_brnn_graph, split_batch
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
-from repro.runtime import racecheck
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.trace import ExecutionTrace
 from repro.serve.batcher import Batch
@@ -89,13 +88,6 @@ class InferenceEngine:
         ``fused_input_projection="auto"`` means the same on every
         substrate: the layers where hoisting pays on a real host (see
         :func:`~repro.core.graph_builder.resolve_fused_layers`).
-    validate_dependencies:
-        Audit every *new* batch shape's graph with the race checker's
-        ordering pass (:func:`repro.runtime.racecheck.ordering_findings`)
-        before serving it, raising :class:`~repro.runtime.racecheck.RaceError`
-        on any unordered conflicting task pair.  One audit per shape
-        (memoised), so steady-state serving pays nothing; intended for
-        CI and staging, not hot production paths.
     serve_config:
         The :class:`~repro.serve.config.ServeConfig` of the deployment
         this engine serves in, if any.  Its fingerprint joins the
@@ -119,7 +111,6 @@ class InferenceEngine:
         config: Optional[ExecutionConfig] = None,
         params: Optional[BRNNParams] = None,
         machine: Optional[MachineSpec] = None,
-        validate_dependencies: bool = False,
         serve_config=None,
     ) -> None:
         cfg = config if config is not None else SERVE_DEFAULTS
@@ -151,7 +142,6 @@ class InferenceEngine:
             # "threaded" or "process": both run functional graphs through
             # the same Executor protocol; everything below is shared.
             self._executor = resolve_executor(cfg.replace(executor=name))
-        self.validate_dependencies = validate_dependencies
         self.compile = cfg.compile
         #: the serving deployment this engine belongs to, if any; its
         #: fingerprint joins the plan-cache key so plans warmed under one
@@ -168,8 +158,6 @@ class InferenceEngine:
         #: (service_time, trace) per batch shape of a sim engine that keeps
         #: no plan cache (one that does keeps them as cache-entry payloads)
         self._sim_memo: Dict[Tuple[int, int], Tuple[float, ExecutionTrace]] = {}
-        #: batch shapes whose graphs already passed the ordering audit
-        self._validated_shapes: set = set()
 
     @property
     def n_workers(self) -> int:
@@ -183,14 +171,14 @@ class InferenceEngine:
 
     def _build(self, key: Tuple[int, int], x: Optional[np.ndarray]):
         """The inference graph of one batch shape: functional over ``x``,
-        cost-only without it; audited once per shape when asked to."""
+        cost-only without it."""
         padded_len, size = key
         inputs = (
             {"seq_len": padded_len, "batch": size}
             if x is None
             else {"x": x, "params": self.params}
         )
-        result = build_brnn_graph(
+        return build_brnn_graph(
             self.spec,
             training=False,
             mbs=self._effective_mbs(size),
@@ -200,18 +188,6 @@ class InferenceEngine:
             wavefront_tile=self.config.wavefront_tile,
             **inputs,
         )
-        if self.validate_dependencies and key not in self._validated_shapes:
-            findings, pairs = racecheck.ordering_findings(result.graph)
-            if findings:
-                raise racecheck.RaceError(
-                    racecheck.RaceReport(
-                        findings=findings,
-                        n_tasks=len(result.graph),
-                        checked_pairs=pairs,
-                    )
-                )
-            self._validated_shapes.add(key)
-        return result
 
     # -- execution -------------------------------------------------------------
 

@@ -1,20 +1,20 @@
-"""Static-analysis conformance sweep over the builder's full matrix.
+"""The dependence proof over the builder's cost-only matrix.
 
 The static mirror of ``tests/runtime/test_racecheck_conformance.py``:
 every configuration the graph builder supports must produce a declared
-graph that the graph linter and the over-declaration analyzer both pass
-with zero findings, and whose serialization debt is exactly the declared
+graph the proof (:func:`~repro.analysis.verify.verify_build`) passes with
+zero findings, and whose serialization debt is exactly the declared
 structure's doing (debt ≥ 1 by construction; barrier-free builds must
-not exceed the dataflow span at all).  Unlike racecheck this needs no
-payload execution — the sweep builds cost-only graphs and inspects the
-declarations alone, which is what lets it cover the whole 64-config
-matrix in well under a second.
+not exceed the dataflow span at all).  It needs no payload execution —
+the sweep builds cost-only graphs — and reaches what the certificate's
+cutoff shapes do not: four chunks, and a projection block longer than
+the sequence.
 """
 
 import pytest
 
-from repro.analysis.graphlint import lint_graph
-from repro.analysis.parallelism import analyze_graph
+from repro.analysis.parallelism import parallelism_metrics
+from repro.analysis.verify import verify_build
 from repro.core.graph_builder import build_brnn_graph
 from tests.conftest import small_spec
 
@@ -51,18 +51,16 @@ def _build(cell, head, training, mbs, fused, proj_block):
 def test_declared_graph_is_statically_clean(cell, head, training, mbs, fused, proj_block):
     result = _build(cell, head, training, mbs, fused, proj_block)
 
-    glint = lint_graph(result.graph)
-    assert glint.ok, "\n".join(f.describe() for f in glint.findings)
+    report = verify_build(result)
+    assert report.ok, "\n".join(f.describe() for f in report.findings)
 
-    par = analyze_graph(result.graph)
-    assert par.ok, "\n".join(f.describe() for f in par.findings)
-
-    debt = par.metrics["serialization_debt"]
+    metrics = parallelism_metrics(result.graph)
+    debt = metrics["serialization_debt"]
     assert debt >= 1.0 - 1e-9
     # barrier-free builds declare only value-carrying orderings
     assert debt <= 1.0 + 1e-9, (
         f"serialization debt {debt:.4f}: declared span "
-        f"{par.metrics['span_tasks']} vs dataflow span "
-        f"{par.metrics['dataflow_span_tasks']}"
+        f"{metrics['span_tasks']} vs dataflow span "
+        f"{metrics['dataflow_span_tasks']}"
     )
-    assert par.metrics["width"] >= 1
+    assert metrics["width"] >= 1

@@ -1,9 +1,15 @@
-"""Graph linter + over-declaration analyzer on handcrafted and built graphs."""
+"""Graph-level dependence checks and the parallelism metrics.
+
+The minimality obligation of the dependence proof on handcrafted graphs
+(what it flags and what it exempts), the proof's identity and fidelity
+checks on built ones, and the metrics of a declared graph: transitive
+reduction, width, spans and serialization debt.
+"""
 
 import pytest
 
-from repro.analysis.graphlint import find_cycle, lint_graph, topological_order
-from repro.analysis.parallelism import analyze_graph, dataflow_successors
+from repro.analysis.parallelism import dataflow_successors, parallelism_metrics
+from repro.analysis.verify import minimality_findings, verify_build
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.spec import BRNNSpec
 from repro.runtime.depgraph import (
@@ -19,7 +25,11 @@ def _graph():
     return TaskGraph(), RegionSpace()
 
 
-# -- structural rules on handcrafted graphs --------------------------------
+# -- minimality on handcrafted graphs --------------------------------------
+
+
+def _kinds(graph):
+    return [(f.kind, f.task) for f in minimality_findings(graph)]
 
 
 def test_clean_chain_lints_ok():
@@ -29,9 +39,7 @@ def test_clean_chain_lints_ok():
     g.add_task("w1", None, outs=[a])
     g.add_task("t", None, ins=[a], outs=[b])
     g.add_task("r", None, ins=[b])
-    report = lint_graph(g)
-    assert report.ok, report.summary()
-    assert report.n_tasks == 3 and report.n_regions == 2
+    assert minimality_findings(g) == []
 
 
 def test_cycle_detected_via_successor_override():
@@ -39,30 +47,26 @@ def test_cycle_detected_via_successor_override():
     a = rs.get(("a",), 8)
     g.add_task("w", None, outs=[a])
     g.add_task("r", None, ins=[a])
+    assert g.validate_acyclic()
     # TaskGraph.add cannot create a cycle; inject a back edge by hand.
-    succ = [list(s) for s in g.successors]
-    succ[1].append(0)
-    assert topological_order(succ) is None
-    assert set(find_cycle(succ)) == {0, 1}
-    report = lint_graph(g, successors=succ)
-    assert [f.rule for f in report.findings] == ["cycle"]
-    assert "w" in report.findings[0].detail and "r" in report.findings[0].detail
+    g.successors[1].append(0)
+    g.indegree[0] += 1
+    assert not g.validate_acyclic()
 
 
 def test_orphan_task_flagged():
-    g, rs = _graph()
-    a = rs.get(("a",), 8)
-    g.add_task("w", None, outs=[a])
-    g.add_task("r", None, ins=[a])
-    g.add_task("lost", None)  # no declarations at all
-    report = lint_graph(g)
-    assert [(f.rule, f.task) for f in report.findings] == [("orphan_task", "lost")]
+    """A task added around the builder's ``_add`` declares nothing and
+    carries no family: the proof's fidelity obligation names it."""
+    built = _blstm_build()
+    built.graph.add_task("lost", None)
+    findings = verify_build(built).findings
+    assert [(f.kind, f.task) for f in findings] == [("unknown_family", "lost")]
 
 
 def test_single_task_graph_is_not_an_orphan():
     g, rs = _graph()
     g.add_task("only", None, outs=[rs.get(("a",), 8)])
-    assert lint_graph(g).ok
+    assert minimality_findings(g) == []
 
 
 def test_uninitialized_read_flagged():
@@ -70,10 +74,7 @@ def test_uninitialized_read_flagged():
     a = rs.get(("a",), 8)
     g.add_task("early_reader", None, ins=[a])
     g.add_task("late_writer", None, outs=[a])
-    report = lint_graph(g)
-    assert [(f.rule, f.task) for f in report.findings] == [
-        ("uninitialized_read", "early_reader")
-    ]
+    assert _kinds(g) == [("uninitialized_read", "early_reader")]
 
 
 def test_external_input_read_is_not_uninitialized():
@@ -83,7 +84,7 @@ def test_external_input_read_is_not_uninitialized():
     y = rs.get(("y",), 8)
     g.add_task("r1", None, ins=[x], outs=[y])
     g.add_task("r2", None, ins=[x, y])
-    assert lint_graph(g).ok
+    assert minimality_findings(g) == []
 
 
 def test_dead_write_flagged_and_terminal_write_exempt():
@@ -93,8 +94,7 @@ def test_dead_write_flagged_and_terminal_write_exempt():
     g.add_task("live", None, outs=[a])
     g.add_task("reader", None, ins=[a])
     g.add_task("final", None, outs=[a])      # terminal write: graph output
-    report = lint_graph(g)
-    assert [(f.rule, f.task) for f in report.findings] == [("dead_write", "dead")]
+    assert _kinds(g) == [("dead_write", "dead")]
 
 
 def test_sole_accessor_write_is_metric_not_finding():
@@ -103,9 +103,8 @@ def test_sole_accessor_write_is_metric_not_finding():
     b = rs.get(("b",), 8)
     g.add_task("w", None, outs=[a, b])
     g.add_task("r", None, ins=[a])
-    assert lint_graph(g).ok  # b: written once, never touched again
-    metrics = analyze_graph(g).metrics
-    assert metrics["write_only_regions"] == 1
+    assert minimality_findings(g) == []  # b: written once, never touched again
+    assert parallelism_metrics(g)["write_only_regions"] == 1
 
 
 def test_zero_byte_token_exempt_from_dataflow_rules():
@@ -113,28 +112,30 @@ def test_zero_byte_token_exempt_from_dataflow_rules():
     tok = rs.get(("serial",), 0)
     g.add_task("t1", None, inouts=[tok])
     g.add_task("t2", None, inouts=[tok])
-    assert lint_graph(g).ok
-    assert analyze_graph(g).ok
+    assert minimality_findings(g) == []
 
 
 def test_duplicate_declaration_flagged():
     g, rs = _graph()
     a = rs.get(("a",), 8)
     g.add_task("dup", None, ins=[a], outs=[a])
-    report = lint_graph(g)
-    assert [f.rule for f in report.findings] == ["duplicate_declaration"]
-    assert "inout" in report.findings[0].detail
+    findings = minimality_findings(g)
+    assert [(f.kind, f.task, f.region) for f in findings] == [
+        ("duplicate_declaration", "dup", "('a',)")
+    ]
 
 
 def test_aliased_region_key_flagged():
-    g, _ = _graph()
-    r1 = Region(("a",), 8)
-    r2 = Region(("a",), 8)  # distinct object, same key: broken interning
-    g.add_task("w1", None, outs=[r1])
-    g.add_task("w2", None, ins=[r1], outs=[r2])  # ins=[r1] keeps an edge: no orphans
-    report = lint_graph(g)
-    assert [f.rule for f in report.findings] == ["aliased_region_key"]
-    assert "('a',)" in report.findings[0].region
+    """A distinct Region object under an interned key: dependences match
+    on identity, so the proof's fidelity obligation names task and key."""
+    built = _blstm_build()
+    victim = next(t for t in built.graph.tasks if t.name == "loss[0]s0")
+    victim.ins = tuple(Region(r.key, r.nbytes) for r in victim.ins)
+    victim._regions = victim._region_ids = None  # drop the cached views
+    findings = verify_build(built).findings
+    assert [(f.kind, f.task, f.region) for f in findings] == [
+        ("aliased_region_key", "loss[0]s0", repr(("logits", 0, 0)))
+    ]
 
 
 # -- transitive reduction / span helpers -----------------------------------
@@ -164,7 +165,7 @@ def test_graph_redundant_edges_method():
     assert (0, 2) in g.redundant_edges()
 
 
-# -- mutation tests on real BLSTM graphs -----------------------------------
+# -- over-declarations on real BLSTM graphs --------------------------------
 
 
 def _blstm_build(**kw):
@@ -179,13 +180,10 @@ def test_spurious_inout_flagged_with_exact_task_and_region():
     victim = next(t for t in built.graph.tasks if t.name == "loss[0]s0")
     region = built.regions.get(("h", 0, 0, "fwd", 0), 0)
     victim.inouts = (*victim.inouts, region)
-    findings = analyze_graph(built.graph).findings
-    assert [(f.rule, f.task, f.region) for f in findings] == [
+    findings = minimality_findings(built.graph)
+    assert [(f.kind, f.task, f.region) for f in findings] == [
         ("unconsumed_inout_write", "loss[0]s0", repr(("h", 0, 0, "fwd", 0)))
     ]
-    # graphlint itself stays quiet: the mutation is an over-declaration,
-    # not a structural violation
-    assert lint_graph(built.graph).ok
 
 
 def test_injected_dead_out_flagged_with_exact_task_and_region():
@@ -193,33 +191,32 @@ def test_injected_dead_out_flagged_with_exact_task_and_region():
     victim = next(t for t in built.graph.tasks if t.name == "fwd[0]L0s0")
     region = built.regions.get(("dlogits", 0, 0), 0)
     victim.outs = (*victim.outs, region)
-    findings = lint_graph(built.graph).findings
-    assert [(f.rule, f.task, f.region) for f in findings] == [
+    findings = minimality_findings(built.graph)
+    assert [(f.kind, f.task, f.region) for f in findings] == [
         ("dead_write", "fwd[0]L0s0", repr(("dlogits", 0, 0)))
     ]
-    assert findings[0].site == "_build_forward_layer"  # declaration provenance
+    assert victim.meta["site"] == "_build_forward_layer"  # declaration provenance
 
 
 def test_unmutated_blstm_graph_is_clean():
-    built = _blstm_build()
-    assert lint_graph(built.graph).ok
-    assert analyze_graph(built.graph).ok
+    report = verify_build(_blstm_build())
+    assert report.ok, report.summary()
 
 
 # -- parallelism metrics ----------------------------------------------------
 
 
 def test_barrier_free_graph_has_no_serialization_debt():
-    metrics = analyze_graph(_blstm_build().graph).metrics
+    metrics = parallelism_metrics(_blstm_build().graph)
     assert metrics["serialization_debt"] == pytest.approx(1.0)
     assert metrics["avg_parallelism"] <= metrics["width"] + 1e-9
     assert metrics["span_flops"] <= metrics["total_flops"]
 
 
 def test_barriers_and_chunk_serialization_cost_debt():
-    free = analyze_graph(_blstm_build().graph).metrics
-    barred = analyze_graph(_blstm_build(barrier_free=False).graph).metrics
-    bseq = analyze_graph(_blstm_build(serialize_chunks=True).graph).metrics
+    free = parallelism_metrics(_blstm_build().graph)
+    barred = parallelism_metrics(_blstm_build(barrier_free=False).graph)
+    bseq = parallelism_metrics(_blstm_build(serialize_chunks=True).graph)
     assert barred["serialization_debt"] > free["serialization_debt"]
     assert bseq["serialization_debt"] > 1.5  # chunk chains ≈ serial execution
     # debt comes from ordering, not from extra dataflow

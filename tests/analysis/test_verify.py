@@ -1,4 +1,4 @@
-"""The symbolic dependence verifier end to end.
+"""The dependence proof end to end.
 
 Positive direction: representative families (and their cutoff
 instantiations) verify with zero findings, the size-isomorphism rebuild
@@ -6,17 +6,21 @@ holds, mutations are all detected with exact pairs, and the certificate
 assembles with ``ok: true``.  Negative direction: tampering with a
 built graph's access declarations or family stamps must surface as the
 right finding kind — the verifier may never certify a graph it cannot
-fully account for.
+fully account for.  The mutation table at the end holds one seeded
+mutation per defect class any dependence check has ever caught, and the
+check that names it.
 """
 
 import pytest
 
+from repro.analysis.parallelism import parallelism_metrics
 from repro.analysis.verify import (
     CERT_FORMAT,
     MUTATION_KINDS,
     Family,
     _instance_kwargs,
     build_certificate,
+    build_family_functional,
     build_family_instance,
     cross_validate,
     full_family_matrix,
@@ -24,6 +28,10 @@ from repro.analysis.verify import (
     verify_family,
     verify_mutations,
 )
+from repro.compile import compile_graph
+from repro.core.access_spec import FAMILIES
+from repro.runtime.racecheck import DependenceFinding, check_build, check_plan
+from repro.runtime.task import Region
 from tests.conftest import RULE_BRANCH_SWEEP, build_functional
 
 #: one family per cell type, crossing head/mode/fusion/tile/projection —
@@ -168,3 +176,253 @@ def test_certificate_assembles_and_validates():
     for entry in cert["families"]:
         assert {"label", "cell", "fusion", "instances", "size_isomorphism",
                 "findings", "ok"} <= set(entry)
+
+
+# -- the mutation table ------------------------------------------------------
+#
+# One row per defect class that graphlint, the over-declaration analyzer,
+# racecheck or the certificate ever caught: the seeded mutation, the check
+# that flags it, and the finding it must produce — kind, task, and the
+# partner task or the region.  Mutations run on the certificate's
+# representative build (BLSTM m2o train, T=4, mbs=2, ``gates``).
+
+_REP = Family("lstm", "many_to_one", True, "gates", "off")
+_LOGITS, _DLOGITS, _DMLAST = ("logits", 0, 0), ("dlogits", 0, 0), ("dmlast", 0, 0)
+_H_LAST = ("h", 0, 0, "fwd", 3)
+
+
+def _rep():
+    return _build(_REP)
+
+
+def _task(result, name):
+    return next(t for t in result.graph if t.name == name)
+
+
+def _redeclare(task, **decl):
+    for mode, regions in decl.items():
+        setattr(task, mode, tuple(regions))
+    task._regions = task._region_ids = None  # drop the cached views
+
+
+def _with_rule(monkeypatch, family, edit):
+    """Patch one access rule of the table, so the build emits the edit."""
+    rule = FAMILIES[family]
+    monkeypatch.setitem(FAMILIES, family, lambda meta, ctx: edit(rule(meta, ctx)))
+
+
+def _proof(result):
+    return verify_build(result).findings
+
+
+def _cycle(monkeypatch):
+    """No check emits a cycle: ``TaskGraph.add`` only adds edges from
+    earlier to later tasks, so no build has one; ``validate_acyclic`` is
+    the oracle for a hand-made back edge."""
+    graph = _rep().graph
+    assert all(a < b for a, b in graph.edges())
+    a, b = next(graph.edges())
+    graph.successors[b].append(a)
+    graph.indegree[a] += 1
+    if graph.validate_acyclic():
+        return []
+    return [DependenceFinding("cycle", b, graph.tasks[b].name,
+                              other_tid=a, other=graph.tasks[a].name)]
+
+
+def _orphan(monkeypatch):  # a task whose declarations were all dropped
+    result = _rep()
+    _redeclare(_task(result, "loss[0]s0"), ins=(), outs=(), inouts=())
+    return _proof(result)
+
+
+def _renamed(key, name):
+    """The same chunk and slot under another region family."""
+    return (name,) + key[1:]
+
+
+def _read_dlogits(d):  # the head's rule, reading its own chunk's loss output
+    return d._replace(ins=d.ins + (_renamed(d.outs[0], "dlogits"),))
+
+
+def _dead_dmlast(d):  # the loss's rule, writing what head_bwd overwrites
+    return d._replace(outs=d.outs + (_renamed(d.outs[0], "dmlast"),))
+
+
+def _uninitialized_read(monkeypatch):
+    _with_rule(monkeypatch, "head@_build_head", _read_dlogits)
+    return _proof(_rep())
+
+
+def _dead_write(monkeypatch):
+    _with_rule(monkeypatch, "loss@_build_head", _dead_dmlast)
+    return _proof(_rep())
+
+
+def _duplicate(monkeypatch):  # the loss lists the logits as in and out
+    _with_rule(monkeypatch, "loss@_build_head",
+               lambda d: d._replace(outs=d.outs + d.ins))
+    return _proof(_rep())
+
+
+def _aliased_write(monkeypatch):  # a writer declares a copy of the key
+    result = _rep()
+    writer = _task(result, "fwd[0]L0s3")
+    _redeclare(writer, outs=[Region(r.key, r.nbytes) if r.key == _H_LAST else r
+                             for r in writer.outs])
+    return _proof(result)
+
+
+def _unconsumed_inout(monkeypatch):  # a spurious inout added after the build
+    result = _rep()
+    loss = _task(result, "loss[0]s0")
+    _redeclare(loss, inouts=loss.inouts + (result.regions.get(("h", 0, 0, "fwd", 0)),))
+    return _proof(result)
+
+
+def _unproduced_inout(monkeypatch):  # the head updates the loss's output in place
+    _with_rule(monkeypatch, "head@_build_head",
+               lambda d: d._replace(inouts=d.inouts + (_renamed(d.outs[0], "dlogits"),)))
+    return _proof(_rep())
+
+
+def _observed(name, **decl):
+    """Drop declarations of a functional build's task; run it observed."""
+    def mutate(monkeypatch):
+        result = build_family_functional(_REP)
+        _redeclare(_task(result, name), **decl)
+        return check_build(result).findings
+    return mutate
+
+
+def _unordered(monkeypatch):  # the loss no longer waits for its logits
+    result = _rep()
+    head, loss = _task(result, "head[0]s0"), _task(result, "loss[0]s0")
+    result.graph.successors[head.tid].remove(loss.tid)
+    return _proof(result)
+
+
+def _plan(edit):
+    def mutate(monkeypatch):
+        graph = _rep().graph
+        return check_plan(graph, edit(graph, compile_graph(graph, n_workers=2))).findings
+    return mutate
+
+
+def _foreign_plan(graph, plan):
+    return compile_graph(_build(_REP, seq_len=5).graph, n_workers=2)
+
+
+def _swapped_plan(graph, plan):
+    a = next(t for t in range(len(graph)) if plan.successors[t])
+    ia, ib = plan.order.index(a), plan.order.index(plan.successors[a][0])
+    plan.order[ia], plan.order[ib] = plan.order[ib], plan.order[ia]
+    plan.names[ia], plan.names[ib] = plan.names[ib], plan.names[ia]
+    return plan
+
+
+def _dropped_plan_edge(graph, plan):
+    return plan.without_edge(_task_tid(graph, "head[0]s0"), _task_tid(graph, "loss[0]s0"))
+
+
+def _task_tid(graph, name):
+    return next(t.tid for t in graph if t.name == name)
+
+
+@pytest.fixture(scope="module")
+def certificate_mutations():
+    return verify_mutations(seed=0)
+
+
+def _kind(kind):
+    """A row read off :func:`verify_mutations`: its named pair as a finding."""
+    def mutate(monkeypatch, out):
+        entry = out[kind]
+        assert entry["detected"], entry
+        return [DependenceFinding(kind, task=entry["pair"][0], other=entry["pair"][1])]
+    mutate.kind = kind
+    return mutate
+
+
+#: (defect class, check that names it, mutation, (kind, task, partner or region, detail))
+MUTATION_TABLE = [
+    ("cycle", "TaskGraph.validate_acyclic", _cycle,
+     ("cycle", "fwd[0]L0s1", "fwd[0]L0s0", "")),
+    ("orphan_task", "fidelity", _orphan,
+     ("access_spec_mismatch", "loss[0]s0", "ins", "missing")),
+    ("uninitialized_read", "minimality", _uninitialized_read,
+     ("uninitialized_read", "head[0]s0", repr(_DLOGITS), "")),
+    ("dead_write", "minimality", _dead_write,
+     ("dead_write", "loss[0]s0", repr(_DMLAST), "")),
+    ("duplicate_declaration", "minimality", _duplicate,
+     ("duplicate_declaration", "loss[0]s0", repr(_LOGITS), "")),
+    ("aliased_region_key", "fidelity", _aliased_write,
+     ("aliased_region_key", "fwd[0]L0s3", repr(_H_LAST), "")),
+    ("unconsumed_inout_write", "minimality", _unconsumed_inout,
+     ("unconsumed_inout_write", "loss[0]s0", repr(("h", 0, 0, "fwd", 0)), "")),
+    ("unproduced_inout_read", "minimality", _unproduced_inout,
+     ("uninitialized_read", "head[0]s0", repr(_DLOGITS), "")),
+    ("undeclared_read", "observation", _observed("loss[0]s0", ins=()),
+     ("undeclared_read", "loss[0]s0", repr(_LOGITS), "touched bytes")),
+    ("undeclared_write", "observation", _observed("headBwd[0]s0", inouts=()),
+     ("undeclared_write", "headBwd[0]s0", repr(("gWout", 0)), "touched bytes")),
+    ("rebind", "observation", _observed("loss[0]s0", outs=()),
+     ("undeclared_write", "loss[0]s0", repr(_DLOGITS), "rebound")),
+    ("unordered_conflict", "ordering", _unordered,
+     ("unordered_conflict", "head[0]s0", "loss[0]s0", "")),
+    ("plan_structure_mismatch", "plan audit", _plan(_foreign_plan),
+     ("plan_structure_mismatch", "<plan>", "", "")),
+    ("plan_order_violation", "plan audit", _plan(_swapped_plan),
+     ("plan_order_violation", "fwd[0]L0s0", "fwd[0]L0s1", "released")),
+    ("plan_dependence_violation", "plan audit", _plan(_dropped_plan_edge),
+     ("plan_dependence_violation", "head[0]s0", "loss[0]s0", "")),
+    ("drop_edge", "ordering", _kind("drop_edge"),
+     ("drop_edge", "fwdBwd[0]L0s0", "update.L0.fwd", "")),
+    ("shrink_region", "storage", _kind("shrink_region"),
+     ("shrink_region", "fwd[0]L0s3", "merge[0]L0t3", "")),
+    ("widen_write", "storage", _kind("widen_write"),
+     ("widen_write", "fwd[0]L0s3", "rev[0]L0s0", "")),
+    ("drop_plan_edge", "plan closure", _kind("drop_plan_edge"),
+     ("drop_plan_edge", "fwdBwd[1]L1s2", "revBwd[1]L1s1", "")),
+    ("over_declare", "minimality", _kind("over_declare"),
+     ("over_declare", "loss[0]s0", repr(_LOGITS), "")),
+    ("alias_region", "fidelity", _kind("alias_region"),
+     ("alias_region", "merge[0]L0t3", repr(_H_LAST), "")),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate,expected", [(row[2], row[3]) for row in MUTATION_TABLE],
+    ids=[f"{cls}-{check}" for cls, check, _, _ in MUTATION_TABLE],
+)
+def test_mutation_table(mutate, expected, monkeypatch, certificate_mutations):
+    """Each defect class is flagged by its check, naming the exact task
+    and its partner task (or region)."""
+    if hasattr(mutate, "kind"):
+        findings = mutate(monkeypatch, certificate_mutations)
+    else:
+        findings = mutate(monkeypatch)
+    kind, task, partner, detail = expected
+    named = [
+        f for f in findings
+        if (f.kind, f.task, f.other or f.region) == (kind, task, partner)
+        and detail in f.detail
+    ]
+    assert named, [(f.kind, f.task, f.other or f.region) for f in findings]
+
+
+def test_the_table_covers_every_certificate_kind():
+    assert {row[0] for row in MUTATION_TABLE} >= set(MUTATION_KINDS)
+
+
+def test_table_over_declarations_leave_serialization_debt_unchanged(monkeypatch):
+    """Why the metrics cannot stand in for minimality: the table's spurious
+    ``inout`` and dead ``out`` add no edge the dataflow lacks."""
+    clean = parallelism_metrics(_rep().graph)["serialization_debt"]
+    inout = lambda d: d._replace(ins=d.ins[1:], inouts=d.inouts + d.ins[:1])
+    for edit in (inout, _dead_dmlast):
+        with monkeypatch.context() as patch:
+            _with_rule(patch, "loss@_build_head", edit)
+            mutant = _rep()
+        assert parallelism_metrics(mutant.graph)["serialization_debt"] == clean
+        assert not verify_build(mutant).ok

@@ -32,7 +32,7 @@ def test_compiled_plan_passes(graph, plan):
     report = check_plan(graph, plan)
     assert report.ok, report.summary()
     # every declared edge was audited for closure cover
-    assert report.checked_pairs == graph.num_edges()
+    assert report.plan_edges_checked == graph.num_edges()
 
 
 def test_structure_mismatch_on_foreign_graph(plan):

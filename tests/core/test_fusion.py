@@ -26,8 +26,7 @@ so it compares against the unhoisted reference.
 import numpy as np
 import pytest
 
-from repro.analysis.graphlint import lint_graph
-from repro.analysis.parallelism import analyze_graph
+from repro.analysis.verify import verify_build
 from repro.config import ExecutionConfig
 from repro.core import BParEngine
 from repro.core.graph_builder import build_brnn_graph
@@ -254,18 +253,18 @@ def test_fusion_off_forces_projection_off():
 
 @pytest.mark.parametrize("proj,mbs,tile", [("off", 1, 2), ("on", 2, 3), ("on", 1, 8)])
 def test_wavefront_graphs_lint_clean(proj, mbs, tile):
-    """Tile declarations are exact: zero graph-lint findings and zero
-    analyzer (over-declaration) findings, training and inference, under
-    either kernel."""
+    """Tile declarations are exact: the dependence proof, minimality
+    included, has zero findings, training and inference, under either
+    kernel."""
     spec = small_spec()
     for training in (False, True):
-        graph = build_brnn_graph(
+        result = build_brnn_graph(
             spec, seq_len=6, batch=4, mbs=mbs, training=training,
             fusion="gates" if proj == "on" else "off", wavefront_tile=tile,
             fused_input_projection=proj, proj_block=2 if proj == "on" else None,
-        ).graph
-        assert not lint_graph(graph).findings
-        assert not analyze_graph(graph).findings
+        )
+        report = verify_build(result)
+        assert report.ok, report.summary()
 
 
 def test_validation_errors():

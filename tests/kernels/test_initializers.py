@@ -1,9 +1,8 @@
 """Unit tests for weight initializers."""
 
 import numpy as np
-import pytest
 
-from repro.kernels.initializers import glorot_uniform, orthogonal, zeros
+from repro.kernels.initializers import glorot_uniform, zeros
 
 
 def test_glorot_bounds_and_determinism():
@@ -22,21 +21,6 @@ def test_glorot_scale_shrinks_with_fan():
     small = glorot_uniform(rng, (4, 4))
     big = glorot_uniform(rng, (1024, 1024))
     assert np.abs(big).max() < np.abs(small).max()
-
-
-def test_orthogonal_square():
-    rng = np.random.default_rng(1)
-    q = orthogonal(rng, (16, 16), dtype=np.float64)
-    assert np.allclose(q @ q.T, np.eye(16), atol=1e-10)
-
-
-def test_orthogonal_rectangular():
-    rng = np.random.default_rng(2)
-    q = orthogonal(rng, (8, 16), dtype=np.float64)
-    assert q.shape == (8, 16)
-    assert np.allclose(q @ q.T, np.eye(8), atol=1e-10)
-    q2 = orthogonal(rng, (16, 8), dtype=np.float64)
-    assert np.allclose(q2.T @ q2, np.eye(8), atol=1e-10)
 
 
 def test_zeros():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kernels.losses import mse_loss, softmax_cross_entropy
+from repro.kernels.losses import softmax_cross_entropy
 
 
 def test_uniform_logits_loss_is_log_c(rng):
@@ -69,18 +69,3 @@ def test_stability_with_huge_logits():
     loss_sum, d = softmax_cross_entropy(logits, np.array([0]))
     assert np.isfinite(loss_sum) and np.all(np.isfinite(d))
     assert loss_sum == pytest.approx(0.0, abs=1e-4)
-
-
-def test_mse_loss_and_gradient(rng):
-    pred = rng.standard_normal((5, 3))
-    target = rng.standard_normal((5, 3))
-    loss, dpred = mse_loss(pred, target, grad_scale=1.0)
-    assert loss == pytest.approx(0.5 * np.sum((pred - target) ** 2))
-    assert np.allclose(dpred, pred - target)
-
-
-def test_mse_zero_at_target(rng):
-    t = rng.standard_normal((2, 2))
-    loss, d = mse_loss(t.copy(), t)
-    assert loss == 0.0
-    assert np.allclose(d, 0)

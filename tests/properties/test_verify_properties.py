@@ -4,8 +4,8 @@ Three mutation families over one BLSTM train graph:
 
 * **exhaustive edge drop** — delete *every* order-defining declared edge
   in turn; the ordering audit must flag exactly the deleted endpoints
-  each time (the per-edge generalization of the seeded
-  ``mutation_probe``);
+  each time (the per-edge generalization of the certificate's seeded
+  ``drop_edge`` mutation);
 * **region shrink** (hypothesis) — shrink any declared region one byte
   below its kernel footprint; the coverage proof must fail naming the
   region and an offending task pair;
@@ -22,8 +22,14 @@ produced by graphs where none of these defects exist.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.verify import Family, _instance_kwargs, build_family_instance, verify_build
-from repro.runtime import racecheck
+from repro.analysis.verify import (
+    Family,
+    _instance_kwargs,
+    build_family_instance,
+    order_defining_edges,
+    probe_edge,
+    verify_build,
+)
 
 SEQ_LEN = 4
 _FAMILY = Family("lstm", "many_to_one", True, "gates", "off")
@@ -55,11 +61,11 @@ def test_every_order_defining_edge_drop_is_detected(blstm_train):
     """No declared ordering is redundant *and* none can silently vanish:
     each order-defining edge's deletion is flagged with its exact pair."""
     graph = blstm_train.graph
-    edges = racecheck.order_defining_edges(graph)
+    edges = order_defining_edges(graph)
     assert edges, "BLSTM train graph has no order-defining edges?"
     missed = []
     for edge in edges:
-        probe = racecheck.probe_edge(graph, edge)
+        probe = probe_edge(graph, edge)
         if not probe["detected"]:
             missed.append(probe["edge_names"])
     assert not missed, f"{len(missed)}/{len(edges)} edge drops undetected: {missed[:5]}"

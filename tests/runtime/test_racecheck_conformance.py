@@ -2,8 +2,9 @@
 
 Every configuration the graph builder supports must produce a graph whose
 declared regions exactly cover the payloads' actual memory accesses
-(observation pass) and whose declared conflicts are all ordered
-(ordering audit): zero undeclared accesses, zero unordered conflicts.
+(observation pass) and that the dependence proof passes (its declared
+conflicts are all ordered, its declarations minimal): zero undeclared
+accesses, zero proof findings.
 This is the dynamic proof that the ``in``/``out``/``inout`` annotations —
 the entire correctness basis of the barrier-free runtime — are complete
 for LSTM/GRU × many-to-one/many-to-many × inference/training ×
@@ -21,6 +22,7 @@ tier-1; run them with ``pytest -m certified``.
 
 import pytest
 
+from repro.analysis.verify import verify_build
 from repro.runtime.racecheck import check_build
 from tests.conftest import (
     FUSION_SWEEP,
@@ -31,12 +33,9 @@ from tests.conftest import (
 
 
 def _assert_conformant(result):
-    report = check_build(result)  # observation + ordering
+    report = check_build(result, verify_build(result))  # the proof, then observation
     assert report.observed_tasks == sum(1 for t in result.graph if t.fn is not None)
-    undeclared = [f for f in report.findings if f.kind.startswith("undeclared")]
-    unordered = [f for f in report.findings if f.kind == "unordered_conflict"]
-    assert not undeclared, "\n".join(f.describe() for f in undeclared)
-    assert not unordered, "\n".join(f.describe() for f in unordered)
+    assert report.ok, "\n".join(f.describe() for f in report.findings)
 
 
 @pytest.mark.parametrize("case", PROJECTION_SWEEP + RULE_BRANCH_SWEEP)

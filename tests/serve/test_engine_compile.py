@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ExecutionConfig
-import repro.serve.engine as engine_module
 from repro.obs.registry import MetricsRegistry
-from repro.runtime import racecheck
-from repro.runtime.executor import ThreadedExecutor
-from repro.runtime.simexec import SimulatedExecutor
 from repro.serve.batcher import Batch
 from repro.serve.engine import InferenceEngine
 from repro.serve.request import InferenceRequest
@@ -203,49 +199,3 @@ def test_a_restored_plan_cache_serves_warm_without_recompiling(executor, tmp_pat
     # the rebuilt payload stays with the entry: the next hit is an ordinary one
     assert restarted.execute(batch).warm
     assert restarted.plan_cache.stats()["compiles"] == 0
-
-
-@pytest.mark.parametrize("compile_mode", ["off", "on"])
-@pytest.mark.parametrize("executor", ["sim", "threaded"])
-def test_validate_dependencies_audits_a_clean_shape_once(executor, compile_mode, monkeypatch):
-    audits = []
-    real = racecheck.ordering_findings
-
-    def counting(graph, *args, **kwargs):
-        audits.append(len(graph))
-        return real(graph, *args, **kwargs)
-
-    monkeypatch.setattr(racecheck, "ordering_findings", counting)
-    spec = tiny_spec()
-    engine = ENGINES[executor](spec, compile_mode, validate_dependencies=True)
-    for bid in range(3):
-        engine.execute(make_batch(spec, bid, seed=bid, with_x=executor != "sim"))
-    assert len(audits) == 1
-    engine.execute(make_batch(spec, 3, seq_len=6, with_x=executor != "sim"))
-    assert len(audits) == 2  # a new shape is a new graph
-
-
-@pytest.mark.parametrize("compile_mode", ["off", "on"])
-@pytest.mark.parametrize("executor", ["sim", "threaded"])
-def test_validate_dependencies_refuses_a_racy_graph_before_running_it(
-    executor, compile_mode, monkeypatch
-):
-    real_build = engine_module.build_brnn_graph
-
-    def build_with_a_dropped_edge(*args, **kwargs):
-        result = real_build(*args, **kwargs)
-        a, b = racecheck.order_defining_edges(result.graph)[0]
-        result.graph.successors[a].remove(b)
-        return result
-
-    runs = []
-    substrate = {"sim": SimulatedExecutor, "threaded": ThreadedExecutor}[executor]
-    monkeypatch.setattr(engine_module, "build_brnn_graph", build_with_a_dropped_edge)
-    monkeypatch.setattr(substrate, "run", lambda self, graph, plan=None: runs.append(graph))
-    spec = tiny_spec()
-    engine = ENGINES[executor](spec, compile_mode, validate_dependencies=True)
-    with pytest.raises(racecheck.RaceError):
-        engine.execute(make_batch(spec, 0, with_x=executor != "sim"))
-    assert not runs
-    if compile_mode == "on":
-        assert len(engine.plan_cache) == 0

@@ -66,14 +66,15 @@ def test_analyze_command_emits_valid_bench_json(capsys, tmp_path):
         "--output", str(out_file),
     ]) == 0
     out = capsys.readouterr().out
-    assert "graphlint" in out and "serialization debt" in out
+    assert "dependences OK" in out and "serialization debt" in out
     report = load_report(str(out_file))
     assert check_report(report) == []  # envelope + schema + bars
     assert report["bench"] == "graph_analysis"
     results = report["results"]
-    assert results["graphlint"]["ok"] is True
-    assert results["graphlint"]["findings"] == []
-    assert results["parallelism"]["findings"] == []
+    assert results["dependences"]["ok"] is True
+    assert results["dependences"]["findings"] == []
+    assert results["dependences"]["pairs_proved"] > 0
+    assert results["dependences"]["observed_tasks"] == 0  # cost-only: nothing ran
     assert results["parallelism"]["metrics"]["serialization_debt"] == 1.0
     assert json.loads(out_file.read_text()) == report
 
@@ -101,14 +102,46 @@ def test_analyze_command_builds_the_graph_the_fusion_flags_name(capsys, tmp_path
     assert (config["fusion"], config["wavefront_tile"]) == ("gates", 4)
 
 
-def test_racecheck_command_builds_the_graph_the_structural_flags_name(capsys):
-    steps = _task_count(capsys, ["racecheck", *_TINY])
+def test_analyze_observe_builds_the_graph_the_structural_flags_name(capsys):
+    observed = ["analyze", "--observe", *_TINY]
+    steps = _task_count(capsys, observed)
     # 8 steps in tiles of 4: each of the 2 layers x 2 directions x 2 chunks x
     # (forward, backward) chains shrinks from 8 cell tasks to 2
-    assert steps - _task_count(capsys, ["racecheck", *_TINY, *_WAVEFRONT]) == 16 * (8 - 2)
+    assert steps - _task_count(capsys, [*observed, *_WAVEFRONT]) == 16 * (8 - 2)
     # per-layer barriers add barrier tasks; B-Seq adds the per-chunk serial regions
-    barriered = ["racecheck", *_TINY, "--barriers", "--serialize-chunks"]
+    barriered = [*observed, "--barriers", "--serialize-chunks"]
     assert _task_count(capsys, barriered) > steps
+
+
+def test_analyze_observe_and_fuzz_write_one_report(capsys, tmp_path):
+    from repro.harness.ledger import check_report, load_report
+
+    out_file = tmp_path / "analysis.json"
+    assert main(["analyze", *_TINY, "--observe", "--fuzz-seeds", "2",
+                 "--output", str(out_file)]) == 0
+    assert "fuzz OK: 2 seeds" in capsys.readouterr().out
+    report = load_report(str(out_file))
+    assert check_report(report) == []
+    results = report["results"]
+    assert results["dependences"]["observed_tasks"] == results["dependences"]["n_tasks"]
+    assert results["fuzz"]["ok"] is True and results["fuzz"]["seeds"] == [0, 1]
+
+
+def test_retired_command_and_flags_are_usage_errors(capsys):
+    """`racecheck` is `analyze --observe --fuzz-seeds`; `--strict` is what
+    `--verify` does; the certificate always cross-validates 8 configs."""
+    for argv in (
+        ["racecheck"],
+        ["analyze", "--strict"],
+        ["analyze", "--verify-samples", "8"],
+        ["analyze", "--mutations", "3"],
+        ["analyze", "--record-schedule", "s.json"],
+        ["analyze", "--replay-schedule", "s.json"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        capsys.readouterr()
 
 
 def test_analyze_command_lint_only(capsys):
@@ -155,8 +188,7 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys):
         ["table3", "--full"],
         ["fig4", "--cores", "8"],
         ["bench", "fleet", "--executor", "sim"],
-        ["racecheck", "--arrival-rate", "50"],
-        ["analyze", "--mutations", "3"],
+        ["analyze", "--arrival-rate", "50"],
         ["serve-bench", "--seq-len", "8"],
     ):
         with pytest.raises(SystemExit) as exc:
