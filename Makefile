@@ -1,5 +1,5 @@
 # Convenience targets; CI (.github/workflows/ci.yml) runs `test`,
-# `check-baselines`, `lint` and every `smoke-*` target on every push.
+# `check-baselines`, `lint` and the seven `smoke-*` targets on every push.
 #
 # Every gated suite is one row of src/repro/harness/ledger.py: a smoke
 # target runs its pytest subset, then `python -m repro bench <suite>`
@@ -12,7 +12,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TMP ?= /tmp/repro_smoke
 BASELINES := benchmarks/baselines
 
-.PHONY: test check-baselines lint smoke-serving smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench serve-bench clean
+.PHONY: test check-baselines lint smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench clean
 
 # tier-1: the full unit/integration/property suite (serving tests included)
 test:
@@ -23,16 +23,6 @@ test:
 # at their complete grids; CI measures their smoke grids in the same step)
 check-baselines:
 	$(PYTHON) -m repro bench --check $(BASELINES)/BENCH_*.json
-
-# fast serving smoke: tiny config end-to-end through the real CLI, then a
-# hard failure on any regression in the reported JSON schema
-smoke-serving:
-	$(PYTHON) -m repro serve-bench \
-		--arrival-rate 50 --duration 0.3 --executor sim \
-		--max-batch-size 8 --hidden 16 --layers 2 --input-size 8 \
-		--seq-min 8 --seq-max 24 --bucket-width 8 --mbs 1 \
-		--output $(TMP)_serving.json > /dev/null
-	$(PYTHON) -m repro bench --check $(TMP)_serving.json
 
 # AST lint over the whole package: payload-closure capture audit,
 # mutable defaults, swallowed exceptions, float64 creep in the kernels.
@@ -107,8 +97,8 @@ smoke-verify:
 		$(BASELINES)/BENCH_graph_analysis.json $(TMP)_verify_cert.json
 	$(PYTHON) -m pytest -m certified -x -q
 
-# fleet-serving smoke: the serve-layer unit tests (config, router,
-# admission, continuous batching, fleet loop), then the calibrated soak
+# serving smoke: the serve-layer unit tests (config, router, admission,
+# continuous batching, the one FleetServer loop), then the calibrated soak
 # (deterministic: the simulated clock)
 smoke-fleet:
 	$(PYTHON) -m pytest tests/serve -x -q
@@ -124,10 +114,6 @@ smoke-bench:
 # rewrite $(BASELINES)/BENCH_paper.json (18 min on the recording host)
 bench:
 	$(PYTHON) -m repro bench paper --record > /dev/null
-
-# the acceptance-criteria serving run (paper machine, 200 req/s, 5 s)
-serve-bench:
-	$(PYTHON) -m repro serve-bench --arrival-rate 200 --duration 5 --executor sim
 
 clean:
 	rm -f $(TMP)_*.json

@@ -52,8 +52,6 @@ from repro.serve import (
     InferenceEngine,
     ReplicaPool,
     ServeConfig,
-    Server,
-    serve_fleet,
 )
 
 __version__ = "1.0.0"
@@ -77,10 +75,8 @@ __all__ = [
     "tesla_v100",
     "laptop_sim",
     "InferenceEngine",
-    "Server",
     "ServeConfig",
     "ReplicaPool",
     "FleetServer",
-    "serve_fleet",
     "__version__",
 ]

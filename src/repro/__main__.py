@@ -3,7 +3,6 @@
     python -m repro describe                # model/machine inventory
     python -m repro table3|table4|fig3|...|fig8|granularity|memory
                                             # one section of suite `paper`
-    python -m repro serve-bench [...]       # online-serving benchmark (JSON)
     python -m repro analyze [...]           # dependence proof + metrics + AST lint
     python -m repro bench SUITE [--record]  # run one gated suite (JSON + bars)
     python -m repro bench --check REPORT... # gate written reports
@@ -22,11 +21,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.config import add_execution_args, config_from_args
+from repro.config import add_execution_args
 from repro.harness.paper import format_results, run_paper_suite
 from repro.harness.tables import TABLE_CONFIGS
 from repro.models.spec import BRNNSpec
-from repro.serve.config import add_serve_args
 from repro.simarch.presets import tesla_v100, xeon_8160_2s
 
 
@@ -49,63 +47,6 @@ def _cmd_section(args) -> None:
     """One section of suite ``paper`` at the smoke grid, as ``bench paper``
     measures and prints it."""
     print(format_results(run_paper_suite("smoke", [args.command])["results"]))
-
-
-def _cmd_serve_bench(args) -> None:
-    """Serve a synthetic request stream and emit the JSON SLO report."""
-    import json
-    from dataclasses import asdict
-
-    from repro.harness.ledger import make_report, write_report
-    from repro.obs import MetricsRegistry
-    from repro.serve import InferenceEngine, Server, make_workload
-    from repro.serve.config import serve_config_from_args, workload_config_from_args
-
-    spec = BRNNSpec(
-        cell=args.cell,
-        input_size=args.input_size,
-        hidden_size=args.hidden,
-        num_layers=args.layers,
-        merge_mode="sum",
-        num_classes=11,
-    )
-    serve_cfg = serve_config_from_args(args)
-    workload_cfg = workload_config_from_args(
-        args,
-        seq_len_range=(args.seq_min, args.seq_max),
-        features=spec.input_size if args.executor in ("threaded", "process") else None,
-    )
-    requests = make_workload(args.workload, workload_cfg, seed=args.seed)
-    engine = InferenceEngine(
-        spec,
-        config=config_from_args(args, metrics=MetricsRegistry()),
-        serve_config=serve_cfg,
-    )
-    stats = Server(engine, serve_cfg).run(requests)
-    report = make_report(
-        "serving",
-        {
-            "model": spec.describe(),
-            "executor": args.executor,
-            "scheduler": args.scheduler,
-            "workers": engine.n_workers,
-            "workload": args.workload,
-            "arrival_rate_hz": args.arrival_rate,
-            "duration_s": args.duration,
-            "seq_len_range": [args.seq_min, args.seq_max],
-            "mbs": args.mbs,
-            "seed": args.seed,
-            "fused_input_projection": engine.fused_input_projection,
-            "proj_block": args.proj_block,
-            "serve": asdict(serve_cfg),
-            "serve_fingerprint": serve_cfg.fingerprint(),
-        },
-        stats.summary(),
-    )
-    print(json.dumps(report, indent=2))
-    if args.output:
-        write_report(args.output, report)
-        print(f"# report written to {args.output}", file=sys.stderr)
 
 
 def _cmd_bench(args) -> int:
@@ -316,7 +257,6 @@ PAPER_COMMANDS = ("table3", "table4", "fig3", "fig4", "fig5", "fig6", "fig7",
 COMMANDS = {
     "describe": _cmd_describe,
     **{name: _cmd_section for name in PAPER_COMMANDS},
-    "serve-bench": _cmd_serve_bench,
     "bench": _cmd_bench,
     "analyze": _cmd_analyze,
 }
@@ -330,14 +270,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--input-size", type=int, default=64)
     g.add_argument("--output", type=str, default=None,
                    help="also write the JSON report to this path")
-
-
-def _add_serve_bench_args(parser: argparse.ArgumentParser) -> None:
-    # serving knobs (queue/batcher/admission) live in the shared "serving
-    # options" group (repro.serve.config.add_serve_args)
-    g = parser.add_argument_group("request length options")
-    g.add_argument("--seq-min", type=int, default=40)
-    g.add_argument("--seq-max", type=int, default=100)
 
 
 def _add_graph_args(parser: argparse.ArgumentParser) -> None:
@@ -394,8 +326,6 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
 
 #: the flag groups each command reads; a command without a row takes none
 _GROUPS = {
-    "serve-bench": (add_execution_args, add_serve_args, _add_model_args,
-                    _add_serve_bench_args),
     "bench": (_add_bench_args,),
     "analyze": (add_execution_args, _add_model_args, _add_graph_args,
                 _add_analyze_args),

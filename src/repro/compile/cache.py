@@ -1,4 +1,4 @@
-"""LRU cache of compiled plans, keyed by ``(config fingerprint, shape)``.
+"""LRU cache of compiled plans, keyed by batch shape ``(padded_len, size)``.
 
 The serving engine asks the cache before building a graph: a hit replays
 the stored plan (and, on a functional substrate, reuses the stored graph
@@ -9,26 +9,20 @@ pays a handful of dict operations per *batch*, never per task.
 
 Entries carry an opaque ``payload`` alongside the plan (the sim engine
 stores the memoised ``(service_time, trace)``, the threaded engine the
-reusable :class:`~repro.core.graph_builder.GraphBuildResult`).  Payloads
-are runtime-only: :meth:`PlanCache.save` persists keys and plans
-(``repro.plancache.v1``).  A restored entry has ``payload=None``; the
-engine's first hit on it builds the graph (sim: and memoises its service
-time) around the stored plan and counts as warm, with no recompilation.
+reusable :class:`~repro.core.graph_builder.GraphBuildResult`).  Each
+engine owns its cache in memory; nothing is persisted.
 """
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional
 
 from repro.compile.plan import CompiledPlan
 
-CACHE_FORMAT = "repro.plancache.v1"
-
 #: default capacity: serving workloads bucket sequence lengths, so live
-#: shape counts stay small; 32 distinct (config, shape) plans is generous
+#: shape counts stay small; 32 distinct shapes is generous
 DEFAULT_CAPACITY = 32
 
 
@@ -40,17 +34,8 @@ class CacheEntry:
     payload: Any = None
 
 
-def _key_to_json(key: Hashable) -> list:
-    fp, shape = key
-    return [fp, list(shape)]
-
-
-def _key_from_json(data: list) -> Tuple[str, tuple]:
-    return (data[0], tuple(data[1]))
-
-
 class PlanCache:
-    """LRU map ``(config fingerprint, input shape) → CacheEntry``."""
+    """LRU map ``(padded_len, size) → CacheEntry``."""
 
     def __init__(
         self,
@@ -122,50 +107,3 @@ class PlanCache:
 
             publish_plan_cache(self.metrics, self.stats())
 
-    # -- persistence -------------------------------------------------------------
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(
-            {
-                "format": CACHE_FORMAT,
-                "n_entries": len(self._entries),
-                "entries": [
-                    {
-                        "key": _key_to_json(key),
-                        "plan": json.loads(entry.plan.to_json()),
-                    }
-                    for key, entry in self._entries.items()
-                ],
-            },
-            indent=indent,
-        )
-
-    def save(self, path: str) -> None:
-        """Persist keys and plans (payloads are runtime-only)."""
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-
-    def load(self, path: str) -> int:
-        """Merge persisted plans in (LRU order preserved); returns the count.
-
-        Restored entries carry no payload: the engine rebuilds it around
-        the stored plan on the entry's first hit, without recompiling.
-        """
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("format") != CACHE_FORMAT:
-            raise ValueError(f"not a plan cache: format={data.get('format')!r}")
-        n = 0
-        for item in data["entries"]:
-            key = _key_from_json(item["key"])
-            plan = CompiledPlan.from_json(json.dumps(item["plan"]))
-            entry = CacheEntry(plan=plan)
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            n += 1
-        self._publish()
-        return n

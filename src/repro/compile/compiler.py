@@ -59,7 +59,6 @@ def compile_graph(
     *,
     machine: Optional[MachineSpec] = None,
     cost_model: Optional[CostModel] = None,
-    key: Optional[list] = None,
 ) -> CompiledPlan:
     """Compile ``graph`` into a static replayable :class:`CompiledPlan`."""
     if n_workers < 1:
@@ -134,5 +133,4 @@ def compile_graph(
             "est_makespan_s": makespan,
             "compile_time_s": time.perf_counter() - t0,
         },
-        key=key,
     )

@@ -16,24 +16,19 @@ dynamically on every invocation:
   replay scheduler releases the next prescribed task to whichever worker
   asks first, which keeps replay work-conserving).
 
-Plans serialise to JSON (``repro.plan.v1``) so a warm serving process can
-persist its plan cache across restarts; :meth:`CompiledPlan.validate`
-refuses to replay against a graph whose task count or names drifted from
-the plan, mirroring the :class:`~repro.runtime.scheduler.ScheduleRecord`
-name-check contract.
+Plans are in-memory artifacts of the engine that compiled them;
+:meth:`CompiledPlan.validate` refuses to replay against a graph whose task
+count or names drifted from the plan, mirroring the
+:class:`~repro.runtime.scheduler.ScheduleRecord` name-check contract.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.scheduler import ScheduleRecord
-
-#: serialization format tag (bump on incompatible layout changes)
-PLAN_FORMAT = "repro.plan.v1"
 
 
 @dataclass
@@ -53,9 +48,6 @@ class CompiledPlan:
     successors: List[List[int]]
     n_workers: int = 1
     meta: Dict[str, float] = field(default_factory=dict)
-    #: provenance cache key ``[config_fingerprint, [padded_len, batch]]``
-    key: Optional[list] = None
-    format: str = PLAN_FORMAT
     _indegree: Optional[List[int]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -132,50 +124,5 @@ class CompiledPlan:
             successors=successors,
             n_workers=self.n_workers,
             meta=dict(self.meta),
-            key=self.key,
         )
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(
-            {
-                "format": self.format,
-                "n_tasks": self.n_tasks,
-                "n_workers": self.n_workers,
-                "order": self.order,
-                "names": self.names,
-                "assignments": self.assignments,
-                "successors": self.successors,
-                "meta": self.meta,
-                "key": self.key,
-            },
-            indent=indent,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CompiledPlan":
-        data = json.loads(text)
-        if data.get("format") != PLAN_FORMAT:
-            raise ValueError(f"not a compiled plan: format={data.get('format')!r}")
-        plan = cls(
-            order=list(data["order"]),
-            names=list(data["names"]),
-            assignments=list(data["assignments"]),
-            successors=[list(s) for s in data["successors"]],
-            n_workers=int(data.get("n_workers", 1)),
-            meta=dict(data.get("meta", {})),
-            key=data.get("key"),
-        )
-        if len(plan.names) != len(plan.order) or len(plan.assignments) != len(plan.order):
-            raise ValueError("plan order/names/assignments lengths disagree")
-        return plan
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "CompiledPlan":
-        with open(path) as fh:
-            return cls.from_json(fh.read())

@@ -141,9 +141,8 @@ class ExecutionConfig:
 
         Excludes the observability attachments (``metrics``/``hooks``) —
         two configs that execute identically fingerprint identically even
-        when only one carries a registry.  Used as the plan-cache key
-        (docs/COMPILE.md) and for BENCH record provenance; stable across
-        processes and runs (sha256 of a canonical JSON encoding).
+        when only one carries a registry.  Stable across processes and runs
+        (sha256 of a canonical JSON encoding).
         Executor *instances* hash by type name: a fresh pool of the same
         substrate executes the same plan.
         """

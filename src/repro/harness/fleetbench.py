@@ -44,7 +44,6 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.fleet import FleetServer, FleetStats
 from repro.serve.loadgen import WorkloadConfig, make_workload
 from repro.serve.request import InferenceRequest
-from repro.serve.server import Server
 
 
 def _calibrate_service_s(
@@ -98,10 +97,10 @@ def batching_section() -> Dict:
             WorkloadConfig(rate_hz=rate, duration_s=2.0, seq_len_range=(40, 100), **bursts),
             seed=0 if workload == "poisson" else 1,
         )
-        engine = InferenceEngine(spec, config=ExecutionConfig(executor="sim", mbs=4))
         cfg = ServeConfig(queue_capacity=capacity, max_batch_size=max_batch_size,
                           max_wait=5e-3, bucket_width=20)
-        s = Server(engine, cfg).run(requests).summary()
+        server = FleetServer.build(spec, cfg, execution=ExecutionConfig(executor="sim", mbs=4))
+        s = server.run(requests).summary()
         return {
             "offered": len(requests),
             "requests": s["requests"]["total"],

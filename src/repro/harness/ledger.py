@@ -85,7 +85,7 @@ class Suite:
     """One row of the ledger (see the module docstring)."""
 
     #: ``measure(**size) -> {"config", "results"}``; ``None`` for reports
-    #: another command writes (``serve-bench``/``analyze`` with ``--output``)
+    #: another command writes (``analyze`` with ``--output``)
     measure: Optional[Callable[..., Dict]]
     schema: Schema
     bars: Sequence[Bar]
@@ -125,10 +125,10 @@ def _numbers(prefix: str, *keys: str) -> Schema:
     return [(f"{prefix}.{key}", _NUM) for key in keys]
 
 
-def _accounting(section: str, total: str = "requests") -> List[Bar]:
+def _accounting(section: str) -> List[Bar]:
     """Every request ends as completed or shed with a reason."""
     return [
-        Bar((f"{section}.completed", f"{section}.shed"), "==", f"{section}.{total}",
+        Bar((f"{section}.completed", f"{section}.shed"), "==", f"{section}.requests",
             "request accounting does not add up"),
         Bar(f"{section}.shed_reasons.*", "==", f"{section}.shed",
             "shed_reasons does not sum to shed"),
@@ -625,27 +625,6 @@ SUITES: Dict[str, Suite] = {
             Bar(f"parallelism.metrics.serialization_debt", "<=", 1.01,
                 "the declared graph serialises beyond its dataflow"),
             Bar(f"parallelism.metrics.width", ">=", 1),
-        ],
-    ),
-    # written by `serve-bench --output`
-    "serving": _suite(
-        None,
-        schema=[
-            *((f"requests.{key}", int) for key in ("total", "completed", "shed")),
-            ("requests.shed_reasons", dict),
-            ("throughput_rps", _NUM),
-            ("elapsed_s", _NUM),
-            *_numbers("latency_s", "p50", "p95", "p99", "mean"),
-            ("batches.count", int),
-            ("batches.size_histogram", dict),
-            *_numbers("batches", "mean_size", "padding_overhead"),
-            *_numbers("queue_depth", "mean", "max"),
-        ],
-        bars=[
-            Bar("throughput_rps", ">", 0),
-            Bar("latency_s.p50", "<=", "latency_s.p95"),
-            Bar("latency_s.p95", "<=", "latency_s.p99"),
-            *_accounting("requests", total="total"),
         ],
     ),
 }

@@ -11,20 +11,16 @@ real threads or, deterministically, on the simulated 48-core machine.
 Every serving knob lives on one frozen :class:`ServeConfig` (mirroring
 :class:`~repro.config.ExecutionConfig` for execution).  One loop serves
 everything: :class:`~repro.serve.fleet.FleetServer` runs a fleet of
-replicas behind a pluggable router (least-loaded or
+replicas — one or many — behind a pluggable router (least-loaded or
 consistent-hash-by-shape), per-tenant
 :class:`~repro.serve.admission.AdmissionController` token buckets, SLO
 deadline budgets that shed before queueing, and per-shape compiled-plan
-warmup at fleet start; :class:`Server` is its one-replica case around an
-engine the caller built.  :class:`ServerStats` (alias
-:class:`FleetStats`) reports the SLO picture: p50/p95/p99 latency,
-throughput, shed taxonomy, queue depth, batch-size histogram, padding
-overhead and warm plan hit rate.
+warmup at fleet start.  :class:`FleetStats` reports the SLO picture:
+p50/p95/p99 latency, throughput, shed taxonomy, queue depth, batch-size
+histogram, padding overhead and warm plan hit rate.
 
-See ``docs/SERVING.md`` for the architecture, and
-``python -m repro serve-bench`` /
-``python -m repro bench fleet`` for the arrival-rate sweeps and the
-fleet soak benchmark.
+See ``docs/SERVING.md`` for the architecture and
+``python -m repro bench fleet`` for the fleet soak benchmark.
 """
 
 from repro.serve.request import (
@@ -41,7 +37,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.queue import RequestQueue
 from repro.serve.batcher import Batch, DynamicBatcher
 from repro.serve.engine import BatchExecution, InferenceEngine
-from repro.serve.stats import BatchRecord, ServerStats
+from repro.serve.stats import BatchRecord, FleetStats
 from repro.serve.router import ConsistentHashRouter, LeastLoadedRouter, make_router
 from repro.serve.admission import AdmissionController, TokenBucket
 from repro.serve.loadgen import (
@@ -50,8 +46,7 @@ from repro.serve.loadgen import (
     make_workload,
     poisson_workload,
 )
-from repro.serve.server import Server, serve_workload
-from repro.serve.fleet import FleetServer, FleetStats, ReplicaPool, serve_fleet
+from repro.serve.fleet import FleetServer, ReplicaPool
 
 __all__ = [
     "InferenceRequest",
@@ -68,7 +63,7 @@ __all__ = [
     "Batch",
     "InferenceEngine",
     "BatchExecution",
-    "ServerStats",
+    "FleetStats",
     "BatchRecord",
     "LeastLoadedRouter",
     "ConsistentHashRouter",
@@ -79,10 +74,6 @@ __all__ = [
     "poisson_workload",
     "bursty_workload",
     "make_workload",
-    "Server",
-    "serve_workload",
     "ReplicaPool",
     "FleetServer",
-    "FleetStats",
-    "serve_fleet",
 ]

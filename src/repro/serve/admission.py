@@ -4,7 +4,7 @@ Two mechanisms, both applied at arrival time (the cheapest possible
 moment to say no):
 
 * **Per-tenant token buckets** — each tenant sustains ``tenant_rate_hz``
-  requests/s with bursts up to ``tenant_burst``; a tenant that exhausts
+  requests/s with bursts up to :data:`TENANT_BURST`; a tenant that exhausts
   its bucket is shed with reason ``"tenant"`` and cannot starve the
   other tenants' capacity.
 * **Deadline budgets** — given a routing decision, the controller
@@ -25,6 +25,14 @@ from typing import Dict, Optional
 
 from repro.serve.config import ServeConfig
 from repro.serve.request import SHED_DEADLINE, SHED_TENANT, InferenceRequest
+
+#: per-tenant token-bucket burst capacity (requests)
+TENANT_BURST = 8.0
+
+#: multiplier on the predicted queue wait in the deadline budget: a request is
+#: shed on arrival when ``now + slack * predicted_wait + service_estimate``
+#: already misses its deadline
+ADMISSION_SLACK = 1.0
 
 
 class TokenBucket:
@@ -79,7 +87,7 @@ class AdmissionController:
             return None
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            bucket = TokenBucket(self.config.tenant_rate_hz, self.config.tenant_burst)
+            bucket = TokenBucket(self.config.tenant_rate_hz, TENANT_BURST)
             self._buckets[tenant] = bucket
         return bucket
 
@@ -102,15 +110,10 @@ class AdmissionController:
             return SHED_TENANT
         if (
             req.deadline is not None
-            and self.config.admission_slack > 0
             and predicted_wait_s is not None
             and service_estimate_s is not None
         ):
-            predicted_finish = (
-                now
-                + self.config.admission_slack * predicted_wait_s
-                + service_estimate_s
-            )
+            predicted_finish = now + ADMISSION_SLACK * predicted_wait_s + service_estimate_s
             if predicted_finish > req.deadline:
                 return SHED_DEADLINE
         return None

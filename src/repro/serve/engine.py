@@ -88,15 +88,10 @@ class InferenceEngine:
         ``fused_input_projection="auto"`` means the same on every
         substrate: the layers where hoisting pays on a real host (see
         :func:`~repro.core.graph_builder.resolve_fused_layers`).
-    serve_config:
-        The :class:`~repro.serve.config.ServeConfig` of the deployment
-        this engine serves in, if any.  Its fingerprint joins the
-        plan-cache key, so warmed plans are scoped to the deployment
-        (replica pools set this; standalone engines may leave it unset).
 
-    With ``config.compile="on"`` the engine keeps a
-    :class:`~repro.compile.cache.PlanCache` keyed by ``(config
-    fingerprint, batch shape)``: a shape is compiled at first sight and
+    With ``config.compile="on"`` the engine keeps its own in-memory
+    :class:`~repro.compile.cache.PlanCache` keyed by the batch shape
+    ``(padded_len, size)``: a shape is compiled at first sight and
     every later batch of it skips graph construction *and* dynamic
     dependence resolution, replaying the
     :class:`~repro.compile.plan.CompiledPlan` over the reused graph build
@@ -111,7 +106,6 @@ class InferenceEngine:
         config: Optional[ExecutionConfig] = None,
         params: Optional[BRNNParams] = None,
         machine: Optional[MachineSpec] = None,
-        serve_config=None,
     ) -> None:
         cfg = config if config is not None else SERVE_DEFAULTS
         name = cfg.executor if cfg.executor is not None else "sim"
@@ -143,18 +137,9 @@ class InferenceEngine:
             # the same Executor protocol; everything below is shared.
             self._executor = resolve_executor(cfg.replace(executor=name))
         self.compile = cfg.compile
-        #: the serving deployment this engine belongs to, if any; its
-        #: fingerprint joins the plan-cache key so plans warmed under one
-        #: ServeConfig never collide with another deployment's
-        self.serve_config = serve_config
-        if cfg.compile == "on":
-            self.plan_cache: Optional[PlanCache] = PlanCache(metrics=cfg.metrics)
-            self._config_fingerprint = cfg.fingerprint()
-            if serve_config is not None:
-                self._config_fingerprint += "+" + serve_config.fingerprint()
-        else:
-            self.plan_cache = None
-            self._config_fingerprint = None
+        self.plan_cache: Optional[PlanCache] = (
+            PlanCache(metrics=cfg.metrics) if cfg.compile == "on" else None
+        )
         #: (service_time, trace) per batch shape of a sim engine that keeps
         #: no plan cache (one that does keeps them as cache-entry payloads)
         self._sim_memo: Dict[Tuple[int, int], Tuple[float, ExecutionTrace]] = {}
@@ -165,9 +150,6 @@ class InferenceEngine:
 
     def _effective_mbs(self, batch_size: int) -> int:
         return max(1, min(self.mbs, batch_size))
-
-    def _plan_key(self, key: Tuple[int, int]) -> Tuple[str, Tuple[int, int]]:
-        return (self._config_fingerprint, key)
 
     def _build(self, key: Tuple[int, int], x: Optional[np.ndarray]):
         """The inference graph of one batch shape: functional over ``x``,
@@ -211,7 +193,7 @@ class InferenceEngine:
         compiled = 0
         for padded_len, size in shapes:
             key = (int(padded_len), int(size))
-            if self._plan_key(key) not in self.plan_cache:
+            if key not in self.plan_cache:
                 self._serve(key)
                 compiled += 1
         return compiled
@@ -224,10 +206,8 @@ class InferenceEngine:
         chunk buffers (the task closures read through them, and inference
         graphs rebind their h/c/logits slots every run) and replays the
         plan; a warm simulated shape returns its memoised ``(service,
-        trace)``.  Whatever is missing is made here: the build, the plan
-        (compiled and cached when the engine keeps a cache) and, for an
-        entry restored by :meth:`PlanCache.load`, the payload around its
-        stored plan.
+        trace)``.  Whatever is missing is made here: the build and the
+        plan (compiled and cached when the engine keeps a cache).
         """
         sim = self.executor == "sim"
         if sim:
@@ -239,9 +219,8 @@ class InferenceEngine:
         t0 = time.perf_counter()
         entry = None
         if batch is not None and self.plan_cache is not None:
-            entry = self.plan_cache.get(self._plan_key(key))
+            entry = self.plan_cache.get(key)
         warm = entry is not None
-        plan = entry.plan if warm else None
         held = entry.payload if warm else self._sim_memo.get(key)
         if sim and held is not None:
             return BatchExecution(*held, warm=warm)
@@ -253,12 +232,12 @@ class InferenceEngine:
             for state, xc in zip(build.chunks, chunks):
                 np.copyto(state.x, xc)
         graph = build.graph
+        plan = entry.plan if warm else None
         if plan is None and self.plan_cache is not None:
             plan = compile_graph(
                 graph,
                 n_workers=self.n_workers,
                 cost_model=self._executor.cost_model if sim else None,
-                key=[self._config_fingerprint, list(key)],
             )
         if sim:
             # warm run: weights NUMA-homed / cache-resident, as in a steady
@@ -271,12 +250,11 @@ class InferenceEngine:
         else:
             trace = self._executor.run(graph, plan=plan)
             held = build
-        if warm:
-            entry.payload = held
-        elif self.plan_cache is not None:
-            self.plan_cache.put(self._plan_key(key), plan, payload=held)
-        elif sim:
-            self._sim_memo[key] = held
+        if not warm:
+            if self.plan_cache is not None:
+                self.plan_cache.put(key, plan, payload=held)
+            elif sim:
+                self._sim_memo[key] = held
         if sim:
             return BatchExecution(*held, warm=warm)
         return BatchExecution(time.perf_counter() - t0, trace, build.logits(), warm)

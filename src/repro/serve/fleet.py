@@ -17,11 +17,11 @@ bounded queue and dynamic batcher.  Everything is configured by one
   at arrival (cheap) instead of queued and served late (expensive and
   useless).
 * :class:`FleetServer` — the one event-driven serving loop, across all
-  replicas, deterministic on the simulated substrate.  The single-engine
-  :class:`~repro.serve.server.Server` is its one-replica case.
+  replicas, deterministic on the simulated substrate; a single engine is
+  the one-replica fleet.
 
-:class:`FleetStats` is :class:`~repro.serve.stats.ServerStats` under the
-name the fleet modules use (docs/SERVING.md).
+Every run reports through one :class:`~repro.serve.stats.FleetStats`
+(docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ class ReplicaPool:
 
     Functional substrates (threaded/process) share one parameter set —
     every replica must produce bitwise-identical answers, or routing
-    would change results.  Each engine carries the pool's
-    :class:`ServeConfig` as its ``serve_config`` so compiled plans are
-    keyed to this deployment.
+    would change results.  Each engine owns its plan cache.
     """
 
     def __init__(
@@ -79,28 +77,9 @@ class ReplicaPool:
             params = BRNNParams.initialize(spec, execution.seed)
         self.params = params
         self.engines = [
-            InferenceEngine(
-                spec,
-                config=execution,
-                params=params,
-                machine=machine,
-                serve_config=self.config,
-            )
+            InferenceEngine(spec, config=execution, params=params, machine=machine)
             for _ in range(self.config.replicas)
         ]
-
-    @classmethod
-    def from_engines(
-        cls, engines: Sequence[InferenceEngine], config: Optional[ServeConfig] = None
-    ) -> "ReplicaPool":
-        """A pool around engines the caller already built."""
-        pool = cls.__new__(cls)
-        pool.spec = engines[0].spec
-        pool.config = config if config is not None else ServeConfig()
-        pool.execution = engines[0].config
-        pool.params = engines[0].params
-        pool.engines = list(engines)
-        return pool
 
     def __len__(self) -> int:
         return len(self.engines)
@@ -138,9 +117,11 @@ class FleetServer:
     engine completions, batcher timeouts and deadline expiries, processed
     in time order.  On the simulated executor the whole run is
     bit-reproducible; on a real executor service times are measured wall
-    time, replayed onto the same clock.  ``FleetServer(pool, config)``
-    serves an open-loop workload via :meth:`run`; :meth:`build`
-    constructs the pool too.
+    time, replayed onto the same clock.  ``FleetServer(pool)`` serves an
+    open-loop workload under ``pool.config`` via :meth:`run`;
+    :meth:`build` constructs the pool too.  Before the first arrival
+    every replica compiles the full-batch plan of each length bucket the
+    workload reaches (a no-op without ``ExecutionConfig(compile="on")``).
 
     When the engines carry a metrics registry
     (:class:`~repro.config.ExecutionConfig` ``metrics=``) the loop shares
@@ -152,18 +133,9 @@ class FleetServer:
     never runs backwards across replicas).
     """
 
-    def __init__(
-        self,
-        pool: ReplicaPool,
-        config: Optional[ServeConfig] = None,
-        keep_traces: bool = False,
-    ) -> None:
+    def __init__(self, pool: ReplicaPool, keep_traces: bool = False) -> None:
         self.pool = pool
-        self.config = config if config is not None else pool.config
-        if len(pool) != self.config.replicas:
-            raise ValueError(
-                f"pool has {len(pool)} replicas, config says {self.config.replicas}"
-            )
+        self.config = pool.config
         self.keep_traces = keep_traces
         registry = pool.registry
         self.snapshots: Optional[SnapshotLog] = (
@@ -181,15 +153,10 @@ class FleetServer:
         machine: Optional[MachineSpec] = None,
         keep_traces: bool = False,
     ) -> "FleetServer":
-        config = config if config is not None else ServeConfig()
         pool = ReplicaPool(
-            spec,
-            config,
-            execution=execution,
-            params=params,
-            machine=machine,
+            spec, config, execution=execution, params=params, machine=machine
         )
-        return cls(pool, config, keep_traces=keep_traces)
+        return cls(pool, keep_traces=keep_traces)
 
     def _slice_result(self, logits, idx: int):
         """This request's rows of the batch logits (None for cost-only runs)."""
@@ -217,13 +184,12 @@ class FleetServer:
             registry=self.pool.registry,
         )
 
-        if cfg.warmup:
-            shapes = plan_warmup_shapes(
-                (r.seq_len for r in pending),
-                bucket_width=cfg.bucket_width,
-                max_batch_size=cfg.max_batch_size,
-            )
-            stats.warmup_compiled = self.pool.warmup(shapes, router=router)
+        shapes = plan_warmup_shapes(
+            (r.seq_len for r in pending),
+            bucket_width=cfg.bucket_width,
+            max_batch_size=cfg.max_batch_size,
+        )
+        stats.warmup_compiled = self.pool.warmup(shapes, router=router)
 
         #: EWMA of observed batch service time per replica (None until the
         #: first batch — admission never sheds on an estimate it lacks)
@@ -270,8 +236,8 @@ class FleetServer:
                     stats.record_shed(req, verdict)
                     continue
                 stats.record_routing(r, router.policy)
-                for victim in queues[r].push(req):
-                    stats.record_shed(victim, SHED_QUEUE_FULL)
+                if not queues[r].push(req):
+                    stats.record_shed(req, SHED_QUEUE_FULL)
                 stats.record_replica_depth(r, req.arrival_time, len(queues[r]))
 
             # 3. every idle replica cuts a batch at this instant
@@ -340,17 +306,3 @@ class FleetServer:
             now = min(candidates)
         return stats
 
-
-def serve_fleet(
-    spec: BRNNSpec,
-    requests: Sequence[InferenceRequest],
-    config: Optional[ServeConfig] = None,
-    *,
-    execution: Optional[ExecutionConfig] = None,
-    **build_kwargs,
-) -> FleetStats:
-    """One-call convenience wrapper around :meth:`FleetServer.build`."""
-    server = FleetServer.build(
-        spec, config, execution=execution, **build_kwargs
-    )
-    return server.run(requests)

@@ -1,11 +1,9 @@
 """Bounded admission queue with backpressure and deadline expiry.
 
 The queue is the only place requests wait; its capacity bound is the
-serving layer's backpressure mechanism.  When full, ``queue_policy=
-"reject"`` sheds the *arriving* request (classic load shedding: tell the
-client now, while the information is cheap) and ``"drop_oldest"`` sheds
-the longest-waiting request instead (freshness-first, for workloads where
-a stale answer is worthless anyway).
+serving layer's backpressure mechanism.  When full, it sheds the
+*arriving* request (classic load shedding: tell the client now, while the
+information is cheap; reason ``"queue_full"``).
 
 A queued request whose deadline passes is *shed* (reason ``"deadline"``,
 :data:`repro.serve.request.SHED_DEADLINE`) — it never reaches the batcher,
@@ -20,18 +18,13 @@ from typing import Deque, Iterable, List, Optional
 from repro.serve.config import ServeConfig
 from repro.serve.request import InferenceRequest
 
-#: legacy re-export; the vocabulary now lives on :class:`ServeConfig`
-from repro.serve.config import QUEUE_POLICIES as POLICIES  # noqa: F401
-
 
 class RequestQueue:
     """FIFO of pending requests, bounded by ``config.queue_capacity``."""
 
     def __init__(self, *, config: Optional[ServeConfig] = None) -> None:
         cfg = config if config is not None else ServeConfig()
-        self.config = cfg
         self.capacity = cfg.queue_capacity
-        self.policy = cfg.queue_policy
         self._pending: Deque[InferenceRequest] = deque()
 
     def __len__(self) -> int:
@@ -44,20 +37,12 @@ class RequestQueue:
     def full(self) -> bool:
         return len(self._pending) >= self.capacity
 
-    def push(self, req: InferenceRequest) -> List[InferenceRequest]:
-        """Admit ``req``; returns the list of requests shed to make room.
-
-        Under ``reject`` a full queue sheds ``req`` itself (it never enters);
-        under ``drop_oldest`` the head of the queue is shed instead.
-        """
+    def push(self, req: InferenceRequest) -> bool:
+        """Admit ``req``; False when the queue is full and ``req`` is shed."""
         if self.full:
-            if self.policy == "reject":
-                return [req]
-            shed = [self._pending.popleft()]
-            self._pending.append(req)
-            return shed
+            return False
         self._pending.append(req)
-        return []
+        return True
 
     def expire(self, now: float, horizon: float = 0.0) -> List[InferenceRequest]:
         """Remove and return every queued request whose deadline has passed.

@@ -29,7 +29,7 @@ import numpy as np
 COMPLETED = "completed"
 SHED = "shed"
 
-#: why a request was shed (the ``reason`` taxonomy in :class:`ServerStats`)
+#: why a request was shed (the ``reason`` taxonomy of :class:`FleetStats`)
 SHED_QUEUE_FULL = "queue_full"
 SHED_TENANT = "tenant"
 SHED_DEADLINE = "deadline"

@@ -11,7 +11,7 @@ Two policies (``ServeConfig.router``):
   batcher's padding class).  One shape always lands on its home replica,
   so that replica's compiled plan (docs/COMPILE.md) stays warm and the
   fleet compiles each shape once instead of ``replicas`` times.  The ring
-  uses ``hash_vnodes`` virtual nodes per replica hashed with sha256
+  uses :data:`HASH_VNODES` virtual nodes per replica hashed with sha256
   (Python's builtin ``hash`` is salted per process — useless for a
   reproducible ring), so adding or removing a replica only remaps the
   keys the changed replica owned — every other shape keeps its warm home.
@@ -29,6 +29,10 @@ from repro.serve.request import InferenceRequest
 #: what a router consumes to pick a replica: one entry per replica of
 #: ``(queued_requests, busy_remaining_s)``
 ReplicaLoad = Tuple[int, float]
+
+#: virtual nodes per replica on the consistent-hash ring: more vnodes give a
+#: smoother key spread and a slower ring build
+HASH_VNODES = 64
 
 
 def _point(label: str) -> int:
@@ -72,7 +76,7 @@ class ConsistentHashRouter:
         self,
         n_replicas: int,
         bucket_width: int = 16,
-        vnodes: int = 64,
+        vnodes: int = HASH_VNODES,
     ) -> None:
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
@@ -134,8 +138,4 @@ def make_router(config: ServeConfig):
     """Build the configured router for a ``config.replicas``-wide pool."""
     if config.router == "least_loaded":
         return LeastLoadedRouter(config.replicas)
-    return ConsistentHashRouter(
-        config.replicas,
-        bucket_width=config.bucket_width,
-        vnodes=config.hash_vnodes,
-    )
+    return ConsistentHashRouter(config.replicas, bucket_width=config.bucket_width)

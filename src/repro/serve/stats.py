@@ -1,6 +1,6 @@
 """Serving metrics: latency SLO percentiles, throughput, batching efficacy.
 
-:class:`ServerStats` is the single sink for everything the serving loop
+:class:`FleetStats` is the single sink for everything the serving loop
 observes — completions, sheds (with their reason taxonomy, see
 :data:`repro.serve.request.SHED_REASONS`), cut batches, routing
 decisions, per-replica queue-depth samples.  Latency percentiles reuse :func:`repro.runtime.trace.percentile`
@@ -18,13 +18,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.trace import ExecutionTrace, percentile
 from repro.serve.batcher import Batch
-from repro.serve.request import (
-    SHED_QUEUE_FULL,
-    CompletedRequest,
-    InferenceRequest,
-)
+from repro.serve.request import CompletedRequest, InferenceRequest
 
-#: latency points reported by :meth:`ServerStats.summary`
+#: latency points reported by :meth:`FleetStats.summary`
 LATENCY_PERCENTILES = (50, 95, 99)
 
 #: request-latency histogram bounds (seconds) — serving latencies sit in the
@@ -54,7 +50,7 @@ class BatchRecord:
         return f"{self.padded_len}x{self.size}"
 
 
-class ServerStats:
+class FleetStats:
     """Accumulates one serving run's observations and summarises them.
 
     ``keep_traces=True`` retains every batch's :class:`ExecutionTrace`
@@ -68,8 +64,7 @@ class ServerStats:
     so scheduler/executor and serving counters share one /metrics
     surface), and :meth:`summary` embeds the registry dump.
 
-    Everything is computed over the whole fleet (``n_replicas`` engines;
-    one for the single-engine :class:`~repro.serve.server.Server`);
+    Everything is computed over the whole fleet (``n_replicas`` engines);
     batches and completions carry their replica id for the per-replica
     view.
     """
@@ -166,9 +161,7 @@ class ServerStats:
                 help="arrival-to-completion latency",
             ).observe(rec.latency)
 
-    def record_shed(
-        self, req: InferenceRequest, reason: str = SHED_QUEUE_FULL
-    ) -> None:
+    def record_shed(self, req: InferenceRequest, reason: str) -> None:
         self.shed_records.append((req, reason))
         if self.registry is not None:
             self.registry.counter(
@@ -347,7 +340,7 @@ class ServerStats:
         Single-pass, unlike chained :meth:`ExecutionTrace.merge` (O(n²)).
         """
         if not self.keep_traces:
-            raise RuntimeError("construct ServerStats(keep_traces=True) first")
+            raise RuntimeError("construct FleetStats(keep_traces=True) first")
         return ExecutionTrace.merge_all(
             [trace for _, trace in self._batch_traces],
             time_offsets=[start for start, _ in self._batch_traces],
@@ -400,7 +393,3 @@ class ServerStats:
                 "per_replica": self.per_replica_summary(),
             },
         }
-
-
-#: the name the fleet modules use; one class
-FleetStats = ServerStats

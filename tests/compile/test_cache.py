@@ -1,8 +1,8 @@
-"""PlanCache: LRU behaviour, counters, metrics export, persistence."""
+"""PlanCache: LRU behaviour, counters, metrics export."""
 
 import pytest
 
-from repro.compile import CompiledPlan, PlanCache, compile_graph
+from repro.compile import PlanCache, compile_graph
 from repro.obs.registry import MetricsRegistry
 from tests.compile.conftest import build_cost_only
 
@@ -12,7 +12,7 @@ def make_plan(seq_len=6):
 
 
 def key(i):
-    return ("fp", (10 + i, 4))
+    return (10 + i, 4)
 
 
 def test_miss_then_hit_counting():
@@ -80,38 +80,3 @@ def test_metrics_delta_publishing():
     publish_plan_cache(registry, cache.stats())
     assert registry.flat()["repro_compile_cache_hits_total"] == 2
 
-
-def test_save_load_roundtrip(tmp_path):
-    cache = PlanCache()
-    plan = make_plan()
-    cache.put(key(0), plan, payload=object())  # payloads are runtime-only
-    cache.put(key(1), make_plan(seq_len=8))
-    path = str(tmp_path / "cache.json")
-    cache.save(path)
-
-    fresh = PlanCache()
-    assert fresh.load(path) == 2
-    entry = fresh.get(key(0))
-    assert entry is not None
-    assert entry.payload is None
-    assert entry.plan.order == plan.order
-    assert entry.plan.successors == plan.successors
-
-
-def test_load_rejects_wrong_format(tmp_path):
-    path = tmp_path / "bogus.json"
-    path.write_text('{"format": "something.else", "entries": []}')
-    with pytest.raises(ValueError, match="not a plan cache"):
-        PlanCache().load(str(path))
-
-
-def test_load_respects_capacity(tmp_path):
-    cache = PlanCache()
-    for i in range(3):
-        cache.put(key(i), make_plan())
-    path = str(tmp_path / "cache.json")
-    cache.save(path)
-    small = PlanCache(capacity=2)
-    small.load(path)
-    assert len(small) == 2
-    assert small.evictions == 1

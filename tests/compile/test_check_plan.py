@@ -25,7 +25,14 @@ def plan(graph):
 
 
 def clone(plan):
-    return CompiledPlan.from_json(plan.to_json())
+    return CompiledPlan(
+        order=list(plan.order),
+        names=list(plan.names),
+        assignments=list(plan.assignments),
+        successors=[list(s) for s in plan.successors],
+        n_workers=plan.n_workers,
+        meta=dict(plan.meta),
+    )
 
 
 def test_compiled_plan_passes(graph, plan):

@@ -76,8 +76,3 @@ def test_estimate_duration_stateless(graph):
         estimate_duration(cm, t)
     assert estimate_duration(cm, task) == first
 
-
-def test_key_recorded():
-    graph = build_cost_only().graph
-    plan = compile_graph(graph, key=["fp", [6, 4]])
-    assert plan.key == ["fp", [6, 4]]

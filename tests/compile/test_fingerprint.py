@@ -1,4 +1,4 @@
-"""ExecutionConfig.fingerprint(): the plan-cache key's config half."""
+"""ExecutionConfig.fingerprint(): a stable hash of what executes."""
 
 import pytest
 
@@ -62,19 +62,24 @@ def test_fusion_modes_fingerprint_distinctly():
 
 
 def test_no_stale_plan_cache_hit_across_fusion_modes():
-    """A plan cached under one fusion mode's fingerprint is invisible to
-    every other mode sharing the cache (the key's config half differs)."""
-    from repro.compile import PlanCache, compile_graph
-    from tests.compile.conftest import build_cost_only
+    """A plan compiled under one fusion mode is invisible to every other
+    mode: each engine owns its cache, keyed by shape alone."""
+    from repro.serve.engine import InferenceEngine
+    from tests.compile.conftest import tiny_spec
 
-    cache = PlanCache()
     shape = (6, 4)
-    tiled = ExecutionConfig(wavefront_tile=4)
-    cache.put((tiled.fingerprint(), shape), compile_graph(build_cost_only().graph))
+    tiled = InferenceEngine(
+        tiny_spec(), config=ExecutionConfig(executor="sim", compile="on", wavefront_tile=4)
+    )
+    tiled.warmup([shape])
+    assert shape in tiled.plan_cache
     for other in (ExecutionConfig(), ExecutionConfig(fusion="off"),
                   ExecutionConfig(fusion="off", wavefront_tile=4)):
-        assert cache.get((other.fingerprint(), shape)) is None
-    assert cache.get((tiled.fingerprint(), shape)) is not None
+        engine = InferenceEngine(
+            tiny_spec(), config=other.replace(executor="sim", compile="on")
+        )
+        assert shape not in engine.plan_cache
+        assert engine.plan_cache is not tiled.plan_cache
 
 
 def test_executor_instances_hash_by_type():

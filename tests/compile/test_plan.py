@@ -1,8 +1,8 @@
-"""CompiledPlan: structure, validation, and serialization."""
+"""CompiledPlan: structure and validation."""
 
 import pytest
 
-from repro.compile import CompiledPlan, PLAN_FORMAT, compile_graph
+from repro.compile import compile_graph
 from tests.compile.conftest import build_cost_only
 
 
@@ -58,36 +58,3 @@ def test_schedule_record_roundtrip(plan):
     record.order[0] = -1
     assert plan.order[0] != -1
 
-
-def test_json_roundtrip(plan):
-    clone = CompiledPlan.from_json(plan.to_json())
-    assert clone.order == plan.order
-    assert clone.names == plan.names
-    assert clone.assignments == plan.assignments
-    assert clone.successors == plan.successors
-    assert clone.n_workers == plan.n_workers
-    assert clone.meta == plan.meta
-    assert clone.format == PLAN_FORMAT
-
-
-def test_save_load(tmp_path, plan):
-    path = str(tmp_path / "plan.json")
-    plan.save(path)
-    clone = CompiledPlan.load(path)
-    assert clone.order == plan.order
-    assert clone.successors == plan.successors
-
-
-def test_from_json_rejects_wrong_format(plan):
-    text = plan.to_json().replace(PLAN_FORMAT, "repro.schedule.v1")
-    with pytest.raises(ValueError, match="not a compiled plan"):
-        CompiledPlan.from_json(text)
-
-
-def test_from_json_rejects_length_disagreement(plan):
-    import json
-
-    data = json.loads(plan.to_json())
-    data["names"] = data["names"][:-1]
-    with pytest.raises(ValueError, match="lengths disagree"):
-        CompiledPlan.from_json(json.dumps(data))

@@ -1,7 +1,7 @@
 """The bench ledger: one bar table, one evaluator, one runner.
 
-Deterministic: every report here is a committed baseline, a simulated
-serving run, or a fake suite — no wall-clock number is asserted.
+Deterministic: every report here is a committed baseline, a freshly
+written certificate, or a fake suite — no wall-clock number is asserted.
 """
 
 import copy
@@ -28,20 +28,6 @@ def _baseline(suite: str) -> dict:
 
 
 @pytest.fixture(scope="module")
-def serving_report(tmp_path_factory):
-    """`serving` has no committed record: write one with the real CLI."""
-    path = tmp_path_factory.mktemp("ledger") / "serving.json"
-    assert main([
-        "serve-bench", "--arrival-rate", "50", "--duration", "0.3",
-        "--executor", "sim", "--max-batch-size", "8", "--hidden", "16",
-        "--layers", "2", "--input-size", "8", "--seq-min", "8",
-        "--seq-max", "24", "--bucket-width", "8", "--mbs", "1",
-        "--output", str(path),
-    ]) == 0
-    return load_report(str(path))
-
-
-@pytest.fixture(scope="module")
 def verify_report(tmp_path_factory):
     """`verify` has no committed record either: the full-matrix certificate
     takes ~2 s, so write it with the real CLI."""
@@ -52,10 +38,11 @@ def verify_report(tmp_path_factory):
 
 
 @pytest.fixture
-def sample(serving_report, verify_report):
+def sample(verify_report):
     """A passing report of the named suite, free to mutate."""
-    written = {"serving": serving_report, "verify": verify_report}
-    return lambda suite: copy.deepcopy(written.get(suite) or _baseline(suite))
+    return lambda suite: copy.deepcopy(
+        verify_report if suite == "verify" else _baseline(suite)
+    )
 
 
 def _terms(bar: Bar):
@@ -95,18 +82,13 @@ def _failed(errors, bar: Bar) -> bool:
 # -- the committed records ---------------------------------------------------------
 
 def test_there_are_seven_baselines():
-    # every suite but the two a CLI run writes in seconds (serving, verify)
-    assert len(BASELINES) == len(SUITES) - 2 == 7
+    # every suite but the certificate, which a CLI run writes in seconds
+    assert len(BASELINES) == len(SUITES) - 1 == 7
 
 
 @pytest.mark.parametrize("path", BASELINES, ids=lambda p: Path(p).stem)
 def test_every_committed_baseline_passes(path):
     assert check_report(load_report(path), path) == []
-
-
-def test_serving_report_from_the_cli_passes(serving_report):
-    assert serving_report["bench"] == "serving"
-    assert check_report(serving_report) == []
 
 
 def test_verify_report_from_the_cli_passes(verify_report):
@@ -301,7 +283,7 @@ def test_bool_is_not_a_number(capsys, tmp_path):
 def test_usage_errors_exit_2(capsys):
     assert main(["bench"]) == 2
     assert main(["bench", "no_such_suite"]) == 2
-    assert main(["bench", "serving"]) == 2  # written by serve-bench --output
+    assert main(["bench", "verify"]) == 2  # written by analyze --verify-output
     assert main(["bench", "fleet", "--check", "x.json"]) == 2
     assert "usage: bench" in capsys.readouterr().err
     for argv in (["bench", "--check"], ["describe", "--record"]):

@@ -16,9 +16,8 @@ from repro.obs.snapshot import SnapshotLog
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 from repro.serve.config import ServeConfig
-from repro.serve.engine import InferenceEngine
+from repro.serve.fleet import FleetServer
 from repro.serve.request import InferenceRequest
-from repro.serve.server import Server
 from repro.simarch.presets import xeon_8160_2s
 
 
@@ -87,16 +86,16 @@ def test_callback_hooks_only_invoke_attached_events():
 def test_server_flush_hook_snapshots_and_unified_registry():
     hooks = RecordingHooks()
     registry = MetricsRegistry()
-    engine = InferenceEngine(
-        SPEC,
-        config=ExecutionConfig(
+    server = FleetServer.build(
+        SPEC, ServeConfig(max_batch_size=4),
+        execution=ExecutionConfig(
             executor="sim", n_workers=4, mbs=1, metrics=registry, hooks=hooks,
         ),
+        keep_traces=True,
     )
     requests = [
         InferenceRequest(rid=i, seq_len=8, arrival_time=0.0) for i in range(4)
     ]
-    server = Server(engine, ServeConfig(max_batch_size=4), keep_traces=True)
     stats = server.run(requests)
     # The batcher cut at least one batch and told the hooks about it.
     assert hooks.flushes and hooks.flushes[0][0] == 4

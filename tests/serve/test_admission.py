@@ -9,6 +9,7 @@ from repro.serve import (
     InferenceRequest,
     TokenBucket,
 )
+from repro.serve.admission import TENANT_BURST
 from repro.serve.config import ServeConfig
 
 
@@ -61,20 +62,18 @@ def test_no_rate_limit_admits_everything():
 
 
 def test_tenants_are_isolated():
-    ctrl = AdmissionController(
-        ServeConfig(tenant_rate_hz=10.0, tenant_burst=2)
-    )
+    ctrl = AdmissionController(ServeConfig(tenant_rate_hz=10.0))
     # tenant a burns its burst; tenant b is untouched
-    assert ctrl.admit(req(0, tenant="a"), 0.0) is None
-    assert ctrl.admit(req(1, tenant="a"), 0.0) is None
-    assert ctrl.admit(req(2, tenant="a"), 0.0) == SHED_TENANT
-    assert ctrl.admit(req(3, tenant="b"), 0.0) is None
+    for i in range(int(TENANT_BURST)):
+        assert ctrl.admit(req(i, tenant="a"), 0.0) is None
+    assert ctrl.admit(req(98, tenant="a"), 0.0) == SHED_TENANT
+    assert ctrl.admit(req(99, tenant="b"), 0.0) is None
     # ... and a's bucket refills with time
-    assert ctrl.admit(req(4, tenant="a"), 0.2) is None
+    assert ctrl.admit(req(100, tenant="a"), 0.2) is None
 
 
 def test_deadline_budget_sheds_predicted_misses():
-    ctrl = AdmissionController(ServeConfig(admission_slack=1.0))
+    ctrl = AdmissionController(ServeConfig())
     doomed = req(0, deadline=0.05)
     # predicted finish 0.0 + 1.0*0.04 + 0.02 = 0.06 > 0.05 -> shed now
     assert ctrl.admit(doomed, 0.0, predicted_wait_s=0.04,
@@ -90,7 +89,3 @@ def test_budget_never_sheds_on_unknown_estimates():
     tight = req(0, deadline=1e-9)
     assert ctrl.admit(tight, 0.0) is None
     assert ctrl.admit(tight, 0.0, predicted_wait_s=5.0) is None  # no service est
-    # slack 0 disables the prediction even with estimates
-    off = AdmissionController(ServeConfig(admission_slack=0.0))
-    assert off.admit(tight, 0.0, predicted_wait_s=5.0,
-                     service_estimate_s=5.0) is None

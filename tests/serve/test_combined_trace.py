@@ -1,4 +1,4 @@
-"""Regression: ServerStats.combined_trace with mixed-width batch traces.
+"""Regression: FleetStats.combined_trace with mixed-width batch traces.
 
 An engine can hand the stats traces of different core widths (e.g. a
 48-core simulated warm-up next to an 8-worker threaded run, or a re-sized
@@ -12,7 +12,7 @@ import pytest
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 from repro.serve.batcher import Batch
 from repro.serve.request import InferenceRequest
-from repro.serve.stats import ServerStats
+from repro.serve.stats import FleetStats
 
 
 def _trace(n_cores, records, scheduler="locality"):
@@ -40,7 +40,7 @@ def _batch(batch_id):
 
 
 def test_mixed_sim_and_threaded_traces_take_max_cores():
-    stats = ServerStats(keep_traces=True)
+    stats = FleetStats(keep_traces=True)
     sim = _trace(48, [(40, 0.0, 1e-3), (3, 0.0, 2e-3)])
     threaded = _trace(2, [(0, 0.0, 1e-3), (1, 5e-4, 2e-3)])
     stats.record_batch(_batch(0), 0.0, 2e-3, trace=sim)
@@ -56,7 +56,7 @@ def test_mixed_sim_and_threaded_traces_take_max_cores():
 def test_records_wider_than_declared_width_rebase_n_cores():
     # A trace that (wrongly or via an executor resize) recorded core 5
     # while declaring 2 cores must widen the merged declaration.
-    stats = ServerStats(keep_traces=True)
+    stats = FleetStats(keep_traces=True)
     stats.record_batch(_batch(0), 0.0, 1e-3, trace=_trace(2, [(5, 0.0, 1e-3)]))
     stats.record_batch(_batch(1), 0.0, 1e-3, trace=_trace(4, [(1, 0.0, 1e-3)]))
     combined = stats.combined_trace()
@@ -66,7 +66,7 @@ def test_records_wider_than_declared_width_rebase_n_cores():
 
 def test_combined_trace_requires_keep_traces():
     with pytest.raises(RuntimeError, match="keep_traces"):
-        ServerStats().combined_trace()
+        FleetStats().combined_trace()
 
 
 class TestMergeAll:

@@ -7,11 +7,10 @@ from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.serve import (
     DynamicBatcher,
-    InferenceEngine,
+    FleetServer,
     InferenceRequest,
     RequestQueue,
     ServeConfig,
-    Server,
 )
 from repro.serve.batcher import CONTINUOUS_TRIGGER
 from repro.simarch.presets import laptop_sim
@@ -63,16 +62,16 @@ def test_continuous_is_work_conserving_under_load():
     """A backlog drains with no idle gaps: every batch starts the moment
     the previous one finishes."""
     spec = BRNNSpec(input_size=6, hidden_size=5, num_layers=1, num_classes=3)
-    engine = InferenceEngine(
-        spec, config=ExecutionConfig(executor="sim"), machine=laptop_sim(4)
-    )
     cfg = ServeConfig(batcher="continuous", max_batch_size=4, bucket_width=8,
                       queue_capacity=64)
     requests = [
         InferenceRequest(rid=i, seq_len=4 + (i % 5), arrival_time=0.0)
         for i in range(24)
     ]
-    stats = Server(engine, cfg).run(requests)
+    server = FleetServer.build(
+        spec, cfg, execution=ExecutionConfig(executor="sim"), machine=laptop_sim(4)
+    )
+    stats = server.run(requests)
     assert len(stats.completed) == 24
     starts = sorted(b.service_start for b in stats.batches)
     ends = sorted(b.service_start + b.service_time for b in stats.batches)
@@ -100,14 +99,14 @@ def test_continuous_and_flush_results_are_bitwise_identical():
             InferenceRequest(rid=rid, seq_len=s, arrival_time=t, x=x.copy())
             for rid, s, t, x in base
         ]
-        engine = InferenceEngine(
-            spec,
-            config=ExecutionConfig(executor="threaded", n_workers=2, mbs=4),
-            params=params,
-        )
         cfg = ServeConfig(batcher=mode, max_batch_size=4, bucket_width=2,
                           max_wait=0.05, queue_capacity=32)
-        return Server(engine, cfg).run(requests)
+        server = FleetServer.build(
+            spec, cfg,
+            execution=ExecutionConfig(executor="threaded", n_workers=2, mbs=4),
+            params=params,
+        )
+        return server.run(requests)
 
     flush, continuous = serve("flush"), serve("continuous")
     assert len(flush.completed) == len(continuous.completed) == 12

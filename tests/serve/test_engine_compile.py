@@ -166,6 +166,8 @@ def test_counters_exported_through_obs():
 
 
 def test_distinct_configs_do_not_share_plans():
+    """Each engine owns its cache: a shape warm on one config is cold on
+    another, whatever the shapes have in common."""
     spec = tiny_spec()
     a = threaded_engine(spec, "on")
     b = InferenceEngine(
@@ -175,27 +177,7 @@ def test_distinct_configs_do_not_share_plans():
             executor="threaded", n_workers=2, mbs=1, compile="on", seed=3
         ),
     )
-    assert a._config_fingerprint != b._config_fingerprint
-
-
-@pytest.mark.parametrize("executor", ["sim", "threaded"])
-def test_a_restored_plan_cache_serves_warm_without_recompiling(executor, tmp_path):
-    spec = tiny_spec()
-    first = ENGINES[executor](spec, "on")
-    batch = make_batch(spec, 0, seed=5, with_x=executor != "sim")
-    served = first.execute(batch)
-    path = str(tmp_path / "plans.json")
-    first.plan_cache.save(path)
-
-    restarted = ENGINES[executor](spec, "on", params=first.params)
-    assert restarted.plan_cache.load(path) == 1
-    again = restarted.execute(batch)  # the entry arrives without its payload
-    assert again.warm
-    assert restarted.plan_cache.stats()["compiles"] == 0
-    if executor == "sim":
-        assert again.service_time_s == served.service_time_s
-    else:
-        np.testing.assert_array_equal(again.logits, served.logits)
-    # the rebuilt payload stays with the entry: the next hit is an ordinary one
-    assert restarted.execute(batch).warm
-    assert restarted.plan_cache.stats()["compiles"] == 0
+    batch = make_batch(spec, 0, seed=1)
+    assert not a.execute(batch).warm and a.execute(batch).warm
+    assert (batch.padded_len, batch.size) not in b.plan_cache
+    assert not b.execute(batch).warm

@@ -12,6 +12,7 @@ from repro.obs import MetricsRegistry
 from repro.serve import (
     SHED_DEADLINE,
     SHED_TENANT,
+    Batch,
     DynamicBatcher,
     FleetServer,
     InferenceEngine,
@@ -19,10 +20,8 @@ from repro.serve import (
     ReplicaPool,
     RequestQueue,
     ServeConfig,
-    Server,
     WorkloadConfig,
     poisson_workload,
-    serve_fleet,
 )
 from repro.simarch.presets import laptop_sim
 
@@ -49,20 +48,19 @@ def test_fleet_run_is_deterministic():
                       deadline_slo_s=0.5)
     summaries = []
     for _ in range(2):
-        stats = serve_fleet(
-            tiny_spec(), workload(), cfg,
+        stats = FleetServer.build(
+            tiny_spec(), cfg,
             execution=sim_execution(compile="on"), machine=laptop_sim(4),
-        )
+        ).run(workload())
         summaries.append(stats.summary())
     assert summaries[0] == summaries[1]  # bit-identical, incl. percentiles
 
 
 def test_accounting_and_per_replica_breakdown():
     cfg = ServeConfig(replicas=2, max_batch_size=4, bucket_width=4)
-    stats = serve_fleet(
-        tiny_spec(), workload(), cfg,
-        execution=sim_execution(), machine=laptop_sim(4),
-    )
+    stats = FleetServer.build(
+        tiny_spec(), cfg, execution=sim_execution(), machine=laptop_sim(4),
+    ).run(workload())
     s = stats.summary()
     assert s["requests"]["completed"] + s["requests"]["shed"] == \
         s["requests"]["total"]
@@ -76,12 +74,12 @@ def test_accounting_and_per_replica_breakdown():
     assert all(r["routed"] > 0 for r in rows)
 
 
-def test_pool_size_must_match_config():
-    pool = ReplicaPool(tiny_spec(), ServeConfig(replicas=2),
+def test_fleet_serves_under_its_pools_config():
+    cfg = ServeConfig(replicas=2)
+    pool = ReplicaPool(tiny_spec(), cfg,
                        execution=sim_execution(), machine=laptop_sim(4))
     assert len(pool) == 2
-    with pytest.raises(ValueError, match="replicas"):
-        FleetServer(pool, ServeConfig(replicas=3))
+    assert FleetServer(pool).config is cfg
 
 
 def test_warmup_precompiles_every_shape_on_home_replicas():
@@ -101,22 +99,20 @@ def test_warmup_precompiles_every_shape_on_home_replicas():
 
 
 def test_unwarmed_first_batch_of_a_shape_is_recorded_cold():
-    cfg = ServeConfig(max_batch_size=4, bucket_width=4, warmup=False)
-    server = FleetServer.build(
-        tiny_spec(), cfg,
-        execution=sim_execution(compile="on"), machine=laptop_sim(4),
-    )
-    stats = server.run(workload())
-    assert stats.warmup_compiled == 0
-    by_shape = {}
-    for b in stats.batches:
-        by_shape.setdefault(b.shape, []).append(b.warm)
+    engine = InferenceEngine(tiny_spec(), config=sim_execution(compile="on"),
+                             machine=laptop_sim(4))
+
+    def batch(batch_id, padded_len, size):
+        requests = [InferenceRequest(rid=i, seq_len=padded_len, arrival_time=0.0)
+                    for i in range(size)]
+        return Batch(batch_id, requests, padded_len, "full", 0.0)
+
     # cold is a known state, not "warmth unknown": an empty PlanCache is
-    # falsy, and the loop must not read that as "no cache"
-    assert any(len(warms) > 1 for warms in by_shape.values())
-    for warms in by_shape.values():
-        assert warms[0] is False and all(w is True for w in warms[1:])
-    assert stats.warm_hit_rate() == 1 - len(by_shape) / len(stats.batches)
+    # falsy, and the engine must not read that as "no cache"
+    warms = [engine.execute(batch(i, *shape)).warm
+             for i, shape in enumerate([(8, 2), (8, 2), (12, 2), (8, 2), (12, 2)])]
+    assert warms == [False, True, False, True, True]
+    assert engine.plan_cache.stats()["misses"] == 2
 
 
 def test_warmup_skipped_without_plan_cache():
@@ -134,10 +130,9 @@ def test_deadline_slo_is_stamped_and_enforced():
     the deadline reason, and nothing completes late."""
     cfg = ServeConfig(replicas=1, max_batch_size=1, bucket_width=4,
                       deadline_slo_s=1e-6)  # nothing can finish this fast
-    stats = serve_fleet(
-        tiny_spec(), workload(rate=50.0, duration=0.2), cfg,
-        execution=sim_execution(), machine=laptop_sim(4),
-    )
+    stats = FleetServer.build(
+        tiny_spec(), cfg, execution=sim_execution(), machine=laptop_sim(4),
+    ).run(workload(rate=50.0, duration=0.2))
     s = stats.summary()
     # only cold-start dispatches (no service estimate yet) slip through;
     # everything queued behind them is shed before wasting engine time
@@ -149,11 +144,10 @@ def test_deadline_slo_is_stamped_and_enforced():
 
 def test_tenant_rate_limit_sheds_with_tenant_reason():
     cfg = ServeConfig(replicas=2, max_batch_size=4, bucket_width=4,
-                      tenant_rate_hz=20.0, tenant_burst=2)
-    stats = serve_fleet(
-        tiny_spec(), workload(rate=400.0, duration=0.3, tenants=2), cfg,
-        execution=sim_execution(), machine=laptop_sim(4),
-    )
+                      tenant_rate_hz=20.0)
+    stats = FleetServer.build(
+        tiny_spec(), cfg, execution=sim_execution(), machine=laptop_sim(4),
+    ).run(workload(rate=400.0, duration=0.3, tenants=2))
     reasons = stats.shed_reason_counts()
     assert reasons.get(SHED_TENANT, 0) > 0
     # both tenants got some service (the limiter is per-tenant, not global)
@@ -165,11 +159,11 @@ def test_fleet_metrics_families_are_published():
     registry = MetricsRegistry()
     cfg = ServeConfig(replicas=2, max_batch_size=4, bucket_width=4,
                       deadline_slo_s=1e-6)
-    serve_fleet(
-        tiny_spec(), workload(duration=0.2), cfg,
+    FleetServer.build(
+        tiny_spec(), cfg,
         execution=sim_execution(compile="on", metrics=registry),
         machine=laptop_sim(4),
-    )
+    ).run(workload(duration=0.2))
     names = set(registry.names())
     assert "repro_fleet_shed_total" in names
     assert "repro_fleet_replica_queue_depth" in names
@@ -202,7 +196,7 @@ def test_replicas_share_parameters_and_match_the_oracle():
         params=params,
     )
     assert all(e.params is params for e in pool.engines)  # one weight set
-    stats = FleetServer(pool, cfg).run(requests)
+    stats = FleetServer(pool).run(requests)
     assert len(stats.completed) == 8
     assert {c.replica for c in stats.completed} == {0, 1}
     for c in stats.completed:
@@ -212,7 +206,6 @@ def test_replicas_share_parameters_and_match_the_oracle():
 
 
 def test_one_replica_fleet_samples_a_snapshot_per_batch():
-    """What ``Server.snapshots`` exposed lives on the fleet loop."""
     cfg = ServeConfig(max_batch_size=4, bucket_width=4)
     server = FleetServer.build(
         tiny_spec(), cfg,
@@ -231,13 +224,9 @@ def test_one_replica_fleet_samples_a_snapshot_per_batch():
     assert bare.snapshots is None
 
 
-def test_server_is_the_one_replica_fleet():
-    engine = InferenceEngine(tiny_spec(), machine=laptop_sim(4))
-    with pytest.raises(ValueError, match="replicas"):
-        Server(engine, ServeConfig(replicas=2))
-    stats = Server(engine, ServeConfig(max_batch_size=4, bucket_width=4)).run(
-        workload(duration=0.2)
-    )
+def test_default_fleet_is_one_replica():
+    server = FleetServer.build(tiny_spec(), machine=laptop_sim(4))
+    stats = server.run(workload(duration=0.2))
     assert stats.summary()["fleet"]["replicas"] == 1
     assert {c.replica for c in stats.completed} == {0}
 

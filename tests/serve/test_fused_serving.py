@@ -8,9 +8,8 @@ from repro.models.reference import reference_forward
 from repro.models.spec import BRNNSpec
 from repro.serve.engine import SERVE_DEFAULTS
 from repro.serve import (
+    FleetServer,
     InferenceEngine,
-    InferenceRequest,
-    Server,
     ServeConfig,
     WorkloadConfig,
     poisson_workload,
@@ -47,16 +46,16 @@ def test_threaded_fused_serving_matches_reference():
     """Fused threaded serving still returns bitwise-correct logits."""
     spec = tiny_spec()
     params = BRNNParams.initialize(spec, seed=0)
-    engine = InferenceEngine(
-        spec, params=params,
-        config=SERVE_DEFAULTS.replace(
+    server = FleetServer.build(
+        spec, ServeConfig(max_batch_size=4, max_wait=1e-3, bucket_width=4),
+        execution=SERVE_DEFAULTS.replace(
             executor="threaded", fused_input_projection="on", proj_block=2
         ),
+        params=params,
     )
     requests = small_workload(seed=1, rate=150.0, duration=0.1,
                               features=spec.input_size)[:6]
-    stats = Server(engine, ServeConfig(max_batch_size=4, max_wait=1e-3,
-                                       bucket_width=4)).run(requests)
+    stats = server.run(requests)
     by_rid = {r.rid: r for r in requests}
     assert stats.completed
     for done in stats.completed:

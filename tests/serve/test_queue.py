@@ -14,28 +14,16 @@ def req(rid, arrival=0.0, deadline=None, seq_len=10):
 
 def test_admits_until_capacity():
     q = RequestQueue(config=ServeConfig(queue_capacity=3))
-    assert q.push(req(0)) == []
-    assert q.push(req(1)) == []
-    assert q.push(req(2)) == []
+    assert q.push(req(0)) and q.push(req(1)) and q.push(req(2))
     assert len(q) == 3 and q.full
 
 
 def test_reject_policy_sheds_arriving_request():
-    q = RequestQueue(config=ServeConfig(queue_capacity=2, queue_policy="reject"))
+    q = RequestQueue(config=ServeConfig(queue_capacity=2))
     q.push(req(0))
     q.push(req(1))
-    shed = q.push(req(2))
-    assert [r.rid for r in shed] == [2]
+    assert q.push(req(2)) is False
     assert [r.rid for r in q] == [0, 1]  # queue untouched
-
-
-def test_drop_oldest_policy_sheds_head():
-    q = RequestQueue(config=ServeConfig(queue_capacity=2, queue_policy="drop_oldest"))
-    q.push(req(0))
-    q.push(req(1))
-    shed = q.push(req(2))
-    assert [r.rid for r in shed] == [0]
-    assert [r.rid for r in q] == [1, 2]  # newest admitted
 
 
 def test_expire_removes_only_overdue_requests():
@@ -79,7 +67,5 @@ def test_take_removes_claimed_requests():
 def test_validation():
     with pytest.raises(ValueError):
         RequestQueue(config=ServeConfig(queue_capacity=0))
-    with pytest.raises(ValueError):
-        RequestQueue(config=ServeConfig(queue_policy="panic"))
     with pytest.raises(ValueError):
         InferenceRequest(rid=0, seq_len=0, arrival_time=0.0)

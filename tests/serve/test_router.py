@@ -4,7 +4,7 @@ import pytest
 
 from repro.serve import ConsistentHashRouter, InferenceRequest, LeastLoadedRouter
 from repro.serve.config import ServeConfig
-from repro.serve.router import make_router
+from repro.serve.router import HASH_VNODES, make_router
 
 
 def req(seq_len, rid=0):
@@ -74,7 +74,6 @@ def test_ring_membership_errors():
 def test_make_router_dispatches_on_config():
     ll = make_router(ServeConfig(replicas=2))
     assert isinstance(ll, LeastLoadedRouter) and ll.policy == "least_loaded"
-    h = make_router(ServeConfig(replicas=2, router="hash", bucket_width=8,
-                                hash_vnodes=16))
+    h = make_router(ServeConfig(replicas=2, router="hash", bucket_width=8))
     assert isinstance(h, ConsistentHashRouter) and h.policy == "hash"
-    assert h.bucket_width == 8 and h.vnodes == 16
+    assert h.bucket_width == 8 and h.vnodes == HASH_VNODES

@@ -9,14 +9,13 @@ from repro.models.spec import BRNNSpec
 from repro.serve.engine import SERVE_DEFAULTS
 from repro.serve import (
     SHED_DEADLINE,
+    FleetServer,
     InferenceEngine,
     InferenceRequest,
-    Server,
     ServeConfig,
     WorkloadConfig,
     bursty_workload,
     poisson_workload,
-    serve_workload,
 )
 from repro.simarch.presets import laptop_sim
 
@@ -26,9 +25,13 @@ def tiny_spec():
                     merge_mode="sum", head="many_to_one", num_classes=4)
 
 
-def sim_engine(**kw):
-    return InferenceEngine(tiny_spec(), config=SERVE_DEFAULTS.replace(**kw),
-                           machine=laptop_sim(4))
+def serve_sim(requests, config, keep_traces=False, **execution):
+    """One simulated one-replica fleet run of ``requests``."""
+    server = FleetServer.build(
+        tiny_spec(), config, execution=SERVE_DEFAULTS.replace(**execution),
+        machine=laptop_sim(4), keep_traces=keep_traces,
+    )
+    return server.run(requests)
 
 
 def small_workload(seed=0, rate=400.0, duration=0.2):
@@ -43,15 +46,14 @@ def test_simulated_serving_is_deterministic():
                          bucket_width=4)
     summaries = []
     for _ in range(2):
-        stats = Server(sim_engine(), config).run(small_workload())
+        stats = serve_sim(small_workload(), config)
         summaries.append(stats.summary())
     assert summaries[0] == summaries[1]  # bit-identical, incl. every percentile
 
 
 def test_every_request_reaches_exactly_one_terminal_state():
     requests = small_workload(seed=3, rate=800.0, duration=0.25)
-    stats = serve_workload(
-        sim_engine(),
+    stats = serve_sim(
         requests,
         ServeConfig(queue_capacity=8, max_batch_size=4, max_wait=1e-3,
                     bucket_width=4),
@@ -66,8 +68,8 @@ def test_every_request_reaches_exactly_one_terminal_state():
 
 
 def test_latency_percentiles_are_ordered_and_causal():
-    stats = serve_workload(
-        sim_engine(), small_workload(),
+    stats = serve_sim(
+        small_workload(),
         ServeConfig(queue_capacity=64, max_batch_size=4, max_wait=2e-3,
                     bucket_width=4),
     )
@@ -84,8 +86,7 @@ def test_deadline_expiry_drops_overdue_requests():
         InferenceRequest(rid=0, seq_len=8, arrival_time=0.0),
         InferenceRequest(rid=1, seq_len=8, arrival_time=0.0, deadline=1e-4),
     ]
-    stats = serve_workload(
-        sim_engine(),
+    stats = serve_sim(
         requests,
         ServeConfig(queue_capacity=4, max_batch_size=1, max_wait=0.0,
                     bucket_width=4),
@@ -101,8 +102,7 @@ def test_backpressure_sheds_when_queue_full():
     # 20 simultaneous arrivals into a capacity-4 queue, served one by one
     requests = [InferenceRequest(rid=i, seq_len=8, arrival_time=0.0)
                 for i in range(20)]
-    stats = serve_workload(
-        sim_engine(),
+    stats = serve_sim(
         requests,
         ServeConfig(queue_capacity=4, max_batch_size=1, max_wait=10.0),
     )
@@ -116,11 +116,11 @@ def test_dynamic_batching_beats_unbatched_on_simulated_machine():
     requests = small_workload(seed=1, rate=600.0, duration=0.3)
     thr = {}
     for bs in (1, 8):
-        stats = serve_workload(
-            sim_engine(mbs=2),
+        stats = serve_sim(
             requests,
             ServeConfig(queue_capacity=32, max_batch_size=bs, max_wait=2e-3,
                         bucket_width=4),
+            mbs=2,
         )
         thr[bs] = stats.summary()["throughput_rps"]
     assert thr[8] > 1.5 * thr[1]
@@ -138,8 +138,8 @@ def test_bursty_workload_is_deterministic_and_in_window():
 
 
 def test_combined_trace_spans_the_serving_run():
-    stats = serve_workload(
-        sim_engine(), small_workload(),
+    stats = serve_sim(
+        small_workload(),
         ServeConfig(queue_capacity=64, max_batch_size=4, max_wait=2e-3,
                     bucket_width=4),
         keep_traces=True,
@@ -163,15 +163,14 @@ def test_threaded_serving_matches_reference_oracle():
         x = rng.standard_normal((seq_len, spec.input_size)).astype(np.float32)
         requests.append(InferenceRequest(rid=rid, seq_len=seq_len,
                                          arrival_time=0.0, x=x))
-    engine = InferenceEngine(
-        spec, params=params,
-        config=SERVE_DEFAULTS.replace(executor="threaded", n_workers=2),
-    )
-    stats = serve_workload(
-        engine, requests,
+    server = FleetServer.build(
+        spec,
         ServeConfig(queue_capacity=8, max_batch_size=4, max_wait=0.0,
                     bucket_width=6),
+        execution=SERVE_DEFAULTS.replace(executor="threaded", n_workers=2),
+        params=params,
     )
+    stats = server.run(requests)
     assert len(stats.completed) == 4
     by_rid = {c.rid: c for c in stats.completed}
     assert all(by_rid[r.rid].batch_size == 4 for r in requests)

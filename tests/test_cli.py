@@ -14,7 +14,7 @@ def test_describe_runs(capsys):
 
 def test_all_paper_commands_registered():
     for cmd in ("table3", "table4", "fig3", "fig4", "fig5", "fig6", "fig7",
-                "fig8", "granularity", "memory", "describe", "serve-bench"):
+                "fig8", "granularity", "memory", "describe"):
         assert cmd in COMMANDS
 
 
@@ -28,30 +28,6 @@ def test_memory_command_runs(capsys):
     assert main(["memory"]) == 0
     out = capsys.readouterr().out
     assert "barrier-free" in out and "with barriers" in out
-
-
-def test_serve_bench_emits_json_report(capsys, tmp_path):
-    import json
-
-    out_file = tmp_path / "report.json"
-    # tiny model + short window so the command stays test-suite fast
-    assert main([
-        "serve-bench", "--arrival-rate", "50", "--duration", "0.3",
-        "--executor", "sim", "--max-batch-size", "8", "--hidden", "16",
-        "--layers", "2", "--input-size", "8", "--seq-min", "8",
-        "--seq-max", "24", "--bucket-width", "8", "--mbs", "1",
-        "--output", str(out_file),
-    ]) == 0
-    printed = json.loads(capsys.readouterr().out)
-    on_disk = json.loads(out_file.read_text())
-    assert printed == on_disk
-    results = printed["results"]
-    for key in ("p50", "p95", "p99"):
-        assert key in results["latency_s"]
-    assert results["throughput_rps"] > 0
-    assert "mean_size" in results["batches"]
-    assert "shed" in results["requests"]
-    assert printed["config"]["workers"] == 48  # the paper's machine by default
 
 
 def test_analyze_command_emits_valid_bench_json(capsys, tmp_path):
@@ -129,9 +105,11 @@ def test_analyze_observe_and_fuzz_write_one_report(capsys, tmp_path):
 
 def test_retired_command_and_flags_are_usage_errors(capsys):
     """`racecheck` is `analyze --observe --fuzz-seeds`; `--strict` is what
-    `--verify` does; the certificate always cross-validates 8 configs."""
+    `--verify` does; the certificate always cross-validates 8 configs; the
+    retired serving benchmark is `bench fleet` (and `bench/run.py`)."""
     for argv in (
         ["racecheck"],
+        ["serve-bench"],
         ["analyze", "--strict"],
         ["analyze", "--verify-samples", "8"],
         ["analyze", "--mutations", "3"],
@@ -189,7 +167,6 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys):
         ["fig4", "--cores", "8"],
         ["bench", "fleet", "--executor", "sim"],
         ["analyze", "--arrival-rate", "50"],
-        ["serve-bench", "--seq-len", "8"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
