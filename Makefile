@@ -50,11 +50,12 @@ smoke-compile:
 	$(PYTHON) -m repro bench --check $(TMP)_compile.json $(BASELINES)/BENCH_compile.json
 
 # fusion smoke (kernel, hoisting, tile): the numerical-equivalence +
-# flop-conservation tests, then the reduced-size ablation (laptop-scale
-# shapes carry no speed-up claim; those bars apply to the paper-scale record)
+# flop-conservation tests and the granularity policy's table and engine
+# conformance, then the reduced-size ablation (laptop-scale shapes carry no
+# speed-up claim; those bars apply to the paper-scale record)
 smoke-fusion:
 	$(PYTHON) -m pytest tests/core/test_fusion.py tests/core/test_fused_projection.py \
-		tests/kernels/test_flops_accounting.py -x -q
+		tests/core/test_granularity_policy.py tests/kernels/test_flops_accounting.py -x -q
 	$(PYTHON) -m repro bench fusion --output $(TMP)_fusion.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_fusion.json $(BASELINES)/BENCH_fusion.json
 

@@ -17,19 +17,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.models.cells import FUSION_MODES
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.registry import MetricsRegistry
-
-#: fields excluded from :meth:`ExecutionConfig.fingerprint` — observability
-#: attachments never change what a graph computes or how it is scheduled
-_NON_EXECUTION_FIELDS = ("metrics", "hooks")
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -63,7 +56,7 @@ class ExecutionConfig:
         as per-block tasks of ``proj_block`` timesteps (default 16).
         ``"auto"`` (the default) hoists the layers whose per-step weight
         panel outgrows the cache, by a floor from a recorded sweep
-        (:func:`~repro.core.graph_builder.resolve_fused_layers`,
+        (:func:`~repro.core.graph_builder.plan_granularity`,
         docs/PERF.md) — nothing on small models; ``"on"`` hoists every
         layer; ``"off"`` restores the paper's task-per-cell graph, whose
         gradients are bitwise the sequential oracle's (hoisted gradients
@@ -74,11 +67,15 @@ class ExecutionConfig:
         GEMM pair and one activation pass per gate (also disables
         projection hoisting).  Bitwise the same forward.
     wavefront_tile:
-        Timesteps per cell-chain task: ``None`` (stored for ``1`` too) is
-        the paper's task per cell update; ``K > 1`` cuts every direction
-        chain into ``⌈T/K⌉`` tasks of ``K`` steps (clamped to the sequence
-        length), under either kernel and with or without hoisting.  Same
-        bits, forward and backward, at every tile.
+        Timesteps per cell-chain task: ``None`` (the default) is the
+        granularity policy's tile — one task per direction chain for a
+        shape the threaded or serial executor runs on one thread, else the
+        paper's task per cell update
+        (:func:`~repro.core.graph_builder.plan_granularity`); ``1`` forces
+        the task per cell update; ``K > 1`` cuts every direction chain into
+        ``⌈T/K⌉`` tasks of ``K`` steps (clamped to the sequence length),
+        under either kernel and with or without hoisting.  Same bits,
+        forward and backward, at every tile.
     seed:
         Parameter-initialisation seed used when an engine creates its own
         weights.
@@ -127,35 +124,12 @@ class ExecutionConfig:
             )
         if self.wavefront_tile is not None and self.wavefront_tile < 1:
             raise ValueError("wavefront_tile must be >= 1")
-        if self.wavefront_tile == 1:  # the same graph as None: one fingerprint
-            object.__setattr__(self, "wavefront_tile", None)
         if self.proj_block is not None and self.proj_block < 1:
             raise ValueError("proj_block must be >= 1")
 
     def replace(self, **changes) -> "ExecutionConfig":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
         return dataclasses.replace(self, **changes)
-
-    def fingerprint(self) -> str:
-        """Stable hash of the execution-relevant fields (hex, 16 chars).
-
-        Excludes the observability attachments (``metrics``/``hooks``) —
-        two configs that execute identically fingerprint identically even
-        when only one carries a registry.  Stable across processes and runs
-        (sha256 of a canonical JSON encoding).
-        Executor *instances* hash by type name: a fresh pool of the same
-        substrate executes the same plan.
-        """
-        payload = {}
-        for f in dataclasses.fields(self):
-            if f.name in _NON_EXECUTION_FIELDS:
-                continue
-            value = getattr(self, f.name)
-            if f.name == "executor" and value is not None and not isinstance(value, str):
-                value = type(value).__name__
-            payload[f.name] = value
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 # -- CLI integration -----------------------------------------------------------
@@ -191,7 +165,8 @@ def add_execution_args(parser: argparse.ArgumentParser) -> None:
                    help="cell kernels (docs/PERF.md): per-gate reference "
                         "GEMMs | stacked gate GEMM")
     g.add_argument("--wavefront-tile", type=int, default=None,
-                   help="timesteps per cell-chain task (default 1, the "
+                   help="timesteps per cell-chain task (default: the "
+                        "engines' granularity policy, docs/PERF.md; 1 is the "
                         "paper's task per cell update; clamped to T)")
     g.add_argument("--compile", choices=("off", "on"), default="off",
                    help="compile graphs into cached replay plans "

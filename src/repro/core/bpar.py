@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.config import ExecutionConfig
-from repro.core.graph_builder import GraphBuildResult, build_brnn_graph
+from repro.core.graph_builder import GraphBuildResult, build_brnn_graph, plan_granularity
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.runtime.executor import ThreadedExecutor
@@ -107,9 +107,6 @@ class BParEngine:
         self.mbs = cfg.mbs
         self.barrier_free = cfg.barrier_free
         self.momentum = momentum
-        #: "on"/"off"/"auto": take every GEMM but the recurrent one off the
-        #: cell chain (:func:`~repro.core.graph_builder.resolve_fused_layers`)
-        self.fused_input_projection = cfg.fused_input_projection
         self.metrics = cfg.metrics
         self.hooks = cfg.hooks
         #: classical-momentum velocity buffers, allocated on first use
@@ -121,30 +118,27 @@ class BParEngine:
         """Chunk count for this batch: ``mbs`` clamped to the batch size.
 
         The graph is rebuilt per batch (§III-B), so a trailing short batch
-        simply gets fewer data-parallel chunks.
+        simply gets fewer data-parallel chunks, and its own tile, hoisted
+        layers and threads (:func:`~repro.core.graph_builder.plan_granularity`).
         """
         return max(1, min(self.mbs, batch))
 
     # -- functional execution ---------------------------------------------------
 
-    def _build(self, **overrides) -> GraphBuildResult:
-        """:func:`build_brnn_graph` with this engine's builder settings."""
-        kwargs = dict(
-            mbs=self.mbs,
-            barrier_free=self.barrier_free,
-            serialize_chunks=self.serialize_chunks,
-            fused_input_projection=self.fused_input_projection,
-            proj_block=self.config.proj_block,
-            fusion=self.config.fusion,
-            wavefront_tile=self.config.wavefront_tile,
+    def _run(self, x: np.ndarray, training: bool = True, **overrides) -> GraphBuildResult:
+        """Build the functional graph of batch ``x`` at the granularity
+        planned for its shape, and execute it."""
+        seq_len, batch = x.shape[:2]
+        plan = plan_granularity(
+            self.spec, batch, seq_len, training, self.executor.n_workers, self.executor,
+            self.config,
         )
-        kwargs.update(overrides)
-        return build_brnn_graph(self.spec, **kwargs)
-
-    def _run(self, x: np.ndarray, **overrides) -> GraphBuildResult:
-        """Build the functional graph of batch ``x`` and execute it."""
-        result = self._build(
-            x=x, params=self.params, mbs=self._effective_mbs(x.shape[1]), **overrides
+        result = build_brnn_graph(
+            self.spec, x=x, params=self.params, training=training,
+            mbs=self._effective_mbs(batch), barrier_free=self.barrier_free,
+            serialize_chunks=self.serialize_chunks, fused_input_projection=plan.hoisted,
+            proj_block=self.config.proj_block, fusion=self.config.fusion,
+            wavefront_tile=plan.tile, **overrides,
         )
         self.last_trace = self.executor.run(result.graph)
         self.last_result = result

@@ -16,7 +16,9 @@ Each (layer, direction) cell chain is cut into tiles of consecutive steps,
 one task per tile, by one emitter per pass (``_build_forward_layer`` /
 ``_build_backward_layer``).  The tile is a single step — the paper's task
 per cell update — unless ``wavefront_tile`` lengthens it, under either
-kernel (``fusion``) and with or without hoisting.
+kernel (``fusion``) and with or without hoisting.  :func:`plan_granularity`
+is where the engines decide, per batch shape, the tile, the hoisted layers
+and the threads that will run the graph.
 
 Two modes:
 
@@ -37,10 +39,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro.config import ExecutionConfig
 from repro.kernels.dense import dense_backward, dense_bwd_flops, dense_forward, dense_fwd_flops
 from repro.kernels.losses import softmax_cross_entropy
 from repro.kernels.merge import merge_backward, merge_flops, merge_forward
@@ -65,6 +68,7 @@ from repro.core.access_spec import AccessContext, expected_access
 from repro.core.state import ChunkState
 from repro.core.symbolic import Affine, Extent, Interval
 from repro.runtime.depgraph import TaskGraph
+from repro.runtime.executor import SerialExecutor, ThreadedExecutor, useful_workers
 from repro.runtime.task import INTERLEAVED_HOME, Region, RegionSpace
 
 #: Default ``proj_block`` (timesteps per hoisted-projection task).  Small
@@ -126,20 +130,18 @@ HOIST_MIN_PANEL_BYTES = 1 << 20
 HOIST_MAX_ROWS = 128
 
 
-def resolve_fused_layers(spec: BRNNSpec, mode, rows: int) -> List[bool]:
-    """Per-layer hoist decision for ``fused_input_projection``.
-
-    ``"on"``/``True`` hoists every layer, ``"off"``/``False``/``None`` none.
-    ``"auto"`` hoists the layers where it pays on a real host, judged from
-    the model and the chunk alone: those whose weight panel reaches
-    :data:`HOIST_MIN_PANEL_BYTES`, when the chunk has at most
-    :data:`HOIST_MAX_ROWS` ``rows``.  It means the same on every executor
-    and in training and inference.
-    """
+def _hoisted_layers(spec: BRNNSpec, mode, fusion: str, rows: int) -> List[bool]:
+    """The ``hoisted`` decision of :func:`plan_granularity` for chunks of at
+    most ``rows`` rows.  ``"on"`` hoists every layer, ``"off"`` none, and a
+    per-layer list is taken as it is.  ``"auto"`` hoists the layers whose
+    weight panel reaches :data:`HOIST_MIN_PANEL_BYTES` when the chunk has at
+    most :data:`HOIST_MAX_ROWS` rows: judged from the model and the chunk
+    alone, it means the same on every executor, in training and inference.
+    ``fusion="off"``, the fully unfused baseline, hoists nothing."""
     n = spec.num_layers
-    if mode in (False, None) or mode == "off":
+    if fusion == "off" or mode == "off":
         return [False] * n
-    if mode is True or mode == "on":
+    if mode == "on":
         return [True] * n
     if mode == "auto":
         if rows > HOIST_MAX_ROWS:
@@ -147,9 +149,82 @@ def resolve_fused_layers(spec: BRNNSpec, mode, rows: int) -> List[bool]:
         itemsize = np.dtype(spec.dtype).itemsize
         panels = (spec.cell_param_shapes(layer)[0] for layer in range(n))
         return [wr * wc * itemsize >= HOIST_MIN_PANEL_BYTES for wr, wc in panels]
+    if isinstance(mode, list) and len(mode) == n:
+        return list(mode)
     raise ValueError(
-        f"fused_input_projection must be 'on', 'off', 'auto' or bool, got {mode!r}"
+        "fused_input_projection must be 'on', 'off', 'auto' or one bool per "
+        f"layer, got {mode!r}"
     )
+
+
+def spec_gemm_flops_per_cell_step(
+    spec: BRNNSpec, rows: int, mbs: int, seq_len: int, training: bool,
+    hoisted: Sequence[bool],
+) -> float:
+    """What :func:`repro.runtime.executor.gemm_flops_per_cell_step` reads off
+    the graph of this shape, from the spec alone: the GEMM-kind tasks'
+    flops over the cell steps.  Every count is linear in the rows, so the
+    ``mbs`` chunks sum to the batch; a chain tile carries its steps' flops,
+    so the value is the same at every tile.  Hoisting moves flops between
+    task kinds but keeps their sum, except that a hoisted first layer
+    computes no input gradient."""
+    slots = 1 if spec.head == "many_to_one" else seq_len
+    head = (spec.head_input_size, spec.num_classes)
+    layers = range(spec.num_layers)
+    gemm = slots * dense_fwd_flops(rows, *head)
+    gemm += 2 * seq_len * sum(cell_fwd_flops(spec, rows, layer) for layer in layers)
+    if training:
+        gemm += slots * dense_bwd_flops(rows, *head)
+        gemm += 2 * seq_len * sum(cell_bwd_flops(spec, rows, layer) for layer in layers)
+        if hoisted[0]:
+            gemm -= 2 * seq_len * cell_proj_flops(spec, rows, 0)
+    steps = mbs * 2 * spec.num_layers * seq_len * (2 if training else 1)
+    return gemm / steps
+
+
+class Granularity(NamedTuple):
+    """The decisions of :func:`plan_granularity`: the threads the executor
+    starts, per layer whether its input projection is hoisted off the cell
+    chain, and the timesteps per cell-chain task."""
+
+    threads: int
+    hoisted: List[bool]
+    tile: int
+
+
+def plan_granularity(
+    spec: BRNNSpec, rows: int, seq_len: int, training: bool, n_workers: int,
+    executor, config: Optional[ExecutionConfig] = None,
+) -> Granularity:
+    """How coarse the tasks of one batch shape are, decided before any
+    graph exists.  ``rows`` is the batch, ``executor`` the instance or name
+    that will run the graph on ``n_workers``, and ``config`` supplies
+    ``mbs``, ``fusion`` and the two overrides, ``fused_input_projection``
+    and ``wavefront_tile`` (docs/PERF.md):
+
+    * **threads** — a host Python executor's floor
+      (:func:`~repro.runtime.executor.useful_workers`) on
+      :func:`spec_gemm_flops_per_cell_step`, the value that executor reads
+      off the graph; other substrates keep ``n_workers``;
+    * **hoisted** — the ``fused_input_projection`` rule per layer;
+    * **tile** — ``wavefront_tile`` when set; else ``seq_len``, one task per
+      chain, when a threaded or serial executor runs the shape on one
+      thread (every task is then dispatch the caller pays for); else 1, the
+      paper's task per cell update.  The simulator and the process executor
+      keep the paper's graph.
+    """
+    cfg = config if config is not None else ExecutionConfig()
+    mbs = max(1, min(cfg.mbs, rows))
+    hoisted = _hoisted_layers(spec, cfg.fused_input_projection, cfg.fusion, -(-rows // mbs))
+    host = executor in (None, "threaded") or isinstance(
+        executor, (ThreadedExecutor, SerialExecutor)
+    )
+    threads = n_workers
+    if host:
+        flops = spec_gemm_flops_per_cell_step(spec, rows, mbs, seq_len, training, hoisted)
+        threads = useful_workers(flops, n_workers)
+    tile = cfg.wavefront_tile or (seq_len if host and threads == 1 else 1)
+    return Granularity(threads, hoisted, tile)
 
 
 @dataclass
@@ -1378,10 +1453,10 @@ def build_brnn_graph(
     turns the graph into the B-Seq baseline: each chunk's tasks execute
     sequentially, so only data parallelism remains.
 
-    ``fused_input_projection`` (``"on"``/``"off"``/``"auto"``, see
-    :func:`resolve_fused_layers`) leaves only the recurrent GEMM on a hoisted
-    layer's cell chain: its ``X_t @ W_x`` GEMMs move into per-block ``proj``
-    tasks of ``proj_block`` timesteps each (default
+    ``fused_input_projection`` (``"on"``/``"off"``/``"auto"`` or one bool
+    per layer, see :func:`plan_granularity`) leaves only the recurrent GEMM
+    on a hoisted layer's cell chain: its ``X_t @ W_x`` GEMMs move into
+    per-block ``proj`` tasks of ``proj_block`` timesteps each (default
     :data:`DEFAULT_PROJ_BLOCK`, clamped to the sequence length) and, in
     training, the weight-gradient panel, ``db`` and ``dX`` into per-block
     ``proj_bwd`` tasks.  Forward results stay bit-identical to the
@@ -1396,7 +1471,8 @@ def build_brnn_graph(
     chain task: ``None``/``1`` is the paper's task per cell update, ``K > 1``
     cuts every direction chain into ``⌈T/K⌉`` tasks of ``K`` steps (clamped
     to the sequence length), under either kernel and with or without
-    hoisting.  Every combination's forward is bitwise identical to the
+    hoisting; the engines pass the tile :func:`plan_granularity` chose for
+    the shape.  Every combination's forward is bitwise identical to the
     default; the backward is bitwise for every tile and gradcheck-exact
     under ``"off"``, whose per-gate data-gradient GEMMs reassociate the
     K-dimension reduction.
@@ -1441,11 +1517,8 @@ def build_brnn_graph(
         serialize_chunks=serialize_chunks,
         momentum=momentum,
         velocity=velocity,
-        fused_layers=(
-            # the fully unfused baseline also forgoes projection hoisting
-            [False] * spec.num_layers
-            if fusion == "off"
-            else resolve_fused_layers(spec, fused_input_projection, max(chunk_batches))
+        fused_layers=_hoisted_layers(
+            spec, fused_input_projection, fusion, max(chunk_batches)
         ),
         proj_block=proj_block,
         fusion=fusion,

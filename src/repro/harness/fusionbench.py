@@ -59,11 +59,13 @@ from repro.simarch.presets import xeon_8160_2s
 
 Modes = Mapping[str, Tuple[str, str, Optional[int]]]
 
+#: every rung below ``tiled`` pins tile 1: its meaning is the per-step graph,
+#: which the engines' granularity policy would otherwise tile on one thread
 MODES: Modes = {
-    "off": ("off", "off", None),
-    "gates": ("gates", "off", None),
-    "proj": ("gates", "on", None),
-    "auto": ("gates", "auto", None),
+    "off": ("off", "off", 1),
+    "gates": ("gates", "off", 1),
+    "proj": ("gates", "on", 1),
+    "auto": ("gates", "auto", 1),
     "tiled": ("gates", "on", 8),
 }
 

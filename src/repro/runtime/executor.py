@@ -44,23 +44,32 @@ SchedulerFactory = Callable[[int], Scheduler]
 #: activation would collapse independent chains onto one core.
 HINT_MIN_SHARED_FRACTION = 0.25
 
-#: mean GEMM flops per task under which a second thread costs more than it
+#: GEMM flops per cell step under which a second thread costs more than it
 #: overlaps.  A GEMM is the only stretch of a payload that runs without the
 #: GIL; below the floor the workers spend the run handing the GIL to each
 #: other at every NumPy call.  Set from the sweep in docs/PERF.md.
-MIN_GEMM_FLOPS_PER_TASK = 1e7
+MIN_GEMM_FLOPS_PER_CELL_STEP = 1e7
 
 
-def gemm_flops_per_task(graph: TaskGraph) -> float:
-    """Mean annotated GEMM flops per task: the work a second thread could overlap."""
-    gemm = sum(t.flops for t in graph.tasks if t.kind in GEMM_KINDS)
-    return gemm / max(1, len(graph.tasks))
+def gemm_flops_per_cell_step(graph: TaskGraph) -> float:
+    """Annotated GEMM flops over cell steps: the work a second thread could
+    overlap, per cell update.  A chain tile counts its ``hi - lo`` steps, so
+    a tiled graph reads what its per-step graph reads."""
+    gemm = steps = 0
+    for t in graph.tasks:
+        if t.kind in GEMM_KINDS:
+            gemm += t.flops
+        if t.kind in ("cell", "cell_bwd"):
+            steps += t.meta.get("hi", 1) - t.meta.get("lo", 0)
+    return gemm / max(1, steps)
 
 
-def useful_workers(graph: TaskGraph, n_workers: int) -> int:
-    """Threads worth starting for ``graph``: ``n_workers``, or 1 when its
-    tasks' GEMM flops average under :data:`MIN_GEMM_FLOPS_PER_TASK`."""
-    if n_workers > 1 and gemm_flops_per_task(graph) >= MIN_GEMM_FLOPS_PER_TASK:
+def useful_workers(gemm_per_cell_step: float, n_workers: int) -> int:
+    """Threads worth starting: ``n_workers``, or 1 when ``gemm_per_cell_step``
+    is under :data:`MIN_GEMM_FLOPS_PER_CELL_STEP`.  The executor feeds it
+    the graph's value, the granularity policy the spec's
+    (:func:`repro.core.graph_builder.plan_granularity`)."""
+    if n_workers > 1 and gemm_per_cell_step >= MIN_GEMM_FLOPS_PER_CELL_STEP:
         return n_workers
     return 1
 
@@ -156,7 +165,7 @@ class ThreadedExecutor:
         static release order over the transitive-reduced edge set instead
         of resolving dependences dynamically — fewer indegree decrements
         per completion and no locality-hint computation per wake-up."""
-        n_threads = useful_workers(graph, self.n_workers)
+        n_threads = useful_workers(gemm_flops_per_cell_step(graph), self.n_workers)
         if plan is not None:
             plan.validate(graph)
             record = plan.to_schedule_record(copy=False)

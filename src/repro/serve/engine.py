@@ -34,7 +34,7 @@ import numpy as np
 from repro.compile import PlanCache, compile_graph
 from repro.config import ExecutionConfig
 from repro.core.bpar import resolve_executor
-from repro.core.graph_builder import build_brnn_graph, split_batch
+from repro.core.graph_builder import build_brnn_graph, plan_granularity, split_batch
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.runtime.simexec import SimulatedExecutor
@@ -85,9 +85,13 @@ class InferenceEngine:
         numerics past the GIL); ``n_workers`` is the simulated core count
         under ``sim`` (default: the whole machine).  Larger batches need
         ``mbs>1`` to spread across the simulated 48 cores.
+        Each batch shape's granularity comes from
+        :func:`~repro.core.graph_builder.plan_granularity`:
         ``fused_input_projection="auto"`` means the same on every
-        substrate: the layers where hoisting pays on a real host (see
-        :func:`~repro.core.graph_builder.resolve_fused_layers`).
+        substrate, the layers where hoisting pays on a real host; a shape
+        the threaded executor runs on one thread is built as one task per
+        direction chain (``n_workers=1`` always is), every other shape as
+        the paper's task per cell update, unless ``wavefront_tile`` says.
 
     With ``config.compile="on"`` the engine keeps its own in-memory
     :class:`~repro.compile.cache.PlanCache` keyed by the batch shape
@@ -115,7 +119,6 @@ class InferenceEngine:
         self.config = cfg
         self.executor = name
         self.mbs = cfg.mbs
-        self.fused_input_projection = cfg.fused_input_projection
         self.metrics = cfg.metrics
         self.hooks = cfg.hooks
         if name == "sim":
@@ -160,14 +163,17 @@ class InferenceEngine:
             if x is None
             else {"x": x, "params": self.params}
         )
+        plan = plan_granularity(
+            self.spec, size, padded_len, False, self.n_workers, self._executor, self.config
+        )
         return build_brnn_graph(
             self.spec,
             training=False,
             mbs=self._effective_mbs(size),
-            fused_input_projection=self.fused_input_projection,
+            fused_input_projection=plan.hoisted,
             proj_block=self.config.proj_block,
             fusion=self.config.fusion,
-            wavefront_tile=self.config.wavefront_tile,
+            wavefront_tile=plan.tile,
             **inputs,
         )
 

@@ -80,3 +80,25 @@ def test_metrics_delta_publishing():
     publish_plan_cache(registry, cache.stats())
     assert registry.flat()["repro_compile_cache_hits_total"] == 2
 
+
+
+def test_no_stale_plan_cache_hit_across_fusion_modes():
+    """A plan compiled under one fusion mode is invisible to every other
+    mode: each engine owns its cache, keyed by shape alone."""
+    from repro.config import ExecutionConfig
+    from repro.serve.engine import InferenceEngine
+    from tests.compile.conftest import tiny_spec
+
+    shape = (6, 4)
+    tiled = InferenceEngine(
+        tiny_spec(), config=ExecutionConfig(executor="sim", compile="on", wavefront_tile=4)
+    )
+    tiled.warmup([shape])
+    assert shape in tiled.plan_cache
+    for other in (ExecutionConfig(), ExecutionConfig(fusion="off"),
+                  ExecutionConfig(fusion="off", wavefront_tile=4)):
+        engine = InferenceEngine(
+            tiny_spec(), config=other.replace(executor="sim", compile="on")
+        )
+        assert shape not in engine.plan_cache
+        assert engine.plan_cache is not tiled.plan_cache

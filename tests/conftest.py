@@ -43,9 +43,10 @@ def rng():
 @pytest.fixture
 def real_threads(monkeypatch):
     """``ThreadedExecutor(n)`` starts ``n`` threads whatever the graph: the
-    granularity floor (``MIN_GEMM_FLOPS_PER_TASK``) is patched to 0.  Apply
-    with ``pytestmark = pytest.mark.usefixtures("real_threads")``."""
-    monkeypatch.setattr("repro.runtime.executor.MIN_GEMM_FLOPS_PER_TASK", 0.0)
+    granularity floor (``MIN_GEMM_FLOPS_PER_CELL_STEP``) is patched to 0,
+    so the engines' policy also plans ``n`` threads and the per-step graph.
+    Apply with ``pytestmark = pytest.mark.usefixtures("real_threads")``."""
+    monkeypatch.setattr("repro.runtime.executor.MIN_GEMM_FLOPS_PER_CELL_STEP", 0.0)
 
 
 def small_spec(**overrides) -> BRNNSpec:

@@ -28,13 +28,13 @@ from repro.core.graph_builder import (
     HOIST_MAX_ROWS,
     HOIST_MIN_PANEL_BYTES,
     build_brnn_graph,
-    resolve_fused_layers,
+    plan_granularity,
 )
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward, reference_loss_and_grads
 from repro.models.spec import BRNNSpec
 from repro.runtime import ThreadedExecutor
-from repro.runtime.executor import useful_workers
+from repro.runtime.executor import gemm_flops_per_cell_step, useful_workers
 from tests.conftest import make_batch, small_spec
 
 PROJ_BLOCKS = [1, 4, None]  # None -> DEFAULT_PROJ_BLOCK (clamped to T)
@@ -63,6 +63,12 @@ def fused_engine(spec, mbs=1, proj_block=None, mode="on", seed=3):
             proj_block=proj_block,
         ),
     )
+
+
+def hoist_rule(spec, mode, rows):
+    """The policy's per-layer hoist decision for one chunk of ``rows``."""
+    config = ExecutionConfig(fused_input_projection=mode)
+    return plan_granularity(spec, rows, 8, False, 1, "sim", config).hoisted
 
 
 def grads_allclose(a, b, rtol=1e-4, atol=1e-6):
@@ -127,7 +133,7 @@ def test_auto_mode_forward_bitwise():
     # hoists under auto; layer 1 sees the merged width 128 (512 KiB), does not
     spec = small_spec(input_size=384, hidden_size=128, num_layers=2)
     x, labels = make_batch(spec)
-    assert resolve_fused_layers(spec, "auto", x.shape[1]) == [True, False]
+    assert hoist_rule(spec, "auto", x.shape[1]) == [True, False]
     _, ref_logits, _ = oracle(spec, x, labels)
     engine = fused_engine(spec, mode="auto")
     assert np.array_equal(engine.forward(x), ref_logits)
@@ -312,47 +318,49 @@ def test_training_loop_converges_fused():
 # -- mode resolution --------------------------------------------------------------
 
 
-def test_resolve_fused_layers_modes():
+def test_hoist_modes():
     spec = small_spec(input_size=12, hidden_size=5, num_layers=3)
-    assert resolve_fused_layers(spec, "off", 8) == [False, False, False]
-    assert resolve_fused_layers(spec, "on", 8) == [True, True, True]
+    assert hoist_rule(spec, "off", 8) == [False, False, False]
+    assert hoist_rule(spec, "on", 8) == [True, True, True]
     # auto: panels of a few hundred bytes are far below the floor
-    assert resolve_fused_layers(spec, "auto", 8) == [False, False, False]
+    assert hoist_rule(spec, "auto", 8) == [False, False, False]
     with pytest.raises(ValueError):
-        resolve_fused_layers(spec, "sometimes", 8)
+        ExecutionConfig(fused_input_projection="sometimes")
+    with pytest.raises(ValueError):
+        build_brnn_graph(spec, seq_len=4, batch=8, fused_input_projection="sometimes")
 
 
 def test_auto_rule_classifies_the_benchmark_shapes():
     """``auto`` hoists where the recorded sweep says it pays (docs/PERF.md):
     every layer of the ``train_gemm`` model, nothing on the fine-grained and
     served models or on anything test-sized."""
-    assert resolve_fused_layers(_GEMM, "auto", 32) == [True, True, True]
-    assert resolve_fused_layers(_FINE, "auto", 4) == [False] * 4
+    assert hoist_rule(_GEMM, "auto", 32) == [True, True, True]
+    assert hoist_rule(_FINE, "auto", 4) == [False] * 4
     for rows in range(1, 9):
-        assert resolve_fused_layers(_SERVED, "auto", rows) == [False, False]
+        assert hoist_rule(_SERVED, "auto", rows) == [False, False]
     for cell in ("lstm", "gru", "rnn"):
         tiny = small_spec(cell=cell, input_size=64, hidden_size=16, dtype=np.float64)
-        assert not any(resolve_fused_layers(tiny, "auto", 1))
+        assert not any(hoist_rule(tiny, "auto", 1))
     # on/off override the rule in both directions
-    assert resolve_fused_layers(_GEMM, "off", 32) == [False, False, False]
-    assert resolve_fused_layers(_FINE, "on", 4) == [True] * 4
+    assert hoist_rule(_GEMM, "off", 32) == [False, False, False]
+    assert hoist_rule(_FINE, "on", 4) == [True] * 4
 
 
 def test_auto_rule_boundaries_sit_at_the_constants():
     at_floor = small_spec(input_size=384, hidden_size=128, num_layers=1)
     (rows_w, cols_w), _ = at_floor.cell_param_shapes(0)
     assert rows_w * cols_w * 4 == HOIST_MIN_PANEL_BYTES
-    assert resolve_fused_layers(at_floor, "auto", 8) == [True]
+    assert hoist_rule(at_floor, "auto", 8) == [True]
     below = small_spec(input_size=383, hidden_size=128, num_layers=1)
-    assert resolve_fused_layers(below, "auto", 8) == [False]
+    assert hoist_rule(below, "auto", 8) == [False]
     # the same panel in float64 is twice the bytes
     half = small_spec(input_size=128, hidden_size=128, num_layers=1)
-    assert resolve_fused_layers(half, "auto", 8) == [False]
+    assert hoist_rule(half, "auto", 8) == [False]
     double = small_spec(input_size=128, hidden_size=128, num_layers=1, dtype=np.float64)
-    assert resolve_fused_layers(double, "auto", 8) == [True]
+    assert hoist_rule(double, "auto", 8) == [True]
     # past the row ceiling the per-step GEMMs are compute-bound already
-    assert resolve_fused_layers(_GEMM, "auto", HOIST_MAX_ROWS) == [True] * 3
-    assert resolve_fused_layers(_GEMM, "auto", HOIST_MAX_ROWS + 1) == [False] * 3
+    assert hoist_rule(_GEMM, "auto", HOIST_MAX_ROWS) == [True] * 3
+    assert hoist_rule(_GEMM, "auto", HOIST_MAX_ROWS + 1) == [False] * 3
 
 
 def test_engines_hoist_by_default_and_the_builder_does_not():
@@ -362,10 +370,10 @@ def test_engines_hoist_by_default_and_the_builder_does_not():
     engine = BParEngine(_GEMM, config=ExecutionConfig(executor="threaded", mbs=2))
     hoisted = build_brnn_graph(
         _GEMM, seq_len=32, batch=64, mbs=2,
-        fused_input_projection=engine.fused_input_projection,
+        fused_input_projection=engine.config.fused_input_projection,
     )
     assert hoisted.fused_layers == [True, True, True]
-    assert useful_workers(hoisted.graph, 2) == 2
+    assert useful_workers(gemm_flops_per_cell_step(hoisted.graph), 2) == 2
     per_step = build_brnn_graph(_GEMM, seq_len=32, batch=64, mbs=2)
     assert per_step.fused_layers == [False, False, False]
     assert not any(t.kind in ("proj", "proj_bwd") for t in per_step.graph)

@@ -1,0 +1,181 @@
+"""The granularity policy (``plan_granularity``, docs/PERF.md).
+
+One decision per batch shape, before any graph exists: the threads the
+executor will start, the hoisted layers, and the chain tile.  A shape a host
+executor runs on one thread is built as one task per direction chain;
+everything else keeps the paper's task per cell update.  Everything here is
+clock-free: the policy is analytic, and a tile never changes the bits.
+"""
+
+import numpy as np
+import pytest
+
+from repro.config import ExecutionConfig
+from repro.core import BParEngine, BSeqEngine
+from repro.core.graph_builder import plan_granularity, spec_gemm_flops_per_cell_step
+from repro.models.params import BRNNParams
+from repro.models.reference import reference_forward
+from repro.models.spec import BRNNSpec
+from repro.runtime.executor import SerialExecutor, ThreadedExecutor, gemm_flops_per_cell_step
+from repro.serve.engine import InferenceEngine
+from tests.conftest import make_batch, small_spec
+from tests.core.test_fusion import grads_bitwise
+from tests.core.test_graph_builder import cell_tiles
+from tests.serve.test_engine_compile import make_batch as make_served_batch
+from tools.graph_digest import MATRICES, SEQ_LEN, build
+
+#: the three model shapes of bench/workloads.py
+_GEMM = BRNNSpec(cell="lstm", input_size=128, hidden_size=256, num_layers=3,
+                 head="many_to_one", num_classes=11)
+_FINE = BRNNSpec(cell="lstm", input_size=39, hidden_size=32, num_layers=4,
+                 head="many_to_one", num_classes=11)
+_SERVED = BRNNSpec(cell="lstm", input_size=39, hidden_size=128, num_layers=2,
+                   head="many_to_one", num_classes=11)
+
+#: (case, spec, rows, seq_len, training, n_workers, executor, config,
+#: expected (threads, hoisted, tile)): the five benchmark workloads, then the
+#: substrates and overrides around them
+TABLE = [
+    ("train_gemm", _GEMM, 64, 32, True, 2, "threaded", ExecutionConfig(mbs=2),
+     (2, [True] * 3, 1)),
+    ("infer_fine", _FINE, 4, 100, False, 2, "threaded", ExecutionConfig(),
+     (1, [False] * 4, 100)),
+    ("serve_poisson", _SERVED, 8, 60, False, 1, "threaded", ExecutionConfig(),
+     (1, [False] * 2, 60)),
+    ("serve_overload", _SERVED, 8, 60, False, 48, "sim", ExecutionConfig(),
+     (48, [False] * 2, 1)),
+    ("train_gemm_process", _GEMM, 64, 32, True, 2, "process", ExecutionConfig(mbs=2),
+     (2, [True] * 3, 1)),
+    # the simulator keeps the paper's graph on one core too
+    ("sim_one_core", _FINE, 4, 100, False, 1, "sim", ExecutionConfig(),
+     (1, [False] * 4, 1)),
+    # a GEMM-heavy shape on one worker or the serial executor: one thread
+    ("one_worker", _GEMM, 64, 32, True, 1, "threaded", ExecutionConfig(mbs=2),
+     (1, [True] * 3, 32)),
+    ("serial", _GEMM, 64, 32, True, 1, SerialExecutor(), ExecutionConfig(mbs=2),
+     (1, [True] * 3, 32)),
+    ("threaded_instance", _FINE, 4, 100, False, 2, ThreadedExecutor(2),
+     ExecutionConfig(), (1, [False] * 4, 100)),
+    # the overrides: a tile, each hoisting mode, the unfused kernels
+    ("tile_1", _FINE, 4, 100, False, 2, "threaded", ExecutionConfig(wavefront_tile=1),
+     (1, [False] * 4, 1)),
+    ("tile_8", _GEMM, 64, 32, True, 2, "threaded",
+     ExecutionConfig(mbs=2, wavefront_tile=8), (2, [True] * 3, 8)),
+    ("proj_on", _FINE, 4, 100, False, 2, "threaded",
+     ExecutionConfig(fused_input_projection="on"), (1, [True] * 4, 100)),
+    ("proj_off", _GEMM, 64, 32, True, 2, "threaded",
+     ExecutionConfig(mbs=2, fused_input_projection="off"), (2, [False] * 3, 1)),
+    ("fusion_off", _GEMM, 64, 32, True, 2, "threaded",
+     ExecutionConfig(mbs=2, fusion="off", fused_input_projection="on"),
+     (2, [False] * 3, 1)),
+]
+
+
+@pytest.mark.parametrize("case", TABLE, ids=[row[0] for row in TABLE])
+def test_policy_table(case):
+    _, spec, rows, seq_len, training, n_workers, executor, config, expected = case
+    plan = plan_granularity(spec, rows, seq_len, training, n_workers, executor, config)
+    assert (plan.threads, plan.hoisted, plan.tile) == expected
+
+
+def _configs():
+    for name, matrix in MATRICES.items():
+        for i, cfg in enumerate(matrix()):
+            yield pytest.param(cfg, id=f"{name}-{i}")
+
+
+@pytest.mark.parametrize("cfg", list(_configs()))
+def test_floor_is_the_same_from_the_spec_and_at_every_tile(cfg):
+    """The analytic GEMM flops per cell step equal what the executor reads
+    off the graph, for the per-step build and the whole-chain build."""
+    per_step = build({**cfg, "wavefront_tile": 1}, functional=False)
+    whole = build({**cfg, "wavefront_tile": SEQ_LEN}, functional=False)
+    assert whole.wavefront_tile == SEQ_LEN and per_step.wavefront_tile is None
+    config = ExecutionConfig(
+        mbs=per_step.mbs, fusion=per_step.fusion, fused_input_projection=cfg["fused"]
+    )
+    plan = plan_granularity(
+        per_step.spec, per_step.total_batch, SEQ_LEN, per_step.training, 1, "sim", config
+    )
+    assert plan.hoisted == per_step.fused_layers
+    analytic = spec_gemm_flops_per_cell_step(
+        per_step.spec, per_step.total_batch, per_step.mbs, SEQ_LEN, per_step.training,
+        plan.hoisted,
+    )
+    assert gemm_flops_per_cell_step(per_step.graph) == analytic
+    assert gemm_flops_per_cell_step(whole.graph) == analytic
+
+
+# -- engine conformance: the policy's graph has the per-step graph's bits ------
+
+
+def _engine(cls, spec, **config):
+    return cls(
+        spec,
+        params=BRNNParams.initialize(spec, seed=3),
+        config=ExecutionConfig(executor="threaded", n_workers=2, **config),
+    )
+
+
+@pytest.mark.parametrize("cls", [BParEngine, BSeqEngine])
+@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+def test_default_engine_logits_bitwise_equal_to_the_oracle(cls, cell):
+    spec = small_spec(cell=cell)
+    x, _ = make_batch(spec, seq_len=6)
+    engine = _engine(cls, spec)
+    logits = engine.forward(x)
+    assert cell_tiles(engine) == {(0, 6)}
+    assert engine.last_trace.n_cores == 1
+    assert np.array_equal(logits, reference_forward(spec, engine.params, x)[0])
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+@pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
+def test_default_engine_training_bitwise_equal_to_tile_one(cell, head):
+    spec = small_spec(cell=cell, head=head)
+    x, labels = make_batch(spec, seq_len=6)
+    default = _engine(BParEngine, spec, mbs=2)
+    loss, logits, grads = default.loss_and_grads(x, labels)
+    assert cell_tiles(default) == {(0, 6)}
+    per_step = _engine(BParEngine, spec, mbs=2, wavefront_tile=1)
+    ref_loss, ref_logits, ref_grads = per_step.loss_and_grads(x, labels)
+    assert cell_tiles(per_step) == {(s, s + 1) for s in range(6)}
+    assert loss == ref_loss
+    assert np.array_equal(logits, ref_logits)
+    assert grads_bitwise(grads, ref_grads)
+    # and a step of SGD lands on the same weights
+    default.train_batch(x, labels)
+    per_step.train_batch(x, labels)
+    assert grads_bitwise(default.params, per_step.params)
+
+
+def test_one_worker_inference_engine_replays_tiled_plans_bitwise():
+    """``n_workers=1`` with compiled plans (the ``serve_poisson`` setting):
+    every shape is built per chain, and warm replays over mixed shapes give
+    the tile-1 engine's logits."""
+    spec = small_spec(num_layers=2, hidden_size=4, input_size=5, num_classes=3,
+                      head="many_to_many")
+    base = ExecutionConfig(executor="threaded", n_workers=1, compile="on", seed=3)
+    tiled = InferenceEngine(spec, config=base)
+    per_step = InferenceEngine(spec, config=base.replace(wavefront_tile=1),
+                               params=tiled.params)
+    shapes = [(4, 3), (7, 2), (4, 3), (7, 2), (5, 1), (4, 3)]
+    for bid, (seq_len, size) in enumerate(shapes):
+        batch = make_served_batch(spec, bid, seq_len=seq_len, size=size, seed=bid)
+        got, want = tiled.execute(batch), per_step.execute(batch)
+        assert got.warm == want.warm
+        assert got.trace.num_tasks() < want.trace.num_tasks()
+        np.testing.assert_array_equal(got.logits, want.logits)
+    assert tiled.plan_cache.stats()["hits"] == 3
+
+
+def test_real_threads_plan_every_worker_and_the_per_step_graph(real_threads):
+    """With the floor taken away, concurrency suites still get per-step
+    graphs on real threads."""
+    for spec, rows, seq_len in ((_FINE, 4, 100), (small_spec(), 8, 5)):
+        plan = plan_granularity(spec, rows, seq_len, False, 2, "threaded")
+        assert (plan.threads, plan.tile) == (2, 1)
+    engine = _engine(BParEngine, small_spec())
+    engine.forward(make_batch(small_spec())[0])
+    assert engine.last_trace.n_cores == 2
+    assert all(hi - lo == 1 for lo, hi in cell_tiles(engine))

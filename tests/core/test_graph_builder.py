@@ -310,27 +310,46 @@ def test_unfused_weight_gradient_serialises_backward_chain():
         assert not g.unordered(a, b, bits)
 
 
+def cell_tiles(engine):
+    """``(lo, hi)`` step ranges of the cell tasks of the engine's last graph."""
+    return {
+        (t.meta["lo"], t.meta["hi"])
+        for t in engine.last_result.graph if t.kind in ("cell", "cell_bwd")
+    }
+
+
 def test_cell_step_is_a_chain_tile_of_one():
-    """One cell-chain emitter per pass direction: a default-mode cell task
-    is a tile of exactly one step, and ``wavefront_tile`` cuts the same
-    chain into longer tiles, ragged last tile included, bit for bit."""
+    """One cell-chain emitter per pass direction: a tile-1 cell task is
+    exactly one step, and ``wavefront_tile`` cuts the same chain into
+    longer tiles, ragged last tile included, bit for bit."""
     families = [f.split("@")[0] for f in FAMILIES]
     assert families.count("cell") == 1 and families.count("cell_bwd") == 1
 
     spec = small_spec()
     x, labels = make_batch(spec, seq_len=7)
-    default = engine(spec, "gates")
-    ref = default.loss_and_grads(x, labels)
-    cells = [t for t in default.last_result.graph if t.kind in ("cell", "cell_bwd")]
-    assert cells and all(t.meta["hi"] - t.meta["lo"] == 1 for t in cells)
+    per_step = engine(spec, "gates", wavefront_tile=1)
+    ref = per_step.loss_and_grads(x, labels)
+    assert cell_tiles(per_step) == {(s, s + 1) for s in range(7)}
 
     wave = engine(spec, "gates", wavefront_tile=3)
     loss, logits, grads = wave.loss_and_grads(x, labels)
-    tiles = {
-        (t.meta["lo"], t.meta["hi"])
-        for t in wave.last_result.graph if t.kind in ("cell", "cell_bwd")
-    }
-    assert tiles == {(0, 3), (3, 6), (6, 7)}
+    assert cell_tiles(wave) == {(0, 3), (3, 6), (6, 7)}
+    assert loss == ref[0]
+    assert np.array_equal(logits, ref[1])
+    assert grads_bitwise(grads, ref[2])
+
+
+def test_default_engine_tiles_a_one_thread_shape_per_chain():
+    """Without ``wavefront_tile`` the engine takes the granularity policy's
+    tile: a shape this small runs on one thread, so every direction chain
+    is one task, with the per-step graph's bits."""
+    spec = small_spec()
+    x, labels = make_batch(spec, seq_len=7)
+    default = engine(spec, "gates")
+    loss, logits, grads = default.loss_and_grads(x, labels)
+    assert cell_tiles(default) == {(0, 7)}
+    assert default.last_trace.n_cores == 1
+    ref = engine(spec, "gates", wavefront_tile=1).loss_and_grads(x, labels)
     assert loss == ref[0]
     assert np.array_equal(logits, ref[1])
     assert grads_bitwise(grads, ref[2])

@@ -46,6 +46,30 @@ class TestExecutionConfig:
         with pytest.raises(ValueError, match="fused_input_projection"):
             ExecutionConfig(fused_input_projection="maybe")
 
+    def test_compile_field_validation(self):
+        for removed in ("sometimes", "auto"):
+            with pytest.raises(ValueError, match="compile"):
+                ExecutionConfig(compile=removed)
+        for mode in ("off", "on"):
+            assert ExecutionConfig(compile=mode).compile == mode
+
+    def test_fusion_field_validation(self):
+        with pytest.raises(ValueError, match="fusion"):
+            ExecutionConfig(fusion="sometimes")
+        with pytest.raises(ValueError, match="wavefront_tile"):
+            ExecutionConfig(wavefront_tile=0)
+        # not first inside a serving loop's first build
+        with pytest.raises(ValueError, match="proj_block"):
+            ExecutionConfig(proj_block=0)
+        for mode in ("off", "gates"):
+            assert ExecutionConfig(fusion=mode).fusion == mode
+
+    def test_tile_one_is_an_explicit_override(self):
+        """``None`` is the granularity policy's tile, ``1`` the per-step
+        graph whatever the policy says: the two stay distinct."""
+        assert ExecutionConfig(wavefront_tile=1).wavefront_tile == 1
+        assert ExecutionConfig(wavefront_tile=1) != ExecutionConfig()
+
 
 class TestEngineEquivalence:
     """Engines take ``config=``; nothing else names the execution setup."""
@@ -85,7 +109,7 @@ class TestEngineEquivalence:
     def test_serve_engine_defaults_and_config(self):
         engine = InferenceEngine(SPEC)
         assert engine.executor == "sim"
-        assert engine.fused_input_projection == "on"  # auto resolves in sim mode
+        assert engine.config.fused_input_projection == "on"  # SERVE_DEFAULTS
         cfg = ExecutionConfig(executor="sim", n_workers=8, mbs=2)
         assert InferenceEngine(SPEC, config=cfg).config.n_workers == 8
         with pytest.raises(TypeError, match="mbs"):

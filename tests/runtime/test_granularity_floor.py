@@ -1,7 +1,8 @@
 """The threaded executor's granularity floor (docs/EXECUTORS.md).
 
-``useful_workers`` decides from the graph's annotated GEMM flops whether
-``n_workers`` threads are worth starting; when they are not, the graph runs
+``useful_workers`` decides from the graph's annotated GEMM flops per cell
+step whether ``n_workers`` threads are worth starting; when they are not, the
+graph runs
 on the calling thread through the same scheduler, hooks, trace and error
 contract.  Everything here is deterministic and clock-free: the shapes are
 the benchmark's two engine workloads (``bench/workloads.py``), shortened.
@@ -22,16 +23,16 @@ from repro.runtime.depgraph import TaskGraph
 from repro.runtime.executor import (
     SerialExecutor,
     ThreadedExecutor,
-    gemm_flops_per_task,
+    gemm_flops_per_cell_step,
     useful_workers,
 )
 from repro.runtime.scheduler import FuzzScheduler, RecordingScheduler, ReplayScheduler
 from repro.runtime.task import RegionSpace
 
-#: ``infer_fine``: ~0.05 MFLOP of GEMM per task
+#: ``infer_fine``: ~0.07 MFLOP of GEMM per cell step
 FINE = BRNNSpec(cell="lstm", input_size=39, hidden_size=32, num_layers=4,
                 head="many_to_one", num_classes=11)
-#: ``train_gemm``: ~34 MFLOP of GEMM per task
+#: ``train_gemm``: ~46 MFLOP of GEMM per cell step
 GEMM = BRNNSpec(cell="lstm", input_size=128, hidden_size=256, num_layers=3,
                 head="many_to_one", num_classes=11)
 
@@ -54,10 +55,11 @@ def record_threads(build):
     return seen
 
 
-def one_task_graph(flops, kind="cell", n_free=0):
+def one_task_graph(flops, kind="cell", n_free=0, steps=1):
     g = TaskGraph()
     rs = RegionSpace()
-    g.add_task("gemm", None, outs=[rs.get("a", 8)], flops=flops, kind=kind)
+    g.add_task("gemm", None, outs=[rs.get("a", 8)], flops=flops, kind=kind,
+               meta={"lo": 0, "hi": steps})
     for i in range(n_free):
         g.add_task(f"free{i}", None, outs=[rs.get(("f", i), 8)], kind="merge")
     return g
@@ -66,24 +68,30 @@ def one_task_graph(flops, kind="cell", n_free=0):
 # -- the rule -----------------------------------------------------------------
 
 
+def threads(graph, n_workers):
+    return useful_workers(gemm_flops_per_cell_step(graph), n_workers)
+
+
 def test_fine_graph_gets_one_thread_and_gemm_graph_gets_them_all():
     fine = fine_build(seq_len=100).graph
-    assert len(fine) == 1102 and 4e4 < gemm_flops_per_task(fine) < 6e4
-    assert useful_workers(fine, 2) == 1
+    assert len(fine) == 1102 and 6e4 < gemm_flops_per_cell_step(fine) < 8e4
+    assert threads(fine, 2) == 1
     train = build_brnn_graph(GEMM, seq_len=32, batch=64, mbs=2, training=True)
-    assert 3e7 < gemm_flops_per_task(train.graph) < 4e7
-    assert useful_workers(train.graph, 2) == 2
-    assert useful_workers(train.graph, 1) == 1
+    assert 4e7 < gemm_flops_per_cell_step(train.graph) < 5e7
+    assert threads(train.graph, 2) == 2
+    assert threads(train.graph, 1) == 1
 
 
 def test_boundary_sits_at_the_constant():
-    floor = executor_module.MIN_GEMM_FLOPS_PER_TASK
-    assert useful_workers(one_task_graph(floor), 4) == 4
-    assert useful_workers(one_task_graph(floor * (1 - 1e-9)), 4) == 1
-    # the floor is on the mean over all tasks, and only GEMM kinds count
-    assert useful_workers(one_task_graph(2 * floor, n_free=1), 4) == 4
-    assert useful_workers(one_task_graph(2 * floor, n_free=2), 4) == 1
-    assert useful_workers(one_task_graph(2 * floor, kind="merge"), 4) == 1
+    floor = executor_module.MIN_GEMM_FLOPS_PER_CELL_STEP
+    assert threads(one_task_graph(floor), 4) == 4
+    assert threads(one_task_graph(floor * (1 - 1e-9)), 4) == 1
+    # the floor is per cell step: other tasks do not dilute it, a tile's
+    # steps do, and only GEMM kinds count
+    assert threads(one_task_graph(floor, n_free=3), 4) == 4
+    assert threads(one_task_graph(2 * floor, steps=2), 4) == 4
+    assert threads(one_task_graph(2 * floor, steps=3), 4) == 1
+    assert threads(one_task_graph(2 * floor, kind="merge"), 4) == 1
 
 
 # -- one thread means the caller's thread -------------------------------------
@@ -109,7 +117,7 @@ def test_fine_graph_runs_on_the_calling_thread_bitwise_equal_to_serial():
 def test_real_threads_fixture_brings_the_threads_back(real_threads):
     build = fine_build(seq_len=4)
     seen = record_threads(build)
-    assert useful_workers(build.graph, 2) == 2
+    assert threads(build.graph, 2) == 2
     trace = ThreadedExecutor(2).run(build.graph)
     assert trace.n_cores == 2
     assert threading.get_ident() not in seen

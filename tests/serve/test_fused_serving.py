@@ -37,9 +37,9 @@ def small_workload(seed=0, rate=400.0, duration=0.2, features=None):
 
 def test_sim_auto_resolves_to_on():
     engine = sim_engine()
-    assert engine.fused_input_projection == "on"
+    assert engine.config.fused_input_projection == "on"
     off = sim_engine(fused_input_projection="off")
-    assert off.fused_input_projection == "off"
+    assert off.config.fused_input_projection == "off"
 
 
 def test_threaded_fused_serving_matches_reference():

@@ -73,7 +73,7 @@ def _variants():
 MATRICES = {"matrix96": _matrix96, "tiled": _tiled, "variants": _variants}
 
 
-def _build(cfg, functional):
+def build(cfg, functional):
     spec = BRNNSpec(cell=cfg["cell"], input_size=5, hidden_size=4, num_layers=3,
                     merge_mode=cfg.get("merge", "sum"), head=cfg["head"], num_classes=3)
     training = cfg.get("training", True)
@@ -129,10 +129,10 @@ def digest(configs) -> tuple:
     structure, numerics = hashlib.sha256(), hashlib.sha256()
     sim = SimulatedExecutor(xeon_8160_2s(), n_cores=8, persistent_cache=False)
     for cfg in configs:
-        cost_only = _build(cfg, functional=False)
+        cost_only = build(cfg, functional=False)
         structure.update(_structure(cost_only).encode())
         structure.update(repr(sim.run(cost_only.graph).makespan).encode())
-        functional = _build(cfg, functional=True)
+        functional = build(cfg, functional=True)
         structure.update(_structure(functional).encode())
         _numerics(functional, numerics)
     return structure.hexdigest()[:16], numerics.hexdigest()[:16]
