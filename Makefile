@@ -1,10 +1,12 @@
 # Convenience targets; CI (.github/workflows/ci.yml) runs `test`,
-# `check-baselines`, `lint` and the seven `smoke-*` targets on every push.
+# `check-baselines`, `lint` and the six `smoke-*` targets on every push.
 #
 # Every gated suite is one row of src/repro/harness/ledger.py: a smoke
 # target runs its pytest subset, then `python -m repro bench <suite>`
 # (the command exits 1 on any failed bar), then `bench --check` on the
-# written report and on the committed baseline.
+# written report and on the committed baseline.  `smoke-mp` and
+# `smoke-bench` gate no suite: the first runs the process executor's full
+# test matrix, the second bench/ (the wall clock, bench/README.md).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -12,7 +14,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TMP ?= /tmp/repro_smoke
 BASELINES := benchmarks/baselines
 
-.PHONY: test check-baselines lint smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench clean
+.PHONY: test check-baselines lint smoke-obs smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench clean
 
 # tier-1: the full unit/integration/property suite (serving tests included)
 test:
@@ -30,24 +32,13 @@ check-baselines:
 lint:
 	$(PYTHON) -m repro analyze --skip-graph --lint src/repro
 
-# observability smoke: the obs-layer unit tests, then the scheduler-counter
-# comparison + metrics-overhead A/B — strict ≤2 % budget on the committed
-# record, tenancy slack on the freshly-measured smoke run
+# observability smoke: the obs-layer unit tests, then the metrics-overhead
+# A/B — strict ≤2 % budget on the committed record, tenancy slack on the
+# freshly-measured smoke run
 smoke-obs:
 	$(PYTHON) -m pytest tests/obs -x -q
 	$(PYTHON) -m repro bench obs_overhead --output $(TMP)_obs.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_obs.json $(BASELINES)/BENCH_obs_overhead.json
-
-# compiled-replay smoke: the compile-package unit tests + mutated-plan
-# regression + the serving engine on the plan cache, then the reduced-size overhead A/B vs both dynamic policies,
-# warm-shape cache hit rate and bitwise equivalence
-smoke-compile:
-	$(PYTHON) -m pytest tests/compile/test_plan.py tests/compile/test_compiler.py \
-		tests/compile/test_cache.py tests/compile/test_check_plan.py \
-		tests/compile/test_executor_replay.py \
-		tests/serve/test_engine_compile.py -x -q
-	$(PYTHON) -m repro bench compile --output $(TMP)_compile.json > /dev/null
-	$(PYTHON) -m repro bench --check $(TMP)_compile.json $(BASELINES)/BENCH_compile.json
 
 # fusion smoke (kernel, hoisting, tile): the numerical-equivalence +
 # flop-conservation tests and the granularity policy's table and engine
@@ -60,15 +51,13 @@ smoke-fusion:
 	$(PYTHON) -m repro bench --check $(TMP)_fusion.json $(BASELINES)/BENCH_fusion.json
 
 # multiprocess-executor smoke: the full cross-executor conformance,
-# fault-injection, shm-arena property and schedule-fuzz sweeps (the
-# `slow_mp` legs included), then a tiny substrate comparison — bitwise +
-# zero-leak always; speed-up bars only on ≥2-core recordings
+# fault-injection, shm-arena property and schedule-fuzz sweeps, the
+# `slow_mp` legs included (its speed is bench/'s `train_gemm_process`:
+# `runtime.mp_vs_threaded`, docs/EXECUTORS.md)
 smoke-mp:
 	$(PYTHON) -m pytest tests/runtime/test_executor_conformance.py \
 		tests/runtime/test_mpexec_faults.py tests/properties/test_shm_arena.py \
 		tests/runtime/test_schedule_fuzz.py -x -q -m "slow_mp or not slow_mp"
-	$(PYTHON) -m repro bench multiproc --output $(TMP)_mp.json > /dev/null
-	$(PYTHON) -m repro bench --check $(TMP)_mp.json $(BASELINES)/BENCH_multiproc.json
 
 # dependence-proof smoke: the proof's, the dynamic instruments' and the
 # AST lint's own tests (the mutation table, the adversarial edge-drop /

@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.config import add_execution_args
 from repro.harness.paper import format_results, run_paper_suite
 from repro.harness.tables import TABLE_CONFIGS
+from repro.models.cells import FUSION_MODES
 from repro.models.spec import BRNNSpec
 from repro.simarch.presets import tesla_v100, xeon_8160_2s
 
@@ -286,6 +286,24 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
                    help="check the per-layer-barrier (framework) graph variant")
     g.add_argument("--serialize-chunks", action="store_true",
                    help="check the B-Seq (chunk-serialised) graph variant")
+    g.add_argument("--mbs", type=int, default=4,
+                   help="data-parallel chunks per batch (hybrid parallelism)")
+    g.add_argument("--seed", type=int, default=0,
+                   help="inputs and parameters of a functional (--observe, "
+                        "--fuzz-seeds) build")
+    g.add_argument("--fused-input-projection", choices=("on", "off", "auto"),
+                   default="auto",
+                   help="leave only the recurrent GEMM on the cell chain: "
+                        "every layer | none | where the weight panel "
+                        "outgrows the cache (docs/PERF.md)")
+    g.add_argument("--proj-block", type=int, default=None,
+                   help="timesteps per hoisted projection task (default 16)")
+    g.add_argument("--fusion", choices=FUSION_MODES, default="gates",
+                   help="cell kernels (docs/PERF.md): per-gate reference "
+                        "GEMMs | stacked gate GEMM")
+    g.add_argument("--wavefront-tile", type=int, default=None,
+                   help="timesteps per cell-chain task (default: per step; "
+                        "clamped to T)")
 
 
 def _add_bench_args(parser: argparse.ArgumentParser) -> None:
@@ -327,8 +345,7 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
 #: the flag groups each command reads; a command without a row takes none
 _GROUPS = {
     "bench": (_add_bench_args,),
-    "analyze": (add_execution_args, _add_model_args, _add_graph_args,
-                _add_analyze_args),
+    "analyze": (_add_model_args, _add_graph_args, _add_analyze_args),
 }
 
 

@@ -4,18 +4,13 @@
 runs — substrate, worker count, scheduler policy, hybrid-parallelism and
 fusion knobs, and the observability attachments (``metrics``/``hooks``)
 — accepted by :class:`~repro.core.bpar.BParEngine`,
-:class:`~repro.core.bseq.BSeqEngine`,
-:class:`~repro.serve.engine.InferenceEngine` and the CLI through one
-``config=`` parameter.
-
-:func:`add_execution_args` / :func:`config_from_args` are the argparse
-half: every ``python -m repro`` subcommand shares one execution flag
-group instead of re-declaring it.
+:class:`~repro.core.bseq.BSeqEngine` and
+:class:`~repro.serve.engine.InferenceEngine` through one ``config=``
+parameter.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -131,67 +126,3 @@ class ExecutionConfig:
         """A copy with ``changes`` applied (frozen-dataclass update)."""
         return dataclasses.replace(self, **changes)
 
-
-# -- CLI integration -----------------------------------------------------------
-
-def add_execution_args(parser: argparse.ArgumentParser) -> None:
-    """The one shared "execution options" argparse group.
-
-    Every ``python -m repro`` subcommand that runs graphs reads these
-    flags; :func:`config_from_args` turns the parsed namespace back into
-    an :class:`ExecutionConfig`.
-    """
-    g = parser.add_argument_group("execution options")
-    g.add_argument("--executor", choices=("sim", "threaded", "process"), default="sim",
-                   help="simulated machine (deterministic), real worker "
-                        "threads, or pinned worker processes over shared "
-                        "memory (docs/EXECUTORS.md)")
-    g.add_argument("--cores", type=int, default=None,
-                   help="simulated cores / worker threads / worker processes "
-                        "(default: whole modelled machine or host-sized pool)")
-    g.add_argument("--scheduler", type=str, default="locality",
-                   help="ready-queue policy: fifo|lifo|locality|steal|fuzz:SEED")
-    g.add_argument("--mbs", type=int, default=4,
-                   help="data-parallel chunks per batch (hybrid parallelism)")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--fused-input-projection", choices=("on", "off", "auto"),
-                   default="auto",
-                   help="leave only the recurrent GEMM on the cell chain: "
-                        "every layer | none | where the weight panel "
-                        "outgrows the cache (docs/PERF.md)")
-    g.add_argument("--proj-block", type=int, default=None,
-                   help="timesteps per hoisted projection task (default 16)")
-    g.add_argument("--fusion", choices=FUSION_MODES, default="gates",
-                   help="cell kernels (docs/PERF.md): per-gate reference "
-                        "GEMMs | stacked gate GEMM")
-    g.add_argument("--wavefront-tile", type=int, default=None,
-                   help="timesteps per cell-chain task (default: the "
-                        "engines' granularity policy, docs/PERF.md; 1 is the "
-                        "paper's task per cell update; clamped to T)")
-    g.add_argument("--compile", choices=("off", "on"), default="off",
-                   help="compile graphs into cached replay plans "
-                        "(docs/COMPILE.md)")
-
-
-def config_from_args(
-    args: argparse.Namespace,
-    metrics: Optional[MetricsRegistry] = None,
-    hooks: Optional[ProfilingHooks] = None,
-    **overrides,
-) -> ExecutionConfig:
-    """:class:`ExecutionConfig` from an :func:`add_execution_args` namespace."""
-    cfg = ExecutionConfig(
-        executor=args.executor,
-        n_workers=args.cores,
-        scheduler=args.scheduler,
-        mbs=args.mbs,
-        seed=args.seed,
-        fused_input_projection=args.fused_input_projection,
-        proj_block=args.proj_block,
-        fusion=getattr(args, "fusion", "gates"),
-        wavefront_tile=getattr(args, "wavefront_tile", None),
-        compile=getattr(args, "compile", "off"),
-        metrics=metrics,
-        hooks=hooks,
-    )
-    return cfg.replace(**overrides) if overrides else cfg

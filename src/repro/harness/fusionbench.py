@@ -93,7 +93,7 @@ def threaded_mode_times(
         )
         for label, (fusion, proj, tile) in modes.items()
     }
-    samples, _ = interleaved_step_times(
+    samples = interleaved_step_times(
         spec, seq_len, batch, configs,
         training=training, iters=iters, warmup=warmup, seed=seed,
     )

@@ -31,10 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.verify import MUTATION_KINDS, full_family_matrix
-from repro.harness.compilebench import run_compile_bench
 from repro.harness.fleetbench import run_fleet_bench
 from repro.harness.fusionbench import MODES, run_fusion_bench
-from repro.harness.mpbench import REGIMES, run_multiproc_bench
 from repro.harness.paper import SECTIONS, format_results, run_paper_suite
 from repro.obs.report import run_obs_report
 
@@ -275,35 +273,26 @@ _PAPER_BARS: List[Bar] = [
 ]
 
 
-#: the paper-scale BLSTM shape (spectrogram-like input ≫ hidden), where
-#: the hoisted GEMM pays even on few-core hosts; smoke runs shrink it
-_PAPER_SHAPE = dict(
-    cell="lstm", input_size=1024, hidden=128, layers=2,
-    seq_len=100, batch=32, head="many_to_one",
-)
-_SMOKE_SHAPE = dict(
-    cell="lstm", input_size=256, hidden=32, layers=2,
-    seq_len=24, batch=8, mbs=1, iters=3,
-)
-
 _FLEET_SECTIONS = (
     "single_at_single_rate", "single_at_fleet_rate",
     "fleet_at_fleet_rate", "bursty_overload",
 )
-_POLICIES = ("locality", "fifo")
 _MODES = tuple(MODES)
 #: one lever apart, rung by rung: kernel, hoisting, tile (``auto`` hoists a
 #: subset of what ``proj`` does)
 _RUNGS = ("off", "gates", "proj", "tiled")
-_REGIMES = tuple(name for name, _, _ in REGIMES)
 
 SUITES: Dict[str, Suite] = {
     "fusion": _suite(
         run_fusion_bench,
         timed=(*(f"threaded.{m}" for m in _MODES),
                "threaded.train.gates", "threaded.train.proj"),
-        smoke=_SMOKE_SHAPE,
-        record=dict(_PAPER_SHAPE, iters=9, warmup=2),
+        smoke=dict(cell="lstm", input_size=256, hidden=32, layers=2,
+                   seq_len=24, batch=8, mbs=1, iters=3),
+        # the paper-scale BLSTM shape (spectrogram-like input ≫ hidden),
+        # where the hoisted GEMM pays even on few-core hosts
+        record=dict(cell="lstm", input_size=1024, hidden=128, layers=2,
+                    seq_len=100, batch=32, head="many_to_one", iters=9, warmup=2),
         schema=[
             *_numbers("threaded.speedup_median", *_MODES[1:]),
             *_numbers("threaded.hoist_speedup_median", "proj", "auto"),
@@ -379,78 +368,6 @@ SUITES: Dict[str, Suite] = {
                 "the diagonal is gone at some chunking"),
         ],
     ),
-    "compile": _suite(
-        run_compile_bench,
-        timed=("overhead.dynamic_fifo", "overhead.dynamic_locality",
-               "overhead.replay"),
-        smoke=dict(hidden=32, layers=2, input_size=16, seq_len=20, batch=8,
-                   mbs=2, iters=8, repeats=3),
-        # a serving-sized inference graph whose dependence bookkeeping is
-        # large enough to time reliably
-        record=dict(cell="lstm", input_size=64, hidden=128, layers=2,
-                    seq_len=50, batch=16, head="many_to_one",
-                    iters=15, warmup=2),
-        schema=[
-            ("overhead.reduction_ratio", _NUM),
-            *_numbers(
-                "plan", "n_tasks", "n_edges_declared", "n_edges_reduced",
-                "n_edges_redundant", "redundant_edge_fraction",
-                "critical_path_s", "est_makespan_s", "compile_time_s"),
-            ("serving.n_batches", int),
-            ("serving.n_shapes", int),
-            ("serving.warm_hit_rate", _NUM),
-            *((f"serving.cache.{key}", int) for key in (
-                "hits", "misses", "evictions", "compiles", "size", "capacity")),
-            *_numbers("serving.cache", "hit_rate", "last_compile_s"),
-            ("equivalence.bitwise_identical", bool),
-            ("equivalence.mismatched_arrays", list),
-        ],
-        bars=[
-            Bar("overhead.reduction_ratio", ">", 1.0,
-                "plan replay no longer beats dynamic dependence resolution"),
-            Bar(("plan.n_edges_reduced", "plan.n_edges_redundant"), "==",
-                "plan.n_edges_declared"),
-            Bar("plan.redundant_edge_fraction", ">", 0.0,
-                "the bench graph should give the transitive reduction real work"),
-            Bar("plan.redundant_edge_fraction", "<", 1.0),
-            Bar("plan.compile_time_s", ">=", 0),
-            Bar("serving.warm_hit_rate", "==", 1.0,
-                "a repeated shape missed the plan cache"),
-            Bar("serving.cache.compiles", "==", "serving.n_shapes",
-                "each shape must compile exactly once"),
-            Bar("equivalence.bitwise_identical", "==", True,
-                "replay diverged from the dynamic schedule"),
-        ],
-    ),
-    "multiproc": _suite(
-        run_multiproc_bench,
-        timed=tuple(f"regimes.{r}.{sub}"
-                    for r in _REGIMES for sub in ("threaded", "process")),
-        smoke=dict(cell="gru", input_size=64, hidden=32, layers=2,
-                   seq_len=16, batch=8, mbs=2, iters=2),
-        record=dict(_PAPER_SHAPE, mbs=4, iters=3, warmup=1),
-        schema=[
-            *((f"regimes.{r}.speedup_median", _NUM) for r in _REGIMES),
-            *((f"regimes.{r}.bitwise_identical", bool) for r in _REGIMES),
-            ("bitwise_identical", bool),
-            ("leaked_segments", int),
-            ("host_cores", int),
-        ],
-        bars=[
-            *(Bar(f"regimes.{r}.bitwise_identical", "==", True,
-                  "the process executor computed different bits")
-              for r in _REGIMES),
-            Bar("bitwise_identical", "==", True),
-            Bar("leaked_segments", "==", 0,
-                "a /dev/shm segment survived the run"),
-            Bar("regimes.gil_bound.speedup_median", ">=", 1.3,
-                "worker processes no longer beat the GIL-serialised threads",
-                multicore=True),
-            Bar("regimes.default.speedup_median", ">=", 0.9,
-                "shared-memory transport overhead exceeds the budget",
-                multicore=True),
-        ],
-    ),
     "fleet": _suite(
         run_fleet_bench,
         # deterministic (simulated clock), so CI runs the recorded size
@@ -520,26 +437,10 @@ SUITES: Dict[str, Suite] = {
     "obs_overhead": _suite(
         run_obs_report,
         timed=("overhead.disabled", "overhead.enabled"),
-        smoke=dict(n_cores=16, seq_len=30, batch=8, mbs=2, iters=7),
-        record=dict(seq_len=100, batch=32, mbs=4, iters=9, warmup=2),
-        schema=[
-            ("overhead.overhead_ratio", _NUM),
-            ("comparison.graph.n_tasks", int),
-            *(
-                entry
-                for p in _POLICIES
-                for entry in (
-                    *_numbers(f"comparison.policies.{p}", "makespan_s", "parallel_efficiency",
-                              "core_busy_fraction_mean", "core_busy_fraction_max"),
-                    *((f"comparison.policies.{p}.counters.{key}", int) for key in (
-                        "pushes", "pops", "hinted_pushes", "locality_hits",
-                        "locality_misses", "steals", "starvation_stalls",
-                        "queue_depth_max")),
-                    *_numbers(f"comparison.policies.{p}.counters",
-                              "locality_hit_rate", "queue_depth_mean"),
-                )
-            ),
-        ],
+        # the threaded BLSTM of measure_overhead (in=128 h=64 L=2 B=16)
+        smoke=dict(seq_len=30, mbs=1, iters=7),
+        record=dict(seq_len=100, mbs=2, iters=9, warmup=2),
+        schema=[],
         bars=[
             Bar("overhead.overhead_ratio", ">", 0),
             Bar("overhead.overhead_ratio", "<=", 1.02,
@@ -548,11 +449,6 @@ SUITES: Dict[str, Suite] = {
             # records the ≤2 % claim, fresh smoke runs get tenancy slack
             Bar("overhead.overhead_ratio", "<=", 1.10,
                 "enabling metrics is no longer (near-)free", scopes=("smoke",)),
-            *(Bar(f"comparison.policies.{p}.counters.pops", "==", "comparison.graph.n_tasks",
-                  "policies must run the same graph") for p in _POLICIES),
-            Bar(f"comparison.policies.locality.counters.locality_hit_rate", ">=",
-                f"comparison.policies.fifo.counters.locality_hit_rate",
-                "locality accounting looks inverted"),
         ],
     ),
     # the paper's tables, figures and studies on the simulated clock (harness.paper)
@@ -754,7 +650,7 @@ def check_report(report, origin: str = "<report>",
         notices.append(
             f"{origin}: NOTICE — recorded on a {results['host_cores']}-core "
             "host; speed-up bars waived (parallel speed-up is unmeasurable "
-            "on one core); schema, bitwise and leak invariants still gated"
+            "on one core); the schema and every other bar still gated"
         )
     for bar in suite.bars:
         if scope not in bar.scopes or (bar.multicore and single_core):

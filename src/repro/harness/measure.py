@@ -1,6 +1,6 @@
 """Measurement helpers shared by the bench drivers.
 
-The wall-clock benches (``fusionbench``, ``mpbench``, ``obs.report``) all
+The wall-clock benches (``fusionbench``, ``obs.report``) both
 time the same thing — one batch per engine configuration, as inference or
 as a training step — so the model builder, the interleaved timing loop and
 the sample summary live here once.
@@ -9,7 +9,7 @@ the sample summary live here once.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def interleaved_step_times(
     iters: int = 5,
     warmup: int = 1,
     seed: int = 0,
-) -> Tuple[Dict[str, List[float]], Dict[str, np.ndarray]]:
+) -> Dict[str, List[float]]:
     """Wall-clock samples of one batch per labelled config: an inference
     batch, or under ``training`` one SGD step.
 
@@ -64,9 +64,7 @@ def interleaved_step_times(
     hit every sample set equally and ``samples[a][i]``/``samples[b][i]``
     are a back-to-back pair; the within-round order alternates so no
     config systematically runs first (the first run of a round sees
-    colder caches).  Returns ``(samples, outputs)`` — ``outputs`` holds
-    each engine's last logits (training: its last loss), for bitwise
-    comparison across configs.
+    colder caches).
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((seq_len, batch, spec.input_size)).astype(np.float32)
@@ -81,15 +79,14 @@ def interleaved_step_times(
     def step(engine: BParEngine):
         return engine.train_batch(x, labels, lr=1e-3) if training else engine.forward(x)
 
-    outputs: Dict[str, np.ndarray] = {}
     for _ in range(warmup):
-        for label, engine in engines.items():
-            outputs[label] = step(engine)
+        for engine in engines.values():
+            step(engine)
     samples: Dict[str, List[float]] = {label: [] for label in engines}
     order = list(engines)
     for i in range(iters):
         for label in order if i % 2 == 0 else reversed(order):
             t0 = time.perf_counter()
-            outputs[label] = step(engines[label])
+            step(engines[label])
             samples[label].append(time.perf_counter() - t0)
-    return samples, outputs
+    return samples

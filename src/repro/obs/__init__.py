@@ -15,9 +15,8 @@ measured with:
 * :class:`Snapshot` / :class:`SnapshotLog` — periodic registry sampling,
   embeddable as Chrome-trace counter events
   (:mod:`repro.obs.snapshot`);
-* :mod:`repro.obs.report` — the ``python -m repro bench obs_overhead`` driver:
-  locality-aware vs oblivious counter comparison on one graph, and the
-  metrics-overhead bench behind ``BENCH_obs_overhead.json``.  (Imported
+* :mod:`repro.obs.report` — the ``python -m repro bench obs_overhead`` driver,
+  the metrics-overhead A/B behind ``BENCH_obs_overhead.json``.  (Imported
   on demand, not here: it pulls in the engines.)
 
 Everything is enabled through the unified

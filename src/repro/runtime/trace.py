@@ -88,18 +88,6 @@ class ExecutionTrace:
             return len(self.records)
         return sum(1 for r in self.records if r.kind == kind)
 
-    def execution_order(self) -> List[int]:
-        """Task tids in dispatch order (start time, record order on ties).
-
-        On a single-worker executor this is exactly the scheduler's pop
-        order, which lets schedule-replay tests compare an execution
-        against a recorded :class:`~repro.runtime.scheduler.ScheduleRecord`.
-        """
-        indexed = sorted(
-            range(len(self.records)), key=lambda i: (self.records[i].start, i)
-        )
-        return [self.records[i].tid for i in indexed]
-
     def core_busy_time(self) -> Dict[int, float]:
         busy: Dict[int, float] = {c: 0.0 for c in range(self.n_cores)}
         for r in self.records:

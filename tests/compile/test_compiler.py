@@ -31,7 +31,8 @@ def test_successors_are_the_transitive_reduction(graph):
 
 
 def test_fused_inference_graph_has_redundancy(graph):
-    # the bench's premise: the dependence tracker over-declares here
+    # the dependence tracker over-declares on a hoisted inference graph, so
+    # the transitive reduction has real work to do
     plan = compile_graph(graph)
     assert 0.0 < plan.meta["redundant_edge_fraction"] < 1.0
 

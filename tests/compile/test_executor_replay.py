@@ -14,7 +14,7 @@ def test_threaded_replay_single_worker_follows_plan_order():
     build = build_functional()
     plan = compile_graph(build.graph)
     trace = ThreadedExecutor(1).run(build.graph, plan=plan)
-    assert trace.execution_order() == plan.order
+    assert [r.tid for r in trace.records] == plan.order
     assert trace.scheduler == "replay"
 
 
@@ -66,7 +66,9 @@ def test_sim_replay_deterministic():
     a = SimulatedExecutor(xeon_8160_2s(), n_cores=8).run(graph, plan=plan)
     b = SimulatedExecutor(xeon_8160_2s(), n_cores=8).run(graph, plan=plan)
     assert a.makespan == b.makespan
-    assert a.execution_order() == b.execution_order()
+    assert [(r.tid, r.core, r.start) for r in a.records] == [
+        (r.tid, r.core, r.start) for r in b.records
+    ]
 
 
 def test_sim_replay_respects_declared_dependences():

@@ -320,6 +320,19 @@ def make_executor(name, n_workers=2, scheduler="fifo"):
     raise ValueError(f"unknown executor substrate {name!r}")
 
 
+def own_segments():
+    """This process's ``/dev/shm`` arenas, the leak probe of the process
+    executor's tests: an arena's name carries the pid that created it
+    (``repro_mp_<pid>_<n>``), so a process-executor run elsewhere on the
+    host never shows up here."""
+    import os
+
+    from repro.runtime.shm import SEGMENT_PREFIX, list_segments
+
+    mine = f"{SEGMENT_PREFIX}_{os.getpid()}_"
+    return [name for name in list_segments() if name.startswith(mine)]
+
+
 @pytest.fixture(params=EXECUTOR_MATRIX)
 def executor_matrix(request):
     """Parametrizes a test over every functional substrate by name."""

@@ -1,12 +1,11 @@
 """The unified ExecutionConfig API."""
 
-import argparse
 import dataclasses
 import warnings
 
 import pytest
 
-from repro.config import ExecutionConfig, add_execution_args, config_from_args
+from repro.config import ExecutionConfig
 from repro.core.bpar import BParEngine
 from repro.core.bseq import BSeqEngine
 from repro.models.spec import BRNNSpec
@@ -115,33 +114,3 @@ class TestEngineEquivalence:
         with pytest.raises(TypeError, match="mbs"):
             InferenceEngine(SPEC, config=cfg, mbs=2)
 
-
-class TestCliIntegration:
-    def _parse(self, argv):
-        parser = argparse.ArgumentParser()
-        add_execution_args(parser)
-        return parser.parse_args(argv)
-
-    def test_config_from_args_round_trip(self):
-        args = self._parse(
-            ["--executor", "threaded", "--cores", "4", "--scheduler", "fifo",
-             "--mbs", "2", "--seed", "9", "--fused-input-projection", "off"]
-        )
-        cfg = config_from_args(args)
-        assert cfg == ExecutionConfig(
-            executor="threaded", n_workers=4, scheduler="fifo",
-            mbs=2, seed=9, fused_input_projection="off",
-        )
-
-    def test_config_from_args_defaults(self):
-        cfg = config_from_args(self._parse([]))
-        assert cfg.executor == "sim"
-        assert cfg.n_workers is None
-        assert cfg.mbs == 4
-        assert cfg.fused_input_projection == "auto"
-
-    def test_config_from_args_attachments_and_overrides(self):
-        registry = MetricsRegistry()
-        cfg = config_from_args(self._parse([]), metrics=registry, mbs=1)
-        assert cfg.metrics is registry
-        assert cfg.mbs == 1

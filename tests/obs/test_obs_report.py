@@ -1,44 +1,48 @@
-"""The obs_overhead driver: policy counter comparison and the overhead A/B."""
+"""The obs_overhead driver (the metrics-enabled overhead A/B) and the
+policy contrast it reports on: one graph, two scheduler policies."""
 
-import pytest
+from repro.core.graph_builder import build_brnn_graph
+from repro.harness.measure import make_spec
+from repro.obs.registry import MetricsRegistry
+from repro.obs.report import measure_overhead
+from repro.runtime.simexec import SimulatedExecutor
+from repro.simarch.presets import xeon_8160_2s
 
-from repro.obs.report import (
-    compare_policies,
-    measure_overhead,
-    run_obs_report,
-)
 
-TINY = dict(
-    input_size=8, hidden=8, layers=2, seq_len=8, batch=4, mbs=2, n_cores=8
-)
+def _run_both_policies():
+    """Run one tiny cost graph warm on eight simulated cores under the
+    locality-aware and the FIFO policy; return the graph and each trace."""
+    graph = build_brnn_graph(
+        make_spec("lstm", 8, 8, 2), seq_len=8, batch=4, mbs=2
+    ).graph
+    traces = {}
+    for policy in ("locality", "fifo"):
+        registry = MetricsRegistry()
+        sim = SimulatedExecutor(
+            xeon_8160_2s(), n_cores=8, scheduler=policy, metrics=registry
+        )
+        sim.run(graph)  # warm: weights NUMA-homed / cache-resident
+        traces[policy] = (sim.run(graph), registry)
+    return graph, traces
 
 
 def test_compare_policies_runs_same_graph_under_both():
-    report = compare_policies("locality", "fifo", **TINY)
-    assert set(report["policies"]) == {"locality", "fifo"}
-    n_tasks = report["graph"]["n_tasks"]
-    assert n_tasks > 0
-    for name, block in report["policies"].items():
-        assert block["counters"]["pops"] == n_tasks, name
-        assert block["makespan_s"] > 0
-        assert 0 < block["parallel_efficiency"] <= 1
-        assert "repro_sched_pops_total" in block["metrics"]
-    assert report["speedup_vs_compare"] > 0
+    graph, traces = _run_both_policies()
+    assert len(graph) > 0
+    for name, (trace, registry) in traces.items():
+        assert trace.scheduler_counters.pops == len(graph), name
+        assert trace.makespan > 0
+        assert 0 < trace.parallel_efficiency() <= 1
+        assert "repro_sched_pops_total" in registry.as_dict()
 
 
 def test_locality_policy_wins_the_hit_rate_contrast():
     """The paper's Fig. 7 contrast restated as counters."""
-    report = compare_policies("locality", "fifo", **TINY)
-    loc = report["policies"]["locality"]["counters"]
-    fifo = report["policies"]["fifo"]["counters"]
-    assert loc["hinted_pushes"] == fifo["hinted_pushes"] > 0
-    assert loc["locality_hit_rate"] >= fifo["locality_hit_rate"]
-
-
-def test_compare_policies_same_policy_deduplicates():
-    report = compare_policies("locality", "locality", **TINY)
-    assert list(report["policies"]) == ["locality"]
-    assert report["speedup_vs_compare"] == pytest.approx(1.0)
+    _, traces = _run_both_policies()
+    loc = traces["locality"][0].scheduler_counters
+    fifo = traces["fifo"][0].scheduler_counters
+    assert loc.hinted_pushes == fifo.hinted_pushes > 0
+    assert loc.locality_hit_rate >= fifo.locality_hit_rate
 
 
 def test_measure_overhead_shape_and_budget():
@@ -68,13 +72,3 @@ def test_committed_baseline_holds_the_two_percent_claim():
     assert check_report(report) == []
     assert report["results"]["overhead"]["overhead_ratio"] <= 1.02
 
-
-def test_run_obs_report_envelope_without_overhead():
-    point = run_obs_report(
-        "locality", "fifo", n_cores=8, mbs=2, seq_len=8, batch=4,
-        overhead=False,
-    )
-    assert point["config"]["policy"] == "locality"
-    assert point["config"]["overhead"] is False
-    assert "comparison" in point["results"]
-    assert "overhead" not in point["results"]

@@ -24,6 +24,7 @@ from repro.runtime.shm import (
     ShmBlock,
     list_segments,
 )
+from tests.conftest import own_segments
 
 CAPACITY = 1 << 14  # 16 KiB — small enough that exhaustion is reachable
 
@@ -149,7 +150,7 @@ def test_exhaustion_raises_and_leaves_state_consistent():
 
 
 def test_context_manager_unlinks_on_success_and_exception():
-    before = list_segments()
+    before = own_segments()
     with ShmArena(CAPACITY) as arena:
         name = arena.name
         assert name in list_segments()
@@ -160,7 +161,7 @@ def test_context_manager_unlinks_on_success_and_exception():
             name = arena.name
             raise RuntimeError("boom")
     assert name not in list_segments()
-    assert list_segments() == before
+    assert own_segments() == before
 
 
 def test_destroy_is_idempotent_and_survives_live_views():

@@ -5,8 +5,10 @@ process dying mid-task (SIGKILL — no atexit, no finally, no pickle
 goodbye) must surface as a :class:`WorkerCrashError` naming the in-flight
 task, must never hang the manager, and must never leak a ``/dev/shm``
 segment; a payload whose export cannot be pickled must come back as a
-clean error, not a deadlock.  Every test runs under an alarm so a
-regression fails fast instead of wedging the suite.
+clean error, not a deadlock.  The leak asserts read only this process's
+segments (``own_segments``), so a process-executor run beside the suite
+cannot fail them.  Every test runs under an alarm so a regression fails
+fast instead of wedging the suite.
 """
 
 import os
@@ -18,8 +20,7 @@ import pytest
 
 from repro.runtime.mpexec import MultiprocessExecutor
 from repro.runtime.protocol import Executor, ExecutorError, WorkerCrashError
-from repro.runtime.shm import list_segments
-from tests.conftest import build_functional
+from tests.conftest import build_functional, own_segments
 
 #: generous wall-clock bound: fault handling is prompt or it is broken
 DEADLINE_S = 60
@@ -54,12 +55,12 @@ def test_sigkilled_worker_raises_crash_error_naming_the_task():
     victim = _mid_graph_task(build.graph)
     victim.fn = lambda: os.kill(os.getpid(), signal.SIGKILL)
 
-    before = list_segments()
+    before = own_segments()
     with pytest.raises(WorkerCrashError) as err:
         MultiprocessExecutor(2).run(build.graph)
     assert victim.name in str(err.value)
     assert "died while running" in str(err.value)
-    assert list_segments() == before, "crash leaked a /dev/shm segment"
+    assert own_segments() == before, "crash leaked a /dev/shm segment"
 
 
 def test_crash_error_is_an_executor_error():
@@ -112,14 +113,14 @@ def test_poison_pickle_export_errors_cleanly_not_deadlock():
 
     victim.fn = poison
 
-    before = list_segments()
+    before = own_segments()
     with pytest.raises(Exception) as err:
         MultiprocessExecutor(2).run(build.graph)
     assert not isinstance(err.value, WorkerCrashError), (
         "poison pickle must be reported by the worker, not look like a crash"
     )
     assert isinstance(err.value, (pickle.PicklingError, AttributeError, TypeError))
-    assert list_segments() == before
+    assert own_segments() == before
 
 
 def test_failing_payload_propagates_original_exception():
@@ -130,10 +131,10 @@ def test_failing_payload_propagates_original_exception():
         raise ValueError("injected payload failure")
 
     victim.fn = explode
-    before = list_segments()
+    before = own_segments()
     with pytest.raises(ValueError, match="injected payload failure"):
         MultiprocessExecutor(2).run(build.graph)
-    assert list_segments() == before
+    assert own_segments() == before
 
 
 def test_executor_protocol_conformance():

@@ -116,6 +116,23 @@ def test_sim_mode_plan_cache_replaces_cost_memo():
     assert second.service_time_s == first.service_time_s
 
 
+def test_round_robin_shape_mix_compiles_each_shape_once_then_always_hits():
+    """Four rounds over two batch shapes: the first round compiles one plan
+    per shape, every later batch replays one."""
+    spec = tiny_spec()
+    engine = sim_engine(spec, "on")
+    shapes = [(6, 4), (3, 2)]
+    rounds = 4
+    for r in range(rounds):
+        for i, (seq_len, size) in enumerate(shapes):
+            batch = make_batch(spec, r * len(shapes) + i, seq_len=seq_len,
+                               size=size, with_x=False)
+            assert engine.execute(batch).warm == (r > 0)
+    stats = engine.plan_cache.stats()
+    assert stats["compiles"] == stats["misses"] == len(shapes)
+    assert stats["hits"] == (rounds - 1) * len(shapes)
+
+
 def test_sim_service_time_close_to_dynamic():
     spec = tiny_spec()
     compiled = InferenceEngine(

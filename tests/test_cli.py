@@ -106,7 +106,12 @@ def test_analyze_observe_and_fuzz_write_one_report(capsys, tmp_path):
 def test_retired_command_and_flags_are_usage_errors(capsys):
     """`racecheck` is `analyze --observe --fuzz-seeds`; `--strict` is what
     `--verify` does; the certificate always cross-validates 8 configs; the
-    retired serving benchmark is `bench fleet` (and `bench/run.py`)."""
+    retired serving benchmark is `bench fleet` (and `bench/run.py`); the
+    retired `compile` and `multiproc` suites are tier-1 tests and `bench/`
+    metrics (benchmarks/baselines/README.md)."""
+    for suite in ("compile", "multiproc"):
+        assert main(["bench", suite]) == 2
+        assert "usage: bench" in capsys.readouterr().err
     for argv in (
         ["racecheck"],
         ["serve-bench"],
@@ -134,31 +139,6 @@ def test_analyze_command_fails_on_lint_findings(capsys, tmp_path):
     assert "mutable-default" in capsys.readouterr().out
 
 
-def test_obs_report_emits_valid_bench_json(capsys, tmp_path):
-    from repro.harness.ledger import load_report, make_report, write_report
-    from repro.obs.report import run_obs_report
-
-    out_file = tmp_path / "obs.json"
-    # overhead=False: the comparison half is deterministic (simulated
-    # machine); the wall-time A/B half is covered by `make smoke-obs` and
-    # the committed baseline gate.
-    point = run_obs_report(
-        "locality", "fifo", n_cores=8, seq_len=8, batch=4, mbs=2,
-        overhead=False,
-    )
-    write_report(
-        str(out_file),
-        make_report("obs_overhead", point["config"], point["results"]),
-    )
-    report = load_report(str(out_file))
-    assert report["bench"] == "obs_overhead"
-    policies = report["results"]["comparison"]["policies"]
-    assert set(policies) == {"locality", "fifo"}
-    n_tasks = report["results"]["comparison"]["graph"]["n_tasks"]
-    for block in policies.values():
-        assert block["counters"]["pops"] == n_tasks
-
-
 def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys):
     for argv in (
         ["describe", "--full", "--mbs", "7", "--executor", "threaded", "--slo", "3",
@@ -167,6 +147,10 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys):
         ["fig4", "--cores", "8"],
         ["bench", "fleet", "--executor", "sim"],
         ["analyze", "--arrival-rate", "50"],
+        ["analyze", "--executor", "threaded"],
+        ["analyze", "--cores", "4"],
+        ["analyze", "--scheduler", "fifo"],
+        ["analyze", "--compile", "on"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

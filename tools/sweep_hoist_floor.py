@@ -39,7 +39,7 @@ def sweep_point(hidden: int, rows: int, training: bool, rounds: int):
                               fused_input_projection=mode)
         for mode in ("off", "on")
     }
-    samples, _ = interleaved_step_times(
+    samples = interleaved_step_times(
         spec, SEQ_LEN, rows, configs, training=training, iters=rounds, warmup=1
     )
     (rows_w, cols_w), _ = spec.cell_param_shapes(0)
