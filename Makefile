@@ -26,8 +26,9 @@ test:
 check-baselines:
 	$(PYTHON) -m repro bench --check $(BASELINES)/BENCH_*.json
 
-# AST lint over the whole package: payload-closure capture audit,
-# mutable defaults, swallowed exceptions, float64 creep in the kernels.
+# AST lint over the whole package: fork-unsafe payload captures, shm
+# use-after-close, late-bound loop variables, GEMMs under the pointwise
+# turn, mutable defaults, swallowed exceptions, float64 creep in the kernels.
 # Zero findings required; waive individual lines with `# lint: waive <rule>`.
 lint:
 	$(PYTHON) -m repro analyze --skip-graph --lint src/repro
@@ -66,8 +67,9 @@ smoke-mp:
 # per-step, a hoisted-projection and a tiled train graph (any finding or
 # divergence exits 1); then the full family-matrix certificate (exit 1
 # unless every family certifies, every mutation kind is detected with its
-# exact pair, and cross-validation is clean); then one gate over the first
-# graph's report, the paper-scale record and the certificate (suites
+# exact pair, and every certified instance is observed without a finding);
+# then one gate over the first graph's report, the paper-scale record and
+# the certificate (suites
 # `graph_analysis` and `verify` of the ledger); then the conformance cells
 # the certificate lets tier-1 skip (`addopts` deselects the `certified`
 # marker), each proved and observed

@@ -1,8 +1,9 @@
 """Project-specific ``ast`` lint over the repro source tree.
 
-Generic Python linters cannot know that a task payload closure must only
-touch memory its callsite *declared*, or that ``src/repro/kernels`` is a
-float32 zone.  This pass encodes those project rules:
+Generic Python linters cannot know that a task payload crosses a fork
+boundary, that a GEMM must stay outside the pointwise turn, or that
+``src/repro/kernels`` is a float32 zone.  This pass encodes those project
+rules, each a hazard that running the code once would not show:
 
 ``mutable-default``
     A list/dict/set literal (or constructor call) as a default argument
@@ -18,17 +19,6 @@ float32 zone.  This pass encodes those project rules:
     Any ``float64`` literal/dtype inside ``src/repro/kernels``: the
     kernels must honour the spec dtype; a stray float64 silently doubles
     bandwidth and desyncs bit-exactness with the oracle.
-
-``undeclared-closure-capture``
-    A ``_fn_*`` payload factory's closure touches a region family (via
-    the state/params attribute vocabulary below) that its task family's
-    access rule does not declare — the *static* mirror of the dynamic
-    race checker's observed-vs-declared diff, and it runs on every config
-    at once instead of only the ones we execute.
-
-``inplace-mutation-in-only``
-    A payload closure mutates (``+=``, slice/index assignment) storage
-    whose region family the access rule declares only as ``in``.
 
 ``fork-unsafe-capture``
     A ``_fn_*`` payload closure captures state that does not survive the
@@ -64,18 +54,10 @@ float32 zone.  This pass encodes those project rules:
 Waivers: append ``# lint: waive <rule>[, <rule>...]`` (or ``waive all``)
 on the finding's line or the line above.
 
-The closure rules compare two readings of the source.  *Declared*: a
-factory is paired with its task family — the ``kind="…"`` literal of the
-``self._add(…)`` call it is handed to, plus the enclosing build method —
-and the family's rule function is looked up in the ``FAMILIES`` literal
-of :mod:`repro.core.access_spec`, the table the builder emits
-declarations from (a module without its own ``FAMILIES`` literal reads
-the ``access_spec.py`` beside it).  Inside a rule, a tuple literal starting with a string
-is a region key (``_in_key(…)`` is ``x`` or ``m``); it is an ``in`` or a
-write according to the ``ins``/``outs``/``inouts`` variable or
-``AccessDecl`` keyword it sits under.  *Touched*: :data:`FAMILY_IDENTS`
-maps state/params attribute names to the region families their storage
-backs (the static analogue of ``GraphBuildResult.region_storage``).
+Whether a payload touches only the regions its access rule declares is
+not a source-level question here: the dependence certificate runs every
+payload it proves under access observation and diffs the touched bytes
+against the declarations (:func:`repro.analysis.verify.cross_validate`).
 """
 
 from __future__ import annotations
@@ -85,14 +67,12 @@ import io
 import os
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 RULES = (
     "mutable-default",
     "swallowed-exception",
     "float64-creep",
-    "undeclared-closure-capture",
-    "inplace-mutation-in-only",
     "fork-unsafe-capture",
     "shm-use-after-close",
     "loop-variable-capture",
@@ -101,34 +81,6 @@ RULES = (
 
 _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 _MUTABLE_CONSTRUCTORS = {"list", "dict", "set"}
-
-#: Identifier → region families whose storage that identifier backs.
-#: Mirrors ``GraphBuildResult.region_storage``: ``state.h_f`` rows are the
-#: ``("h", …)`` regions, ``params`` holds the ``W``/``Wout`` regions, a
-#: ``grads`` container spans all three gradient families, and
-#: ``layer_input`` resolves to the layer's input region (``x`` or ``m``).
-#: Identifiers absent from the table (``h0``, ``labels``, ``loss_sums``,
-#: locals) back no region and never lint.
-FAMILY_IDENTS: Dict[str, FrozenSet[str]] = {
-    "h_f": frozenset({"h"}), "h_r": frozenset({"h"}),
-    "c_f": frozenset({"h"}), "c_r": frozenset({"h"}),
-    "cache_f": frozenset({"cache"}), "cache_r": frozenset({"cache"}),
-    "zx_f": frozenset({"zx"}), "zx_r": frozenset({"zx"}),
-    "dz_f": frozenset({"dz"}), "dz_r": frozenset({"dz"}),
-    "dh_f": frozenset({"dh"}), "dh_r": frozenset({"dh"}),
-    "dc_f": frozenset({"dh"}), "dc_r": frozenset({"dh"}),
-    "merged": frozenset({"m"}),
-    "dmerged": frozenset({"dm"}),
-    "last_merged": frozenset({"mlast"}),
-    "dlast_merged": frozenset({"dmlast"}),
-    "logits": frozenset({"logits"}),
-    "dlogits": frozenset({"dlogits"}),
-    "layer_input": frozenset({"x", "m"}),
-    "x": frozenset({"x"}),
-    "grads": frozenset({"gW", "gWout"}),
-    "params": frozenset({"W", "Wout"}),
-    "velocity": frozenset({"vel"}),
-}
 
 
 @dataclass
@@ -275,7 +227,7 @@ def _float64_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
     return findings
 
 
-# -- closure/declaration rules -------------------------------------------
+# -- shared helpers ------------------------------------------------------
 
 
 def _terminal_name(node: ast.AST) -> Optional[str]:
@@ -285,239 +237,6 @@ def _terminal_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def _access_rules(tree: ast.Module, path: str) -> Dict[str, ast.FunctionDef]:
-    """Family id → rule function, read from the table module's
-    ``FAMILIES = {"kind@site": rule, …}`` literal.
-
-    The table module is the linted module itself when it holds such a
-    literal, else the ``access_spec.py`` beside ``path``
-    (``core/graph_builder.py``'s case).
-    """
-
-    def families_literal(module: ast.Module) -> Optional[ast.Dict]:
-        for node in module.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                if any(_terminal_name(t) == "FAMILIES" for t in targets):
-                    return node.value
-        return None
-
-    sibling = os.path.join(os.path.dirname(path), "access_spec.py")
-    if families_literal(tree) is None and os.path.isfile(sibling):
-        with open(sibling, "r", encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-    literal = families_literal(tree)
-    if literal is None:
-        return {}
-    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    return {
-        key.value: functions[_terminal_name(value)]
-        for key, value in zip(literal.keys, literal.values)
-        if isinstance(key, ast.Constant) and _terminal_name(value) in functions
-    }
-
-
-def _key_families(node: ast.AST) -> Set[str]:
-    """Region families of the keys written inside ``node``: a tuple literal
-    whose first element is a string is a region key, and ``_in_key(…)`` is
-    the layer input (``x`` below the first layer, ``m`` above)."""
-    fams: Set[str] = set()
-    for n in ast.walk(node):
-        if (
-            isinstance(n, ast.Tuple)
-            and n.elts
-            and isinstance(n.elts[0], ast.Constant)
-            and isinstance(n.elts[0].value, str)
-        ):
-            fams.add(n.elts[0].value)
-        elif isinstance(n, ast.Call) and _terminal_name(n.func) == "_in_key":
-            fams |= {"x", "m"}
-    return fams
-
-
-_BUCKET_OF = {"ins": "ins", "outs": "writes", "inouts": "writes"}
-
-
-def _declaration_buckets(rule: Optional[ast.FunctionDef]) -> Dict[str, Set[str]]:
-    """Region families an access rule declares, split by access mode.
-
-    ``ins``/``writes`` hold the families of the keys in ``in``- /
-    ``out``+``inout``-flavoured positions: the ``ins=``/``outs=``/
-    ``inouts=`` keywords of the ``AccessDecl(…)`` calls, and assignments,
-    ``+=`` and ``append``/``extend`` on variables literally named
-    ``ins``/``outs``/``inouts``.  A key anywhere else declares nothing; a
-    family with no rule (``rule is None``) declares nothing at all.
-    """
-    buckets: Dict[str, Set[str]] = {"ins": set(), "writes": set()}
-    for node in ast.walk(rule) if rule is not None else ():
-        if isinstance(node, ast.Call):
-            for kw in node.keywords:
-                if kw.arg in _BUCKET_OF:
-                    buckets[_BUCKET_OF[kw.arg]] |= _key_families(kw.value)
-            # ins.append(...) / inouts.extend(...)
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("append", "extend")
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in _BUCKET_OF
-            ):
-                for arg in node.args:
-                    buckets[_BUCKET_OF[node.func.value.id]] |= _key_families(arg)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id in _BUCKET_OF:
-                    buckets[_BUCKET_OF[target.id]] |= _key_families(node.value)
-    return buckets
-
-
-def _ident_families(node: ast.AST, aliases: Dict[str, FrozenSet[str]]) -> Set[str]:
-    """Union of region families named by any identifier in ``node``."""
-    fams: Set[str] = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            fams |= aliases.get(n.id, FAMILY_IDENTS.get(n.id, frozenset()))
-        elif isinstance(n, ast.Attribute):
-            fams |= FAMILY_IDENTS.get(n.attr, frozenset())
-    return fams
-
-
-def _collect_aliases(
-    body: Sequence[ast.stmt], aliases: Dict[str, FrozenSet[str]]
-) -> None:
-    """Fold simple local assignments into the alias map, in source order.
-
-    Handles tuple unpacking and conditional expressions, so e.g.
-    ``target = state.zx_f if fwd else state.zx_r`` gives ``target`` the
-    ``zx`` family.  Mutates ``aliases`` in place.
-    """
-    for stmt in body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-            if isinstance(target, ast.Name):
-                aliases[target.id] = frozenset(_ident_families(value, aliases))
-            elif (
-                isinstance(target, ast.Tuple)
-                and isinstance(value, ast.Tuple)
-                and len(target.elts) == len(value.elts)
-            ):
-                for t, v in zip(target.elts, value.elts):
-                    if isinstance(t, ast.Name):
-                        aliases[t.id] = frozenset(_ident_families(v, aliases))
-        elif isinstance(stmt, (ast.If, ast.For, ast.While, ast.With)):
-            _collect_aliases(stmt.body, aliases)
-            _collect_aliases(getattr(stmt, "orelse", []), aliases)
-
-
-def _closure_findings(tree: ast.Module, path: str) -> List[PyLintFinding]:
-    findings: List[PyLintFinding] = []
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
-        factories = [m for m in methods if m.name.startswith("_fn_")]
-        if not factories:
-            continue
-        rules = _access_rules(tree, path)
-
-        # Families each payload factory serves: the ``kind`` literal of the
-        # ``_add`` call it is handed to, at the enclosing build method.
-        served: Dict[str, Set[str]] = {}
-        for method in methods:
-            for call in ast.walk(method):
-                if not (isinstance(call, ast.Call) and _terminal_name(call.func) == "_add"):
-                    continue
-                kinds = [kw.value.value for kw in call.keywords
-                         if kw.arg == "kind" and isinstance(kw.value, ast.Constant)]
-                if not kinds:
-                    continue
-                for node in (n for arg in call.args for n in ast.walk(arg)):
-                    name = _terminal_name(node.func) if isinstance(node, ast.Call) else None
-                    if name and name.startswith("_fn_"):
-                        served.setdefault(name, set()).add(f"{kinds[0]}@{method.name}")
-
-        for factory in factories:
-            families = sorted(served.get(factory.name, ()))
-            if not families:
-                continue  # unused factory: no declaration context to check
-            ins: Set[str] = set()
-            writes: Set[str] = set()
-            for family in families:
-                buckets = _declaration_buckets(rules.get(family))
-                ins |= buckets["ins"]
-                writes |= buckets["writes"]
-            declared = ins | writes
-            family_label = "/".join(families)
-
-            aliases: Dict[str, FrozenSet[str]] = {}
-            _collect_aliases(factory.body, aliases)
-            # every payload variant, including ones defined under an ``if``
-            inner_fns = [
-                n for n in ast.walk(factory)
-                if isinstance(n, ast.FunctionDef) and n is not factory
-            ]
-            for fn in inner_fns:
-                fn_aliases = dict(aliases)
-                _collect_aliases(fn.body, fn_aliases)
-
-                # undeclared-closure-capture: any storage identifier whose
-                # families miss the rule's declarations entirely.
-                reported: Set[str] = set()
-                for node in ast.walk(fn):
-                    ident = None
-                    if isinstance(node, ast.Attribute):
-                        ident = node.attr
-                    elif isinstance(node, ast.Name):
-                        ident = node.id
-                    if ident is None or ident in reported:
-                        continue
-                    fams = (
-                        fn_aliases.get(ident, FAMILY_IDENTS.get(ident, frozenset()))
-                        if isinstance(node, ast.Name)
-                        else FAMILY_IDENTS.get(ident, frozenset())
-                    )
-                    if fams and not (fams & declared):
-                        reported.add(ident)
-                        findings.append(
-                            PyLintFinding(
-                                rule="undeclared-closure-capture",
-                                path=path,
-                                line=node.lineno,
-                                message=f"payload closure in `{factory.name}` touches "
-                                f"`{ident}` (region family {sorted(fams)}) but the "
-                                f"access rule of `{family_label}` declares no region "
-                                "of that family",
-                            )
-                        )
-
-                # inplace-mutation-in-only: mutations on in-only families.
-                mutations: List[ast.AST] = []
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.AugAssign):
-                        mutations.append(node.target)
-                    elif isinstance(node, ast.Assign):
-                        mutations.extend(
-                            t
-                            for t in node.targets
-                            if isinstance(t, (ast.Subscript, ast.Attribute))
-                        )
-                for target in mutations:
-                    fams = _ident_families(target, fn_aliases)
-                    if fams and fams & ins and not (fams & writes):
-                        findings.append(
-                            PyLintFinding(
-                                rule="inplace-mutation-in-only",
-                                path=path,
-                                line=target.lineno,
-                                message=f"payload closure in `{factory.name}` mutates "
-                                f"storage of region family {sorted(fams)} that "
-                                f"the access rule of `{family_label}` declares only "
-                                "as `in`",
-                            )
-                        )
-    return findings
 
 
 # -- fork/pickle-safety of payload closures -------------------------------
@@ -889,7 +608,6 @@ def lint_source(source: str, path: str = "<string>") -> List[PyLintFinding]:
         _mutable_default_findings(tree, path)
         + _swallowed_exception_findings(tree, path)
         + _float64_findings(tree, path)
-        + _closure_findings(tree, path)
         + _fork_unsafe_findings(tree, path)
         + _shm_findings(tree, path)
         + _loop_capture_findings(tree, path)

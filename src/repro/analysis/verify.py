@@ -16,11 +16,10 @@ of one built graph, five obligations:
    after the build, a task added around ``_Builder._add``, or a distinct
    ``Region`` aliasing an interned key (dependences match on identity,
    so the tracker would never order that task against the key's other
-   accessors).  The table itself is held to the kernels by the two checks
-   that compare payloads with it: the closure lint
-   (:mod:`repro.analysis.pylint`) and the dynamic observed-versus-declared
-   audit (:func:`cross_validate` here, :func:`repro.runtime.racecheck.
-   check_build`).
+   accessors).  The table itself is held to the kernels by the one check
+   that compares payloads with it: the observed-versus-declared audit
+   (:func:`repro.runtime.racecheck.check_build`), which
+   :func:`cross_validate` runs on every instance the certificate proves.
 2. **Storage soundness** — the symbolic byte extents of all region keys
    (:meth:`GraphBuildResult.symbolic_storage`) evaluate back to the
    declared concrete sizes, every pair of distinct keys sharing an
@@ -49,15 +48,15 @@ size-isomorphism check: the task/edge/key structure is invariant under
 size changes, so the symbolic proof at one structure covers all sizes of
 that structure.
 
-The proof is *checked*, not trusted: :func:`verify_mutations` seeds six
+The proof is *checked*, not trusted: :func:`verify_mutations` seeds seven
 defect classes — a dropped order-defining edge, a declared region shrunk
 below its kernel footprint, a kernel write widened past its declaration,
-a dropped reduced-plan edge, a spurious ``inout`` in one access rule, and
-a ``Region`` aliasing an interned key — and requires each to be flagged
-with the exact offending task pair (for the last two: task and region).
-:func:`cross_validate` additionally runs the dynamic race checker on
-sampled concrete configs from certified families and requires zero
-findings.
+a dropped reduced-plan edge, a spurious ``inout`` in one access rule, a
+``Region`` aliasing an interned key, and a write dropped from one access
+rule while the kernel still makes it — and requires each to be flagged
+with the exact offending task pair (for the last three: task and region).
+:func:`cross_validate` runs every payload of every certified cutoff
+instance under access observation and requires zero findings.
 
 A cycle is not a defect class here: ``TaskGraph.add`` only adds edges
 from earlier to later tasks, so no build can make one;
@@ -95,7 +94,7 @@ from repro.runtime.task import Region, Task
 CERT_FORMAT = "repro.cert.v1"
 MUTATION_KINDS = (
     "drop_edge", "shrink_region", "widen_write", "drop_plan_edge",
-    "over_declare", "alias_region",
+    "over_declare", "alias_region", "undeclare",
 )
 
 #: the config axes the certificate quantifies over: cell × head × mode ×
@@ -644,6 +643,10 @@ _REPRESENTATIVE = Family("lstm", "many_to_one", True, "gates", "off")
 #: logits becomes an ``inout`` nobody reads back
 _OVER_DECLARED = "loss@_build_head"
 
+#: the access rule the ``undeclare`` mutation edits: its ``cache`` outs go,
+#: while the forward cell kernel still writes the per-step cache
+_UNDECLARED = "cell@_build_forward_layer"
+
 
 def _representative_build() -> GraphBuildResult:
     """The BLSTM train graph the mutation self-tests operate on."""
@@ -663,7 +666,7 @@ def _hit(report: DependenceReport, kind: str, task: Task, key) -> list:
 
 
 def verify_mutations(*, seed: int = 0, n_workers: int = 2) -> dict:
-    """Seed the six defect classes; each must be flagged with its pair.
+    """Seed the seven defect classes; each must be flagged with its pair.
 
     * ``drop_edge`` — delete one order-defining graph edge; the ordering
       audit must name exactly the deleted edge's endpoints.
@@ -682,6 +685,10 @@ def verify_mutations(*, seed: int = 0, n_workers: int = 2) -> dict:
       loss task and the logits region.
     * ``alias_region`` — one task declares a distinct ``Region`` object
       under an interned key; fidelity must name the task and the key.
+    * ``undeclare`` — the mirror of ``over_declare``: the access table
+      drops the forward cell rule's ``cache`` outs and the build follows
+      it, so every static obligation still holds; the observed audit must
+      name the first cell task and the cache slot it writes undeclared.
     """
     result = _representative_build()
     graph = result.graph
@@ -781,6 +788,24 @@ def verify_mutations(*, seed: int = 0, n_workers: int = 2) -> dict:
         "detected": bool(pair),
     }
 
+    # 7: a write the kernel makes, dropped from the access table
+    rule = FAMILIES[_UNDECLARED]
+    FAMILIES[_UNDECLARED] = lambda meta, ctx: _without_cache(rule(meta, ctx))
+    try:
+        mutant = build_family_functional(_REPRESENTATIVE)
+    finally:
+        FAMILIES[_UNDECLARED] = rule
+    rep = racecheck.check_build(mutant)
+    victim = next(t for t in mutant.graph if t.meta["family"] == _UNDECLARED)
+    meta = victim.meta
+    key = ("cache", meta["mb"], meta["layer"], meta["dir"], meta["lo"])
+    pair = _hit(rep, "undeclared_write", victim, key)
+    out["undeclare"] = {
+        "target": f"{_UNDECLARED}: out {key!r} dropped",
+        "pair": pair,
+        "detected": bool(pair),
+    }
+
     out["all_detected"] = all(out[kind]["detected"] for kind in MUTATION_KINDS)
     return out
 
@@ -790,63 +815,60 @@ def _spurious_inout(decl):
     return decl._replace(ins=decl.ins[1:], inouts=decl.inouts + decl.ins[:1])
 
 
+def _without_cache(decl):
+    """``decl`` with its ``cache`` outs dropped."""
+    return decl._replace(outs=tuple(k for k in decl.outs if k[0] != "cache"))
+
+
 # ---------------------------------------------------------------------------
 # Dynamic cross-validation
 # ---------------------------------------------------------------------------
 
 
-def build_family_functional(fam: Family, *, seq_len: int = 4, batch: int = 4,
-                            mbs: int = 2, block: int = 2, seed: int = 5):
-    """A functional (real-numerics) build of one certified family member."""
+def build_family_functional(fam: Family, seq_len: int = 4, mbs: int = 2, block: int = 2):
+    """A functional (real-numerics) build of one cutoff instance of ``fam``:
+    the structure :func:`verify_family` proves, on seeded inputs and
+    freshly initialised parameters."""
     spec = _family_spec(fam)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((seq_len, batch, spec.input_size)).astype(spec.dtype)
-    if spec.head == "many_to_one":
-        labels = rng.integers(0, spec.num_classes, size=batch)
-    else:
-        labels = rng.integers(0, spec.num_classes, size=(seq_len, batch))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((seq_len, _CUTOFF_BATCH, spec.input_size)).astype(spec.dtype)
+    shape = _CUTOFF_BATCH if spec.head == "many_to_one" else (seq_len, _CUTOFF_BATCH)
+    labels = rng.integers(0, spec.num_classes, size=shape)
     return build_brnn_graph(
         spec,
         x=x,
         labels=labels if fam.training else None,
         params=BRNNParams.initialize(spec, seed=2),
-        training=fam.training,
-        mbs=mbs,
         lr=0.05,
-        fused_input_projection=fam.fused_input_projection,
-        proj_block=block,
-        fusion=fam.fusion,
-        wavefront_tile=block if fam.tiled else None,
+        **_instance_kwargs(fam, seq_len, mbs, block),
     )
 
 
-def cross_validate(
-    families: Optional[Iterable[Family]] = None,
-    *,
-    samples: int = 8,
-    seed: int = 0,
-) -> dict:
-    """Dynamic race check of sampled concrete configs from the families.
+def cross_validate(families: Optional[Iterable[Family]] = None) -> dict:
+    """Observe every cutoff instance the certificate proves.
 
-    A sound certificate implies *zero* dynamic findings: the payloads run
-    once under access instrumentation and the observed byte ranges are
-    diffed against the declarations the symbolic proof covered.
+    A sound certificate implies *zero* dynamic findings: each family's
+    payloads run once per :data:`_CUTOFF_SHAPES` instance under access
+    instrumentation, and the observed byte ranges are diffed against the
+    declarations the symbolic proof covered.  This is the check that holds
+    the access table to the kernels; ``samples`` counts the instances.
     """
-    pool = list(families) if families is not None else full_family_matrix()
-    rng = random.Random(seed)
-    picked = rng.sample(pool, min(samples, len(pool)))
+    fams = list(families) if families is not None else full_family_matrix()
     entries = []
-    for fam in picked:
-        result = build_family_functional(fam)
-        report = racecheck.check_build(result)
-        entries.append(
-            {
-                "family": fam.label(),
-                "observed_tasks": report.observed_tasks,
-                "findings": len(report.findings),
-                "ok": report.ok,
-            }
-        )
+    for fam in fams:
+        for seq_len, mbs, block in _CUTOFF_SHAPES:
+            report = racecheck.check_build(build_family_functional(fam, seq_len, mbs, block))
+            entries.append(
+                {
+                    "family": fam.label(),
+                    "seq_len": seq_len,
+                    "mbs": mbs,
+                    "block": block,
+                    "observed_tasks": report.observed_tasks,
+                    "findings": len(report.findings),
+                    "ok": report.ok,
+                }
+            )
     return {
         "samples": len(entries),
         "entries": entries,
@@ -863,15 +885,14 @@ def build_certificate(
     families: Optional[Sequence[Family]] = None,
     *,
     n_workers: int = 2,
-    samples: int = 8,
-    seed: int = 0,
 ) -> dict:
-    """Verify every family and emit the ``repro.cert.v1`` certificate."""
+    """Verify every family, observe every instance it proves, and emit the
+    ``repro.cert.v1`` certificate."""
     fams = list(families) if families is not None else full_family_matrix()
     return assemble_certificate(
         [verify_family(f, n_workers=n_workers) for f in fams],
-        verify_mutations(seed=seed, n_workers=n_workers),
-        cross_validate(fams, samples=samples, seed=seed),
+        verify_mutations(n_workers=n_workers),
+        cross_validate(fams),
     )
 
 
@@ -899,6 +920,7 @@ def assemble_certificate(families: List[dict], mutations: dict, cross: dict) -> 
         "n_certified": certified,
         "n_distinct_labels": len({e["label"] for e in families}),
         "n_size_isomorphic": sum(1 for e in families if e["size_isomorphism"]),
+        "n_instances": len(instances),
         "min_pairs_proved": min(i["pairs_proved"] for i in instances),
         "min_plan_edges_checked": min(i["plan_edges_checked"] for i in instances),
         "families": families,

@@ -12,7 +12,7 @@ hoisted ``cell_bwd`` publishes ``dz`` and touches no gradient); …  A cell
 task is a chain tile of one step unless ``wavefront_tile`` lengthens it, so
 one forward and one backward cell rule cover every tile length.
 
-Three readers, no second copy:
+Two readers, no second copy:
 
 * the builder (:meth:`repro.core.graph_builder._Builder._add`) *emits*
   each task's ``in``/``out``/``inout`` regions from its family's rule, so
@@ -23,17 +23,15 @@ Three readers, no second copy:
   added around ``_add``) and proves **coverage**: the declared byte
   extents (:meth:`~repro.core.graph_builder.GraphBuildResult.
   symbolic_storage`) cover the kernel's footprint for every valuation of
-  the symbolic size parameters;
-* the closure lint (:mod:`repro.analysis.pylint`) reads the rule
-  functions' source (the ``ins``/``outs``/``inouts`` names and
-  ``AccessDecl`` keywords below are its vocabulary) and compares it with
-  what each family's payload closure touches.
+  the symbolic size parameters.
 
 What ties the table to the *kernels* is therefore not a second
-transcription but two checks of payload against rule: that lint,
-statically, and the race checker's observed-versus-declared audit
-(:func:`repro.runtime.racecheck.check_build`), by running every payload
-on tracked arrays.
+transcription but one check of payload against rule: the race checker's
+observed-versus-declared audit (:func:`repro.runtime.racecheck.
+check_build`), which runs every payload on tracked arrays — for every
+instance the certificate proves (:func:`repro.analysis.verify.
+cross_validate`).  The rules are plain Python; nothing parses their
+source.
 """
 
 from __future__ import annotations

@@ -489,9 +489,9 @@ SUITES: Dict[str, Suite] = {
                 Bar(f"mutations.{kind}.detected", "==", True, "a seeded defect went undetected"),
                 Bar(f"mutations.{kind}.exact_pair", "==", True,
                     "the finding does not name its exact task pair "
-                    "(task and region for over_declare/alias_region)"))),
-            Bar("cross_validation.samples", ">=", 8,
-                "too few configs replayed through the dynamic race checker"),
+                    "(task and region for over_declare/alias_region/undeclare)"))),
+            Bar("cross_validation.samples", "==", "n_instances",
+                "a certified instance was not observed"),
             Bar("cross_validation.ok", "==", True, "dynamic findings disagree with the proof"),
             Bar("cross_validation.max_findings", "==", 0,
                 "a cross-validated config had dynamic findings"),

@@ -610,7 +610,6 @@ class FuzzSweepResult:
 
     seeds: List[int]
     mismatches: List[FuzzMismatch]
-    reference_scheduler: str = "fifo"
 
     @property
     def ok(self) -> bool:
@@ -626,7 +625,7 @@ class FuzzSweepResult:
         return {
             "ok": self.ok,
             "seeds": self.seeds,
-            "reference_scheduler": self.reference_scheduler,
+            "reference_scheduler": "fifo",
             "mismatches": [
                 {"seed": m.seed, "arrays": m.arrays} for m in self.mismatches
             ],
@@ -655,17 +654,16 @@ def fuzz_equivalence_sweep(
     seeds: Iterable[int],
     *,
     n_workers: int = 1,
-    reference_scheduler: str = "fifo",
     executor_factory=ThreadedExecutor,
 ) -> FuzzSweepResult:
     """Run ``make_build()`` once per schedule and compare results bitwise.
 
     ``make_build`` must return a *freshly built* functional graph each
     call (fresh params from the same deterministic init), so every
-    schedule starts from identical state.  The reference schedule (FIFO
-    by default) fixes the expected bits; every fuzz seed must reproduce
-    them exactly — the dataflow-determinism claim of the paper, asserted
-    rather than assumed.  The reference always runs threaded; the fuzzed
+    schedule starts from identical state.  The FIFO reference schedule
+    fixes the expected bits; every fuzz seed must reproduce them exactly
+    — the dataflow-determinism claim of the paper, asserted rather than
+    assumed.  The reference always runs threaded; the fuzzed
     legs run on ``executor_factory`` (any ``(n_workers, scheduler)``
     callable), so passing
     :class:`~repro.runtime.mpexec.MultiprocessExecutor` additionally
@@ -673,9 +671,7 @@ def fuzz_equivalence_sweep(
     """
     seeds = list(seeds)
     reference = make_build()
-    ThreadedExecutor(n_workers, resolve_scheduler(reference_scheduler, n_workers)).run(
-        reference.graph
-    )
+    ThreadedExecutor(n_workers, "fifo").run(reference.graph)
     expected = _result_fingerprint(reference)
 
     mismatches: List[FuzzMismatch] = []
@@ -691,9 +687,7 @@ def fuzz_equivalence_sweep(
         if bad or set(got) != set(expected):
             bad = bad or sorted(set(got) ^ set(expected))
             mismatches.append(FuzzMismatch(seed=seed, arrays=bad))
-    return FuzzSweepResult(
-        seeds=seeds, mismatches=mismatches, reference_scheduler=reference_scheduler
-    )
+    return FuzzSweepResult(seeds=seeds, mismatches=mismatches)
 
 
 # ---------------------------------------------------------------------------
@@ -769,19 +763,17 @@ def check_plan(graph: TaskGraph, plan) -> DependenceReport:
 
 
 def replay_plan(
-    graph: TaskGraph, plan, n_workers: int = 1, check: bool = True,
-    executor_factory=ThreadedExecutor,
+    graph: TaskGraph, plan, n_workers: int = 1, executor_factory=ThreadedExecutor,
 ):
     """Execute ``graph`` from a compiled plan, auditing it first.
 
-    With ``check`` (default) a failed :func:`check_plan` raises
-    :class:`RaceError` before any payload runs; the returned value is the
+    A failed :func:`check_plan` raises :class:`RaceError` before any
+    payload runs; the returned value is the
     :class:`~repro.runtime.trace.ExecutionTrace` of the replay.
     """
-    if check:
-        report = check_plan(graph, plan)
-        if not report.ok:
-            raise RaceError(report)
+    report = check_plan(graph, plan)
+    if not report.ok:
+        raise RaceError(report)
     return executor_factory(n_workers).run(graph, plan=plan)
 
 
@@ -789,15 +781,14 @@ def plan_equivalence_check(
     make_build: Callable[[], object],
     *,
     n_workers: int = 1,
-    reference_scheduler: str = "fifo",
     executor_factory=ThreadedExecutor,
 ) -> List[str]:
     """Compiled-plan replay vs a dynamic schedule, compared bitwise.
 
     Builds the graph twice from identical deterministic state, runs the
-    reference dynamically and the second build from a freshly compiled
-    plan, and returns the names of arrays whose bits differ (empty list =
-    equivalent) — the compiled-path counterpart of
+    reference dynamically under FIFO and the second build from a freshly
+    compiled plan, and returns the names of arrays whose bits differ
+    (empty list = equivalent) — the compiled-path counterpart of
     :func:`fuzz_equivalence_sweep`.  The reference leg always runs
     threaded; the replay leg runs on ``executor_factory``.
     """
@@ -805,9 +796,7 @@ def plan_equivalence_check(
     from repro.compile import compile_graph
 
     reference = make_build()
-    ThreadedExecutor(n_workers, resolve_scheduler(reference_scheduler, n_workers)).run(
-        reference.graph
-    )
+    ThreadedExecutor(n_workers, "fifo").run(reference.graph)
     expected = _result_fingerprint(reference)
 
     result = make_build()

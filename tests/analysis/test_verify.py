@@ -18,7 +18,9 @@ from repro.analysis.verify import (
     CERT_FORMAT,
     MUTATION_KINDS,
     Family,
+    _CUTOFF_SHAPES,
     _instance_kwargs,
+    _without_cache,
     build_certificate,
     build_family_functional,
     build_family_instance,
@@ -147,8 +149,11 @@ def test_mutation_detection_is_seed_independent():
 
 
 def test_cross_validation_samples_run_clean():
-    out = cross_validate(SMOKE_FAMILIES, samples=3, seed=1)
-    assert out["samples"] == 3
+    """Every family is observed at both cutoff shapes the proof covers."""
+    out = cross_validate(SMOKE_FAMILIES)
+    observed = [(e["family"], (e["seq_len"], e["mbs"], e["block"])) for e in out["entries"]]
+    assert observed == [(f.label(), shape) for f in SMOKE_FAMILIES for shape in _CUTOFF_SHAPES]
+    assert out["samples"] == len(SMOKE_FAMILIES) * len(_CUTOFF_SHAPES)
     assert out["ok"] is True
     assert all(e["findings"] == 0 for e in out["entries"])
     assert all(e["observed_tasks"] > 0 for e in out["entries"])
@@ -158,7 +163,7 @@ def test_cross_validation_samples_run_clean():
 
 
 def test_certificate_assembles_and_validates():
-    cert = build_certificate(SMOKE_FAMILIES, samples=2, seed=0)
+    cert = build_certificate(SMOKE_FAMILIES)
     assert cert["format"] == CERT_FORMAT
     assert cert["n_families"] == len(SMOKE_FAMILIES)
     assert cert["n_certified"] == len(SMOKE_FAMILIES)
@@ -171,6 +176,7 @@ def test_certificate_assembles_and_validates():
     assert cert["n_distinct_labels"] == cert["n_size_isomorphic"] == len(SMOKE_FAMILIES)
     assert cert["min_pairs_proved"] > 0 and cert["min_plan_edges_checked"] > 0
     assert all(cert["mutations"][kind]["exact_pair"] for kind in MUTATION_KINDS)
+    assert cert["cross_validation"]["samples"] == cert["n_instances"] == 2 * len(SMOKE_FAMILIES)
     assert cert["cross_validation"]["max_findings"] == 0
     assert cert["cross_validation"]["min_observed_tasks"] > 0
     for entry in cert["families"]:
@@ -181,9 +187,9 @@ def test_certificate_assembles_and_validates():
 # -- the mutation table ------------------------------------------------------
 #
 # One row per defect class that graphlint, the over-declaration analyzer,
-# racecheck or the certificate ever caught: the seeded mutation, the check
-# that flags it, and the finding it must produce — kind, task, and the
-# partner task or the region.  Mutations run on the certificate's
+# racecheck, the closure lint or the certificate ever caught: the seeded
+# mutation, the check that flags it, and the finding it must produce —
+# kind, task, and the partner task or the region.  Mutations run on the certificate's
 # representative build (BLSTM m2o train, T=4, mbs=2, ``gates``).
 
 _REP = Family("lstm", "many_to_one", True, "gates", "off")
@@ -388,6 +394,8 @@ MUTATION_TABLE = [
      ("over_declare", "loss[0]s0", repr(_LOGITS), "")),
     ("alias_region", "fidelity", _kind("alias_region"),
      ("alias_region", "merge[0]L0t3", repr(_H_LAST), "")),
+    ("undeclare", "observation", _kind("undeclare"),
+     ("undeclare", "fwd[0]L0s0", repr(("cache", 0, 0, "fwd", 0)), "")),
 ]
 
 
@@ -413,6 +421,15 @@ def test_mutation_table(mutate, expected, monkeypatch, certificate_mutations):
 
 def test_the_table_covers_every_certificate_kind():
     assert {row[0] for row in MUTATION_TABLE} >= set(MUTATION_KINDS)
+
+
+def test_a_write_dropped_from_the_table_passes_the_static_proof(monkeypatch):
+    """Why ``undeclare`` is the observed audit's row: the build follows the
+    table, so fidelity, coverage, ordering and minimality all hold."""
+    _with_rule(monkeypatch, "cell@_build_forward_layer", _without_cache)
+    mutant = _rep()
+    assert not any(r.key[0] == "cache" for t in mutant.graph if t.kind == "cell" for r in t.outs)
+    assert verify_build(mutant).ok
 
 
 def test_table_over_declarations_leave_serialization_debt_unchanged(monkeypatch):

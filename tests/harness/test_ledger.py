@@ -30,7 +30,7 @@ def _baseline(suite: str) -> dict:
 @pytest.fixture(scope="module")
 def verify_report(tmp_path_factory):
     """`verify` has no committed record either: the full-matrix certificate
-    takes ~2 s, so write it with the real CLI."""
+    takes ~8 s, so write it with the real CLI."""
     path = tmp_path_factory.mktemp("ledger") / "verify.json"
     assert main(["analyze", "--skip-graph", "--verify",
                  "--verify-output", str(path)]) == 0
@@ -168,8 +168,10 @@ _CERT_DEFECTS = {
         lambda c: c["mutations"]["widen_write"].update(detected=False),
     "mutations.drop_edge.exact_pair == True":
         lambda c: c["mutations"]["drop_edge"].update(pair=["fwd.cell[0]L0f.t0"]),
-    "cross_validation.samples >= 8":
-        lambda c: c["cross_validation"].update(samples=7),
+    "cross_validation.samples == n_instances":
+        lambda c: c["cross_validation"].update(samples=1),
+    "mutations.undeclare.exact_pair == True":
+        lambda c: c["mutations"]["undeclare"].update(pair=["fwd[0]L0s0", ""]),
     "cross_validation.max_findings == 0":
         lambda c: c["cross_validation"]["entries"][2].update(findings=1),
     "cross_validation.min_observed_tasks > 0":

@@ -105,7 +105,7 @@ def test_analyze_observe_and_fuzz_write_one_report(capsys, tmp_path):
 
 def test_retired_command_and_flags_are_usage_errors(capsys):
     """`racecheck` is `analyze --observe --fuzz-seeds`; `--strict` is what
-    `--verify` does; the certificate always cross-validates 8 configs; the
+    `--verify` does; the certificate observes every instance it proves; the
     retired serving benchmark is `bench fleet` (and `bench/run.py`); the
     retired `compile` and `multiproc` suites are tier-1 tests and `bench/`
     metrics (benchmarks/baselines/README.md)."""
@@ -137,6 +137,15 @@ def test_analyze_command_fails_on_lint_findings(capsys, tmp_path):
     bad.write_text("def f(b=[]):\n    pass\n")
     assert main(["analyze", "--skip-graph", "--lint", str(bad)]) == 1
     assert "mutable-default" in capsys.readouterr().out
+
+
+def test_analyze_lint_of_a_missing_path_is_a_usage_error(capsys, tmp_path):
+    """A mistyped path must not read as a clean tree."""
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["analyze", "--skip-graph", "--lint", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert "clean" not in captured.out
+    assert "usage: analyze --lint" in captured.err and str(missing) in captured.err
 
 
 def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys):
