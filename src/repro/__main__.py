@@ -227,8 +227,8 @@ def _cmd_analyze(args) -> int:
 
         families = full_family_matrix()
         if args.verify == "smoke":
-            # six kernel/tile/projection modes per cell/head/pass: a stride
-            # of seven walks across them, an 11-family diagonal
+            # ten kernel/tile/projection/pairing modes per cell/head/pass: a
+            # stride of seven walks across them, an 18-family diagonal
             families = families[::7]
         cert = build_certificate(families)
         cross = cert["cross_validation"]
@@ -343,7 +343,7 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--verify", nargs="?", const="full", default=None,
                    choices=("full", "smoke"), metavar="SCOPE",
                    help="prove the config-family matrix (SCOPE 'full', the "
-                        "default, or 'smoke', an 11-family diagonal); exit 1 "
+                        "default, or 'smoke', an 18-family diagonal); exit 1 "
                         "unless every family certifies, every mutation is "
                         "detected and every proved instance runs clean under "
                         "access observation")

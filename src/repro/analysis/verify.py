@@ -98,7 +98,7 @@ MUTATION_KINDS = (
 )
 
 #: the config axes the certificate quantifies over: cell × head × mode ×
-#: kernel (``FUSION_MODES``) × tile × projection
+#: kernel (``FUSION_MODES``) × tile × projection × paired directions
 CELLS = ("lstm", "gru", "rnn")
 HEADS = ("many_to_one", "many_to_many")
 PROJECTIONS = ("off", "on")
@@ -445,8 +445,9 @@ def _conflicting_other(graph, task, orphan: Extent, region_extents, ordered):
 
 @dataclass(frozen=True)
 class Family:
-    """One point of the ``cell × head × mode × fusion × tile × projection``
-    grid; a ``tiled`` family's chain tasks cover ``block`` steps each."""
+    """One point of the ``cell × head × mode × fusion × tile × projection ×
+    paired`` grid; a ``tiled`` family's chain and merge tasks cover
+    ``block`` steps each, a ``paired`` one pairs the forward chains."""
 
     cell: str
     head: str
@@ -454,6 +455,7 @@ class Family:
     fusion: str
     fused_input_projection: str
     tiled: bool = False
+    paired: bool = False
 
     def label(self) -> str:
         head = "m2o" if self.head == "many_to_one" else "m2m"
@@ -461,6 +463,7 @@ class Family:
         return (
             f"{self.cell}/{head}/{mode}/fusion={self.fusion}"
             f"/proj={self.fused_input_projection}{'/tiled' if self.tiled else ''}"
+            f"{'/paired' if self.paired else ''}"
         )
 
     def to_dict(self) -> dict:
@@ -470,6 +473,7 @@ class Family:
             "training": self.training,
             "fusion": self.fusion,
             "tiled": self.tiled,
+            "paired": self.paired,
             "fused_input_projection": self.fused_input_projection,
             "label": self.label(),
         }
@@ -478,16 +482,17 @@ class Family:
 def full_family_matrix() -> List[Family]:
     """Every family of the certificate's quantified config space, each a
     distinct graph: ``fusion="off"`` never hoists, so it has no ``proj=on``
-    family of its own."""
+    family of its own, and pairs no directions."""
     return [
-        Family(cell, head, training, fusion, proj, tiled)
+        Family(cell, head, training, fusion, proj, tiled, paired)
         for cell in CELLS
         for head in HEADS
         for training in (False, True)
         for fusion in FUSION_MODES
         for tiled in (False, True)
         for proj in PROJECTIONS
-        if (fusion, proj) != ("off", "on")
+        for paired in (False, True)
+        if fusion == "gates" or (proj, paired) == ("off", False)
     ]
 
 
@@ -512,6 +517,7 @@ def _instance_kwargs(fam: Family, seq_len: int, mbs: int, block: int) -> dict:
         training=fam.training,
         fused_input_projection=fam.fused_input_projection,
         fusion=fam.fusion,
+        paired=fam.paired,
     )
     if fam.fused_input_projection == "on":
         kwargs["proj_block"] = block

@@ -62,15 +62,15 @@ class ExecutionConfig:
         GEMM pair and one activation pass per gate (also disables
         projection hoisting).  Bitwise the same forward.
     wavefront_tile:
-        Timesteps per cell-chain task: ``None`` (the default) is the
-        granularity policy's tile — one task per direction chain for a
-        shape the threaded or serial executor runs on one thread, else the
-        paper's task per cell update
+        Timesteps per cell-chain and merge task: ``None`` (the default) is
+        the granularity policy's tile — the sequence, forward chains paired,
+        for a shape the threaded or serial executor runs on one thread, else
+        the paper's task per cell update
         (:func:`~repro.core.graph_builder.plan_granularity`); ``1`` forces
-        the task per cell update; ``K > 1`` cuts every direction chain into
-        ``⌈T/K⌉`` tasks of ``K`` steps (clamped to the sequence length),
-        under either kernel and with or without hoisting.  Same bits,
-        forward and backward, at every tile.
+        the task per cell update; ``K > 1`` cuts every chain and every
+        layer's merges into ``⌈T/K⌉`` tasks of ``K`` steps (clamped to the
+        sequence length), under either kernel and with or without hoisting.
+        Same bits, forward and backward, at every tile.
     seed:
         Parameter-initialisation seed used when an engine creates its own
         weights.

@@ -10,7 +10,8 @@ panel, and the state carried in from below ``lo``; in a hoisted layer
 ``_proj_bwd`` is the only writer of the weight-gradient panel ``gW`` (a
 hoisted ``cell_bwd`` publishes ``dz`` and touches no gradient); …  A cell
 task is a chain tile of one step unless ``wavefront_tile`` lengthens it, so
-one forward and one backward cell rule cover every tile length.
+one forward and one backward cell rule cover every tile length, paired
+(``"pair"``: both tiles' keys) or not, and one merge rule each merge tile.
 
 Two readers, no second copy:
 
@@ -109,8 +110,18 @@ def _proj(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     )
 
 
+def _span(meta: Mapping) -> range:
+    """Positions a merge task covers: its tile's, or the one step ``t``."""
+    return range(meta["t"], meta["t"] + 1) if "t" in meta else range(meta["lo"], meta["hi"])
+
+
 def _cell_fwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     mb, layer, d = meta["mb"], meta["layer"], meta["dir"]
+    if d == "pair":  # both chains' tiles in one task; a key they share, once
+        f, r = (_cell_fwd_tile({**meta, "dir": one}, ctx) for one in ("fwd", "rev"))
+        # a paired inference step keeps no cache, nor sets its slot
+        outs = tuple(k for k in f.outs + r.outs if ctx.training or k[0] != "cache")
+        return AccessDecl(ins=tuple(dict.fromkeys(f.ins + r.ins)), outs=outs)
     lo, hi = meta["lo"], meta["hi"]
     T = ctx.seq_len
     fused = ctx.fused_layers[layer]
@@ -133,11 +144,12 @@ def _cell_fwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
 
 
 def _merge(meta: Mapping, ctx: AccessContext) -> AccessDecl:
-    mb, layer, t = meta["mb"], meta["layer"], meta["t"]
+    mb, layer, span = meta["mb"], meta["layer"], _span(meta)
     T = ctx.seq_len
     return AccessDecl(
-        ins=(("h", mb, layer, "fwd", t), ("h", mb, layer, "rev", T - 1 - t)),
-        outs=(("m", mb, layer, t),),
+        ins=tuple(("h", mb, layer, "fwd", t) for t in span)
+        + tuple(("h", mb, layer, "rev", T - 1 - t) for t in span),
+        outs=tuple(("m", mb, layer, t) for t in span),
     )
 
 
@@ -239,14 +251,16 @@ def _proj_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
 
 
 def _merge_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
-    mb, layer, t = meta["mb"], meta["layer"], meta["t"]
+    mb, layer, span = meta["mb"], meta["layer"], _span(meta)
     T = ctx.seq_len
-    ins: List[Key] = [("dm", mb, layer, t)]
+    ins: List[Key] = [("dm", mb, layer, t) for t in span]
     if ctx.spec.merge_mode == "mul":
-        ins += [("h", mb, layer, "fwd", t), ("h", mb, layer, "rev", T - 1 - t)]
+        ins += [("h", mb, layer, "fwd", t) for t in span]
+        ins += [("h", mb, layer, "rev", T - 1 - t) for t in span]
     return AccessDecl(
         ins=tuple(ins),
-        inouts=(("dh", mb, layer, "fwd", t), ("dh", mb, layer, "rev", T - 1 - t)),
+        inouts=tuple(("dh", mb, layer, "fwd", t) for t in span)
+        + tuple(("dh", mb, layer, "rev", T - 1 - t) for t in span),
     )
 
 

@@ -79,6 +79,14 @@ def resolve_executor(config: ExecutionConfig):
     return ex
 
 
+def run_planned(executor, graph, threads: int, plan=None) -> ExecutionTrace:
+    """Run ``graph``: a :class:`ThreadedExecutor` on the planned ``threads``
+    (a compiled ``plan`` carries them), any other substrate as it is."""
+    if plan is None and isinstance(executor, ThreadedExecutor):
+        return executor.run(graph, threads=threads)
+    return executor.run(graph) if plan is None else executor.run(graph, plan=plan)
+
+
 class BParEngine:
     """Barrier-free task-parallel BRNN training and inference.
 
@@ -138,9 +146,9 @@ class BParEngine:
             mbs=self._effective_mbs(batch), barrier_free=self.barrier_free,
             serialize_chunks=self.serialize_chunks, fused_input_projection=plan.hoisted,
             proj_block=self.config.proj_block, fusion=self.config.fusion,
-            wavefront_tile=plan.tile, **overrides,
+            wavefront_tile=plan.tile, paired=plan.paired, **overrides,
         )
-        self.last_trace = self.executor.run(result.graph)
+        self.last_trace = run_planned(self.executor, result.graph, plan.threads)
         self.last_result = result
         return result
 

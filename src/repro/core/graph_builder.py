@@ -16,9 +16,12 @@ Each (layer, direction) cell chain is cut into tiles of consecutive steps,
 one task per tile, by one emitter per pass (``_build_forward_layer`` /
 ``_build_backward_layer``).  The tile is a single step — the paper's task
 per cell update — unless ``wavefront_tile`` lengthens it, under either
-kernel (``fusion``) and with or without hoisting.  :func:`plan_granularity`
-is where the engines decide, per batch shape, the tile, the hoisted layers
-and the threads that will run the graph.
+kernel (``fusion``) and with or without hoisting; a layer's merges follow
+the chain tile.  ``paired`` runs each forward tile of both directions as
+one task of stacked cells (:mod:`repro.kernels.paired`).
+:func:`plan_granularity` is where the engines decide, per batch shape, the
+tile, the pairing, the hoisted layers and the threads that will run the
+graph.
 
 Two modes:
 
@@ -47,6 +50,7 @@ from repro.config import ExecutionConfig
 from repro.kernels.dense import dense_backward, dense_bwd_flops, dense_forward, dense_fwd_flops
 from repro.kernels.losses import softmax_cross_entropy
 from repro.kernels.merge import merge_backward, merge_flops, merge_forward
+from repro.kernels.paired import DirectionPair
 from repro.models.cells import (
     FUSION_MODES,
     cell_backward,
@@ -68,7 +72,7 @@ from repro.core.access_spec import AccessContext, expected_access
 from repro.core.state import ChunkState
 from repro.core.symbolic import Affine, Extent, Interval
 from repro.runtime.depgraph import TaskGraph
-from repro.runtime.executor import SerialExecutor, ThreadedExecutor, useful_workers
+from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.task import INTERLEAVED_HOME, Region, RegionSpace
 
 #: Default ``proj_block`` (timesteps per hoisted-projection task).  Small
@@ -157,17 +161,23 @@ def _hoisted_layers(spec: BRNNSpec, mode, fusion: str, rows: int) -> List[bool]:
     )
 
 
+#: GEMM flops per cell step under which a second thread costs more than it
+#: overlaps.  A GEMM is the only stretch of a payload that runs without the
+#: GIL; below the floor the workers spend the run handing the GIL to each
+#: other at every NumPy call.  Set from the sweep in docs/PERF.md.
+MIN_GEMM_FLOPS_PER_CELL_STEP = 1e7
+
+
 def spec_gemm_flops_per_cell_step(
     spec: BRNNSpec, rows: int, mbs: int, seq_len: int, training: bool,
     hoisted: Sequence[bool],
 ) -> float:
-    """What :func:`repro.runtime.executor.gemm_flops_per_cell_step` reads off
-    the graph of this shape, from the spec alone: the GEMM-kind tasks'
-    flops over the cell steps.  Every count is linear in the rows, so the
-    ``mbs`` chunks sum to the batch; a chain tile carries its steps' flops,
-    so the value is the same at every tile.  Hoisting moves flops between
-    task kinds but keeps their sum, except that a hoisted first layer
-    computes no input gradient."""
+    """The GEMM work a second thread could overlap, per cell update, from
+    the spec alone: the graph's GEMM-kind flops over its cell steps.  Every
+    count is linear in the rows, so the ``mbs`` chunks sum to the batch; a
+    chain tile carries its steps' flops, so the value is the same at every
+    tile.  Hoisting moves flops between task kinds but keeps their sum,
+    except that a hoisted first layer computes no input gradient."""
     slots = 1 if spec.head == "many_to_one" else seq_len
     head = (spec.head_input_size, spec.num_classes)
     layers = range(spec.num_layers)
@@ -185,11 +195,13 @@ def spec_gemm_flops_per_cell_step(
 class Granularity(NamedTuple):
     """The decisions of :func:`plan_granularity`: the threads the executor
     starts, per layer whether its input projection is hoisted off the cell
-    chain, and the timesteps per cell-chain task."""
+    chain, the timesteps per cell-chain task, and whether a layer's two
+    forward chains are paired."""
 
     threads: int
     hoisted: List[bool]
     tile: int
+    paired: bool
 
 
 def plan_granularity(
@@ -199,19 +211,21 @@ def plan_granularity(
     """How coarse the tasks of one batch shape are, decided before any
     graph exists.  ``rows`` is the batch, ``executor`` the instance or name
     that will run the graph on ``n_workers``, and ``config`` supplies
-    ``mbs``, ``fusion`` and the two overrides, ``fused_input_projection``
-    and ``wavefront_tile`` (docs/PERF.md):
+    ``mbs``, ``fusion``, ``barrier_free`` and the two overrides,
+    ``fused_input_projection`` and ``wavefront_tile`` (docs/PERF.md):
 
-    * **threads** — a host Python executor's floor
-      (:func:`~repro.runtime.executor.useful_workers`) on
-      :func:`spec_gemm_flops_per_cell_step`, the value that executor reads
-      off the graph; other substrates keep ``n_workers``;
+    * **threads** — on a host Python executor, 1 where
+      :func:`spec_gemm_flops_per_cell_step` is under
+      :data:`MIN_GEMM_FLOPS_PER_CELL_STEP`, else ``n_workers``; the engines
+      hand it to the executor.  Other substrates keep ``n_workers``;
     * **hoisted** — the ``fused_input_projection`` rule per layer;
     * **tile** — ``wavefront_tile`` when set; else ``seq_len``, one task per
       chain, when a threaded or serial executor runs the shape on one
       thread (every task is then dispatch the caller pays for); else 1, the
       paper's task per cell update.  The simulator and the process executor
-      keep the paper's graph.
+      keep the paper's graph;
+    * **paired** — on that one thread too, under the stacked kernels and
+      without barriers: a step's two cells then cost one pointwise stretch.
     """
     cfg = config if config is not None else ExecutionConfig()
     mbs = max(1, min(cfg.mbs, rows))
@@ -222,9 +236,11 @@ def plan_granularity(
     threads = n_workers
     if host:
         flops = spec_gemm_flops_per_cell_step(spec, rows, mbs, seq_len, training, hoisted)
-        threads = useful_workers(flops, n_workers)
-    tile = cfg.wavefront_tile or (seq_len if host and threads == 1 else 1)
-    return Granularity(threads, hoisted, tile)
+        threads = 1 if flops < MIN_GEMM_FLOPS_PER_CELL_STEP else n_workers
+    one_thread = host and threads == 1
+    tile = cfg.wavefront_tile or (seq_len if one_thread else 1)
+    paired = one_thread and cfg.fusion == "gates" and cfg.barrier_free
+    return Granularity(threads, hoisted, tile, paired)
 
 
 @dataclass
@@ -594,6 +610,19 @@ class GraphBuildResult:
                 raise KeyError(f"unknown side-state kind {kind!r}")
 
 
+def _stack2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.stack((a, b))`` at a third of its cost: one concatenate, viewed
+    as two."""
+    return np.concatenate((a, b)).reshape(2, *a.shape)
+
+
+def _split_cache(cache) -> list:
+    """A paired step's cache as its two directions' caches: every stacked
+    field viewed at ``[d]``."""
+    fields = vars(cache).items()
+    return [type(cache)(**{k: v if v is None else v[d] for k, v in fields}) for d in (0, 1)]
+
+
 def _axpy(dst: np.ndarray, alpha: float, src: np.ndarray) -> None:
     """``dst += alpha * src`` with the exact arithmetic of the oracle's SGD."""
     dst += np.asarray(alpha, dtype=dst.dtype) * src
@@ -619,6 +648,7 @@ class _Builder:
         proj_block: Optional[int] = None,
         fusion: str = "gates",
         wavefront_tile: Optional[int] = None,
+        paired: bool = False,
     ) -> None:
         self.momentum = momentum
         self.velocity = velocity
@@ -632,14 +662,17 @@ class _Builder:
             )
         if wavefront_tile is not None and wavefront_tile < 1:
             raise ValueError("wavefront_tile must be >= 1")
+        if paired and (fusion != "gates" or not barrier_free):
+            raise ValueError("paired directions need fusion='gates' and a barrier-free graph")
         self.fusion = fusion
+        self.paired = paired
         cell = CELLS[spec.cell]
         #: gate-preactivation width multiplier (``zx`` is ``(B, G·H)``)
         self.gate_mult = cell.gates
         # Every cell chain is cut into tiles of consecutive steps, one task
         # per tile: a single step (the paper's task per cell update) unless
         # ``wavefront_tile`` asks for longer tiles.
-        tile = min(seq_len, wavefront_tile or 1)
+        self.tile = tile = min(seq_len, wavefront_tile or 1)
         #: ascending ``(lo, hi, name suffix)`` step ranges of the chain tiles
         self.tiles = []
         for lo in range(0, seq_len, tile):
@@ -718,14 +751,16 @@ class _Builder:
 
     def _cell_meta(self, mb: int, layer: int, direction: str, lo: int, hi: int) -> dict:
         """Meta of the cell task covering chain steps ``[lo, hi)``.  The
-        cost model charges the small-GEMM penalty per call: per-gate kernels
-        and multi-step tiles say how many, everything else is one call."""
+        cost model charges the small-GEMM penalty per call: per-gate kernels,
+        multi-step tiles and paired steps say how many, everything else is
+        one call."""
         meta = {"mb": mb, "layer": layer, "dir": direction, "lo": lo, "hi": hi}
         meta.update(self.fusion_meta[mb])
+        calls = (hi - lo) * (2 if direction == "pair" else 1)
         if self.fusion == "off":
             meta["gemm_calls"] = self.gate_mult * (hi - lo)
-        elif hi - lo > 1:
-            meta["gemm_calls"] = hi - lo
+        elif calls > 1:
+            meta["gemm_calls"] = calls
         return meta
 
     def _chain_schedule(self, serial_dirs: bool, descending: bool = False) -> List[tuple]:
@@ -739,9 +774,12 @@ class _Builder:
         serialise the chains (the rev chain's first task writes the dm
         slot the fwd chain writes last; the two contributions commute
         bitwise).  ``serial_dirs`` (barriered mode) creates chain-major so
-        the rev chain's first task can depend on the fwd chain's last.
+        the rev chain's first task can depend on the fwd chain's last.  A
+        paired forward pass has one chain, direction ``"pair"``.
         """
         tiles = self.tiles[::-1] if descending else self.tiles
+        if self.paired and not descending:
+            return [("pair", *tile) for tile in tiles]
         if serial_dirs:
             return [(d, *tile) for d in ("fwd", "rev") for tile in tiles]
         return [(d, *tile) for tile in tiles for d in ("fwd", "rev")]
@@ -853,6 +891,8 @@ class _Builder:
         the arithmetic does not depend on where the chain is cut."""
         if not self.functional:
             return None
+        if direction == "pair":
+            return self._fn_cell_fwd_paired(mb, layer, lo, hi)
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
         need_cache = self.training
@@ -886,15 +926,52 @@ class _Builder:
 
         return fn
 
-    def _fn_merge(self, mb, layer, t):
+    def _fn_cell_fwd_paired(self, mb, layer, lo, hi):
+        """Paired forward tile: steps ``[lo, hi)`` of both chains, each
+        step's two cells as one stacked cell.  ``h``/``c`` are carried
+        stacked; a direction's slots and caches are ``[d]`` views of them."""
+        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
+        fused = self.fused_layers[layer]
+        cell_step = cell_forward_proj if fused else cell_forward  # stacked kernels both
+        need_cache = self.training
+        lstm = spec.cell == "lstm"
+
+        def fn():
+            lp = params.layers[layer]
+            W = DirectionPair(lp.fwd.W, lp.rev.W)
+            b = np.stack((lp.fwd.b, lp.rev.b))[:, None]
+            h_f, h_r, c_f, c_r = (g[layer] for g in (state.h_f, state.h_r, state.c_f, state.c_r))
+            if fused:
+                in_f, in_r = state.zx_f[layer], state.zx_r[layer]
+            else:
+                in_f = in_r = state.x if layer == 0 else state.merged[layer - 1]
+            h_prev = _stack2(h_f[lo - 1], h_r[lo - 1]) if lo else _stack2(state.h0, state.h0)
+            c_prev = None
+            if lstm:
+                c_prev = _stack2(c_f[lo - 1], c_r[lo - 1]) if lo else _stack2(state.c0, state.c0)
+            for step in range(lo, hi):
+                x = in_f[step], in_r[T - 1 - step]  # input GEMMs read the pair as it is
+                h, c, cache = cell_step(spec, _stack2(*x) if fused else x, h_prev, c_prev, W, b,
+                                        need_cache=need_cache)
+                h_f[step], h_r[step] = h
+                if lstm:
+                    c_f[step], c_r[step] = c
+                if need_cache:
+                    state.cache_f[layer][step], state.cache_r[layer][step] = _split_cache(cache)
+                h_prev, c_prev = h, c
+
+        return fn
+
+    def _fn_merge(self, mb, layer, lo, hi):
+        """Merges of positions ``[lo, hi)``: one call over the block."""
         if not self.functional:
             return None
         state, spec, T = self.chunks[mb], self.spec, self.seq_len
 
         def fn():
-            state.merged[layer][t] = merge_forward(
-                state.h_f[layer][t], state.h_r[layer][T - 1 - t], spec.merge_mode
-            )
+            h_f, h_r = state.h_f[layer][lo:hi], state.h_r[layer][T - hi : T - lo][::-1]
+            block = merge_forward(np.stack(h_f), np.stack(h_r), spec.merge_mode)
+            state.merged[layer][lo:hi] = list(block)
 
         return fn
 
@@ -1057,20 +1134,23 @@ class _Builder:
 
         return fn
 
-    def _fn_merge_bwd(self, mb, layer, t):
+    def _fn_merge_bwd(self, mb, layer, lo, hi):
+        """Merge backward of positions ``[lo, hi)``: one call over the
+        block, added into each step's ``dh`` slot in place.  Only ``mul``
+        reads the merged states."""
         if not self.functional:
             return None
         state, spec, T = self.chunks[mb], self.spec, self.seq_len
 
         def fn():
-            da, db = merge_backward(
-                state.dmerged[layer][t],
-                state.h_f[layer][t],
-                state.h_r[layer][T - 1 - t],
-                spec.merge_mode,
-            )
-            state.dh_f[layer][t] += da
-            state.dh_r[layer][T - 1 - t] += db
+            dh_f, dh_r = state.dh_f[layer][lo:hi], state.dh_r[layer][T - hi : T - lo][::-1]
+            a, b = dh_f[0], dh_r[0]  # their width is all sum, avg and concat read
+            if spec.merge_mode == "mul":
+                a = np.stack(state.h_f[layer][lo:hi])
+                b = np.stack(state.h_r[layer][T - hi : T - lo][::-1])
+            da, db = merge_backward(np.stack(state.dmerged[layer][lo:hi]), a, b, spec.merge_mode)
+            for slot, grad in zip(dh_f + dh_r, [*da, *db]):
+                slot += grad
 
         return fn
 
@@ -1202,18 +1282,27 @@ class _Builder:
                     },
                 )
 
+    def _merge_tiles(self, descending: bool = False):
+        """``(name suffix, span meta, lo, hi)`` of a layer's merge tasks, one
+        per chain tile; at tile 1 the paper's per-timestep name and meta."""
+        for lo, hi, suffix in self.tiles[::-1] if descending else self.tiles:
+            if self.tile == 1:
+                yield f"t{lo}", {"t": lo}, lo, hi
+            else:
+                yield suffix, {"lo": lo, "hi": hi}, lo, hi
+
     def _build_forward_layer_outputs(self, mb: int, layer: int) -> None:
-        """Per-timestep merge tasks (interior layers) or the head (last)."""
+        """Merge tasks (interior layers) or the head (last)."""
         spec = self.spec
         if layer < spec.num_layers - 1:
             mflops = merge_flops(spec.merge_mode, self.chunk_batches[mb], spec.hidden_size)
-            for t in range(self.seq_len):
+            for suffix, span, lo, hi in self._merge_tiles():
                 self._add(
-                    f"merge[{mb}]L{layer}t{t}",
-                    self._fn_merge(mb, layer, t),
-                    flops=mflops,
+                    f"merge[{mb}]L{layer}{suffix}",
+                    self._fn_merge(mb, layer, lo, hi),
+                    flops=mflops * (hi - lo),
                     kind="merge",
-                    meta={"mb": mb, "layer": layer, "t": t},
+                    meta={"mb": mb, "layer": layer, **span},
                 )
         else:
             self._build_head(mb)
@@ -1223,9 +1312,10 @@ class _Builder:
         (interior layers) or the head (last layer).
 
         One task per chain tile (``self.tiles``; a single step by default,
-        ``wavefront_tile`` steps when set, docs/PERF.md).
-        Its rule declares every input (or ``zx``) position of the tile, the
-        carried ``h`` from below it, and every ``h``/cache slot it
+        ``wavefront_tile`` steps when set, docs/PERF.md; ``paired``, one per
+        tile of both chains).  Its rule declares every input (or ``zx``)
+        position of the tile, the carried ``h`` from below it, and every
+        ``h``/cache slot it
         publishes, so the dependence proof and the race checker audit a
         tile of any length the same way.  Layer ``l+1``'s tile depends only
         on layer ``l``'s merges of its own positions: the layer×time
@@ -1241,7 +1331,7 @@ class _Builder:
             self._add(
                 f"{direction}[{mb}]L{layer}{suffix}",
                 self._fn_cell_fwd_tile(mb, layer, direction, lo, hi),
-                flops=step_flops * (hi - lo),
+                flops=step_flops * (hi - lo) * (2 if direction == "pair" else 1),
                 kind="cell",
                 meta=self._cell_meta(mb, layer, direction, lo, hi),
             )
@@ -1373,20 +1463,20 @@ class _Builder:
                 )
 
     def _build_backward_layer_outputs(self, mb: int, layer: int, fused: bool) -> None:
-        """Per-fused-block proj backward and the merge-backward fan-out."""
+        """Per-fused-block proj backward and the merge-backward tiles."""
         spec = self.spec
         mbflops = 2.0 * merge_flops(spec.merge_mode, self.chunk_batches[mb], spec.hidden_size)
         if fused:
             self._build_proj_bwd_tasks(mb, layer)
         if layer > 0:
             below = layer - 1
-            for t in range(self.seq_len - 1, -1, -1):
+            for suffix, span, lo, hi in self._merge_tiles(descending=True):
                 self._add(
-                    f"mergeBwd[{mb}]L{below}t{t}",
-                    self._fn_merge_bwd(mb, below, t),
-                    flops=mbflops,
+                    f"mergeBwd[{mb}]L{below}{suffix}",
+                    self._fn_merge_bwd(mb, below, lo, hi),
+                    flops=mbflops * (hi - lo),
                     kind="merge_bwd",
-                    meta={"mb": mb, "layer": below, "t": t},
+                    meta={"mb": mb, "layer": below, **span},
                 )
 
     def _build_updates(self) -> None:
@@ -1443,6 +1533,7 @@ def build_brnn_graph(
     proj_block: Optional[int] = None,
     fusion: str = "gates",
     wavefront_tile: Optional[int] = None,
+    paired: bool = False,
 ) -> GraphBuildResult:
     """Build the B-Par task graph for one batch.
 
@@ -1475,7 +1566,9 @@ def build_brnn_graph(
     the shape.  Every combination's forward is bitwise identical to the
     default; the backward is bitwise for every tile and gradcheck-exact
     under ``"off"``, whose per-gate data-gradient GEMMs reassociate the
-    K-dimension reduction.
+    K-dimension reduction.  A layer's merges are cut at the chain tile.
+    ``paired`` (stacked kernels, barrier-free graphs) runs each forward tile
+    of the two directions as one task, bitwise the two it replaces.
     """
     functional = x is not None
     if functional:
@@ -1523,5 +1616,6 @@ def build_brnn_graph(
         proj_block=proj_block,
         fusion=fusion,
         wavefront_tile=wavefront_tile,
+        paired=paired,
     )
     return builder.build()

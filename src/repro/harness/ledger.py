@@ -460,7 +460,7 @@ SUITES: Dict[str, Suite] = {
         schema=[(f"{name}.{key}", list) for name in SECTIONS for key in ("headers", "rows")],
         bars=_PAPER_BARS,
     ),
-    # written by `analyze --verify --verify-output` (smoke: the 11-family diagonal)
+    # written by `analyze --verify --verify-output` (smoke: the 18-family diagonal)
     "verify": _suite(
         None,
         schema=[

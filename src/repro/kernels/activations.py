@@ -69,7 +69,7 @@ def _gate_rows(gates: str, hidden: int, dtype: np.dtype) -> Tuple[np.ndarray, np
 def activate_gates_(z: np.ndarray, gates: str) -> np.ndarray:
     """Activate a whole stacked pre-activation buffer in place and return it.
 
-    ``z (B, len(gates)·H)`` holds one column block per gate; ``gates`` names
+    ``z (..., B, len(gates)·H)`` holds one column block per gate; ``gates`` names
     each block's activation, ``"s"`` for :func:`sigmoid` and ``"t"`` for
     :func:`tanh` (an LSTM's ``[i, f, g, o]`` is ``"ssts"``).  Four ufunc
     passes over the buffer whatever the gate count, and every element is
@@ -78,7 +78,7 @@ def activate_gates_(z: np.ndarray, gates: str) -> np.ndarray:
     column is scaled by 1 and shifted by ``-0.0``, the one addend that leaves
     every value, ``tanh(-0.0) = -0.0`` included, as it is.
     """
-    scale, shift = _gate_rows(gates, z.shape[1] // len(gates), z.dtype)
+    scale, shift = _gate_rows(gates, z.shape[-1] // len(gates), z.dtype)
     z *= scale
     np.tanh(z, out=z)
     z += shift

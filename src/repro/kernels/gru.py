@@ -44,9 +44,9 @@ def _activate(zr: np.ndarray, hidden: int, need_cache: bool):
     retained ``zr`` is activated in place and the gates are views of it.
     Bitwise the same values either way."""
     if need_cache:
-        return sigmoid(zr[:, :hidden]), sigmoid(zr[:, hidden:])
+        return sigmoid(zr[..., :hidden]), sigmoid(zr[..., hidden:])
     activate_gates_(zr, "ss")
-    return zr[:, :hidden], zr[:, hidden:]
+    return zr[..., :hidden], zr[..., hidden:]
 
 
 def gru_forward_step(
@@ -62,7 +62,8 @@ def gru_forward_step(
     input projection of a block of one timestep, so the two agree bitwise
     whatever BLAS does.
     """
-    h, cache = gru_forward_step_proj(x @ W[: x.shape[1]], h_prev, W, b, need_cache)
+    input_size = W.shape[0] - h_prev.shape[-1]
+    h, cache = gru_forward_step_proj(x @ W[:input_size], h_prev, W, b, need_cache)
     if cache is not None:
         cache.x = x
     return h, cache
@@ -150,21 +151,21 @@ def gru_forward_step_proj(
     Two pointwise stretches, one on each side of the candidate's recurrent
     GEMM, which has to wait for the reset gate.
     """
-    hidden = h_prev.shape[1]
+    hidden = h_prev.shape[-1]
     input_size = W.shape[0] - hidden
     two_h = 2 * hidden
 
     zr = h_prev @ W[input_size:, :two_h]
     with activations.pointwise_turn:
-        zr += zx[:, :two_h]
-        zr += b[:two_h]
+        zr += zx[..., :two_h]
+        zr += b[..., :two_h]
         z, r = _activate(zr, hidden, need_cache)
         rh = r * h_prev
 
     a = rh @ W[input_size:, two_h:]
     with activations.pointwise_turn:
-        a += zx[:, two_h:]
-        a += b[two_h:]
+        a += zx[..., two_h:]
+        a += b[..., two_h:]
         hbar = np.tanh(a, out=a)
         h = z * hbar + (1.0 - z) * h_prev
     if not need_cache:

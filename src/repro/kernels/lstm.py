@@ -54,17 +54,17 @@ def _activate(z: np.ndarray, hidden: int, need_cache: bool):
     """
     if need_cache:
         return (
-            sigmoid(z[:, :hidden]),
-            sigmoid(z[:, hidden : 2 * hidden]),
-            tanh(z[:, 2 * hidden : 3 * hidden]),
-            sigmoid(z[:, 3 * hidden :]),
+            sigmoid(z[..., :hidden]),
+            sigmoid(z[..., hidden : 2 * hidden]),
+            tanh(z[..., 2 * hidden : 3 * hidden]),
+            sigmoid(z[..., 3 * hidden :]),
         )
     activate_gates_(z, "ssts")
     return (
-        z[:, :hidden],
-        z[:, hidden : 2 * hidden],
-        z[:, 2 * hidden : 3 * hidden],
-        z[:, 3 * hidden :],
+        z[..., :hidden],
+        z[..., hidden : 2 * hidden],
+        z[..., 2 * hidden : 3 * hidden],
+        z[..., 3 * hidden :],
     )
 
 
@@ -86,7 +86,7 @@ def lstm_forward_step(
     BLAS does.
     """
     h, c, cache = lstm_forward_step_proj(
-        x @ W[: x.shape[1]], h_prev, c_prev, W, b, need_cache
+        x @ W[: W.shape[0] - h_prev.shape[-1]], h_prev, c_prev, W, b, need_cache
     )
     if cache is not None:
         cache.x = x
@@ -156,9 +156,10 @@ def lstm_forward_step_proj(
     GEMM; only the recurrent product remains on the critical path.  The one
     forward body of the cell: :func:`lstm_forward_step` calls it with its own
     ``x @ W[:I]``.  ``need_cache`` as there; the cache's ``x`` is ``None``
-    (the hoisted backward reads the inputs by block).
+    (the hoisted backward reads the inputs by block).  The three cells'
+    bodies also run a paired step (:mod:`repro.kernels.paired`).
     """
-    hidden = h_prev.shape[1]
+    hidden = h_prev.shape[-1]
     input_size = W.shape[0] - hidden
     z = h_prev @ W[input_size:]
     with activations.pointwise_turn:

@@ -42,7 +42,8 @@ def rnn_forward_step(
     """One basic-RNN cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``
     (the cache is ``None`` unless ``need_cache``): :func:`rnn_forward_step_proj`
     fed the input projection of a block of one timestep."""
-    h, cache = rnn_forward_step_proj(x @ W[: x.shape[1]], h_prev, W, b, need_cache)
+    input_size = W.shape[0] - h_prev.shape[-1]
+    h, cache = rnn_forward_step_proj(x @ W[:input_size], h_prev, W, b, need_cache)
     if cache is not None:
         cache.x = x
     return h, cache
@@ -90,7 +91,7 @@ def rnn_forward_step_proj(
     H)``: the one forward body of the cell.  The tanh runs in place on the
     fresh pre-activation whether or not a cache is kept: one gate, nothing to
     lay out."""
-    hidden = h_prev.shape[1]
+    hidden = h_prev.shape[-1]
     input_size = W.shape[0] - hidden
     a = h_prev @ W[input_size:]
     with activations.pointwise_turn:

@@ -3,15 +3,14 @@
 :class:`SerialExecutor` runs the graph in registration order on one core —
 the reference schedule used in correctness tests.
 
-:class:`ThreadedExecutor` is the real-concurrency engine: ``n_workers``
-threads pull from a shared scheduler under a lock.  RNN-cell payloads are
+:class:`ThreadedExecutor` is the real-concurrency engine: worker threads
+pull from a shared scheduler under a lock.  RNN-cell payloads are
 GEMM-dominated NumPy calls that release the GIL, so tasks overlap for real
-on a multi-core host — when the GEMMs are large enough to matter:
-:func:`useful_workers` starts the threads only for graphs whose GEMM work
-can feed them and runs every other graph on the calling thread.  Dataflow
-determinism holds regardless of interleaving: a task only ever reads
-regions whose writers completed, so results are bitwise identical to the
-serial schedule.
+on a multi-core host — when the GEMMs are large enough to matter, which the
+engines decide (:func:`repro.core.graph_builder.plan_granularity`); one
+thread runs the graph on the calling thread.  Dataflow determinism holds
+regardless of interleaving: a task only ever reads regions whose writers
+completed, so results are bitwise identical to the serial schedule.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.runtime.scheduler import (
 )
 from repro.runtime.task import Task
 from repro.runtime.trace import ExecutionTrace, TaskRecord
-from repro.simarch.costmodel import GEMM_KINDS
 
 SchedulerFactory = Callable[[int], Scheduler]
 
@@ -43,35 +41,6 @@ SchedulerFactory = Callable[[int], Scheduler]
 #: a multi-megabyte cell task to a core because it consumes one small
 #: activation would collapse independent chains onto one core.
 HINT_MIN_SHARED_FRACTION = 0.25
-
-#: GEMM flops per cell step under which a second thread costs more than it
-#: overlaps.  A GEMM is the only stretch of a payload that runs without the
-#: GIL; below the floor the workers spend the run handing the GIL to each
-#: other at every NumPy call.  Set from the sweep in docs/PERF.md.
-MIN_GEMM_FLOPS_PER_CELL_STEP = 1e7
-
-
-def gemm_flops_per_cell_step(graph: TaskGraph) -> float:
-    """Annotated GEMM flops over cell steps: the work a second thread could
-    overlap, per cell update.  A chain tile counts its ``hi - lo`` steps, so
-    a tiled graph reads what its per-step graph reads."""
-    gemm = steps = 0
-    for t in graph.tasks:
-        if t.kind in GEMM_KINDS:
-            gemm += t.flops
-        if t.kind in ("cell", "cell_bwd"):
-            steps += t.meta.get("hi", 1) - t.meta.get("lo", 0)
-    return gemm / max(1, steps)
-
-
-def useful_workers(gemm_per_cell_step: float, n_workers: int) -> int:
-    """Threads worth starting: ``n_workers``, or 1 when ``gemm_per_cell_step``
-    is under :data:`MIN_GEMM_FLOPS_PER_CELL_STEP`.  The executor feeds it
-    the graph's value, the granularity policy the spec's
-    (:func:`repro.core.graph_builder.plan_granularity`)."""
-    if n_workers > 1 and gemm_per_cell_step >= MIN_GEMM_FLOPS_PER_CELL_STEP:
-        return n_workers
-    return 1
 
 
 def locality_hint(completed: Task, successor: Task, core: int) -> Optional[int]:
@@ -159,13 +128,17 @@ class ThreadedExecutor:
         self.metrics = metrics
         self.hooks = hooks
 
-    def run(self, graph: TaskGraph, plan=None) -> ExecutionTrace:
-        """Execute ``graph`` on :func:`useful_workers` threads; with ``plan``
-        (a compiled :class:`~repro.compile.plan.CompiledPlan`) replay its
-        static release order over the transitive-reduced edge set instead
-        of resolving dependences dynamically — fewer indegree decrements
-        per completion and no locality-hint computation per wake-up."""
-        n_threads = useful_workers(gemm_flops_per_cell_step(graph), self.n_workers)
+    def run(self, graph: TaskGraph, plan=None, threads: Optional[int] = None) -> ExecutionTrace:
+        """Execute ``graph`` on the ``threads`` the engine planned, else the
+        workers ``plan`` was compiled for, else ``n_workers`` (at most
+        ``n_workers``).  With ``plan`` (a compiled :class:`~repro.compile.
+        plan.CompiledPlan`) replay its static release order over the
+        transitive-reduced edge set instead of resolving dependences
+        dynamically — fewer indegree decrements per completion and no
+        locality-hint computation per wake-up."""
+        if threads is None:
+            threads = plan.n_workers if plan is not None else self.n_workers
+        n_threads = min(threads, self.n_workers)
         if plan is not None:
             plan.validate(graph)
             record = plan.to_schedule_record(copy=False)

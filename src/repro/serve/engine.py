@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.compile import PlanCache, compile_graph
 from repro.config import ExecutionConfig
-from repro.core.bpar import resolve_executor
+from repro.core.bpar import resolve_executor, run_planned
 from repro.core.graph_builder import build_brnn_graph, plan_granularity, split_batch
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
@@ -90,7 +90,7 @@ class InferenceEngine:
         ``fused_input_projection="auto"`` means the same on every
         substrate, the layers where hoisting pays on a real host; a shape
         the threaded executor runs on one thread is built as one task per
-        direction chain (``n_workers=1`` always is), every other shape as
+        layer per pass (``n_workers=1`` always is), every other shape as
         the paper's task per cell update, unless ``wavefront_tile`` says.
 
     With ``config.compile="on"`` the engine keeps its own in-memory
@@ -155,8 +155,8 @@ class InferenceEngine:
         return max(1, min(self.mbs, batch_size))
 
     def _build(self, key: Tuple[int, int], x: Optional[np.ndarray]):
-        """The inference graph of one batch shape: functional over ``x``,
-        cost-only without it."""
+        """The inference graph of one batch shape (functional over ``x``,
+        cost-only without it) and the threads planned for it."""
         padded_len, size = key
         inputs = (
             {"seq_len": padded_len, "batch": size}
@@ -166,7 +166,7 @@ class InferenceEngine:
         plan = plan_granularity(
             self.spec, size, padded_len, False, self.n_workers, self._executor, self.config
         )
-        return build_brnn_graph(
+        build = build_brnn_graph(
             self.spec,
             training=False,
             mbs=self._effective_mbs(size),
@@ -174,8 +174,10 @@ class InferenceEngine:
             proj_block=self.config.proj_block,
             fusion=self.config.fusion,
             wavefront_tile=plan.tile,
+            paired=plan.paired,
             **inputs,
         )
+        return build, plan.threads
 
     # -- execution -------------------------------------------------------------
 
@@ -213,7 +215,8 @@ class InferenceEngine:
         graphs rebind their h/c/logits slots every run) and replays the
         plan; a warm simulated shape returns its memoised ``(service,
         trace)``.  Whatever is missing is made here: the build and the
-        plan (compiled and cached when the engine keeps a cache).
+        plan (compiled for the threads planned for the shape, and cached
+        when the engine keeps a cache).
         """
         sim = self.executor == "sim"
         if sim:
@@ -230,8 +233,9 @@ class InferenceEngine:
         held = entry.payload if warm else self._sim_memo.get(key)
         if sim and held is not None:
             return BatchExecution(*held, warm=warm)
+        threads = None  # a warm shape's plan carries them
         if held is None:
-            build = self._build(key, x)
+            build, threads = self._build(key, x)
         else:
             build = held
             chunks = split_batch(x, self._effective_mbs(key[1]), axis=1)
@@ -242,7 +246,7 @@ class InferenceEngine:
         if plan is None and self.plan_cache is not None:
             plan = compile_graph(
                 graph,
-                n_workers=self.n_workers,
+                n_workers=threads,
                 cost_model=self._executor.cost_model if sim else None,
             )
         if sim:
@@ -254,7 +258,7 @@ class InferenceEngine:
             creation = 0.0 if plan is not None else len(graph) * self.machine.task_create_s
             held = (trace.makespan + creation + BATCH_FIXED_S, trace)
         else:
-            trace = self._executor.run(graph, plan=plan)
+            trace = run_planned(self._executor, graph, threads, plan)
             held = build
         if not warm:
             if self.plan_cache is not None:

@@ -45,6 +45,8 @@ SMOKE_FAMILIES = [
     Family("lstm", "many_to_many", True, "gates", "on"),
     Family("gru", "many_to_one", False, "off", "off", tiled=True),
     Family("rnn", "many_to_one", True, "gates", "off", tiled=True),
+    Family("lstm", "many_to_many", False, "gates", "off", tiled=True, paired=True),
+    Family("gru", "many_to_one", True, "gates", "on", paired=True),
 ]
 
 
@@ -56,15 +58,17 @@ def _build(fam, seq_len=4, mbs=2, block=2):
 
 
 def test_full_family_matrix_spans_distinct_configs():
-    """Kernel x tile x projection under every cell, head and pass, less the
-    product that builds another family's graph: ``off`` never hoists."""
+    """Kernel x tile x projection x pairing under every cell, head and pass,
+    less the products that build another family's graph or none: ``off``
+    never hoists and pairs no directions."""
     fams = full_family_matrix()
-    assert len({f.label() for f in fams}) == len(fams) == 3 * 2 * 2 * (2 * 2 * 2 - 2)
+    assert len({f.label() for f in fams}) == len(fams) == 3 * 2 * 2 * (2 + 2 * 2 * 2)
     assert {f.cell for f in fams} == {"lstm", "gru", "rnn"}
-    assert {(f.fusion, f.tiled, f.fused_input_projection) for f in fams} == {
-        ("off", False, "off"), ("off", True, "off"),
-        ("gates", False, "off"), ("gates", False, "on"),
-        ("gates", True, "off"), ("gates", True, "on"),
+    assert {(f.fusion, f.tiled, f.fused_input_projection, f.paired) for f in fams} == {
+        ("off", tiled, "off", False) for tiled in (False, True)
+    } | {
+        ("gates", tiled, proj, paired)
+        for tiled in (False, True) for proj in ("off", "on") for paired in (False, True)
     }
     assert set(SMOKE_FAMILIES) <= set(fams)
 

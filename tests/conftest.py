@@ -10,10 +10,11 @@ parametrizes conformance tests over every substrate — threaded, the
 threaded executor's one-thread path on the caller, simulated (functional
 payload mode), and multiprocess.
 
-The graphs these suites build are far below the threaded executor's
-granularity floor, so ``ThreadedExecutor(n)`` would run them on the
-calling thread; suites whose purpose is concurrency apply the
-``real_threads`` fixture, which takes the floor away.
+The graphs these suites build are far below the granularity floor, so
+an engine would plan one thread for them (and the one-task-per-layer
+graph); suites whose purpose is concurrency through an engine apply the
+``real_threads`` fixture, which takes the floor away.  A graph built by
+hand runs on every worker of the executor it is handed to.
 
 Two markers thin the sweeps out of tier-1:
 
@@ -42,11 +43,11 @@ def rng():
 
 @pytest.fixture
 def real_threads(monkeypatch):
-    """``ThreadedExecutor(n)`` starts ``n`` threads whatever the graph: the
-    granularity floor (``MIN_GEMM_FLOPS_PER_CELL_STEP``) is patched to 0,
-    so the engines' policy also plans ``n`` threads and the per-step graph.
-    Apply with ``pytestmark = pytest.mark.usefixtures("real_threads")``."""
-    monkeypatch.setattr("repro.runtime.executor.MIN_GEMM_FLOPS_PER_CELL_STEP", 0.0)
+    """The granularity floor (``MIN_GEMM_FLOPS_PER_CELL_STEP``) is patched
+    to 0, so the engines' policy plans ``n_workers`` threads and the
+    per-step graph for every shape.  Apply with
+    ``pytestmark = pytest.mark.usefixtures("real_threads")``."""
+    monkeypatch.setattr("repro.core.graph_builder.MIN_GEMM_FLOPS_PER_CELL_STEP", 0.0)
 
 
 def small_spec(**overrides) -> BRNNSpec:
@@ -130,6 +131,7 @@ def build_functional(
     barrier_free=True,
     serialize_chunks=False,
     seed=5,
+    paired=False,
 ):
     """A freshly built functional graph from deterministic state.
 
@@ -162,6 +164,7 @@ def build_functional(
         velocity=BRNNParams.zeros_like(spec) if momentum else None,
         barrier_free=barrier_free,
         serialize_chunks=serialize_chunks,
+        paired=paired,
     )
 
 
@@ -179,6 +182,8 @@ def _conf_case_id(case):
         bits.append(case["fusion"])
     if case.get("wavefront_tile"):
         bits.append(f"wt{case['wavefront_tile']}")
+    if case.get("paired"):
+        bits.append("paired")
     if case.get("merge_mode", "sum") != "sum":
         bits.append(case["merge_mode"])
     if case.get("momentum"):

@@ -1,10 +1,12 @@
 """The granularity policy (``plan_granularity``, docs/PERF.md).
 
 One decision per batch shape, before any graph exists: the threads the
-executor will start, the hoisted layers, and the chain tile.  A shape a host
-executor runs on one thread is built as one task per direction chain;
-everything else keeps the paper's task per cell update.  Everything here is
-clock-free: the policy is analytic, and a tile never changes the bits.
+executor will start, the hoisted layers, the chain tile and the pairing.  A
+shape a host executor runs on one thread is built as one task per layer per
+pass (the chain tile spans the sequence, the merges follow it, the forward
+chains are paired); everything else keeps the paper's task per cell update.
+Everything here is clock-free: the policy is analytic, and neither a tile
+nor a pairing changes the bits.
 """
 
 import numpy as np
@@ -12,12 +14,13 @@ import pytest
 
 from repro.config import ExecutionConfig
 from repro.core import BParEngine, BSeqEngine
-from repro.core.graph_builder import plan_granularity, spec_gemm_flops_per_cell_step
+from repro.core.graph_builder import plan_granularity
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward
 from repro.models.spec import BRNNSpec
-from repro.runtime.executor import SerialExecutor, ThreadedExecutor, gemm_flops_per_cell_step
+from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.serve.engine import InferenceEngine
+from repro.simarch.costmodel import GEMM_KINDS
 from tests.conftest import make_batch, small_spec
 from tests.core.test_fusion import grads_bitwise
 from tests.core.test_graph_builder import cell_tiles
@@ -33,41 +36,48 @@ _SERVED = BRNNSpec(cell="lstm", input_size=39, hidden_size=128, num_layers=2,
                    head="many_to_one", num_classes=11)
 
 #: (case, spec, rows, seq_len, training, n_workers, executor, config,
-#: expected (threads, hoisted, tile)): the five benchmark workloads, then the
-#: substrates and overrides around them
+#: expected (threads, hoisted, tile, paired)): the five benchmark workloads,
+#: then the substrates and overrides around them
 TABLE = [
     ("train_gemm", _GEMM, 64, 32, True, 2, "threaded", ExecutionConfig(mbs=2),
-     (2, [True] * 3, 1)),
+     (2, [True] * 3, 1, False)),
     ("infer_fine", _FINE, 4, 100, False, 2, "threaded", ExecutionConfig(),
-     (1, [False] * 4, 100)),
+     (1, [False] * 4, 100, True)),
     ("serve_poisson", _SERVED, 8, 60, False, 1, "threaded", ExecutionConfig(),
-     (1, [False] * 2, 60)),
+     (1, [False] * 2, 60, True)),
     ("serve_overload", _SERVED, 8, 60, False, 48, "sim", ExecutionConfig(),
-     (48, [False] * 2, 1)),
+     (48, [False] * 2, 1, False)),
     ("train_gemm_process", _GEMM, 64, 32, True, 2, "process", ExecutionConfig(mbs=2),
-     (2, [True] * 3, 1)),
-    # the simulator keeps the paper's graph on one core too
+     (2, [True] * 3, 1, False)),
+    # the simulator and the process executor keep the paper's graph on one core too
     ("sim_one_core", _FINE, 4, 100, False, 1, "sim", ExecutionConfig(),
-     (1, [False] * 4, 1)),
+     (1, [False] * 4, 1, False)),
+    ("process_one_worker", _FINE, 4, 100, False, 1, "process", ExecutionConfig(),
+     (1, [False] * 4, 1, False)),
     # a GEMM-heavy shape on one worker or the serial executor: one thread
     ("one_worker", _GEMM, 64, 32, True, 1, "threaded", ExecutionConfig(mbs=2),
-     (1, [True] * 3, 32)),
+     (1, [True] * 3, 32, True)),
     ("serial", _GEMM, 64, 32, True, 1, SerialExecutor(), ExecutionConfig(mbs=2),
-     (1, [True] * 3, 32)),
+     (1, [True] * 3, 32, True)),
     ("threaded_instance", _FINE, 4, 100, False, 2, ThreadedExecutor(2),
-     ExecutionConfig(), (1, [False] * 4, 100)),
-    # the overrides: a tile, each hoisting mode, the unfused kernels
+     ExecutionConfig(), (1, [False] * 4, 100, True)),
+    # the overrides: a tile, each hoisting mode, the unfused kernels, barriers
     ("tile_1", _FINE, 4, 100, False, 2, "threaded", ExecutionConfig(wavefront_tile=1),
-     (1, [False] * 4, 1)),
+     (1, [False] * 4, 1, True)),
     ("tile_8", _GEMM, 64, 32, True, 2, "threaded",
-     ExecutionConfig(mbs=2, wavefront_tile=8), (2, [True] * 3, 8)),
+     ExecutionConfig(mbs=2, wavefront_tile=8), (2, [True] * 3, 8, False)),
     ("proj_on", _FINE, 4, 100, False, 2, "threaded",
-     ExecutionConfig(fused_input_projection="on"), (1, [True] * 4, 100)),
+     ExecutionConfig(fused_input_projection="on"), (1, [True] * 4, 100, True)),
     ("proj_off", _GEMM, 64, 32, True, 2, "threaded",
-     ExecutionConfig(mbs=2, fused_input_projection="off"), (2, [False] * 3, 1)),
+     ExecutionConfig(mbs=2, fused_input_projection="off"), (2, [False] * 3, 1, False)),
     ("fusion_off", _GEMM, 64, 32, True, 2, "threaded",
      ExecutionConfig(mbs=2, fusion="off", fused_input_projection="on"),
-     (2, [False] * 3, 1)),
+     (2, [False] * 3, 1, False)),
+    # one thread, but the unfused kernels or the barriered graph: no pairing
+    ("fusion_off_one_thread", _FINE, 4, 100, False, 2, "threaded",
+     ExecutionConfig(fusion="off"), (1, [False] * 4, 100, False)),
+    ("barriered", _FINE, 4, 100, False, 2, "threaded",
+     ExecutionConfig(barrier_free=False), (1, [False] * 4, 100, False)),
 ]
 
 
@@ -75,7 +85,7 @@ TABLE = [
 def test_policy_table(case):
     _, spec, rows, seq_len, training, n_workers, executor, config, expected = case
     plan = plan_granularity(spec, rows, seq_len, training, n_workers, executor, config)
-    assert (plan.threads, plan.hoisted, plan.tile) == expected
+    assert tuple(plan) == expected
 
 
 def _configs():
@@ -86,8 +96,9 @@ def _configs():
 
 @pytest.mark.parametrize("cfg", list(_configs()))
 def test_floor_is_the_same_from_the_spec_and_at_every_tile(cfg):
-    """The analytic GEMM flops per cell step equal what the executor reads
-    off the graph, for the per-step build and the whole-chain build."""
+    """The policy's hoisting decision, taken from the spec, is the build's,
+    and a whole-chain tile carries the GEMM flops of the steps it covers:
+    the work per cell step the thread decision reads is tile-invariant."""
     per_step = build({**cfg, "wavefront_tile": 1}, functional=False)
     whole = build({**cfg, "wavefront_tile": SEQ_LEN}, functional=False)
     assert whole.wavefront_tile == SEQ_LEN and per_step.wavefront_tile is None
@@ -98,12 +109,11 @@ def test_floor_is_the_same_from_the_spec_and_at_every_tile(cfg):
         per_step.spec, per_step.total_batch, SEQ_LEN, per_step.training, 1, "sim", config
     )
     assert plan.hoisted == per_step.fused_layers
-    analytic = spec_gemm_flops_per_cell_step(
-        per_step.spec, per_step.total_batch, per_step.mbs, SEQ_LEN, per_step.training,
-        plan.hoisted,
-    )
-    assert gemm_flops_per_cell_step(per_step.graph) == analytic
-    assert gemm_flops_per_cell_step(whole.graph) == analytic
+
+    def gemm_flops(graph):
+        return sum(t.flops for t in graph if t.kind in GEMM_KINDS)
+
+    assert gemm_flops(whole.graph) == gemm_flops(per_step.graph)
 
 
 # -- engine conformance: the policy's graph has the per-step graph's bits ------

@@ -33,16 +33,15 @@ def test_variable_sequence_lengths_across_batches():
         spec, config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=2, seed=0)
     )
     rng = np.random.default_rng(0)
-    task_counts = []
     for seq_len in (3, 11, 6, 25):
         x = rng.standard_normal((seq_len, 6, 8)).astype(np.float32)
         labels = rng.integers(0, 3, size=6)
         loss = engine.train_batch(x, labels, lr=0.05)
         assert np.isfinite(loss)
-        task_counts.append(len(engine.last_result.graph))
-    # longer sequences -> more tasks, graph genuinely rebuilt each time
-    assert task_counts[3] > task_counts[0]
-    assert len(set(task_counts)) >= 3
+        # the graph is genuinely rebuilt: its chains span this batch's steps
+        result = engine.last_result
+        assert result.seq_len == seq_len
+        assert {t.meta["hi"] for t in result.graph if t.kind == "cell"} == {seq_len}
 
 
 def test_wikipedia_m2m_training_improves():

@@ -1,11 +1,12 @@
-"""The threaded executor's granularity floor (docs/EXECUTORS.md).
+"""The granularity floor and the one-thread path (docs/EXECUTORS.md).
 
-``useful_workers`` decides from the graph's annotated GEMM flops per cell
-step whether ``n_workers`` threads are worth starting; when they are not, the
-graph runs
-on the calling thread through the same scheduler, hooks, trace and error
-contract.  Everything here is deterministic and clock-free: the shapes are
-the benchmark's two engine workloads (``bench/workloads.py``), shortened.
+``plan_granularity`` decides from a shape's GEMM flops per cell step
+(``spec_gemm_flops_per_cell_step``) whether ``n_workers`` threads are worth
+starting; the engines pass that decision to ``ThreadedExecutor.run``, and a
+graph run on one thread runs on the calling thread through the same
+scheduler, hooks, trace and error contract.  Everything here is
+deterministic and clock-free: the shapes are the benchmark's two engine
+workloads (``bench/workloads.py``), shortened.
 """
 
 import threading
@@ -14,20 +15,18 @@ import numpy as np
 import pytest
 
 from repro.compile import compile_graph
-from repro.core.graph_builder import build_brnn_graph
+from repro.config import ExecutionConfig
+from repro.core import graph_builder
+from repro.core.graph_builder import (
+    build_brnn_graph,
+    plan_granularity,
+    spec_gemm_flops_per_cell_step,
+)
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.obs import CallbackHooks, MetricsRegistry
-from repro.runtime import executor as executor_module
-from repro.runtime.depgraph import TaskGraph
-from repro.runtime.executor import (
-    SerialExecutor,
-    ThreadedExecutor,
-    gemm_flops_per_cell_step,
-    useful_workers,
-)
+from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.scheduler import FuzzScheduler, RecordingScheduler, ReplayScheduler
-from repro.runtime.task import RegionSpace
 
 #: ``infer_fine``: ~0.07 MFLOP of GEMM per cell step
 FINE = BRNNSpec(cell="lstm", input_size=39, hidden_size=32, num_layers=4,
@@ -55,43 +54,25 @@ def record_threads(build):
     return seen
 
 
-def one_task_graph(flops, kind="cell", n_free=0, steps=1):
-    g = TaskGraph()
-    rs = RegionSpace()
-    g.add_task("gemm", None, outs=[rs.get("a", 8)], flops=flops, kind=kind,
-               meta={"lo": 0, "hi": steps})
-    for i in range(n_free):
-        g.add_task(f"free{i}", None, outs=[rs.get(("f", i), 8)], kind="merge")
-    return g
-
-
 # -- the rule -----------------------------------------------------------------
 
 
-def threads(graph, n_workers):
-    return useful_workers(gemm_flops_per_cell_step(graph), n_workers)
-
-
 def test_fine_graph_gets_one_thread_and_gemm_graph_gets_them_all():
-    fine = fine_build(seq_len=100).graph
-    assert len(fine) == 1102 and 6e4 < gemm_flops_per_cell_step(fine) < 8e4
-    assert threads(fine, 2) == 1
-    train = build_brnn_graph(GEMM, seq_len=32, batch=64, mbs=2, training=True)
-    assert 4e7 < gemm_flops_per_cell_step(train.graph) < 5e7
-    assert threads(train.graph, 2) == 2
-    assert threads(train.graph, 1) == 1
+    fine = spec_gemm_flops_per_cell_step(FINE, 4, 1, 100, False, [False] * 4)
+    assert 6e4 < fine < 8e4
+    assert plan_granularity(FINE, 4, 100, False, 2, "threaded").threads == 1
+    train = spec_gemm_flops_per_cell_step(GEMM, 64, 2, 32, True, [True] * 3)
+    assert 4e7 < train < 5e7
+    config = ExecutionConfig(mbs=2)
+    assert plan_granularity(GEMM, 64, 32, True, 2, "threaded", config).threads == 2
+    assert plan_granularity(GEMM, 64, 32, True, 1, "threaded", config).threads == 1
 
 
-def test_boundary_sits_at_the_constant():
-    floor = executor_module.MIN_GEMM_FLOPS_PER_CELL_STEP
-    assert threads(one_task_graph(floor), 4) == 4
-    assert threads(one_task_graph(floor * (1 - 1e-9)), 4) == 1
-    # the floor is per cell step: other tasks do not dilute it, a tile's
-    # steps do, and only GEMM kinds count
-    assert threads(one_task_graph(floor, n_free=3), 4) == 4
-    assert threads(one_task_graph(2 * floor, steps=2), 4) == 4
-    assert threads(one_task_graph(2 * floor, steps=3), 4) == 1
-    assert threads(one_task_graph(2 * floor, kind="merge"), 4) == 1
+def test_boundary_sits_at_the_constant(monkeypatch):
+    flops = spec_gemm_flops_per_cell_step(FINE, 4, 1, 100, False, [False] * 4)
+    for floor, threads in ((flops, 4), (flops * (1 + 1e-9), 1)):
+        monkeypatch.setattr(graph_builder, "MIN_GEMM_FLOPS_PER_CELL_STEP", floor)
+        assert plan_granularity(FINE, 4, 100, False, 4, "threaded").threads == threads
 
 
 # -- one thread means the caller's thread -------------------------------------
@@ -104,7 +85,7 @@ def test_fine_graph_runs_on_the_calling_thread_bitwise_equal_to_serial():
     build = fine_build()
     seen = record_threads(build)
     registry = MetricsRegistry()
-    trace = ThreadedExecutor(2, metrics=registry).run(build.graph)
+    trace = ThreadedExecutor(2, metrics=registry).run(build.graph, threads=1)
 
     assert seen == {threading.get_ident()}
     assert trace.n_cores == 1 and trace.summary()["n_cores"] == 1.0
@@ -117,8 +98,8 @@ def test_fine_graph_runs_on_the_calling_thread_bitwise_equal_to_serial():
 def test_real_threads_fixture_brings_the_threads_back(real_threads):
     build = fine_build(seq_len=4)
     seen = record_threads(build)
-    assert threads(build.graph, 2) == 2
-    trace = ThreadedExecutor(2).run(build.graph)
+    assert plan_granularity(FINE, 4, 4, False, 2, "threaded").threads == 2
+    trace = ThreadedExecutor(2).run(build.graph)  # a hand-built graph: every worker
     assert trace.n_cores == 2
     assert threading.get_ident() not in seen
 
@@ -127,7 +108,7 @@ def test_one_thread_replay_walks_the_plan_bitwise_equal_to_serial():
     serial = fine_build()
     SerialExecutor().run(serial.graph)
     build = fine_build()
-    plan = compile_graph(build.graph, n_workers=2)
+    plan = compile_graph(build.graph, n_workers=1)  # the threads it replays on
     trace = ThreadedExecutor(2).run(build.graph, plan=plan)
     assert trace.n_cores == 1 and trace.scheduler == "replay"
     assert [r.tid for r in trace.records] == plan.order
@@ -140,7 +121,7 @@ def test_one_thread_replay_walks_the_plan_bitwise_equal_to_serial():
 def test_recording_scheduler_records_the_fuzz_order_and_replays_it():
     def run(scheduler):
         build = fine_build(seq_len=4)
-        trace = ThreadedExecutor(2, scheduler).run(build.graph)
+        trace = ThreadedExecutor(2, scheduler).run(build.graph, threads=1)
         assert trace.n_cores == 1
         return [r.tid for r in trace.records], build.logits()
 
@@ -170,18 +151,20 @@ def test_raising_payload_surfaces_unchanged():
     build.graph.tasks[5].fn = boom
     registry = MetricsRegistry()
     with pytest.raises(RuntimeError, match="payload failure"):
-        ThreadedExecutor(2, "fifo", metrics=registry).run(build.graph)
+        ThreadedExecutor(2, "fifo", metrics=registry).run(build.graph, threads=1)
     assert 5 not in ran and len(ran) < len(build.graph) - 1
     assert "repro_exec_runs_total" not in registry.flat()  # nothing published
 
 
 def test_mismatched_replay_raises_what_it_raised():
     recording = RecordingScheduler(FuzzScheduler(1, seed=1))
-    ThreadedExecutor(2, recording).run(fine_build(seq_len=4).graph)
+    ThreadedExecutor(2, recording).run(fine_build(seq_len=4).graph, threads=1)
     record = recording.record()
     record.names[3] = "not-the-task"
     with pytest.raises(ValueError, match="schedule replay mismatch at position 3"):
-        ThreadedExecutor(2, ReplayScheduler(record)).run(fine_build(seq_len=4).graph)
+        ThreadedExecutor(2, ReplayScheduler(record)).run(
+            fine_build(seq_len=4).graph, threads=1
+        )
 
     build = fine_build(seq_len=4)
     plan = compile_graph(build.graph)
@@ -211,6 +194,6 @@ def test_hooks_fire_once_per_task(replay):
         on_task_end=lambda task, core, t: ends.append((task.tid, core)),
     )
     plan = compile_graph(build.graph) if replay else None
-    ThreadedExecutor(2, hooks=hooks).run(build.graph, plan=plan)
+    ThreadedExecutor(2, hooks=hooks).run(build.graph, plan=plan, threads=1)
     assert starts == ends
     assert sorted(starts) == [(tid, 0) for tid in range(len(build.graph))]

@@ -82,8 +82,9 @@ def test_analyze_observe_builds_the_graph_the_structural_flags_name(capsys):
     observed = ["analyze", "--observe", *_TINY]
     steps = _task_count(capsys, observed)
     # 8 steps in tiles of 4: each of the 2 layers x 2 directions x 2 chunks x
-    # (forward, backward) chains shrinks from 8 cell tasks to 2
-    assert steps - _task_count(capsys, [*observed, *_WAVEFRONT]) == 16 * (8 - 2)
+    # (forward, backward) chains shrinks from 8 cell tasks to 2, and so do the
+    # interior layer's merges of each chunk, forward and backward
+    assert steps - _task_count(capsys, [*observed, *_WAVEFRONT]) == (16 + 4) * (8 - 2)
     # per-layer barriers add barrier tasks; B-Seq adds the per-chunk serial regions
     barriered = [*observed, "--barriers", "--serialize-chunks"]
     assert _task_count(capsys, barriered) > steps

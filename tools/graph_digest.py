@@ -14,7 +14,7 @@ graph (8 cores of the paper machine, locality scheduler).  The *numerics*
 digest takes, from a functional build run serially, logits, loss, every
 per-chunk gradient and the updated weights and velocity.
 
-Three matrices (T=7, batch=6, mbs=2; ``mbs=3`` on the variants' B-Seq rows):
+Four matrices (T=7, batch=6, mbs=2; ``mbs=3`` on the variants' B-Seq rows):
 
 * ``matrix96``: 3 cells x 2 heads x {off, gates} x projection on/off x
   barrier-free/barriered x fwd/train, per-step;
@@ -22,7 +22,10 @@ Three matrices (T=7, batch=6, mbs=2; ``mbs=3`` on the variants' B-Seq rows):
   chain), off at tile 3} x projection on/off (``off`` never hoists: off only)
   x barrier-free/barriered x fwd/train (112);
 * ``variants``: 3 cells x merge {mul, concat} x 2 heads x projection on/off x
-  {plain, momentum, B-Seq, momentum + B-Seq}, training (96).
+  {plain, momentum, B-Seq, momentum + B-Seq}, training (96);
+* ``paired``: 3 cells x 2 heads x fwd/train x projection on/off, both
+  directions' forward chains as one, at tile 3 and 7 (one tile per chain)
+  (48).
 
 Usage: PYTHONPATH=src python tools/graph_digest.py
 """
@@ -70,7 +73,15 @@ def _variants():
                    serialize_chunks=bseq, mbs=3 if bseq else 2)
 
 
-MATRICES = {"matrix96": _matrix96, "tiled": _tiled, "variants": _variants}
+def _paired():
+    for cell, head, training, fused, tile in product(
+        CELLS, HEADS, (False, True), ("on", "off"), (3, SEQ_LEN)
+    ):
+        yield dict(cell=cell, head=head, training=training, fused=fused,
+                   wavefront_tile=tile, paired=True)
+
+
+MATRICES = {"matrix96": _matrix96, "tiled": _tiled, "variants": _variants, "paired": _paired}
 
 
 def build(cfg, functional):
@@ -86,6 +97,7 @@ def build(cfg, functional):
         velocity=BRNNParams.zeros_like(spec) if momentum else None,
         fused_input_projection=cfg["fused"], proj_block=2,
         fusion=cfg.get("fusion", "gates"), wavefront_tile=cfg.get("wavefront_tile"),
+        paired=cfg.get("paired", False),
     )
     if not functional:
         return build_brnn_graph(spec, seq_len=SEQ_LEN, batch=BATCH, **kwargs)

@@ -1,7 +1,7 @@
-"""Sweep behind ``kernels.activations.pointwise_turn`` and the weights-left
-recurrent backward GEMM.
+"""Sweep behind ``kernels.activations.pointwise_turn``, the weights-left
+recurrent backward GEMM and the paired cell step.
 
-Two tables.  The first times one call of the hoisted cell kernels (what the
+Three tables.  The first times one call of the hoisted cell kernels (what the
 cell tasks of a training step above the hoist floor run: ``cell_forward_proj``
 with a cache, ``cell_backward_proj``) per cell type, pass, rows and hidden
 size: alone on one thread; on two threads, each looping over private operands
@@ -19,8 +19,15 @@ threads: the part of a cell that scales.
 
 The second table times every transposed-operand GEMM of the backward kernels
 in both operand orders, data-left ``dZ @ W.T`` (as written until PR 20) and
-weights-left ``(W @ dZ.T).T``, on one thread.  BLAS is pinned to one thread,
-as in ``bench/run.py``.
+weights-left ``(W @ dZ.T).T``, on one thread.
+
+The third times, on one thread, one paired cell step (the forward and the
+reverse cell of a step stacked, :mod:`repro.kernels.paired`, the inputs a
+pair as the paired task passes them) against the two single steps it replaces,
+per cell type, rows and hidden size, with a cache (training) and without
+(inference): the per-step-pair cost a one-thread graph pays in its forward
+chains.  Each round times the two in alternating order; medians.  BLAS is
+pinned to one thread, as in ``bench/run.py``.
 
 Usage: PYTHONPATH=src python tools/sweep_pointwise_turn.py [rounds]
 """
@@ -41,12 +48,15 @@ import numpy as np
 
 from repro.harness.measure import make_spec
 from repro.kernels import activations
-from repro.models.cells import cell_backward_proj, cell_forward_proj
+from repro.kernels.paired import DirectionPair
+from repro.models.cells import cell_backward_proj, cell_forward, cell_forward_proj
 
 CELLS = ("lstm", "gru", "rnn")
 ROWS = (4, 32, 128)
 HIDDEN = (32, 128, 256)
 GEMM_ROWS = (4, 8, 32, 128)
+PAIR_ROWS = (1, 4, 8)
+PAIR_HIDDEN = (32, 128)
 SECONDS = 0.15
 
 #: the backward kernels' transposed-operand GEMMs: name, and the weight
@@ -144,6 +154,42 @@ def gemm_orders_us(hidden: int, rows: int, first: int, last: int):
     return best(lambda: dz @ block.T), best(lambda: (block @ dz.T).T)
 
 
+def paired_calls(cell: str, rows: int, hidden: int, need_cache: bool):
+    """Two single forward steps and the one paired step that replaces them,
+    on the same operands, as zero-argument calls."""
+    spec = make_spec(cell, hidden, hidden, 1)
+    rng = np.random.default_rng(0)
+    draw = lambda *shape: rng.standard_normal(shape).astype(np.float32)
+    (w_shape, (gh,)) = spec.cell_param_shapes(0)
+    Ws = [draw(*w_shape) * np.float32(0.1) for _ in range(2)]
+    bs = [draw(gh) * np.float32(0.1) for _ in range(2)]
+    xs, hs = [draw(rows, hidden) for _ in range(2)], [draw(rows, hidden) for _ in range(2)]
+    cs = [draw(rows, hidden) for _ in range(2)] if cell == "lstm" else [None, None]
+    pair, b2 = DirectionPair(*Ws), np.stack(bs)[:, None]
+    h2 = np.stack(hs)
+    c2 = np.stack(cs) if cell == "lstm" else None
+
+    def single():
+        for d in range(2):
+            cell_forward(spec, xs[d], hs[d], cs[d], Ws[d], bs[d], "gates", need_cache)
+
+    def paired():
+        cell_forward(spec, (xs[0], xs[1]), h2, c2, pair, b2, "gates", need_cache)
+
+    return single, paired
+
+
+def paired_us(cell: str, rows: int, hidden: int, need_cache: bool, rounds: int):
+    """Median us per call of the two single steps and of the paired step."""
+    calls = paired_calls(cell, rows, hidden, need_cache)
+    number = 2000 if rows * hidden <= 8 * 32 else 500
+    samples = ([], [])
+    for i in range(rounds):
+        for k in (0, 1) if i % 2 == 0 else (1, 0):
+            samples[k].append(timeit.timeit(calls[k], number=number) / number * 1e6)
+    return tuple(statistics.median(us) for us in samples)
+
+
 def main(rounds: int) -> None:
     print(f"host_cores={os.cpu_count()} rounds={rounds} seconds_per_sample={SECONDS} "
           f"hoisted cell kernels, float32, private operands per thread")
@@ -174,6 +220,16 @@ def main(rounds: int) -> None:
                 old, new = gemm_orders_us(hidden, rows, first, last)
                 print(f"{name:<42} {hidden:>4} {rows:>5} {old:>13.1f} {new:>16.1f} "
                       f"{new / old:>6.2f}")
+    print()
+    print(f"{'cell':>5} {'cache':>5} {'H':>4} {'rows':>5} {'2 single us':>12} "
+          f"{'paired us':>10} {'ratio':>6}")
+    for cell in CELLS:
+        for need_cache in (False, True):
+            for hidden in PAIR_HIDDEN:
+                for rows in PAIR_ROWS:
+                    two, one = paired_us(cell, rows, hidden, need_cache, rounds)
+                    print(f"{cell:>5} {'yes' if need_cache else 'no':>5} {hidden:>4} "
+                          f"{rows:>5} {two:>12.1f} {one:>10.1f} {one / two:>6.2f}")
 
 
 if __name__ == "__main__":

@@ -1,13 +1,14 @@
-"""Sweep behind ``runtime.executor.MIN_GEMM_FLOPS_PER_CELL_STEP`` and the
+"""Sweep behind ``core.graph_builder.MIN_GEMM_FLOPS_PER_CELL_STEP`` and the
 granularity policy's one-thread tile.
 
 One forward graph per point (2 layers, 40 steps, one chunk: 202 tasks over
 160 cell steps), the hidden size and batch raised together so the GEMM
 flops per cell step climb from ~0.07 to ~540 MFLOP.  Each round builds
 fresh graphs and runs the per-step one on the calling thread
-(``ThreadedExecutor(1)``) and on two real threads (the floor patched to 0),
-then the chain-tiled ones (``wavefront_tile`` 2, 4, 8 and T) on the calling
-thread, rotating which goes first; the table gives the median of each.  The
+(``ThreadedExecutor(1)``) and on two real threads (``ThreadedExecutor(2)``
+runs a hand-built graph on both), then the chain-tiled ones
+(``wavefront_tile`` 2, 4, 8 and T) on the calling thread, rotating which
+goes first; the table gives the median of each.  The
 constant belongs where ``thr2/thr1`` crosses 1; ``policy`` is what
 ``plan_granularity`` picks for the point at two workers (threads/tile), and
 ``vs 1t best`` its median over the fastest tile on one thread: the policy's
@@ -29,11 +30,14 @@ import time
 
 import numpy as np
 
-from repro.core.graph_builder import build_brnn_graph, plan_granularity
+from repro.core.graph_builder import (
+    build_brnn_graph,
+    plan_granularity,
+    spec_gemm_flops_per_cell_step,
+)
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
-from repro.runtime import executor
-from repro.runtime.executor import ThreadedExecutor, gemm_flops_per_cell_step
+from repro.runtime.executor import ThreadedExecutor
 
 #: (hidden size, batch rows) per point; input size = hidden size
 POINTS = [(32, 4), (64, 8), (128, 8), (128, 32), (160, 32), (192, 32), (224, 32),
@@ -76,7 +80,6 @@ def main(rounds: int) -> None:
         (h, b): plan_granularity(spec_of(h), b, SEQ_LEN, False, 2, "threaded")
         for h, b in POINTS
     }
-    executor.MIN_GEMM_FLOPS_PER_CELL_STEP = 0.0  # two workers means two threads here
     print(f"host_cores={os.cpu_count()} rounds={rounds} T={SEQ_LEN} L=2 forward")
     tiles = " ".join(f"{f'1t/{t} ms':>9}" for t in TILES[1:])
     print(f"{'H':>5} {'B':>4} {'tasks':>6} {'MFLOP/task':>11} {'MFLOP/step':>11} "
@@ -90,7 +93,9 @@ def main(rounds: int) -> None:
             for threads, tile in COLUMNS[k:] + COLUMNS[:k]:
                 times[threads, tile].append(timed(threads, build(hidden, batch, tile)))
         med = {col: statistics.median(ts) for col, ts in times.items()}
-        per_step = gemm_flops_per_cell_step(graph) / 1e6
+        per_step = spec_gemm_flops_per_cell_step(
+            spec_of(hidden), batch, 1, SEQ_LEN, False, [False, False]
+        ) / 1e6
         per_task = per_step * CELL_STEPS / len(graph.tasks)
         plan = policies[hidden, batch]
         chosen = med[plan.threads, plan.tile]
