@@ -120,36 +120,43 @@ class BParEngine:
         #: classical-momentum velocity buffers, allocated on first use
         self.velocity = BRNNParams.zeros_like(spec) if momentum > 0.0 else None
         self.last_trace: Optional[ExecutionTrace] = None
+        #: the one build an engine keeps, the ``Granularity`` it was made with
+        #: and the call it serves: ``(x.shape, x.dtype, training, update_weights)``
         self.last_result: Optional[GraphBuildResult] = None
-
-    def _effective_mbs(self, batch: int) -> int:
-        """Chunk count for this batch: ``mbs`` clamped to the batch size.
-
-        The graph is rebuilt per batch (§III-B), so a trailing short batch
-        simply gets fewer data-parallel chunks, and its own tile, hoisted
-        layers and threads (:func:`~repro.core.graph_builder.plan_granularity`).
-        """
-        return max(1, min(self.mbs, batch))
+        self.granularity = None
+        self._last_call: Optional[tuple] = None
 
     # -- functional execution ---------------------------------------------------
 
-    def _run(self, x: np.ndarray, training: bool = True, **overrides) -> GraphBuildResult:
-        """Build the functional graph of batch ``x`` at the granularity
-        planned for its shape, and execute it."""
-        seq_len, batch = x.shape[:2]
-        plan = plan_granularity(
-            self.spec, batch, seq_len, training, self.executor.n_workers, self.executor,
-            self.config,
-        )
+    def _run(self, x: np.ndarray, training=True, labels=None, **overrides) -> GraphBuildResult:
+        """Execute the functional graph of batch ``x`` at the granularity
+        planned for its shape.
+
+        A call like the last one (same shape, dtype, ``training`` and
+        ``update_weights``) rebinds its inputs into the last build
+        (``build_brnn_graph(out=...)``); any other plans and builds afresh,
+        over copies of ``x`` and ``labels`` that later rebinds write into.
+        A trailing short batch is a new shape with fewer chunks of its own.
+        """
+        call = (x.shape, x.dtype, training, overrides.get("update_weights", True))
+        out = self.last_result
+        if out is None or call != self._last_call or out.params is not self.params:
+            seq_len, batch = x.shape[:2]
+            self.granularity = plan_granularity(
+                self.spec, batch, seq_len, training, self.executor.n_workers, self.executor,
+                self.config,
+            )
+            out, x, labels = None, np.array(x), None if labels is None else np.array(labels)
+        plan = self.granularity
         result = build_brnn_graph(
-            self.spec, x=x, params=self.params, training=training,
-            mbs=self._effective_mbs(batch), barrier_free=self.barrier_free,
+            self.spec, x=x, labels=labels, params=self.params, training=training,
+            mbs=plan.mbs, barrier_free=self.barrier_free,
             serialize_chunks=self.serialize_chunks, fused_input_projection=plan.hoisted,
             proj_block=self.config.proj_block, fusion=self.config.fusion,
-            wavefront_tile=plan.tile, paired=plan.paired, **overrides,
+            wavefront_tile=plan.tile, paired=plan.paired, out=out, **overrides,
         )
         self.last_trace = run_planned(self.executor, result.graph, plan.threads)
-        self.last_result = result
+        self.last_result, self._last_call = result, call
         return result
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -193,11 +193,12 @@ def spec_gemm_flops_per_cell_step(
 
 
 class Granularity(NamedTuple):
-    """The decisions of :func:`plan_granularity`: the threads the executor
-    starts, per layer whether its input projection is hoisted off the cell
-    chain, the timesteps per cell-chain task, and whether a layer's two
-    forward chains are paired."""
+    """The decisions of :func:`plan_granularity`: the data-parallel chunks,
+    the threads the executor starts, per layer whether its input projection
+    is hoisted off the cell chain, the timesteps per cell-chain task, and
+    whether a layer's two forward chains are paired."""
 
+    mbs: int
     threads: int
     hoisted: List[bool]
     tile: int
@@ -214,6 +215,8 @@ def plan_granularity(
     ``mbs``, ``fusion``, ``barrier_free`` and the two overrides,
     ``fused_input_projection`` and ``wavefront_tile`` (docs/PERF.md):
 
+    * **mbs** — the configured chunk count clamped to the batch: a trailing
+      short batch gets fewer data-parallel chunks;
     * **threads** — on a host Python executor, 1 where
       :func:`spec_gemm_flops_per_cell_step` is under
       :data:`MIN_GEMM_FLOPS_PER_CELL_STEP`, else ``n_workers``; the engines
@@ -240,7 +243,7 @@ def plan_granularity(
     one_thread = host and threads == 1
     tile = cfg.wavefront_tile or (seq_len if one_thread else 1)
     paired = one_thread and cfg.fusion == "gates" and cfg.barrier_free
-    return Granularity(threads, hoisted, tile, paired)
+    return Granularity(mbs, threads, hoisted, tile, paired)
 
 
 @dataclass
@@ -267,6 +270,13 @@ class GraphBuildResult:
     wavefront_tile: Optional[int] = None
     serialize_chunks: bool = False
     barrier_free: bool = True
+    paired: bool = False
+    update_weights: bool = True
+    proj_block: Optional[int] = None
+    momentum: float = 0.0
+    #: the SGD step: a ``(1,)`` slot the update tasks read when they run,
+    #: so a rebind (``build_brnn_graph(out=...)``) can change it
+    lr: Optional[np.ndarray] = None
 
     @property
     def total_batch(self) -> int:
@@ -653,15 +663,11 @@ class _Builder:
         self.momentum = momentum
         self.velocity = velocity
         self.fused_layers = fused_layers or [False] * spec.num_layers
-        if proj_block is not None and proj_block < 1:
-            raise ValueError("proj_block must be >= 1")
         self.proj_block = min(seq_len, proj_block or DEFAULT_PROJ_BLOCK)
         if fusion not in FUSION_MODES:
             raise ValueError(
                 f"fusion must be one of {'/'.join(FUSION_MODES)}, got {fusion!r}"
             )
-        if wavefront_tile is not None and wavefront_tile < 1:
-            raise ValueError("wavefront_tile must be >= 1")
         if paired and (fusion != "gates" or not barrier_free):
             raise ValueError("paired directions need fusion='gates' and a barrier-free graph")
         self.fusion = fusion
@@ -685,7 +691,7 @@ class _Builder:
         self.functional = functional
         self.barrier_free = barrier_free
         self.update_weights = update_weights
-        self.lr = lr
+        self.lr = np.full(1, lr, dtype=np.float64)
         self.params = params
         self.chunks = chunks
         self.graph = TaskGraph()
@@ -726,6 +732,11 @@ class _Builder:
             wavefront_tile=tile if tile > 1 else None,
             serialize_chunks=serialize_chunks,
             barrier_free=barrier_free,
+            paired=paired,
+            update_weights=update_weights,
+            proj_block=self.proj_block,
+            momentum=momentum,
+            lr=self.lr,
         )
         #: what the access rules need to know about this build
         self.access = AccessContext.from_result(self.result)
@@ -1165,8 +1176,8 @@ class _Builder:
                 dp = params.layers[layer].direction(direction)
                 for chunk in chunks:
                     gp = chunk.grads.layers[layer].direction(direction)
-                    _axpy(dp.W, -lr, gp.W)
-                    _axpy(dp.b, -lr, gp.b)
+                    _axpy(dp.W, -lr[0], gp.W)
+                    _axpy(dp.b, -lr[0], gp.b)
         else:
             # v ← µ·v − lr·Σ g_chunk ;  W ← W + v   (classical momentum)
             def fn():
@@ -1176,8 +1187,8 @@ class _Builder:
                 vp.b *= np.asarray(momentum, dtype=vp.b.dtype)
                 for chunk in chunks:
                     gp = chunk.grads.layers[layer].direction(direction)
-                    _axpy(vp.W, -lr, gp.W)
-                    _axpy(vp.b, -lr, gp.b)
+                    _axpy(vp.W, -lr[0], gp.W)
+                    _axpy(vp.b, -lr[0], gp.b)
                 dp.W += vp.W
                 dp.b += vp.b
 
@@ -1192,15 +1203,15 @@ class _Builder:
         if velocity is None:
             def fn():
                 for chunk in chunks:
-                    _axpy(params.head.W, -lr, chunk.grads.head.W)
-                    _axpy(params.head.b, -lr, chunk.grads.head.b)
+                    _axpy(params.head.W, -lr[0], chunk.grads.head.W)
+                    _axpy(params.head.b, -lr[0], chunk.grads.head.b)
         else:
             def fn():
                 velocity.head.W *= np.asarray(momentum, dtype=velocity.head.W.dtype)
                 velocity.head.b *= np.asarray(momentum, dtype=velocity.head.b.dtype)
                 for chunk in chunks:
-                    _axpy(velocity.head.W, -lr, chunk.grads.head.W)
-                    _axpy(velocity.head.b, -lr, chunk.grads.head.b)
+                    _axpy(velocity.head.W, -lr[0], chunk.grads.head.W)
+                    _axpy(velocity.head.b, -lr[0], chunk.grads.head.b)
                 params.head.W += velocity.head.W
                 params.head.b += velocity.head.b
 
@@ -1534,6 +1545,7 @@ def build_brnn_graph(
     fusion: str = "gates",
     wavefront_tile: Optional[int] = None,
     paired: bool = False,
+    out: Optional[GraphBuildResult] = None,
 ) -> GraphBuildResult:
     """Build the B-Par task graph for one batch.
 
@@ -1569,7 +1581,21 @@ def build_brnn_graph(
     K-dimension reduction.  A layer's merges are cut at the chain tile.
     ``paired`` (stacked kernels, barrier-free graphs) runs each forward tile
     of the two directions as one task, bitwise the two it replaces.
+
+    ``out`` (NumPy's idiom) is an earlier functional build of the same
+    structure.  The step's ``x``, ``labels`` and ``lr`` are copied into its
+    slots, what a training step adds into is zeroed, and ``out`` itself is
+    returned: no new task, region or array, and a run of it is bitwise a
+    run of a fresh build.  Any other argument that differs from ``out``'s
+    (shape, ``mbs``, ``training``, hoisting, tile, pairing, fusion,
+    barriers, ``update_weights``, the ``params`` object, ...) is a
+    ``ValueError`` naming it.  The copies land in the arrays ``out`` was
+    first built over, so the engines build over copies of a caller's.
     """
+    if proj_block is not None and proj_block < 1:
+        raise ValueError("proj_block must be >= 1")
+    if wavefront_tile is not None and wavefront_tile < 1:
+        raise ValueError("wavefront_tile must be >= 1")
     functional = x is not None
     if functional:
         seq_len, batch = int(x.shape[0]), int(x.shape[1])
@@ -1577,24 +1603,30 @@ def build_brnn_graph(
             raise ValueError("functional graphs need params")
         if training and labels is None:
             raise ValueError("training graphs need labels")
-        x_chunks = split_batch(x, mbs, axis=1)
+    elif seq_len is None or batch is None:
+        raise ValueError("cost-only graphs need seq_len and batch")
+    chunk_batches = [len(part) for part in split_batch(np.arange(batch), mbs, axis=0)]
+    fused_layers = _hoisted_layers(spec, fused_input_projection, fusion, max(chunk_batches))
+    tile = min(seq_len, wavefront_tile or 1)
+    proj_block = min(seq_len, proj_block or DEFAULT_PROJ_BLOCK)
+    if out is not None:
+        return _rebind(
+            out, x, labels, lr, spec=spec, seq_len=seq_len, chunk_batches=chunk_batches,
+            training=training, fused_layers=fused_layers, fusion=fusion,
+            wavefront_tile=tile if tile > 1 else None, paired=paired,
+            serialize_chunks=serialize_chunks, barrier_free=barrier_free,
+            update_weights=update_weights, proj_block=proj_block, momentum=momentum,
+            params=params, velocity=velocity,
+        )
+    chunks = None
+    if functional:
+        label_chunks = [None] * mbs
         if labels is not None:
-            label_axis = 0 if spec.head == "many_to_one" else 1
-            label_chunks = split_batch(labels, mbs, axis=label_axis)
-        else:
-            label_chunks = [None] * mbs
+            label_chunks = split_batch(labels, mbs, axis=_label_axis(spec))
         chunks = [
-            ChunkState(spec, xc, lc, training) for xc, lc in zip(x_chunks, label_chunks)
+            ChunkState(spec, xc, lc, training)
+            for xc, lc in zip(split_batch(x, mbs, axis=1), label_chunks)
         ]
-        chunk_batches = [c.batch for c in chunks]
-    else:
-        if seq_len is None or batch is None:
-            raise ValueError("cost-only graphs need seq_len and batch")
-        sizes = [len(part) for part in np.array_split(np.arange(batch), mbs)]
-        if min(sizes) == 0:
-            raise ValueError(f"cannot split batch of {batch} into {mbs} mini-batches")
-        chunks = None
-        chunk_batches = sizes
 
     builder = _Builder(
         spec=spec,
@@ -1610,12 +1642,39 @@ def build_brnn_graph(
         serialize_chunks=serialize_chunks,
         momentum=momentum,
         velocity=velocity,
-        fused_layers=_hoisted_layers(
-            spec, fused_input_projection, fusion, max(chunk_batches)
-        ),
+        fused_layers=fused_layers,
         proj_block=proj_block,
         fusion=fusion,
-        wavefront_tile=wavefront_tile,
+        wavefront_tile=tile,
         paired=paired,
     )
     return builder.build()
+
+
+def _label_axis(spec: BRNNSpec) -> int:
+    return 0 if spec.head == "many_to_one" else 1
+
+
+def _rebind(out: GraphBuildResult, x, labels, lr, **structure) -> GraphBuildResult:
+    """``build_brnn_graph(out=...)``: check that ``out`` was built with the
+    same ``structure``, then copy the step's inputs into its slots."""
+    if not out.functional or x is None:
+        raise ValueError("out= takes a functional build and an x to copy into it")
+    first = out.chunks[0]
+    built = {name: getattr(out, name) for name in structure}
+    built.update(dtype=first.x.dtype, labels=first.labels is not None)
+    structure.update(dtype=x.dtype, labels=labels is not None)
+    for name, value in structure.items():
+        if built[name] is not value and built[name] != value:
+            raise ValueError(f"out= was built with another {name}: {built[name]!r}, not {value!r}")
+    label_chunks = [None] * out.mbs
+    if labels is not None:
+        label_chunks = split_batch(labels, out.mbs, axis=_label_axis(out.spec))
+    for state, xc, lc in zip(out.chunks, split_batch(x, out.mbs, axis=1), label_chunks):
+        np.copyto(state.x, xc)
+        if lc is not None:
+            np.copyto(state.labels, lc)
+        if out.training:
+            state.clear_accumulators()
+    out.lr[0] = lr
+    return out

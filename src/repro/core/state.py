@@ -57,26 +57,33 @@ class ChunkState:
         self.c0 = self.h0 if spec.cell != "lstm" else np.zeros_like(self.h0)
 
         if training:
-            zero_grid = lambda: [
-                [np.zeros((batch, spec.hidden_size), dtype=spec.dtype) for _ in range(seq_len)]
-                for _ in range(L)
+            # What the backward tasks add into (dh, dc, dmerged), one block
+            # per kind whose slots are views: a rebound step clears each
+            # with one fill.
+            H, n_state = spec.hidden_size, 4 if spec.cell == "lstm" else 2
+            self.accumulators = [
+                np.zeros((L, seq_len, batch, H), dtype=spec.dtype) for _ in range(n_state)
             ]
-            self.dh_f = zero_grid()
-            self.dh_r = zero_grid()
-            if spec.cell == "lstm":
-                self.dc_f = zero_grid()
-                self.dc_r = zero_grid()
-            else:
-                self.dc_f = [[None] * seq_len for _ in range(L)]
-                self.dc_r = [[None] * seq_len for _ in range(L)]
-            self.dmerged: List[List[Optional[np.ndarray]]] = [
-                [np.zeros((batch, spec.merged_size), dtype=spec.dtype) for _ in range(seq_len)]
-                for _ in range(max(L - 1, 0))
-            ]
+            self.accumulators.append(
+                np.zeros((max(L - 1, 0), seq_len, batch, spec.merged_size), dtype=spec.dtype)
+            )
+            views = [[list(rows) for rows in block] for block in self.accumulators]
+            self.dh_f, self.dh_r = views[:2]
+            self.dc_f, self.dc_r = views[2:4] if n_state == 4 else (grid(), grid())
+            self.dmerged: List[List[Optional[np.ndarray]]] = views[-1]
             self.dlast_merged: List[Optional[np.ndarray]] = [None] * n_last
             self.grads = BRNNParams.zeros_like(spec)
         else:
             self.grads = None
+
+    def clear_accumulators(self) -> None:
+        """Zero what a training step adds into: ``dh``/``dc``/``dmerged``
+        and the weight gradients.  Every other slot is assigned by its
+        writer before anything reads it."""
+        for block in self.accumulators:
+            block.fill(0)
+        for _, array in self.grads.arrays():
+            array.fill(0)
 
     def layer_input(self, layer: int, pos: int) -> np.ndarray:
         """Input of ``layer`` at sequence position ``pos``."""

@@ -34,7 +34,7 @@ import numpy as np
 from repro.compile import PlanCache, compile_graph
 from repro.config import ExecutionConfig
 from repro.core.bpar import resolve_executor, run_planned
-from repro.core.graph_builder import build_brnn_graph, plan_granularity, split_batch
+from repro.core.graph_builder import build_brnn_graph, plan_granularity
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.runtime.simexec import SimulatedExecutor
@@ -118,7 +118,6 @@ class InferenceEngine:
         self.spec = spec
         self.config = cfg
         self.executor = name
-        self.mbs = cfg.mbs
         self.metrics = cfg.metrics
         self.hooks = cfg.hooks
         if name == "sim":
@@ -151,12 +150,10 @@ class InferenceEngine:
     def n_workers(self) -> int:
         return self._executor.n_workers
 
-    def _effective_mbs(self, batch_size: int) -> int:
-        return max(1, min(self.mbs, batch_size))
-
-    def _build(self, key: Tuple[int, int], x: Optional[np.ndarray]):
+    def _build(self, key: Tuple[int, int], x: Optional[np.ndarray], out=None):
         """The inference graph of one batch shape (functional over ``x``,
-        cost-only without it) and the threads planned for it."""
+        cost-only without it; ``x`` rebound into ``out``, the shape's held
+        build, when given) and the threads planned for it."""
         padded_len, size = key
         inputs = (
             {"seq_len": padded_len, "batch": size}
@@ -169,12 +166,13 @@ class InferenceEngine:
         build = build_brnn_graph(
             self.spec,
             training=False,
-            mbs=self._effective_mbs(size),
+            mbs=plan.mbs,
             fused_input_projection=plan.hoisted,
             proj_block=self.config.proj_block,
             fusion=self.config.fusion,
             wavefront_tile=plan.tile,
             paired=plan.paired,
+            out=out,
             **inputs,
         )
         return build, plan.threads
@@ -210,10 +208,9 @@ class InferenceEngine:
         """The one path from a batch shape to a result; without a ``batch``
         (warm-up) the shape runs on zeros and the cache is not asked.
 
-        A warm functional shape copies the batch into its cached build's
-        chunk buffers (the task closures read through them, and inference
-        graphs rebind their h/c/logits slots every run) and replays the
-        plan; a warm simulated shape returns its memoised ``(service,
+        A warm functional shape rebinds the batch into its cached build
+        (``build_brnn_graph(out=...)``) and replays the plan; a warm
+        simulated shape returns its memoised ``(service,
         trace)``.  Whatever is missing is made here: the build and the
         plan (compiled for the threads planned for the shape, and cached
         when the engine keeps a cache).
@@ -233,14 +230,7 @@ class InferenceEngine:
         held = entry.payload if warm else self._sim_memo.get(key)
         if sim and held is not None:
             return BatchExecution(*held, warm=warm)
-        threads = None  # a warm shape's plan carries them
-        if held is None:
-            build, threads = self._build(key, x)
-        else:
-            build = held
-            chunks = split_batch(x, self._effective_mbs(key[1]), axis=1)
-            for state, xc in zip(build.chunks, chunks):
-                np.copyto(state.x, xc)
+        build, threads = self._build(key, x, out=held)
         graph = build.graph
         plan = entry.plan if warm else None
         if plan is None and self.plan_cache is not None:

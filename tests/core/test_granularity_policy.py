@@ -36,48 +36,51 @@ _SERVED = BRNNSpec(cell="lstm", input_size=39, hidden_size=128, num_layers=2,
                    head="many_to_one", num_classes=11)
 
 #: (case, spec, rows, seq_len, training, n_workers, executor, config,
-#: expected (threads, hoisted, tile, paired)): the five benchmark workloads,
+#: expected (mbs, threads, hoisted, tile, paired)): the five benchmark workloads,
 #: then the substrates and overrides around them
 TABLE = [
     ("train_gemm", _GEMM, 64, 32, True, 2, "threaded", ExecutionConfig(mbs=2),
-     (2, [True] * 3, 1, False)),
+     (2, 2, [True] * 3, 1, False)),
     ("infer_fine", _FINE, 4, 100, False, 2, "threaded", ExecutionConfig(),
-     (1, [False] * 4, 100, True)),
+     (1, 1, [False] * 4, 100, True)),
     ("serve_poisson", _SERVED, 8, 60, False, 1, "threaded", ExecutionConfig(),
-     (1, [False] * 2, 60, True)),
+     (1, 1, [False] * 2, 60, True)),
     ("serve_overload", _SERVED, 8, 60, False, 48, "sim", ExecutionConfig(),
-     (48, [False] * 2, 1, False)),
+     (1, 48, [False] * 2, 1, False)),
     ("train_gemm_process", _GEMM, 64, 32, True, 2, "process", ExecutionConfig(mbs=2),
-     (2, [True] * 3, 1, False)),
+     (2, 2, [True] * 3, 1, False)),
     # the simulator and the process executor keep the paper's graph on one core too
     ("sim_one_core", _FINE, 4, 100, False, 1, "sim", ExecutionConfig(),
-     (1, [False] * 4, 1, False)),
+     (1, 1, [False] * 4, 1, False)),
     ("process_one_worker", _FINE, 4, 100, False, 1, "process", ExecutionConfig(),
-     (1, [False] * 4, 1, False)),
+     (1, 1, [False] * 4, 1, False)),
     # a GEMM-heavy shape on one worker or the serial executor: one thread
     ("one_worker", _GEMM, 64, 32, True, 1, "threaded", ExecutionConfig(mbs=2),
-     (1, [True] * 3, 32, True)),
+     (2, 1, [True] * 3, 32, True)),
     ("serial", _GEMM, 64, 32, True, 1, SerialExecutor(), ExecutionConfig(mbs=2),
-     (1, [True] * 3, 32, True)),
+     (2, 1, [True] * 3, 32, True)),
     ("threaded_instance", _FINE, 4, 100, False, 2, ThreadedExecutor(2),
-     ExecutionConfig(), (1, [False] * 4, 100, True)),
+     ExecutionConfig(), (1, 1, [False] * 4, 100, True)),
     # the overrides: a tile, each hoisting mode, the unfused kernels, barriers
     ("tile_1", _FINE, 4, 100, False, 2, "threaded", ExecutionConfig(wavefront_tile=1),
-     (1, [False] * 4, 1, True)),
+     (1, 1, [False] * 4, 1, True)),
     ("tile_8", _GEMM, 64, 32, True, 2, "threaded",
-     ExecutionConfig(mbs=2, wavefront_tile=8), (2, [True] * 3, 8, False)),
+     ExecutionConfig(mbs=2, wavefront_tile=8), (2, 2, [True] * 3, 8, False)),
     ("proj_on", _FINE, 4, 100, False, 2, "threaded",
-     ExecutionConfig(fused_input_projection="on"), (1, [True] * 4, 100, True)),
+     ExecutionConfig(fused_input_projection="on"), (1, 1, [True] * 4, 100, True)),
     ("proj_off", _GEMM, 64, 32, True, 2, "threaded",
-     ExecutionConfig(mbs=2, fused_input_projection="off"), (2, [False] * 3, 1, False)),
+     ExecutionConfig(mbs=2, fused_input_projection="off"), (2, 2, [False] * 3, 1, False)),
     ("fusion_off", _GEMM, 64, 32, True, 2, "threaded",
      ExecutionConfig(mbs=2, fusion="off", fused_input_projection="on"),
-     (2, [False] * 3, 1, False)),
+     (2, 2, [False] * 3, 1, False)),
     # one thread, but the unfused kernels or the barriered graph: no pairing
     ("fusion_off_one_thread", _FINE, 4, 100, False, 2, "threaded",
-     ExecutionConfig(fusion="off"), (1, [False] * 4, 100, False)),
+     ExecutionConfig(fusion="off"), (1, 1, [False] * 4, 100, False)),
     ("barriered", _FINE, 4, 100, False, 2, "threaded",
-     ExecutionConfig(barrier_free=False), (1, [False] * 4, 100, False)),
+     ExecutionConfig(barrier_free=False), (1, 1, [False] * 4, 100, False)),
+    # a batch shorter than mbs gets one chunk per row
+    ("short_batch", _FINE, 1, 100, False, 2, "threaded", ExecutionConfig(mbs=2),
+     (1, 1, [False] * 4, 100, True)),
 ]
 
 

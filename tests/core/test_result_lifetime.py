@@ -69,15 +69,38 @@ def test_dropping_the_result_frees_the_step(no_collector, mode, training):
     assert all(ref() is None for ref in refs)
 
 
-def test_the_next_step_frees_the_previous_one(no_collector):
-    """The engine keeps its last result only: finishing step ``n+1`` is the
-    end of step ``n``'s buffers."""
+def test_a_same_shape_step_keeps_the_buffers(no_collector):
+    """A step of the last step's shape is rebound into the engine's one
+    build: the preallocated buffers (inputs, accumulators, gradients) are
+    the same arrays, and only the slots a run assigns are new."""
     spec = small_spec()
     x, labels = make_batch(spec)
     engine = BParEngine(spec, config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=2))
     engine.train_batch(x, labels)
+    first = engine.last_result
+    state = first.chunks[0]
+    kept = [state.x, state.labels, state.dh_f[0][0], state.dmerged[0][0],
+            state.grads.layers[0].fwd.W]
+    refs = [weakref.ref(a) for a in kept]
+    assigned = weakref.ref(state.h_f[0][0])
+    del kept, state
+    engine.train_batch(*make_batch(spec, seed=8))
+    assert engine.last_result is first
+    state = first.chunks[0]
+    now = [state.x, state.labels, state.dh_f[0][0], state.dmerged[0][0],
+           state.grads.layers[0].fwd.W]
+    assert all(ref() is array for ref, array in zip(refs, now))
+    assert assigned() is None
+
+
+def test_a_new_shape_frees_the_previous_build(no_collector):
+    """The engine keeps one build: finishing a step of another shape is the
+    end of the previous build's buffers."""
+    spec = small_spec()
+    engine = BParEngine(spec, config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=2))
+    engine.train_batch(*make_batch(spec))
     refs = _slot_refs(engine.last_result)
-    engine.train_batch(x, labels)
+    engine.train_batch(*make_batch(spec, seq_len=6))
     assert all(ref() is None for ref in refs)
 
 

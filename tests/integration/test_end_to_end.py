@@ -26,7 +26,8 @@ def test_tidigits_training_improves():
 
 
 def test_variable_sequence_lengths_across_batches():
-    """§III-B: the task graph is rebuilt per batch for new sequence lengths."""
+    """§III-B: the task graph is rebuilt for a new sequence length, and a
+    repeated length reuses the last build."""
     spec = BRNNSpec(cell="gru", input_size=8, hidden_size=10, num_layers=2,
                     merge_mode="sum", head="many_to_one", num_classes=3)
     engine = BParEngine(
@@ -42,6 +43,8 @@ def test_variable_sequence_lengths_across_batches():
         result = engine.last_result
         assert result.seq_len == seq_len
         assert {t.meta["hi"] for t in result.graph if t.kind == "cell"} == {seq_len}
+        assert np.isfinite(engine.train_batch(x[::-1].copy(), labels, lr=0.05))
+        assert engine.last_result is result
 
 
 def test_wikipedia_m2m_training_improves():
