@@ -41,8 +41,8 @@ smoke-obs:
 	$(PYTHON) -m repro bench obs_overhead --output $(TMP)_obs.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_obs.json $(BASELINES)/BENCH_obs_overhead.json
 
-# fusion smoke (kernel, hoisting, tile): the numerical-equivalence +
-# flop-conservation tests and the granularity policy's table and engine
+# fusion smoke (hoisting, tile): the numerical-equivalence and
+# flop-accounting tests and the granularity policy's table and engine
 # conformance, then the reduced-size ablation (laptop-scale shapes carry no
 # speed-up claim; those bars apply to the paper-scale record)
 smoke-fusion:

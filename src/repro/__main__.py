@@ -24,7 +24,6 @@ import sys
 
 from repro.harness.paper import format_results, run_paper_suite
 from repro.harness.tables import TABLE_CONFIGS
-from repro.models.cells import FUSION_MODES
 from repro.models.spec import BRNNSpec
 from repro.simarch.presets import tesla_v100, xeon_8160_2s
 
@@ -121,7 +120,6 @@ def _checked_graph(args, functional: bool):
         serialize_chunks=args.serialize_chunks,
         fused_input_projection=args.fused_input_projection,
         proj_block=args.proj_block,
-        fusion=args.fusion,
         wavefront_tile=args.wavefront_tile,
     )
     if not functional:
@@ -174,7 +172,7 @@ def _cmd_analyze(args) -> int:
     config = {
         **{key: getattr(args, key) for key in (
             "cell", "input_size", "hidden", "layers", "seq_len", "batch", "mbs", "head",
-            "serialize_chunks", "fused_input_projection", "proj_block", "fusion",
+            "serialize_chunks", "fused_input_projection", "proj_block",
             "wavefront_tile", "observe", "fuzz_seeds")},
         "training": not args.infer,
         "barrier_free": not args.barriers,
@@ -227,8 +225,8 @@ def _cmd_analyze(args) -> int:
 
         families = full_family_matrix()
         if args.verify == "smoke":
-            # ten kernel/tile/projection/pairing modes per cell/head/pass: a
-            # stride of seven walks across them, an 18-family diagonal
+            # eight tile/projection/pairing modes per cell/head/pass: a
+            # stride of seven walks across them, a 14-family diagonal
             families = families[::7]
         cert = build_certificate(families)
         cross = cert["cross_validation"]
@@ -307,9 +305,6 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
                         "outgrows the cache (docs/PERF.md)")
     g.add_argument("--proj-block", type=int, default=None,
                    help="timesteps per hoisted projection task (default 16)")
-    g.add_argument("--fusion", choices=FUSION_MODES, default="gates",
-                   help="cell kernels (docs/PERF.md): per-gate reference "
-                        "GEMMs | stacked gate GEMM")
     g.add_argument("--wavefront-tile", type=int, default=None,
                    help="timesteps per cell-chain task (default: per step; "
                         "clamped to T)")
@@ -343,7 +338,7 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--verify", nargs="?", const="full", default=None,
                    choices=("full", "smoke"), metavar="SCOPE",
                    help="prove the config-family matrix (SCOPE 'full', the "
-                        "default, or 'smoke', an 18-family diagonal); exit 1 "
+                        "default, or 'smoke', a 14-family diagonal); exit 1 "
                         "unless every family certifies, every mutation is "
                         "detected and every proved instance runs clean under "
                         "access observation")

@@ -82,7 +82,6 @@ from repro.compile import compile_graph
 from repro.core.access_spec import FAMILIES, AccessContext, expected_access
 from repro.core.graph_builder import GraphBuildResult, build_brnn_graph
 from repro.core.symbolic import Extent, Interval, union_covers
-from repro.models.cells import FUSION_MODES
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.runtime import racecheck
@@ -98,7 +97,7 @@ MUTATION_KINDS = (
 )
 
 #: the config axes the certificate quantifies over: cell × head × mode ×
-#: kernel (``FUSION_MODES``) × tile × projection × paired directions
+#: tile × projection × paired directions
 CELLS = ("lstm", "gru", "rnn")
 HEADS = ("many_to_one", "many_to_many")
 PROJECTIONS = ("off", "on")
@@ -445,14 +444,13 @@ def _conflicting_other(graph, task, orphan: Extent, region_extents, ordered):
 
 @dataclass(frozen=True)
 class Family:
-    """One point of the ``cell × head × mode × fusion × tile × projection ×
-    paired`` grid; a ``tiled`` family's chain and merge tasks cover
-    ``block`` steps each, a ``paired`` one pairs the forward chains."""
+    """One point of the ``cell × head × mode × tile × projection × paired``
+    grid; a ``tiled`` family's chain and merge tasks cover ``block`` steps
+    each, a ``paired`` one pairs the forward chains."""
 
     cell: str
     head: str
     training: bool
-    fusion: str
     fused_input_projection: str
     tiled: bool = False
     paired: bool = False
@@ -461,7 +459,7 @@ class Family:
         head = "m2o" if self.head == "many_to_one" else "m2m"
         mode = "train" if self.training else "fwd"
         return (
-            f"{self.cell}/{head}/{mode}/fusion={self.fusion}"
+            f"{self.cell}/{head}/{mode}"
             f"/proj={self.fused_input_projection}{'/tiled' if self.tiled else ''}"
             f"{'/paired' if self.paired else ''}"
         )
@@ -471,7 +469,6 @@ class Family:
             "cell": self.cell,
             "head": self.head,
             "training": self.training,
-            "fusion": self.fusion,
             "tiled": self.tiled,
             "paired": self.paired,
             "fused_input_projection": self.fused_input_projection,
@@ -481,18 +478,15 @@ class Family:
 
 def full_family_matrix() -> List[Family]:
     """Every family of the certificate's quantified config space, each a
-    distinct graph: ``fusion="off"`` never hoists, so it has no ``proj=on``
-    family of its own, and pairs no directions."""
+    distinct graph."""
     return [
-        Family(cell, head, training, fusion, proj, tiled, paired)
+        Family(cell, head, training, proj, tiled, paired)
         for cell in CELLS
         for head in HEADS
         for training in (False, True)
-        for fusion in FUSION_MODES
         for tiled in (False, True)
         for proj in PROJECTIONS
         for paired in (False, True)
-        if fusion == "gates" or (proj, paired) == ("off", False)
     ]
 
 
@@ -516,7 +510,6 @@ def _instance_kwargs(fam: Family, seq_len: int, mbs: int, block: int) -> dict:
         mbs=mbs,
         training=fam.training,
         fused_input_projection=fam.fused_input_projection,
-        fusion=fam.fusion,
         paired=fam.paired,
     )
     if fam.fused_input_projection == "on":
@@ -643,7 +636,7 @@ def probe_edge(graph: TaskGraph, edge: Tuple[int, int]) -> dict:
     }
 
 
-_REPRESENTATIVE = Family("lstm", "many_to_one", True, "gates", "off")
+_REPRESENTATIVE = Family("lstm", "many_to_one", True, "off")
 
 #: the access rule the ``over_declare`` mutation edits: its ``in`` on the
 #: logits becomes an ``inout`` nobody reads back

@@ -2,7 +2,7 @@
 
 :class:`ExecutionConfig` is the single object that names *how* a graph
 runs — substrate, worker count, scheduler policy, hybrid-parallelism and
-fusion knobs, and the observability attachments (``metrics``/``hooks``)
+granularity knobs, and the observability attachments (``metrics``/``hooks``)
 — accepted by :class:`~repro.core.bpar.BParEngine`,
 :class:`~repro.core.bseq.BSeqEngine` and
 :class:`~repro.serve.engine.InferenceEngine` through one ``config=``
@@ -15,7 +15,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.models.cells import FUSION_MODES
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.registry import MetricsRegistry
 
@@ -56,11 +55,6 @@ class ExecutionConfig:
         layer; ``"off"`` restores the paper's task-per-cell graph, whose
         gradients are bitwise the sequential oracle's (hoisted gradients
         agree to rounding; forward results are bitwise either way).
-    fusion:
-        The cell kernels (docs/PERF.md): ``"gates"`` — the stacked gate
-        GEMM (default); ``"off"`` — the per-gate reference kernels, one
-        GEMM pair and one activation pass per gate (also disables
-        projection hoisting).  Bitwise the same forward.
     wavefront_tile:
         Timesteps per cell-chain and merge task: ``None`` (the default) is
         the granularity policy's tile — the sequence, forward chains paired,
@@ -69,7 +63,7 @@ class ExecutionConfig:
         (:func:`~repro.core.graph_builder.plan_granularity`); ``1`` forces
         the task per cell update; ``K > 1`` cuts every chain and every
         layer's merges into ``⌈T/K⌉`` tasks of ``K`` steps (clamped to the
-        sequence length), under either kernel and with or without hoisting.
+        sequence length), with or without hoisting.
         Same bits, forward and backward, at every tile.
     seed:
         Parameter-initialisation seed used when an engine creates its own
@@ -96,7 +90,6 @@ class ExecutionConfig:
     barrier_free: bool = True
     fused_input_projection: str = "auto"
     proj_block: Optional[int] = None
-    fusion: str = "gates"
     wavefront_tile: Optional[int] = None
     seed: int = 0
     compile: str = "off"
@@ -113,10 +106,6 @@ class ExecutionConfig:
             )
         if self.compile not in ("off", "on"):
             raise ValueError(f"compile must be 'off' or 'on', got {self.compile!r}")
-        if self.fusion not in FUSION_MODES:
-            raise ValueError(
-                f"fusion must be one of {'/'.join(FUSION_MODES)}, got {self.fusion!r}"
-            )
         if self.wavefront_tile is not None and self.wavefront_tile < 1:
             raise ValueError("wavefront_tile must be >= 1")
         if self.proj_block is not None and self.proj_block < 1:

@@ -152,8 +152,8 @@ class BParEngine:
             self.spec, x=x, labels=labels, params=self.params, training=training,
             mbs=plan.mbs, barrier_free=self.barrier_free,
             serialize_chunks=self.serialize_chunks, fused_input_projection=plan.hoisted,
-            proj_block=self.config.proj_block, fusion=self.config.fusion,
-            wavefront_tile=plan.tile, paired=plan.paired, out=out, **overrides,
+            proj_block=self.config.proj_block, wavefront_tile=plan.tile, paired=plan.paired,
+            out=out, **overrides,
         )
         self.last_trace = run_planned(self.executor, result.graph, plan.threads)
         self.last_result, self._last_call = result, call

@@ -16,7 +16,7 @@ Each (layer, direction) cell chain is cut into tiles of consecutive steps,
 one task per tile, by one emitter per pass (``_build_forward_layer`` /
 ``_build_backward_layer``).  The tile is a single step — the paper's task
 per cell update — unless ``wavefront_tile`` lengthens it, under either
-kernel (``fusion``) and with or without hoisting; a layer's merges follow
+with or without hoisting; a layer's merges follow
 the chain tile.  ``paired`` runs each forward tile of both directions as
 one task of stacked cells (:mod:`repro.kernels.paired`).
 :func:`plan_granularity` is where the engines decide, per batch shape, the
@@ -52,7 +52,6 @@ from repro.kernels.losses import softmax_cross_entropy
 from repro.kernels.merge import merge_backward, merge_flops, merge_forward
 from repro.kernels.paired import DirectionPair
 from repro.models.cells import (
-    FUSION_MODES,
     cell_backward,
     cell_backward_proj,
     cell_bwd_flops,
@@ -134,16 +133,15 @@ HOIST_MIN_PANEL_BYTES = 1 << 20
 HOIST_MAX_ROWS = 128
 
 
-def _hoisted_layers(spec: BRNNSpec, mode, fusion: str, rows: int) -> List[bool]:
+def _hoisted_layers(spec: BRNNSpec, mode, rows: int) -> List[bool]:
     """The ``hoisted`` decision of :func:`plan_granularity` for chunks of at
     most ``rows`` rows.  ``"on"`` hoists every layer, ``"off"`` none, and a
     per-layer list is taken as it is.  ``"auto"`` hoists the layers whose
     weight panel reaches :data:`HOIST_MIN_PANEL_BYTES` when the chunk has at
     most :data:`HOIST_MAX_ROWS` rows: judged from the model and the chunk
-    alone, it means the same on every executor, in training and inference.
-    ``fusion="off"``, the fully unfused baseline, hoists nothing."""
+    alone, it means the same on every executor, in training and inference."""
     n = spec.num_layers
-    if fusion == "off" or mode == "off":
+    if mode == "off":
         return [False] * n
     if mode == "on":
         return [True] * n
@@ -212,7 +210,7 @@ def plan_granularity(
     """How coarse the tasks of one batch shape are, decided before any
     graph exists.  ``rows`` is the batch, ``executor`` the instance or name
     that will run the graph on ``n_workers``, and ``config`` supplies
-    ``mbs``, ``fusion``, ``barrier_free`` and the two overrides,
+    ``mbs``, ``barrier_free`` and the two overrides,
     ``fused_input_projection`` and ``wavefront_tile`` (docs/PERF.md):
 
     * **mbs** — the configured chunk count clamped to the batch: a trailing
@@ -227,12 +225,12 @@ def plan_granularity(
       thread (every task is then dispatch the caller pays for); else 1, the
       paper's task per cell update.  The simulator and the process executor
       keep the paper's graph;
-    * **paired** — on that one thread too, under the stacked kernels and
-      without barriers: a step's two cells then cost one pointwise stretch.
+    * **paired** — on that one thread too, without barriers: a step's two
+      cells then cost one pointwise stretch.
     """
     cfg = config if config is not None else ExecutionConfig()
     mbs = max(1, min(cfg.mbs, rows))
-    hoisted = _hoisted_layers(spec, cfg.fused_input_projection, cfg.fusion, -(-rows // mbs))
+    hoisted = _hoisted_layers(spec, cfg.fused_input_projection, -(-rows // mbs))
     host = executor in (None, "threaded") or isinstance(
         executor, (ThreadedExecutor, SerialExecutor)
     )
@@ -242,7 +240,7 @@ def plan_granularity(
         threads = 1 if flops < MIN_GEMM_FLOPS_PER_CELL_STEP else n_workers
     one_thread = host and threads == 1
     tile = cfg.wavefront_tile or (seq_len if one_thread else 1)
-    paired = one_thread and cfg.fusion == "gates" and cfg.barrier_free
+    paired = one_thread and cfg.barrier_free
     return Granularity(mbs, threads, hoisted, tile, paired)
 
 
@@ -266,7 +264,6 @@ class GraphBuildResult:
     params: Optional[BRNNParams] = None
     fused_layers: Optional[List[bool]] = None
     velocity: Optional[BRNNParams] = None
-    fusion: str = "gates"
     wavefront_tile: Optional[int] = None
     serialize_chunks: bool = False
     barrier_free: bool = True
@@ -583,7 +580,7 @@ class GraphBuildResult:
         """Upper bound on the raw payload bytes :meth:`export_region` yields.
 
         Usually the region's own byte count; ``cache`` payloads addition­ally
-        retain the cell *input* on the unfused path (``cache.x``), whose
+        retain the cell *input* on the per-step path (``cache.x``), whose
         width is the layer input size — wider than the hidden-width arrays
         the cache region's accounting covers.  The multiprocess executor
         sizes its export arenas from this.
@@ -656,7 +653,6 @@ class _Builder:
         velocity: Optional[BRNNParams] = None,
         fused_layers: Optional[List[bool]] = None,
         proj_block: Optional[int] = None,
-        fusion: str = "gates",
         wavefront_tile: Optional[int] = None,
         paired: bool = False,
     ) -> None:
@@ -664,13 +660,8 @@ class _Builder:
         self.velocity = velocity
         self.fused_layers = fused_layers or [False] * spec.num_layers
         self.proj_block = min(seq_len, proj_block or DEFAULT_PROJ_BLOCK)
-        if fusion not in FUSION_MODES:
-            raise ValueError(
-                f"fusion must be one of {'/'.join(FUSION_MODES)}, got {fusion!r}"
-            )
-        if paired and (fusion != "gates" or not barrier_free):
-            raise ValueError("paired directions need fusion='gates' and a barrier-free graph")
-        self.fusion = fusion
+        if paired and not barrier_free:
+            raise ValueError("paired directions need a barrier-free graph")
         self.paired = paired
         cell = CELLS[spec.cell]
         #: gate-preactivation width multiplier (``zx`` is ``(B, G·H)``)
@@ -715,7 +706,6 @@ class _Builder:
         }
         units = self.total_batch * (seq_len if spec.head == "many_to_many" else 1)
         self.grad_scale = 1.0 / units
-        self.fusion_meta = [self._fusion_meta(mb) for mb in range(len(self.chunk_batches))]
         self.result = GraphBuildResult(
             graph=self.graph,
             regions=self.regions,
@@ -728,7 +718,6 @@ class _Builder:
             params=params,
             fused_layers=list(self.fused_layers),
             velocity=velocity,
-            fusion=fusion,
             wavefront_tile=tile if tile > 1 else None,
             serialize_chunks=serialize_chunks,
             barrier_free=barrier_free,
@@ -747,30 +736,20 @@ class _Builder:
 
     # -- cost-model annotations and creation order ------------------------------
 
-    def _gemm_reuse(self, mb: int) -> float:
-        """Operand sweep count of one cell GEMM: grows with the row count
-        (a blocked GEMM re-reads its weight panels once per row block)."""
-        return min(6.0, 1.0 + self.chunk_batches[mb] / 32.0)
-
-    def _fusion_meta(self, mb: int) -> dict:
-        """Cost-model meta every cell task of chunk ``mb`` carries: the
-        sweep count, and under ``"off"`` one more sweep of the gate buffers
-        for the separate activation passes, plus the kernel's name."""
-        if self.fusion == "off":
-            return {"reuse": self._gemm_reuse(mb) + 1.0, "fusion": "off"}
-        return {"reuse": self._gemm_reuse(mb)}
-
     def _cell_meta(self, mb: int, layer: int, direction: str, lo: int, hi: int) -> dict:
-        """Meta of the cell task covering chain steps ``[lo, hi)``.  The
-        cost model charges the small-GEMM penalty per call: per-gate kernels,
+        """Meta of the cell task covering chain steps ``[lo, hi)``.
+
+        ``reuse`` is the operand sweep count of one cell GEMM: it grows with
+        the row count (a blocked GEMM re-reads its weight panels once per row
+        block).  The cost model charges the small-GEMM penalty per call:
         multi-step tiles and paired steps say how many, everything else is
         one call."""
-        meta = {"mb": mb, "layer": layer, "dir": direction, "lo": lo, "hi": hi}
-        meta.update(self.fusion_meta[mb])
+        meta = {
+            "mb": mb, "layer": layer, "dir": direction, "lo": lo, "hi": hi,
+            "reuse": min(6.0, 1.0 + self.chunk_batches[mb] / 32.0),
+        }
         calls = (hi - lo) * (2 if direction == "pair" else 1)
-        if self.fusion == "off":
-            meta["gemm_calls"] = self.gate_mult * (hi - lo)
-        elif calls > 1:
+        if calls > 1:
             meta["gemm_calls"] = calls
         return meta
 
@@ -907,7 +886,6 @@ class _Builder:
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
         need_cache = self.training
-        fusion = self.fusion
 
         def fn():
             dp = params.layers[layer].direction(direction)
@@ -928,7 +906,7 @@ class _Builder:
                 else:
                     h, c, cache = cell_forward(
                         spec, state.layer_input(layer, pos), h_prev, c_prev,
-                        dp.W, dp.b, fusion, need_cache,
+                        dp.W, dp.b, need_cache,
                     )
                 h_g[layer][step] = h
                 c_g[layer][step] = c
@@ -1068,7 +1046,6 @@ class _Builder:
             return None
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
-        fusion = self.fusion
 
         def fn():
             dp = params.layers[layer].direction(direction)
@@ -1093,9 +1070,7 @@ class _Builder:
                     dz, dh_c, dc_c = cell_backward_proj(spec, dh, dc, cache, dp.W)
                     dz_g[layer][pos] = dz
                 else:
-                    dx, dh_c, dc_c = cell_backward(
-                        spec, dh, dc, cache, dp.W, gp.W, gp.b, fusion
-                    )
+                    dx, dh_c, dc_c = cell_backward(spec, dh, dc, cache, dp.W, gp.W, gp.b)
                     if layer > 0:
                         state.dmerged[layer - 1][pos] += dx
             if lo > 0:
@@ -1542,7 +1517,6 @@ def build_brnn_graph(
     velocity: Optional[BRNNParams] = None,
     fused_input_projection="off",
     proj_block: Optional[int] = None,
-    fusion: str = "gates",
     wavefront_tile: Optional[int] = None,
     paired: bool = False,
     out: Optional[GraphBuildResult] = None,
@@ -1567,30 +1541,25 @@ def build_brnn_graph(
     default here is ``"off"``, the paper's task-per-cell graph (every
     simulated table and figure builds it); the engines default to ``"auto"``.
 
-    ``fusion`` selects the cell kernels (docs/PERF.md): ``"off"`` runs
-    per-gate GEMMs with separate activation passes (and disables projection
-    hoisting — the fully unfused reference), ``"gates"`` the stacked gate
-    GEMM (default).  ``wavefront_tile`` is the one thing that lengthens a
-    chain task: ``None``/``1`` is the paper's task per cell update, ``K > 1``
-    cuts every direction chain into ``⌈T/K⌉`` tasks of ``K`` steps (clamped
-    to the sequence length), under either kernel and with or without
-    hoisting; the engines pass the tile :func:`plan_granularity` chose for
-    the shape.  Every combination's forward is bitwise identical to the
-    default; the backward is bitwise for every tile and gradcheck-exact
-    under ``"off"``, whose per-gate data-gradient GEMMs reassociate the
-    K-dimension reduction.  A layer's merges are cut at the chain tile.
-    ``paired`` (stacked kernels, barrier-free graphs) runs each forward tile
-    of the two directions as one task, bitwise the two it replaces.
+    ``wavefront_tile`` is the one thing that lengthens a chain task:
+    ``None``/``1`` is the paper's task per cell update, ``K > 1`` cuts every
+    direction chain into ``⌈T/K⌉`` tasks of ``K`` steps (clamped to the
+    sequence length), with or without hoisting; the engines pass the tile
+    :func:`plan_granularity` chose for the shape.  Every tile's forward and
+    backward are bitwise identical to the default's.  A layer's merges are
+    cut at the chain tile.  ``paired`` (barrier-free graphs) runs each
+    forward tile of the two directions as one task, bitwise the two it
+    replaces.
 
     ``out`` (NumPy's idiom) is an earlier functional build of the same
     structure.  The step's ``x``, ``labels`` and ``lr`` are copied into its
     slots, what a training step adds into is zeroed, and ``out`` itself is
     returned: no new task, region or array, and a run of it is bitwise a
     run of a fresh build.  Any other argument that differs from ``out``'s
-    (shape, ``mbs``, ``training``, hoisting, tile, pairing, fusion,
-    barriers, ``update_weights``, the ``params`` object, ...) is a
-    ``ValueError`` naming it.  The copies land in the arrays ``out`` was
-    first built over, so the engines build over copies of a caller's.
+    (shape, ``mbs``, ``training``, hoisting, tile, pairing, barriers,
+    ``update_weights``, the ``params`` object, ...) is a ``ValueError``
+    naming it.  The copies land in the arrays ``out`` was first built over,
+    so the engines build over copies of a caller's.
     """
     if proj_block is not None and proj_block < 1:
         raise ValueError("proj_block must be >= 1")
@@ -1606,13 +1575,13 @@ def build_brnn_graph(
     elif seq_len is None or batch is None:
         raise ValueError("cost-only graphs need seq_len and batch")
     chunk_batches = [len(part) for part in split_batch(np.arange(batch), mbs, axis=0)]
-    fused_layers = _hoisted_layers(spec, fused_input_projection, fusion, max(chunk_batches))
+    fused_layers = _hoisted_layers(spec, fused_input_projection, max(chunk_batches))
     tile = min(seq_len, wavefront_tile or 1)
     proj_block = min(seq_len, proj_block or DEFAULT_PROJ_BLOCK)
     if out is not None:
         return _rebind(
             out, x, labels, lr, spec=spec, seq_len=seq_len, chunk_batches=chunk_batches,
-            training=training, fused_layers=fused_layers, fusion=fusion,
+            training=training, fused_layers=fused_layers,
             wavefront_tile=tile if tile > 1 else None, paired=paired,
             serialize_chunks=serialize_chunks, barrier_free=barrier_free,
             update_weights=update_weights, proj_block=proj_block, momentum=momentum,
@@ -1644,7 +1613,6 @@ def build_brnn_graph(
         velocity=velocity,
         fused_layers=fused_layers,
         proj_block=proj_block,
-        fusion=fusion,
         wavefront_tile=tile,
         paired=paired,
     )

@@ -1,32 +1,30 @@
-"""The fusion ablation (docs/PERF.md §fusion): kernel, hoisting, tile.
+"""The fusion ablation (docs/PERF.md §fusion): hoisting, then tiles.
 
-One mode table, :data:`MODES`, ``{label: (fusion, fused_input_projection,
+One mode table, :data:`MODES`, ``{label: (fused_input_projection,
 wavefront_tile)}``; each rung differs from the rung it is compared with in
-one lever: the per-gate reference kernels (``off``), the stacked gate GEMM
-(``gates``), hoisting on top of it (``proj``; ``auto`` hoists only the
+one lever: the per-step graph of stacked-gate cells (``gates``, the
+baseline), hoisting on top of it (``proj``; ``auto`` hoists only the
 layers whose panel outgrows the cache), and chain tiles of eight steps on
 top of that (``tiled``).  Run on both substrates:
 
 * **threaded** — real wall time of batches on the host's worker threads
   (:func:`repro.harness.measure.interleaved_step_times`), summarised as
   median/p95: every mode as an inference batch, with ``speedup_median``
-  over ``off`` and ``hoist_speedup_median`` of ``proj``/``auto`` over
-  ``gates``; ``gates`` and ``proj`` also as a training step.
+  over ``gates``; ``gates`` and ``proj`` also as a training step.
 * **sim** — cost-only graphs on the modelled 48-core machine: simulated
   batch time, task count, and the critical path under two weights.  The
   *flop-weighted* path is what hoisting shrinks, schedule-independently
   (only the ``(B,H)×(H,GH)`` recurrent half stays on the chain); the
   *duration-weighted* path
   (:meth:`~repro.simarch.costmodel.CostModel.standalone` per task) is what
-  the stacked GEMM and the tiles shrink — fewer GEMM calls and less
-  per-task overhead, not fewer GEMM flops.
+  the tiles shrink — fewer GEMM calls and less per-task overhead, not
+  fewer GEMM flops.
 
 It also records the static-analysis contrast behind the tiling claim: graph
 width and average parallelism of the tiled graph against the layer-ordered
-(barriered) build, with the dependence proof's finding count, a
-flop-conservation check tying the stacked gate GEMM to the sum of its
-per-gate parts, and the same cost-only comparisons over tile sizes, cells,
-hoisting points and chunkings (:func:`simulated_sweeps`).
+(barriered) build, with the dependence proof's finding count, and the same
+cost-only comparisons over tile sizes, cells, hoisting points and
+chunkings (:func:`simulated_sweeps`).
 
 ``python -m repro bench fusion`` drives :func:`run_fusion_bench`; the sizes,
 bars and baseline are a row of :mod:`repro.harness.ledger`.
@@ -46,27 +44,20 @@ from repro.harness.measure import (
     make_spec,
     summarize_times,
 )
-from repro.models.cells import (
-    cell_bwd_pointwise_flops,
-    cell_fwd_flops,
-    cell_fwd_pointwise_flops,
-    cell_gate_gemm_flops,
-)
-from repro.models.spec import CELLS, BRNNSpec
+from repro.models.spec import BRNNSpec
 from repro.runtime.simexec import SimulatedExecutor
 from repro.simarch.costmodel import CostModel
 from repro.simarch.presets import xeon_8160_2s
 
-Modes = Mapping[str, Tuple[str, str, Optional[int]]]
+Modes = Mapping[str, Tuple[str, Optional[int]]]
 
 #: every rung below ``tiled`` pins tile 1: its meaning is the per-step graph,
 #: which the engines' granularity policy would otherwise tile on one thread
 MODES: Modes = {
-    "off": ("off", "off", 1),
-    "gates": ("gates", "off", 1),
-    "proj": ("gates", "on", 1),
-    "auto": ("gates", "auto", 1),
-    "tiled": ("gates", "on", 8),
+    "gates": ("off", 1),
+    "proj": ("on", 1),
+    "auto": ("auto", 1),
+    "tiled": ("on", 8),
 }
 
 
@@ -76,7 +67,6 @@ def threaded_mode_times(
     batch: int,
     modes: Modes,
     *,
-    baseline: str = "off",
     mbs: int = 1,
     n_workers: Optional[int] = None,
     training: bool = False,
@@ -84,14 +74,14 @@ def threaded_mode_times(
     warmup: int = 1,
     seed: int = 0,
 ) -> Dict[str, Dict[str, float]]:
-    """Per-mode timing summaries plus ``speedup_median`` over ``baseline``,
+    """Per-mode timing summaries plus ``speedup_median`` over ``gates``,
     of an inference batch or (``training``) an SGD step."""
     configs = {
         label: ExecutionConfig(
             executor="threaded", n_workers=n_workers, mbs=mbs,
-            fusion=fusion, fused_input_projection=proj, wavefront_tile=tile,
+            fused_input_projection=proj, wavefront_tile=tile,
         )
-        for label, (fusion, proj, tile) in modes.items()
+        for label, (proj, tile) in modes.items()
     }
     samples = interleaved_step_times(
         spec, seq_len, batch, configs,
@@ -100,10 +90,10 @@ def threaded_mode_times(
     threaded: Dict[str, Dict[str, float]] = {
         label: summarize_times(xs) for label, xs in samples.items()
     }
-    base = threaded[baseline]["median_s"]
+    base = threaded["gates"]["median_s"]
     threaded["speedup_median"] = {
         label: base / threaded[label]["median_s"]
-        for label in modes if label != baseline
+        for label in modes if label != "gates"
     }
     return threaded
 
@@ -122,18 +112,17 @@ def simulated_comparison(
 
     Per mode: ``batch_s`` (makespan + creation), ``n_tasks``, the
     flop-weighted ``critical_path_flops``, the duration-weighted
-    ``critical_path_s`` and its ``cp_ratio`` relative to ``off``.  Beside
+    ``critical_path_s`` and its ``cp_ratio`` relative to ``gates``.  Beside
     them what hoisting buys, ``proj`` against ``gates``: the flop-weighted
     ``critical_path_reduction`` and the ``sim_speedup`` of a batch.
     """
     machine = xeon_8160_2s()
     cost = CostModel(machine)
     out: Dict = {}
-    for label, (fusion, proj, tile) in modes.items():
+    for label, (proj, tile) in modes.items():
         graph = build_brnn_graph(
             spec, seq_len=seq_len, batch=batch, mbs=mbs, training=False,
-            fused_input_projection=proj, proj_block=proj_block,
-            fusion=fusion, wavefront_tile=tile,
+            fused_input_projection=proj, proj_block=proj_block, wavefront_tile=tile,
         ).graph
         sim = SimulatedExecutor(machine, n_cores=n_cores, scheduler="locality")
         sim.run(graph)          # warm: weights NUMA-homed, as in simtime
@@ -144,7 +133,7 @@ def simulated_comparison(
             "critical_path_s": graph.critical_path_length(cost.standalone),
             "n_tasks": float(len(graph)),
         }
-    base = out["off"]["critical_path_s"]
+    base = out["gates"]["critical_path_s"]
     for row in out.values():
         row["cp_ratio"] = row["critical_path_s"] / base if base > 0 else 0.0
     gates, hoisted = out["gates"], out["proj"]
@@ -172,10 +161,10 @@ def wavefront_analysis_contrast(
     the tiled graph (the bench gate requires zero: tiled declarations are
     exact, not padded).
     """
-    fusion, proj, tile = MODES["tiled"]
+    proj, tile = MODES["tiled"]
     wave = build_brnn_graph(
         spec, seq_len=seq_len, batch=batch, mbs=mbs, training=False,
-        fused_input_projection=proj, fusion=fusion, wavefront_tile=tile,
+        fused_input_projection=proj, wavefront_tile=tile,
     )
     layered = build_brnn_graph(
         spec, seq_len=seq_len, batch=batch, mbs=mbs, training=False,
@@ -209,7 +198,7 @@ def simulated_sweeps() -> Dict:
     def compare(cell="lstm", hidden=128, seq_len=100, **kw):
         return simulated_comparison(make_spec(cell, 1024, hidden, 2), seq_len, 32, **kw)
 
-    tiles = {t: compare(modes={**MODES, "tiled": ("gates", "on", t)}) for t in (1, 8, 25)}
+    tiles = {t: compare(modes={**MODES, "tiled": ("on", t)}) for t in (1, 8, 25)}
     cells = {c: compare(cell=c, seq_len=50) for c in ("lstm", "gru")}
     hoisted = [compare(hidden=h, seq_len=t, n_cores=c, proj_block=pb)
                for t, h, c, pb in _HOIST_POINTS]
@@ -224,7 +213,7 @@ def simulated_sweeps() -> Dict:
             "max_task_ratio": max(o["tiled"]["n_tasks"] / o["gates"]["n_tasks"]
                                   for t, o in tiles.items() if t > 1),
         },
-        "cell": {c: {m: o[m]["cp_ratio"] for m in ("gates", "proj", "tiled")}
+        "cell": {c: {m: o[m]["cp_ratio"] for m in ("proj", "tiled")}
                  for c, o in cells.items()},
         "hoisting": {
             "min_critical_path_reduction": min(reductions),
@@ -236,23 +225,6 @@ def simulated_sweeps() -> Dict:
             "min_width_gain": min(o["wavefront_width"] - o["layered_width"] for o in chunked),
         },
     }
-
-
-def gate_flops_conservation(spec: BRNNSpec, batch: int) -> bool:
-    """Do the per-gate GEMM flops sum exactly to the stacked total, and the
-    forward total to GEMM + pointwise, on every layer?  Exact float
-    comparison: the splits are definitions, not measurements."""
-    for layer in range(spec.num_layers):
-        stacked = cell_gate_gemm_flops(spec, batch, layer)
-        per_gate = cell_gate_gemm_flops(spec, batch, layer, n_gates=1)
-        if per_gate * CELLS[spec.cell].gates != stacked:
-            return False
-        total = stacked + cell_fwd_pointwise_flops(spec, batch)
-        if total != cell_fwd_flops(spec, batch, layer):
-            return False
-        if cell_bwd_pointwise_flops(spec, batch) <= 0:
-            return False
-    return True
 
 
 def run_fusion_bench(
@@ -277,13 +249,9 @@ def run_fusion_bench(
     spec = make_spec(cell, input_size, hidden, layers, head)
     timing = dict(mbs=mbs, n_workers=n_workers, iters=iters, warmup=warmup, seed=seed)
     threaded = threaded_mode_times(spec, seq_len, batch, MODES, **timing)
-    gates = threaded["gates"]["median_s"]
-    threaded["hoist_speedup_median"] = {
-        label: gates / threaded[label]["median_s"] for label in ("proj", "auto")
-    }
     train = threaded_mode_times(
         spec, seq_len, batch, {m: MODES[m] for m in ("gates", "proj")},
-        baseline="gates", training=True, **timing,
+        training=True, **timing,
     )
     threaded["train_speedup_median"] = train.pop("speedup_median")
     threaded["train"] = train
@@ -303,7 +271,6 @@ def run_fusion_bench(
             ),
             "analysis": wavefront_analysis_contrast(spec, seq_len, batch, mbs=mbs),
             "sweeps": simulated_sweeps(),
-            "flops_conserved": gate_flops_conservation(spec, batch),
             "host_cores": os.cpu_count() or 1,
         },
     }

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels import activations
-from repro.kernels.activations import activate_gates_, dsigmoid, dtanh, sigmoid, tanh
+from repro.kernels.activations import activate_gates_, dsigmoid, dtanh, sigmoid
 
 
 @dataclass
@@ -210,97 +210,3 @@ def gru_proj_backward(
     db += dZ.sum(axis=0)
     return dZ @ W[:input_size].T if need_dx else None
 
-
-# -- the fusion="off" reference kernels (docs/PERF.md §fusion) --------------------
-#
-# As in kernels/lstm.py: one GEMM pair per gate, a separate activation pass each.
-
-
-def gru_forward_step_unfused(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-) -> Tuple[np.ndarray, Optional[GRUCache]]:
-    """One GRU cell update via per-gate GEMM pairs (fusion="off").
-
-    The update and reset gates each get their own GEMM pair against their
-    column block; the candidate keeps its inherently separate product.
-    Bitwise the stacked kernel's on the shapes ``tests/core/test_fusion.py``
-    pins; not a BLAS guarantee (docs/TESTING.md).
-    """
-    input_size = x.shape[1]
-    hidden = h_prev.shape[1]
-    two_h = 2 * hidden
-
-    zc = x @ W[:input_size, :hidden]
-    zc_h = h_prev @ W[input_size:, :hidden]
-    rc = x @ W[:input_size, hidden:two_h]
-    rc_h = h_prev @ W[input_size:, hidden:two_h]
-    a = x @ W[:input_size, two_h:]
-    with activations.pointwise_turn:
-        zc += zc_h
-        zc += b[:hidden]
-        z = sigmoid(zc)
-        rc += rc_h
-        rc += b[hidden:two_h]
-        r = sigmoid(rc)
-        rh = r * h_prev
-
-    a_h = rh @ W[input_size:, two_h:]
-    with activations.pointwise_turn:
-        a += a_h
-        a += b[two_h:]
-        hbar = tanh(a)
-        h = z * hbar + (1.0 - z) * h_prev
-    if not need_cache:
-        return h, None
-    return h, GRUCache(x=x, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)
-
-
-def gru_backward_step_unfused(
-    dh: np.ndarray,
-    cache: GRUCache,
-    W: np.ndarray,
-    dW: np.ndarray,
-    db: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Backward of one GRU cell update via per-gate GEMMs (fusion="off").
-
-    Per-gate ``dW``/``db`` blocks are bitwise identical to the stacked
-    kernel's; ``dx``/``dh_prev`` split the 2H-wide ``dzr`` reduction into
-    per-gate products — gradcheck-exact, not bitwise.
-    """
-    input_size = cache.x.shape[1]
-    hidden = cache.h_prev.shape[1]
-    two_h = 2 * hidden
-
-    with activations.pointwise_turn:
-        dz_gate = dh * (cache.hbar - cache.h_prev)
-        dhbar = dh * cache.z
-        dh_prev = dh * (1.0 - cache.z)
-        da = dhbar * dtanh(cache.hbar)
-        db[two_h:] += da.sum(axis=0)
-
-    dx = da @ W[:input_size, two_h:].T
-    drh = da @ W[input_size:, two_h:].T
-    with activations.pointwise_turn:
-        dr = drh * cache.h_prev
-        dh_prev += drh * cache.r
-        dz_z = dz_gate * dsigmoid(cache.z)
-        dz_r = dr * dsigmoid(cache.r)
-        db[:hidden] += dz_z.sum(axis=0)
-        db[hidden:two_h] += dz_r.sum(axis=0)
-
-    dx += dz_z @ W[:input_size, :hidden].T
-    dx += dz_r @ W[:input_size, hidden:two_h].T
-    dh_prev += dz_z @ W[input_size:, :hidden].T
-    dh_prev += dz_r @ W[input_size:, hidden:two_h].T
-    dW[:input_size, :hidden] += cache.x.T @ dz_z
-    dW[:input_size, hidden:two_h] += cache.x.T @ dz_r
-    dW[input_size:, :hidden] += cache.h_prev.T @ dz_z
-    dW[input_size:, hidden:two_h] += cache.h_prev.T @ dz_r
-    dW[:input_size, two_h:] += cache.x.T @ da
-    dW[input_size:, two_h:] += cache.rh.T @ da
-    return dx, dh_prev

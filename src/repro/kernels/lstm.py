@@ -218,89 +218,3 @@ def lstm_proj_backward(
     db += dZ.sum(axis=0)
     return dZ @ W[: X.shape[1]].T if need_dx else None
 
-
-# -- the fusion="off" reference kernels (docs/PERF.md §fusion) --------------------
-#
-# One GEMM pair *per gate* against the gate's column block of the stacked
-# weight matrix, activations applied in a separate pass per gate.  Forward is
-# bitwise the stacked kernel's on the shapes tests/core/test_fusion.py and
-# test_fused_projection.py pin; not a BLAS guarantee (a column slice of
-# ``X·W`` need not equal ``X·W[:, cols]``: docs/TESTING.md has the shapes where
-# it does not).  Backward splits the ``dx``/``dh_prev`` reductions across
-# gates, which reassociates the K-dimension sum — gradcheck-exact, not bitwise.
-
-
-def lstm_forward_step_unfused(
-    x: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
-    """One LSTM cell update via four per-gate GEMM pairs (fusion="off")."""
-    input_size = x.shape[1]
-    hidden = h_prev.shape[1]
-    blocks = [slice(g4 * hidden, (g4 + 1) * hidden) for g4 in range(4)]
-    gates = [x @ W[:input_size, cols] for cols in blocks]
-    recurrent = [h_prev @ W[input_size:, cols] for cols in blocks]
-    with activations.pointwise_turn:
-        for zg, zh, cols in zip(gates, recurrent, blocks):
-            zg += zh
-            zg += b[cols]
-        i = sigmoid(gates[0])
-        f = sigmoid(gates[1])
-        g = tanh(gates[2])
-        o = sigmoid(gates[3])
-        c = f * c_prev
-        c += i * g
-        tc = tanh(c)
-        h = o * tc
-    if not need_cache:
-        return h, c, None
-    return h, c, LSTMCache(x=x, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)
-
-
-def lstm_backward_step_unfused(
-    dh: np.ndarray,
-    dc_in: np.ndarray,
-    cache: LSTMCache,
-    W: np.ndarray,
-    dW: np.ndarray,
-    db: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of one cell update via per-gate GEMMs (fusion="off").
-
-    The per-gate ``dW``/``db`` blocks are bitwise identical to the stacked
-    kernel's (independent output columns / slice sums); ``dx``/``dh_prev``
-    accumulate four per-gate products, reassociating the 4H-wide reduction
-    — gradcheck-exact against the stacked kernel, not bitwise.
-    """
-    input_size = cache.x.shape[1]
-    hidden = cache.h_prev.shape[1]
-
-    with activations.pointwise_turn:
-        do = dh * cache.tc
-        dc = dc_in + dh * cache.o * dtanh(cache.tc)
-        dzs = (
-            dc * cache.g * dsigmoid(cache.i),
-            dc * cache.c_prev * dsigmoid(cache.f),
-            dc * cache.i * dtanh(cache.g),
-            do * dsigmoid(cache.o),
-        )
-        dc_prev = dc * cache.f
-        for g4, dzg in enumerate(dzs):
-            db[g4 * hidden : (g4 + 1) * hidden] += dzg.sum(axis=0)
-
-    dx = dh_prev = None
-    for g4, dzg in enumerate(dzs):
-        cols = slice(g4 * hidden, (g4 + 1) * hidden)
-        if dx is None:
-            dx = dzg @ W[:input_size, cols].T
-            dh_prev = dzg @ W[input_size:, cols].T
-        else:
-            dx += dzg @ W[:input_size, cols].T
-            dh_prev += dzg @ W[input_size:, cols].T
-        dW[:input_size, cols] += cache.x.T @ dzg
-        dW[input_size:, cols] += cache.h_prev.T @ dzg
-    return dx, dh_prev, dc_prev

@@ -120,11 +120,3 @@ def rnn_backward_step_proj(
     dh_prev = (W[input_size:] @ da.T).T
     return da, dh_prev
 
-
-# -- the fusion="off" reference kernels (docs/PERF.md §fusion) --------------------
-#
-# The basic RNN has a single gate, so there is nothing to unfuse: the "off"
-# kernels are the stacked ones.
-
-rnn_forward_step_unfused = rnn_forward_step
-rnn_backward_step_unfused = rnn_backward_step

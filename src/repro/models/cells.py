@@ -15,47 +15,37 @@ import numpy as np
 from repro.kernels.gru import (
     gru_backward_step,
     gru_backward_step_proj,
-    gru_backward_step_unfused,
     gru_forward_step,
     gru_forward_step_proj,
-    gru_forward_step_unfused,
     gru_proj_backward,
 )
 from repro.kernels.lstm import (
     lstm_backward_step,
     lstm_backward_step_proj,
-    lstm_backward_step_unfused,
     lstm_forward_step,
     lstm_forward_step_proj,
-    lstm_forward_step_unfused,
     lstm_proj_backward,
 )
 from repro.kernels.rnn import (
     rnn_backward_step,
     rnn_backward_step_proj,
-    rnn_backward_step_unfused,
     rnn_forward_step,
     rnn_forward_step_proj,
-    rnn_forward_step_unfused,
 )
 from repro.models.spec import CELLS, BRNNSpec
 
-#: The kernel vocabulary (``ExecutionConfig.fusion``, docs/PERF.md): "off",
-#: the per-gate reference kernels, one GEMM pair and one activation pass per
-#: gate; "gates", one stacked gate GEMM (the default).  Defined here only;
-#: ``config.py``, the CLI, the builder and the certificate import it.
-FUSION_MODES = ("off", "gates")
-
+#: One kernel per cell type: the stacked gate GEMM (one call for every
+#: gate's pre-activation) and one pointwise stretch.
 _FWD_STEP = {
-    "lstm": {"off": lstm_forward_step_unfused, "gates": lstm_forward_step},
-    "gru": {"off": gru_forward_step_unfused, "gates": gru_forward_step},
-    "rnn": {"off": rnn_forward_step_unfused, "gates": rnn_forward_step},
+    "lstm": lstm_forward_step,
+    "gru": gru_forward_step,
+    "rnn": rnn_forward_step,
 }
 
 _BWD_STEP = {
-    "lstm": {"off": lstm_backward_step_unfused, "gates": lstm_backward_step},
-    "gru": {"off": gru_backward_step_unfused, "gates": gru_backward_step},
-    "rnn": {"off": rnn_backward_step_unfused, "gates": rnn_backward_step},
+    "lstm": lstm_backward_step,
+    "gru": gru_backward_step,
+    "rnn": rnn_backward_step,
 }
 
 _FWD_STEP_PROJ = {
@@ -78,17 +68,14 @@ def cell_forward(
     c_prev: Optional[np.ndarray],
     W: np.ndarray,
     b: np.ndarray,
-    fusion: str = "gates",
     need_cache: bool = True,
 ):
     """One cell update; returns ``(h, c_or_None, cache)``.
 
-    ``fusion`` selects the kernels (:data:`FUSION_MODES`); the two forwards
-    are bitwise on the shapes ``tests/core/test_fusion.py`` pins; not a BLAS
-    guarantee (docs/TESTING.md).  ``need_cache=False`` (inference) returns
-    ``cache=None``, and the stacked kernels then activate the gates in place.
+    ``need_cache=False`` (inference) returns ``cache=None``, and the kernels
+    then activate the gates in place.
     """
-    fn = _FWD_STEP[spec.cell][fusion]
+    fn = _FWD_STEP[spec.cell]
     if spec.cell == "lstm":
         return fn(x, h_prev, c_prev, W, b, need_cache)
     h, cache = fn(x, h_prev, W, b, need_cache)
@@ -103,14 +90,9 @@ def cell_backward(
     W: np.ndarray,
     dW: np.ndarray,
     db: np.ndarray,
-    fusion: str = "gates",
 ):
-    """Backward of one cell update; returns ``(dx, dh_prev, dc_prev_or_None)``.
-
-    ``fusion="off"`` uses the split per-gate backward, gradcheck-exact
-    against the stacked one, not bitwise.
-    """
-    fn = _BWD_STEP[spec.cell][fusion]
+    """Backward of one cell update; returns ``(dx, dh_prev, dc_prev_or_None)``."""
+    fn = _BWD_STEP[spec.cell]
     if spec.cell == "lstm":
         return fn(dh, dc, cache, W, dW, db)
     dx, dh_prev = fn(dh, cache, W, dW, db)
@@ -156,7 +138,6 @@ def cell_forward_proj(
 ):
     """Shrunken cell update from a precomputed ``Zx_t``; returns ``(h, c, cache)``.
 
-    Stacked kernels only: the builder never hoists under ``fusion="off"``.
     ``need_cache`` as in :func:`cell_forward`.
     """
     fn = _FWD_STEP_PROJ[spec.cell]
@@ -225,22 +206,14 @@ def cell_proj_backward(
 # (backward) off the chain, it creates and destroys nothing.
 
 
-def _gemm_flops(spec: BRNNSpec, batch: int, rows: int, n_gates: Optional[int] = None) -> float:
-    """``(batch, rows) @ (rows, n_gates·H)``, multiply and add (``None`` = all gates)."""
-    g = CELLS[spec.cell].gates if n_gates is None else n_gates
-    return 2.0 * batch * rows * g * spec.hidden_size
+def _gemm_flops(spec: BRNNSpec, batch: int, rows: int) -> float:
+    """``(batch, rows) @ (rows, G·H)``, multiply and add."""
+    return 2.0 * batch * rows * CELLS[spec.cell].gates * spec.hidden_size
 
 
-def cell_gate_gemm_flops(
-    spec: BRNNSpec, batch: int, layer: int, n_gates: Optional[int] = None
-) -> float:
-    """GEMM flops of ``n_gates`` gate pre-activations (``None`` = all gates).
-
-    Summing the per-gate calls (``n_gates=1``) over a cell's gates equals
-    the stacked total *exactly* — the conservation invariant the fusion
-    pass's flops accounting is audited against.
-    """
-    return _gemm_flops(spec, batch, spec.layer_input_size(layer) + spec.hidden_size, n_gates)
+def cell_gate_gemm_flops(spec: BRNNSpec, batch: int, layer: int) -> float:
+    """GEMM flops of a cell's stacked gate pre-activations."""
+    return _gemm_flops(spec, batch, spec.layer_input_size(layer) + spec.hidden_size)
 
 
 def cell_fwd_pointwise_flops(spec: BRNNSpec, batch: int) -> float:

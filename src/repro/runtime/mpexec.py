@@ -2,10 +2,10 @@
 
 :class:`MultiprocessExecutor` runs task payloads in **worker processes**
 (one per core, pinned socket-compactly), so fine-grained task modes that
-hold the GIL — ``fusion="off"`` per-gate kernels, short chain tiles,
-pointwise-heavy GRU graphs — overlap for real instead of serialising on
-one interpreter lock.  The design follows the distributed-manager runtime
-of Bosch et al. (arXiv:2009.03066): a single *manager* (this process)
+hold the GIL — short chain tiles, pointwise-heavy GRU graphs — overlap
+for real instead of serialising on one interpreter lock.  The design
+follows the distributed-manager runtime of Bosch et al.
+(arXiv:2009.03066): a single *manager* (this process)
 drives the existing scheduler/indegree machinery, and only **task ids and
 region slot descriptors — never arrays — travel over the pipes**.
 

@@ -77,7 +77,7 @@ class InferenceEngine:
         The served model architecture.
     config:
         An :class:`~repro.config.ExecutionConfig` naming the substrate,
-        worker count, scheduler, ``mbs``, fusion policy, seed, and the
+        worker count, scheduler, ``mbs``, hoisting policy, seed, and the
         observability attachments (``metrics``/``hooks``).  ``executor``
         is ``"sim"`` (deterministic simulated machine, the default),
         ``"threaded"`` (real worker threads, real numerics) or
@@ -169,7 +169,6 @@ class InferenceEngine:
             mbs=plan.mbs,
             fused_input_projection=plan.hoisted,
             proj_block=self.config.proj_block,
-            fusion=self.config.fusion,
             wavefront_tile=plan.tile,
             paired=plan.paired,
             out=out,

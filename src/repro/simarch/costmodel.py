@@ -81,9 +81,9 @@ class CostModel:
             rate = self.machine.gemm_gflops
             # Small GEMMs cannot amortise vectorisation/blocking overhead.
             # Builders annotate tasks that issue several GEMM calls
-            # (``fusion="off"``'s per-gate calls, a multi-step tile's
-            # per-step calls) with ``gemm_calls``: the penalty applies to
-            # the *per-call* problem size, not the task total.
+            # (a multi-step tile's or a paired step's per-step calls) with
+            # ``gemm_calls``: the penalty applies to the *per-call* problem
+            # size, not the task total.
             ref = self.machine.small_gemm_ref_flops
             if ref > 0:
                 calls = max(1, int(task.meta.get("gemm_calls", 1)))

@@ -36,17 +36,17 @@ from repro.runtime.racecheck import DependenceFinding, check_build, check_plan
 from repro.runtime.task import Region
 from tests.conftest import RULE_BRANCH_SWEEP, build_functional
 
-#: one family per cell type, crossing head/mode/fusion/tile/projection —
+#: one family per cell type, crossing head/mode/tile/projection/pairing —
 #: the smoke subset; the full matrix runs under ``make smoke-verify``
 SMOKE_FAMILIES = [
-    Family("lstm", "many_to_one", True, "off", "off"),
-    Family("gru", "many_to_many", True, "gates", "on", tiled=True),
-    Family("rnn", "many_to_many", False, "gates", "on"),
-    Family("lstm", "many_to_many", True, "gates", "on"),
-    Family("gru", "many_to_one", False, "off", "off", tiled=True),
-    Family("rnn", "many_to_one", True, "gates", "off", tiled=True),
-    Family("lstm", "many_to_many", False, "gates", "off", tiled=True, paired=True),
-    Family("gru", "many_to_one", True, "gates", "on", paired=True),
+    Family("lstm", "many_to_one", True, "off"),
+    Family("gru", "many_to_many", True, "on", tiled=True),
+    Family("rnn", "many_to_many", False, "on"),
+    Family("lstm", "many_to_many", True, "on"),
+    Family("gru", "many_to_one", False, "off", tiled=True),
+    Family("rnn", "many_to_one", True, "off", tiled=True),
+    Family("lstm", "many_to_many", False, "off", tiled=True, paired=True),
+    Family("gru", "many_to_one", True, "on", paired=True),
 ]
 
 
@@ -58,16 +58,12 @@ def _build(fam, seq_len=4, mbs=2, block=2):
 
 
 def test_full_family_matrix_spans_distinct_configs():
-    """Kernel x tile x projection x pairing under every cell, head and pass,
-    less the products that build another family's graph or none: ``off``
-    never hoists and pairs no directions."""
+    """Tile x projection x pairing under every cell, head and pass."""
     fams = full_family_matrix()
-    assert len({f.label() for f in fams}) == len(fams) == 3 * 2 * 2 * (2 + 2 * 2 * 2)
+    assert len({f.label() for f in fams}) == len(fams) == 3 * 2 * 2 * 2 * 2 * 2 == 96
     assert {f.cell for f in fams} == {"lstm", "gru", "rnn"}
-    assert {(f.fusion, f.tiled, f.fused_input_projection, f.paired) for f in fams} == {
-        ("off", tiled, "off", False) for tiled in (False, True)
-    } | {
-        ("gates", tiled, proj, paired)
+    assert {(f.tiled, f.fused_input_projection, f.paired) for f in fams} == {
+        (tiled, proj, paired)
         for tiled in (False, True) for proj in ("off", "on") for paired in (False, True)
     }
     assert set(SMOKE_FAMILIES) <= set(fams)
@@ -98,7 +94,7 @@ def test_rule_branch_builds_verify_clean(case):
 
 
 def test_verify_family_certifies_instances_and_size_isomorphism():
-    entry = verify_family(Family("lstm", "many_to_one", True, "gates", "on"))
+    entry = verify_family(Family("lstm", "many_to_one", True, "on"))
     assert entry["ok"] is True
     assert entry["size_isomorphism"] is True
     assert len(entry["instances"]) == 2
@@ -184,7 +180,7 @@ def test_certificate_assembles_and_validates():
     assert cert["cross_validation"]["max_findings"] == 0
     assert cert["cross_validation"]["min_observed_tasks"] > 0
     for entry in cert["families"]:
-        assert {"label", "cell", "fusion", "instances", "size_isomorphism",
+        assert {"label", "cell", "instances", "size_isomorphism",
                 "findings", "ok"} <= set(entry)
 
 
@@ -194,9 +190,9 @@ def test_certificate_assembles_and_validates():
 # racecheck, the closure lint or the certificate ever caught: the seeded
 # mutation, the check that flags it, and the finding it must produce —
 # kind, task, and the partner task or the region.  Mutations run on the certificate's
-# representative build (BLSTM m2o train, T=4, mbs=2, ``gates``).
+# representative build (BLSTM m2o train, T=4, mbs=2, per-step).
 
-_REP = Family("lstm", "many_to_one", True, "gates", "off")
+_REP = Family("lstm", "many_to_one", True, "off")
 _LOGITS, _DLOGITS, _DMLAST = ("logits", 0, 0), ("dlogits", 0, 0), ("dmlast", 0, 0)
 _H_LAST = ("h", 0, 0, "fwd", 3)
 

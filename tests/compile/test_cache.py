@@ -83,8 +83,8 @@ def test_metrics_delta_publishing():
 
 
 def test_no_stale_plan_cache_hit_across_fusion_modes():
-    """A plan compiled under one fusion mode is invisible to every other
-    mode: each engine owns its cache, keyed by shape alone."""
+    """A plan compiled under one tile or hoisting mode is invisible to every
+    other mode: each engine owns its cache, keyed by shape alone."""
     from repro.config import ExecutionConfig
     from repro.serve.engine import InferenceEngine
     from tests.compile.conftest import tiny_spec
@@ -95,8 +95,8 @@ def test_no_stale_plan_cache_hit_across_fusion_modes():
     )
     tiled.warmup([shape])
     assert shape in tiled.plan_cache
-    for other in (ExecutionConfig(), ExecutionConfig(fusion="off"),
-                  ExecutionConfig(fusion="off", wavefront_tile=4)):
+    for other in (ExecutionConfig(), ExecutionConfig(fused_input_projection="on"),
+                  ExecutionConfig(fused_input_projection="on", wavefront_tile=4)):
         engine = InferenceEngine(
             tiny_spec(), config=other.replace(executor="sim", compile="on")
         )

@@ -2,7 +2,7 @@
 
 Besides the tiny-model builders, this module is the single home of the
 cross-executor conformance machinery: the builder configuration matrices
-(``PROJ_CONFIGS``/``FUSION_CONFIGS``) and the fully-expanded case sweeps
+(``PROJ_CONFIGS``/``FUSION_TILES``) and the fully-expanded case sweeps
 (``PROJECTION_SWEEP``/``FUSION_SWEEP``) that the racecheck, compiled-
 replay and executor conformance suites all parametrize over, and the
 executor matrix (``executor_matrix``/``make_executor``) that
@@ -104,9 +104,8 @@ CONF_BATCH = 4
 #: block, and a block larger than the sequence (clamps to proj_block=T)
 PROJ_CONFIGS = [("off", None), ("on", 1), ("on", 2), ("on", 16)]
 
-#: (fusion, wavefront_tile): the per-gate kernels per step and in a tile,
-#: the stacked ones in a mid-size tile and in one ≥T (one tile per chain)
-FUSION_CONFIGS = [("off", None), ("off", 2), ("gates", 2), ("gates", 16)]
+#: wavefront tiles: a mid-size tile and one ≥T (one tile per chain)
+FUSION_TILES = [2, 16]
 
 
 def conformance_spec(cell="lstm", head="many_to_one", merge_mode="sum"):
@@ -124,7 +123,6 @@ def build_functional(
     mbs=2,
     fused="off",
     proj_block=None,
-    fusion="gates",
     wavefront_tile=None,
     merge_mode="sum",
     momentum=0.0,
@@ -158,7 +156,6 @@ def build_functional(
         lr=0.05,
         fused_input_projection=fused,
         proj_block=proj_block,
-        fusion=fusion,
         wavefront_tile=wavefront_tile,
         momentum=momentum,
         velocity=BRNNParams.zeros_like(spec) if momentum else None,
@@ -178,8 +175,6 @@ def _conf_case_id(case):
     ]
     if case.get("fused", "off") == "on":
         bits.append(f"pb{case['proj_block']}")
-    if case.get("fusion", "gates") != "gates":
-        bits.append(case["fusion"])
     if case.get("wavefront_tile"):
         bits.append(f"wt{case['wavefront_tile']}")
     if case.get("paired"):
@@ -235,27 +230,25 @@ _PROJECTION_TIER1 = [
 
 PROJECTION_SWEEP = _sweep(_PROJECTION_CASES, _PROJECTION_TIER1)
 
-#: every kernel/tile configuration, composed with chunking (mbs=2) and
-#: projection hoisting (pb=2; ``fusion="off"`` forces hoisting off in the
-#: builder, exercising that interaction too)
+#: every tile configuration, composed with chunking (mbs=2) and projection
+#: hoisting (pb=2)
 _FUSION_CASES = [
     dict(cell=cell, head=head, training=training, mbs=2,
-         fused="on", proj_block=2, fusion=fusion, wavefront_tile=wt)
+         fused="on", proj_block=2, wavefront_tile=wt)
     for cell in ("lstm", "gru")
     for head in ("many_to_one", "many_to_many")
     for training in (False, True)
-    for fusion, wt in FUSION_CONFIGS
+    for wt in FUSION_TILES
 ]
 
 _FUSION_TIER1 = [
     dict(cell="lstm", head="many_to_one", training=True, mbs=2,
-         fused="on", proj_block=2, fusion=fusion, wavefront_tile=wt)
-    for fusion, wt in FUSION_CONFIGS
+         fused="on", proj_block=2, wavefront_tile=wt)
+    for wt in FUSION_TILES
 ] + [
-    dict(cell="gru", head="many_to_many", training=False, mbs=2,
-         fused="on", proj_block=2, fusion="gates", wavefront_tile=2),
-    dict(cell="gru", head="many_to_many", training=True, mbs=2,
-         fused="on", proj_block=2, fusion="off", wavefront_tile=2),
+    dict(cell="gru", head="many_to_many", training=training, mbs=2,
+         fused="on", proj_block=2, wavefront_tile=2)
+    for training in (False, True)
 ]
 
 FUSION_SWEEP = _sweep(_FUSION_CASES, _FUSION_TIER1)

@@ -61,7 +61,7 @@ TABLE = [
      (2, 1, [True] * 3, 32, True)),
     ("threaded_instance", _FINE, 4, 100, False, 2, ThreadedExecutor(2),
      ExecutionConfig(), (1, 1, [False] * 4, 100, True)),
-    # the overrides: a tile, each hoisting mode, the unfused kernels, barriers
+    # the overrides: a tile, each hoisting mode, barriers
     ("tile_1", _FINE, 4, 100, False, 2, "threaded", ExecutionConfig(wavefront_tile=1),
      (1, 1, [False] * 4, 1, True)),
     ("tile_8", _GEMM, 64, 32, True, 2, "threaded",
@@ -70,12 +70,7 @@ TABLE = [
      ExecutionConfig(fused_input_projection="on"), (1, 1, [True] * 4, 100, True)),
     ("proj_off", _GEMM, 64, 32, True, 2, "threaded",
      ExecutionConfig(mbs=2, fused_input_projection="off"), (2, 2, [False] * 3, 1, False)),
-    ("fusion_off", _GEMM, 64, 32, True, 2, "threaded",
-     ExecutionConfig(mbs=2, fusion="off", fused_input_projection="on"),
-     (2, 2, [False] * 3, 1, False)),
-    # one thread, but the unfused kernels or the barriered graph: no pairing
-    ("fusion_off_one_thread", _FINE, 4, 100, False, 2, "threaded",
-     ExecutionConfig(fusion="off"), (1, 1, [False] * 4, 100, False)),
+    # one thread, but the barriered graph: no pairing
     ("barriered", _FINE, 4, 100, False, 2, "threaded",
      ExecutionConfig(barrier_free=False), (1, 1, [False] * 4, 100, False)),
     # a batch shorter than mbs gets one chunk per row
@@ -105,9 +100,7 @@ def test_floor_is_the_same_from_the_spec_and_at_every_tile(cfg):
     per_step = build({**cfg, "wavefront_tile": 1}, functional=False)
     whole = build({**cfg, "wavefront_tile": SEQ_LEN}, functional=False)
     assert whole.wavefront_tile == SEQ_LEN and per_step.wavefront_tile is None
-    config = ExecutionConfig(
-        mbs=per_step.mbs, fusion=per_step.fusion, fused_input_projection=cfg["fused"]
-    )
+    config = ExecutionConfig(mbs=per_step.mbs, fused_input_projection=cfg["fused"])
     plan = plan_granularity(
         per_step.spec, per_step.total_batch, SEQ_LEN, per_step.training, 1, "sim", config
     )

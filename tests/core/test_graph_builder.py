@@ -295,8 +295,8 @@ def test_barriered_backward_runs_the_direction_chains_in_turn(fused):
             assert g.has_path(last_fwd, first_rev, bits)
 
 
-def test_unfused_weight_gradient_serialises_backward_chain():
-    """Control for the test above: without fusion the single ``gW`` inout
+def test_per_step_weight_gradient_serialises_backward_chain():
+    """Control for the test above: without hoisting the single ``gW`` inout
     region chains every cell-backward of a (layer, direction) totally."""
     spec = small_spec(num_layers=2)
     T = 5
@@ -327,11 +327,11 @@ def test_cell_step_is_a_chain_tile_of_one():
 
     spec = small_spec()
     x, labels = make_batch(spec, seq_len=7)
-    per_step = engine(spec, "gates", wavefront_tile=1)
+    per_step = engine(spec, wavefront_tile=1)
     ref = per_step.loss_and_grads(x, labels)
     assert cell_tiles(per_step) == {(s, s + 1) for s in range(7)}
 
-    wave = engine(spec, "gates", wavefront_tile=3)
+    wave = engine(spec, wavefront_tile=3)
     loss, logits, grads = wave.loss_and_grads(x, labels)
     assert cell_tiles(wave) == {(0, 3), (3, 6), (6, 7)}
     assert loss == ref[0]
@@ -345,11 +345,11 @@ def test_default_engine_tiles_a_one_thread_shape_per_chain():
     is one task, with the per-step graph's bits."""
     spec = small_spec()
     x, labels = make_batch(spec, seq_len=7)
-    default = engine(spec, "gates")
+    default = engine(spec)
     loss, logits, grads = default.loss_and_grads(x, labels)
     assert cell_tiles(default) == {(0, 7)}
     assert default.last_trace.n_cores == 1
-    ref = engine(spec, "gates", wavefront_tile=1).loss_and_grads(x, labels)
+    ref = engine(spec, wavefront_tile=1).loss_and_grads(x, labels)
     assert loss == ref[0]
     assert np.array_equal(logits, ref[1])
     assert grads_bitwise(grads, ref[2])

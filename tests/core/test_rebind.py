@@ -160,7 +160,7 @@ def _args(spec, **overrides):
         ("fused_layers", {"fused_input_projection": "on"}),
         ("wavefront_tile", {"wavefront_tile": 2}),
         ("paired", {"paired": True}),
-        ("fusion", {"fusion": "off"}),
+        ("serialize_chunks", {"serialize_chunks": True}),
         ("barrier_free", {"barrier_free": False}),
         ("update_weights", {"update_weights": False}),
         ("params", {"params": BRNNParams.initialize(small_spec(), seed=1)}),

@@ -100,22 +100,6 @@ def test_hoisting_conserves_flops(cell):
 
 
 @pytest.mark.parametrize("cell", sorted(PINNED))
-def test_gate_gemm_conservation(cell):
-    """The fusion pass's conservation contract: the stacked gate GEMM does
-    exactly the arithmetic of the per-gate GEMMs (``fusion="off"``), with
-    strict float equality — these splits are definitions, not measurements."""
-    g, _, _ = PINNED[cell]
-    spec = spec_of(cell)
-    stacked = cell_gate_gemm_flops(spec, B, 0)
-    assert stacked == 2.0 * B * (I + H) * g * H
-    assert g * cell_gate_gemm_flops(spec, B, 0, n_gates=1) == stacked
-    # any partial split conserves, not just the per-gate one
-    for k in range(1, g + 1):
-        assert cell_gate_gemm_flops(spec, B, 0, n_gates=k) \
-            + cell_gate_gemm_flops(spec, B, 0, n_gates=g - k) == stacked
-
-
-@pytest.mark.parametrize("cell", sorted(PINNED))
 def test_fwd_splits_into_gemm_plus_pointwise(cell):
     """The GEMM + pointwise split must reconstitute the forward total
     exactly."""

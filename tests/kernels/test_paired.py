@@ -46,16 +46,14 @@ def test_paired_step_is_two_single_steps_bitwise(cell, need_cache, rows, hoisted
     if hoisted:
         paired = cell_forward_proj(spec, stack(zxs), stack(hs), stack(cs), pair, b2, need_cache)
     else:
-        paired = cell_forward(spec, tuple(xs), stack(hs), stack(cs), pair, b2, "gates",
-                              need_cache)
+        paired = cell_forward(spec, tuple(xs), stack(hs), stack(cs), pair, b2, need_cache)
     h2, c2, cache2 = paired
     assert h2.shape == (2, rows, spec.hidden_size)
     for d in range(2):
         if hoisted:
             h, c, cache = cell_forward_proj(spec, zxs[d], hs[d], cs[d], Ws[d], bs[d], need_cache)
         else:
-            h, c, cache = cell_forward(spec, xs[d], hs[d], cs[d], Ws[d], bs[d], "gates",
-                                       need_cache)
+            h, c, cache = cell_forward(spec, xs[d], hs[d], cs[d], Ws[d], bs[d], need_cache)
         assert np.array_equal(h2[d], h)
         assert (c2 is None) == (c is None)
         if c is not None:

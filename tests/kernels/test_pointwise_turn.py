@@ -38,14 +38,8 @@ def _forward_paths(stacked):
 
 
 TABLES = {
-    "fwd": {
-        cell: {"unfused": by_fusion["off"], **_forward_paths(by_fusion["gates"])}
-        for cell, by_fusion in cells._FWD_STEP.items()
-    },
-    "bwd": {
-        cell: {"unfused": by_fusion["off"], "stacked": by_fusion["gates"]}
-        for cell, by_fusion in cells._BWD_STEP.items()
-    },
+    "fwd": {cell: _forward_paths(fn) for cell, fn in cells._FWD_STEP.items()},
+    "bwd": {cell: {"stacked": fn} for cell, fn in cells._BWD_STEP.items()},
     "fwd_proj": {cell: _forward_paths(fn) for cell, fn in cells._FWD_STEP_PROJ.items()},
     "bwd_proj": {cell: {"stacked": fn} for cell, fn in cells._BWD_STEP_PROJ.items()},
 }
@@ -72,7 +66,7 @@ class Operands:
         self.x, self.h, self.c = draw(rows, input_size), draw(rows, hidden), draw(rows, hidden)
         self.dh, self.dc = draw(rows, hidden), draw(rows, hidden)
         self.cache = {
-            "bwd": self.call("fwd", cells._FWD_STEP[cell]["gates"])[-1],
+            "bwd": self.call("fwd", cells._FWD_STEP[cell])[-1],
             "bwd_proj": self.call("fwd_proj", cells._FWD_STEP_PROJ[cell])[-1],
         }
 
@@ -205,20 +199,18 @@ def test_whole_buffer_activations_are_bitwise_the_per_gate_ones(rows, hidden, dt
     assert np.signbit(zeros[0, 2]) and zeros[0, 0] == 0.5
 
 
-@pytest.mark.parametrize("fusion", cells.FUSION_MODES)
 @pytest.mark.parametrize("cell", CELLS)
-def test_need_cache_false_returns_no_cache_and_the_same_bits(cell, fusion):
+def test_need_cache_false_returns_no_cache_and_the_same_bits(cell):
     spec = small_spec(cell=cell)
     ops = Operands(cell, hidden=spec.hidden_size, input_size=spec.input_size)
     operands = (ops.x, ops.h, ops.c if cell == "lstm" else None, ops.W, ops.b)
-    kept = cells.cell_forward(spec, *operands, fusion)
-    dropped = cells.cell_forward(spec, *operands, fusion, need_cache=False)
+    kept = cells.cell_forward(spec, *operands)
+    dropped = cells.cell_forward(spec, *operands, need_cache=False)
     assert kept[2] is not None and dropped[2] is None
     assert _bits(dropped[:2]) == _bits(kept[:2])
-    if fusion != "off":  # the unfused baseline never composes with hoisting
-        zx = ops.x @ ops.W[: spec.input_size]
-        proj = cells.cell_forward_proj(spec, zx, *operands[1:], False)
-        assert proj[2] is None and _bits(proj[:2]) == _bits(kept[:2])
+    zx = ops.x @ ops.W[: spec.input_size]
+    proj = cells.cell_forward_proj(spec, zx, *operands[1:], False)
+    assert proj[2] is None and _bits(proj[:2]) == _bits(kept[:2])
 
 
 #: ``(rows, input_size, hidden)``: the benchmark's fine shape, three where this
@@ -233,7 +225,7 @@ PROJECTION_SHAPES = [(4, 39, 32), (4, 512, 256), (7, 512, 128), (32, 512, 32), (
 def test_the_per_step_forward_is_the_proj_forward_on_its_own_projection(cell, need_cache, dtype):
     """Hoisted equals per-step by construction, not by what BLAS does with a
     column slice: one body, so ``h`` (and ``c``) agree bitwise at every shape."""
-    per_step = functools.partial(cells._FWD_STEP[cell]["gates"], need_cache=need_cache)
+    per_step = functools.partial(cells._FWD_STEP[cell], need_cache=need_cache)
     proj = functools.partial(cells._FWD_STEP_PROJ[cell], need_cache=need_cache)
     for rows, input_size, hidden in PROJECTION_SHAPES:
         ops = Operands(cell, rows, hidden, input_size, dtype)
@@ -282,7 +274,7 @@ def test_dh_prev_weights_left_equals_the_old_operand_order(cell, rows):
         old = dz @ W_h.T
     np.testing.assert_allclose(dh_prev, old, rtol=1e-6, atol=1e-6)
     # the per-step kernel takes the same operand order, so the same bits
-    per_step = ops.call("bwd", cells._BWD_STEP[cell]["gates"])
+    per_step = ops.call("bwd", cells._BWD_STEP[cell])
     assert _bits(per_step[1:2]) == _bits([dh_prev])
 
 

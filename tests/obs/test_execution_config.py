@@ -52,16 +52,14 @@ class TestExecutionConfig:
         for mode in ("off", "on"):
             assert ExecutionConfig(compile=mode).compile == mode
 
-    def test_fusion_field_validation(self):
-        with pytest.raises(ValueError, match="fusion"):
-            ExecutionConfig(fusion="sometimes")
+    def test_granularity_field_validation(self):
         with pytest.raises(ValueError, match="wavefront_tile"):
             ExecutionConfig(wavefront_tile=0)
         # not first inside a serving loop's first build
         with pytest.raises(ValueError, match="proj_block"):
             ExecutionConfig(proj_block=0)
-        for mode in ("off", "gates"):
-            assert ExecutionConfig(fusion=mode).fusion == mode
+        # one kernel per cell: no option selects another
+        assert "fusion" not in {f.name for f in dataclasses.fields(ExecutionConfig)}
 
     def test_tile_one_is_an_explicit_override(self):
         """``None`` is the granularity policy's tile, ``1`` the per-step

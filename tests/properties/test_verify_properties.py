@@ -32,7 +32,7 @@ from repro.analysis.verify import (
 )
 
 SEQ_LEN = 4
-_FAMILY = Family("lstm", "many_to_one", True, "gates", "off")
+_FAMILY = Family("lstm", "many_to_one", True, "off")
 
 
 @pytest.fixture(scope="module")

@@ -50,26 +50,26 @@ def _assert_bitwise_equal(executor_name, **build_kwargs):
 # Tier-1: reduced subset, every substrate (including process)
 # ---------------------------------------------------------------------------
 
-#: one GIL-bound fine-grained config, one hoisted config (its block tasks
-#: read ``h`` slots and the step-0 cache shipped from other workers), one
-#: hoisted+tiled config, one inference config — the smallest set that
-#: exercises every transport path (caches, gate grids, merge rows, logits
-#: readback, side-state)
+#: one fine-grained per-step config in tiles of two steps, one hoisted
+#: config (its block tasks read ``h`` slots and the step-0 cache shipped
+#: from other workers), one hoisted+tiled config, one inference config —
+#: the smallest set that exercises every transport path (caches, gate
+#: grids, merge rows, logits readback, side-state); every one runs the one
+#: cell kernel, the stacked gate GEMM (``gates`` in the ids)
 TIER1_CASES = [
-    dict(cell="lstm", head="many_to_one", training=True, mbs=2, fusion="off"),
+    dict(cell="lstm", head="many_to_one", training=True, mbs=2, wavefront_tile=2),
     dict(cell="lstm", head="many_to_one", training=True, mbs=2,
-         fused="on", proj_block=2, fusion="gates"),
+         fused="on", proj_block=2),
     dict(cell="gru", head="many_to_many", training=True, mbs=2,
-         fused="on", proj_block=2, fusion="gates", wavefront_tile=2),
-    dict(cell="lstm", head="many_to_many", training=False, mbs=2,
-         fusion="gates"),
+         fused="on", proj_block=2, wavefront_tile=2),
+    dict(cell="lstm", head="many_to_many", training=False, mbs=2),
 ]
 
 
 @pytest.mark.parametrize("executor_name", ["caller", "sim", "process"])
 @pytest.mark.parametrize(
     "case", TIER1_CASES,
-    ids=[f"{c['cell']}-{c['fusion']}-{'train' if c['training'] else 'fwd'}"
+    ids=[f"{c['cell']}-gates-{'train' if c['training'] else 'fwd'}"
          + (f"-wt{c['wavefront_tile']}" if "wavefront_tile" in c else "")
          for c in TIER1_CASES],
 )
@@ -117,8 +117,8 @@ def test_executor_matrix_hoisted_train_step(executor_matrix, cell):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fusion,wavefront_tile", [("gates", None), ("off", 2)])
-def test_process_compiled_replay_bitwise(fusion, wavefront_tile):
+@pytest.mark.parametrize("wavefront_tile", [None, 2])
+def test_process_compiled_replay_bitwise(wavefront_tile):
     """Static replay of a compiled plan on worker processes is bitwise
     identical to a dynamic threaded schedule (the serving warm path)."""
     from repro.runtime.mpexec import MultiprocessExecutor
@@ -126,7 +126,7 @@ def test_process_compiled_replay_bitwise(fusion, wavefront_tile):
     mismatched = plan_equivalence_check(
         lambda: build_functional(
             cell="lstm", head="many_to_one", training=True, mbs=2,
-            fusion=fusion, wavefront_tile=wavefront_tile,
+            wavefront_tile=wavefront_tile,
         ),
         n_workers=2,
         executor_factory=MultiprocessExecutor,

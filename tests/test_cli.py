@@ -57,7 +57,7 @@ def test_analyze_command_emits_valid_bench_json(capsys, tmp_path):
 
 _TINY = ["--hidden", "5", "--layers", "2", "--input-size", "6",
          "--seq-len", "8", "--batch", "4", "--mbs", "2"]
-_WAVEFRONT = ["--wavefront-tile", "4"]  # on its own: no --fusion value switches tiling on
+_WAVEFRONT = ["--wavefront-tile", "4"]
 
 
 def _task_count(capsys, argv):
@@ -75,7 +75,7 @@ def test_analyze_command_builds_the_graph_the_fusion_flags_name(capsys, tmp_path
     tiled = _task_count(capsys, ["analyze", *_TINY, *_WAVEFRONT, "--output", str(out_file)])
     assert tiled < _task_count(capsys, ["analyze", *_TINY])  # 2 tiles per chain, not 8 steps
     config = load_report(str(out_file))["config"]
-    assert (config["fusion"], config["wavefront_tile"]) == ("gates", 4)
+    assert "fusion" not in config and config["wavefront_tile"] == 4
 
 
 def test_analyze_observe_builds_the_graph_the_structural_flags_name(capsys):
@@ -109,7 +109,8 @@ def test_retired_command_and_flags_are_usage_errors(capsys):
     `--verify` does; the certificate observes every instance it proves; the
     retired serving benchmark is `bench fleet` (and `bench/run.py`); the
     retired `compile` and `multiproc` suites are tier-1 tests and `bench/`
-    metrics (benchmarks/baselines/README.md)."""
+    metrics (benchmarks/baselines/README.md); the stacked gate GEMM is the
+    one cell kernel, so `--fusion` selects nothing."""
     for suite in ("compile", "multiproc"):
         assert main(["bench", suite]) == 2
         assert "usage: bench" in capsys.readouterr().err
@@ -121,6 +122,7 @@ def test_retired_command_and_flags_are_usage_errors(capsys):
         ["analyze", "--mutations", "3"],
         ["analyze", "--record-schedule", "s.json"],
         ["analyze", "--replay-schedule", "s.json"],
+        ["analyze", "--fusion", "off"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

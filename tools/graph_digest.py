@@ -16,11 +16,10 @@ per-chunk gradient and the updated weights and velocity.
 
 Four matrices (T=7, batch=6, mbs=2; ``mbs=3`` on the variants' B-Seq rows):
 
-* ``matrix96``: 3 cells x 2 heads x {off, gates} x projection on/off x
+* ``matrix48``: 3 cells x 2 heads x projection on/off x
   barrier-free/barriered x fwd/train, per-step;
-* ``tiled``: 2 cells x 2 heads x {gates at tile 1, 3 and 8 (one tile per
-  chain), off at tile 3} x projection on/off (``off`` never hoists: off only)
-  x barrier-free/barriered x fwd/train (112);
+* ``tiled``: 2 cells x 2 heads x tile 1, 3 and 8 (one tile per chain) x
+  projection on/off x barrier-free/barriered x fwd/train (96);
 * ``variants``: 3 cells x merge {mul, concat} x 2 heads x projection on/off x
   {plain, momentum, B-Seq, momentum + B-Seq}, training (96);
 * ``paired``: 3 cells x 2 heads x fwd/train x projection on/off, both
@@ -46,22 +45,19 @@ SEQ_LEN, BATCH = 7, 6
 CELLS, HEADS = ("lstm", "gru", "rnn"), ("many_to_one", "many_to_many")
 
 
-def _matrix96():
-    for cell, head, fusion, fused, free, training in product(
-        CELLS, HEADS, ("off", "gates"), ("on", "off"), (True, False), (False, True)
+def _matrix48():
+    for cell, head, fused, free, training in product(
+        CELLS, HEADS, ("on", "off"), (True, False), (False, True)
     ):
-        yield dict(cell=cell, head=head, fusion=fusion, fused=fused,
-                   barrier_free=free, training=training)
+        yield dict(cell=cell, head=head, fused=fused, barrier_free=free, training=training)
 
 
 def _tiled():
-    for cell, head, (fusion, tile), fused, free, training in product(
-        CELLS[:2], HEADS, (("gates", 1), ("gates", 3), ("gates", 8), ("off", 3)),
-        ("on", "off"), (True, False), (False, True)
+    for cell, head, tile, fused, free, training in product(
+        CELLS[:2], HEADS, (1, 3, 8), ("on", "off"), (True, False), (False, True)
     ):
-        if (fusion, fused) != ("off", "on"):
-            yield dict(cell=cell, head=head, fusion=fusion, wavefront_tile=tile,
-                       fused=fused, barrier_free=free, training=training)
+        yield dict(cell=cell, head=head, wavefront_tile=tile,
+                   fused=fused, barrier_free=free, training=training)
 
 
 def _variants():
@@ -81,7 +77,7 @@ def _paired():
                    wavefront_tile=tile, paired=True)
 
 
-MATRICES = {"matrix96": _matrix96, "tiled": _tiled, "variants": _variants, "paired": _paired}
+MATRICES = {"matrix48": _matrix48, "tiled": _tiled, "variants": _variants, "paired": _paired}
 
 
 def build(cfg, functional):
@@ -96,7 +92,7 @@ def build(cfg, functional):
         momentum=momentum,
         velocity=BRNNParams.zeros_like(spec) if momentum else None,
         fused_input_projection=cfg["fused"], proj_block=2,
-        fusion=cfg.get("fusion", "gates"), wavefront_tile=cfg.get("wavefront_tile"),
+        wavefront_tile=cfg.get("wavefront_tile"),
         paired=cfg.get("paired", False),
     )
     if not functional:

@@ -171,10 +171,10 @@ def paired_calls(cell: str, rows: int, hidden: int, need_cache: bool):
 
     def single():
         for d in range(2):
-            cell_forward(spec, xs[d], hs[d], cs[d], Ws[d], bs[d], "gates", need_cache)
+            cell_forward(spec, xs[d], hs[d], cs[d], Ws[d], bs[d], need_cache)
 
     def paired():
-        cell_forward(spec, (xs[0], xs[1]), h2, c2, pair, b2, "gates", need_cache)
+        cell_forward(spec, (xs[0], xs[1]), h2, c2, pair, b2, need_cache)
 
     return single, paired
 
