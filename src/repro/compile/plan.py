@@ -9,8 +9,8 @@ dynamically on every invocation:
   pays fewer indegree decrements per completion;
 * the **release order** — a list-scheduled topological order of the
   reduced graph (priority = bottom-level under the ``simarch`` cost
-  model), replayed through the existing
-  :class:`~repro.runtime.scheduler.ReplayScheduler`;
+  model), which :class:`~repro.runtime.scheduler.ReplayScheduler` reads
+  straight off the plan;
 * the **core assignments** and the estimated makespan the list scheduler
   produced — metadata for reports, not enforced at replay time (the
   replay scheduler releases the next prescribed task to whichever worker
@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.runtime.depgraph import TaskGraph
-from repro.runtime.scheduler import ScheduleRecord
 
 
 @dataclass
 class CompiledPlan:
     """A static execution plan for one task graph.
 
-    ``order``/``names`` follow :class:`ScheduleRecord` conventions:
+    ``order``/``names`` follow
+    :class:`~repro.runtime.scheduler.ScheduleRecord` conventions:
     ``order[i]`` is the tid released at step ``i`` and ``names[i]`` its
     task name (the drift guard).  ``assignments[i]`` is the core the list
     scheduler placed step ``i`` on.  ``successors`` is the transitive
@@ -96,14 +96,6 @@ class CompiledPlan:
                     f"plan mismatch at step {i}: compiled {self.names[i]!r}, "
                     f"graph has {graph.tasks[tid].name!r} (tid {tid})"
                 )
-
-    def to_schedule_record(self, copy: bool = True) -> ScheduleRecord:
-        """The plan's release order as replayable schedule-record machinery
-        (``copy=False``: share the lists with a reader that only replays them)."""
-        order, names = self.order, self.names
-        if copy:
-            order, names = list(order), list(names)
-        return ScheduleRecord(order=order, names=names, scheduler="compiled")
 
     def without_edge(self, a: int, b: int) -> "CompiledPlan":
         """A copy of this plan with reduced edge ``a → b`` deleted.

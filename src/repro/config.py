@@ -17,6 +17,7 @@ from typing import Any, Optional
 
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.registry import MetricsRegistry
+from repro.runtime.scheduler import make_scheduler
 
 @dataclass(frozen=True)
 class ExecutionConfig:
@@ -35,8 +36,9 @@ class ExecutionConfig:
         simulated cores (sim); ``None`` means the substrate default
         (host-sized pool / whole modelled machine).
     scheduler:
-        Ready-queue policy: ``"fifo"``/``"lifo"``/``"locality"``/
-        ``"steal"``/``"fuzz:SEED"``.
+        Ready-queue policy: ``"locality"`` (the paper's, the default),
+        ``"fifo"`` (locality-oblivious, Fig. 7's baseline) or
+        ``"fuzz:SEED"`` (a seeded random legal order).
     mbs:
         Data-parallel chunks per batch (the paper's hybrid-parallelism
         knob), clamped to the batch size at build time.
@@ -99,6 +101,7 @@ class ExecutionConfig:
     def __post_init__(self) -> None:
         if self.mbs < 1:
             raise ValueError("mbs must be >= 1")
+        make_scheduler(self.scheduler)  # raises ValueError on an unknown policy
         if self.fused_input_projection not in ("off", "on", "auto"):
             raise ValueError(
                 "fused_input_projection must be 'off', 'on' or 'auto', got "

@@ -35,7 +35,7 @@ def default_executor(config: Optional[ExecutionConfig] = None) -> ThreadedExecut
     cfg = config if config is not None else ExecutionConfig()
     n = _host_workers(cfg)
     return ThreadedExecutor(
-        n, scheduler_factory=cfg.scheduler, metrics=cfg.metrics, hooks=cfg.hooks
+        n, scheduler=cfg.scheduler, metrics=cfg.metrics, hooks=cfg.hooks
     )
 
 
@@ -57,7 +57,7 @@ def resolve_executor(config: ExecutionConfig):
 
         return MultiprocessExecutor(
             _host_workers(config),
-            scheduler_factory=config.scheduler,
+            scheduler=config.scheduler,
             metrics=config.metrics,
             hooks=config.hooks,
         )

@@ -144,7 +144,7 @@ SECTIONS: Dict[str, Tuple[str, Callable[..., Dict]]] = {
 
 _CORE_COUNTS = (1, 2, 4, 8, 16, 24, 32, 48)
 _BLSTM8 = dict(layers=8, seq_len=100, batch=128, mbs=8, n_cores=48)
-_POLICIES = ("fifo", "lifo", "locality", "steal")
+_POLICIES = ("fifo", "locality")
 _FIG7 = dict(layers=8, input_size=64, hidden=512, seq_len=100, batch=128, mbs=2, n_cores=48)
 _GRANULARITY = dict(layers=6, input_size=64, hidden=512, seq_len=100, batch=128,
                     mbs=1, n_cores=48, batches_per_epoch=98)

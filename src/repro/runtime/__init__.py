@@ -3,8 +3,11 @@
 This package provides the run-time system that B-Par is built on: tasks
 annotated with ``in``/``out``/``inout`` data regions, a dependency tracker
 that turns a sequential stream of task registrations into a DAG (the exact
-semantics of OmpSs/OpenMP task dependences), ready-queue schedulers
-(FIFO breadth-first, locality-aware, LIFO), and two executors:
+semantics of OmpSs/OpenMP task dependences), the paper's two ready-queue
+policies (FIFO breadth-first and locality-aware) plus the
+fuzz/record/replay schedulers, and three executors beside the serial
+reference, each starting a run through
+:func:`~repro.runtime.scheduler.start_release`:
 
 * :class:`~repro.runtime.executor.ThreadedExecutor` — real worker threads.
   RNN-cell tasks are dominated by NumPy GEMMs, which release the GIL, so
@@ -33,13 +36,11 @@ from repro.runtime.depgraph import TaskGraph, descendants_bitsets
 from repro.runtime.scheduler import (
     FIFOScheduler,
     FuzzScheduler,
-    LIFOScheduler,
     LocalityAwareScheduler,
     RecordingScheduler,
     ReplayScheduler,
     ScheduleRecord,
     Scheduler,
-    WorkStealingScheduler,
     make_scheduler,
     resolve_scheduler,
 )
@@ -69,9 +70,7 @@ __all__ = [
     "descendants_bitsets",
     "Scheduler",
     "FIFOScheduler",
-    "LIFOScheduler",
     "LocalityAwareScheduler",
-    "WorkStealingScheduler",
     "FuzzScheduler",
     "RecordingScheduler",
     "ReplayScheduler",

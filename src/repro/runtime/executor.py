@@ -18,22 +18,15 @@ from __future__ import annotations
 import threading
 import time
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.publish import publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
-from repro.runtime.scheduler import (
-    LocalityAwareScheduler,
-    ReplayScheduler,
-    Scheduler,
-    resolve_scheduler,
-)
+from repro.runtime.scheduler import start_release
 from repro.runtime.task import Task
 from repro.runtime.trace import ExecutionTrace, TaskRecord
-
-SchedulerFactory = Callable[[int], Scheduler]
 
 
 #: minimum fraction of the successor's working set that must overlap the
@@ -63,6 +56,12 @@ def locality_hint(completed: Task, successor: Task, core: int) -> Optional[int]:
 
 def _record(task: Task, core: int, start: float, end: float) -> TaskRecord:
     return TaskRecord(task.tid, task.name, task.kind, core, start, end, task.flops)
+
+
+def starved_error(remaining: int) -> RuntimeError:
+    """The error of a run whose scheduler has no task to release while none
+    is running — e.g. a replayed order that is not topological."""
+    return RuntimeError(f"scheduler starved with {remaining} tasks remaining")
 
 
 def _fill_working_sets(trace: ExecutionTrace, graph: TaskGraph) -> None:
@@ -107,9 +106,9 @@ class SerialExecutor:
 class ThreadedExecutor:
     """Pool of worker threads draining a dependence-aware ready queue.
 
-    ``scheduler_factory`` may be a factory callable, a policy name
-    (``"fifo"``/``"fuzz:7"``/…), or a ready :class:`Scheduler` instance —
-    the latter lets the race-checking harness inject a primed
+    ``scheduler`` is a policy name (``"locality"``, ``"fifo"``,
+    ``"fuzz:7"``) or a ready :class:`~repro.runtime.scheduler.Scheduler`
+    instance — the latter lets the race-checking harness inject a primed
     ``RecordingScheduler``/``ReplayScheduler`` (single-use: pass a fresh
     instance per ``run``).
     """
@@ -117,14 +116,14 @@ class ThreadedExecutor:
     def __init__(
         self,
         n_workers: int,
-        scheduler_factory: SchedulerFactory = LocalityAwareScheduler,
+        scheduler="locality",
         metrics: Optional[MetricsRegistry] = None,
         hooks: Optional[ProfilingHooks] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self._scheduler_factory = scheduler_factory
+        self.scheduler = scheduler
         self.metrics = metrics
         self.hooks = hooks
 
@@ -139,51 +138,32 @@ class ThreadedExecutor:
         if threads is None:
             threads = plan.n_workers if plan is not None else self.n_workers
         n_threads = min(threads, self.n_workers)
-        if plan is not None:
-            plan.validate(graph)
-            record = plan.to_schedule_record(copy=False)
-            scheduler = ReplayScheduler(record, self.n_workers)
-            successors, indegree = plan.successors, plan.indegree()
-        else:
-            scheduler = resolve_scheduler(self._scheduler_factory, self.n_workers)
-            successors, indegree = graph.successors, list(graph.indegree)
-        scheduler.hooks = self.hooks
-        trace = ExecutionTrace(
-            n_cores=n_threads, scheduler=getattr(scheduler, "name", "?")
+        scheduler, successors, indegree = start_release(
+            graph, self.scheduler, self.n_workers, plan
         )
-        if n_threads > 1 or plan is None:
-            # Roots are identical under transitive reduction (a redundant
-            # edge into t implies another retained path into t).
-            for tid, deg in enumerate(indegree):
-                if deg == 0:
-                    scheduler.push(graph.tasks[tid])
+        scheduler.hooks = self.hooks
+        trace = ExecutionTrace(n_cores=n_threads, scheduler=scheduler.name)
         if n_threads > 1:
             hinted = plan is None
             self._run_threaded(graph, scheduler, successors, indegree, hinted, trace)
-        elif plan is None:
-            ready = iter(partial(scheduler.pop, 0), None)
-            self._run_inline(graph, ready, scheduler.push, successors, indegree, trace)
-        else:  # plan.order is what ReplayScheduler yields on one worker
-            ready = map(graph.tasks.__getitem__, plan.order)
-            self._run_inline(graph, ready, None, successors, indegree, trace)
-        unexecuted = len(graph.tasks) - len(trace.records)
-        if unexecuted:  # a scheduler that stopped yielding ready tasks
-            raise RuntimeError(f"executor finished with {unexecuted} unexecuted tasks")
+        else:
+            self._run_inline(graph, scheduler, successors, indegree, trace)
         _fill_working_sets(trace, graph)
         trace.scheduler_counters = scheduler.counters
         publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
         return trace
 
-    def _run_inline(self, graph, ready, push, successors, indegree, trace):
-        """The one-thread case: no thread, lock, condition or hint.  ``ready``
-        yields the release order (the scheduler's pops, or a plan's static
-        order) and ``push`` takes each task whose last predecessor finished;
-        a payload or scheduler exception propagates as it is."""
+    def _run_inline(self, graph, scheduler, successors, indegree, trace):
+        """The one-thread case: no thread, lock, condition or hint.  The
+        scheduler's pops are the release order, and each task whose last
+        predecessor finished is pushed to it; a payload or scheduler
+        exception propagates as it is."""
         hooks = self.hooks
         tasks = graph.tasks
         records = trace.records
+        push = scheduler.push
         epoch = time.perf_counter()
-        for task in ready:
+        for task in iter(partial(scheduler.pop, 0), None):
             if indegree[task.tid] != 0:
                 raise ValueError(
                     f"task {task.name!r} released twice or before its predecessors"
@@ -199,8 +179,10 @@ class ThreadedExecutor:
             records.append(_record(task, 0, start, end))
             for succ_tid in successors[task.tid]:
                 indegree[succ_tid] -= 1
-                if indegree[succ_tid] == 0 and push is not None:
+                if indegree[succ_tid] == 0:
                     push(tasks[succ_tid])
+        if len(records) < len(tasks):  # nothing runs, so nothing will be pushed
+            raise starved_error(len(tasks) - len(records))
 
     def _run_threaded(self, graph, scheduler, successors, indegree, hinted, trace):
         hooks = self.hooks
@@ -208,11 +190,12 @@ class ThreadedExecutor:
         lock = threading.Lock()
         work_available = threading.Condition(lock)
         remaining = len(tasks)
+        running = 0
         errors: list = []
         epoch = time.perf_counter()
 
         def worker(core: int) -> None:
-            nonlocal remaining
+            nonlocal remaining, running
             while True:
                 with lock:
                     while True:
@@ -226,7 +209,12 @@ class ThreadedExecutor:
                             work_available.notify_all()
                             return
                         if task is not None:
+                            running += 1
                             break
+                        if not running:  # no completion left to push work
+                            errors.append(starved_error(remaining))
+                            work_available.notify_all()
+                            return
                         work_available.wait()
                 start = time.perf_counter() - epoch
                 if hooks is not None:
@@ -253,6 +241,7 @@ class ThreadedExecutor:
                 with lock:
                     trace.records.append(record)
                     remaining -= 1
+                    running -= 1
                     woke = False
                     for succ_tid in successors[task.tid]:
                         indegree[succ_tid] -= 1

@@ -59,13 +59,9 @@ from repro.obs.hooks import ProfilingHooks
 from repro.obs.publish import publish_mp_workers, publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
-from repro.runtime.executor import SchedulerFactory, locality_hint
+from repro.runtime.executor import locality_hint, starved_error
 from repro.runtime.protocol import WorkerCrashError
-from repro.runtime.scheduler import (
-    LocalityAwareScheduler,
-    ReplayScheduler,
-    resolve_scheduler,
-)
+from repro.runtime.scheduler import start_release
 from repro.runtime.shm import ALIGNMENT, ShmArena
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 
@@ -208,7 +204,7 @@ class MultiprocessExecutor:
     def __init__(
         self,
         n_workers: int,
-        scheduler_factory: SchedulerFactory = LocalityAwareScheduler,
+        scheduler="locality",
         metrics: Optional[MetricsRegistry] = None,
         hooks: Optional[ProfilingHooks] = None,
         topology=None,
@@ -221,7 +217,7 @@ class MultiprocessExecutor:
                 "(workers inherit the graph and shared-memory mappings)"
             )
         self.n_workers = n_workers
-        self._scheduler_factory = scheduler_factory
+        self.scheduler = scheduler
         self.metrics = metrics
         self.hooks = hooks
         self.topology = topology
@@ -273,21 +269,13 @@ class MultiprocessExecutor:
     def run(self, graph: TaskGraph, plan=None) -> ExecutionTrace:
         """Execute ``graph``; semantics match ``ThreadedExecutor.run``
         (dynamic dependence resolution, or static replay with ``plan``)."""
-        if plan is not None:
-            plan.validate(graph)
-            scheduler = ReplayScheduler(plan.to_schedule_record(), self.n_workers)
-            successors = plan.successors
-            indegree = plan.indegree()
-        else:
-            scheduler = resolve_scheduler(self._scheduler_factory, self.n_workers)
-            successors = graph.successors
-            indegree = list(graph.indegree)
+        scheduler, successors, indegree = start_release(
+            graph, self.scheduler, self.n_workers, plan
+        )
         scheduler.hooks = self.hooks
         hooks = self.hooks
         replay = plan is not None
-        trace = ExecutionTrace(
-            n_cores=self.n_workers, scheduler=getattr(scheduler, "name", "?")
-        )
+        trace = ExecutionTrace(n_cores=self.n_workers, scheduler=scheduler.name)
         n_tasks = len(graph.tasks)
         if n_tasks == 0:
             trace.scheduler_counters = scheduler.counters
@@ -368,14 +356,6 @@ class MultiprocessExecutor:
             idle = deque(range(self.n_workers))
             inflight: Dict[int, object] = {}  # wid -> Task
 
-            if replay:
-                for tid, deg in enumerate(indegree):
-                    if deg == 0:
-                        scheduler.push(graph.tasks[tid])
-            else:
-                for task in graph.roots():
-                    scheduler.push(task)
-
             while remaining and not errors:
                 while idle:
                     try:
@@ -411,11 +391,7 @@ class MultiprocessExecutor:
                 if errors:
                     break
                 if not inflight:
-                    errors.append(
-                        RuntimeError(
-                            f"scheduler starved with {remaining} tasks remaining"
-                        )
-                    )
+                    errors.append(starved_error(remaining))
                     break
 
                 res_by_obj = {workers[wid].res_r: wid for wid in inflight}

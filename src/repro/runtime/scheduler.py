@@ -4,21 +4,26 @@ The paper's B-Par configuration uses the OmpSs *breadth-first* scheduler: a
 single global ready queue ordered FIFO, extended with a locality-aware
 mechanism that prefers running a task on the same core as a predecessor
 that touched the same data.  We implement that policy
-(:class:`LocalityAwareScheduler`), the locality-oblivious plain FIFO it is
-compared against in Fig. 7 (:class:`FIFOScheduler`), and a LIFO variant
-used by the queue-order ablation bench.
+(:class:`LocalityAwareScheduler`) and the locality-oblivious plain FIFO it
+is compared against in Fig. 7 (:class:`FIFOScheduler`).
 
 Schedulers are *not* thread-safe on their own; executors serialise access
-(the threaded executor under its lock, the simulated executor by being
-single-threaded).
+(the threaded executor under its lock, the process executor's manager and
+the simulated executor by being single-threaded).
 
 Three additional schedulers back the race-checking harness
 (:mod:`repro.runtime.racecheck`): :class:`FuzzScheduler` pops a seeded
 pseudo-random ready task (exploring the legal-schedule space),
 :class:`RecordingScheduler` wraps any scheduler and logs its pop order,
-and :class:`ReplayScheduler` re-executes a recorded pop order
-deterministically.  A recorded schedule round-trips through JSON via
-:class:`ScheduleRecord`.
+and :class:`ReplayScheduler` re-executes a recorded pop order — or a
+compiled plan's release order — deterministically.  A recorded schedule
+round-trips through JSON via :class:`ScheduleRecord`.
+
+Every executor but the serial reference starts a run through
+:func:`start_release`, which names the order one way: a policy name
+(``"fifo"``, ``"locality"``, ``"fuzz:SEED"``) or a primed
+:class:`Scheduler` instance, replaced by the plan's replay when one is
+given.
 """
 
 from __future__ import annotations
@@ -170,7 +175,6 @@ class FIFOScheduler(Scheduler):
     """Single global FIFO ready queue (breadth-first, locality-oblivious)."""
 
     name = "fifo"
-    locality_aware = False
 
     def __init__(self, n_cores: int = 1) -> None:
         self._queue: Deque[Task] = deque()
@@ -181,26 +185,6 @@ class FIFOScheduler(Scheduler):
 
     def pop(self, core: int) -> Optional[Task]:
         return self._note_pop(self._queue.popleft() if self._queue else None, core)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-class LIFOScheduler(Scheduler):
-    """Single global LIFO stack (depth-first); ablation only."""
-
-    name = "lifo"
-    locality_aware = False
-
-    def __init__(self, n_cores: int = 1) -> None:
-        self._queue: List[Task] = []
-
-    def push(self, task: Task, hint: Optional[int] = None) -> None:
-        self._queue.append(task)
-        self._note_push(task, hint)
-
-    def pop(self, core: int) -> Optional[Task]:
-        return self._note_pop(self._queue.pop() if self._queue else None, core)
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -218,7 +202,6 @@ class LocalityAwareScheduler(Scheduler):
     """
 
     name = "locality"
-    locality_aware = True
 
     def __init__(self, n_cores: int) -> None:
         if n_cores < 1:
@@ -276,70 +259,6 @@ class LocalityAwareScheduler(Scheduler):
         return self._size
 
 
-class WorkStealingScheduler(Scheduler):
-    """Cilk-style per-core deques with oldest-end stealing.
-
-    Tasks are pushed to the *pushing context's* core deque (the executor
-    passes the completing core as the hint; hint-less pushes round-robin).
-    ``pop(c)`` serves core *c*'s own deque newest-first (depth-first, good
-    for its own cache) and steals the *oldest* entry from the longest
-    other deque when empty (breadth-first steals, good for load balance).
-    Included as an ablation point against the paper's breadth-first queue.
-    """
-
-    name = "steal"
-    locality_aware = True
-
-    def __init__(self, n_cores: int) -> None:
-        if n_cores < 1:
-            raise ValueError("n_cores must be >= 1")
-        self.n_cores = n_cores
-        self._deques: List[Deque[Task]] = [deque() for _ in range(n_cores)]
-        #: indices of nonempty deques (see LocalityAwareScheduler)
-        self._nonempty: set = set()
-        self._rr = 0
-        self._size = 0
-
-    def push(self, task: Task, hint: Optional[int] = None) -> None:
-        placed = hint if hint is not None and 0 <= hint < self.n_cores else None
-        if placed is None:
-            placed = self._rr
-            self._rr = (self._rr + 1) % self.n_cores
-        self._deques[placed].append(task)
-        self._nonempty.add(placed)
-        self._size += 1
-        self._note_push(task, hint)
-
-    def pop(self, core: int) -> Optional[Task]:
-        if self._size == 0:
-            return self._note_pop(None, core)
-        if core < self.n_cores and self._deques[core]:
-            own = self._deques[core]
-            self._size -= 1
-            task = own.pop()  # own work: newest first
-            if not own:
-                self._nonempty.discard(core)
-            return self._note_pop(task, core)
-        victim_core = -1
-        victim_len = 0
-        for idx in sorted(self._nonempty):
-            qlen = len(self._deques[idx])
-            if qlen > victim_len:
-                victim_core, victim_len = idx, qlen
-        if victim_core >= 0:
-            victim = self._deques[victim_core]
-            self._size -= 1
-            task = victim.popleft()  # steal: oldest first
-            if not victim:
-                self._nonempty.discard(victim_core)
-            self._note_steal(task, core, victim_core)
-            return self._note_pop(task, core)
-        return self._note_pop(None, core)
-
-    def __len__(self) -> int:
-        return self._size
-
-
 class FuzzScheduler(Scheduler):
     """Pops a seeded pseudo-random ready task (schedule-space fuzzing).
 
@@ -351,7 +270,6 @@ class FuzzScheduler(Scheduler):
     """
 
     name = "fuzz"
-    locality_aware = False
 
     def __init__(self, n_cores: int = 1, seed: int = 0) -> None:
         self.seed = seed
@@ -431,8 +349,6 @@ class RecordingScheduler(Scheduler):
     :class:`ReplayScheduler` re-executes deterministically.
     """
 
-    locality_aware = False
-
     def __init__(self, inner: Scheduler) -> None:
         self.inner = inner
         self.name = f"record({inner.name})"
@@ -464,22 +380,25 @@ class RecordingScheduler(Scheduler):
 
 
 class ReplayScheduler(Scheduler):
-    """Releases tasks only in a prescribed (recorded) tid order.
+    """Releases tasks only in a prescribed tid order.
 
-    ``pop`` returns the next prescribed task once it has been pushed
-    (i.e. become ready) and ``None`` until then.  A recorded order is a
-    topological order of the graph it was recorded from, so every
-    prescribed task's predecessors appear earlier in the order and are
-    already running or finished — executors that wait on completions make
-    progress and never deadlock.  Replaying against a graph whose tids or
-    names no longer match the record raises immediately.
+    ``record`` is anything with ``order`` (tids in release order) and
+    ``names`` (the matching task names): a :class:`ScheduleRecord` or a
+    :class:`~repro.compile.plan.CompiledPlan`.  ``pop`` returns the next
+    prescribed task once it has been pushed (i.e. become ready) and
+    ``None`` until then.  A recorded order is a topological order of the
+    graph it was recorded from, so every prescribed task's predecessors
+    appear earlier in the order and are already running or finished —
+    executors that wait on completions make progress.  An order that is
+    not topological starves: nothing runs and the prescribed task never
+    becomes ready, which every executor reports as an error.  Replaying
+    against a graph whose tids or names no longer match the record raises
+    immediately.
     """
 
     name = "replay"
-    locality_aware = False
 
-    def __init__(self, record: ScheduleRecord, n_cores: int = 1) -> None:
-        self.record_ = record
+    def __init__(self, record, n_cores: int = 1) -> None:
         self._order = record.order
         self._names = record.names
         self._next = 0
@@ -512,37 +431,51 @@ class ReplayScheduler(Scheduler):
 
 SCHEDULERS: Dict[str, type] = {
     "fifo": FIFOScheduler,
-    "lifo": LIFOScheduler,
     "locality": LocalityAwareScheduler,
-    "steal": WorkStealingScheduler,
-    "fuzz": FuzzScheduler,
 }
 
 
-def make_scheduler(policy: str, n_cores: int) -> Scheduler:
-    """Instantiate a scheduler by policy name (``fifo``/``lifo``/``locality``/
-    ``steal``/``fuzz``).  ``"fuzz:SEED"`` selects the fuzz seed."""
-    if policy.startswith("fuzz:"):
-        return FuzzScheduler(n_cores, seed=int(policy.split(":", 1)[1]))
-    try:
-        cls = SCHEDULERS[policy]
-    except KeyError:
-        raise ValueError(f"unknown scheduler policy {policy!r}; options: {sorted(SCHEDULERS)}")
-    return cls(n_cores)
+def make_scheduler(policy: str, n_cores: int = 1) -> Scheduler:
+    """Instantiate a scheduler by policy name: ``"fifo"``, ``"locality"``,
+    or ``"fuzz:SEED"`` for a :class:`FuzzScheduler` with that seed."""
+    if isinstance(policy, str) and policy.startswith("fuzz:"):
+        try:
+            return FuzzScheduler(n_cores, seed=int(policy[len("fuzz:"):]))
+        except ValueError:
+            pass
+    elif policy in SCHEDULERS:
+        return SCHEDULERS[policy](n_cores)
+    raise ValueError(
+        f"unknown scheduler policy {policy!r}; options: 'fifo', 'locality', 'fuzz:SEED'"
+    )
 
 
 def resolve_scheduler(spec, n_cores: int) -> Scheduler:
-    """Turn a policy name, factory callable, or ready instance into a scheduler.
+    """A policy name through :func:`make_scheduler`; a :class:`Scheduler`
+    instance (e.g. a primed :class:`RecordingScheduler`) as it is."""
+    return spec if isinstance(spec, Scheduler) else make_scheduler(spec, n_cores)
 
-    The common front door for both executors: strings go through
-    :func:`make_scheduler`, callables are invoked with ``n_cores``, and
-    :class:`Scheduler` instances (e.g. a primed :class:`ReplayScheduler`)
-    are used as-is.
+
+def start_release(graph, spec, n_cores: int, plan=None):
+    """``(scheduler, successors, indegree)`` for one run of ``graph``, the
+    roots already pushed.
+
+    Without ``plan`` the scheduler is ``spec`` (a policy name or a primed
+    instance) over the graph's declared edges.  With a compiled ``plan``
+    it is the plan's :class:`ReplayScheduler` over the plan's reduced
+    edges, after :meth:`~repro.compile.plan.CompiledPlan.validate`; the
+    roots are the same under transitive reduction (a redundant edge into
+    ``t`` implies another retained path into ``t``).  ``indegree`` is the
+    run's own copy, for the executor to count down.
     """
-    if isinstance(spec, Scheduler):
-        return spec
-    if isinstance(spec, str):
-        return make_scheduler(spec, n_cores)
-    if callable(spec):
-        return spec(n_cores)
-    raise TypeError(f"cannot resolve scheduler from {spec!r}")
+    if plan is not None:
+        plan.validate(graph)
+        scheduler = ReplayScheduler(plan, n_cores)
+        successors, indegree = plan.successors, plan.indegree()
+    else:
+        scheduler = resolve_scheduler(spec, n_cores)
+        successors, indegree = graph.successors, list(graph.indegree)
+    for tid, deg in enumerate(indegree):
+        if deg == 0:
+            scheduler.push(graph.tasks[tid])
+    return scheduler, successors, indegree

@@ -22,7 +22,7 @@ from repro.obs.publish import publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.executor import locality_hint
-from repro.runtime.scheduler import ReplayScheduler, Scheduler, resolve_scheduler
+from repro.runtime.scheduler import start_release
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 from repro.simarch.cache import CacheModel
 from repro.simarch.costmodel import CostModel
@@ -41,10 +41,10 @@ class SimulatedExecutor:
         ≤ 24 cores stay on one socket).  Defaults to all cores.
     scheduler:
         Ready-queue policy name — ``"locality"`` (B-Par default),
-        ``"fifo"`` (locality-oblivious), ``"lifo"``, or ``"fuzz:SEED"``
-        (schedule fuzzing) — or a factory callable ``n_cores -> Scheduler``
-        (e.g. to inject a ``RecordingScheduler``/``ReplayScheduler`` from
-        the race-checking harness; a factory is invoked once per ``run``).
+        ``"fifo"`` (locality-oblivious) or ``"fuzz:SEED"`` (schedule
+        fuzzing) — or a primed ``Scheduler`` instance (e.g. a
+        ``RecordingScheduler``/``ReplayScheduler`` from the race-checking
+        harness; single-use: pass a fresh instance per ``run``).
     execute_payloads:
         Run task payload functions in dependence order while simulating.
     persistent_cache:
@@ -56,7 +56,7 @@ class SimulatedExecutor:
         self,
         machine: MachineSpec,
         n_cores: Optional[int] = None,
-        scheduler: str = "locality",
+        scheduler="locality",
         cost_model: Optional[CostModel] = None,
         execute_payloads: bool = False,
         persistent_cache: bool = True,
@@ -66,7 +66,7 @@ class SimulatedExecutor:
         self.machine = machine
         self.n_cores = n_cores if n_cores is not None else machine.n_cores
         usable_cores(machine, self.n_cores)  # validate
-        self.scheduler_policy = scheduler
+        self.scheduler = scheduler
         self.cost_model = cost_model or CostModel(machine)
         self.execute_payloads = execute_payloads
         self.persistent_cache = persistent_cache
@@ -93,21 +93,13 @@ class SimulatedExecutor:
         if not self.persistent_cache:
             self.reset_cache()
         cache = self._cache
-        if plan is not None:
-            plan.validate(graph)
-            scheduler = ReplayScheduler(plan.to_schedule_record(), self.n_cores)
-            successors = plan.successors
-            indegree = plan.indegree()
-        else:
-            scheduler = resolve_scheduler(self.scheduler_policy, self.n_cores)
-            successors = graph.successors
-            indegree = list(graph.indegree)
+        scheduler, successors, indegree = start_release(
+            graph, self.scheduler, self.n_cores, plan
+        )
         replay = plan is not None
         scheduler.hooks = self.hooks
         hooks = self.hooks
-        trace = ExecutionTrace(
-            n_cores=self.n_cores, scheduler=getattr(scheduler, "name", "?")
-        )
+        trace = ExecutionTrace(n_cores=self.n_cores, scheduler=scheduler.name)
 
         remaining = len(graph.tasks)
         if remaining == 0:
@@ -121,16 +113,6 @@ class SimulatedExecutor:
         events: List[Tuple[float, int, int, int]] = []
         seq = 0
         now = 0.0
-
-        if replay:
-            # Roots are identical under transitive reduction (a redundant
-            # edge into t implies another retained path into t).
-            for tid, deg in enumerate(indegree):
-                if deg == 0:
-                    scheduler.push(graph.tasks[tid])
-        else:
-            for task in graph.roots():
-                scheduler.push(task)
 
         affinity = getattr(scheduler, "_affinity", None)
         # Core enumeration interleaved across sockets: un-hinted work spreads
@@ -227,7 +209,7 @@ class SimulatedExecutor:
                         scheduler.push(succ, hint=hint)
             dispatch()
 
-        if remaining != 0:  # pragma: no cover - defensive
+        if remaining != 0:  # the scheduler starved: nothing ran to push more
             raise RuntimeError(f"simulation finished with {remaining} unexecuted tasks")
         trace.machine = self.machine  # type: ignore[attr-defined]
         trace.cache_stats = cache.stats  # type: ignore[attr-defined]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.compile import compile_graph
+from repro.runtime.scheduler import ReplayScheduler
 from tests.compile.conftest import build_cost_only
 
 
@@ -49,12 +50,10 @@ def test_validate_rejects_name_drift(graph, plan):
         plan.validate(graph)
 
 
-def test_schedule_record_roundtrip(plan):
-    record = plan.to_schedule_record()
-    assert record.order == plan.order
-    assert record.names == plan.names
-    assert record.scheduler == "compiled"
-    # copies, not aliases: mutating the record leaves the plan intact
-    record.order[0] = -1
-    assert plan.order[0] != -1
+def test_replay_scheduler_reads_the_plan(graph, plan):
+    replay = ReplayScheduler(plan)
+    for task in graph.tasks:
+        replay.push(task)
+    assert [replay.pop(0).tid for _ in plan.order] == plan.order
+    assert replay.pop(0) is None
 

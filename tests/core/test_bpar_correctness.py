@@ -15,7 +15,6 @@ from repro.core import BParEngine, BSeqEngine
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_loss_and_grads, reference_train_step
 from repro.runtime import SerialExecutor, SimulatedExecutor, ThreadedExecutor
-from repro.runtime.scheduler import FIFOScheduler, LIFOScheduler
 from repro.simarch.presets import laptop_sim
 from tests.conftest import make_batch, small_spec
 
@@ -76,7 +75,7 @@ def test_bitwise_equal_any_worker_count(n_workers):
     assert grads_equal(grads, ref_grads)
 
 
-@pytest.mark.parametrize("scheduler", ["fifo", "lifo", "locality", "steal"])
+@pytest.mark.parametrize("scheduler", ["fifo", "fuzz:1", "locality", "fuzz:2"])
 def test_bitwise_equal_simulated_any_scheduler(scheduler):
     spec = small_spec()
     x, labels = make_batch(spec)
@@ -206,16 +205,14 @@ def test_barriered_bpar_still_bitwise_equal():
     assert grads_equal(grads, ref_grads)
 
 
-def test_custom_scheduler_factory_threaded():
+def test_custom_scheduler_threaded():
     spec = small_spec()
     x, labels = make_batch(spec)
     _, ref_logits, _ = oracle(spec, x, labels)
-    for factory in (FIFOScheduler, LIFOScheduler):
+    for scheduler in ("fifo", "fuzz:1"):
         engine = BParEngine(
             spec, params=BRNNParams.initialize(spec, seed=3),
-            config=ExecutionConfig(
-                executor=ThreadedExecutor(4, scheduler_factory=factory)
-            ),
+            config=ExecutionConfig(executor=ThreadedExecutor(4, scheduler=scheduler)),
         )
         _, logits, _ = engine.loss_and_grads(x, labels)
         assert np.array_equal(logits, ref_logits)

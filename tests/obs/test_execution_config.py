@@ -52,6 +52,17 @@ class TestExecutionConfig:
         for mode in ("off", "on"):
             assert ExecutionConfig(compile=mode).compile == mode
 
+    def test_scheduler_field_validation(self):
+        """An unknown policy fails at construction, not at the first run;
+        the retired ``lifo``/``steal`` policies fail the same way."""
+        for bad in ('bogus', 'lifo', 'steal', 'fuzz', 'fuzz:x'):
+            with pytest.raises(ValueError, match="unknown scheduler policy"):
+                ExecutionConfig(scheduler=bad)
+            with pytest.raises(ValueError, match="unknown scheduler policy"):
+                ExecutionConfig().replace(scheduler=bad)
+        for good in ("fifo", "locality", "fuzz:7"):
+            assert ExecutionConfig(scheduler=good).scheduler == good
+
     def test_granularity_field_validation(self):
         with pytest.raises(ValueError, match="wavefront_tile"):
             ExecutionConfig(wavefront_tile=0)

@@ -15,7 +15,6 @@ from repro.runtime.scheduler import (
     FuzzScheduler,
     LocalityAwareScheduler,
     RecordingScheduler,
-    WorkStealingScheduler,
 )
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.task import Task
@@ -36,7 +35,7 @@ def push_pinned_scenario(s):
         s.push(mk(name), hint=6)
 
 
-@pytest.mark.parametrize("cls", [LocalityAwareScheduler, WorkStealingScheduler])
+@pytest.mark.parametrize("cls", [LocalityAwareScheduler])
 class TestStealCounters:
     def test_pinned_steal_sequence_counted(self, cls):
         s = cls(8)
@@ -77,9 +76,7 @@ class TestStealCounters:
         assert c.locality_hit_rate == 1.0
 
 
-@pytest.mark.parametrize(
-    "cls", [FIFOScheduler, LocalityAwareScheduler, WorkStealingScheduler]
-)
+@pytest.mark.parametrize("cls", [FIFOScheduler, LocalityAwareScheduler])
 class TestCommonCounters:
     def test_empty_pop_counts_starvation_not_pops(self, cls):
         s = cls(4)

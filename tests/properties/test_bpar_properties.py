@@ -63,7 +63,7 @@ def test_bpar_bitwise_equals_oracle(case, workers):
         assert np.array_equal(a, b)
 
 
-@given(random_case(), st.sampled_from(["fifo", "lifo", "locality", "steal"]))
+@given(random_case(), st.sampled_from(["fifo", "fuzz:1", "locality", "fuzz:2"]))
 @settings(max_examples=15, deadline=None)
 def test_bpar_bitwise_under_simulated_schedules(case, policy):
     spec, x, labels, seed = case

@@ -77,7 +77,7 @@ def test_threaded_execution_topological_and_complete(graph_and_log, workers):
     assert g.is_topological_order(log)
 
 
-@given(random_graph(), st.sampled_from(["fifo", "lifo", "locality", "steal"]))
+@given(random_graph(), st.sampled_from(["fifo", "fuzz:1", "locality", "fuzz:2"]))
 @settings(max_examples=20, deadline=None)
 def test_simulated_execution_topological_and_complete(graph_and_log, policy):
     g, log = graph_and_log
@@ -110,7 +110,7 @@ def test_critical_path_bounds_makespan(graph_and_log):
     st.lists(
         st.tuples(st.booleans(), st.integers(0, 3)), min_size=1, max_size=40
     ),
-    st.sampled_from(["fifo", "lifo", "locality", "steal"]),
+    st.sampled_from(["fifo", "fuzz:1", "locality", "fuzz:2"]),
 )
 @settings(max_examples=30, deadline=None)
 def test_scheduler_never_loses_or_duplicates(pushes, policy):

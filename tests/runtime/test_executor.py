@@ -11,7 +11,6 @@ from repro.runtime.executor import (
     ThreadedExecutor,
     locality_hint,
 )
-from repro.runtime.scheduler import FIFOScheduler
 from repro.runtime.task import Region, RegionSpace, Task
 
 #: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
@@ -102,7 +101,7 @@ def test_threaded_executor_rejects_zero_workers():
 
 def test_threaded_executor_custom_scheduler():
     out = []
-    trace = ThreadedExecutor(2, scheduler_factory=FIFOScheduler).run(chain_graph(5, out))
+    trace = ThreadedExecutor(2, scheduler="fifo").run(chain_graph(5, out))
     assert out == list(range(5))
     assert trace.scheduler == "fifo"
 

@@ -26,7 +26,10 @@ from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.obs import CallbackHooks, MetricsRegistry
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
+from repro.runtime.mpexec import MultiprocessExecutor
 from repro.runtime.scheduler import FuzzScheduler, RecordingScheduler, ReplayScheduler
+from repro.runtime.simexec import SimulatedExecutor
+from repro.simarch.presets import laptop_sim
 
 #: ``infer_fine``: ~0.07 MFLOP of GEMM per cell step
 FINE = BRNNSpec(cell="lstm", input_size=39, hidden_size=32, num_layers=4,
@@ -173,16 +176,54 @@ def test_mismatched_replay_raises_what_it_raised():
         ThreadedExecutor(2).run(build.graph, plan=plan)
 
 
-def test_plan_releasing_a_task_before_its_predecessor_is_refused():
-    build = fine_build(seq_len=4)
-    plan = compile_graph(build.graph)
+def stalled_plan(graph):
+    """A plan of ``graph`` whose order releases a task before its predecessor:
+    replay starves at that step, with no task running to free it."""
+    plan = compile_graph(graph)
     a = next(t for t in plan.order if plan.successors[t])
     b = plan.successors[a][0]
     ia, ib = plan.order.index(a), plan.order.index(b)
     plan.order[ia], plan.order[ib] = b, a
     plan.names[ia], plan.names[ib] = plan.names[ib], plan.names[ia]
-    with pytest.raises(ValueError, match="before its predecessors"):
-        ThreadedExecutor(2).run(build.graph, plan=plan)
+    return plan
+
+
+def raised_within(run, seconds=60.0):
+    """The exception ``run()`` raised, from a daemon thread: a run that hangs
+    fails the test after ``seconds`` (a liveness guard, not a speed bar)
+    instead of blocking the suite."""
+    raised = []
+
+    def target():
+        try:
+            run()
+        except Exception as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), "the run hung"
+    return raised[0] if raised else None
+
+
+def test_plan_releasing_a_task_before_its_predecessor_is_refused():
+    for threads in (1, 2):
+        build = fine_build(seq_len=4)
+        plan = stalled_plan(build.graph)
+        exc = raised_within(lambda: ThreadedExecutor(2).run(build.graph, plan, threads))
+        assert isinstance(exc, RuntimeError), (threads, exc)
+        assert str(exc) == f"scheduler starved with {len(build.graph)} tasks remaining"
+
+
+def test_plan_releasing_a_task_before_its_predecessor_starves_every_executor():
+    build = fine_build(seq_len=4)
+    plan = stalled_plan(build.graph)
+    n = len(build.graph)
+    with pytest.raises(RuntimeError, match=f"finished with {n} unexecuted tasks"):
+        SimulatedExecutor(laptop_sim(2)).run(build.graph, plan=plan)
+    with pytest.raises(RuntimeError, match=f"starved with {n} tasks remaining"):
+        MultiprocessExecutor(2).run(build.graph, plan=plan)
 
 
 @pytest.mark.parametrize("replay", [False, True], ids=["dynamic", "replay"])

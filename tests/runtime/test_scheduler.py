@@ -4,7 +4,7 @@ import pytest
 
 from repro.runtime.scheduler import (
     FIFOScheduler,
-    LIFOScheduler,
+    FuzzScheduler,
     LocalityAwareScheduler,
     make_scheduler,
 )
@@ -22,15 +22,6 @@ def test_fifo_order():
         s.push(t)
     assert [s.pop(0), s.pop(1), s.pop(2)] == [a, b, c]
     assert s.pop(0) is None
-
-
-def test_lifo_order():
-    s = LIFOScheduler(4)
-    a, b = mk("a"), mk("b")
-    s.push(a)
-    s.push(b)
-    assert s.pop(0) is b
-    assert s.pop(0) is a
 
 
 def test_len_and_bool():
@@ -98,10 +89,12 @@ def test_locality_rejects_bad_core_count():
 
 def test_make_scheduler():
     assert isinstance(make_scheduler("fifo", 2), FIFOScheduler)
-    assert isinstance(make_scheduler("lifo", 2), LIFOScheduler)
     assert isinstance(make_scheduler("locality", 2), LocalityAwareScheduler)
-    with pytest.raises(ValueError):
-        make_scheduler("random", 2)
+    assert make_scheduler("fuzz:7", 2).seed == 7
+    assert isinstance(make_scheduler("fuzz:7", 2), FuzzScheduler)
+    for name in ("random", "fuzz", "fuzz:x"):
+        with pytest.raises(ValueError, match="unknown scheduler policy"):
+            make_scheduler(name, 2)
 
 
 def test_work_conserving_drain():

@@ -1,8 +1,8 @@
 """Steal-victim selection: correctness invariants + wide-machine guard.
 
 The original steal scan walked *every* per-core queue on every steal —
-O(n_cores) even with one straggler queue holding work.  The schedulers now
-track the set of nonempty queues and scan only those, preserving the exact
+O(n_cores) even with one straggler queue holding work.  The locality
+scheduler now tracks the set of nonempty queues and scans only those, keeping the exact
 victim choice (most loaded, lowest core id on ties).  The guard here runs
 a drain pattern on a 4096-core scheduler and counts per-core queue
 lookups: a constant number per task, where the full scan makes n_cores per
@@ -11,7 +11,7 @@ steal.
 
 import pytest
 
-from repro.runtime.scheduler import LocalityAwareScheduler, WorkStealingScheduler
+from repro.runtime.scheduler import LocalityAwareScheduler
 from repro.runtime.task import Task
 
 WIDE_CORES = 4096
@@ -40,7 +40,7 @@ def mk(i):
     return Task(f"{i}", None)
 
 
-@pytest.mark.parametrize("cls", [LocalityAwareScheduler, WorkStealingScheduler])
+@pytest.mark.parametrize("cls", [LocalityAwareScheduler])
 def test_steal_victim_unchanged(cls):
     """Most-loaded victim, lowest core id on ties — same as the full scan."""
     s = cls(8)
@@ -59,7 +59,7 @@ def test_steal_victim_unchanged(cls):
     assert s.pop(0).name == "b1"
 
 
-@pytest.mark.parametrize("cls", [LocalityAwareScheduler, WorkStealingScheduler])
+@pytest.mark.parametrize("cls", [LocalityAwareScheduler])
 def test_nonempty_tracking_survives_interleaving(cls):
     s = cls(16)
     for i in range(50):
@@ -76,13 +76,11 @@ def test_nonempty_tracking_survives_interleaving(cls):
     assert s.pop(9).name == "again"
 
 
-@pytest.mark.parametrize("cls", [LocalityAwareScheduler, WorkStealingScheduler])
+@pytest.mark.parametrize("cls", [LocalityAwareScheduler])
 def test_wide_machine_steal_drain_is_fast(cls):
     """4096 cores, work pinned on one queue, drained by steals."""
     s = cls(WIDE_CORES)
-    attr = "_affinity" if cls is LocalityAwareScheduler else "_deques"
-    queues = CountingQueues(getattr(s, attr))
-    setattr(s, attr, queues)
+    queues = s._affinity = CountingQueues(s._affinity)
     for i in range(TASKS):
         s.push(mk(i), hint=7)
     drained = 0

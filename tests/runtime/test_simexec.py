@@ -137,8 +137,8 @@ def test_empty_graph():
     assert trace.makespan == 0.0
 
 
-@pytest.mark.parametrize("scheduler", ["fifo", "lifo", "locality"])
+@pytest.mark.parametrize("scheduler", ["fifo", "fuzz:4", "locality"])
 def test_all_schedulers_complete(scheduler):
     trace = SimulatedExecutor(laptop_sim(4), scheduler=scheduler).run(diamond())
     assert trace.num_tasks() == 4
-    assert trace.scheduler == scheduler
+    assert trace.scheduler == scheduler.partition(":")[0]
