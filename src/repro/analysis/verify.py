@@ -79,7 +79,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compile import compile_graph
-from repro.core.access_spec import FAMILIES, AccessContext, expected_access
+from repro.core.access_spec import FAMILIES, expected_access
 from repro.core.graph_builder import GraphBuildResult, build_brnn_graph
 from repro.core.symbolic import Extent, Interval, union_covers
 from repro.models.params import BRNNParams
@@ -165,7 +165,6 @@ def verify_build(
     pair.
     """
     graph = result.graph
-    ctx = AccessContext.from_result(result)
     env = result.symbol_env()
     report = DependenceReport(n_tasks=len(graph), n_regions=len(result.regions))
     desc = descendants_bitsets(graph.successors)
@@ -194,7 +193,7 @@ def verify_build(
                 detail=f"no kernel access spec for family {family!r}",
             ))
             continue
-        decl = expected_access(family, task.meta, ctx)
+        decl = expected_access(family, task.meta, result)
         spec_decls[task.tid] = decl
         report.checked_tasks += 1
         match = True

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.data.batching import padded_length
+
 
 def length_buckets(seq_lens: Iterable[int], bucket_width: int) -> List[int]:
     """Distinct padded lengths (ascending) covering ``seq_lens``."""
     if bucket_width < 1:
         raise ValueError("bucket_width must be >= 1")
-    return sorted(
-        {((s + bucket_width - 1) // bucket_width) * bucket_width for s in seq_lens}
-    )
+    return sorted({padded_length(s, bucket_width) for s in seq_lens})
 
 
 def plan_warmup_shapes(

@@ -19,6 +19,10 @@ from repro.obs.hooks import ProfilingHooks
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.scheduler import make_scheduler
 
+#: the executors a config names as a string
+EXECUTORS = ("threaded", "process", "sim")
+
+
 @dataclass(frozen=True)
 class ExecutionConfig:
     """Immutable description of one execution setup.
@@ -29,12 +33,13 @@ class ExecutionConfig:
         ``"threaded"`` (real worker threads), ``"process"`` (pinned worker
         processes over shared memory — true parallelism past the GIL, see
         docs/EXECUTORS.md), ``"sim"`` (deterministic modelled machine), a
-        ready executor instance, or ``None`` for the owning engine's
-        default substrate.
+        ready executor instance (an object with ``run`` and
+        ``n_workers``), or ``None`` for the owning engine's default
+        substrate; anything else is a ``ValueError`` here.
     n_workers:
         Worker threads (threaded), worker processes (process), or
-        simulated cores (sim); ``None`` means the substrate default
-        (host-sized pool / whole modelled machine).
+        simulated cores (sim), at least 1; ``None`` means the substrate
+        default (host-sized pool / whole modelled machine).
     scheduler:
         Ready-queue policy: ``"locality"`` (the paper's, the default),
         ``"fifo"`` (locality-oblivious, Fig. 7's baseline) or
@@ -99,6 +104,18 @@ class ExecutionConfig:
     hooks: Optional[ProfilingHooks] = None
 
     def __post_init__(self) -> None:
+        ex = self.executor
+        if isinstance(ex, str):
+            known = ex in EXECUTORS
+        else:
+            known = ex is None or hasattr(ex, "run") and hasattr(ex, "n_workers")
+        if not known:
+            raise ValueError(
+                f"executor must be None, one of {EXECUTORS} or an object with run "
+                f"and n_workers, got {ex!r}"
+            )
+        if self.n_workers is not None and self.n_workers < 1:
+            raise ValueError(f"n_workers must be None or >= 1, got {self.n_workers!r}")
         if self.mbs < 1:
             raise ValueError("mbs must be >= 1")
         make_scheduler(self.scheduler)  # raises ValueError on an unknown policy

@@ -4,20 +4,23 @@ Every task the graph builder emits is stamped with a *family* id
 (``meta["family"] = "kind@build_site"``).  This module is the one place
 that says which region keys a task of each family reads (``ins``), writes
 (``outs``) or updates in place (``inouts``), as a function of the task's
-``meta`` and the build's :class:`AccessContext`: ``_cell_fwd_tile`` reads
-the ``zx``/input slot of every step ``[lo, hi)`` it covers, the weight
-panel, and the state carried in from below ``lo``; in a hoisted layer
-``_proj_bwd`` is the only writer of the weight-gradient panel ``gW`` (a
-hoisted ``cell_bwd`` publishes ``dz`` and touches no gradient); …  A cell
-task is a chain tile of one step unless ``wavefront_tile`` lengthens it, so
-one forward and one backward cell rule cover every tile length, paired
-(``"pair"``: both tiles' keys) or not, and one merge rule each merge tile.
+``meta`` and of its build's record, the
+:class:`~repro.core.graph_builder.GraphBuildResult` (``ctx`` in the rules):
+``_cell_fwd_tile`` reads the ``zx``/input slot of every step ``[lo, hi)`` it
+covers, the weight panel, and the state carried in from below ``lo``; in a
+hoisted layer ``_proj_bwd`` is the only writer of the weight-gradient panel
+``gW`` (a hoisted ``cell_bwd`` publishes ``dz`` and touches no gradient); …
+A cell task is a chain tile of one step unless ``wavefront_tile`` lengthens
+it, so one forward and one backward cell rule cover every tile length,
+paired (``"pair"``: both tiles' keys) or not, and one merge rule each merge
+tile.
 
-Two readers, no second copy:
+Two readers, no second copy of the table or of the build:
 
 * the builder (:meth:`repro.core.graph_builder._Builder._add`) *emits*
-  each task's ``in``/``out``/``inout`` regions from its family's rule, so
-  a built graph agrees with the table by construction;
+  each task's ``in``/``out``/``inout`` regions from its family's rule,
+  handing it the record it is building, so a built graph agrees with the
+  table by construction;
 * the symbolic verifier (:mod:`repro.analysis.verify`) replays the table
   against any graph it is handed (**fidelity**: declared key sets equal
   the rule's, which catches a graph changed after the build or a task
@@ -37,41 +40,13 @@ source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Tuple
 
-from repro.models.spec import BRNNSpec
+if TYPE_CHECKING:
+    from repro.core.graph_builder import GraphBuildResult
 
 #: region key — the graph builder's structured vocabulary
 Key = tuple
-
-
-@dataclass(frozen=True)
-class AccessContext:
-    """Build parameters the access rules need to reconstruct key sets."""
-
-    spec: BRNNSpec
-    seq_len: int
-    mbs: int
-    training: bool
-    fused_layers: Tuple[bool, ...]
-    serialize_chunks: bool
-    serial_dirs: bool  # barriered mode: direction chains serialised
-    has_velocity: bool
-
-    @staticmethod
-    def from_result(result) -> "AccessContext":
-        """Derive the context from a :class:`GraphBuildResult`."""
-        return AccessContext(
-            spec=result.spec,
-            seq_len=result.seq_len,
-            mbs=result.mbs,
-            training=result.training,
-            fused_layers=tuple(result.fused_layers or ()),
-            serialize_chunks=result.serialize_chunks,
-            serial_dirs=not result.barrier_free,
-            has_velocity=result.velocity is not None,
-        )
 
 
 class AccessDecl(NamedTuple):
@@ -93,7 +68,7 @@ def _in_key(mb: int, layer: int, pos: int) -> Key:
     return ("x", mb, pos) if layer == 0 else ("m", mb, layer - 1, pos)
 
 
-def _slot_pair(ctx: AccessContext, slot: int) -> Tuple[int, int]:
+def _slot_pair(ctx: GraphBuildResult, slot: int) -> Tuple[int, int]:
     """(t_fwd, u_rev) chain steps feeding head slot ``slot``."""
     T = ctx.seq_len
     if ctx.spec.head == "many_to_one":
@@ -101,7 +76,7 @@ def _slot_pair(ctx: AccessContext, slot: int) -> Tuple[int, int]:
     return slot, T - 1 - slot
 
 
-def _proj(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _proj(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, layer, d = meta["mb"], meta["layer"], meta["dir"]
     span = range(meta["lo"], meta["hi"])
     return AccessDecl(
@@ -115,7 +90,7 @@ def _span(meta: Mapping) -> range:
     return range(meta["t"], meta["t"] + 1) if "t" in meta else range(meta["lo"], meta["hi"])
 
 
-def _cell_fwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _cell_fwd_tile(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, layer, d = meta["mb"], meta["layer"], meta["dir"]
     if d == "pair":  # both chains' tiles in one task; a key they share, once
         f, r = (_cell_fwd_tile({**meta, "dir": one}, ctx) for one in ("fwd", "rev"))
@@ -132,7 +107,7 @@ def _cell_fwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     ins.append(("W", layer, d))
     if lo > 0:
         ins.append(("h", mb, layer, d, lo - 1))
-    if ctx.serial_dirs and d == "rev" and lo == 0:
+    if not ctx.barrier_free and d == "rev" and lo == 0:
         # framework discipline: the reverse pass starts only after the
         # forward pass of this layer has finished
         ins.append(("h", mb, layer, "fwd", T - 1))
@@ -143,7 +118,7 @@ def _cell_fwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     return AccessDecl(ins=tuple(ins), outs=tuple(outs))
 
 
-def _merge(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _merge(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, layer, span = meta["mb"], meta["layer"], _span(meta)
     T = ctx.seq_len
     return AccessDecl(
@@ -153,7 +128,7 @@ def _merge(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     )
 
 
-def _merge_last(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _merge_last(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, layer, slot = meta["mb"], meta["layer"], meta["slot"]
     t_fwd, u_rev = _slot_pair(ctx, slot)
     return AccessDecl(
@@ -162,7 +137,7 @@ def _merge_last(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     )
 
 
-def _head(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _head(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, slot = meta["mb"], meta["slot"]
     return AccessDecl(
         ins=(("mlast", mb, slot), ("Wout",)),
@@ -170,12 +145,12 @@ def _head(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     )
 
 
-def _loss(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _loss(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, slot = meta["mb"], meta["slot"]
     return AccessDecl(ins=(("logits", mb, slot),), outs=(("dlogits", mb, slot),))
 
 
-def _head_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _head_bwd(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, slot = meta["mb"], meta["slot"]
     return AccessDecl(
         ins=(("dlogits", mb, slot), ("mlast", mb, slot), ("Wout",)),
@@ -184,7 +159,7 @@ def _head_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     )
 
 
-def _merge_last_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _merge_last_bwd(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, slot = meta["mb"], meta["slot"]
     last = ctx.spec.num_layers - 1
     t_fwd, u_rev = _slot_pair(ctx, slot)
@@ -197,7 +172,7 @@ def _merge_last_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     )
 
 
-def _cell_bwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _cell_bwd_tile(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, layer, d = meta["mb"], meta["layer"], meta["dir"]
     lo, hi = meta["lo"], meta["hi"]
     T = ctx.seq_len
@@ -206,7 +181,7 @@ def _cell_bwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     ins: List[Key] = [("dh", mb, layer, d, s) for s in steps]
     ins += [("cache", mb, layer, d, s) for s in steps]
     ins.append(("W", layer, d))
-    if ctx.serial_dirs and d == "rev" and hi == T:
+    if not ctx.barrier_free and d == "rev" and hi == T:
         # framework discipline: the reverse backward pass waits for the
         # forward-direction backward pass, i.e. its last task's write
         # (chain step 0: its dz when hoisted, else the final gW update)
@@ -228,7 +203,7 @@ def _cell_bwd_tile(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     return AccessDecl(ins=tuple(ins), outs=tuple(outs), inouts=tuple(inouts))
 
 
-def _proj_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _proj_bwd(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, layer, d = meta["mb"], meta["layer"], meta["dir"]
     T = ctx.seq_len
     span = range(meta["lo"], meta["hi"])
@@ -250,7 +225,7 @@ def _proj_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     return AccessDecl(ins=tuple(ins), inouts=tuple(inouts))
 
 
-def _merge_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _merge_bwd(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, layer, span = meta["mb"], meta["layer"], _span(meta)
     T = ctx.seq_len
     ins: List[Key] = [("dm", mb, layer, t) for t in span]
@@ -264,17 +239,17 @@ def _merge_bwd(meta: Mapping, ctx: AccessContext) -> AccessDecl:
     )
 
 
-def _weight_update(meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def _weight_update(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     if "layer" not in meta:  # the head update
         ins = tuple(("gWout", mb) for mb in range(ctx.mbs))
         inouts: Tuple[Key, ...] = (("Wout",),)
-        if ctx.has_velocity:
+        if ctx.velocity is not None:
             inouts += (("vel", "head"),)
         return AccessDecl(ins=ins, inouts=inouts)
     layer, d = meta["layer"], meta["dir"]
     ins = tuple(("gW", mb, layer, d) for mb in range(ctx.mbs))
     inouts = (("W", layer, d),)
-    if ctx.has_velocity:
+    if ctx.velocity is not None:
         inouts += (("vel", layer, d),)
     return AccessDecl(ins=ins, inouts=inouts)
 
@@ -282,7 +257,7 @@ def _weight_update(meta: Mapping, ctx: AccessContext) -> AccessDecl:
 #: family id → access rule.  Keys are ``kind@build_site`` exactly as
 #: :meth:`_Builder._add` stamps them; a task of a family missing here
 #: cannot be emitted.
-FAMILIES: Dict[str, Callable[[Mapping, AccessContext], AccessDecl]] = {
+FAMILIES: Dict[str, Callable[[Mapping, GraphBuildResult], AccessDecl]] = {
     "proj@_build_proj_tasks": _proj,
     "cell@_build_forward_layer": _cell_fwd_tile,
     "merge@_build_forward_layer_outputs": _merge,
@@ -298,7 +273,7 @@ FAMILIES: Dict[str, Callable[[Mapping, AccessContext], AccessDecl]] = {
 }
 
 
-def expected_access(family: str, meta: Mapping, ctx: AccessContext) -> AccessDecl:
+def expected_access(family: str, meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     """Key sets a task of ``family`` with this ``meta`` declares, in order.
 
     Appends the chunk-serialisation token: under ``serialize_chunks``

@@ -72,10 +72,6 @@ def resolve_executor(config: ExecutionConfig):
             metrics=config.metrics,
             hooks=config.hooks,
         )
-    if isinstance(ex, str):
-        raise ValueError(
-            f"unknown executor name {ex!r} (use 'threaded', 'process' or 'sim')"
-        )
     return ex
 
 

@@ -9,8 +9,16 @@ through :class:`~repro.runtime.task.Region` annotations exactly as the
 paper's ``#pragma omp task in(...) out(...)`` lines do; the runtime derives
 the DAG of Fig. 2 from them.  Which regions a task of each family names is
 stated once, in :mod:`repro.core.access_spec`: a build site gives a task's
-name, payload, flops, kind, ``meta`` and place in the creation order, and
-``_Builder._add`` emits its ``in``/``out``/``inout`` lists from the table.
+name, payload factory, flops, kind, ``meta`` and place in the creation
+order, and ``_Builder._add`` emits its ``in``/``out``/``inout`` lists from
+the table.
+
+A build is described once: :func:`build_brnn_graph` derives its structure
+(chunk batches, hoisted layers, tile, ``proj_block``, flags, params and
+velocity) into one :class:`GraphBuildResult`.  The builder fills that
+record's graph and regions, the access rules read it, and an ``out=``
+rebind compares it field by field with the earlier build's.  Where each
+value lives is stated once too, by :class:`~repro.core.state.ChunkState`.
 
 Each (layer, direction) cell chain is cut into tiles of consecutive steps,
 one task per tile, by one emitter per pass (``_build_forward_layer`` /
@@ -33,6 +41,9 @@ Two modes:
   no payload, only region/flop annotations, for paper-scale simulated
   timing studies without allocating hundred-megabyte models.
 
+The mode is decided in one place: ``_add`` calls a task's payload factory
+only in a functional build.
+
 ``barrier_free=False`` inserts the per-layer barriers used by conventional
 frameworks — the knob behind the paper's working-set comparison (§IV-B) and
 our barrier ablation.
@@ -41,7 +52,7 @@ our barrier ablation.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -67,8 +78,8 @@ from repro.models.cells import (
 )
 from repro.models.params import BRNNParams
 from repro.models.spec import CELLS, BRNNSpec
-from repro.core.access_spec import AccessContext, expected_access
-from repro.core.state import ChunkState
+from repro.core.access_spec import expected_access
+from repro.core.state import DIRECTIONS, ChunkState
 from repro.core.symbolic import Affine, Extent, Interval
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
@@ -80,7 +91,7 @@ from repro.runtime.task import INTERLEAVED_HOME, Region, RegionSpace
 DEFAULT_PROJ_BLOCK = 16
 
 #: Region kinds whose storage is *lazily materialised* by payloads
-#: (``state.h_f[l][s] = h`` and friends) rather than preallocated.  Under a
+#: (``state.h[d][l][s] = h`` and friends) rather than preallocated.  Under a
 #: fork-based multiprocess run these assignments land in the worker's
 #: private copy of the ChunkState, so their values must be shipped between
 #: processes via :meth:`GraphBuildResult.export_region` /
@@ -97,22 +108,13 @@ SHIPPED_REGION_KINDS = frozenset(
 #: the side-state channel (:meth:`GraphBuildResult.export_side_state`).
 PARENT_REGION_KINDS = frozenset({"logits"})
 
-#: ChunkState grids behind each per-(layer, direction, index) slot kind;
-#: the attribute is the stem plus ``_f``/``_r`` for the direction
-_GRID_ATTRS = {
-    "h": ("h", "c"),
-    "dh": ("dh", "dc"),
-    "cache": ("cache",),
-    "zx": ("zx",),
-    "dz": ("dz",),
-}
-
-#: lazily-assigned per-slot row attributes, by region kind
-_ROW_ATTRS = {
-    "mlast": "last_merged",
-    "logits": "logits",
-    "dlogits": "dlogits",
-    "dmlast": "dlast_merged",
+#: the ChunkState slot lists behind each slot region kind; a key's indices
+#: after the chunk are the slot's address (:meth:`ChunkState.slot`)
+_SLOT_LISTS = {
+    "h": ("h", "c"), "dh": ("dh", "dc"), "cache": ("cache",), "zx": ("zx",), "dz": ("dz",),
+    "m": ("merged",), "dm": ("dmerged",),
+    "mlast": ("last_merged",), "logits": ("logits",), "dlogits": ("dlogits",),
+    "dmlast": ("dlast_merged",),
 }
 
 
@@ -246,20 +248,24 @@ def plan_granularity(
 
 @dataclass
 class GraphBuildResult:
-    """A built graph plus the handles needed to read results back.
+    """The one record of a build: its structure, its buffers, and the graph
+    and regions built from them.
 
-    ``graph.storage`` is a copy of this object with ``graph=None`` (same
-    chunks, parameters and regions), so nothing a graph refers to refers
-    back to it.
+    :func:`build_brnn_graph` derives the structure once, into a record whose
+    ``graph`` and ``regions`` are not made yet; the builder, the access rules
+    (:mod:`repro.core.access_spec`), the ``out=`` rebind and the verifier
+    all read it.  ``graph.storage`` is a copy of this object with
+    ``graph=None`` (same chunks, parameters and regions), so nothing a graph
+    refers to refers back to it.
     """
 
-    graph: TaskGraph
-    regions: RegionSpace
     spec: BRNNSpec
     seq_len: int
     chunk_batches: List[int]
     training: bool
     functional: bool
+    graph: Optional[TaskGraph] = None
+    regions: Optional[RegionSpace] = None
     chunks: Optional[List[ChunkState]] = None
     params: Optional[BRNNParams] = None
     fused_layers: Optional[List[bool]] = None
@@ -366,20 +372,10 @@ class GraphBuildResult:
         :meth:`import_region` assigns into them.  A slot not yet materialised
         holds ``None``.
         """
-        kind = key[0]
-        if kind in _GRID_ATTRS:
-            _, mb, layer, d, index = key
-            state, suffix = self.chunks[mb], "_f" if d == "fwd" else "_r"
-            return [(getattr(state, stem + suffix)[layer], index) for stem in _GRID_ATTRS[kind]]
-        if kind in ("m", "dm"):
-            _, mb, layer, t = key
-            state = self.chunks[mb]
-            return [((state.merged if kind == "m" else state.dmerged)[layer], t)]
-        if kind in _ROW_ATTRS:
-            _, mb, slot = key
-            rows = getattr(self.chunks[mb], _ROW_ATTRS[kind], None)  # dlast_merged: training only
-            return [(rows, slot)] if rows is not None else []
-        raise KeyError(f"unknown region key vocabulary: {key!r}")
+        if key[0] not in _SLOT_LISTS:
+            raise KeyError(f"unknown region key vocabulary: {key!r}")
+        state = self.chunks[key[1]]
+        return [state.slot(name, *key[2:]) for name in _SLOT_LISTS[key[0]]]
 
     # -- symbolic region metadata (static verifier) -----------------------------
 
@@ -489,8 +485,9 @@ class GraphBuildResult:
         """Rebind every rebindable storage array through ``fn(array)``.
 
         Visits the same buffers :meth:`region_storage` resolves — params,
-        gradients, velocity, and every ChunkState slot (including cache
-        dataclass fields) — replacing each ndarray ``a`` with ``fn(a)``.
+        gradients, velocity, each chunk's ``x`` and every slot of
+        :meth:`ChunkState.slot_lists` (including cache dataclass fields) —
+        replacing each ndarray ``a`` with ``fn(a)``.
         The race checker uses this to swap tracked views in and out; ``fn``
         must return an array sharing the original's memory.
         """
@@ -520,23 +517,9 @@ class GraphBuildResult:
         map_params(self.velocity)
         for state in self.chunks:
             state.x = fn(state.x)
-            for grid in (
-                state.h_f, state.c_f, state.cache_f,
-                state.h_r, state.c_r, state.cache_r,
-                state.zx_f, state.zx_r, state.dz_f, state.dz_r,
-                state.merged,
-            ):
-                for row in grid:
-                    map_list(row)
-            map_list(state.last_merged)
-            map_list(state.logits)
-            map_list(state.dlogits)
-            if self.training:
-                for grid in (state.dh_f, state.dh_r, state.dc_f, state.dc_r, state.dmerged):
-                    for row in grid:
-                        map_list(row)
-                map_list(state.dlast_merged)
-                map_params(state.grads)
+            for row in state.slot_lists():
+                map_list(row)
+            map_params(state.grads)
 
     # -- cross-process region transport (multiprocess executor) -----------------
 
@@ -626,8 +609,8 @@ def _stack2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _split_cache(cache) -> list:
     """A paired step's cache as its two directions' caches: every stacked
     field viewed at ``[d]``."""
-    fields = vars(cache).items()
-    return [type(cache)(**{k: v if v is None else v[d] for k, v in fields}) for d in (0, 1)]
+    items = vars(cache).items()
+    return [type(cache)(**{k: v if v is None else v[d] for k, v in items}) for d in (0, 1)]
 
 
 def _axpy(dst: np.ndarray, alpha: float, src: np.ndarray) -> None:
@@ -636,57 +619,28 @@ def _axpy(dst: np.ndarray, alpha: float, src: np.ndarray) -> None:
 
 
 class _Builder:
-    def __init__(
-        self,
-        spec: BRNNSpec,
-        seq_len: int,
-        chunk_batches: Sequence[int],
-        training: bool,
-        functional: bool,
-        barrier_free: bool,
-        update_weights: bool,
-        lr: float,
-        params: Optional[BRNNParams],
-        chunks: Optional[List[ChunkState]],
-        serialize_chunks: bool = False,
-        momentum: float = 0.0,
-        velocity: Optional[BRNNParams] = None,
-        fused_layers: Optional[List[bool]] = None,
-        proj_block: Optional[int] = None,
-        wavefront_tile: Optional[int] = None,
-        paired: bool = False,
-    ) -> None:
-        self.momentum = momentum
-        self.velocity = velocity
-        self.fused_layers = fused_layers or [False] * spec.num_layers
-        self.proj_block = min(seq_len, proj_block or DEFAULT_PROJ_BLOCK)
-        if paired and not barrier_free:
-            raise ValueError("paired directions need a barrier-free graph")
-        self.paired = paired
-        cell = CELLS[spec.cell]
+    """Emits the tasks of one build into its record."""
+
+    def __init__(self, result: GraphBuildResult, lr: float) -> None:
+        result.graph, result.regions = TaskGraph(), RegionSpace()
+        result.lr = np.full(1, lr, dtype=np.float64)
+        self.result = result
+        # The record's fields are the build's parameters: bound as the
+        # builder's own attributes (the same objects), every emitter reads
+        # them in one lookup.
+        vars(self).update(vars(result))
+        spec, cell = result.spec, CELLS[result.spec.cell]
         #: gate-preactivation width multiplier (``zx`` is ``(B, G·H)``)
         self.gate_mult = cell.gates
         # Every cell chain is cut into tiles of consecutive steps, one task
         # per tile: a single step (the paper's task per cell update) unless
         # ``wavefront_tile`` asks for longer tiles.
-        self.tile = tile = min(seq_len, wavefront_tile or 1)
+        self.tile = tile = result.wavefront_tile or 1
         #: ascending ``(lo, hi, name suffix)`` step ranges of the chain tiles
         self.tiles = []
-        for lo in range(0, seq_len, tile):
-            hi = min(lo + tile, seq_len)
+        for lo in range(0, result.seq_len, tile):
+            hi = min(lo + tile, result.seq_len)
             self.tiles.append((lo, hi, f"w{lo}-{hi}" if tile > 1 else f"s{lo}"))
-        self.spec = spec
-        self.seq_len = seq_len
-        self.chunk_batches = list(chunk_batches)
-        self.training = training
-        self.functional = functional
-        self.barrier_free = barrier_free
-        self.update_weights = update_weights
-        self.lr = np.full(1, lr, dtype=np.float64)
-        self.params = params
-        self.chunks = chunks
-        self.graph = TaskGraph()
-        self.regions = RegionSpace()
         #: key -> Region of everything in ``regions``, for :meth:`region`:
         #: ``RegionSpace`` has no lookup that does not create, and a task
         #: names ~4 regions, most of them seen before
@@ -704,35 +658,8 @@ class _Builder:
             "m": M, "dm": M, "mlast": M, "dmlast": M,
             "logits": C, "dlogits": C,
         }
-        units = self.total_batch * (seq_len if spec.head == "many_to_many" else 1)
+        units = result.total_batch * (result.seq_len if spec.head == "many_to_many" else 1)
         self.grad_scale = 1.0 / units
-        self.result = GraphBuildResult(
-            graph=self.graph,
-            regions=self.regions,
-            spec=spec,
-            seq_len=seq_len,
-            chunk_batches=self.chunk_batches,
-            training=training,
-            functional=functional,
-            chunks=chunks,
-            params=params,
-            fused_layers=list(self.fused_layers),
-            velocity=velocity,
-            wavefront_tile=tile if tile > 1 else None,
-            serialize_chunks=serialize_chunks,
-            barrier_free=barrier_free,
-            paired=paired,
-            update_weights=update_weights,
-            proj_block=self.proj_block,
-            momentum=momentum,
-            lr=self.lr,
-        )
-        #: what the access rules need to know about this build
-        self.access = AccessContext.from_result(self.result)
-
-    @property
-    def total_batch(self) -> int:
-        return sum(self.chunk_batches)
 
     # -- cost-model annotations and creation order ------------------------------
 
@@ -753,7 +680,7 @@ class _Builder:
             meta["gemm_calls"] = calls
         return meta
 
-    def _chain_schedule(self, serial_dirs: bool, descending: bool = False) -> List[tuple]:
+    def _chain_schedule(self, descending: bool = False) -> List[tuple]:
         """``(direction, lo, hi, name suffix)`` of one layer's cell tasks,
         in creation order (``descending``: the backward pass).
 
@@ -763,16 +690,16 @@ class _Builder:
         shared ``dm`` accumulators, and chain-major creation would
         serialise the chains (the rev chain's first task writes the dm
         slot the fwd chain writes last; the two contributions commute
-        bitwise).  ``serial_dirs`` (barriered mode) creates chain-major so
+        bitwise).  Barriered mode creates chain-major so
         the rev chain's first task can depend on the fwd chain's last.  A
         paired forward pass has one chain, direction ``"pair"``.
         """
         tiles = self.tiles[::-1] if descending else self.tiles
         if self.paired and not descending:
             return [("pair", *tile) for tile in tiles]
-        if serial_dirs:
-            return [(d, *tile) for d in ("fwd", "rev") for tile in tiles]
-        return [(d, *tile) for tile in tiles for d in ("fwd", "rev")]
+        if not self.barrier_free:
+            return [(d, *tile) for d in DIRECTIONS for tile in tiles]
+        return [(d, *tile) for tile in tiles for d in DIRECTIONS]
 
     def _proj_reuse(self, mb: int, block_len: int) -> float:
         """Sweep count of a block projection GEMM (``block_len·B`` rows)."""
@@ -830,7 +757,7 @@ class _Builder:
         self.interned[key] = region
         return region
 
-    def _add(self, name, fn, *, flops=0.0, kind="task", meta=None):
+    def _add(self, name, factory, *args, flops=0.0, kind="task", meta=None):
         """Emit one task, declared by its family's access rule.
 
         Stamps ``meta["site"]`` with the name of the builder method that
@@ -840,14 +767,16 @@ class _Builder:
         (``kind@site``).  The ``in``/``out``/``inout`` regions are what
         :func:`repro.core.access_spec.expected_access` lists for that
         family and ``meta``; a family without a rule is a ``KeyError``.
+        The payload is ``factory(*args)`` in a functional build; a
+        cost-only task has none.
         """
         meta = dict(meta or {})
         meta.setdefault("site", sys._getframe(1).f_code.co_name)
         meta.setdefault("family", f"{kind}@{meta['site']}")
-        decl = expected_access(meta["family"], meta, self.access)
+        decl = expected_access(meta["family"], meta, self.result)
         return self.graph.add_task(
             name,
-            fn,
+            factory(*args) if self.functional else None,
             ins=map(self.region, decl.ins),
             outs=map(self.region, decl.outs),
             inouts=map(self.region, decl.inouts),
@@ -856,20 +785,15 @@ class _Builder:
             meta=meta,
         )
 
-    # -- payload factories (functional mode) ------------------------------------
+    # -- payload factories (functional builds) ----------------------------------
 
     def _fn_proj(self, mb, layer, direction, lo, hi):
-        if not self.functional:
-            return None
         state, spec, params = self.chunks[mb], self.spec, self.params
 
         def fn():
             dp = params.layers[layer].direction(direction)
             xs = [state.layer_input(layer, pos) for pos in range(lo, hi)]
-            zxs = cell_input_projection(spec, xs, dp.W)
-            target = state.zx_f if direction == "fwd" else state.zx_r
-            for k, pos in enumerate(range(lo, hi)):
-                target[layer][pos] = zxs[k]
+            state.zx[direction][layer][lo:hi] = cell_input_projection(spec, xs, dp.W)
 
         return fn
 
@@ -879,8 +803,6 @@ class _Builder:
         every per-step slot (merges and the next tile read them).  The
         local carry *is* the array the previous iteration just stored, so
         the arithmetic does not depend on where the chain is cut."""
-        if not self.functional:
-            return None
         if direction == "pair":
             return self._fn_cell_fwd_paired(mb, layer, lo, hi)
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
@@ -889,28 +811,26 @@ class _Builder:
 
         def fn():
             dp = params.layers[layer].direction(direction)
-            if direction == "fwd":
-                h_g, c_g, cache_g, zx_g = state.h_f, state.c_f, state.cache_f, state.zx_f
-            else:
-                h_g, c_g, cache_g, zx_g = state.h_r, state.c_r, state.cache_r, state.zx_r
-            h_prev = h_g[layer][lo - 1] if lo > 0 else state.h0
-            c_prev = c_g[layer][lo - 1] if lo > 0 else state.c0
+            h_g, c_g = state.h[direction][layer], state.c[direction][layer]
+            cache_g, zx_g = state.cache[direction][layer], state.zx[direction][layer]
+            h_prev = h_g[lo - 1] if lo > 0 else state.h0
+            c_prev = c_g[lo - 1] if lo > 0 else state.c0
             if spec.cell != "lstm":
                 c_prev = None
             for step in range(lo, hi):
                 pos = step if direction == "fwd" else T - 1 - step
                 if fused:
                     h, c, cache = cell_forward_proj(
-                        spec, zx_g[layer][pos], h_prev, c_prev, dp.W, dp.b, need_cache
+                        spec, zx_g[pos], h_prev, c_prev, dp.W, dp.b, need_cache
                     )
                 else:
                     h, c, cache = cell_forward(
                         spec, state.layer_input(layer, pos), h_prev, c_prev,
                         dp.W, dp.b, need_cache,
                     )
-                h_g[layer][step] = h
-                c_g[layer][step] = c
-                cache_g[layer][step] = cache
+                h_g[step] = h
+                c_g[step] = c
+                cache_g[step] = cache
                 h_prev, c_prev = h, c
 
         return fn
@@ -929,56 +849,51 @@ class _Builder:
             lp = params.layers[layer]
             W = DirectionPair(lp.fwd.W, lp.rev.W)
             b = np.stack((lp.fwd.b, lp.rev.b))[:, None]
-            h_f, h_r, c_f, c_r = (g[layer] for g in (state.h_f, state.h_r, state.c_f, state.c_r))
+            hs, cs = ([g[d][layer] for d in DIRECTIONS] for g in (state.h, state.c))
             if fused:
-                in_f, in_r = state.zx_f[layer], state.zx_r[layer]
+                in_f, in_r = state.zx["fwd"][layer], state.zx["rev"][layer]
             else:
                 in_f = in_r = state.x if layer == 0 else state.merged[layer - 1]
-            h_prev = _stack2(h_f[lo - 1], h_r[lo - 1]) if lo else _stack2(state.h0, state.h0)
+            h_prev = _stack2(*(g[lo - 1] for g in hs)) if lo else _stack2(state.h0, state.h0)
             c_prev = None
             if lstm:
-                c_prev = _stack2(c_f[lo - 1], c_r[lo - 1]) if lo else _stack2(state.c0, state.c0)
+                c_prev = _stack2(*(g[lo - 1] for g in cs)) if lo else _stack2(state.c0, state.c0)
             for step in range(lo, hi):
                 x = in_f[step], in_r[T - 1 - step]  # input GEMMs read the pair as it is
                 h, c, cache = cell_step(spec, _stack2(*x) if fused else x, h_prev, c_prev, W, b,
                                         need_cache=need_cache)
-                h_f[step], h_r[step] = h
+                hs[0][step], hs[1][step] = h
                 if lstm:
-                    c_f[step], c_r[step] = c
+                    cs[0][step], cs[1][step] = c
                 if need_cache:
-                    state.cache_f[layer][step], state.cache_r[layer][step] = _split_cache(cache)
+                    for d, one in zip(DIRECTIONS, _split_cache(cache)):
+                        state.cache[d][layer][step] = one
                 h_prev, c_prev = h, c
 
         return fn
 
     def _fn_merge(self, mb, layer, lo, hi):
         """Merges of positions ``[lo, hi)``: one call over the block."""
-        if not self.functional:
-            return None
         state, spec, T = self.chunks[mb], self.spec, self.seq_len
 
         def fn():
-            h_f, h_r = state.h_f[layer][lo:hi], state.h_r[layer][T - hi : T - lo][::-1]
-            block = merge_forward(np.stack(h_f), np.stack(h_r), spec.merge_mode)
+            fwd, rev = state.h["fwd"][layer][lo:hi], state.h["rev"][layer][T - hi : T - lo][::-1]
+            block = merge_forward(np.stack(fwd), np.stack(rev), spec.merge_mode)
             state.merged[layer][lo:hi] = list(block)
 
         return fn
 
     def _fn_last_merge(self, mb, slot, t_fwd, u_rev):
-        if not self.functional:
-            return None
         state, spec, last = self.chunks[mb], self.spec, self.spec.num_layers - 1
 
         def fn():
             state.last_merged[slot] = merge_forward(
-                state.h_f[last][t_fwd], state.h_r[last][u_rev], spec.merge_mode
+                state.h["fwd"][last][t_fwd], state.h["rev"][last][u_rev], spec.merge_mode
             )
 
         return fn
 
     def _fn_head_fwd(self, mb, slot):
-        if not self.functional:
-            return None
         state, params = self.chunks[mb], self.params
 
         def fn():
@@ -989,8 +904,6 @@ class _Builder:
         return fn
 
     def _fn_loss(self, mb, slot, t_label):
-        if not self.functional:
-            return None
         state, spec, scale = self.chunks[mb], self.spec, self.grad_scale
 
         def fn():
@@ -1002,8 +915,6 @@ class _Builder:
         return fn
 
     def _fn_head_bwd(self, mb, slot):
-        if not self.functional:
-            return None
         state, params = self.chunks[mb], self.params
 
         def fn():
@@ -1018,19 +929,17 @@ class _Builder:
         return fn
 
     def _fn_last_merge_bwd(self, mb, slot, t_fwd, u_rev):
-        if not self.functional:
-            return None
         state, spec, last = self.chunks[mb], self.spec, self.spec.num_layers - 1
 
         def fn():
             da, db = merge_backward(
                 state.dlast_merged[slot],
-                state.h_f[last][t_fwd],
-                state.h_r[last][u_rev],
+                state.h["fwd"][last][t_fwd],
+                state.h["rev"][last][u_rev],
                 spec.merge_mode,
             )
-            state.dh_f[last][t_fwd] += da
-            state.dh_r[last][u_rev] += db
+            state.dh["fwd"][last][t_fwd] += da
+            state.dh["rev"][last][u_rev] += db
 
         return fn
 
@@ -1042,41 +951,35 @@ class _Builder:
         slot ``lo-1`` for the next tile.  Merge contributions land in the
         slot first either way, so sums associate identically wherever the
         chain is cut and results stay bitwise."""
-        if not self.functional:
-            return None
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
 
         def fn():
             dp = params.layers[layer].direction(direction)
             gp = state.grads.layers[layer].direction(direction)
-            if direction == "fwd":
-                dh_g, dc_g = state.dh_f, state.dc_f
-                cache_g, dz_g = state.cache_f, state.dz_f
-            else:
-                dh_g, dc_g = state.dh_r, state.dc_r
-                cache_g, dz_g = state.cache_r, state.dz_r
+            dh_g, dc_g = state.dh[direction][layer], state.dc[direction][layer]
+            cache_g, dz_g = state.cache[direction][layer], state.dz[direction][layer]
             dh_c = dc_c = None
             for step in range(hi - 1, lo - 1, -1):
-                dh = dh_g[layer][step]
+                dh = dh_g[step]
                 if dh_c is not None:
                     dh = dh + dh_c
-                dc = dc_g[layer][step]
+                dc = dc_g[step]
                 if dc_c is not None:
                     dc = dc + dc_c
-                cache = cache_g[layer][step]
+                cache = cache_g[step]
                 pos = step if direction == "fwd" else T - 1 - step
                 if fused:
                     dz, dh_c, dc_c = cell_backward_proj(spec, dh, dc, cache, dp.W)
-                    dz_g[layer][pos] = dz
+                    dz_g[pos] = dz
                 else:
                     dx, dh_c, dc_c = cell_backward(spec, dh, dc, cache, dp.W, gp.W, gp.b)
                     if layer > 0:
                         state.dmerged[layer - 1][pos] += dx
             if lo > 0:
-                dh_g[layer][lo - 1] += dh_c
+                dh_g[lo - 1] += dh_c
                 if dc_c is not None:
-                    dc_g[layer][lo - 1] += dc_c
+                    dc_g[lo - 1] += dc_c
 
         return fn
 
@@ -1084,32 +987,24 @@ class _Builder:
         """Hoisted backward of positions ``[lo, hi)`` of one chain: the whole
         weight-gradient panel, the bias gradient and (above layer 0) ``dx``,
         from the block's stacked ``dz``, inputs and previous states."""
-        if not self.functional:
-            return None
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
 
         def fn():
             dp = params.layers[layer].direction(direction)
             gp = state.grads.layers[layer].direction(direction)
-            if direction == "fwd":
-                h_g, cache_g, dz_g = state.h_f, state.cache_f, state.dz_f
-            else:
-                h_g, cache_g, dz_g = state.h_r, state.cache_r, state.dz_r
+            h_g, cache_g = state.h[direction][layer], state.cache[direction][layer]
             positions = range(lo, hi)
             steps = [pos if direction == "fwd" else T - 1 - pos for pos in positions]
             xs = [state.layer_input(layer, pos) for pos in positions]
-            dzs = [dz_g[layer][pos] for pos in positions]
+            dzs = state.dz[direction][layer][lo:hi]
             if spec.cell == "gru":
-                caches = [cache_g[layer][step] for step in steps]
+                caches = [cache_g[step] for step in steps]
                 h_prevs = [cache.h_prev for cache in caches]
                 rhs = [cache.rh for cache in caches]
             else:
                 # the initial state is no region of its own: the cache of
                 # chain step 0 is the declared slot that holds it
-                h_prevs = [
-                    h_g[layer][step - 1] if step > 0 else cache_g[layer][0].h_prev
-                    for step in steps
-                ]
+                h_prevs = [h_g[step - 1] if step > 0 else cache_g[0].h_prev for step in steps]
                 rhs = None
             dxs = cell_proj_backward(
                 spec, xs, h_prevs, dzs, dp.W, gp.W, gp.b, layer > 0, rhs
@@ -1124,25 +1019,22 @@ class _Builder:
         """Merge backward of positions ``[lo, hi)``: one call over the
         block, added into each step's ``dh`` slot in place.  Only ``mul``
         reads the merged states."""
-        if not self.functional:
-            return None
         state, spec, T = self.chunks[mb], self.spec, self.seq_len
 
         def fn():
-            dh_f, dh_r = state.dh_f[layer][lo:hi], state.dh_r[layer][T - hi : T - lo][::-1]
-            a, b = dh_f[0], dh_r[0]  # their width is all sum, avg and concat read
+            fwd = state.dh["fwd"][layer][lo:hi]
+            rev = state.dh["rev"][layer][T - hi : T - lo][::-1]
+            a, b = fwd[0], rev[0]  # their width is all sum, avg and concat read
             if spec.merge_mode == "mul":
-                a = np.stack(state.h_f[layer][lo:hi])
-                b = np.stack(state.h_r[layer][T - hi : T - lo][::-1])
+                a = np.stack(state.h["fwd"][layer][lo:hi])
+                b = np.stack(state.h["rev"][layer][T - hi : T - lo][::-1])
             da, db = merge_backward(np.stack(state.dmerged[layer][lo:hi]), a, b, spec.merge_mode)
-            for slot, grad in zip(dh_f + dh_r, [*da, *db]):
+            for slot, grad in zip(fwd + rev, [*da, *db]):
                 slot += grad
 
         return fn
 
     def _fn_weight_update(self, layer, direction):
-        if not self.functional:
-            return None
         chunks, params, lr = self.chunks, self.params, self.lr
         momentum, velocity = self.momentum, self.velocity
 
@@ -1170,8 +1062,6 @@ class _Builder:
         return fn
 
     def _fn_head_update(self):
-        if not self.functional:
-            return None
         chunks, params, lr = self.chunks, self.params, self.lr
         momentum, velocity = self.momentum, self.velocity
 
@@ -1212,7 +1102,7 @@ class _Builder:
             # Dependences only ever get *added*, so results are unchanged.
             for layer in range(self.spec.num_layers):
                 for mb in range(n_chunks):
-                    self._build_forward_layer(mb, layer, serial_dirs=True)
+                    self._build_forward_layer(mb, layer)
                 self.graph.barrier(f"fwd_layer_barrier.L{layer}")
             if self.training:
                 for mb in range(n_chunks):
@@ -1220,7 +1110,7 @@ class _Builder:
                 self.graph.barrier("bwd_head_barrier")
                 for layer in range(self.spec.num_layers - 1, -1, -1):
                     for mb in range(n_chunks):
-                        self._build_backward_layer(mb, layer, serial_dirs=True)
+                        self._build_backward_layer(mb, layer)
                     self.graph.barrier(f"bwd_layer_barrier.L{layer}")
                 if self.update_weights:
                     self._build_updates()
@@ -1255,7 +1145,7 @@ class _Builder:
                 lo, hi = self._proj_blocks(direction)[i]
                 self._add(
                     f"proj[{mb}]L{layer}{direction}b{lo}-{hi}",
-                    self._fn_proj(mb, layer, direction, lo, hi),
+                    self._fn_proj, mb, layer, direction, lo, hi,
                     flops=pflops * (hi - lo),
                     kind="proj",
                     meta={
@@ -1285,7 +1175,7 @@ class _Builder:
             for suffix, span, lo, hi in self._merge_tiles():
                 self._add(
                     f"merge[{mb}]L{layer}{suffix}",
-                    self._fn_merge(mb, layer, lo, hi),
+                    self._fn_merge, mb, layer, lo, hi,
                     flops=mflops * (hi - lo),
                     kind="merge",
                     meta={"mb": mb, "layer": layer, **span},
@@ -1293,7 +1183,7 @@ class _Builder:
         else:
             self._build_head(mb)
 
-    def _build_forward_layer(self, mb: int, layer: int, serial_dirs: bool = False) -> None:
+    def _build_forward_layer(self, mb: int, layer: int) -> None:
         """One layer's forward pass: its two cell chains, then its merges
         (interior layers) or the head (last layer).
 
@@ -1313,17 +1203,17 @@ class _Builder:
             step_flops = cell_fwd_step_proj_flops(spec, bc)
         else:
             step_flops = cell_fwd_flops(spec, bc, layer)
-        for direction, lo, hi, suffix in self._chain_schedule(serial_dirs):
+        for direction, lo, hi, suffix in self._chain_schedule():
             self._add(
                 f"{direction}[{mb}]L{layer}{suffix}",
-                self._fn_cell_fwd_tile(mb, layer, direction, lo, hi),
+                self._fn_cell_fwd_tile, mb, layer, direction, lo, hi,
                 flops=step_flops * (hi - lo) * (2 if direction == "pair" else 1),
                 kind="cell",
                 meta=self._cell_meta(mb, layer, direction, lo, hi),
             )
         self._build_forward_layer_outputs(mb, layer)
 
-    def _build_backward_layer(self, mb: int, layer: int, serial_dirs: bool = False) -> None:
+    def _build_backward_layer(self, mb: int, layer: int) -> None:
         """One layer's backward pass: its two cell chains, then the
         per-block projection backward and the merge-backward fan-out.
 
@@ -1340,10 +1230,10 @@ class _Builder:
             step_flops = cell_bwd_step_proj_flops(spec, bc)
         else:
             step_flops = cell_bwd_flops(spec, bc, layer)
-        for direction, lo, hi, suffix in self._chain_schedule(serial_dirs, descending=True):
+        for direction, lo, hi, suffix in self._chain_schedule(descending=True):
             self._add(
                 f"{direction}Bwd[{mb}]L{layer}{suffix}",
-                self._fn_cell_bwd_tile(mb, layer, direction, lo, hi),
+                self._fn_cell_bwd_tile, mb, layer, direction, lo, hi,
                 flops=step_flops * (hi - lo),
                 kind="cell_bwd",
                 meta=self._cell_meta(mb, layer, direction, lo, hi),
@@ -1366,14 +1256,14 @@ class _Builder:
         for slot, t_fwd, u_rev, t_label in self._head_slots():
             self._add(
                 f"mergeLast[{mb}]s{slot}",
-                self._fn_last_merge(mb, slot, t_fwd, u_rev),
+                self._fn_last_merge, mb, slot, t_fwd, u_rev,
                 flops=mflops,
                 kind="merge",
                 meta={"mb": mb, "layer": last, "slot": slot},
             )
             self._add(
                 f"head[{mb}]s{slot}",
-                self._fn_head_fwd(mb, slot),
+                self._fn_head_fwd, mb, slot,
                 flops=hflops,
                 kind="head",
                 meta={"mb": mb, "slot": slot},
@@ -1381,7 +1271,7 @@ class _Builder:
             if self.training:
                 self._add(
                     f"loss[{mb}]s{slot}",
-                    self._fn_loss(mb, slot, t_label),
+                    self._fn_loss, mb, slot, t_label,
                     flops=6.0 * bc * spec.num_classes,
                     kind="loss",
                     meta={"mb": mb, "slot": slot},
@@ -1401,14 +1291,14 @@ class _Builder:
         for slot, t_fwd, u_rev, _ in reversed(self._head_slots()):
             self._add(
                 f"headBwd[{mb}]s{slot}",
-                self._fn_head_bwd(mb, slot),
+                self._fn_head_bwd, mb, slot,
                 flops=hbflops,
                 kind="head_bwd",
                 meta={"mb": mb, "slot": slot},
             )
             self._add(
                 f"mergeLastBwd[{mb}]s{slot}",
-                self._fn_last_merge_bwd(mb, slot, t_fwd, u_rev),
+                self._fn_last_merge_bwd, mb, slot, t_fwd, u_rev,
                 flops=mbflops,
                 kind="merge_bwd",
                 meta={"mb": mb, "slot": slot},
@@ -1435,7 +1325,7 @@ class _Builder:
                 lo, hi = blocks[direction][i]
                 self._add(
                     f"projBwd[{mb}]L{layer}{direction}b{lo}-{hi}",
-                    self._fn_proj_bwd(mb, layer, direction, lo, hi),
+                    self._fn_proj_bwd, mb, layer, direction, lo, hi,
                     flops=pbflops * (hi - lo),
                     kind="proj_bwd",
                     meta={
@@ -1459,7 +1349,7 @@ class _Builder:
             for suffix, span, lo, hi in self._merge_tiles(descending=True):
                 self._add(
                     f"mergeBwd[{mb}]L{below}{suffix}",
-                    self._fn_merge_bwd(mb, below, lo, hi),
+                    self._fn_merge_bwd, mb, below, lo, hi,
                     flops=mbflops * (hi - lo),
                     kind="merge_bwd",
                     meta={"mb": mb, "layer": below, **span},
@@ -1474,14 +1364,14 @@ class _Builder:
             for direction in ("fwd", "rev"):
                 self._add(
                     f"update.L{layer}.{direction}",
-                    self._fn_weight_update(layer, direction),
+                    self._fn_weight_update, layer, direction,
                     flops=uflops,
                     kind="weight_update",
                     meta={"layer": layer, "dir": direction},
                 )
         self._add(
             "update.head",
-            self._fn_head_update(),
+            self._fn_head_update,
             flops=2.0 * n_chunks * (spec.head_input_size * spec.num_classes + spec.num_classes),
             kind="weight_update",
             meta={},
@@ -1555,16 +1445,20 @@ def build_brnn_graph(
     structure.  The step's ``x``, ``labels`` and ``lr`` are copied into its
     slots, what a training step adds into is zeroed, and ``out`` itself is
     returned: no new task, region or array, and a run of it is bitwise a
-    run of a fresh build.  Any other argument that differs from ``out``'s
-    (shape, ``mbs``, ``training``, hoisting, tile, pairing, barriers,
-    ``update_weights``, the ``params`` object, ...) is a ``ValueError``
-    naming it.  The copies land in the arrays ``out`` was first built over,
-    so the engines build over copies of a caller's.
+    run of a fresh build.  The call's structure is derived as for a fresh
+    build and compared with ``out``'s record field by field (shape,
+    ``mbs``, ``training``, hoisting, tile, pairing, barriers,
+    ``update_weights``, the ``params`` object, ...; then the dtype): the
+    first that differs is a ``ValueError`` naming it.  The copies land in
+    the arrays ``out`` was first built over, so the engines build over
+    copies of a caller's.
     """
     if proj_block is not None and proj_block < 1:
         raise ValueError("proj_block must be >= 1")
     if wavefront_tile is not None and wavefront_tile < 1:
         raise ValueError("wavefront_tile must be >= 1")
+    if paired and not barrier_free:
+        raise ValueError("paired directions need a barrier-free graph")
     functional = x is not None
     if functional:
         seq_len, batch = int(x.shape[0]), int(x.shape[1])
@@ -1575,64 +1469,52 @@ def build_brnn_graph(
     elif seq_len is None or batch is None:
         raise ValueError("cost-only graphs need seq_len and batch")
     chunk_batches = [len(part) for part in split_batch(np.arange(batch), mbs, axis=0)]
-    fused_layers = _hoisted_layers(spec, fused_input_projection, max(chunk_batches))
     tile = min(seq_len, wavefront_tile or 1)
-    proj_block = min(seq_len, proj_block or DEFAULT_PROJ_BLOCK)
+    record = GraphBuildResult(
+        spec=spec, seq_len=seq_len, chunk_batches=chunk_batches, training=training,
+        functional=functional, params=params,
+        fused_layers=_hoisted_layers(spec, fused_input_projection, max(chunk_batches)),
+        velocity=velocity, wavefront_tile=tile if tile > 1 else None,
+        serialize_chunks=serialize_chunks, barrier_free=barrier_free, paired=paired,
+        update_weights=update_weights, proj_block=min(seq_len, proj_block or DEFAULT_PROJ_BLOCK),
+        momentum=momentum,
+    )
     if out is not None:
-        return _rebind(
-            out, x, labels, lr, spec=spec, seq_len=seq_len, chunk_batches=chunk_batches,
-            training=training, fused_layers=fused_layers,
-            wavefront_tile=tile if tile > 1 else None, paired=paired,
-            serialize_chunks=serialize_chunks, barrier_free=barrier_free,
-            update_weights=update_weights, proj_block=proj_block, momentum=momentum,
-            params=params, velocity=velocity,
-        )
-    chunks = None
+        return _rebind(out, record, x, labels, lr)
     if functional:
         label_chunks = [None] * mbs
         if labels is not None:
             label_chunks = split_batch(labels, mbs, axis=_label_axis(spec))
-        chunks = [
+        record.chunks = [
             ChunkState(spec, xc, lc, training)
             for xc, lc in zip(split_batch(x, mbs, axis=1), label_chunks)
         ]
-
-    builder = _Builder(
-        spec=spec,
-        seq_len=seq_len,
-        chunk_batches=chunk_batches,
-        training=training,
-        functional=functional,
-        barrier_free=barrier_free,
-        update_weights=update_weights,
-        lr=lr,
-        params=params,
-        chunks=chunks,
-        serialize_chunks=serialize_chunks,
-        momentum=momentum,
-        velocity=velocity,
-        fused_layers=fused_layers,
-        proj_block=proj_block,
-        wavefront_tile=tile,
-        paired=paired,
-    )
-    return builder.build()
+    return _Builder(record, lr).build()
 
 
 def _label_axis(spec: BRNNSpec) -> int:
     return 0 if spec.head == "many_to_one" else 1
 
 
-def _rebind(out: GraphBuildResult, x, labels, lr, **structure) -> GraphBuildResult:
-    """``build_brnn_graph(out=...)``: check that ``out`` was built with the
-    same ``structure``, then copy the step's inputs into its slots."""
-    if not out.functional or x is None:
+#: the fields of a build ``out=`` must share with the call: all but the
+#: graph, the buffers and ``lr``, which a rebind keeps or copies into
+_STRUCTURE = tuple(
+    f.name for f in fields(GraphBuildResult)
+    if f.name not in ("graph", "regions", "functional", "chunks", "lr")
+)
+
+
+def _rebind(out: GraphBuildResult, record: GraphBuildResult, x, labels, lr) -> GraphBuildResult:
+    """``build_brnn_graph(out=...)``: check that ``out`` has the structure
+    of ``record``, then copy the step's inputs into its slots."""
+    if not out.functional or not record.functional:
         raise ValueError("out= takes a functional build and an x to copy into it")
     first = out.chunks[0]
-    built = {name: getattr(out, name) for name in structure}
+    built = {name: getattr(out, name) for name in _STRUCTURE}
     built.update(dtype=first.x.dtype, labels=first.labels is not None)
-    structure.update(dtype=x.dtype, labels=labels is not None)
-    for name, value in structure.items():
+    asked = {name: getattr(record, name) for name in _STRUCTURE}
+    asked.update(dtype=x.dtype, labels=labels is not None)
+    for name, value in asked.items():
         if built[name] is not value and built[name] != value:
             raise ValueError(f"out= was built with another {name}: {built[name]!r}, not {value!r}")
     label_chunks = [None] * out.mbs

@@ -54,6 +54,12 @@ def pad_sequences(
     return out, lengths
 
 
+def padded_length(length: int, bucket_width: int) -> int:
+    """``length`` rounded up to a multiple of ``bucket_width``: the padded
+    length of its bucket."""
+    return -(-length // bucket_width) * bucket_width
+
+
 def bucket_by_length(
     sequences: Sequence[np.ndarray],
     labels: np.ndarray,
@@ -68,7 +74,7 @@ def bucket_by_length(
         raise ValueError("bucket_width must be >= 1")
     buckets: Dict[int, Tuple[List[np.ndarray], List]] = {}
     for seq, label in zip(sequences, labels):
-        key = ((seq.shape[0] + bucket_width - 1) // bucket_width) * bucket_width
+        key = padded_length(seq.shape[0], bucket_width)
         buckets.setdefault(key, ([], []))
         buckets[key][0].append(seq)
         buckets[key][1].append(label)

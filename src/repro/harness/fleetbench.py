@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.config import ExecutionConfig
+from repro.data.batching import padded_length
 from repro.harness.measure import make_spec
 from repro.models.spec import BRNNSpec
 from repro.serve.batcher import Batch
@@ -139,7 +140,7 @@ def run_fleet_bench(
     """Run every section and return ``{"config", "results"}``."""
     spec = make_spec(cell, input_size, hidden, layers)
     execution = ExecutionConfig(executor="sim", compile="on")
-    top_bucket = -(-seq_range[1] // bucket_width) * bucket_width
+    top_bucket = padded_length(seq_range[1], bucket_width)
     service_full_s = _calibrate_service_s(
         spec, execution, top_bucket, max_batch_size
     )

@@ -10,6 +10,7 @@ from repro.core.graph_builder import build_brnn_graph
 from repro.models.spec import BRNNSpec
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.trace import ExecutionTrace
+from repro.serve.engine import BATCH_FIXED_S
 from repro.simarch.machine import MachineSpec
 from repro.simarch.presets import xeon_8160_2s
 
@@ -36,7 +37,7 @@ def simulated_batch_time(
     barrier_free: bool = True,
     serialize_chunks: bool = False,
     warm: bool = True,
-    batch_fixed_s: float = 8e-3,
+    batch_fixed_s: float = BATCH_FIXED_S,
 ) -> SimTiming:
     """Simulate one single-batch pass of B-Par (or B-Seq) and time it.
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.data.batching import pad_sequences
+from repro.data.batching import pad_sequences, padded_length
 from repro.serve.config import ServeConfig
 from repro.serve.queue import RequestQueue
 from repro.serve.request import InferenceRequest
@@ -94,8 +94,7 @@ class DynamicBatcher:
 
     def bucket_of(self, seq_len: int) -> int:
         """Padded length for a sequence: ``seq_len`` rounded up to the bucket."""
-        w = self.bucket_width
-        return ((seq_len + w - 1) // w) * w
+        return padded_length(seq_len, self.bucket_width)
 
     def _buckets(self, queue: RequestQueue) -> Dict[int, List[InferenceRequest]]:
         buckets: Dict[int, List[InferenceRequest]] = {}

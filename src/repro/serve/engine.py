@@ -32,7 +32,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.compile import PlanCache, compile_graph
-from repro.config import ExecutionConfig
+from repro.config import EXECUTORS, ExecutionConfig
 from repro.core.bpar import resolve_executor, run_planned
 from repro.core.graph_builder import build_brnn_graph, plan_granularity
 from repro.models.params import BRNNParams
@@ -43,8 +43,6 @@ from repro.serve.batcher import Batch
 from repro.simarch.machine import MachineSpec
 from repro.simarch.presets import xeon_8160_2s
 
-EXECUTORS = ("sim", "threaded", "process")
-
 #: the config an engine built without ``config=`` runs under: deterministic
 #: simulated substrate, every layer hoisted (in the cost model the critical
 #: path shrinks for every layer shape)
@@ -52,8 +50,8 @@ SERVE_DEFAULTS = ExecutionConfig(executor="sim", fused_input_projection="on")
 
 #: per-batch cost outside the task graph (input staging, graph-creation
 #: bring-up) charged in ``sim`` mode, the quantity dynamic batching
-#: amortises; same convention and value as
-#: :func:`~repro.harness.simtime.simulated_batch_time`
+#: amortises; :func:`~repro.harness.simtime.simulated_batch_time` charges
+#: it too
 BATCH_FIXED_S = 8e-3
 
 

@@ -23,6 +23,7 @@ import bisect
 import hashlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.data.batching import padded_length
 from repro.serve.config import ServeConfig
 from repro.serve.request import InferenceRequest
 
@@ -111,9 +112,7 @@ class ConsistentHashRouter:
         self._ring = [e for e in self._ring if e[1] != replica]
 
     def key_of(self, req: InferenceRequest) -> str:
-        w = self.bucket_width
-        bucket = ((req.seq_len + w - 1) // w) * w
-        return f"shape:{bucket}"
+        return f"shape:{padded_length(req.seq_len, self.bucket_width)}"
 
     def route_key(self, key: str) -> int:
         """First ring point clockwise of the key's position (with wrap)."""

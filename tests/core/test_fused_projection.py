@@ -431,7 +431,7 @@ def test_fused_inference_graph_has_proj_tasks_and_no_caches():
     assert "proj" in kinds and "proj_bwd" not in kinds
     # inference never materialises the per-step caches on the fused path
     for chunk in result.chunks:
-        for grid in chunk.cache_f + chunk.cache_r:
+        for grid in chunk.cache["fwd"] + chunk.cache["rev"]:
             assert all(c is None for c in grid)
 
 

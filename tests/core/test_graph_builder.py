@@ -358,10 +358,7 @@ def test_default_engine_tiles_a_one_thread_shape_per_chain():
 def test_emitting_a_family_without_a_rule_raises():
     """Declarations come from the access table, so a task whose family has
     no rule cannot be emitted at all."""
-    builder = _Builder(
-        small_spec(), seq_len=3, chunk_batches=[2], training=False, functional=False,
-        barrier_free=True, update_weights=False, lr=0.0, params=None, chunks=None,
-    )
+    builder = _Builder(build_brnn_graph(small_spec(), seq_len=3, batch=2, training=False), lr=0.0)
     with pytest.raises(KeyError, match="probe@test_emitting_a_family_without_a_rule_raises"):
         builder._add("probe[0]", None, kind="probe", meta={"mb": 0})
     assert len(builder.graph) == 0

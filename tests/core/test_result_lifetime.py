@@ -38,13 +38,13 @@ def _slot_refs(result):
     """Weak references to one array of each lazily filled or preallocated
     slot kind a step owns (numpy arrays are weakly referenceable)."""
     state = result.chunks[0]
-    arrays = [state.h_f[0][0], state.h_r[-1][-1], state.logits[0]]
+    arrays = [state.h["fwd"][0][0], state.h["rev"][-1][-1], state.logits[0]]
     if result.training:
-        arrays += [state.dh_f[0][0], state.grads.layers[0].fwd.W]
+        arrays += [state.dh["fwd"][0][0], state.grads.layers[0].fwd.W]
     if result.fused_layers[0]:
-        arrays += [state.zx_f[0][0]]
+        arrays += [state.zx["fwd"][0][0]]
         if result.training:
-            arrays += [state.dz_r[0][0]]
+            arrays += [state.dz["rev"][0][0]]
     assert all(isinstance(a, np.ndarray) for a in arrays)
     return [weakref.ref(a) for a in arrays]
 
@@ -79,15 +79,15 @@ def test_a_same_shape_step_keeps_the_buffers(no_collector):
     engine.train_batch(x, labels)
     first = engine.last_result
     state = first.chunks[0]
-    kept = [state.x, state.labels, state.dh_f[0][0], state.dmerged[0][0],
+    kept = [state.x, state.labels, state.dh["fwd"][0][0], state.dmerged[0][0],
             state.grads.layers[0].fwd.W]
     refs = [weakref.ref(a) for a in kept]
-    assigned = weakref.ref(state.h_f[0][0])
+    assigned = weakref.ref(state.h["fwd"][0][0])
     del kept, state
     engine.train_batch(*make_batch(spec, seed=8))
     assert engine.last_result is first
     state = first.chunks[0]
-    now = [state.x, state.labels, state.dh_f[0][0], state.dmerged[0][0],
+    now = [state.x, state.labels, state.dh["fwd"][0][0], state.dmerged[0][0],
            state.grads.layers[0].fwd.W]
     assert all(ref() is array for ref, array in zip(refs, now))
     assert assigned() is None

@@ -1,0 +1,90 @@
+"""``GraphBuildResult.map_storage`` visits every array a build holds.
+
+The race checker's observed audit swaps tracked views in through
+``map_storage``, and the process executor moves state into shared memory
+the same way: an array the walk misses is an access neither sees.  So
+after a run, every ndarray reachable from a chunk's state, the params,
+the gradients and the velocity must be handed to ``fn``, and every array a
+region resolves to must share memory with one that was.
+
+Exempt, by name: ``labels`` (read by the loss task through its chunk, no
+region of its own), the read-only initial state ``h0``/``c0`` (no region
+either; a cache that keeps it is walked), and the ``accumulators`` blocks,
+whose row views are the ``dh``/``dc``/``dmerged`` slots the walk visits.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.core.graph_builder import build_brnn_graph
+from repro.models.params import BRNNParams
+from repro.runtime.executor import SerialExecutor
+from tests.conftest import make_batch, small_spec
+
+EXEMPT = frozenset({"labels", "h0", "c0", "accumulators"})
+
+
+def _reachable_arrays(roots):
+    seen, arrays, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return arrays
+
+
+def _root(array):
+    while array.base is not None:
+        array = array.base
+    return id(array)
+
+
+CONFIGS = list(itertools.product(
+    ("lstm", "gru"), ("many_to_one", "many_to_many"), ("off", "on"), (False, True),
+    (False, True),
+))
+
+
+@pytest.mark.parametrize(
+    "cell, head, hoist, paired, training", CONFIGS,
+    ids=["-".join(map(str, c)) for c in CONFIGS],
+)
+def test_map_storage_visits_every_array(cell, head, hoist, paired, training):
+    spec = small_spec(cell=cell, head=head, num_layers=2)
+    x, labels = make_batch(spec, seq_len=5)
+    params = BRNNParams.initialize(spec, seed=0)
+    velocity = BRNNParams.zeros_like(spec) if training else None
+    result = build_brnn_graph(
+        spec, x=x, labels=labels, params=params, training=training, mbs=2,
+        fused_input_projection=hoist, proj_block=2, paired=paired,
+        momentum=0.9 if training else 0.0, velocity=velocity,
+    )
+    SerialExecutor().run(result.graph)
+
+    visited = {}
+    result.map_storage(lambda a: visited.setdefault(id(a), a))
+    roots = [params, velocity]
+    for state in result.chunks:
+        roots += [value for name, value in vars(state).items() if name not in EXEMPT]
+    missed = [a.shape for a in _reachable_arrays(roots) if id(a) not in visited]
+    assert not missed
+
+    by_root = {}
+    for array in visited.values():
+        by_root.setdefault(_root(array), []).append(array)
+    for region in result.regions.regions():
+        for array in result.region_storage(region.key):
+            assert any(
+                np.shares_memory(array, seen) for seen in by_root.get(_root(array), ())
+            ), region.key

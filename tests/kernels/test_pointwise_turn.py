@@ -354,7 +354,7 @@ def _cache_slots(result):
     return [
         slot
         for state in result.chunks
-        for grid in (state.cache_f, state.cache_r)
+        for grid in state.cache.values()
         for row in grid
         for slot in row
     ]

@@ -10,7 +10,9 @@ from repro.core.bpar import BParEngine
 from repro.core.bseq import BSeqEngine
 from repro.models.spec import BRNNSpec
 from repro.obs.registry import MetricsRegistry
+from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.simexec import SimulatedExecutor
+from repro.simarch.presets import laptop_sim
 from repro.serve.engine import InferenceEngine
 
 
@@ -44,6 +46,23 @@ class TestExecutionConfig:
             ExecutionConfig(mbs=0)
         with pytest.raises(ValueError, match="fused_input_projection"):
             ExecutionConfig(fused_input_projection="maybe")
+
+    def test_executor_field_validation(self):
+        """An executor the engines cannot build fails at construction, not
+        when an engine resolves it (on ``"sim"``, ``n_workers=0`` used to
+        surface as a core-count error)."""
+        for bad in ("gpu", "Threaded", "", object(), 3):
+            with pytest.raises(ValueError, match="executor must be"):
+                ExecutionConfig(executor=bad)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="n_workers must be None or >= 1"):
+                ExecutionConfig(executor="sim", n_workers=bad)
+            with pytest.raises(ValueError, match="n_workers"):
+                ExecutionConfig(n_workers=bad)
+        for name in (None, "threaded", "process", "sim"):
+            assert ExecutionConfig(executor=name, n_workers=1).executor == name
+        for executor in (SerialExecutor(), ThreadedExecutor(2), SimulatedExecutor(laptop_sim(2))):
+            assert ExecutionConfig(executor=executor).executor is executor
 
     def test_compile_field_validation(self):
         for removed in ("sometimes", "auto"):

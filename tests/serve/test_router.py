@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.compile.warmup import length_buckets
 from repro.serve import ConsistentHashRouter, InferenceRequest, LeastLoadedRouter
+from repro.serve.batcher import DynamicBatcher
 from repro.serve.config import ServeConfig
 from repro.serve.router import HASH_VNODES, make_router
 
@@ -77,3 +79,16 @@ def test_make_router_dispatches_on_config():
     h = make_router(ServeConfig(replicas=2, router="hash", bucket_width=8))
     assert isinstance(h, ConsistentHashRouter) and h.policy == "hash"
     assert h.bucket_width == 8 and h.vnodes == HASH_VNODES
+
+
+@pytest.mark.parametrize("width", [1, 7, 16, 20])
+def test_batcher_router_and_warmup_agree_on_the_length_bucket(width):
+    """One padded length per request: what the batcher pads to, the bucket
+    the router keys on and what warmup compiles are the same number."""
+    batcher = DynamicBatcher(config=ServeConfig(bucket_width=width))
+    router = ConsistentHashRouter(2, bucket_width=width)
+    for length in range(1, 3 * width + 1):
+        padded = batcher.bucket_of(length)
+        assert padded >= length and padded % width == 0 and padded - length < width
+        assert router.key_of(req(length)) == f"shape:{padded}"
+        assert length_buckets([length], width) == [padded]
