@@ -64,9 +64,10 @@ class ExecutionConfig:
         agree to rounding; forward results are bitwise either way).
     wavefront_tile:
         Timesteps per cell-chain and merge task: ``None`` (the default) is
-        the granularity policy's tile — the sequence, forward chains paired,
-        for a shape the threaded or serial executor runs on one thread, else
-        the paper's task per cell update
+        the granularity policy's tile — the sequence, one task per chain,
+        for a shape the threaded or serial executor runs on no more threads
+        than a layer has chains (``2·mbs``; on one thread the forward
+        chains are paired too), else the paper's task per cell update
         (:func:`~repro.core.graph_builder.plan_granularity`); ``1`` forces
         the task per cell update; ``K > 1`` cuts every chain and every
         layer's merges into ``⌈T/K⌉`` tasks of ``K`` steps (clamped to the

@@ -121,7 +121,7 @@ _SLOT_LISTS = {
 #: ``fused_input_projection="auto"`` hoists a layer whose per-direction
 #: weight panel ``(I_l + H)·G·H·itemsize`` is at least this large, in a chunk
 #: of at most :data:`HOIST_MAX_ROWS` rows.  Both from the recorded sweep
-#: (``tools/sweep_hoist_floor.py``, docs/PERF.md): a per-step GEMM on a few
+#: (``tools/sweep.py hoist-floor``, docs/PERF.md): a per-step GEMM on a few
 #: rows streams its whole panel for little arithmetic, and at 2 MiB hoisting
 #: wins 17-77 % of a training step on 32 rows or fewer (forward 6-31 %).  At
 #: 512 KiB the per-step panel stays in the L2; hoisting still wins on 32
@@ -164,8 +164,10 @@ def _hoisted_layers(spec: BRNNSpec, mode, rows: int) -> List[bool]:
 #: GEMM flops per cell step under which a second thread costs more than it
 #: overlaps.  A GEMM is the only stretch of a payload that runs without the
 #: GIL; below the floor the workers spend the run handing the GIL to each
-#: other at every NumPy call.  Set from the sweep in docs/PERF.md.
-MIN_GEMM_FLOPS_PER_CELL_STEP = 1e7
+#: other at every NumPy call.  Set from the sweep in docs/PERF.md, where two
+#: threads on one task per chain first beat one thread on one task per
+#: layer per pass (``tools/sweep.py thread-floor``).
+MIN_GEMM_FLOPS_PER_CELL_STEP = 4e6
 
 
 def spec_gemm_flops_per_cell_step(
@@ -223,12 +225,15 @@ def plan_granularity(
       hand it to the executor.  Other substrates keep ``n_workers``;
     * **hoisted** — the ``fused_input_projection`` rule per layer;
     * **tile** — ``wavefront_tile`` when set; else ``seq_len``, one task per
-      chain, when a threaded or serial executor runs the shape on one
-      thread (every task is then dispatch the caller pays for); else 1, the
-      paper's task per cell update.  The simulator and the process executor
-      keep the paper's graph;
-    * **paired** — on that one thread too, without barriers: a step's two
-      cells then cost one pointwise stretch.
+      chain, when a threaded or serial executor runs the shape on no more
+      threads than a layer has chains (``2·mbs``: the directions times the
+      chunks), so the chains alone keep every thread busy and a finer task
+      is only dispatch; else 1, the paper's task per cell update, whose
+      wavefront the threads share.  One thread is this rule's smallest
+      case.  The simulator and the process executor keep the paper's graph;
+    * **paired** — on one thread only, without barriers: a step's two cells
+      then cost one pointwise stretch.  On more threads the directions run
+      beside each other instead.
     """
     cfg = config if config is not None else ExecutionConfig()
     mbs = max(1, min(cfg.mbs, rows))
@@ -240,9 +245,8 @@ def plan_granularity(
     if host:
         flops = spec_gemm_flops_per_cell_step(spec, rows, mbs, seq_len, training, hoisted)
         threads = 1 if flops < MIN_GEMM_FLOPS_PER_CELL_STEP else n_workers
-    one_thread = host and threads == 1
-    tile = cfg.wavefront_tile or (seq_len if one_thread else 1)
-    paired = one_thread and cfg.barrier_free
+    tile = cfg.wavefront_tile or (seq_len if host and threads <= 2 * mbs else 1)
+    paired = host and threads == 1 and cfg.barrier_free
     return Granularity(mbs, threads, hoisted, tile, paired)
 
 

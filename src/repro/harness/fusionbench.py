@@ -52,7 +52,8 @@ from repro.simarch.presets import xeon_8160_2s
 Modes = Mapping[str, Tuple[str, Optional[int]]]
 
 #: every rung below ``tiled`` pins tile 1: its meaning is the per-step graph,
-#: which the engines' granularity policy would otherwise tile on one thread
+#: which the engines' granularity policy would otherwise tile wherever the
+#: threads are no more than a layer's ``2·mbs`` chains
 MODES: Modes = {
     "gates": ("off", 1),
     "proj": ("on", 1),

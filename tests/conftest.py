@@ -12,9 +12,11 @@ payload mode), and multiprocess.
 
 The graphs these suites build are far below the granularity floor, so
 an engine would plan one thread for them (and the one-task-per-layer
-graph); suites whose purpose is concurrency through an engine apply the
-``real_threads`` fixture, which takes the floor away.  A graph built by
-hand runs on every worker of the executor it is handed to.
+graph), and above it on two threads a layer's chains are coarse tasks;
+suites whose purpose is concurrency through an engine apply the
+``real_threads`` fixture, which takes the floor away and keeps the
+per-step graph.  A graph built by hand runs on every worker of the
+executor it is handed to.
 
 Two markers thin the sweeps out of tier-1:
 
@@ -44,10 +46,25 @@ def rng():
 @pytest.fixture
 def real_threads(monkeypatch):
     """The granularity floor (``MIN_GEMM_FLOPS_PER_CELL_STEP``) is patched
-    to 0, so the engines' policy plans ``n_workers`` threads and the
-    per-step graph for every shape.  Apply with
-    ``pytestmark = pytest.mark.usefixtures("real_threads")``."""
-    monkeypatch.setattr("repro.core.graph_builder.MIN_GEMM_FLOPS_PER_CELL_STEP", 0.0)
+    to 0, so the engines' policy plans ``n_workers`` threads for every
+    shape, and the policy the engines call keeps the per-step graph
+    wherever it plans more than one thread and no tile is configured (on
+    its own it would build one task per chain on up to ``2·mbs`` threads).
+    Apply with ``pytestmark = pytest.mark.usefixtures("real_threads")``."""
+    from repro.core import bpar, graph_builder
+    from repro.serve import engine
+
+    policy = graph_builder.plan_granularity
+
+    def per_step(spec, rows, seq_len, training, n_workers, executor, config=None):
+        plan = policy(spec, rows, seq_len, training, n_workers, executor, config)
+        if plan.threads > 1 and (config is None or config.wavefront_tile is None):
+            plan = plan._replace(tile=1)
+        return plan
+
+    monkeypatch.setattr(graph_builder, "MIN_GEMM_FLOPS_PER_CELL_STEP", 0.0)
+    for module in (graph_builder, bpar, engine):
+        monkeypatch.setattr(module, "plan_granularity", per_step)
 
 
 def small_spec(**overrides) -> BRNNSpec:

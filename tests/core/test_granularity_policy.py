@@ -2,21 +2,22 @@
 
 One decision per batch shape, before any graph exists: the threads the
 executor will start, the hoisted layers, the chain tile and the pairing.  A
-shape a host executor runs on one thread is built as one task per layer per
-pass (the chain tile spans the sequence, the merges follow it, the forward
-chains are paired); everything else keeps the paper's task per cell update.
-Everything here is clock-free: the policy is analytic, and neither a tile
-nor a pairing changes the bits.
+shape a host executor runs on no more threads than a layer has chains
+(``2·mbs``) is built as one task per chain (the chain tile spans the
+sequence, the merges follow it); on one thread the forward chains are also
+paired, which makes one task per layer per pass.  Everything else keeps the
+paper's task per cell update.  Everything here is clock-free: the policy is
+analytic, and neither a tile nor a pairing changes the bits.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import ExecutionConfig
-from repro.core import BParEngine, BSeqEngine
+from repro.core import BParEngine, BSeqEngine, graph_builder
 from repro.core.graph_builder import plan_granularity
 from repro.models.params import BRNNParams
-from repro.models.reference import reference_forward
+from repro.models.reference import reference_forward, reference_train_step
 from repro.models.spec import BRNNSpec
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.serve.engine import InferenceEngine
@@ -34,13 +35,16 @@ _FINE = BRNNSpec(cell="lstm", input_size=39, hidden_size=32, num_layers=4,
                  head="many_to_one", num_classes=11)
 _SERVED = BRNNSpec(cell="lstm", input_size=39, hidden_size=128, num_layers=2,
                    head="many_to_one", num_classes=11)
+#: above the thread floor on a single row
+_WIDE = BRNNSpec(cell="lstm", input_size=1024, hidden_size=1024, num_layers=1,
+                 head="many_to_one", num_classes=11)
 
 #: (case, spec, rows, seq_len, training, n_workers, executor, config,
 #: expected (mbs, threads, hoisted, tile, paired)): the five benchmark workloads,
 #: then the substrates and overrides around them
 TABLE = [
     ("train_gemm", _GEMM, 64, 32, True, 2, "threaded", ExecutionConfig(mbs=2),
-     (2, 2, [True] * 3, 1, False)),
+     (2, 2, [True] * 3, 32, False)),
     ("infer_fine", _FINE, 4, 100, False, 2, "threaded", ExecutionConfig(),
      (1, 1, [False] * 4, 100, True)),
     ("serve_poisson", _SERVED, 8, 60, False, 1, "threaded", ExecutionConfig(),
@@ -69,13 +73,26 @@ TABLE = [
     ("proj_on", _FINE, 4, 100, False, 2, "threaded",
      ExecutionConfig(fused_input_projection="on"), (1, 1, [True] * 4, 100, True)),
     ("proj_off", _GEMM, 64, 32, True, 2, "threaded",
-     ExecutionConfig(mbs=2, fused_input_projection="off"), (2, 2, [False] * 3, 1, False)),
+     ExecutionConfig(mbs=2, fused_input_projection="off"), (2, 2, [False] * 3, 32, False)),
     # one thread, but the barriered graph: no pairing
     ("barriered", _FINE, 4, 100, False, 2, "threaded",
      ExecutionConfig(barrier_free=False), (1, 1, [False] * 4, 100, False)),
     # a batch shorter than mbs gets one chunk per row
     ("short_batch", _FINE, 1, 100, False, 2, "threaded", ExecutionConfig(mbs=2),
      (1, 1, [False] * 4, 100, True)),
+    # more threads than a layer's 2·mbs chains: the paper's graph, else one
+    # task per chain, unpaired (barriered or not)
+    ("four_workers_mbs_1", _GEMM, 64, 32, True, 4, "threaded", ExecutionConfig(mbs=1),
+     (1, 4, [True] * 3, 1, False)),
+    ("four_workers_mbs_2", _GEMM, 64, 32, True, 4, "threaded", ExecutionConfig(mbs=2),
+     (2, 4, [True] * 3, 32, False)),
+    ("barriered_two_threads", _GEMM, 64, 32, True, 2, "threaded",
+     ExecutionConfig(mbs=2, barrier_free=False), (2, 2, [True] * 3, 32, False)),
+    # the chains are counted after mbs is clamped to the batch
+    ("clamped_mbs_four_workers", _WIDE, 1, 32, True, 4, "threaded", ExecutionConfig(mbs=2),
+     (1, 4, [True], 1, False)),
+    ("unclamped_mbs_four_workers", _WIDE, 2, 32, True, 4, "threaded", ExecutionConfig(mbs=2),
+     (2, 4, [True], 32, False)),
 ]
 
 
@@ -177,11 +194,67 @@ def test_one_worker_inference_engine_replays_tiled_plans_bitwise():
 
 def test_real_threads_plan_every_worker_and_the_per_step_graph(real_threads):
     """With the floor taken away, concurrency suites still get per-step
-    graphs on real threads."""
+    graphs on real threads, although two threads are no more than a layer's
+    chains, where the policy on its own builds one task per chain."""
     for spec, rows, seq_len in ((_FINE, 4, 100), (small_spec(), 8, 5)):
-        plan = plan_granularity(spec, rows, seq_len, False, 2, "threaded")
+        plan = graph_builder.plan_granularity(spec, rows, seq_len, False, 2, "threaded")
         assert (plan.threads, plan.tile) == (2, 1)
-    engine = _engine(BParEngine, small_spec())
-    engine.forward(make_batch(small_spec())[0])
-    assert engine.last_trace.n_cores == 2
-    assert all(hi - lo == 1 for lo, hi in cell_tiles(engine))
+        assert plan_granularity(spec, rows, seq_len, False, 2, "threaded").tile == seq_len
+    x, labels = make_batch(small_spec())
+    for cls in (BParEngine, BSeqEngine):
+        for mbs in (1, 2):
+            engine = _engine(cls, small_spec(), mbs=mbs)
+            for step in (lambda: engine.forward(x), lambda: engine.train_batch(x, labels)):
+                step()
+                assert engine.last_trace.n_cores == 2
+                assert all(hi - lo == 1 for lo, hi in cell_tiles(engine))
+
+
+# -- two threads, one task per chain: the per-step graph's and the oracle's bits
+
+
+@pytest.mark.parametrize("cls", [BParEngine, BSeqEngine])
+@pytest.mark.parametrize("momentum", [0.0, 0.9], ids=["sgd", "momentum"])
+@pytest.mark.parametrize("mbs", [1, 2])
+@pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_two_thread_chain_tasks_match_the_per_step_graph_and_the_oracle(
+    monkeypatch, cell, head, mbs, momentum, cls
+):
+    """With the floor at 0 the default policy gives a tiny model what it
+    gives ``train_gemm``: two threads, one unpaired task per chain.  Three
+    steps of such an engine, rebound into one build, land on the losses,
+    weights and velocity of the same engine at ``wavefront_tile=1`` and,
+    on one chunk, of the oracle; its forward then gives their logits."""
+    monkeypatch.setattr(graph_builder, "MIN_GEMM_FLOPS_PER_CELL_STEP", 0.0)
+    spec = small_spec(cell=cell, head=head)
+    tiled, per_step = (
+        cls(spec, params=BRNNParams.initialize(spec, seed=3), momentum=momentum,
+            config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=mbs, wavefront_tile=tile))
+        for tile in (None, 1)
+    )
+    oracle = BRNNParams.initialize(spec, seed=3)
+    velocity = BRNNParams.zeros_like(spec) if momentum else None
+    builds = []
+    for step in range(3):
+        x, labels = make_batch(spec, seq_len=6, seed=step)
+        loss = tiled.train_batch(x, labels, lr=0.05)
+        assert tiled.granularity[1:] == (2, [False] * 3, 6, False)
+        assert cell_tiles(tiled) == {(0, 6)} and tiled.last_trace.n_cores == 2
+        assert loss == per_step.train_batch(x, labels, lr=0.05), step
+        assert cell_tiles(per_step) == {(s, s + 1) for s in range(6)}
+        assert grads_bitwise(tiled.params, per_step.params), step
+        if momentum:
+            assert grads_bitwise(tiled.velocity, per_step.velocity), step
+        if mbs == 1:
+            assert loss == reference_train_step(
+                spec, oracle, x, labels, 0.05, momentum, velocity
+            ), step
+            assert grads_bitwise(tiled.params, oracle), step
+        builds.append(tiled.last_result)
+    assert builds[1] is builds[0] and builds[2] is builds[0]
+    x, _ = make_batch(spec, seq_len=6, seed=7)
+    logits = tiled.forward(x)
+    assert cell_tiles(tiled) == {(0, 6)}
+    assert np.array_equal(logits, per_step.forward(x))
+    assert np.array_equal(logits, reference_forward(spec, tiled.params, x)[0])
