@@ -3,9 +3,11 @@
 ``compile_graph`` turns a built :class:`~repro.runtime.depgraph.TaskGraph`
 into a :class:`CompiledPlan` — transitive-reduced edge set plus a
 list-scheduled release order priced by the ``simarch`` cost model — that
-both executors replay without re-resolving dependences per batch.
-``PlanCache`` memoises plans in memory per batch shape ``(padded_len,
-size)`` for the serving hot path (``ExecutionConfig(compile="on")``).
+the simulated executor replays without re-resolving dependences, and that
+:func:`repro.runtime.racecheck.check_plan` audits.  ``PlanCache`` keeps
+one entry per batch shape ``(padded_len, size)`` for the serving hot path
+(``ExecutionConfig(compile="on")``): a plan on ``sim``, the shape's graph
+build on a real executor.
 """
 
 from repro.compile.cache import CacheEntry, PlanCache

@@ -1,15 +1,14 @@
-"""LRU cache of compiled plans, keyed by batch shape ``(padded_len, size)``.
+"""LRU cache of per-shape serving state, keyed by batch shape ``(padded_len, size)``.
 
-The serving engine asks the cache before building a graph: a hit replays
-the stored plan (and, on a functional substrate, reuses the stored graph
-build), a miss builds the graph, compiles it and records the plan for the
-next batch of that shape.  Counters are exported through :mod:`repro.obs`
+The serving engine asks the cache before building a graph.  On the
+simulated substrate a miss builds the graph, compiles it and stores the
+plan with its memoised ``(service_time, trace)`` payload, and a hit
+returns that payload.  On a functional substrate an entry holds no plan
+(``plan`` is ``None``): its payload is the shape's reusable
+:class:`~repro.core.graph_builder.GraphBuildResult`, which a hit rebinds
+and runs.  Counters are exported through :mod:`repro.obs`
 (``repro_compile_*`` family) when a registry is attached; the hot path
-pays a handful of dict operations per *batch*, never per task.
-
-Entries carry an opaque ``payload`` alongside the plan (the sim engine
-stores the memoised ``(service_time, trace)``, the threaded engine the
-reusable :class:`~repro.core.graph_builder.GraphBuildResult`).  Each
+pays a handful of dict operations per *batch*, never per task.  Each
 engine owns its cache in memory; nothing is persisted.
 """
 
@@ -28,9 +27,10 @@ DEFAULT_CAPACITY = 32
 
 @dataclass
 class CacheEntry:
-    """One cached plan plus the engine's substrate-specific payload."""
+    """One cached shape: its compiled plan (``None`` on a functional
+    substrate) plus the engine's substrate-specific payload."""
 
-    plan: CompiledPlan
+    plan: Optional[CompiledPlan]
     payload: Any = None
 
 
@@ -70,8 +70,9 @@ class PlanCache:
         self._publish()
         return entry
 
-    def put(self, key: Hashable, plan: CompiledPlan, payload: Any = None) -> CacheEntry:
-        """Insert a freshly compiled plan, evicting the LRU entry if full."""
+    def put(self, key: Hashable, plan: Optional[CompiledPlan], payload: Any = None) -> CacheEntry:
+        """Insert a shape (``compiles`` counts them, plan or not), evicting
+        the LRU entry if full."""
         entry = CacheEntry(plan=plan, payload=payload)
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -80,7 +81,8 @@ class PlanCache:
             self._entries.popitem(last=False)
             self.evictions += 1
         self.compiles += 1
-        self.last_compile_s = float(plan.meta.get("compile_time_s", 0.0))
+        if plan is not None:
+            self.last_compile_s = float(plan.meta.get("compile_time_s", 0.0))
         self._publish()
         return entry
 

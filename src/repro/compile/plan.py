@@ -1,7 +1,8 @@
 """The compiled-plan artifact: a static schedule of one task graph.
 
-A :class:`CompiledPlan` freezes everything the executors re-derive
-dynamically on every invocation:
+A :class:`CompiledPlan` freezes everything an executor re-derives
+dynamically on every invocation; the simulated executor is the one that
+replays it (a real executor resolves dependences dynamically):
 
 * the **reduced edge set** — the transitive reduction of the declared
   dependence graph (same reachability, ~45 % fewer edges on the

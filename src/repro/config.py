@@ -77,11 +77,13 @@ class ExecutionConfig:
         Parameter-initialisation seed used when an engine creates its own
         weights.
     compile:
-        Graph compilation & plan replay (docs/COMPILE.md): ``"off"`` —
-        dynamic dependence resolution every batch (the default);
-        ``"on"`` — every batch shape is compiled into a cached
-        :class:`~repro.compile.plan.CompiledPlan` on first sight and
-        replayed on every repeat.
+        Per-shape serving cache (docs/COMPILE.md): ``"off"`` — every
+        batch builds its graph (the default); ``"on"`` — the serving
+        engine keeps one entry per batch shape from its first sight: on
+        a real executor the shape's graph build, rebound and run again on
+        every repeat (dependences still resolve dynamically); on ``sim``
+        a compiled :class:`~repro.compile.plan.CompiledPlan` and its
+        replayed service time.
     metrics:
         A :class:`~repro.obs.registry.MetricsRegistry` the executors
         publish per-run counters into (``None`` disables — the default

@@ -75,12 +75,12 @@ def resolve_executor(config: ExecutionConfig):
     return ex
 
 
-def run_planned(executor, graph, threads: int, plan=None) -> ExecutionTrace:
-    """Run ``graph``: a :class:`ThreadedExecutor` on the planned ``threads``
-    (a compiled ``plan`` carries them), any other substrate as it is."""
-    if plan is None and isinstance(executor, ThreadedExecutor):
+def run_planned(executor, graph, threads: int) -> ExecutionTrace:
+    """Run ``graph``: a :class:`ThreadedExecutor` on the planned ``threads``,
+    any other substrate as it is."""
+    if isinstance(executor, ThreadedExecutor):
         return executor.run(graph, threads=threads)
-    return executor.run(graph) if plan is None else executor.run(graph, plan=plan)
+    return executor.run(graph)
 
 
 class BParEngine:
@@ -143,15 +143,15 @@ class BParEngine:
                 self.config,
             )
             out, x, labels = None, np.array(x), None if labels is None else np.array(labels)
-        plan = self.granularity
+        grain = self.granularity
         result = build_brnn_graph(
             self.spec, x=x, labels=labels, params=self.params, training=training,
-            mbs=plan.mbs, barrier_free=self.barrier_free,
-            serialize_chunks=self.serialize_chunks, fused_input_projection=plan.hoisted,
-            proj_block=self.config.proj_block, wavefront_tile=plan.tile, paired=plan.paired,
+            mbs=grain.mbs, barrier_free=self.barrier_free,
+            serialize_chunks=self.serialize_chunks, fused_input_projection=grain.hoisted,
+            proj_block=self.config.proj_block, wavefront_tile=grain.tile, paired=grain.paired,
             out=out, **overrides,
         )
-        self.last_trace = run_planned(self.executor, result.graph, plan.threads)
+        self.last_trace = run_planned(self.executor, result.graph, grain.threads)
         self.last_result, self._last_call = result, call
         return result
 

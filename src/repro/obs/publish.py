@@ -36,8 +36,8 @@ Metric families (all prefixed ``repro_``):
 ``repro_compile_cache_hits_total``    counter    plan-cache lookups that hit
 ``repro_compile_cache_misses_total``  counter    plan-cache lookups that missed
 ``repro_compile_cache_evictions_total`` counter  LRU evictions
-``repro_compile_plans_compiled_total`` counter   graphs compiled into plans
-``repro_compile_cache_size``          gauge      live cached plans
+``repro_compile_plans_compiled_total`` counter   shapes cached (a plan on sim)
+``repro_compile_cache_size``          gauge      live cached shapes
 ``repro_compile_hit_rate``            gauge      lifetime hit rate
 ``repro_serve_requests_total``        counter    per terminal ``status``
 ``repro_serve_shed_total``            counter    sheds, per ``reason``
@@ -177,11 +177,11 @@ def publish_plan_cache(registry: MetricsRegistry, stats: dict) -> None:
         ("repro_compile_cache_hits_total", "hits", "plan-cache hits"),
         ("repro_compile_cache_misses_total", "misses", "plan-cache misses"),
         ("repro_compile_cache_evictions_total", "evictions", "plan-cache LRU evictions"),
-        ("repro_compile_plans_compiled_total", "compiles", "graphs compiled into plans"),
+        ("repro_compile_plans_compiled_total", "compiles", "shapes cached (a plan on sim)"),
     ):
         counter = registry.counter(name, help=help_)
         counter.inc(max(0.0, stats[key] - counter.value))
-    registry.gauge("repro_compile_cache_size", help="live cached plans").set(
+    registry.gauge("repro_compile_cache_size", help="live cached shapes").set(
         stats["size"]
     )
     registry.gauge("repro_compile_hit_rate", help="lifetime plan-cache hit rate").set(

@@ -5,8 +5,10 @@ annotated with ``in``/``out``/``inout`` data regions, a dependency tracker
 that turns a sequential stream of task registrations into a DAG (the exact
 semantics of OmpSs/OpenMP task dependences), the paper's two ready-queue
 policies (FIFO breadth-first and locality-aware) plus the
-fuzz/record/replay schedulers, and three executors beside the serial
-reference, each starting a run through
+fuzz/record/replay schedulers, the registration-order loop
+(:func:`~repro.runtime.executor.run_in_order`, the serial reference and
+every one-thread host run under a policy), and three executors whose
+scheduler-driven runs start through
 :func:`~repro.runtime.scheduler.start_release`:
 
 * :class:`~repro.runtime.executor.ThreadedExecutor` — real worker threads.
@@ -16,7 +18,8 @@ reference, each starting a run through
   discrete-event executor over a modelled machine
   (:mod:`repro.simarch`).  It reproduces the scheduling, cache-locality
   and NUMA behaviour of the paper's 48-core platform, which the GIL and
-  a laptop-scale host cannot express directly.
+  a laptop-scale host cannot express directly.  It is the one executor
+  that replays a compiled plan.
 * :class:`~repro.runtime.mpexec.MultiprocessExecutor` — pinned worker
   *processes* over POSIX shared memory (:mod:`repro.runtime.shm`): true
   parallelism for the fine-grained task modes the GIL serialises.  The

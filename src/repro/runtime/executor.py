@@ -1,30 +1,35 @@
 """Executors that actually run task payloads.
 
-:class:`SerialExecutor` runs the graph in registration order on one core —
-the reference schedule used in correctness tests.
+:func:`run_in_order` runs a graph in registration order on the calling
+thread: the dependence tracker only ever adds an edge from an earlier task
+to a later one, so that order is topological, and one thread needs no
+scheduler.  :class:`SerialExecutor` is that loop and nothing else — the
+reference schedule of the correctness tests.
 
 :class:`ThreadedExecutor` is the real-concurrency engine: worker threads
-pull from a shared scheduler under a lock.  RNN-cell payloads are
+pull from a shared scheduler under a lock, and a completion releases its
+successors with the paper's locality hints.  RNN-cell payloads are
 GEMM-dominated NumPy calls that release the GIL, so tasks overlap for real
 on a multi-core host — when the GEMMs are large enough to matter, which the
-engines decide (:func:`repro.core.graph_builder.plan_granularity`); one
-thread runs the graph on the calling thread.  Dataflow determinism holds
-regardless of interleaving: a task only ever reads regions whose writers
-completed, so results are bitwise identical to the serial schedule.
+engines decide (:func:`repro.core.graph_builder.plan_granularity`).  One
+thread under a ready-queue policy is :func:`run_in_order`; a fuzz seed or
+a primed scheduler instance drives the worker loop on any thread count.
+Dataflow determinism holds regardless of interleaving: a task only ever
+reads regions whose writers completed, so results are bitwise identical to
+the serial schedule.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from functools import partial
 from typing import Optional
 
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.publish import publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
-from repro.runtime.scheduler import start_release
+from repro.runtime.scheduler import SCHEDULERS, resolve_scheduler, start_release
 from repro.runtime.task import Task
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 
@@ -72,6 +77,31 @@ def _fill_working_sets(trace: ExecutionTrace, graph: TaskGraph) -> None:
         r.wss_bytes = tasks[r.tid].working_set_bytes()
 
 
+def run_in_order(
+    graph: TaskGraph,
+    metrics: Optional[MetricsRegistry] = None,
+    hooks: Optional[ProfilingHooks] = None,
+) -> ExecutionTrace:
+    """Run every task of ``graph`` on the calling thread in registration
+    order: no scheduler, indegree count, lock or hint.  A payload exception
+    propagates as it is, and nothing is published."""
+    trace = ExecutionTrace(n_cores=1, scheduler="serial")
+    records = trace.records
+    epoch = time.perf_counter()
+    for task in graph:
+        start = time.perf_counter() - epoch
+        if hooks is not None:
+            hooks.on_task_start(task, 0, start)
+        task.run()
+        end = time.perf_counter() - epoch
+        if hooks is not None:
+            hooks.on_task_end(task, 0, end)
+        records.append(_record(task, 0, start, end))
+    _fill_working_sets(trace, graph)
+    publish_run(metrics, trace)
+    return trace
+
+
 class SerialExecutor:
     """Run tasks one by one in registration (topological) order."""
 
@@ -85,30 +115,16 @@ class SerialExecutor:
         self.hooks = hooks
 
     def run(self, graph: TaskGraph) -> ExecutionTrace:
-        trace = ExecutionTrace(n_cores=1, scheduler="serial")
-        hooks = self.hooks
-        now = 0.0
-        for task in graph:
-            if hooks is not None:
-                hooks.on_task_start(task, 0, now)
-            t0 = time.perf_counter()
-            task.run()
-            dur = time.perf_counter() - t0
-            trace.records.append(_record(task, 0, now, now + dur))
-            now += dur
-            if hooks is not None:
-                hooks.on_task_end(task, 0, now)
-        _fill_working_sets(trace, graph)
-        publish_run(self.metrics, trace)
-        return trace
+        return run_in_order(graph, self.metrics, self.hooks)
 
 
 class ThreadedExecutor:
     """Pool of worker threads draining a dependence-aware ready queue.
 
     ``scheduler`` is a policy name (``"locality"``, ``"fifo"``,
-    ``"fuzz:7"``) or a ready :class:`~repro.runtime.scheduler.Scheduler`
-    instance — the latter lets the race-checking harness inject a primed
+    ``"fuzz:7"``; an unknown one raises ``ValueError`` here) or a ready
+    :class:`~repro.runtime.scheduler.Scheduler` instance — the latter lets
+    the race-checking harness inject a primed
     ``RecordingScheduler``/``ReplayScheduler`` (single-use: pass a fresh
     instance per ``run``).
     """
@@ -122,69 +138,30 @@ class ThreadedExecutor:
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
+        resolve_scheduler(scheduler, n_workers)  # an unknown name raises here
         self.n_workers = n_workers
         self.scheduler = scheduler
         self.metrics = metrics
         self.hooks = hooks
 
-    def run(self, graph: TaskGraph, plan=None, threads: Optional[int] = None) -> ExecutionTrace:
-        """Execute ``graph`` on the ``threads`` the engine planned, else the
-        workers ``plan`` was compiled for, else ``n_workers`` (at most
-        ``n_workers``).  With ``plan`` (a compiled :class:`~repro.compile.
-        plan.CompiledPlan`) replay its static release order over the
-        transitive-reduced edge set instead of resolving dependences
-        dynamically — fewer indegree decrements per completion and no
-        locality-hint computation per wake-up."""
-        if threads is None:
-            threads = plan.n_workers if plan is not None else self.n_workers
-        n_threads = min(threads, self.n_workers)
-        scheduler, successors, indegree = start_release(
-            graph, self.scheduler, self.n_workers, plan
-        )
+    def run(self, graph: TaskGraph, threads: Optional[int] = None) -> ExecutionTrace:
+        """Execute ``graph`` on the ``threads`` the engine planned, else on
+        ``n_workers`` (at most ``n_workers``).  One thread under a policy
+        name is :func:`run_in_order`; otherwise workers release successors
+        dynamically, with locality hints."""
+        n_threads = min(self.n_workers if threads is None else threads, self.n_workers)
+        if n_threads == 1 and self.scheduler in SCHEDULERS:
+            return run_in_order(graph, self.metrics, self.hooks)
+        scheduler, successors, indegree = start_release(graph, self.scheduler, self.n_workers)
         scheduler.hooks = self.hooks
         trace = ExecutionTrace(n_cores=n_threads, scheduler=scheduler.name)
-        if n_threads > 1:
-            hinted = plan is None
-            self._run_threaded(graph, scheduler, successors, indegree, hinted, trace)
-        else:
-            self._run_inline(graph, scheduler, successors, indegree, trace)
+        self._run_threaded(graph, scheduler, successors, indegree, trace)
         _fill_working_sets(trace, graph)
         trace.scheduler_counters = scheduler.counters
         publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
         return trace
 
-    def _run_inline(self, graph, scheduler, successors, indegree, trace):
-        """The one-thread case: no thread, lock, condition or hint.  The
-        scheduler's pops are the release order, and each task whose last
-        predecessor finished is pushed to it; a payload or scheduler
-        exception propagates as it is."""
-        hooks = self.hooks
-        tasks = graph.tasks
-        records = trace.records
-        push = scheduler.push
-        epoch = time.perf_counter()
-        for task in iter(partial(scheduler.pop, 0), None):
-            if indegree[task.tid] != 0:
-                raise ValueError(
-                    f"task {task.name!r} released twice or before its predecessors"
-                )
-            indegree[task.tid] = -1
-            start = time.perf_counter() - epoch
-            if hooks is not None:
-                hooks.on_task_start(task, 0, start)
-            task.run()
-            end = time.perf_counter() - epoch
-            if hooks is not None:
-                hooks.on_task_end(task, 0, end)
-            records.append(_record(task, 0, start, end))
-            for succ_tid in successors[task.tid]:
-                indegree[succ_tid] -= 1
-                if indegree[succ_tid] == 0:
-                    push(tasks[succ_tid])
-        if len(records) < len(tasks):  # nothing runs, so nothing will be pushed
-            raise starved_error(len(tasks) - len(records))
-
-    def _run_threaded(self, graph, scheduler, successors, indegree, hinted, trace):
+    def _run_threaded(self, graph, scheduler, successors, indegree, trace):
         hooks = self.hooks
         tasks = graph.tasks
         lock = threading.Lock()
@@ -235,7 +212,7 @@ class ThreadedExecutor:
                 # whose other predecessor ends meanwhile is placed under it.)
                 hints = {
                     succ_tid: locality_hint(task, tasks[succ_tid], core)
-                    for succ_tid in (successors[task.tid] if hinted else ())
+                    for succ_tid in successors[task.tid]
                     if indegree[succ_tid] == 1
                 }
                 with lock:
@@ -247,9 +224,9 @@ class ThreadedExecutor:
                         indegree[succ_tid] -= 1
                         if indegree[succ_tid] == 0:
                             succ = tasks[succ_tid]
-                            if hinted and succ_tid not in hints:
+                            if succ_tid not in hints:
                                 hints[succ_tid] = locality_hint(task, succ, core)
-                            scheduler.push(succ, hint=hints.get(succ_tid))
+                            scheduler.push(succ, hint=hints[succ_tid])
                             woke = True
                     if remaining == 0:
                         work_available.notify_all()

@@ -61,7 +61,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.executor import locality_hint, starved_error
 from repro.runtime.protocol import WorkerCrashError
-from repro.runtime.scheduler import start_release
+from repro.runtime.scheduler import resolve_scheduler, start_release
 from repro.runtime.shm import ALIGNMENT, ShmArena
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 
@@ -193,10 +193,11 @@ class MultiprocessExecutor:
 
     Drop-in :class:`~repro.runtime.protocol.Executor`: construct via
     ``ExecutionConfig(executor="process", n_workers=…)`` and every engine
-    accepts it unchanged, including compiled-plan replay (``run(graph,
-    plan=…)``) for the serving warm path.
+    accepts it unchanged.  Every run starts ``n_workers`` processes and
+    releases successors dynamically, with locality hints.
 
-    Parameters mirror :class:`~repro.runtime.executor.ThreadedExecutor`;
+    Parameters mirror :class:`~repro.runtime.executor.ThreadedExecutor`
+    (an unknown ``scheduler`` name raises ``ValueError`` here);
     ``topology`` additionally controls socket-aware placement (see
     :func:`plan_placement`).
     """
@@ -216,6 +217,7 @@ class MultiprocessExecutor:
                 "MultiprocessExecutor requires the 'fork' start method "
                 "(workers inherit the graph and shared-memory mappings)"
             )
+        resolve_scheduler(scheduler, n_workers)  # an unknown name raises here
         self.n_workers = n_workers
         self.scheduler = scheduler
         self.metrics = metrics
@@ -266,15 +268,14 @@ class MultiprocessExecutor:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, graph: TaskGraph, plan=None) -> ExecutionTrace:
-        """Execute ``graph``; semantics match ``ThreadedExecutor.run``
-        (dynamic dependence resolution, or static replay with ``plan``)."""
+    def run(self, graph: TaskGraph) -> ExecutionTrace:
+        """Execute ``graph``; semantics match ``ThreadedExecutor.run`` on
+        ``n_workers`` threads (dynamic dependence resolution)."""
         scheduler, successors, indegree = start_release(
-            graph, self.scheduler, self.n_workers, plan
+            graph, self.scheduler, self.n_workers
         )
         scheduler.hooks = self.hooks
         hooks = self.hooks
-        replay = plan is not None
         trace = ExecutionTrace(n_cores=self.n_workers, scheduler=scheduler.name)
         n_tasks = len(graph.tasks)
         if n_tasks == 0:
@@ -460,11 +461,9 @@ class MultiprocessExecutor:
                             indegree[succ_tid] -= 1
                             if indegree[succ_tid] == 0:
                                 succ = graph.tasks[succ_tid]
-                                hint = (
-                                    None if replay
-                                    else locality_hint(task, succ, wid)
+                                scheduler.push(
+                                    succ, hint=locality_hint(task, succ, wid)
                                 )
-                                scheduler.push(succ, hint=hint)
                         idle.append(wid)
                     elif kind == "error":
                         _, _w, tid, payload, tb = msg

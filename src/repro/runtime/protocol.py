@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # typing only — no runtime import cycle
-    from repro.compile.plan import CompiledPlan
     from repro.runtime.depgraph import TaskGraph
     from repro.runtime.trace import ExecutionTrace
 
@@ -32,18 +31,16 @@ class Executor(Protocol):
     ``n_workers`` is the concurrency width (threads, processes, or
     simulated cores); :meth:`run` executes every task of ``graph``
     respecting its dependences and returns the
-    :class:`~repro.runtime.trace.ExecutionTrace`.  ``plan`` — a
-    :class:`~repro.compile.plan.CompiledPlan` for this exact graph —
-    replays a compiled release order instead of resolving dependences
-    dynamically; substrates that support serving warm shapes must honour
-    it (``SerialExecutor``, which predates compilation, does not).
+    :class:`~repro.runtime.trace.ExecutionTrace`.  Substrates add keyword
+    arguments of their own: ``ThreadedExecutor.run(graph, threads=...)``
+    takes the thread count an engine planned, and only
+    ``SimulatedExecutor.run(graph, plan=...)`` replays a
+    :class:`~repro.compile.plan.CompiledPlan`.
     """
 
     n_workers: int
 
-    def run(
-        self, graph: "TaskGraph", plan: Optional["CompiledPlan"] = None
-    ) -> "ExecutionTrace":  # pragma: no cover - protocol signature
+    def run(self, graph: "TaskGraph") -> "ExecutionTrace":  # pragma: no cover - signature
         ...
 
 

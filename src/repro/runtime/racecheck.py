@@ -28,11 +28,13 @@ shares with the runtime and the instruments that *execute* graphs:
   asserts bitwise-equal results across seeds), and :func:`record_schedule` /
   :func:`replay_schedule` serialise one schedule to JSON and re-execute it;
 * the **plan audit** and audited replay (:func:`check_plan`,
-  :func:`replay_plan`, :func:`plan_equivalence_check`).
+  :func:`replay_plan`, :func:`plan_equivalence_check`), on the simulated
+  executor, the one that replays plans.
 
-Layering: this module depends only on the runtime substrate and NumPy; it
-reaches graph-builder storage exclusively through the duck-typed
-``GraphBuildResult.region_storage``/``map_storage`` interface.
+Layering: this module depends only on the runtime substrate, the
+simulated machine and NumPy; it reaches graph-builder storage exclusively
+through the duck-typed ``GraphBuildResult.region_storage``/``map_storage``
+interface.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ from repro.runtime.scheduler import (
     ScheduleRecord,
     resolve_scheduler,
 )
+from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.task import AccessMode
 from repro.runtime.trace import ExecutionTrace
+from repro.simarch.presets import xeon_8160_2s
 
 try:  # NumPy >= 2.0
     from numpy.lib.array_utils import byte_bounds
@@ -762,35 +766,33 @@ def check_plan(graph: TaskGraph, plan) -> DependenceReport:
     return report
 
 
-def replay_plan(
-    graph: TaskGraph, plan, n_workers: int = 1, executor_factory=ThreadedExecutor,
-):
+def replay_plan(graph: TaskGraph, plan, n_workers: int = 1) -> ExecutionTrace:
     """Execute ``graph`` from a compiled plan, auditing it first.
 
     A failed :func:`check_plan` raises :class:`RaceError` before any
-    payload runs; the returned value is the
-    :class:`~repro.runtime.trace.ExecutionTrace` of the replay.
+    payload runs.  The replay runs the payloads on the simulated executor
+    (the one that replays plans) with ``n_workers`` cores of the machine
+    :func:`~repro.compile.compile_graph` prices by default; the returned
+    value is its :class:`~repro.runtime.trace.ExecutionTrace`.
     """
     report = check_plan(graph, plan)
     if not report.ok:
         raise RaceError(report)
-    return executor_factory(n_workers).run(graph, plan=plan)
+    sim = SimulatedExecutor(xeon_8160_2s(), n_cores=n_workers, execute_payloads=True)
+    return sim.run(graph, plan=plan)
 
 
 def plan_equivalence_check(
-    make_build: Callable[[], object],
-    *,
-    n_workers: int = 1,
-    executor_factory=ThreadedExecutor,
+    make_build: Callable[[], object], *, n_workers: int = 1
 ) -> List[str]:
     """Compiled-plan replay vs a dynamic schedule, compared bitwise.
 
     Builds the graph twice from identical deterministic state, runs the
-    reference dynamically under FIFO and the second build from a freshly
-    compiled plan, and returns the names of arrays whose bits differ
-    (empty list = equivalent) — the compiled-path counterpart of
-    :func:`fuzz_equivalence_sweep`.  The reference leg always runs
-    threaded; the replay leg runs on ``executor_factory``.
+    reference dynamically under FIFO on ``n_workers`` threads and the
+    second build from a freshly compiled plan (:func:`replay_plan`), and
+    returns the names of arrays whose bits differ (empty list =
+    equivalent) — the compiled-path counterpart of
+    :func:`fuzz_equivalence_sweep`.
     """
     # Late import: repro.compile sits above the runtime in the layering.
     from repro.compile import compile_graph
@@ -801,8 +803,7 @@ def plan_equivalence_check(
 
     result = make_build()
     plan = compile_graph(result.graph, n_workers=n_workers)
-    replay_plan(result.graph, plan, n_workers=n_workers,
-                executor_factory=executor_factory)
+    replay_plan(result.graph, plan, n_workers=n_workers)
     got = _result_fingerprint(result)
     bad = sorted(name for name in expected if got.get(name) != expected[name])
     if set(got) != set(expected):

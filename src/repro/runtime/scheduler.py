@@ -15,15 +15,17 @@ Three additional schedulers back the race-checking harness
 (:mod:`repro.runtime.racecheck`): :class:`FuzzScheduler` pops a seeded
 pseudo-random ready task (exploring the legal-schedule space),
 :class:`RecordingScheduler` wraps any scheduler and logs its pop order,
-and :class:`ReplayScheduler` re-executes a recorded pop order — or a
-compiled plan's release order — deterministically.  A recorded schedule
-round-trips through JSON via :class:`ScheduleRecord`.
+and :class:`ReplayScheduler` re-executes a recorded pop order — or, on
+the simulated executor, a compiled plan's release order —
+deterministically.  A recorded schedule round-trips through JSON via
+:class:`ScheduleRecord`.
 
-Every executor but the serial reference starts a run through
-:func:`start_release`, which names the order one way: a policy name
-(``"fifo"``, ``"locality"``, ``"fuzz:SEED"``) or a primed
-:class:`Scheduler` instance, replaced by the plan's replay when one is
-given.
+Every scheduler-driven run starts through :func:`start_release`, which
+names the order one way: a policy name (``"fifo"``, ``"locality"``,
+``"fuzz:SEED"``) or a primed :class:`Scheduler` instance, replaced by the
+plan's replay when the simulated executor is given one.  A one-thread
+host run under a policy name needs no scheduler: it is the registration
+order (:func:`repro.runtime.executor.run_in_order`).
 """
 
 from __future__ import annotations
@@ -383,10 +385,10 @@ class ReplayScheduler(Scheduler):
     """Releases tasks only in a prescribed tid order.
 
     ``record`` is anything with ``order`` (tids in release order) and
-    ``names`` (the matching task names): a :class:`ScheduleRecord` or a
-    :class:`~repro.compile.plan.CompiledPlan`.  ``pop`` returns the next
-    prescribed task once it has been pushed (i.e. become ready) and
-    ``None`` until then.  A recorded order is a topological order of the
+    ``names`` (the matching task names): a :class:`ScheduleRecord`, or a
+    :class:`~repro.compile.plan.CompiledPlan` on the simulated executor.
+    ``pop`` returns the next prescribed task once it has been pushed (i.e.
+    become ready) and ``None`` until then.  A recorded order is a topological order of the
     graph it was recorded from, so every prescribed task's predecessors
     appear earlier in the order and are already running or finished —
     executors that wait on completions make progress.  An order that is
@@ -462,8 +464,9 @@ def start_release(graph, spec, n_cores: int, plan=None):
 
     Without ``plan`` the scheduler is ``spec`` (a policy name or a primed
     instance) over the graph's declared edges.  With a compiled ``plan``
-    it is the plan's :class:`ReplayScheduler` over the plan's reduced
-    edges, after :meth:`~repro.compile.plan.CompiledPlan.validate`; the
+    (the simulated executor's) it is the plan's :class:`ReplayScheduler`
+    over the plan's reduced edges, after
+    :meth:`~repro.compile.plan.CompiledPlan.validate`; the
     roots are the same under transitive reduction (a redundant edge into
     ``t`` implies another retained path into ``t``).  ``indegree`` is the
     run's own copy, for the executor to count down.

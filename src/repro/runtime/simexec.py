@@ -22,7 +22,7 @@ from repro.obs.publish import publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.executor import locality_hint
-from repro.runtime.scheduler import start_release
+from repro.runtime.scheduler import resolve_scheduler, start_release
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 from repro.simarch.cache import CacheModel
 from repro.simarch.costmodel import CostModel
@@ -44,7 +44,8 @@ class SimulatedExecutor:
         ``"fifo"`` (locality-oblivious) or ``"fuzz:SEED"`` (schedule
         fuzzing) — or a primed ``Scheduler`` instance (e.g. a
         ``RecordingScheduler``/``ReplayScheduler`` from the race-checking
-        harness; single-use: pass a fresh instance per ``run``).
+        harness; single-use: pass a fresh instance per ``run``).  An
+        unknown name raises ``ValueError`` at construction.
     execute_payloads:
         Run task payload functions in dependence order while simulating.
     persistent_cache:
@@ -66,6 +67,7 @@ class SimulatedExecutor:
         self.machine = machine
         self.n_cores = n_cores if n_cores is not None else machine.n_cores
         usable_cores(machine, self.n_cores)  # validate
+        resolve_scheduler(scheduler, self.n_cores)  # an unknown name raises here
         self.scheduler = scheduler
         self.cost_model = cost_model or CostModel(machine)
         self.execute_payloads = execute_payloads
@@ -89,7 +91,9 @@ class SimulatedExecutor:
         """Simulate ``graph``; with ``plan`` (a compiled
         :class:`~repro.compile.plan.CompiledPlan`) replay its static
         release order over the transitive-reduced edge set instead of a
-        dynamic ready-queue policy."""
+        dynamic ready-queue policy.  This is the one executor that replays
+        plans: the serving engine's ``sim`` substrate and the plan audit
+        (:func:`repro.runtime.racecheck.replay_plan`) run them here."""
         if not self.persistent_cache:
             self.reset_cache()
         cache = self._cache

@@ -14,10 +14,10 @@ everything: :class:`~repro.serve.fleet.FleetServer` runs a fleet of
 replicas — one or many — behind a pluggable router (least-loaded or
 consistent-hash-by-shape), per-tenant
 :class:`~repro.serve.admission.AdmissionController` token buckets, SLO
-deadline budgets that shed before queueing, and per-shape compiled-plan
-warmup at fleet start.  :class:`FleetStats` reports the SLO picture:
+deadline budgets that shed before queueing, and per-shape cache
+warm-up at fleet start.  :class:`FleetStats` reports the SLO picture:
 p50/p95/p99 latency, throughput, shed taxonomy, queue depth, batch-size
-histogram, padding overhead and warm plan hit rate.
+histogram, padding overhead and warm hit rate.
 
 See ``docs/SERVING.md`` for the architecture and
 ``python -m repro bench fleet`` for the fleet soak benchmark.

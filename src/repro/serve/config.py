@@ -35,7 +35,7 @@ class ServeConfig:
         ``"least_loaded"`` — route each request to the replica with the
         smallest backlog; ``"hash"`` — consistent-hash on the request's
         length bucket, so one shape always lands on its home replica and
-        that replica's compiled plan stays warm (docs/SERVING.md).
+        that replica's cache entry stays warm (docs/SERVING.md).
     batcher:
         ``"flush"`` — classic flush-and-wait: a bucket dispatches when it
         fills (``max_batch_size``) or its head request has waited

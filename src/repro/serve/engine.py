@@ -19,8 +19,8 @@ runs on one of three substrates:
 * ``executor="process"`` — the same functional path on the
   :class:`~repro.runtime.mpexec.MultiprocessExecutor` (pinned worker
   processes over shared memory; docs/EXECUTORS.md).  Bitwise identical to
-  ``threaded``, including compiled-plan replay for warm shapes — the
-  engine code below is substrate-blind between the two.
+  ``threaded``, warm shapes included — the engine code below is
+  substrate-blind between the two.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class BatchExecution:
     service_time_s: float
     trace: ExecutionTrace
     logits: Optional[np.ndarray] = None
-    #: served by replaying a warm compiled plan (plan-cache hit)
+    #: served from the shape's cache entry (plan-cache hit): its build
+    #: rebound and run (functional) or its memoised service time (sim)
     warm: bool = False
 
 
@@ -93,12 +94,12 @@ class InferenceEngine:
 
     With ``config.compile="on"`` the engine keeps its own in-memory
     :class:`~repro.compile.cache.PlanCache` keyed by the batch shape
-    ``(padded_len, size)``: a shape is compiled at first sight and
-    every later batch of it skips graph construction *and* dynamic
-    dependence resolution, replaying the
-    :class:`~repro.compile.plan.CompiledPlan` over the reused graph build
-    (functional) or returning the memoised compiled-replay service time
-    (sim) (docs/COMPILE.md).
+    ``(padded_len, size)``, filled at a shape's first sight.  A functional
+    entry holds the shape's graph build and no plan: every later batch is
+    rebound into that build and run once, resolving dependences
+    dynamically.  A sim entry holds the
+    :class:`~repro.compile.plan.CompiledPlan`'s memoised replay service
+    time (docs/COMPILE.md).
     """
 
     def __init__(
@@ -158,21 +159,21 @@ class InferenceEngine:
             if x is None
             else {"x": x, "params": self.params}
         )
-        plan = plan_granularity(
+        grain = plan_granularity(
             self.spec, size, padded_len, False, self.n_workers, self._executor, self.config
         )
         build = build_brnn_graph(
             self.spec,
             training=False,
-            mbs=plan.mbs,
-            fused_input_projection=plan.hoisted,
+            mbs=grain.mbs,
+            fused_input_projection=grain.hoisted,
             proj_block=self.config.proj_block,
-            wavefront_tile=plan.tile,
-            paired=plan.paired,
+            wavefront_tile=grain.tile,
+            paired=grain.paired,
             out=out,
             **inputs,
         )
-        return build, plan.threads
+        return build, grain.threads
 
     # -- execution -------------------------------------------------------------
 
@@ -181,13 +182,13 @@ class InferenceEngine:
         return self._serve((batch.padded_len, batch.size), batch)
 
     def warmup(self, shapes) -> int:
-        """Pre-compile plans for ``(padded_len, batch_size)`` shapes.
+        """Fill the cache for ``(padded_len, batch_size)`` shapes: a build
+        each (functional) or a compiled plan's service time (sim).
 
-        The fleet calls this at start so steady-state traffic opens on
-        warm plans (docs/SERVING.md); returns the number of shapes
-        actually compiled (already-cached shapes are skipped without
-        touching the hit/miss counters).  Requires
-        ``ExecutionConfig(compile="on")``.
+        The fleet calls this at start so steady-state traffic opens warm
+        (docs/SERVING.md); returns the number of shapes actually cached
+        (already-cached shapes are skipped without touching the hit/miss
+        counters).  Requires ``ExecutionConfig(compile="on")``.
         """
         if self.plan_cache is None:
             raise RuntimeError(
@@ -206,11 +207,11 @@ class InferenceEngine:
         (warm-up) the shape runs on zeros and the cache is not asked.
 
         A warm functional shape rebinds the batch into its cached build
-        (``build_brnn_graph(out=...)``) and replays the plan; a warm
-        simulated shape returns its memoised ``(service,
-        trace)``.  Whatever is missing is made here: the build and the
-        plan (compiled for the threads planned for the shape, and cached
-        when the engine keeps a cache).
+        (``build_brnn_graph(out=...)``) and runs it once; a warm simulated
+        shape returns its memoised ``(service, trace)``.  Whatever is
+        missing is made here: the build and, on the simulator of an engine
+        that keeps a cache, the plan (compiled for the threads planned for
+        the shape).
         """
         sim = self.executor == "sim"
         if sim:
@@ -229,14 +230,12 @@ class InferenceEngine:
             return BatchExecution(*held, warm=warm)
         build, threads = self._build(key, x, out=held)
         graph = build.graph
-        plan = entry.plan if warm else None
-        if plan is None and self.plan_cache is not None:
-            plan = compile_graph(
-                graph,
-                n_workers=threads,
-                cost_model=self._executor.cost_model if sim else None,
-            )
+        plan = None
         if sim:
+            if self.plan_cache is not None:
+                plan = compile_graph(
+                    graph, n_workers=threads, cost_model=self._executor.cost_model
+                )
             # warm run: weights NUMA-homed / cache-resident, as in a steady
             # serving loop that reuses the same buffers batch after batch
             self._executor.run(graph, plan=plan)
@@ -245,7 +244,7 @@ class InferenceEngine:
             creation = 0.0 if plan is not None else len(graph) * self.machine.task_create_s
             held = (trace.makespan + creation + BATCH_FIXED_S, trace)
         else:
-            trace = run_planned(self._executor, graph, threads, plan)
+            trace = run_planned(self._executor, graph, threads)
             held = build
         if not warm:
             if self.plan_cache is not None:

@@ -8,9 +8,9 @@ bounded queue and dynamic batcher.  Everything is configured by one
 :class:`~repro.serve.config.ServeConfig`:
 
 * :class:`ReplicaPool` — N engines sharing one spec/weights (functional
-  replicas must answer identically) plus per-shape compiled-plan warmup.
+  replicas must answer identically) plus per-shape cache warm-up.
 * a pluggable router (:mod:`repro.serve.router`): least-loaded, or
-  consistent-hash-by-shape so each shape's compiled plan stays warm on
+  consistent-hash-by-shape so each shape's cache entry stays warm on
   its home replica.
 * an :class:`~repro.serve.admission.AdmissionController`: per-tenant
   token buckets and SLO deadline budgets — excess and doomed load is shed
@@ -89,7 +89,7 @@ class ReplicaPool:
         return self.engines[0].metrics
 
     def warmup(self, shapes: Sequence[Tuple[int, int]], router=None) -> int:
-        """Pre-compile ``shapes`` across the pool; returns plans compiled.
+        """Warm ``shapes`` across the pool; returns the shapes cached.
 
         With a :class:`~repro.serve.router.ConsistentHashRouter` each
         shape warms only on its home replica (that is the only replica
@@ -120,7 +120,7 @@ class FleetServer:
     time, replayed onto the same clock.  ``FleetServer(pool)`` serves an
     open-loop workload under ``pool.config`` via :meth:`run`;
     :meth:`build` constructs the pool too.  Before the first arrival
-    every replica compiles the full-batch plan of each length bucket the
+    every replica caches the full-batch shape of each length bucket the
     workload reaches (a no-op without ``ExecutionConfig(compile="on")``).
 
     When the engines carry a metrics registry

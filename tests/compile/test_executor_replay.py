@@ -1,40 +1,34 @@
-"""Plan-driven execution on both substrates (``run(graph, plan=...)``)."""
+"""Plan-driven execution (``SimulatedExecutor.run(graph, plan=...)``; the
+simulator is the one executor that replays a compiled plan) and the
+threaded executor's replay of a recorded schedule."""
 
 import numpy as np
 import pytest
 
 from repro.compile import compile_graph
 from repro.runtime.executor import ThreadedExecutor
+from repro.runtime.scheduler import FIFOScheduler, RecordingScheduler, ReplayScheduler
 from repro.runtime.simexec import SimulatedExecutor
 from repro.simarch.presets import xeon_8160_2s
 from tests.compile.conftest import build_cost_only, build_functional
 
 
-def test_threaded_replay_single_worker_follows_plan_order():
-    build = build_functional()
-    plan = compile_graph(build.graph)
-    trace = ThreadedExecutor(1).run(build.graph, plan=plan)
+def test_sim_replay_single_core_follows_plan_order():
+    graph = build_cost_only().graph
+    plan = compile_graph(graph)
+    trace = SimulatedExecutor(xeon_8160_2s(), n_cores=1).run(graph, plan=plan)
     assert [r.tid for r in trace.records] == plan.order
     assert trace.scheduler == "replay"
 
 
 @pytest.mark.usefixtures("real_threads")
-def test_threaded_replay_multiworker_runs_everything():
-    build = build_functional(mbs=4)
-    plan = compile_graph(build.graph, n_workers=4)
-    trace = ThreadedExecutor(4).run(build.graph, plan=plan)
-    assert len(trace.records) == len(build.graph)
-    assert {r.tid for r in trace.records} == set(range(len(build.graph)))
-
-
-@pytest.mark.usefixtures("real_threads")
 def test_threaded_replay_matches_dynamic_bits():
     dynamic = build_functional()
-    ThreadedExecutor(2, "fifo").run(dynamic.graph)
+    recording = RecordingScheduler(FIFOScheduler())
+    ThreadedExecutor(2, recording).run(dynamic.graph)
 
     replayed = build_functional()
-    plan = compile_graph(replayed.graph, n_workers=2)
-    ThreadedExecutor(2).run(replayed.graph, plan=plan)
+    ThreadedExecutor(2, ReplayScheduler(recording.record())).run(replayed.graph)
 
     for (name_a, a), (name_b, b) in zip(
         dynamic.params.arrays(), replayed.params.arrays()
@@ -43,11 +37,11 @@ def test_threaded_replay_matches_dynamic_bits():
         np.testing.assert_array_equal(a, b)
 
 
-def test_threaded_replay_rejects_foreign_graph():
+def test_sim_replay_rejects_foreign_graph():
     plan = compile_graph(build_cost_only().graph)
     other = build_cost_only(seq_len=8).graph
     with pytest.raises(ValueError, match="tasks"):
-        ThreadedExecutor(1).run(other, plan=plan)
+        SimulatedExecutor(xeon_8160_2s(), n_cores=1).run(other, plan=plan)
 
 
 def test_sim_replay_runs_cost_graph():
@@ -88,7 +82,7 @@ def test_plan_is_reusable_across_runs():
     # a plan compiled once serves every later batch of that shape
     graph = build_cost_only().graph
     plan = compile_graph(graph, n_workers=2)
-    ex = ThreadedExecutor(2)
+    ex = SimulatedExecutor(xeon_8160_2s(), n_cores=2)
     for _ in range(3):
         trace = ex.run(graph, plan=plan)
         assert len(trace.records) == len(graph)

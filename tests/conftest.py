@@ -7,8 +7,8 @@ cross-executor conformance machinery: the builder configuration matrices
 replay and executor conformance suites all parametrize over, and the
 executor matrix (``executor_matrix``/``make_executor``) that
 parametrizes conformance tests over every substrate — threaded, the
-threaded executor's one-thread path on the caller, simulated (functional
-payload mode), and multiprocess.
+threaded executor's one-thread path (the registration order, on the
+caller), simulated (functional payload mode), and multiprocess.
 
 The graphs these suites build are far below the granularity floor, so
 an engine would plan one thread for them (and the one-task-per-layer
@@ -308,7 +308,8 @@ def make_executor(name, n_workers=2, scheduler="fifo"):
 
     ``sim`` returns the modelled machine with ``execute_payloads=True``,
     so every substrate runs the real numerics and can be compared
-    bitwise.  ``caller`` is the threaded executor's one-thread path.
+    bitwise.  ``caller`` is the threaded executor's one-thread path: the
+    build's registration order on the calling thread.
     """
     if name == "threaded":
         from repro.runtime.executor import ThreadedExecutor

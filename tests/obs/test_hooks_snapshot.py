@@ -56,7 +56,9 @@ def test_simulated_executor_invokes_hooks_per_task():
         assert t_end >= by_name[name]
 
 
-def test_threaded_engine_invokes_hooks_and_publishes_metrics():
+def test_threaded_engine_invokes_hooks_and_publishes_metrics(real_threads):
+    # lift the granularity floor: a one-thread run is the registration order,
+    # which has no scheduler and so publishes no repro_sched_* series
     hooks = RecordingHooks()
     registry = MetricsRegistry()
     engine = BParEngine(

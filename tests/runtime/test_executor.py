@@ -11,7 +11,10 @@ from repro.runtime.executor import (
     ThreadedExecutor,
     locality_hint,
 )
+from repro.runtime.mpexec import MultiprocessExecutor
+from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.task import Region, RegionSpace, Task
+from repro.simarch.presets import laptop_sim
 
 #: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
 pytestmark = pytest.mark.usefixtures("real_threads")
@@ -104,6 +107,21 @@ def test_threaded_executor_custom_scheduler():
     trace = ThreadedExecutor(2, scheduler="fifo").run(chain_graph(5, out))
     assert out == list(range(5))
     assert trace.scheduler == "fifo"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda scheduler: ThreadedExecutor(2, scheduler),
+        lambda scheduler: MultiprocessExecutor(2, scheduler),
+        lambda scheduler: SimulatedExecutor(laptop_sim(2), scheduler=scheduler),
+    ],
+    ids=["threaded", "process", "sim"],
+)
+def test_unknown_scheduler_name_is_refused_at_construction(make):
+    with pytest.raises(ValueError, match="unknown scheduler policy 'lifo'"):
+        make("lifo")
+    make("fuzz:3")  # a policy name still constructs
 
 
 def test_trace_records_have_valid_cores_and_times():

@@ -18,7 +18,7 @@ Tier-1 runs every substrate over a reduced config subset
 
 import pytest
 
-from repro.runtime.racecheck import _result_fingerprint, plan_equivalence_check
+from repro.runtime.racecheck import _result_fingerprint
 from tests.conftest import (
     FUSION_SWEEP,
     PROJECTION_SWEEP,
@@ -111,24 +111,3 @@ def test_executor_matrix_hoisted_train_step(executor_matrix, cell):
         fused="on", proj_block=3,
     )
 
-
-# ---------------------------------------------------------------------------
-# Compiled-plan replay on the process backend
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("wavefront_tile", [None, 2])
-def test_process_compiled_replay_bitwise(wavefront_tile):
-    """Static replay of a compiled plan on worker processes is bitwise
-    identical to a dynamic threaded schedule (the serving warm path)."""
-    from repro.runtime.mpexec import MultiprocessExecutor
-
-    mismatched = plan_equivalence_check(
-        lambda: build_functional(
-            cell="lstm", head="many_to_one", training=True, mbs=2,
-            wavefront_tile=wavefront_tile,
-        ),
-        n_workers=2,
-        executor_factory=MultiprocessExecutor,
-    )
-    assert not mismatched, f"process replay diverged on {mismatched}"

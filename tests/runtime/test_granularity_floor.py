@@ -3,8 +3,9 @@
 ``plan_granularity`` decides from a shape's GEMM flops per cell step
 (``spec_gemm_flops_per_cell_step``) whether ``n_workers`` threads are worth
 starting; the engines pass that decision to ``ThreadedExecutor.run``, and a
-graph run on one thread runs on the calling thread through the same
-scheduler, hooks, trace and error contract.  Everything here is
+graph run on one thread under a policy name runs on the calling thread in
+registration order, under the same hooks, trace and error contract; a fuzz
+seed or a primed scheduler drives the worker loop.  Everything here is
 deterministic and clock-free: the shapes are the benchmark's two engine
 workloads (``bench/workloads.py``), shortened.
 """
@@ -27,7 +28,12 @@ from repro.models.spec import BRNNSpec
 from repro.obs import CallbackHooks, MetricsRegistry
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.mpexec import MultiprocessExecutor
-from repro.runtime.scheduler import FuzzScheduler, RecordingScheduler, ReplayScheduler
+from repro.runtime.scheduler import (
+    FuzzScheduler,
+    RecordingScheduler,
+    ReplayScheduler,
+    ScheduleRecord,
+)
 from repro.runtime.simexec import SimulatedExecutor
 from repro.simarch.presets import laptop_sim
 
@@ -78,7 +84,7 @@ def test_boundary_sits_at_the_constant(monkeypatch):
         assert plan_granularity(FINE, 4, 100, False, 4, "threaded").threads == threads
 
 
-# -- one thread means the caller's thread -------------------------------------
+# -- one thread means the caller's thread, in registration order --------------
 
 
 def test_fine_graph_runs_on_the_calling_thread_bitwise_equal_to_serial():
@@ -107,15 +113,21 @@ def test_real_threads_fixture_brings_the_threads_back(real_threads):
     assert threading.get_ident() not in seen
 
 
-def test_one_thread_replay_walks_the_plan_bitwise_equal_to_serial():
+@pytest.mark.parametrize(
+    "n_workers, threads, scheduler",
+    [(1, None, "fifo"), (1, None, "locality"), (2, 1, "fifo"), (2, 1, "locality")],
+    ids=["workers1-fifo", "workers1-locality", "threads1-fifo", "threads1-locality"],
+)
+def test_one_thread_runs_the_registration_order(n_workers, threads, scheduler):
     serial = fine_build()
     SerialExecutor().run(serial.graph)
     build = fine_build()
-    plan = compile_graph(build.graph, n_workers=1)  # the threads it replays on
-    trace = ThreadedExecutor(2).run(build.graph, plan=plan)
-    assert trace.n_cores == 1 and trace.scheduler == "replay"
-    assert [r.tid for r in trace.records] == plan.order
+    registry = MetricsRegistry()
+    executor = ThreadedExecutor(n_workers, scheduler, metrics=registry)
+    trace = executor.run(build.graph, threads=threads)
+    assert [r.tid for r in trace.records] == list(range(len(build.graph)))
     assert np.array_equal(build.logits(), serial.logits())
+    assert registry.flat()["repro_exec_cores"] == 1.0
 
 
 # -- schedulers still decide the order ----------------------------------------
@@ -173,7 +185,23 @@ def test_mismatched_replay_raises_what_it_raised():
     plan = compile_graph(build.graph)
     plan.names[3] = "not-the-task"
     with pytest.raises(ValueError, match="plan mismatch at step 3"):
-        ThreadedExecutor(2).run(build.graph, plan=plan)
+        SimulatedExecutor(laptop_sim(2)).run(build.graph, plan=plan)
+
+
+def registration_record(graph):
+    """The registration order of ``graph`` as a replayable schedule."""
+    return ScheduleRecord(order=list(range(len(graph))), names=[t.name for t in graph])
+
+
+def stalled_record(graph):
+    """A schedule of ``graph`` that releases a task before its predecessor:
+    replay starves at that step, with no task running to free it."""
+    record = registration_record(graph)
+    a = next(t for t in record.order if graph.successors[t])
+    b = graph.successors[a][0]
+    for seq in (record.order, record.names):
+        seq[a], seq[b] = seq[b], seq[a]
+    return record
 
 
 def stalled_plan(graph):
@@ -210,31 +238,34 @@ def raised_within(run, seconds=60.0):
 def test_plan_releasing_a_task_before_its_predecessor_is_refused():
     for threads in (1, 2):
         build = fine_build(seq_len=4)
-        plan = stalled_plan(build.graph)
-        exc = raised_within(lambda: ThreadedExecutor(2).run(build.graph, plan, threads))
+        replay = ReplayScheduler(stalled_record(build.graph))
+        exc = raised_within(lambda: ThreadedExecutor(2, replay).run(build.graph, threads))
         assert isinstance(exc, RuntimeError), (threads, exc)
         assert str(exc) == f"scheduler starved with {len(build.graph)} tasks remaining"
 
 
 def test_plan_releasing_a_task_before_its_predecessor_starves_every_executor():
     build = fine_build(seq_len=4)
-    plan = stalled_plan(build.graph)
     n = len(build.graph)
     with pytest.raises(RuntimeError, match=f"finished with {n} unexecuted tasks"):
-        SimulatedExecutor(laptop_sim(2)).run(build.graph, plan=plan)
+        SimulatedExecutor(laptop_sim(2)).run(build.graph, plan=stalled_plan(build.graph))
+    replay = ReplayScheduler(stalled_record(build.graph))
     with pytest.raises(RuntimeError, match=f"starved with {n} tasks remaining"):
-        MultiprocessExecutor(2).run(build.graph, plan=plan)
+        MultiprocessExecutor(2, replay).run(build.graph)
 
 
-@pytest.mark.parametrize("replay", [False, True], ids=["dynamic", "replay"])
-def test_hooks_fire_once_per_task(replay):
+@pytest.mark.parametrize(
+    "scheduler", ["locality", "fuzz:1", "replay"], ids=["registration", "dynamic", "replay"]
+)
+def test_hooks_fire_once_per_task(scheduler):
     build = fine_build(seq_len=4)
     starts, ends = [], []
     hooks = CallbackHooks(
         on_task_start=lambda task, core, t: starts.append((task.tid, core)),
         on_task_end=lambda task, core, t: ends.append((task.tid, core)),
     )
-    plan = compile_graph(build.graph) if replay else None
-    ThreadedExecutor(2, hooks=hooks).run(build.graph, plan=plan, threads=1)
+    if scheduler == "replay":
+        scheduler = ReplayScheduler(registration_record(build.graph))
+    ThreadedExecutor(2, scheduler, hooks=hooks).run(build.graph, threads=1)
     assert starts == ends
     assert sorted(starts) == [(tid, 0) for tid in range(len(build.graph))]

@@ -1,4 +1,8 @@
-"""InferenceEngine with ``compile="on"``: the cached-plan hot path."""
+"""InferenceEngine with ``compile="on"``: the per-shape cache.
+
+On a real executor an entry holds the shape's graph build (rebound and run
+on every warm batch, dependences resolved dynamically); on ``sim`` it holds
+a compiled plan's replayed service time."""
 
 import numpy as np
 import pytest
@@ -68,8 +72,8 @@ def test_off_mode_has_no_cache():
 def test_threaded_warm_hit_bitwise_identical_to_dynamic():
     spec = tiny_spec()
     compiled = threaded_engine(spec, "on")
-    compiled.execute(make_batch(spec, 0, seed=11))  # miss: build + compile
-    warm = compiled.execute(make_batch(spec, 1, seed=22))  # hit: replay
+    compiled.execute(make_batch(spec, 0, seed=11))  # miss: build
+    warm = compiled.execute(make_batch(spec, 1, seed=22))  # hit: rebind + run
     assert compiled.plan_cache.stats()["hits"] == 1
 
     dynamic = threaded_engine(spec, "off", params=compiled.params)
@@ -88,6 +92,21 @@ def test_threaded_warm_hits_keep_serving_fresh_data():
         np.testing.assert_array_equal(got.logits, want.logits)
     assert engine.plan_cache.stats()["hits"] == 3
     assert engine.plan_cache.stats()["compiles"] == 1
+
+
+def test_threaded_entry_holds_the_build_and_no_plan(monkeypatch):
+    from repro.serve import engine as engine_module
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a functional engine compiled a plan")
+
+    monkeypatch.setattr(engine_module, "compile_graph", no_compile)
+    spec = tiny_spec()
+    engine = threaded_engine(spec, "on")
+    assert engine.warmup([(4, 4)]) == 1
+    assert engine.execute(make_batch(spec, 0)).warm
+    entry = engine.plan_cache.get((4, 4))
+    assert entry.plan is None and entry.payload.graph is not None
 
 
 def test_on_compiles_at_first_sight():
