@@ -26,12 +26,15 @@ test:
 check-baselines:
 	$(PYTHON) -m repro bench --check $(BASELINES)/BENCH_*.json
 
-# AST lint over the whole package: fork-unsafe payload captures, shm
-# use-after-close, late-bound loop variables, GEMMs under the pointwise
-# turn, mutable defaults, swallowed exceptions, float64 creep in the kernels.
-# Zero findings required; waive individual lines with `# lint: waive <rule>`.
+# AST lint over the whole package, the tools and the examples: fork-unsafe
+# payload captures, shm use-after-close, late-bound loop variables, GEMMs
+# under the pointwise turn, mutable defaults, swallowed exceptions, float64
+# creep in the kernels.  Zero findings required; waive individual lines with
+# `# lint: waive <rule>`.
 lint:
 	$(PYTHON) -m repro analyze --skip-graph --lint src/repro
+	$(PYTHON) -m repro analyze --skip-graph --lint tools
+	$(PYTHON) -m repro analyze --skip-graph --lint examples
 
 # observability smoke: the obs-layer unit tests, then the metrics-overhead
 # A/B — strict ≤2 % budget on the committed record, tenancy slack on the

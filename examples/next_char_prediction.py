@@ -30,7 +30,7 @@ def main():
     print(f"model  : {spec.describe()}")
 
     engine = BParEngine(
-        spec, config=ExecutionConfig(executor="threaded", n_workers=4, mbs=2, seed=0)
+        spec, config=ExecutionConfig(executor="threaded", n_workers=4, mbs=2)
     )
     seq_len, batch = 32, 32
     uniform_ppl = float(corpus.vocab_size)

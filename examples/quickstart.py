@@ -25,7 +25,7 @@ def main():
     print(f"model: {spec.describe()}")
 
     engine = BParEngine(
-        spec, config=ExecutionConfig(executor="threaded", n_workers=4, mbs=2, seed=0)
+        spec, config=ExecutionConfig(executor="threaded", n_workers=4, mbs=2)
     )
 
     rng = np.random.default_rng(0)

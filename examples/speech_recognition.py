@@ -37,7 +37,7 @@ def main():
     print(f"utterance lengths: {min(lengths)}-{max(lengths)} frames (variable)")
 
     engine = BParEngine(
-        spec, config=ExecutionConfig(executor="threaded", n_workers=4, mbs=2, seed=0)
+        spec, config=ExecutionConfig(executor="threaded", n_workers=4, mbs=2)
     )
     trainer = Trainer(engine, lr=0.2)
 
@@ -65,7 +65,7 @@ def main():
     for cls in (BParEngine, BSeqEngine):
         eng = cls(
             spec,
-            config=ExecutionConfig(executor="threaded", n_workers=4, mbs=4, seed=0),
+            config=ExecutionConfig(executor="threaded", n_workers=4, mbs=4),
         )
         t0 = time.perf_counter()
         for x, y in bench_batches:

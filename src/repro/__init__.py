@@ -10,7 +10,7 @@ Quickstart::
 
     spec = BRNNSpec(cell="lstm", input_size=39, hidden_size=64,
                     num_layers=3, head="many_to_one", num_classes=11)
-    engine = BParEngine(spec, config=ExecutionConfig(seed=0))
+    engine = BParEngine(spec, config=ExecutionConfig(mbs=2))
     x = np.random.randn(20, 16, 39).astype(np.float32)   # (T, B, features)
     labels = np.random.randint(0, 11, size=16)
     loss = engine.train_batch(x, labels, lr=0.05)

@@ -268,18 +268,16 @@ class FrameworkCPUEngine:
         batch: int,
         n_cores: Optional[int] = None,
         training: bool = True,
-        warm: bool = True,
     ) -> Tuple[float, ExecutionTrace]:
         """Simulated single-batch time in seconds (+ the trace).
 
-        ``warm=True`` runs one untimed batch first so the weight regions are
-        NUMA-homed and cached as in a steady-state training loop.
+        One untimed batch runs first so the weight regions are NUMA-homed
+        and cached as in a steady-state training loop.
         """
         n_cores = n_cores or self.machine.n_cores
         graph = self.build_graph(seq_len, batch, n_cores, training)
         sim = SimulatedExecutor(self.machine, n_cores=n_cores, scheduler="fifo")
-        if warm:
-            # Same graph (same regions) so homes/residency carry over.
-            sim.run(graph)
+        # Same graph (same regions) so homes/residency carry over.
+        sim.run(graph)
         trace = sim.run(graph)
         return trace.makespan + self.profile.batch_fixed_s, trace

@@ -66,11 +66,11 @@ def _gemm_body(dev: GPUSpec, flops: float) -> float:
     return dev.gemm_time(flops) - dev.kernel_latency_s
 
 
-def keras_gpu_model(device: Optional[GPUSpec] = None) -> GPUFrameworkModel:
-    """Keras-TF on cuDNN: compiled graph, low per-kernel cost."""
+def keras_gpu_model() -> GPUFrameworkModel:
+    """Keras-TF on cuDNN on a Tesla V100: compiled graph, low per-kernel cost."""
     return GPUFrameworkModel(
         name="Keras-GPU",
-        device=device or tesla_v100(),
+        device=tesla_v100(),
         kernel_latency_s=14e-6,
         batch_overhead_s=22e-3,
         direction_overlap=0.6,
@@ -78,11 +78,11 @@ def keras_gpu_model(device: Optional[GPUSpec] = None) -> GPUFrameworkModel:
     )
 
 
-def pytorch_gpu_model(device: Optional[GPUSpec] = None) -> GPUFrameworkModel:
-    """PyTorch 1.7 on cuDNN: eager per-timestep dispatch from Python."""
+def pytorch_gpu_model() -> GPUFrameworkModel:
+    """PyTorch 1.7 on cuDNN on a Tesla V100: eager per-timestep dispatch from Python."""
     return GPUFrameworkModel(
         name="PyTorch-GPU",
-        device=device or tesla_v100(),
+        device=tesla_v100(),
         kernel_latency_s=145e-6,
         batch_overhead_s=12e-3,
         direction_overlap=0.6,

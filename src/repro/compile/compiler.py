@@ -34,7 +34,6 @@ from repro.compile.plan import CompiledPlan
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.task import Task
 from repro.simarch.costmodel import RESIDUAL, CostModel
-from repro.simarch.machine import MachineSpec
 from repro.simarch.presets import xeon_8160_2s
 
 
@@ -57,14 +56,15 @@ def compile_graph(
     graph: TaskGraph,
     n_workers: int = 1,
     *,
-    machine: Optional[MachineSpec] = None,
     cost_model: Optional[CostModel] = None,
 ) -> CompiledPlan:
-    """Compile ``graph`` into a static replayable :class:`CompiledPlan`."""
+    """Compile ``graph`` into a static replayable :class:`CompiledPlan`,
+    its durations priced by ``cost_model`` (default: the modelled 48-core
+    Xeon's)."""
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     t0 = time.perf_counter()
-    cm = cost_model or CostModel(machine or xeon_8160_2s())
+    cm = cost_model or CostModel(xeon_8160_2s())
     n = len(graph)
     reduced, redundant = graph.transitive_reduction()
     durations = [estimate_duration(cm, t) for t in graph.tasks]

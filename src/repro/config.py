@@ -1,7 +1,7 @@
 """The unified execution-configuration API (docs/API.md).
 
 :class:`ExecutionConfig` is the single object that names *how* a graph
-runs — substrate, worker count, scheduler policy, hybrid-parallelism and
+runs — substrate, worker count, hybrid-parallelism and
 granularity knobs, and the observability attachments (``metrics``/``hooks``)
 — accepted by :class:`~repro.core.bpar.BParEngine`,
 :class:`~repro.core.bseq.BSeqEngine` and
@@ -17,7 +17,6 @@ from typing import Any, Optional
 
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.scheduler import make_scheduler
 
 #: the executors a config names as a string
 EXECUTORS = ("threaded", "process", "sim")
@@ -35,26 +34,26 @@ class ExecutionConfig:
         docs/EXECUTORS.md), ``"sim"`` (deterministic modelled machine), a
         ready executor instance (an object with ``run`` and
         ``n_workers``), or ``None`` for the owning engine's default
-        substrate; anything else is a ``ValueError`` here.
+        substrate; anything else is a ``ValueError`` here.  A named
+        executor releases tasks under the paper's ``"locality"`` policy;
+        to run another (``"fifo"``, ``"fuzz:SEED"``) pass an instance
+        built with it.
     n_workers:
         Worker threads (threaded), worker processes (process), or
         simulated cores (sim), at least 1; ``None`` means the substrate
         default (host-sized pool / whole modelled machine).
-    scheduler:
-        Ready-queue policy: ``"locality"`` (the paper's, the default),
-        ``"fifo"`` (locality-oblivious, Fig. 7's baseline) or
-        ``"fuzz:SEED"`` (a seeded random legal order).
     mbs:
         Data-parallel chunks per batch (the paper's hybrid-parallelism
         knob), clamped to the batch size at build time.
     barrier_free:
         Build the barrier-free graph (B-Par) rather than per-layer
         barriers.
-    fused_input_projection / proj_block:
+    fused_input_projection:
         Leave only the recurrent GEMM (``H·W_h`` forward, ``dH_prev``
         backward) on the cell chain: a hoisted layer's ``X·W_x`` and, in
         training, its whole weight-gradient panel, ``db`` and ``dX`` run
-        as per-block tasks of ``proj_block`` timesteps (default 16).
+        as per-block tasks of
+        :data:`~repro.core.graph_builder.DEFAULT_PROJ_BLOCK` timesteps.
         ``"auto"`` (the default) hoists the layers whose per-step weight
         panel outgrows the cache, by a floor from a recorded sweep
         (:func:`~repro.core.graph_builder.plan_granularity`,
@@ -73,9 +72,6 @@ class ExecutionConfig:
         layer's merges into ``⌈T/K⌉`` tasks of ``K`` steps (clamped to the
         sequence length), with or without hoisting.
         Same bits, forward and backward, at every tile.
-    seed:
-        Parameter-initialisation seed used when an engine creates its own
-        weights.
     compile:
         Per-shape serving cache (docs/COMPILE.md): ``"off"`` — every
         batch builds its graph (the default); ``"on"`` — the serving
@@ -95,13 +91,10 @@ class ExecutionConfig:
 
     executor: Any = None
     n_workers: Optional[int] = None
-    scheduler: str = "locality"
     mbs: int = 1
     barrier_free: bool = True
     fused_input_projection: str = "auto"
-    proj_block: Optional[int] = None
     wavefront_tile: Optional[int] = None
-    seed: int = 0
     compile: str = "off"
     metrics: Optional[MetricsRegistry] = None
     hooks: Optional[ProfilingHooks] = None
@@ -121,7 +114,6 @@ class ExecutionConfig:
             raise ValueError(f"n_workers must be None or >= 1, got {self.n_workers!r}")
         if self.mbs < 1:
             raise ValueError("mbs must be >= 1")
-        make_scheduler(self.scheduler)  # raises ValueError on an unknown policy
         if self.fused_input_projection not in ("off", "on", "auto"):
             raise ValueError(
                 "fused_input_projection must be 'off', 'on' or 'auto', got "
@@ -131,8 +123,6 @@ class ExecutionConfig:
             raise ValueError(f"compile must be 'off' or 'on', got {self.compile!r}")
         if self.wavefront_tile is not None and self.wavefront_tile < 1:
             raise ValueError("wavefront_tile must be >= 1")
-        if self.proj_block is not None and self.proj_block < 1:
-            raise ValueError("proj_block must be >= 1")
 
     def replace(self, **changes) -> "ExecutionConfig":
         """A copy with ``changes`` applied (frozen-dataclass update)."""

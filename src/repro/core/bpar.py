@@ -30,46 +30,34 @@ def _host_workers(config: ExecutionConfig) -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def default_executor(config: Optional[ExecutionConfig] = None) -> ThreadedExecutor:
-    """Threaded executor sized to the host (capped: tasks are GEMM-bound)."""
-    cfg = config if config is not None else ExecutionConfig()
-    n = _host_workers(cfg)
-    return ThreadedExecutor(
-        n, scheduler=cfg.scheduler, metrics=cfg.metrics, hooks=cfg.hooks
-    )
-
-
 def resolve_executor(config: ExecutionConfig):
     """Executor instance for a config's ``executor`` field.
 
-    ``None``/``"threaded"`` → host threads; ``"process"`` → pinned worker
-    processes over shared memory (true parallelism past the GIL, see
-    docs/EXECUTORS.md); ``"sim"`` → the modelled 48-core Xeon; a ready
-    executor instance passes through unchanged (the config's
-    ``n_workers``/``scheduler``/``metrics``/``hooks`` are then the
-    instance's responsibility).
+    ``None``/``"threaded"`` → host threads (capped: tasks are GEMM-bound);
+    ``"process"`` → pinned worker processes over shared memory (true
+    parallelism past the GIL, see docs/EXECUTORS.md); ``"sim"`` → the
+    modelled 48-core Xeon; each under the paper's ``"locality"`` policy.
+    A ready executor instance passes through unchanged (the config's
+    ``n_workers``/``metrics``/``hooks`` are then the instance's
+    responsibility).
     """
     ex = config.executor
     if ex is None or ex == "threaded":
-        return default_executor(config)
+        return ThreadedExecutor(
+            _host_workers(config), metrics=config.metrics, hooks=config.hooks
+        )
     if ex == "process":
         from repro.runtime.mpexec import MultiprocessExecutor
 
         return MultiprocessExecutor(
-            _host_workers(config),
-            scheduler=config.scheduler,
-            metrics=config.metrics,
-            hooks=config.hooks,
+            _host_workers(config), metrics=config.metrics, hooks=config.hooks
         )
     if ex == "sim":
         from repro.runtime.simexec import SimulatedExecutor
         from repro.simarch.presets import xeon_8160_2s
 
         return SimulatedExecutor(
-            xeon_8160_2s(),
-            n_cores=config.n_workers,
-            scheduler=config.scheduler,
-            metrics=config.metrics,
+            xeon_8160_2s(), n_cores=config.n_workers, metrics=config.metrics,
             hooks=config.hooks,
         )
     return ex
@@ -105,7 +93,7 @@ class BParEngine:
         self.spec = spec
         self.config = cfg
         self.params = (
-            params if params is not None else BRNNParams.initialize(spec, cfg.seed)
+            params if params is not None else BRNNParams.initialize(spec, 0)
         )
         self.executor = resolve_executor(cfg)
         self.mbs = cfg.mbs
@@ -148,7 +136,7 @@ class BParEngine:
             self.spec, x=x, labels=labels, params=self.params, training=training,
             mbs=grain.mbs, barrier_free=self.barrier_free,
             serialize_chunks=self.serialize_chunks, fused_input_projection=grain.hoisted,
-            proj_block=self.config.proj_block, wavefront_tile=grain.tile, paired=grain.paired,
+            wavefront_tile=grain.tile, paired=grain.paired,
             out=out, **overrides,
         )
         self.last_trace = run_planned(self.executor, result.graph, grain.threads)

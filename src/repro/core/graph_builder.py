@@ -622,6 +622,16 @@ def _axpy(dst: np.ndarray, alpha: float, src: np.ndarray) -> None:
     dst += np.asarray(alpha, dtype=dst.dtype) * src
 
 
+def _direction_pair(layer: int, direction: str):
+    """Picks one layer direction's ``(W, b)`` out of a parameter set."""
+    return lambda p: p.layers[layer].direction(direction)
+
+
+def _head_pair(p):
+    """Picks the head's ``(W, b)`` out of a parameter set."""
+    return p.head
+
+
 class _Builder:
     """Emits the tasks of one build into its record."""
 
@@ -1038,51 +1048,26 @@ class _Builder:
 
         return fn
 
-    def _fn_weight_update(self, layer, direction):
+    def _fn_update(self, pair):
+        """SGD over every chunk's gradients of the ``(W, b)`` pair that
+        ``pair`` picks from a parameter set (a layer direction's or the
+        head's), or with a velocity, classical momentum:
+        ``v ← µ·v − lr·Σ g_chunk ;  W ← W + v``."""
         chunks, params, lr = self.chunks, self.params, self.lr
         momentum, velocity = self.momentum, self.velocity
 
-        if velocity is None:
-            def fn():
-                dp = params.layers[layer].direction(direction)
-                for chunk in chunks:
-                    gp = chunk.grads.layers[layer].direction(direction)
-                    _axpy(dp.W, -lr[0], gp.W)
-                    _axpy(dp.b, -lr[0], gp.b)
-        else:
-            # v ← µ·v − lr·Σ g_chunk ;  W ← W + v   (classical momentum)
-            def fn():
-                dp = params.layers[layer].direction(direction)
-                vp = velocity.layers[layer].direction(direction)
-                vp.W *= np.asarray(momentum, dtype=vp.W.dtype)
-                vp.b *= np.asarray(momentum, dtype=vp.b.dtype)
-                for chunk in chunks:
-                    gp = chunk.grads.layers[layer].direction(direction)
-                    _axpy(vp.W, -lr[0], gp.W)
-                    _axpy(vp.b, -lr[0], gp.b)
-                dp.W += vp.W
-                dp.b += vp.b
-
-        return fn
-
-    def _fn_head_update(self):
-        chunks, params, lr = self.chunks, self.params, self.lr
-        momentum, velocity = self.momentum, self.velocity
-
-        if velocity is None:
-            def fn():
-                for chunk in chunks:
-                    _axpy(params.head.W, -lr[0], chunk.grads.head.W)
-                    _axpy(params.head.b, -lr[0], chunk.grads.head.b)
-        else:
-            def fn():
-                velocity.head.W *= np.asarray(momentum, dtype=velocity.head.W.dtype)
-                velocity.head.b *= np.asarray(momentum, dtype=velocity.head.b.dtype)
-                for chunk in chunks:
-                    _axpy(velocity.head.W, -lr[0], chunk.grads.head.W)
-                    _axpy(velocity.head.b, -lr[0], chunk.grads.head.b)
-                params.head.W += velocity.head.W
-                params.head.b += velocity.head.b
+        def fn():
+            p, grads = pair(params), [pair(chunk.grads) for chunk in chunks]
+            v = p if velocity is None else pair(velocity)
+            for name in ("W", "b"):
+                acc = getattr(v, name)
+                if velocity is not None:
+                    acc *= np.asarray(momentum, dtype=acc.dtype)
+                for g in grads:
+                    _axpy(acc, -lr[0], getattr(g, name))
+                if velocity is not None:
+                    w = getattr(p, name)
+                    w += acc
 
         return fn
 
@@ -1368,14 +1353,14 @@ class _Builder:
             for direction in ("fwd", "rev"):
                 self._add(
                     f"update.L{layer}.{direction}",
-                    self._fn_weight_update, layer, direction,
+                    self._fn_update, _direction_pair(layer, direction),
                     flops=uflops,
                     kind="weight_update",
                     meta={"layer": layer, "dir": direction},
                 )
         self._add(
             "update.head",
-            self._fn_head_update,
+            self._fn_update, _head_pair,
             flops=2.0 * n_chunks * (spec.head_input_size * spec.num_classes + spec.num_classes),
             kind="weight_update",
             meta={},

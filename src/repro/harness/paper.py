@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from repro.analysis.report import format_table
 from repro.baselines import keras_gpu_model, pytorch_gpu_model
 from repro.harness import figures
-from repro.harness.simtime import simulated_batch_time
+from repro.harness.simtime import simulated_batch_time, simulated_graph_time
 from repro.harness.tables import TABLE_CONFIGS, make_spec, table_section
 from repro.models.cells import cell_bwd_flops, cell_fwd_flops
 from repro.runtime.depgraph import TaskGraph
@@ -89,18 +89,15 @@ def _fused_chain_graph(spec, seq_len: int, batch: int, mbs: int) -> TaskGraph:
 def _ablation_granularity(layers: int, seq_len: int, batch: int, mbs: int, n_cores: int) -> Dict:
     spec = figures.blstm_spec(layers)
     per_cell = simulated_batch_time(spec, seq_len, batch, mbs=mbs, n_cores=n_cores)
-    machine = xeon_8160_2s()
-    sim = SimulatedExecutor(machine, n_cores=n_cores)
-    fused = _fused_chain_graph(spec, seq_len, batch, mbs)
-    sim.run(fused)  # warm, as in simulated_batch_time
-    fused_s = sim.run(fused).makespan + len(fused) * machine.task_create_s
+    fused = simulated_graph_time(SimulatedExecutor(xeon_8160_2s(), n_cores=n_cores),
+                                 _fused_chain_graph(spec, seq_len, batch, mbs))
     return {
         "headers": ["variant", "tasks", "time s"],
         "rows": [["per-cell (B-Par)", per_cell.n_tasks, per_cell.seconds],
-                 ["fused per-layer", len(fused), fused_s]],
+                 ["fused per-layer", fused.n_tasks, fused.seconds]],
         "per_cell_tasks": per_cell.n_tasks,
-        "fused_tasks": len(fused),
-        "cost_factor": per_cell.seconds / fused_s,
+        "fused_tasks": fused.n_tasks,
+        "cost_factor": per_cell.seconds / fused.seconds,
     }
 
 

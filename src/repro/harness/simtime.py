@@ -8,6 +8,7 @@ from typing import Dict, Optional, Sequence
 from repro.baselines import KerasCPUEngine, PyTorchCPUEngine
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.spec import BRNNSpec
+from repro.runtime.depgraph import TaskGraph
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.trace import ExecutionTrace
 from repro.serve.engine import BATCH_FIXED_S
@@ -24,6 +25,32 @@ class SimTiming:
     n_tasks: int
 
 
+def simulated_graph_time(sim: SimulatedExecutor, graph: TaskGraph) -> SimTiming:
+    """Price one batch's task graph on ``sim``'s modelled machine.
+
+    The timed run follows an untimed one, so weights are NUMA-homed and
+    cache-resident, matching the steady state of a training loop (the
+    paper reports per-batch times from multi-batch runs).  The time adds
+    the sequential creation of the graph's tasks and
+    :data:`~repro.serve.engine.BATCH_FIXED_S`, the per-batch cost outside
+    the task graph (input staging, runtime bring-up) — it dominates only
+    the batch-1 / seq-2 configurations, as in Tables III/IV.
+    """
+    # Execute the graph once untimed: a steady-state training loop reuses
+    # the same weight/state buffers batch after batch, so the timed batch
+    # must see NUMA homes and cache residency established.
+    sim.run(graph)
+    trace = sim.run(graph)
+    # The OmpSs master thread creates the batch's tasks sequentially —
+    # finer decompositions (higher mbs) pay a per-task creation tax.
+    creation = len(graph) * sim.machine.task_create_s
+    return SimTiming(
+        seconds=trace.makespan + creation + BATCH_FIXED_S,
+        trace=trace,
+        n_tasks=len(graph),
+    )
+
+
 def simulated_batch_time(
     spec: BRNNSpec,
     seq_len: int,
@@ -36,22 +63,11 @@ def simulated_batch_time(
     scheduler: str = "locality",
     barrier_free: bool = True,
     serialize_chunks: bool = False,
-    warm: bool = True,
-    batch_fixed_s: float = BATCH_FIXED_S,
 ) -> SimTiming:
-    """Simulate one single-batch pass of B-Par (or B-Seq) and time it.
-
-    ``warm=True`` first runs an untimed batch so weights are NUMA-homed and
-    cache-resident, matching the steady state of a training loop (the
-    paper reports per-batch times from multi-batch runs).
-    ``batch_fixed_s`` is the per-batch cost outside the task graph (input
-    staging, graph creation, runtime bring-up) — it dominates only the
-    batch-1 / seq-2 configurations, as in Tables III/IV.
-    """
+    """Build one single-batch pass of B-Par (or B-Seq) and price it
+    (:func:`simulated_graph_time`)."""
     machine = machine or xeon_8160_2s()
-    n_cores = n_cores or machine.n_cores
-    sim = SimulatedExecutor(machine, n_cores=n_cores, scheduler=scheduler)
-
+    sim = SimulatedExecutor(machine, n_cores=n_cores or machine.n_cores, scheduler=scheduler)
     graph = build_brnn_graph(
         spec,
         seq_len=seq_len,
@@ -61,20 +77,7 @@ def simulated_batch_time(
         barrier_free=barrier_free,
         serialize_chunks=serialize_chunks,
     ).graph
-    if warm:
-        # Execute the same graph once untimed: a steady-state training loop
-        # reuses the same weight/state buffers batch after batch, so the
-        # timed batch must see NUMA homes and cache residency established.
-        sim.run(graph)
-    trace = sim.run(graph)
-    # The OmpSs master thread creates the batch's tasks sequentially —
-    # finer decompositions (higher mbs) pay a per-task creation tax.
-    creation = len(graph) * machine.task_create_s
-    return SimTiming(
-        seconds=trace.makespan + creation + batch_fixed_s,
-        trace=trace,
-        n_tasks=len(graph),
-    )
+    return simulated_graph_time(sim, graph)
 
 
 def engine_times(

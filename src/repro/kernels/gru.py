@@ -29,13 +29,6 @@ class GRUCache:
     hbar: np.ndarray
     rh: np.ndarray  # R_t ⊙ H_{t-1}
 
-    def nbytes(self) -> int:
-        return sum(
-            a.nbytes
-            for a in (self.x, self.h_prev, self.z, self.r, self.hbar, self.rh)
-            if a is not None
-        )
-
 
 def _activate(zr: np.ndarray, hidden: int, need_cache: bool):
     """Update and reset gates ``(z, r)`` of the biased pre-activation ``zr (B,

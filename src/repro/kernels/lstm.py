@@ -33,13 +33,6 @@ class LSTMCache:
     o: np.ndarray
     tc: np.ndarray  # tanh(C_t)
 
-    def nbytes(self) -> int:
-        return sum(
-            a.nbytes
-            for a in (self.x, self.h_prev, self.c_prev, self.i, self.f, self.g, self.o, self.tc)
-            if a is not None
-        )
-
 
 def _activate(z: np.ndarray, hidden: int, need_cache: bool):
     """Gates ``(i, f, g, o)`` of the biased pre-activation ``z (B, 4H)``; the

@@ -28,9 +28,6 @@ class RNNCache:
     h_prev: np.ndarray
     h: np.ndarray  # tanh output (its own derivative input)
 
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.x, self.h_prev, self.h) if a is not None)
-
 
 def rnn_forward_step(
     x: np.ndarray,

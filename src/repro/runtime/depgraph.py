@@ -59,8 +59,8 @@ def longest_path(
 ) -> float:
     """Longest weighted path through a DAG given in topological tid order.
 
-    Standalone sibling of :meth:`TaskGraph.critical_path_length` for
-    callers that analyse *derived* edge sets (a transitive reduction, a
+    The body of :meth:`TaskGraph.critical_path_length`, also for callers
+    that analyse *derived* edge sets (a transitive reduction, a
     dataflow-only subgraph) without materialising a new ``TaskGraph``.
     """
     n = len(successors)
@@ -77,7 +77,8 @@ def longest_path(
 
 
 def wavefront_width(successors: Sequence[Sequence[int]]) -> int:
-    """Maximum ASAP-level population of a DAG (see ``max_wavefront``)."""
+    """Maximum ASAP-level population of a DAG in topological tid order
+    (:meth:`TaskGraph.max_wavefront`)."""
     n = len(successors)
     level = [0] * n
     for tid in range(n):
@@ -300,18 +301,7 @@ class TaskGraph:
         With ``weight=duration`` this is the model-parallel lower bound on
         makespan, used by the parallel-efficiency analysis.
         """
-        dist = [0.0] * len(self.tasks)
-        for task in self.tasks:  # tasks are stored in topological order
-            d = dist[task.tid] + weight(task)
-            for succ in self.successors[task.tid]:
-                if d > dist[succ]:
-                    dist[succ] = d
-        best = 0.0
-        for task in self.tasks:
-            d = dist[task.tid] + weight(task)
-            if d > best:
-                best = d
-        return best
+        return longest_path(self.successors, [weight(t) for t in self.tasks])
 
     def max_wavefront(self) -> int:
         """Maximum number of simultaneously-runnable tasks (ASAP levels).
@@ -320,12 +310,4 @@ class TaskGraph:
         the paper invokes when explaining why mbs:1 stops scaling while
         mbs:8 fills 48 cores.
         """
-        level = [0] * len(self.tasks)
-        for task in self.tasks:
-            for succ in self.successors[task.tid]:
-                if level[task.tid] + 1 > level[succ]:
-                    level[succ] = level[task.tid] + 1
-        counts: Dict[int, int] = {}
-        for lv in level:
-            counts[lv] = counts.get(lv, 0) + 1
-        return max(counts.values()) if counts else 0
+        return wavefront_width(self.successors)

@@ -73,25 +73,16 @@ MIN_ARENA_BYTES = 1 << 20
 EXPORT_SLACK_BYTES = 1024
 
 
-def plan_placement(n_workers: int, topology=None) -> List[int]:
-    """Socket-compact core ids for ``n_workers`` workers.
+def plan_placement(n_workers: int) -> List[int]:
+    """Socket-compact core ids for ``n_workers`` workers on the host.
 
     Mirrors :class:`repro.simarch.machine.MachineSpec` numbering — cores
     are socket-major, so filling core ids in ascending order fills socket
     0 completely before touching socket 1, exactly the placement the
     paper's ≤24-core runs use and the cost model's remote-access pricing
-    assumes.  ``topology`` is anything with ``n_sockets``/
-    ``cores_per_socket`` (e.g. a ``MachineSpec``), an ``(n_sockets,
-    cores_per_socket)`` tuple, or ``None`` for the host (one socket,
-    ``os.cpu_count()`` cores).  Workers beyond the core count wrap.
+    assumes.  Workers beyond ``os.cpu_count()`` cores wrap.
     """
-    if topology is None:
-        n_sockets, cores_per_socket = 1, os.cpu_count() or 1
-    elif hasattr(topology, "n_sockets"):
-        n_sockets, cores_per_socket = topology.n_sockets, topology.cores_per_socket
-    else:
-        n_sockets, cores_per_socket = topology
-    total = max(1, n_sockets * cores_per_socket)
+    total = os.cpu_count() or 1
     return [w % total for w in range(n_workers)]
 
 
@@ -197,9 +188,8 @@ class MultiprocessExecutor:
     releases successors dynamically, with locality hints.
 
     Parameters mirror :class:`~repro.runtime.executor.ThreadedExecutor`
-    (an unknown ``scheduler`` name raises ``ValueError`` here);
-    ``topology`` additionally controls socket-aware placement (see
-    :func:`plan_placement`).
+    (an unknown ``scheduler`` name raises ``ValueError`` here); workers
+    are pinned by :func:`plan_placement`.
     """
 
     def __init__(
@@ -208,7 +198,6 @@ class MultiprocessExecutor:
         scheduler="locality",
         metrics: Optional[MetricsRegistry] = None,
         hooks: Optional[ProfilingHooks] = None,
-        topology=None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -222,7 +211,6 @@ class MultiprocessExecutor:
         self.scheduler = scheduler
         self.metrics = metrics
         self.hooks = hooks
-        self.topology = topology
 
     # -- setup helpers -------------------------------------------------------
 
@@ -331,7 +319,7 @@ class MultiprocessExecutor:
 
             # 3. Fork pinned workers.
             ctx = multiprocessing.get_context("fork")
-            cores = plan_placement(self.n_workers, self.topology)
+            cores = plan_placement(self.n_workers)
             for i in range(self.n_workers):
                 cmd_r, cmd_w = ctx.Pipe(duplex=False)
                 res_r, res_w = ctx.Pipe(duplex=False)

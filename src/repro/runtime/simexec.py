@@ -58,7 +58,6 @@ class SimulatedExecutor:
         machine: MachineSpec,
         n_cores: Optional[int] = None,
         scheduler="locality",
-        cost_model: Optional[CostModel] = None,
         execute_payloads: bool = False,
         persistent_cache: bool = True,
         metrics: Optional[MetricsRegistry] = None,
@@ -69,7 +68,7 @@ class SimulatedExecutor:
         usable_cores(machine, self.n_cores)  # validate
         resolve_scheduler(scheduler, self.n_cores)  # an unknown name raises here
         self.scheduler = scheduler
-        self.cost_model = cost_model or CostModel(machine)
+        self.cost_model = CostModel(machine)
         self.execute_payloads = execute_payloads
         self.persistent_cache = persistent_cache
         self.metrics = metrics

@@ -185,7 +185,7 @@ class ExecutionTrace:
         traces: Sequence["ExecutionTrace"],
         time_offsets: Optional[Sequence[float]] = None,
     ) -> "ExecutionTrace":
-        """Concatenate many traces in one pass (vs. O(n²) chained :meth:`merge`).
+        """Concatenate traces (e.g. successive batches) in one pass.
 
         ``n_cores`` is the max over the inputs, re-based against the widest
         core id actually recorded — merging a 4-core simulated trace into a
@@ -223,27 +223,4 @@ class ExecutionTrace:
                     )
                 )
         out.n_cores = max(declared, max_core + 1)
-        return out
-
-    def merge(self, other: "ExecutionTrace", time_offset: float = 0.0) -> "ExecutionTrace":
-        """Concatenate two traces (e.g. successive batches) into one."""
-        out = ExecutionTrace(n_cores=max(self.n_cores, other.n_cores), scheduler=self.scheduler)
-        out.records = list(self.records)
-        for r in other.records:
-            out.records.append(
-                TaskRecord(
-                    tid=r.tid,
-                    name=r.name,
-                    kind=r.kind,
-                    core=r.core,
-                    start=r.start + time_offset,
-                    end=r.end + time_offset,
-                    flops=r.flops,
-                    wss_bytes=r.wss_bytes,
-                    instructions=r.instructions,
-                    l3_miss_bytes=r.l3_miss_bytes,
-                    remote_miss_bytes=r.remote_miss_bytes,
-                    overhead=r.overhead,
-                )
-            )
         return out

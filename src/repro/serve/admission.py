@@ -66,11 +66,11 @@ class TokenBucket:
         self._refill(now)
         return self.tokens
 
-    def try_take(self, now: float, cost: float = 1.0) -> bool:
-        """Take ``cost`` tokens if available; False leaves the bucket unchanged."""
+    def try_take(self, now: float) -> bool:
+        """Take one token if available; False leaves the bucket unchanged."""
         self._refill(now)
-        if self.tokens >= cost:
-            self.tokens -= cost
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return True
         return False
 

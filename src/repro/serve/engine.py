@@ -76,8 +76,8 @@ class InferenceEngine:
         The served model architecture.
     config:
         An :class:`~repro.config.ExecutionConfig` naming the substrate,
-        worker count, scheduler, ``mbs``, hoisting policy, seed, and the
-        observability attachments (``metrics``/``hooks``).  ``executor``
+        worker count, ``mbs``, hoisting policy and the observability
+        attachments (``metrics``/``hooks``).  ``executor``
         is ``"sim"`` (deterministic simulated machine, the default),
         ``"threaded"`` (real worker threads, real numerics) or
         ``"process"`` (pinned worker processes over shared memory, real
@@ -122,17 +122,13 @@ class InferenceEngine:
         if name == "sim":
             self.machine = machine or xeon_8160_2s()
             self._executor = SimulatedExecutor(
-                self.machine,
-                n_cores=cfg.n_workers,
-                scheduler=cfg.scheduler,
-                metrics=cfg.metrics,
-                hooks=cfg.hooks,
+                self.machine, n_cores=cfg.n_workers, metrics=cfg.metrics, hooks=cfg.hooks
             )
             self.params = params  # weights are irrelevant to cost-only graphs
         else:
             self.machine = None
             self.params = (
-                params if params is not None else BRNNParams.initialize(spec, cfg.seed)
+                params if params is not None else BRNNParams.initialize(spec, 0)
             )
             # "threaded" or "process": both run functional graphs through
             # the same Executor protocol; everything below is shared.
@@ -167,7 +163,6 @@ class InferenceEngine:
             training=False,
             mbs=grain.mbs,
             fused_input_projection=grain.hoisted,
-            proj_block=self.config.proj_block,
             wavefront_tile=grain.tile,
             paired=grain.paired,
             out=out,

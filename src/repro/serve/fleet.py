@@ -53,9 +53,10 @@ SERVICE_EWMA_ALPHA = 0.3
 class ReplicaPool:
     """N identically-configured engine replicas of one model.
 
-    Functional substrates (threaded/process) share one parameter set —
-    every replica must produce bitwise-identical answers, or routing
-    would change results.  Each engine owns its plan cache.
+    Functional substrates (threaded/process) share one parameter set
+    (``params``, else initialised from seed 0) — every replica must
+    produce bitwise-identical answers, or routing would change results.
+    Each engine owns its plan cache.
     """
 
     def __init__(
@@ -74,7 +75,7 @@ class ReplicaPool:
             "threaded", "process"
         )
         if params is None and functional:
-            params = BRNNParams.initialize(spec, execution.seed)
+            params = BRNNParams.initialize(spec, 0)
         self.params = params
         self.engines = [
             InferenceEngine(spec, config=execution, params=params, machine=machine)

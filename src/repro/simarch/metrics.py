@@ -15,9 +15,9 @@ from typing import List, Sequence, Tuple
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 from repro.simarch.machine import MachineSpec
 
-#: default IPC band edges, matching Fig. 7's x axis
+#: IPC band edges, matching Fig. 7's x axis
 IPC_BANDS: Tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-#: default L3 misses-per-kilo-instruction band edges, matching Fig. 7
+#: L3 misses-per-kilo-instruction band edges, matching Fig. 7
 MPKI_BANDS: Tuple[float, ...] = (0.0, 1.0, 5.0, 10.0, 20.0, 30.0, 50.0, float("inf"))
 
 CACHE_LINE = 64
@@ -69,24 +69,17 @@ class BandHistogram:
         return [(self.band_label(i), f) for i, f in enumerate(self.fractions)]
 
 
-def ipc_histogram(
-    trace: ExecutionTrace, machine: MachineSpec, edges: Sequence[float] = IPC_BANDS
-) -> BandHistogram:
-    """Fraction of busy execution time spent in each IPC band."""
-    return _weighted_histogram(
-        trace, edges, lambda r: task_ipc(r, machine)
-    )
+def ipc_histogram(trace: ExecutionTrace, machine: MachineSpec) -> BandHistogram:
+    """Fraction of busy execution time spent in each :data:`IPC_BANDS` band."""
+    return _weighted_histogram(trace, IPC_BANDS, lambda r: task_ipc(r, machine))
 
 
-def mpki_histogram(
-    trace: ExecutionTrace, edges: Sequence[float] = MPKI_BANDS
-) -> BandHistogram:
-    """Fraction of busy execution time spent in each L3-MPKI band."""
-    return _weighted_histogram(trace, edges, task_mpki)
+def mpki_histogram(trace: ExecutionTrace) -> BandHistogram:
+    """Fraction of busy execution time spent in each :data:`MPKI_BANDS` band."""
+    return _weighted_histogram(trace, MPKI_BANDS, task_mpki)
 
 
 def _weighted_histogram(trace, edges, value_fn) -> BandHistogram:
-    edges = tuple(edges)
     fractions = [0.0] * (len(edges) - 1)
     total = 0.0
     for record in trace.records:

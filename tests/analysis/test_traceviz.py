@@ -58,7 +58,7 @@ def test_chrome_trace_of_real_execution(tmp_path):
     spec = small_spec()
     x, labels = make_batch(spec)
     engine = BParEngine(
-        spec, config=ExecutionConfig(executor=ThreadedExecutor(2), seed=0)
+        spec, config=ExecutionConfig(executor=ThreadedExecutor(2))
     )
     engine.train_batch(x, labels)
     doc = to_chrome_trace(engine.last_trace)

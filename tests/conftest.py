@@ -33,6 +33,7 @@ Two markers thin the sweeps out of tier-1:
 import numpy as np
 import pytest
 
+from repro.core import graph_builder
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
@@ -65,6 +66,20 @@ def real_threads(monkeypatch):
     monkeypatch.setattr(graph_builder, "MIN_GEMM_FLOPS_PER_CELL_STEP", 0.0)
     for module in (graph_builder, bpar, engine):
         monkeypatch.setattr(module, "plan_granularity", per_step)
+
+
+@pytest.fixture
+def set_proj_block(monkeypatch):
+    """``set_proj_block(n)`` makes every engine's hoisted layers run
+    ``n``-step blocks for the rest of the test (engines build with the
+    builder's ``DEFAULT_PROJ_BLOCK``), so a short test sequence still spans
+    several blocks; ``None`` keeps the default."""
+
+    def set_block(block):
+        if block is not None:
+            monkeypatch.setattr(graph_builder, "DEFAULT_PROJ_BLOCK", block)
+
+    return set_block
 
 
 def small_spec(**overrides) -> BRNNSpec:

@@ -52,14 +52,11 @@ def oracle(spec, x, labels, seed=3):
     return reference_loss_and_grads(spec, params.copy(), x, labels)
 
 
-def fused_engine(spec, mbs=1, proj_block=None, mode="on", seed=3):
+def fused_engine(spec, mbs=1, mode="on", seed=3):
     return BParEngine(
         spec, params=BRNNParams.initialize(spec, seed=seed),
         config=ExecutionConfig(
-            executor=ThreadedExecutor(4),
-            mbs=mbs,
-            fused_input_projection=mode,
-            proj_block=proj_block,
+            executor=ThreadedExecutor(4), mbs=mbs, fused_input_projection=mode
         ),
     )
 
@@ -83,25 +80,27 @@ def grads_allclose(a, b, rtol=1e-4, atol=1e-6):
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
 @pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
 @pytest.mark.parametrize("proj_block", PROJ_BLOCKS)
-def test_forward_bitwise_mbs1(cell, head, proj_block):
+def test_forward_bitwise_mbs1(cell, head, proj_block, set_proj_block):
+    set_proj_block(proj_block)
     spec = small_spec(cell=cell, head=head)
     x, labels = make_batch(spec)
     _, ref_logits, _ = oracle(spec, x, labels)
-    logits = fused_engine(spec, proj_block=proj_block).forward(x)
+    logits = fused_engine(spec).forward(x)
     assert np.array_equal(logits, ref_logits)
 
 
 @pytest.mark.parametrize("proj_block", [1, 5])  # 5 == T: one block per direction
-def test_forward_bitwise_proj_block_extremes(proj_block):
+def test_forward_bitwise_proj_block_extremes(proj_block, set_proj_block):
+    set_proj_block(proj_block)
     spec = small_spec()
     x, labels = make_batch(spec)
     _, ref_logits, _ = oracle(spec, x, labels)
-    logits = fused_engine(spec, proj_block=proj_block).forward(x)
+    logits = fused_engine(spec).forward(x)
     assert np.array_equal(logits, ref_logits)
 
 
 @pytest.mark.parametrize("mbs", [2, 3])
-def test_forward_chunked_matches_per_step(mbs):
+def test_forward_chunked_matches_per_step(mbs, set_proj_block):
     """With mbs>1 each chunk keeps the per-chunk bitwise guarantee."""
     spec = small_spec()
     x, labels = make_batch(spec)
@@ -109,7 +108,8 @@ def test_forward_chunked_matches_per_step(mbs):
         spec, params=BRNNParams.initialize(spec, seed=3),
         config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=mbs),
     ).forward(x)
-    fused = fused_engine(spec, mbs=mbs, proj_block=2).forward(x)
+    set_proj_block(2)
+    fused = fused_engine(spec, mbs=mbs).forward(x)
     assert np.array_equal(fused, per_step)
 
 
@@ -144,11 +144,12 @@ def test_auto_mode_forward_bitwise():
 
 @pytest.mark.parametrize("cell", ["lstm", "gru"])
 @pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
-def test_backward_allclose_oracle(cell, head):
+def test_backward_allclose_oracle(cell, head, set_proj_block):
+    set_proj_block(2)
     spec = small_spec(cell=cell, head=head)
     x, labels = make_batch(spec)
     ref_loss, ref_logits, ref_grads = oracle(spec, x, labels)
-    loss, logits, grads = fused_engine(spec, proj_block=2).loss_and_grads(x, labels)
+    loss, logits, grads = fused_engine(spec).loss_and_grads(x, labels)
     assert loss == pytest.approx(ref_loss, rel=1e-6)
     assert np.array_equal(logits, ref_logits)  # forward stays bitwise
     assert grads_allclose(grads, ref_grads)
@@ -156,25 +157,25 @@ def test_backward_allclose_oracle(cell, head):
 
 @pytest.mark.parametrize("mbs", [2, 3])
 @pytest.mark.parametrize("proj_block", PROJ_BLOCKS)
-def test_backward_allclose_chunked(mbs, proj_block):
+def test_backward_allclose_chunked(mbs, proj_block, set_proj_block):
+    set_proj_block(proj_block)
     spec = small_spec()
     x, labels = make_batch(spec)
     ref_loss, _, ref_grads = oracle(spec, x, labels)
-    loss, _, grads = fused_engine(
-        spec, mbs=mbs, proj_block=proj_block
-    ).loss_and_grads(x, labels)
+    loss, _, grads = fused_engine(spec, mbs=mbs).loss_and_grads(x, labels)
     assert loss == pytest.approx(ref_loss, rel=1e-5)
     assert grads_allclose(grads, ref_grads)
 
 
-def test_fused_gradcheck():
+def test_fused_gradcheck(set_proj_block):
     """Central differences of the fused engine's own loss, in float64."""
     spec = small_spec(
         cell="lstm", input_size=5, hidden_size=4, num_layers=2, dtype=np.float64
     )
     x, labels = make_batch(spec, seq_len=4, batch=2)
     x = x.astype(np.float64)
-    engine = fused_engine(spec, proj_block=2)
+    set_proj_block(2)
+    engine = fused_engine(spec)
     _, _, grads = engine.loss_and_grads(x, labels)
     grad_by_name = dict(grads.arrays())
 
@@ -200,11 +201,12 @@ def test_fused_gradcheck():
         assert err < 1e-3, (name, err)
 
 
-def test_fused_gru_gradcheck():
+def test_fused_gru_gradcheck(set_proj_block):
     spec = small_spec(cell="gru", num_layers=2, dtype=np.float64)
     x, labels = make_batch(spec, seq_len=4, batch=2)
     x = x.astype(np.float64)
-    engine = fused_engine(spec, proj_block=3)
+    set_proj_block(3)
+    engine = fused_engine(spec)
     ref_loss, _, ref_grads = reference_loss_and_grads(
         spec, engine.params.copy(), x, labels
     )
@@ -220,9 +222,12 @@ def test_fused_gru_gradcheck():
 @pytest.mark.parametrize("mbs", [1, 2])
 @pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
 @pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
-def test_hoisted_training_matches_per_step_graph(cell, head, mbs, proj_block, momentum):
+def test_hoisted_training_matches_per_step_graph(
+    cell, head, mbs, proj_block, momentum, set_proj_block
+):
     """Float32, T=6 (block 4 leaves a ragged block of 2): gradients of the
     hoisted graph against the per-step graph's, then two SGD steps."""
+    set_proj_block(proj_block)
     spec = small_spec(cell=cell, head=head, num_layers=2)
     x, labels = make_batch(spec, seq_len=6)
 
@@ -230,8 +235,7 @@ def test_hoisted_training_matches_per_step_graph(cell, head, mbs, proj_block, mo
         return BParEngine(
             spec, params=BRNNParams.initialize(spec, seed=3), momentum=momentum,
             config=ExecutionConfig(
-                executor=ThreadedExecutor(2), mbs=mbs,
-                fused_input_projection=mode, proj_block=proj_block,
+                executor=ThreadedExecutor(2), mbs=mbs, fused_input_projection=mode
             ),
         )
 
@@ -253,14 +257,15 @@ def test_hoisted_training_matches_per_step_graph(cell, head, mbs, proj_block, mo
 
 @pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
 @pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
-def test_hoisted_float64_matches_reference(cell, head):
+def test_hoisted_float64_matches_reference(cell, head, set_proj_block):
     """Float64 leaves no room: the hoisted analytic gradients must agree
     with the (independently gradchecked) reference to near machine
     precision, over a ragged blocking and two chunks."""
     spec = small_spec(cell=cell, head=head, num_layers=2, dtype=np.float64)
     x, labels = make_batch(spec, seq_len=5, batch=4)
     x = x.astype(np.float64)
-    engine = fused_engine(spec, mbs=2, proj_block=3)
+    set_proj_block(3)
+    engine = fused_engine(spec, mbs=2)
     ref_loss, _, ref_grads = reference_loss_and_grads(
         spec, engine.params.copy(), x, labels
     )
@@ -304,10 +309,11 @@ def test_hoisted_forward_bitwise_on_the_benchmark_models(spec):
             assert np.array_equal(engine.forward(x), ref_logits), (batch, seed)
 
 
-def test_training_loop_converges_fused():
+def test_training_loop_converges_fused(set_proj_block):
+    set_proj_block(2)
     spec = small_spec(num_layers=2)
     x, labels = make_batch(spec)
-    engine = fused_engine(spec, proj_block=2)
+    engine = fused_engine(spec)
     first = engine.train_batch(x, labels, lr=0.1)
     for _ in range(8):
         last = engine.train_batch(x, labels, lr=0.1)
@@ -379,10 +385,8 @@ def test_engines_hoist_by_default_and_the_builder_does_not():
 
 
 def test_proj_block_validation():
-    spec = small_spec()
-    x, _ = make_batch(spec)
-    with pytest.raises(ValueError):
-        fused_engine(spec, proj_block=0).forward(x)
+    with pytest.raises(ValueError, match="proj_block"):
+        build_brnn_graph(small_spec(), seq_len=4, batch=2, proj_block=0)
 
 
 # -- graph/cost-model structure ---------------------------------------------------
@@ -421,12 +425,14 @@ def test_critical_path_decreases_small(mbs):
     assert whole == off
 
 
-def test_fused_inference_graph_has_proj_tasks_and_no_caches():
+def test_fused_inference_graph_has_proj_tasks_and_no_caches(set_proj_block):
+    set_proj_block(2)
     spec = small_spec()
     x, _ = make_batch(spec)
-    engine = fused_engine(spec, proj_block=2)
+    engine = fused_engine(spec)
     engine.forward(x)
     result = engine.last_result
+    assert result.proj_block == 2
     kinds = {t.kind for t in result.graph}
     assert "proj" in kinds and "proj_bwd" not in kinds
     # inference never materialises the per-step caches on the fused path
@@ -435,10 +441,11 @@ def test_fused_inference_graph_has_proj_tasks_and_no_caches():
             assert all(c is None for c in grid)
 
 
-def test_fused_training_graph_has_proj_bwd_tasks():
+def test_fused_training_graph_has_proj_bwd_tasks(set_proj_block):
+    set_proj_block(2)
     spec = small_spec()
     x, labels = make_batch(spec)
-    engine = fused_engine(spec, proj_block=2)
+    engine = fused_engine(spec)
     engine.train_batch(x, labels, lr=0.01)
     kinds = {t.kind for t in engine.last_result.graph}
     assert "proj" in kinds and "proj_bwd" in kinds

@@ -37,6 +37,12 @@ CASES = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def two_step_blocks(set_proj_block):
+    """Hoisted layers run two-step blocks, so a short sequence spans several."""
+    set_proj_block(2)
+
+
 def engine(spec, proj="off", mbs=1, wavefront_tile=None, seed=3):
     return BParEngine(
         spec,
@@ -44,7 +50,6 @@ def engine(spec, proj="off", mbs=1, wavefront_tile=None, seed=3):
         config=ExecutionConfig(
             executor="threaded", n_workers=4, mbs=mbs,
             fused_input_projection=proj, wavefront_tile=wavefront_tile,
-            proj_block=2 if proj == "on" else None,
         ),
     )
 

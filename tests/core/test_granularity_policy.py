@@ -178,8 +178,8 @@ def test_one_worker_inference_engine_replays_tiled_plans_bitwise():
     the tile-1 engine's logits."""
     spec = small_spec(num_layers=2, hidden_size=4, input_size=5, num_classes=3,
                       head="many_to_many")
-    base = ExecutionConfig(executor="threaded", n_workers=1, compile="on", seed=3)
-    tiled = InferenceEngine(spec, config=base)
+    base = ExecutionConfig(executor="threaded", n_workers=1, compile="on")
+    tiled = InferenceEngine(spec, config=base, params=BRNNParams.initialize(spec, 3))
     per_step = InferenceEngine(spec, config=base.replace(wavefront_tile=1),
                                params=tiled.params)
     shapes = [(4, 3), (7, 2), (4, 3), (7, 2), (5, 1), (4, 3)]

@@ -249,7 +249,8 @@ def test_state_and_cache_region_widths_are_the_cell_table_rows(cell):
     x = np.zeros((B, spec.input_size), dtype=spec.dtype)
     h, c, cache = cell_forward(spec, x, *zeros_state(spec, B), W, b)
     assert sum(a is not None for a in (h, c)) == row.state_arrays
-    assert cache.nbytes() - x.nbytes == row.cache_arrays * array_bytes
+    cache_bytes = sum(a.nbytes for a in vars(cache).values() if a is not None)
+    assert cache_bytes - x.nbytes == row.cache_arrays * array_bytes
     assert W.shape[1] == row.gates * spec.hidden_size
 
 

@@ -97,8 +97,8 @@ def test_replayed_paired_plans_match_the_oracle(cell, head, n_workers):
     """A compiled paired plan replayed over its cached build: the warm
     second and third batches give the oracle's logits, as the first does."""
     spec = small_spec(cell=cell, head=head)
-    engine = InferenceEngine(spec, config=ExecutionConfig(
-        executor="threaded", n_workers=n_workers, compile="on", seed=3))
+    engine = InferenceEngine(spec, params=BRNNParams.initialize(spec, 3), config=ExecutionConfig(
+        executor="threaded", n_workers=n_workers, compile="on"))
     for bid in range(3):
         batch = make_served_batch(spec, bid, seq_len=5, size=3, seed=bid)
         result = engine.execute(batch)

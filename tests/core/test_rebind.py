@@ -35,7 +35,8 @@ class FreshEngine(BParEngine):
 
 def _engines(spec, executor, mbs, momentum):
     return [
-        cls(spec, config=ExecutionConfig(executor=executor(), mbs=mbs, seed=1), momentum=momentum)
+        cls(spec, BRNNParams.initialize(spec, 1), momentum=momentum,
+            config=ExecutionConfig(executor=executor(), mbs=mbs))
         for cls in (BParEngine, FreshEngine)
     ]
 

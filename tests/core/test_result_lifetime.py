@@ -51,12 +51,13 @@ def _slot_refs(result):
 
 @pytest.mark.parametrize("mode", ["off", "on"])
 @pytest.mark.parametrize("training", [False, True], ids=["fwd", "train"])
-def test_dropping_the_result_frees_the_step(no_collector, mode, training):
+def test_dropping_the_result_frees_the_step(no_collector, set_proj_block, mode, training):
+    set_proj_block(2)
     spec = small_spec()
     x, labels = make_batch(spec)
     engine = BParEngine(
         spec, config=ExecutionConfig(
-            executor=ThreadedExecutor(2), mbs=2, fused_input_projection=mode, proj_block=2,
+            executor=ThreadedExecutor(2), mbs=2, fused_input_projection=mode,
         ),
     )
     if training:

@@ -5,11 +5,16 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.core.graph_builder import build_brnn_graph
+from repro.harness import paper
 from repro.harness.paper import SECTIONS, GRIDS, format_results, run_paper_suite
 from repro.harness.simtime import simulated_batch_time
 from repro.harness.tables import HEADERS, make_spec, run_row
 from repro.harness import figures
 from repro.models.spec import BRNNSpec
+from repro.runtime.simexec import SimulatedExecutor
+from repro.serve.engine import BATCH_FIXED_S
+from repro.simarch.presets import xeon_8160_2s
 
 
 def small_blstm(layers=2):
@@ -105,6 +110,24 @@ def test_granularity_study_small():
     )
     assert out["tasks_per_epoch"] == out["num_tasks"] * 10
     assert out["overhead_ratio"] < 0.5
+
+
+def test_granularity_ablation_prices_both_arms_alike():
+    """Per-cell and fused arms each cost their warm makespan, the creation
+    of their tasks and the batch's fixed cost, nothing more or less."""
+    layers, seq_len, batch, mbs, cores = 2, 6, 8, 2, 8
+    section = paper._ablation_granularity(layers, seq_len, batch, mbs, cores)
+    spec, machine = figures.blstm_spec(layers), xeon_8160_2s()
+    graphs = [
+        build_brnn_graph(spec, seq_len=seq_len, batch=batch, mbs=mbs).graph,
+        paper._fused_chain_graph(spec, seq_len, batch, mbs),
+    ]
+    for (_, n_tasks, seconds), graph in zip(section["rows"], graphs):
+        sim = SimulatedExecutor(machine, n_cores=cores)
+        sim.run(graph)
+        makespan = sim.run(graph).makespan
+        assert n_tasks == len(graph)
+        assert seconds == makespan + len(graph) * machine.task_create_s + BATCH_FIXED_S
 
 
 def test_memory_study_barrier_reduces_live_set():

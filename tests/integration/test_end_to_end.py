@@ -6,6 +6,7 @@ import pytest
 from repro.config import ExecutionConfig
 from repro.core import BParEngine, BSeqEngine, Trainer
 from repro.data import SyntheticTidigits, SyntheticWikipedia, iterate_batches, pad_sequences
+from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.runtime import ThreadedExecutor
 
@@ -17,7 +18,7 @@ def test_tidigits_training_improves():
                     num_classes=corpus.num_classes)
     xs, ys = corpus.generate(120, seed=1)
     engine = BParEngine(
-        spec, config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=2, seed=0)
+        spec, config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=2)
     )
     trainer = Trainer(engine, lr=0.15)
     batches = list(iterate_batches(xs, ys, batch_size=24, bucket_width=20, seed=0))
@@ -31,7 +32,7 @@ def test_variable_sequence_lengths_across_batches():
     spec = BRNNSpec(cell="gru", input_size=8, hidden_size=10, num_layers=2,
                     merge_mode="sum", head="many_to_one", num_classes=3)
     engine = BParEngine(
-        spec, config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=2, seed=0)
+        spec, config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=2)
     )
     rng = np.random.default_rng(0)
     for seq_len in (3, 11, 6, 25):
@@ -53,7 +54,7 @@ def test_wikipedia_m2m_training_improves():
                     num_layers=2, merge_mode="sum", head="many_to_many",
                     num_classes=corpus.vocab_size)
     engine = BParEngine(
-        spec, config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=2, seed=0)
+        spec, config=ExecutionConfig(executor=ThreadedExecutor(4), mbs=2)
     )
     losses = []
     for step in range(10):
@@ -71,7 +72,8 @@ def test_bpar_and_bseq_train_to_identical_weights():
     utterances, y = corpus.generate(16, seed=5)
     x, _ = pad_sequences(utterances)
     engines = [
-        cls(spec, config=ExecutionConfig(executor=ThreadedExecutor(3), mbs=4, seed=7))
+        cls(spec, BRNNParams.initialize(spec, 7),
+            config=ExecutionConfig(executor=ThreadedExecutor(3), mbs=4))
         for cls in (BParEngine, BSeqEngine)
     ]
     for _ in range(3):
@@ -87,8 +89,11 @@ def test_inference_after_training_consistent_across_executors():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((7, 8, 8)).astype(np.float32)
     labels = rng.integers(0, 4, size=8)
-    e1 = BParEngine(spec, config=ExecutionConfig(executor=ThreadedExecutor(1), seed=5))
-    e2 = BParEngine(spec, config=ExecutionConfig(executor=ThreadedExecutor(6), seed=5))
+    e1, e2 = (
+        BParEngine(spec, BRNNParams.initialize(spec, 5),
+                   config=ExecutionConfig(executor=ThreadedExecutor(n)))
+        for n in (1, 6)
+    )
     for e in (e1, e2):
         e.train_batch(x, labels, lr=0.1)
     assert np.array_equal(e1.forward(x), e2.forward(x))

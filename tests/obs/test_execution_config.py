@@ -27,11 +27,16 @@ class TestExecutionConfig:
         cfg = ExecutionConfig()
         assert cfg.executor is None
         assert cfg.n_workers is None
-        assert cfg.scheduler == "locality"
         assert cfg.mbs == 1
         assert cfg.barrier_free is True
         assert cfg.fused_input_projection == "auto"
         assert cfg.metrics is None and cfg.hooks is None
+        # every field has a caller; the policy, block and seed are the
+        # executor's, the builder's and ``params=``'s
+        assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
+            "executor", "n_workers", "mbs", "barrier_free", "fused_input_projection",
+            "wavefront_tile", "compile", "metrics", "hooks",
+        ]
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -71,23 +76,9 @@ class TestExecutionConfig:
         for mode in ("off", "on"):
             assert ExecutionConfig(compile=mode).compile == mode
 
-    def test_scheduler_field_validation(self):
-        """An unknown policy fails at construction, not at the first run;
-        the retired ``lifo``/``steal`` policies fail the same way."""
-        for bad in ('bogus', 'lifo', 'steal', 'fuzz', 'fuzz:x'):
-            with pytest.raises(ValueError, match="unknown scheduler policy"):
-                ExecutionConfig(scheduler=bad)
-            with pytest.raises(ValueError, match="unknown scheduler policy"):
-                ExecutionConfig().replace(scheduler=bad)
-        for good in ("fifo", "locality", "fuzz:7"):
-            assert ExecutionConfig(scheduler=good).scheduler == good
-
     def test_granularity_field_validation(self):
         with pytest.raises(ValueError, match="wavefront_tile"):
             ExecutionConfig(wavefront_tile=0)
-        # not first inside a serving loop's first build
-        with pytest.raises(ValueError, match="proj_block"):
-            ExecutionConfig(proj_block=0)
         # one kernel per cell: no option selects another
         assert "fusion" not in {f.name for f in dataclasses.fields(ExecutionConfig)}
 
@@ -111,9 +102,9 @@ class TestEngineEquivalence:
             BParEngine(SPEC, config=ExecutionConfig(), mbs=2)
 
     def test_bseq_inherits_config_path(self):
-        engine = BSeqEngine(SPEC, config=ExecutionConfig(seed=3))
-        assert engine.config.seed == 3
-        assert engine.mbs == 1
+        engine = BSeqEngine(SPEC, config=ExecutionConfig(mbs=3))
+        assert engine.config.mbs == 3
+        assert engine.mbs == 3
 
     def test_bpar_sim_executor_from_config(self):
         engine = BParEngine(

@@ -70,7 +70,7 @@ def test_durations_filter():
 def test_merge_traces_with_offset():
     t1 = trace([rec(0, 0, 1)])
     t2 = trace([rec(0, 0, 1)])
-    merged = t1.merge(t2, time_offset=5.0)
+    merged = ExecutionTrace.merge_all([t1, t2], time_offsets=[0.0, 5.0])
     assert merged.num_tasks() == 2
     assert merged.makespan == pytest.approx(6.0)
     # records are copied, not aliased

@@ -79,15 +79,14 @@ class TestMergeAll:
         assert merged.n_cores == 0
         assert merged.records == []
 
-    def test_matches_chained_merge(self):
+    def test_offsets_shift_each_trace_onto_one_clock(self):
         a = _trace(4, [(0, 0.0, 1e-3)])
         b = _trace(2, [(1, 0.0, 2e-3)])
-        chained = a.merge(b, time_offset=0.5)
         merged = ExecutionTrace.merge_all([a, b], time_offsets=[0.0, 0.5])
-        assert merged.n_cores == chained.n_cores
-        assert [
-            (r.name, r.core, r.start, r.end) for r in merged.records
-        ] == [(r.name, r.core, r.start, r.end) for r in chained.records]
+        assert merged.n_cores == 4
+        assert [(r.name, r.core, r.start, r.end) for r in merged.records] == [
+            ("t0", 0, 0.0, 1e-3), ("t0", 1, 0.5, 0.5 + 2e-3),
+        ]
 
     def test_scheduler_taken_from_first(self):
         a = _trace(1, [], scheduler="fifo")

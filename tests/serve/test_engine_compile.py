@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.config import ExecutionConfig
+from repro.models.params import BRNNParams
 from repro.obs.registry import MetricsRegistry
 from repro.serve.batcher import Batch
 from repro.serve.engine import InferenceEngine
@@ -44,10 +45,9 @@ def make_batch(spec, bid, seq_len=4, size=4, seed=0, with_x=True):
 def threaded_engine(spec, compile_mode, params=None, metrics=None, **engine_kw):
     return InferenceEngine(
         spec,
-        params=params,
+        params=params if params is not None else BRNNParams.initialize(spec, 3),
         config=ExecutionConfig(
-            executor="threaded", n_workers=2, mbs=2,
-            compile=compile_mode, metrics=metrics, seed=3,
+            executor="threaded", n_workers=2, mbs=2, compile=compile_mode, metrics=metrics
         ),
         **engine_kw,
     )
@@ -209,9 +209,7 @@ def test_distinct_configs_do_not_share_plans():
     b = InferenceEngine(
         spec,
         params=a.params,
-        config=ExecutionConfig(
-            executor="threaded", n_workers=2, mbs=1, compile="on", seed=3
-        ),
+        config=ExecutionConfig(executor="threaded", n_workers=2, mbs=1, compile="on"),
     )
     batch = make_batch(spec, 0, seed=1)
     assert not a.execute(batch).warm and a.execute(batch).warm

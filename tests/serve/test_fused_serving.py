@@ -42,14 +42,16 @@ def test_sim_auto_resolves_to_on():
     assert off.config.fused_input_projection == "off"
 
 
-def test_threaded_fused_serving_matches_reference():
-    """Fused threaded serving still returns bitwise-correct logits."""
+def test_threaded_fused_serving_matches_reference(set_proj_block):
+    """Fused threaded serving still returns bitwise-correct logits, over
+    projection blocks of two steps."""
+    set_proj_block(2)
     spec = tiny_spec()
     params = BRNNParams.initialize(spec, seed=0)
     server = FleetServer.build(
         spec, ServeConfig(max_batch_size=4, max_wait=1e-3, bucket_width=4),
         execution=SERVE_DEFAULTS.replace(
-            executor="threaded", fused_input_projection="on", proj_block=2
+            executor="threaded", fused_input_projection="on"
         ),
         params=params,
     )
