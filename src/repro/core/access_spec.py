@@ -242,16 +242,10 @@ def _merge_bwd(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
 def _weight_update(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     if "layer" not in meta:  # the head update
         ins = tuple(("gWout", mb) for mb in range(ctx.mbs))
-        inouts: Tuple[Key, ...] = (("Wout",),)
-        if ctx.velocity is not None:
-            inouts += (("vel", "head"),)
-        return AccessDecl(ins=ins, inouts=inouts)
+        return AccessDecl(ins=ins, inouts=(("Wout",),))
     layer, d = meta["layer"], meta["dir"]
     ins = tuple(("gW", mb, layer, d) for mb in range(ctx.mbs))
-    inouts = (("W", layer, d),)
-    if ctx.velocity is not None:
-        inouts += (("vel", layer, d),)
-    return AccessDecl(ins=ins, inouts=inouts)
+    return AccessDecl(ins=ins, inouts=(("W", layer, d),))
 
 
 #: family id → access rule.  Keys are ``kind@build_site`` exactly as

@@ -87,7 +87,6 @@ class BParEngine:
         params: Optional[BRNNParams] = None,
         *,
         config: Optional[ExecutionConfig] = None,
-        momentum: float = 0.0,
     ) -> None:
         cfg = config if config is not None else ExecutionConfig()
         self.spec = spec
@@ -98,11 +97,8 @@ class BParEngine:
         self.executor = resolve_executor(cfg)
         self.mbs = cfg.mbs
         self.barrier_free = cfg.barrier_free
-        self.momentum = momentum
         self.metrics = cfg.metrics
         self.hooks = cfg.hooks
-        #: classical-momentum velocity buffers, allocated on first use
-        self.velocity = BRNNParams.zeros_like(spec) if momentum > 0.0 else None
         self.last_trace: Optional[ExecutionTrace] = None
         #: the one build an engine keeps, the ``Granularity`` it was made with
         #: and the call it serves: ``(x.shape, x.dtype, training, update_weights)``
@@ -153,10 +149,7 @@ class BParEngine:
         Forward, backward, gradient reduction across mini-batch chunks, and
         the weight update all run inside a single barrier-free task graph.
         """
-        result = self._run(
-            x, labels=labels, lr=lr, momentum=self.momentum, velocity=self.velocity
-        )
-        return result.mean_loss()
+        return self._run(x, labels=labels, lr=lr).mean_loss()
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
         """Loss + combined gradients without updating weights (for tests)."""

@@ -14,8 +14,8 @@ order, and ``_Builder._add`` emits its ``in``/``out``/``inout`` lists from
 the table.
 
 A build is described once: :func:`build_brnn_graph` derives its structure
-(chunk batches, hoisted layers, tile, ``proj_block``, flags, params and
-velocity) into one :class:`GraphBuildResult`.  The builder fills that
+(chunk batches, hoisted layers, tile, ``proj_block``, flags and params)
+into one :class:`GraphBuildResult`.  The builder fills that
 record's graph and regions, the access rules read it, and an ``out=``
 rebind compares it field by field with the earlier build's.  Where each
 value lives is stated once too, by :class:`~repro.core.state.ChunkState`.
@@ -97,7 +97,7 @@ DEFAULT_PROJ_BLOCK = 16
 #: processes via :meth:`GraphBuildResult.export_region` /
 #: :meth:`GraphBuildResult.import_region`.  Every other kind is either
 #: preallocated storage the executor rebinds into shared memory before
-#: forking (``x``/``W``/``gW``/``dh``/``dm``/``vel``/…, mutated strictly
+#: forking (``x``/``W``/``gW``/``dh``/``dm``/…, mutated strictly
 #: in place) or the zero-byte ``serial`` token.
 SHIPPED_REGION_KINDS = frozenset(
     {"h", "cache", "zx", "dz", "m", "mlast", "logits", "dlogits", "dmlast"}
@@ -273,14 +273,12 @@ class GraphBuildResult:
     chunks: Optional[List[ChunkState]] = None
     params: Optional[BRNNParams] = None
     fused_layers: Optional[List[bool]] = None
-    velocity: Optional[BRNNParams] = None
     wavefront_tile: Optional[int] = None
     serialize_chunks: bool = False
     barrier_free: bool = True
     paired: bool = False
     update_weights: bool = True
     proj_block: Optional[int] = None
-    momentum: float = 0.0
     #: the SGD step: a ``(1,)`` slot the update tasks read when they run,
     #: so a rebind (``build_brnn_graph(out=...)``) can change it
     lr: Optional[np.ndarray] = None
@@ -349,14 +347,6 @@ class GraphBuildResult:
             _, mb = key
             gh = self.chunks[mb].grads.head
             return (gh.W, gh.b)
-        if kind == "vel":
-            if self.velocity is None:
-                return ()
-            if key[1] == "head":
-                return (self.velocity.head.W, self.velocity.head.b)
-            _, layer, d = key
-            vp = self.velocity.layers[layer].direction(d)
-            return (vp.W, vp.b)
         if kind == "serial":
             return ()
         arrays = []
@@ -476,11 +466,6 @@ class GraphBuildResult:
         if kind in ("logits", "dlogits"):
             _, mb, s = key
             return slot(("rows", kind, mb), s, b(mb) * C * isz)
-        if kind == "vel":
-            if key[1] == "head":
-                return own(key, (M * C + C) * isz)
-            _, layer, d = key
-            return own(key, ((lin(layer) + H) * (G * H) + G * H) * isz)
         if kind == "serial":
             return ()
         raise KeyError(f"unknown region key vocabulary: {key!r}")
@@ -489,7 +474,7 @@ class GraphBuildResult:
         """Rebind every rebindable storage array through ``fn(array)``.
 
         Visits the same buffers :meth:`region_storage` resolves — params,
-        gradients, velocity, each chunk's ``x`` and every slot of
+        gradients, each chunk's ``x`` and every slot of
         :meth:`ChunkState.slot_lists` (including cache dataclass fields) —
         replacing each ndarray ``a`` with ``fn(a)``.
         The race checker uses this to swap tracked views in and out; ``fn``
@@ -499,7 +484,7 @@ class GraphBuildResult:
             raise RuntimeError("cost-only graphs carry no data to map")
 
         def map_params(p: Optional[BRNNParams]) -> None:
-            if p is None:
+            if p is None:  # an inference chunk's gradients
                 return
             for lp in p.layers:
                 for dp in (lp.fwd, lp.rev):
@@ -518,7 +503,6 @@ class GraphBuildResult:
                             setattr(a, name, fn(v))
 
         map_params(self.params)
-        map_params(self.velocity)
         for state in self.chunks:
             state.x = fn(state.x)
             for row in state.slot_lists():
@@ -760,9 +744,9 @@ class _Builder:
             # chunk as ``inout``, so the chunk runs in registration order
             # while distinct chunks stay independent.
             nbytes = 0
-        elif kind in ("Wout", "gWout") or key == ("vel", "head"):
+        elif kind in ("Wout", "gWout"):
             nbytes = (spec.head_input_size * spec.num_classes + spec.num_classes) * self.isz
-        else:  # ("W" | "vel", layer, dir), ("gW", mb, layer, dir)
+        else:  # ("W", layer, dir), ("gW", mb, layer, dir)
             (wr, wc), (bn,) = spec.cell_param_shapes(key[-2])
             nbytes = (wr * wc + bn) * self.isz
         region = self.regions.get(key, nbytes, streaming=width is not None)
@@ -1051,23 +1035,14 @@ class _Builder:
     def _fn_update(self, pair):
         """SGD over every chunk's gradients of the ``(W, b)`` pair that
         ``pair`` picks from a parameter set (a layer direction's or the
-        head's), or with a velocity, classical momentum:
-        ``v ← µ·v − lr·Σ g_chunk ;  W ← W + v``."""
+        head's): ``W ← W − lr·Σ g_chunk``."""
         chunks, params, lr = self.chunks, self.params, self.lr
-        momentum, velocity = self.momentum, self.velocity
 
         def fn():
             p, grads = pair(params), [pair(chunk.grads) for chunk in chunks]
-            v = p if velocity is None else pair(velocity)
             for name in ("W", "b"):
-                acc = getattr(v, name)
-                if velocity is not None:
-                    acc *= np.asarray(momentum, dtype=acc.dtype)
                 for g in grads:
-                    _axpy(acc, -lr[0], getattr(g, name))
-                if velocity is not None:
-                    w = getattr(p, name)
-                    w += acc
+                    _axpy(getattr(p, name), -lr[0], getattr(g, name))
 
         return fn
 
@@ -1392,8 +1367,6 @@ def build_brnn_graph(
     barrier_free: bool = True,
     update_weights: bool = True,
     serialize_chunks: bool = False,
-    momentum: float = 0.0,
-    velocity: Optional[BRNNParams] = None,
     fused_input_projection="off",
     proj_block: Optional[int] = None,
     wavefront_tile: Optional[int] = None,
@@ -1463,10 +1436,9 @@ def build_brnn_graph(
         spec=spec, seq_len=seq_len, chunk_batches=chunk_batches, training=training,
         functional=functional, params=params,
         fused_layers=_hoisted_layers(spec, fused_input_projection, max(chunk_batches)),
-        velocity=velocity, wavefront_tile=tile if tile > 1 else None,
+        wavefront_tile=tile if tile > 1 else None,
         serialize_chunks=serialize_chunks, barrier_free=barrier_free, paired=paired,
         update_weights=update_weights, proj_block=min(seq_len, proj_block or DEFAULT_PROJ_BLOCK),
-        momentum=momentum,
     )
     if out is not None:
         return _rebind(out, record, x, labels, lr)

@@ -276,23 +276,8 @@ def reference_train_step(
     x: np.ndarray,
     labels: np.ndarray,
     lr: float,
-    momentum: float = 0.0,
-    velocity: "BRNNParams" = None,
 ) -> float:
-    """One SGD step on ``params`` (in place); returns the batch mean loss.
-
-    With ``momentum > 0`` (and a caller-held ``velocity`` buffer) applies
-    classical momentum: ``v ← µ·v − lr·g; W ← W + v`` — the same arithmetic
-    as B-Par's weight-update tasks.
-    """
+    """One SGD step on ``params`` (in place); returns the batch mean loss."""
     loss, _, grads = reference_loss_and_grads(spec, params, x, labels)
-    if velocity is None:
-        params.add_scaled_(grads, -lr)
-    else:
-        for (_, v), (_, g), (_, w) in zip(
-            velocity.arrays(), grads.arrays(), params.arrays()
-        ):
-            v *= np.asarray(momentum, dtype=v.dtype)
-            v += np.asarray(-lr, dtype=v.dtype) * g
-            w += v
+    params.add_scaled_(grads, -lr)
     return loss

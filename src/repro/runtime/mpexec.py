@@ -13,7 +13,7 @@ Data movement instead goes through POSIX shared memory
 (:mod:`repro.runtime.shm`), in two disciplines derived from how the graph
 builder stores regions:
 
-* **Preallocated storage** (params, gradients, velocity, inputs, the
+* **Preallocated storage** (params, gradients, inputs, the
   ``dh``/``dc``/``dm`` accumulator grids) is rebound into a single shm
   *state arena* via ``storage.map_storage`` **before the workers fork**.
   Payloads mutate these buffers in place, the dependence graph orders the

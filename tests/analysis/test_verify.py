@@ -83,7 +83,7 @@ def test_representative_families_verify_clean(fam):
 
 @pytest.mark.parametrize("case", RULE_BRANCH_SWEEP)
 def test_rule_branch_builds_verify_clean(case):
-    """``mul`` merges, momentum, per-layer barriers and B-Seq: the rule
+    """``mul`` merges, per-layer barriers and B-Seq: the rule
     branches outside the certificate's family matrix."""
     report = verify_build(build_functional(**case))
     assert report.ok, "\n".join(

@@ -157,7 +157,6 @@ def build_functional(
     proj_block=None,
     wavefront_tile=None,
     merge_mode="sum",
-    momentum=0.0,
     barrier_free=True,
     serialize_chunks=False,
     seed=5,
@@ -189,8 +188,6 @@ def build_functional(
         fused_input_projection=fused,
         proj_block=proj_block,
         wavefront_tile=wavefront_tile,
-        momentum=momentum,
-        velocity=BRNNParams.zeros_like(spec) if momentum else None,
         barrier_free=barrier_free,
         serialize_chunks=serialize_chunks,
         paired=paired,
@@ -213,8 +210,6 @@ def _conf_case_id(case):
         bits.append("paired")
     if case.get("merge_mode", "sum") != "sum":
         bits.append(case["merge_mode"])
-    if case.get("momentum"):
-        bits.append("momentum")
     if not case.get("barrier_free", True):
         bits.append("barriered")
     if case.get("serialize_chunks"):
@@ -286,15 +281,15 @@ _FUSION_TIER1 = [
 FUSION_SWEEP = _sweep(_FUSION_CASES, _FUSION_TIER1)
 
 #: the access-rule branches neither sweep reaches, a handful of builds for
-#: the declaration audits: ``mul`` merges (their backward reads ``h``), the
-#: momentum ``vel`` regions, per-layer barriers with the direction chains
-#: serialised, and B-Seq's per-chunk ``serial`` token
+#: the declaration audits: ``mul`` merges (their backward reads ``h``),
+#: per-layer barriers with the direction chains serialised, and B-Seq's
+#: per-chunk ``serial`` token
 _RULE_BRANCH_CASES = [
     dict(cell="lstm", head="many_to_many", training=True, mbs=2, merge_mode="mul"),
     dict(cell="gru", head="many_to_one", training=True, mbs=2,
-         fused="on", proj_block=2, merge_mode="mul", momentum=0.9),
+         fused="on", proj_block=2, merge_mode="mul"),
     dict(cell="lstm", head="many_to_one", training=True, mbs=2,
-         momentum=0.9, serialize_chunks=True),
+         serialize_chunks=True),
     dict(cell="gru", head="many_to_many", training=True, mbs=2,
          fused="on", proj_block=2, barrier_free=False),
     dict(cell="lstm", head="many_to_one", training=True, mbs=2,

@@ -4,8 +4,7 @@ An engine keeps its last build and rebinds each step of the same shape
 into it (``build_brnn_graph(out=...)``): the step's inputs and ``lr`` are
 copied into the build's slots and its accumulators zeroed.  Steps two and
 three of such an engine must give the bits of an engine that builds every
-step afresh: losses, logits, updated weights and velocity, on every
-executor.
+step afresh: losses, logits and updated weights, on every executor.
 """
 
 import numpy as np
@@ -21,8 +20,8 @@ from tests.conftest import make_batch, small_spec
 
 CELLS = ("lstm", "gru", "rnn")
 HEADS = ("many_to_one", "many_to_many")
-#: (training, momentum) of a step
-MODES = {"fwd": (False, 0.0), "train": (True, 0.0), "train-momentum": (True, 0.9)}
+#: whether a step trains
+MODES = {"fwd": False, "train": True}
 
 
 class FreshEngine(BParEngine):
@@ -33,9 +32,9 @@ class FreshEngine(BParEngine):
         return super()._run(*args, **kwargs)
 
 
-def _engines(spec, executor, mbs, momentum):
+def _engines(spec, executor, mbs):
     return [
-        cls(spec, BRNNParams.initialize(spec, 1), momentum=momentum,
+        cls(spec, BRNNParams.initialize(spec, 1),
             config=ExecutionConfig(executor=executor(), mbs=mbs))
         for cls in (BParEngine, FreshEngine)
     ]
@@ -47,8 +46,6 @@ def _step(engine, training, x, labels, lr=0.1):
         return [engine.forward(x)]
     out = [np.float64(engine.train_batch(x, labels, lr=lr)), engine.last_result.logits()]
     out += [a.copy() for _, a in engine.params.arrays()]
-    if engine.velocity is not None:
-        out += [a.copy() for _, a in engine.velocity.arrays()]
     return out
 
 
@@ -67,9 +64,9 @@ def _batches(spec, n=3, seq_len=5, batch=8):
 @pytest.mark.parametrize("head", HEADS)
 @pytest.mark.parametrize("cell", CELLS)
 def test_rebound_steps_match_fresh_builds(cell, head, mode, mbs):
-    training, momentum = MODES[mode]
+    training = MODES[mode]
     spec = small_spec(cell=cell, head=head)
-    rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), mbs, momentum)
+    rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), mbs)
     build = None
     for x, labels in _batches(spec):
         _assert_same(_step(rebound, training, x, labels), _step(fresh, training, x, labels))
@@ -86,19 +83,19 @@ EXECUTORS = {
 
 
 @pytest.mark.usefixtures("real_threads")
-@pytest.mark.parametrize("mode", ["fwd", "train-momentum"])
+@pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("executor", list(EXECUTORS))
 def test_rebound_steps_match_fresh_builds_on_every_executor(executor, mode):
-    training, momentum = MODES[mode]
+    training = MODES[mode]
     spec = small_spec(head="many_to_many")
-    rebound, fresh = _engines(spec, EXECUTORS[executor], 2, momentum)
+    rebound, fresh = _engines(spec, EXECUTORS[executor], 2)
     for x, labels in _batches(spec):
         _assert_same(_step(rebound, training, x, labels), _step(fresh, training, x, labels))
 
 
 def test_a_trailing_short_batch_is_a_build_of_its_own():
     spec = small_spec()
-    rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), 2, 0.9)
+    rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), 2)
     full = _batches(spec, n=2)
     short = _batches(spec, n=1, batch=1)
     for x, labels in full + short + full:
@@ -108,7 +105,7 @@ def test_a_trailing_short_batch_is_a_build_of_its_own():
 
 def test_loss_and_grads_then_train_batch_on_one_shape():
     spec = small_spec(head="many_to_many")
-    rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), 2, 0.0)
+    rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), 2)
     calls = ["grads", "grads", "train", "train", "grads"]
     builds = []
     for call, (x, labels) in zip(calls, _batches(spec, n=len(calls))):
@@ -125,7 +122,7 @@ def test_loss_and_grads_then_train_batch_on_one_shape():
 
 def test_a_new_lr_rebinds_and_does_not_rebuild():
     spec = small_spec()
-    rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), 2, 0.9)
+    rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), 2)
     x, labels = make_batch(spec)
     build = None
     for lr in (0.1, 0.5, 0.02):

@@ -4,7 +4,7 @@ The race checker's observed audit swaps tracked views in through
 ``map_storage``, and the process executor moves state into shared memory
 the same way: an array the walk misses is an access neither sees.  So
 after a run, every ndarray reachable from a chunk's state, the params,
-the gradients and the velocity must be handed to ``fn``, and every array a
+and the gradients must be handed to ``fn``, and every array a
 region resolves to must share memory with one that was.
 
 Exempt, by name: ``labels`` (read by the loss task through its chunk, no
@@ -64,17 +64,15 @@ def test_map_storage_visits_every_array(cell, head, hoist, paired, training):
     spec = small_spec(cell=cell, head=head, num_layers=2)
     x, labels = make_batch(spec, seq_len=5)
     params = BRNNParams.initialize(spec, seed=0)
-    velocity = BRNNParams.zeros_like(spec) if training else None
     result = build_brnn_graph(
         spec, x=x, labels=labels, params=params, training=training, mbs=2,
         fused_input_projection=hoist, proj_block=2, paired=paired,
-        momentum=0.9 if training else 0.0, velocity=velocity,
     )
     SerialExecutor().run(result.graph)
 
     visited = {}
     result.map_storage(lambda a: visited.setdefault(id(a), a))
-    roots = [params, velocity]
+    roots = [params]
     for state in result.chunks:
         roots += [value for name, value in vars(state).items() if name not in EXEMPT]
     missed = [a.shape for a in _reachable_arrays(roots) if id(a) not in visited]

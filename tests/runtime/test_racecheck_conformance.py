@@ -11,7 +11,7 @@ for LSTM/GRU × many-to-one/many-to-many × inference/training ×
 data-parallel chunking × the fused input-projection path at every block
 size, and × chain tiles under both kernels, plus the handful of builds that
 reach the remaining access-rule branches (``RULE_BRANCH_SWEEP``: ``mul``
-merges, momentum, per-layer barriers, B-Seq).
+merges, per-layer barriers, B-Seq).
 
 The case lists live in ``tests/conftest.py`` (``PROJECTION_SWEEP`` /
 ``FUSION_SWEEP``), shared with the compiled-replay and executor

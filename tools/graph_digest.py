@@ -12,7 +12,7 @@ digest takes every task's name, kind, family id, ordered ``in``/``out``/
 ``home``; the successor lists; and the simulated makespan of the cost-only
 graph (8 cores of the paper machine, locality scheduler).  The *numerics*
 digest takes, from a functional build run serially, logits, loss, every
-per-chunk gradient and the updated weights and velocity.
+per-chunk gradient and the updated weights.
 
 Four matrices (T=7, batch=6, mbs=2; ``mbs=3`` on the variants' B-Seq rows):
 
@@ -21,7 +21,7 @@ Four matrices (T=7, batch=6, mbs=2; ``mbs=3`` on the variants' B-Seq rows):
 * ``tiled``: 2 cells x 2 heads x tile 1, 3 and 8 (one tile per chain) x
   projection on/off x barrier-free/barriered x fwd/train (96);
 * ``variants``: 3 cells x merge {mul, concat} x 2 heads x projection on/off x
-  {plain, momentum, B-Seq, momentum + B-Seq}, training (96);
+  {B-Par, B-Seq}, training (48);
 * ``paired``: 3 cells x 2 heads x fwd/train x projection on/off, both
   directions' forward chains as one, at tile 3 and 7 (one tile per chain)
   (48).
@@ -61,11 +61,10 @@ def _tiled():
 
 
 def _variants():
-    for cell, merge, head, fused, (momentum, bseq) in product(
-        CELLS, ("mul", "concat"), HEADS, ("on", "off"),
-        ((0.0, False), (0.9, False), (0.0, True), (0.9, True)),
+    for cell, merge, head, fused, bseq in product(
+        CELLS, ("mul", "concat"), HEADS, ("on", "off"), (False, True)
     ):
-        yield dict(cell=cell, merge=merge, head=head, fused=fused, momentum=momentum,
+        yield dict(cell=cell, merge=merge, head=head, fused=fused,
                    serialize_chunks=bseq, mbs=3 if bseq else 2)
 
 
@@ -84,13 +83,10 @@ def build(cfg, functional):
     spec = BRNNSpec(cell=cfg["cell"], input_size=5, hidden_size=4, num_layers=3,
                     merge_mode=cfg.get("merge", "sum"), head=cfg["head"], num_classes=3)
     training = cfg.get("training", True)
-    momentum = cfg.get("momentum", 0.0)
     kwargs = dict(
         mbs=cfg.get("mbs", 2), training=training, lr=0.05,
         barrier_free=cfg.get("barrier_free", True),
         serialize_chunks=cfg.get("serialize_chunks", False),
-        momentum=momentum,
-        velocity=BRNNParams.zeros_like(spec) if momentum else None,
         fused_input_projection=cfg["fused"], proj_block=2,
         wavefront_tile=cfg.get("wavefront_tile"),
         paired=cfg.get("paired", False),
@@ -124,10 +120,7 @@ def _numerics(built, h) -> None:
     h.update(built.logits().tobytes())
     if built.training:
         h.update(repr(built.mean_loss()).encode())
-        stores = [chunk.grads for chunk in built.chunks] + [built.params]
-        if built.velocity is not None:
-            stores.append(built.velocity)
-        for store in stores:
+        for store in [chunk.grads for chunk in built.chunks] + [built.params]:
             for _, array in store.arrays():
                 h.update(array.tobytes())
 
