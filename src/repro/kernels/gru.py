@@ -63,16 +63,14 @@ def gru_forward_step(
 
 
 def _backward_chain(
-    dh: np.ndarray, cache: GRUCache, W: np.ndarray, db: Optional[np.ndarray]
+    dh: np.ndarray, cache: GRUCache, W: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """What the recurrence waits for: ``(dz (B, 3H), dh_prev)``, ``dz``
     columns ``[dz_zr | da]`` matching the fused weight layout.
 
     Two pointwise stretches around the candidate's recurrent data GEMM, then
     the update/reset one; both run weights-left (``(W_h·dZ^T)^T``), the
-    operand order BLAS is fast at on a few rows.  Adds ``Σdz`` to ``db`` when
-    the caller accumulates the bias gradient per step (a few-row reduction,
-    so it rides in the turn).
+    operand order BLAS is fast at on a few rows.
     """
     hidden = cache.h_prev.shape[1]
     input_size = W.shape[0] - hidden
@@ -92,8 +90,6 @@ def _backward_chain(
         dz[:, :hidden] = dz_gate * dsigmoid(cache.z)
         dz[:, hidden:two_h] = dr * dsigmoid(cache.r)
         dz[:, two_h:] = da
-        if db is not None:
-            db += dz.sum(axis=0)
 
     # a GEMM's own accumulation stays with it, outside the turn
     dh_prev += (W[input_size:, :two_h] @ dz[:, :two_h].T).T
@@ -109,22 +105,12 @@ def gru_backward_step(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backward of one GRU cell update.
 
-    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``.  The
-    input-side products read the candidate and update/reset column blocks of
-    the stacked ``dz`` as views.
+    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``.  This is
+    :func:`gru_backward_step_proj`, then :func:`gru_proj_backward` over a
+    block of one timestep, so the two paths agree bitwise whatever BLAS does.
     """
-    input_size = cache.x.shape[1]
-    two_h = 2 * cache.h_prev.shape[1]
-    dz, dh_prev = _backward_chain(dh, cache, W, db)
-    dzr, da = dz[:, :two_h], dz[:, two_h:]
-
-    dx = da @ W[:input_size, two_h:].T
-    dx += dzr @ W[:input_size, :two_h].T
-    dW[:input_size, :two_h] += cache.x.T @ dzr
-    dW[input_size:, :two_h] += cache.h_prev.T @ dzr
-    dW[:input_size, two_h:] += cache.x.T @ da
-    dW[input_size:, two_h:] += cache.rh.T @ da
-    return dx, dh_prev
+    dz, dh_prev = _backward_chain(dh, cache, W)
+    return gru_proj_backward(cache.x, cache.h_prev, cache.rh, dz, W, dW, db), dh_prev
 
 
 def gru_forward_step_proj(
@@ -174,7 +160,7 @@ def gru_backward_step_proj(
     """Backward of the shrunken cell step: emits ``dz (B, 3H)`` instead of
     ``dx``.  ``dW``, ``db`` and ``dX`` are the per-block
     :func:`gru_proj_backward`'s.  Returns ``(dz, dh_prev)``."""
-    return _backward_chain(dh, cache, W, None)
+    return _backward_chain(dh, cache, W)
 
 
 def gru_proj_backward(
@@ -193,7 +179,9 @@ def gru_proj_backward(
     two multiply ``H_{t-1}``, so the recurrent rows take one GEMM per column
     block: ``dW[:I] += X^T·dZ``, ``dW[I:, :2H] += H_prev^T·dZ_zr``, ``dW[I:,
     2H:] += RH^T·da``; ``db += ΣdZ``.  Returns ``dX = dZ·W_x^T`` (``None``
-    unless ``need_dx``).  Equal to the per-step sums to rounding, not bitwise.
+    unless ``need_dx``).  A block of one step is :func:`gru_backward_step`'s
+    body: bitwise the per-step graph at ``proj_block=1``, equal to its sums
+    to rounding over longer blocks.
     """
     input_size = X.shape[1]
     two_h = 2 * H_prev.shape[1]

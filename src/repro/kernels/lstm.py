@@ -87,11 +87,9 @@ def lstm_forward_step(
 
 
 def _backward_pointwise(
-    dh: np.ndarray, dc_in: np.ndarray, cache: LSTMCache, db: Optional[np.ndarray]
+    dh: np.ndarray, dc_in: np.ndarray, cache: LSTMCache
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The backward's pointwise stretch: ``(dz (B, 4H), dc_prev)``.  Adds
-    ``Σdz`` to ``db`` when the caller accumulates the bias gradient per step
-    (a few-row reduction, so it rides in the same turn)."""
+    """The backward's pointwise stretch: ``(dz (B, 4H), dc_prev)``."""
     hidden = cache.h_prev.shape[1]
     with activations.pointwise_turn:
         do = dh * cache.tc
@@ -102,8 +100,6 @@ def _backward_pointwise(
         dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
         dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
         dc_prev = dc * cache.f
-        if db is not None:
-            db += dz.sum(axis=0)
     return dz, dc_prev
 
 
@@ -119,19 +115,12 @@ def lstm_backward_step(
 
     ``dh``/``dc_in`` are gradients w.r.t. this cell's outputs ``H_t``/``C_t``.
     Accumulates ``dW``/``db`` *in place* (the inout weight-gradient region of
-    the B-Par task) and returns ``(dx, dh_prev, dc_prev)``.  ``dh_prev`` is
-    computed weights-left, ``(W_h·dZ^T)^T``: the operand order BLAS is fast
-    at on a few rows, and a transposed view of the product.
+    the B-Par task) and returns ``(dx, dh_prev, dc_prev)``.  This is
+    :func:`lstm_backward_step_proj`, then :func:`lstm_proj_backward` over a
+    block of one timestep, so the two paths agree bitwise whatever BLAS does.
     """
-    input_size = cache.x.shape[1]
-    dz, dc_prev = _backward_pointwise(dh, dc_in, cache, db)
-
-    # the panel-sized accumulations stay outside the turn with their GEMMs:
-    # one long ufunc each, which scales with the workers as a GEMM does
-    dx = dz @ W[:input_size].T
-    dh_prev = (W[input_size:] @ dz.T).T
-    dW[:input_size] += cache.x.T @ dz
-    dW[input_size:] += cache.h_prev.T @ dz
+    dz, dh_prev, dc_prev = lstm_backward_step_proj(dh, dc_in, cache, W)
+    dx = lstm_proj_backward(cache.x, cache.h_prev, dz, W, dW, db)
     return dx, dh_prev, dc_prev
 
 
@@ -177,13 +166,13 @@ def lstm_backward_step_proj(
     """Backward of the shrunken cell step: emits ``dz`` instead of ``dx``.
 
     Keeps what the recurrence waits for: the pointwise work and ``dh_prev =
-    dZ·W_h^T``, computed weights-left as in :func:`lstm_backward_step`.
-    Every other product of ``dz`` (``dW``, ``db``, ``dX``) is hoisted into
-    the per-block :func:`lstm_proj_backward`.  Returns ``(dz, dh_prev,
-    dc_prev)``.
+    dZ·W_h^T``, computed weights-left, ``(W_h·dZ^T)^T``: the operand order
+    BLAS is fast at on a few rows, and a transposed view of the product.
+    Every other product of ``dz`` (``dW``, ``db``, ``dX``) is the per-block
+    :func:`lstm_proj_backward`'s.  Returns ``(dz, dh_prev, dc_prev)``.
     """
     input_size = W.shape[0] - cache.h_prev.shape[1]
-    dz, dc_prev = _backward_pointwise(dh, dc_in, cache, None)
+    dz, dc_prev = _backward_pointwise(dh, dc_in, cache)
     dh_prev = (W[input_size:] @ dz.T).T
     return dz, dh_prev, dc_prev
 
@@ -202,10 +191,13 @@ def lstm_proj_backward(
     ``X (K·B, I)``, ``H_prev (K·B, H)`` and ``dZ (K·B, 4H)`` hold the block's
     ``K`` steps one below the other.  Accumulates the whole weight-gradient
     panel in one GEMM, ``dW += [X | H_prev]^T·dZ``, and ``db += ΣdZ``;
-    returns ``dX = dZ·W_x^T`` (``None`` unless ``need_dx``).  Sums over the
-    block's rows in one reduction where the per-step kernel adds ``K``
-    partial products: equal to rounding, not bitwise.  Nothing here knows
-    the gate count, so the basic RNN's blocks call it too.
+    returns ``dX = dZ·W_x^T`` (``None`` unless ``need_dx``).  The
+    panel-sized accumulations run outside the turn with their GEMMs.  A
+    block of one step is :func:`lstm_backward_step`'s body, so at
+    ``proj_block=1`` the hoisted gradients are the per-step graph's bits;
+    over longer blocks one reduction sums the rows the per-step kernel adds
+    as ``K`` partial products, equal to rounding.  Nothing here knows the
+    gate count, so the basic RNN's blocks call it too.
     """
     dW += np.concatenate((X, H_prev), axis=1).T @ dZ
     db += dZ.sum(axis=0)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.kernels import activations
 from repro.kernels.activations import dtanh
+from repro.kernels.lstm import lstm_proj_backward
 
 
 @dataclass
@@ -46,16 +47,6 @@ def rnn_forward_step(
     return h, cache
 
 
-def _backward_pointwise(dh: np.ndarray, cache: RNNCache, db: Optional[np.ndarray]) -> np.ndarray:
-    """The backward's pointwise stretch, ``da``; adds ``Σda`` to ``db`` when
-    the caller accumulates the bias gradient per step."""
-    with activations.pointwise_turn:
-        da = dh * dtanh(cache.h)
-        if db is not None:
-            db += da.sum(axis=0)
-    return da
-
-
 def rnn_backward_step(
     dh: np.ndarray,
     cache: RNNCache,
@@ -65,16 +56,12 @@ def rnn_backward_step(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backward of one basic-RNN cell update.
 
-    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``, ``dh_prev``
-    computed weights-left (see :func:`repro.kernels.lstm.lstm_backward_step`).
+    Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``:
+    :func:`rnn_backward_step_proj`, then the hoisted
+    :func:`~repro.kernels.lstm.lstm_proj_backward` over a block of one step.
     """
-    input_size = cache.x.shape[1]
-    da = _backward_pointwise(dh, cache, db)
-    dx = da @ W[:input_size].T
-    dh_prev = (W[input_size:] @ da.T).T
-    dW[:input_size] += cache.x.T @ da
-    dW[input_size:] += cache.h_prev.T @ da
-    return dx, dh_prev
+    da, dh_prev = rnn_backward_step_proj(dh, cache, W)
+    return lstm_proj_backward(cache.x, cache.h_prev, da, W, dW, db), dh_prev
 
 
 def rnn_forward_step_proj(
@@ -113,7 +100,8 @@ def rnn_backward_step_proj(
     Returns ``(da, dh_prev)``.
     """
     input_size = W.shape[0] - cache.h_prev.shape[1]
-    da = _backward_pointwise(dh, cache, None)
+    with activations.pointwise_turn:
+        da = dh * dtanh(cache.h)
     dh_prev = (W[input_size:] @ da.T).T
     return da, dh_prev
 

@@ -11,10 +11,12 @@ contract, verified here against the sequential oracle:
   matvecs inside :func:`~repro.models.cells.cell_input_projection` — NumPy
   dispatches single-row matmuls differently — so the guarantee holds there
   too.)
-* **backward** — gradcheck-exact but *not* bitwise: only ``dh_prev`` stays
-  on the cell chain, and the per-block ``dW += [X | H_prev]^T·dZ`` GEMM
-  legitimately reassociates the per-step sum (float32: within rtol 1e-5 of
-  the per-step graph).  ``"off"`` restores the oracle's bits.
+* **backward** — gradcheck-exact; *bitwise* at ``proj_block=1`` with
+  ``mbs=1``, where a block is the per-step backward, and to rounding over
+  longer blocks: only ``dh_prev`` stays on the cell chain, and the
+  per-block ``dW += [X | H_prev]^T·dZ`` GEMM legitimately reassociates the
+  per-step sum (float32: within rtol 1e-5 of the per-step graph).
+  ``"off"`` restores the oracle's bits.
 * **cost model** — the flop-weighted critical path strictly shrinks: only
   the ``(B,H)`` recurrent half of each cell GEMM remains on the chain.
 """
@@ -225,7 +227,9 @@ def test_hoisted_training_matches_per_step_graph(
     cell, head, mbs, proj_block, set_proj_block
 ):
     """Float32, T=6 (block 4 leaves a ragged block of 2): gradients of the
-    hoisted graph against the per-step graph's, then two SGD steps."""
+    hoisted graph against the per-step graph's, then two SGD steps.  A
+    block of one step is the per-step backward, so on one chunk at
+    ``proj_block=1`` the gradients are the oracle's bits."""
     set_proj_block(proj_block)
     spec = small_spec(cell=cell, head=head, num_layers=2)
     x, labels = make_batch(spec, seq_len=6)
@@ -244,6 +248,9 @@ def test_hoisted_training_matches_per_step_graph(
     assert np.array_equal(logits, ref_logits)
     assert loss == ref_loss
     assert grads_allclose(grads, ref_grads, rtol=1e-5, atol=1e-7)
+    if proj_block == 1 and mbs == 1:
+        for (name, got), (_, want) in zip(grads.arrays(), oracle(spec, x, labels)[2].arrays()):
+            assert np.array_equal(got, want), name
     for _ in range(2):
         per_step.train_batch(x, labels, lr=0.1)
         hoisted.train_batch(x, labels, lr=0.1)
