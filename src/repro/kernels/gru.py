@@ -62,40 +62,6 @@ def gru_forward_step(
     return h, cache
 
 
-def _backward_chain(
-    dh: np.ndarray, cache: GRUCache, W: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """What the recurrence waits for: ``(dz (B, 3H), dh_prev)``, ``dz``
-    columns ``[dz_zr | da]`` matching the fused weight layout.
-
-    Two pointwise stretches around the candidate's recurrent data GEMM, then
-    the update/reset one; both run weights-left (``(W_h·dZ^T)^T``), the
-    operand order BLAS is fast at on a few rows.
-    """
-    hidden = cache.h_prev.shape[1]
-    input_size = W.shape[0] - hidden
-    two_h = 2 * hidden
-
-    with activations.pointwise_turn:
-        dz_gate = dh * (cache.hbar - cache.h_prev)
-        dhbar = dh * cache.z
-        dh_prev = dh * (1.0 - cache.z)
-        da = dhbar * dtanh(cache.hbar)
-
-    drh = (W[input_size:, two_h:] @ da.T).T
-    with activations.pointwise_turn:
-        dr = drh * cache.h_prev
-        dh_prev += drh * cache.r
-        dz = np.empty((dh.shape[0], 3 * hidden), dtype=dh.dtype)
-        dz[:, :hidden] = dz_gate * dsigmoid(cache.z)
-        dz[:, hidden:two_h] = dr * dsigmoid(cache.r)
-        dz[:, two_h:] = da
-
-    # a GEMM's own accumulation stays with it, outside the turn
-    dh_prev += (W[input_size:, :two_h] @ dz[:, :two_h].T).T
-    return dz, dh_prev
-
-
 def gru_backward_step(
     dh: np.ndarray,
     cache: GRUCache,
@@ -107,9 +73,9 @@ def gru_backward_step(
 
     Accumulates ``dW``/``db`` in place; returns ``(dx, dh_prev)``.  This is
     :func:`gru_backward_step_proj`, then :func:`gru_proj_backward` over a
-    block of one timestep, so the two paths agree bitwise whatever BLAS does.
+    block of one timestep: the calls a hoisted layer makes at ``proj_block=1``.
     """
-    dz, dh_prev = _backward_chain(dh, cache, W)
+    dz, dh_prev = gru_backward_step_proj(dh, cache, W)
     return gru_proj_backward(cache.x, cache.h_prev, cache.rh, dz, W, dW, db), dh_prev
 
 
@@ -157,10 +123,37 @@ def gru_backward_step_proj(
     cache: GRUCache,
     W: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Backward of the shrunken cell step: emits ``dz (B, 3H)`` instead of
-    ``dx``.  ``dW``, ``db`` and ``dX`` are the per-block
-    :func:`gru_proj_backward`'s.  Returns ``(dz, dh_prev)``."""
-    return _backward_chain(dh, cache, W)
+    """Backward of the shrunken cell step: what the recurrence waits for,
+    ``(dz (B, 3H), dh_prev)``, ``dz`` columns ``[dz_zr | da]`` matching the
+    fused weight layout.  ``dW``, ``db`` and ``dX`` are the per-block
+    :func:`gru_proj_backward`'s.
+
+    Two pointwise stretches around the candidate's recurrent data GEMM, then
+    the update/reset one; both run weights-left (``(W_h·dZ^T)^T``), the
+    operand order BLAS is fast at on a few rows.
+    """
+    hidden = cache.h_prev.shape[1]
+    input_size = W.shape[0] - hidden
+    two_h = 2 * hidden
+
+    with activations.pointwise_turn:
+        dz_gate = dh * (cache.hbar - cache.h_prev)
+        dhbar = dh * cache.z
+        dh_prev = dh * (1.0 - cache.z)
+        da = dhbar * dtanh(cache.hbar)
+
+    drh = (W[input_size:, two_h:] @ da.T).T
+    with activations.pointwise_turn:
+        dr = drh * cache.h_prev
+        dh_prev += drh * cache.r
+        dz = np.empty((dh.shape[0], 3 * hidden), dtype=dh.dtype)
+        dz[:, :hidden] = dz_gate * dsigmoid(cache.z)
+        dz[:, hidden:two_h] = dr * dsigmoid(cache.r)
+        dz[:, two_h:] = da
+
+    # a GEMM's own accumulation stays with it, outside the turn
+    dh_prev += (W[input_size:, :two_h] @ dz[:, :two_h].T).T
+    return dz, dh_prev
 
 
 def gru_proj_backward(

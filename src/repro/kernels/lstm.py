@@ -86,23 +86,6 @@ def lstm_forward_step(
     return h, c, cache
 
 
-def _backward_pointwise(
-    dh: np.ndarray, dc_in: np.ndarray, cache: LSTMCache
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The backward's pointwise stretch: ``(dz (B, 4H), dc_prev)``."""
-    hidden = cache.h_prev.shape[1]
-    with activations.pointwise_turn:
-        do = dh * cache.tc
-        dc = dc_in + dh * cache.o * dtanh(cache.tc)
-        dz = np.empty((dh.shape[0], 4 * hidden), dtype=dh.dtype)
-        dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
-        dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
-        dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
-        dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
-        dc_prev = dc * cache.f
-    return dz, dc_prev
-
-
 def lstm_backward_step(
     dh: np.ndarray,
     dc_in: np.ndarray,
@@ -117,7 +100,7 @@ def lstm_backward_step(
     Accumulates ``dW``/``db`` *in place* (the inout weight-gradient region of
     the B-Par task) and returns ``(dx, dh_prev, dc_prev)``.  This is
     :func:`lstm_backward_step_proj`, then :func:`lstm_proj_backward` over a
-    block of one timestep, so the two paths agree bitwise whatever BLAS does.
+    block of one timestep: the calls a hoisted layer makes at ``proj_block=1``.
     """
     dz, dh_prev, dc_prev = lstm_backward_step_proj(dh, dc_in, cache, W)
     dx = lstm_proj_backward(cache.x, cache.h_prev, dz, W, dW, db)
@@ -171,8 +154,17 @@ def lstm_backward_step_proj(
     Every other product of ``dz`` (``dW``, ``db``, ``dX``) is the per-block
     :func:`lstm_proj_backward`'s.  Returns ``(dz, dh_prev, dc_prev)``.
     """
-    input_size = W.shape[0] - cache.h_prev.shape[1]
-    dz, dc_prev = _backward_pointwise(dh, dc_in, cache)
+    hidden = cache.h_prev.shape[1]
+    input_size = W.shape[0] - hidden
+    with activations.pointwise_turn:
+        do = dh * cache.tc
+        dc = dc_in + dh * cache.o * dtanh(cache.tc)
+        dz = np.empty((dh.shape[0], 4 * hidden), dtype=dh.dtype)
+        dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
+        dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
+        dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
+        dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
+        dc_prev = dc * cache.f
     dh_prev = (W[input_size:] @ dz.T).T
     return dz, dh_prev, dc_prev
 
