@@ -1,5 +1,6 @@
 # Convenience targets; CI (.github/workflows/ci.yml) runs `test`,
-# `check-baselines`, `lint` and the six `smoke-*` targets on every push.
+# `check-baselines`, `lint`, `examples` and the six `smoke-*` targets on
+# every push.
 #
 # Every gated suite is one row of src/repro/harness/ledger.py: a smoke
 # target runs its pytest subset, then `python -m repro bench <suite>`
@@ -14,7 +15,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TMP ?= /tmp/repro_smoke
 BASELINES := benchmarks/baselines
 
-.PHONY: test check-baselines lint smoke-obs smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench clean
+.PHONY: test check-baselines lint examples smoke-obs smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench clean
 
 # tier-1: the full unit/integration/property suite (serving tests included)
 test:
@@ -35,6 +36,11 @@ lint:
 	$(PYTHON) -m repro analyze --skip-graph --lint src/repro
 	$(PYTHON) -m repro analyze --skip-graph --lint tools
 	$(PYTHON) -m repro analyze --skip-graph --lint examples
+
+# every example script, run to completion (~70 s); the lint above reads
+# them but cannot catch a call that fails at run time
+examples:
+	for script in examples/*.py; do $(PYTHON) $$script > /dev/null || exit 1; done
 
 # observability smoke: the obs-layer unit tests, then the metrics-overhead
 # A/B — strict ≤2 % budget on the committed record, tenancy slack on the

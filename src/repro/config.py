@@ -60,7 +60,8 @@ class ExecutionConfig:
         docs/PERF.md) — nothing on small models; ``"on"`` hoists every
         layer; ``"off"`` restores the paper's task-per-cell graph, whose
         gradients are bitwise the sequential oracle's (hoisted gradients
-        agree to rounding; forward results are bitwise either way).
+        are bitwise at ``proj_block=1``, to rounding over longer blocks;
+        forward results are bitwise either way).
     wavefront_tile:
         Timesteps per cell-chain and merge task: ``None`` (the default) is
         the granularity policy's tile — the sequence, one task per chain,

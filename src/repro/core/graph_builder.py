@@ -1389,7 +1389,8 @@ def build_brnn_graph(
     :data:`DEFAULT_PROJ_BLOCK`, clamped to the sequence length) and, in
     training, the weight-gradient panel, ``db`` and ``dX`` into per-block
     ``proj_bwd`` tasks.  Forward results stay bit-identical to the
-    sequential oracle; hoisted gradients agree with it to rounding.  The
+    sequential oracle; hoisted gradients are bitwise at ``proj_block=1``,
+    to rounding over longer blocks.  The
     default here is ``"off"``, the paper's task-per-cell graph (every
     simulated table and figure builds it); the engines default to ``"auto"``.
 

@@ -21,6 +21,10 @@ runs on one of three substrates:
   processes over shared memory; docs/EXECUTORS.md).  Bitwise identical to
   ``threaded``, warm shapes included — the engine code below is
   substrate-blind between the two.
+
+An executor instance serves as the training engines' does: a
+:class:`~repro.runtime.simexec.SimulatedExecutor` on the ``sim`` path with
+its own machine, any other on the functional path.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.compile import PlanCache, compile_graph
-from repro.config import EXECUTORS, ExecutionConfig
+from repro.config import ExecutionConfig
 from repro.core.bpar import resolve_executor, run_planned
 from repro.core.graph_builder import build_brnn_graph, plan_granularity
 from repro.models.params import BRNNParams
@@ -53,6 +57,13 @@ SERVE_DEFAULTS = ExecutionConfig(executor="sim", fused_input_projection="on")
 #: amortises; :func:`~repro.harness.simtime.simulated_batch_time` charges
 #: it too
 BATCH_FIXED_S = 8e-3
+
+
+def is_simulated(config: Optional[ExecutionConfig]) -> bool:
+    """Whether an engine under ``config`` (``None``: :data:`SERVE_DEFAULTS`)
+    serves cost-only graphs on a simulated machine."""
+    ex = (config if config is not None else SERVE_DEFAULTS).executor
+    return ex is None or ex == "sim" or isinstance(ex, SimulatedExecutor)
 
 
 @dataclass
@@ -81,9 +92,12 @@ class InferenceEngine:
         is ``"sim"`` (deterministic simulated machine, the default),
         ``"threaded"`` (real worker threads, real numerics) or
         ``"process"`` (pinned worker processes over shared memory, real
-        numerics past the GIL); ``n_workers`` is the simulated core count
-        under ``sim`` (default: the whole machine).  Larger batches need
-        ``mbs>1`` to spread across the simulated 48 cores.
+        numerics past the GIL), or an executor instance (a
+        :class:`~repro.runtime.simexec.SimulatedExecutor` simulates its own
+        machine, any other runs real numerics); ``n_workers`` is the
+        simulated core count under ``sim`` (default: the whole machine).
+        Larger batches need ``mbs>1`` to spread across the simulated 48
+        cores.
         Each batch shape's granularity comes from
         :func:`~repro.core.graph_builder.plan_granularity`:
         ``fused_input_projection="auto"`` means the same on every
@@ -111,28 +125,29 @@ class InferenceEngine:
         machine: Optional[MachineSpec] = None,
     ) -> None:
         cfg = config if config is not None else SERVE_DEFAULTS
-        name = cfg.executor if cfg.executor is not None else "sim"
-        if name not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {name!r}")
         self.spec = spec
         self.config = cfg
-        self.executor = name
+        #: the substrate's name, or the executor instance the config holds
+        self.executor = cfg.executor if cfg.executor is not None else "sim"
         self.metrics = cfg.metrics
         self.hooks = cfg.hooks
-        if name == "sim":
-            self.machine = machine or xeon_8160_2s()
-            self._executor = SimulatedExecutor(
-                self.machine, n_cores=cfg.n_workers, metrics=cfg.metrics, hooks=cfg.hooks
-            )
+        if is_simulated(cfg):
+            self._executor = self.executor
+            if not isinstance(self._executor, SimulatedExecutor):
+                self._executor = SimulatedExecutor(
+                    machine or xeon_8160_2s(), n_cores=cfg.n_workers, metrics=cfg.metrics,
+                    hooks=cfg.hooks,
+                )
+            self.machine = self._executor.machine
             self.params = params  # weights are irrelevant to cost-only graphs
         else:
             self.machine = None
             self.params = (
                 params if params is not None else BRNNParams.initialize(spec, 0)
             )
-            # "threaded" or "process": both run functional graphs through
-            # the same Executor protocol; everything below is shared.
-            self._executor = resolve_executor(cfg.replace(executor=name))
+            # "threaded", "process" or an instance: all run functional graphs
+            # through the same Executor protocol; everything below is shared.
+            self._executor = resolve_executor(cfg)
         self.compile = cfg.compile
         self.plan_cache: Optional[PlanCache] = (
             PlanCache(metrics=cfg.metrics) if cfg.compile == "on" else None
@@ -208,7 +223,7 @@ class InferenceEngine:
         that keeps a cache, the plan (compiled for the threads planned for
         the shape).
         """
-        sim = self.executor == "sim"
+        sim = isinstance(self._executor, SimulatedExecutor)
         if sim:
             x = None  # cost-only graphs
         elif batch is None:

@@ -34,7 +34,7 @@ from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
 from repro.obs.snapshot import SnapshotLog
 from repro.serve.config import ServeConfig
-from repro.serve.engine import InferenceEngine
+from repro.serve.engine import InferenceEngine, is_simulated
 from repro.serve.request import (
     SHED_DEADLINE,
     SHED_QUEUE_FULL,
@@ -71,10 +71,7 @@ class ReplicaPool:
         self.spec = spec
         self.config = config if config is not None else ServeConfig()
         self.execution = execution
-        functional = execution is not None and execution.executor in (
-            "threaded", "process"
-        )
-        if params is None and functional:
+        if params is None and not is_simulated(execution):
             params = BRNNParams.initialize(spec, 0)
         self.params = params
         self.engines = [

@@ -5,10 +5,13 @@ import pytest
 
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward
+from repro.runtime.executor import ThreadedExecutor
+from repro.runtime.simexec import SimulatedExecutor
 from repro.models.spec import BRNNSpec
 from repro.serve.engine import SERVE_DEFAULTS
 from repro.serve import (
     SHED_DEADLINE,
+    Batch,
     FleetServer,
     InferenceEngine,
     InferenceRequest,
@@ -185,3 +188,32 @@ def test_engine_validation():
         InferenceEngine(tiny_spec(), config=SERVE_DEFAULTS.replace(executor="gpu"))
     with pytest.raises(ValueError):
         InferenceEngine(tiny_spec(), config=SERVE_DEFAULTS.replace(mbs=0))
+
+
+def test_engine_takes_an_executor_instance():
+    """An executor instance is accepted as the training engines accept it:
+    a ``SimulatedExecutor`` serves cost-only graphs on its own machine, any
+    other instance runs the real numerics."""
+    spec = tiny_spec()
+    params = BRNNParams.initialize(spec, seed=11)
+    x = np.random.default_rng(5).standard_normal((4, 6, spec.input_size)).astype(np.float32)
+    batch = Batch(
+        batch_id=0, padded_len=6, trigger="test", cut_time=0.0,
+        requests=[InferenceRequest(rid=i, seq_len=6, arrival_time=0.0, x=row)
+                  for i, row in enumerate(x)],
+    )
+    machine = laptop_sim(4)
+    sim = InferenceEngine(
+        spec, config=SERVE_DEFAULTS.replace(executor=SimulatedExecutor(machine, n_cores=4))
+    )
+    served = sim.execute(batch)
+    assert sim.machine is machine and sim.n_workers == 4
+    assert served.logits is None and served.service_time_s > 0
+    real = InferenceEngine(
+        spec, params=params,
+        config=SERVE_DEFAULTS.replace(executor=ThreadedExecutor(3, scheduler="fifo")),
+    )
+    served = real.execute(batch)
+    assert real.machine is None and real.n_workers == 3
+    oracle, _ = reference_forward(spec, params, batch.padded_input())
+    np.testing.assert_allclose(served.logits, oracle, rtol=1e-5, atol=1e-6)
