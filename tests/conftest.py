@@ -114,6 +114,16 @@ def make_batch(spec: BRNNSpec, seq_len=5, batch=8, seed=7):
     return x, labels
 
 
+def momentum_step(params: BRNNParams, velocity: BRNNParams, grads: BRNNParams,
+                  lr: float, mu: float = 0.9) -> None:
+    """Classical momentum a caller takes on gradients, in place:
+    ``v ← µ·v − lr·g; W ← W + v`` (engines update by plain SGD only)."""
+    for (_, v), (_, g), (_, w) in zip(velocity.arrays(), grads.arrays(), params.arrays()):
+        v *= np.asarray(mu, dtype=v.dtype)
+        v += np.asarray(-lr, dtype=v.dtype) * g
+        w += v
+
+
 @pytest.fixture
 def batch(spec):
     return make_batch(spec)

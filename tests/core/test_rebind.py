@@ -4,7 +4,9 @@ An engine keeps its last build and rebinds each step of the same shape
 into it (``build_brnn_graph(out=...)``): the step's inputs and ``lr`` are
 copied into the build's slots and its accumulators zeroed.  Steps two and
 three of such an engine must give the bits of an engine that builds every
-step afresh: losses, logits and updated weights, on every executor.
+step afresh: losses, logits and updated weights, on every executor.  A
+caller that updates the weights itself (momentum on ``loss_and_grads``)
+must have its writes read by the next rebound step.
 """
 
 import numpy as np
@@ -16,12 +18,13 @@ from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.mpexec import MultiprocessExecutor
-from tests.conftest import make_batch, small_spec
+from tests.conftest import make_batch, momentum_step, small_spec
 
 CELLS = ("lstm", "gru", "rnn")
 HEADS = ("many_to_one", "many_to_many")
-#: whether a step trains
-MODES = {"fwd": False, "train": True}
+#: a step: forward only, an SGD step inside the graph, or gradients the
+#: caller applies with momentum
+MODES = ("fwd", "train", "train-momentum")
 
 
 class FreshEngine(BParEngine):
@@ -49,6 +52,14 @@ def _step(engine, training, x, labels, lr=0.1):
     return out
 
 
+def _momentum_step(engine, velocity, x, labels, lr=0.1):
+    """A momentum step the caller takes on the engine's gradients."""
+    loss, logits, grads = engine.loss_and_grads(x, labels)
+    momentum_step(engine.params, velocity, grads, lr)
+    out = [np.float64(loss), logits]
+    return out + [a.copy() for p in (engine.params, velocity) for _, a in p.arrays()]
+
+
 def _assert_same(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -64,12 +75,18 @@ def _batches(spec, n=3, seq_len=5, batch=8):
 @pytest.mark.parametrize("head", HEADS)
 @pytest.mark.parametrize("cell", CELLS)
 def test_rebound_steps_match_fresh_builds(cell, head, mode, mbs):
-    training = MODES[mode]
     spec = small_spec(cell=cell, head=head)
     rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), mbs)
+    velocity = [BRNNParams.zeros_like(spec) for _ in (rebound, fresh)]
     build = None
     for x, labels in _batches(spec):
-        _assert_same(_step(rebound, training, x, labels), _step(fresh, training, x, labels))
+        if mode == "train-momentum":
+            got, want = (
+                _momentum_step(e, v, x, labels) for e, v in zip((rebound, fresh), velocity)
+            )
+        else:
+            got, want = (_step(e, mode == "train", x, labels) for e in (rebound, fresh))
+        _assert_same(got, want)
         assert build is None or rebound.last_result is build
         build = rebound.last_result
 
@@ -83,10 +100,10 @@ EXECUTORS = {
 
 
 @pytest.mark.usefixtures("real_threads")
-@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("mode", ["fwd", "train"])
 @pytest.mark.parametrize("executor", list(EXECUTORS))
 def test_rebound_steps_match_fresh_builds_on_every_executor(executor, mode):
-    training = MODES[mode]
+    training = mode == "train"
     spec = small_spec(head="many_to_many")
     rebound, fresh = _engines(spec, EXECUTORS[executor], 2)
     for x, labels in _batches(spec):
