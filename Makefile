@@ -100,11 +100,15 @@ smoke-verify:
 
 # serving smoke: the serve-layer unit tests (config, router, admission,
 # continuous batching, the one FleetServer loop), then the calibrated soak
-# (deterministic: the simulated clock)
+# (deterministic: the simulated clock, so its `results` must equal the
+# committed record's, whose size it runs)
 smoke-fleet:
 	$(PYTHON) -m pytest tests/serve -x -q
 	$(PYTHON) -m repro bench fleet --output $(TMP)_fleet.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_fleet.json $(BASELINES)/BENCH_fleet.json
+	$(PYTHON) -c 'import json, sys; fresh, rec = (json.load(open(p))["results"] for p in sys.argv[1:]); \
+		sys.exit(fresh != rec and "bench fleet: results differ from " + sys.argv[2])' \
+		$(TMP)_fleet.json $(BASELINES)/BENCH_fleet.json
 
 # the wall-clock benchmark at --quick: every workload runs and prints
 # every metric BENCHMARK.json declares (bench/README.md)

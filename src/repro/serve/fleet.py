@@ -165,7 +165,11 @@ class FleetServer:
         return logits[:, idx]
 
     def run(self, requests: Sequence[InferenceRequest]) -> FleetStats:
-        """Serve ``requests`` to completion across the fleet."""
+        """Serve ``requests`` to completion across the fleet.
+
+        ``requests`` are left as given: under ``deadline_slo_s`` one that
+        carries no deadline is served as a copy that does.
+        """
         cfg = self.config
         engines = self.pool.engines
         n_replicas = len(engines)
@@ -203,20 +207,30 @@ class FleetServer:
             backlog = -(-len(queues[r]) // cfg.max_batch_size)  # ceil division
             return max(0.0, engine_free[r] - now) + backlog * est
 
+        # continuous batching has no flush timer to wake up for
+        # (DynamicBatcher.next_flush_time)
+        timed = cfg.batcher != "continuous"
+
         while True:
             # 1. shed queued requests that are expired — or *doomed*: even
-            # dispatched this instant they would finish past their deadline
+            # dispatched this instant they would finish past their deadline.
+            # The earliest deadline is a heap peek; expire runs only when due.
             for r in range(n_replicas):
+                deadline = queues[r].next_deadline()
+                if deadline is None:
+                    continue
                 horizon = service_est[r] or 0.0
-                for victim in queues[r].expire(now, horizon=horizon):
-                    stats.record_shed(victim, SHED_DEADLINE)
+                if now + horizon > deadline:  # RequestQueue.expire's own test
+                    for victim in queues[r].expire(now, horizon=horizon):
+                        stats.record_shed(victim, SHED_DEADLINE)
 
             # 2. admit → route → budget-check every arrival up to the clock
             while i < n and pending[i].arrival_time <= now:
                 req = pending[i]
                 i += 1
                 if cfg.deadline_slo_s is not None and req.deadline is None:
-                    req.deadline = req.arrival_time + cfg.deadline_slo_s
+                    # the run's own copy: the caller's request stays as given
+                    req = req.with_deadline(req.arrival_time + cfg.deadline_slo_s)
                 if req.expired(now):
                     stats.record_shed(req, SHED_DEADLINE)
                     continue
@@ -292,13 +306,13 @@ class FleetServer:
             for r in range(n_replicas):
                 if engine_free[r] > now:
                     candidates.append(engine_free[r])
-                if len(queues[r]):
+                deadline = queues[r].next_deadline()  # None when empty
+                if deadline is not None and deadline > now:
+                    candidates.append(deadline)
+                if timed and len(queues[r]):
                     flush_at = batchers[r].next_flush_time(queues[r])
                     if flush_at is not None and flush_at > now:
                         candidates.append(flush_at)
-                    deadline = queues[r].next_deadline()
-                    if deadline is not None and deadline > now:
-                        candidates.append(deadline)
             if not candidates:
                 break
             now = min(candidates)

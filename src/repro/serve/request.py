@@ -66,6 +66,19 @@ class InferenceRequest:
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now > self.deadline
 
+    def with_deadline(self, deadline: float) -> "InferenceRequest":
+        """A copy carrying ``deadline`` that shares the payload; ``self`` is
+        left as it is.
+
+        The fleet makes one per arrival that lacks a deadline, so it calls
+        the constructor directly: ``dataclasses.replace`` costs three times
+        as much, and copying ``__dict__`` makes both objects carry a dict.
+        Every field is passed (``tests/serve/test_queue.py`` checks the list).
+        """
+        return type(self)(
+            self.rid, self.seq_len, self.arrival_time, deadline, self.x, self.tenant
+        )
+
 
 @dataclass
 class CompletedRequest:

@@ -1,5 +1,7 @@
 """Fleet serving: pool, routing, admission, warmup, metrics, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.serve import (
     RequestQueue,
     ServeConfig,
     WorkloadConfig,
+    bursty_workload,
     poisson_workload,
 )
 from repro.simarch.presets import laptop_sim
@@ -140,6 +143,61 @@ def test_deadline_slo_is_stamped_and_enforced():
     assert s["requests"]["shed_reasons"].get(SHED_DEADLINE, 0) > 0
     assert s["requests"]["shed"] + s["requests"]["completed"] == \
         s["requests"]["total"]
+
+
+def test_slo_deadline_is_the_runs_own_not_written_into_the_requests():
+    """A list served once under a tight SLO serves a second time under a
+    loose one exactly as a fresh list does: the defaulted deadline lives in
+    the run's copy of each request, and the caller's requests stay as given."""
+    def serve(slo, requests):
+        cfg = ServeConfig(replicas=4, max_batch_size=4, bucket_width=4,
+                          deadline_slo_s=slo)
+        return FleetServer.build(
+            tiny_spec(), cfg, execution=sim_execution(), machine=laptop_sim(4),
+        ).run(requests)
+
+    requests = workload(rate=3000.0, duration=0.2, seed=3)
+    fresh = serve(10.0, workload(rate=3000.0, duration=0.2, seed=3))
+    tight = serve(0.005, requests)
+    assert tight.shed_reason_counts().get(SHED_DEADLINE, 0) > 0
+    assert serve(10.0, requests).summary() == fresh.summary()
+    assert all(r.deadline is None for r in requests)
+    # the records carry the deadline the run applied
+    assert all(c.deadline == c.arrival_time + 10.0 for c in fresh.completed)
+
+
+def test_overload_decisions_are_pinned():
+    """Every completion and shed of a short seeded overload run, in order.
+
+    The shape of bench/'s ``serve_overload`` (least-loaded routing, two
+    tenants, a 50 ms SLO, continuous batching) on the sim engine: the
+    digest changes exactly when some admission, expiry, routing or
+    batching decision does.  Re-record it only for a change that means to
+    alter a decision.
+    """
+    spec = BRNNSpec(cell="lstm", input_size=39, hidden_size=128, num_layers=2,
+                    head="many_to_one", num_classes=11)
+    cfg = ServeConfig(replicas=4, router="least_loaded", batcher="continuous",
+                      deadline_slo_s=0.05, tenant_rate_hz=1300.0,
+                      max_batch_size=8, bucket_width=20, queue_capacity=256)
+    requests = bursty_workload(
+        WorkloadConfig(rate_hz=3000.0, duration_s=0.5, seq_len_range=(20, 60),
+                       tenants=2),
+        seed=11,
+    )
+    stats = FleetServer.build(
+        spec, cfg, execution=sim_execution(compile="on"),
+    ).run(requests)
+    assert (len(requests), len(stats.completed)) == (6018, 614)
+    assert stats.shed_reason_counts() == {SHED_DEADLINE: 700, SHED_TENANT: 4704}
+    digest = hashlib.sha256()
+    for c in stats.completed:
+        digest.update(f"c {c.rid} {c.batch_id} {c.finish_time!r}\n".encode())
+    for r, why in stats.shed_records:
+        digest.update(f"s {r.rid} {why}\n".encode())
+    assert digest.hexdigest() == (
+        "419ada7d60d2c2872f72ee8fde29ec3f59541b29c3a60df08b35ef6ab95c1180"
+    )
 
 
 def test_tenant_rate_limit_sheds_with_tenant_reason():

@@ -1,5 +1,8 @@
 """Unit tests: RequestQueue backpressure and deadline expiry."""
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from repro.serve.config import ServeConfig
@@ -62,6 +65,43 @@ def test_take_removes_claimed_requests():
         q.push(r)
     q.take([rs[1], rs[3]])
     assert [r.rid for r in q] == [0, 2]
+
+
+def test_a_queued_request_cannot_be_pushed_again():
+    q = RequestQueue(config=ServeConfig(queue_capacity=8))
+    r = req(0, deadline=1.0)
+    q.push(r)
+    with pytest.raises(ValueError, match="already queued"):
+        q.push(r)
+    q.take([r])
+    assert q.push(r) and [x.rid for x in q] == [0]
+
+
+def test_taken_requests_do_not_pile_up_in_the_deadline_index():
+    q = RequestQueue(config=ServeConfig(queue_capacity=8))
+    q.push(req(0, deadline=50.0))
+    q.push(req(1))
+    for k in range(2, 1000):
+        r = req(k, deadline=100.0 + k)
+        q.push(r)
+        q.take([r])
+    # the heap is rebuilt as taken entries pile up: bounded, live entries kept
+    assert len(q._by_deadline) <= 2 * len(q)
+    assert q.next_deadline() == 50.0
+    assert [r.rid for r in q.expire(2000.0)] == [0]
+    assert [r.rid for r in q] == [1]
+
+
+def test_with_deadline_copies_every_field_and_leaves_the_original():
+    x = np.ones((3, 2))
+    r = InferenceRequest(rid=7, seq_len=3, arrival_time=0.5, x=x, tenant="t1")
+    assert [f.name for f in fields(InferenceRequest)] == [
+        "rid", "seq_len", "arrival_time", "deadline", "x", "tenant",
+    ]  # a new field must be passed on by with_deadline too
+    copy = r.with_deadline(2.0)
+    assert (copy.rid, copy.seq_len, copy.arrival_time, copy.deadline, copy.tenant) == \
+        (7, 3, 0.5, 2.0, "t1")
+    assert copy.x is x and r.deadline is None
 
 
 def test_validation():
