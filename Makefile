@@ -27,15 +27,16 @@ test:
 check-baselines:
 	$(PYTHON) -m repro bench --check $(BASELINES)/BENCH_*.json
 
-# AST lint over the whole package, the tools and the examples: fork-unsafe
-# payload captures, shm use-after-close, late-bound loop variables, GEMMs
-# under the pointwise turn, mutable defaults, swallowed exceptions, float64
-# creep in the kernels.  Zero findings required; waive individual lines with
-# `# lint: waive <rule>`.
+# AST lint over the whole package, the tools, the examples and the tests:
+# fork-unsafe payload captures, shm use-after-close, late-bound loop
+# variables, GEMMs under the pointwise turn, mutable defaults, swallowed
+# exceptions, float64 creep in the kernels (repro/kernels only).  Zero
+# findings required; waive individual lines with `# lint: waive <rule>`.
 lint:
 	$(PYTHON) -m repro analyze --skip-graph --lint src/repro
 	$(PYTHON) -m repro analyze --skip-graph --lint tools
 	$(PYTHON) -m repro analyze --skip-graph --lint examples
+	$(PYTHON) -m repro analyze --skip-graph --lint tests
 
 # every example script, run to completion (~70 s); the lint above reads
 # them but cannot catch a call that fails at run time

@@ -24,7 +24,7 @@ import sys
 
 from repro.harness.paper import format_results, run_paper_suite
 from repro.harness.tables import TABLE_CONFIGS
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELL_TYPES, BRNNSpec
 from repro.simarch.presets import tesla_v100, xeon_8160_2s
 
 
@@ -226,7 +226,7 @@ def _cmd_analyze(args) -> int:
         families = full_family_matrix()
         if args.verify == "smoke":
             # eight tile/projection/pairing modes per cell/head/pass: a
-            # stride of seven walks across them, a 14-family diagonal
+            # stride of seven walks across them, a 10-family diagonal
             families = families[::7]
         cert = build_certificate(families)
         cross = cert["cross_validation"]
@@ -271,7 +271,7 @@ COMMANDS = {
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("model and report options")
-    g.add_argument("--cell", choices=("lstm", "gru"), default="lstm")
+    g.add_argument("--cell", choices=CELL_TYPES, default="lstm")
     g.add_argument("--hidden", type=int, default=256)
     g.add_argument("--layers", type=int, default=6)
     g.add_argument("--input-size", type=int, default=64)
@@ -338,7 +338,7 @@ def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--verify", nargs="?", const="full", default=None,
                    choices=("full", "smoke"), metavar="SCOPE",
                    help="prove the config-family matrix (SCOPE 'full', the "
-                        "default, or 'smoke', a 14-family diagonal); exit 1 "
+                        "default, or 'smoke', a 10-family diagonal); exit 1 "
                         "unless every family certifies, every mutation is "
                         "detected and every proved instance runs clean under "
                         "access observation")

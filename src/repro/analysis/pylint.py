@@ -16,8 +16,9 @@ rules, each a hazard that running the code once would not show:
     narrowed — the broad catch in ``runtime/racecheck.py``).
 
 ``float64-creep``
-    Any ``float64`` literal/dtype inside ``src/repro/kernels``: the
-    kernels must honour the spec dtype; a stray float64 silently doubles
+    Any ``float64`` literal/dtype inside the package directory
+    ``repro/kernels`` (not any directory named ``kernels``): the kernels
+    must honour the spec dtype; a stray float64 silently doubles
     bandwidth and desyncs bit-exactness with the oracle.
 
 ``fork-unsafe-capture``
@@ -205,7 +206,7 @@ def _swallowed_exception_findings(tree: ast.AST, path: str) -> List[PyLintFindin
 
 def _float64_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
     parts = os.path.normpath(path).split(os.sep)
-    if "kernels" not in parts:
+    if ("repro", "kernels") not in zip(parts, parts[1:]):
         return []
     findings = []
     for node in ast.walk(tree):

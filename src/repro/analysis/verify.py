@@ -83,7 +83,7 @@ from repro.core.access_spec import FAMILIES, expected_access
 from repro.core.graph_builder import GraphBuildResult, build_brnn_graph
 from repro.core.symbolic import Extent, Interval, union_covers
 from repro.models.params import BRNNParams
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELL_TYPES, BRNNSpec
 from repro.runtime import racecheck
 from repro.runtime.depgraph import TaskGraph, descendants_bitsets
 from repro.runtime.racecheck import DependenceFinding, DependenceReport
@@ -98,7 +98,6 @@ MUTATION_KINDS = (
 
 #: the config axes the certificate quantifies over: cell × head × mode ×
 #: tile × projection × paired directions
-CELLS = ("lstm", "gru", "rnn")
 HEADS = ("many_to_one", "many_to_many")
 PROJECTIONS = ("off", "on")
 
@@ -480,7 +479,7 @@ def full_family_matrix() -> List[Family]:
     distinct graph."""
     return [
         Family(cell, head, training, proj, tiled, paired)
-        for cell in CELLS
+        for cell in CELL_TYPES
         for head in HEADS
         for training in (False, True)
         for tiled in (False, True)

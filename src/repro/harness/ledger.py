@@ -452,7 +452,7 @@ SUITES: Dict[str, Suite] = {
         schema=[(f"{name}.{key}", list) for name in SECTIONS for key in ("headers", "rows")],
         bars=_PAPER_BARS,
     ),
-    # written by `analyze --verify --verify-output` (smoke: the 14-family diagonal)
+    # written by `analyze --verify --verify-output` (smoke: the 10-family diagonal)
     "verify": _suite(
         None,
         schema=[

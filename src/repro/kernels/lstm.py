@@ -121,7 +121,7 @@ def lstm_forward_step_proj(
     GEMM; only the recurrent product remains on the critical path.  The one
     forward body of the cell: :func:`lstm_forward_step` calls it with its own
     ``x @ W[:I]``.  ``need_cache`` as there; the cache's ``x`` is ``None``
-    (the hoisted backward reads the inputs by block).  The three cells'
+    (the hoisted backward reads the inputs by block).  Both cells'
     bodies also run a paired step (:mod:`repro.kernels.paired`).
     """
     hidden = h_prev.shape[-1]
@@ -188,8 +188,7 @@ def lstm_proj_backward(
     block of one step is :func:`lstm_backward_step`'s body, so at
     ``proj_block=1`` the hoisted gradients are the per-step graph's bits;
     over longer blocks one reduction sums the rows the per-step kernel adds
-    as ``K`` partial products, equal to rounding.  Nothing here knows the
-    gate count, so the basic RNN's blocks call it too.
+    as ``K`` partial products, equal to rounding.
     """
     dW += np.concatenate((X, H_prev), axis=1).T @ dZ
     db += dZ.sum(axis=0)

@@ -26,12 +26,6 @@ from repro.kernels.lstm import (
     lstm_forward_step_proj,
     lstm_proj_backward,
 )
-from repro.kernels.rnn import (
-    rnn_backward_step,
-    rnn_backward_step_proj,
-    rnn_forward_step,
-    rnn_forward_step_proj,
-)
 from repro.models.spec import CELLS, BRNNSpec
 
 #: One kernel per cell type: the stacked gate GEMM (one call for every
@@ -39,25 +33,21 @@ from repro.models.spec import CELLS, BRNNSpec
 _FWD_STEP = {
     "lstm": lstm_forward_step,
     "gru": gru_forward_step,
-    "rnn": rnn_forward_step,
 }
 
 _BWD_STEP = {
     "lstm": lstm_backward_step,
     "gru": gru_backward_step,
-    "rnn": rnn_backward_step,
 }
 
 _FWD_STEP_PROJ = {
     "lstm": lstm_forward_step_proj,
     "gru": gru_forward_step_proj,
-    "rnn": rnn_forward_step_proj,
 }
 
 _BWD_STEP_PROJ = {
     "lstm": lstm_backward_step_proj,
     "gru": gru_backward_step_proj,
-    "rnn": rnn_backward_step_proj,
 }
 
 
@@ -190,7 +180,7 @@ def cell_proj_backward(
     X, H_prev, dZ = _stack(xs), _stack(h_prevs), _stack(dzs)
     if spec.cell == "gru":
         dX = gru_proj_backward(X, H_prev, _stack(rhs), dZ, W, dW, db, need_dx)
-    else:  # one panel GEMM whatever the gate count: the basic RNN's too
+    else:
         dX = lstm_proj_backward(X, H_prev, dZ, W, dW, db, need_dx)
     if dX is None:
         return None

@@ -26,8 +26,9 @@ class CellRow(NamedTuple):
 CELLS = {
     "lstm": CellRow(gates=4, fwd_pointwise=14, bwd_pointwise=30, state_arrays=2, cache_arrays=7),
     "gru": CellRow(gates=3, fwd_pointwise=13, bwd_pointwise=28, state_arrays=1, cache_arrays=5),
-    "rnn": CellRow(gates=1, fwd_pointwise=3, bwd_pointwise=6, state_arrays=1, cache_arrays=2),
 }
+#: The one list of cells, the paper's two (BLSTM, BGRU): ``BRNNSpec``, the
+#: certificate's family matrix, ``analyze --cell`` and ``tools/`` read it.
 CELL_TYPES = tuple(CELLS)
 HEAD_TYPES = ("many_to_one", "many_to_many")
 

@@ -45,7 +45,7 @@ Metric families (all prefixed ``repro_``):
 ``repro_serve_batches_total``         counter    per flush ``trigger``
 ``repro_serve_batch_size``            histogram  requests per batch
 ``repro_serve_service_seconds_total`` counter    engine busy time
-``repro_serve_queue_depth``           gauge      pending requests
+``repro_serve_queue_depth``           gauge      pending requests, fleet total
 ``repro_fleet_routing_total``         counter    per ``replica`` and ``policy``
 ``repro_fleet_shed_total``            counter    fleet sheds, per ``reason``
 ``repro_fleet_replica_queue_depth``   gauge      per ``replica`` backlog

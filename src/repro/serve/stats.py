@@ -82,12 +82,18 @@ class FleetStats:
         self.routing_counts: Dict[int, int] = {}
         #: (time, replica, depth) samples taken by the serving loop
         self.replica_depth_samples: List[Tuple[float, int, int]] = []
+        #: each replica's latest depth sample, and their sum (the fleet's)
+        self._replica_depth: Dict[int, int] = {}
+        self._fleet_depth = 0
         #: shapes compiled by fleet-start warmup
         self.warmup_compiled = 0
         self.completed: List[CompletedRequest] = []
         #: every shed request with its reason, in shed order
         self.shed_records: List[Tuple[InferenceRequest, str]] = []
         self.batches: List[BatchRecord] = []
+        #: batches that carried warm/cold information, and the warm ones
+        self._known_batches = 0
+        self._warm_batches = 0
         self._batch_traces: List[Tuple[float, ExecutionTrace]] = []
 
     # -- recording -------------------------------------------------------------
@@ -110,6 +116,9 @@ class FleetStats:
                 replica=replica,
             )
         )
+        if warm is not None:
+            self._known_batches += 1
+            self._warm_batches += int(warm)
         if self.keep_traces and trace is not None:
             self._batch_traces.append((service_start, trace))
         reg = self.registry
@@ -179,10 +188,12 @@ class FleetStats:
 
     def record_replica_depth(self, replica: int, now: float, depth: int) -> None:
         self.replica_depth_samples.append((now, replica, depth))
+        self._fleet_depth += depth - self._replica_depth.get(replica, 0)
+        self._replica_depth[replica] = depth
         if self.registry is not None:
             self.registry.gauge(
-                "repro_serve_queue_depth", help="pending requests"
-            ).set(depth)
+                "repro_serve_queue_depth", help="pending requests, fleet total"
+            ).set(self._fleet_depth)
             self.registry.gauge(
                 "repro_fleet_replica_queue_depth",
                 help="pending requests on one replica",
@@ -256,10 +267,9 @@ class FleetStats:
         ``None`` when the engine ran without a plan cache (no batch
         carried warm/cold information).
         """
-        known = [b for b in self.batches if b.warm is not None]
-        if not known:
+        if not self._known_batches:
             return None
-        return sum(1 for b in known if b.warm) / len(known)
+        return self._warm_batches / self._known_batches
 
     def warm_by_shape(self) -> Dict[str, Dict[str, int]]:
         """Per-shape ``{"batches": n, "warm": k}`` plan-cache breakdown."""
@@ -337,7 +347,6 @@ class FleetStats:
         against the widest core id actually recorded — an engine that mixes
         substrates (e.g. a 48-core simulated warm-up next to an 8-worker
         threaded run) must not produce records outside the declared width.
-        Single-pass, unlike chained :meth:`ExecutionTrace.merge` (O(n²)).
         """
         if not self.keep_traces:
             raise RuntimeError("construct FleetStats(keep_traces=True) first")

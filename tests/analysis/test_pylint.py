@@ -77,6 +77,13 @@ def test_float64_outside_kernels_clean():
     assert lint_source(_F64, path="src/repro/harness/timing.py") == []
 
 
+def test_float64_only_in_the_kernels_package():
+    """The rule's zone is ``repro/kernels``: a float64 gradient check in a
+    test directory of the same name is not kernel code."""
+    assert _rules(lint_source(_F64, path="src/repro/kernels/gemm.py")) == ["float64-creep"]
+    assert lint_source(_F64, path="tests/kernels/test_gemm.py") == []
+
+
 def test_float64_string_dtype_in_kernels_flagged():
     src = "def f(a):\n    return a.astype('float64')\n"
     assert _rules(lint_source(src, path="src/repro/kernels/f.py")) == ["float64-creep"]

@@ -34,7 +34,7 @@ from repro.core.graph_builder import (
 )
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward, reference_loss_and_grads
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELL_TYPES, BRNNSpec
 from repro.runtime import ThreadedExecutor
 from tests.conftest import make_batch, small_spec
 
@@ -222,7 +222,7 @@ def test_fused_gru_gradcheck(set_proj_block):
 @pytest.mark.parametrize("proj_block", [1, 2, 4], ids=["pb1", "pb2", "ragged"])
 @pytest.mark.parametrize("mbs", [1, 2])
 @pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
-@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+@pytest.mark.parametrize("cell", CELL_TYPES)
 def test_hoisted_training_matches_per_step_graph(
     cell, head, mbs, proj_block, set_proj_block
 ):
@@ -258,7 +258,7 @@ def test_hoisted_training_matches_per_step_graph(
 
 
 @pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
-@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+@pytest.mark.parametrize("cell", CELL_TYPES)
 def test_hoisted_float64_matches_reference(cell, head, set_proj_block):
     """Float64 leaves no room: the hoisted analytic gradients must agree
     with the (independently gradchecked) reference to near machine
@@ -345,7 +345,7 @@ def test_auto_rule_classifies_the_benchmark_shapes():
     assert hoist_rule(_FINE, "auto", 4) == [False] * 4
     for rows in range(1, 9):
         assert hoist_rule(_SERVED, "auto", rows) == [False, False]
-    for cell in ("lstm", "gru", "rnn"):
+    for cell in CELL_TYPES:
         tiny = small_spec(cell=cell, input_size=64, hidden_size=16, dtype=np.float64)
         assert not any(hoist_rule(tiny, "auto", 1))
     # on/off override the rule in both directions

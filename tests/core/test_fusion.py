@@ -25,6 +25,7 @@ from repro.core import BParEngine
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_loss_and_grads
+from repro.models.spec import CELL_TYPES
 from tests.conftest import make_batch, small_spec
 
 #: (fused_input_projection, wavefront_tile) — tiles at the extremes (1 =
@@ -70,7 +71,7 @@ def grads_allclose(a, b, rtol=1e-4, atol=1e-6):
 # -- forward bit-identity ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+@pytest.mark.parametrize("cell", CELL_TYPES)
 @pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
 def test_forward_bitwise_all_modes(cell, head):
     spec = small_spec(cell=cell, head=head)
@@ -111,7 +112,7 @@ def test_forward_bitwise_with_barriers():
 # -- backward: bitwise vs the same-projection per-step reference ------------------
 
 
-@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+@pytest.mark.parametrize("cell", CELL_TYPES)
 @pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
 def test_grads_bitwise_vs_gates(cell, head):
     spec = small_spec(cell=cell, head=head)

@@ -18,7 +18,7 @@ from repro.core import BParEngine, BSeqEngine, graph_builder
 from repro.core.graph_builder import plan_granularity
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward, reference_train_step
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELL_TYPES, BRNNSpec
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.serve.engine import InferenceEngine
 from repro.simarch.costmodel import GEMM_KINDS
@@ -141,7 +141,7 @@ def _engine(cls, spec, **config):
 
 
 @pytest.mark.parametrize("cls", [BParEngine, BSeqEngine])
-@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+@pytest.mark.parametrize("cell", CELL_TYPES)
 def test_default_engine_logits_bitwise_equal_to_the_oracle(cls, cell):
     spec = small_spec(cell=cell)
     x, _ = make_batch(spec, seq_len=6)
@@ -152,7 +152,7 @@ def test_default_engine_logits_bitwise_equal_to_the_oracle(cls, cell):
     assert np.array_equal(logits, reference_forward(spec, engine.params, x)[0])
 
 
-@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+@pytest.mark.parametrize("cell", CELL_TYPES)
 @pytest.mark.parametrize("head", ["many_to_one", "many_to_many"])
 def test_default_engine_training_bitwise_equal_to_tile_one(cell, head):
     spec = small_spec(cell=cell, head=head)

@@ -15,13 +15,13 @@ from repro.config import ExecutionConfig
 from repro.core import BParEngine
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward, reference_train_step
+from repro.models.spec import CELL_TYPES
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.racecheck import _result_fingerprint
 from repro.serve.engine import InferenceEngine
 from tests.conftest import CONF_SEQ_LEN, build_functional, make_batch, small_spec
 from tests.serve.test_engine_compile import make_batch as make_served_batch
 
-CELLS = ("lstm", "gru", "rnn")
 HEADS = ("many_to_one", "many_to_many")
 
 #: serial, and the threaded executor on one and on two real threads
@@ -44,7 +44,7 @@ def _fingerprint(executor, **build_kwargs):
 
 @pytest.mark.parametrize("training", [False, True], ids=["fwd", "train"])
 @pytest.mark.parametrize("head", HEADS)
-@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("cell", CELL_TYPES)
 def test_tiled_and_paired_graphs_match_the_per_step_graph_on_every_executor(
     cell, head, training
 ):
@@ -71,7 +71,7 @@ def _params_equal(a, b):
 
 @pytest.mark.parametrize("executor", list(EXECUTORS), ids=list(EXECUTORS))
 @pytest.mark.parametrize("head", HEADS)
-@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("cell", CELL_TYPES)
 def test_engine_steps_two_and_three_match_the_oracle(cell, head, executor):
     """Three SGD steps of the default engine (one thread planned: one task
     per layer per pass, paired) land on the oracle's losses and weights at
@@ -92,7 +92,7 @@ def test_engine_steps_two_and_three_match_the_oracle(cell, head, executor):
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("head", HEADS)
-@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("cell", CELL_TYPES)
 def test_replayed_paired_plans_match_the_oracle(cell, head, n_workers):
     """A compiled paired plan replayed over its cached build: the warm
     second and third batches give the oracle's logits, as the first does."""

@@ -16,11 +16,11 @@ from repro.config import ExecutionConfig
 from repro.core import BParEngine
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
+from repro.models.spec import CELL_TYPES
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.mpexec import MultiprocessExecutor
 from tests.conftest import make_batch, momentum_step, small_spec
 
-CELLS = ("lstm", "gru", "rnn")
 HEADS = ("many_to_one", "many_to_many")
 #: a step: forward only, an SGD step inside the graph, or gradients the
 #: caller applies with momentum
@@ -73,7 +73,7 @@ def _batches(spec, n=3, seq_len=5, batch=8):
 @pytest.mark.parametrize("mbs", [1, 2])
 @pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("head", HEADS)
-@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("cell", CELL_TYPES)
 def test_rebound_steps_match_fresh_builds(cell, head, mode, mbs):
     spec = small_spec(cell=cell, head=head)
     rebound, fresh = _engines(spec, lambda: ThreadedExecutor(2), mbs)

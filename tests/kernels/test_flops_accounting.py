@@ -35,7 +35,6 @@ B, I, H = 8, 6, 5  # batch, input, hidden — arbitrary but distinct
 PINNED = {
     "lstm": (4, 14, 30),
     "gru": (3, 13, 28),
-    "rnn": (1, 3, 6),
 }
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.kernels.paired import DirectionPair
 from repro.models.cells import cell_forward, cell_forward_proj
+from repro.models.spec import CELL_TYPES
 from tests.conftest import small_spec
 
 
@@ -35,7 +36,7 @@ def _fields(cache):
     return {} if cache is None else {k: v for k, v in vars(cache).items() if v is not None}
 
 
-@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+@pytest.mark.parametrize("cell", CELL_TYPES)
 @pytest.mark.parametrize("need_cache", [False, True], ids=["nocache", "cache"])
 @pytest.mark.parametrize("rows", [1, 4])
 @pytest.mark.parametrize("hoisted", [False, True], ids=["x", "zx"])

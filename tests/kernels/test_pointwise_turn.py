@@ -152,7 +152,7 @@ def test_every_product_runs_with_the_turn_free(monkeypatch, cell, table, fn):
 def test_the_turn_is_one_lock_in_one_module():
     assert type(activations.pointwise_turn) is type(threading.Lock())
     assert not activations.pointwise_turn.locked()
-    for name in ("lstm", "gru", "rnn"):
+    for name in CELLS:
         module = sys.modules[f"repro.kernels.{name}"]
         assert module.activations is activations
         assert not hasattr(module, "pointwise_turn")  # no copy a fork would leave stale
@@ -251,7 +251,7 @@ def test_what_the_caller_retains_picks_the_activation_path(monkeypatch, cell, ta
     assert cache is not None and not whole_buffer
     *dropped, none = ops.call(table, TABLES[table][cell]["act"])
     assert none is None and _bits(dropped) == _bits(kept)
-    assert whole_buffer == {"lstm": ["ssts"], "gru": ["ss"], "rnn": []}[cell]
+    assert whole_buffer == {"lstm": ["ssts"], "gru": ["ss"]}[cell]
 
 
 # -- (4) the recurrent backward GEMM, weights-left -----------------------------

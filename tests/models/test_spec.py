@@ -28,6 +28,13 @@ def test_invalid_fields_raise(field, value):
         BRNNSpec(**{field: value})
 
 
+def test_the_basic_rnn_cell_is_rejected():
+    """The paper's two cells are the only ones: ``"rnn"`` is an unknown
+    cell, and the error names the ones there are."""
+    with pytest.raises(ValueError, match=r"'lstm', 'gru'\).*'rnn'"):
+        BRNNSpec(cell="rnn")
+
+
 def test_layer_input_size_sum_merge():
     s = BRNNSpec(input_size=10, hidden_size=7, num_layers=3, merge_mode="sum")
     assert s.layer_input_size(0) == 10

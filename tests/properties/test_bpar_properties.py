@@ -14,7 +14,7 @@ from repro.core import BParEngine
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_loss_and_grads
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELL_TYPES, BRNNSpec
 from repro.runtime import ThreadedExecutor
 from repro.runtime.simexec import SimulatedExecutor
 from repro.simarch.presets import laptop_sim
@@ -23,7 +23,7 @@ from repro.simarch.presets import laptop_sim
 @st.composite
 def random_case(draw):
     spec = BRNNSpec(
-        cell=draw(st.sampled_from(["lstm", "gru", "rnn"])),
+        cell=draw(st.sampled_from(CELL_TYPES)),
         input_size=draw(st.integers(1, 6)),
         hidden_size=draw(st.integers(1, 6)),
         num_layers=draw(st.integers(1, 4)),

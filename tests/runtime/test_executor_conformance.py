@@ -18,6 +18,7 @@ Tier-1 runs every substrate over a reduced config subset
 
 import pytest
 
+from repro.models.spec import CELL_TYPES
 from repro.runtime.racecheck import _result_fingerprint
 from tests.conftest import (
     FUSION_SWEEP,
@@ -102,7 +103,7 @@ def test_executor_matrix_fixture_runs_one_train_step(executor_matrix):
     )
 
 
-@pytest.mark.parametrize("cell", ["lstm", "gru", "rnn"])
+@pytest.mark.parametrize("cell", CELL_TYPES)
 def test_executor_matrix_hoisted_train_step(executor_matrix, cell):
     """A hoisted train step (only ``dh_prev`` on the chain, the gradient
     panel in per-block tasks) computes the same bits on every substrate."""

@@ -234,6 +234,46 @@ def test_fleet_metrics_families_are_published():
     assert shed == serve_shed > 0  # fleet and serve families agree
 
 
+def _fleet_snapshots(replicas, rate, duration, seed):
+    """A sim fleet with compiled plans and a registry: its stats and the
+    registry snapshots the loop took after every batch."""
+    cfg = ServeConfig(replicas=replicas, max_batch_size=4, bucket_width=4)
+    server = FleetServer.build(
+        tiny_spec(), cfg,
+        execution=sim_execution(compile="on", metrics=MetricsRegistry()),
+        machine=laptop_sim(4),
+    )
+    stats = server.run(workload(rate=rate, duration=duration, seed=seed))
+    return stats, [snap.values for snap in server.snapshots.snapshots]
+
+
+def test_serve_queue_depth_is_the_fleet_total():
+    """``repro_serve_queue_depth`` is the sum of every replica's latest
+    depth, not the depth of the replica that reported last."""
+    _, snapshots = _fleet_snapshots(replicas=3, rate=4000.0, duration=0.05, seed=1)
+    assert len(snapshots) > 10
+    overlapping = 0
+    for values in snapshots:
+        per_replica = [values.get(f'repro_fleet_replica_queue_depth{{replica="{r}"}}', 0.0)
+                       for r in range(3)]
+        assert values["repro_serve_queue_depth"] == sum(per_replica)
+        overlapping += sum(1 for d in per_replica if d > 0) > 1
+    assert overlapping  # some snapshot has a backlog on two replicas at once
+
+
+def test_warm_hit_rate_gauge_is_the_rate_so_far():
+    """At every snapshot the gauge is the warm share of the batches
+    executed up to it, which is what ``warm_hit_rate()`` says at the end."""
+    stats, snapshots = _fleet_snapshots(replicas=2, rate=600.0, duration=0.3, seed=2)
+    warm = [b.warm for b in stats.batches]
+    assert None not in warm and not all(warm)
+    for values in snapshots:
+        n = int(sum(v for k, v in values.items() if k.startswith("repro_serve_batches_total")))
+        assert values["repro_fleet_warm_hit_rate"] == sum(warm[:n]) / n
+    assert n == len(warm)
+    assert values["repro_fleet_warm_hit_rate"] == stats.warm_hit_rate()
+
+
 def test_replicas_share_parameters_and_match_the_oracle():
     """Functional replicas answer identically: whichever replica a request
     lands on, the logits equal the single-model oracle."""

@@ -16,15 +16,15 @@ per-chunk gradient and the updated weights.
 
 Four matrices (T=7, batch=6, mbs=2; ``mbs=3`` on the variants' B-Seq rows):
 
-* ``matrix48``: 3 cells x 2 heads x projection on/off x
-  barrier-free/barriered x fwd/train, per-step;
+* ``per_step``: 2 cells x 2 heads x projection on/off x
+  barrier-free/barriered x fwd/train (32);
 * ``tiled``: 2 cells x 2 heads x tile 1, 3 and 8 (one tile per chain) x
   projection on/off x barrier-free/barriered x fwd/train (96);
-* ``variants``: 3 cells x merge {mul, concat} x 2 heads x projection on/off x
-  {B-Par, B-Seq}, training (48);
-* ``paired``: 3 cells x 2 heads x fwd/train x projection on/off, both
+* ``variants``: 2 cells x merge {mul, concat} x 2 heads x projection on/off x
+  {B-Par, B-Seq}, training (32);
+* ``paired``: 2 cells x 2 heads x fwd/train x projection on/off, both
   directions' forward chains as one, at tile 3 and 7 (one tile per chain)
-  (48).
+  (32).
 
 Usage: PYTHONPATH=src python tools/graph_digest.py
 """
@@ -36,25 +36,25 @@ import numpy as np
 
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELL_TYPES, BRNNSpec
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.simexec import SimulatedExecutor
 from repro.simarch.presets import xeon_8160_2s
 
 SEQ_LEN, BATCH = 7, 6
-CELLS, HEADS = ("lstm", "gru", "rnn"), ("many_to_one", "many_to_many")
+HEADS = ("many_to_one", "many_to_many")
 
 
-def _matrix48():
+def _per_step():
     for cell, head, fused, free, training in product(
-        CELLS, HEADS, ("on", "off"), (True, False), (False, True)
+        CELL_TYPES, HEADS, ("on", "off"), (True, False), (False, True)
     ):
         yield dict(cell=cell, head=head, fused=fused, barrier_free=free, training=training)
 
 
 def _tiled():
     for cell, head, tile, fused, free, training in product(
-        CELLS[:2], HEADS, (1, 3, 8), ("on", "off"), (True, False), (False, True)
+        CELL_TYPES, HEADS, (1, 3, 8), ("on", "off"), (True, False), (False, True)
     ):
         yield dict(cell=cell, head=head, wavefront_tile=tile,
                    fused=fused, barrier_free=free, training=training)
@@ -62,7 +62,7 @@ def _tiled():
 
 def _variants():
     for cell, merge, head, fused, bseq in product(
-        CELLS, ("mul", "concat"), HEADS, ("on", "off"), (False, True)
+        CELL_TYPES, ("mul", "concat"), HEADS, ("on", "off"), (False, True)
     ):
         yield dict(cell=cell, merge=merge, head=head, fused=fused,
                    serialize_chunks=bseq, mbs=3 if bseq else 2)
@@ -70,13 +70,13 @@ def _variants():
 
 def _paired():
     for cell, head, training, fused, tile in product(
-        CELLS, HEADS, (False, True), ("on", "off"), (3, SEQ_LEN)
+        CELL_TYPES, HEADS, (False, True), ("on", "off"), (3, SEQ_LEN)
     ):
         yield dict(cell=cell, head=head, training=training, fused=fused,
                    wavefront_tile=tile, paired=True)
 
 
-MATRICES = {"matrix48": _matrix48, "tiled": _tiled, "variants": _variants, "paired": _paired}
+MATRICES = {"per_step": _per_step, "tiled": _tiled, "variants": _variants, "paired": _paired}
 
 
 def build(cfg, functional):

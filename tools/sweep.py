@@ -64,6 +64,7 @@ from repro.kernels import activations
 from repro.kernels.paired import DirectionPair
 from repro.models.cells import cell_backward_proj, cell_forward, cell_forward_proj
 from repro.models.params import BRNNParams
+from repro.models.spec import CELL_TYPES
 from repro.runtime.executor import ThreadedExecutor
 
 FLOOR_SEQ_LEN = 40
@@ -79,7 +80,6 @@ GEMMS = (
     ("lstm dh_prev  dZ(B,4H)·W_h^T", 0, 4),
     ("gru  dh_prev  dZ_zr(B,2H)·W_h[:, :2H]^T", 0, 2),
     ("gru  drh      da(B,H)·W_h[:, 2H:]^T", 2, 3),
-    ("rnn  dh_prev  da(B,H)·W_h^T", 0, 1),
 )
 
 
@@ -293,7 +293,6 @@ class Table(NamedTuple):
     rounds: int
 
 
-CELLS = ("lstm", "gru", "rnn")
 TABLES = {
     "thread-floor": Table(thread_floor, [
         (32, 4), (64, 8), (128, 8), (96, 32), (112, 32), (128, 32), (144, 32), (160, 32),
@@ -304,7 +303,7 @@ TABLES = {
         for rows in (1, 4, 8, 32, 64, 128, 256)
     ], 9),
     "turn": Table(turn, [
-        (cell, backward, hidden, rows) for cell in CELLS for backward in (False, True)
+        (cell, backward, hidden, rows) for cell in CELL_TYPES for backward in (False, True)
         for hidden in (32, 128, 256) for rows in (4, 32, 128)
     ], 5),
     "recurrent-gemm": Table(recurrent_gemm, [(32, hidden) for hidden in (32, 128, 256)], 5),
@@ -313,7 +312,7 @@ TABLES = {
         for rows in (4, 8, 32, 128)
     ], 5),
     "paired": Table(paired, [
-        (cell, need_cache, hidden, rows) for cell in CELLS for need_cache in (False, True)
+        (cell, need_cache, hidden, rows) for cell in CELL_TYPES for need_cache in (False, True)
         for hidden in (32, 128) for rows in (1, 4, 8)
     ], 5),
 }
