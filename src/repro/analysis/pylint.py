@@ -46,7 +46,8 @@ rules, each a hazard that running the code once would not show:
 
 ``gemm-under-turn``
     A ``@``, ``np.matmul`` or ``np.dot`` inside the body of ``with
-    activations.pointwise_turn:``.  The turn serialises the cell kernels'
+    activations.pointwise_turn:`` (or of ``with turn:`` where the same
+    function bound ``turn`` from it).  The turn serialises the cell kernels'
     pointwise stretches so that two workers stop trading the GIL at every
     small NumPy call (docs/EXECUTORS.md); a GEMM is the one part of a cell
     that runs without the GIL and scales with the workers, and under the
@@ -505,17 +506,20 @@ _TASK_CALLEES = {"add_task", "Task"}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def _stored_names(nodes: Sequence[ast.AST]) -> Set[str]:
-    """Names the given nodes (re)bind, nested function bodies excluded."""
-    names: Set[str] = set()
-    stack = list(nodes)
+def _own_nodes(*roots: ast.AST):
+    """``roots`` and the nodes under them, nested function bodies excluded."""
+    stack = list(roots)
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
+        yield node
         if not isinstance(node, _FUNCTIONS):
             stack.extend(ast.iter_child_nodes(node))
-    return names
+
+
+def _stored_names(nodes: Sequence[ast.AST]) -> Set[str]:
+    """Names the given nodes (re)bind, nested function bodies excluded."""
+    own = _own_nodes(*nodes)
+    return {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
 
 
 def _loop_capture_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
@@ -568,24 +572,30 @@ def _is_gemm(node: ast.AST) -> bool:
 
 
 def _gemm_under_turn_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
+    """Products under ``with …pointwise_turn:``, or under ``with turn:`` in a
+    function that bound ``turn = …pointwise_turn``."""
     findings = []
-    for block in ast.walk(tree):
-        if not isinstance(block, ast.With) or not any(
-            _terminal_name(item.context_expr) == _TURN for item in block.items
-        ):
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        for node in (n for stmt in block.body for n in ast.walk(stmt)):
-            if _is_gemm(node):
-                findings.append(
-                    PyLintFinding(
-                        rule="gemm-under-turn",
-                        path=path,
-                        line=node.lineno,
-                        message=f"matrix product inside `with {_TURN}:` — a GEMM runs "
-                        "without the GIL and scales with the workers; under the turn "
-                        "it is serialised.  Compute it before the block",
-                    )
-                )
+        nodes = list(_own_nodes(*ast.iter_child_nodes(scope)))
+        turns = {_TURN} | {
+            t.id for n in nodes if isinstance(n, ast.Assign) and _terminal_name(n.value) == _TURN
+            for t in n.targets if isinstance(t, ast.Name)
+        }
+        blocks = [n for n in nodes if isinstance(n, ast.With)
+                  and any(_terminal_name(item.context_expr) in turns for item in n.items)]
+        findings += [
+            PyLintFinding(
+                rule="gemm-under-turn",
+                path=path,
+                line=node.lineno,
+                message=f"matrix product inside `with {_TURN}:` — a GEMM runs "
+                "without the GIL and scales with the workers; under the turn "
+                "it is serialised.  Compute it before the block",
+            )
+            for block in blocks for stmt in block.body for node in ast.walk(stmt) if _is_gemm(node)
+        ]
     return findings
 
 

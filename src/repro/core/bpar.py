@@ -118,6 +118,8 @@ class BParEngine:
         over copies of ``x`` and ``labels`` that later rebinds write into.
         A trailing short batch is a new shape with fewer chunks of its own.
         """
+        if x.ndim != 3 or 0 in x.shape[:2] or x.shape[2] != self.spec.input_size:
+            raise ValueError(f"x must be (T >= 1, B >= 1, {self.spec.input_size}), got {x.shape}")
         call = (x.shape, x.dtype, training, overrides.get("update_weights", True))
         out = self.last_result
         if out is None or call != self._last_call or out.params is not self.params:

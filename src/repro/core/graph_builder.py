@@ -26,7 +26,7 @@ one task per tile, by one emitter per pass (``_build_forward_layer`` /
 per cell update — unless ``wavefront_tile`` lengthens it, under either
 with or without hoisting; a layer's merges follow
 the chain tile.  ``paired`` runs each forward tile of both directions as
-one task of stacked cells (:mod:`repro.kernels.paired`).
+one task of stacked cells (``_Builder._fn_cell_fwd_paired``).
 :func:`plan_granularity` is where the engines decide, per batch shape, the
 tile, the pairing, the hoisted layers and the threads that will run the
 graph.
@@ -61,7 +61,6 @@ from repro.config import ExecutionConfig
 from repro.kernels.dense import dense_backward, dense_bwd_flops, dense_forward, dense_fwd_flops
 from repro.kernels.losses import softmax_cross_entropy
 from repro.kernels.merge import merge_backward, merge_flops, merge_forward
-from repro.kernels.paired import DirectionPair
 from repro.models.cells import (
     cell_backward,
     cell_backward_proj,
@@ -836,7 +835,13 @@ class _Builder:
     def _fn_cell_fwd_paired(self, mb, layer, lo, hi):
         """Paired forward tile: steps ``[lo, hi)`` of both chains, each
         step's two cells as one stacked cell.  ``h``/``c`` are carried
-        stacked; a direction's slots and caches are ``[d]`` views of them."""
+        stacked; a direction's slots and caches are ``[d]`` views of them.
+        The two cells are independent; stacked (weights ``(2, I+H, G·H)``,
+        once per run), the cell's one forward body makes each product one
+        ``np.matmul`` over both (Appleyard et al., arXiv:1604.01946) and its
+        pointwise stretch one pass (Hwang & Sung, arXiv:1503.02852).  NumPy
+        runs a stack slice by slice with the 2-D product's BLAS call, so a
+        paired step is bitwise two single steps."""
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
         cell_step = cell_forward_proj if fused else cell_forward  # stacked kernels both
@@ -845,8 +850,7 @@ class _Builder:
 
         def fn():
             lp = params.layers[layer]
-            W = DirectionPair(lp.fwd.W, lp.rev.W)
-            b = np.stack((lp.fwd.b, lp.rev.b))[:, None]
+            W, b = np.stack((lp.fwd.W, lp.rev.W)), np.stack((lp.fwd.b, lp.rev.b))[:, None]
             hs, cs = ([g[d][layer] for d in DIRECTIONS] for g in (state.h, state.c))
             if fused:
                 in_f, in_r = state.zx["fwd"][layer], state.zx["rev"][layer]
@@ -857,9 +861,8 @@ class _Builder:
             if lstm:
                 c_prev = _stack2(*(g[lo - 1] for g in cs)) if lo else _stack2(state.c0, state.c0)
             for step in range(lo, hi):
-                x = in_f[step], in_r[T - 1 - step]  # input GEMMs read the pair as it is
-                h, c, cache = cell_step(spec, _stack2(*x) if fused else x, h_prev, c_prev, W, b,
-                                        need_cache=need_cache)
+                x = _stack2(in_f[step], in_r[T - 1 - step])
+                h, c, cache = cell_step(spec, x, h_prev, c_prev, W, b, need_cache=need_cache)
                 hs[0][step], hs[1][step] = h
                 if lstm:
                     cs[0][step], cs[1][step] = c

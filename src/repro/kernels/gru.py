@@ -55,8 +55,8 @@ def gru_forward_step(
     input projection of a block of one timestep, so the two agree bitwise
     whatever BLAS does.
     """
-    input_size = W.shape[0] - h_prev.shape[-1]
-    h, cache = gru_forward_step_proj(x @ W[:input_size], h_prev, W, b, need_cache)
+    input_size = W.shape[-2] - h_prev.shape[-1]
+    h, cache = gru_forward_step_proj(x @ W[..., :input_size, :], h_prev, W, b, need_cache)
     if cache is not None:
         cache.x = x
     return h, cache
@@ -97,17 +97,17 @@ def gru_forward_step_proj(
     GEMM, which has to wait for the reset gate.
     """
     hidden = h_prev.shape[-1]
-    input_size = W.shape[0] - hidden
+    input_size = W.shape[-2] - hidden
     two_h = 2 * hidden
 
-    zr = h_prev @ W[input_size:, :two_h]
+    zr = h_prev @ W[..., input_size:, :two_h]
     with activations.pointwise_turn:
         zr += zx[..., :two_h]
         zr += b[..., :two_h]
         z, r = _activate(zr, hidden, need_cache)
         rh = r * h_prev
 
-    a = rh @ W[input_size:, two_h:]
+    a = rh @ W[..., input_size:, two_h:]
     with activations.pointwise_turn:
         a += zx[..., two_h:]
         a += b[..., two_h:]

@@ -79,7 +79,7 @@ def lstm_forward_step(
     BLAS does.
     """
     h, c, cache = lstm_forward_step_proj(
-        x @ W[: W.shape[0] - h_prev.shape[-1]], h_prev, c_prev, W, b, need_cache
+        x @ W[..., : W.shape[-2] - h_prev.shape[-1], :], h_prev, c_prev, W, b, need_cache
     )
     if cache is not None:
         cache.x = x
@@ -121,12 +121,13 @@ def lstm_forward_step_proj(
     GEMM; only the recurrent product remains on the critical path.  The one
     forward body of the cell: :func:`lstm_forward_step` calls it with its own
     ``x @ W[:I]``.  ``need_cache`` as there; the cache's ``x`` is ``None``
-    (the hoisted backward reads the inputs by block).  Both cells'
-    bodies also run a paired step (:mod:`repro.kernels.paired`).
+    (the hoisted backward reads the inputs by block).  Both cells' forward
+    bodies slice ``W[..., rows, cols]``, so they also run a paired step, every
+    operand stacked on a leading axis of two (``_fn_cell_fwd_paired``).
     """
     hidden = h_prev.shape[-1]
-    input_size = W.shape[0] - hidden
-    z = h_prev @ W[input_size:]
+    input_size = W.shape[-2] - hidden
+    z = h_prev @ W[..., input_size:, :]
     with activations.pointwise_turn:
         z += zx
         z += b

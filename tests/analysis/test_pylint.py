@@ -325,6 +325,22 @@ def test_products_outside_the_turn_and_under_other_locks_clean():
     assert lint_source(other_lock) == []
 
 
+def test_products_under_an_aliased_turn_flagged():
+    """``turn = activations.pointwise_turn; with turn:`` is the turn too, in
+    the function that binds the name; the same name elsewhere is not."""
+    aliased = _TURN_KERNEL.format(outside="x @ W", inside="z += h @ W").replace(
+        "    with activations.pointwise_turn:\n",
+        "    turn = activations.pointwise_turn\n    with turn:\n",
+    )
+    findings = lint_source(aliased)
+    assert _rules(findings) == ["gemm-under-turn"]
+    assert findings[0].line == 6
+    unbound = aliased.replace("    turn = activations.pointwise_turn\n", "")
+    assert lint_source(unbound) == []
+    other = "def bind():\n    turn = activations.pointwise_turn\n\n" + unbound
+    assert lint_source(other) == []
+
+
 def test_gemm_under_turn_fixture_has_its_one_finding():
     """The kernel body a first attempt put under the lock whole."""
     fixture = Path(__file__).resolve().parents[1] / "fixtures" / "gemm_under_turn.py.txt"

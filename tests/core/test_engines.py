@@ -123,3 +123,23 @@ def test_mbs_clamped_to_short_batch(spec):
     loss = e.train_batch(x, labels)
     assert np.isfinite(loss)
     assert e.last_result.mbs == 2
+
+
+@pytest.mark.parametrize("executor", ["threaded", "sim"])
+@pytest.mark.parametrize("shape", ["T0", "B0", "width"])
+def test_malformed_batch_is_refused_before_any_build(spec, executor, shape):
+    """A batch without a step, without a row or of the wrong width is a
+    ``ValueError`` naming the expected shape, for inference and training."""
+    I = spec.input_size
+    x = np.zeros({"T0": (0, 8, I), "B0": (5, 0, I), "width": (5, 8, I + 1)}[shape], spec.dtype)
+    e = BParEngine(spec, config=ExecutionConfig(executor=executor))
+    for call in (lambda: e.forward(x), lambda: e.train_batch(x, np.zeros(8, dtype=int))):
+        with pytest.raises(ValueError, match=rf"\(T >= 1, B >= 1, {spec.input_size}\)"):
+            call()
+    assert e.last_result is None
+
+
+def test_two_dimensional_batch_is_refused(spec):
+    x, _ = make_batch(spec)
+    with pytest.raises(ValueError, match="got \\(8, "):
+        engine(spec).forward(x[0])

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import ExecutionConfig
 from repro.core import BParEngine
+from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward, reference_train_step
 from repro.models.spec import CELL_TYPES
@@ -107,3 +108,37 @@ def test_replayed_paired_plans_match_the_oracle(cell, head, n_workers):
         assert any(r.name.startswith("pair[") for r in result.trace.records)
         want = reference_forward(spec, engine.params, batch.padded_input())[0]
         np.testing.assert_array_equal(result.logits, want)
+
+
+#: (T, B): one row (NumPy's vector path for every product), odd T (the
+#: middle step feeds both directions the same input row) and T=1
+EDGE_SHAPES = [(1, 1), (1, 3), (3, 1), (5, 3), (4, 1)]
+
+
+@pytest.mark.parametrize("hoisted", ["off", "on"])
+@pytest.mark.parametrize("executor", ["serial", "threaded1"])
+@pytest.mark.parametrize("training", [False, True], ids=["fwd", "train"])
+@pytest.mark.parametrize("shape", EDGE_SHAPES, ids=[f"T{t}-B{b}" for t, b in EDGE_SHAPES])
+@pytest.mark.parametrize("cell", CELL_TYPES)
+def test_paired_graph_is_the_oracle_where_blas_could_route_otherwise(
+    cell, shape, training, executor, hoisted
+):
+    """The stacked products (one ``np.matmul`` over both directions) give the
+    oracle's bits on the shapes where the batched GEMM could take another
+    BLAS route than the 2-D one: one task per layer per pass, hoisted or
+    not (at ``proj_block=1``, where the hoisted backward is the oracle's)."""
+    spec = small_spec(cell=cell, head="many_to_many")
+    params, oracle = (BRNNParams.initialize(spec, seed=3) for _ in range(2))
+    x, labels = make_batch(spec, seq_len=shape[0], batch=shape[1], seed=sum(shape))
+    build = build_brnn_graph(
+        spec, x=x, labels=labels if training else None, params=params, training=training,
+        lr=0.05, fused_input_projection=hoisted, proj_block=1, wavefront_tile=shape[0],
+        paired=True,
+    )
+    assert {t.meta["dir"] for t in build.graph if t.kind == "cell"} == {"pair"}
+    EXECUTORS[executor]().run(build.graph)
+    if training:
+        assert build.mean_loss() == reference_train_step(spec, oracle, x, labels, 0.05)
+        assert _params_equal(params, oracle)
+    else:
+        assert np.array_equal(build.logits(), reference_forward(spec, oracle, x)[0])

@@ -1,18 +1,15 @@
 """A paired cell step is two single steps, bitwise.
 
 The forward cell at step ``s`` and the reverse cell at step ``s`` run as one
-stacked step: operands stacked along a leading axis of two (the inputs of a
-per-step kernel as a pair of arrays, as the builder passes them), the weights
-a :class:`~repro.kernels.paired.DirectionPair`, the bias stacked
-``(2, 1, G·H)``.
-Every output, and every field of each direction's cache, must equal what the
-single step computes on that direction's operands.
+stacked step: operands, weights and bias stacked along a leading axis of two
+(the weights ``(2, I+H, G·H)``, the bias ``(2, 1, G·H)``), as the builder
+passes them.  Every output, and every field of each direction's cache, must
+equal what the single step computes on that direction's operands.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernels.paired import DirectionPair
 from repro.models.cells import cell_forward, cell_forward_proj
 from repro.models.spec import CELL_TYPES
 from tests.conftest import small_spec
@@ -43,18 +40,13 @@ def _fields(cache):
 def test_paired_step_is_two_single_steps_bitwise(cell, need_cache, rows, hoisted):
     spec, Ws, bs, xs, zxs, hs, cs = _operands(cell, rows, seed=rows)
     stack = lambda arrays: None if arrays[0] is None else np.stack(arrays)
-    pair, b2 = DirectionPair(*Ws), np.stack(bs)[:, None]
-    if hoisted:
-        paired = cell_forward_proj(spec, stack(zxs), stack(hs), stack(cs), pair, b2, need_cache)
-    else:
-        paired = cell_forward(spec, tuple(xs), stack(hs), stack(cs), pair, b2, need_cache)
-    h2, c2, cache2 = paired
+    W2, b2 = np.stack(Ws), np.stack(bs)[:, None]
+    step = cell_forward_proj if hoisted else cell_forward
+    inputs = zxs if hoisted else xs
+    h2, c2, cache2 = step(spec, np.stack(inputs), stack(hs), stack(cs), W2, b2, need_cache)
     assert h2.shape == (2, rows, spec.hidden_size)
     for d in range(2):
-        if hoisted:
-            h, c, cache = cell_forward_proj(spec, zxs[d], hs[d], cs[d], Ws[d], bs[d], need_cache)
-        else:
-            h, c, cache = cell_forward(spec, xs[d], hs[d], cs[d], Ws[d], bs[d], need_cache)
+        h, c, cache = step(spec, inputs[d], hs[d], cs[d], Ws[d], bs[d], need_cache)
         assert np.array_equal(h2[d], h)
         assert (c2 is None) == (c is None)
         if c is not None:
@@ -66,13 +58,16 @@ def test_paired_step_is_two_single_steps_bitwise(cell, need_cache, rows, hoisted
             assert np.array_equal(stacked[name][d], value), name
 
 
-def test_pair_slices_both_directions_and_keeps_the_weights():
-    Wf, Wr = np.arange(12.0).reshape(3, 4), -np.arange(12.0).reshape(3, 4)
-    pair = DirectionPair(Wf, Wr)[1:, 2:]
-    assert pair.shape == (2, 2)
-    assert all(np.shares_memory(w, src) for w, src in zip(pair.arrays, (Wf, Wr)))
-    a = np.ones((2, 5, 2))
-    out = a @ pair
-    assert out.shape == (2, 5, 2)
-    assert np.array_equal(out[0], a[0] @ Wf[1:, 2:])
-    assert np.array_equal(out[1], a[1] @ Wr[1:, 2:])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_sliced_stack_multiplies_each_direction_by_its_own_slice(rows):
+    """GRU's ``W[..., I:, :2H]``: a row-and-column-sliced view of the stack,
+    no copy, and one product that is each direction's 2-D product bitwise."""
+    spec, Ws, _, _, _, hs, _ = _operands("gru", rows, seed=rows)
+    I, two_h = spec.input_size, 2 * spec.hidden_size
+    W2 = np.stack(Ws)
+    view = W2[..., I:, :two_h]
+    assert view.shape == (2, spec.hidden_size, two_h)
+    assert np.shares_memory(view, W2)
+    out = np.stack(hs) @ view
+    for d in range(2):
+        assert np.array_equal(out[d], hs[d] @ Ws[d][I:, :two_h])

@@ -31,8 +31,11 @@ recorded ones):
   two threads: the part of a cell that scales, for contrast.
 * ``gemm-order`` — every transposed-operand GEMM of the backward kernels,
   data-left ``dZ @ W.T`` against weights-left ``(W @ dZ.T).T``.
-* ``paired`` — one paired cell step (:mod:`repro.kernels.paired`) against
-  the two single steps it replaces, with a cache and without.
+* ``paired`` — one paired cell step (the cell's forward body on both
+  directions' operands and weights stacked, one ``np.matmul`` per product)
+  against the two single steps it replaces, with a cache and without.  The
+  ``paired`` column stacks the weights and the inputs in every call; a run
+  stacks the weights once per layer, as ``paired, W stacked once`` does.
 """
 
 import os
@@ -61,7 +64,6 @@ from repro.core.graph_builder import (
 )
 from repro.harness.measure import make_spec
 from repro.kernels import activations
-from repro.kernels.paired import DirectionPair
 from repro.models.cells import cell_backward_proj, cell_forward, cell_forward_proj
 from repro.models.params import BRNNParams
 from repro.models.spec import CELL_TYPES
@@ -272,19 +274,26 @@ def paired(point, rounds: int) -> dict:
     bs = [draw(rng, gh, scale=0.1) for _ in range(2)]
     xs, hs = [draw(rng, rows, hidden) for _ in range(2)], [draw(rng, rows, hidden) for _ in range(2)]
     cs = [draw(rng, rows, hidden) for _ in range(2)] if cell == "lstm" else [None, None]
-    pair, b2, h2 = DirectionPair(*Ws), np.stack(bs)[:, None], np.stack(hs)
+    b2, h2 = np.stack(bs)[:, None], np.stack(hs)
     c2 = np.stack(cs) if cell == "lstm" else None
 
     def single():
         for d in range(2):
             cell_forward(spec, xs[d], hs[d], cs[d], Ws[d], bs[d], need_cache)
 
-    calls = {"2 single us": single,
-             "paired us": lambda: cell_forward(spec, tuple(xs), h2, c2, pair, b2, need_cache)}
+    W2 = np.stack(Ws)
+
+    def paired_step(stack_weights):
+        W = np.stack(Ws) if stack_weights else W2
+        cell_forward(spec, np.stack(xs), h2, c2, W, b2, need_cache)
+
+    calls = {"2 single us": single, "paired us": lambda: paired_step(True),
+             "paired, W stacked once us": lambda: paired_step(False)}
     number = 2000 if rows * hidden <= 8 * 32 else 500
     med = medians(calls, rounds, lambda name: timeit_us(calls[name], number))
     return {"cell": cell, "cache": "yes" if need_cache else "no", "H": hidden, "rows": rows,
-            **med, "ratio": med["paired us"] / med["2 single us"]}
+            **med, "ratio": med["paired us"] / med["2 single us"],
+            "ratio, W once": med["paired, W stacked once us"] / med["2 single us"]}
 
 
 class Table(NamedTuple):
