@@ -118,8 +118,18 @@ class BParEngine:
         over copies of ``x`` and ``labels`` that later rebinds write into.
         A trailing short batch is a new shape with fewer chunks of its own.
         """
-        if x.ndim != 3 or 0 in x.shape[:2] or x.shape[2] != self.spec.input_size:
-            raise ValueError(f"x must be (T >= 1, B >= 1, {self.spec.input_size}), got {x.shape}")
+        spec = self.spec
+        if x.ndim != 3 or 0 in x.shape[:2] or x.shape[2] != spec.input_size:
+            raise ValueError(f"x must be (T >= 1, B >= 1, {spec.input_size}), got {x.shape}")
+        if labels is not None:
+            labels = np.asarray(labels)
+            want = x.shape[1:2] if spec.head == "many_to_one" else x.shape[:2]
+            if (labels.shape != want or labels.dtype.kind not in "iu"
+                    or labels.min() < 0 or labels.max() >= spec.num_classes):
+                raise ValueError(
+                    f"labels must be integers in [0, {spec.num_classes}) of shape {want}, "
+                    f"got {labels.dtype} {labels.shape}"
+                )
         call = (x.shape, x.dtype, training, overrides.get("update_weights", True))
         out = self.last_result
         if out is None or call != self._last_call or out.params is not self.params:

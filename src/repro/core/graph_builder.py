@@ -475,7 +475,8 @@ class GraphBuildResult:
         Visits the same buffers :meth:`region_storage` resolves — params,
         gradients, each chunk's ``x`` and every slot of
         :meth:`ChunkState.slot_lists` (including cache dataclass fields) —
-        replacing each ndarray ``a`` with ``fn(a)``.
+        replacing each ndarray ``a`` with ``fn(a)``.  A layer's parameter
+        stack is mapped once and its direction views are rebuilt from it.
         The race checker uses this to swap tracked views in and out; ``fn``
         must return an array sharing the original's memory.
         """
@@ -485,10 +486,8 @@ class GraphBuildResult:
         def map_params(p: Optional[BRNNParams]) -> None:
             if p is None:  # an inference chunk's gradients
                 return
-            for lp in p.layers:
-                for dp in (lp.fwd, lp.rev):
-                    dp.W = fn(dp.W)
-                    dp.b = fn(dp.b)
+            for lp in p.layers:  # each stack once; its direction views follow it
+                lp.rebind(fn)
             p.head.W = fn(p.head.W)
             p.head.b = fn(p.head.b)
 
@@ -836,12 +835,12 @@ class _Builder:
         """Paired forward tile: steps ``[lo, hi)`` of both chains, each
         step's two cells as one stacked cell.  ``h``/``c`` are carried
         stacked; a direction's slots and caches are ``[d]`` views of them.
-        The two cells are independent; stacked (weights ``(2, I+H, G·H)``,
-        once per run), the cell's one forward body makes each product one
-        ``np.matmul`` over both (Appleyard et al., arXiv:1604.01946) and its
-        pointwise stretch one pass (Hwang & Sung, arXiv:1503.02852).  NumPy
-        runs a stack slice by slice with the 2-D product's BLAS call, so a
-        paired step is bitwise two single steps."""
+        The two cells are independent; on the layer's one ``(2, I+H, G·H)``
+        weight stack, read in place, the cell's one forward body makes each
+        product one ``np.matmul`` over both (Appleyard et al.,
+        arXiv:1604.01946) and its pointwise stretch one pass (Hwang & Sung,
+        arXiv:1503.02852).  NumPy runs a stack slice by slice with the 2-D
+        product's BLAS call, so a paired step is bitwise two single steps."""
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
         cell_step = cell_forward_proj if fused else cell_forward  # stacked kernels both
@@ -850,7 +849,7 @@ class _Builder:
 
         def fn():
             lp = params.layers[layer]
-            W, b = np.stack((lp.fwd.W, lp.rev.W)), np.stack((lp.fwd.b, lp.rev.b))[:, None]
+            W, b = lp.W, lp.b[:, None]
             hs, cs = ([g[d][layer] for d in DIRECTIONS] for g in (state.h, state.c))
             if fused:
                 in_f, in_r = state.zx["fwd"][layer], state.zx["rev"][layer]

@@ -2,13 +2,16 @@
 
 Following §II and §III of the paper, weights and biases are allocated
 *once per layer and direction* and shared by every unrolled timestep —
-the working-set optimisation all frameworks apply.  Gradients use the same
-container with zero-initialised arrays.
+the working-set optimisation all frameworks apply.  A layer's two
+directions are one allocation, ``W (2, I+H, G·H)`` and ``b (2, G·H)``, so
+the paired forward multiplies both at once with no copy; ``fwd``/``rev``
+are its ``[0]``/``[1]`` views.  Gradients use the same container with
+zero-initialised arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -19,7 +22,8 @@ from repro.models.spec import BRNNSpec
 
 @dataclass
 class DirectionParams:
-    """Fused weight matrix and bias of one direction of one layer."""
+    """Fused weight matrix and bias of one direction of one layer: views
+    into its :class:`LayerParams` stack."""
 
     W: np.ndarray
     b: np.ndarray
@@ -27,10 +31,25 @@ class DirectionParams:
 
 @dataclass
 class LayerParams:
-    """Forward-order and reverse-order parameters of one BRNN layer."""
+    """Both directions of one BRNN layer as one stack, ``W (2, I+H, G·H)``
+    and ``b (2, G·H)``; ``fwd``/``rev`` are its ``[0]``/``[1]`` views."""
 
-    fwd: DirectionParams
-    rev: DirectionParams
+    W: np.ndarray
+    b: np.ndarray
+    fwd: DirectionParams = field(init=False, repr=False)
+    rev: DirectionParams = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.fwd = DirectionParams(self.W[0], self.b[0])
+        self.rev = DirectionParams(self.W[1], self.b[1])
+
+    def rebind(self, fn) -> None:
+        """Pass the stack through ``fn`` (which returns an array sharing
+        its memory) and rebuild the direction views from what it returns."""
+        W, b = fn(self.W), fn(self.b)
+        if W is not self.W or b is not self.b:
+            self.W, self.b = W, b
+            self.__post_init__()
 
     def direction(self, name: str) -> DirectionParams:
         if name == "fwd":
@@ -65,18 +84,8 @@ class BRNNParams:
         layers = []
         for layer in range(spec.num_layers):
             w_shape, b_shape = spec.cell_param_shapes(layer)
-            layers.append(
-                LayerParams(
-                    fwd=DirectionParams(
-                        W=glorot_uniform(rng, w_shape, spec.dtype),
-                        b=zeros(b_shape, spec.dtype),
-                    ),
-                    rev=DirectionParams(
-                        W=glorot_uniform(rng, w_shape, spec.dtype),
-                        b=zeros(b_shape, spec.dtype),
-                    ),
-                )
-            )
+            W = np.stack([glorot_uniform(rng, w_shape, spec.dtype) for _ in range(2)])
+            layers.append(LayerParams(W, zeros((2, *b_shape), spec.dtype)))
         head = HeadParams(
             W=glorot_uniform(rng, (spec.head_input_size, spec.num_classes), spec.dtype),
             b=zeros((spec.num_classes,), spec.dtype),
@@ -90,10 +99,7 @@ class BRNNParams:
         for layer in range(spec.num_layers):
             w_shape, b_shape = spec.cell_param_shapes(layer)
             layers.append(
-                LayerParams(
-                    fwd=DirectionParams(W=zeros(w_shape, spec.dtype), b=zeros(b_shape, spec.dtype)),
-                    rev=DirectionParams(W=zeros(w_shape, spec.dtype), b=zeros(b_shape, spec.dtype)),
-                )
+                LayerParams(zeros((2, *w_shape), spec.dtype), zeros((2, *b_shape), spec.dtype))
             )
         head = HeadParams(
             W=zeros((spec.head_input_size, spec.num_classes), spec.dtype),

@@ -72,34 +72,19 @@ def reference_forward(
         inputs = _layer_inputs(spec, caches, layer)
         lp = params.layers[layer]
 
-        h_f: List[np.ndarray] = []
-        c_f: List[Optional[np.ndarray]] = []
-        k_f: list = []
-        h, c = zeros_state(spec, batch)
-        for t in range(seq_len):
-            h, c, cache = cell_forward(spec, inputs[t], h, c, lp.fwd.W, lp.fwd.b)
-            h_f.append(h)
-            c_f.append(c)
-            k_f.append(cache)
-
-        h_r: List[np.ndarray] = []
-        c_r: List[Optional[np.ndarray]] = []
-        k_r: list = []
-        h, c = zeros_state(spec, batch)
-        for u in range(seq_len):
-            h, c, cache = cell_forward(
-                spec, inputs[seq_len - 1 - u], h, c, lp.rev.W, lp.rev.b
-            )
-            h_r.append(h)
-            c_r.append(c)
-            k_r.append(cache)
-
-        caches.h_f.append(h_f)
-        caches.c_f.append(c_f)
-        caches.cache_f.append(k_f)
-        caches.h_r.append(h_r)
-        caches.c_r.append(c_r)
-        caches.cache_r.append(k_r)
+        # the reverse chain's step u reads position T-1-u; slots in step order
+        for dp, positions, slots in (
+            (lp.fwd, range(seq_len), (caches.h_f, caches.c_f, caches.cache_f)),
+            (lp.rev, range(seq_len - 1, -1, -1), (caches.h_r, caches.c_r, caches.cache_r)),
+        ):
+            h, c = zeros_state(spec, batch)
+            steps = []
+            for t in positions:
+                h, c, cache = cell_forward(spec, inputs[t], h, c, dp.W, dp.b)
+                steps.append((h, c, cache))
+            for grid, column in zip(slots, zip(*steps)):
+                grid.append(list(column))
+        h_f, h_r = caches.h_f[layer], caches.h_r[layer]
 
         if layer < last:
             merged = [
@@ -189,39 +174,18 @@ def reference_backward(
         lp = params.layers[layer]
         gl = grads.layers[layer]
 
-        for t in range(seq_len - 1, -1, -1):
-            dx, dh_prev, dc_prev = cell_backward(
-                spec,
-                dh_f[layer][t],
-                dc_f[layer][t],
-                caches.cache_f[layer][t],
-                lp.fwd.W,
-                gl.fwd.W,
-                gl.fwd.b,
-            )
-            if t > 0:
-                dh_f[layer][t - 1] += dh_prev
-                if dc_prev is not None:
-                    dc_f[layer][t - 1] += dc_prev
-            if layer > 0:
-                dmerged[layer - 1][t] += dx
-
-        for u in range(seq_len - 1, -1, -1):
-            dx, dh_prev, dc_prev = cell_backward(
-                spec,
-                dh_r[layer][u],
-                dc_r[layer][u],
-                caches.cache_r[layer][u],
-                lp.rev.W,
-                gl.rev.W,
-                gl.rev.b,
-            )
-            if u > 0:
-                dh_r[layer][u - 1] += dh_prev
-                if dc_prev is not None:
-                    dc_r[layer][u - 1] += dc_prev
-            if layer > 0:
-                dmerged[layer - 1][seq_len - 1 - u] += dx
+        for dp, gp, dh, dc, cache, mirror in (
+            (lp.fwd, gl.fwd, dh_f[layer], dc_f[layer], caches.cache_f[layer], False),
+            (lp.rev, gl.rev, dh_r[layer], dc_r[layer], caches.cache_r[layer], True),
+        ):
+            for u in range(seq_len - 1, -1, -1):
+                dx, dh_prev, dc_prev = cell_backward(spec, dh[u], dc[u], cache[u], dp.W, gp.W, gp.b)
+                if u > 0:
+                    dh[u - 1] += dh_prev
+                    if dc_prev is not None:
+                        dc[u - 1] += dc_prev
+                if layer > 0:
+                    dmerged[layer - 1][seq_len - 1 - u if mirror else u] += dx
 
         if layer > 0:
             below = layer - 1

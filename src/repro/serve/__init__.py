@@ -27,6 +27,7 @@ from repro.serve.request import (
     COMPLETED,
     SHED,
     SHED_DEADLINE,
+    SHED_MALFORMED,
     SHED_QUEUE_FULL,
     SHED_REASONS,
     SHED_TENANT,
@@ -56,6 +57,7 @@ __all__ = [
     "SHED_QUEUE_FULL",
     "SHED_TENANT",
     "SHED_DEADLINE",
+    "SHED_MALFORMED",
     "SHED_REASONS",
     "ServeConfig",
     "RequestQueue",

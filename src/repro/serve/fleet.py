@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.compile.warmup import plan_warmup_shapes
 from repro.config import ExecutionConfig
 from repro.models.params import BRNNParams
@@ -37,6 +39,7 @@ from repro.serve.config import ServeConfig
 from repro.serve.engine import InferenceEngine, is_simulated
 from repro.serve.request import (
     SHED_DEADLINE,
+    SHED_MALFORMED,
     SHED_QUEUE_FULL,
     CompletedRequest,
     InferenceRequest,
@@ -168,10 +171,14 @@ class FleetServer:
         """Serve ``requests`` to completion across the fleet.
 
         ``requests`` are left as given: under ``deadline_slo_s`` one that
-        carries no deadline is served as a copy that does.
+        carries no deadline is served as a copy that does.  A payload that
+        is not ``(seq_len, input_size)`` or is not finite is shed as
+        ``malformed`` on arrival; a payload-free (cost-only) request has
+        nothing to check.
         """
         cfg = self.config
         engines = self.pool.engines
+        width = (self.pool.spec.input_size,)
         n_replicas = len(engines)
         pending: List[InferenceRequest] = sorted(
             requests, key=lambda r: (r.arrival_time, r.rid)
@@ -228,6 +235,10 @@ class FleetServer:
             while i < n and pending[i].arrival_time <= now:
                 req = pending[i]
                 i += 1
+                x = req.x
+                if x is not None and (x.shape[1:] != width or not np.isfinite(x).all()):
+                    stats.record_shed(req, SHED_MALFORMED)
+                    continue
                 if cfg.deadline_slo_s is not None and req.deadline is None:
                     # the run's own copy: the caller's request stays as given
                     req = req.with_deadline(req.arrival_time + cfg.deadline_slo_s)

@@ -12,6 +12,8 @@ every request to exactly one terminal state:
   * ``deadline`` — its deadline passed while queued, or the admission
     budget predicted it could no longer complete in time (shed *before*
     queueing rather than served late).
+  * ``malformed`` — its payload is not ``(seq_len, input_size)`` or holds
+    a non-finite value (checked at arrival, before anything else).
 
 All times are seconds on the server clock: virtual (simulated) time when
 serving on the :class:`~repro.runtime.simexec.SimulatedExecutor`, wall time
@@ -33,7 +35,8 @@ SHED = "shed"
 SHED_QUEUE_FULL = "queue_full"
 SHED_TENANT = "tenant"
 SHED_DEADLINE = "deadline"
-SHED_REASONS = (SHED_QUEUE_FULL, SHED_TENANT, SHED_DEADLINE)
+SHED_MALFORMED = "malformed"
+SHED_REASONS = (SHED_QUEUE_FULL, SHED_TENANT, SHED_DEADLINE, SHED_MALFORMED)
 
 
 @dataclass

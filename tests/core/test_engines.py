@@ -143,3 +143,37 @@ def test_two_dimensional_batch_is_refused(spec):
     x, _ = make_batch(spec)
     with pytest.raises(ValueError, match="got \\(8, "):
         engine(spec).forward(x[0])
+
+
+_BAD_LABELS = {
+    "negative": lambda y: np.where(np.arange(y.size) == 0, -1, y),
+    "short": lambda y: y[:3],
+    "float": lambda y: y.astype(np.float32),
+    "num_classes": lambda y: np.where(np.arange(y.size) == 0, 4, y),
+}
+
+
+@pytest.mark.parametrize("cls", [BParEngine, BSeqEngine], ids=["bpar", "bseq"])
+@pytest.mark.parametrize("probe", sorted(_BAD_LABELS))
+def test_malformed_labels_are_refused_before_any_build(spec, cls, probe):
+    """A label that is negative, not integer, ``>= num_classes`` or of the
+    wrong length is a ``ValueError`` at the call, not a silent step on the
+    wrong class or an ``IndexError`` inside the loss task."""
+    x, labels = make_batch(spec)
+    e = cls(spec, config=ExecutionConfig(executor=ThreadedExecutor(2)))
+    before = e.params.copy()
+    bad = _BAD_LABELS[probe](labels)
+    for call in (lambda: e.train_batch(x, bad), lambda: e.loss_and_grads(x, bad)):
+        with pytest.raises(ValueError, match=r"labels must be integers in \[0, 4\)"):
+            call()
+    assert e.last_result is None
+    assert e.params.allclose(before, rtol=0, atol=0)
+
+
+def test_many_to_many_labels_must_be_time_by_batch():
+    spec = small_spec(head="many_to_many")
+    x, labels = make_batch(spec)
+    e = engine(spec)
+    with pytest.raises(ValueError, match=r"of shape \(5, 8\)"):
+        e.train_batch(x, labels[0])
+    assert np.isfinite(e.train_batch(x, labels))

@@ -3,9 +3,10 @@
 The race checker's observed audit swaps tracked views in through
 ``map_storage``, and the process executor moves state into shared memory
 the same way: an array the walk misses is an access neither sees.  So
-after a run, every ndarray reachable from a chunk's state, the params,
-and the gradients must be handed to ``fn``, and every array a
-region resolves to must share memory with one that was.
+after a run moves every array it walks to a copy, every ndarray reachable
+from a chunk's state, the params and the gradients must lie in one of the
+copies (a layer's direction views follow its moved parameter stack), and
+so must every array a region resolves to.
 
 Exempt, by name: ``labels`` (read by the loss task through its chunk, no
 region of its own), the read-only initial state ``h0``/``c0`` (no region
@@ -70,19 +71,25 @@ def test_map_storage_visits_every_array(cell, head, hoist, paired, training):
     )
     SerialExecutor().run(result.graph)
 
-    visited = {}
-    result.map_storage(lambda a: visited.setdefault(id(a), a))
+    moved = []
+
+    def move(a):  # a copy elsewhere, as the process executor's arena makes
+        moved.append(a.copy())
+        return moved[-1]
+
+    result.map_storage(move)
+    by_root = {}
+    for array in moved:
+        by_root.setdefault(_root(array), []).append(array)
+
+    def in_moved(array) -> bool:
+        return any(np.shares_memory(array, m) for m in by_root.get(_root(array), ()))
+
     roots = [params]
     for state in result.chunks:
         roots += [value for name, value in vars(state).items() if name not in EXEMPT]
-    missed = [a.shape for a in _reachable_arrays(roots) if id(a) not in visited]
+    missed = [a.shape for a in _reachable_arrays(roots) if not in_moved(a)]
     assert not missed
-
-    by_root = {}
-    for array in visited.values():
-        by_root.setdefault(_root(array), []).append(array)
     for region in result.regions.regions():
         for array in result.region_storage(region.key):
-            assert any(
-                np.shares_memory(array, seen) for seen in by_root.get(_root(array), ())
-            ), region.key
+            assert in_moved(array), region.key

@@ -13,6 +13,8 @@ from repro.models.spec import BRNNSpec
 from repro.obs import MetricsRegistry
 from repro.serve import (
     SHED_DEADLINE,
+    SHED_MALFORMED,
+    SHED_REASONS,
     SHED_TENANT,
     Batch,
     DynamicBatcher,
@@ -300,6 +302,34 @@ def test_replicas_share_parameters_and_match_the_oracle():
     for c in stats.completed:
         x = next(r.x for r in requests if r.rid == c.rid)
         oracle, _ = reference_forward(spec, params, x[:, None, :])
+        np.testing.assert_allclose(c.result, oracle[0], rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("probe", ["width", "nan", "inf"])
+def test_malformed_request_is_shed_and_the_rest_are_served(probe):
+    """One request with the wrong feature count or a non-finite feature is
+    shed as ``malformed`` on arrival; the others are served and every
+    arrival ends completed or shed."""
+    spec = tiny_spec()
+    params = BRNNParams.initialize(spec, seed=7)
+    rng = np.random.default_rng(3)
+    xs = [rng.standard_normal((5, spec.input_size)).astype(np.float32) for _ in range(6)]
+    if probe == "width":
+        xs[2] = rng.standard_normal((5, spec.input_size + 1)).astype(np.float32)
+    else:
+        xs[2][1, 3] = np.nan if probe == "nan" else np.inf
+    requests = [InferenceRequest(rid=rid, seq_len=5, arrival_time=0.001 * rid, x=x)
+                for rid, x in enumerate(xs)]
+    cfg = ServeConfig(max_batch_size=4, bucket_width=5, max_wait=0.0, queue_capacity=16)
+    stats = FleetServer.build(
+        spec, cfg, execution=ExecutionConfig(executor="threaded", n_workers=1), params=params,
+    ).run(requests)
+    sheds = stats.shed_reason_counts()
+    assert sheds == {SHED_MALFORMED: 1} and SHED_MALFORMED in SHED_REASONS
+    assert len(requests) == len(stats.completed) + sum(sheds.values())
+    assert sorted(c.rid for c in stats.completed) == [0, 1, 3, 4, 5]
+    for c in stats.completed:
+        oracle, _ = reference_forward(spec, params, xs[c.rid][:, None, :])
         np.testing.assert_allclose(c.result, oracle[0], rtol=1e-5, atol=1e-6)
 
 

@@ -34,8 +34,8 @@ recorded ones):
 * ``paired`` — one paired cell step (the cell's forward body on both
   directions' operands and weights stacked, one ``np.matmul`` per product)
   against the two single steps it replaces, with a cache and without.  The
-  ``paired`` column stacks the weights and the inputs in every call; a run
-  stacks the weights once per layer, as ``paired, W stacked once`` does.
+  weights are the layer's one stack, as a run reads them; the inputs are
+  stacked in every call.
 """
 
 import os
@@ -270,7 +270,7 @@ def paired(point, rounds: int) -> dict:
     spec = make_spec(cell, hidden, hidden, 1)
     rng = np.random.default_rng(0)
     (w_shape, (gh,)) = spec.cell_param_shapes(0)
-    Ws = [draw(rng, *w_shape, scale=0.1) for _ in range(2)]
+    W2 = np.stack([draw(rng, *w_shape, scale=0.1) for _ in range(2)])  # the layer's stack
     bs = [draw(rng, gh, scale=0.1) for _ in range(2)]
     xs, hs = [draw(rng, rows, hidden) for _ in range(2)], [draw(rng, rows, hidden) for _ in range(2)]
     cs = [draw(rng, rows, hidden) for _ in range(2)] if cell == "lstm" else [None, None]
@@ -279,21 +279,16 @@ def paired(point, rounds: int) -> dict:
 
     def single():
         for d in range(2):
-            cell_forward(spec, xs[d], hs[d], cs[d], Ws[d], bs[d], need_cache)
+            cell_forward(spec, xs[d], hs[d], cs[d], W2[d], bs[d], need_cache)
 
-    W2 = np.stack(Ws)
+    def paired_step():
+        cell_forward(spec, np.stack(xs), h2, c2, W2, b2, need_cache)
 
-    def paired_step(stack_weights):
-        W = np.stack(Ws) if stack_weights else W2
-        cell_forward(spec, np.stack(xs), h2, c2, W, b2, need_cache)
-
-    calls = {"2 single us": single, "paired us": lambda: paired_step(True),
-             "paired, W stacked once us": lambda: paired_step(False)}
+    calls = {"2 single us": single, "paired us": paired_step}
     number = 2000 if rows * hidden <= 8 * 32 else 500
     med = medians(calls, rounds, lambda name: timeit_us(calls[name], number))
     return {"cell": cell, "cache": "yes" if need_cache else "no", "H": hidden, "rows": rows,
-            **med, "ratio": med["paired us"] / med["2 single us"],
-            "ratio, W once": med["paired, W stacked once us"] / med["2 single us"]}
+            **med, "ratio": med["paired us"] / med["2 single us"]}
 
 
 class Table(NamedTuple):
