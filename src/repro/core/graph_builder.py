@@ -89,28 +89,20 @@ from repro.runtime.task import INTERLEAVED_HOME, Region, RegionSpace
 #: projected, large enough that each block is still one efficient GEMM.
 DEFAULT_PROJ_BLOCK = 16
 
-#: Region kinds whose storage is *lazily materialised* by payloads
-#: (``state.h[d][l][s] = h`` and friends) rather than preallocated.  Under a
-#: fork-based multiprocess run these assignments land in the worker's
-#: private copy of the ChunkState, so their values must be shipped between
-#: processes via :meth:`GraphBuildResult.export_region` /
-#: :meth:`GraphBuildResult.import_region`.  Every other kind is either
-#: preallocated storage the executor rebinds into shared memory before
-#: forking (``x``/``W``/``gW``/``dh``/``dm``/…, mutated strictly
-#: in place) or the zero-byte ``serial`` token.
-SHIPPED_REGION_KINDS = frozenset(
-    {"h", "cache", "zx", "dz", "m", "mlast", "logits", "dlogits", "dmlast"}
-)
+#: Region kinds whose storage a payload *assigns* (``state.cache[d][l][s] =
+#: cache``) rather than writes in place: the cell caches.  Under a fork-based
+#: multiprocess run such an assignment lands in the worker's private copy of
+#: the ChunkState, so its value must be shipped between processes via
+#: :meth:`GraphBuildResult.export_region` / :meth:`GraphBuildResult.
+#: import_region`.  Every other kind is a view of storage the executor maps
+#: into shared memory before forking (``x``/``W``/``h``/``zx``/``m``/…,
+#: written strictly in place) or the zero-byte ``serial`` token.
+SHIPPED_REGION_KINDS = frozenset({"cache"})
 
-#: Shipped kinds the *manager* process must import after the run so result
-#: readback (:meth:`GraphBuildResult.logits`) works; losses travel through
-#: the side-state channel (:meth:`GraphBuildResult.export_side_state`).
-PARENT_REGION_KINDS = frozenset({"logits"})
-
-#: the ChunkState slot lists behind each slot region kind; a key's indices
+#: the ChunkState blocks behind each block region kind; a key's indices
 #: after the chunk are the slot's address (:meth:`ChunkState.slot`)
-_SLOT_LISTS = {
-    "h": ("h", "c"), "dh": ("dh", "dc"), "cache": ("cache",), "zx": ("zx",), "dz": ("dz",),
+_BLOCKS = {
+    "h": ("h", "c"), "dh": ("dh", "dc"), "zx": ("zx",), "dz": ("dz",),
     "m": ("merged",), "dm": ("dmerged",),
     "mlast": ("last_merged",), "logits": ("logits",), "dlogits": ("dlogits",),
     "dmlast": ("dlast_merged",),
@@ -304,7 +296,7 @@ class GraphBuildResult:
         units = self.total_batch
         if self.spec.head == "many_to_many":
             units *= self.seq_len
-        return sum(sum(c.loss_sums) for c in self.chunks) / units
+        return float(sum(sum(c.loss_sums) for c in self.chunks) / units)
 
     def combined_grads(self) -> BRNNParams:
         """Sum of per-chunk gradients (the full-batch gradient)."""
@@ -321,10 +313,10 @@ class GraphBuildResult:
         The race checker (:mod:`repro.runtime.racecheck`) diffs a task's
         *observed* memory accesses against its declared regions; this
         method is the ground truth tying each region key of the builder's
-        vocabulary to the ChunkState/params buffers it stands for.  Slots
-        not yet materialised resolve to fewer (or zero) arrays; regions
-        with no storage at all (the zero-byte ``serial`` token) resolve to
-        ``()``.  Functional graphs only.
+        vocabulary to the ChunkState/params buffers it stands for: a view of
+        its block, or a cell cache's arrays.  A cache not yet set resolves
+        to no arrays, and so does the zero-byte ``serial`` token.
+        Functional graphs only.
         """
         if not self.functional:
             raise RuntimeError("cost-only graphs carry no data to resolve")
@@ -348,27 +340,19 @@ class GraphBuildResult:
             return (gh.W, gh.b)
         if kind == "serial":
             return ()
-        arrays = []
-        for row, i in self._slots(key):
-            value = row[i]
-            if isinstance(value, np.ndarray):
-                arrays.append(value)
-            elif value is not None:  # a cell cache: its array fields
-                arrays += [a for a in vars(value).values() if isinstance(a, np.ndarray)]
-        return tuple(arrays)
-
-    def _slots(self, key) -> list:
-        """``(row, index)`` list cells of the ChunkState slots behind ``key``.
-
-        The one region-key → ChunkState-slot decision: :meth:`region_storage`
-        reads through these cells, :meth:`export_region` copies them out and
-        :meth:`import_region` assigns into them.  A slot not yet materialised
-        holds ``None``.
-        """
-        if key[0] not in _SLOT_LISTS:
-            raise KeyError(f"unknown region key vocabulary: {key!r}")
         state = self.chunks[key[1]]
-        return [state.slot(name, *key[2:]) for name in _SLOT_LISTS[key[0]]]
+        if kind == "cache":
+            _, _, layer, d, step = key
+            cache = state.cache[d][layer][step]
+            fields = () if cache is None else vars(cache).values()
+            return tuple(a for a in fields if isinstance(a, np.ndarray))
+        if kind not in _BLOCKS:
+            raise KeyError(f"unknown region key vocabulary: {key!r}")
+        where = key[2:]
+        if kind in ("zx", "dz") and where[1] == "rev":  # a position, stored by chain step
+            where = (where[0], "rev", self.seq_len - 1 - where[2])
+        views = (state.slot(name, *where) for name in _BLOCKS[kind])
+        return tuple(v for v in views if v is not None)
 
     # -- symbolic region metadata (static verifier) -----------------------------
 
@@ -403,9 +387,10 @@ class GraphBuildResult:
         are
 
         * ``x(mb, t)`` — batch/time slices of the one parent input array,
-        * slot grids (``h``/``dh``/``cache``/``zx``/``dz``/``m``/``dm``
-          and the per-slot head rows) — packed per ``(kind, mb, layer)``
-          with the forward chain's slots before the reverse chain's.
+        * slot blocks (``h``/``dh``/``cache``/``zx``/``dz``/``m``/``dm``
+          and the per-slot head rows) — packed per ``(kind, mb, layer)``,
+          time-major: chain step ``s`` of direction ``d`` is slot ``2s+d``,
+          as in the ChunkState blocks.
 
         Works for cost-only graphs too (no storage needed): the extents
         describe the *declared* layout, which is what the static verifier
@@ -455,7 +440,9 @@ class GraphBuildResult:
                 "h": cell.state_arrays, "dh": cell.state_arrays, "cache": cell.cache_arrays
             }.get(kind, G)
             size = Affine.const(mult) * b(mb) * H * isz
-            return slot(("slots", kind, mb, layer), idx if d == "fwd" else T + idx, size)
+            if kind in ("zx", "dz") and d == "rev":  # a position, stored by chain step
+                idx = T - 1 - idx
+            return slot(("slots", kind, mb, layer), 2 * idx + DIRECTIONS.index(d), size)
         if kind in ("m", "dm"):
             _, mb, layer, t = key
             return slot(("slots", kind, mb, layer), t, b(mb) * M * isz)
@@ -469,16 +456,19 @@ class GraphBuildResult:
             return ()
         raise KeyError(f"unknown region key vocabulary: {key!r}")
 
-    def map_storage(self, fn) -> None:
-        """Rebind every rebindable storage array through ``fn(array)``.
+    def map_storage(self, fn, scratch=None) -> None:
+        """Rebind every storage array through ``fn(array)``.
 
         Visits the same buffers :meth:`region_storage` resolves — params,
-        gradients, each chunk's ``x`` and every slot of
-        :meth:`ChunkState.slot_lists` (including cache dataclass fields) —
-        replacing each ndarray ``a`` with ``fn(a)``.  A layer's parameter
-        stack is mapped once and its direction views are rebuilt from it.
-        The race checker uses this to swap tracked views in and out; ``fn``
-        must return an array sharing the original's memory.
+        gradients, each chunk's ``x``, its blocks and the fields of its
+        cell caches — replacing each ndarray ``a`` with ``fn(a)``.  A layer's
+        parameter stack is mapped once and its direction views are rebuilt
+        from it.  ``scratch``, when given, maps instead of ``fn`` the blocks
+        every run writes before it reads them and nothing reads after it
+        (:attr:`ChunkState.SCRATCH`).  The race checker uses this to swap
+        tracked views in and out, the process executor to move storage into
+        shared memory; ``fn`` must return an array sharing the original's
+        memory.
         """
         if not self.functional:
             raise RuntimeError("cost-only graphs carry no data to map")
@@ -491,20 +481,19 @@ class GraphBuildResult:
             p.head.W = fn(p.head.W)
             p.head.b = fn(p.head.b)
 
-        def map_list(row: list) -> None:
-            for i, a in enumerate(row):
-                if isinstance(a, np.ndarray):
-                    row[i] = fn(a)
-                elif a is not None and hasattr(a, "__dict__"):  # cell cache
-                    for name, v in vars(a).items():
-                        if isinstance(v, np.ndarray):
-                            setattr(a, name, fn(v))
+        def map_block(name: str, block: np.ndarray) -> np.ndarray:
+            return scratch(block) if scratch and name in ChunkState.SCRATCH else fn(block)
 
         map_params(self.params)
         for state in self.chunks:
             state.x = fn(state.x)
-            for row in state.slot_lists():
-                map_list(row)
+            state.loss_sums = fn(state.loss_sums)
+            state.map_blocks(map_block)
+            for row in (row for grid in state.cache.values() for row in grid):
+                for cache in filter(None, row):
+                    for name, v in vars(cache).items():
+                        if isinstance(v, np.ndarray):
+                            setattr(cache, name, fn(v))
             map_params(state.grads)
 
     # -- cross-process region transport (multiprocess executor) -----------------
@@ -514,82 +503,43 @@ class GraphBuildResult:
         :data:`SHIPPED_REGION_KINDS`)."""
         return SHIPPED_REGION_KINDS
 
-    def parent_kinds(self) -> frozenset:
-        """Shipped kinds the manager imports for result readback."""
-        return PARENT_REGION_KINDS
-
-    def _shipped_slots(self, key) -> list:
-        """:meth:`_slots` of a key whose kind travels between processes."""
+    def _shipped_slot(self, key) -> tuple:
+        """``(row, step)``: the cache list cell behind a shipped key."""
         if not self.functional:
             raise RuntimeError("cost-only graphs carry no data to ship")
         if key[0] not in SHIPPED_REGION_KINDS:
             raise KeyError(f"region kind {key[0]!r} is not shipped between processes")
-        return self._slots(key)
+        _, mb, layer, d, step = key
+        return self.chunks[mb].cache[d][layer], step
 
     def export_region(self, key):
-        """Picklable payload of one lazily-materialised region slot.
+        """Picklable payload of one assigned region slot: its cell cache.
 
         The multiprocess executor calls this in the *worker* that just ran
         the slot's writer; :meth:`import_region` installs the payload in
         any process that reads it.  Only keys whose kind is in
-        :data:`SHIPPED_REGION_KINDS` are meaningful here — preallocated
-        storage is shared in place and never exported.  The payload is the
-        slot's value, or the ``(h, c)`` pair for the two-slot ``h`` kind.
+        :data:`SHIPPED_REGION_KINDS` are meaningful here — every other kind
+        is shared in place and never exported.
         """
-        values = tuple(row[i] for row, i in self._shipped_slots(key))
-        return values if key[0] == "h" else values[0]
+        row, step = self._shipped_slot(key)
+        return row[step]
 
     def import_region(self, key, payload) -> None:
         """Install a payload produced by :meth:`export_region` elsewhere."""
-        values = payload if key[0] == "h" else (payload,)
-        for (row, i), value in zip(self._shipped_slots(key), values):
-            row[i] = value
+        row, step = self._shipped_slot(key)
+        row[step] = payload
 
     def export_region_nbytes(self, key, region_nbytes: int) -> int:
         """Upper bound on the raw payload bytes :meth:`export_region` yields.
 
-        Usually the region's own byte count; ``cache`` payloads addition­ally
-        retain the cell *input* on the per-step path (``cache.x``), whose
-        width is the layer input size — wider than the hidden-width arrays
-        the cache region's accounting covers.  The multiprocess executor
-        sizes its export arenas from this.
+        The cache region's own byte count, plus the cell *input* the cache
+        retains on the per-step path (``cache.x``), whose width is the layer
+        input size.  The multiprocess executor sizes its export arenas from
+        this.
         """
-        if key[0] == "cache":
-            _, mb, layer, d, step = key
-            bc = self.chunk_batches[mb]
-            itemsize = np.dtype(self.spec.dtype).itemsize
-            return region_nbytes + bc * self.spec.layer_input_size(layer) * itemsize
-        return region_nbytes
-
-    def export_side_state(self, task) -> list:
-        """Non-region state a task mutated, as picklable items.
-
-        The only such state is ``ChunkState.loss_sums`` — plain floats the
-        loss payloads assign, invisible to the region system because they
-        are not arrays.  Identified by the task's declared writes: the
-        loss task is the unique writer of a chunk's ``dlogits`` slot.
-        """
-        items = []
-        for region in task.writes():
-            key = region.key
-            if key[0] == "dlogits":
-                _, mb, slot = key
-                items.append(("loss", mb, slot, self.chunks[mb].loss_sums[slot]))
-        return items
-
-    def apply_side_state(self, items) -> None:
-        """Install side-state items exported by a worker."""
-        for kind, mb, slot, value in items:
-            if kind == "loss":
-                self.chunks[mb].loss_sums[slot] = value
-            else:  # pragma: no cover - forward compatibility guard
-                raise KeyError(f"unknown side-state kind {kind!r}")
-
-
-def _stack2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.stack((a, b))`` at a third of its cost: one concatenate, viewed
-    as two."""
-    return np.concatenate((a, b)).reshape(2, *a.shape)
+        _, mb, layer, d, step = key
+        itemsize = np.dtype(self.spec.dtype).itemsize
+        return region_nbytes + self.chunk_batches[mb] * self.spec.layer_input_size(layer) * itemsize
 
 
 def _split_cache(cache) -> list:
@@ -784,102 +734,112 @@ class _Builder:
     # -- payload factories (functional builds) ----------------------------------
 
     def _fn_proj(self, mb, layer, direction, lo, hi):
-        state, spec, params = self.chunks[mb], self.spec, self.params
+        """Hoisted input projection of positions ``[lo, hi)``: the block's
+        inputs as one GEMM operand in sequence order, its ``zx`` rows
+        written by chain step."""
+        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
 
         def fn():
-            dp = params.layers[layer].direction(direction)
-            xs = [state.layer_input(layer, pos) for pos in range(lo, hi)]
-            state.zx[direction][layer][lo:hi] = cell_input_projection(spec, xs, dp.W)
+            W = params.layers[layer].direction(direction).W
+            zx = cell_input_projection(spec, state.inputs(layer)[lo:hi], W)
+            if direction == "fwd":
+                state.zx[layer][lo:hi, 0] = zx
+            else:
+                state.zx[layer][T - hi : T - lo, 1] = zx[::-1]
 
         return fn
 
     def _fn_cell_fwd_tile(self, mb, layer, direction, lo, hi):
         """Forward chain tile: steps ``[lo, hi)`` of one chain in one
-        payload, carrying ``h``/``c`` locally between steps and publishing
-        every per-step slot (merges and the next tile read them).  The
-        local carry *is* the array the previous iteration just stored, so
+        payload.  Each step's kernel writes ``h``/``c`` into the chain's
+        slots of the layer blocks, and the next step reads them there, so
         the arithmetic does not depend on where the chain is cut."""
         if direction == "pair":
             return self._fn_cell_fwd_paired(mb, layer, lo, hi)
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
         need_cache = self.training
+        d = DIRECTIONS.index(direction)
 
         def fn():
             dp = params.layers[layer].direction(direction)
-            h_g, c_g = state.h[direction][layer], state.c[direction][layer]
-            cache_g, zx_g = state.cache[direction][layer], state.zx[direction][layer]
-            h_prev = h_g[lo - 1] if lo > 0 else state.h0
-            c_prev = c_g[lo - 1] if lo > 0 else state.c0
-            if spec.cell != "lstm":
-                c_prev = None
+            h, c = state.h[layer], state.c[layer]
+            cache_g = state.cache[direction][layer]
+            inputs = state.zx[layer] if fused else state.inputs(layer)
+            h_prev = h[lo - 1, d] if lo > 0 else state.h0[d]
+            c_prev = None
+            if c is not None:
+                c_prev = c[lo - 1, d] if lo > 0 else state.c0[d]
             for step in range(lo, hi):
-                pos = step if direction == "fwd" else T - 1 - step
+                out = (h[step, d], None if c is None else c[step, d])
                 if fused:
-                    h, c, cache = cell_forward_proj(
-                        spec, zx_g[pos], h_prev, c_prev, dp.W, dp.b, need_cache
+                    h_prev, c_prev, cache_g[step] = cell_forward_proj(
+                        spec, inputs[step, d], h_prev, c_prev, dp.W, dp.b, need_cache, out
                     )
                 else:
-                    h, c, cache = cell_forward(
-                        spec, state.layer_input(layer, pos), h_prev, c_prev,
-                        dp.W, dp.b, need_cache,
+                    pos = step if direction == "fwd" else T - 1 - step
+                    h_prev, c_prev, cache_g[step] = cell_forward(
+                        spec, inputs[pos], h_prev, c_prev, dp.W, dp.b, need_cache, out
                     )
-                h_g[step] = h
-                c_g[step] = c
-                cache_g[step] = cache
-                h_prev, c_prev = h, c
 
         return fn
 
     def _fn_cell_fwd_paired(self, mb, layer, lo, hi):
         """Paired forward tile: steps ``[lo, hi)`` of both chains, each
-        step's two cells as one stacked cell.  ``h``/``c`` are carried
-        stacked; a direction's slots and caches are ``[d]`` views of them.
-        The two cells are independent; on the layer's one ``(2, I+H, G·H)``
-        weight stack, read in place, the cell's one forward body makes each
-        product one ``np.matmul`` over both (Appleyard et al.,
-        arXiv:1604.01946) and its pointwise stretch one pass (Hwang & Sung,
-        arXiv:1503.02852).  NumPy runs a stack slice by slice with the 2-D
-        product's BLAS call, so a paired step is bitwise two single steps."""
+        step's two cells as one stacked cell.  A step reads ``h[step-1]``
+        and writes ``h[step]`` of the layer block, both directions at once;
+        a direction's caches are ``[d]`` views of the stacked ones.  The
+        inputs are the ``zx`` block as it lies (chain order), or the tile's
+        inputs stacked in chain order once.  The two cells are independent;
+        on the layer's one ``(2, I+H, G·H)`` weight stack, read in place,
+        the cell's one forward body makes each product one ``np.matmul``
+        over both (Appleyard et al., arXiv:1604.01946) and its pointwise
+        stretch one pass (Hwang & Sung, arXiv:1503.02852); an unhoisted
+        tile's input products are one ``np.matmul`` over all its steps.
+        NumPy runs a stack slice by slice with the 2-D product's BLAS call,
+        so a paired step is bitwise two single steps."""
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
-        cell_step = cell_forward_proj if fused else cell_forward  # stacked kernels both
         need_cache = self.training
-        lstm = spec.cell == "lstm"
 
         def fn():
             lp = params.layers[layer]
             W, b = lp.W, lp.b[:, None]
-            hs, cs = ([g[d][layer] for d in DIRECTIONS] for g in (state.h, state.c))
+            h, c = state.h[layer], state.c[layer]
             if fused:
-                in_f, in_r = state.zx["fwd"][layer], state.zx["rev"][layer]
-            else:
-                in_f = in_r = state.x if layer == 0 else state.merged[layer - 1]
-            h_prev = _stack2(*(g[lo - 1] for g in hs)) if lo else _stack2(state.h0, state.h0)
+                zx, first = state.zx[layer], 0
+            else:  # each (B, I) slice's product is the one cell_forward makes
+                src = state.inputs(layer)
+                xs = np.stack((src[lo:hi], src[T - hi : T - lo][::-1]), axis=1)
+                zx, first = xs @ W[..., : xs.shape[-1], :], lo
+            h_prev = h[lo - 1] if lo else state.h0
             c_prev = None
-            if lstm:
-                c_prev = _stack2(*(g[lo - 1] for g in cs)) if lo else _stack2(state.c0, state.c0)
+            if c is not None:
+                c_prev = c[lo - 1] if lo else state.c0
             for step in range(lo, hi):
-                x = _stack2(in_f[step], in_r[T - 1 - step])
-                h, c, cache = cell_step(spec, x, h_prev, c_prev, W, b, need_cache=need_cache)
-                hs[0][step], hs[1][step] = h
-                if lstm:
-                    cs[0][step], cs[1][step] = c
+                out = (h[step], None if c is None else c[step])
+                h_prev, c_prev, cache = cell_forward_proj(
+                    spec, zx[step - first], h_prev, c_prev, W, b, need_cache, out
+                )
                 if need_cache:
+                    if not fused:
+                        cache.x = xs[step - first]
                     for d, one in zip(DIRECTIONS, _split_cache(cache)):
                         state.cache[d][layer][step] = one
-                h_prev, c_prev = h, c
 
         return fn
 
     def _fn_merge(self, mb, layer, lo, hi):
-        """Merges of positions ``[lo, hi)``: one call over the block."""
+        """Merges of positions ``[lo, hi)``: one call over the block's views
+        of both chains, written into the merged block in place."""
         state, spec, T = self.chunks[mb], self.spec, self.seq_len
 
         def fn():
-            fwd, rev = state.h["fwd"][layer][lo:hi], state.h["rev"][layer][T - hi : T - lo][::-1]
-            block = merge_forward(np.stack(fwd), np.stack(rev), spec.merge_mode)
-            state.merged[layer][lo:hi] = list(block)
+            h = state.h[layer]
+            merge_forward(
+                h[lo:hi, 0], h[T - hi : T - lo, 1][::-1], spec.merge_mode,
+                out=state.merged[layer][lo:hi],
+            )
 
         return fn
 
@@ -887,9 +847,8 @@ class _Builder:
         state, spec, last = self.chunks[mb], self.spec, self.spec.num_layers - 1
 
         def fn():
-            state.last_merged[slot] = merge_forward(
-                state.h["fwd"][last][t_fwd], state.h["rev"][last][u_rev], spec.merge_mode
-            )
+            h = state.h[last]
+            merge_forward(h[t_fwd, 0], h[u_rev, 1], spec.merge_mode, out=state.last_merged[slot])
 
         return fn
 
@@ -932,14 +891,12 @@ class _Builder:
         state, spec, last = self.chunks[mb], self.spec, self.spec.num_layers - 1
 
         def fn():
+            h, dh = state.h[last], state.dh[last]
             da, db = merge_backward(
-                state.dlast_merged[slot],
-                state.h["fwd"][last][t_fwd],
-                state.h["rev"][last][u_rev],
-                spec.merge_mode,
+                state.dlast_merged[slot], h[t_fwd, 0], h[u_rev, 1], spec.merge_mode
             )
-            state.dh["fwd"][last][t_fwd] += da
-            state.dh["rev"][last][u_rev] += db
+            dh[t_fwd, 0] += da
+            dh[u_rev, 1] += db
 
         return fn
 
@@ -953,84 +910,84 @@ class _Builder:
         chain is cut and results stay bitwise."""
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
+        d = DIRECTIONS.index(direction)
 
         def fn():
             dp = params.layers[layer].direction(direction)
             gp = state.grads.layers[layer].direction(direction)
-            dh_g, dc_g = state.dh[direction][layer], state.dc[direction][layer]
-            cache_g, dz_g = state.cache[direction][layer], state.dz[direction][layer]
-            dh_c = dc_c = None
+            dh_b, dc_b = state.dh[layer], state.dc[layer]
+            cache_g = state.cache[direction][layer]
+            dh_c = dc_c = dc = None
             for step in range(hi - 1, lo - 1, -1):
-                dh = dh_g[step]
+                dh = dh_b[step, d]
                 if dh_c is not None:
                     dh = dh + dh_c
-                dc = dc_g[step]
-                if dc_c is not None:
-                    dc = dc + dc_c
+                if dc_b is not None:
+                    dc = dc_b[step, d]
+                    if dc_c is not None:
+                        dc = dc + dc_c
                 cache = cache_g[step]
-                pos = step if direction == "fwd" else T - 1 - step
                 if fused:
-                    dz, dh_c, dc_c = cell_backward_proj(spec, dh, dc, cache, dp.W)
-                    dz_g[pos] = dz
+                    state.dz[layer][step, d], dh_c, dc_c = cell_backward_proj(
+                        spec, dh, dc, cache, dp.W
+                    )
                 else:
                     dx, dh_c, dc_c = cell_backward(spec, dh, dc, cache, dp.W, gp.W, gp.b)
                     if layer > 0:
-                        state.dmerged[layer - 1][pos] += dx
+                        state.dmerged[layer - 1][step if d == 0 else T - 1 - step] += dx
             if lo > 0:
-                dh_g[lo - 1] += dh_c
+                dh_b[lo - 1, d] += dh_c
                 if dc_c is not None:
-                    dc_g[lo - 1] += dc_c
+                    dc_b[lo - 1, d] += dc_c
 
         return fn
 
     def _fn_proj_bwd(self, mb, layer, direction, lo, hi):
         """Hoisted backward of positions ``[lo, hi)`` of one chain: the whole
         weight-gradient panel, the bias gradient and (above layer 0) ``dx``,
-        from the block's stacked ``dz``, inputs and previous states."""
+        from the block's ``dz``, inputs and previous states in sequence
+        order."""
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
+        d = DIRECTIONS.index(direction)
+        steps = range(lo, hi) if d == 0 else range(T - 1 - lo, T - 1 - hi, -1)
 
         def fn():
             dp = params.layers[layer].direction(direction)
             gp = state.grads.layers[layer].direction(direction)
-            h_g, cache_g = state.h[direction][layer], state.cache[direction][layer]
-            positions = range(lo, hi)
-            steps = [pos if direction == "fwd" else T - 1 - pos for pos in positions]
-            xs = [state.layer_input(layer, pos) for pos in positions]
-            dzs = state.dz[direction][layer][lo:hi]
+            h, cache_g = state.h[layer], state.cache[direction][layer]
+            dz = state.dz[layer][lo:hi, 0] if d == 0 else state.dz[layer][T - hi : T - lo, 1][::-1]
+            rh = None
             if spec.cell == "gru":
-                caches = [cache_g[step] for step in steps]
-                h_prevs = [cache.h_prev for cache in caches]
-                rhs = [cache.rh for cache in caches]
+                h_prev = np.stack([cache_g[s].h_prev for s in steps])
+                rh = np.stack([cache_g[s].rh for s in steps])
             else:
                 # the initial state is no region of its own: the cache of
                 # chain step 0 is the declared slot that holds it
-                h_prevs = [h_g[step - 1] if step > 0 else cache_g[0].h_prev for step in steps]
-                rhs = None
-            dxs = cell_proj_backward(
-                spec, xs, h_prevs, dzs, dp.W, gp.W, gp.b, layer > 0, rhs
+                h_prev = np.stack([h[s - 1, d] if s > 0 else cache_g[0].h_prev for s in steps])
+            dx = cell_proj_backward(
+                spec, state.inputs(layer)[lo:hi], h_prev, dz, dp.W, gp.W, gp.b, layer > 0, rh
             )
             if layer > 0:
-                for pos, dx in zip(positions, dxs):
-                    state.dmerged[layer - 1][pos] += dx
+                state.dmerged[layer - 1][lo:hi] += dx
 
         return fn
 
     def _fn_merge_bwd(self, mb, layer, lo, hi):
         """Merge backward of positions ``[lo, hi)``: one call over the
-        block, added into each step's ``dh`` slot in place.  Only ``mul``
+        block, added into both chains' ``dh`` slots in place.  Only ``mul``
         reads the merged states."""
         state, spec, T = self.chunks[mb], self.spec, self.seq_len
 
         def fn():
-            fwd = state.dh["fwd"][layer][lo:hi]
-            rev = state.dh["rev"][layer][T - hi : T - lo][::-1]
-            a, b = fwd[0], rev[0]  # their width is all sum, avg and concat read
+            dh = state.dh[layer]
+            fwd, rev = dh[lo:hi, 0], dh[T - hi : T - lo, 1][::-1]
+            a, b = fwd, rev  # their width is all sum, avg and concat read
             if spec.merge_mode == "mul":
-                a = np.stack(state.h["fwd"][layer][lo:hi])
-                b = np.stack(state.h["rev"][layer][T - hi : T - lo][::-1])
-            da, db = merge_backward(np.stack(state.dmerged[layer][lo:hi]), a, b, spec.merge_mode)
-            for slot, grad in zip(fwd + rev, [*da, *db]):
-                slot += grad
+                h = state.h[layer]
+                a, b = h[lo:hi, 0], h[T - hi : T - lo, 1][::-1]
+            da, db = merge_backward(state.dmerged[layer][lo:hi], a, b, spec.merge_mode)
+            fwd += da
+            rev += db
 
         return fn
 
@@ -1450,7 +1407,7 @@ def build_brnn_graph(
         if labels is not None:
             label_chunks = split_batch(labels, mbs, axis=_label_axis(spec))
         record.chunks = [
-            ChunkState(spec, xc, lc, training)
+            ChunkState(spec, xc, lc, training, record.fused_layers)
             for xc, lc in zip(split_batch(x, mbs, axis=1), label_chunks)
         ]
     return _Builder(record, lr).build()

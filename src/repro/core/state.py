@@ -1,28 +1,35 @@
 """Mutable per-chunk buffers that B-Par tasks read and write.
 
 One :class:`ChunkState` holds everything a mini-batch chunk's tasks touch:
-hidden/cell states per (layer, position), forward caches, merged outputs,
-backward accumulators, and per-chunk weight gradients.  Tasks communicate
-*only* through these buffers; the dependence annotations in the graph
-builder mirror exactly which slots each task reads and writes.
+hidden/cell states, forward caches, merged outputs, backward accumulators,
+and per-chunk weight gradients.  Tasks communicate *only* through these
+buffers; the dependence annotations in the graph builder mirror exactly
+which slots each task reads and writes.
 
-The slot lists are named once, in three groups by how a slot is
-addressed: :attr:`ChunkState.PER_DIRECTION` (``state.h[direction][layer]
-[step]``, the direction ``"fwd"`` or ``"rev"``), :attr:`ChunkState.
-PER_LAYER` (``state.merged[layer][pos]``) and :attr:`ChunkState.PER_SLOT`
-(``state.logits[slot]``).  :meth:`ChunkState.slot` resolves an address and
-:meth:`ChunkState.slot_lists` walks every list, so a list added to a group
-is seen by every reader of the storage.
+Every slot but the caches is a view of one block allocated with the chunk,
+time-major as in Appleyard et al. (arXiv:1604.01946), so a task writes its
+slots in place and a run allocates no state.  Per layer and direction
+(:attr:`ChunkState.CHAINS`) a block is ``(T, 2, B, ·)``,
+``state.h[layer][step, d]`` with ``d`` 0 for the forward chain and 1 for
+the reverse, both in chain-step order (the reverse chain's step ``u`` is
+position ``T-1-u``), so a paired step's two states are ``h[layer][step]``;
+per layer (:attr:`~ChunkState.LAYERS`) it is ``(T, B, M)``, by position;
+the head's (:attr:`~ChunkState.SLOTS`) is ``(n_last, B, ·)``.  A block a
+chunk has no use for is ``None`` (a GRU's ``c``, an unhoisted layer's
+``zx``, an inference chunk's gradients).  Only ``state.cache[direction]
+[layer][step]`` stays a per-step list, of cell caches whose fields may be
+views of the blocks.  :meth:`ChunkState.slot` resolves an address to its
+view and :meth:`ChunkState.map_blocks` walks every block.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.models.params import BRNNParams
-from repro.models.spec import BRNNSpec
+from repro.models.spec import CELLS, BRNNSpec
 
 DIRECTIONS = ("fwd", "rev")
 
@@ -30,94 +37,103 @@ DIRECTIONS = ("fwd", "rev")
 class ChunkState:
     """Buffers of one mini-batch chunk (functional execution only)."""
 
-    #: per-(layer, direction) slots indexed by chain step; ``zx``/``dz`` (the
-    #: hoisted input projections and their gradients) by sequence position.
-    #: ``dh``/``dc`` are what a training step adds into.
-    PER_DIRECTION = ("h", "c", "cache", "zx", "dz", "dh", "dc")
-    #: per-layer slots indexed by sequence position, layers ``0 .. L-2``
-    PER_LAYER = ("merged", "dmerged")
-    #: the last layer's merges and the head's slots: one for many_to_one,
-    #: one per timestep for many_to_many
-    PER_SLOT = ("last_merged", "logits", "dlogits", "dlast_merged")
+    #: ``(T, 2, B, ·)`` blocks, one per layer; ``zx``/``dz`` are the hoisted
+    #: input projections and their gradients, ``dh``/``dc`` accumulators
+    CHAINS = ("h", "c", "zx", "dz", "dh", "dc")
+    #: ``(T, B, M)`` blocks, layers ``0 .. L-2``
+    LAYERS = ("merged", "dmerged")
+    #: ``(n_last, B, ·)`` blocks of the last layer's merges and the head
+    SLOTS = ("last_merged", "logits", "dlogits", "dlast_merged")
+    #: blocks every run writes before it reads them and nothing reads after
+    #: it (all but the accumulators and the logits)
+    SCRATCH = frozenset({"h", "c", "zx", "dz", "merged", "last_merged", "dlogits", "dlast_merged"})
 
     def __init__(
-        self, spec: BRNNSpec, x: np.ndarray, labels: Optional[np.ndarray], training: bool
+        self, spec: BRNNSpec, x: np.ndarray, labels: Optional[np.ndarray], training: bool,
+        hoisted: Sequence[bool],
     ):
         self.spec = spec
         self.x = x
         self.labels = labels
-        seq_len, batch = x.shape[0], x.shape[1]
-        self.seq_len = seq_len
-        self.batch = batch
-        L = spec.num_layers
-        n_last = 1 if spec.head == "many_to_one" else seq_len
-        for name in self.PER_DIRECTION:
-            setattr(self, name, {d: [[None] * seq_len for _ in range(L)] for d in DIRECTIONS})
-        for name in self.PER_LAYER:
-            setattr(self, name, [[None] * seq_len for _ in range(max(L - 1, 0))])
-        for name in self.PER_SLOT:
-            setattr(self, name, [None] * n_last)
-        self.loss_sums: List[float] = [0.0] * n_last
+        T, B = x.shape[0], x.shape[1]
+        self.seq_len = T
+        self.batch = B
+        L, H, M = spec.num_layers, spec.hidden_size, spec.merged_size
+        GH = CELLS[spec.cell].gates * H
+        lstm = spec.cell == "lstm"
+        n_last = 1 if spec.head == "many_to_one" else T
 
-        # Shared read-only initial state (never mutated by any kernel).
-        self.h0 = np.zeros((batch, spec.hidden_size), dtype=spec.dtype)
-        self.c0 = self.h0 if spec.cell != "lstm" else np.zeros_like(self.h0)
+        def blocks(width: int, where: Sequence[bool], fill=np.empty) -> list:
+            return [fill((T, 2, B, width), dtype=spec.dtype) if on else None for on in where]
+
+        every = [True] * L
+        grad = every if training else [False] * L
+        self.h = blocks(H, every)
+        self.c = blocks(H, every if lstm else [False] * L)
+        self.zx = blocks(GH, hoisted)
+        self.dz = blocks(GH, [on and training for on in hoisted])
+        # what the backward tasks add into; a rebound step zeroes them
+        self.dh = blocks(H, grad, np.zeros)
+        self.dc = blocks(H, grad if lstm else [False] * L, np.zeros)
+        self.merged = [np.empty((T, B, M), dtype=spec.dtype) for _ in range(L - 1)]
+        self.dmerged = [np.zeros((T, B, M), dtype=spec.dtype) for _ in range(L - 1)] if training else []
+        rows = {"last_merged": M, "logits": spec.num_classes}
+        if training:
+            rows.update(dlogits=spec.num_classes, dlast_merged=M)
+        for name in self.SLOTS:
+            width = rows.get(name)
+            setattr(self, name, None if width is None else np.empty((n_last, B, width), spec.dtype))
+        self.cache = {d: [[None] * T for _ in range(L)] for d in DIRECTIONS}
+        #: each head slot's loss sum, what the loss tasks write
+        self.loss_sums = np.zeros(n_last)
+
+        # Shared read-only initial state of both chains, ``[d]`` one
+        # direction's (never mutated by any kernel).
+        self.h0 = np.zeros((2, B, H), dtype=spec.dtype)
+        self.c0 = self.h0 if not lstm else np.zeros_like(self.h0)
 
         self.grads = BRNNParams.zeros_like(spec) if training else None
-        if training:
-            # What the backward tasks add into (dh, dc, dmerged), one block
-            # per kind whose slots are views: a rebound step clears each
-            # with one fill.
-            H, n_state = spec.hidden_size, 4 if spec.cell == "lstm" else 2
-            self.accumulators = [
-                np.zeros((L, seq_len, batch, H), dtype=spec.dtype) for _ in range(n_state)
-            ]
-            self.accumulators.append(
-                np.zeros((max(L - 1, 0), seq_len, batch, spec.merged_size), dtype=spec.dtype)
-            )
-            views = [[list(rows) for rows in block] for block in self.accumulators]
-            self.dh = dict(zip(DIRECTIONS, views[:2]))
-            if n_state == 4:
-                self.dc = dict(zip(DIRECTIONS, views[2:4]))
-            self.dmerged = views[-1]
 
-    def slot(self, name: str, *where) -> tuple:
-        """``(list, index)`` of one slot of list ``name``, addressed
-        ``(layer, direction, index)``, ``(layer, pos)`` or ``(slot,)``."""
-        rows = getattr(self, name)
-        *outer, index = where
-        if len(outer) == 2:
-            layer, direction = outer
-            rows = rows[direction][layer]
-        elif outer:
-            rows = rows[outer[0]]
-        return rows, index
+    def slot(self, name: str, *where) -> Optional[np.ndarray]:
+        """View of one slot of block kind ``name``, addressed ``(layer,
+        direction, step)``, ``(layer, pos)`` or ``(slot,)``; ``None`` where
+        the chunk has no such block."""
+        block = getattr(self, name)
+        if len(where) == 1:
+            return block[where[0]]
+        block = block[where[0]]
+        if block is None:
+            return None
+        if len(where) == 3:
+            return block[where[2], DIRECTIONS.index(where[1])]
+        return block[where[1]]
 
-    def slot_lists(self) -> Iterator[list]:
-        """Every list of slots of this chunk, each once."""
-        for name in self.PER_DIRECTION:
-            for grid in getattr(self, name).values():
-                yield from grid
-        for name in self.PER_LAYER:
-            yield from getattr(self, name)
-        for name in self.PER_SLOT:
-            yield getattr(self, name)
+    def map_blocks(self, fn: Callable[[str, np.ndarray], np.ndarray]) -> None:
+        """Replace every block ``a`` of kind ``name`` with ``fn(name, a)``."""
+        for name in self.CHAINS + self.LAYERS:
+            grid = getattr(self, name)
+            for i, block in enumerate(grid):
+                if block is not None:
+                    grid[i] = fn(name, block)
+        for name in self.SLOTS:
+            block = getattr(self, name)
+            if block is not None:
+                setattr(self, name, fn(name, block))
 
     def clear_accumulators(self) -> None:
         """Zero what a training step adds into: ``dh``/``dc``/``dmerged``
-        and the weight gradients.  Every other slot is assigned by its
+        and the weight gradients.  Every other slot is written by its
         writer before anything reads it."""
-        for block in self.accumulators:
-            block.fill(0)
+        for block in self.dh + self.dc + self.dmerged:
+            if block is not None:
+                block.fill(0)
         for _, array in self.grads.arrays():
             array.fill(0)
 
-    def layer_input(self, layer: int, pos: int) -> np.ndarray:
-        """Input of ``layer`` at sequence position ``pos``."""
-        return self.x[pos] if layer == 0 else self.merged[layer - 1][pos]
+    def inputs(self, layer: int) -> np.ndarray:
+        """``(T, B, I)`` input block of ``layer``: ``x`` or the merges below."""
+        return self.x if layer == 0 else self.merged[layer - 1]
 
     def stacked_logits(self) -> np.ndarray:
         """Logits as one array: (B, C) for m2o, (T, B, C) for m2m."""
-        if self.spec.head == "many_to_one":
-            return self.logits[0]
-        return np.stack(self.logits)
+        return self.logits[0] if self.spec.head == "many_to_one" else self.logits

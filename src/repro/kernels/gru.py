@@ -48,15 +48,16 @@ def gru_forward_step(
     W: np.ndarray,
     b: np.ndarray,
     need_cache: bool = True,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[GRUCache]]:
     """One GRU cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``;
     with ``need_cache=False`` (inference) the gates are activated in place
-    and the cache is ``None``.  This is :func:`gru_forward_step_proj` fed the
-    input projection of a block of one timestep, so the two agree bitwise
-    whatever BLAS does.
+    and the cache is ``None``; ``h`` is written into ``out`` when given.
+    This is :func:`gru_forward_step_proj` fed the input projection of a
+    block of one timestep, so the two agree bitwise whatever BLAS does.
     """
     input_size = W.shape[-2] - h_prev.shape[-1]
-    h, cache = gru_forward_step_proj(x @ W[..., :input_size, :], h_prev, W, b, need_cache)
+    h, cache = gru_forward_step_proj(x @ W[..., :input_size, :], h_prev, W, b, need_cache, out)
     if cache is not None:
         cache.x = x
     return h, cache
@@ -85,6 +86,7 @@ def gru_forward_step_proj(
     W: np.ndarray,
     b: np.ndarray,
     need_cache: bool = True,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[GRUCache]]:
     """One GRU cell update from a precomputed input projection.
 
@@ -92,6 +94,8 @@ def gru_forward_step_proj(
     GEMM.  The one forward body of the cell: :func:`gru_forward_step` calls
     it with its own ``x @ W[:I]``.  ``need_cache`` as there; the cache's
     ``x`` is ``None`` (the hoisted backward reads the inputs by block).
+    ``out`` as there: the same ufuncs write into it, so the bits do not
+    depend on where ``h`` lands.
 
     Two pointwise stretches, one on each side of the candidate's recurrent
     GEMM, which has to wait for the reset gate.
@@ -112,7 +116,8 @@ def gru_forward_step_proj(
         a += zx[..., two_h:]
         a += b[..., two_h:]
         hbar = np.tanh(a, out=a)
-        h = z * hbar + (1.0 - z) * h_prev
+        h = np.multiply(z, hbar, out=out)
+        h += (1.0 - z) * h_prev
     if not need_cache:
         return h, None
     return h, GRUCache(x=None, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)

@@ -68,18 +68,20 @@ def lstm_forward_step(
     W: np.ndarray,
     b: np.ndarray,
     need_cache: bool = True,
+    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
     """One LSTM cell update.
 
     Parameters: ``x (B, I)``, ``h_prev (B, H)``, ``c_prev (B, H)``,
     ``W (I+H, 4H)``, ``b (4H,)``.  Returns ``(h, c, cache)``; with
     ``need_cache=False`` (inference) the gates are activated in place and the
-    cache is ``None``.  This is :func:`lstm_forward_step_proj` fed the input
+    cache is ``None``; ``out``, an ``(h, c)`` pair, is where ``h`` and ``c``
+    are written.  This is :func:`lstm_forward_step_proj` fed the input
     projection of a block of one timestep, so the two agree bitwise whatever
     BLAS does.
     """
     h, c, cache = lstm_forward_step_proj(
-        x @ W[..., : W.shape[-2] - h_prev.shape[-1], :], h_prev, c_prev, W, b, need_cache
+        x @ W[..., : W.shape[-2] - h_prev.shape[-1], :], h_prev, c_prev, W, b, need_cache, out
     )
     if cache is not None:
         cache.x = x
@@ -114,6 +116,7 @@ def lstm_forward_step_proj(
     W: np.ndarray,
     b: np.ndarray,
     need_cache: bool = True,
+    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
     """One LSTM cell update from a precomputed input projection.
 
@@ -124,7 +127,10 @@ def lstm_forward_step_proj(
     (the hoisted backward reads the inputs by block).  Both cells' forward
     bodies slice ``W[..., rows, cols]``, so they also run a paired step, every
     operand stacked on a leading axis of two (``_fn_cell_fwd_paired``).
+    ``out`` as there: the same ufuncs write into it, so the bits do not
+    depend on where ``h`` and ``c`` land.
     """
+    h_out, c_out = (None, None) if out is None else out
     hidden = h_prev.shape[-1]
     input_size = W.shape[-2] - hidden
     z = h_prev @ W[..., input_size:, :]
@@ -132,10 +138,10 @@ def lstm_forward_step_proj(
         z += zx
         z += b
         i, f, g, o = _activate(z, hidden, need_cache)
-        c = f * c_prev
+        c = np.multiply(f, c_prev, out=c_out)
         c += i * g
         tc = tanh(c)
-        h = o * tc
+        h = np.multiply(o, tc, out=h_out)
     if not need_cache:
         return h, c, None
     return h, c, LSTMCache(x=None, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)

@@ -8,7 +8,7 @@ size, which is what reproduces the paper's trainable-parameter counts).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,16 +21,20 @@ def merge_output_dim(mode: str, hidden_size: int) -> int:
     return 2 * hidden_size if mode == "concat" else hidden_size
 
 
-def merge_forward(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
-    """Combine forward output ``a`` and reverse output ``b``."""
+def merge_forward(
+    a: np.ndarray, b: np.ndarray, mode: str, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Combine forward output ``a`` and reverse output ``b``, into ``out``
+    when given (the same ufuncs either way, so the same bits)."""
     _check(mode)
-    if mode == "sum":
-        return a + b
+    if mode == "concat":
+        return np.concatenate([a, b], axis=-1, out=out)
     if mode == "mul":
-        return a * b
+        return np.multiply(a, b, out=out)
+    y = np.add(a, b, out=out)
     if mode == "avg":
-        return (a + b) * np.asarray(0.5, dtype=a.dtype)
-    return np.concatenate([a, b], axis=-1)
+        y *= np.asarray(0.5, dtype=a.dtype)
+    return y
 
 
 def merge_backward(

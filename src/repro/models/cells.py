@@ -8,7 +8,7 @@ LSTM cells carry a cell state ``c``; for GRUs the ``c``/``dc`` slots are
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -59,16 +59,23 @@ def cell_forward(
     W: np.ndarray,
     b: np.ndarray,
     need_cache: bool = True,
+    out: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None,
 ):
     """One cell update; returns ``(h, c_or_None, cache)``.
 
     ``need_cache=False`` (inference) returns ``cache=None``, and the kernels
-    then activate the gates in place.
+    then activate the gates in place.  ``out``, an ``(h, c_or_None)`` pair,
+    is where the kernel writes the new state.
     """
-    fn = _FWD_STEP[spec.cell]
+    return _forward(spec, _FWD_STEP, x, h_prev, c_prev, W, b, need_cache, out)
+
+
+def _forward(spec, table, x, h_prev, c_prev, W, b, need_cache, out):
+    """The cell's forward body in ``table`` as ``(h, c_or_None, cache)``."""
+    fn = table[spec.cell]
     if spec.cell == "lstm":
-        return fn(x, h_prev, c_prev, W, b, need_cache)
-    h, cache = fn(x, h_prev, W, b, need_cache)
+        return fn(x, h_prev, c_prev, W, b, need_cache, out)
+    h, cache = fn(x, h_prev, W, b, need_cache, None if out is None else out[0])
     return h, None, cache
 
 
@@ -89,32 +96,29 @@ def cell_backward(
     return dx, dh_prev, None
 
 
-def _stack(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """The rows of a block of timesteps, one below the other."""
-    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
+def _rows(block: np.ndarray) -> np.ndarray:
+    """A ``(K, B, n)`` block of timesteps as ``(K·B, n)`` rows, one step
+    below the other (a view where the block is contiguous)."""
+    return block.reshape(-1, block.shape[-1])
 
 
-def cell_input_projection(
-    spec: BRNNSpec, xs: Sequence[np.ndarray], W: np.ndarray
-) -> List[np.ndarray]:
-    """Hoisted input projection of a block of timesteps: ``[x_t @ W[:I]]``.
+def cell_input_projection(spec: BRNNSpec, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Hoisted input projection of a block of timesteps: ``X (K, B, I)`` to
+    ``(K, B, G·H)``, ``X_t @ W[:I]`` per step.
 
-    Stacks the block's inputs into one ``(K·B, I)`` GEMM — the fused-
-    projection optimisation — and returns per-timestep ``(B, G·H)`` slices.
-    Each row block equals the per-timestep ``(B, I) @ (I, G·H)`` product
-    bitwise on the shapes ``tests/core/test_fused_projection.py`` pins; not a
-    BLAS guarantee (docs/TESTING.md has shapes where it does not; the
-    per-step graph, ``fused_input_projection="off"``, is the one that is
+    Runs the block's rows as one ``(K·B, I)`` GEMM — the fused-projection
+    optimisation.  Each row block equals the per-timestep ``(B, I) @ (I,
+    G·H)`` product bitwise on the shapes ``tests/core/test_fused_projection.py``
+    pins; not a BLAS guarantee (docs/TESTING.md has shapes where it does not;
+    the per-step graph, ``fused_input_projection="off"``, is the one that is
     bitwise the oracle everywhere).  Single-row operands go to a different
     (matvec) kernel, so a batch of 1 falls back to per-timestep products.
     """
-    input_size = xs[0].shape[1]
+    steps, batch, input_size = X.shape
     Wx = W[:input_size]
-    batch = xs[0].shape[0]
     if batch == 1:
-        return [x @ Wx for x in xs]
-    zx = _stack(xs) @ Wx
-    return [zx[k * batch : (k + 1) * batch] for k in range(len(xs))]
+        return np.stack([x @ Wx for x in X])
+    return (_rows(X) @ Wx).reshape(steps, batch, -1)
 
 
 def cell_forward_proj(
@@ -125,16 +129,13 @@ def cell_forward_proj(
     W: np.ndarray,
     b: np.ndarray,
     need_cache: bool = True,
+    out: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None,
 ):
     """Shrunken cell update from a precomputed ``Zx_t``; returns ``(h, c, cache)``.
 
-    ``need_cache`` as in :func:`cell_forward`.
+    ``need_cache`` and ``out`` as in :func:`cell_forward`.
     """
-    fn = _FWD_STEP_PROJ[spec.cell]
-    if spec.cell == "lstm":
-        return fn(zx, h_prev, c_prev, W, b, need_cache)
-    h, cache = fn(zx, h_prev, W, b, need_cache)
-    return h, None, cache
+    return _forward(spec, _FWD_STEP_PROJ, zx, h_prev, c_prev, W, b, need_cache, out)
 
 
 def cell_backward_proj(
@@ -159,33 +160,31 @@ def cell_backward_proj(
 
 def cell_proj_backward(
     spec: BRNNSpec,
-    xs: Sequence[np.ndarray],
-    h_prevs: Sequence[np.ndarray],
-    dzs: Sequence[np.ndarray],
+    X: np.ndarray,
+    H_prev: np.ndarray,
+    dZ: np.ndarray,
     W: np.ndarray,
     dW: np.ndarray,
     db: np.ndarray,
     need_dx: bool = True,
-    rhs: Optional[Sequence[np.ndarray]] = None,
-) -> Optional[List[np.ndarray]]:
+    RH: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
     """Hoisted backward of a block of timesteps: everything ``dz`` feeds
     except ``dh_prev``.
 
-    Stacks the block's per-timestep inputs ``xs``, previous states
-    ``h_prevs`` and pre-activation gradients ``dzs`` (GRU: also ``rhs``, the
-    cached ``R_t ⊙ H_{t-1}``) and accumulates the whole weight-gradient
-    panel and the bias gradient in place, once per block.  Returns the
-    per-timestep ``dX`` slices (``None`` unless ``need_dx``).
+    Takes the block's inputs ``X (K, B, I)``, previous states ``H_prev``
+    and pre-activation gradients ``dZ`` (GRU: also ``RH``, the cached ``R_t
+    ⊙ H_{t-1}``), their steps in sequence order, and accumulates the whole
+    weight-gradient panel and the bias gradient in place, once per block,
+    over their ``(K·B, ·)`` rows.  Returns ``dX (K, B, I)`` (``None`` unless
+    ``need_dx``).
     """
-    X, H_prev, dZ = _stack(xs), _stack(h_prevs), _stack(dzs)
+    rows, h_rows, dz_rows = _rows(X), _rows(H_prev), _rows(dZ)
     if spec.cell == "gru":
-        dX = gru_proj_backward(X, H_prev, _stack(rhs), dZ, W, dW, db, need_dx)
+        dX = gru_proj_backward(rows, h_rows, _rows(RH), dz_rows, W, dW, db, need_dx)
     else:
-        dX = lstm_proj_backward(X, H_prev, dZ, W, dW, db, need_dx)
-    if dX is None:
-        return None
-    batch = xs[0].shape[0]
-    return [dX[k * batch : (k + 1) * batch] for k in range(len(xs))]
+        dX = lstm_proj_backward(rows, h_rows, dz_rows, W, dW, db, need_dx)
+    return None if dX is None else dX.reshape(X.shape)
 
 
 # -- flop counts (the cost model's inputs) -----------------------------------------

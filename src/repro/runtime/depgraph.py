@@ -124,7 +124,7 @@ class TaskGraph:
         self._barrier_tid: Optional[int] = None
         # Storage resolver bound by the graph builder (duck-typed: the
         # multiprocess executor expects map_storage / export_region /
-        # import_region / side-state hooks).  None for hand-built graphs,
+        # import_region hooks).  None for hand-built graphs,
         # which then execute without cross-process region transport.
         self.storage = None
 

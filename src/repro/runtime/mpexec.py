@@ -13,20 +13,22 @@ Data movement instead goes through POSIX shared memory
 (:mod:`repro.runtime.shm`), in two disciplines derived from how the graph
 builder stores regions:
 
-* **Preallocated storage** (params, gradients, inputs, the
-  ``dh``/``dc``/``dm`` accumulator grids) is rebound into a single shm
-  *state arena* via ``storage.map_storage`` **before the workers fork**.
-  Payloads mutate these buffers in place, the dependence graph orders the
-  mutations, and every process sees the same pages — zero per-task copies.
-  After the run the manager copies the arena back and restores the
-  original bindings, so engine-held arrays never dangle into a segment
-  about to be unlinked.
-* **Lazily-materialised slots** (``h``/``cache``/``zx``/…, assigned by
-  payloads) land in the writing worker's private memory.  The worker
-  pickles each slot that has downstream readers into its *export arena*
-  and reports a :class:`~repro.runtime.shm.ShmBlock` descriptor; the
-  manager versions descriptors and attaches the needed ones to each
-  dispatch, so a reader imports a slot at most once per version.
+* **Preallocated storage** (params, gradients, inputs, every state block
+  of the chunks) is rebound into a single shm *state arena* via
+  ``storage.map_storage`` **before the workers fork**.  Payloads write
+  these buffers in place, the dependence graph orders the writes, and
+  every process sees the same pages — zero per-task copies.  Params,
+  gradients, inputs, accumulators, logits and loss sums are copied in and
+  back; the blocks a run writes before it reads them (``h``/``zx``/``dz``/
+  merges, ``map_storage``'s ``scratch``) get arena room with no copy.
+  After the run the manager restores the original bindings, so
+  engine-held arrays never dangle into a segment about to be unlinked.
+* **Cell caches**, assigned by payloads, land in the writing worker's
+  private memory.  The worker pickles each cache that has a reader on
+  another worker into its *export arena* and reports a
+  :class:`~repro.runtime.shm.ShmBlock` descriptor; the manager versions
+  descriptors and attaches the needed ones to each dispatch, so a reader
+  imports a cache at most once per version.
 
 Workers fork from the manager (closures, graph, and shm mappings are
 inherited — nothing about the graph itself is ever pickled), which makes
@@ -62,7 +64,7 @@ from repro.runtime.depgraph import TaskGraph
 from repro.runtime.executor import locality_hint, starved_error
 from repro.runtime.protocol import WorkerCrashError
 from repro.runtime.scheduler import resolve_scheduler, start_release
-from repro.runtime.shm import ALIGNMENT, ShmArena
+from repro.runtime.shm import ALIGNMENT, ArrayDesc, ShmArena
 from repro.runtime.trace import ExecutionTrace, TaskRecord
 
 #: floor on an export arena's size — tiny graphs still get working room
@@ -99,7 +101,6 @@ def _worker_main(
     worker_id: int,
     core_id: int,
     graph: TaskGraph,
-    functional: bool,
     exports_by_task: Dict[int, Tuple],
     arenas: Dict[str, ShmArena],
     arena_name: Optional[str],
@@ -147,8 +148,7 @@ def _worker_main(
                 exports.append((key, block))
                 stats["exports"] += 1
                 stats["export_bytes"] += block.nbytes
-            side = storage.export_side_state(task) if functional else []
-            res_w.send(("done", tid, exports, side, t0, t1))
+            res_w.send(("done", tid, exports, t0, t1))
             current_tid = None
     except EOFError:  # manager went away; nothing left to report to
         return
@@ -217,15 +217,13 @@ class MultiprocessExecutor:
     def _transport_tables(self, graph: TaskGraph, storage, functional: bool):
         """Per-task import/export key lists plus the export-arena size.
 
-        A write region is exported only when its kind is lazily
-        materialised AND someone other than its writer reads it (or the
-        manager needs it for result readback) — accumulator regions and
-        dead stores ship nothing.
+        A write region is exported only when its kind is shipped AND a task
+        other than its writer reads it — in-place storage and dead stores
+        ship nothing.
         """
         if not functional:
             return {}, {}, MIN_ARENA_BYTES
         shipped = storage.shipped_kinds()
-        parent_kinds = storage.parent_kinds()
         readers: Dict = {}
         imports_by_task: Dict[int, Tuple] = {}
         for task in graph.tasks:
@@ -242,9 +240,7 @@ class MultiprocessExecutor:
                 key = region.key
                 if key[0] not in shipped:
                     continue
-                if key[0] not in parent_kinds and not any(
-                    t != task.tid for t in readers.get(key, ())
-                ):
+                if not any(t != task.tid for t in readers.get(key, ())):
                     continue
                 keys.append(key)
                 hint = storage.export_region_nbytes(key, region.nbytes)
@@ -281,7 +277,7 @@ class MultiprocessExecutor:
 
         state_arena: Optional[ShmArena] = None
         export_arenas: Dict[str, ShmArena] = {}
-        restore: List[Tuple] = []  # (original array, shm view)
+        restore: List[Tuple] = []  # (original array, shm view, copied in)
         workers: List[_Worker] = []
         errors: List[BaseException] = []
         worker_stats: Dict[int, dict] = {}
@@ -289,7 +285,8 @@ class MultiprocessExecutor:
 
         try:
             # 1. Rebind preallocated storage into the shared state arena
-            #    (before fork, so every worker inherits the same pages).
+            #    (before fork, so every worker inherits the same pages):
+            #    copied in, or only given room where a run writes it first.
             if functional:
                 sizes: List[int] = []
                 storage.map_storage(lambda a: (sizes.append(a.nbytes), a)[1])
@@ -297,13 +294,16 @@ class MultiprocessExecutor:
                     sum(_round_up(s) for s in sizes) + ALIGNMENT
                 )
 
-                def _share(a):
-                    desc = state_arena.put_array(a)
+                def _share(a, copy=True):
+                    if copy:
+                        desc = state_arena.put_array(a)
+                    else:
+                        desc = ArrayDesc(state_arena.alloc(a.nbytes), a.dtype.str, a.shape)
                     view = state_arena.view_array(desc)
-                    restore.append((a, view))
+                    restore.append((a, view, copy))
                     return view
 
-                storage.map_storage(_share)
+                storage.map_storage(_share, lambda a: _share(a, copy=False))
 
             # 2. One export arena per worker: bump-allocated by its owner
             #    only, so no cross-process synchronisation exists to leak
@@ -326,7 +326,7 @@ class MultiprocessExecutor:
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(
-                        i, cores[i], graph, functional, exports_by_task,
+                        i, cores[i], graph, exports_by_task,
                         export_arenas, arena_names[i], cmd_r, res_w,
                     ),
                     daemon=True,
@@ -415,20 +415,13 @@ class MultiprocessExecutor:
                 for wid, msg in messages:
                     kind = msg[0]
                     if kind == "done":
-                        _, tid, exports, side, t0, t1 = msg
+                        _, tid, exports, t0, t1 = msg
                         task = inflight.pop(wid)
                         w = workers[wid]
                         completions += 1
                         for key, block in exports:
                             versions[key] = (completions, block, wid)
                             w.seen[key] = completions
-                            if key[0] in storage.parent_kinds():
-                                storage.import_region(
-                                    key,
-                                    export_arenas[block.segment].get_pickle(block),
-                                )
-                        if side:
-                            storage.apply_side_state(side)
                         start, end = t0 - epoch, t1 - epoch
                         if hooks is not None:
                             hooks.on_task_end(task, wid, end)
@@ -499,18 +492,19 @@ class MultiprocessExecutor:
                         conn_end.close()
                     except OSError:  # pragma: no cover
                         pass
-            # Copy shared state back and restore the original bindings
-            # while the state arena is still mapped; THEN unlink
-            # everything.  Runs on success, payload failure, and worker
-            # crash alike — no path leaks a segment.
+            # Copy shared state back (what was copied in) and restore the
+            # original bindings while the state arena is still mapped;
+            # THEN unlink everything.  Runs on success, payload failure,
+            # and worker crash alike — no path leaks a segment.
             if restore:
-                originals = {id(view): orig for orig, view in restore}
+                originals = {id(view): (orig, copy) for orig, view, copy in restore}
 
                 def _unshare(a):
-                    orig = originals.get(id(a))
+                    orig, copy = originals.get(id(a), (None, False))
                     if orig is None:
                         return a  # materialised after sharing (imports)
-                    orig[...] = a
+                    if copy:
+                        orig[...] = a
                     return orig
 
                 storage.map_storage(_unshare)

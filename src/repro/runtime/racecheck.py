@@ -20,7 +20,8 @@ shares with the runtime and the instruments that *execute* graphs:
   swapped for a :class:`TrackedArray` view that records the byte ranges
   each NumPy operation actually reads and writes (rebinding writes,
   ``slot = new``, are caught by re-resolving every region's storage after
-  each task); any observed byte range inside *some* region's storage but
+  each task that rebound a storage array); any observed byte range inside
+  *some* region's storage but
   outside the task's own declarations is an undeclared access — the bug
   class a missing ``in(...)``/``out(...)`` clause creates;
 * the **schedule fuzzer**: a :class:`~repro.runtime.scheduler.FuzzScheduler`
@@ -96,13 +97,25 @@ class AccessRecorder:
 
     def log_read(self, arr: np.ndarray) -> None:
         if arr.size:
-            self.reads.add(byte_bounds(arr))
+            self.reads.update(_extents(arr))
 
     def log_write(self, arr: np.ndarray) -> None:
         if arr.size:
-            bounds = byte_bounds(arr)
-            self.writes.add(bounds)
-            self.reads.discard(bounds)  # pure write ranges stay writes
+            extents = _extents(arr)
+            self.writes.update(extents)
+            self.reads.difference_update(extents)  # pure write ranges stay writes
+
+
+def _extents(arr: np.ndarray) -> Tuple[Interval, ...]:
+    """Byte ranges of ``arr``'s elements: its bounds when they hold nothing
+    else, else its sub-arrays' ranges.  A strided view of a state block (one
+    direction's steps, ``h[lo:hi, 0]``) has the other direction's slots
+    between its rows, which its bounds would claim."""
+    lo, hi = byte_bounds(arr)
+    if hi - lo == arr.nbytes:
+        return ((lo, hi),)
+    rows = (arr[i : i + 1] if arr.ndim == 1 else arr[i] for i in range(len(arr)))
+    return tuple(extent for row in rows for extent in _extents(row))
 
 
 def _plain(a):
@@ -326,31 +339,32 @@ def observe_accesses(result) -> Dict[int, TaskObservation]:
     global _RECORDER
     if not getattr(result, "functional", False):
         raise ValueError("observe_accesses needs a functional graph (x=... build)")
-    result.map_storage(_wrap)
-    regions = {r.key: r for r in result.regions.regions()}
+    regions = [r.key for r in result.regions.regions()]
 
-    # Bounds cache keyed by the storage arrays' identities: wrapping is
-    # idempotent, so regions a task leaves alone resolve to the *same*
-    # array objects as last time and skip the byte_bounds recomputation.
-    # Holding the arrays (not just bounds) also pins their buffers, so no
-    # address is freed and reused mid-task, which would mask a rebind.
-    cache: Dict = {}
+    def track() -> list:
+        """Every storage array, swapped for a tracked view.  Wrapping is
+        idempotent, so the arrays a task left alone come back as the same
+        objects."""
+        arrays = []
+
+        def wrap(a):
+            arrays.append(_wrap(a))
+            return arrays[-1]
+
+        result.map_storage(wrap)
+        return arrays
 
     def resolve_all() -> Dict:
+        # Holding the arrays (not just bounds) pins their buffers, so no
+        # address is freed and reused mid-task, which would mask a rebind.
         out = {}
         for key in regions:
             storage = result.region_storage(key)
-            ids = tuple(map(id, storage))
-            hit = cache.get(key)
-            if hit is not None and hit[0] == ids:
-                out[key] = hit[1]
-            else:
-                entry = (storage, _region_bounds(storage))
-                cache[key] = (ids, entry)
-                out[key] = entry
+            out[key] = (storage, _region_bounds(storage))
         return out
 
     observations: Dict[int, TaskObservation] = {}
+    arrays = track()
     pre = resolve_all()
     for task in result.graph:
         obs = TaskObservation()
@@ -363,11 +377,14 @@ def observe_accesses(result) -> Dict[int, TaskObservation]:
                 _RECORDER = None
             obs.reads = rec.reads
             obs.writes = rec.writes
-        result.map_storage(_wrap)  # newly stored slots become tracked
-        post = resolve_all()
-        for key, (_, bounds) in post.items():
-            if bounds != pre[key][1]:
-                obs.rebound.append(key)
+        now = track()  # newly stored slots become tracked
+        post = pre
+        # a region resolves to other bytes only where a task rebound one of
+        # the arrays the storage walk visits (the old ones are pinned)
+        if len(now) != len(arrays) or any(a is not b for a, b in zip(now, arrays)):
+            post = resolve_all()
+            obs.rebound = [key for key in regions if post[key][1] != pre[key][1]]
+        arrays = now
         observations[task.tid] = obs
         obs.pre, obs.post = pre, post  # type: ignore[attr-defined]
         pre = post
@@ -647,9 +664,8 @@ def _result_fingerprint(result) -> Dict[str, bytes]:
             if chunk.grads is not None:
                 for name, arr in chunk.grads.arrays():
                     out[f"chunk{mb}.grads.{name}"] = arr.tobytes()
-            for t, arr in enumerate(getattr(chunk, "logits", None) or []):
-                if arr is not None:
-                    out[f"chunk{mb}.logits.{t}"] = arr.tobytes()
+            for t, arr in enumerate(chunk.logits):
+                out[f"chunk{mb}.logits.{t}"] = arr.tobytes()
     return out
 
 

@@ -370,8 +370,8 @@ MUTATION_TABLE = [
      ("undeclared_read", "loss[0]s0", repr(_LOGITS), "touched bytes")),
     ("undeclared_write", "observation", _observed("headBwd[0]s0", inouts=()),
      ("undeclared_write", "headBwd[0]s0", repr(("gWout", 0)), "touched bytes")),
-    ("rebind", "observation", _observed("loss[0]s0", outs=()),
-     ("undeclared_write", "loss[0]s0", repr(_DLOGITS), "rebound")),
+    ("rebind", "observation", _observed("fwd[0]L0s0", outs=()),
+     ("undeclared_write", "fwd[0]L0s0", repr(("cache", 0, 0, "fwd", 0)), "rebound")),
     ("unordered_conflict", "ordering", _unordered,
      ("unordered_conflict", "head[0]s0", "loss[0]s0", "")),
     ("plan_structure_mismatch", "plan audit", _plan(_foreign_plan),
@@ -385,7 +385,7 @@ MUTATION_TABLE = [
     ("shrink_region", "storage", _kind("shrink_region"),
      ("shrink_region", "fwd[0]L0s3", "merge[0]L0t3", "")),
     ("widen_write", "storage", _kind("widen_write"),
-     ("widen_write", "fwd[0]L0s3", "rev[0]L0s0", "")),
+     ("widen_write", "fwd[0]L0s3", "rev[0]L0s3", "")),
     ("drop_plan_edge", "plan closure", _kind("drop_plan_edge"),
      ("drop_plan_edge", "fwdBwd[1]L1s2", "revBwd[1]L1s1", "")),
     ("over_declare", "minimality", _kind("over_declare"),

@@ -35,16 +35,16 @@ def no_collector():
 
 
 def _slot_refs(result):
-    """Weak references to one array of each lazily filled or preallocated
-    slot kind a step owns (numpy arrays are weakly referenceable)."""
+    """Weak references to one block of each slot kind a step owns, and to a
+    cell cache when it keeps one (numpy arrays are weakly referenceable)."""
     state = result.chunks[0]
-    arrays = [state.h["fwd"][0][0], state.h["rev"][-1][-1], state.logits[0]]
+    arrays = [state.h[0], state.h[-1], state.logits]
     if result.training:
-        arrays += [state.dh["fwd"][0][0], state.grads.layers[0].fwd.W]
+        arrays += [state.dh[0], state.grads.layers[0].fwd.W]
     if result.fused_layers[0]:
-        arrays += [state.zx["fwd"][0][0]]
+        arrays += [state.zx[0]]
         if result.training:
-            arrays += [state.dz["rev"][0][0]]
+            arrays += [state.dz[0]]
     assert all(isinstance(a, np.ndarray) for a in arrays)
     return [weakref.ref(a) for a in arrays]
 
@@ -72,24 +72,25 @@ def test_dropping_the_result_frees_the_step(no_collector, set_proj_block, mode, 
 
 def test_a_same_shape_step_keeps_the_buffers(no_collector):
     """A step of the last step's shape is rebound into the engine's one
-    build: the preallocated buffers (inputs, accumulators, gradients) are
-    the same arrays, and only the slots a run assigns are new."""
+    build: the preallocated buffers (inputs, state blocks, accumulators,
+    gradients) are the same arrays, and only the cell caches a run assigns
+    are new."""
     spec = small_spec()
     x, labels = make_batch(spec)
     engine = BParEngine(spec, config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=2))
     engine.train_batch(x, labels)
     first = engine.last_result
     state = first.chunks[0]
-    kept = [state.x, state.labels, state.dh["fwd"][0][0], state.dmerged[0][0],
-            state.grads.layers[0].fwd.W]
+    kept = [state.x, state.labels, state.h[0], state.merged[0], state.logits, state.dh[0],
+            state.dmerged[0], state.grads.layers[0].fwd.W]
     refs = [weakref.ref(a) for a in kept]
-    assigned = weakref.ref(state.h["fwd"][0][0])
+    assigned = weakref.ref(state.cache["fwd"][0][0])
     del kept, state
     engine.train_batch(*make_batch(spec, seed=8))
     assert engine.last_result is first
     state = first.chunks[0]
-    now = [state.x, state.labels, state.dh["fwd"][0][0], state.dmerged[0][0],
-           state.grads.layers[0].fwd.W]
+    now = [state.x, state.labels, state.h[0], state.merged[0], state.logits, state.dh[0],
+           state.dmerged[0], state.grads.layers[0].fwd.W]
     assert all(ref() is array for ref, array in zip(refs, now))
     assert assigned() is None
 

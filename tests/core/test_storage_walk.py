@@ -9,9 +9,8 @@ copies (a layer's direction views follow its moved parameter stack), and
 so must every array a region resolves to.
 
 Exempt, by name: ``labels`` (read by the loss task through its chunk, no
-region of its own), the read-only initial state ``h0``/``c0`` (no region
-either; a cache that keeps it is walked), and the ``accumulators`` blocks,
-whose row views are the ``dh``/``dc``/``dmerged`` slots the walk visits.
+region of its own) and the read-only initial state ``h0``/``c0`` (no region
+either; a cache that keeps it is walked).
 """
 
 import itertools
@@ -24,7 +23,7 @@ from repro.models.params import BRNNParams
 from repro.runtime.executor import SerialExecutor
 from tests.conftest import make_batch, small_spec
 
-EXEMPT = frozenset({"labels", "h0", "c0", "accumulators"})
+EXEMPT = frozenset({"labels", "h0", "c0"})
 
 
 def _reachable_arrays(roots):

@@ -8,7 +8,7 @@ shared memory — and each substrate's results (parameters, per-chunk
 gradients, logits) must be bitwise identical to the threaded FIFO
 reference built from the same deterministic state.  For the process
 backend this is the end-to-end proof that the shared-memory transport
-(state-arena rebinding, region export/import, side-state) is lossless:
+(state-arena rebinding, cache export/import) is lossless:
 one transposed byte anywhere shows up as diverging bits.
 
 Tier-1 runs every substrate over a reduced config subset
@@ -55,7 +55,7 @@ def _assert_bitwise_equal(executor_name, **build_kwargs):
 #: config (its block tasks read ``h`` slots and the step-0 cache shipped
 #: from other workers), one hoisted+tiled config, one inference config —
 #: the smallest set that exercises every transport path (caches, gate
-#: grids, merge rows, logits readback, side-state); every one runs the one
+#: blocks, merge rows, logits and loss readback); every one runs the one
 #: cell kernel, the stacked gate GEMM (``gates`` in the ids)
 TIER1_CASES = [
     dict(cell="lstm", head="many_to_one", training=True, mbs=2, wavefront_tile=2),

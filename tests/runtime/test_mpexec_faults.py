@@ -91,7 +91,7 @@ def test_poison_pickle_export_errors_cleanly_not_deadlock():
     """A task whose exported region payload cannot be pickled must fail
     the run with the worker's original exception, promptly."""
     build = build_functional(training=True, mbs=2)
-    # pick a task that writes a lazily-materialised (shipped) cache slot
+    # pick a task that writes a shipped (assigned) cache slot
     shipped = build.shipped_kinds()
     poisoned_key = None
     victim = None

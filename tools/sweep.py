@@ -34,8 +34,11 @@ recorded ones):
 * ``paired`` — one paired cell step (the cell's forward body on both
   directions' operands and weights stacked, one ``np.matmul`` per product)
   against the two single steps it replaces, with a cache and without.  The
-  weights are the layer's one stack, as a run reads them; the inputs are
-  stacked in every call.
+  weights are the layer's one stack, as a run reads them.  ``stacked`` is
+  the step on operands stacked in every call (one concatenate, viewed as
+  two) writing fresh arrays; ``block`` is the step as a run takes it: its
+  input and state are views of preallocated ``(steps, 2, B, ·)`` blocks
+  and it writes ``h``/``c`` into the next step's slots through ``out=``.
 """
 
 import os
@@ -274,21 +277,32 @@ def paired(point, rounds: int) -> dict:
     bs = [draw(rng, gh, scale=0.1) for _ in range(2)]
     xs, hs = [draw(rng, rows, hidden) for _ in range(2)], [draw(rng, rows, hidden) for _ in range(2)]
     cs = [draw(rng, rows, hidden) for _ in range(2)] if cell == "lstm" else [None, None]
-    b2, h2 = np.stack(bs)[:, None], np.stack(hs)
-    c2 = np.stack(cs) if cell == "lstm" else None
+    b2 = np.stack(bs)[:, None]
+    # the blocks a run keeps: steps 0 and 1 of a layer's input and state
+    X = np.stack([np.stack(xs)] * 2)
+    Hb = np.stack([np.stack(hs)] * 2)
+    Cb = np.stack([np.stack(cs)] * 2) if cell == "lstm" else [None, None]
 
     def single():
         for d in range(2):
             cell_forward(spec, xs[d], hs[d], cs[d], W2[d], bs[d], need_cache)
 
-    def paired_step():
-        cell_forward(spec, np.stack(xs), h2, c2, W2, b2, need_cache)
+    def stack2(a, b):
+        return np.concatenate((a, b)).reshape(2, *a.shape)
 
-    calls = {"2 single us": single, "paired us": paired_step}
+    def stacked():
+        c2 = None if cell != "lstm" else stack2(*cs)
+        cell_forward(spec, stack2(*xs), stack2(*hs), c2, W2, b2, need_cache)
+
+    def block():
+        cell_forward(spec, X[1], Hb[0], Cb[0], W2, b2, need_cache, out=(Hb[1], Cb[1]))
+
+    calls = {"2 single us": single, "stacked us": stacked, "block us": block}
     number = 2000 if rows * hidden <= 8 * 32 else 500
     med = medians(calls, rounds, lambda name: timeit_us(calls[name], number))
     return {"cell": cell, "cache": "yes" if need_cache else "no", "H": hidden, "rows": rows,
-            **med, "ratio": med["paired us"] / med["2 single us"]}
+            **med, "stacked/2 single": med["stacked us"] / med["2 single us"],
+            "block/stacked": med["block us"] / med["stacked us"]}
 
 
 class Table(NamedTuple):
