@@ -26,7 +26,7 @@ one task per tile, by one emitter per pass (``_build_forward_layer`` /
 per cell update — unless ``wavefront_tile`` lengthens it, under either
 with or without hoisting; a layer's merges follow
 the chain tile.  ``paired`` runs each forward tile of both directions as
-one task of stacked cells (``_Builder._fn_cell_fwd_paired``).
+one task of stacked cells (``_Builder._fn_cell_fwd_tile``).
 :func:`plan_granularity` is where the engines decide, per batch shape, the
 tile, the pairing, the hoisted layers and the threads that will run the
 graph.
@@ -62,11 +62,11 @@ from repro.kernels.dense import dense_backward, dense_bwd_flops, dense_forward, 
 from repro.kernels.losses import softmax_cross_entropy
 from repro.kernels.merge import merge_backward, merge_flops, merge_forward
 from repro.models.cells import (
+    CACHE_FIELDS,
     cell_backward,
     cell_backward_proj,
     cell_bwd_flops,
     cell_bwd_step_proj_flops,
-    cell_forward,
     cell_forward_proj,
     cell_fwd_flops,
     cell_fwd_step_proj_flops,
@@ -88,16 +88,6 @@ from repro.runtime.task import INTERLEAVED_HOME, Region, RegionSpace
 #: enough that downstream cells start long before the whole sequence is
 #: projected, large enough that each block is still one efficient GEMM.
 DEFAULT_PROJ_BLOCK = 16
-
-#: Region kinds whose storage a payload *assigns* (``state.cache[d][l][s] =
-#: cache``) rather than writes in place: the cell caches.  Under a fork-based
-#: multiprocess run such an assignment lands in the worker's private copy of
-#: the ChunkState, so its value must be shipped between processes via
-#: :meth:`GraphBuildResult.export_region` / :meth:`GraphBuildResult.
-#: import_region`.  Every other kind is a view of storage the executor maps
-#: into shared memory before forking (``x``/``W``/``h``/``zx``/``m``/…,
-#: written strictly in place) or the zero-byte ``serial`` token.
-SHIPPED_REGION_KINDS = frozenset({"cache"})
 
 #: the ChunkState blocks behind each block region kind; a key's indices
 #: after the chunk are the slot's address (:meth:`ChunkState.slot`)
@@ -314,9 +304,10 @@ class GraphBuildResult:
         *observed* memory accesses against its declared regions; this
         method is the ground truth tying each region key of the builder's
         vocabulary to the ChunkState/params buffers it stands for: a view of
-        its block, or a cell cache's arrays.  A cache not yet set resolves
-        to no arrays, and so does the zero-byte ``serial`` token.
-        Functional graphs only.
+        its block, or the views a cell cache holds.  An inference chunk's
+        cache resolves to no arrays, and so does the zero-byte ``serial``
+        token.  No payload rebinds storage, so a key resolves to the same
+        bytes for the whole of a run.  Functional graphs only.
         """
         if not self.functional:
             raise RuntimeError("cost-only graphs carry no data to resolve")
@@ -459,16 +450,16 @@ class GraphBuildResult:
     def map_storage(self, fn, scratch=None) -> None:
         """Rebind every storage array through ``fn(array)``.
 
-        Visits the same buffers :meth:`region_storage` resolves — params,
-        gradients, each chunk's ``x``, its blocks and the fields of its
-        cell caches — replacing each ndarray ``a`` with ``fn(a)``.  A layer's
-        parameter stack is mapped once and its direction views are rebuilt
-        from it.  ``scratch``, when given, maps instead of ``fn`` the blocks
-        every run writes before it reads them and nothing reads after it
-        (:attr:`ChunkState.SCRATCH`).  The race checker uses this to swap
-        tracked views in and out, the process executor to move storage into
-        shared memory; ``fn`` must return an array sharing the original's
-        memory.
+        Visits the buffers :meth:`region_storage` resolves — params,
+        gradients, each chunk's ``x`` and its blocks — replacing each
+        ndarray ``a`` with ``fn(a)``.  A layer's parameter stack is mapped
+        once and its direction views are rebuilt from it, and so are a
+        chunk's cache records from its blocks.  ``scratch``, when given,
+        maps instead of ``fn`` the blocks that are zeros or unread on entry
+        to every run and unread after it (:attr:`ChunkState.SCRATCH`).  The
+        race checker uses this to swap tracked views in and out, the process
+        executor to move storage into shared memory; ``fn`` must return an
+        array sharing the original's memory.
         """
         if not self.functional:
             raise RuntimeError("cost-only graphs carry no data to map")
@@ -489,64 +480,18 @@ class GraphBuildResult:
             state.x = fn(state.x)
             state.loss_sums = fn(state.loss_sums)
             state.map_blocks(map_block)
-            for row in (row for grid in state.cache.values() for row in grid):
-                for cache in filter(None, row):
-                    for name, v in vars(cache).items():
-                        if isinstance(v, np.ndarray):
-                            setattr(cache, name, fn(v))
             map_params(state.grads)
 
-    # -- cross-process region transport (multiprocess executor) -----------------
 
-    def shipped_kinds(self) -> frozenset:
-        """Region kinds that must travel between processes (see
-        :data:`SHIPPED_REGION_KINDS`)."""
-        return SHIPPED_REGION_KINDS
-
-    def _shipped_slot(self, key) -> tuple:
-        """``(row, step)``: the cache list cell behind a shipped key."""
-        if not self.functional:
-            raise RuntimeError("cost-only graphs carry no data to ship")
-        if key[0] not in SHIPPED_REGION_KINDS:
-            raise KeyError(f"region kind {key[0]!r} is not shipped between processes")
-        _, mb, layer, d, step = key
-        return self.chunks[mb].cache[d][layer], step
-
-    def export_region(self, key):
-        """Picklable payload of one assigned region slot: its cell cache.
-
-        The multiprocess executor calls this in the *worker* that just ran
-        the slot's writer; :meth:`import_region` installs the payload in
-        any process that reads it.  Only keys whose kind is in
-        :data:`SHIPPED_REGION_KINDS` are meaningful here — every other kind
-        is shared in place and never exported.
-        """
-        row, step = self._shipped_slot(key)
-        return row[step]
-
-    def import_region(self, key, payload) -> None:
-        """Install a payload produced by :meth:`export_region` elsewhere."""
-        row, step = self._shipped_slot(key)
-        row[step] = payload
-
-    def export_region_nbytes(self, key, region_nbytes: int) -> int:
-        """Upper bound on the raw payload bytes :meth:`export_region` yields.
-
-        The cache region's own byte count, plus the cell *input* the cache
-        retains on the per-step path (``cache.x``), whose width is the layer
-        input size.  The multiprocess executor sizes its export arenas from
-        this.
-        """
-        _, mb, layer, d, step = key
-        itemsize = np.dtype(self.spec.dtype).itemsize
-        return region_nbytes + self.chunk_batches[mb] * self.spec.layer_input_size(layer) * itemsize
+#: where the GRU cache's ``R_t ⊙ H_{t-1}`` lies on the field axis of a slot
+_GRU_RH = CACHE_FIELDS["gru"].index("rh")
 
 
-def _split_cache(cache) -> list:
-    """A paired step's cache as its two directions' caches: every stacked
-    field viewed at ``[d]``."""
-    items = vars(cache).items()
-    return [type(cache)(**{k: v if v is None else v[d] for k, v in items}) for d in (0, 1)]
+def _by_position(block: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
+    """Chain ``d``'s rows of positions ``[lo, hi)`` of a ``(T, 2, ...)``
+    block held in chain-step order, in sequence order (a view)."""
+    T = len(block)
+    return block[lo:hi, 0] if d == 0 else block[T - hi : T - lo, 1][::-1]
 
 
 def _axpy(dst: np.ndarray, alpha: float, src: np.ndarray) -> None:
@@ -737,107 +682,74 @@ class _Builder:
         """Hoisted input projection of positions ``[lo, hi)``: the block's
         inputs as one GEMM operand in sequence order, its ``zx`` rows
         written by chain step."""
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
+        state, spec, params = self.chunks[mb], self.spec, self.params
+        d = DIRECTIONS.index(direction)
 
         def fn():
             W = params.layers[layer].direction(direction).W
             zx = cell_input_projection(spec, state.inputs(layer)[lo:hi], W)
-            if direction == "fwd":
-                state.zx[layer][lo:hi, 0] = zx
-            else:
-                state.zx[layer][T - hi : T - lo, 1] = zx[::-1]
+            _by_position(state.zx[layer], d, lo, hi)[...] = zx
 
         return fn
 
     def _fn_cell_fwd_tile(self, mb, layer, direction, lo, hi):
-        """Forward chain tile: steps ``[lo, hi)`` of one chain in one
-        payload.  Each step's kernel writes ``h``/``c`` into the chain's
-        slots of the layer blocks, and the next step reads them there, so
-        the arithmetic does not depend on where the chain is cut."""
-        if direction == "pair":
-            return self._fn_cell_fwd_paired(mb, layer, lo, hi)
+        """Forward chain tile: steps ``[lo, hi)`` of one chain, or of both
+        (``"pair"``), each step's cells as one stacked cell over the
+        chains' slice of the layer blocks.  A step reads ``h[step-1]`` and
+        writes ``h[step]`` and its cache slot ``acts[step]`` through
+        ``out=``, so the arithmetic does not depend on where a chain is cut
+        or whether it is paired.  The inputs are the ``zx`` block as it lies
+        (chain order), or the tile's inputs stacked in chain order once and
+        multiplied in one ``np.matmul``.  On the layer's ``(2, I+H, G·H)``
+        weight stack, read in place, the cell's one forward body makes each
+        product one ``np.matmul`` over the chains (Appleyard et al.,
+        arXiv:1604.01946) and a paired step's pointwise stretch one pass
+        (Hwang & Sung, arXiv:1503.02852).  NumPy runs a stack slice by slice
+        with the 2-D product's BLAS call, so a paired step is bitwise two
+        single steps."""
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
         need_cache = self.training
-        d = DIRECTIONS.index(direction)
+        chains = (0, 1) if direction == "pair" else (DIRECTIONS.index(direction),)
+        ds = slice(chains[0], chains[-1] + 1)
 
-        def fn():
-            dp = params.layers[layer].direction(direction)
-            h, c = state.h[layer], state.c[layer]
-            cache_g = state.cache[direction][layer]
-            inputs = state.zx[layer] if fused else state.inputs(layer)
-            h_prev = h[lo - 1, d] if lo > 0 else state.h0[d]
-            c_prev = None
-            if c is not None:
-                c_prev = c[lo - 1, d] if lo > 0 else state.c0[d]
-            for step in range(lo, hi):
-                out = (h[step, d], None if c is None else c[step, d])
-                if fused:
-                    h_prev, c_prev, cache_g[step] = cell_forward_proj(
-                        spec, inputs[step, d], h_prev, c_prev, dp.W, dp.b, need_cache, out
-                    )
-                else:
-                    pos = step if direction == "fwd" else T - 1 - step
-                    h_prev, c_prev, cache_g[step] = cell_forward(
-                        spec, inputs[pos], h_prev, c_prev, dp.W, dp.b, need_cache, out
-                    )
-
-        return fn
-
-    def _fn_cell_fwd_paired(self, mb, layer, lo, hi):
-        """Paired forward tile: steps ``[lo, hi)`` of both chains, each
-        step's two cells as one stacked cell.  A step reads ``h[step-1]``
-        and writes ``h[step]`` of the layer block, both directions at once;
-        a direction's caches are ``[d]`` views of the stacked ones.  The
-        inputs are the ``zx`` block as it lies (chain order), or the tile's
-        inputs stacked in chain order once.  The two cells are independent;
-        on the layer's one ``(2, I+H, G·H)`` weight stack, read in place,
-        the cell's one forward body makes each product one ``np.matmul``
-        over both (Appleyard et al., arXiv:1604.01946) and its pointwise
-        stretch one pass (Hwang & Sung, arXiv:1503.02852); an unhoisted
-        tile's input products are one ``np.matmul`` over all its steps.
-        NumPy runs a stack slice by slice with the 2-D product's BLAS call,
-        so a paired step is bitwise two single steps."""
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
-        fused = self.fused_layers[layer]
-        need_cache = self.training
+        def tile_chains(block: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            """The tile's chains of a ``(T, 2, ...)`` block (a view)."""
+            return None if block is None else block[:, ds]
 
         def fn():
             lp = params.layers[layer]
-            W, b = lp.W, lp.b[:, None]
-            h, c = state.h[layer], state.c[layer]
+            W, b = lp.W[ds], lp.b[ds, None]
+            h, c, acts = map(tile_chains, (state.h[layer], state.c[layer], state.acts[layer]))
             if fused:
-                zx, first = state.zx[layer], 0
-            else:  # each (B, I) slice's product is the one cell_forward makes
+                zx, first = tile_chains(state.zx[layer]), 0
+            else:  # each (B, I) slice's product is the one a single step makes
                 src = state.inputs(layer)
-                xs = np.stack((src[lo:hi], src[T - hi : T - lo][::-1]), axis=1)
+                by_chain = (src[lo:hi], src[T - hi : T - lo][::-1])
+                xs = np.stack([by_chain[d] for d in chains], axis=1)
                 zx, first = xs @ W[..., : xs.shape[-1], :], lo
-            h_prev = h[lo - 1] if lo else state.h0
+            h_prev = h[lo - 1] if lo else state.h0[ds]
             c_prev = None
             if c is not None:
-                c_prev = c[lo - 1] if lo else state.c0
+                c_prev = c[lo - 1] if lo else state.c0[ds]
             for step in range(lo, hi):
                 out = (h[step], None if c is None else c[step])
-                h_prev, c_prev, cache = cell_forward_proj(
-                    spec, zx[step - first], h_prev, c_prev, W, b, need_cache, out
+                h_prev, c_prev, _ = cell_forward_proj(
+                    spec, zx[step - first], h_prev, c_prev, W, b, need_cache, out,
+                    acts[step] if need_cache else None,
                 )
-                if need_cache:
-                    if not fused:
-                        cache.x = xs[step - first]
-                    for d, one in zip(DIRECTIONS, _split_cache(cache)):
-                        state.cache[d][layer][step] = one
 
         return fn
 
     def _fn_merge(self, mb, layer, lo, hi):
         """Merges of positions ``[lo, hi)``: one call over the block's views
         of both chains, written into the merged block in place."""
-        state, spec, T = self.chunks[mb], self.spec, self.seq_len
+        state, spec = self.chunks[mb], self.spec
 
         def fn():
             h = state.h[layer]
             merge_forward(
-                h[lo:hi, 0], h[T - hi : T - lo, 1][::-1], spec.merge_mode,
+                _by_position(h, 0, lo, hi), _by_position(h, 1, lo, hi), spec.merge_mode,
                 out=state.merged[layer][lo:hi],
             )
 
@@ -955,11 +867,11 @@ class _Builder:
             dp = params.layers[layer].direction(direction)
             gp = state.grads.layers[layer].direction(direction)
             h, cache_g = state.h[layer], state.cache[direction][layer]
-            dz = state.dz[layer][lo:hi, 0] if d == 0 else state.dz[layer][T - hi : T - lo, 1][::-1]
+            dz = _by_position(state.dz[layer], d, lo, hi)
             rh = None
             if spec.cell == "gru":
                 h_prev = np.stack([cache_g[s].h_prev for s in steps])
-                rh = np.stack([cache_g[s].rh for s in steps])
+                rh = _by_position(state.acts[layer], d, lo, hi)[:, _GRU_RH]
             else:
                 # the initial state is no region of its own: the cache of
                 # chain step 0 is the declared slot that holds it
@@ -976,15 +888,15 @@ class _Builder:
         """Merge backward of positions ``[lo, hi)``: one call over the
         block, added into both chains' ``dh`` slots in place.  Only ``mul``
         reads the merged states."""
-        state, spec, T = self.chunks[mb], self.spec, self.seq_len
+        state, spec = self.chunks[mb], self.spec
 
         def fn():
             dh = state.dh[layer]
-            fwd, rev = dh[lo:hi, 0], dh[T - hi : T - lo, 1][::-1]
+            fwd, rev = _by_position(dh, 0, lo, hi), _by_position(dh, 1, lo, hi)
             a, b = fwd, rev  # their width is all sum, avg and concat read
             if spec.merge_mode == "mul":
                 h = state.h[layer]
-                a, b = h[lo:hi, 0], h[T - hi : T - lo, 1][::-1]
+                a, b = _by_position(h, 0, lo, hi), _by_position(h, 1, lo, hi)
             da, db = merge_backward(state.dmerged[layer][lo:hi], a, b, spec.merge_mode)
             fwd += da
             rev += db
@@ -1038,7 +950,7 @@ class _Builder:
                 if self.update_weights:
                     self._build_updates()
         # Executors that need storage resolution (the multiprocess
-        # substrate's shared-memory rebinding and region shipping) reach it
+        # substrate's shared-memory rebinding) reach it
         # through the graph they are handed — engines stay storage-blind.
         # The graph gets the result's handles without the graph itself: a
         # reference back would make the two a cycle, and a finished step's

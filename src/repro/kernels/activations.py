@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import threading
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,24 +37,34 @@ def _fresh_turn() -> None:
 os.register_at_fork(after_in_child=_fresh_turn)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, stable for large |x| in float32.
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Logistic sigmoid, stable for large |x| in float32, written into
+    ``out`` when given.
 
     Computed as ``σ(x) = (1 + tanh(x/2)) / 2`` — algebraically exact, never
     overflows (``tanh`` saturates instead of ``exp`` exploding), and runs as
     three vectorised ufunc passes with no data-dependent branching, which
     keeps it off the cell tasks' critical path.
     """
-    out = x * np.asarray(0.5, dtype=x.dtype)
+    half = np.asarray(0.5, dtype=x.dtype)
+    out = x * half if out is None else np.multiply(x, half, out=out)
     np.tanh(out, out=out)
     out += np.asarray(1.0, dtype=x.dtype)
-    out *= np.asarray(0.5, dtype=x.dtype)
+    out *= half
     return out
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Hyperbolic tangent (thin alias kept for kernel-call symmetry)."""
-    return np.tanh(x)
+def tanh(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Hyperbolic tangent, written into ``out`` when given (``out=None``
+    is not passed on: it adds ~0.1 us to a ~0.5 us call on a small array)."""
+    return np.tanh(x) if out is None else np.tanh(x, out=out)
+
+
+def cache_field(slot: Optional[np.ndarray], k: int) -> Optional[np.ndarray]:
+    """Field ``k`` of a cell's cache slot ``(..., F, B, H)``, a contiguous
+    ``(B, H)`` array per cell: an ``out`` target of a forward body (``None``
+    without a slot)."""
+    return None if slot is None else slot[..., k, :, :]
 
 
 @lru_cache(maxsize=64)

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels import activations
-from repro.kernels.activations import activate_gates_, dsigmoid, dtanh, sigmoid
+from repro.kernels.activations import activate_gates_, cache_field, dsigmoid, dtanh, sigmoid
 
 
 @dataclass
@@ -30,14 +30,16 @@ class GRUCache:
     rh: np.ndarray  # R_t ⊙ H_{t-1}
 
 
-def _activate(zr: np.ndarray, hidden: int, need_cache: bool):
+def _activate(zr: np.ndarray, hidden: int, need_cache: bool, out: Optional[np.ndarray] = None):
     """Update and reset gates ``(z, r)`` of the biased pre-activation ``zr (B,
     2H)``; the caller holds the turn.  As in :mod:`repro.kernels.lstm`: a
-    cache for the backward gets contiguous per-gate arrays, and with nothing
-    retained ``zr`` is activated in place and the gates are views of it.
-    Bitwise the same values either way."""
+    cache for the backward gets contiguous per-gate arrays (fresh, or the
+    gate fields of its cache slot ``out``), and with nothing retained ``zr`` is
+    activated in place and the gates are views of it.  Bitwise the same
+    values either way."""
     if need_cache:
-        return sigmoid(zr[..., :hidden]), sigmoid(zr[..., hidden:])
+        z = sigmoid(zr[..., :hidden], cache_field(out, 0))
+        return z, sigmoid(zr[..., hidden:], cache_field(out, 1))
     activate_gates_(zr, "ss")
     return zr[..., :hidden], zr[..., hidden:]
 
@@ -87,6 +89,7 @@ def gru_forward_step_proj(
     b: np.ndarray,
     need_cache: bool = True,
     out: Optional[np.ndarray] = None,
+    cache_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[GRUCache]]:
     """One GRU cell update from a precomputed input projection.
 
@@ -94,8 +97,9 @@ def gru_forward_step_proj(
     GEMM.  The one forward body of the cell: :func:`gru_forward_step` calls
     it with its own ``x @ W[:I]``.  ``need_cache`` as there; the cache's
     ``x`` is ``None`` (the hoisted backward reads the inputs by block).
-    ``out`` as there: the same ufuncs write into it, so the bits do not
-    depend on where ``h`` lands.
+    ``out`` as there, and ``cache_out``, a ``(..., 4, B, H)`` slot, where
+    the cache's ``z, r, hbar, rh`` are written: the same ufuncs write into
+    them, so the bits do not depend on where ``h`` and the cache land.
 
     Two pointwise stretches, one on each side of the candidate's recurrent
     GEMM, which has to wait for the reset gate.
@@ -108,14 +112,15 @@ def gru_forward_step_proj(
     with activations.pointwise_turn:
         zr += zx[..., :two_h]
         zr += b[..., :two_h]
-        z, r = _activate(zr, hidden, need_cache)
-        rh = r * h_prev
+        z, r = _activate(zr, hidden, need_cache, cache_out)
+        rh_out = cache_field(cache_out, 3)
+        rh = r * h_prev if rh_out is None else np.multiply(r, h_prev, out=rh_out)
 
     a = rh @ W[..., input_size:, two_h:]
     with activations.pointwise_turn:
         a += zx[..., two_h:]
         a += b[..., two_h:]
-        hbar = np.tanh(a, out=a)
+        hbar = np.tanh(a, out=a if cache_out is None else cache_field(cache_out, 2))
         h = np.multiply(z, hbar, out=out)
         h += (1.0 - z) * h_prev
     if not need_cache:

@@ -17,7 +17,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels import activations
-from repro.kernels.activations import activate_gates_, dsigmoid, dtanh, sigmoid, tanh
+from repro.kernels.activations import (
+    activate_gates_, cache_field, dsigmoid, dtanh, sigmoid, tanh,
+)
 
 
 @dataclass
@@ -34,23 +36,24 @@ class LSTMCache:
     tc: np.ndarray  # tanh(C_t)
 
 
-def _activate(z: np.ndarray, hidden: int, need_cache: bool):
+def _activate(z: np.ndarray, hidden: int, need_cache: bool, out: Optional[np.ndarray] = None):
     """Gates ``(i, f, g, o)`` of the biased pre-activation ``z (B, 4H)``; the
     caller holds the turn.
 
     What the caller retains picks the layout.  A cache for the backward gets
     contiguous per-gate arrays, which it reads faster than views with a
-    ``4H`` row stride (docs/PERF.md).  With nothing retained ``z`` is
-    activated in place (:func:`~repro.kernels.activations.activate_gates_`)
-    and the gates are views of it, no per-gate temporaries.  Bitwise the
-    same values either way, element by element.
+    ``4H`` row stride (docs/PERF.md): fresh ones, or the gate fields of its
+    cache slot ``out``.  With nothing retained ``z`` is activated in place
+    (:func:`~repro.kernels.activations.activate_gates_`) and the gates are
+    views of it, no per-gate temporaries.  Bitwise the same values either
+    way, element by element.
     """
     if need_cache:
         return (
-            sigmoid(z[..., :hidden]),
-            sigmoid(z[..., hidden : 2 * hidden]),
-            tanh(z[..., 2 * hidden : 3 * hidden]),
-            sigmoid(z[..., 3 * hidden :]),
+            sigmoid(z[..., :hidden], cache_field(out, 0)),
+            sigmoid(z[..., hidden : 2 * hidden], cache_field(out, 1)),
+            tanh(z[..., 2 * hidden : 3 * hidden], cache_field(out, 2)),
+            sigmoid(z[..., 3 * hidden :], cache_field(out, 3)),
         )
     activate_gates_(z, "ssts")
     return (
@@ -117,6 +120,7 @@ def lstm_forward_step_proj(
     b: np.ndarray,
     need_cache: bool = True,
     out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    cache_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
     """One LSTM cell update from a precomputed input projection.
 
@@ -125,10 +129,12 @@ def lstm_forward_step_proj(
     forward body of the cell: :func:`lstm_forward_step` calls it with its own
     ``x @ W[:I]``.  ``need_cache`` as there; the cache's ``x`` is ``None``
     (the hoisted backward reads the inputs by block).  Both cells' forward
-    bodies slice ``W[..., rows, cols]``, so they also run a paired step, every
-    operand stacked on a leading axis of two (``_fn_cell_fwd_paired``).
-    ``out`` as there: the same ufuncs write into it, so the bits do not
-    depend on where ``h`` and ``c`` land.
+    bodies slice ``W[..., rows, cols]``, so they also run stacked cells, every
+    operand on a leading axis of one or two chains (``_fn_cell_fwd_tile``).
+    ``out`` as there, and ``cache_out``, a ``(..., 5, B, H)`` slot, where
+    the cache's ``i, f, g, o, tc`` are written: the same ufuncs write into
+    them, so the bits do not depend on where ``h``, ``c`` and the cache
+    land.
     """
     h_out, c_out = (None, None) if out is None else out
     hidden = h_prev.shape[-1]
@@ -137,10 +143,10 @@ def lstm_forward_step_proj(
     with activations.pointwise_turn:
         z += zx
         z += b
-        i, f, g, o = _activate(z, hidden, need_cache)
+        i, f, g, o = _activate(z, hidden, need_cache, cache_out)
         c = np.multiply(f, c_prev, out=c_out)
         c += i * g
-        tc = tanh(c)
+        tc = tanh(c, None if cache_out is None else cache_out[..., 4, :, :])
         h = np.multiply(o, tc, out=h_out)
     if not need_cache:
         return h, c, None

@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels.gru import (
+    GRUCache,
     gru_backward_step,
     gru_backward_step_proj,
     gru_forward_step,
@@ -20,6 +21,7 @@ from repro.kernels.gru import (
     gru_proj_backward,
 )
 from repro.kernels.lstm import (
+    LSTMCache,
     lstm_backward_step,
     lstm_backward_step_proj,
     lstm_forward_step,
@@ -51,6 +53,24 @@ _BWD_STEP_PROJ = {
 }
 
 
+#: The ``(B, H)`` fields a forward cell writes into its cache slot, in the
+#: order of the slot's field axis (``ChunkState.acts``, ``(T, 2, F, B, H)``);
+#: a cache's ``x``/``h_prev``/``c_prev`` are the arrays the step read.
+CACHE_FIELDS = {"lstm": ("i", "f", "g", "o", "tc"), "gru": ("z", "r", "hbar", "rh")}
+
+_CACHE = {"lstm": LSTMCache, "gru": GRUCache}
+
+
+def cell_cache(spec: BRNNSpec, x, h_prev, c_prev, slot: np.ndarray):
+    """The cache record of one step over views: its input ``x`` (``None``
+    on a hoisted layer), the states ``h_prev``/``c_prev`` it read, and the
+    :data:`CACHE_FIELDS` of its ``(F, B, H)`` cache ``slot``."""
+    fields = dict(zip(CACHE_FIELDS[spec.cell], slot))
+    if spec.cell == "lstm":
+        fields["c_prev"] = c_prev
+    return _CACHE[spec.cell](x=x, h_prev=h_prev, **fields)
+
+
 def cell_forward(
     spec: BRNNSpec,
     x: np.ndarray,
@@ -67,12 +87,7 @@ def cell_forward(
     then activate the gates in place.  ``out``, an ``(h, c_or_None)`` pair,
     is where the kernel writes the new state.
     """
-    return _forward(spec, _FWD_STEP, x, h_prev, c_prev, W, b, need_cache, out)
-
-
-def _forward(spec, table, x, h_prev, c_prev, W, b, need_cache, out):
-    """The cell's forward body in ``table`` as ``(h, c_or_None, cache)``."""
-    fn = table[spec.cell]
+    fn = _FWD_STEP[spec.cell]
     if spec.cell == "lstm":
         return fn(x, h_prev, c_prev, W, b, need_cache, out)
     h, cache = fn(x, h_prev, W, b, need_cache, None if out is None else out[0])
@@ -130,12 +145,19 @@ def cell_forward_proj(
     b: np.ndarray,
     need_cache: bool = True,
     out: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None,
+    cache_out: Optional[np.ndarray] = None,
 ):
     """Shrunken cell update from a precomputed ``Zx_t``; returns ``(h, c, cache)``.
 
-    ``need_cache`` and ``out`` as in :func:`cell_forward`.
+    ``need_cache`` and ``out`` as in :func:`cell_forward`; ``cache_out``,
+    a ``(..., F, B, H)`` slot, is where the kernel writes the
+    :data:`CACHE_FIELDS`.
     """
-    return _forward(spec, _FWD_STEP_PROJ, zx, h_prev, c_prev, W, b, need_cache, out)
+    fn = _FWD_STEP_PROJ[spec.cell]
+    if spec.cell == "lstm":
+        return fn(zx, h_prev, c_prev, W, b, need_cache, out, cache_out)
+    h, cache = fn(zx, h_prev, W, b, need_cache, None if out is None else out[0], cache_out)
+    return h, None, cache
 
 
 def cell_backward_proj(

@@ -18,10 +18,6 @@ Metric families (all prefixed ``repro_``):
 ``repro_exec_makespan_seconds``       gauge      last run's makespan
 ``repro_exec_parallel_efficiency``    gauge      last run's busy fraction
 ``repro_exec_mp_tasks_total``         counter    per ``worker`` process
-``repro_exec_mp_imports_total``       counter    region imports, per ``worker``
-``repro_exec_mp_exports_total``       counter    region exports, per ``worker``
-``repro_exec_mp_import_bytes_total``  counter    imported bytes, per ``worker``
-``repro_exec_mp_export_bytes_total``  counter    exported bytes, per ``worker``
 ``repro_exec_mp_busy_seconds``        counter    payload time, per ``worker``
 ``repro_sched_pushes_total``          counter    per ``policy``
 ``repro_sched_pops_total``            counter    per ``policy``
@@ -195,9 +191,8 @@ def publish_mp_workers(
     """Fold per-worker counters of one multiprocess run into
     ``repro_exec_mp_*``.
 
-    ``worker_stats`` maps worker id → the counter dict each worker ships
-    in its ``bye`` message (tasks/imports/exports, byte volumes, payload
-    seconds).  These are *worker-side* observations — measured inside the
+    ``worker_stats`` maps worker id → the counter dict each worker sends
+    in its ``bye`` message (tasks and payload seconds).  These are *worker-side* observations — measured inside the
     worker processes and aggregated here after the run, so the manager's
     dispatch loop stays registry-free.  No-op when ``registry`` is
     ``None`` or a run ended before stats collection (crash paths).
@@ -208,10 +203,6 @@ def publish_mp_workers(
         labels = {"worker": str(wid)}
         for name, key, help_ in (
             ("repro_exec_mp_tasks_total", "tasks", "tasks executed per worker process"),
-            ("repro_exec_mp_imports_total", "imports", "region slots imported"),
-            ("repro_exec_mp_exports_total", "exports", "region slots exported"),
-            ("repro_exec_mp_import_bytes_total", "import_bytes", "imported payload bytes"),
-            ("repro_exec_mp_export_bytes_total", "export_bytes", "exported payload bytes"),
             ("repro_exec_mp_busy_seconds", "exec_seconds", "payload execution time"),
         ):
             registry.counter(name, help=help_, **labels).inc(stats.get(key, 0))

@@ -123,9 +123,9 @@ class TaskGraph:
         # Most recent barrier task (every later task depends on it).
         self._barrier_tid: Optional[int] = None
         # Storage resolver bound by the graph builder (duck-typed: the
-        # multiprocess executor expects map_storage / export_region /
-        # import_region hooks).  None for hand-built graphs,
-        # which then execute without cross-process region transport.
+        # multiprocess executor maps it into shared memory through
+        # map_storage).  None for hand-built graphs, whose payloads then
+        # run on the storage they closed over.
         self.storage = None
 
     # -- construction --------------------------------------------------------

@@ -6,29 +6,21 @@ hold the GIL — short chain tiles, pointwise-heavy GRU graphs — overlap
 for real instead of serialising on one interpreter lock.  The design
 follows the distributed-manager runtime of Bosch et al.
 (arXiv:2009.03066): a single *manager* (this process)
-drives the existing scheduler/indegree machinery, and only **task ids and
-region slot descriptors — never arrays — travel over the pipes**.
+drives the existing scheduler/indegree machinery, and only **task ids —
+never arrays — travel over the pipes**.
 
-Data movement instead goes through POSIX shared memory
-(:mod:`repro.runtime.shm`), in two disciplines derived from how the graph
-builder stores regions:
-
-* **Preallocated storage** (params, gradients, inputs, every state block
-  of the chunks) is rebound into a single shm *state arena* via
-  ``storage.map_storage`` **before the workers fork**.  Payloads write
-  these buffers in place, the dependence graph orders the writes, and
-  every process sees the same pages — zero per-task copies.  Params,
-  gradients, inputs, accumulators, logits and loss sums are copied in and
-  back; the blocks a run writes before it reads them (``h``/``zx``/``dz``/
-  merges, ``map_storage``'s ``scratch``) get arena room with no copy.
-  After the run the manager restores the original bindings, so
-  engine-held arrays never dangle into a segment about to be unlinked.
-* **Cell caches**, assigned by payloads, land in the writing worker's
-  private memory.  The worker pickles each cache that has a reader on
-  another worker into its *export arena* and reports a
-  :class:`~repro.runtime.shm.ShmBlock` descriptor; the manager versions
-  descriptors and attaches the needed ones to each dispatch, so a reader
-  imports a cache at most once per version.
+The executor ships nothing.  Every array a build holds (params, gradients,
+inputs, every block of the chunks, the cell caches among them) is rebound
+into one POSIX shared-memory *state arena* (:mod:`repro.runtime.shm`) via
+``storage.map_storage`` **before the workers fork**.  No payload rebinds
+storage: each writes its slots in place, the dependence graph orders the
+writes, and every process sees the same pages — zero per-task copies.
+Params, gradients, inputs, logits and loss sums are copied in and back;
+every other block is zeros or unread on entry to a run and unread after it
+(``map_storage``'s ``scratch``), so it gets fresh arena room, which a new
+segment fills with zeros, and no copy either way.  After the run the
+manager restores the original bindings, so engine-held arrays never
+dangle into a segment about to be unlinked.
 
 Workers fork from the manager (closures, graph, and shm mappings are
 inherited — nothing about the graph itself is ever pickled), which makes
@@ -36,8 +28,8 @@ the substrate Linux/macOS-fork specific by design.  Results are bitwise
 identical to the threaded executor: payload arithmetic, accumulation
 order, and dataflow are unchanged — only *where* each task runs differs.
 
-Crash containment: every arena is created by the manager, and the
-manager's ``finally`` destroys them all — success, payload exception, or
+Crash containment: the arena is created by the manager, and the
+manager's ``finally`` destroys it — success, payload exception, or
 worker crash alike, so ``/dev/shm`` can never leak a segment.  A worker
 dying mid-task (SIGKILL, OOM) trips its process sentinel inside the same
 ``connection.wait`` that collects results, and the run fails fast with
@@ -55,7 +47,7 @@ import time
 import traceback
 from collections import deque
 from multiprocessing import connection
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.publish import publish_mp_workers, publish_run
@@ -64,15 +56,8 @@ from repro.runtime.depgraph import TaskGraph
 from repro.runtime.executor import locality_hint, starved_error
 from repro.runtime.protocol import WorkerCrashError
 from repro.runtime.scheduler import resolve_scheduler, start_release
-from repro.runtime.shm import ALIGNMENT, ArrayDesc, ShmArena
+from repro.runtime.shm import ALIGNMENT, ArrayDesc, ShmArena, align_up
 from repro.runtime.trace import ExecutionTrace, TaskRecord
-
-#: floor on an export arena's size — tiny graphs still get working room
-MIN_ARENA_BYTES = 1 << 20
-
-#: per-exported-slot allowance on top of the raw payload bytes (pickle
-#: framing, array headers, alignment padding)
-EXPORT_SLACK_BYTES = 1024
 
 
 def plan_placement(n_workers: int) -> List[int]:
@@ -97,31 +82,16 @@ def _pin_to_core(core_id: int) -> None:
         pass
 
 
-def _worker_main(
-    worker_id: int,
-    core_id: int,
-    graph: TaskGraph,
-    exports_by_task: Dict[int, Tuple],
-    arenas: Dict[str, ShmArena],
-    arena_name: Optional[str],
-    cmd_r,
-    res_w,
-) -> None:
-    """Worker loop: receive ``(task, tid, imports)``, run, report exports.
+def _worker_main(worker_id: int, core_id: int, graph: TaskGraph, cmd_r, res_w) -> None:
+    """Worker loop: receive a task id, run it, report its times.
 
     Everything heavy (graph, payload closures, shm mappings) arrived via
-    fork; the pipes carry only ids and descriptors.  Any exception —
-    payload failure, unpicklable export, arena exhaustion — is reported as
-    an ``("error", …)`` message and the worker exits; it never blocks on a
+    fork; the pipes carry only ids.  Any exception is reported as an
+    ``("error", …)`` message and the worker exits; it never blocks on a
     lock, so the manager can always make progress.
     """
     _pin_to_core(core_id)
-    storage = graph.storage
-    my_arena = arenas[arena_name] if arena_name is not None else None
-    stats = {
-        "tasks": 0, "imports": 0, "exports": 0,
-        "import_bytes": 0, "export_bytes": 0, "exec_seconds": 0.0,
-    }
+    stats = {"tasks": 0, "exec_seconds": 0.0}
     current_tid: Optional[int] = None
     try:
         while True:
@@ -129,26 +99,13 @@ def _worker_main(
             if msg[0] == "exit":
                 res_w.send(("bye", worker_id, stats))
                 return
-            _, tid, imports = msg
-            current_tid = tid
-            task = graph.tasks[tid]
-            for key, block in imports:
-                payload = arenas[block.segment].get_pickle(block)
-                storage.import_region(key, payload)
-                stats["imports"] += 1
-                stats["import_bytes"] += block.nbytes
+            current_tid = msg[1]
             t0 = time.perf_counter()
-            task.run()
+            graph.tasks[current_tid].run()
             t1 = time.perf_counter()
             stats["tasks"] += 1
             stats["exec_seconds"] += t1 - t0
-            exports = []
-            for key in exports_by_task.get(tid, ()):
-                block = my_arena.put_pickle(storage.export_region(key))
-                exports.append((key, block))
-                stats["exports"] += 1
-                stats["export_bytes"] += block.nbytes
-            res_w.send(("done", tid, exports, t0, t1))
+            res_w.send(("done", current_tid, t0, t1))
             current_tid = None
     except EOFError:  # manager went away; nothing left to report to
         return
@@ -165,18 +122,12 @@ def _worker_main(
             pass
 
 
-class _Worker:
-    """Manager-side handle: process, pipe ends, per-version import cache."""
+class _Worker(NamedTuple):
+    """Manager-side handle: process and pipe ends."""
 
-    __slots__ = ("proc", "cmd_w", "res_r", "core", "seen", "stats")
-
-    def __init__(self, proc, cmd_w, res_r, core: int) -> None:
-        self.proc = proc
-        self.cmd_w = cmd_w
-        self.res_r = res_r
-        self.core = core
-        self.seen: Dict = {}  # region key -> last imported version
-        self.stats: Optional[dict] = None
+    proc: multiprocessing.process.BaseProcess
+    cmd_w: connection.Connection
+    res_r: connection.Connection
 
 
 class MultiprocessExecutor:
@@ -212,44 +163,6 @@ class MultiprocessExecutor:
         self.metrics = metrics
         self.hooks = hooks
 
-    # -- setup helpers -------------------------------------------------------
-
-    def _transport_tables(self, graph: TaskGraph, storage, functional: bool):
-        """Per-task import/export key lists plus the export-arena size.
-
-        A write region is exported only when its kind is shipped AND a task
-        other than its writer reads it — in-place storage and dead stores
-        ship nothing.
-        """
-        if not functional:
-            return {}, {}, MIN_ARENA_BYTES
-        shipped = storage.shipped_kinds()
-        readers: Dict = {}
-        imports_by_task: Dict[int, Tuple] = {}
-        for task in graph.tasks:
-            keys = tuple(r.key for r in task.reads() if r.key[0] in shipped)
-            if keys:
-                imports_by_task[task.tid] = keys
-                for key in keys:
-                    readers.setdefault(key, set()).add(task.tid)
-        exports_by_task: Dict[int, Tuple] = {}
-        export_bytes = 0
-        for task in graph.tasks:
-            keys = []
-            for region in task.writes():
-                key = region.key
-                if key[0] not in shipped:
-                    continue
-                if not any(t != task.tid for t in readers.get(key, ())):
-                    continue
-                keys.append(key)
-                hint = storage.export_region_nbytes(key, region.nbytes)
-                export_bytes += _round_up(hint) + EXPORT_SLACK_BYTES
-            if keys:
-                exports_by_task[task.tid] = tuple(keys)
-        capacity = max(MIN_ARENA_BYTES, export_bytes + export_bytes // 8)
-        return imports_by_task, exports_by_task, capacity
-
     # -- execution -----------------------------------------------------------
 
     def run(self, graph: TaskGraph) -> ExecutionTrace:
@@ -271,12 +184,8 @@ class MultiprocessExecutor:
         functional = bool(
             storage is not None and getattr(storage, "functional", False)
         )
-        imports_by_task, exports_by_task, arena_capacity = self._transport_tables(
-            graph, storage, functional
-        )
 
         state_arena: Optional[ShmArena] = None
-        export_arenas: Dict[str, ShmArena] = {}
         restore: List[Tuple] = []  # (original array, shm view, copied in)
         workers: List[_Worker] = []
         errors: List[BaseException] = []
@@ -284,15 +193,13 @@ class MultiprocessExecutor:
         remaining = n_tasks
 
         try:
-            # 1. Rebind preallocated storage into the shared state arena
-            #    (before fork, so every worker inherits the same pages):
-            #    copied in, or only given room where a run writes it first.
+            # 1. Rebind storage into the shared state arena (before fork, so
+            #    every worker inherits the same pages): copied in, or only
+            #    given fresh, zero-filled room (``scratch``).
             if functional:
                 sizes: List[int] = []
-                storage.map_storage(lambda a: (sizes.append(a.nbytes), a)[1])
-                state_arena = ShmArena(
-                    sum(_round_up(s) for s in sizes) + ALIGNMENT
-                )
+                storage.map_storage(lambda a: (sizes.append(align_up(a.nbytes)), a)[1])
+                state_arena = ShmArena(sum(sizes) + ALIGNMENT)
 
                 def _share(a, copy=True):
                     if copy:
@@ -305,19 +212,7 @@ class MultiprocessExecutor:
 
                 storage.map_storage(_share, lambda a: _share(a, copy=False))
 
-            # 2. One export arena per worker: bump-allocated by its owner
-            #    only, so no cross-process synchronisation exists to leak
-            #    or deadlock when a worker dies.
-            arena_names: List[Optional[str]] = []
-            if functional:
-                for _ in range(self.n_workers):
-                    arena = ShmArena(arena_capacity)
-                    export_arenas[arena.name] = arena
-                    arena_names.append(arena.name)
-            else:
-                arena_names = [None] * self.n_workers
-
-            # 3. Fork pinned workers.
+            # 2. Fork pinned workers.
             ctx = multiprocessing.get_context("fork")
             cores = plan_placement(self.n_workers)
             for i in range(self.n_workers):
@@ -325,23 +220,18 @@ class MultiprocessExecutor:
                 res_r, res_w = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(
-                        i, cores[i], graph, exports_by_task,
-                        export_arenas, arena_names[i], cmd_r, res_w,
-                    ),
+                    args=(i, cores[i], graph, cmd_r, res_w),
                     daemon=True,
                 )
                 proc.start()
                 cmd_r.close()
                 res_w.close()
-                workers.append(_Worker(proc, cmd_w, res_r, cores[i]))
+                workers.append(_Worker(proc, cmd_w, res_r))
 
-            # 4. Manager loop: dispatch to idle workers, collect results,
+            # 3. Manager loop: dispatch to idle workers, collect results,
             #    release successors — the scheduler machinery is exactly
             #    the threaded executor's, driven from one process.
             epoch = time.perf_counter()
-            versions: Dict = {}  # key -> (version, block, writer wid)
-            completions = 0
             idle = deque(range(self.n_workers))
             inflight: Dict[int, object] = {}  # wid -> Task
 
@@ -356,20 +246,10 @@ class MultiprocessExecutor:
                         break
                     wid = idle.popleft()
                     w = workers[wid]
-                    needed = []
-                    for key in imports_by_task.get(task.tid, ()):
-                        entry = versions.get(key)
-                        if entry is None:
-                            continue
-                        vno, block, writer = entry
-                        if writer == wid or w.seen.get(key) == vno:
-                            continue
-                        needed.append((key, block))
-                        w.seen[key] = vno
                     if hooks is not None:
                         hooks.on_task_start(task, wid, time.perf_counter() - epoch)
                     try:
-                        w.cmd_w.send(("task", task.tid, needed))
+                        w.cmd_w.send(("task", task.tid))
                     except (BrokenPipeError, OSError):
                         # the worker died while idle; attribute the task
                         errors.append(
@@ -415,13 +295,8 @@ class MultiprocessExecutor:
                 for wid, msg in messages:
                     kind = msg[0]
                     if kind == "done":
-                        _, tid, exports, t0, t1 = msg
+                        _, tid, t0, t1 = msg
                         task = inflight.pop(wid)
-                        w = workers[wid]
-                        completions += 1
-                        for key, block in exports:
-                            versions[key] = (completions, block, wid)
-                            w.seen[key] = completions
                         start, end = t0 - epoch, t1 - epoch
                         if hooks is not None:
                             hooks.on_task_end(task, wid, end)
@@ -463,7 +338,7 @@ class MultiprocessExecutor:
                             )
                         errors.append(exc)
 
-            # 5. Graceful shutdown on success: collect worker stats.
+            # 4. Graceful shutdown on success: collect worker stats.
             if not errors:
                 for wid, w in enumerate(workers):
                     try:
@@ -500,9 +375,9 @@ class MultiprocessExecutor:
                 originals = {id(view): (orig, copy) for orig, view, copy in restore}
 
                 def _unshare(a):
-                    orig, copy = originals.get(id(a), (None, False))
-                    if orig is None:
-                        return a  # materialised after sharing (imports)
+                    # an array never shared cannot occur (no payload rebinds
+                    # storage), but the arena must go whatever is mapped
+                    orig, copy = originals.get(id(a), (a, False))
                     if copy:
                         orig[...] = a
                     return orig
@@ -511,8 +386,6 @@ class MultiprocessExecutor:
                 restore.clear()
             if state_arena is not None:
                 state_arena.destroy()
-            for arena in export_arenas.values():
-                arena.destroy()
 
         if errors:
             raise errors[0]
@@ -525,6 +398,3 @@ class MultiprocessExecutor:
         publish_mp_workers(self.metrics, worker_stats)
         return trace
 
-
-def _round_up(n: int) -> int:
-    return (max(1, int(n)) + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT

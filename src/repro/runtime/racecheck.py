@@ -18,12 +18,12 @@ shares with the runtime and the instruments that *execute* graphs:
 * **access observation** plus **declaration diff** (:func:`check_build`):
   run a functional graph serially with every parameter/state buffer
   swapped for a :class:`TrackedArray` view that records the byte ranges
-  each NumPy operation actually reads and writes (rebinding writes,
-  ``slot = new``, are caught by re-resolving every region's storage after
-  each task that rebound a storage array); any observed byte range inside
-  *some* region's storage but
-  outside the task's own declarations is an undeclared access — the bug
-  class a missing ``in(...)``/``out(...)`` clause creates;
+  each NumPy operation actually reads and writes; any observed byte range
+  inside *some* region's storage but outside the task's own declarations
+  is an undeclared access — the bug class a missing ``in(...)``/
+  ``out(...)`` clause creates.  No payload rebinds storage, so every
+  region resolves once; a task that leaves a storage array rebound
+  (``slot = new``) is itself an ``undeclared_write`` finding;
 * the **schedule fuzzer**: a :class:`~repro.runtime.scheduler.FuzzScheduler`
   permutes ready-queue pop order under a seed (:func:`fuzz_equivalence_sweep`
   asserts bitwise-equal results across seeds), and :func:`record_schedule` /
@@ -43,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -320,26 +320,30 @@ class TaskObservation:
 
     reads: Set[Interval] = field(default_factory=set)
     writes: Set[Interval] = field(default_factory=set)
-    #: region keys whose storage was rebound (slot = new array) by the task
-    rebound: List = field(default_factory=list)
 
 
-def _region_bounds(storage: Sequence[np.ndarray]) -> Tuple[Interval, ...]:
-    return tuple(byte_bounds(a) for a in storage if a.size)
+def _region_bounds(result) -> Dict:
+    """Every region key's byte ranges, resolved once."""
+    return {
+        r.key: tuple(byte_bounds(a) for a in result.region_storage(r.key) if a.size)
+        for r in result.regions.regions()
+    }
 
 
-def observe_accesses(result) -> Dict[int, TaskObservation]:
+def observe_accesses(result) -> Tuple[Dict[int, TaskObservation], List[DependenceFinding]]:
     """Run a functional graph serially, recording actual accesses per task.
 
     Executes payloads in registration order (the reference schedule), so
     the graph's numerics run exactly once — pass a freshly built result
     and treat its buffers as consumed.  Returns one
-    :class:`TaskObservation` per tid.
+    :class:`TaskObservation` per tid, and the findings of the identity
+    check: after each task the storage walk must hand back the very arrays
+    it did before, else the task rebound storage and the regions resolved
+    once no longer name the bytes it left there.
     """
     global _RECORDER
     if not getattr(result, "functional", False):
         raise ValueError("observe_accesses needs a functional graph (x=... build)")
-    regions = [r.key for r in result.regions.regions()]
 
     def track() -> list:
         """Every storage array, swapped for a tracked view.  Wrapping is
@@ -354,20 +358,12 @@ def observe_accesses(result) -> Dict[int, TaskObservation]:
         result.map_storage(wrap)
         return arrays
 
-    def resolve_all() -> Dict:
-        # Holding the arrays (not just bounds) pins their buffers, so no
-        # address is freed and reused mid-task, which would mask a rebind.
-        out = {}
-        for key in regions:
-            storage = result.region_storage(key)
-            out[key] = (storage, _region_bounds(storage))
-        return out
-
     observations: Dict[int, TaskObservation] = {}
+    findings: List[DependenceFinding] = []
     arrays = track()
-    pre = resolve_all()
+    bounds = _region_bounds(result)
     for task in result.graph:
-        obs = TaskObservation()
+        obs = observations[task.tid] = TaskObservation()
         if task.fn is not None:
             rec = AccessRecorder()
             _RECORDER = rec
@@ -377,19 +373,31 @@ def observe_accesses(result) -> Dict[int, TaskObservation]:
                 _RECORDER = None
             obs.reads = rec.reads
             obs.writes = rec.writes
-        now = track()  # newly stored slots become tracked
-        post = pre
-        # a region resolves to other bytes only where a task rebound one of
-        # the arrays the storage walk visits (the old ones are pinned)
+        now = track()
         if len(now) != len(arrays) or any(a is not b for a, b in zip(now, arrays)):
-            post = resolve_all()
-            obs.rebound = [key for key in regions if post[key][1] != pre[key][1]]
+            findings += _rebind_findings(bounds, task, arrays, now)
         arrays = now
-        observations[task.tid] = obs
-        obs.pre, obs.post = pre, post  # type: ignore[attr-defined]
-        pre = post
     result.map_storage(_plain)
-    return observations
+    return observations, findings
+
+
+def _rebind_findings(bounds: Dict, task, before: list, after: list) -> List[DependenceFinding]:
+    """One ``undeclared_write`` per region whose storage ``task`` left
+    rebound: the regions over the arrays the walk no longer returns (or
+    one naming no region, when none of them is a region's)."""
+    gone = [byte_bounds(a) for a in before if not any(a is b for b in after)]
+    keys = [
+        key for key, ranges in bounds.items()
+        if any(lo < g_hi and g_lo < hi for lo, hi in ranges for g_lo, g_hi in gone)
+    ] or [""]
+    return [
+        DependenceFinding(
+            kind="undeclared_write", tid=task.tid, task=task.name,
+            region=repr(key) if key else "",
+            detail="storage was rebound; a payload must write its slots in place",
+        )
+        for key in keys
+    ]
 
 
 def _subtract(interval: Interval, cover: List[Interval]) -> List[Interval]:
@@ -444,29 +452,20 @@ def declaration_findings(
     result, observations: Dict[int, TaskObservation]
 ) -> List[DependenceFinding]:
     """Diff observed accesses against each task's declared regions."""
+    bounds = _region_bounds(result)
+    index = _IntervalIndex(
+        (lo, hi, key) for key, ranges in bounds.items() for lo, hi in ranges
+    )
     findings: List[DependenceFinding] = []
     for task in result.graph:
         obs = observations.get(task.tid)
         if obs is None:
             continue
-        pre, post = obs.pre, obs.post  # type: ignore[attr-defined]
-
-        def intervals(key) -> List[Interval]:
-            return list(pre[key][1]) + [
-                b for b in post[key][1] if b not in pre[key][1]
-            ]
-
-        entries = []
-        for key in pre:
-            for lo, hi in intervals(key):
-                entries.append((lo, hi, key))
-        index = _IntervalIndex(entries)
-
         declared_read_cover: List[Interval] = []
         declared_write_cover: List[Interval] = []
         for region in task.regions():
             mode = task.access_mode(region)
-            cover = intervals(region.key)
+            cover = bounds[region.key]
             declared_read_cover.extend(cover)  # any declaration orders reads
             if mode in (AccessMode.OUT, AccessMode.INOUT):
                 declared_write_cover.extend(cover)
@@ -490,19 +489,6 @@ def declaration_findings(
 
         audit(obs.reads, declared_read_cover, "undeclared_read")
         audit(obs.writes, declared_write_cover, "undeclared_write")
-
-        declared_write_keys = {r.key for r in task.writes()}
-        for key in obs.rebound:
-            if key not in declared_write_keys:
-                findings.append(
-                    DependenceFinding(
-                        kind="undeclared_write",
-                        tid=task.tid,
-                        task=task.name,
-                        region=repr(key),
-                        detail="storage slot was rebound without an out/inout declaration",
-                    )
-                )
     return findings
 
 
@@ -576,8 +562,9 @@ def check_build(result, report: Optional[DependenceReport] = None) -> Dependence
     """
     if report is None:
         report = DependenceReport(n_tasks=len(result.graph), n_regions=len(result.regions))
-    observations = observe_accesses(result)
+    observations, rebinds = observe_accesses(result)
     report.observed_tasks = sum(1 for t in result.graph if t.fn is not None)
+    report.findings.extend(rebinds)
     report.findings.extend(declaration_findings(result, observations))
     return report
 

@@ -1,16 +1,17 @@
-"""POSIX shared-memory arenas backing cross-process region transfer.
+"""POSIX shared-memory arenas backing the multiprocess executor's storage.
 
 The multiprocess executor (:mod:`repro.runtime.mpexec`) never sends array
-payloads over its pipes — only task ids and *region slot descriptors*.  A
-:class:`ShmArena` is the thing a descriptor points into: one
-``multiprocessing.shared_memory`` segment plus a block allocator, created
-by the manager process **before** the workers fork so every process maps
-the same pages without an attach round-trip.
+payloads over its pipes — only task ids.  Every array a graph's payloads
+touch lives in one :class:`ShmArena`: a ``multiprocessing.shared_memory``
+segment plus a block allocator, created by the manager process **before**
+the workers fork so every process maps the same pages without an attach
+round-trip.
 
 Lifecycle invariants (enforced by ``tests/properties/test_shm_arena.py``
 and the fault-injection suite):
 
-* blocks handed out by :meth:`alloc` never overlap while live;
+* blocks handed out by :meth:`alloc` never overlap and read as zeros until
+  written (a new segment is zero-filled);
 * :meth:`put_array`/:meth:`get_array` round-trip dtype, shape, and bytes
   exactly, from the creating process and from a forked child alike;
 * the creating process owns the name: :meth:`destroy` always removes the
@@ -18,20 +19,18 @@ and the fault-injection suite):
   (``unlink`` only drops the name — crashed mappings are reclaimed by the
   kernel when the last map goes away, so no segment can leak).
 
-Allocation is first-fit over a sorted free list with coalescing on
-:meth:`free` — O(blocks), which is fine at the executor's scale (one
-block per exported region slot).  Blocks are 64-byte aligned so shm-backed
-array views keep the alignment NumPy's own allocator provides.
+Allocation bumps an offset: the executor allocates one block per storage
+array once per run and frees them all with the segment.  Blocks are 64-byte
+aligned so shm-backed array views keep the alignment NumPy's own allocator
+provides.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import pickle
-from bisect import insort
 from multiprocessing import shared_memory
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,10 +50,7 @@ class ArenaExhausted(RuntimeError):
 
 
 class ShmBlock(NamedTuple):
-    """A slot descriptor: which segment, where, how many bytes.
-
-    This is the *only* array-shaped thing the executor's pipes ever carry.
-    """
+    """A block descriptor: which segment, where, how many bytes."""
 
     segment: str
     offset: int
@@ -69,7 +65,8 @@ class ArrayDesc(NamedTuple):
     shape: Tuple[int, ...]
 
 
-def _align(n: int) -> int:
+def align_up(n: int) -> int:
+    """``n`` bytes rounded up to whole alignment units, at least one."""
     return (max(1, n) + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
@@ -82,7 +79,7 @@ def list_segments() -> List[str]:
 
 
 class ShmArena:
-    """One shared-memory segment plus a first-fit block allocator.
+    """One shared-memory segment plus a bump block allocator.
 
     Create in the parent (``ShmArena(capacity)``); forked children inherit
     the mapping and use the same object.  A *separate* process (not forked
@@ -92,15 +89,14 @@ class ShmArena:
     """
 
     def __init__(self, capacity: int, *, name: Optional[str] = None) -> None:
-        self.capacity = _align(capacity)
+        self.capacity = align_up(capacity)
         if name is None:
             name = f"{SEGMENT_PREFIX}_{os.getpid()}_{next(_COUNTER)}"
         self._shm = shared_memory.SharedMemory(
             name=name, create=True, size=self.capacity
         )
         self._owner = True
-        self._free: List[Tuple[int, int]] = [(0, self.capacity)]  # (offset, size)
-        self._live: Dict[int, int] = {}  # offset -> padded size
+        self._top = 0  # first unallocated byte
         self._closed = False
 
     @classmethod
@@ -110,8 +106,7 @@ class ShmArena:
         arena._shm = shared_memory.SharedMemory(name=name)
         arena.capacity = arena._shm.size
         arena._owner = False
-        arena._free = []
-        arena._live = {}
+        arena._top = arena.capacity  # allocation is the creator's
         arena._closed = False
         return arena
 
@@ -121,51 +116,24 @@ class ShmArena:
 
     @property
     def allocated_bytes(self) -> int:
-        return sum(self._live.values())
+        return self._top
 
     # -- block allocation ----------------------------------------------------
 
     def alloc(self, nbytes: int) -> ShmBlock:
-        """First-fit allocate ``nbytes`` (rounded up to the alignment)."""
-        need = _align(nbytes)
-        for i, (off, size) in enumerate(self._free):
-            if size >= need:
-                if size == need:
-                    del self._free[i]
-                else:
-                    self._free[i] = (off + need, size - need)
-                self._live[off] = need
-                return ShmBlock(self.name, off, nbytes)
-        raise ArenaExhausted(
-            f"arena {self.name}: alloc({nbytes}) does not fit "
-            f"({self.allocated_bytes}/{self.capacity} bytes allocated)"
-        )
-
-    def free(self, block: ShmBlock) -> None:
-        """Return a block; adjacent free ranges coalesce."""
-        if block.segment != self.name:
-            raise ValueError(f"block belongs to segment {block.segment!r}, not {self.name!r}")
-        size = self._live.pop(block.offset, None)
-        if size is None:
-            raise ValueError(f"double free or unknown block at offset {block.offset}")
-        insort(self._free, (block.offset, size))
-        merged: List[Tuple[int, int]] = []
-        for off, sz in self._free:
-            if merged and merged[-1][0] + merged[-1][1] == off:
-                merged[-1] = (merged[-1][0], merged[-1][1] + sz)
-            else:
-                merged.append((off, sz))
-        self._free = merged
-
-    # -- typed transfers -----------------------------------------------------
-
-    def write_bytes(self, data: bytes) -> ShmBlock:
-        block = self.alloc(len(data))
-        self._shm.buf[block.offset : block.offset + len(data)] = data
+        """Allocate ``nbytes`` (rounded up to the alignment) past the last
+        block."""
+        need = align_up(nbytes)
+        if self._top + need > self.capacity:
+            raise ArenaExhausted(
+                f"arena {self.name}: alloc({nbytes}) does not fit "
+                f"({self.allocated_bytes}/{self.capacity} bytes allocated)"
+            )
+        block = ShmBlock(self.name, self._top, nbytes)
+        self._top += need
         return block
 
-    def read_bytes(self, block: ShmBlock) -> bytes:
-        return bytes(self._shm.buf[block.offset : block.offset + block.nbytes])
+    # -- typed transfers -----------------------------------------------------
 
     def put_array(self, arr: np.ndarray) -> ArrayDesc:
         """Copy ``arr`` into the segment; the descriptor rebuilds it exactly."""
@@ -188,13 +156,6 @@ class ShmArena:
         """The array a descriptor names; ``copy=False`` aliases the segment."""
         view = self.view_array(desc)
         return view.copy() if copy else view
-
-    def put_pickle(self, obj) -> ShmBlock:
-        """Pickle ``obj`` into the segment (arbitrary region payloads)."""
-        return self.write_bytes(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def get_pickle(self, block: ShmBlock):
-        return pickle.loads(self.read_bytes(block))
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -371,7 +371,7 @@ MUTATION_TABLE = [
     ("undeclared_write", "observation", _observed("headBwd[0]s0", inouts=()),
      ("undeclared_write", "headBwd[0]s0", repr(("gWout", 0)), "touched bytes")),
     ("rebind", "observation", _observed("fwd[0]L0s0", outs=()),
-     ("undeclared_write", "fwd[0]L0s0", repr(("cache", 0, 0, "fwd", 0)), "rebound")),
+     ("undeclared_write", "fwd[0]L0s0", repr(("cache", 0, 0, "fwd", 0)), "touched bytes")),
     ("unordered_conflict", "ordering", _unordered,
      ("unordered_conflict", "head[0]s0", "loss[0]s0", "")),
     ("plan_structure_mismatch", "plan audit", _plan(_foreign_plan),

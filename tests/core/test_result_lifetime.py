@@ -73,26 +73,23 @@ def test_dropping_the_result_frees_the_step(no_collector, set_proj_block, mode, 
 def test_a_same_shape_step_keeps_the_buffers(no_collector):
     """A step of the last step's shape is rebound into the engine's one
     build: the preallocated buffers (inputs, state blocks, accumulators,
-    gradients) are the same arrays, and only the cell caches a run assigns
-    are new."""
+    gradients, the cell caches' block) are the same arrays, and the cache
+    records the same objects: no run assigns storage."""
     spec = small_spec()
     x, labels = make_batch(spec)
     engine = BParEngine(spec, config=ExecutionConfig(executor=ThreadedExecutor(2), mbs=2))
     engine.train_batch(x, labels)
     first = engine.last_result
-    state = first.chunks[0]
-    kept = [state.x, state.labels, state.h[0], state.merged[0], state.logits, state.dh[0],
-            state.dmerged[0], state.grads.layers[0].fwd.W]
-    refs = [weakref.ref(a) for a in kept]
-    assigned = weakref.ref(state.cache["fwd"][0][0])
-    del kept, state
+
+    def held(state):
+        return [state.x, state.labels, state.h[0], state.merged[0], state.logits, state.dh[0],
+                state.dmerged[0], state.grads.layers[0].fwd.W, state.acts[0],
+                state.cache["fwd"][0][0], state.cache["rev"][-1][-1]]
+
+    refs = [weakref.ref(a) for a in held(first.chunks[0])]
     engine.train_batch(*make_batch(spec, seed=8))
     assert engine.last_result is first
-    state = first.chunks[0]
-    now = [state.x, state.labels, state.h[0], state.merged[0], state.logits, state.dh[0],
-           state.dmerged[0], state.grads.layers[0].fwd.W]
-    assert all(ref() is array for ref, array in zip(refs, now))
-    assert assigned() is None
+    assert all(ref() is kept for ref, kept in zip(refs, held(first.chunks[0])))
 
 
 def test_a_new_shape_frees_the_previous_build(no_collector):

@@ -1,12 +1,15 @@
 """Every state slot is a view of its chunk's layer block.
 
 A chunk holds each per-direction slot kind as one ``(T, 2, B, ·)`` block per
-layer and its merges as one ``(T, B, M)`` block (``repro.core.state``): a
-task writes its slots in place and a rebound step allocates no state.  On
-the threaded engine — the paired graph on one worker, one task per chain
-and direction on two — every ``h``, ``zx``, ``dz`` and ``m`` slot a region
-resolves to must lie in its layer's block, the blocks must be the same
-arrays on every rebound step, and those steps must give a fresh build's
+layer, its cell caches' fields as one ``(T, 2, F, B, H)`` block and its
+merges as one ``(T, B, M)`` block (``repro.core.state``): a task writes its
+slots in place and a rebound step allocates no state.  On the threaded
+engine — the paired graph on one worker, one task per chain and direction
+on two — every ``h``, ``zx``, ``dz`` and ``m`` slot a region resolves to
+must lie in its layer's block, every array a cache region resolves to in
+the layer's cache block or in the ``h``/``c`` block (or initial state) and
+input block the step read, the blocks and cache records must be the same
+objects on every rebound step, and those steps must give a fresh build's
 bits.  The shapes cover one timestep, an odd length, one row and a chunk
 count above the batch (it clamps).  No clock is read.
 """
@@ -16,6 +19,7 @@ import pytest
 
 from repro.config import ExecutionConfig
 from repro.core import BParEngine, graph_builder
+from repro.models.cells import CACHE_FIELDS
 from repro.models.params import BRNNParams
 from repro.runtime.executor import ThreadedExecutor
 from tests.conftest import make_batch, small_spec
@@ -46,6 +50,34 @@ def _block_view_kinds(result) -> set:
             assert np.shares_memory(view, block), region.key
             assert view.shape == block.shape[-2:], region.key
         seen.add(kind)
+    return seen | _cache_views(result)
+
+
+def _cache_views(result) -> set:
+    """Check that every array a ``cache`` region resolves to lies in the
+    layer's cache block, its ``h``/``c`` block or initial state, or its
+    input block, and that each field the forward writes is one contiguous
+    ``(B, H)`` slot of the cache block; returns ``{"cache"}`` if any did."""
+    seen = set()
+    for region in result.regions.regions():
+        if region.key[0] != "cache":
+            continue
+        _, mb, layer, d, step = region.key
+        state = result.chunks[mb]
+        record = state.cache[d][layer][step]
+        if record is None:
+            assert result.region_storage(region.key) == ()
+            continue
+        homes = [state.acts[layer], state.h[layer], state.c[layer], state.h0, state.c0,
+                 state.inputs(layer)]
+        homes = [home for home in homes if home is not None]
+        for view in result.region_storage(region.key):
+            assert any(np.shares_memory(view, home) for home in homes), region.key
+        slot = state.acts[layer][step, ("fwd", "rev").index(d)]
+        for k, name in enumerate(CACHE_FIELDS[state.spec.cell]):
+            field = getattr(record, name)
+            assert field.flags.c_contiguous and np.shares_memory(field, slot[k]), region.key
+        seen.add("cache")
     return seen
 
 
@@ -68,6 +100,7 @@ def test_slots_are_views_of_one_block_per_layer(
     )
     expected = {"h", "m"} | ({"zx"} if hoist == "on" else set())
     expected |= {"dz"} if hoist == "on" and training else set()
+    expected |= {"cache"} if training else set()
     blocks = None
     for seed in range(3):
         x, labels = make_batch(spec, seq_len=seq_len, batch=batch, seed=seed)
@@ -76,8 +109,10 @@ def test_slots_are_views_of_one_block_per_layer(
         assert result.paired == (workers == 1)
         assert result.mbs == min(mbs, batch)
         assert _block_view_kinds(result) == expected
-        kept = [block for state in result.chunks for name in ("h", "zx", "dz", "merged")
+        kept = [block for state in result.chunks for name in ("h", "zx", "dz", "acts", "merged")
                 for block in getattr(state, name)]
+        kept += [record for state in result.chunks for grid in state.cache.values()
+                 for row in grid for record in row]
         if blocks is not None:
             assert all(a is b for a, b in zip(kept, blocks))
         blocks = kept

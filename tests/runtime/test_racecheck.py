@@ -175,14 +175,17 @@ def test_undeclared_rebind_write_is_flagged():
     )
 
 
-def test_declared_rebind_write_is_clean():
+def test_declared_rebind_write_is_still_flagged():
+    """Regions resolve once, so a rebind leaves them naming bytes the slot
+    no longer holds: declared or not, it is a finding."""
     tb = ToyBuild(a=[1.0, 2.0], b=[0.0, 0.0])
 
     def rebind():
         tb.store["b"] = tb.store["a"] * 2.0
 
     tb.graph.add(Task("rebind", rebind, ins=[tb.r("a")], outs=[tb.r("b")]))
-    assert check_build(tb).ok
+    (finding,) = check_build(tb).findings
+    assert (finding.kind, finding.task, finding.region) == ("undeclared_write", "rebind", "'b'")
 
 
 def test_observation_restores_plain_arrays():
@@ -274,6 +277,26 @@ def test_blstm_train_graph_is_race_free():
     report = check_build(result)
     assert report.ok, report.summary()
     assert report.observed_tasks > 100
+
+
+@pytest.mark.parametrize("kind", ["h", "acts"])
+def test_a_payload_that_rebinds_a_block_is_reported(kind):
+    """The identity check is the safety net behind resolving once: a
+    hand-made payload that leaves a layer block rebound is reported, naming
+    the task and the regions over the block it replaced."""
+    result = _blstm_build()
+    victim = next(t for t in result.graph if t.name == "fwd[0]L0s0")
+    run = victim.fn
+
+    def rebind():
+        run()
+        grid = getattr(result.chunks[0], kind)
+        grid[0] = grid[0].copy()
+
+    victim.fn = rebind
+    hits = [f for f in check_build(result).findings if "rebound" in f.detail]
+    assert hits and all((f.kind, f.task) == ("undeclared_write", "fwd[0]L0s0") for f in hits)
+    assert repr((kind.replace("acts", "cache"), 0, 0, "fwd", 0)) in {f.region for f in hits}
 
 
 def test_every_order_defining_dependence_deletion_is_detected():
