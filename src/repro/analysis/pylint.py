@@ -565,24 +565,25 @@ _TURN = "pointwise_turn"
 _GEMM_CALLEES = {"matmul", "dot"}
 
 
-def _is_gemm(node: ast.AST) -> bool:
+def _is_gemm(node: ast.AST, products: Set[str]) -> bool:
     if isinstance(node, (ast.BinOp, ast.AugAssign)):
         return isinstance(node.op, ast.MatMult)
-    return isinstance(node, ast.Call) and _terminal_name(node.func) in _GEMM_CALLEES
+    return isinstance(node, ast.Call) and _terminal_name(node.func) in products
 
 
 def _gemm_under_turn_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
     """Products under ``with …pointwise_turn:``, or under ``with turn:`` in a
-    function that bound ``turn = …pointwise_turn``."""
+    function that bound ``turn = …pointwise_turn``; a call of a name the
+    function bound to ``…matmul``/``…dot`` is a product too."""
     findings = []
     for scope in ast.walk(tree):
         if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         nodes = list(_own_nodes(*ast.iter_child_nodes(scope)))
-        turns = {_TURN} | {
-            t.id for n in nodes if isinstance(n, ast.Assign) and _terminal_name(n.value) == _TURN
-            for t in n.targets if isinstance(t, ast.Name)
-        }
+        bound = [(t.id, _terminal_name(n.value)) for n in nodes if isinstance(n, ast.Assign)
+                 for t in n.targets if isinstance(t, ast.Name)]
+        turns = {_TURN} | {name for name, value in bound if value == _TURN}
+        products = _GEMM_CALLEES | {name for name, value in bound if value in _GEMM_CALLEES}
         blocks = [n for n in nodes if isinstance(n, ast.With)
                   and any(_terminal_name(item.context_expr) in turns for item in n.items)]
         findings += [
@@ -594,7 +595,8 @@ def _gemm_under_turn_findings(tree: ast.AST, path: str) -> List[PyLintFinding]:
                 "without the GIL and scales with the workers; under the turn "
                 "it is serialised.  Compute it before the block",
             )
-            for block in blocks for stmt in block.body for node in ast.walk(stmt) if _is_gemm(node)
+            for block in blocks for stmt in block.body for node in ast.walk(stmt)
+            if _is_gemm(node, products)
         ]
     return findings
 

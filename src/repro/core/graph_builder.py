@@ -67,7 +67,7 @@ from repro.models.cells import (
     cell_backward_proj,
     cell_bwd_flops,
     cell_bwd_step_proj_flops,
-    cell_forward_proj,
+    cell_forward_chain,
     cell_fwd_flops,
     cell_fwd_step_proj_flops,
     cell_input_projection,
@@ -694,19 +694,17 @@ class _Builder:
 
     def _fn_cell_fwd_tile(self, mb, layer, direction, lo, hi):
         """Forward chain tile: steps ``[lo, hi)`` of one chain, or of both
-        (``"pair"``), each step's cells as one stacked cell over the
-        chains' slice of the layer blocks.  A step reads ``h[step-1]`` and
-        writes ``h[step]`` and its cache slot ``acts[step]`` through
-        ``out=``, so the arithmetic does not depend on where a chain is cut
-        or whether it is paired.  The inputs are the ``zx`` block as it lies
-        (chain order), or the tile's inputs stacked in chain order once and
-        multiplied in one ``np.matmul``.  On the layer's ``(2, I+H, G·H)``
-        weight stack, read in place, the cell's one forward body makes each
-        product one ``np.matmul`` over the chains (Appleyard et al.,
-        arXiv:1604.01946) and a paired step's pointwise stretch one pass
-        (Hwang & Sung, arXiv:1503.02852).  NumPy runs a stack slice by slice
-        with the 2-D product's BLAS call, so a paired step is bitwise two
-        single steps."""
+        (``"pair"``), as one call of the cell's forward chain body
+        (:func:`~repro.models.cells.cell_forward_chain`) over the chains'
+        slice of the layer blocks.  Step ``k`` reads ``h[k-1]`` and writes
+        ``h[k]`` and its cache slot ``acts[k]`` through ``out=``, so the
+        arithmetic does not depend on where a chain is cut or whether it is
+        paired.  The inputs are the ``zx`` block as it lies (chain order), or
+        the tile's inputs stacked in chain order once and multiplied in one
+        ``np.matmul``.  On the layer's ``(2, I+H, G·H)`` weight stack, read in
+        place, each product is one ``np.matmul`` over the chains (Appleyard
+        et al., arXiv:1604.01946) and a paired step's pointwise stretch one
+        pass (Hwang & Sung, arXiv:1503.02852)."""
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
         need_cache = self.training
@@ -722,22 +720,19 @@ class _Builder:
             W, b = lp.W[ds], lp.b[ds, None]
             h, c, acts = map(tile_chains, (state.h[layer], state.c[layer], state.acts[layer]))
             if fused:
-                zx, first = tile_chains(state.zx[layer]), 0
+                zx = tile_chains(state.zx[layer])[lo:hi]
             else:  # each (B, I) slice's product is the one a single step makes
                 src = state.inputs(layer)
                 by_chain = (src[lo:hi], src[T - hi : T - lo][::-1])
                 xs = np.stack([by_chain[d] for d in chains], axis=1)
-                zx, first = xs @ W[..., : xs.shape[-1], :], lo
+                zx = xs @ W[..., : xs.shape[-1], :]
             h_prev = h[lo - 1] if lo else state.h0[ds]
             c_prev = None
             if c is not None:
-                c_prev = c[lo - 1] if lo else state.c0[ds]
-            for step in range(lo, hi):
-                out = (h[step], None if c is None else c[step])
-                h_prev, c_prev, _ = cell_forward_proj(
-                    spec, zx[step - first], h_prev, c_prev, W, b, need_cache, out,
-                    acts[step] if need_cache else None,
-                )
+                c_prev, c = (c[lo - 1] if lo else state.c0[ds]), c[lo:hi]
+            cell_forward_chain(
+                spec, zx, h_prev, c_prev, W, b, h[lo:hi], c, acts[lo:hi] if need_cache else None
+            )
 
         return fn
 

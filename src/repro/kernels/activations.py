@@ -46,10 +46,10 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     three vectorised ufunc passes with no data-dependent branching, which
     keeps it off the cell tasks' critical path.
     """
-    half = np.asarray(0.5, dtype=x.dtype)
+    half, one = constants(x.dtype)
     out = x * half if out is None else np.multiply(x, half, out=out)
     np.tanh(out, out=out)
-    out += np.asarray(1.0, dtype=x.dtype)
+    out += one
     out *= half
     return out
 
@@ -60,15 +60,16 @@ def tanh(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.tanh(x) if out is None else np.tanh(x, out=out)
 
 
-def cache_field(slot: Optional[np.ndarray], k: int) -> Optional[np.ndarray]:
-    """Field ``k`` of a cell's cache slot ``(..., F, B, H)``, a contiguous
-    ``(B, H)`` array per cell: an ``out`` target of a forward body (``None``
-    without a slot)."""
-    return None if slot is None else slot[..., k, :, :]
+@lru_cache(maxsize=8)
+def constants(dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only 0-d ``(0.5, 1.0)`` of ``dtype``: :func:`sigmoid`'s scalars."""
+    half, one = np.asarray(0.5, dtype=dtype), np.asarray(1.0, dtype=dtype)
+    half.flags.writeable = one.flags.writeable = False
+    return half, one
 
 
 @lru_cache(maxsize=64)
-def _gate_rows(gates: str, hidden: int, dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:
+def gate_rows(gates: str, hidden: int, dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only ``(scale, shift)`` row vectors of :func:`activate_gates_`."""
     scale = np.repeat([0.5 if g == "s" else 1.0 for g in gates], hidden).astype(dtype)
     shift = np.repeat([1.0 if g == "s" else -0.0 for g in gates], hidden).astype(dtype)
@@ -76,7 +77,17 @@ def _gate_rows(gates: str, hidden: int, dtype: np.dtype) -> Tuple[np.ndarray, np
     return scale, shift
 
 
-def activate_gates_(z: np.ndarray, gates: str) -> np.ndarray:
+def at_shape(row: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``row`` materialised at ``shape``, once per chain: a ufunc on equal
+    shapes runs faster than on a broadcast ``(G·H,)`` row (docs/PERF.md)."""
+    out = np.empty(shape, row.dtype)
+    out[...] = row
+    return out
+
+
+def activate_gates_(
+    z: np.ndarray, gates: str, rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
+) -> np.ndarray:
     """Activate a whole stacked pre-activation buffer in place and return it.
 
     ``z (..., B, len(gates)·H)`` holds one column block per gate; ``gates`` names
@@ -86,9 +97,11 @@ def activate_gates_(z: np.ndarray, gates: str) -> np.ndarray:
     bitwise what the per-gate function returns: a sigmoid column runs
     ``((x·½) → tanh → +1 → ·½)`` exactly as :func:`sigmoid` does, a tanh
     column is scaled by 1 and shifted by ``-0.0``, the one addend that leaves
-    every value, ``tanh(-0.0) = -0.0`` included, as it is.
+    every value, ``tanh(-0.0) = -0.0`` included, as it is.  ``rows``, the
+    pair of :func:`gate_rows` at ``z``'s full shape (:func:`at_shape`), saves a
+    chain the broadcast.
     """
-    scale, shift = _gate_rows(gates, z.shape[-1] // len(gates), z.dtype)
+    scale, shift = rows or gate_rows(gates, z.shape[-1] // len(gates), z.dtype)
     z *= scale
     np.tanh(z, out=z)
     z += shift

@@ -5,6 +5,10 @@ layer/direction with gate order ``[z, r, h̄]`` and bias ``b (3H,)``.
 The update/reset gates fuse into one GEMM; the candidate ``H̄_t`` needs a
 separate recurrent product because Eq. (9) applies the reset gate to
 ``H_{t-1}`` *before* the matrix multiply (``[X_t, R_t ⊙ H_{t-1}]``).
+
+The forward has one body, :func:`gru_forward_chain`: ``K`` steps of a
+chain, or of the two directions' chains stacked, in one call.  A graph's
+forward tile is one call of it; the per-step kernels are one-step calls.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels import activations
-from repro.kernels.activations import activate_gates_, cache_field, dsigmoid, dtanh, sigmoid
+from repro.kernels.activations import (
+    activate_gates_, at_shape, constants, dsigmoid, dtanh, gate_rows, sigmoid,
+)
 
 
 @dataclass
@@ -28,20 +34,6 @@ class GRUCache:
     r: np.ndarray
     hbar: np.ndarray
     rh: np.ndarray  # R_t ⊙ H_{t-1}
-
-
-def _activate(zr: np.ndarray, hidden: int, need_cache: bool, out: Optional[np.ndarray] = None):
-    """Update and reset gates ``(z, r)`` of the biased pre-activation ``zr (B,
-    2H)``; the caller holds the turn.  As in :mod:`repro.kernels.lstm`: a
-    cache for the backward gets contiguous per-gate arrays (fresh, or the
-    gate fields of its cache slot ``out``), and with nothing retained ``zr`` is
-    activated in place and the gates are views of it.  Bitwise the same
-    values either way."""
-    if need_cache:
-        z = sigmoid(zr[..., :hidden], cache_field(out, 0))
-        return z, sigmoid(zr[..., hidden:], cache_field(out, 1))
-    activate_gates_(zr, "ss")
-    return zr[..., :hidden], zr[..., hidden:]
 
 
 def gru_forward_step(
@@ -91,41 +83,81 @@ def gru_forward_step_proj(
     out: Optional[np.ndarray] = None,
     cache_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[GRUCache]]:
-    """One GRU cell update from a precomputed input projection.
-
-    ``zx (B, 3H)`` is this timestep's slice of the hoisted ``X @ W[:I]``
-    GEMM.  The one forward body of the cell: :func:`gru_forward_step` calls
-    it with its own ``x @ W[:I]``.  ``need_cache`` as there; the cache's
-    ``x`` is ``None`` (the hoisted backward reads the inputs by block).
-    ``out`` as there, and ``cache_out``, a ``(..., 4, B, H)`` slot, where
-    the cache's ``z, r, hbar, rh`` are written: the same ufuncs write into
-    them, so the bits do not depend on where ``h`` and the cache land.
-
-    Two pointwise stretches, one on each side of the candidate's recurrent
-    GEMM, which has to wait for the reset gate.
-    """
-    hidden = h_prev.shape[-1]
-    input_size = W.shape[-2] - hidden
-    two_h = 2 * hidden
-
-    zr = h_prev @ W[..., input_size:, :two_h]
-    with activations.pointwise_turn:
-        zr += zx[..., :two_h]
-        zr += b[..., :two_h]
-        z, r = _activate(zr, hidden, need_cache, cache_out)
-        rh_out = cache_field(cache_out, 3)
-        rh = r * h_prev if rh_out is None else np.multiply(r, h_prev, out=rh_out)
-
-    a = rh @ W[..., input_size:, two_h:]
-    with activations.pointwise_turn:
-        a += zx[..., two_h:]
-        a += b[..., two_h:]
-        hbar = np.tanh(a, out=a if cache_out is None else cache_field(cache_out, 2))
-        h = np.multiply(z, hbar, out=out)
-        h += (1.0 - z) * h_prev
+    """One GRU cell update from this timestep's input projection ``zx (B,
+    3H)``: a one-step :func:`gru_forward_chain`.  ``need_cache`` and ``out``
+    as in :func:`gru_forward_step` (the cache's ``x`` is ``None``);
+    ``cache_out``, a ``(..., 4, B, H)`` slot, is where the cache's ``z, r,
+    hbar, rh`` go (a fresh slot when a cache is kept and none is given)."""
+    h = np.empty_like(h_prev) if out is None else out
+    if need_cache and cache_out is None:
+        cache_out = np.empty(h.shape[:-2] + (4,) + h.shape[-2:], h.dtype)
+    gru_forward_chain(zx[None], h_prev, W, b, h[None], cache_out[None] if need_cache else None)
     if not need_cache:
         return h, None
-    return h, GRUCache(x=None, h_prev=h_prev, z=z, r=r, hbar=hbar, rh=rh)
+    return h, GRUCache(None, h_prev, *cache_out.swapaxes(-3, 0))
+
+
+def gru_forward_chain(
+    zx: np.ndarray,
+    h_prev: np.ndarray,
+    W: np.ndarray,
+    b: np.ndarray,
+    h: np.ndarray,
+    acts: Optional[np.ndarray] = None,
+) -> None:
+    """Steps ``k = 0..K-1`` of a GRU chain: the cell's one forward body.
+
+    As :func:`repro.kernels.lstm.lstm_forward_chain`, with ``zx (K, ..., B,
+    3H)`` (its two column blocks copied apart once) and the cache fields
+    ``z, r, hbar, rh`` in ``acts (K, ..., 4, B, H)``.  Two pointwise
+    stretches per step, one on each side of the candidate's recurrent GEMM,
+    which has to wait for the reset gate.
+    """
+    hidden = h.shape[-1]
+    two_h = 2 * hidden
+    W_h = W[..., W.shape[-2] - hidden :, :]
+    W_zr, W_a = W_h[..., :two_h], W_h[..., two_h:]
+    zr = np.empty(h.shape[1:-1] + (two_h,), h.dtype)
+    zr2 = zr.reshape(zr.shape[:-1] + (2, hidden))
+    zr_gates = zr2.transpose((zr2.ndim - 2, *range(zr2.ndim - 2), zr2.ndim - 1))  # (2, ..., B, H)
+    a, scratch = np.empty(h.shape[1:], h.dtype), np.empty(h.shape[1:], h.dtype)
+    b_zr, b_a = at_shape(b[..., :two_h], zr.shape), at_shape(b[..., two_h:], a.shape)
+    zx_zr, zx_a = np.ascontiguousarray(zx[..., :two_h]), np.ascontiguousarray(zx[..., two_h:])
+    one = constants(h.dtype)[1]
+    buf = None
+    if acts is None:
+        rows = tuple(at_shape(row, zr.shape) for row in gate_rows("ss", hidden, zr.dtype))
+        gates = np.empty(zr_gates.shape, zr.dtype)
+        (z, r), hbar, rh = gates, a, scratch
+    elif not acts[0].swapaxes(-3, 0)[0].flags.c_contiguous:
+        buf = np.empty((4,) + h.shape[1:], h.dtype)  # a pair's fields interleave its chains
+    for k in range(len(zx)):
+        np.matmul(h_prev, W_zr, out=zr)
+        h_k = h[k]
+        with activations.pointwise_turn:
+            zr += zx_zr[k]
+            zr += b_zr
+            if acts is None:
+                activate_gates_(zr, "ss", rows)
+                np.copyto(gates, zr_gates)
+            else:
+                slot = acts[k].swapaxes(-3, 0) if buf is None else buf  # fields first
+                np.copyto(slot[:2], zr_gates)
+                z, r, hbar, rh = slot
+                sigmoid(z, z)
+                sigmoid(r, r)
+            np.multiply(r, h_prev, out=rh)
+
+        np.matmul(rh, W_a, out=a)
+        with activations.pointwise_turn:
+            a += zx_a[k]
+            a += b_a
+            np.tanh(a, out=hbar)
+            np.multiply(z, hbar, out=h_k)
+            h_k += np.multiply(np.subtract(one, z, out=scratch), h_prev, out=scratch)
+            if buf is not None:
+                np.copyto(acts[k].swapaxes(-3, 0), buf)
+        h_prev = h_k
 
 
 def gru_backward_step_proj(

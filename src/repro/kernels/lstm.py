@@ -7,6 +7,10 @@ Eqs. (1)-(4) into a single GEMM — the same optimisation the paper's
 implementation (and cuDNN/oneDNN) applies.  Rows ``[:I]`` multiply the
 input ``X_t``, rows ``[I:]`` multiply the recurrent state ``H_{t-1}``,
 which avoids materialising the ``[X_t, H_{t-1}]`` concatenation.
+
+The forward has one body, :func:`lstm_forward_chain`: ``K`` steps of a
+chain, or of the two directions' chains stacked, in one call.  A graph's
+forward tile is one call of it; the per-step kernels are one-step calls.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from repro.kernels import activations
 from repro.kernels.activations import (
-    activate_gates_, cache_field, dsigmoid, dtanh, sigmoid, tanh,
+    activate_gates_, at_shape, dsigmoid, dtanh, gate_rows, sigmoid, tanh,
 )
 
 
@@ -34,34 +38,6 @@ class LSTMCache:
     g: np.ndarray
     o: np.ndarray
     tc: np.ndarray  # tanh(C_t)
-
-
-def _activate(z: np.ndarray, hidden: int, need_cache: bool, out: Optional[np.ndarray] = None):
-    """Gates ``(i, f, g, o)`` of the biased pre-activation ``z (B, 4H)``; the
-    caller holds the turn.
-
-    What the caller retains picks the layout.  A cache for the backward gets
-    contiguous per-gate arrays, which it reads faster than views with a
-    ``4H`` row stride (docs/PERF.md): fresh ones, or the gate fields of its
-    cache slot ``out``.  With nothing retained ``z`` is activated in place
-    (:func:`~repro.kernels.activations.activate_gates_`) and the gates are
-    views of it, no per-gate temporaries.  Bitwise the same values either
-    way, element by element.
-    """
-    if need_cache:
-        return (
-            sigmoid(z[..., :hidden], cache_field(out, 0)),
-            sigmoid(z[..., hidden : 2 * hidden], cache_field(out, 1)),
-            tanh(z[..., 2 * hidden : 3 * hidden], cache_field(out, 2)),
-            sigmoid(z[..., 3 * hidden :], cache_field(out, 3)),
-        )
-    activate_gates_(z, "ssts")
-    return (
-        z[..., :hidden],
-        z[..., hidden : 2 * hidden],
-        z[..., 2 * hidden : 3 * hidden],
-        z[..., 3 * hidden :],
-    )
 
 
 def lstm_forward_step(
@@ -122,35 +98,84 @@ def lstm_forward_step_proj(
     out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     cache_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
-    """One LSTM cell update from a precomputed input projection.
-
-    ``zx (B, 4H)`` is this timestep's slice of the hoisted ``X @ W[:I]``
-    GEMM; only the recurrent product remains on the critical path.  The one
-    forward body of the cell: :func:`lstm_forward_step` calls it with its own
-    ``x @ W[:I]``.  ``need_cache`` as there; the cache's ``x`` is ``None``
-    (the hoisted backward reads the inputs by block).  Both cells' forward
-    bodies slice ``W[..., rows, cols]``, so they also run stacked cells, every
-    operand on a leading axis of one or two chains (``_fn_cell_fwd_tile``).
-    ``out`` as there, and ``cache_out``, a ``(..., 5, B, H)`` slot, where
-    the cache's ``i, f, g, o, tc`` are written: the same ufuncs write into
-    them, so the bits do not depend on where ``h``, ``c`` and the cache
-    land.
-    """
-    h_out, c_out = (None, None) if out is None else out
-    hidden = h_prev.shape[-1]
-    input_size = W.shape[-2] - hidden
-    z = h_prev @ W[..., input_size:, :]
-    with activations.pointwise_turn:
-        z += zx
-        z += b
-        i, f, g, o = _activate(z, hidden, need_cache, cache_out)
-        c = np.multiply(f, c_prev, out=c_out)
-        c += i * g
-        tc = tanh(c, None if cache_out is None else cache_out[..., 4, :, :])
-        h = np.multiply(o, tc, out=h_out)
+    """One LSTM cell update from this timestep's input projection ``zx (B,
+    4H)``: a one-step :func:`lstm_forward_chain`.  ``need_cache`` and ``out``
+    as in :func:`lstm_forward_step` (the cache's ``x`` is ``None``);
+    ``cache_out``, a ``(..., 5, B, H)`` slot, is where the cache's ``i, f, g,
+    o, tc`` go (a fresh slot when a cache is kept and none is given)."""
+    h, c = (np.empty_like(h_prev), np.empty_like(h_prev)) if out is None else out
+    if need_cache and cache_out is None:
+        cache_out = np.empty(h.shape[:-2] + (5,) + h.shape[-2:], h.dtype)
+    slot = cache_out[None] if need_cache else None
+    lstm_forward_chain(zx[None], h_prev, c_prev, W, b, h[None], c[None], slot)
     if not need_cache:
         return h, c, None
-    return h, c, LSTMCache(x=None, h_prev=h_prev, c_prev=c_prev, i=i, f=f, g=g, o=o, tc=tc)
+    return h, c, LSTMCache(None, h_prev, c_prev, *cache_out.swapaxes(-3, 0))
+
+
+def lstm_forward_chain(
+    zx: np.ndarray,
+    h_prev: np.ndarray,
+    c_prev: np.ndarray,
+    W: np.ndarray,
+    b: np.ndarray,
+    h: np.ndarray,
+    c: np.ndarray,
+    acts: Optional[np.ndarray] = None,
+) -> None:
+    """Steps ``k = 0..K-1`` of an LSTM chain: the cell's one forward body.
+
+    ``zx (K, ..., B, 4H)`` holds the steps' input projections, ``h_prev``/
+    ``c_prev`` the state before step 0; step ``k`` writes ``h[k]``, ``c[k]``
+    and, given ``acts (K, ..., 5, B, H)``, the cache fields ``i, f, g, o,
+    tc`` of ``acts[k]``.  A leading chain axis stacks chains: NumPy runs a
+    stack slice by slice with the 2-D product's BLAS call, so the bits do
+    not depend on pairing or on where a chain is cut.  Set up once: the
+    recurrent rows of ``W``, the buffers, the bias and activation rows at
+    full shape.  A step is one ``np.matmul`` into ``z`` outside the turn and
+    a stretch under it that writes only through ``out=``: the biased ``z``
+    (activated in place when no cache is kept) is copied gate-major, into
+    the cache's contiguous fields or a buffer, because a ufunc on a
+    ``4H``-strided gate view buffers a fresh copy of it (docs/PERF.md).
+    """
+    hidden = h.shape[-1]
+    W_h = W[..., W.shape[-2] - hidden :, :]
+    z = np.empty(h.shape[1:-1] + (4 * hidden,), h.dtype)
+    z4 = z.reshape(z.shape[:-1] + (4, hidden))
+    z_gates = z4.transpose((z4.ndim - 2, *range(z4.ndim - 2), z4.ndim - 1))  # (4, ..., B, H)
+    scratch = np.empty(h.shape[1:], h.dtype)
+    bias = at_shape(b, z.shape)
+    buf = None
+    if acts is None:
+        rows = tuple(at_shape(row, z.shape) for row in gate_rows("ssts", hidden, z.dtype))
+        gates = np.empty(z_gates.shape, z.dtype)
+        (i, f, g, o), tc = gates, scratch
+    elif not acts[0].swapaxes(-3, 0)[0].flags.c_contiguous:
+        buf = np.empty((5,) + h.shape[1:], h.dtype)  # a pair's fields interleave its chains
+    for k in range(len(zx)):
+        np.matmul(h_prev, W_h, out=z)
+        h_k, c_k = h[k], c[k]
+        with activations.pointwise_turn:
+            z += zx[k]
+            z += bias
+            if acts is None:
+                activate_gates_(z, "ssts", rows)
+                np.copyto(gates, z_gates)
+            else:
+                slot = acts[k].swapaxes(-3, 0) if buf is None else buf  # fields first
+                np.copyto(slot[:4], z_gates)
+                i, f, g, o, tc = slot
+                sigmoid(i, i)
+                sigmoid(f, f)
+                tanh(g, g)
+                sigmoid(o, o)
+            np.multiply(f, c_prev, out=c_k)
+            c_k += np.multiply(i, g, out=scratch)
+            np.tanh(c_k, out=tc)
+            np.multiply(o, tc, out=h_k)
+            if buf is not None:
+                np.copyto(acts[k].swapaxes(-3, 0), buf)
+        h_prev, c_prev = h_k, c_k
 
 
 def lstm_backward_step_proj(

@@ -16,16 +16,16 @@ from repro.kernels.gru import (
     GRUCache,
     gru_backward_step,
     gru_backward_step_proj,
+    gru_forward_chain,
     gru_forward_step,
-    gru_forward_step_proj,
     gru_proj_backward,
 )
 from repro.kernels.lstm import (
     LSTMCache,
     lstm_backward_step,
     lstm_backward_step_proj,
+    lstm_forward_chain,
     lstm_forward_step,
-    lstm_forward_step_proj,
     lstm_proj_backward,
 )
 from repro.models.spec import CELLS, BRNNSpec
@@ -40,11 +40,6 @@ _FWD_STEP = {
 _BWD_STEP = {
     "lstm": lstm_backward_step,
     "gru": gru_backward_step,
-}
-
-_FWD_STEP_PROJ = {
-    "lstm": lstm_forward_step_proj,
-    "gru": gru_forward_step_proj,
 }
 
 _BWD_STEP_PROJ = {
@@ -136,28 +131,25 @@ def cell_input_projection(spec: BRNNSpec, X: np.ndarray, W: np.ndarray) -> np.nd
     return (_rows(X) @ Wx).reshape(steps, batch, -1)
 
 
-def cell_forward_proj(
+def cell_forward_chain(
     spec: BRNNSpec,
     zx: np.ndarray,
     h_prev: np.ndarray,
     c_prev: Optional[np.ndarray],
     W: np.ndarray,
     b: np.ndarray,
-    need_cache: bool = True,
-    out: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None,
-    cache_out: Optional[np.ndarray] = None,
-):
-    """Shrunken cell update from a precomputed ``Zx_t``; returns ``(h, c, cache)``.
-
-    ``need_cache`` and ``out`` as in :func:`cell_forward`; ``cache_out``,
-    a ``(..., F, B, H)`` slot, is where the kernel writes the
-    :data:`CACHE_FIELDS`.
-    """
-    fn = _FWD_STEP_PROJ[spec.cell]
+    h: np.ndarray,
+    c: Optional[np.ndarray],
+    acts: Optional[np.ndarray] = None,
+) -> None:
+    """``K`` steps of a chain or of stacked chains, the cell's one forward
+    body: from the input projections ``zx (K, ..., B, G·H)`` and the state
+    before step 0, step ``k`` writes ``h[k]`` (LSTM: ``c[k]``) and, given
+    ``acts (K, ..., F, B, H)``, its :data:`CACHE_FIELDS`."""
     if spec.cell == "lstm":
-        return fn(zx, h_prev, c_prev, W, b, need_cache, out, cache_out)
-    h, cache = fn(zx, h_prev, W, b, need_cache, None if out is None else out[0], cache_out)
-    return h, None, cache
+        lstm_forward_chain(zx, h_prev, c_prev, W, b, h, c, acts)
+    else:
+        gru_forward_chain(zx, h_prev, W, b, h, acts)
 
 
 def cell_backward_proj(

@@ -121,6 +121,7 @@ class Task:
         "meta",
         "_regions",
         "_region_ids",
+        "_wss",
     )
 
     def __init__(
@@ -145,6 +146,7 @@ class Task:
         self.meta = meta or {}
         self._regions: Optional[Tuple[Region, ...]] = None
         self._region_ids: Optional[frozenset] = None
+        self._wss: Optional[int] = None
 
     # -- derived views -----------------------------------------------------
 
@@ -172,8 +174,11 @@ class Task:
         return self._region_ids
 
     def working_set_bytes(self) -> int:
-        """Bytes of data this task touches (the paper's per-task WSS)."""
-        return sum(r.nbytes for r in self.regions())
+        """Bytes of data this task touches (the paper's per-task WSS), fixed
+        at the first call, which runs make: builds may still grow a region."""
+        if self._wss is None:
+            self._wss = sum(r.nbytes for r in self.regions())
+        return self._wss
 
     def run(self) -> None:
         """Execute the payload (no-op for simulation-only tasks)."""

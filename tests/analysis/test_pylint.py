@@ -349,6 +349,23 @@ def test_gemm_under_turn_fixture_has_its_one_finding():
     assert "h_prev @ W[input_size:]" in fixture.read_text().splitlines()[findings[0].line - 1]
 
 
+def test_gemm_under_turn_sees_a_product_bound_to_a_local_name():
+    """A chain loop that binds ``mm = np.matmul`` once and calls ``mm`` under
+    the turn at every step; the same call outside the turn is clean."""
+    fixture = Path(__file__).resolve().parents[1] / "fixtures" / "gemm_under_turn_alias.py.txt"
+    text = fixture.read_text()
+    findings = lint_source(text, path=str(fixture))
+    assert _rules(findings) == ["gemm-under-turn"]
+    assert "mm(h_prev, W_h, out=z)" in text.splitlines()[findings[0].line - 1]
+    outside = text.replace(
+        "        with activations.pointwise_turn:\n            mm(h_prev, W_h, out=z)\n",
+        "        mm(h_prev, W_h, out=z)\n        with activations.pointwise_turn:\n",
+    )
+    assert outside != text and lint_source(outside) == []
+    unbound = _TURN_KERNEL.format(outside="x @ W", inside="z += mm(h, W)")
+    assert lint_source(unbound) == []
+
+
 # -- waivers ----------------------------------------------------------------
 
 

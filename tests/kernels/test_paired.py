@@ -10,9 +10,19 @@ equal what the single step computes on that direction's operands.
 import numpy as np
 import pytest
 
-from repro.models.cells import cell_forward, cell_forward_proj
+from repro.kernels.gru import gru_forward_step_proj
+from repro.kernels.lstm import lstm_forward_step_proj
+from repro.models.cells import cell_forward
 from repro.models.spec import CELL_TYPES
 from tests.conftest import small_spec
+
+
+def cell_forward_proj(spec, zx, h_prev, c_prev, W, b, need_cache):
+    """One hoisted step (``*_forward_step_proj``) as ``(h, c_or_None, cache)``."""
+    if spec.cell == "lstm":
+        return lstm_forward_step_proj(zx, h_prev, c_prev, W, b, need_cache)
+    h, cache = gru_forward_step_proj(zx, h_prev, W, b, need_cache)
+    return h, None, cache
 
 
 def _operands(cell, rows, seed):

@@ -22,7 +22,8 @@ from repro.config import ExecutionConfig
 from repro.core import BParEngine
 from repro.kernels import activations
 from repro.kernels.activations import activate_gates_, sigmoid, tanh
-from repro.kernels.lstm import lstm_forward_step
+from repro.kernels.gru import gru_forward_step_proj
+from repro.kernels.lstm import lstm_forward_step, lstm_forward_step_proj
 from repro.models import cells
 from repro.models.spec import CELLS
 from repro.serve.engine import InferenceEngine
@@ -37,11 +38,35 @@ def _forward_paths(stacked):
     return {"stacked": stacked, "act": functools.partial(stacked, need_cache=False)}
 
 
+def _chain_of(cell, keep, steps=3):
+    """The cell's forward chain body (``*_forward_chain``) over ``steps``
+    steps of one repeated input projection, behind the proj kernels'
+    signature: returns the ``h`` (and ``c``) blocks and the cache block
+    (``None`` unless ``keep``)."""
+    chain = getattr(sys.modules[f"repro.kernels.{cell}"], f"{cell}_forward_chain")
+    fields = len(cells.CACHE_FIELDS[cell])
+
+    def run(zx, h_prev, *rest):
+        *c_prev, W, b = rest
+        h = np.empty((steps,) + h_prev.shape, h_prev.dtype)
+        c = [np.empty_like(h)] if c_prev else []
+        acts = np.empty((steps, fields) + h_prev.shape, h_prev.dtype) if keep else None
+        chain(np.stack([zx] * steps), h_prev, *c_prev, W, b, h, *c, acts)
+        return (h, *c, acts)
+
+    return run
+
+
+#: the hoisted per-step kernels, one-step calls of the chain body
+FWD_STEP_PROJ = {"lstm": lstm_forward_step_proj, "gru": gru_forward_step_proj}
+
 TABLES = {
     "fwd": {cell: _forward_paths(fn) for cell, fn in cells._FWD_STEP.items()},
     "bwd": {cell: {"stacked": fn} for cell, fn in cells._BWD_STEP.items()},
-    "fwd_proj": {cell: _forward_paths(fn) for cell, fn in cells._FWD_STEP_PROJ.items()},
+    "fwd_proj": {cell: _forward_paths(fn) for cell, fn in FWD_STEP_PROJ.items()},
     "bwd_proj": {cell: {"stacked": fn} for cell, fn in cells._BWD_STEP_PROJ.items()},
+    "chain": {cell: {"stacked": _chain_of(cell, True), "act": _chain_of(cell, False)}
+              for cell in CELLS},
 }
 
 #: every kernel behind ``models/cells.py``'s dispatch tables, on every path
@@ -67,7 +92,7 @@ class Operands:
         self.dh, self.dc = draw(rows, hidden), draw(rows, hidden)
         self.cache = {
             "bwd": self.call("fwd", cells._FWD_STEP[cell])[-1],
-            "bwd_proj": self.call("fwd_proj", cells._FWD_STEP_PROJ[cell])[-1],
+            "bwd_proj": self.call("fwd_proj", FWD_STEP_PROJ[cell])[-1],
         }
 
     def call(self, table, fn, W=None, **swap):
@@ -77,8 +102,8 @@ class Operands:
         are appended to what it returns."""
         ops = {**vars(self), **swap}
         W = self.W if W is None else W
-        if table.startswith("fwd"):
-            first = ops["x"] @ self.W[: self.input_size] if table == "fwd_proj" else ops["x"]
+        if table in ("fwd", "fwd_proj", "chain"):  # a chain kernel takes proj's operands
+            first = ops["x"] if table == "fwd" else ops["x"] @ self.W[: self.input_size]
             state = (ops["h"], ops["c"]) if self.cell == "lstm" else (ops["h"],)
             return fn(first, *state, W, ops["b"])
         grads = (ops["dh"], ops["dc"]) if self.cell == "lstm" else (ops["dh"],)
@@ -119,21 +144,20 @@ class CountingTurn:
 
 
 class SpyWeights(np.ndarray):
-    """A weight panel that records, at every product it takes part in,
-    whether the turn is held.  Slices and transposes share the record."""
+    """A weight panel that records, at every product it takes part in (``@``
+    or ``np.matmul``, into ``out=`` or not), whether the turn is held.
+    Slices and transposes share the record."""
 
     def __array_finalize__(self, obj):
         self.held = getattr(obj, "held", None)
 
-    def _product(self, left, right):
-        self.held.append(activations.pointwise_turn.locked())
-        return np.asarray(left) @ np.asarray(right)
-
-    def __matmul__(self, other):
-        return self._product(self, other)
-
-    def __rmatmul__(self, other):
-        return self._product(other, self)
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.held.append(activations.pointwise_turn.locked())
+        plain = lambda a: a.view(np.ndarray) if isinstance(a, SpyWeights) else a
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
 
 
 @pytest.mark.parametrize("cell, table, fn", KERNELS)
@@ -208,9 +232,8 @@ def test_need_cache_false_returns_no_cache_and_the_same_bits(cell):
     dropped = cells.cell_forward(spec, *operands, need_cache=False)
     assert kept[2] is not None and dropped[2] is None
     assert _bits(dropped[:2]) == _bits(kept[:2])
-    zx = ops.x @ ops.W[: spec.input_size]
-    proj = cells.cell_forward_proj(spec, zx, *operands[1:], False)
-    assert proj[2] is None and _bits(proj[:2]) == _bits(kept[:2])
+    *proj, none = ops.call("fwd_proj", TABLES["fwd_proj"][cell]["act"])
+    assert none is None and _bits(proj) == _bits(kept[:2 if cell == "lstm" else 1])
 
 
 #: ``(rows, input_size, hidden)``: the benchmark's fine shape, three where this
@@ -226,7 +249,7 @@ def test_the_per_step_forward_is_the_proj_forward_on_its_own_projection(cell, ne
     """Hoisted equals per-step by construction, not by what BLAS does with a
     column slice: one body, so ``h`` (and ``c``) agree bitwise at every shape."""
     per_step = functools.partial(cells._FWD_STEP[cell], need_cache=need_cache)
-    proj = functools.partial(cells._FWD_STEP_PROJ[cell], need_cache=need_cache)
+    proj = functools.partial(FWD_STEP_PROJ[cell], need_cache=need_cache)
     for rows, input_size, hidden in PROJECTION_SHAPES:
         ops = Operands(cell, rows, hidden, input_size, dtype)
         *state, _ = ops.call("fwd", per_step)
@@ -244,7 +267,7 @@ def test_what_the_caller_retains_picks_the_activation_path(monkeypatch, cell, ta
     whole_buffer = []
     monkeypatch.setattr(
         sys.modules[f"repro.kernels.{cell}"], "activate_gates_",
-        lambda z, gates: (whole_buffer.append(gates), activate_gates_(z, gates))[1],
+        lambda z, gates, *rows: (whole_buffer.append(gates), activate_gates_(z, gates, *rows))[1],
         raising=False,
     )
     *kept, cache = ops.call(table, TABLES[table][cell]["stacked"])

@@ -13,15 +13,20 @@ set.  So:
 * a training step's loss is bitwise the oracle's, and its gradients too,
   unless its hoisted projection runs blocks of more than one step (then
   one reduction sums the rows the per-step kernel adds as partial
-  products, equal to rounding).
+  products, equal to rounding);
+* one call of the forward chain body over a tile cut anywhere — one step,
+  mid-chain, the reverse chain, the pair — writes the oracle's states and
+  cache fields, bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.graph_builder import build_brnn_graph, split_batch
 from repro.kernels.losses import softmax_cross_entropy
 from repro.kernels.merge import MERGE_MODES
+from repro.models.cells import CACHE_FIELDS, cell_forward_chain
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_backward, reference_forward
 from repro.models.spec import CELL_TYPES, BRNNSpec
@@ -48,7 +53,7 @@ def cases(draw):
     hoisted = draw(st.booleans())
     knobs = dict(
         mbs=min(draw(st.integers(1, 4)), batch),
-        wavefront_tile=draw(st.sampled_from([1, 3, None])),
+        wavefront_tile=draw(st.sampled_from([1, 2, 3, 4, None])),
         fused_input_projection="on" if hoisted else "off",
         proj_block=draw(st.sampled_from([1, 3])) if hoisted else None,
     )
@@ -110,3 +115,39 @@ def test_training_step_is_the_oracle(case):
         got = build.combined_grads()
         for (name, a), (_, b) in zip(got.arrays(), grads.arrays()):
             assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("need_cache", [False, True], ids=["nocache", "cache"])
+@pytest.mark.parametrize("chains", ["fwd", "rev", "pair"])
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 1), (4, 5), (3, 8), (0, 9)], ids=["K1-first", "K1-mid", "mid-chain", "whole"]
+)
+@pytest.mark.parametrize("cell", CELL_TYPES)
+def test_a_tile_cut_anywhere_is_the_oracle(cell, lo, hi, chains, need_cache):
+    spec = BRNNSpec(cell=cell, input_size=3, hidden_size=4, num_layers=1, merge_mode="sum",
+                    head="many_to_one", num_classes=3, dtype=np.float32)
+    params, (T, B, H) = BRNNParams.initialize(spec, seed=0), (9, 5, spec.hidden_size)
+    x = np.random.default_rng(lo * 10 + hi).standard_normal((T, B, 3)).astype(np.float32)
+    _, caches = reference_forward(spec, params, x)
+    oracle = [(caches.h_f[0], caches.c_f[0], caches.cache_f[0]),
+              (caches.h_r[0], caches.c_r[0], caches.cache_r[0])]
+    ds = {"fwd": [0], "rev": [1], "pair": [0, 1]}[chains]
+    W, b = params.layers[0].W[ds[0] : ds[-1] + 1], params.layers[0].b[ds[0] : ds[-1] + 1, None]
+    by_chain = (x[lo:hi], x[T - hi : T - lo][::-1])  # the reverse chain in step order
+    zx = np.stack([by_chain[d] for d in ds], axis=1) @ W[..., :3, :]
+    zero = np.zeros((B, H), np.float32)
+    h_prev = np.stack([oracle[d][0][lo - 1] if lo else zero for d in ds])
+    c_prev = np.stack([oracle[d][1][lo - 1] if lo else zero for d in ds]) if cell == "lstm" else None
+    h = np.full((hi - lo, len(ds), B, H), np.nan, np.float32)
+    c = np.full_like(h, np.nan) if cell == "lstm" else None
+    fields = CACHE_FIELDS[cell]
+    acts = np.full((hi - lo, len(ds), len(fields), B, H), np.nan, np.float32) if need_cache else None
+    cell_forward_chain(spec, zx, h_prev, c_prev, W, b, h, c, acts)
+    for k in range(hi - lo):
+        for j, d in enumerate(ds):
+            h_o, c_o, cache_o = (grid[lo + k] for grid in oracle[d])
+            assert h[k, j].tobytes() == h_o.tobytes(), (k, d)
+            if c is not None:
+                assert c[k, j].tobytes() == c_o.tobytes(), (k, d)
+            for f, name in enumerate(fields if need_cache else ()):
+                assert acts[k, j, f].tobytes() == getattr(cache_o, name).tobytes(), (k, d, name)

@@ -94,3 +94,33 @@ def test_task_flops_and_meta():
     assert t.flops == 123.0
     assert t.kind == "cell"
     assert t.meta["layer"] == 2
+
+
+def test_working_set_counts_a_region_a_later_task_grew():
+    """A builder may size a shared region only at a later task; the memo is
+    taken at the first ask, after the build, so it holds the grown size."""
+    from repro.runtime.depgraph import TaskGraph
+
+    rs, graph = RegionSpace(), TaskGraph()
+    first = graph.add_task("first", ins=[rs.get("shared")], outs=[rs.get("a", 8)])
+    graph.add_task("second", inouts=[rs.get("shared", 64)])
+    assert first.working_set_bytes() == 72
+    assert first.working_set_bytes() is first.working_set_bytes()
+
+
+def test_two_runs_of_a_held_build_record_equal_working_sets():
+    import numpy as np
+
+    from repro.core.graph_builder import build_brnn_graph
+    from repro.models.params import BRNNParams
+    from repro.runtime.executor import ThreadedExecutor
+    from tests.conftest import small_spec
+
+    spec = small_spec()
+    x = np.random.default_rng(0).standard_normal((4, 3, spec.input_size)).astype(np.float32)
+    params = BRNNParams.initialize(spec, seed=0)
+    build = build_brnn_graph(spec, x=x, params=params, training=False, wavefront_tile=1)
+    runs = [ThreadedExecutor(2).run(build.graph).records for _ in range(2)]
+    wss = [sorted((r.tid, r.wss_bytes) for r in records) for records in runs]
+    assert wss[0] == wss[1] and len(wss[0]) == len(build.graph)
+    assert all(size == build.graph.tasks[tid].working_set_bytes() > 0 for tid, size in wss[0])

@@ -39,6 +39,11 @@ recorded ones):
   two) writing fresh arrays; ``block`` is the step as a run takes it: its
   input and state are views of preallocated ``(steps, 2, B, ·)`` blocks
   and it writes ``h``/``c`` into the next step's slots through ``out=``.
+  ``chain`` is a tile of ``CHAIN_STEPS`` paired steps as a run takes it: the
+  tile's inputs multiplied in one ``np.matmul``, then one call of the
+  cell's forward chain body; ``K steps`` is the same tile as a run took it
+  before the chain body, the same product and then one step call per step
+  (a one-step chain call, as ``cell_forward`` makes).  Both are per step.
 """
 
 import os
@@ -67,7 +72,9 @@ from repro.core.graph_builder import (
 )
 from repro.harness.measure import make_spec
 from repro.kernels import activations
-from repro.models.cells import cell_backward_proj, cell_forward, cell_forward_proj
+from repro.models.cells import (
+    CACHE_FIELDS, cell_backward_proj, cell_cache, cell_forward, cell_forward_chain,
+)
 from repro.models.params import BRNNParams
 from repro.models.spec import CELL_TYPES
 from repro.runtime.executor import ThreadedExecutor
@@ -77,6 +84,8 @@ FLOOR_TILES = (1, 2, 4, 8, FLOOR_SEQ_LEN)
 #: (threads, tile) of every ``thread-floor`` column
 FLOOR_COLUMNS = [(threads, tile) for threads in (1, 2) for tile in FLOOR_TILES]
 HOIST_SEQ_LEN = 32
+#: steps of the ``paired`` table's ``chain`` tile
+CHAIN_STEPS = 16
 #: seconds each thread loops per ``turn``/``recurrent-gemm`` sample
 SECONDS = 0.15
 #: the backward kernels' transposed-operand GEMMs: name, and the weight
@@ -208,16 +217,21 @@ def hoist_floor(point, rounds: int) -> dict:
 
 
 def kernel_call(cell: str, backward: bool, rows: int, hidden: int, seed: int):
-    """One hoisted cell step on private operands, as a zero-argument call."""
+    """One hoisted cell step on private operands (a forward one keeps its
+    cache, as training does), as a zero-argument call."""
     spec = make_spec(cell, hidden, hidden, 1)
     rng = np.random.default_rng(seed)
     (w_shape, (gh,)) = spec.cell_param_shapes(0)
     W, b = draw(rng, *w_shape, scale=0.1), draw(rng, gh, scale=0.1)
     zx, h = draw(rng, rows, gh), draw(rng, rows, hidden)
     c = draw(rng, rows, hidden) if cell == "lstm" else None
+    h_out, c_out = np.empty((1,) + h.shape, h.dtype), None if c is None else np.empty_like(h)[None]
+    slot = np.empty((1, len(CACHE_FIELDS[cell])) + h.shape, h.dtype)
+    step = lambda: cell_forward_chain(spec, zx[None], h, c, W, b, h_out, c_out, slot)
     if not backward:
-        return lambda: cell_forward_proj(spec, zx, h, c, W, b)
-    cache = cell_forward_proj(spec, zx, h, c, W, b)[2]
+        return step
+    step()
+    cache = cell_cache(spec, None, h, c, slot[0])
     dh, dc = draw(rng, rows, hidden), draw(rng, rows, hidden) if cell == "lstm" else None
     return lambda: cell_backward_proj(spec, dh, dc, cache, W)
 
@@ -297,12 +311,41 @@ def paired(point, rounds: int) -> dict:
     def block():
         cell_forward(spec, X[1], Hb[0], Cb[0], W2, b2, need_cache, out=(Hb[1], Cb[1]))
 
-    calls = {"2 single us": single, "stacked us": stacked, "block us": block}
-    number = 2000 if rows * hidden <= 8 * 32 else 500
-    med = medians(calls, rounds, lambda name: timeit_us(calls[name], number))
+    # a tile of CHAIN_STEPS paired steps: its inputs, states and cache slots
+    XK = np.stack([X[0]] * CHAIN_STEPS)
+    HK = np.zeros((CHAIN_STEPS + 1,) + Hb.shape[1:], Hb.dtype)
+    CK = np.zeros_like(HK) if cell == "lstm" else [None] * (CHAIN_STEPS + 1)
+    fields = len(CACHE_FIELDS[cell])
+    acts = np.zeros((CHAIN_STEPS, 2, fields) + Hb.shape[2:], Hb.dtype) if need_cache else None
+
+    CKs = CK if cell == "lstm" else None
+
+    def steps():
+        zx = XK @ W2[..., :hidden, :]
+        for k in range(CHAIN_STEPS):
+            cell_forward_chain(
+                spec, zx[k : k + 1], HK[k], CK[k], W2, b2, HK[k + 1 : k + 2],
+                None if CKs is None else CKs[k + 1 : k + 2], None if acts is None else acts[k : k + 1],
+            )
+
+    def chain():
+        zx = XK @ W2[..., :hidden, :]
+        cell_forward_chain(spec, zx, HK[0], CK[0], W2, b2, HK[1:], None if CKs is None else CKs[1:], acts)
+
+    calls = {"2 single us": single, "stacked us": stacked, "block us": block,
+             "K steps us": steps, "chain us": chain}
+    per_call = {"K steps us": CHAIN_STEPS, "chain us": CHAIN_STEPS}
+    number = 2000 if rows * hidden <= 8 * 32 else 500 if rows * hidden <= 8 * 128 else 100
+
+    def sample(name):
+        k = per_call.get(name, 1)
+        return timeit_us(calls[name], max(number // k, 5)) / k
+
+    med = medians(calls, rounds, sample)
     return {"cell": cell, "cache": "yes" if need_cache else "no", "H": hidden, "rows": rows,
             **med, "stacked/2 single": med["stacked us"] / med["2 single us"],
-            "block/stacked": med["block us"] / med["stacked us"]}
+            "block/stacked": med["block us"] / med["stacked us"],
+            "chain/K steps": med["chain us"] / med["K steps us"]}
 
 
 class Table(NamedTuple):
@@ -331,7 +374,7 @@ TABLES = {
     ], 5),
     "paired": Table(paired, [
         (cell, need_cache, hidden, rows) for cell in CELL_TYPES for need_cache in (False, True)
-        for hidden in (32, 128) for rows in (1, 4, 8)
+        for hidden in (32, 128, 256) for rows in (1, 4, 8, 32)
     ], 5),
 }
 
