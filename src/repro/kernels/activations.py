@@ -46,10 +46,10 @@ def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     three vectorised ufunc passes with no data-dependent branching, which
     keeps it off the cell tasks' critical path.
     """
-    half, one = constants(x.dtype)
+    half = np.asarray(0.5, dtype=x.dtype)
     out = x * half if out is None else np.multiply(x, half, out=out)
     np.tanh(out, out=out)
-    out += one
+    out += np.asarray(1.0, dtype=x.dtype)
     out *= half
     return out
 
@@ -58,14 +58,6 @@ def tanh(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Hyperbolic tangent, written into ``out`` when given (``out=None``
     is not passed on: it adds ~0.1 us to a ~0.5 us call on a small array)."""
     return np.tanh(x) if out is None else np.tanh(x, out=out)
-
-
-@lru_cache(maxsize=8)
-def constants(dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only 0-d ``(0.5, 1.0)`` of ``dtype``: :func:`sigmoid`'s scalars."""
-    half, one = np.asarray(0.5, dtype=dtype), np.asarray(1.0, dtype=dtype)
-    half.flags.writeable = one.flags.writeable = False
-    return half, one
 
 
 @lru_cache(maxsize=64)
@@ -85,9 +77,7 @@ def at_shape(row: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def activate_gates_(
-    z: np.ndarray, gates: str, rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
-) -> np.ndarray:
+def activate_gates_(z: np.ndarray, gates: str, rows: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Activate a whole stacked pre-activation buffer in place and return it.
 
     ``z (..., B, len(gates)·H)`` holds one column block per gate; ``gates`` names
@@ -97,11 +87,11 @@ def activate_gates_(
     bitwise what the per-gate function returns: a sigmoid column runs
     ``((x·½) → tanh → +1 → ·½)`` exactly as :func:`sigmoid` does, a tanh
     column is scaled by 1 and shifted by ``-0.0``, the one addend that leaves
-    every value, ``tanh(-0.0) = -0.0`` included, as it is.  ``rows``, the
-    pair of :func:`gate_rows` at ``z``'s full shape (:func:`at_shape`), saves a
-    chain the broadcast.
+    every value, ``tanh(-0.0) = -0.0`` included, as it is.  ``rows`` is the
+    ``(scale, shift)`` pair of :func:`gate_rows`, or of its rows at ``z``'s
+    full shape (:func:`at_shape`), which saves a chain the broadcast.
     """
-    scale, shift = rows or gate_rows(gates, z.shape[-1] // len(gates), z.dtype)
+    scale, shift = rows
     z *= scale
     np.tanh(z, out=z)
     z += shift

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.kernels import activations
 from repro.kernels.activations import (
-    activate_gates_, at_shape, constants, dsigmoid, dtanh, gate_rows, sigmoid,
+    activate_gates_, at_shape, dsigmoid, dtanh, gate_rows, sigmoid,
 )
 
 
@@ -44,17 +44,16 @@ def gru_forward_step(
     need_cache: bool = True,
     out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[GRUCache]]:
-    """One GRU cell update: ``x (B, I)``, ``h_prev (B, H)`` → ``(h, cache)``;
-    with ``need_cache=False`` (inference) the gates are activated in place
-    and the cache is ``None``; ``h`` is written into ``out`` when given.
-    This is :func:`gru_forward_step_proj` fed the input projection of a
-    block of one timestep, so the two agree bitwise whatever BLAS does.
+    """One GRU cell update, a one-step :func:`gru_forward_chain` fed the input
+    projection ``x @ W[:I]``: ``x (B, I)``, ``h_prev (B, H)`` → ``(h,
+    cache)``; with ``need_cache=False`` (inference) the gates are activated in
+    place and the cache is ``None``; ``h`` is written into ``out`` when given.
     """
-    input_size = W.shape[-2] - h_prev.shape[-1]
-    h, cache = gru_forward_step_proj(x @ W[..., :input_size, :], h_prev, W, b, need_cache, out)
-    if cache is not None:
-        cache.x = x
-    return h, cache
+    h = np.empty_like(h_prev) if out is None else out
+    acts = np.empty((1,) + h.shape[:-2] + (4,) + h.shape[-2:], h.dtype) if need_cache else None
+    zx = x @ W[..., : W.shape[-2] - h_prev.shape[-1], :]
+    gru_forward_chain(zx[None], h_prev, W, b, h[None], acts)
+    return h, None if acts is None else GRUCache(x, h_prev, *acts[0].swapaxes(-3, 0))
 
 
 def gru_backward_step(
@@ -72,29 +71,6 @@ def gru_backward_step(
     """
     dz, dh_prev = gru_backward_step_proj(dh, cache, W)
     return gru_proj_backward(cache.x, cache.h_prev, cache.rh, dz, W, dW, db), dh_prev
-
-
-def gru_forward_step_proj(
-    zx: np.ndarray,
-    h_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-    out: Optional[np.ndarray] = None,
-    cache_out: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, Optional[GRUCache]]:
-    """One GRU cell update from this timestep's input projection ``zx (B,
-    3H)``: a one-step :func:`gru_forward_chain`.  ``need_cache`` and ``out``
-    as in :func:`gru_forward_step` (the cache's ``x`` is ``None``);
-    ``cache_out``, a ``(..., 4, B, H)`` slot, is where the cache's ``z, r,
-    hbar, rh`` go (a fresh slot when a cache is kept and none is given)."""
-    h = np.empty_like(h_prev) if out is None else out
-    if need_cache and cache_out is None:
-        cache_out = np.empty(h.shape[:-2] + (4,) + h.shape[-2:], h.dtype)
-    gru_forward_chain(zx[None], h_prev, W, b, h[None], cache_out[None] if need_cache else None)
-    if not need_cache:
-        return h, None
-    return h, GRUCache(None, h_prev, *cache_out.swapaxes(-3, 0))
 
 
 def gru_forward_chain(
@@ -123,14 +99,14 @@ def gru_forward_chain(
     a, scratch = np.empty(h.shape[1:], h.dtype), np.empty(h.shape[1:], h.dtype)
     b_zr, b_a = at_shape(b[..., :two_h], zr.shape), at_shape(b[..., two_h:], a.shape)
     zx_zr, zx_a = np.ascontiguousarray(zx[..., :two_h]), np.ascontiguousarray(zx[..., two_h:])
-    one = constants(h.dtype)[1]
+    fields = None if acts is None else acts.swapaxes(-3, 1)  # (K, 4, ..., B, H)
     buf = None
     if acts is None:
         rows = tuple(at_shape(row, zr.shape) for row in gate_rows("ss", hidden, zr.dtype))
         gates = np.empty(zr_gates.shape, zr.dtype)
         (z, r), hbar, rh = gates, a, scratch
-    elif not acts[0].swapaxes(-3, 0)[0].flags.c_contiguous:
-        buf = np.empty((4,) + h.shape[1:], h.dtype)  # a pair's fields interleave its chains
+    elif not fields[0, 0].flags.c_contiguous:
+        buf = np.empty(fields.shape[1:], h.dtype)  # a pair's fields interleave its chains
     for k in range(len(zx)):
         np.matmul(h_prev, W_zr, out=zr)
         h_k = h[k]
@@ -141,11 +117,9 @@ def gru_forward_chain(
                 activate_gates_(zr, "ss", rows)
                 np.copyto(gates, zr_gates)
             else:
-                slot = acts[k].swapaxes(-3, 0) if buf is None else buf  # fields first
+                z, r, hbar, rh = slot = fields[k] if buf is None else buf
                 np.copyto(slot[:2], zr_gates)
-                z, r, hbar, rh = slot
-                sigmoid(z, z)
-                sigmoid(r, r)
+                sigmoid(slot[:2], slot[:2])  # z and r
             np.multiply(r, h_prev, out=rh)
 
         np.matmul(rh, W_a, out=a)
@@ -154,9 +128,9 @@ def gru_forward_chain(
             a += b_a
             np.tanh(a, out=hbar)
             np.multiply(z, hbar, out=h_k)
-            h_k += np.multiply(np.subtract(one, z, out=scratch), h_prev, out=scratch)
+            h_k += np.multiply(np.subtract(1.0, z, out=scratch), h_prev, out=scratch)
             if buf is not None:
-                np.copyto(acts[k].swapaxes(-3, 0), buf)
+                np.copyto(fields[k], buf)
         h_prev = h_k
 
 

@@ -49,22 +49,20 @@ def lstm_forward_step(
     need_cache: bool = True,
     out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
-    """One LSTM cell update.
+    """One LSTM cell update: a one-step :func:`lstm_forward_chain` fed the
+    input projection ``x @ W[:I]``.
 
     Parameters: ``x (B, I)``, ``h_prev (B, H)``, ``c_prev (B, H)``,
     ``W (I+H, 4H)``, ``b (4H,)``.  Returns ``(h, c, cache)``; with
     ``need_cache=False`` (inference) the gates are activated in place and the
     cache is ``None``; ``out``, an ``(h, c)`` pair, is where ``h`` and ``c``
-    are written.  This is :func:`lstm_forward_step_proj` fed the input
-    projection of a block of one timestep, so the two agree bitwise whatever
-    BLAS does.
+    are written.
     """
-    h, c, cache = lstm_forward_step_proj(
-        x @ W[..., : W.shape[-2] - h_prev.shape[-1], :], h_prev, c_prev, W, b, need_cache, out
-    )
-    if cache is not None:
-        cache.x = x
-    return h, c, cache
+    h, c = (np.empty_like(h_prev), np.empty_like(h_prev)) if out is None else out
+    acts = np.empty((1,) + h.shape[:-2] + (5,) + h.shape[-2:], h.dtype) if need_cache else None
+    zx = x @ W[..., : W.shape[-2] - h_prev.shape[-1], :]
+    lstm_forward_chain(zx[None], h_prev, c_prev, W, b, h[None], c[None], acts)
+    return h, c, None if acts is None else LSTMCache(x, h_prev, c_prev, *acts[0].swapaxes(-3, 0))
 
 
 def lstm_backward_step(
@@ -86,31 +84,6 @@ def lstm_backward_step(
     dz, dh_prev, dc_prev = lstm_backward_step_proj(dh, dc_in, cache, W)
     dx = lstm_proj_backward(cache.x, cache.h_prev, dz, W, dW, db)
     return dx, dh_prev, dc_prev
-
-
-def lstm_forward_step_proj(
-    zx: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    W: np.ndarray,
-    b: np.ndarray,
-    need_cache: bool = True,
-    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    cache_out: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, Optional[LSTMCache]]:
-    """One LSTM cell update from this timestep's input projection ``zx (B,
-    4H)``: a one-step :func:`lstm_forward_chain`.  ``need_cache`` and ``out``
-    as in :func:`lstm_forward_step` (the cache's ``x`` is ``None``);
-    ``cache_out``, a ``(..., 5, B, H)`` slot, is where the cache's ``i, f, g,
-    o, tc`` go (a fresh slot when a cache is kept and none is given)."""
-    h, c = (np.empty_like(h_prev), np.empty_like(h_prev)) if out is None else out
-    if need_cache and cache_out is None:
-        cache_out = np.empty(h.shape[:-2] + (5,) + h.shape[-2:], h.dtype)
-    slot = cache_out[None] if need_cache else None
-    lstm_forward_chain(zx[None], h_prev, c_prev, W, b, h[None], c[None], slot)
-    if not need_cache:
-        return h, c, None
-    return h, c, LSTMCache(None, h_prev, c_prev, *cache_out.swapaxes(-3, 0))
 
 
 def lstm_forward_chain(
@@ -145,13 +118,14 @@ def lstm_forward_chain(
     z_gates = z4.transpose((z4.ndim - 2, *range(z4.ndim - 2), z4.ndim - 1))  # (4, ..., B, H)
     scratch = np.empty(h.shape[1:], h.dtype)
     bias = at_shape(b, z.shape)
+    fields = None if acts is None else acts.swapaxes(-3, 1)  # (K, 5, ..., B, H)
     buf = None
     if acts is None:
         rows = tuple(at_shape(row, z.shape) for row in gate_rows("ssts", hidden, z.dtype))
         gates = np.empty(z_gates.shape, z.dtype)
         (i, f, g, o), tc = gates, scratch
-    elif not acts[0].swapaxes(-3, 0)[0].flags.c_contiguous:
-        buf = np.empty((5,) + h.shape[1:], h.dtype)  # a pair's fields interleave its chains
+    elif not fields[0, 0].flags.c_contiguous:
+        buf = np.empty(fields.shape[1:], h.dtype)  # a pair's fields interleave its chains
     for k in range(len(zx)):
         np.matmul(h_prev, W_h, out=z)
         h_k, c_k = h[k], c[k]
@@ -162,11 +136,9 @@ def lstm_forward_chain(
                 activate_gates_(z, "ssts", rows)
                 np.copyto(gates, z_gates)
             else:
-                slot = acts[k].swapaxes(-3, 0) if buf is None else buf  # fields first
+                i, f, g, o, tc = slot = fields[k] if buf is None else buf
                 np.copyto(slot[:4], z_gates)
-                i, f, g, o, tc = slot
-                sigmoid(i, i)
-                sigmoid(f, f)
+                sigmoid(slot[:2], slot[:2])  # i and f
                 tanh(g, g)
                 sigmoid(o, o)
             np.multiply(f, c_prev, out=c_k)
@@ -174,7 +146,7 @@ def lstm_forward_chain(
             np.tanh(c_k, out=tc)
             np.multiply(o, tc, out=h_k)
             if buf is not None:
-                np.copyto(acts[k].swapaxes(-3, 0), buf)
+                np.copyto(fields[k], buf)
         h_prev, c_prev = h_k, c_k
 
 

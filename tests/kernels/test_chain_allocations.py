@@ -67,6 +67,9 @@ def first_tile(cell, need_cache, direction, hoisted, K):
         paired=direction == "pair", wavefront_tile=K,
         fused_input_projection="on" if hoisted else "off",
     )
+    for task in build.graph.tasks:  # the input projections a hoisted tile reads
+        if task.kind == "proj":
+            task.fn()
     (task,) = [t for t in build.graph.tasks
                if t.kind == "cell" and t.meta["dir"] == direction and t.meta["lo"] == 0]
     assert task.meta["hi"] == K

@@ -10,19 +10,22 @@ equal what the single step computes on that direction's operands.
 import numpy as np
 import pytest
 
-from repro.kernels.gru import gru_forward_step_proj
-from repro.kernels.lstm import lstm_forward_step_proj
-from repro.models.cells import cell_forward
+from repro.models.cells import CACHE_FIELDS, cell_cache, cell_forward, cell_forward_chain
 from repro.models.spec import CELL_TYPES
 from tests.conftest import small_spec
 
 
 def cell_forward_proj(spec, zx, h_prev, c_prev, W, b, need_cache):
-    """One hoisted step (``*_forward_step_proj``) as ``(h, c_or_None, cache)``."""
-    if spec.cell == "lstm":
-        return lstm_forward_step_proj(zx, h_prev, c_prev, W, b, need_cache)
-    h, cache = gru_forward_step_proj(zx, h_prev, W, b, need_cache)
-    return h, None, cache
+    """One hoisted step, a one-step call of the chain body, as ``(h,
+    c_or_None, cache)``; a pair's cache slot ``(2, F, B, H)`` is laid out as
+    in ``ChunkState.acts``."""
+    h = np.empty((1,) + h_prev.shape, h_prev.dtype)
+    c = None if c_prev is None else np.empty_like(h)
+    fields = h_prev.shape[:-2] + (len(CACHE_FIELDS[spec.cell]),) + h_prev.shape[-2:]
+    acts = np.empty((1,) + fields, h.dtype) if need_cache else None
+    cell_forward_chain(spec, zx[None], h_prev, c_prev, W, b, h, c, acts)
+    cache = cell_cache(spec, None, h_prev, c_prev, acts[0].swapaxes(-3, 0)) if need_cache else None
+    return h[0], None if c is None else c[0], cache
 
 
 def _operands(cell, rows, seed):

@@ -21,9 +21,8 @@ import pytest
 from repro.config import ExecutionConfig
 from repro.core import BParEngine
 from repro.kernels import activations
-from repro.kernels.activations import activate_gates_, sigmoid, tanh
-from repro.kernels.gru import gru_forward_step_proj
-from repro.kernels.lstm import lstm_forward_step, lstm_forward_step_proj
+from repro.kernels.activations import activate_gates_, gate_rows, sigmoid, tanh
+from repro.kernels.lstm import lstm_forward_step
 from repro.models import cells
 from repro.models.spec import CELLS
 from repro.serve.engine import InferenceEngine
@@ -57,8 +56,23 @@ def _chain_of(cell, keep, steps=3):
     return run
 
 
-#: the hoisted per-step kernels, one-step calls of the chain body
-FWD_STEP_PROJ = {"lstm": lstm_forward_step_proj, "gru": gru_forward_step_proj}
+def _one_step(cell):
+    """A one-step call of the chain body, what a tile of one step runs, as a
+    hoisted per-step kernel: ``(zx, h_prev[, c_prev], W, b, need_cache=True)``
+    to ``(h[, c], cache)``, the cache a record over the step's fields."""
+    spec = small_spec(cell=cell)
+
+    def run(zx, h_prev, *rest, need_cache=True):
+        h, *c, acts = _chain_of(cell, need_cache, steps=1)(zx, h_prev, *rest)
+        c_prev = rest[0] if c else None
+        cache = cells.cell_cache(spec, None, h_prev, c_prev, acts[0]) if need_cache else None
+        return (h[0], *(block[0] for block in c), cache)
+
+    return run
+
+
+#: the hoisted per-step kernels: one-step calls of the chain body
+FWD_STEP_PROJ = {cell: _one_step(cell) for cell in CELLS}
 
 TABLES = {
     "fwd": {cell: _forward_paths(fn) for cell, fn in cells._FWD_STEP.items()},
@@ -214,12 +228,12 @@ def test_whole_buffer_activations_are_bitwise_the_per_gate_ones(rows, hidden, dt
             z = (rng.standard_normal((rows, len(gates) * hidden)) * 4).astype(dtype)
             if edge is not None:
                 z[0, ::hidden] = edge  # the first column of every gate's block
-            out = activate_gates_(z.copy(), gates)
+            out = activate_gates_(z.copy(), gates, gate_rows(gates, hidden, z.dtype))
             for g, kind in enumerate(gates):
                 block = slice(g * hidden, (g + 1) * hidden)
                 assert out[:, block].tobytes() == per_gate[kind](z[:, block]).tobytes()
     # tanh(-0.0) stays a negative zero because the tanh columns' shift is -0.0
-    zeros = activate_gates_(np.full((1, 4), -0.0, dtype=dtype), "ssts")
+    zeros = activate_gates_(np.full((1, 4), -0.0, dtype=dtype), "ssts", gate_rows("ssts", 1, dtype))
     assert np.signbit(zeros[0, 2]) and zeros[0, 0] == 0.5
 
 
@@ -267,7 +281,7 @@ def test_what_the_caller_retains_picks_the_activation_path(monkeypatch, cell, ta
     whole_buffer = []
     monkeypatch.setattr(
         sys.modules[f"repro.kernels.{cell}"], "activate_gates_",
-        lambda z, gates, *rows: (whole_buffer.append(gates), activate_gates_(z, gates, *rows))[1],
+        lambda z, gates, rows: (whole_buffer.append(gates), activate_gates_(z, gates, rows))[1],
         raising=False,
     )
     *kept, cache = ops.call(table, TABLES[table][cell]["stacked"])
