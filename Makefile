@@ -53,13 +53,15 @@ smoke-obs:
 
 # fusion smoke (hoisting, tile): the numerical-equivalence and
 # flop-accounting tests, the granularity policy's table and engine
-# conformance, and the state-block layout and its oracle properties, then
+# conformance, the state-block layout, the hoisted gate slot and the
+# layout's oracle properties, then
 # the reduced-size ablation (laptop-scale shapes carry no
 # speed-up claim; those bars apply to the paper-scale record)
 smoke-fusion:
 	$(PYTHON) -m pytest tests/core/test_fusion.py tests/core/test_fused_projection.py \
 		tests/core/test_granularity_policy.py tests/kernels/test_flops_accounting.py \
-		tests/core/test_state_layout.py tests/properties/test_layout_properties.py -x -q
+		tests/core/test_state_layout.py tests/core/test_gate_slot.py \
+		tests/properties/test_layout_properties.py -x -q
 	$(PYTHON) -m repro bench fusion --output $(TMP)_fusion.json > /dev/null
 	$(PYTHON) -m repro bench --check $(TMP)_fusion.json $(BASELINES)/BENCH_fusion.json
 

@@ -6,10 +6,11 @@ that says which region keys a task of each family reads (``ins``), writes
 (``outs``) or updates in place (``inouts``), as a function of the task's
 ``meta`` and of its build's record, the
 :class:`~repro.core.graph_builder.GraphBuildResult` (``ctx`` in the rules):
-``_cell_fwd_tile`` reads the ``zx``/input slot of every step ``[lo, hi)`` it
+``_cell_fwd_tile`` reads the ``z``/input slot of every step ``[lo, hi)`` it
 covers, the weight panel, and the state carried in from below ``lo``; in a
 hoisted layer ``_proj_bwd`` is the only writer of the weight-gradient panel
-``gW`` (a hoisted ``cell_bwd`` publishes ``dz`` and touches no gradient); …
+``gW`` (a hoisted ``cell_bwd`` writes its gate gradient over the ``z`` slot
+its forward read, and touches no gradient); …
 A cell task is a chain tile of one step unless ``wavefront_tile`` lengthens
 it, so one forward and one backward cell rule cover every tile length,
 paired (``"pair"``: both tiles' keys) or not, and one merge rule each merge
@@ -81,7 +82,7 @@ def _proj(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     span = range(meta["lo"], meta["hi"])
     return AccessDecl(
         ins=tuple(_in_key(mb, layer, pos) for pos in span) + (("W", layer, d),),
-        outs=tuple(("zx", mb, layer, d, pos) for pos in span),
+        outs=tuple(("z", mb, layer, d, pos) for pos in span),
     )
 
 
@@ -103,7 +104,7 @@ def _cell_fwd_tile(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     ins: List[Key] = []
     for s in range(lo, hi):
         pos = s if d == "fwd" else T - 1 - s
-        ins.append(("zx", mb, layer, d, pos) if fused else _in_key(mb, layer, pos))
+        ins.append(("z", mb, layer, d, pos) if fused else _in_key(mb, layer, pos))
     ins.append(("W", layer, d))
     if lo > 0:
         ins.append(("h", mb, layer, d, lo - 1))
@@ -184,22 +185,17 @@ def _cell_bwd_tile(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     if not ctx.barrier_free and d == "rev" and hi == T:
         # framework discipline: the reverse backward pass waits for the
         # forward-direction backward pass, i.e. its last task's write
-        # (chain step 0: its dz when hoisted, else the final gW update)
-        ins.append(("dz", mb, layer, "fwd", 0) if fused else ("gW", mb, layer, "fwd"))
-    # only dh_prev stays on a hoisted layer's chain: its cell_bwd publishes
-    # dz, from which the per-block proj_bwd computes dW, db and dx
+        # (chain step 0: its z when hoisted, else the final gW update)
+        ins.append(("z", mb, layer, "fwd", 0) if fused else ("gW", mb, layer, "fwd"))
+    # only dh_prev stays on a hoisted layer's chain: its cell_bwd writes dz
+    # over the z slot, from which the per-block proj_bwd computes dW, db, dx
     inouts: List[Key] = [] if fused else [("gW", mb, layer, d)]
     if lo > 0:
         inouts.append(("dh", mb, layer, d, lo - 1))
-    outs: List[Key] = []
-    if fused:
-        outs = [
-            ("dz", mb, layer, d, s if d == "fwd" else T - 1 - s) for s in steps
-        ]
-    elif layer > 0:
-        inouts += [
-            ("dm", mb, layer - 1, s if d == "fwd" else T - 1 - s) for s in steps
-        ]
+    positions = [s if d == "fwd" else T - 1 - s for s in steps]
+    outs = [("z", mb, layer, d, pos) for pos in positions] if fused else []
+    if not fused and layer > 0:
+        inouts += [("dm", mb, layer - 1, pos) for pos in positions]
     return AccessDecl(ins=tuple(ins), outs=tuple(outs), inouts=tuple(inouts))
 
 
@@ -208,7 +204,7 @@ def _proj_bwd(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     T = ctx.seq_len
     span = range(meta["lo"], meta["hi"])
     steps = [pos if d == "fwd" else T - 1 - pos for pos in span]
-    ins: List[Key] = [("dz", mb, layer, d, pos) for pos in span]
+    ins: List[Key] = [("z", mb, layer, d, pos) for pos in span]
     ins += [_in_key(mb, layer, pos) for pos in span]
     # h_prev of every step: the h slot below it; the initial state is no
     # region of its own, the cache of chain step 0 is what holds it.  A GRU's

@@ -92,7 +92,7 @@ DEFAULT_PROJ_BLOCK = 16
 #: the ChunkState blocks behind each block region kind; a key's indices
 #: after the chunk are the slot's address (:meth:`ChunkState.slot`)
 _BLOCKS = {
-    "h": ("h", "c"), "dh": ("dh", "dc"), "zx": ("zx",), "dz": ("dz",),
+    "h": ("h", "c"), "dh": ("dh", "dc"), "z": ("z",),
     "m": ("merged",), "dm": ("dmerged",),
     "mlast": ("last_merged",), "logits": ("logits",), "dlogits": ("dlogits",),
     "dmlast": ("dlast_merged",),
@@ -340,7 +340,7 @@ class GraphBuildResult:
         if kind not in _BLOCKS:
             raise KeyError(f"unknown region key vocabulary: {key!r}")
         where = key[2:]
-        if kind in ("zx", "dz") and where[1] == "rev":  # a position, stored by chain step
+        if kind == "z" and where[1] == "rev":  # a position, stored by chain step
             where = (where[0], "rev", self.seq_len - 1 - where[2])
         views = (state.slot(name, *where) for name in _BLOCKS[kind])
         return tuple(v for v in views if v is not None)
@@ -378,10 +378,11 @@ class GraphBuildResult:
         are
 
         * ``x(mb, t)`` — batch/time slices of the one parent input array,
-        * slot blocks (``h``/``dh``/``cache``/``zx``/``dz``/``m``/``dm``
-          and the per-slot head rows) — packed per ``(kind, mb, layer)``,
+        * slot blocks (``h``/``dh``/``cache``/``z``/``m``/``dm`` and the
+          per-slot head rows) — packed per ``(kind, mb, layer)``,
           time-major: chain step ``s`` of direction ``d`` is slot ``2s+d``,
-          as in the ChunkState blocks.
+          as in the ChunkState blocks; ``z`` holds a projection, then its
+          gradient, so their accesses meet in one space.
 
         Works for cost-only graphs too (no storage needed): the extents
         describe the *declared* layout, which is what the static verifier
@@ -425,13 +426,11 @@ class GraphBuildResult:
         if kind == "gWout":
             _, mb = key
             return own(key, (M * C + C) * isz)
-        if kind in ("h", "dh", "cache", "zx", "dz"):
+        if kind in ("h", "dh", "cache", "z"):
             _, mb, layer, d, idx = key
-            mult = {
-                "h": cell.state_arrays, "dh": cell.state_arrays, "cache": cell.cache_arrays
-            }.get(kind, G)
+            mult = {"cache": cell.cache_arrays, "z": G}.get(kind, cell.state_arrays)
             size = Affine.const(mult) * b(mb) * H * isz
-            if kind in ("zx", "dz") and d == "rev":  # a position, stored by chain step
+            if kind == "z" and d == "rev":  # a position, stored by chain step
                 idx = T - 1 - idx
             return slot(("slots", kind, mb, layer), 2 * idx + DIRECTIONS.index(d), size)
         if kind in ("m", "dm"):
@@ -521,8 +520,6 @@ class _Builder:
         # them in one lookup.
         vars(self).update(vars(result))
         spec, cell = result.spec, CELLS[result.spec.cell]
-        #: gate-preactivation width multiplier (``zx`` is ``(B, G·H)``)
-        self.gate_mult = cell.gates
         # Every cell chain is cut into tiles of consecutive steps, one task
         # per tile: a single step (the paper's task per cell update) unless
         # ``wavefront_tile`` asks for longer tiles.
@@ -543,7 +540,7 @@ class _Builder:
         #: use-once (streaming) regions, sized by their chunk's batch
         self.row_width = {
             "x": spec.input_size,
-            "zx": self.gate_mult * H, "dz": self.gate_mult * H,
+            "z": cell.gates * H,
             "h": state, "dh": state,
             "cache": cell.cache_arrays * H,
             "m": M, "dm": M, "mlast": M, "dmlast": M,
@@ -680,7 +677,7 @@ class _Builder:
 
     def _fn_proj(self, mb, layer, direction, lo, hi):
         """Hoisted input projection of positions ``[lo, hi)``: the block's
-        inputs as one GEMM operand in sequence order, its ``zx`` rows
+        inputs as one GEMM operand in sequence order, its ``z`` rows
         written by chain step."""
         state, spec, params = self.chunks[mb], self.spec, self.params
         d = DIRECTIONS.index(direction)
@@ -688,7 +685,7 @@ class _Builder:
         def fn():
             W = params.layers[layer].direction(direction).W
             zx = cell_input_projection(spec, state.inputs(layer)[lo:hi], W)
-            _by_position(state.zx[layer], d, lo, hi)[...] = zx
+            _by_position(state.z[layer], d, lo, hi)[...] = zx
 
         return fn
 
@@ -699,7 +696,7 @@ class _Builder:
         slice of the layer blocks.  Step ``k`` reads ``h[k-1]`` and writes
         ``h[k]`` and its cache slot ``acts[k]`` through ``out=``, so the
         arithmetic does not depend on where a chain is cut or whether it is
-        paired.  The inputs are the ``zx`` block as it lies (chain order), or
+        paired.  The inputs are the ``z`` block as it lies (chain order), or
         the tile's inputs stacked in chain order once and multiplied in one
         ``np.matmul``.  On the layer's ``(2, I+H, G·H)`` weight stack, read in
         place, each product is one ``np.matmul`` over the chains (Appleyard
@@ -720,7 +717,7 @@ class _Builder:
             W, b = lp.W[ds], lp.b[ds, None]
             h, c, acts = map(tile_chains, (state.h[layer], state.c[layer], state.acts[layer]))
             if fused:
-                zx = tile_chains(state.zx[layer])[lo:hi]
+                zx = tile_chains(state.z[layer])[lo:hi]
             else:  # each (B, I) slice's product is the one a single step makes
                 src = state.inputs(layer)
                 by_chain = (src[lo:hi], src[T - hi : T - lo][::-1])
@@ -835,7 +832,8 @@ class _Builder:
                         dc = dc + dc_c
                 cache = cache_g[step]
                 if fused:
-                    state.dz[layer][step, d], dh_c, dc_c = cell_backward_proj(
+                    # the step's gate gradient over the projection it read
+                    state.z[layer][step, d], dh_c, dc_c = cell_backward_proj(
                         spec, dh, dc, cache, dp.W
                     )
                 else:
@@ -852,8 +850,8 @@ class _Builder:
     def _fn_proj_bwd(self, mb, layer, direction, lo, hi):
         """Hoisted backward of positions ``[lo, hi)`` of one chain: the whole
         weight-gradient panel, the bias gradient and (above layer 0) ``dx``,
-        from the block's ``dz``, inputs and previous states in sequence
-        order."""
+        from the block's ``z`` (the gradient the backward cells wrote),
+        inputs and previous states in sequence order."""
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         d = DIRECTIONS.index(direction)
         steps = range(lo, hi) if d == 0 else range(T - 1 - lo, T - 1 - hi, -1)
@@ -862,7 +860,7 @@ class _Builder:
             dp = params.layers[layer].direction(direction)
             gp = state.grads.layers[layer].direction(direction)
             h, cache_g = state.h[layer], state.cache[direction][layer]
-            dz = _by_position(state.dz[layer], d, lo, hi)
+            dz = _by_position(state.z[layer], d, lo, hi)
             rh = None
             if spec.cell == "gru":
                 h_prev = np.stack([cache_g[s].h_prev for s in steps])
@@ -962,7 +960,7 @@ class _Builder:
         """Hoisted input-projection tasks of a fused layer, both directions.
 
         One task per (direction, K-timestep block) computes the block's
-        ``X @ W[:I]`` in a single GEMM and publishes per-timestep ``zx``
+        ``X @ W[:I]`` in a single GEMM and publishes per-timestep ``z``
         regions, so downstream cell tasks start as soon as *their* block
         lands — no barrier, just Region dataflow.  Blocks of the two
         directions are registered interleaved for ready-queue fairness.
@@ -1019,7 +1017,7 @@ class _Builder:
 
         One task per chain tile (``self.tiles``; a single step by default,
         ``wavefront_tile`` steps when set, docs/PERF.md; ``paired``, one per
-        tile of both chains).  Its rule declares every input (or ``zx``)
+        tile of both chains).  Its rule declares every input (or ``z``)
         position of the tile, the carried ``h`` from below it, and every
         ``h``/cache slot it
         publishes, so the dependence proof and the race checker audit a
@@ -1050,7 +1048,7 @@ class _Builder:
         Mirrors :meth:`_build_forward_layer`: tiles run in descending step
         order, read every ``dh``/cache slot they consume (merge
         contributions land first), accumulate the carry leaving the tile
-        into slot ``lo-1``, and emit either per-position ``dz`` (fused
+        into slot ``lo-1``, and emit either per-position ``dz`` into ``z`` (fused
         layers: the gradients are the block tasks') or the weight gradient
         and ``dm`` contributions.
         """
@@ -1140,7 +1138,7 @@ class _Builder:
         once per block (and, above layer 0, ``dX`` back into the
         merged-gradient accumulators).
 
-        A hoisted layer's cell tasks publish ``dz`` and touch no gradient, so
+        A hoisted layer's cell tasks write ``dz`` into ``z`` and touch no gradient, so
         these GEMMs run beside the recurrent backward chain, not on it; the
         blocks of one chain take turns on its ``gW`` panel in creation order.
         Blocks are cut the way the backward chain *produces* ``dz``:

@@ -18,11 +18,13 @@ the cell caches' block ``acts`` is ``(T, 2, F, B, H)``, one contiguous
 layer (:attr:`~ChunkState.LAYERS`) a block is ``(T, B, M)``, by position;
 the head's (:attr:`~ChunkState.SLOTS`) is ``(n_last, B, ·)``.  A block a
 chunk has no use for is ``None`` (a GRU's ``c``, an unhoisted layer's
-``zx``, an inference chunk's gradients and caches).  The cache records
+``z``, an inference chunk's gradients and caches).  The cache records
 ``state.cache[direction][layer][step]`` are built once, over views: of
 ``acts``, of the ``h``/``c`` slots (or ``h0``/``c0``) a step reads and, on an
 unhoisted layer, of its input.  :meth:`ChunkState.slot` resolves an address
-to its view and :meth:`ChunkState.map_blocks` walks every block.
+to its view and :meth:`ChunkState.map_blocks` walks every block.  A
+hoisted layer's one ``z`` block serves both passes: a step's forward reads
+the projection in its slot, its backward writes the gate gradient over it.
 
 Every run starts the accumulators (``dh``, ``dc``, ``dmerged``) at zero:
 ``np.zeros`` at build, :meth:`ChunkState.clear_accumulators` on a rebind.
@@ -48,10 +50,10 @@ DIRECTIONS = ("fwd", "rev")
 class ChunkState:
     """Buffers of one mini-batch chunk (functional execution only)."""
 
-    #: ``(T, 2, B, ·)`` blocks, one per layer; ``zx``/``dz`` are the hoisted
-    #: input projections and their gradients, ``dh``/``dc`` accumulators,
+    #: ``(T, 2, B, ·)`` blocks, one per layer; ``z`` the hoisted input
+    #: projections, then their gradients, ``dh``/``dc`` accumulators,
     #: ``acts`` the cell caches' ``(T, 2, F, B, H)``
-    CHAINS = ("h", "c", "zx", "dz", "dh", "dc", "acts")
+    CHAINS = ("h", "c", "z", "dh", "dc", "acts")
     #: ``(T, B, M)`` blocks, layers ``0 .. L-2``
     LAYERS = ("merged", "dmerged")
     #: ``(n_last, B, ·)`` blocks of the last layer's merges and the head
@@ -82,8 +84,7 @@ class ChunkState:
         grad = every if training else [False] * L
         self.h = blocks(H, every)
         self.c = blocks(H, every if lstm else [False] * L)
-        self.zx = blocks(GH, hoisted)
-        self.dz = blocks(GH, [on and training for on in hoisted])
+        self.z = blocks(GH, hoisted)
         # what the backward tasks add into; a rebound step zeroes them
         self.dh = blocks(H, grad, np.zeros)
         self.dc = blocks(H, grad if lstm else [False] * L, np.zeros)
@@ -117,7 +118,7 @@ class ChunkState:
             if acts is None:
                 continue
             h, c, inputs = self.h[layer], self.c[layer], self.inputs(layer)
-            hoisted = self.zx[layer] is not None
+            hoisted = self.z[layer] is not None
             for d, row in enumerate(self.cache[name][layer] for name in DIRECTIONS):
                 for step in range(T):
                     x = None if hoisted else inputs[step if d == 0 else T - 1 - step]

@@ -4,13 +4,17 @@ The algebra only ever *proves* (sound, incomplete): every ``provably_*``
 True must be semantically true for all nonnegative symbol valuations,
 and the tests check both directions — proofs hold under random concrete
 valuations, and statements that are false at some valuation are never
-proven.
+proven.  The last test ties the builder's symbolic storage model to the
+storage itself: region keys whose bytes overlap must share a space.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.graph_builder import build_brnn_graph
 from repro.core.symbolic import Affine, Extent, Interval, union_covers
+from repro.models.params import BRNNParams
+from tests.conftest import make_batch, small_spec
 
 
 def _env(**kw):
@@ -175,3 +179,70 @@ def test_randomized_agreement_with_concrete_arithmetic():
                     continue
                 (xl, xh), (yl, yh) = x.evaluate(env), y.evaluate(env)
                 assert xh <= yl or yh <= xl, (x, y, env)
+
+
+# -- the storage model -------------------------------------------------------
+
+#: region kinds that are no slot of a chunk's blocks: the inputs, parameter
+#: panels, cache records (views of other blocks) and the zero-byte token
+NOT_BLOCKS = ("x", "W", "gW", "Wout", "gWout", "cache", "serial")
+
+
+def _block_spans(result):
+    """``(lo, hi, key)`` byte spans of every block-slot region's storage
+    (``h``, ``dh``, ``z``, ``m``, ``dm``, ``mlast``, ``logits``,
+    ``dlogits``, ``dmlast``), ordered by address."""
+    spans = []
+    for region in result.regions.regions():
+        if region.key[0] not in NOT_BLOCKS:
+            for view in result.region_storage(region.key):
+                lo, hi = np.lib.array_utils.byte_bounds(view)
+                spans.append((lo, hi, region.key))
+    return sorted(spans, key=lambda span: span[0])
+
+
+def _extents(result, key):
+    """``(space, lo, hi)`` of each symbolic extent of ``key``, evaluated
+    under the build's own valuation."""
+    env = result.symbol_env()
+    return [(e.space, *e.interval.evaluate(env)) for e in result.symbolic_storage(key)]
+
+
+#: (wavefront_tile, paired): per-step, tiled, paired
+BUILDS = [(None, False), (2, False), (2, True)]
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("training", [False, True], ids=["fwd", "train"])
+@pytest.mark.parametrize("hoist", ["off", "on"])
+@pytest.mark.parametrize("tile, paired", BUILDS, ids=["step", "tiled", "paired"])
+def test_overlapping_storage_is_one_symbolic_space(cell, training, hoist, tile, paired):
+    """Two region keys that resolve to overlapping bytes must have overlapping
+    symbolic extents in one space.  The proof takes keys in different spaces
+    as disjoint, so one block under two kind names (a projection block
+    reused for its gradient) would leave their WAR and WAW pairs unchecked.
+    Each key's extents also measure its bytes."""
+    spec = small_spec(cell=cell, head="many_to_many", num_layers=2)
+    x, labels = make_batch(spec, seq_len=5, batch=4)
+    result = build_brnn_graph(
+        spec, x=x, labels=labels if training else None, training=training,
+        params=BRNNParams.initialize(spec, 1), mbs=2, fused_input_projection=hoist,
+        proj_block=2, wavefront_tile=tile, paired=paired,
+    )
+    spans = _block_spans(result)
+    for i, (lo, hi, key) in enumerate(spans):
+        for lo2, _, key2 in spans[i + 1:]:
+            if lo2 >= hi:
+                break
+            if key2 != key:
+                assert any(
+                    sa == sb and alo < bhi and blo < ahi
+                    for sa, alo, ahi in _extents(result, key)
+                    for sb, blo, bhi in _extents(result, key2)
+                ), (key, key2)
+    nbytes = {}
+    for lo, hi, key in spans:
+        nbytes[key] = nbytes.get(key, 0) + hi - lo
+    for key, n in nbytes.items():
+        assert sum(hi - lo for _, lo, hi in _extents(result, key)) == n, key
+    assert {key[0] for key in nbytes} >= {"h", "m", "mlast", "logits"}

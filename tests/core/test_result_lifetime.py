@@ -42,9 +42,7 @@ def _slot_refs(result):
     if result.training:
         arrays += [state.dh[0], state.grads.layers[0].fwd.W]
     if result.fused_layers[0]:
-        arrays += [state.zx[0]]
-        if result.training:
-            arrays += [state.dz[0]]
+        arrays += [state.z[0]]
     assert all(isinstance(a, np.ndarray) for a in arrays)
     return [weakref.ref(a) for a in arrays]
 

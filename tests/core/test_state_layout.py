@@ -5,13 +5,15 @@ layer, its cell caches' fields as one ``(T, 2, F, B, H)`` block and its
 merges as one ``(T, B, M)`` block (``repro.core.state``): a task writes its
 slots in place and a rebound step allocates no state.  On the threaded
 engine — the paired graph on one worker, one task per chain and direction
-on two — every ``h``, ``zx``, ``dz`` and ``m`` slot a region resolves to
+on two — every ``h``, ``z`` and ``m`` slot a region resolves to
 must lie in its layer's block, every array a cache region resolves to in
 the layer's cache block or in the ``h``/``c`` block (or initial state) and
 input block the step read, the blocks and cache records must be the same
 objects on every rebound step, and those steps must give a fresh build's
 bits.  The shapes cover one timestep, an odd length, one row and a chunk
-count above the batch (it clamps).  No clock is read.
+count above the batch (it clamps).  A hoisted training chunk's blocks come
+to a fixed byte count: one gate pre-activation block per hoisted layer,
+shared by the projection and its gradient.  No clock is read.
 """
 
 import numpy as np
@@ -19,8 +21,10 @@ import pytest
 
 from repro.config import ExecutionConfig
 from repro.core import BParEngine, graph_builder
+from repro.core.graph_builder import build_brnn_graph
 from repro.models.cells import CACHE_FIELDS
 from repro.models.params import BRNNParams
+from repro.models.spec import CELLS
 from repro.runtime.executor import ThreadedExecutor
 from tests.conftest import make_batch, small_spec
 from tests.core.test_rebind import FreshEngine, _assert_same, _step
@@ -30,11 +34,11 @@ from tests.core.test_rebind import FreshEngine, _assert_same, _step
 SHAPES = [("lstm", 1, 3, 2), ("gru", 5, 1, 3), ("lstm", 4, 4, 2), ("gru", 3, 2, 4)]
 
 #: region kind -> the chunk blocks its slots are views of
-BLOCKS = {"h": ("h", "c"), "zx": ("zx",), "dz": ("dz",), "m": ("merged",)}
+BLOCKS = {"h": ("h", "c"), "z": ("z",), "m": ("merged",)}
 
 
 def _block_view_kinds(result) -> set:
-    """Check that every ``h``/``zx``/``dz``/``m`` region resolves to one
+    """Check that every ``h``/``z``/``m`` region resolves to one
     slot of its layer block; returns the kinds seen."""
     seen = set()
     for region in result.regions.regions():
@@ -98,8 +102,7 @@ def test_slots_are_views_of_one_block_per_layer(
         ))
         for cls in (BParEngine, FreshEngine)
     )
-    expected = {"h", "m"} | ({"zx"} if hoist == "on" else set())
-    expected |= {"dz"} if hoist == "on" and training else set()
+    expected = {"h", "m"} | ({"z"} if hoist == "on" else set())
     expected |= {"cache"} if training else set()
     blocks = None
     for seed in range(3):
@@ -109,10 +112,52 @@ def test_slots_are_views_of_one_block_per_layer(
         assert result.paired == (workers == 1)
         assert result.mbs == min(mbs, batch)
         assert _block_view_kinds(result) == expected
-        kept = [block for state in result.chunks for name in ("h", "zx", "dz", "acts", "merged")
+        kept = [block for state in result.chunks for name in ("h", "z", "acts", "merged")
                 for block in getattr(state, name)]
         kept += [record for state in result.chunks for grid in state.cache.values()
                  for row in grid for record in row]
         if blocks is not None:
             assert all(a is b for a, b in zip(kept, blocks))
         blocks = kept
+
+
+def _block_bytes(state) -> int:
+    """Bytes of every block a chunk holds (its initial state included)."""
+    total = 0
+
+    def count(name, block):
+        nonlocal total
+        total += block.nbytes
+        return block
+
+    state.map_blocks(count)
+    return total
+
+
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+@pytest.mark.parametrize("hoist", ["on", [True, False, True]], ids=["all", "two"])
+def test_hoisted_training_chunk_holds_one_gate_block_per_hoisted_layer(cell, hoist):
+    """The block bytes of a hoisted training chunk, counted kind by kind: a
+    layer's projection and its gradient used to be two ``(T, 2, B, G·H)``
+    blocks (``zx``, ``dz``); they are one, ``z``."""
+    spec = small_spec(cell=cell, head="many_to_many")
+    T, B = 5, 3
+    x, labels = make_batch(spec, seq_len=T, batch=B)
+    result = build_brnn_graph(
+        spec, x=x, labels=labels, params=BRNNParams.initialize(spec, 1),
+        fused_input_projection=hoist, proj_block=2,
+    )
+    (state,) = result.chunks
+    H, M, C, L = spec.hidden_size, spec.merged_size, spec.num_classes, spec.num_layers
+    isz = np.dtype(spec.dtype).itemsize
+    chain = T * 2 * B * H * isz  # one (T, 2, B, H) block
+    arrays = CELLS[cell].state_arrays  # h (and c)
+    per_layer = chain * (2 * arrays + len(CACHE_FIELDS[cell]))  # h/c, dh/dc, acts
+    gate_block = CELLS[cell].gates * chain
+    hoisted = sum(result.fused_layers)
+    assert hoisted == (3 if hoist == "on" else 2)
+    rest = (L * per_layer + 2 * (L - 1) * T * B * M * isz  # merged, dmerged
+            + T * B * (2 * M + 2 * C) * isz  # the head's four slot blocks
+            + arrays * 2 * B * H * isz)  # h0 (and c0)
+    two_blocks = rest + 2 * hoisted * gate_block  # zx and dz per hoisted layer
+    assert _block_bytes(state) == two_blocks - hoisted * gate_block
