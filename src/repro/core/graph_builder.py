@@ -62,8 +62,6 @@ from repro.kernels.dense import dense_backward, dense_bwd_flops, dense_forward, 
 from repro.kernels.losses import softmax_cross_entropy
 from repro.kernels.merge import merge_backward, merge_flops, merge_forward
 from repro.models.cells import (
-    CACHE_FIELDS,
-    cell_backward,
     cell_backward_proj,
     cell_bwd_flops,
     cell_bwd_step_proj_flops,
@@ -304,10 +302,12 @@ class GraphBuildResult:
         *observed* memory accesses against its declared regions; this
         method is the ground truth tying each region key of the builder's
         vocabulary to the ChunkState/params buffers it stands for: a view of
-        its block, or the views a cell cache holds.  An inference chunk's
-        cache resolves to no arrays, and so does the zero-byte ``serial``
-        token.  No payload rebinds storage, so a key resolves to the same
-        bytes for the whole of a run.  Functional graphs only.
+        its block; a ``cache`` key, what the step's backward reads: its
+        ``acts`` slot, the ``h``/``c`` slots (or initial state) its forward
+        read and, on an unhoisted layer, its input row.  An inference
+        chunk's cache resolves to no arrays, and so does the zero-byte
+        ``serial`` token.  No payload rebinds storage, so a key resolves to
+        the same bytes for the whole of a run.  Functional graphs only.
         """
         if not self.functional:
             raise RuntimeError("cost-only graphs carry no data to resolve")
@@ -332,11 +332,15 @@ class GraphBuildResult:
         if kind == "serial":
             return ()
         state = self.chunks[key[1]]
-        if kind == "cache":
-            _, _, layer, d, step = key
-            cache = state.cache[d][layer][step]
-            fields = () if cache is None else vars(cache).values()
-            return tuple(a for a in fields if isinstance(a, np.ndarray))
+        if kind == "cache":  # what the step's backward reads
+            _, _, layer, direction, step = key
+            if state.acts[layer] is None:  # an inference chunk keeps no caches
+                return ()
+            d = DIRECTIONS.index(direction)
+            read = (state.acts[layer][step, d],) + state.prev_state(layer, d, step)
+            if not self.fused_layers[layer]:
+                read += (state.inputs(layer)[step if d == 0 else self.seq_len - 1 - step],)
+            return tuple(a for a in read if a is not None)
         if kind not in _BLOCKS:
             raise KeyError(f"unknown region key vocabulary: {key!r}")
         where = key[2:]
@@ -452,13 +456,12 @@ class GraphBuildResult:
         Visits the buffers :meth:`region_storage` resolves — params,
         gradients, each chunk's ``x`` and its blocks — replacing each
         ndarray ``a`` with ``fn(a)``.  A layer's parameter stack is mapped
-        once and its direction views are rebuilt from it, and so are a
-        chunk's cache records from its blocks.  ``scratch``, when given,
-        maps instead of ``fn`` the blocks that are zeros or unread on entry
-        to every run and unread after it (:attr:`ChunkState.SCRATCH`).  The
-        race checker uses this to swap tracked views in and out, the process
-        executor to move storage into shared memory; ``fn`` must return an
-        array sharing the original's memory.
+        once and its direction views are rebuilt from it.  ``scratch``, when
+        given, maps instead of ``fn`` the blocks that are zeros or unread on
+        entry to every run and unread after it (:attr:`ChunkState.SCRATCH`).
+        The race checker uses this to swap tracked views in and out, the
+        process executor to move storage into shared memory; ``fn`` must
+        return an array sharing the original's memory.
         """
         if not self.functional:
             raise RuntimeError("cost-only graphs carry no data to map")
@@ -480,10 +483,6 @@ class GraphBuildResult:
             state.loss_sums = fn(state.loss_sums)
             state.map_blocks(map_block)
             map_params(state.grads)
-
-
-#: where the GRU cache's ``R_t ⊙ H_{t-1}`` lies on the field axis of a slot
-_GRU_RH = CACHE_FIELDS["gru"].index("rh")
 
 
 def _by_position(block: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
@@ -811,16 +810,18 @@ class _Builder:
         from the step above; the carry leaving the tile is ``+=``-ed into
         slot ``lo-1`` for the next tile.  Merge contributions land in the
         slot first either way, so sums associate identically wherever the
-        chain is cut and results stay bitwise."""
+        chain is cut and results stay bitwise.  A step reads its ``acts``
+        slot and the state its forward read; on an unhoisted layer it ends
+        with its own block of one timestep, the per-step kernel's body."""
         state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
         fused = self.fused_layers[layer]
         d = DIRECTIONS.index(direction)
 
         def fn():
-            dp = params.layers[layer].direction(direction)
+            W = params.layers[layer].direction(direction).W
             gp = state.grads.layers[layer].direction(direction)
-            dh_b, dc_b = state.dh[layer], state.dc[layer]
-            cache_g = state.cache[direction][layer]
+            dh_b, dc_b, acts = state.dh[layer], state.dc[layer], state.acts[layer]
+            inputs = state.inputs(layer)
             dh_c = dc_c = dc = None
             for step in range(hi - 1, lo - 1, -1):
                 dh = dh_b[step, d]
@@ -830,16 +831,18 @@ class _Builder:
                     dc = dc_b[step, d]
                     if dc_c is not None:
                         dc = dc + dc_c
-                cache = cache_g[step]
-                if fused:
-                    # the step's gate gradient over the projection it read
-                    state.z[layer][step, d], dh_c, dc_c = cell_backward_proj(
-                        spec, dh, dc, cache, dp.W
-                    )
-                else:
-                    dx, dh_c, dc_c = cell_backward(spec, dh, dc, cache, dp.W, gp.W, gp.b)
-                    if layer > 0:
-                        state.dmerged[layer - 1][step if d == 0 else T - 1 - step] += dx
+                h_prev, c_prev = state.prev_state(layer, d, step)
+                dz, dh_c, dc_c = cell_backward_proj(spec, dh, dc, acts[step, d], h_prev, c_prev, W)
+                if fused:  # the step's gate gradient over the projection it read
+                    state.z[layer][step, d] = dz
+                    continue
+                pos = step if d == 0 else T - 1 - step  # the rest: a block of one step
+                dx = cell_proj_backward(
+                    spec, inputs[pos, None], h_prev[None], dz[None], W, gp.W, gp.b, layer > 0,
+                    acts[step, d, None],
+                )
+                if layer > 0:
+                    state.dmerged[layer - 1][pos] += dx[0]
             if lo > 0:
                 dh_b[lo - 1, d] += dh_c
                 if dc_c is not None:
@@ -859,18 +862,13 @@ class _Builder:
         def fn():
             dp = params.layers[layer].direction(direction)
             gp = state.grads.layers[layer].direction(direction)
-            h, cache_g = state.h[layer], state.cache[direction][layer]
             dz = _by_position(state.z[layer], d, lo, hi)
-            rh = None
-            if spec.cell == "gru":
-                h_prev = np.stack([cache_g[s].h_prev for s in steps])
-                rh = _by_position(state.acts[layer], d, lo, hi)[:, _GRU_RH]
-            else:
-                # the initial state is no region of its own: the cache of
-                # chain step 0 is the declared slot that holds it
-                h_prev = np.stack([h[s - 1, d] if s > 0 else cache_g[0].h_prev for s in steps])
+            # the initial state is no region of its own: the cache key of
+            # chain step 0 is the declared slot that holds it
+            h_prev = np.stack([state.prev_state(layer, d, s)[0] for s in steps])
+            acts = _by_position(state.acts[layer], d, lo, hi)
             dx = cell_proj_backward(
-                spec, state.inputs(layer)[lo:hi], h_prev, dz, dp.W, gp.W, gp.b, layer > 0, rh
+                spec, state.inputs(layer)[lo:hi], h_prev, dz, dp.W, gp.W, gp.b, layer > 0, acts
             )
             if layer > 0:
                 state.dmerged[layer - 1][lo:hi] += dx

@@ -18,11 +18,11 @@ the cell caches' block ``acts`` is ``(T, 2, F, B, H)``, one contiguous
 layer (:attr:`~ChunkState.LAYERS`) a block is ``(T, B, M)``, by position;
 the head's (:attr:`~ChunkState.SLOTS`) is ``(n_last, B, ·)``.  A block a
 chunk has no use for is ``None`` (a GRU's ``c``, an unhoisted layer's
-``z``, an inference chunk's gradients and caches).  The cache records
-``state.cache[direction][layer][step]`` are built once, over views: of
-``acts``, of the ``h``/``c`` slots (or ``h0``/``c0``) a step reads and, on an
-unhoisted layer, of its input.  :meth:`ChunkState.slot` resolves an address
-to its view and :meth:`ChunkState.map_blocks` walks every block.  A
+``z``, an inference chunk's gradients and caches).  A step's backward reads
+the blocks themselves: its ``acts`` slot, the ``h``/``c`` slots (or
+``h0``/``c0``) its forward read and, on an unhoisted layer, its input.
+:meth:`ChunkState.slot` resolves an address to its view and
+:meth:`ChunkState.map_blocks` walks every block.  A
 hoisted layer's one ``z`` block serves both passes: a step's forward reads
 the projection in its slot, its backward writes the gate gradient over it.
 
@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.models.cells import CACHE_FIELDS, cell_cache
+from repro.models.cells import CACHE_FIELDS
 from repro.models.params import BRNNParams
 from repro.models.spec import CELLS, BRNNSpec
 
@@ -107,24 +107,6 @@ class ChunkState:
         self.c0 = np.zeros_like(self.h0) if lstm else None
 
         self.grads = BRNNParams.zeros_like(spec) if training else None
-        self.cache = {d: [[None] * T for _ in range(L)] for d in DIRECTIONS}
-        self._link_caches()
-
-    def _link_caches(self) -> None:
-        """Build every cache record over the current blocks (see the module
-        docstring); a layer without an ``acts`` block keeps ``None``s."""
-        T, spec = self.seq_len, self.spec
-        for layer, acts in enumerate(self.acts):
-            if acts is None:
-                continue
-            h, c, inputs = self.h[layer], self.c[layer], self.inputs(layer)
-            hoisted = self.z[layer] is not None
-            for d, row in enumerate(self.cache[name][layer] for name in DIRECTIONS):
-                for step in range(T):
-                    x = None if hoisted else inputs[step if d == 0 else T - 1 - step]
-                    h_prev = h[step - 1, d] if step else self.h0[d]
-                    c_prev = None if c is None else c[step - 1, d] if step else self.c0[d]
-                    row[step] = cell_cache(spec, x, h_prev, c_prev, acts[step, d])
 
     def slot(self, name: str, *where) -> Optional[np.ndarray]:
         """View of one slot of block kind ``name``, addressed ``(layer,
@@ -140,10 +122,18 @@ class ChunkState:
             return block[where[2], DIRECTIONS.index(where[1])]
         return block[where[1]]
 
+    def prev_state(self, layer: int, d: int, step: int) -> tuple:
+        """``(h_prev, c_prev)``, what chain step ``step`` of chain ``d`` of
+        ``layer`` reads: the slots of step ``step - 1``, or the initial
+        state at step 0; ``c_prev`` is ``None`` for a GRU."""
+        if step:
+            c = self.c[layer]
+            return self.h[layer][step - 1, d], None if c is None else c[step - 1, d]
+        return self.h0[d], None if self.c0 is None else self.c0[d]
+
     def map_blocks(self, fn: Callable[[str, np.ndarray], np.ndarray]) -> None:
         """Replace every block ``a`` of kind ``name`` with ``fn(name, a)``,
-        the initial state ``h0``/``c0`` too, then rebuild the cache records
-        over the new blocks."""
+        the initial state ``h0``/``c0`` too."""
         for name in self.CHAINS + self.LAYERS:
             grid = getattr(self, name)
             for i, block in enumerate(grid):
@@ -153,7 +143,6 @@ class ChunkState:
             block = getattr(self, name)
             if block is not None:
                 setattr(self, name, fn(name, block))
-        self._link_caches()
 
     def clear_accumulators(self) -> None:
         """Zero what a training step adds into: ``dh``/``dc``/``dmerged``

@@ -26,14 +26,12 @@ from repro.kernels.activations import (
 
 @dataclass
 class GRUCache:
-    """Forward activations retained for the backward pass."""
+    """What one step's backward reads: the operands the step read and its
+    cache slot."""
 
-    x: Optional[np.ndarray]  # None on the fused-projection path (dx via proj_bwd)
+    x: Optional[np.ndarray]
     h_prev: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
-    hbar: np.ndarray
-    rh: np.ndarray  # R_t ⊙ H_{t-1}
+    acts: np.ndarray  # (4, B, H): z, r, hbar, R_t ⊙ H_{t-1}
 
 
 def gru_forward_step(
@@ -53,7 +51,7 @@ def gru_forward_step(
     acts = np.empty((1,) + h.shape[:-2] + (4,) + h.shape[-2:], h.dtype) if need_cache else None
     zx = x @ W[..., : W.shape[-2] - h_prev.shape[-1], :]
     gru_forward_chain(zx[None], h_prev, W, b, h[None], acts)
-    return h, None if acts is None else GRUCache(x, h_prev, *acts[0].swapaxes(-3, 0))
+    return h, None if acts is None else GRUCache(x, h_prev, acts[0])
 
 
 def gru_backward_step(
@@ -69,8 +67,8 @@ def gru_backward_step(
     :func:`gru_backward_step_proj`, then :func:`gru_proj_backward` over a
     block of one timestep: the calls a hoisted layer makes at ``proj_block=1``.
     """
-    dz, dh_prev = gru_backward_step_proj(dh, cache, W)
-    return gru_proj_backward(cache.x, cache.h_prev, cache.rh, dz, W, dW, db), dh_prev
+    dz, dh_prev = gru_backward_step_proj(dh, cache.acts, cache.h_prev, W)
+    return gru_proj_backward(cache.x, cache.h_prev, cache.acts[3], dz, W, dW, db), dh_prev
 
 
 def gru_forward_chain(
@@ -136,10 +134,12 @@ def gru_forward_chain(
 
 def gru_backward_step_proj(
     dh: np.ndarray,
-    cache: GRUCache,
+    acts: np.ndarray,
+    h_prev: np.ndarray,
     W: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Backward of the shrunken cell step: what the recurrence waits for,
+    """Backward of the shrunken cell step, from its cache slot ``acts (4, B,
+    H)`` and the state ``h_prev`` it read: what the recurrence waits for,
     ``(dz (B, 3H), dh_prev)``, ``dz`` columns ``[dz_zr | da]`` matching the
     fused weight layout.  ``dW``, ``db`` and ``dX`` are the per-block
     :func:`gru_proj_backward`'s.
@@ -148,23 +148,24 @@ def gru_backward_step_proj(
     the update/reset one; both run weights-left (``(W_h·dZ^T)^T``), the
     operand order BLAS is fast at on a few rows.
     """
-    hidden = cache.h_prev.shape[1]
+    z, r, hbar, _ = acts
+    hidden = h_prev.shape[1]
     input_size = W.shape[0] - hidden
     two_h = 2 * hidden
 
     with activations.pointwise_turn:
-        dz_gate = dh * (cache.hbar - cache.h_prev)
-        dhbar = dh * cache.z
-        dh_prev = dh * (1.0 - cache.z)
-        da = dhbar * dtanh(cache.hbar)
+        dz_gate = dh * (hbar - h_prev)
+        dhbar = dh * z
+        dh_prev = dh * (1.0 - z)
+        da = dhbar * dtanh(hbar)
 
     drh = (W[input_size:, two_h:] @ da.T).T
     with activations.pointwise_turn:
-        dr = drh * cache.h_prev
-        dh_prev += drh * cache.r
+        dr = drh * h_prev
+        dh_prev += drh * r
         dz = np.empty((dh.shape[0], 3 * hidden), dtype=dh.dtype)
-        dz[:, :hidden] = dz_gate * dsigmoid(cache.z)
-        dz[:, hidden:two_h] = dr * dsigmoid(cache.r)
+        dz[:, :hidden] = dz_gate * dsigmoid(z)
+        dz[:, hidden:two_h] = dr * dsigmoid(r)
         dz[:, two_h:] = da
 
     # a GEMM's own accumulation stays with it, outside the turn

@@ -28,16 +28,13 @@ from repro.kernels.activations import (
 
 @dataclass
 class LSTMCache:
-    """Forward activations retained for the backward pass."""
+    """What one step's backward reads: the operands the step read and its
+    cache slot."""
 
-    x: Optional[np.ndarray]  # None on the fused-projection path (dx via proj_bwd)
+    x: Optional[np.ndarray]
     h_prev: np.ndarray
     c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    tc: np.ndarray  # tanh(C_t)
+    acts: np.ndarray  # (5, B, H): i, f, g, o, tanh(C_t)
 
 
 def lstm_forward_step(
@@ -62,7 +59,7 @@ def lstm_forward_step(
     acts = np.empty((1,) + h.shape[:-2] + (5,) + h.shape[-2:], h.dtype) if need_cache else None
     zx = x @ W[..., : W.shape[-2] - h_prev.shape[-1], :]
     lstm_forward_chain(zx[None], h_prev, c_prev, W, b, h[None], c[None], acts)
-    return h, c, None if acts is None else LSTMCache(x, h_prev, c_prev, *acts[0].swapaxes(-3, 0))
+    return h, c, None if acts is None else LSTMCache(x, h_prev, c_prev, acts[0])
 
 
 def lstm_backward_step(
@@ -81,7 +78,7 @@ def lstm_backward_step(
     :func:`lstm_backward_step_proj`, then :func:`lstm_proj_backward` over a
     block of one timestep: the calls a hoisted layer makes at ``proj_block=1``.
     """
-    dz, dh_prev, dc_prev = lstm_backward_step_proj(dh, dc_in, cache, W)
+    dz, dh_prev, dc_prev = lstm_backward_step_proj(dh, dc_in, cache.acts, cache.c_prev, W)
     dx = lstm_proj_backward(cache.x, cache.h_prev, dz, W, dW, db)
     return dx, dh_prev, dc_prev
 
@@ -153,10 +150,12 @@ def lstm_forward_chain(
 def lstm_backward_step_proj(
     dh: np.ndarray,
     dc_in: np.ndarray,
-    cache: LSTMCache,
+    acts: np.ndarray,
+    c_prev: np.ndarray,
     W: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of the shrunken cell step: emits ``dz`` instead of ``dx``.
+    """Backward of the shrunken cell step, from its cache slot ``acts (5,
+    B, H)`` and the ``c_prev`` it read: emits ``dz`` instead of ``dx``.
 
     Keeps what the recurrence waits for: the pointwise work and ``dh_prev =
     dZ·W_h^T``, computed weights-left, ``(W_h·dZ^T)^T``: the operand order
@@ -164,17 +163,18 @@ def lstm_backward_step_proj(
     Every other product of ``dz`` (``dW``, ``db``, ``dX``) is the per-block
     :func:`lstm_proj_backward`'s.  Returns ``(dz, dh_prev, dc_prev)``.
     """
-    hidden = cache.h_prev.shape[1]
+    i, f, g, o, tc = acts
+    hidden = dh.shape[1]
     input_size = W.shape[0] - hidden
     with activations.pointwise_turn:
-        do = dh * cache.tc
-        dc = dc_in + dh * cache.o * dtanh(cache.tc)
+        do = dh * tc
+        dc = dc_in + dh * o * dtanh(tc)
         dz = np.empty((dh.shape[0], 4 * hidden), dtype=dh.dtype)
-        dz[:, :hidden] = dc * cache.g * dsigmoid(cache.i)
-        dz[:, hidden : 2 * hidden] = dc * cache.c_prev * dsigmoid(cache.f)
-        dz[:, 2 * hidden : 3 * hidden] = dc * cache.i * dtanh(cache.g)
-        dz[:, 3 * hidden :] = do * dsigmoid(cache.o)
-        dc_prev = dc * cache.f
+        dz[:, :hidden] = dc * g * dsigmoid(i)
+        dz[:, hidden : 2 * hidden] = dc * c_prev * dsigmoid(f)
+        dz[:, 2 * hidden : 3 * hidden] = dc * i * dtanh(g)
+        dz[:, 3 * hidden :] = do * dsigmoid(o)
+        dc_prev = dc * f
     dh_prev = (W[input_size:] @ dz.T).T
     return dz, dh_prev, dc_prev
 

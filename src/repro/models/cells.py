@@ -13,7 +13,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels.gru import (
-    GRUCache,
     gru_backward_step,
     gru_backward_step_proj,
     gru_forward_chain,
@@ -21,7 +20,6 @@ from repro.kernels.gru import (
     gru_proj_backward,
 )
 from repro.kernels.lstm import (
-    LSTMCache,
     lstm_backward_step,
     lstm_backward_step_proj,
     lstm_forward_chain,
@@ -49,21 +47,8 @@ _BWD_STEP_PROJ = {
 
 
 #: The ``(B, H)`` fields a forward cell writes into its cache slot, in the
-#: order of the slot's field axis (``ChunkState.acts``, ``(T, 2, F, B, H)``);
-#: a cache's ``x``/``h_prev``/``c_prev`` are the arrays the step read.
+#: order of the slot's field axis (``ChunkState.acts``, ``(T, 2, F, B, H)``).
 CACHE_FIELDS = {"lstm": ("i", "f", "g", "o", "tc"), "gru": ("z", "r", "hbar", "rh")}
-
-_CACHE = {"lstm": LSTMCache, "gru": GRUCache}
-
-
-def cell_cache(spec: BRNNSpec, x, h_prev, c_prev, slot: np.ndarray):
-    """The cache record of one step over views: its input ``x`` (``None``
-    on a hoisted layer), the states ``h_prev``/``c_prev`` it read, and the
-    :data:`CACHE_FIELDS` of its ``(F, B, H)`` cache ``slot``."""
-    fields = dict(zip(CACHE_FIELDS[spec.cell], slot))
-    if spec.cell == "lstm":
-        fields["c_prev"] = c_prev
-    return _CACHE[spec.cell](x=x, h_prev=h_prev, **fields)
 
 
 def cell_forward(
@@ -156,19 +141,22 @@ def cell_backward_proj(
     spec: BRNNSpec,
     dh: np.ndarray,
     dc: Optional[np.ndarray],
-    cache,
+    acts: np.ndarray,
+    h_prev: np.ndarray,
+    c_prev: Optional[np.ndarray],
     W: np.ndarray,
 ):
     """Backward of the shrunken cell update; returns ``(dz, dh_prev, dc_prev)``.
 
-    Only what the recurrence waits for: the pointwise work and ``dh_prev =
-    dZ·W_h^T``.  ``dz`` is a single ``(B, G·H)`` block for the per-block
-    :func:`cell_proj_backward` GEMMs downstream.
+    Reads the step's ``(F, B, H)`` cache slot ``acts`` and the state
+    ``h_prev``/``c_prev`` it read.  Only what the recurrence waits for: the
+    pointwise work and ``dh_prev = dZ·W_h^T``.  ``dz`` is a single ``(B,
+    G·H)`` block for the :func:`cell_proj_backward` GEMMs downstream.
     """
     fn = _BWD_STEP_PROJ[spec.cell]
     if spec.cell == "lstm":
-        return fn(dh, dc, cache, W)
-    dz, dh_prev = fn(dh, cache, W)
+        return fn(dh, dc, acts, c_prev, W)
+    dz, dh_prev = fn(dh, acts, h_prev, W)
     return dz, dh_prev, None
 
 
@@ -181,21 +169,23 @@ def cell_proj_backward(
     dW: np.ndarray,
     db: np.ndarray,
     need_dx: bool = True,
-    RH: Optional[np.ndarray] = None,
+    acts: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
     """Hoisted backward of a block of timesteps: everything ``dz`` feeds
     except ``dh_prev``.
 
     Takes the block's inputs ``X (K, B, I)``, previous states ``H_prev``
-    and pre-activation gradients ``dZ`` (GRU: also ``RH``, the cached ``R_t
-    ⊙ H_{t-1}``), their steps in sequence order, and accumulates the whole
+    and pre-activation gradients ``dZ`` (GRU: also the cache slots ``acts
+    (K, F, B, H)`` for ``R_t ⊙ H_{t-1}``), their steps in sequence order,
+    and accumulates the whole
     weight-gradient panel and the bias gradient in place, once per block,
     over their ``(K·B, ·)`` rows.  Returns ``dX (K, B, I)`` (``None`` unless
     ``need_dx``).
     """
     rows, h_rows, dz_rows = _rows(X), _rows(H_prev), _rows(dZ)
     if spec.cell == "gru":
-        dX = gru_proj_backward(rows, h_rows, _rows(RH), dz_rows, W, dW, db, need_dx)
+        rh = _rows(acts[:, CACHE_FIELDS["gru"].index("rh")])
+        dX = gru_proj_backward(rows, h_rows, rh, dz_rows, W, dW, db, need_dx)
     else:
         dX = lstm_proj_backward(rows, h_rows, dz_rows, W, dW, db, need_dx)
     return None if dX is None else dX.reshape(X.shape)

@@ -438,9 +438,9 @@ def test_fused_inference_graph_has_proj_tasks_and_no_caches(set_proj_block):
     kinds = {t.kind for t in result.graph}
     assert "proj" in kinds and "proj_bwd" not in kinds
     # inference never materialises the per-step caches on the fused path
-    for chunk in result.chunks:
-        for grid in chunk.cache["fwd"] + chunk.cache["rev"]:
-            assert all(c is None for c in grid)
+    for mb, chunk in enumerate(result.chunks):
+        assert all(acts is None for acts in chunk.acts)
+        assert result.region_storage(("cache", mb, 0, "fwd", 0)) == ()
 
 
 def test_fused_training_graph_has_proj_bwd_tasks(set_proj_block):

@@ -6,11 +6,11 @@ merges as one ``(T, B, M)`` block (``repro.core.state``): a task writes its
 slots in place and a rebound step allocates no state.  On the threaded
 engine — the paired graph on one worker, one task per chain and direction
 on two — every ``h``, ``z`` and ``m`` slot a region resolves to
-must lie in its layer's block, every array a cache region resolves to in
-the layer's cache block or in the ``h``/``c`` block (or initial state) and
-input block the step read, the blocks and cache records must be the same
-objects on every rebound step, and those steps must give a fresh build's
-bits.  The shapes cover one timestep, an odd length, one row and a chunk
+must lie in its layer's block, every cache region must resolve to exactly
+the bytes the step's backward reads (its slot of the layer's cache block,
+the ``h``/``c`` slots or initial state its forward read and, on an
+unhoisted layer, its input row), the blocks must be the same objects on
+every rebound step, and those steps must give a fresh build's bits.  The shapes cover one timestep, an odd length, one row and a chunk
 count above the batch (it clamps).  A hoisted training chunk's blocks come
 to a fixed byte count: one gate pre-activation block per hoisted layer,
 shared by the projection and its gradient.  No clock is read.
@@ -26,6 +26,7 @@ from repro.models.cells import CACHE_FIELDS
 from repro.models.params import BRNNParams
 from repro.models.spec import CELLS
 from repro.runtime.executor import ThreadedExecutor
+from repro.runtime.racecheck import byte_bounds
 from tests.conftest import make_batch, small_spec
 from tests.core.test_rebind import FreshEngine, _assert_same, _step
 
@@ -58,29 +59,32 @@ def _block_view_kinds(result) -> set:
 
 
 def _cache_views(result) -> set:
-    """Check that every array a ``cache`` region resolves to lies in the
-    layer's cache block, its ``h``/``c`` block or initial state, or its
-    input block, and that each field the forward writes is one contiguous
-    ``(B, H)`` slot of the cache block; returns ``{"cache"}`` if any did."""
-    seen = set()
+    """Check that every ``cache`` region resolves to exactly the bytes of
+    its step's ``acts[step, d]`` slot, the ``h``/``c`` slots of the step
+    before (the initial state at step 0) and, on an unhoisted layer, its
+    input row, the slot one contiguous ``(F, B, H)`` array; an inference
+    chunk's to nothing.  Returns ``{"cache"}`` if any resolved to bytes."""
+    seen, T = set(), result.seq_len
     for region in result.regions.regions():
         if region.key[0] != "cache":
             continue
-        _, mb, layer, d, step = region.key
+        _, mb, layer, direction, step = region.key
         state = result.chunks[mb]
-        record = state.cache[d][layer][step]
-        if record is None:
-            assert result.region_storage(region.key) == ()
+        views = result.region_storage(region.key)
+        if state.acts[layer] is None:
+            assert views == (), region.key
             continue
-        homes = [state.acts[layer], state.h[layer], state.c[layer], state.h0, state.c0,
-                 state.inputs(layer)]
-        homes = [home for home in homes if home is not None]
-        for view in result.region_storage(region.key):
-            assert any(np.shares_memory(view, home) for home in homes), region.key
-        slot = state.acts[layer][step, ("fwd", "rev").index(d)]
-        for k, name in enumerate(CACHE_FIELDS[state.spec.cell]):
-            field = getattr(record, name)
-            assert field.flags.c_contiguous and np.shares_memory(field, slot[k]), region.key
+        d = ("fwd", "rev").index(direction)
+        slot = state.acts[layer][step, d]
+        assert slot.flags.c_contiguous and slot.shape[0] == len(CACHE_FIELDS[state.spec.cell])
+        if step:
+            before = [b[step - 1, d] for b in (state.h[layer], state.c[layer]) if b is not None]
+        else:
+            before = [b[d] for b in (state.h0, state.c0) if b is not None]
+        row = [] if result.fused_layers[layer] else [state.inputs(layer)[
+            step if d == 0 else T - 1 - step]]
+        expected = [slot] + before + row
+        assert sorted(map(byte_bounds, views)) == sorted(map(byte_bounds, expected)), region.key
         seen.add("cache")
     return seen
 
@@ -114,8 +118,6 @@ def test_slots_are_views_of_one_block_per_layer(
         assert _block_view_kinds(result) == expected
         kept = [block for state in result.chunks for name in ("h", "z", "acts", "merged")
                 for block in getattr(state, name)]
-        kept += [record for state in result.chunks for grid in state.cache.values()
-                 for row in grid for record in row]
         if blocks is not None:
             assert all(a is b for a, b in zip(kept, blocks))
         blocks = kept

@@ -31,9 +31,10 @@ def test_forward_shapes_and_gate_ranges(rng):
     x, h0, W, b = setup_cell(rng)
     h, cache = gru_forward_step(x, h0, W, b)
     assert h.shape == (B, H)
-    assert np.all((cache.z > 0) & (cache.z < 1))
-    assert np.all((cache.r > 0) & (cache.r < 1))
-    assert np.all(np.abs(cache.hbar) < 1)
+    z, r, hbar, _ = cache.acts
+    assert np.all((z > 0) & (z < 1))
+    assert np.all((r > 0) & (r < 1))
+    assert np.all(np.abs(hbar) < 1)
 
 
 def test_forward_matches_equations(rng):
@@ -52,8 +53,9 @@ def test_h_is_convex_combination(rng):
     """Eq. (10): every H_t entry lies between H̄_t and H_{t-1}."""
     x, h0, W, b = setup_cell(rng)
     h, cache = gru_forward_step(x, h0, W, b)
-    lo = np.minimum(cache.hbar, h0)
-    hi = np.maximum(cache.hbar, h0)
+    hbar = cache.acts[2]
+    lo = np.minimum(hbar, h0)
+    hi = np.maximum(hbar, h0)
     assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
 
 

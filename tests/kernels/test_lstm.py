@@ -30,9 +30,10 @@ def test_forward_shapes_and_gate_ranges(rng):
     x, h0, c0, W, b = setup_cell(rng)
     h, c, cache = lstm_forward_step(x, h0, c0, W, b)
     assert h.shape == (B, H) and c.shape == (B, H)
-    for gate in (cache.i, cache.f, cache.o):
+    i, f, g, o, _ = cache.acts
+    for gate in (i, f, o):
         assert np.all((gate > 0) & (gate < 1))
-    assert np.all(np.abs(cache.g) < 1)
+    assert np.all(np.abs(g) < 1)
     assert np.all(np.abs(h) < 1)  # h = o * tanh(c), both bounded
 
 

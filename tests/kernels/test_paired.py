@@ -10,21 +10,21 @@ equal what the single step computes on that direction's operands.
 import numpy as np
 import pytest
 
-from repro.models.cells import CACHE_FIELDS, cell_cache, cell_forward, cell_forward_chain
+from repro.models.cells import CACHE_FIELDS, cell_forward, cell_forward_chain
 from repro.models.spec import CELL_TYPES
 from tests.conftest import small_spec
 
 
 def cell_forward_proj(spec, zx, h_prev, c_prev, W, b, need_cache):
     """One hoisted step, a one-step call of the chain body, as ``(h,
-    c_or_None, cache)``; a pair's cache slot ``(2, F, B, H)`` is laid out as
-    in ``ChunkState.acts``."""
+    c_or_None, cache)``, the cache what the step's backward reads by name; a
+    pair's cache slot ``(2, F, B, H)`` is laid out as in ``ChunkState.acts``."""
     h = np.empty((1,) + h_prev.shape, h_prev.dtype)
     c = None if c_prev is None else np.empty_like(h)
     fields = h_prev.shape[:-2] + (len(CACHE_FIELDS[spec.cell]),) + h_prev.shape[-2:]
     acts = np.empty((1,) + fields, h.dtype) if need_cache else None
     cell_forward_chain(spec, zx[None], h_prev, c_prev, W, b, h, c, acts)
-    cache = cell_cache(spec, None, h_prev, c_prev, acts[0].swapaxes(-3, 0)) if need_cache else None
+    cache = dict(h_prev=h_prev, c_prev=c_prev, acts=acts[0]) if need_cache else None
     return h[0], None if c is None else c[0], cache
 
 
@@ -43,7 +43,8 @@ def _operands(cell, rows, seed):
 
 
 def _fields(cache):
-    return {} if cache is None else {k: v for k, v in vars(cache).items() if v is not None}
+    fields = {} if cache is None else cache if isinstance(cache, dict) else vars(cache)
+    return {k: v for k, v in fields.items() if v is not None}
 
 
 @pytest.mark.parametrize("cell", CELL_TYPES)

@@ -59,13 +59,12 @@ def _chain_of(cell, keep, steps=3):
 def _one_step(cell):
     """A one-step call of the chain body, what a tile of one step runs, as a
     hoisted per-step kernel: ``(zx, h_prev[, c_prev], W, b, need_cache=True)``
-    to ``(h[, c], cache)``, the cache a record over the step's fields."""
-    spec = small_spec(cell=cell)
+    to ``(h[, c], cache)``, the cache what the backward proj kernel reads
+    after the gradients: the step's slot and ``c_prev`` (GRU: ``h_prev``)."""
 
     def run(zx, h_prev, *rest, need_cache=True):
         h, *c, acts = _chain_of(cell, need_cache, steps=1)(zx, h_prev, *rest)
-        c_prev = rest[0] if c else None
-        cache = cells.cell_cache(spec, None, h_prev, c_prev, acts[0]) if need_cache else None
+        cache = (acts[0], rest[0] if c else h_prev) if need_cache else None
         return (h[0], *(block[0] for block in c), cache)
 
     return run
@@ -122,7 +121,7 @@ class Operands:
             return fn(first, *state, W, ops["b"])
         grads = (ops["dh"], ops["dc"]) if self.cell == "lstm" else (ops["dh"],)
         if table == "bwd_proj":
-            return fn(*grads, self.cache[table], W)
+            return fn(*grads, *self.cache[table], W)
         dW, db = np.zeros_like(self.W), np.zeros_like(self.b)
         return (*fn(*grads, self.cache[table], W, dW, db), dW, db)
 
@@ -301,11 +300,12 @@ def test_dh_prev_weights_left_equals_the_old_operand_order(cell, rows):
     ``dz``: float32 rtol 1e-6 (the two orders may round differently)."""
     hidden, input_size = 32, 12
     ops = Operands(cell, rows=rows, hidden=hidden, input_size=input_size, seed=rows)
-    W_h, cache = ops.W[input_size:], ops.cache["bwd_proj"]
+    W_h, (acts, _) = ops.W[input_size:], ops.cache["bwd_proj"]
     dz, dh_prev = ops.call("bwd_proj", cells._BWD_STEP_PROJ[cell])[:2]
     if cell == "gru":
         da = dz[:, 2 * hidden :]
-        old = ops.dh * (1.0 - cache.z) + (da @ W_h[:, 2 * hidden :].T) * cache.r
+        z, r = acts[:2]
+        old = ops.dh * (1.0 - z) + (da @ W_h[:, 2 * hidden :].T) * r
         old += dz[:, : 2 * hidden] @ W_h[:, : 2 * hidden].T
     else:
         old = dz @ W_h.T
@@ -388,12 +388,14 @@ def test_a_turn_held_at_fork_is_free_in_the_child():
 
 
 def _cache_slots(result):
+    """Every chunk's per-step cache slots, ``None`` where a layer keeps no
+    cache block."""
     return [
-        slot
+        None if acts is None else acts[step, d]
         for state in result.chunks
-        for grid in state.cache.values()
-        for row in grid
-        for slot in row
+        for acts in state.acts
+        for step in range(result.seq_len)
+        for d in range(2)
     ]
 
 

@@ -150,4 +150,4 @@ def test_a_tile_cut_anywhere_is_the_oracle(cell, lo, hi, chains, need_cache):
             if c is not None:
                 assert c[k, j].tobytes() == c_o.tobytes(), (k, d)
             for f, name in enumerate(fields if need_cache else ()):
-                assert acts[k, j, f].tobytes() == getattr(cache_o, name).tobytes(), (k, d, name)
+                assert acts[k, j, f].tobytes() == cache_o.acts[f].tobytes(), (k, d, name)

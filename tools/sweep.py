@@ -73,7 +73,7 @@ from repro.core.graph_builder import (
 from repro.harness.measure import make_spec
 from repro.kernels import activations
 from repro.models.cells import (
-    CACHE_FIELDS, cell_backward_proj, cell_cache, cell_forward, cell_forward_chain,
+    CACHE_FIELDS, cell_backward_proj, cell_forward, cell_forward_chain,
 )
 from repro.models.params import BRNNParams
 from repro.models.spec import CELL_TYPES
@@ -231,9 +231,8 @@ def kernel_call(cell: str, backward: bool, rows: int, hidden: int, seed: int):
     if not backward:
         return step
     step()
-    cache = cell_cache(spec, None, h, c, slot[0])
     dh, dc = draw(rng, rows, hidden), draw(rng, rows, hidden) if cell == "lstm" else None
-    return lambda: cell_backward_proj(spec, dh, dc, cache, W)
+    return lambda: cell_backward_proj(spec, dh, dc, slot[0], h, c, W)
 
 
 def turn(point, rounds: int) -> dict:
