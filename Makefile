@@ -93,7 +93,8 @@ smoke-verify:
 	$(PYTHON) -m pytest tests/analysis/test_symbolic.py tests/analysis/test_verify.py \
 		tests/analysis/test_graphlint.py tests/analysis/test_pylint.py \
 		tests/properties/test_verify_properties.py \
-		tests/runtime/test_racecheck.py tests/runtime/test_schedule_fuzz.py -x -q
+		tests/runtime/test_racecheck.py tests/runtime/test_schedule_fuzz.py \
+		tests/runtime/test_depgraph.py -x -q
 	$(OBSERVE) --fused-input-projection off --output $(TMP)_analysis.json
 	$(OBSERVE) --fused-input-projection on --proj-block 2
 	$(OBSERVE) --fused-input-projection off --wavefront-tile 2

@@ -6,8 +6,9 @@ For every region the tracker keeps the last writer and the readers seen
 since that write, and derives:
 
 * RAW — a reader depends on the last writer of each ``in`` region;
-* WAW — a writer depends on the previous writer of each ``out`` region;
-* WAR — a writer depends on every reader since the last write.
+* WAR — a writer depends on every reader since the last write;
+* WAW — a writer depends on the previous writer of each ``out`` region
+  when no reader came between (a reader is ordered after that writer).
 
 Because edges always point from an earlier-registered task to a later one,
 the graph is acyclic by construction.
@@ -148,11 +149,11 @@ class TaskGraph:
                 preds.add(writer)
         for region in task.writes():
             rid = id(region)
-            writer = self._last_writer.get(rid)
-            if writer is not None:
+            readers, writer = self._readers.get(rid), self._last_writer.get(rid)
+            if readers:  # each is ordered after the last writer already
+                preds.update(readers)
+            elif writer is not None:
                 preds.add(writer)
-            for reader in self._readers.get(rid, ()):
-                preds.add(reader)
 
         if self._barrier_tid is not None:
             preds.add(self._barrier_tid)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.graph_builder import build_brnn_graph
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.task import RegionSpace
+from tests.conftest import small_spec
 
 
 def build(rs=None):
@@ -142,3 +144,54 @@ def test_critical_path_weighted():
     g.add_task("w", outs=[a], flops=10)
     g.add_task("r", ins=[a], flops=5)
     assert g.critical_path_length(weight=lambda t: t.flops) == 15.0
+
+
+# -- the WAW edge, taken only when no reader came between ----------------------
+
+
+def test_a_writer_after_a_reader_depends_on_the_reader_only():
+    """write → read → write: the reader is ordered after the first writer,
+    so the second writer's one predecessor is the reader."""
+    g, rs = build()
+    a = rs.get("a", 1)
+    w1 = g.add_task("w1", outs=[a])
+    r = g.add_task("r", ins=[a])
+    w2 = g.add_task("w2", outs=[a])
+    assert g.predecessors(w2.tid) == [r.tid]
+    assert g.has_path(w1.tid, w2.tid)
+
+
+def test_a_writer_right_after_a_writer_keeps_the_waw_edge():
+    g, rs = build()
+    a = rs.get("a", 1)
+    w1 = g.add_task("w1", outs=[a])
+    w2 = g.add_task("w2", outs=[a])
+    assert g.predecessors(w2.tid) == [w1.tid]
+
+
+@pytest.mark.parametrize("tile", [None, 2], ids=["per-step", "tile2"])
+@pytest.mark.parametrize("cell", ["lstm", "gru"])
+def test_a_hoisted_training_build_has_no_proj_to_cell_bwd_edge(cell, tile):
+    """Each ``z`` slot is written by its ``proj`` task, read by the forward
+    cell, then overwritten by the backward cell: the cell orders the two
+    writes, so no direct ``proj -> cell_bwd`` edge is made, and the
+    backward cell still comes after the projection it overwrites."""
+    spec = small_spec(cell=cell, num_layers=2)
+    result = build_brnn_graph(
+        spec, seq_len=5, batch=4, mbs=2, training=True, fused_input_projection="on",
+        proj_block=2, wavefront_tile=tile,
+    )
+    g = result.graph
+    kinds = [t.kind for t in g]
+    assert {"proj", "cell_bwd"} <= set(kinds)
+    assert not [(a, b) for a, b in g.edges() if (kinds[a], kinds[b]) == ("proj", "cell_bwd")]
+    writers = {}
+    for task in g:
+        for region in task.writes():
+            if region.key[0] == "z":
+                writers.setdefault(region.key, []).append(task.tid)
+    assert writers
+    bits = g.descendants_bitsets()
+    for key, (proj, *later) in writers.items():
+        assert kinds[proj] == "proj" and later, key
+        assert all(g.has_path(proj, tid, bits) for tid in later), key
