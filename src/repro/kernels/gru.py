@@ -29,7 +29,7 @@ class GRUCache:
     """What one step's backward reads: the operands the step read and its
     cache slot."""
 
-    x: Optional[np.ndarray]
+    x: np.ndarray
     h_prev: np.ndarray
     acts: np.ndarray  # (4, B, H): z, r, hbar, R_t ⊙ H_{t-1}
 

@@ -31,7 +31,7 @@ class LSTMCache:
     """What one step's backward reads: the operands the step read and its
     cache slot."""
 
-    x: Optional[np.ndarray]
+    x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
     acts: np.ndarray  # (5, B, H): i, f, g, o, tanh(C_t)

@@ -10,8 +10,9 @@ must lie in its layer's block, every cache region must resolve to exactly
 the bytes the step's backward reads (its slot of the layer's cache block,
 the ``h``/``c`` slots or initial state its forward read and, on an
 unhoisted layer, its input row), the blocks must be the same objects on
-every rebound step, and those steps must give a fresh build's bits.  The shapes cover one timestep, an odd length, one row and a chunk
-count above the batch (it clamps).  A hoisted training chunk's blocks come
+every rebound step, and those steps must give a fresh build's bits.  The
+shapes cover one timestep, an odd length, one row and a chunk count above
+the batch (it clamps).  A hoisted training chunk's blocks come
 to a fixed byte count: one gate pre-activation block per hoisted layer,
 shared by the projection and its gradient.  No clock is read.
 """
