@@ -7,6 +7,8 @@ passes them.  Every output, and every field of each direction's cache, must
 equal what the single step computes on that direction's operands.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def cell_forward_proj(spec, zx, h_prev, c_prev, W, b, need_cache):
     fields = h_prev.shape[:-2] + (len(CACHE_FIELDS[spec.cell]),) + h_prev.shape[-2:]
     acts = np.empty((1,) + fields, h.dtype) if need_cache else None
     cell_forward_chain(spec, zx[None], h_prev, c_prev, W, b, h, c, acts)
-    cache = dict(h_prev=h_prev, c_prev=c_prev, acts=acts[0]) if need_cache else None
+    cache = SimpleNamespace(h_prev=h_prev, c_prev=c_prev, acts=acts[0]) if need_cache else None
     return h[0], None if c is None else c[0], cache
 
 
@@ -43,8 +45,7 @@ def _operands(cell, rows, seed):
 
 
 def _fields(cache):
-    fields = {} if cache is None else cache if isinstance(cache, dict) else vars(cache)
-    return {k: v for k, v in fields.items() if v is not None}
+    return {} if cache is None else {k: v for k, v in vars(cache).items() if v is not None}
 
 
 @pytest.mark.parametrize("cell", CELL_TYPES)
