@@ -15,7 +15,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 TMP ?= /tmp/repro_smoke
 BASELINES := benchmarks/baselines
 
-.PHONY: test check-baselines lint examples smoke-obs smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench clean
+.PHONY: test check-baselines lint examples smoke-obs smoke-fusion smoke-mp smoke-verify smoke-fleet smoke-bench bench census clean
 
 # tier-1: the full unit/integration/property suite (serving tests included)
 test:
@@ -125,6 +125,13 @@ smoke-bench:
 # rewrite $(BASELINES)/BENCH_paper.json (18 min on the recording host)
 bench:
 	$(PYTHON) -m repro bench paper --record > /dev/null
+
+# the call census (tools/census.py, docs/TESTING.md §Census): run the product's
+# entry points under a trace function and list every function in src/repro
+# they never call, outside the tool's allowlist; exit 1 if there is one.  Not
+# in CI: a full run takes ~25 min on 2 vCPUs
+census:
+	$(PYTHON) tools/census.py
 
 clean:
 	rm -f $(TMP)_*.json

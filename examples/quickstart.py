@@ -64,9 +64,9 @@ def main():
 
     print("\nper-core timeline of the last batch (# = busy):")
     print(ascii_timeline(trace, width=72))
-    # export for chrome://tracing with:
-    #   from repro.analysis.traceviz import save_chrome_trace
-    #   save_chrome_trace(trace, "bpar_trace.json")
+    # every stage's spans over a whole benchmark run, one JSON file
+    # (bench/spans.py's writer, the one trace file the project writes):
+    #   python bench/run.py --workload train_gemm --trace 1 --trace-out spans.json.gz
 
 
 if __name__ == "__main__":

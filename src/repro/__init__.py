@@ -46,7 +46,7 @@ from repro.core.trainer import Trainer, accuracy
 from repro.core.graph_builder import build_brnn_graph
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.simexec import SimulatedExecutor
-from repro.simarch.presets import laptop_sim, tesla_v100, xeon_8160_2s
+from repro.simarch.presets import tesla_v100, xeon_8160_2s
 from repro.serve import (
     FleetServer,
     InferenceEngine,
@@ -73,7 +73,6 @@ __all__ = [
     "SimulatedExecutor",
     "xeon_8160_2s",
     "tesla_v100",
-    "laptop_sim",
     "InferenceEngine",
     "ServeConfig",
     "ReplicaPool",

@@ -1,89 +1,15 @@
-"""Trace export in Chrome trace-event format.
+"""A terminal view of a trace: one row per core, one column per time bucket.
 
-``chrome://tracing`` / Perfetto can open the exported JSON: one row per
-core, one slice per task, coloured by task kind — the practical way to
-*see* the barrier-free schedule (or a framework baseline's barrier gaps).
+Enough to *see* the barrier-free schedule (or a framework baseline's
+barrier gaps) in a log.  The one trace file the project writes is
+``bench/spans.py``'s span dump (``bench/run.py --trace 1 --trace-out FILE``).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.runtime.trace import ExecutionTrace
-
-
-def to_chrome_trace(
-    trace: ExecutionTrace,
-    process_name: str = "repro",
-    snapshots=None,
-) -> Dict:
-    """Convert a trace to a Chrome trace-event ``dict`` (JSON-serialisable).
-
-    Timestamps/durations are microseconds, as the format requires; each
-    simulated/real core becomes a thread row.
-
-    ``snapshots`` — a :class:`~repro.obs.snapshot.SnapshotLog` (or iterable
-    of :class:`~repro.obs.snapshot.Snapshot`) — adds each sampled metric as
-    a Chrome counter event (``"ph": "C"``), so queue depth, steal counts
-    and locality hit rates plot as tracks above the task timeline.
-    """
-    events: List[Dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    for core in range(trace.n_cores):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": core,
-                "args": {"name": f"core {core}"},
-            }
-        )
-    for r in trace.records:
-        events.append(
-            {
-                "name": r.name,
-                "cat": r.kind,
-                "ph": "X",  # complete event
-                "pid": 0,
-                "tid": r.core,
-                "ts": r.start * 1e6,
-                "dur": r.duration * 1e6,
-                "args": {
-                    "kind": r.kind,
-                    "flops": r.flops,
-                    "wss_bytes": r.wss_bytes,
-                },
-            }
-        )
-    if snapshots is not None:
-        for snap in getattr(snapshots, "snapshots", snapshots):
-            for metric, value in sorted(snap.values.items()):
-                events.append(
-                    {
-                        "name": metric,
-                        "ph": "C",  # counter event
-                        "pid": 0,
-                        "ts": snap.t * 1e6,
-                        "args": {"value": value},
-                    }
-                )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def save_chrome_trace(
-    trace: ExecutionTrace, path, process_name: str = "repro", snapshots=None
-) -> None:
-    """Write :func:`to_chrome_trace` output as JSON to ``path``."""
-    with open(path, "w") as fh:
-        json.dump(to_chrome_trace(trace, process_name, snapshots=snapshots), fh)
 
 
 def ascii_timeline(

@@ -87,10 +87,6 @@ class FrameworkCPUEngine:
         self.profile = profile
         self.machine = machine or xeon_8160_2s()
 
-    @property
-    def name(self) -> str:
-        return self.profile.name
-
     # -- graph construction ----------------------------------------------------
 
     def build_graph(self, seq_len: int, batch: int, n_cores: int, training: bool = True) -> TaskGraph:

@@ -53,9 +53,6 @@ class PlanCache:
         self.compiles = 0
         self.last_compile_s = 0.0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 

@@ -125,7 +125,6 @@ class ExecutionConfig:
         if self.wavefront_tile is not None and self.wavefront_tile < 1:
             raise ValueError("wavefront_tile must be >= 1")
 
-    def replace(self, **changes) -> "ExecutionConfig":
-        """A copy with ``changes`` applied (frozen-dataclass update)."""
-        return dataclasses.replace(self, **changes)
+    #: ``config.replace(**changes)``: a copy with ``changes`` applied
+    replace = dataclasses.replace
 

@@ -164,6 +164,10 @@ class BParEngine:
         return self._run(x, labels=labels, lr=lr).mean_loss()
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
-        """Loss + combined gradients without updating weights (for tests)."""
+        """``(mean loss, logits, full-batch gradient)`` with the weights left
+        as they were: the step of an optimiser the caller holds."""
         result = self._run(x, labels=labels, update_weights=False)
-        return result.mean_loss(), result.logits(), result.combined_grads()
+        grads = BRNNParams.zeros_like(self.spec)
+        for chunk in result.chunks:
+            grads.add_scaled_(chunk.grads, 1.0)
+        return result.mean_loss(), result.logits(), grads

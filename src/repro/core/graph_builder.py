@@ -286,13 +286,6 @@ class GraphBuildResult:
             units *= self.seq_len
         return float(sum(sum(c.loss_sums) for c in self.chunks) / units)
 
-    def combined_grads(self) -> BRNNParams:
-        """Sum of per-chunk gradients (the full-batch gradient)."""
-        total = BRNNParams.zeros_like(self.spec)
-        for chunk in self.chunks:
-            total.add_scaled_(chunk.grads, 1.0)
-        return total
-
     # -- region-to-storage mapping (race checking) ------------------------------
 
     def region_storage(self, key) -> tuple:

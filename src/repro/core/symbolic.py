@@ -107,9 +107,6 @@ class Affine:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def symbols(self) -> frozenset:
-        return frozenset(s for m in self.terms for s in m)
-
     def evaluate(self, env: Mapping[str, int]) -> int:
         """Concrete value under a symbol valuation (KeyError on a miss)."""
         total = 0

@@ -8,7 +8,6 @@ from repro.models.reference import (
     reference_loss_and_grads,
     reference_train_step,
 )
-from repro.models.gradcheck import check_gradients
 
 __all__ = [
     "BRNNSpec",
@@ -19,5 +18,4 @@ __all__ = [
     "reference_backward",
     "reference_loss_and_grads",
     "reference_train_step",
-    "check_gradients",
 ]

@@ -119,9 +119,6 @@ class BRNNParams:
         yield "head.W", self.head.W
         yield "head.b", self.head.b
 
-    def num_parameters(self) -> int:
-        return sum(a.size for _, a in self.arrays())
-
     def copy(self) -> "BRNNParams":
         out = BRNNParams.zeros_like(self.spec)
         for (_, dst), (_, src) in zip(out.arrays(), self.arrays()):

@@ -3,8 +3,9 @@
 The cross-cutting telemetry layer the paper's scheduler claims are
 measured with:
 
-* :class:`MetricsRegistry` — thread-safe counters/gauges/histograms with
-  Prometheus-text and JSON exporters (:mod:`repro.obs.registry`);
+* :class:`MetricsRegistry` — thread-safe counters/gauges/histograms, read
+  through one flat ``{"name{label=...}": value}`` surface
+  (:mod:`repro.obs.registry`);
 * :mod:`repro.obs.publish` — executors fold per-run traces and
   :class:`~repro.runtime.scheduler.SchedulerCounters` (queue depth,
   steals + distance, locality hit/miss, starvation stalls) into a
@@ -12,9 +13,6 @@ measured with:
 * :class:`ProfilingHooks` / :class:`CallbackHooks` — live
   ``on_task_start/end``, ``on_steal``, ``on_batch_flush`` callbacks
   (:mod:`repro.obs.hooks`);
-* :class:`Snapshot` / :class:`SnapshotLog` — periodic registry sampling,
-  embeddable as Chrome-trace counter events
-  (:mod:`repro.obs.snapshot`);
 * :mod:`repro.obs.report` — the ``python -m repro bench obs_overhead`` driver,
   the metrics-overhead A/B behind ``BENCH_obs_overhead.json``.  (Imported
   on demand, not here: it pulls in the engines.)
@@ -33,7 +31,6 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.hooks import CallbackHooks, ProfilingHooks
-from repro.obs.snapshot import Snapshot, SnapshotLog
 from repro.obs.publish import publish_run, publish_scheduler, publish_trace
 
 __all__ = [
@@ -44,8 +41,6 @@ __all__ = [
     "DURATION_BUCKETS_S",
     "ProfilingHooks",
     "CallbackHooks",
-    "Snapshot",
-    "SnapshotLog",
     "publish_run",
     "publish_scheduler",
     "publish_trace",

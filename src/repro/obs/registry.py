@@ -3,24 +3,22 @@
 :class:`MetricsRegistry` holds named metric families — :class:`Counter`
 (monotonic), :class:`Gauge` (last value), :class:`Histogram` (fixed bucket
 boundaries) — each optionally split into label series (``core="3"``,
-``kind="cell"``, ``policy="locality"``).  Two exporters cover the usual
-consumers: :meth:`MetricsRegistry.to_prometheus_text` emits the standard
-Prometheus text exposition format, :meth:`MetricsRegistry.as_dict` a
-JSON-ready structure embedded in bench reports.
+``kind="cell"``, ``policy="locality"``).  :meth:`MetricsRegistry.flat` is
+the one read surface: ``{"name{label=...}": value}``, which serving reports
+embed (``FleetStats.summary()["metrics"]``).
 
 The registry is deliberately dependency-free and cheap: all updates take
 one shared re-entrant lock (runtime publishers batch their updates once
-per run, so contention is negligible), and reading (:meth:`flat`,
-exporters) snapshots under the same lock.  The runtime integration —
+per run, so contention is negligible), and :meth:`flat` reads under the
+same lock.  The runtime integration —
 executors and schedulers publishing into a registry — lives in
 :mod:`repro.obs.publish`; nothing here imports the rest of the package.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: default bucket boundaries (seconds) for task/latency duration histograms
 DURATION_BUCKETS_S = (
@@ -87,7 +85,7 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-boundary histogram (cumulative buckets, Prometheus-style).
+    """Fixed-boundary histogram: a count per bin, plus the total count and sum.
 
     ``buckets`` are the *upper* bounds of each bin; an implicit ``+Inf``
     bucket always exists, so every observation lands somewhere.
@@ -116,16 +114,6 @@ class Histogram:
                     self.counts[i] += 1
                     return
             self.counts[-1] += 1
-
-    def cumulative_counts(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs ending with ``+Inf``."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, n in zip(self.buckets, self.counts):
-            running += n
-            out.append((bound, running))
-        out.append((float("inf"), running + self.counts[-1]))
-        return out
 
     @property
     def mean(self) -> float:
@@ -203,8 +191,8 @@ class MetricsRegistry:
 
     def flat(self) -> Dict[str, float]:
         """``{"name{label=...}": value}`` for counters/gauges plus histogram
-        ``_count``/``_sum`` — the sampling surface :mod:`repro.obs.snapshot`
-        records and traceviz turns into Chrome counter events."""
+        ``_count``/``_sum``: the registry's one read surface, which
+        ``FleetStats.summary()`` embeds and a soak can sample at any time."""
         out: Dict[str, float] = {}
         with self._lock:
             for name in sorted(self._families):
@@ -218,53 +206,3 @@ class MetricsRegistry:
                     else:
                         out[f"{name}{suffix}"] = metric.value
         return out
-
-    # -- exporters -------------------------------------------------------------
-
-    def to_prometheus_text(self) -> str:
-        """The standard Prometheus text exposition format (``/metrics``)."""
-        lines: List[str] = []
-        with self._lock:
-            for name in sorted(self._families):
-                family = self._families[name]
-                if family.help:
-                    lines.append(f"# HELP {name} {family.help}")
-                lines.append(f"# TYPE {name} {family.kind}")
-                for key in sorted(family.series):
-                    metric = family.series[key]
-                    if isinstance(metric, Histogram):
-                        for bound, cum in metric.cumulative_counts():
-                            le = "+Inf" if bound == float("inf") else f"{bound:g}"
-                            items = key + (("le", le),)
-                            lines.append(f"{name}_bucket{_format_labels(items)} {cum}")
-                        lines.append(f"{name}_sum{_format_labels(key)} {metric.sum:g}")
-                        lines.append(f"{name}_count{_format_labels(key)} {metric.count}")
-                    else:
-                        lines.append(f"{name}{_format_labels(key)} {metric.value:g}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def as_dict(self) -> Dict:
-        """JSON-ready dump: one entry per family, one row per label series."""
-        out: Dict[str, Dict] = {}
-        with self._lock:
-            for name in sorted(self._families):
-                family = self._families[name]
-                rows = []
-                for key in sorted(family.series):
-                    metric = family.series[key]
-                    row: Dict = {"labels": dict(key)}
-                    if isinstance(metric, Histogram):
-                        row["count"] = metric.count
-                        row["sum"] = metric.sum
-                        row["buckets"] = {
-                            ("+Inf" if b == float("inf") else f"{b:g}"): c
-                            for b, c in metric.cumulative_counts()
-                        }
-                    else:
-                        row["value"] = metric.value
-                    rows.append(row)
-                out[name] = {"type": family.kind, "help": family.help, "series": rows}
-        return out
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)

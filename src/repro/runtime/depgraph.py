@@ -219,14 +219,6 @@ class TaskGraph:
     def __iter__(self) -> Iterator[Task]:
         return iter(self.tasks)
 
-    def roots(self) -> List[Task]:
-        """Tasks with no unresolved dependences (ready at graph start)."""
-        return [t for t in self.tasks if self.indegree[t.tid] == 0]
-
-    def predecessors(self, tid: int) -> List[int]:
-        """Predecessor tids of ``tid`` (derived; O(edges))."""
-        return [p for p in range(len(self.tasks)) if tid in self.successors[p]]
-
     def num_edges(self) -> int:
         return sum(len(s) for s in self.successors)
 
@@ -243,33 +235,6 @@ class TaskGraph:
     def redundant_edges(self) -> List[Tuple[int, int]]:
         """Declared edges that are not order-defining (see module helper)."""
         return self.transitive_reduction()[1]
-
-    # -- reachability ---------------------------------------------------------
-
-    def descendants_bitsets(self) -> List[int]:
-        """Per-task transitive-closure bitsets (see module-level helper).
-
-        Compute once and pass to :meth:`has_path`/:meth:`unordered` when
-        querying many pairs — the closure is O(V·E/word), each query O(1).
-        """
-        return descendants_bitsets(self.successors)
-
-    def has_path(self, src: int, dst: int, bits: Optional[List[int]] = None) -> bool:
-        """True when a dependence path ``src → … → dst`` exists."""
-        if bits is None:
-            bits = self.descendants_bitsets()
-        return bool((bits[src] >> dst) & 1)
-
-    def unordered(self, a: int, b: int, bits: Optional[List[int]] = None) -> bool:
-        """True when no dependence path orders ``a`` and ``b`` either way.
-
-        The question the race checker asks: two such tasks may execute
-        concurrently under *some* legal schedule, so any data conflict
-        between them is a race.
-        """
-        if bits is None:
-            bits = self.descendants_bitsets()
-        return not ((bits[a] >> b) & 1 or (bits[b] >> a) & 1)
 
     def is_topological_order(self, order: Iterable[int]) -> bool:
         """Check that ``order`` (tids) respects every edge."""

@@ -81,25 +81,10 @@ class SchedulerCounters:
     def mean_queue_depth(self) -> float:
         return self.depth_sum / self.depth_samples if self.depth_samples else 0.0
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "pushes": self.pushes,
-            "pops": self.pops,
-            "hinted_pushes": self.hinted_pushes,
-            "locality_hits": self.locality_hits,
-            "locality_misses": self.locality_misses,
-            "locality_hit_rate": self.locality_hit_rate,
-            "steals": self.steals,
-            "steal_distance_total": self.steal_distance_total,
-            "mean_steal_distance": self.mean_steal_distance,
-            "starvation_stalls": self.starvation_stalls,
-            "queue_depth_mean": self.mean_queue_depth,
-            "queue_depth_max": self.depth_max,
-        }
-
 
 class Scheduler:
-    """Interface: ``push`` ready tasks, ``pop`` one for a given core.
+    """Interface: each policy defines ``push(task, hint=None)`` for a ready
+    task, ``pop(core) -> Optional[Task]`` and ``__len__``.
 
     Every scheduler keeps a :class:`SchedulerCounters` (lazily created; a
     handful of integer bumps per push/pop) and optionally forwards steal
@@ -112,15 +97,6 @@ class Scheduler:
 
     #: live profiling hooks (attached by executors; ``None`` = disabled)
     hooks = None
-
-    def push(self, task: Task, hint: Optional[int] = None) -> None:
-        raise NotImplementedError
-
-    def pop(self, core: int) -> Optional[Task]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
 
     def __bool__(self) -> bool:
         return len(self) > 0

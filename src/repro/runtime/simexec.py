@@ -82,10 +82,6 @@ class SimulatedExecutor:
     def n_workers(self) -> int:
         return self.n_cores
 
-    def reset_cache(self) -> None:
-        """Drop all modelled cache residency (cold-start the machine)."""
-        self._cache = CacheModel(self.machine, self._active_sockets)
-
     def run(self, graph: TaskGraph, plan=None) -> ExecutionTrace:
         """Simulate ``graph``; with ``plan`` (a compiled
         :class:`~repro.compile.plan.CompiledPlan`) replay its static
@@ -94,7 +90,7 @@ class SimulatedExecutor:
         plans: the serving engine's ``sim`` substrate and the plan audit
         (:func:`repro.runtime.racecheck.replay_plan`) run them here."""
         if not self.persistent_cache:
-            self.reset_cache()
+            self._cache = CacheModel(self.machine, self._active_sockets)
         cache = self._cache
         scheduler, successors, indegree = start_release(
             graph, self.scheduler, self.n_cores, plan

@@ -62,9 +62,6 @@ class Region:
         self.home = home
         self.streaming = streaming
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Region({self.key!r}, nbytes={self.nbytes})"
-
 
 class RegionSpace:
     """Interning table for regions so each key maps to one object.
@@ -96,9 +93,6 @@ class RegionSpace:
 
     def regions(self) -> Iterable[Region]:
         return self._regions.values()
-
-    def total_bytes(self) -> int:
-        return sum(r.nbytes for r in self._regions.values())
 
 
 class Task:
@@ -203,6 +197,3 @@ class Task:
         if any(id(r) == rid for r in self.ins):
             return AccessMode.IN
         return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Task({self.tid}, {self.name!r}, kind={self.kind})"

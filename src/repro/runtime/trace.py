@@ -154,73 +154,3 @@ class ExecutionTrace:
         """
         xs = self.durations(kind)
         return {f"p{p:g}": percentile(xs, p) for p in ps}
-
-    def summary(self) -> Dict[str, float]:
-        """One-stop statistics dict: end-to-end and task-duration figures.
-
-        Benchmarks should consume this (or :meth:`duration_percentiles`)
-        instead of re-deriving percentiles from raw records.
-        """
-        out: Dict[str, float] = {
-            "num_tasks": float(len(self.records)),
-            "n_cores": float(self.n_cores),
-            "makespan_s": self.makespan,
-            "total_task_time_s": self.total_task_time,
-            "total_overhead_s": self.total_overhead,
-            "parallel_efficiency": self.parallel_efficiency(),
-            "average_concurrency": self.average_concurrency(),
-        }
-        if self.records:
-            xs = self.durations()
-            out["task_duration_mean_s"] = sum(xs) / len(xs)
-            out["task_duration_min_s"] = min(xs)
-            out["task_duration_max_s"] = max(xs)
-            for key, val in self.duration_percentiles().items():
-                out[f"task_duration_{key}_s"] = val
-        return out
-
-    @classmethod
-    def merge_all(
-        cls,
-        traces: Sequence["ExecutionTrace"],
-        time_offsets: Optional[Sequence[float]] = None,
-    ) -> "ExecutionTrace":
-        """Concatenate traces (e.g. successive batches) in one pass.
-
-        ``n_cores`` is the max over the inputs, re-based against the widest
-        core id actually recorded — merging a 4-core simulated trace into a
-        2-worker threaded one must not leave records pointing at cores the
-        declared width doesn't cover.  ``time_offsets[i]`` shifts trace *i*
-        onto a shared clock (e.g. batch start times); defaults to 0.
-        """
-        if time_offsets is not None and len(time_offsets) != len(traces):
-            raise ValueError("time_offsets must match traces in length")
-        declared = max((t.n_cores for t in traces), default=0)
-        out = cls(
-            n_cores=declared,
-            scheduler=traces[0].scheduler if traces else "",
-        )
-        max_core = -1
-        for i, t in enumerate(traces):
-            off = time_offsets[i] if time_offsets is not None else 0.0
-            for r in t.records:
-                if r.core > max_core:
-                    max_core = r.core
-                out.records.append(
-                    TaskRecord(
-                        tid=r.tid,
-                        name=r.name,
-                        kind=r.kind,
-                        core=r.core,
-                        start=r.start + off,
-                        end=r.end + off,
-                        flops=r.flops,
-                        wss_bytes=r.wss_bytes,
-                        instructions=r.instructions,
-                        l3_miss_bytes=r.l3_miss_bytes,
-                        remote_miss_bytes=r.remote_miss_bytes,
-                        overhead=r.overhead,
-                    )
-                )
-        out.n_cores = max(declared, max_core + 1)
-        return out

@@ -61,11 +61,6 @@ class TokenBucket:
             )
             self._last_refill = now
 
-    def available(self, now: float) -> float:
-        """Tokens that would be available at ``now`` (no side effects on take)."""
-        self._refill(now)
-        return self.tokens
-
     def try_take(self, now: float) -> bool:
         """Take one token if available; False leaves the bucket unchanged."""
         self._refill(now)

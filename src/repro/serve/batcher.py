@@ -62,15 +62,6 @@ class Batch:
     def useful_frames(self) -> int:
         return sum(r.seq_len for r in self.requests)
 
-    @property
-    def padded_frames(self) -> int:
-        return self.padded_len * self.size
-
-    @property
-    def padding_waste(self) -> float:
-        """Fraction of computed frames that are padding."""
-        return 1.0 - self.useful_frames / self.padded_frames
-
     def padded_input(self) -> np.ndarray:
         """``(padded_len, B, F)`` tensor for functional execution."""
         payloads = [r.x for r in self.requests]

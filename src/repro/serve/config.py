@@ -92,9 +92,8 @@ class ServeConfig:
         if self.bucket_width < 1:
             raise ValueError("bucket_width must be >= 1")
 
-    def replace(self, **changes) -> "ServeConfig":
-        """A copy with ``changes`` applied (frozen-dataclass update)."""
-        return dataclasses.replace(self, **changes)
+    #: ``config.replace(**changes)``: a copy with ``changes`` applied
+    replace = dataclasses.replace
 
     # -- factories -------------------------------------------------------------
     # (local imports: the concrete classes import this module)

@@ -34,7 +34,6 @@ from repro.compile.warmup import plan_warmup_shapes
 from repro.config import ExecutionConfig
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
-from repro.obs.snapshot import SnapshotLog
 from repro.serve.config import ServeConfig
 from repro.serve.engine import InferenceEngine, is_simulated
 from repro.serve.request import (
@@ -127,21 +126,13 @@ class FleetServer:
     When the engines carry a metrics registry
     (:class:`~repro.config.ExecutionConfig` ``metrics=``) the loop shares
     it: the stats publish ``repro_serve_*``/``repro_fleet_*`` alongside
-    the executor's families, and :attr:`snapshots` (a
-    :class:`~repro.obs.snapshot.SnapshotLog`) samples the registry after
-    every executed batch, stamped with the batch's finish time (a batch
-    that finishes before the latest sample is skipped, so the series
-    never runs backwards across replicas).
+    the executor's families; ``registry.flat()`` reads them at any time,
+    and the returned stats' ``summary()["metrics"]`` holds them at the end.
     """
 
-    def __init__(self, pool: ReplicaPool, keep_traces: bool = False) -> None:
+    def __init__(self, pool: ReplicaPool) -> None:
         self.pool = pool
         self.config = pool.config
-        self.keep_traces = keep_traces
-        registry = pool.registry
-        self.snapshots: Optional[SnapshotLog] = (
-            SnapshotLog(registry) if registry is not None else None
-        )
 
     @classmethod
     def build(
@@ -152,12 +143,11 @@ class FleetServer:
         execution: Optional[ExecutionConfig] = None,
         params: Optional[BRNNParams] = None,
         machine: Optional[MachineSpec] = None,
-        keep_traces: bool = False,
     ) -> "FleetServer":
         pool = ReplicaPool(
             spec, config, execution=execution, params=params, machine=machine
         )
-        return cls(pool, keep_traces=keep_traces)
+        return cls(pool)
 
     def _slice_result(self, logits, idx: int):
         """This request's rows of the batch logits (None for cost-only runs)."""
@@ -187,11 +177,7 @@ class FleetServer:
         batchers = [cfg.make_batcher() for _ in range(n_replicas)]
         router = cfg.make_router()
         admission = cfg.make_admission()
-        stats = FleetStats(
-            n_replicas,
-            keep_traces=self.keep_traces,
-            registry=self.pool.registry,
-        )
+        stats = FleetStats(n_replicas, registry=self.pool.registry)
 
         shapes = plan_warmup_shapes(
             (r.seq_len for r in pending),
@@ -283,7 +269,7 @@ class FleetServer:
                     + SERVICE_EWMA_ALPHA * execution.service_time_s
                 )
                 stats.record_batch(
-                    batch, now, execution.service_time_s, execution.trace,
+                    batch, now, execution.service_time_s,
                     warm=execution.warm if engine.plan_cache is not None else None,
                     replica=r,
                 )
@@ -304,8 +290,6 @@ class FleetServer:
                         )
                     )
                 stats.record_replica_depth(r, now, len(queues[r]))
-                if self.snapshots is not None:
-                    self.snapshots.maybe_sample(engine_free[r])
                 progressed = True
             if progressed:
                 continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.data.batching import padded_length
 from repro.serve.config import ServeConfig
@@ -91,10 +91,6 @@ class ConsistentHashRouter:
         for replica in range(n_replicas):
             self.add_replica(replica)
 
-    @property
-    def replicas(self) -> List[int]:
-        return sorted(self._members)
-
     def add_replica(self, replica: int) -> None:
         """Join ``replica``: only keys it now owns move to it."""
         if replica in self._members:
@@ -104,20 +100,11 @@ class ConsistentHashRouter:
             entry = (_point(f"replica:{replica}:vnode:{v}"), replica)
             bisect.insort(self._ring, entry)
 
-    def remove_replica(self, replica: int) -> None:
-        """Leave: only the keys ``replica`` owned move, to their successors."""
-        if replica not in self._members:
-            raise ValueError(f"replica {replica} not on the ring")
-        self._members.discard(replica)
-        self._ring = [e for e in self._ring if e[1] != replica]
-
     def key_of(self, req: InferenceRequest) -> str:
         return f"shape:{padded_length(req.seq_len, self.bucket_width)}"
 
     def route_key(self, key: str) -> int:
         """First ring point clockwise of the key's position (with wrap)."""
-        if not self._ring:
-            raise RuntimeError("ring is empty — no replicas")
         idx = bisect.bisect_right(self._ring, (_point(key), 1 << 62))
         if idx == len(self._ring):
             idx = 0
@@ -127,10 +114,6 @@ class ConsistentHashRouter:
         self, req: InferenceRequest, loads: Optional[Sequence[ReplicaLoad]] = None
     ) -> int:
         return self.route_key(self.key_of(req))
-
-    def assignment(self, keys: Sequence[str]) -> Dict[str, int]:
-        """Current key → replica map (stability tests, capacity planning)."""
-        return {k: self.route_key(k) for k in keys}
 
 
 def make_router(config: ServeConfig):

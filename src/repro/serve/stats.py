@@ -4,10 +4,7 @@
 observes — completions, sheds (with their reason taxonomy, see
 :data:`repro.serve.request.SHED_REASONS`), cut batches, routing
 decisions, per-replica queue-depth samples.  Latency percentiles reuse :func:`repro.runtime.trace.percentile`
-(the same definition the runtime's task-duration summaries use), and
-per-batch execution traces can be merged into one serving-wide
-:class:`~repro.runtime.trace.ExecutionTrace` laid out on the server clock
-for the existing analysis/visualisation tooling.
+(the same definition the runtime's task-duration percentiles use).
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.trace import ExecutionTrace, percentile
+from repro.runtime.trace import percentile
 from repro.serve.batcher import Batch
 from repro.serve.request import CompletedRequest, InferenceRequest
 
@@ -53,16 +50,13 @@ class BatchRecord:
 class FleetStats:
     """Accumulates one serving run's observations and summarises them.
 
-    ``keep_traces=True`` retains every batch's :class:`ExecutionTrace`
-    (memory-heavy for long runs) so :meth:`combined_trace` can rebuild the
-    full serving timeline.
-
     ``registry`` unifies serving stats with the runtime's observability
     layer: every recording call also updates the ``repro_serve_*`` and
     per-replica ``repro_fleet_*`` metrics on the given
     :class:`~repro.obs.registry.MetricsRegistry` (normally the engines',
     so scheduler/executor and serving counters share one /metrics
-    surface), and :meth:`summary` embeds the registry dump.
+    surface), and :meth:`summary` embeds the registry's
+    :meth:`~repro.obs.registry.MetricsRegistry.flat` values.
 
     Everything is computed over the whole fleet (``n_replicas`` engines);
     batches and completions carry their replica id for the per-replica
@@ -72,11 +66,9 @@ class FleetStats:
     def __init__(
         self,
         n_replicas: int = 1,
-        keep_traces: bool = False,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.n_replicas = n_replicas
-        self.keep_traces = keep_traces
         self.registry = registry
         self.router_policy: Optional[str] = None
         self.routing_counts: Dict[int, int] = {}
@@ -94,13 +86,11 @@ class FleetStats:
         #: batches that carried warm/cold information, and the warm ones
         self._known_batches = 0
         self._warm_batches = 0
-        self._batch_traces: List[Tuple[float, ExecutionTrace]] = []
 
     # -- recording -------------------------------------------------------------
 
     def record_batch(
         self, batch: Batch, service_start: float, service_time: float,
-        trace: Optional[ExecutionTrace] = None,
         warm: Optional[bool] = None,
         replica: int = 0,
     ) -> None:
@@ -119,8 +109,6 @@ class FleetStats:
         if warm is not None:
             self._known_batches += 1
             self._warm_batches += int(warm)
-        if self.keep_traces and trace is not None:
-            self._batch_traces.append((service_start, trace))
         reg = self.registry
         if reg is not None:
             reg.counter(
@@ -201,11 +189,6 @@ class FleetStats:
             ).set(depth)
 
     # -- derived metrics -------------------------------------------------------
-
-    @property
-    def shed(self) -> List[InferenceRequest]:
-        """Every shed request, whatever the reason."""
-        return [r for r, _ in self.shed_records]
 
     def shed_reason_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -340,21 +323,6 @@ class FleetStats:
             )
         return rows
 
-    def combined_trace(self) -> ExecutionTrace:
-        """All batch traces merged onto the server clock (needs keep_traces).
-
-        Core width is the max ``n_cores`` over the batch traces, re-based
-        against the widest core id actually recorded — an engine that mixes
-        substrates (e.g. a 48-core simulated warm-up next to an 8-worker
-        threaded run) must not produce records outside the declared width.
-        """
-        if not self.keep_traces:
-            raise RuntimeError("construct FleetStats(keep_traces=True) first")
-        return ExecutionTrace.merge_all(
-            [trace for _, trace in self._batch_traces],
-            time_offsets=[start for start, _ in self._batch_traces],
-        )
-
     def summary(self) -> Dict:
         """The JSON-ready report: SLO latencies, throughput, batching stats."""
         xs = self.latencies()
@@ -390,7 +358,7 @@ class FleetStats:
             "engine_busy_fraction": self.engine_busy_fraction(),
             **({"slo": slo} if slo is not None else {}),
             **(
-                {"metrics": self.registry.as_dict()}
+                {"metrics": self.registry.flat()}
                 if self.registry is not None
                 else {}
             ),

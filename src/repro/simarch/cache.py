@@ -111,9 +111,6 @@ class _LRUSet:
             self.occupancy -= region.nbytes
             self._unnote(rid)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class CacheModel:
     """L2-per-core / L3-per-socket residency tracker with NUMA homing."""
@@ -134,9 +131,6 @@ class CacheModel:
         ]
         # aggregate counters (bytes) for reporting
         self.stats = CacheAccess()
-
-    def reset(self) -> None:
-        self.__init__(self.machine, self.active_sockets)
 
     def access(self, core: int, task: Task, reuse: float = 1.0) -> CacheAccess:
         """Charge ``task``'s data traffic on ``core`` and update residency.

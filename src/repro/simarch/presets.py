@@ -40,25 +40,6 @@ def xeon_8160_2s() -> MachineSpec:
     )
 
 
-def laptop_sim(n_cores: int = 8) -> MachineSpec:
-    """A small single-socket machine for fast tests and examples."""
-    return MachineSpec(
-        name=f"laptop-{n_cores}c",
-        n_sockets=1,
-        cores_per_socket=n_cores,
-        freq_ghz=3.0,
-        gemm_gflops=20.0,
-        elementwise_gflops=3.0,
-        l2_bytes=512 * KIB,
-        l3_bytes=16 * MIB,
-        l3_bw_gbps=30.0,
-        mem_bw_gbps=40.0,
-        numa_factor=1.0,
-        task_overhead_s=50e-6,
-        instr_per_flop=0.105,
-    )
-
-
 @dataclass(frozen=True)
 class GPUSpec:
     """Closed-form GPU cost-model parameters (Tesla V100-class).

@@ -113,5 +113,5 @@ def test_pytorch_slower_than_keras():
 
 def test_engine_names():
     spec = small_spec()
-    assert KerasCPUEngine(spec).name == "Keras-CPU"
-    assert PyTorchCPUEngine(spec).name == "PyTorch-CPU"
+    assert KerasCPUEngine(spec).profile.name == "Keras-CPU"
+    assert PyTorchCPUEngine(spec).profile.name == "PyTorch-CPU"

@@ -26,7 +26,7 @@ def test_miss_then_hit_counting():
     assert (cache.hits, cache.misses) == (1, 1)
     assert cache.hit_rate == 0.5
     assert cache.compiles == 1
-    assert len(cache) == 1 and key(0) in cache
+    assert cache.stats()["size"] == 1 and key(0) in cache
 
 
 def test_lru_eviction_order():

@@ -37,6 +37,8 @@ from repro.core import graph_builder
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
+from repro.simarch.machine import MachineSpec
+from repro.simarch.presets import KIB, MIB
 
 
 @pytest.fixture
@@ -112,6 +114,36 @@ def make_batch(spec: BRNNSpec, seq_len=5, batch=8, seed=7):
     else:
         labels = rng.integers(0, spec.num_classes, size=(seq_len, batch))
     return x, labels
+
+
+def predecessors(graph, tid):
+    """Predecessor tids of ``tid``, in tid order."""
+    return [p for p, succs in enumerate(graph.successors) if tid in succs]
+
+
+def reaches(bits, a, b):
+    """Whether a dependence path ``a -> ... -> b`` exists; ``bits`` is the
+    graph's ``repro.runtime.depgraph.descendants_bitsets(graph.successors)``."""
+    return bool(bits[a] >> b & 1)
+
+
+def laptop_sim(n_cores: int = 8) -> MachineSpec:
+    """A small single-socket machine for fast simulated tests."""
+    return MachineSpec(
+        name=f"laptop-{n_cores}c",
+        n_sockets=1,
+        cores_per_socket=n_cores,
+        freq_ghz=3.0,
+        gemm_gflops=20.0,
+        elementwise_gflops=3.0,
+        l2_bytes=512 * KIB,
+        l3_bytes=16 * MIB,
+        l3_bw_gbps=30.0,
+        mem_bw_gbps=40.0,
+        numa_factor=1.0,
+        task_overhead_s=50e-6,
+        instr_per_flop=0.105,
+    )
 
 
 def momentum_step(params: BRNNParams, velocity: BRNNParams, grads: BRNNParams,

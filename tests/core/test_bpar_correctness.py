@@ -15,8 +15,7 @@ from repro.core import BParEngine, BSeqEngine
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_loss_and_grads, reference_train_step
 from repro.runtime import SerialExecutor, SimulatedExecutor, ThreadedExecutor
-from repro.simarch.presets import laptop_sim
-from tests.conftest import make_batch, small_spec
+from tests.conftest import laptop_sim, make_batch, small_spec
 
 #: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
 pytestmark = pytest.mark.usefixtures("real_threads")

@@ -1,4 +1,4 @@
-"""Numerical gradient checking of the reference implementation."""
+"""Numerical gradient checking of the reference implementation (a test helper)."""
 
 from __future__ import annotations
 

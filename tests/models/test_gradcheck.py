@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models.gradcheck import check_gradients
 from repro.models.spec import BRNNSpec
+from tests.models.gradcheck import check_gradients
 
 TOL = 1e-3  # normwise over sampled entries; see gradcheck docstring
 

@@ -28,7 +28,7 @@ def test_shapes_match_spec():
 def test_num_parameters_consistent_with_spec():
     spec = small_spec()
     p = BRNNParams.initialize(spec)
-    assert p.num_parameters() == spec.num_parameters()
+    assert sum(a.size for _, a in p.arrays()) == spec.num_parameters()
 
 
 def test_zeros_like():

@@ -12,8 +12,8 @@ from repro.models.spec import BRNNSpec
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.simexec import SimulatedExecutor
-from repro.simarch.presets import laptop_sim
 from repro.serve.engine import InferenceEngine
+from tests.conftest import laptop_sim
 
 
 SPEC = BRNNSpec(

@@ -1,20 +1,14 @@
-"""Live profiling hooks, registry snapshots, and the traceviz counter tracks."""
-
-import json
+"""Live profiling hooks and registry snapshots read through ``flat()``."""
 
 import numpy as np
-import pytest
 
-from repro.analysis.traceviz import to_chrome_trace
 from repro.config import ExecutionConfig
 from repro.core.bpar import BParEngine
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.spec import BRNNSpec
 from repro.obs.hooks import CallbackHooks, ProfilingHooks
 from repro.obs.registry import MetricsRegistry
-from repro.obs.snapshot import SnapshotLog
 from repro.runtime.simexec import SimulatedExecutor
-from repro.runtime.trace import ExecutionTrace, TaskRecord
 from repro.serve.config import ServeConfig
 from repro.serve.fleet import FleetServer
 from repro.serve.request import InferenceRequest
@@ -86,73 +80,27 @@ def test_callback_hooks_only_invoke_attached_events():
 
 
 def test_server_flush_hook_snapshots_and_unified_registry():
-    hooks = RecordingHooks()
     registry = MetricsRegistry()
+    hooks = RecordingHooks()
+    snapshots = []
+    hooks.on_batch_flush = lambda batch, t: snapshots.append((batch.size, registry.flat()))
     server = FleetServer.build(
         SPEC, ServeConfig(max_batch_size=4),
         execution=ExecutionConfig(
             executor="sim", n_workers=4, mbs=1, metrics=registry, hooks=hooks,
         ),
-        keep_traces=True,
     )
     requests = [
         InferenceRequest(rid=i, seq_len=8, arrival_time=0.0) for i in range(4)
     ]
     stats = server.run(requests)
-    # The batcher cut at least one batch and told the hooks about it.
-    assert hooks.flushes and hooks.flushes[0][0] == 4
-    # The serving loop sampled the shared registry after each batch...
-    assert server.snapshots is not None
-    assert len(server.snapshots) >= 1
-    # ...which by then held executor, scheduler and serving families.
-    sampled = server.snapshots.snapshots[-1].values
-    assert sampled["repro_exec_runs_total"] >= 1.0
-    assert any(k.startswith("repro_serve_requests_total") for k in sampled)
-    # summary() embeds the registry dump when a registry is attached
-    assert "repro_serve_batches_total" in stats.summary()["metrics"]
-
-
-class TestSnapshotLog:
-    def test_sample_and_series(self):
-        reg = MetricsRegistry()
-        depth = reg.gauge("depth")
-        log = SnapshotLog(reg)
-        depth.set(1)
-        log.sample(0.0)
-        depth.set(5)
-        log.sample(1.0)
-        assert len(log) == 2
-        assert log.series("depth") == [(0.0, 1.0), (1.0, 5.0)]
-        assert log.series("missing") == []
-
-    def test_maybe_sample_honours_interval(self):
-        reg = MetricsRegistry()
-        log = SnapshotLog(reg, interval_s=1.0)
-        assert log.maybe_sample(0.0) is not None
-        assert log.maybe_sample(0.5) is None  # too soon
-        assert log.maybe_sample(1.5) is not None
-        assert len(log) == 2
-
-
-def test_chrome_trace_embeds_counter_events():
-    trace = ExecutionTrace(n_cores=1)
-    trace.records.append(
-        TaskRecord(tid=0, name="t", kind="cell", core=0, start=0.0, end=1e-3)
-    )
-    reg = MetricsRegistry()
-    reg.gauge("queue_depth").set(3)
-    log = SnapshotLog(reg)
-    log.sample(5e-4)
-    events = json.loads(json.dumps(to_chrome_trace(trace, snapshots=log)))
-    counters = [e for e in events["traceEvents"] if e.get("ph") == "C"]
-    assert counters == [
-        {
-            "name": "queue_depth",
-            "ph": "C",
-            "pid": 0,
-            "ts": pytest.approx(500.0),
-            "args": {"value": 3.0},
-        }
-    ]
-    # Task events still present alongside the counter track.
-    assert any(e.get("ph") == "X" for e in events["traceEvents"])
+    # The batcher cut one batch of four and told the hooks about it; the
+    # registry read at the flush held the queue the batch was cut from.
+    assert [size for size, _ in snapshots] == [4]
+    assert snapshots[0][1]["repro_serve_queue_depth"] == 4.0
+    # After the run it holds executor, scheduler and serving families...
+    after = registry.flat()
+    assert after["repro_exec_runs_total"] >= 1.0
+    assert any(k.startswith("repro_serve_batches_total") for k in after)
+    # ...and summary() embeds the same flat values.
+    assert stats.summary()["metrics"] == after

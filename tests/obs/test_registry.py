@@ -1,6 +1,7 @@
-"""MetricsRegistry semantics: metric types, labels, exporters."""
+"""MetricsRegistry semantics: metric types, labels, the flat read surface."""
 
 import json
+from itertools import accumulate
 
 import pytest
 
@@ -36,9 +37,8 @@ class TestHistogram:
             h.observe(v)
         assert h.count == 5
         assert h.sum == pytest.approx(56.05)
-        assert h.cumulative_counts() == [
-            (0.1, 1), (1.0, 3), (10.0, 4), (float("inf"), 5),
-        ]
+        assert h.buckets == (0.1, 1.0, 10.0)
+        assert list(accumulate(h.counts)) == [1, 3, 4, 5]  # the last bin is +Inf
         assert h.mean == pytest.approx(56.05 / 5)
 
     def test_unsorted_buckets_rejected(self):
@@ -86,34 +86,15 @@ class TestRegistry:
         assert flat["lat_count"] == 1.0
         assert flat["lat_sum"] == 0.5
 
-    def test_prometheus_text_format(self):
-        reg = MetricsRegistry()
-        reg.counter("reqs_total", help="requests", status="ok").inc(3)
-        reg.histogram("lat", buckets=(0.1,), help="latency").observe(0.05)
-        text = reg.to_prometheus_text()
-        assert "# HELP reqs_total requests" in text
-        assert "# TYPE reqs_total counter" in text
-        assert 'reqs_total{status="ok"} 3' in text
-        assert "# TYPE lat histogram" in text
-        assert 'lat_bucket{le="0.1"} 1' in text
-        assert 'lat_bucket{le="+Inf"} 1' in text
-        assert "lat_sum 0.05" in text
-        assert "lat_count 1" in text
-        assert text.endswith("\n")
-
     def test_empty_registry_exports(self):
         reg = MetricsRegistry()
-        assert reg.to_prometheus_text() == ""
-        assert reg.as_dict() == {}
+        assert reg.flat() == {} and reg.names() == []
 
-    def test_as_dict_json_round_trip(self):
+    def test_flat_json_round_trip(self):
+        """``FleetStats.summary()`` embeds ``flat()``: it must survive JSON."""
         reg = MetricsRegistry()
         reg.counter("runs_total").inc()
         reg.histogram("lat", buckets=(1.0,), kind="cell").observe(2.0)
-        data = json.loads(reg.to_json())
-        assert data["runs_total"]["type"] == "counter"
-        assert data["runs_total"]["series"][0]["value"] == 1.0
-        row = data["lat"]["series"][0]
-        assert row["labels"] == {"kind": "cell"}
-        assert row["count"] == 1
-        assert row["buckets"]["+Inf"] == 1
+        assert json.loads(json.dumps(reg.flat())) == {
+            "runs_total": 1.0, 'lat_count{kind="cell"}': 1.0, 'lat_sum{kind="cell"}': 2.0,
+        }

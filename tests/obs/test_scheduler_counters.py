@@ -165,13 +165,13 @@ def test_fuzz_counters_deterministic_per_seed():
         sim = SimulatedExecutor(
             xeon_8160_2s(), n_cores=4, scheduler=f"fuzz:{seed}"
         )
-        return sim.run(graph).scheduler_counters.as_dict()
+        return sim.run(graph).scheduler_counters
 
-    assert counters_for(7) == counters_for(7)
+    assert counters_for(7) == counters_for(7)  # the dataclass compares every field
     a, b = counters_for(7), counters_for(8)
     # Totals are seed-independent (same graph fully drained)...
-    assert a["pops"] == b["pops"] == len(graph)
-    assert a["pushes"] == b["pushes"]
+    assert a.pops == b.pops == len(graph)
+    assert a.pushes == b.pushes
 
 
 def test_fuzz_scheduler_pop_sequence_is_seeded():

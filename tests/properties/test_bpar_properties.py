@@ -17,7 +17,7 @@ from repro.models.reference import reference_loss_and_grads
 from repro.models.spec import CELL_TYPES, BRNNSpec
 from repro.runtime import ThreadedExecutor
 from repro.runtime.simexec import SimulatedExecutor
-from repro.simarch.presets import laptop_sim
+from tests.conftest import laptop_sim
 
 
 @st.composite

@@ -112,7 +112,9 @@ def test_training_step_is_the_oracle(case):
     assert np.array_equal(build.logits(), logits)
     assert build.mean_loss() == loss
     if knobs["proj_block"] in (None, 1):
-        got = build.combined_grads()
+        got = BRNNParams.zeros_like(spec)
+        for chunk in build.chunks:
+            got.add_scaled_(chunk.grads, 1.0)
         for (name, a), (_, b) in zip(got.arrays(), grads.arrays()):
             assert np.array_equal(a, b), name
 

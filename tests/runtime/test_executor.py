@@ -14,7 +14,7 @@ from repro.runtime.executor import (
 from repro.runtime.mpexec import MultiprocessExecutor
 from repro.runtime.simexec import SimulatedExecutor
 from repro.runtime.task import Region, RegionSpace, Task
-from repro.simarch.presets import laptop_sim
+from tests.conftest import laptop_sim
 
 #: tiny graphs, real threads: lift the executor's granularity floor (tests/conftest.py)
 pytestmark = pytest.mark.usefixtures("real_threads")

@@ -29,7 +29,7 @@ def test_region_space_len_contains_total():
     rs.get("b", 20)
     assert len(rs) == 2
     assert "a" in rs and "c" not in rs
-    assert rs.total_bytes() == 30
+    assert sum(r.nbytes for r in rs.regions()) == 30
 
 
 def test_region_streaming_flag():

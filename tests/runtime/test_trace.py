@@ -67,16 +67,6 @@ def test_durations_filter():
     assert t.durations("merge") == [3.0]
 
 
-def test_merge_traces_with_offset():
-    t1 = trace([rec(0, 0, 1)])
-    t2 = trace([rec(0, 0, 1)])
-    merged = ExecutionTrace.merge_all([t1, t2], time_offsets=[0.0, 5.0])
-    assert merged.num_tasks() == 2
-    assert merged.makespan == pytest.approx(6.0)
-    # records are copied, not aliased
-    assert merged.records[1] is not t2.records[0]
-
-
 def test_percentile_function():
     from repro.runtime.trace import percentile
 
@@ -103,18 +93,3 @@ def test_duration_percentiles_and_filtering():
     # kind filter excludes the 100 s merge outlier
     assert t.duration_percentiles((100,), kind="cell") == {"p100": pytest.approx(4.0)}
     assert t.duration_percentiles((100,)) == {"p100": pytest.approx(100.0)}
-
-
-def test_summary_dict():
-    t = trace([rec(0, 0, 2, core=0), rec(1, 0, 1, core=1)])
-    s = t.summary()
-    assert s["num_tasks"] == 2
-    assert s["makespan_s"] == pytest.approx(2.0)
-    assert s["task_duration_mean_s"] == pytest.approx(1.5)
-    assert s["task_duration_p50_s"] == pytest.approx(1.5)
-    assert s["task_duration_min_s"] == 1.0
-    assert s["task_duration_max_s"] == 2.0
-    assert 0 < s["parallel_efficiency"] <= 1.0
-    # empty traces still summarise without raising
-    empty = trace([]).summary()
-    assert empty["num_tasks"] == 0 and "task_duration_p50_s" not in empty

@@ -7,6 +7,7 @@ from repro.serve.batcher import DynamicBatcher, SIZE_TRIGGER, TIMEOUT_TRIGGER, D
 from repro.serve.config import ServeConfig
 from repro.serve.queue import RequestQueue
 from repro.serve.request import InferenceRequest
+from repro.serve.stats import FleetStats
 
 
 def fill(queue, specs):
@@ -99,8 +100,10 @@ def test_padding_accounting_and_padded_input():
     b = DynamicBatcher(config=ServeConfig(max_batch_size=2, max_wait=0.0, bucket_width=8))
     batch = b.next_batch(q, now=0.0)
     assert batch.padded_len == 8
-    assert batch.useful_frames == 12 and batch.padded_frames == 16
-    assert batch.padding_waste == pytest.approx(0.25)
+    assert batch.useful_frames == 12
+    stats = FleetStats()  # the one padding reader
+    stats.record_batch(batch, 0.0, 1e-3)
+    assert stats.padding_overhead() == pytest.approx(0.25)
     x = batch.padded_input()
     assert x.shape == (8, 2, 3)
     assert x[:5, 0].all() and not x[5:, 0].any()

@@ -13,7 +13,7 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve.batcher import CONTINUOUS_TRIGGER
-from repro.simarch.presets import laptop_sim
+from tests.conftest import laptop_sim
 
 
 def _queue(requests, cfg):

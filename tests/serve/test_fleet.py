@@ -10,7 +10,7 @@ from repro.core.bpar import BParEngine
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward
 from repro.models.spec import BRNNSpec
-from repro.obs import MetricsRegistry
+from repro.obs import CallbackHooks, MetricsRegistry
 from repro.serve import (
     SHED_DEADLINE,
     SHED_MALFORMED,
@@ -28,7 +28,7 @@ from repro.serve import (
     bursty_workload,
     poisson_workload,
 )
-from repro.simarch.presets import laptop_sim
+from tests.conftest import laptop_sim
 
 
 def tiny_spec():
@@ -238,15 +238,17 @@ def test_fleet_metrics_families_are_published():
 
 def _fleet_snapshots(replicas, rate, duration, seed):
     """A sim fleet with compiled plans and a registry: its stats and the
-    registry snapshots the loop took after every batch."""
+    registry's ``flat()`` values read at every batch flush, then at the end."""
     cfg = ServeConfig(replicas=replicas, max_batch_size=4, bucket_width=4)
+    registry, snapshots = MetricsRegistry(), []
+    hooks = CallbackHooks(on_batch_flush=lambda batch, t: snapshots.append(registry.flat()))
     server = FleetServer.build(
         tiny_spec(), cfg,
-        execution=sim_execution(compile="on", metrics=MetricsRegistry()),
+        execution=sim_execution(compile="on", metrics=registry, hooks=hooks),
         machine=laptop_sim(4),
     )
     stats = server.run(workload(rate=rate, duration=duration, seed=seed))
-    return stats, [snap.values for snap in server.snapshots.snapshots]
+    return stats, snapshots + [registry.flat()]
 
 
 def test_serve_queue_depth_is_the_fleet_total():
@@ -269,7 +271,7 @@ def test_warm_hit_rate_gauge_is_the_rate_so_far():
     stats, snapshots = _fleet_snapshots(replicas=2, rate=600.0, duration=0.3, seed=2)
     warm = [b.warm for b in stats.batches]
     assert None not in warm and not all(warm)
-    for values in snapshots:
+    for values in snapshots[1:]:  # the first flush comes before any batch ran
         n = int(sum(v for k, v in values.items() if k.startswith("repro_serve_batches_total")))
         assert values["repro_fleet_warm_hit_rate"] == sum(warm[:n]) / n
     assert n == len(warm)
@@ -334,22 +336,13 @@ def test_malformed_request_is_shed_and_the_rest_are_served(probe):
 
 
 def test_one_replica_fleet_samples_a_snapshot_per_batch():
-    cfg = ServeConfig(max_batch_size=4, bucket_width=4)
-    server = FleetServer.build(
-        tiny_spec(), cfg,
-        execution=sim_execution(metrics=MetricsRegistry()), machine=laptop_sim(4),
-    )
-    stats = server.run(workload(duration=0.2))
-    assert stats.batches and len(server.snapshots) == len(stats.batches)
-    assert any(
-        k.startswith("repro_serve_batches_total")
-        for k in server.snapshots.snapshots[-1].values
-    )
-    # no registry, nothing to sample
-    bare = FleetServer.build(
-        tiny_spec(), cfg, execution=sim_execution(), machine=laptop_sim(4),
-    )
-    assert bare.snapshots is None
+    """A snapshot is ``registry.flat()`` read whenever the caller likes; a
+    flush hook reads one per batch, and each sees the batches before it."""
+    stats, snapshots = _fleet_snapshots(replicas=1, rate=200.0, duration=0.2, seed=0)
+    assert stats.batches and len(snapshots) == len(stats.batches) + 1
+    executed = [sum(v for k, v in values.items() if k.startswith("repro_serve_batches_total"))
+                for values in snapshots]
+    assert executed == list(range(len(stats.batches) + 1))
 
 
 def test_default_fleet_is_one_replica():

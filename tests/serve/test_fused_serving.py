@@ -14,7 +14,7 @@ from repro.serve import (
     WorkloadConfig,
     poisson_workload,
 )
-from repro.simarch.presets import laptop_sim
+from tests.conftest import laptop_sim
 
 
 def tiny_spec():

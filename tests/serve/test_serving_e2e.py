@@ -20,7 +20,7 @@ from repro.serve import (
     bursty_workload,
     poisson_workload,
 )
-from repro.simarch.presets import laptop_sim
+from tests.conftest import laptop_sim
 
 
 def tiny_spec():
@@ -28,11 +28,11 @@ def tiny_spec():
                     merge_mode="sum", head="many_to_one", num_classes=4)
 
 
-def serve_sim(requests, config, keep_traces=False, **execution):
+def serve_sim(requests, config, **execution):
     """One simulated one-replica fleet run of ``requests``."""
     server = FleetServer.build(
         tiny_spec(), config, execution=SERVE_DEFAULTS.replace(**execution),
-        machine=laptop_sim(4), keep_traces=keep_traces,
+        machine=laptop_sim(4),
     )
     return server.run(requests)
 
@@ -66,7 +66,7 @@ def test_every_request_reaches_exactly_one_terminal_state():
     assert r["completed"] + r["shed"] == r["total"]
     assert sum(r["shed_reasons"].values()) == r["shed"]
     completed_rids = {c.rid for c in stats.completed}
-    shed_rids = {s.rid for s in stats.shed}
+    shed_rids = {s.rid for s, _ in stats.shed_records}
     assert not completed_rids & shed_rids  # no request in two states
 
 
@@ -138,22 +138,6 @@ def test_bursty_workload_is_deterministic_and_in_window():
     assert [r.seq_len for r in a] == [r.seq_len for r in b]
     assert all(0.0 <= r.arrival_time < 0.5 for r in a)
     assert len(a) > 0
-
-
-def test_combined_trace_spans_the_serving_run():
-    stats = serve_sim(
-        small_workload(),
-        ServeConfig(queue_capacity=64, max_batch_size=4, max_wait=2e-3,
-                    bucket_width=4),
-        keep_traces=True,
-    )
-    trace = stats.combined_trace()
-    assert trace.num_tasks() > 0
-    # merged trace is laid out on the server clock: it reaches the last finish
-    last_finish = max(c.finish_time for c in stats.completed)
-    assert max(r.end for r in trace.records) <= last_finish + 1e-9
-    # and the summary helper works on it
-    assert trace.summary()["task_duration_p95_s"] >= trace.summary()["task_duration_p50_s"]
 
 
 def test_threaded_serving_matches_reference_oracle():

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.simarch.machine import MachineSpec, usable_cores
-from repro.simarch.presets import laptop_sim, tesla_v100, xeon_8160_2s
+from repro.simarch.presets import tesla_v100, xeon_8160_2s
+from tests.conftest import laptop_sim
 
 
 def test_xeon_preset_matches_paper_table1():

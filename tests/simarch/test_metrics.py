@@ -10,7 +10,7 @@ from repro.simarch.metrics import (
     task_ipc,
     task_mpki,
 )
-from repro.simarch.presets import laptop_sim
+from tests.conftest import laptop_sim
 
 
 def rec(duration, instructions, miss_bytes, start=0.0):
