@@ -129,7 +129,7 @@ bench:
 # the call census (tools/census.py, docs/TESTING.md §Census): run the product's
 # entry points under a trace function and list every function in src/repro
 # they never call, outside the tool's allowlist; exit 1 if there is one.  Not
-# in CI: a full run takes ~25 min on 2 vCPUs
+# in CI: a full run takes ~15 min on 2 vCPUs
 census:
 	$(PYTHON) tools/census.py
 
