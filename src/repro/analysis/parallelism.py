@@ -80,8 +80,8 @@ def parallelism_metrics(graph: TaskGraph) -> Dict[str, float]:
     # Regions written by exactly one task and never read anywhere: the
     # write costs nothing in ordering (no other accessor) but the memory
     # traffic may be avoidable — reported as a metric, not a finding,
-    # because e.g. per-step inference legitimately fills caches nobody
-    # reads.
+    # because e.g. an inference graph's logits are its output, which no
+    # task reads.
     readers: Set[int] = set()
     accessors: Dict[int, int] = {}
     for t in graph.tasks:

@@ -22,11 +22,13 @@ of one built graph, five obligations:
    :func:`cross_validate` runs on every instance the certificate proves.
 2. **Storage soundness** — the symbolic byte extents of all region keys
    (:meth:`GraphBuildResult.symbolic_storage`) evaluate back to the
-   declared concrete sizes, every pair of distinct keys sharing an
-   address space is *provably disjoint* for all nonnegative size
-   valuations, and every kernel footprint is covered by its task's
-   declared extents.  With (1) this closes the aliasing gap: two tasks
-   can only touch common bytes through a common region key.
+   declared concrete sizes and, on a functional build, to the slot bytes
+   its chunks allocated (the storage table's widths against the blocks),
+   every pair of distinct keys sharing an address space is *provably
+   disjoint* for all nonnegative size valuations, and every kernel
+   footprint is covered by its task's declared extents.  With (1) this
+   closes the aliasing gap: two tasks can only touch common bytes
+   through a common region key.
 3. **Ordering** — every pair of tasks conflicting on a common key is
    path-ordered (:func:`repro.runtime.racecheck.ordering_findings`).
 4. **Plan closure** — the compile pass's transitively-reduced edge set
@@ -81,6 +83,7 @@ import numpy as np
 from repro.compile import compile_graph
 from repro.core.access_spec import FAMILIES, expected_access
 from repro.core.graph_builder import GraphBuildResult, build_brnn_graph
+from repro.core.state import STORAGE
 from repro.core.symbolic import Extent, Interval, union_covers
 from repro.models.params import BRNNParams
 from repro.models.spec import CELL_TYPES, BRNNSpec
@@ -209,17 +212,19 @@ def verify_build(
                 ))
         fidelity_ok[task.tid] = match
 
-    # -- obligation 2a: symbolic sizes match declared sizes -----------------
+    # -- obligation 2a: symbolic sizes match declared and allocated sizes ---
     region_extents: Dict[object, Tuple[Extent, ...]] = {}
     for region in result.regions.regions():
         exts = result.symbolic_storage(region.key)
         region_extents[region.key] = exts
         size = sum(e.interval.length().evaluate(env) for e in exts)
-        if size != region.nbytes:
-            report.findings.append(_finding(
-                "size_model_mismatch", region=repr(region.key),
-                detail=f"symbolic size {size} != declared {region.nbytes}",
-            ))
+        held = _allocated_bytes(result, region.key)
+        for what, nbytes in (("declared", region.nbytes), ("allocated", held)):
+            if nbytes is not None and size != nbytes:
+                report.findings.append(_finding(
+                    "size_model_mismatch", region=repr(region.key),
+                    detail=f"symbolic size {size} != {what} {nbytes}",
+                ))
 
     # declared-side extents, with the shrink mutation applied
     declared_extents = dict(region_extents)
@@ -329,6 +334,18 @@ def verify_build(
     # -- obligation 5: minimality -------------------------------------------
     report.findings.extend(minimality_findings(graph))
     return report
+
+
+def _allocated_bytes(result: GraphBuildResult, key) -> Optional[int]:
+    """Bytes of ``key``'s slot in the blocks a functional build allocated
+    (``None``: a cost-only build, or no block kind): the builder and the
+    proof both take ``key``'s size from the storage table's width."""
+    storage = STORAGE.get(key[0])
+    if storage is None or not result.functional:
+        return None
+    state, where = result.chunks[key[1]], storage.address(key, result.seq_len)
+    views = (state.slot(name, *where) for name in storage.blocks)
+    return sum(v.nbytes for v in views if v is not None)
 
 
 def minimality_findings(graph: TaskGraph) -> List[DependenceFinding]:

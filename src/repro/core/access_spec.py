@@ -7,7 +7,8 @@ that says which region keys a task of each family reads (``ins``), writes
 ``meta`` and of its build's record, the
 :class:`~repro.core.graph_builder.GraphBuildResult` (``ctx`` in the rules):
 ``_cell_fwd_tile`` reads the ``z``/input slot of every step ``[lo, hi)`` it
-covers, the weight panel, and the state carried in from below ``lo``; in a
+covers, the weight panel, and the state carried in from below ``lo``, and
+outs each step's ``cache`` (what its backward reads) in training only; in a
 hoisted layer ``_proj_bwd`` is the only writer of the weight-gradient panel
 ``gW`` (a hoisted ``cell_bwd`` writes its gate gradient over the ``z`` slot
 its forward read, and touches no gradient); …
@@ -46,7 +47,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Tup
 if TYPE_CHECKING:
     from repro.core.graph_builder import GraphBuildResult
 
-#: region key — the graph builder's structured vocabulary
+#: region key — the graph builder's structured vocabulary; where a chunk
+#: kind's bytes lie is :data:`repro.core.state.STORAGE`
 Key = tuple
 
 
@@ -95,9 +97,7 @@ def _cell_fwd_tile(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
     mb, layer, d = meta["mb"], meta["layer"], meta["dir"]
     if d == "pair":  # both chains' tiles in one task; a key they share, once
         f, r = (_cell_fwd_tile({**meta, "dir": one}, ctx) for one in ("fwd", "rev"))
-        # a paired inference step keeps no cache, nor sets its slot
-        outs = tuple(k for k in f.outs + r.outs if ctx.training or k[0] != "cache")
-        return AccessDecl(ins=tuple(dict.fromkeys(f.ins + r.ins)), outs=outs)
+        return AccessDecl(ins=tuple(dict.fromkeys(f.ins + r.ins)), outs=f.outs + r.outs)
     lo, hi = meta["lo"], meta["hi"]
     T = ctx.seq_len
     fused = ctx.fused_layers[layer]
@@ -113,8 +113,7 @@ def _cell_fwd_tile(meta: Mapping, ctx: GraphBuildResult) -> AccessDecl:
         # forward pass of this layer has finished
         ins.append(("h", mb, layer, "fwd", T - 1))
     outs: List[Key] = [("h", mb, layer, d, s) for s in range(lo, hi)]
-    if not fused or ctx.training:
-        # fused inference never materialises the per-step cache
+    if ctx.training:  # inference keeps no cache for a backward
         outs += [("cache", mb, layer, d, s) for s in range(lo, hi)]
     return AccessDecl(ins=tuple(ins), outs=tuple(outs))
 

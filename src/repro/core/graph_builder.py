@@ -18,7 +18,9 @@ A build is described once: :func:`build_brnn_graph` derives its structure
 into one :class:`GraphBuildResult`.  The builder fills that
 record's graph and regions, the access rules read it, and an ``out=``
 rebind compares it field by field with the earlier build's.  Where each
-value lives is stated once too, by :class:`~repro.core.state.ChunkState`.
+value lives is stated once too, by :class:`~repro.core.state.ChunkState`,
+and where a region key's bytes lie in its blocks by one table that the
+builder, the observer and the proof read, :data:`~repro.core.state.STORAGE`.
 
 Each (layer, direction) cell chain is cut into tiles of consecutive steps,
 one task per tile, by one emitter per pass (``_build_forward_layer`` /
@@ -76,7 +78,7 @@ from repro.models.cells import (
 from repro.models.params import BRNNParams
 from repro.models.spec import CELLS, BRNNSpec
 from repro.core.access_spec import expected_access
-from repro.core.state import DIRECTIONS, ChunkState
+from repro.core.state import DIRECTIONS, STORAGE, ChunkState, symbols
 from repro.core.symbolic import Affine, Extent, Interval
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
@@ -86,15 +88,6 @@ from repro.runtime.task import INTERLEAVED_HOME, Region, RegionSpace
 #: enough that downstream cells start long before the whole sequence is
 #: projected, large enough that each block is still one efficient GEMM.
 DEFAULT_PROJ_BLOCK = 16
-
-#: the ChunkState blocks behind each block region kind; a key's indices
-#: after the chunk are the slot's address (:meth:`ChunkState.slot`)
-_BLOCKS = {
-    "h": ("h", "c"), "dh": ("dh", "dc"), "z": ("z",),
-    "m": ("merged",), "dm": ("dmerged",),
-    "mlast": ("last_merged",), "logits": ("logits",), "dlogits": ("dlogits",),
-    "dmlast": ("dlast_merged",),
-}
 
 
 #: ``fused_input_projection="auto"`` hoists a layer whose per-direction
@@ -294,52 +287,34 @@ class GraphBuildResult:
         The race checker (:mod:`repro.runtime.racecheck`) diffs a task's
         *observed* memory accesses against its declared regions; this
         method is the ground truth tying each region key of the builder's
-        vocabulary to the ChunkState/params buffers it stands for: a view of
-        its block; a ``cache`` key, what the step's backward reads: its
-        ``acts`` slot, the ``h``/``c`` slots (or initial state) its forward
-        read and, on an unhoisted layer, its input row.  An inference
-        chunk's cache resolves to no arrays, and so does the zero-byte
-        ``serial`` token.  No payload rebinds storage, so a key resolves to
-        the same bytes for the whole of a run.  Functional graphs only.
+        vocabulary to the buffers it stands for: a parameter panel and its
+        bias, the slot views :data:`~repro.core.state.STORAGE` places it at
+        (a ``cache`` key also: the state its step read and, unhoisted, its
+        input row), or none (the zero-byte ``serial`` token).  No payload
+        rebinds storage, so a key resolves to the same bytes for the whole
+        of a run.  Functional graphs only.
         """
         if not self.functional:
             raise RuntimeError("cost-only graphs carry no data to resolve")
         kind = key[0]
-        if kind == "x":
-            _, mb, t = key
-            return (self.chunks[mb].x[t],)
-        if kind == "W":
-            _, layer, d = key
-            dp = self.params.layers[layer].direction(d)
+        if kind in ("W", "gW"):  # ("W", layer, d) / ("gW", mb, layer, d)
+            p = self.params if kind == "W" else self.chunks[key[1]].grads
+            dp = p.layers[key[-2]].direction(key[-1])
             return (dp.W, dp.b)
-        if kind == "Wout":
-            return (self.params.head.W, self.params.head.b)
-        if kind == "gW":
-            _, mb, layer, d = key
-            gp = self.chunks[mb].grads.layers[layer].direction(d)
-            return (gp.W, gp.b)
-        if kind == "gWout":
-            _, mb = key
-            gh = self.chunks[mb].grads.head
-            return (gh.W, gh.b)
+        if kind in ("Wout", "gWout"):
+            head = self.params.head if kind == "Wout" else self.chunks[key[1]].grads.head
+            return (head.W, head.b)
         if kind == "serial":
             return ()
-        state = self.chunks[key[1]]
-        if kind == "cache":  # what the step's backward reads
-            _, _, layer, direction, step = key
-            if state.acts[layer] is None:  # an inference chunk keeps no caches
-                return ()
-            d = DIRECTIONS.index(direction)
-            read = (state.acts[layer][step, d],) + state.prev_state(layer, d, step)
+        storage = STORAGE[kind]  # a KeyError outside the vocabulary
+        state, where = self.chunks[key[1]], storage.address(key, self.seq_len)
+        if kind == "cache":
+            layer, d, step = where[0], DIRECTIONS.index(where[1]), where[2]
+            views = (state.slot("acts", *where),) + state.prev_state(layer, d, step)
             if not self.fused_layers[layer]:
-                read += (state.inputs(layer)[step if d == 0 else self.seq_len - 1 - step],)
-            return tuple(a for a in read if a is not None)
-        if kind not in _BLOCKS:
-            raise KeyError(f"unknown region key vocabulary: {key!r}")
-        where = key[2:]
-        if kind == "z" and where[1] == "rev":  # a position, stored by chain step
-            where = (where[0], "rev", self.seq_len - 1 - where[2])
-        views = (state.slot(name, *where) for name in _BLOCKS[kind])
+                views += (state.inputs(layer)[step if d == 0 else self.seq_len - 1 - step],)
+        else:
+            views = tuple(state.slot(name, *where) for name in storage.blocks)
         return tuple(v for v in views if v is not None)
 
     # -- symbolic region metadata (static verifier) -----------------------------
@@ -352,15 +327,10 @@ class GraphBuildResult:
         declared — the consistency obligation :mod:`repro.analysis.verify`
         checks to tie the symbolic model to the built graph.
         """
-        env = {
-            "H": self.spec.hidden_size,
-            "I0": self.spec.input_size,
-            "M": self.spec.merged_size,
-            "C": self.spec.num_classes,
-            "isz": int(np.dtype(self.spec.dtype).itemsize),
-        }
-        for mb, bc in enumerate(self.chunk_batches):
-            env[f"b{mb}"] = bc
+        spec = self.spec
+        env = {"H": spec.hidden_size, "I0": spec.input_size, "M": spec.merged_size,
+               "C": spec.num_classes, "isz": int(np.dtype(spec.dtype).itemsize)}
+        env.update((f"b{mb}", bc) for mb, bc in enumerate(self.chunk_batches))
         return env
 
     def symbolic_storage(self, key) -> tuple:
@@ -375,10 +345,10 @@ class GraphBuildResult:
         are
 
         * ``x(mb, t)`` — batch/time slices of the one parent input array,
-        * slot blocks (``h``/``dh``/``cache``/``z``/``m``/``dm`` and the
-          per-slot head rows) — packed per ``(kind, mb, layer)``,
-          time-major: chain step ``s`` of direction ``d`` is slot ``2s+d``,
-          as in the ChunkState blocks; ``z`` holds a projection, then its
+        * slot blocks — per ``(kind, mb, layer)``, or ``(kind, mb)`` for the
+          head's rows, slot ``i`` at ``i`` rows of the :data:`~repro.core.
+          state.STORAGE` width (chain step ``s`` of direction ``d`` is slot
+          ``2s+d``, as in the blocks); ``z`` holds a projection, then its
           gradient, so their accesses meet in one space.
 
         Works for cost-only graphs too (no storage needed): the extents
@@ -386,62 +356,27 @@ class GraphBuildResult:
         reasons about.
         """
         kind = key[0]
-        spec = self.spec
-        H, I0, M = Affine.sym("H"), Affine.sym("I0"), Affine.sym("M")
-        C, isz = Affine.sym("C"), Affine.sym("isz")
-        cell = CELLS[spec.cell]
-        G = cell.gates
-        T = self.seq_len
-
-        def b(mb: int) -> Affine:
-            return Affine.sym(f"b{mb}")
-
-        def lin(layer: int) -> Affine:
-            return I0 if layer == 0 else M
-
-        def own(space, nbytes) -> tuple:
-            return (Extent(space, Interval(Affine.const(0), nbytes)),)
-
-        def slot(space, index, size) -> tuple:
-            return (Extent(space, Interval(index * size, (index + 1) * size)),)
-
-        if kind == "x":
-            _, mb, t = key
-            row = I0 * isz  # bytes per sample row
-            total = Affine.const(0)
-            for j in range(len(self.chunk_batches)):
-                total = total + b(j)
-            off = Affine.const(0)
-            for j in range(mb):
-                off = off + b(j)
-            lo = (Affine.const(t) * total + off) * row
-            return (Extent(("x",), Interval(lo, lo + b(mb) * row)),)
+        H, M, C = Affine.sym("H"), Affine.sym("M"), Affine.sym("C")
+        isz = Affine.sym("isz")
         if kind in ("W", "gW"):  # (..., layer, dir): one whole panel plus its bias
-            return own(key, ((lin(key[-2]) + H) * (G * H) + G * H) * isz)
-        if kind == "Wout":
-            return own(key, (M * C + C) * isz)
-        if kind == "gWout":
-            _, mb = key
-            return own(key, (M * C + C) * isz)
-        if kind in ("h", "dh", "cache", "z"):
-            _, mb, layer, d, idx = key
-            mult = {"cache": cell.cache_arrays, "z": G}.get(kind, cell.state_arrays)
-            size = Affine.const(mult) * b(mb) * H * isz
-            if kind == "z" and d == "rev":  # a position, stored by chain step
-                idx = T - 1 - idx
-            return slot(("slots", kind, mb, layer), 2 * idx + DIRECTIONS.index(d), size)
-        if kind in ("m", "dm"):
-            _, mb, layer, t = key
-            return slot(("slots", kind, mb, layer), t, b(mb) * M * isz)
-        if kind in ("mlast", "dmlast"):
-            _, mb, s = key
-            return slot(("rows", kind, mb), s, b(mb) * M * isz)
-        if kind in ("logits", "dlogits"):
-            _, mb, s = key
-            return slot(("rows", kind, mb), s, b(mb) * C * isz)
+            G = CELLS[self.spec.cell].gates
+            lin = Affine.sym("I0") if key[-2] == 0 else M
+            return (Extent(key, Interval(Affine.const(0), ((lin + H) * (G * H) + G * H) * isz)),)
+        if kind in ("Wout", "gWout"):
+            return (Extent(key, Interval(Affine.const(0), (M * C + C) * isz)),)
         if kind == "serial":
             return ()
-        raise KeyError(f"unknown region key vocabulary: {key!r}")
+        storage, mb = STORAGE[kind], key[1]  # a KeyError outside the vocabulary
+        b = [Affine.sym(f"b{j}") for j in range(len(self.chunk_batches))]
+        row = storage.width(symbols(self.spec.cell)) * isz  # bytes per sample row
+        if kind == "x":
+            lo = (key[2] * sum(b, Affine.const(0)) + sum(b[:mb], Affine.const(0))) * row
+            return (Extent(("x",), Interval(lo, lo + b[mb] * row)),)
+        where = storage.address(key, self.seq_len)
+        index = 2 * where[2] + DIRECTIONS.index(where[1]) if len(where) == 3 else where[-1]
+        space = ("slots", kind, mb, where[0]) if len(where) > 1 else ("rows", kind, mb)
+        size = b[mb] * row
+        return (Extent(space, Interval(index * size, (index + 1) * size)),)
 
     def map_storage(self, fn, scratch=None) -> None:
         """Rebind every storage array through ``fn(array)``.
@@ -511,7 +446,7 @@ class _Builder:
         # builder's own attributes (the same objects), every emitter reads
         # them in one lookup.
         vars(self).update(vars(result))
-        spec, cell = result.spec, CELLS[result.spec.cell]
+        spec = result.spec
         # Every cell chain is cut into tiles of consecutive steps, one task
         # per tile: a single step (the paper's task per cell update) unless
         # ``wavefront_tile`` asks for longer tiles.
@@ -526,18 +461,11 @@ class _Builder:
         #: names ~4 regions, most of them seen before
         self.interned = {}
         self.isz = np.dtype(spec.dtype).itemsize
-        H, M, C = spec.hidden_size, spec.merged_size, spec.num_classes
-        state = cell.state_arrays * H  # h (+ c for LSTM)
-        #: elements per sample of each per-chunk activation kind: the
-        #: use-once (streaming) regions, sized by their chunk's batch
-        self.row_width = {
-            "x": spec.input_size,
-            "z": cell.gates * H,
-            "h": state, "dh": state,
-            "cache": cell.cache_arrays * H,
-            "m": M, "dm": M, "mlast": M, "dmlast": M,
-            "logits": C, "dlogits": C,
-        }
+        #: elements per sample of each per-chunk kind (the table's widths
+        #: under the build's valuation): the use-once (streaming) regions,
+        #: sized by their chunk's batch
+        dims = symbols(spec.cell, result.symbol_env())
+        self.widths = {kind: s.width(dims) for kind, s in STORAGE.items()}
         units = result.total_batch * (result.seq_len if spec.head == "many_to_many" else 1)
         self.grad_scale = 1.0 / units
 
@@ -581,9 +509,11 @@ class _Builder:
             return [(d, *tile) for d in DIRECTIONS for tile in tiles]
         return [(d, *tile) for tile in tiles for d in DIRECTIONS]
 
-    def _proj_reuse(self, mb: int, block_len: int) -> float:
-        """Sweep count of a block projection GEMM (``block_len·B`` rows)."""
-        return min(6.0, 1.0 + block_len * self.chunk_batches[mb] / 32.0)
+    def _proj_meta(self, mb: int, layer: int, direction: str, lo: int, hi: int) -> dict:
+        """Meta of a block projection task over positions ``[lo, hi)``;
+        ``reuse`` is the sweep count of its GEMM (``(hi-lo)·B`` rows)."""
+        reuse = min(6.0, 1.0 + (hi - lo) * self.chunk_batches[mb] / 32.0)
+        return {"mb": mb, "layer": layer, "dir": direction, "lo": lo, "hi": hi, "reuse": reuse}
 
     def _proj_blocks(self, direction: str) -> List[tuple]:
         """``(lo, hi)`` position ranges of the hoisted-projection blocks,
@@ -618,7 +548,7 @@ class _Builder:
         if region is not None:
             return region
         kind, spec = key[0], self.spec
-        width = self.row_width.get(kind)
+        width = self.widths.get(kind)
         if width is not None:  # ("kind", mb, ...): rows of chunk mb
             nbytes = self.chunk_batches[key[1]] * width * self.isz
         elif kind == "serial":
@@ -967,14 +897,7 @@ class _Builder:
                     self._fn_proj, mb, layer, direction, lo, hi,
                     flops=pflops * (hi - lo),
                     kind="proj",
-                    meta={
-                        "mb": mb,
-                        "layer": layer,
-                        "dir": direction,
-                        "lo": lo,
-                        "hi": hi,
-                        "reuse": self._proj_reuse(mb, hi - lo),
-                    },
+                    meta=self._proj_meta(mb, layer, direction, lo, hi),
                 )
 
     def _merge_tiles(self, descending: bool = False):
@@ -1147,14 +1070,7 @@ class _Builder:
                     self._fn_proj_bwd, mb, layer, direction, lo, hi,
                     flops=pbflops * (hi - lo),
                     kind="proj_bwd",
-                    meta={
-                        "mb": mb,
-                        "layer": layer,
-                        "dir": direction,
-                        "lo": lo,
-                        "hi": hi,
-                        "reuse": self._proj_reuse(mb, hi - lo),
-                    },
+                    meta=self._proj_meta(mb, layer, direction, lo, hi),
                 )
 
     def _build_backward_layer_outputs(self, mb: int, layer: int, fused: bool) -> None:

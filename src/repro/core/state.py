@@ -32,19 +32,84 @@ With that, every block but the logits is zeros or unread on entry to a run
 and unread after it (:attr:`ChunkState.SCRATCH`), which is what lets the
 process executor give those blocks fresh, zero-filled shared memory and
 copy nothing either way.
+
+Where a region key's bytes lie in these blocks is stated once, by
+:data:`STORAGE`: per kind, the blocks, the slot address as a function of
+the key and the row width in symbols.  The builder sizes regions from it,
+``region_storage`` resolves a key's views and ``symbolic_storage`` its
+extents through it; :class:`ChunkState` allocates its blocks on its own,
+and the verifier checks each width against them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.symbolic import Affine
 from repro.models.cells import CACHE_FIELDS
 from repro.models.params import BRNNParams
 from repro.models.spec import CELLS, BRNNSpec
 
 DIRECTIONS = ("fwd", "rev")
+
+
+def symbols(cell: str, env: Optional[dict] = None) -> SimpleNamespace:
+    """The terms of a row width: ``cell``'s state arrays ``S`` (LSTM: ``h``
+    and ``c``), gates ``G`` and cache fields ``F``, and the feature widths
+    ``H``, ``I0``, ``M``, ``C``: the proof's symbols, or their values in a
+    build's ``symbol_env()``, under which a width is elements per row."""
+    row = CELLS[cell]
+    widths = {n: Affine.sym(n) if env is None else env[n] for n in ("H", "I0", "M", "C")}
+    return SimpleNamespace(S=row.state_arrays, G=row.gates, F=len(CACHE_FIELDS[cell]), **widths)
+
+
+def _after_chunk(key: tuple, T: int) -> tuple:
+    return key[2:]
+
+
+def _by_step(key: tuple, T: int) -> tuple:
+    """A key that names a sequence position: the reverse chain reaches
+    position ``pos`` at step ``T-1-pos``."""
+    layer, direction, pos = key[2:]
+    return layer, direction, pos if direction == "fwd" else T - 1 - pos
+
+
+class Storage(NamedTuple):
+    """Where the bytes of a key ``(kind, mb, ...)`` lie in chunk ``mb``'s
+    blocks: one slot of each of ``blocks`` (one the chunk lacks counts
+    none) at ``address(key, T)``, as :meth:`ChunkState.slot` takes it,
+    ``width(symbols)`` elements per batch row over them all."""
+
+    blocks: Tuple[str, ...]
+    width: Callable[[SimpleNamespace], object]
+    address: Callable[[tuple, int], tuple] = _after_chunk
+
+
+#: region kind -> :class:`Storage`, for every kind a chunk's blocks back.
+#: Addresses are ``(layer, direction, step)`` in ``(T, 2, B, ·)`` blocks
+#: (flat slot ``2·step + d``), ``(layer, pos)`` in ``(T, B, M)`` blocks and
+#: ``(slot,)`` in the head's and ``x``.  A ``cache`` key is what a step's
+#: backward reads: its ``acts`` slot and the ``h``/``c`` slots of the step
+#: before (``h0``/``c0`` at step 0), the width of its own step's; in the
+#: observer also, on an unhoisted layer, its input row.  Those two are the
+#: exceptions left, until ``cache`` splits into an ``acts`` kind and keys
+#: of what the backward reads.
+STORAGE = {
+    "x": Storage(("x",), lambda d: d.I0),
+    "h": Storage(("h", "c"), lambda d: d.S * d.H),
+    "dh": Storage(("dh", "dc"), lambda d: d.S * d.H),
+    "z": Storage(("z",), lambda d: d.G * d.H, _by_step),
+    "cache": Storage(("acts", "h", "c"), lambda d: (d.F + d.S) * d.H),
+    "m": Storage(("merged",), lambda d: d.M),
+    "dm": Storage(("dmerged",), lambda d: d.M),
+    "mlast": Storage(("last_merged",), lambda d: d.M),
+    "dmlast": Storage(("dlast_merged",), lambda d: d.M),
+    "logits": Storage(("logits",), lambda d: d.C),
+    "dlogits": Storage(("dlogits",), lambda d: d.C),
+}
 
 
 class ChunkState:

@@ -18,14 +18,14 @@ class CellRow(NamedTuple):
     fwd_pointwise: int  # elementwise flops per hidden unit, forward cell update
     bwd_pointwise: int  # the same, backward
     state_arrays: int  # ``(B, H)`` arrays a cell hands to the next step (LSTM: h and c)
-    cache_arrays: int  # ``(B, H)`` arrays the forward retains for the backward
 
 
 #: The only statement of these numbers: parameter shapes, every
-#: ``cells.cell_*_flops`` count and the builder's region widths read it.
+#: ``cells.cell_*_flops`` count and the region widths
+#: (:data:`repro.core.state.STORAGE`) read it.
 CELLS = {
-    "lstm": CellRow(gates=4, fwd_pointwise=14, bwd_pointwise=30, state_arrays=2, cache_arrays=7),
-    "gru": CellRow(gates=3, fwd_pointwise=13, bwd_pointwise=28, state_arrays=1, cache_arrays=5),
+    "lstm": CellRow(gates=4, fwd_pointwise=14, bwd_pointwise=30, state_arrays=2),
+    "gru": CellRow(gates=3, fwd_pointwise=13, bwd_pointwise=28, state_arrays=1),
 }
 #: The one list of cells, the paper's two (BLSTM, BGRU): ``BRNNSpec``, the
 #: certificate's family matrix, ``analyze --cell`` and ``tools/`` read it.

@@ -4,16 +4,21 @@ The algebra only ever *proves* (sound, incomplete): every ``provably_*``
 True must be semantically true for all nonnegative symbol valuations,
 and the tests check both directions — proofs hold under random concrete
 valuations, and statements that are false at some valuation are never
-proven.  The last test ties the builder's symbolic storage model to the
-storage itself: region keys whose bytes overlap must share a space.
+proven.  The last tests tie the builder's symbolic storage model to the
+storage itself: region keys whose bytes overlap must share a space, and a
+storage-table entry moved off the blocks is reported by the proof (a width)
+or by the observer (an address).
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.verify import verify_build
+from repro.core import state
 from repro.core.graph_builder import build_brnn_graph
 from repro.core.symbolic import Affine, Extent, Interval, union_covers
 from repro.models.params import BRNNParams
+from repro.runtime.racecheck import check_build
 from tests.conftest import make_batch, small_spec
 
 
@@ -246,3 +251,56 @@ def test_overlapping_storage_is_one_symbolic_space(cell, training, hoist, tile, 
     for key, n in nbytes.items():
         assert sum(hi - lo for _, lo, hi in _extents(result, key)) == n, key
     assert {key[0] for key in nbytes} >= {"h", "m", "mlast", "logits"}
+
+
+def _table_build():
+    """A training build that declares every kind of the storage table: two
+    layers, the first hoisted (``z``), a head per position.  One chunk: its
+    ``x`` is then the whole input, and the projection's reads of it are
+    observed (the unhoisted layer's reads of its input are also its
+    ``cache`` keys')."""
+    spec = small_spec(head="many_to_many", num_layers=2)
+    x, labels = make_batch(spec, seq_len=4, batch=4)
+    return build_brnn_graph(
+        spec, x=x, labels=labels, params=BRNNParams.initialize(spec, 1),
+        fused_input_projection=[True, False], proj_block=2,
+    )
+
+
+def test_the_table_build_declares_every_table_kind_and_verifies_clean():
+    result = _table_build()
+    assert {r.key[0] for r in result.regions.regions()} >= set(state.STORAGE)
+    assert verify_build(result, check_plan=False).ok
+
+
+@pytest.mark.parametrize("kind", sorted(state.STORAGE))
+def test_a_table_width_off_by_one_element_is_a_size_model_mismatch(monkeypatch, kind):
+    """The builder and the proof both size a key from the table, so only
+    the blocks the chunks allocated can tell a wrong width."""
+    entry = state.STORAGE[kind]
+    monkeypatch.setitem(
+        state.STORAGE, kind, entry._replace(width=lambda d, w=entry.width: w(d) + 1)
+    )
+    findings = verify_build(_table_build(), check_plan=False).findings
+    assert {
+        f.region.split(",")[0] for f in findings
+        if f.kind == "size_model_mismatch" and "allocated" in f.detail
+    } == {f"({kind!r}"}
+
+
+@pytest.mark.parametrize("kind", sorted(state.STORAGE))
+def test_a_table_address_off_by_one_slot_is_an_undeclared_access(monkeypatch, kind):
+    """A key resolved one slot over (wrapping at the sequence end) still
+    names bytes of its block, but not the ones its task touches: the
+    observed-versus-declared audit names a task that declares the kind."""
+    entry = state.STORAGE[kind]
+
+    def shifted(key, T, address=entry.address):
+        where = address(key, T)
+        return where[:-1] + ((where[-1] + 1) % T,)
+
+    monkeypatch.setitem(state.STORAGE, kind, entry._replace(address=shifted))
+    result = _table_build()
+    declaring = {t.name for t in result.graph if any(r.key[0] == kind for r in t.regions())}
+    findings = check_build(result).findings
+    assert any(f.kind.startswith("undeclared") and f.task in declaring for f in findings)

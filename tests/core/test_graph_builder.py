@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.config import ExecutionConfig
+from repro.core import BParEngine
 from repro.core.access_spec import FAMILIES
 from repro.core.graph_builder import _Builder, build_brnn_graph, split_batch
-from repro.models.cells import cell_forward, zeros_state
+from repro.models.cells import CACHE_FIELDS, cell_forward, zeros_state
 from repro.models.params import BRNNParams
-from repro.models.spec import CELLS
+from repro.models.spec import CELLS, BRNNSpec
 from repro.runtime.depgraph import descendants_bitsets
 from tests.conftest import make_batch, predecessors, reaches, small_spec
 from tests.core.test_fusion import engine, grads_bitwise
@@ -48,6 +50,44 @@ def test_inference_graph_has_no_backward():
     assert count_kind(res, "cell_bwd") == 0
     assert count_kind(res, "loss") == 0
     assert count_kind(res, "weight_update") == 0
+
+
+def _caches(res) -> list:
+    return [r.key for r in res.regions.regions() if r.key[0] == "cache"]
+
+
+@pytest.mark.parametrize("tile", [None, 2], ids=["step", "tiled"])
+@pytest.mark.parametrize("paired", [False, True], ids=["chains", "paired"])
+@pytest.mark.parametrize("hoist", ["off", "on"])
+def test_inference_declares_no_cache(hoist, paired, tile):
+    """A ``cache`` key is what a step's backward reads; inference runs no
+    backward and keeps no cache block, so no forward step outs one."""
+    spec = small_spec()
+    res = build_brnn_graph(
+        spec, seq_len=5, batch=4, mbs=2, training=False, fused_input_projection=hoist,
+        paired=paired, wavefront_tile=tile,
+    )
+    assert _caches(res) == []
+    trained = build_brnn_graph(
+        spec, seq_len=5, batch=4, mbs=2, fused_input_projection=hoist, wavefront_tile=tile,
+    )
+    assert len(_caches(trained)) == 2 * 2 * spec.num_layers * 5
+
+
+def test_simulated_inference_declares_no_cache_and_infer_fine_has_1211_regions():
+    """The simulator's engine builds the paper's tile-1 graph, with no
+    ``cache`` key; at ``infer_fine``'s shape (4 layers, 100 steps, one
+    chunk, per-step, unhoisted) that leaves 1,211 regions, 800 fewer than
+    when every forward step declared one."""
+    spec = small_spec()
+    x, _ = make_batch(spec)
+    sim = BParEngine(spec, BRNNParams.initialize(spec, 0), config=ExecutionConfig(
+        executor="sim", mbs=2, fused_input_projection="off",
+    ))
+    sim.forward(x)
+    assert sim.last_result.wavefront_tile is None and _caches(sim.last_result) == []
+    fine = BRNNSpec(cell="lstm", input_size=39, hidden_size=32, num_layers=4)
+    assert len(build_brnn_graph(fine, seq_len=100, batch=4, training=False).regions) == 1211
 
 
 def test_graph_is_acyclic_and_rooted():
@@ -232,10 +272,12 @@ def test_fused_proj_bwd_runs_concurrently_with_cell_backward():
 @pytest.mark.parametrize("cell", CELLS)
 def test_state_and_cache_region_widths_are_the_cell_table_rows(cell):
     """``h``/``dh`` regions are ``state_arrays`` and ``cache`` regions
-    ``cache_arrays`` arrays of ``(B, H)``, and that is what the kernel hands
-    on and retains (the cache's ``x`` is the ``x``/``m`` region's, not its)."""
+    ``F + state_arrays`` arrays of ``(B, H)`` (``F`` the cell's
+    ``CACHE_FIELDS``), and that is what the kernel hands on and retains (the
+    cache's ``x`` is the ``x``/``m`` region's, not its)."""
     spec = small_spec(cell=cell)
     B, row = 4, CELLS[cell]
+    cache_arrays = len(CACHE_FIELDS[cell]) + row.state_arrays
     res = build_brnn_graph(spec, seq_len=3, batch=B, training=True)
     array_bytes = B * spec.hidden_size * np.dtype(spec.dtype).itemsize
     widths = {
@@ -243,7 +285,7 @@ def test_state_and_cache_region_widths_are_the_cell_table_rows(cell):
         for kind in ("h", "dh", "cache")
     }
     assert widths["h"] == widths["dh"] == {row.state_arrays * array_bytes}
-    assert widths["cache"] == {row.cache_arrays * array_bytes}
+    assert widths["cache"] == {cache_arrays * array_bytes}
 
     params = BRNNParams.initialize(spec, 0)
     W, b = params.layers[0].fwd.W, params.layers[0].fwd.b
@@ -251,7 +293,7 @@ def test_state_and_cache_region_widths_are_the_cell_table_rows(cell):
     h, c, cache = cell_forward(spec, x, *zeros_state(spec, B), W, b)
     assert sum(a is not None for a in (h, c)) == row.state_arrays
     cache_bytes = sum(a.nbytes for a in vars(cache).values() if a is not None)
-    assert cache_bytes - x.nbytes == row.cache_arrays * array_bytes
+    assert cache_bytes - x.nbytes == cache_arrays * array_bytes
     assert W.shape[1] == row.gates * spec.hidden_size
 
 

@@ -190,15 +190,15 @@ def test_overload_decisions_are_pinned():
     stats = FleetServer.build(
         spec, cfg, execution=sim_execution(compile="on"),
     ).run(requests)
-    assert (len(requests), len(stats.completed)) == (6018, 614)
-    assert stats.shed_reason_counts() == {SHED_DEADLINE: 700, SHED_TENANT: 4704}
+    assert (len(requests), len(stats.completed)) == (6018, 627)
+    assert stats.shed_reason_counts() == {SHED_DEADLINE: 687, SHED_TENANT: 4704}
     digest = hashlib.sha256()
     for c in stats.completed:
         digest.update(f"c {c.rid} {c.batch_id} {c.finish_time!r}\n".encode())
     for r, why in stats.shed_records:
         digest.update(f"s {r.rid} {why}\n".encode())
     assert digest.hexdigest() == (
-        "419ada7d60d2c2872f72ee8fde29ec3f59541b29c3a60df08b35ef6ab95c1180"
+        "4993bf194061b2ba99a66554a0f52f56751397a39d140d4c9816a2e905f75a01"
     )
 
 

@@ -40,12 +40,8 @@ ALLOWLIST = {
     "runtime/scheduler.py::SchedulerCounters": "its rates are read by publish_scheduler",
     "runtime/scheduler.py::RecordingScheduler": "records a fuzzed order for golden replay",
     "runtime/scheduler.py::ScheduleRecord": "a recorded order's JSON form (the golden fixture)",
-    "kernels/gru.py::gru_forward_step": "the oracle's GRU step: no entry point checks a GRU",
-    "kernels/gru.py::gru_backward_step": "the oracle's GRU step: no entry point checks a GRU",
-    "models/params.py::BRNNParams": "caller API: the .npz checkpoint (docs/API.md), copy, compare",
     "runtime/depgraph.py::TaskGraph.validate_acyclic": "the cycle oracle of certificate tests",
     "runtime/depgraph.py::TaskGraph.is_topological_order": "the order oracle of property tests",
-    "core/bpar.py::BParEngine.loss_and_grads": "a caller-held optimiser's step (DESIGN.md §7)",
     "harness/ledger.py::Bar.label": "a failed bar's text; every gated report passes",
     "runtime/executor.py::starved_error": "raised only when a replayed order starves",
 }
