@@ -31,13 +31,13 @@ Package layout (see DESIGN.md):
 * :mod:`repro.serve` — online inference serving: bounded queue,
   dynamic/continuous batching, replica fleet with routing and
   admission control, SLO metrics (docs/SERVING.md)
-* :mod:`repro.obs` — observability: metrics registry, scheduler
-  counters, profiling hooks (docs/OBSERVABILITY.md); attached through
+* :mod:`repro.obs` — observability: metrics registry and scheduler
+  counters (docs/OBSERVABILITY.md); attached through
   :class:`~repro.config.ExecutionConfig`
 """
 
 from repro.config import ExecutionConfig
-from repro.obs import CallbackHooks, MetricsRegistry, ProfilingHooks
+from repro.obs import MetricsRegistry
 from repro.models.spec import BRNNSpec
 from repro.models.params import BRNNParams
 from repro.core.bpar import BParEngine
@@ -59,8 +59,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ExecutionConfig",
     "MetricsRegistry",
-    "ProfilingHooks",
-    "CallbackHooks",
     "BRNNSpec",
     "BRNNParams",
     "BParEngine",

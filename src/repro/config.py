@@ -2,8 +2,7 @@
 
 :class:`ExecutionConfig` is the single object that names *how* a graph
 runs — substrate, worker count, hybrid-parallelism and
-granularity knobs, and the observability attachments (``metrics``/``hooks``)
-— accepted by :class:`~repro.core.bpar.BParEngine`,
+granularity knobs, and the metrics registry a run publishes into — accepted by :class:`~repro.core.bpar.BParEngine`,
 :class:`~repro.core.bseq.BSeqEngine` and
 :class:`~repro.serve.engine.InferenceEngine` through one ``config=``
 parameter.
@@ -15,7 +14,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.obs.hooks import ProfilingHooks
 from repro.obs.registry import MetricsRegistry
 
 #: the executors a config names as a string
@@ -85,9 +83,6 @@ class ExecutionConfig:
         A :class:`~repro.obs.registry.MetricsRegistry` the executors
         publish per-run counters into (``None`` disables — the default
         and zero-overhead path).
-    hooks:
-        Live :class:`~repro.obs.hooks.ProfilingHooks` invoked during
-        execution (``None`` disables).
     """
 
     executor: Any = None
@@ -98,7 +93,6 @@ class ExecutionConfig:
     wavefront_tile: Optional[int] = None
     compile: str = "off"
     metrics: Optional[MetricsRegistry] = None
-    hooks: Optional[ProfilingHooks] = None
 
     def __post_init__(self) -> None:
         ex = self.executor

@@ -38,27 +38,22 @@ def resolve_executor(config: ExecutionConfig):
     parallelism past the GIL, see docs/EXECUTORS.md); ``"sim"`` → the
     modelled 48-core Xeon; each under the paper's ``"locality"`` policy.
     A ready executor instance passes through unchanged (the config's
-    ``n_workers``/``metrics``/``hooks`` are then the instance's
+    ``n_workers``/``metrics`` are then the instance's
     responsibility).
     """
     ex = config.executor
     if ex is None or ex == "threaded":
-        return ThreadedExecutor(
-            _host_workers(config), metrics=config.metrics, hooks=config.hooks
-        )
+        return ThreadedExecutor(_host_workers(config), metrics=config.metrics)
     if ex == "process":
         from repro.runtime.mpexec import MultiprocessExecutor
 
-        return MultiprocessExecutor(
-            _host_workers(config), metrics=config.metrics, hooks=config.hooks
-        )
+        return MultiprocessExecutor(_host_workers(config), metrics=config.metrics)
     if ex == "sim":
         from repro.runtime.simexec import SimulatedExecutor
         from repro.simarch.presets import xeon_8160_2s
 
         return SimulatedExecutor(
-            xeon_8160_2s(), n_cores=config.n_workers, metrics=config.metrics,
-            hooks=config.hooks,
+            xeon_8160_2s(), n_cores=config.n_workers, metrics=config.metrics
         )
     return ex
 
@@ -98,7 +93,6 @@ class BParEngine:
         self.mbs = cfg.mbs
         self.barrier_free = cfg.barrier_free
         self.metrics = cfg.metrics
-        self.hooks = cfg.hooks
         self.last_trace: Optional[ExecutionTrace] = None
         #: the one build an engine keeps, the ``Granularity`` it was made with
         #: and the call it serves: ``(x.shape, x.dtype, training, update_weights)``

@@ -10,17 +10,16 @@ measured with:
   :class:`~repro.runtime.scheduler.SchedulerCounters` (queue depth,
   steals + distance, locality hit/miss, starvation stalls) into a
   registry, off the hot path;
-* :class:`ProfilingHooks` / :class:`CallbackHooks` — live
-  ``on_task_start/end``, ``on_steal``, ``on_batch_flush`` callbacks
-  (:mod:`repro.obs.hooks`);
 * :mod:`repro.obs.report` — the ``python -m repro bench obs_overhead`` driver,
   the metrics-overhead A/B behind ``BENCH_obs_overhead.json``.  (Imported
   on demand, not here: it pulls in the engines.)
 
-Everything is enabled through the unified
-:class:`repro.config.ExecutionConfig` (``metrics=``/``hooks=`` fields);
-this package itself imports nothing from the runtime, so any layer can
-depend on it.
+A run is observed through what it leaves behind: its
+:class:`~repro.runtime.trace.ExecutionTrace` (one record per task) and
+the registry attached through :class:`repro.config.ExecutionConfig`'s
+``metrics=`` field, whose ``flat()`` is safe to read from another thread
+while a run publishes.  This package itself imports nothing from the
+runtime, so any layer can depend on it.
 """
 
 from repro.obs.registry import (
@@ -30,7 +29,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.hooks import CallbackHooks, ProfilingHooks
 from repro.obs.publish import publish_run, publish_scheduler, publish_trace
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DURATION_BUCKETS_S",
-    "ProfilingHooks",
-    "CallbackHooks",
     "publish_run",
     "publish_scheduler",
     "publish_trace",

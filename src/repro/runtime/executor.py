@@ -25,7 +25,6 @@ import threading
 import time
 from typing import Optional
 
-from repro.obs.hooks import ProfilingHooks
 from repro.obs.publish import publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
@@ -80,7 +79,6 @@ def _fill_working_sets(trace: ExecutionTrace, graph: TaskGraph) -> None:
 def run_in_order(
     graph: TaskGraph,
     metrics: Optional[MetricsRegistry] = None,
-    hooks: Optional[ProfilingHooks] = None,
 ) -> ExecutionTrace:
     """Run every task of ``graph`` on the calling thread in registration
     order: no scheduler, indegree count, lock or hint.  A payload exception
@@ -90,12 +88,8 @@ def run_in_order(
     epoch = time.perf_counter()
     for task in graph:
         start = time.perf_counter() - epoch
-        if hooks is not None:
-            hooks.on_task_start(task, 0, start)
         task.run()
         end = time.perf_counter() - epoch
-        if hooks is not None:
-            hooks.on_task_end(task, 0, end)
         records.append(_record(task, 0, start, end))
     _fill_working_sets(trace, graph)
     publish_run(metrics, trace)
@@ -105,17 +99,12 @@ def run_in_order(
 class SerialExecutor:
     """Run tasks one by one in registration (topological) order."""
 
-    def __init__(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        hooks: Optional[ProfilingHooks] = None,
-    ) -> None:
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.n_workers = 1
         self.metrics = metrics
-        self.hooks = hooks
 
     def run(self, graph: TaskGraph) -> ExecutionTrace:
-        return run_in_order(graph, self.metrics, self.hooks)
+        return run_in_order(graph, self.metrics)
 
 
 class ThreadedExecutor:
@@ -134,7 +123,6 @@ class ThreadedExecutor:
         n_workers: int,
         scheduler="locality",
         metrics: Optional[MetricsRegistry] = None,
-        hooks: Optional[ProfilingHooks] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -142,7 +130,6 @@ class ThreadedExecutor:
         self.n_workers = n_workers
         self.scheduler = scheduler
         self.metrics = metrics
-        self.hooks = hooks
 
     def run(self, graph: TaskGraph, threads: Optional[int] = None) -> ExecutionTrace:
         """Execute ``graph`` on the ``threads`` the engine planned, else on
@@ -151,9 +138,8 @@ class ThreadedExecutor:
         dynamically, with locality hints."""
         n_threads = min(self.n_workers if threads is None else threads, self.n_workers)
         if n_threads == 1 and self.scheduler in SCHEDULERS:
-            return run_in_order(graph, self.metrics, self.hooks)
+            return run_in_order(graph, self.metrics)
         scheduler, successors, indegree = start_release(graph, self.scheduler, self.n_workers)
-        scheduler.hooks = self.hooks
         trace = ExecutionTrace(n_cores=n_threads, scheduler=scheduler.name)
         self._run_threaded(graph, scheduler, successors, indegree, trace)
         _fill_working_sets(trace, graph)
@@ -162,7 +148,6 @@ class ThreadedExecutor:
         return trace
 
     def _run_threaded(self, graph, scheduler, successors, indegree, trace):
-        hooks = self.hooks
         tasks = graph.tasks
         lock = threading.Lock()
         work_available = threading.Condition(lock)
@@ -194,8 +179,6 @@ class ThreadedExecutor:
                             return
                         work_available.wait()
                 start = time.perf_counter() - epoch
-                if hooks is not None:
-                    hooks.on_task_start(task, core, start)
                 try:
                     task.run()
                 except BaseException as exc:  # surface payload failures
@@ -204,8 +187,6 @@ class ThreadedExecutor:
                         work_available.notify_all()
                     return
                 end = time.perf_counter() - epoch
-                if hooks is not None:
-                    hooks.on_task_end(task, core, end)
                 record = _record(task, core, start, end)
                 # A successor waiting for this task alone is freed by it whatever
                 # the other workers do: place it before taking the lock.  (One

@@ -49,7 +49,6 @@ from collections import deque
 from multiprocessing import connection
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.obs.hooks import ProfilingHooks
 from repro.obs.publish import publish_mp_workers, publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
@@ -148,7 +147,6 @@ class MultiprocessExecutor:
         n_workers: int,
         scheduler="locality",
         metrics: Optional[MetricsRegistry] = None,
-        hooks: Optional[ProfilingHooks] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -161,7 +159,6 @@ class MultiprocessExecutor:
         self.n_workers = n_workers
         self.scheduler = scheduler
         self.metrics = metrics
-        self.hooks = hooks
 
     # -- execution -----------------------------------------------------------
 
@@ -171,8 +168,6 @@ class MultiprocessExecutor:
         scheduler, successors, indegree = start_release(
             graph, self.scheduler, self.n_workers
         )
-        scheduler.hooks = self.hooks
-        hooks = self.hooks
         trace = ExecutionTrace(n_cores=self.n_workers, scheduler=scheduler.name)
         n_tasks = len(graph.tasks)
         if n_tasks == 0:
@@ -246,8 +241,6 @@ class MultiprocessExecutor:
                         break
                     wid = idle.popleft()
                     w = workers[wid]
-                    if hooks is not None:
-                        hooks.on_task_start(task, wid, time.perf_counter() - epoch)
                     try:
                         w.cmd_w.send(("task", task.tid))
                     except (BrokenPipeError, OSError):
@@ -298,8 +291,6 @@ class MultiprocessExecutor:
                         _, tid, t0, t1 = msg
                         task = inflight.pop(wid)
                         start, end = t0 - epoch, t1 - epoch
-                        if hooks is not None:
-                            hooks.on_task_end(task, wid, end)
                         trace.records.append(
                             TaskRecord(
                                 tid=task.tid,

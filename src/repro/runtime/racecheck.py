@@ -150,8 +150,10 @@ class TrackedArray(np.ndarray):
     """ndarray view that reports its participation in NumPy operations.
 
     While a recorder is active, ufunc inputs log reads, ``out=`` operands
-    and ``__setitem__`` targets log writes, and array functions
-    (``np.concatenate`` etc.) log every array argument.  Inputs are
+    and ``__setitem__`` targets log writes, array functions
+    (``np.concatenate`` etc.) log every array argument, and a method that
+    returns a copy (``reshape``/``ravel`` of a strided view, ``flatten``,
+    ``copy``, ``astype``) logs a read of the source.  Inputs are
     stripped back to plain ndarrays before delegation, so results are
     ordinary arrays and instrumentation never compounds.
     """
@@ -217,6 +219,30 @@ class TrackedArray(np.ndarray):
             if isinstance(value, np.ndarray):
                 rec.log_read(value)
         super().__setitem__(key, _plain(value))
+
+    # NumPy copies inside these methods, where neither ``__array_ufunc__``
+    # nor ``__array_function__`` sees it: a result that does not share the
+    # source's memory read all of it
+    def _read_if_copied(self, result):
+        rec = _RECORDER
+        if rec is not None and not np.may_share_memory(_plain(result), _plain(self)):
+            rec.log_read(self)
+        return result
+
+    def reshape(self, *args, **kwargs):
+        return self._read_if_copied(super().reshape(*args, **kwargs))
+
+    def ravel(self, *args, **kwargs):
+        return self._read_if_copied(super().ravel(*args, **kwargs))
+
+    def flatten(self, *args, **kwargs):
+        return self._read_if_copied(super().flatten(*args, **kwargs))
+
+    def copy(self, *args, **kwargs):
+        return self._read_if_copied(super().copy(*args, **kwargs))
+
+    def astype(self, *args, **kwargs):
+        return self._read_if_copied(super().astype(*args, **kwargs))
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:

@@ -87,16 +87,11 @@ class Scheduler:
     task, ``pop(core) -> Optional[Task]`` and ``__len__``.
 
     Every scheduler keeps a :class:`SchedulerCounters` (lazily created; a
-    handful of integer bumps per push/pop) and optionally forwards steal
-    events to a :class:`~repro.obs.hooks.ProfilingHooks` instance that an
-    executor attached as ``self.hooks``.
+    handful of integer bumps per push/pop).
     """
 
     #: human-readable policy name (used in traces and reports)
     name = "abstract"
-
-    #: live profiling hooks (attached by executors; ``None`` = disabled)
-    hooks = None
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -141,12 +136,10 @@ class Scheduler:
                     c.locality_misses += 1
         return task
 
-    def _note_steal(self, task: Task, thief: int, victim: int) -> None:
+    def _note_steal(self, thief: int, victim: int) -> None:
         c = self.counters
         c.steals += 1
         c.steal_distance_total += abs(thief - victim)
-        if self.hooks is not None:
-            self.hooks.on_steal(task, thief, victim)
 
 
 class FIFOScheduler(Scheduler):
@@ -229,7 +222,7 @@ class LocalityAwareScheduler(Scheduler):
             task = victim.popleft()
             if not victim:
                 self._nonempty.discard(victim_core)
-            self._note_steal(task, core, victim_core)
+            self._note_steal(core, victim_core)
             return self._note_pop(task, core)
         return self._note_pop(None, core)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Set, Tuple
 
-from repro.obs.hooks import ProfilingHooks
 from repro.obs.publish import publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
@@ -61,7 +60,6 @@ class SimulatedExecutor:
         execute_payloads: bool = False,
         persistent_cache: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        hooks: Optional[ProfilingHooks] = None,
     ) -> None:
         self.machine = machine
         self.n_cores = n_cores if n_cores is not None else machine.n_cores
@@ -72,7 +70,6 @@ class SimulatedExecutor:
         self.execute_payloads = execute_payloads
         self.persistent_cache = persistent_cache
         self.metrics = metrics
-        self.hooks = hooks
         cps = machine.cores_per_socket
         self._active_sockets = (self.n_cores + cps - 1) // cps
         self._cache = CacheModel(machine, self._active_sockets)
@@ -96,16 +93,9 @@ class SimulatedExecutor:
             graph, self.scheduler, self.n_cores, plan
         )
         replay = plan is not None
-        scheduler.hooks = self.hooks
-        hooks = self.hooks
         trace = ExecutionTrace(n_cores=self.n_cores, scheduler=scheduler.name)
 
         remaining = len(graph.tasks)
-        if remaining == 0:
-            trace.scheduler_counters = scheduler.counters
-            publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
-            return trace
-
         idle: Set[int] = set(range(self.n_cores))
         active_on_socket = [0] * self.machine.n_sockets
         # completion events: (time, seq, tid, core)
@@ -157,8 +147,6 @@ class SimulatedExecutor:
                     cost = self.cost_model.cost(
                         task, core, cache, active_on_socket[socket]
                     )
-                    if hooks is not None:
-                        hooks.on_task_start(task, core, now)
                     if self.execute_payloads:
                         task.run()
                     trace.records.append(
@@ -195,8 +183,6 @@ class SimulatedExecutor:
                 completed.append((tid2, core2))
             for tid2, core2 in completed:
                 task = graph.tasks[tid2]
-                if hooks is not None:
-                    hooks.on_task_end(task, core2, now)
                 idle.add(core2)
                 active_on_socket[self.machine.socket_of(core2)] -= 1
                 remaining -= 1

@@ -87,8 +87,8 @@ class InferenceEngine:
         The served model architecture.
     config:
         An :class:`~repro.config.ExecutionConfig` naming the substrate,
-        worker count, ``mbs``, hoisting policy and the observability
-        attachments (``metrics``/``hooks``).  ``executor``
+        worker count, ``mbs``, hoisting policy and the metrics registry
+        a run publishes into.  ``executor``
         is ``"sim"`` (deterministic simulated machine, the default),
         ``"threaded"`` (real worker threads, real numerics) or
         ``"process"`` (pinned worker processes over shared memory, real
@@ -130,13 +130,11 @@ class InferenceEngine:
         #: the substrate's name, or the executor instance the config holds
         self.executor = cfg.executor if cfg.executor is not None else "sim"
         self.metrics = cfg.metrics
-        self.hooks = cfg.hooks
         if is_simulated(cfg):
             self._executor = self.executor
             if not isinstance(self._executor, SimulatedExecutor):
                 self._executor = SimulatedExecutor(
-                    machine or xeon_8160_2s(), n_cores=cfg.n_workers, metrics=cfg.metrics,
-                    hooks=cfg.hooks,
+                    machine or xeon_8160_2s(), n_cores=cfg.n_workers, metrics=cfg.metrics
                 )
             self.machine = self._executor.machine
             self.params = params  # weights are irrelevant to cost-only graphs

@@ -258,8 +258,6 @@ class FleetServer:
                 if batch is None:
                     continue
                 engine = engines[r]
-                if engine.hooks is not None:
-                    engine.hooks.on_batch_flush(batch, now)
                 execution = engine.execute(batch)
                 engine_free[r] = now + execution.service_time_s
                 est = service_est[r]

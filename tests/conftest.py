@@ -146,6 +146,23 @@ def laptop_sim(n_cores: int = 8) -> MachineSpec:
     )
 
 
+def read_registry_per_batch(monkeypatch, registry):
+    """Wrap ``InferenceEngine.execute`` (as ``bench/spans.py`` wraps its
+    targets) to read ``registry.flat()`` as each cut batch is handed to an
+    engine; returns the list the reads go to."""
+    from repro.serve.engine import InferenceEngine
+
+    snapshots = []
+    execute = InferenceEngine.execute
+
+    def reading_execute(engine, batch):
+        snapshots.append(registry.flat())
+        return execute(engine, batch)
+
+    monkeypatch.setattr(InferenceEngine, "execute", reading_execute)
+    return snapshots
+
+
 def momentum_step(params: BRNNParams, velocity: BRNNParams, grads: BRNNParams,
                   lr: float, mu: float = 0.9) -> None:
     """Classical momentum a caller takes on gradients, in place:

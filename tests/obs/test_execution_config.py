@@ -30,12 +30,12 @@ class TestExecutionConfig:
         assert cfg.mbs == 1
         assert cfg.barrier_free is True
         assert cfg.fused_input_projection == "auto"
-        assert cfg.metrics is None and cfg.hooks is None
+        assert cfg.metrics is None
         # every field has a caller; the policy, block and seed are the
         # executor's, the builder's and ``params=``'s
         assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
             "executor", "n_workers", "mbs", "barrier_free", "fused_input_projection",
-            "wavefront_tile", "compile", "metrics", "hooks",
+            "wavefront_tile", "compile", "metrics",
         ]
 
     def test_frozen(self):

@@ -8,7 +8,6 @@ victim, lowest core id on ties, oldest entry stolen); this one pins the
 
 import pytest
 
-from repro.obs.hooks import CallbackHooks
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.scheduler import (
     FIFOScheduler,
@@ -53,19 +52,6 @@ class TestStealCounters:
         assert c.locality_hits == 0
         assert c.locality_misses == 3
         assert c.locality_hit_rate == 0.0
-
-    def test_on_steal_hook_forwarded(self, cls):
-        s = cls(8)
-        steals = []
-        s.hooks = CallbackHooks(
-            on_steal=lambda task, thief, victim: steals.append(
-                (task.name, thief, victim)
-            )
-        )
-        push_pinned_scenario(s)
-        for _ in range(3):
-            s.pop(0)
-        assert steals == [("b0", 0, 2), ("c0", 0, 6), ("b1", 0, 2)]
 
     def test_own_queue_pop_is_a_locality_hit_not_a_steal(self, cls):
         s = cls(8)

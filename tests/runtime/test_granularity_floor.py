@@ -4,7 +4,7 @@
 (``spec_gemm_flops_per_cell_step``) whether ``n_workers`` threads are worth
 starting; the engines pass that decision to ``ThreadedExecutor.run``, and a
 graph run on one thread under a policy name runs on the calling thread in
-registration order, under the same hooks, trace and error contract; a fuzz
+registration order, under the same trace and error contract; a fuzz
 seed or a primed scheduler drives the worker loop.  Everything here is
 deterministic and clock-free: the shapes are the benchmark's two engine
 workloads (``bench/workloads.py``), shortened.
@@ -25,7 +25,7 @@ from repro.core.graph_builder import (
 )
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
-from repro.obs import CallbackHooks, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.runtime.executor import SerialExecutor, ThreadedExecutor
 from repro.runtime.mpexec import MultiprocessExecutor
 from repro.runtime.scheduler import (
@@ -151,7 +151,7 @@ def test_recording_scheduler_records_the_fuzz_order_and_replays_it():
     assert np.array_equal(replayed_logits, logits)
 
 
-# -- errors and hooks ----------------------------------------------------------
+# -- errors and traces ----------------------------------------------------------
 
 
 def test_raising_payload_surfaces_unchanged():
@@ -257,15 +257,12 @@ def test_plan_releasing_a_task_before_its_predecessor_starves_every_executor():
 @pytest.mark.parametrize(
     "scheduler", ["locality", "fuzz:1", "replay"], ids=["registration", "dynamic", "replay"]
 )
-def test_hooks_fire_once_per_task(scheduler):
+def test_trace_records_each_task_once(scheduler):
     build = fine_build(seq_len=4)
-    starts, ends = [], []
-    hooks = CallbackHooks(
-        on_task_start=lambda task, core, t: starts.append((task.tid, core)),
-        on_task_end=lambda task, core, t: ends.append((task.tid, core)),
-    )
     if scheduler == "replay":
         scheduler = ReplayScheduler(registration_record(build.graph))
-    ThreadedExecutor(2, scheduler, hooks=hooks).run(build.graph, threads=1)
-    assert starts == ends
-    assert sorted(starts) == [(tid, 0) for tid in range(len(build.graph))]
+    trace = ThreadedExecutor(2, scheduler).run(build.graph, threads=1)
+    assert sorted((r.tid, r.core) for r in trace.records) == [
+        (tid, 0) for tid in range(len(build.graph))
+    ]
+    assert all(r.start <= r.end for r in trace.records)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.verify import order_defining_edges
+from repro.core import state
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.runtime import racecheck
@@ -30,7 +31,7 @@ byte_bounds = racecheck.byte_bounds
 
 
 # ---------------------------------------------------------------------------
-# TrackedArray hooks
+# TrackedArray instrumentation
 # ---------------------------------------------------------------------------
 
 
@@ -93,6 +94,19 @@ def test_matmul_logs_both_operands(recorder):
     a @ b
     assert byte_bounds(a) in recorder.reads
     assert byte_bounds(b) in recorder.reads
+
+
+def test_reshape_of_a_strided_view_logs_its_read(recorder):
+    """Reshaping a strided slice copies inside NumPy, where no ufunc or
+    array function sees the read; a reshape that is a view reads nothing."""
+    block = _tracked((3, 4, 2))
+    view = block[:, :2]
+    flat = view.reshape(-1, 2)
+    assert not np.may_share_memory(np.asarray(flat), np.asarray(block))
+    assert set(racecheck._extents(view)) <= recorder.reads
+    recorder.reads.clear()
+    block.reshape(-1, 2)
+    assert not recorder.reads
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +311,26 @@ def test_a_payload_that_rebinds_a_block_is_reported(kind):
     hits = [f for f in check_build(result).findings if "rebound" in f.detail]
     assert hits and all((f.kind, f.task) == ("undeclared_write", "fwd[0]L0s0") for f in hits)
     assert repr((kind.replace("acts", "cache"), 0, 0, "fwd", 0)) in {f.region for f in hits}
+
+
+def test_a_strided_input_read_one_slot_over_is_reported(monkeypatch):
+    """With two chunks a chunk's ``x`` is a strided view of the batch, which
+    a hoisted layer's ``proj``/``projBwd`` tasks reshape (a copy inside
+    NumPy): with ``x`` resolved one slot over, every task that declares an
+    ``x`` key reads undeclared bytes, and each is reported."""
+    entry = state.STORAGE["x"]
+
+    def shifted(key, T, address=entry.address):
+        where = address(key, T)
+        return where[:-1] + ((where[-1] + 1) % T,)
+
+    monkeypatch.setitem(state.STORAGE, "x", entry._replace(address=shifted))
+    result = _blstm_build(fused_input_projection=[True, False], proj_block=2)
+    assert not result.chunks[1].x.flags.c_contiguous
+    declaring = {t.name for t in result.graph if any(r.key[0] == "x" for r in t.regions())}
+    assert any(name.startswith("proj[") for name in declaring)
+    findings = check_build(result).findings
+    assert {f.task for f in findings if f.kind.startswith("undeclared")} >= declaring
 
 
 def test_every_order_defining_dependence_deletion_is_detected():

@@ -136,8 +136,11 @@ def test_extra_overhead_from_meta():
 
 
 def test_empty_graph():
-    trace = SimulatedExecutor(laptop_sim(2)).run(TaskGraph())
+    machine = laptop_sim(2)
+    trace = SimulatedExecutor(machine).run(TaskGraph())
     assert trace.makespan == 0.0
+    # the same epilogue as any run: the machine and the cache counters
+    assert trace.machine is machine and trace.cache_stats is not None
 
 
 @pytest.mark.parametrize("scheduler", ["fifo", "fuzz:4", "locality"])

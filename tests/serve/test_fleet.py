@@ -10,7 +10,7 @@ from repro.core.bpar import BParEngine
 from repro.models.params import BRNNParams
 from repro.models.reference import reference_forward
 from repro.models.spec import BRNNSpec
-from repro.obs import CallbackHooks, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.serve import (
     SHED_DEADLINE,
     SHED_MALFORMED,
@@ -28,7 +28,7 @@ from repro.serve import (
     bursty_workload,
     poisson_workload,
 )
-from tests.conftest import laptop_sim
+from tests.conftest import laptop_sim, read_registry_per_batch
 
 
 def tiny_spec():
@@ -236,25 +236,25 @@ def test_fleet_metrics_families_are_published():
     assert shed == serve_shed > 0  # fleet and serve families agree
 
 
-def _fleet_snapshots(replicas, rate, duration, seed):
+def _fleet_snapshots(monkeypatch, replicas, rate, duration, seed):
     """A sim fleet with compiled plans and a registry: its stats and the
-    registry's ``flat()`` values read at every batch flush, then at the end."""
+    registry's ``flat()`` values read at every batch cut, then at the end."""
     cfg = ServeConfig(replicas=replicas, max_batch_size=4, bucket_width=4)
-    registry, snapshots = MetricsRegistry(), []
-    hooks = CallbackHooks(on_batch_flush=lambda batch, t: snapshots.append(registry.flat()))
+    registry = MetricsRegistry()
+    snapshots = read_registry_per_batch(monkeypatch, registry)
     server = FleetServer.build(
         tiny_spec(), cfg,
-        execution=sim_execution(compile="on", metrics=registry, hooks=hooks),
+        execution=sim_execution(compile="on", metrics=registry),
         machine=laptop_sim(4),
     )
     stats = server.run(workload(rate=rate, duration=duration, seed=seed))
     return stats, snapshots + [registry.flat()]
 
 
-def test_serve_queue_depth_is_the_fleet_total():
+def test_serve_queue_depth_is_the_fleet_total(monkeypatch):
     """``repro_serve_queue_depth`` is the sum of every replica's latest
     depth, not the depth of the replica that reported last."""
-    _, snapshots = _fleet_snapshots(replicas=3, rate=4000.0, duration=0.05, seed=1)
+    _, snapshots = _fleet_snapshots(monkeypatch, replicas=3, rate=4000.0, duration=0.05, seed=1)
     assert len(snapshots) > 10
     overlapping = 0
     for values in snapshots:
@@ -265,13 +265,13 @@ def test_serve_queue_depth_is_the_fleet_total():
     assert overlapping  # some snapshot has a backlog on two replicas at once
 
 
-def test_warm_hit_rate_gauge_is_the_rate_so_far():
+def test_warm_hit_rate_gauge_is_the_rate_so_far(monkeypatch):
     """At every snapshot the gauge is the warm share of the batches
     executed up to it, which is what ``warm_hit_rate()`` says at the end."""
-    stats, snapshots = _fleet_snapshots(replicas=2, rate=600.0, duration=0.3, seed=2)
+    stats, snapshots = _fleet_snapshots(monkeypatch, replicas=2, rate=600.0, duration=0.3, seed=2)
     warm = [b.warm for b in stats.batches]
     assert None not in warm and not all(warm)
-    for values in snapshots[1:]:  # the first flush comes before any batch ran
+    for values in snapshots[1:]:  # the first read comes before any batch ran
         n = int(sum(v for k, v in values.items() if k.startswith("repro_serve_batches_total")))
         assert values["repro_fleet_warm_hit_rate"] == sum(warm[:n]) / n
     assert n == len(warm)
@@ -335,10 +335,10 @@ def test_malformed_request_is_shed_and_the_rest_are_served(probe):
         np.testing.assert_allclose(c.result, oracle[0], rtol=1e-5, atol=1e-6)
 
 
-def test_one_replica_fleet_samples_a_snapshot_per_batch():
+def test_one_replica_fleet_samples_a_snapshot_per_batch(monkeypatch):
     """A snapshot is ``registry.flat()`` read whenever the caller likes; a
-    flush hook reads one per batch, and each sees the batches before it."""
-    stats, snapshots = _fleet_snapshots(replicas=1, rate=200.0, duration=0.2, seed=0)
+    read as each batch is cut sees the batches before it."""
+    stats, snapshots = _fleet_snapshots(monkeypatch, replicas=1, rate=200.0, duration=0.2, seed=0)
     assert stats.batches and len(snapshots) == len(stats.batches) + 1
     executed = [sum(v for k, v in values.items() if k.startswith("repro_serve_batches_total"))
                 for values in snapshots]

@@ -34,7 +34,6 @@ ALLOWLIST = {
     "runtime/protocol.py": "the Executor signature stub and the worker-crash error (item 4)",
     "kernels/activations.py::_fresh_turn": "runs in a forked child (register_at_fork, item 4)",
     "compile/plan.py": "the compiled plan record; ROADMAP item 11 retires plans",
-    "obs/hooks.py": "the hooks= seam: no entry point attaches profiling hooks",
     "obs/publish.py": "the metrics= seam: scheduler and plan-cache series need threads, compile",
     "obs/registry.py": "the registry's read side: entry points publish metrics, none reads them",
     "runtime/scheduler.py::SchedulerCounters": "its rates are read by publish_scheduler",
