@@ -37,6 +37,7 @@ from repro.core import graph_builder
 from repro.core.graph_builder import build_brnn_graph
 from repro.models.params import BRNNParams
 from repro.models.spec import BRNNSpec
+from repro.serve.engine import InferenceEngine
 from repro.simarch.machine import MachineSpec
 from repro.simarch.presets import KIB, MIB
 
@@ -150,8 +151,6 @@ def read_registry_per_batch(monkeypatch, registry):
     """Wrap ``InferenceEngine.execute`` (as ``bench/spans.py`` wraps its
     targets) to read ``registry.flat()`` as each cut batch is handed to an
     engine; returns the list the reads go to."""
-    from repro.serve.engine import InferenceEngine
-
     snapshots = []
     execute = InferenceEngine.execute
 
